@@ -40,6 +40,17 @@ fn bench_primitives(c: &mut Criterion) {
         let scalar = [0x42u8; 32];
         b.iter(|| x25519::x25519(&scalar, &x25519::BASEPOINT));
     });
+    // A scalar per point, as a client sealing an onion runs it. Per-element
+    // time against `scalarmult` is the lane kernel's gain; `/2` against two
+    // `scalarmult`s is the crossover `MIN_POINTS` in `x25519.rs` encodes.
+    for &n in &[2usize, 8, 30] {
+        let scalars: Vec<[u8; 32]> = (0..n).map(|i| [0x42 ^ i as u8; 32]).collect();
+        let points = vec![x25519::BASEPOINT; n];
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::new("multi_scalar", n), &n, |b, _| {
+            b.iter(|| x25519::x25519_multi(&scalars, &points));
+        });
+    }
     group.finish();
 }
 
@@ -89,10 +100,29 @@ fn bench_open_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The client-side twin of `open_batch`: the content-independent phase of
+/// sealing one 5-layer update for a 3-hop chain — 15 envelopes, 30 ladders
+/// in one batch. Per-envelope throughput reads against `sealed_box/seal`.
+fn bench_onion_prepare(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto/sealed_box/onion_prepare_5x3");
+    configure(&mut group);
+    let mut rng = StdRng::seed_from_u64(2);
+    let hops: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+    let route: Vec<_> = (0..5)
+        .flat_map(|_| hops.iter().rev().map(KeyPair::public))
+        .collect();
+    group.throughput(Throughput::Elements(route.len() as u64));
+    group.bench_function("prepare", |b| {
+        b.iter(|| SealedBox::prepare(route.iter().copied(), &mut rng).unwrap());
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_primitives,
     bench_sealed_box,
-    bench_open_batch
+    bench_open_batch,
+    bench_onion_prepare
 );
 criterion_main!(benches);

@@ -35,6 +35,7 @@ use crate::CascadeError;
 use bytes::{Buf, BufMut};
 use mixnn_core::codec;
 use mixnn_core::codec::CompressionConfig;
+use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::{PublicKey, SealedBox};
 use mixnn_nn::ModelParams;
 use rand::Rng;
@@ -81,9 +82,18 @@ impl OnionUpdate {
     /// model signature and chain length are byte-length-identical layer by
     /// layer — compression never becomes a client fingerprint.
     ///
+    /// Sealing is two-phase (`SealedBox::prepare`): all `layers × hops`
+    /// ephemeral secrets are drawn from `rng` first — layer-major, innermost
+    /// hop first, 32 bytes each, exactly the draws of sealing envelope by
+    /// envelope — and their X25519 ladders run as one batch; then each
+    /// layer's envelopes are nested in place. The batch never extends past
+    /// this one update, and no two envelopes share an ephemeral key (equal
+    /// `eph_pub`s on two layers would let a hop re-link them after the mix).
+    ///
     /// # Errors
     ///
-    /// Same conditions as [`OnionUpdate::build`].
+    /// Same conditions as [`OnionUpdate::build`]. How far `rng` has
+    /// advanced after an error is unspecified.
     pub fn build_with<R: Rng + ?Sized>(
         params: &ModelParams,
         hop_keys: &[PublicKey],
@@ -92,17 +102,30 @@ impl OnionUpdate {
     ) -> Result<Self, CascadeError> {
         assert!(!hop_keys.is_empty(), "onion needs at least one hop key");
         assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
+        // Phase one, content-independent: every envelope's ephemeral key
+        // and shared secret in one batch — drawn layer by layer, innermost
+        // hop first, the order the envelopes nest in.
+        let route = || hop_keys.iter().rev();
+        let mut prepared = SealedBox::prepare(params.iter().flat_map(|_| route()), rng)
+            .map_err(|source| CascadeError::Seal { source })?
+            .into_iter();
+        // Phase two: each layer's envelopes nest in one buffer, envelope
+        // `i` wrapping everything from its own header on.
+        let headers = hop_keys.len() * OVERHEAD;
         let layers = params
             .iter()
             .map(|layer| {
-                let mut blob = codec::encode_layer_with(layer, compression);
-                for key in hop_keys.iter().rev() {
-                    blob = SealedBox::seal(&blob, key, rng)
-                        .map_err(|source| CascadeError::Seal { source })?;
+                let plain = codec::encode_layer_with(layer, compression);
+                let mut blob = Vec::with_capacity(headers + plain.len());
+                blob.resize(headers, 0);
+                blob.extend_from_slice(&plain);
+                for start in (0..headers).step_by(OVERHEAD).rev() {
+                    let envelope = prepared.next().expect("one envelope per (layer, hop)");
+                    envelope.seal_in_place(&mut blob[start..]);
                 }
-                Ok(blob)
+                blob
             })
-            .collect::<Result<_, CascadeError>>()?;
+            .collect();
         Ok(OnionUpdate {
             hops_remaining: hop_keys.len() as u8,
             layers,
@@ -263,7 +286,7 @@ mod tests {
     use mixnn_crypto::KeyPair;
     use mixnn_nn::LayerParams;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn params() -> ModelParams {
         ModelParams::from_layers(vec![
@@ -421,6 +444,116 @@ mod tests {
             }
             assert_eq!(oa.encode().len(), ob.encode().len(), "{}", mode.name());
         }
+    }
+
+    /// Onion building as it was before the two-phase split: envelope by
+    /// envelope, each one drawing, laddering and sealing before the next.
+    /// The definition [`OnionUpdate::build_with`] must reproduce — bytes
+    /// and RNG position.
+    fn build_envelope_by_envelope(
+        params: &ModelParams,
+        hop_keys: &[PublicKey],
+        compression: CompressionConfig,
+        rng: &mut StdRng,
+    ) -> Result<OnionUpdate, CascadeError> {
+        let layers = params
+            .iter()
+            .map(|layer| {
+                let mut blob = codec::encode_layer_with(layer, compression);
+                for key in hop_keys.iter().rev() {
+                    blob = SealedBox::seal(&blob, key, rng)
+                        .map_err(|source| CascadeError::Seal { source })?;
+                }
+                Ok(blob)
+            })
+            .collect::<Result<_, CascadeError>>()?;
+        Ok(OnionUpdate::from_parts(hop_keys.len() as u8, layers))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Batched building is bit-identical to the envelope-by-envelope
+        /// loop, and leaves the caller's RNG where the loop leaves it, for
+        /// any layer count, chain length, layer sizes and codec mode —
+        /// 2..=64 ladders, so every lane split of the batched driver.
+        #[test]
+        fn batched_build_matches_envelope_by_envelope(
+            seed in 0u64..1_000_000,
+            sizes in proptest::collection::vec(1usize..40, 1..9),
+            hops in 1usize..5,
+            mode in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keys: Vec<PublicKey> = (0..hops)
+                .map(|_| *KeyPair::generate(&mut rng).public())
+                .collect();
+            let params = ModelParams::from_layers(
+                sizes
+                    .iter()
+                    .map(|&n| LayerParams::from_values((0..n).map(|_| rng.gen()).collect()))
+                    .collect(),
+            );
+            let mode = [
+                CompressionConfig::F32,
+                CompressionConfig::Int8,
+                CompressionConfig::int8_top_k(),
+            ][mode];
+            let (mut batched, mut looped) = (rng.clone(), rng);
+            let onion = OnionUpdate::build_with(&params, &keys, mode, &mut batched).unwrap();
+            let expected = build_envelope_by_envelope(&params, &keys, mode, &mut looped).unwrap();
+            proptest::prop_assert_eq!(onion, expected);
+            proptest::prop_assert_eq!(batched.gen::<u64>(), looped.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn low_order_hop_key_mid_route_is_the_same_seal_error() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut keys: Vec<PublicKey> = (0..3)
+            .map(|_| *KeyPair::generate(&mut rng).public())
+            .collect();
+        keys[1] = PublicKey::from_bytes([0u8; 32]);
+        let batched = OnionUpdate::build(&params(), &keys, &mut rng).unwrap_err();
+        let looped = build_envelope_by_envelope(&params(), &keys, CompressionConfig::F32, &mut rng)
+            .unwrap_err();
+        assert_eq!(batched, looped);
+        assert_eq!(
+            batched,
+            CascadeError::Seal {
+                source: mixnn_crypto::CryptoError::LowOrderPoint
+            }
+        );
+    }
+
+    #[test]
+    fn every_envelope_of_an_onion_has_its_own_ephemeral_key() {
+        // Peel a 5-layer, 3-hop onion and collect the eph_pub of all 15
+        // envelopes: any repeat would link two layers (or two hops' views
+        // of one layer) of the same client.
+        let mut rng = StdRng::seed_from_u64(10);
+        let keys: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+        let publics: Vec<PublicKey> = keys.iter().map(|k| *k.public()).collect();
+        let p = ModelParams::from_layers(
+            (1..=5)
+                .map(|n| LayerParams::from_values(vec![0.25; n]))
+                .collect(),
+        );
+        let mut layers = OnionUpdate::build(&p, &publics, &mut rng)
+            .unwrap()
+            .into_layers();
+        let mut eph_pubs = Vec::new();
+        for kp in &keys {
+            eph_pubs.extend(layers.iter().map(|blob| blob[..32].to_vec()));
+            layers = layers
+                .iter()
+                .map(|blob| SealedBox::open(blob, kp).unwrap())
+                .collect();
+        }
+        assert_eq!(eph_pubs.len(), 15);
+        eph_pubs.sort_unstable();
+        eph_pubs.dedup();
+        assert_eq!(eph_pubs.len(), 15, "an ephemeral key was reused");
     }
 
     #[test]

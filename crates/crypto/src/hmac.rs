@@ -122,21 +122,29 @@ pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
 ///
 /// Panics if `len > 255 * 32`, as [`hkdf_expand`] does.
 pub fn hkdf_expand_keyed(prk: &HmacKey, info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= 255 * DIGEST_LEN, "hkdf output too long");
-    let mut okm = Vec::with_capacity(len);
-    let mut t: Option<[u8; DIGEST_LEN]> = None;
-    let mut counter = 1u8;
-    while okm.len() < len {
-        let block = match &t {
-            Some(prev) => prk.mac_parts(&[prev, info, &[counter]]),
-            None => prk.mac_parts(&[info, &[counter]]),
-        };
-        let take = (len - okm.len()).min(DIGEST_LEN);
-        okm.extend_from_slice(&block[..take]);
-        t = Some(block);
-        counter = counter.checked_add(1).expect("hkdf counter overflow");
-    }
+    let mut okm = vec![0u8; len];
+    hkdf_expand_into(prk, info, &mut okm);
     okm
+}
+
+/// [`hkdf_expand_keyed`] into a caller-provided buffer: fills all of `okm`
+/// without allocating, for the fixed-size keys of the sealed box.
+///
+/// # Panics
+///
+/// Panics if `okm.len() > 255 * 32`, as [`hkdf_expand`] does.
+pub fn hkdf_expand_into(prk: &HmacKey, info: &[u8], okm: &mut [u8]) {
+    assert!(okm.len() <= 255 * DIGEST_LEN, "hkdf output too long");
+    let mut t: Option<[u8; DIGEST_LEN]> = None;
+    for (i, chunk) in okm.chunks_mut(DIGEST_LEN).enumerate() {
+        let counter = [u8::try_from(i + 1).expect("at most 255 blocks")];
+        let block = match &t {
+            Some(prev) => prk.mac_parts(&[prev, info, &counter]),
+            None => prk.mac_parts(&[info, &counter]),
+        };
+        chunk.copy_from_slice(&block[..chunk.len()]);
+        t = Some(block);
+    }
 }
 
 /// Convenience: HKDF extract-then-expand in one call.

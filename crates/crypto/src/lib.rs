@@ -32,8 +32,12 @@
 //! * ChaCha20 generates four keystream blocks per widened quarter-round
 //!   pass on buffers ≥ 256 B ([`chacha20`]);
 //! * [`sealed_box::SealedBox::open_batch`] opens a round's envelopes
-//!   together, sharing the X25519 bit schedule and one Montgomery-trick
-//!   field inversion across the batch ([`x25519::x25519_batch`]).
+//!   together, sharing the X25519 ladder passes and one Montgomery-trick
+//!   field inversion across the batch ([`x25519::x25519_batch`]);
+//! * [`sealed_box::SealedBox::prepare`] does the same for everything one
+//!   sender seals — an onion's `layers × hops` envelopes, each under its
+//!   own ephemeral key ([`x25519::x25519_multi`]) — and each
+//!   [`PreparedSeal`] then encrypts in place in its output buffer.
 //!
 //! # Contributory behavior
 //!
@@ -63,7 +67,7 @@ pub mod sha256;
 pub mod x25519;
 
 pub use error::CryptoError;
-pub use sealed_box::{KeyPair, PublicKey, SealedBox, SecretKey};
+pub use sealed_box::{KeyPair, PreparedSeal, PublicKey, SealedBox, SecretKey};
 
 /// Constant-time equality of two byte slices.
 ///

@@ -14,20 +14,32 @@
 //!
 //! Wire layout: `eph_pub (32) ‖ tag (32) ‖ ciphertext`.
 //!
-//! Two properties worth calling out:
+//! Three properties worth calling out:
 //!
 //! * **Contributory behavior** (RFC 7748 §6.1): a low-order peer point
 //!   makes the X25519 output all-zero, and every key above would be
-//!   attacker-predictable. Both [`SealedBox::seal`] and
-//!   [`SealedBox::open`] reject the all-zero shared secret with
-//!   [`CryptoError::LowOrderPoint`].
+//!   attacker-predictable. Sealing ([`SealedBox::prepare`], and so
+//!   [`SealedBox::seal`]) and opening ([`SealedBox::open`]) both reject
+//!   the all-zero shared secret with [`CryptoError::LowOrderPoint`].
+//! * **Two-phase sealing**: steps 1–2 do not depend on the plaintext, so
+//!   [`SealedBox::prepare`] runs them for *many* envelopes of one sender
+//!   at once — every ephemeral secret drawn from the caller's RNG in
+//!   envelope order, then all `2·n` scalar multiplications through the
+//!   batched X25519 driver (the one behind [`x25519::x25519_multi`]:
+//!   eight ladders per pass on AVX-512 IFMA hosts, one shared field
+//!   inversion). Each [`PreparedSeal`] then runs steps 3–4 over its
+//!   plaintext, in place in the output buffer. [`SealedBox::seal`] is
+//!   the batch of one; bytes and RNG position are identical however
+//!   envelopes are grouped. Every envelope still has its **own**
+//!   ephemeral key: equal `eph_pub`s would link the envelopes that carry
+//!   them.
 //! * **Batched opening**: [`SealedBox::open_batch`] opens many envelopes
-//!   addressed to one recipient, sharing the X25519 bit schedule and the
-//!   final field inversion across the batch ([`x25519::x25519_batch`]).
+//!   addressed to one recipient, sharing the final field inversion and
+//!   the ladder passes across the batch ([`x25519::x25519_batch`]).
 //!   Results are bit-identical to per-envelope [`SealedBox::open`].
 
 use crate::chacha20;
-use crate::hmac::{hkdf_expand_keyed, hkdf_extract, HmacKey};
+use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
 use crate::x25519;
 use crate::CryptoError;
 use rand::Rng;
@@ -149,29 +161,82 @@ struct DerivedKeys {
     mac_key: [u8; 32],
 }
 
+/// One envelope's content-independent half: a fresh ephemeral public key
+/// and the (contributory-checked) shared secret with its recipient, ready
+/// to seal exactly one plaintext. Made by [`SealedBox::prepare`].
+///
+/// Sealing consumes the value — a second plaintext under the same
+/// ephemeral key would reuse the ChaCha20 keystream. The `Debug` impl
+/// redacts the secret.
+pub struct PreparedSeal {
+    eph_pub: [u8; 32],
+    shared: [u8; 32],
+    recipient: [u8; 32],
+}
+
+impl fmt::Debug for PreparedSeal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PreparedSeal(redacted)")
+    }
+}
+
+impl PreparedSeal {
+    /// Seals `plaintext` into a fresh envelope, `OVERHEAD` bytes longer.
+    pub fn seal(self, plaintext: &[u8]) -> Vec<u8> {
+        let mut envelope = Vec::with_capacity(OVERHEAD + plaintext.len());
+        envelope.resize(OVERHEAD, 0);
+        envelope.extend_from_slice(plaintext);
+        self.seal_in_place(&mut envelope);
+        envelope
+    }
+
+    /// Seals in place: on entry `envelope[OVERHEAD..]` holds the plaintext
+    /// (the first `OVERHEAD` bytes are overwritten); on return the whole
+    /// slice is the sealed box `eph_pub ‖ tag ‖ ciphertext`. An onion
+    /// builder nests envelopes this way in one buffer, each wrapping the
+    /// tail that starts `OVERHEAD` bytes further in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `envelope` is shorter than `OVERHEAD`.
+    pub fn seal_in_place(self, envelope: &mut [u8]) {
+        assert!(
+            envelope.len() >= OVERHEAD,
+            "no room for the envelope header"
+        );
+        let keys = SealedBox::derive(&self.shared, &self.eph_pub, &self.recipient);
+        let (header, ciphertext) = envelope.split_at_mut(OVERHEAD);
+        chacha20::xor_keystream(&keys.cipher_key, &keys.nonce, 0, ciphertext);
+        let tag = HmacKey::new(&keys.mac_key).mac_parts(&[&self.eph_pub, ciphertext]);
+        header[..32].copy_from_slice(&self.eph_pub);
+        header[32..].copy_from_slice(&tag);
+    }
+}
+
 impl SealedBox {
     fn derive(shared: &[u8; 32], eph_pub: &[u8; 32], recipient_pub: &[u8; 32]) -> DerivedKeys {
         let mut salt = [0u8; 64];
         salt[..32].copy_from_slice(eph_pub);
         salt[32..].copy_from_slice(recipient_pub);
-        // One HKDF-Extract, three expands under a shared PRK schedule.
-        // The three derivations used to re-run Extract (and re-absorb the
-        // PRK's HMAC pads) each — identical output, three times the
-        // compressions.
+        // One HKDF-Extract, three expands under a shared PRK schedule,
+        // straight into the fixed-size keys.
         let prk = hkdf_extract(&salt, shared);
         let prk_key = HmacKey::new(&prk);
-        let key = hkdf_expand_keyed(&prk_key, INFO_KEY, 32);
-        let nonce = hkdf_expand_keyed(&prk_key, INFO_NONCE, 12);
-        let mac = hkdf_expand_keyed(&prk_key, INFO_MAC, 32);
-        DerivedKeys {
-            cipher_key: key.try_into().expect("hkdf returned 32 bytes"),
-            nonce: nonce.try_into().expect("hkdf returned 12 bytes"),
-            mac_key: mac.try_into().expect("hkdf returned 32 bytes"),
-        }
+        let mut keys = DerivedKeys {
+            cipher_key: [0; 32],
+            nonce: [0; 12],
+            mac_key: [0; 32],
+        };
+        hkdf_expand_into(&prk_key, INFO_KEY, &mut keys.cipher_key);
+        hkdf_expand_into(&prk_key, INFO_NONCE, &mut keys.nonce);
+        hkdf_expand_into(&prk_key, INFO_MAC, &mut keys.mac_key);
+        keys
     }
 
     /// Encrypts `plaintext` to `recipient`, drawing ephemeral key material
     /// from `rng`. The output is `OVERHEAD` bytes longer than the input.
+    /// This is [`SealedBox::prepare`] for one envelope followed by
+    /// [`PreparedSeal::seal`].
     ///
     /// # Errors
     ///
@@ -183,23 +248,73 @@ impl SealedBox {
         recipient: &PublicKey,
         rng: &mut R,
     ) -> Result<Vec<u8>, CryptoError> {
-        let eph = KeyPair::generate(rng);
-        let shared = x25519::x25519(eph.secret().as_bytes(), recipient.as_bytes());
-        if shared == [0u8; 32] {
+        let prepared = Self::prepare([recipient], rng)?;
+        let only = prepared.into_iter().next();
+        Ok(only.expect("one envelope per recipient").seal(plaintext))
+    }
+
+    /// The content-independent phase of sealing, for all of one sender's
+    /// envelopes at once: draws one 32-byte ephemeral secret per recipient
+    /// from `rng`, **in `recipients` order** (exactly the draws a loop of
+    /// [`SealedBox::seal`] calls would make), then derives every ephemeral
+    /// public key and shared secret through the batched X25519 driver.
+    /// Returns one [`PreparedSeal`] per recipient, in order.
+    ///
+    /// Batch only what a single sender seals: the ladders of one batch run
+    /// in one process. Every envelope gets its own ephemeral key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::LowOrderPoint`] if any recipient is a
+    /// low-order point, as [`SealedBox::seal`] does. How far `rng` has
+    /// advanced is then unspecified (the batch draws every secret before
+    /// it checks any).
+    pub fn prepare<'a, I, R>(recipients: I, rng: &mut R) -> Result<Vec<PreparedSeal>, CryptoError>
+    where
+        I: IntoIterator<Item = &'a PublicKey>,
+        R: Rng + ?Sized,
+    {
+        Self::prepare_on(x25519::Tier::best(), recipients, rng)
+    }
+
+    fn prepare_on<'a, I, R>(
+        tier: x25519::Tier,
+        recipients: I,
+        rng: &mut R,
+    ) -> Result<Vec<PreparedSeal>, CryptoError>
+    where
+        I: IntoIterator<Item = &'a PublicKey>,
+        R: Rng + ?Sized,
+    {
+        let pending: Vec<([u8; 32], [u8; 32])> = recipients
+            .into_iter()
+            .map(|recipient| {
+                let mut secret = [0u8; 32];
+                rng.fill(&mut secret);
+                (secret, recipient.0)
+            })
+            .collect();
+        // Two ladders per envelope under its own secret: `k·G`, then `k·H`.
+        let jobs = pending
+            .iter()
+            .flat_map(|&(k, recipient)| [(k, x25519::BASEPOINT), (k, recipient)]);
+        let mut prepared: Vec<PreparedSeal> = Vec::with_capacity(pending.len());
+        let mut eph_pub = [0u8; 32];
+        x25519::scalarmult_each(tier, jobs, |job, u| {
+            if job % 2 == 0 {
+                eph_pub = u;
+            } else {
+                prepared.push(PreparedSeal {
+                    eph_pub,
+                    shared: u,
+                    recipient: pending[job / 2].1,
+                });
+            }
+        });
+        if prepared.iter().any(|p| p.shared == [0u8; 32]) {
             return Err(CryptoError::LowOrderPoint);
         }
-        let keys = Self::derive(&shared, eph.public().as_bytes(), recipient.as_bytes());
-
-        let mut ciphertext = plaintext.to_vec();
-        chacha20::xor_keystream(&keys.cipher_key, &keys.nonce, 0, &mut ciphertext);
-
-        let tag = HmacKey::new(&keys.mac_key).mac_parts(&[eph.public().as_bytes(), &ciphertext]);
-
-        let mut out = Vec::with_capacity(OVERHEAD + ciphertext.len());
-        out.extend_from_slice(eph.public().as_bytes());
-        out.extend_from_slice(&tag);
-        out.extend_from_slice(&ciphertext);
-        Ok(out)
+        Ok(prepared)
     }
 
     /// Decrypts a sealed box with the recipient's key pair.
@@ -437,6 +552,144 @@ mod tests {
         assert_eq!(batched[3], Err(CryptoError::LowOrderPoint));
         assert!(batched[4].is_ok());
         assert!(SealedBox::open_batch::<Vec<u8>>(&[], &kp).is_empty());
+    }
+
+    /// The sealing loop as it was before the two-phase split — scalar
+    /// X25519 per ladder, `Vec`-returning HKDF, copy-then-append tail —
+    /// kept as the definition the batched path must reproduce bit for bit.
+    fn seal_reference(plaintext: &[u8], recipient: &PublicKey, rng: &mut StdRng) -> Vec<u8> {
+        use crate::hmac::hkdf_expand_keyed;
+        let eph = KeyPair::generate(rng);
+        let eph_pub = eph.public().as_bytes();
+        let shared = x25519::x25519(eph.secret().as_bytes(), recipient.as_bytes());
+        assert_ne!(shared, [0u8; 32], "reference is for well-formed recipients");
+        let mut salt = [0u8; 64];
+        salt[..32].copy_from_slice(eph_pub);
+        salt[32..].copy_from_slice(recipient.as_bytes());
+        let prk_key = HmacKey::new(&hkdf_extract(&salt, &shared));
+        let key: [u8; 32] = hkdf_expand_keyed(&prk_key, INFO_KEY, 32)
+            .try_into()
+            .unwrap();
+        let nonce: [u8; 12] = hkdf_expand_keyed(&prk_key, INFO_NONCE, 12)
+            .try_into()
+            .unwrap();
+        let mac = hkdf_expand_keyed(&prk_key, INFO_MAC, 32);
+        let mut ciphertext = plaintext.to_vec();
+        chacha20::xor_keystream(&key, &nonce, 0, &mut ciphertext);
+        let tag = HmacKey::new(&mac).mac_parts(&[eph_pub, &ciphertext]);
+        [&eph_pub[..], &tag, &ciphertext].concat()
+    }
+
+    #[test]
+    fn seal_matches_the_scalar_reference_and_its_rng_position() {
+        let (kp, rng) = recipient();
+        let (mut batched, mut reference) = (rng.clone(), rng);
+        for len in [0usize, 1, 63, 64, 65, 255, 256, 257, 5000] {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+            assert_eq!(
+                SealedBox::seal(&msg, kp.public(), &mut batched).unwrap(),
+                seal_reference(&msg, kp.public(), &mut reference),
+                "len {len}"
+            );
+        }
+        assert_eq!(batched.gen::<u64>(), reference.gen::<u64>());
+    }
+
+    #[test]
+    fn prepare_matches_the_scalar_reference_at_every_lane_split_on_every_tier() {
+        // 1..=17 envelopes → 2..=34 ladders: below MIN_POINTS, one padded
+        // pass, full passes with scalar and padded tails. Recipients
+        // cycle over three keys, as an onion's hops do.
+        let mut rng = StdRng::seed_from_u64(1234);
+        let hops: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+        for tier in x25519::Tier::supported() {
+            for n in 1..=17usize {
+                let recipients: Vec<&PublicKey> = (0..n).map(|i| hops[i % 3].public()).collect();
+                let (mut batched, mut reference) = (rng.clone(), rng.clone());
+                let prepared =
+                    SealedBox::prepare_on(tier, recipients.iter().copied(), &mut batched).unwrap();
+                assert_eq!(prepared.len(), n);
+                for (i, (p, r)) in prepared.into_iter().zip(&recipients).enumerate() {
+                    let msg = vec![i as u8; 7 * i];
+                    assert_eq!(
+                        p.seal(&msg),
+                        seal_reference(&msg, r, &mut reference),
+                        "{tier:?}, envelope {i} of {n}"
+                    );
+                }
+                assert_eq!(
+                    batched.gen::<u64>(),
+                    reference.gen::<u64>(),
+                    "{tier:?}, rng position after {n} envelopes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nested_in_place_sealing_matches_sealing_the_sealed() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let hops: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+        let plain = b"innermost layer plaintext".to_vec();
+        let (mut batched, mut reference) = (rng.clone(), rng);
+        // Innermost envelope first, as the draws go.
+        let route: Vec<&PublicKey> = hops.iter().rev().map(KeyPair::public).collect();
+        let mut nested = vec![0u8; route.len() * OVERHEAD];
+        nested.extend_from_slice(&plain);
+        let prepared = SealedBox::prepare(route.iter().copied(), &mut batched).unwrap();
+        for (depth, p) in prepared.into_iter().enumerate() {
+            let start = (route.len() - 1 - depth) * OVERHEAD;
+            p.seal_in_place(&mut nested[start..]);
+        }
+        let mut expected = plain.clone();
+        for key in &route {
+            expected = seal_reference(&expected, key, &mut reference);
+        }
+        assert_eq!(nested, expected);
+        let mut opened = nested;
+        for kp in &hops {
+            opened = SealedBox::open(&opened, kp).unwrap();
+        }
+        assert_eq!(opened, plain);
+    }
+
+    #[test]
+    fn prepare_rejects_a_low_order_recipient_anywhere_in_the_batch() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let good = *KeyPair::generate(&mut rng).public();
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let bad = PublicKey::from_bytes(one);
+        for tier in x25519::Tier::supported() {
+            for position in 0..6 {
+                let mut recipients = [good; 6];
+                recipients[position] = bad;
+                let err = SealedBox::prepare_on(tier, &recipients, &mut rng).unwrap_err();
+                assert_eq!(err, CryptoError::LowOrderPoint, "{tier:?}, slot {position}");
+            }
+            assert!(SealedBox::prepare_on(tier, &[], &mut rng)
+                .unwrap()
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn prepared_seal_debug_is_redacted() {
+        let (kp, mut rng) = recipient();
+        let prepared = SealedBox::prepare([kp.public()], &mut rng).unwrap();
+        assert_eq!(format!("{:?}", prepared[0]), "PreparedSeal(redacted)");
+    }
+
+    #[test]
+    #[should_panic(expected = "no room for the envelope header")]
+    fn seal_in_place_needs_header_room() {
+        let (kp, mut rng) = recipient();
+        let prepared = SealedBox::prepare([kp.public()], &mut rng).unwrap();
+        prepared
+            .into_iter()
+            .next()
+            .unwrap()
+            .seal_in_place(&mut [0u8; OVERHEAD - 1]);
     }
 
     #[test]

@@ -11,13 +11,17 @@
 //! (10 wide multiplies instead of the generic 25) feeds both the ladder
 //! — whose per-bit step is square-heavy — and the addition-chain
 //! `Fe::invert` (254 squarings + 11 multiplications, down from the
-//! naive Fermat loop's 255 + 128). [`x25519_batch`] amortizes further:
-//! one fixed scalar against many points shares a single clamp and bit
-//! schedule, and Montgomery's trick folds the per-point final inversion
-//! into one inversion plus three multiplications per point. On AVX-512
-//! IFMA hosts the shared bit schedule also unlocks an eight-lane
-//! `vpmadd52` ladder kernel (the private `ifma` module), bit-identical
-//! to the scalar path.
+//! naive Fermat loop's 255 + 128).
+//!
+//! Many scalar multiplications at once — [`x25519_batch`] (one scalar,
+//! many points: a hop opening a round's envelopes) and [`x25519_multi`]
+//! (a scalar *per* point: a client sealing one onion) — share one driver.
+//! It folds the per-job final inversion into one inversion plus three
+//! multiplications per job (Montgomery's trick), and on AVX-512 IFMA
+//! hosts runs the ladders eight to a pass through a `vpmadd52` kernel
+//! (the private `ifma` module) whose conditional swaps take a per-lane
+//! mask, so every lane may carry its own scalar. Outputs are
+//! bit-identical to [`x25519`] on every tier.
 
 /// Length of scalars, points and shared secrets in bytes.
 pub const KEY_LEN: usize = 32;
@@ -267,26 +271,26 @@ impl Fe {
 }
 
 /// Montgomery's trick: inverts every nonzero element of `zs` in place
-/// with a single field inversion plus three multiplications per element.
+/// with a single field inversion plus three multiplications per element,
+/// using `prefix` (same length, contents ignored) as scratch.
 /// Zero entries stay zero, matching `invert(0) = 0` — so a low-order
 /// point that collapses the ladder to `z = 0` serializes to the same
 /// all-zero output on the batched path as on the scalar one.
-fn batch_invert(zs: &mut [Fe]) {
+fn batch_invert(zs: &mut [Fe], prefix: &mut [Fe]) {
     let mut acc = Fe::ONE;
-    let mut prefix = Vec::with_capacity(zs.len());
-    for z in zs.iter() {
-        prefix.push(acc);
+    for (z, pre) in zs.iter().zip(prefix.iter_mut()) {
+        *pre = acc;
         if !z.is_zero() {
             acc = acc.mul(z);
         }
     }
     let mut inv = acc.invert();
-    for (z, pre) in zs.iter_mut().zip(prefix).rev() {
+    for (z, pre) in zs.iter_mut().zip(prefix.iter()).rev() {
         if z.is_zero() {
             continue;
         }
         let original = *z;
-        *z = inv.mul(&pre);
+        *z = inv.mul(pre);
         inv = inv.mul(&original);
     }
 }
@@ -325,9 +329,9 @@ pub fn x25519(scalar: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Batched X25519: one (clamped-once) scalar against many points, as the
-/// sealed box uses it to derive a round's shared secrets from one
-/// recipient secret and many ephemeral points.
+/// Batched X25519: one scalar against many points, as the sealed box
+/// uses it to derive a round's shared secrets from one recipient secret
+/// and many ephemeral points.
 ///
 /// The per-point final inversion — the single most expensive field
 /// operation — is shared across the batch with Montgomery's trick
@@ -340,43 +344,158 @@ pub fn x25519(scalar: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
 /// caller's contributory-behavior check); the per-point ladder itself
 /// stays branch-free in the scalar bits.
 pub fn x25519_batch(scalar: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]]) -> Vec<[u8; KEY_LEN]> {
-    let k = clamp(scalar);
-    let mut xs = Vec::with_capacity(points.len());
-    let mut zs = Vec::with_capacity(points.len());
-    let mut rest = points;
-    // On AVX-512 IFMA hosts, run the shared-scalar ladder eight points at
-    // a time (padding a short final group with the base point — same pass
-    // cost, surplus lanes discarded). Tails too small to pay for a padded
-    // pass fall through to the scalar ladder below.
-    #[cfg(target_arch = "x86_64")]
-    if ifma::available() {
-        while rest.len() >= ifma::MIN_POINTS {
-            let n = rest.len().min(ifma::LANES);
-            let mut lanes = [BASEPOINT; ifma::LANES];
-            lanes[..n].copy_from_slice(&rest[..n]);
-            let out = unsafe { ifma::ladder8(&k, &lanes) };
-            for &(x2, z2) in out.iter().take(n) {
-                xs.push(x2);
-                zs.push(z2);
-            }
-            rest = &rest[n..];
+    let mut out = Vec::with_capacity(points.len());
+    let jobs = points.iter().map(|point| (*scalar, *point));
+    scalarmult_each(Tier::best(), jobs, |_, u| out.push(u));
+    out
+}
+
+/// Batched X25519 with a scalar **per point**: `out[i] = x25519(scalars[i],
+/// points[i])`, as a client sealing an onion needs it (every envelope has
+/// its own ephemeral secret, multiplied once with the base point and once
+/// with a hop key).
+///
+/// Shares the driver of [`x25519_batch`] — same batched inversion, same
+/// lane kernel, same note on what the inversion may branch on — and is
+/// bit-identical to calling [`x25519`] per pair.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn x25519_multi(scalars: &[[u8; KEY_LEN]], points: &[[u8; KEY_LEN]]) -> Vec<[u8; KEY_LEN]> {
+    x25519_multi_on(Tier::best(), scalars, points)
+}
+
+fn x25519_multi_on(
+    tier: Tier,
+    scalars: &[[u8; KEY_LEN]],
+    points: &[[u8; KEY_LEN]],
+) -> Vec<[u8; KEY_LEN]> {
+    assert_eq!(scalars.len(), points.len(), "one scalar per point");
+    let mut out = Vec::with_capacity(points.len());
+    let jobs = scalars.iter().zip(points).map(|(k, p)| (*k, *p));
+    scalarmult_each(tier, jobs, |_, u| out.push(u));
+    out
+}
+
+/// Which ladder implementation the batched driver fills lanes with.
+///
+/// An argument rather than ambient state so the tests can pin every
+/// tier the host supports against the scalar definition; production
+/// callers pass [`Tier::best`]. Outputs do not depend on the tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// One radix-2⁵¹ [`ladder`] per job.
+    Scalar,
+    /// Eight jobs per pass of the AVX-512 IFMA kernel; groups too small
+    /// to pay for a pass take the scalar ladder. Only [`Tier::best`] hands
+    /// this out, and only on a CPU that has the kernel.
+    Ifma,
+}
+
+impl Tier {
+    /// The fastest tier the running CPU supports.
+    pub(crate) fn best() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        if ifma::available() {
+            return Tier::Ifma;
+        }
+        Tier::Scalar
+    }
+
+    /// Every tier the running CPU supports, scalar first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Scalar];
+        if Tier::best() == Tier::Ifma {
+            tiers.push(Tier::Ifma);
+        }
+        tiers
+    }
+}
+
+/// Jobs per stack-resident chunk of the batched driver. Each chunk
+/// shares one field inversion, so the 2·L·H ladders of any realistic
+/// onion (30 on a 5-layer, 3-hop update) pay for exactly one; a longer
+/// batch pays one per 64 jobs — under 0.2% of the ladders it follows —
+/// and in exchange the driver never touches the heap.
+const CHUNK: usize = 64;
+
+/// The batched driver behind [`x25519_batch`], [`x25519_multi`] and the
+/// sealed box's prepare phase: computes `x25519(scalar, point)` for every
+/// `(scalar, point)` job and hands `sink` each result with its job index,
+/// in job order.
+pub(crate) fn scalarmult_each<I, F>(tier: Tier, jobs: I, mut sink: F)
+where
+    I: IntoIterator<Item = ([u8; KEY_LEN], [u8; KEY_LEN])>,
+    F: FnMut(usize, [u8; KEY_LEN]),
+{
+    let mut jobs = jobs.into_iter();
+    let mut ks = [[0u8; KEY_LEN]; CHUNK];
+    let mut points = [[0u8; KEY_LEN]; CHUNK];
+    let mut xs = [Fe::ZERO; CHUNK];
+    let mut zs = [Fe::ZERO; CHUNK];
+    let mut prefix = [Fe::ZERO; CHUNK];
+    let mut emitted = 0;
+    loop {
+        let mut n = 0;
+        for (scalar, point) in jobs.by_ref().take(CHUNK) {
+            ks[n] = clamp(&scalar);
+            points[n] = point;
+            n += 1;
+        }
+        if n == 0 {
+            return;
+        }
+        ladders(tier, &ks[..n], &points[..n], &mut xs[..n], &mut zs[..n]);
+        batch_invert(&mut zs[..n], &mut prefix[..n]);
+        for (x2, z2_inv) in xs[..n].iter().zip(&zs[..n]) {
+            sink(emitted, x2.mul(z2_inv).to_bytes());
+            emitted += 1;
         }
     }
-    for point in rest {
-        let (x2, z2) = ladder(&k, point);
-        xs.push(x2);
-        zs.push(z2);
+}
+
+/// Projective `(x, z)` of `ks[i] · points[i]` for pre-clamped scalars.
+///
+/// On the IFMA tier the jobs go eight to a pass (a short final group is
+/// padded by repeating its first job — same pass cost, surplus lanes
+/// discarded); groups too small to pay for a padded pass fall through to
+/// the scalar ladder.
+fn ladders(
+    tier: Tier,
+    ks: &[[u8; KEY_LEN]],
+    points: &[[u8; KEY_LEN]],
+    xs: &mut [Fe],
+    zs: &mut [Fe],
+) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Ifma {
+        while ks.len() - done >= ifma::MIN_POINTS {
+            let n = (ks.len() - done).min(ifma::LANES);
+            let mut lane_ks = [ks[done]; ifma::LANES];
+            let mut lane_points = [points[done]; ifma::LANES];
+            lane_ks[..n].copy_from_slice(&ks[done..done + n]);
+            lane_points[..n].copy_from_slice(&points[done..done + n]);
+            let out = ifma::ladder8(&lane_ks, &lane_points);
+            for (lane, &(x2, z2)) in out.iter().take(n).enumerate() {
+                xs[done + lane] = x2;
+                zs[done + lane] = z2;
+            }
+            done += n;
+        }
     }
-    batch_invert(&mut zs);
-    xs.iter()
-        .zip(&zs)
-        .map(|(x2, z2_inv)| x2.mul(z2_inv).to_bytes())
-        .collect()
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for i in done..ks.len() {
+        (xs[i], zs[i]) = ladder(&ks[i], &points[i]);
+    }
 }
 
 /// The Montgomery ladder core: projective `(x, z)` of `k · point` for an
 /// already-clamped scalar, leaving the final inversion to the caller
-/// (immediate for [`x25519`], batched for [`x25519_batch`]).
+/// (immediate for [`x25519`], batched for [`scalarmult_each`]).
 fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
     let x1 = Fe::from_bytes(point);
     let mut x2 = Fe::ONE;
@@ -412,15 +531,21 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
     (x2, z2)
 }
 
-/// AVX-512 IFMA eight-point Montgomery ladder.
+/// AVX-512 IFMA eight-lane Montgomery ladder.
 ///
-/// [`x25519_batch`] runs one clamped scalar against many points, so the
-/// ladder's branch-free swap schedule is identical across points — eight
-/// of them fit the 512-bit `vpmadd52` lanes in lockstep. Lane field
-/// elements use radix-2⁴³ (six limbs): `vpmadd52` truncates operands to
-/// 52 bits, and the nine bits of headroom above a carried 43-bit limb let
-/// one add/sub level feed a multiplication directly — only multiply
-/// outputs are carried, mirroring the scalar radix-2⁵¹ discipline.
+/// Every X25519 ladder runs the same 255 steps whatever its scalar; only
+/// the conditional swaps differ, and those are branch-free masked moves.
+/// So eight independent `(scalar, point)` jobs fit the 512-bit `vpmadd52`
+/// lanes in lockstep: the scalars' bits are transposed into one `u8` per
+/// step (bit `lane` = that lane's scalar bit) and each step's swap takes
+/// the byte as a per-lane write mask. One scalar against eight points
+/// ([`super::x25519_batch`]) is the case where all eight bits agree.
+///
+/// Lane field elements use radix-2⁴³ (six limbs): `vpmadd52` truncates
+/// operands to 52 bits, and the nine bits of headroom above a carried
+/// 43-bit limb let one add/sub level feed a multiplication directly —
+/// only multiply outputs are carried, mirroring the scalar radix-2⁵¹
+/// discipline.
 ///
 /// A position-`k` product splits at bit 52 (`vpmadd52lo`/`hi`); its high
 /// half lands at bit 9 of position `k + 1`. Positions ≥ 6 fold back by
@@ -433,11 +558,14 @@ mod ifma {
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
 
-    /// Points processed per ladder pass.
+    /// Jobs processed per ladder pass.
     pub const LANES: usize = 8;
-    /// Smallest batch worth a (padded) vector pass: one pass costs about
-    /// two scalar ladders, so below four real points the scalar loop wins.
-    pub const MIN_POINTS: usize = 4;
+    /// Smallest group worth a (padded) vector pass. Measured on the
+    /// reference box, a pass costs 69 µs whatever its fill against 40 µs
+    /// per scalar ladder, so it wins from two jobs up (`cargo bench
+    /// --bench crypto`: `x25519/multi_scalar/2` against two
+    /// `x25519/scalarmult`) — a lone ladder stays scalar.
+    pub const MIN_POINTS: usize = 2;
 
     const MASK43: u64 = (1 << 43) - 1;
     /// 2²⁵⁸ mod p = 8 · 19.
@@ -517,6 +645,20 @@ mod ifma {
         FeV(r)
     }
 
+    /// Recombines the split halves of a 12-position product (position
+    /// `k`'s high half sits at bit 9 of position `k + 1`), folds
+    /// positions 6–11 back by 152 and carries.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn reduce(lo: &[__m512i; 12], hi: &[__m512i; 12]) -> FeV {
+        let fold = splat(FOLD);
+        let mut r = [_mm512_setzero_si512(); 6];
+        for (k, r) in r.iter_mut().enumerate() {
+            let at = |p: usize| _mm512_add_epi64(lo[p], _mm512_slli_epi64::<9>(hi[p]));
+            *r = _mm512_add_epi64(at(k), _mm512_mullo_epi64(at(k + 6), fold));
+        }
+        carry(r)
+    }
+
     /// Schoolbook product over `vpmadd52`. Operands up to 2⁴⁶ per limb:
     /// low sums stay below 6·2⁵², shifted high sums below 6·2⁴⁹, and the
     /// 152-fold keeps every accumulator below 2⁶³ for the carry sweep.
@@ -531,13 +673,34 @@ mod ifma {
                 hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], a.0[i], b.0[j]);
             }
         }
-        let fold = splat(FOLD);
-        let mut r = [zero; 6];
-        for (k, r) in r.iter_mut().enumerate() {
-            let at = |p: usize| _mm512_add_epi64(lo[p], _mm512_slli_epi64::<9>(hi[p]));
-            *r = _mm512_add_epi64(at(k), _mm512_mullo_epi64(at(k + 6), fold));
+        reduce(&lo, &hi)
+    }
+
+    /// Dedicated squaring: each of the 15 symmetric cross terms is taken
+    /// once against a doubled limb, 21 `vpmadd52` product pairs instead of
+    /// [`mul`]'s 36. Accepts the same operands (up to 2⁴⁶ per limb): a
+    /// doubled limb stays below 2⁴⁷ — inside `vpmadd52`'s 52-bit operand
+    /// window — and a position sums at most four low halves (`< 4·2⁵²`)
+    /// and high halves below 7·2⁴⁹ after the shift, so the 152-fold still
+    /// keeps every accumulator below 2⁶³.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn square(a: &FeV) -> FeV {
+        let zero = _mm512_setzero_si512();
+        let mut lo = [zero; 12];
+        let mut hi = [zero; 12];
+        let mut twice = a.0;
+        for limb in twice.iter_mut() {
+            *limb = _mm512_add_epi64(*limb, *limb);
         }
-        carry(r)
+        for i in 0..6 {
+            lo[2 * i] = _mm512_madd52lo_epu64(lo[2 * i], a.0[i], a.0[i]);
+            hi[2 * i + 1] = _mm512_madd52hi_epu64(hi[2 * i + 1], a.0[i], a.0[i]);
+            for j in i + 1..6 {
+                lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], twice[i], a.0[j]);
+                hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], twice[i], a.0[j]);
+            }
+        }
+        reduce(&lo, &hi)
     }
 
     /// Scalar multiple via `vpmullq` (a 43+17-bit product fits 64 bits).
@@ -550,15 +713,30 @@ mod ifma {
         carry(r)
     }
 
-    /// Branch-free swap of all lanes at once — the scalar bit, and so the
-    /// mask, is shared by every lane.
+    /// Branch-free conditional swap with a mask bit per lane: lane `i`
+    /// swaps iff bit `i` of `swap` is set. A masked-out lane XORs zero
+    /// into both sides — the same instructions at the same cost whatever
+    /// the (secret) bits are.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn cswap(mask: __m512i, a: &mut FeV, b: &mut FeV) {
+    unsafe fn cswap(swap: __mmask8, a: &mut FeV, b: &mut FeV) {
         for (a, b) in a.0.iter_mut().zip(b.0.iter_mut()) {
-            let t = _mm512_and_si512(mask, _mm512_xor_si512(*a, *b));
+            let t = _mm512_maskz_xor_epi64(swap, *a, *b);
             *a = _mm512_xor_si512(*a, t);
             *b = _mm512_xor_si512(*b, t);
         }
+    }
+
+    /// The lanes' swap schedule: bit `lane` of entry `t` is bit `t` of
+    /// `ks[lane]`. Built with shifts and ORs only — no branch or index
+    /// depends on a scalar bit.
+    fn transpose_bits(ks: &[[u8; KEY_LEN]; LANES]) -> [__mmask8; 255] {
+        let mut schedule = [0; 255];
+        for (lane, k) in ks.iter().enumerate() {
+            for (t, bits) in schedule.iter_mut().enumerate() {
+                *bits |= ((k[t / 8] >> (t % 8)) & 1) << lane;
+            }
+        }
+        schedule
     }
 
     /// Parses a point into radix-2⁴³ limbs, dropping the top bit exactly
@@ -586,72 +764,153 @@ mod ifma {
         Fe::carry(r)
     }
 
-    /// The Montgomery ladder over eight points sharing one pre-clamped
-    /// scalar. Returns each lane's projective `(x, z)` for the caller's
-    /// batched inversion; outputs equal the scalar [`super::ladder`]
-    /// lane-for-lane.
+    /// Loads eight lanes of radix-2⁴³ limbs (`limbs[lane][i]`).
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn load(limbs: &[[u64; 6]; LANES]) -> FeV {
+        let by_limb: [[u64; LANES]; 6] =
+            core::array::from_fn(|i| core::array::from_fn(|lane| limbs[lane][i]));
+        FeV(core::array::from_fn(|i| {
+            _mm512_loadu_si512(by_limb[i].as_ptr().cast())
+        }))
+    }
+
+    /// Stores the lanes back as scalar field elements.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn store(v: &FeV) -> [Fe; LANES] {
+        let mut by_limb = [[0u64; LANES]; 6];
+        for (limb, reg) in by_limb.iter_mut().zip(&v.0) {
+            _mm512_storeu_si512(limb.as_mut_ptr().cast(), *reg);
+        }
+        core::array::from_fn(|lane| fe_from_limbs(core::array::from_fn(|i| by_limb[i][lane])))
+    }
+
+    /// The Montgomery ladder over eight `(pre-clamped scalar, point)`
+    /// jobs, one per lane. Returns each lane's projective `(x, z)` for the
+    /// caller's batched inversion; outputs equal the scalar
+    /// [`super::ladder`] lane-for-lane.
     ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`] — callers select this tier only after
+    /// checking it.
+    pub fn ladder8(
+        ks: &[[u8; KEY_LEN]; LANES],
+        points: &[[u8; KEY_LEN]; LANES],
+    ) -> [(Fe, Fe); LANES] {
+        assert!(available(), "IFMA ladder selected on a CPU without it");
+        // SAFETY: `available()` just confirmed AVX-512 F (implied by the
+        // other two), DQ and IFMA — the features `ladder8_lanes` enables.
+        unsafe { ladder8_lanes(ks, points) }
+    }
+
     /// # Safety
     ///
     /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    pub unsafe fn ladder8(k: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]; LANES]) -> [(Fe, Fe); LANES] {
-        let mut lanes = [[0u64; LANES]; 6];
-        for (lane, point) in points.iter().enumerate() {
-            for (limbs, &limb) in lanes.iter_mut().zip(&point_limbs(point)) {
-                limbs[lane] = limb;
-            }
-        }
-        let x1 = FeV(core::array::from_fn(|i| {
-            _mm512_loadu_si512(lanes[i].as_ptr().cast())
-        }));
+    unsafe fn ladder8_lanes(
+        ks: &[[u8; KEY_LEN]; LANES],
+        points: &[[u8; KEY_LEN]; LANES],
+    ) -> [(Fe, Fe); LANES] {
+        let schedule = transpose_bits(ks);
+        let x1 = load(&core::array::from_fn(|lane| point_limbs(&points[lane])));
 
         let mut x2 = fev_splat(1);
         let mut z2 = fev_splat(0);
         let mut x3 = x1;
         let mut z3 = fev_splat(1);
-        let mut swap = 0u64;
+        let mut swap: __mmask8 = 0;
 
-        for t in (0..255).rev() {
-            let k_t = u64::from((k[t / 8] >> (t % 8)) & 1);
+        for &k_t in schedule.iter().rev() {
             swap ^= k_t;
-            let mask = splat(0u64.wrapping_sub(swap));
-            cswap(mask, &mut x2, &mut x3);
-            cswap(mask, &mut z2, &mut z3);
+            cswap(swap, &mut x2, &mut x3);
+            cswap(swap, &mut z2, &mut z3);
             swap = k_t;
 
             let a = add(&x2, &z2);
-            let aa = mul(&a, &a);
+            let aa = square(&a);
             let b = sub(&x2, &z2);
-            let bb = mul(&b, &b);
+            let bb = square(&b);
             let e = sub(&aa, &bb);
             let c = add(&x3, &z3);
             let d = sub(&x3, &z3);
             let da = mul(&d, &a);
             let cb = mul(&c, &b);
-            let s = add(&da, &cb);
-            x3 = mul(&s, &s);
-            let f = sub(&da, &cb);
-            z3 = mul(&x1, &mul(&f, &f));
+            x3 = square(&add(&da, &cb));
+            z3 = mul(&x1, &square(&sub(&da, &cb)));
             x2 = mul(&aa, &bb);
             z2 = mul(&e, &add(&aa, &mul_small(&e, A24)));
         }
-        let mask = splat(0u64.wrapping_sub(swap));
-        cswap(mask, &mut x2, &mut x3);
-        cswap(mask, &mut z2, &mut z3);
+        cswap(swap, &mut x2, &mut x3);
+        cswap(swap, &mut z2, &mut z3);
 
-        let mut xs = [[0u64; LANES]; 6];
-        let mut zs = [[0u64; LANES]; 6];
-        for i in 0..6 {
-            _mm512_storeu_si512(xs[i].as_mut_ptr().cast(), x2.0[i]);
-            _mm512_storeu_si512(zs[i].as_mut_ptr().cast(), z2.0[i]);
+        let xs = store(&x2);
+        let zs = store(&z2);
+        core::array::from_fn(|lane| (xs[lane], zs[lane]))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn dedicated_square_matches_generic_mul_lane_for_lane() {
+            if !available() {
+                return;
+            }
+            // Carried operands from the edges of the representation, one
+            // per lane; then every add/sub level the ladder feeds a
+            // squaring, and the raw documented operand bound 2⁴⁶ − 1.
+            let carried: [[u64; 6]; LANES] = [
+                [0; 6],
+                [1, 0, 0, 0, 0, 0],
+                point_limbs(&[0xff; KEY_LEN]),
+                [
+                    MASK43 + (1 << 27) - 1,
+                    MASK43,
+                    MASK43,
+                    MASK43,
+                    MASK43,
+                    MASK43,
+                ],
+                point_limbs(&core::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ 0x5a)),
+                point_limbs(&core::array::from_fn(|i| {
+                    (i as u8).wrapping_mul(101) ^ 0xc3
+                })),
+                [MASK43, 0, MASK43, 0, MASK43, 0],
+                [0, MASK43, 0, MASK43, 0, MASK43],
+            ];
+            let rotated: [[u64; 6]; LANES] =
+                core::array::from_fn(|lane| carried[(lane + 3) % LANES]);
+            let bound = [[(1u64 << 46) - 1; 6]; LANES];
+            // SAFETY: `available()` checked above.
+            unsafe {
+                let (a, b) = (load(&carried), load(&rotated));
+                for operand in [a, b, add(&a, &b), sub(&a, &b), sub(&b, &a), load(&bound)] {
+                    let squared = store(&square(&operand));
+                    let multiplied = store(&mul(&operand, &operand));
+                    for (lane, (s, m)) in squared.iter().zip(&multiplied).enumerate() {
+                        assert_eq!(s.to_bytes(), m.to_bytes(), "lane {lane}");
+                    }
+                }
+            }
         }
-        core::array::from_fn(|lane| {
-            (
-                fe_from_limbs(core::array::from_fn(|i| xs[i][lane])),
-                fe_from_limbs(core::array::from_fn(|i| zs[i][lane])),
-            )
-        })
+
+        #[test]
+        fn swap_schedule_is_the_bit_transpose_of_the_scalars() {
+            let ks: [[u8; KEY_LEN]; LANES] = core::array::from_fn(|lane| {
+                core::array::from_fn(|i| {
+                    (i as u8)
+                        .wrapping_mul(29)
+                        .wrapping_add((lane as u8).wrapping_mul(71))
+                })
+            });
+            let schedule = transpose_bits(&ks);
+            for (t, bits) in schedule.iter().enumerate() {
+                for (lane, k) in ks.iter().enumerate() {
+                    assert_eq!((bits >> lane) & 1, (k[t / 8] >> (t % 8)) & 1);
+                }
+            }
+        }
     }
 }
 
@@ -894,6 +1153,122 @@ mod tests {
         for (point, out) in points.iter().zip(&batched) {
             assert_eq!(*out, x25519(&secret, point));
         }
+    }
+
+    #[test]
+    fn multi_matches_per_pair_at_every_lane_split_on_every_tier() {
+        // 1..=33 jobs with distinct scalars *and* points: below
+        // MIN_POINTS (scalar ladder), one padded pass, full passes, full
+        // passes + scalar tail, full passes + padded pass.
+        let scalars: Vec<[u8; 32]> = (0u8..33)
+            .map(|i| core::array::from_fn(|j| i.wrapping_mul(59) ^ (j as u8).wrapping_mul(13)))
+            .collect();
+        let points: Vec<[u8; 32]> = (0u8..33)
+            .map(|i| public_key(&[i.wrapping_mul(31).wrapping_add(5); 32]))
+            .collect();
+        let expected: Vec<[u8; 32]> = scalars
+            .iter()
+            .zip(&points)
+            .map(|(k, p)| x25519(k, p))
+            .collect();
+        for tier in Tier::supported() {
+            for len in 0..=33 {
+                assert_eq!(
+                    x25519_multi_on(tier, &scalars[..len], &points[..len]),
+                    expected[..len],
+                    "{tier:?}, {len} jobs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multi_spans_driver_chunks() {
+        // More jobs than one stack chunk: every chunk inverts on its own
+        // and the sink still sees every job once, in order.
+        let n = 2 * CHUNK + 3;
+        let scalars: Vec<[u8; 32]> = (0..n)
+            .map(|i| [(i as u8).wrapping_mul(7) | 1; 32])
+            .collect();
+        let points: Vec<[u8; 32]> = (0..n)
+            .map(|i| if i % 5 == 0 { [0u8; 32] } else { BASEPOINT })
+            .collect();
+        for tier in Tier::supported() {
+            let mut seen = 0;
+            let jobs = scalars.iter().zip(&points).map(|(k, p)| (*k, *p));
+            scalarmult_each(tier, jobs, |i, u| {
+                assert_eq!(i, seen);
+                assert_eq!(u, x25519(&scalars[i], &points[i]), "{tier:?}, job {i}");
+                seen += 1;
+            });
+            assert_eq!(seen, n);
+        }
+    }
+
+    /// The RFC 7748 §5.2 and §6.1 vectors as independent jobs of one
+    /// batch — on the IFMA tier, different lanes of one pass, each with
+    /// its own scalar and its own point.
+    #[test]
+    fn rfc7748_vectors_share_one_pass_in_different_lanes() {
+        let alice = unhex32("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+        let bob = unhex32("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+        let alice_pub = unhex32("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a");
+        let bob_pub = unhex32("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f");
+        let shared = "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742";
+        let jobs = [
+            (
+                unhex32("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4"),
+                unhex32("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"),
+                "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
+            ),
+            (
+                unhex32("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"),
+                unhex32("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493"),
+                "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
+            ),
+            (alice, BASEPOINT, &hex(&alice_pub)[..]),
+            (bob, BASEPOINT, &hex(&bob_pub)[..]),
+            (alice, bob_pub, shared),
+            (bob, alice_pub, shared),
+            (
+                BASEPOINT,
+                BASEPOINT,
+                "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079",
+            ),
+        ];
+        let scalars: Vec<[u8; 32]> = jobs.iter().map(|j| j.0).collect();
+        let points: Vec<[u8; 32]> = jobs.iter().map(|j| j.1).collect();
+        for tier in Tier::supported() {
+            let out = x25519_multi_on(tier, &scalars, &points);
+            for (got, job) in out.iter().zip(&jobs) {
+                assert_eq!(hex(got), job.2, "{tier:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_isolates_low_order_points_per_lane() {
+        // A low-order point in one lane collapses that lane alone to the
+        // all-zero output; neighbours with other scalars are untouched.
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let good = public_key(&[9u8; 32]);
+        let scalars = [[0x42u8; 32], [0x43; 32], [0x44; 32], [0x45; 32], [0x46; 32]];
+        let points = [good, [0u8; 32], good, one, good];
+        for tier in Tier::supported() {
+            let out = x25519_multi_on(tier, &scalars, &points);
+            for ((k, p), got) in scalars.iter().zip(&points).zip(&out) {
+                assert_eq!(*got, x25519(k, p), "{tier:?}");
+            }
+            assert_eq!(out[1], [0u8; 32]);
+            assert_eq!(out[3], [0u8; 32]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one scalar per point")]
+    fn multi_rejects_mismatched_lengths() {
+        x25519_multi(&[[1u8; 32]], &[]);
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //!   [`SealedBox::open`] element-wise — including when tampered,
 //!   truncated and low-order envelopes are interleaved with good ones
 //!   mid-batch;
+//! * two-phase sealing ([`SealedBox::prepare`] + [`PreparedSeal::seal`])
+//!   must produce the bytes, and leave the RNG where, a loop of
+//!   [`SealedBox::seal`] does, at every batch size;
 //! * the multi-block ChaCha20 kernel must produce the same keystream as
 //!   block-at-a-time application at every length around the 64 B block
 //!   and 256 B quad-batch boundaries.
 
 use mixnn_crypto::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use mixnn_crypto::sealed_box::OVERHEAD;
-use mixnn_crypto::{KeyPair, SealedBox};
+use mixnn_crypto::{KeyPair, PreparedSeal, PublicKey, SealedBox};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,5 +93,35 @@ proptest! {
             }
             prop_assert_eq!(&whole, &blockwise, "len {}", len);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Preparing a sender's envelopes as one batch and sealing them is
+    /// bit-identical to sealing them one by one — 1..=17 envelopes, so
+    /// 2..=34 ladders: every scalar/padded/full lane split — and draws
+    /// the same bytes from the RNG.
+    #[test]
+    fn prepared_batch_matches_a_loop_of_seal(
+        seed in 0u64..1000,
+        count in 1usize..18,
+        len in 0usize..600,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hops: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+        let recipients: Vec<&PublicKey> = (0..count).map(|i| hops[i % 3].public()).collect();
+        let msgs: Vec<Vec<u8>> = (0..count)
+            .map(|i| (0..(len + 31 * i) % 600).map(|_| rng.gen()).collect())
+            .collect();
+        let (mut batched, mut looped) = (rng.clone(), rng);
+        let prepared = SealedBox::prepare(recipients.iter().copied(), &mut batched).unwrap();
+        prop_assert_eq!(prepared.len(), count);
+        for ((p, msg), recipient) in prepared.into_iter().zip(&msgs).zip(&recipients) {
+            let sealed = PreparedSeal::seal(p, msg);
+            prop_assert_eq!(&sealed, &SealedBox::seal(msg, recipient, &mut looped).unwrap());
+        }
+        prop_assert_eq!(batched.gen::<u64>(), looped.gen::<u64>());
     }
 }
