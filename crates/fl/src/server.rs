@@ -49,17 +49,16 @@ impl AggregationServer {
     /// [`FlError::IncompatibleUpdates`] when signatures disagree.
     pub fn aggregate(&mut self, updates: &[ModelUpdate]) -> Result<&ModelParams, FlError> {
         let first = updates.first().ok_or(FlError::EmptyRound)?;
-        let expected = first.params.signature();
-        for u in updates {
-            if u.params.signature() != expected {
-                return Err(FlError::IncompatibleUpdates {
-                    expected,
-                    actual: u.params.signature(),
-                });
+        // `mean` owns the shape invariant; a `None` on a non-empty round
+        // is a mismatch, and only then are the signatures materialised.
+        let params = updates.iter().map(|u| &u.params);
+        self.global = ModelParams::mean(params.clone()).ok_or_else(|| {
+            let odd = params.clone().find(|p| !p.same_shape(&first.params));
+            FlError::IncompatibleUpdates {
+                expected: first.params.signature(),
+                actual: odd.map_or_else(Vec::new, ModelParams::signature),
             }
-        }
-        let params: Vec<ModelParams> = updates.iter().map(|u| u.params.clone()).collect();
-        self.global = ModelParams::mean(&params).expect("signatures verified above");
+        })?;
         self.rounds_aggregated += 1;
         Ok(&self.global)
     }
@@ -99,10 +98,13 @@ mod tests {
             ModelUpdate::new(0, params(&[1.0])),
             ModelUpdate::new(1, params(&[1.0, 2.0])),
         ];
-        assert!(matches!(
+        assert_eq!(
             server.aggregate(&updates),
-            Err(FlError::IncompatibleUpdates { .. })
-        ));
+            Err(FlError::IncompatibleUpdates {
+                expected: vec![1],
+                actual: vec![2],
+            })
+        );
         // Failed aggregation leaves the global model untouched.
         assert_eq!(server.global(), &params(&[0.0]));
     }

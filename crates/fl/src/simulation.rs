@@ -72,9 +72,10 @@ impl FlSimulation {
         }
     }
 
-    /// Attaches a telemetry registry: each round records its span,
-    /// participant count and lifecycle trace events. Only aggregate,
-    /// selection-size-level figures are recorded — never per-client ids.
+    /// Attaches a telemetry registry: each round records its span, the
+    /// part of it spent in server aggregation, participant count and
+    /// lifecycle trace events. Only aggregate, selection-size-level
+    /// figures are recorded — never per-client ids.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -197,10 +198,15 @@ impl FlSimulation {
         }
 
         let observed = transport.relay(updates)?;
-        let global_after = self.server.aggregate(&observed)?.clone();
+        let aggregate_t0 = self.telemetry.now_ns();
+        self.server.aggregate(&observed)?;
+        let aggregate_ns = self.telemetry.now_ns().saturating_sub(aggregate_t0);
+        let global_after = self.server.global().clone();
         self.rounds_run += 1;
         let elapsed_ns = self.telemetry.now_ns().saturating_sub(round_t0);
         self.telemetry.record_span_ns(Span::FlRound, elapsed_ns);
+        self.telemetry
+            .record_span_ns(Span::FlAggregate, aggregate_ns);
         self.telemetry.incr(Counter::FlRoundsCompleted, 1);
         self.telemetry
             .incr(Counter::FlClientsTrained, selected.len() as u64);
@@ -295,6 +301,29 @@ mod tests {
         assert_eq!(outcome.observed.len(), 6);
         assert_eq!(outcome.global_after, *sim.global());
         assert_eq!(sim.rounds_run(), 1);
+    }
+
+    #[test]
+    fn aggregation_is_a_visible_share_of_the_round() {
+        let (mut sim, _) = sim(3);
+        let telemetry = mixnn_telemetry::Registry::new().shared();
+        sim.attach_telemetry(telemetry.clone());
+        let mut transport = DirectTransport::new();
+        sim.run_round(&mut transport).unwrap();
+        sim.run_round(&mut transport).unwrap();
+        let snapshot = telemetry.snapshot();
+        let span = |name: &str| {
+            let mut spans = snapshot.histograms.iter();
+            let h = spans.find(|h| h.component == "fl" && h.name == name);
+            h.map(|h| (h.count, h.sum)).unwrap()
+        };
+        let (rounds, round_ns) = span("round_ns");
+        let (aggregations, aggregate_ns) = span("aggregate_ns");
+        assert_eq!((rounds, aggregations), (2, 2));
+        assert!(aggregate_ns > 0 && aggregate_ns < round_ns);
+        assert!(snapshot
+            .to_prometheus()
+            .contains("mixnn_fl_aggregate_ns_count 2"));
     }
 
     #[test]

@@ -138,6 +138,19 @@ impl ModelParams {
         self.layers.iter().map(LayerParams::len).collect()
     }
 
+    /// Whether `other` has the same [`signature`](Self::signature) — the
+    /// one compatibility check behind [`delta`](Self::delta),
+    /// [`add`](Self::add), [`mean`](Self::mean) and the distances — without
+    /// materialising either signature.
+    pub fn same_shape(&self, other: &ModelParams) -> bool {
+        self.layers.len() == other.layers.len()
+            && self
+                .layers
+                .iter()
+                .zip(other.layers.iter())
+                .all(|(a, b)| a.len() == b.len())
+    }
+
     /// Concatenates all layers into one flat vector (the "gradient vector"
     /// view used by ∇Sim and the Fig. 9 neighbour analysis).
     pub fn flatten(&self) -> Vec<f32> {
@@ -151,7 +164,7 @@ impl ModelParams {
     /// Element-wise `self - other` across all layers, or `None` if the
     /// signatures differ.
     pub fn delta(&self, other: &ModelParams) -> Option<ModelParams> {
-        if self.signature() != other.signature() {
+        if !self.same_shape(other) {
             return None;
         }
         let layers = self
@@ -165,7 +178,7 @@ impl ModelParams {
 
     /// Element-wise sum `self + other`, or `None` if the signatures differ.
     pub fn add(&self, other: &ModelParams) -> Option<ModelParams> {
-        if self.signature() != other.signature() {
+        if !self.same_shape(other) {
             return None;
         }
         let layers = self
@@ -189,39 +202,39 @@ impl ModelParams {
     }
 
     /// FedAvg: the per-layer, element-wise mean of a set of compatible model
-    /// parameters.
+    /// parameters, given by reference (`&[ModelParams]`, or any cloneable
+    /// exact-size iterator of `&ModelParams`).
     ///
-    /// Returns `None` if `updates` is empty or the signatures disagree.
+    /// Returns `None` if `updates` is empty or the shapes disagree.
     ///
-    /// The implementation is **exactly permutation-invariant even in f32
-    /// arithmetic**: for each scalar position, the column of values across
-    /// updates is summed in a canonical (value-sorted) order with an f64
-    /// accumulator. Plain sequential summation would round differently
-    /// after MixNN permutes the updates, turning the paper's §4.2 theorem
-    /// `Agr(A) = Agr(B)` into an approximation; the canonical order makes
-    /// the aggregate a pure function of the update *multiset*, so the
-    /// equivalence tests can assert bitwise equality.
-    pub fn mean(updates: &[ModelParams]) -> Option<ModelParams> {
-        let first = updates.first()?;
-        let sig = first.signature();
-        if updates.iter().any(|u| u.signature() != sig) {
+    /// The result is a pure function of each scalar column's *multiset* of
+    /// values, so it is **bitwise permutation-invariant even in floating
+    /// point**: plain sequential summation would round differently after
+    /// MixNN permutes the updates, turning the paper's §4.2 theorem
+    /// `Agr(A) = Agr(B)` into an approximation, whereas this mean lets the
+    /// equivalence tests assert bitwise equality. Each layer goes through
+    /// [`mixnn_tensor::vecmath::mean_into`], which documents the numerics:
+    /// the pre-rounding grid, the `2^-43 · max|v|` error bound, the policy
+    /// for NaN and ±∞, and why the result is reproducible rather than
+    /// correctly rounded.
+    pub fn mean<'a, I>(updates: I) -> Option<ModelParams>
+    where
+        I: IntoIterator<Item = &'a ModelParams>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let updates = updates.into_iter();
+        let first = updates.clone().next()?;
+        if !updates.clone().all(|u| first.same_shape(u)) {
             return None;
         }
-        let inv = 1.0 / updates.len() as f64;
-        let mut column = vec![0.0f32; updates.len()];
-        let layers = sig
+        let layers = first
+            .layers
             .iter()
             .enumerate()
-            .map(|(l, &len)| {
-                let mut out = Vec::with_capacity(len);
-                for i in 0..len {
-                    for (slot, u) in column.iter_mut().zip(updates.iter()) {
-                        *slot = u.layers[l].0[i];
-                    }
-                    column.sort_unstable_by(f32::total_cmp);
-                    let sum: f64 = column.iter().map(|&v| f64::from(v)).sum();
-                    out.push((sum * inv) as f32);
-                }
+            .map(|(l, shape)| {
+                let mut out = vec![0.0f32; shape.len()];
+                let column = updates.clone().map(|u| u.layers[l].values());
+                mixnn_tensor::vecmath::mean_into(column, &mut out);
                 LayerParams(out)
             })
             .collect();
@@ -249,7 +262,7 @@ impl ModelParams {
     /// L2 distance between the flattened views of two compatible models, or
     /// `None` if signatures differ.
     pub fn l2_distance(&self, other: &ModelParams) -> Option<f32> {
-        if self.signature() != other.signature() {
+        if !self.same_shape(other) {
             return None;
         }
         Some(mixnn_tensor::vecmath::euclidean_distance(
@@ -261,7 +274,7 @@ impl ModelParams {
     /// Cosine similarity between the flattened views, or `None` if
     /// signatures differ.
     pub fn cosine_similarity(&self, other: &ModelParams) -> Option<f32> {
-        if self.signature() != other.signature() {
+        if !self.same_shape(other) {
             return None;
         }
         Some(mixnn_tensor::vecmath::cosine_similarity(
@@ -281,7 +294,7 @@ fn sample_standard_normal<R: rand::Rng + ?Sized>(rng: &mut R) -> f32 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn mp(vals: &[&[f32]]) -> ModelParams {
         ModelParams::from_layers(
@@ -347,6 +360,47 @@ mod tests {
         let a = ModelParams::mean(&updates).unwrap();
         assert_eq!(a, ModelParams::mean(&reversed).unwrap());
         assert_eq!(a, ModelParams::mean(&rotated).unwrap());
+    }
+
+    #[test]
+    fn mean_is_invariant_under_per_layer_mixing() {
+        // What the proxy does: each layer permuted across updates on its
+        // own, with layers longer than one kernel tile and values whose
+        // naive sum depends on the order.
+        let len = mixnn_tensor::vecmath::MEAN_TILE + 3;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut layers: Vec<Vec<LayerParams>> = (0..2)
+            .map(|_| {
+                (0..7)
+                    .map(|_| {
+                        let values = (0..len).map(|_| 10f32.powf(rng.gen_range(-30.0f32..30.0)));
+                        LayerParams::from_values(values.collect())
+                    })
+                    .collect()
+            })
+            .collect();
+        let assemble = |layers: &[Vec<LayerParams>]| -> Vec<ModelParams> {
+            (0..7)
+                .map(|u| ModelParams::from_layers(layers.iter().map(|l| l[u].clone()).collect()))
+                .collect()
+        };
+        let original = assemble(&layers);
+        layers[0].rotate_left(3);
+        layers[1].reverse();
+        let mixed = assemble(&layers);
+        let expected = ModelParams::mean(&original).unwrap();
+        assert_eq!(ModelParams::mean(&mixed).unwrap(), expected);
+        // Borrowed updates from any exact-size iterator, not only a slice.
+        assert_eq!(ModelParams::mean(mixed.iter().rev()).unwrap(), expected);
+    }
+
+    #[test]
+    fn same_shape_matches_signature_equality() {
+        let a = mp(&[&[1., 2.], &[3.]]);
+        assert!(a.same_shape(&mp(&[&[0., 0.], &[0.]])));
+        assert!(!a.same_shape(&mp(&[&[0., 0.]])));
+        assert!(!a.same_shape(&mp(&[&[0.], &[0., 0.]])));
+        assert!(!a.same_shape(&mp(&[&[0., 0.], &[0.], &[]])));
     }
 
     #[test]

@@ -154,6 +154,7 @@ metric_ids! {
         CascadeRound => (Cascade, "round_ns", "Wall time of one coordinator round (ingest through commit)."),
         CascadePoolWait => (Cascade, "pool_wait_ns", "Added latency per pooled update: arrival to pool firing."),
         FlRound => (Fl, "round_ns", "Wall time of one federated round (training through aggregation)."),
+        FlAggregate => (Fl, "aggregate_ns", "Wall time of the server's FedAvg aggregation within a federated round."),
     }
 }
 
