@@ -15,7 +15,6 @@
 //!   --radius <f32>                                 neighbour radius for fig9, on unit-normalized
 //!                                                  gradients (default 1.25; see EXPERIMENTS.md)
 //!   --clients <n>                                  clients for sysperf/cascade/topology (default 16)
-//!   --parallel                                     extended worker/pipeline sweep for cascade
 //!   --load-clients <n>                             simulated clients for load (default 100000,
 //!                                                  quick 2000)
 //!   --out <path>                                   JSON artifact path override
@@ -29,15 +28,11 @@
 //!                                                  snapshot (throughput/cascade/load)
 //! ```
 //!
-//! `throughput` sweeps the parallel ingest pipeline over worker counts
-//! {1,2,4,8} and round sizes {32,128,512} (quick: {8,32}), verifying that
-//! every configuration mixes bit-identically, and writes the measured
-//! speedups to the JSON artifact. `cascade` sweeps the multi-hop mix
-//! cascade over hop counts 1..4 × every colluding subset of hops,
-//! asserting bit-identical aggregates against the single-proxy baseline,
-//! and sweeps the parallel cascade engine (ingest workers × route-group
-//! workers × pipeline depth; `--parallel` extends the worker set) with
-//! every configuration verified bit-identical to the sequential drive.
+//! `throughput` measures the proxy's in-order ingest over round sizes
+//! {32,128,512} (quick: {8,32}) and writes updates/s per round size to
+//! the JSON artifact. `cascade` sweeps the multi-hop mix cascade over hop
+//! counts 1..4 × every colluding subset of hops, asserting bit-identical
+//! aggregates against the single-proxy baseline.
 //! `topology` compares the three cascade layouts (linear, stratified,
 //! free-route) over hop counts 2..4 × every colluding subset, asserting
 //! the same bit-identical aggregate and recording per-client
@@ -108,7 +103,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "throughput",
-        "Parallel-ingest scaling sweep -> BENCH_throughput.json",
+        "Proxy ingest throughput by round size -> BENCH_throughput.json",
         run_throughput,
     ),
     (
@@ -152,7 +147,6 @@ struct Options {
     round: usize,
     radius: f32,
     clients: usize,
-    parallel: bool,
     out: Option<String>,
     load_clients: Option<usize>,
     metrics_out: Option<String>,
@@ -170,7 +164,6 @@ impl Default for Options {
             round: 6,
             radius: 1.25,
             clients: 16,
-            parallel: false,
             out: None,
             load_clients: None,
             metrics_out: None,
@@ -209,7 +202,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--clients" => {
                 opts.clients = take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?
             }
-            "--parallel" => opts.parallel = true,
             "--load-clients" => {
                 opts.load_clients = Some(take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?)
             }
@@ -423,25 +415,12 @@ fn run_throughput(opts: &Options) -> Result<(), String> {
         ExperimentScale::Paper => &throughput::DEFAULT_CLIENTS,
         ExperimentScale::Quick => &[8, 32],
     };
-    let results = throughput::run_with(
-        &setup,
-        clients,
-        &throughput::DEFAULT_WORKERS,
-        opts.repeats,
-        &telemetry,
-    )
-    .map_err(|e| e.to_string())?;
+    let results = throughput::run_with(&setup, clients, opts.repeats, &telemetry)
+        .map_err(|e| e.to_string())?;
     let mid_prom = telemetry.snapshot().to_prometheus();
     report::print_table(
-        "Ingest throughput: parallel pipeline vs sequential (encrypted path)",
-        &[
-            "clients",
-            "workers",
-            "ingest ms",
-            "mix ms",
-            "updates/s",
-            "speedup",
-        ],
+        "Ingest throughput by round size (encrypted path)",
+        &["clients", "ingest ms", "mix ms", "updates/s"],
         &throughput::rows(&results),
     );
     std::fs::write(
@@ -449,19 +428,7 @@ fn run_throughput(opts: &Options) -> Result<(), String> {
         embed_telemetry(throughput::to_json(&results), &telemetry),
     )
     .map_err(|e| format!("writing {out}: {e}"))?;
-    let threads = throughput::hardware_threads();
-    println!(
-        "\nAll worker counts produced bit-identical mixed outputs (verified).\n\
-         Results written to {out}."
-    );
-    println!("Hardware threads available: {threads}.");
-    if threads < 4 {
-        println!(
-            "NOTE: fewer than 4 hardware threads — worker counts beyond {threads} cannot\n\
-             speed up the wall-clock on this host; expect speedup ~1.0x here and\n\
-             ~min(workers, cores)x on the decrypt share of the budget elsewhere."
-        );
-    }
+    println!("\nResults written to {out}.");
 
     // The hooks stay enabled in production paths, so their cost is
     // measured (enabled registry vs the no-op one) and gated every run.
@@ -474,7 +441,7 @@ fn run_throughput(opts: &Options) -> Result<(), String> {
     let overhead = throughput::measure_overhead(opts.seed, overhead_clients, opts.repeats.max(15))
         .map_err(|e| e.to_string())?;
     println!(
-        "Telemetry hook overhead (sequential ingest+mix, {} updates, min of {} repeats):\n\
+        "Telemetry hook overhead (ingest+mix, {} updates, min of {} repeats):\n\
          enabled {:.4} s vs no-op {:.4} s -> {:+.2}% (gate: {:.0}%).",
         overhead.clients,
         overhead.repeats,
@@ -497,17 +464,11 @@ fn run_cascade(opts: &Options) -> Result<(), String> {
     let out = opts.out.as_deref().unwrap_or("BENCH_cascade.json");
     let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, opts.scale, opts.seed);
     let telemetry = Registry::new().shared();
-    let parallel_configs: &[(usize, usize)] = if opts.parallel {
-        &cascade::EXTENDED_PARALLEL
-    } else {
-        &cascade::DEFAULT_PARALLEL
-    };
     let sweep = cascade::run_with(
         &setup,
         opts.scale,
         opts.clients,
         &cascade::DEFAULT_HOPS,
-        parallel_configs,
         opts.repeats,
         &telemetry,
     )
@@ -536,19 +497,6 @@ fn run_cascade(opts: &Options) -> Result<(), String> {
         &["hops", "colluding", "linkable", "anonymity set"],
         &cascade::collusion_rows(&sweep),
     );
-    report::print_table(
-        "Parallel cascade engine: worker/pipeline sweep (free-route, grouped)",
-        &[
-            "workers",
-            "depth",
-            "hops",
-            "rounds x clients",
-            "batch ms",
-            "updates/s",
-            "speedup",
-        ],
-        &cascade::parallel_rows(&sweep),
-    );
     std::fs::write(
         out,
         embed_telemetry(cascade::to_json(&sweep, opts.clients), &telemetry),
@@ -558,16 +506,8 @@ fn run_cascade(opts: &Options) -> Result<(), String> {
         "\nAsserted at every hop count: the unmixed server aggregate is bit-identical\n\
          to the single-proxy baseline, and the audit restores the original updates\n\
          bit-exactly. Only the all-hops-colluding subsets report linkability 1.00.\n\
-         Every parallel configuration reproduced the sequential outputs bit-for-bit.\n\
          Results written to {out}."
     );
-    let threads = throughput::hardware_threads();
-    if threads < 4 {
-        println!(
-            "NOTE: {threads} hardware thread(s) — expect parallel speedup ~1.0x here and\n\
-             ~min(workers, cores)x on the decrypt share of the budget elsewhere."
-        );
-    }
     export_metrics(&telemetry, &mid_prom, opts.metrics_out.as_deref())
 }
 

@@ -2,7 +2,7 @@
 
 use mixnn_attacks::GradSimConfig;
 use mixnn_data::SyntheticSpec;
-use mixnn_fl::{FlConfig, OptimizerKind, Parallelism};
+use mixnn_fl::{FlConfig, OptimizerKind};
 use mixnn_nn::{zoo, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,8 +102,7 @@ impl ExperimentSetup {
                     learning_rate: 0.005,
                     optimizer: OptimizerKind::Adam,
                     seed,
-                    parallelism: Parallelism::available(),
-                    compression: mixnn_core::codec::CompressionConfig::F32,
+                    ..FlConfig::default()
                 },
                 4,
                 32,
@@ -118,8 +117,7 @@ impl ExperimentSetup {
                     learning_rate: 0.005,
                     optimizer: OptimizerKind::Adam,
                     seed,
-                    parallelism: Parallelism::available(),
-                    compression: mixnn_core::codec::CompressionConfig::F32,
+                    ..FlConfig::default()
                 },
                 4,
                 32,
@@ -134,8 +132,7 @@ impl ExperimentSetup {
                     learning_rate: 0.005,
                     optimizer: OptimizerKind::Adam,
                     seed,
-                    parallelism: Parallelism::available(),
-                    compression: mixnn_core::codec::CompressionConfig::F32,
+                    ..FlConfig::default()
                 },
                 4,
                 32,
@@ -150,8 +147,7 @@ impl ExperimentSetup {
                     learning_rate: 0.005,
                     optimizer: OptimizerKind::Adam,
                     seed,
-                    parallelism: Parallelism::available(),
-                    compression: mixnn_core::codec::CompressionConfig::F32,
+                    ..FlConfig::default()
                 },
                 4,
                 32,

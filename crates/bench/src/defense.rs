@@ -3,7 +3,7 @@
 
 use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use mixnn_enclave::AttestationService;
-use mixnn_fl::{DirectTransport, NoisyTransport, Parallelism, UpdateTransport};
+use mixnn_fl::{DirectTransport, NoisyTransport, UpdateTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,9 +61,6 @@ impl Defense {
                     MixnnProxyConfig {
                         strategy: MixingStrategy::Batch,
                         seed,
-                        // Sharded mixing is bit-identical to sequential, so
-                        // the sweeps can take the throughput for free.
-                        parallelism: Parallelism::available(),
                         ..MixnnProxyConfig::default()
                     },
                     &service,

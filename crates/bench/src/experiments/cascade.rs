@@ -14,11 +14,7 @@
 //!    breakdown,
 //! 4. runs [`analyze_collusion`] for **every** subset of hops, recording
 //!    linkability and residual anonymity — and **asserts** the threat
-//!    model: proper subsets link nothing, full collusion links all;
-//! 5. sweeps the **parallel execution engine** (hop ingest workers, route
-//!    group workers, cross-hop pipeline depth) over a multi-round batch,
-//!    **asserting** every configuration reproduces the sequential outputs
-//!    bit-for-bit and recording per-worker-count throughput/latency rows.
+//!    model: proper subsets link nothing, full collusion links all.
 //!
 //! Results land in `BENCH_cascade.json`.
 //!
@@ -27,8 +23,8 @@
 use crate::report::Percentiles;
 use crate::{ExperimentScale, ExperimentSetup};
 use mixnn_attacks::{analyze_collusion, AttackError};
-use mixnn_cascade::{CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute};
-use mixnn_core::{MixPlan, MixingStrategy, MixnnProxy, MixnnProxyConfig, Parallelism};
+use mixnn_cascade::{CascadeCoordinator, FailurePolicy};
+use mixnn_core::{MixPlan, MixingStrategy, MixnnProxy, MixnnProxyConfig};
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::Telemetry;
@@ -38,14 +34,6 @@ use std::time::Instant;
 
 /// The hop counts swept by default (1 is the single-proxy chain).
 pub const DEFAULT_HOPS: [usize; 4] = [1, 2, 3, 4];
-
-/// The `(workers, pipeline_depth)` cells of the default parallel sweep:
-/// `workers` feeds both the hop ingest fan-out and the route-group pool.
-pub const DEFAULT_PARALLEL: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 4)];
-
-/// The extended sweep behind `eval cascade --parallel`.
-pub const EXTENDED_PARALLEL: [(usize, usize); 7] =
-    [(1, 1), (2, 1), (4, 1), (1, 2), (2, 2), (4, 4), (8, 8)];
 
 /// Per-hop cost of one measured round.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,28 +78,6 @@ pub struct CollusionRow {
     pub mean_anonymity_set: f64,
 }
 
-/// One parallel-execution cell: a multi-round batch driven at one
-/// `(workers, pipeline_depth)` configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CascadeParallelRow {
-    /// Hop ingest + route-group worker count.
-    pub workers: usize,
-    /// Rounds kept in flight across hops.
-    pub pipeline_depth: usize,
-    /// Chain length of the swept cascade.
-    pub hops: usize,
-    /// Clients per round.
-    pub clients: usize,
-    /// Rounds in the batch.
-    pub rounds: usize,
-    /// Wall-clock seconds for the whole batch (sealing included).
-    pub batch_seconds: f64,
-    /// Updates per second of batch wall-clock.
-    pub updates_per_sec: f64,
-    /// Speedup against this sweep's `(1, 1)` row.
-    pub speedup: f64,
-}
-
 /// Everything the cascade sweep produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeSweep {
@@ -119,9 +85,6 @@ pub struct CascadeSweep {
     pub perf: Vec<CascadePerfRow>,
     /// Per-(hop count, subset) adversary rows.
     pub collusion: Vec<CollusionRow>,
-    /// Per-worker-count parallel-engine rows (outputs verified
-    /// bit-identical to the sequential drive before recording).
-    pub parallel: Vec<CascadeParallelRow>,
 }
 
 fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
@@ -145,15 +108,8 @@ fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
     }
 }
 
-/// Runs the cascade sweep.
-///
-/// `parallel_configs` names the `(workers, pipeline_depth)` cells of the
-/// parallel-engine sweep (e.g. [`DEFAULT_PARALLEL`]); the sequential
-/// `(1, 1)` drive always runs first — it is both the bit-identity
-/// reference and the speedup anchor row — so listing it in the configs is
-/// optional and never runs it twice. The per-hop-count round duration is
-/// the median of `repeats` identical re-runs
-/// ([`Percentiles::from_samples`]).
+/// Runs the cascade sweep. The per-hop-count round duration is the median
+/// of `repeats` identical re-runs ([`Percentiles::from_samples`]).
 ///
 /// # Errors
 ///
@@ -164,17 +120,14 @@ fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
 ///
 /// Panics (deliberately — these are the experiment's assertions) if the
 /// cascade's aggregate diverges from the single-proxy baseline, the
-/// audit fails to restore the original updates bit-exactly, any
+/// audit fails to restore the original updates bit-exactly, or any
 /// colluding-subset report violates the threat model (a proper subset
-/// linking anything, or full collusion failing to link everything), or a
-/// parallel configuration fails to reproduce the sequential outputs
-/// bit-for-bit.
+/// linking anything, or full collusion failing to link everything).
 pub fn run(
     setup: &ExperimentSetup,
     scale: ExperimentScale,
     clients: usize,
     hop_counts: &[usize],
-    parallel_configs: &[(usize, usize)],
     repeats: usize,
 ) -> Result<CascadeSweep, AttackError> {
     run_with(
@@ -182,7 +135,6 @@ pub fn run(
         scale,
         clients,
         hop_counts,
-        parallel_configs,
         repeats,
         &mixnn_telemetry::noop(),
     )
@@ -195,13 +147,11 @@ pub fn run(
 /// # Errors
 ///
 /// Same conditions as [`run`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_with(
     setup: &ExperimentSetup,
     scale: ExperimentScale,
     clients: usize,
     hop_counts: &[usize],
-    parallel_configs: &[(usize, usize)],
     repeats: usize,
     telemetry: &Telemetry,
 ) -> Result<CascadeSweep, AttackError> {
@@ -228,7 +178,6 @@ pub fn run_with(
                 strategy: MixingStrategy::Batch,
                 expected_signature: signature.clone(),
                 seed,
-                parallelism: Parallelism::sequential(),
                 ..MixnnProxyConfig::default()
             },
             &service,
@@ -344,116 +293,7 @@ pub fn run_with(
         }
     }
 
-    let parallel = parallel_sweep(
-        &signature,
-        seed,
-        &originals,
-        &baseline_aggregate,
-        hop_counts.iter().copied().max().unwrap_or(1).max(2),
-        parallel_configs,
-        telemetry,
-    )?;
-    Ok(CascadeSweep {
-        perf,
-        collusion,
-        parallel,
-    })
-}
-
-/// The number of rounds the parallel sweep pipelines per configuration.
-const PARALLEL_SWEEP_ROUNDS: usize = 3;
-
-/// Drives the same multi-round batch through a free-route cascade (with
-/// the minimum-group-size codebook, so the route-group pool has several
-/// groups to work on) at every `(workers, pipeline_depth)` configuration,
-/// asserting the outputs bit-identical to the `(1, 1)` drive and the
-/// aggregate bit-identical to the single-proxy baseline, then recording
-/// throughput/latency per configuration.
-fn parallel_sweep(
-    signature: &[usize],
-    seed: u64,
-    originals: &[ModelParams],
-    baseline_aggregate: &ModelParams,
-    hops: usize,
-    configs: &[(usize, usize)],
-    telemetry: &Telemetry,
-) -> Result<Vec<CascadeParallelRow>, AttackError> {
-    let clients = originals.len();
-    let rounds: Vec<Vec<ModelParams>> = (0..PARALLEL_SWEEP_ROUNDS)
-        .map(|_| originals.to_vec())
-        .collect();
-
-    let drive = |workers: usize, depth: usize| -> Result<_, AttackError> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9a11);
-        let service = AttestationService::new(&mut rng);
-        let topology =
-            FreeRoute::new(hops, 1, hops, seed).with_min_group_size(2.min(clients), clients);
-        let mut cascade = CascadeCoordinator::with_topology(
-            signature.to_vec(),
-            Box::new(topology) as Box<dyn CascadeTopology>,
-            seed,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .map_err(mixnn_fl::FlError::from)?;
-        cascade.set_parallelism(Parallelism {
-            ingest_workers: workers,
-            group_workers: workers,
-            pipeline_depth: depth,
-            ..Parallelism::sequential()
-        });
-        cascade.attach_telemetry(telemetry.clone());
-        let t0 = Instant::now();
-        let out = cascade
-            .run_rounds(&rounds, &mut rng)
-            .map_err(mixnn_fl::FlError::from)?;
-        let batch_seconds = t0.elapsed().as_secs_f64();
-        Ok((out, batch_seconds))
-    };
-
-    // The sequential drive doubles as the sweep's (1, 1) anchor row —
-    // the bit-identity reference and the speedup denominator come from
-    // one run, not two.
-    let (reference, sequential_seconds) = drive(1, 1)?;
-    for round in &reference {
-        let aggregate = ModelParams::mean(&round.mixed).expect("non-empty round");
-        assert_eq!(
-            baseline_aggregate, &aggregate,
-            "parallel-sweep aggregate diverged from the single-proxy baseline"
-        );
-    }
-
-    let total_updates = (clients * PARALLEL_SWEEP_ROUNDS) as f64;
-    let row = |workers: usize, depth: usize, batch_seconds: f64| CascadeParallelRow {
-        workers,
-        pipeline_depth: depth,
-        hops,
-        clients,
-        rounds: PARALLEL_SWEEP_ROUNDS,
-        batch_seconds,
-        updates_per_sec: if batch_seconds > 0.0 {
-            total_updates / batch_seconds
-        } else {
-            0.0
-        },
-        speedup: if batch_seconds > 0.0 {
-            sequential_seconds / batch_seconds
-        } else {
-            0.0
-        },
-    };
-    let mut rows = Vec::with_capacity(configs.len() + 1);
-    rows.push(row(1, 1, sequential_seconds));
-    for &(workers, depth) in configs.iter().filter(|&&c| c != (1, 1)) {
-        let (out, batch_seconds) = drive(workers, depth)?;
-        assert_eq!(
-            reference, out,
-            "workers={workers} depth={depth} diverged from the sequential drive"
-        );
-        rows.push(row(workers, depth, batch_seconds));
-    }
-    Ok(rows)
+    Ok(CascadeSweep { perf, collusion })
 }
 
 /// Formats the performance rows for the report table.
@@ -474,25 +314,6 @@ pub fn perf_rows(sweep: &CascadeSweep) -> Vec<Vec<String>> {
                     format!("{:.1}", r.updates_per_sec),
                 ]
             })
-        })
-        .collect()
-}
-
-/// Formats the parallel-engine rows for the report table.
-pub fn parallel_rows(sweep: &CascadeSweep) -> Vec<Vec<String>> {
-    sweep
-        .parallel
-        .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                r.pipeline_depth.to_string(),
-                r.hops.to_string(),
-                format!("{}x{}", r.rounds, r.clients),
-                crate::report::fmt_ms(r.batch_seconds),
-                format!("{:.1}", r.updates_per_sec),
-                format!("{:.2}x", r.speedup),
-            ]
         })
         .collect()
 }
@@ -571,27 +392,6 @@ pub fn to_json(sweep: &CascadeSweep, clients: usize) -> String {
             if i + 1 == sweep.perf.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ],\n  \"parallel\": [\n");
-    for (i, r) in sweep.parallel.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"pipeline_depth\": {}, \"hops\": {}, \"clients\": {}, \
-             \"rounds\": {}, \"batch_seconds\": {:.6}, \"updates_per_sec\": {:.2}, \
-             \"speedup\": {:.4}, \"bit_identical_to_sequential\": true}}{}\n",
-            r.workers,
-            r.pipeline_depth,
-            r.hops,
-            r.clients,
-            r.rounds,
-            r.batch_seconds,
-            r.updates_per_sec,
-            r.speedup,
-            if i + 1 == sweep.parallel.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -603,15 +403,7 @@ mod tests {
 
     fn sweep() -> CascadeSweep {
         let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 3);
-        run(
-            &setup,
-            ExperimentScale::Quick,
-            6,
-            &[1, 2, 3],
-            &DEFAULT_PARALLEL,
-            2,
-        )
-        .unwrap()
+        run(&setup, ExperimentScale::Quick, 6, &[1, 2, 3], 2).unwrap()
     }
 
     #[test]
@@ -653,30 +445,8 @@ mod tests {
         let sweep = sweep();
         let json = to_json(&sweep, 6);
         assert!(json.contains("\"cascade\""));
-        // 3 perf rows + 1 "hops" key per parallel row.
-        assert_eq!(json.matches("\"hops\"").count(), 3 + sweep.parallel.len());
+        assert_eq!(json.matches("\"hops\"").count(), 3);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"aggregate_bit_identical\": true"));
-        assert!(json.contains("\"bit_identical_to_sequential\": true"));
-        assert!(json.contains("\"parallel\""));
-    }
-
-    #[test]
-    fn parallel_sweep_covers_every_requested_cell_with_a_sequential_anchor() {
-        let sweep = sweep();
-        // DEFAULT_PARALLEL already anchors at (1, 1); every cell present.
-        let cells: Vec<(usize, usize)> = sweep
-            .parallel
-            .iter()
-            .map(|r| (r.workers, r.pipeline_depth))
-            .collect();
-        assert_eq!(cells, DEFAULT_PARALLEL.to_vec());
-        assert!((sweep.parallel[0].speedup - 1.0).abs() < 1e-9);
-        for r in &sweep.parallel {
-            assert!(r.batch_seconds > 0.0);
-            assert!(r.updates_per_sec > 0.0);
-            assert_eq!(r.rounds, 3);
-            assert_eq!(r.clients, 6);
-        }
     }
 }

@@ -1,23 +1,19 @@
-//! Ingest throughput of the parallel proxy pipeline.
+//! Ingest throughput of the proxy pipeline, by round size.
 //!
-//! §6.5 shows decryption dominating the proxy's per-update budget; the
-//! parallel ingest front-end exists to buy that time back with worker
-//! threads. This experiment measures it: `C` pre-sealed updates pushed
-//! through the full encrypted pipeline (decrypt → store → batch mix) at
-//! several ingest worker counts, reporting updates/second and the speedup
-//! over the sequential front-end. Every configuration is verified to
-//! produce **bit-identical** mixed outputs — parallelism is a throughput
-//! knob, never a semantics knob.
+//! §6.5 shows decryption dominating the proxy's per-update budget. This
+//! experiment measures the real path: `C` pre-sealed updates pushed
+//! through the full encrypted pipeline (in-order batched ingest → batch
+//! mix) on a fresh proxy, reporting wall-clock and updates/second for
+//! each round size. Every repetition's mixed output is asserted identical
+//! to the first (fixed seeds).
 //!
-//! Results are also dumped to `BENCH_throughput.json` so speedups land in
-//! a machine-readable artifact alongside the criterion benches.
+//! Results are also dumped to `BENCH_throughput.json` so they land in a
+//! machine-readable artifact alongside the criterion benches.
 
 use crate::report::Percentiles;
 use crate::ExperimentSetup;
 use mixnn_attacks::AttackError;
-use mixnn_core::{
-    codec, MixingStrategy, MixnnProxy, MixnnProxyConfig, ParallelIngest, Parallelism,
-};
+use mixnn_core::{codec, MixingStrategy, MixnnProxy, MixnnProxyConfig};
 use mixnn_crypto::SealedBox;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
@@ -26,27 +22,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// One measured (clients, workers) cell.
+/// One measured round size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRow {
     /// Updates ingested in the round (the paper's `C`).
     pub clients: usize,
-    /// Ingest worker threads used.
-    pub workers: usize,
-    /// Per-layer mix shard tasks used.
-    pub mix_shards: usize,
     /// Wall-clock seconds for the whole ingest (decrypt + store).
     pub ingest_seconds: f64,
     /// Wall-clock seconds for the batch mix.
     pub mix_seconds: f64,
     /// Accepted updates per second of ingest wall-clock.
     pub updates_per_sec: f64,
-    /// Ingest speedup over the 1-worker row of the same client count.
-    pub speedup_vs_sequential: f64,
 }
-
-/// The worker counts swept by default (1 is the sequential baseline).
-pub const DEFAULT_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Ceiling on acceptable telemetry hook cost, as a fraction of the
 /// no-op-registry wall-clock — `eval throughput` fails when
@@ -56,12 +43,16 @@ pub const MAX_TELEMETRY_OVERHEAD: f64 = 0.02;
 /// The round sizes swept by default.
 pub const DEFAULT_CLIENTS: [usize; 3] = [32, 128, 512];
 
+/// Five layers, ~8k parameters: the §6.5 cost shape (decrypt-dominated)
+/// at a size where C=512 stays a smoke-runnable sweep.
+const SIGNATURE: [usize; 5] = [2048, 2048, 2048, 1024, 512];
+
 /// A synthetic multi-layer update sized so decryption does §6.5-realistic
 /// work without making the sweep take minutes.
-fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
+fn synth_update(seed: u64) -> ModelParams {
     let mut rng = StdRng::seed_from_u64(seed);
     ModelParams::from_layers(
-        signature
+        SIGNATURE
             .iter()
             .map(|&len| {
                 LayerParams::from_values((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
@@ -70,15 +61,14 @@ fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
     )
 }
 
-fn launch(signature: Vec<usize>, seed: u64, parallelism: Parallelism) -> MixnnProxy {
+fn launch(seed: u64) -> MixnnProxy {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7a31);
     let service = AttestationService::new(&mut rng);
     MixnnProxy::launch(
         MixnnProxyConfig {
             strategy: MixingStrategy::Batch,
-            expected_signature: signature,
+            expected_signature: SIGNATURE.to_vec(),
             seed,
-            parallelism,
             ..MixnnProxyConfig::default()
         },
         &service,
@@ -86,15 +76,49 @@ fn launch(signature: Vec<usize>, seed: u64, parallelism: Parallelism) -> MixnnPr
     )
 }
 
+/// `clients` updates sealed to the (seed-determined) proxy key.
+fn sealed_round(seed: u64, clients: usize) -> Vec<Vec<u8>> {
+    let reference = launch(seed);
+    let mut seal_rng = StdRng::seed_from_u64(seed ^ 0x11);
+    (0..clients)
+        .map(|i| {
+            SealedBox::seal(
+                &codec::encode_params(&synth_update(seed ^ (i as u64) << 8)),
+                reference.public_key(),
+                &mut seal_rng,
+            )
+            .expect("enclave keys are never low-order")
+        })
+        .collect()
+}
+
+/// One timed pass on a fresh proxy: (ingest seconds, mix seconds, mixed).
+fn timed_pass(
+    seed: u64,
+    sealed: &[Vec<u8>],
+    telemetry: Option<&Telemetry>,
+) -> Result<(f64, f64, Vec<ModelParams>), AttackError> {
+    let mut proxy = launch(seed);
+    if let Some(t) = telemetry {
+        proxy.attach_telemetry(t.clone());
+    }
+    let t0 = Instant::now();
+    let results = proxy.ingest_sealed(sealed);
+    let ingest_seconds = t0.elapsed().as_secs_f64();
+    for r in results {
+        r.map_err(mixnn_fl::FlError::from)?;
+    }
+    let t1 = Instant::now();
+    let mixed = proxy.mix_batch().map_err(mixnn_fl::FlError::from)?;
+    Ok((ingest_seconds, t1.elapsed().as_secs_f64(), mixed))
+}
+
 /// Runs the ingest-throughput sweep.
 ///
-/// For each client count, the same `C` sealed updates go through a fresh
-/// proxy at each worker count; the mixed outputs of every configuration
-/// are asserted identical to the sequential ones (fixed seeds), so the
-/// reported speedups are for provably equivalent work. Each cell is
-/// measured `repeats` times (fresh proxy per repetition) and the
-/// reported seconds are the median ([`Percentiles::from_samples`]), so
-/// `--repeats` suppresses scheduler noise instead of averaging it in.
+/// Each round size is measured `repeats` times (fresh proxy per
+/// repetition, after one untimed warm-up pass) and the reported seconds
+/// are the median ([`Percentiles::from_samples`]), so `--repeats`
+/// suppresses scheduler noise instead of averaging it in.
 ///
 /// # Errors
 ///
@@ -103,16 +127,9 @@ fn launch(signature: Vec<usize>, seed: u64, parallelism: Parallelism) -> MixnnPr
 pub fn run(
     setup: &ExperimentSetup,
     client_counts: &[usize],
-    worker_counts: &[usize],
     repeats: usize,
 ) -> Result<Vec<ThroughputRow>, AttackError> {
-    run_with(
-        setup,
-        client_counts,
-        worker_counts,
-        repeats,
-        &mixnn_telemetry::noop(),
-    )
+    run_with(setup, client_counts, repeats, &mixnn_telemetry::noop())
 }
 
 /// [`run`] with a telemetry registry attached to every timed proxy, so
@@ -125,110 +142,37 @@ pub fn run(
 pub fn run_with(
     setup: &ExperimentSetup,
     client_counts: &[usize],
-    worker_counts: &[usize],
     repeats: usize,
     telemetry: &Telemetry,
 ) -> Result<Vec<ThroughputRow>, AttackError> {
-    // Five layers, ~8k parameters: the §6.5 cost shape (decrypt-dominated)
-    // at a size where C=512 stays a smoke-runnable sweep.
-    let signature: Vec<usize> = vec![2048, 2048, 2048, 1024, 512];
     let seed = setup.fl.seed;
-    let mut rows = Vec::new();
-    if worker_counts.is_empty() {
-        return Ok(rows);
-    }
-
+    let mut rows = Vec::with_capacity(client_counts.len());
     for &clients in client_counts {
-        // Seal once per client count; every worker configuration ingests
-        // the same ciphertexts.
-        let reference = launch(signature.clone(), seed, Parallelism::sequential());
-        let mut seal_rng = StdRng::seed_from_u64(seed ^ 0x11);
-        let sealed: Vec<Vec<u8>> = (0..clients)
-            .map(|i| {
-                let p = synth_update(&signature, seed ^ (i as u64) << 8);
-                SealedBox::seal(
-                    &codec::encode_params(&p),
-                    reference.public_key(),
-                    &mut seal_rng,
-                )
-                .expect("enclave keys are never low-order")
-            })
-            .collect();
+        let sealed = sealed_round(seed, clients);
+        // One untimed warm-up pass so the first timed repetition is not
+        // penalized with cold caches and first-touch page faults; its
+        // output is the reference every repetition must reproduce.
+        let (_, _, reference) = timed_pass(seed, &sealed, None)?;
 
-        // One untimed warm-up pass so the first timed configuration is not
-        // penalized with cold caches and first-touch page faults. It runs
-        // fully sequentially, so its mixed outputs double as the
-        // sequential reference every configuration must reproduce.
-        let sequential_mixed = {
-            let mut warm = launch(signature.clone(), seed, Parallelism::sequential());
-            for r in ParallelIngest::new(1).submit_all(&mut warm, &sealed) {
-                r.map_err(mixnn_fl::FlError::from)?;
-            }
-            warm.mix_batch().map_err(mixnn_fl::FlError::from)?
-        };
-
-        let mut client_rows = Vec::with_capacity(worker_counts.len());
-        for &workers in worker_counts {
-            let parallelism = Parallelism {
-                ingest_workers: workers,
-                mix_shards: workers,
-                ..Parallelism::sequential()
-            };
-            let mut ingest_samples = Vec::with_capacity(repeats.max(1));
-            let mut mix_samples = Vec::with_capacity(repeats.max(1));
-            let mut stats = None;
-            for _ in 0..repeats.max(1) {
-                let mut proxy = launch(signature.clone(), seed, parallelism);
-                proxy.attach_telemetry(telemetry.clone());
-                let ingest = ParallelIngest::new(workers);
-
-                let t0 = Instant::now();
-                let results = ingest.submit_all(&mut proxy, &sealed);
-                ingest_samples.push(t0.elapsed().as_secs_f64());
-                for r in results {
-                    r.map_err(mixnn_fl::FlError::from)?;
-                }
-
-                let t1 = Instant::now();
-                let mixed = proxy.mix_batch().map_err(mixnn_fl::FlError::from)?;
-                mix_samples.push(t1.elapsed().as_secs_f64());
-
-                assert_eq!(
-                    sequential_mixed, mixed,
-                    "parallel pipeline diverged at {workers} workers"
-                );
-                stats = Some(proxy.stats());
-            }
-            let ingest_seconds = Percentiles::from_samples(&ingest_samples).p50;
-            let mix_seconds = Percentiles::from_samples(&mix_samples).p50;
-            let stats = stats.expect("at least one repetition ran");
-            client_rows.push(ThroughputRow {
-                clients,
-                workers,
-                mix_shards: workers,
-                ingest_seconds,
-                mix_seconds,
-                updates_per_sec: stats.throughput_updates_per_sec(ingest_seconds),
-                speedup_vs_sequential: 1.0, // filled in below
-            });
+        let mut ingest_samples = Vec::with_capacity(repeats.max(1));
+        let mut mix_samples = Vec::with_capacity(repeats.max(1));
+        for _ in 0..repeats.max(1) {
+            let (ingest, mix, mixed) = timed_pass(seed, &sealed, Some(telemetry))?;
+            assert_eq!(reference, mixed, "a fixed seed must mix identically");
+            ingest_samples.push(ingest);
+            mix_samples.push(mix);
         }
-        // The speedup baseline is the workers == 1 row when the sweep has
-        // one; a sweep without it falls back to its first row (and the
-        // column then reads "vs the slowest swept config", not "vs
-        // sequential").
-        let baseline = client_rows
-            .iter()
-            .find(|r| r.workers == 1)
-            .unwrap_or(&client_rows[0])
-            .ingest_seconds;
-        for row in &mut client_rows {
-            row.speedup_vs_sequential = if row.ingest_seconds > 0.0 {
-                baseline / row.ingest_seconds
+        let ingest_seconds = Percentiles::from_samples(&ingest_samples).p50;
+        rows.push(ThroughputRow {
+            clients,
+            ingest_seconds,
+            mix_seconds: Percentiles::from_samples(&mix_samples).p50,
+            updates_per_sec: if ingest_seconds > 0.0 {
+                clients as f64 / ingest_seconds
             } else {
-                1.0
-            };
-        }
-        rows.extend(client_rows);
+                0.0
+            },
+        });
     }
     Ok(rows)
 }
@@ -254,8 +198,8 @@ pub struct OverheadReport {
 }
 
 /// Measures the cost of leaving telemetry hooks enabled on the encrypted
-/// ingest + mix pipeline (sequential, so nothing but the hooks differs
-/// between the arms). The two arms alternate repetition by repetition so
+/// ingest + mix pipeline (nothing but the hooks differs between the
+/// arms). The two arms alternate repetition by repetition so
 /// they share cache and thermal conditions.
 ///
 /// # Errors
@@ -267,32 +211,10 @@ pub fn measure_overhead(
     clients: usize,
     repeats: usize,
 ) -> Result<OverheadReport, AttackError> {
-    let signature: Vec<usize> = vec![2048, 2048, 2048, 1024, 512];
-    let reference = launch(signature.clone(), seed, Parallelism::sequential());
-    let mut seal_rng = StdRng::seed_from_u64(seed ^ 0x11);
-    let sealed: Vec<Vec<u8>> = (0..clients)
-        .map(|i| {
-            let p = synth_update(&signature, seed ^ (i as u64) << 8);
-            SealedBox::seal(
-                &codec::encode_params(&p),
-                reference.public_key(),
-                &mut seal_rng,
-            )
-            .expect("enclave keys are never low-order")
-        })
-        .collect();
-
+    let sealed = sealed_round(seed, clients);
     let pass = |telemetry: Option<Telemetry>| -> Result<f64, AttackError> {
-        let mut proxy = launch(signature.clone(), seed, Parallelism::sequential());
-        if let Some(t) = telemetry {
-            proxy.attach_telemetry(t);
-        }
-        let t0 = Instant::now();
-        for r in ParallelIngest::new(1).submit_all(&mut proxy, &sealed) {
-            r.map_err(mixnn_fl::FlError::from)?;
-        }
-        proxy.mix_batch().map_err(mixnn_fl::FlError::from)?;
-        Ok(t0.elapsed().as_secs_f64())
+        let (ingest, mix, _) = timed_pass(seed, &sealed, telemetry.as_ref())?;
+        Ok(ingest + mix)
     };
 
     let repeats = repeats.max(1);
@@ -318,46 +240,27 @@ pub fn rows(results: &[ThroughputRow]) -> Vec<Vec<String>> {
         .map(|r| {
             vec![
                 r.clients.to_string(),
-                r.workers.to_string(),
                 crate::report::fmt_ms(r.ingest_seconds),
                 crate::report::fmt_ms(r.mix_seconds),
                 format!("{:.1}", r.updates_per_sec),
-                format!("{:.2}x", r.speedup_vs_sequential),
             ]
         })
         .collect()
-}
-
-/// Hardware threads available to the sweep. Worker counts beyond this are
-/// still *correct* (determinism is verified) but cannot speed anything up;
-/// the JSON artifact records it so speedups are interpreted against the
-/// right ceiling.
-pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Serializes throughput rows as a JSON artifact (`BENCH_throughput.json`
 /// by convention) — hand-rolled because the offline serde shim does not
 /// serialize.
 pub fn to_json(results: &[ThroughputRow]) -> String {
-    let mut out = format!(
-        "{{\n  \"experiment\": \"ingest_throughput\",\n  \"hardware_threads\": {},\n  \"rows\": [\n",
-        hardware_threads()
-    );
+    let mut out = "{\n  \"experiment\": \"ingest_throughput\",\n  \"rows\": [\n".to_string();
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"clients\": {}, \"workers\": {}, \"mix_shards\": {}, \
-             \"ingest_seconds\": {:.6}, \"mix_seconds\": {:.6}, \
-             \"updates_per_sec\": {:.2}, \"speedup_vs_sequential\": {:.3}}}{}\n",
+            "    {{\"clients\": {}, \"ingest_seconds\": {:.6}, \"mix_seconds\": {:.6}, \
+             \"updates_per_sec\": {:.2}}}{}\n",
             r.clients,
-            r.workers,
-            r.mix_shards,
             r.ingest_seconds,
             r.mix_seconds,
             r.updates_per_sec,
-            r.speedup_vs_sequential,
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -371,13 +274,14 @@ mod tests {
     use crate::{DatasetKind, ExperimentScale};
 
     #[test]
-    fn sweep_measures_and_verifies_determinism() {
+    fn sweep_measures_every_round_size() {
         let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 1);
-        // Small cells: determinism is asserted inside run().
-        let rows = run(&setup, &[8], &[1, 2, 4], 2).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].workers, 1);
-        assert!((rows[0].speedup_vs_sequential - 1.0).abs() < 1e-9);
+        // Small cells: run-to-run identity is asserted inside run().
+        let rows = run(&setup, &[5, 8], 2).unwrap();
+        assert_eq!(
+            rows.iter().map(|r| r.clients).collect::<Vec<_>>(),
+            vec![5, 8]
+        );
         for r in &rows {
             assert!(r.updates_per_sec > 0.0);
             assert!(r.ingest_seconds > 0.0);
@@ -397,10 +301,10 @@ mod tests {
     #[test]
     fn json_artifact_is_well_formed_enough() {
         let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 1);
-        let rows = run(&setup, &[4], &[1, 2], 1).unwrap();
+        let rows = run(&setup, &[4, 6], 1).unwrap();
         let json = to_json(&rows);
         assert!(json.contains("\"ingest_throughput\""));
-        assert_eq!(json.matches("\"workers\"").count(), 2);
+        assert_eq!(json.matches("\"clients\"").count(), 2);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -30,7 +30,7 @@ use mixnn_attacks::{analyze_routed_collusion, AttackError, RouteGroupView};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
-use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, Parallelism};
+use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig};
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
@@ -164,7 +164,6 @@ pub fn run(
                 strategy: MixingStrategy::Batch,
                 expected_signature: signature.clone(),
                 seed,
-                parallelism: Parallelism::sequential(),
                 ..MixnnProxyConfig::default()
             },
             &service,

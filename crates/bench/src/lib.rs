@@ -12,7 +12,7 @@
 //! | [`experiments::background`] | Fig. 8 — inference vs background knowledge |
 //! | [`experiments::robustness`] | Fig. 9 — CDF of close-gradient neighbours |
 //! | [`experiments::sysperf`] | §6.5 — proxy cost and memory breakdown |
-//! | [`experiments::throughput`] | beyond the paper — parallel-ingest scaling (`BENCH_throughput.json`) |
+//! | [`experiments::throughput`] | beyond the paper — proxy ingest throughput by round size (`BENCH_throughput.json`) |
 //! | [`experiments::cascade`] | beyond the paper — mix-cascade hop/collusion sweep (`BENCH_cascade.json`) |
 //!
 //! Experiments come in two scales: `paper` (the §6.1.4 round/epoch/batch

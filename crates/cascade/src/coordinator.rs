@@ -1,27 +1,16 @@
 //! Driving rounds through the chain — or, for stratified and free-route
 //! layouts, through every route group's chain.
 //!
-//! # Concurrency
-//!
-//! Two axes of the round parallelize without changing a single output
-//! bit:
-//!
-//! * **Route groups** ([`Parallelism::group_workers`]): groups share no
-//!   envelopes by construction (each onion is sealed to its route's
-//!   keys), so independent groups can walk their hop sequences
-//!   concurrently. Determinism is preserved by pre-drawing every group's
-//!   per-hop plans from *cloned* hop RNG streams in the canonical
-//!   sequential order, running the groups on [`CascadeHop`]'s `&self`
-//!   round core, and committing RNG streams and stats only when the whole
-//!   round succeeds. Any failure discards the optimistic attempt and
-//!   re-runs the canonical sequential drive — which reproduces the
-//!   sequential failure (and its skip-or-abort handling) exactly.
-//! * **Rounds across hops** ([`Parallelism::pipeline_depth`], via
-//!   [`CascadeCoordinator::run_rounds`]): with depth `d`, up to `d` whole
-//!   rounds are in flight at once, so hop `i + 1` mixes round `r` while
-//!   hop `i` ingests round `r + 1`. Each round seals from its own derived
-//!   RNG stream (one `u64` drawn from the caller per round, at every
-//!   depth), so outputs are invariant to the depth.
+//! There is one drive. A round is partitioned into route groups, every
+//! group's onions are sealed in canonical order (group by group, slot by
+//! slot), and each group's batch then walks its route hop by hop — link
+//! delivery, [`CascadeHop::mix_round`], next link — before the next group
+//! starts. Every failure that can be blamed on a hop (the wire into it,
+//! its own ingest, the wire from the last hop into the server) goes
+//! through one handler that applies the [`FailurePolicy`]: abort the
+//! round, or mark the hop down and restart the attempt on the surviving
+//! routes. Pooled mixing ([`crate::PooledCoordinator`]) drives the same
+//! loop with a k-floor.
 
 use crate::topology::{partition_routes, uniform_route, validate_route, RouteGroup};
 use crate::{
@@ -29,15 +18,12 @@ use crate::{
     LinearChain, OnionUpdate,
 };
 use mixnn_core::codec::CompressionConfig;
-use mixnn_core::{
-    map_chunked, shard_seed, Endpoint, InProcessLink, MixPlan, Parallelism, ProxyStats, RoundLink,
-};
+use mixnn_core::{shard_seed, Endpoint, InProcessLink, MixPlan, ProxyStats, RoundLink};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// How many client slots [`CascadeCoordinator::client`] probes when
 /// checking that the topology routes everyone identically (that
@@ -69,13 +55,6 @@ pub struct CascadeConfig {
     pub hops: Vec<CascadeHopConfig>,
     /// Skip-or-abort semantics for hop failures.
     pub policy: FailurePolicy,
-    /// Coordinator-level worker knobs: `group_workers` drives independent
-    /// route groups concurrently, `pipeline_depth` keeps that many rounds
-    /// in flight across hops in [`CascadeCoordinator::run_rounds`].
-    /// Results are bit-identical at every setting. Per-hop ingest fan-out
-    /// is configured on each [`CascadeHopConfig`] (or wholesale via
-    /// [`CascadeCoordinator::set_parallelism`]).
-    pub parallelism: Parallelism,
     /// Wire compression for every sealed update (and every injected
     /// cover update) of this cascade. Round-wide by construction: mixed
     /// modes within a round would make envelope sizes a client
@@ -514,7 +493,6 @@ pub struct CascadeCoordinator {
     skipped: Vec<bool>,
     signature: Vec<usize>,
     policy: FailurePolicy,
-    parallelism: Parallelism,
     compression: CompressionConfig,
     telemetry: Telemetry,
     rounds_driven: u64,
@@ -573,7 +551,6 @@ impl CascadeCoordinator {
             hops,
             signature,
             policy: config.policy,
-            parallelism: config.parallelism,
             compression: config.compression,
             telemetry: mixnn_telemetry::noop(),
             rounds_driven: 0,
@@ -582,41 +559,11 @@ impl CascadeCoordinator {
     }
 
     /// Attaches a telemetry registry to the coordinator and every hop.
-    ///
-    /// Round/group counters are recorded from commit points shared by the
-    /// sequential, concurrent-group, and pipelined drives, and hop
-    /// counters mirror the canonical-order stats absorption — recorded
-    /// values are bit-identical at every [`Parallelism`] setting.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         for hop in &mut self.hops {
             hop.attach_telemetry(telemetry.clone());
         }
         self.telemetry = telemetry;
-    }
-
-    /// Round-success accounting shared by every drive path: one span
-    /// observation, the round/group counters, and the canonical-order
-    /// trace events derived from the committed audit (which is itself
-    /// bit-identical across knobs).
-    fn record_round_success(&self, round: &CascadeRound, ordinal: u64, elapsed_ns: u64) {
-        self.telemetry
-            .record_span_ns(Span::CascadeRound, elapsed_ns);
-        self.telemetry.incr(Counter::CascadeRoundsCompleted, 1);
-        let groups = round.audit.groups();
-        self.telemetry
-            .incr(Counter::CascadeGroupsMixed, groups.len() as u64);
-        for group in groups {
-            let members = group.slots().len() as u64;
-            self.telemetry
-                .observe(Distribution::CascadeGroupMembers, members);
-            self.telemetry
-                .trace(Component::Cascade, None, TraceKind::GroupMixed { members });
-        }
-        self.telemetry.trace(
-            Component::Cascade,
-            None,
-            TraceKind::RoundCompleted { round: ordinal },
-        );
     }
 
     /// Convenience constructor for the classic linear cascade: `hop_count`
@@ -648,7 +595,6 @@ impl CascadeCoordinator {
                 expected_signature,
                 hops,
                 policy,
-                parallelism: Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(hop_count.max(1))),
@@ -684,29 +630,12 @@ impl CascadeCoordinator {
                 expected_signature,
                 hops,
                 policy,
-                parallelism: Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             topology,
             attestation,
             rng,
         )
-    }
-
-    /// The coordinator-level worker configuration.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Reconfigures every parallelism knob at once: the coordinator keeps
-    /// `group_workers` / `pipeline_depth` and every hop adopts
-    /// `ingest_workers`. A pure throughput knob — round outputs, audits
-    /// and stats counters are identical at every setting.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-        for hop in &mut self.hops {
-            hop.set_parallelism(parallelism);
-        }
     }
 
     /// The wire compression every round of this cascade seals with.
@@ -858,30 +787,31 @@ impl CascadeCoordinator {
     }
 
     /// Seals every group's onions in the canonical order (group by group,
-    /// slot by slot) — the same `rng` draws regardless of how the round is
-    /// subsequently driven, so the sealed batches can feed either the
-    /// optimistic concurrent attempt or the canonical sequential drive.
-    /// An associated fn over the hop slice (not `&self`) so the pipelined
-    /// worker tasks can call it without capturing the whole coordinator.
+    /// slot by slot). Slot `s` is `updates[s]`, or — for the trailing
+    /// slots a k-floor padded in — `cover[s - updates.len()]`.
     fn seal_groups<R: Rng + ?Sized>(
-        hops: &[CascadeHop],
+        &self,
         groups: &[RouteGroup],
         updates: &[ModelParams],
-        compression: CompressionConfig,
+        cover: &[ModelParams],
         rng: &mut R,
     ) -> Vec<Vec<Vec<u8>>> {
         groups
             .iter()
             .map(|group| {
-                let keys: Vec<PublicKey> =
-                    group.route.iter().map(|&h| *hops[h].public_key()).collect();
-                let client = CascadeClient::from_keys(keys).with_compression(compression);
+                let keys: Vec<PublicKey> = group
+                    .route
+                    .iter()
+                    .map(|&h| *self.hops[h].public_key())
+                    .collect();
+                let client = CascadeClient::from_keys(keys).with_compression(self.compression);
                 group
                     .slots
                     .iter()
                     .map(|&s| {
+                        let update = updates.get(s).unwrap_or_else(|| &cover[s - updates.len()]);
                         client
-                            .seal_update(&updates[s], rng)
+                            .seal_update(update, rng)
                             .expect("attested hop keys are never low-order")
                     })
                     .collect()
@@ -889,104 +819,29 @@ impl CascadeCoordinator {
             .collect()
     }
 
-    /// Pre-draws every group's per-hop plans from the given (cloned) hop
-    /// RNG streams, consuming them in the canonical sequential order —
-    /// group-major, route order. `None` when a draw fails (the fallback
-    /// drive surfaces the canonical error).
-    fn draw_group_plans(
-        &self,
-        groups: &[RouteGroup],
-        rng_clones: &mut [StdRng],
-    ) -> Option<Vec<Vec<MixPlan>>> {
-        let mut plans = Vec::with_capacity(groups.len());
-        for group in groups {
-            let mut group_plans = Vec::with_capacity(group.route.len());
-            for &h in &group.route {
-                group_plans.push(
-                    self.hops[h]
-                        .draw_plan(group.slots.len(), &mut rng_clones[h])
-                        .ok()?,
-                );
-            }
-            plans.push(group_plans);
-        }
-        Some(plans)
-    }
-
-    /// Commits a successful optimistic drive of one round: absorbs the
-    /// stats deltas in canonical (group-major, route) order and assembles
-    /// the [`CascadeRound`]. Both optimistic paths — the single-round
-    /// group pool and the cross-hop round pipeline — share this commit
-    /// protocol, which is what keeps the bit-identical-across-knobs
-    /// invariant in exactly one place.
-    fn commit_round(
+    /// The one failure handler: hop `h` is to blame for `cause` — the wire
+    /// could not reach it, its own ingest failed, or (for the last hop of
+    /// a route) its egress into the server is unreachable. Under
+    /// [`FailurePolicy::Abort`] the cause fails the round; under
+    /// [`FailurePolicy::Skip`] the hop is marked down and the caller
+    /// restarts the attempt on the surviving routes.
+    fn fail_hop(
         &mut self,
-        clients: usize,
-        groups: &[RouteGroup],
-        plans: Vec<Vec<MixPlan>>,
-        outcomes: Vec<GroupOutcome>,
-    ) -> CascadeRound {
-        let mut mixed: Vec<Option<ModelParams>> = vec![None; clients];
-        let mut group_audits = Vec::with_capacity(groups.len());
-        let mut chain: Vec<usize> = Vec::new();
-        for ((group, group_plans), (outputs, deltas)) in groups.iter().zip(plans).zip(outcomes) {
-            for (h, delta) in &deltas {
-                self.hops[*h].absorb_stats(delta);
+        h: usize,
+        cause: CascadeError,
+        skipped_this_round: &mut Vec<usize>,
+    ) -> Result<(), CascadeError> {
+        match self.policy {
+            FailurePolicy::Abort => Err(cause),
+            FailurePolicy::Skip => {
+                self.skipped[h] = true;
+                skipped_this_round.push(h);
+                self.telemetry.incr(Counter::CascadeHopsSkipped, 1);
+                self.telemetry
+                    .trace(Component::Cascade, Some(h as u16), TraceKind::HopSkipped);
+                Ok(())
             }
-            for (local, params) in outputs.into_iter().enumerate() {
-                mixed[group.slots[local]] = Some(params);
-            }
-            chain.extend(&group.route);
-            group_audits.push(RouteGroupAudit::new(
-                group.slots.clone(),
-                group.route.clone(),
-                group_plans,
-            ));
         }
-        chain.sort_unstable();
-        chain.dedup();
-        CascadeRound {
-            mixed: mixed
-                .into_iter()
-                .map(|m| m.expect("groups partition the round"))
-                .collect(),
-            audit: CascadeAudit::from_groups(clients, group_audits),
-            chain,
-            skipped_this_round: Vec::new(),
-        }
-    }
-
-    /// The optimistic concurrent drive: pre-draws every group's per-hop
-    /// plans from **cloned** hop RNG streams in canonical order, walks the
-    /// groups through their routes on a bounded worker pool (each call on
-    /// the hop's `&self` round core), and commits RNG streams + stats only
-    /// if every group succeeded. Returns `None` on any failure — all EPC
-    /// charges are already released, nothing was committed, and the caller
-    /// falls back to the canonical sequential drive (which reproduces the
-    /// sequential failure semantics exactly).
-    fn try_concurrent_round(
-        &mut self,
-        groups: &[RouteGroup],
-        batches: &[Vec<Vec<u8>>],
-        clients: usize,
-    ) -> Option<CascadeRound> {
-        let mut rng_clones: Vec<StdRng> = self.hops.iter().map(CascadeHop::rng_clone).collect();
-        let plans = self.draw_group_plans(groups, &mut rng_clones)?;
-
-        let hops = &self.hops;
-        let signature = &self.signature;
-        let tasks: Vec<usize> = (0..groups.len()).collect();
-        let outcomes: Vec<Option<GroupOutcome>> =
-            map_chunked(&tasks, self.parallelism.group_workers, |&gi: &usize| {
-                drive_group_shared(hops, signature, &groups[gi], &batches[gi], &plans[gi])
-            });
-        let outcomes: Vec<GroupOutcome> = outcomes.into_iter().collect::<Option<Vec<_>>>()?;
-
-        // Whole round succeeded: commit the RNG draws, then the stats.
-        for (hop, rng) in self.hops.iter_mut().zip(rng_clones) {
-            hop.set_rng(rng);
-        }
-        Some(self.commit_round(clients, groups, plans, outcomes))
     }
 
     /// Drives one round end-to-end: partition the slots into route groups,
@@ -995,12 +850,6 @@ impl CascadeCoordinator {
     /// group's batch hop to hop — every hop mixes **only the partial round
     /// that traversed it** — and decode the final plaintext updates back
     /// into slot order.
-    ///
-    /// With [`Parallelism::group_workers`] `> 1`, independent route groups
-    /// are driven concurrently on a bounded worker pool; outputs, audits
-    /// and stats counters are **bit-identical to the sequential drive at
-    /// every worker count** (see the module docs for why), so the knob is
-    /// pure throughput.
     ///
     /// Under [`FailurePolicy::Skip`], a failing hop is marked down and the
     /// round restarts on the surviving routes — groups are re-partitioned
@@ -1043,12 +892,8 @@ impl CascadeCoordinator {
     /// the configured [`FailurePolicy`]: `Skip` marks that hop down and
     /// retries the round on the surviving routes (rerouting exactly the
     /// groups that traversed it), `Abort` surfaces
-    /// [`CascadeError::Link`].
-    ///
-    /// A non-transparent link carries mutable wire state (queues, a
-    /// clock), so the optimistic concurrent group drive is bypassed and
-    /// segments hit the wire in the canonical sequential order — the
-    /// order the determinism suite pins down.
+    /// [`CascadeError::Link`]. Segments hit the wire in the canonical
+    /// order: group by group, and within a group along its route.
     ///
     /// # Errors
     ///
@@ -1137,11 +982,31 @@ impl CascadeCoordinator {
         let t0 = self.telemetry.now_ns();
         let result = self.drive_round(updates, floor, rng, link);
         let elapsed_ns = self.telemetry.now_ns().saturating_sub(t0);
+        self.telemetry
+            .record_span_ns(Span::CascadeRound, elapsed_ns);
         match &result {
-            Ok((round, _)) => self.record_round_success(round, ordinal, elapsed_ns),
-            Err(_) => {
+            Ok((round, _)) => {
+                self.telemetry.incr(Counter::CascadeRoundsCompleted, 1);
+                let groups = round.audit.groups();
                 self.telemetry
-                    .record_span_ns(Span::CascadeRound, elapsed_ns);
+                    .incr(Counter::CascadeGroupsMixed, groups.len() as u64);
+                for group in groups {
+                    let members = group.slots().len() as u64;
+                    self.telemetry
+                        .observe(Distribution::CascadeGroupMembers, members);
+                    self.telemetry.trace(
+                        Component::Cascade,
+                        None,
+                        TraceKind::GroupMixed { members },
+                    );
+                }
+                self.telemetry.trace(
+                    Component::Cascade,
+                    None,
+                    TraceKind::RoundCompleted { round: ordinal },
+                );
+            }
+            Err(_) => {
                 self.telemetry.incr(Counter::CascadeRoundsAborted, 1);
                 self.telemetry.trace(
                     Component::Cascade,
@@ -1159,11 +1024,8 @@ impl CascadeCoordinator {
     /// skip-and-reroute attempts the drive takes.
     ///
     /// With `floor: Some(k)`, each attempt pads every under-`k` route
-    /// group with hop-generated cover **before** sealing — in the same
-    /// sequential pre-phase both the optimistic concurrent drive and the
-    /// canonical sequential drive share, so padded rounds keep the
-    /// bit-identical-across-knobs invariant. Returns the cover content
-    /// digests of the attempt that committed.
+    /// group with hop-generated cover **before** sealing. Returns the
+    /// cover content digests of the attempt that committed.
     fn drive_round<R: Rng + ?Sized>(
         &mut self,
         updates: &[ModelParams],
@@ -1179,10 +1041,9 @@ impl CascadeCoordinator {
             // attempt re-enters here and re-pads the re-partitioned groups
             // with fresh nonces — stale cover for a dead route never
             // carries over.
+            let mut cover: Vec<ModelParams> = Vec::new();
             let mut dummy_digests: Vec<Vec<[u8; 32]>> = Vec::new();
-            let extended: Vec<ModelParams>;
-            let round_updates: &[ModelParams] = if let Some(k) = floor {
-                let mut padded = updates.to_vec();
+            if let Some(k) = floor {
                 for group in &mut groups {
                     while group.slots.len() < k {
                         let hop = group.route[0];
@@ -1203,37 +1064,13 @@ impl CascadeCoordinator {
                                 })
                                 .collect(),
                         );
-                        group.slots.push(padded.len());
-                        padded.push(dummy);
+                        group.slots.push(updates.len() + cover.len());
+                        cover.push(dummy);
                     }
                 }
-                extended = padded;
-                &extended
-            } else {
-                updates
-            };
-            let clients = round_updates.len();
-            // One sealing pass per attempt, canonical order, shared by both
-            // drives below — identical `rng` consumption at every worker
-            // count.
-            let batches =
-                Self::seal_groups(&self.hops, &groups, round_updates, self.compression, rng);
-
-            if link.is_transparent() && self.parallelism.group_workers > 1 && groups.len() > 1 {
-                if let Some(round) = self.try_concurrent_round(&groups, &batches, clients) {
-                    return Ok((
-                        CascadeRound {
-                            skipped_this_round,
-                            ..round
-                        },
-                        dummy_digests,
-                    ));
-                }
-                // Something failed mid-flight; nothing was committed. Fall
-                // through to the canonical sequential drive on the same
-                // sealed batches so errors and skip handling are exactly
-                // the sequential ones.
             }
+            let clients = updates.len() + cover.len();
+            let batches = self.seal_groups(&groups, updates, &cover, rng);
 
             let mut mixed: Vec<Option<ModelParams>> = vec![None; clients];
             let mut group_audits = Vec::with_capacity(groups.len());
@@ -1246,67 +1083,37 @@ impl CascadeCoordinator {
                     } else {
                         Endpoint::Hop(group.route[pos - 1])
                     };
-                    batch = match link.deliver(from, Endpoint::Hop(h), batch) {
-                        Ok(delivered) => delivered,
-                        Err(source) => match self.policy {
-                            FailurePolicy::Abort => return Err(CascadeError::Link { source }),
-                            FailurePolicy::Skip => {
-                                // The wire could not reach hop `h`: mark
-                                // it down, exactly as if the hop itself
-                                // had failed.
-                                self.skipped[h] = true;
-                                skipped_this_round.push(h);
-                                self.telemetry.incr(Counter::CascadeHopsSkipped, 1);
-                                self.telemetry.trace(
-                                    Component::Cascade,
-                                    Some(h as u16),
-                                    TraceKind::HopSkipped,
-                                );
-                                continue 'retry;
-                            }
-                        },
-                    };
-                    match self.hops[h].mix_round(&batch) {
+                    // A wire that cannot reach hop `h` is handled exactly
+                    // as if the hop itself had failed.
+                    let step = link
+                        .deliver(from, Endpoint::Hop(h), batch)
+                        .map_err(|source| CascadeError::Link { source })
+                        .and_then(|delivered| self.hops[h].mix_round(&delivered));
+                    match step {
                         Ok((out, plan)) => {
                             batch = out;
                             plans.push(plan);
                         }
-                        Err(e) => match self.policy {
-                            FailurePolicy::Abort => return Err(e),
-                            FailurePolicy::Skip => {
-                                self.skipped[h] = true;
-                                skipped_this_round.push(h);
-                                self.telemetry.incr(Counter::CascadeHopsSkipped, 1);
-                                self.telemetry.trace(
-                                    Component::Cascade,
-                                    Some(h as u16),
-                                    TraceKind::HopSkipped,
-                                );
-                                continue 'retry;
-                            }
-                        },
+                        Err(cause) => {
+                            self.fail_hop(h, cause, &mut skipped_this_round)?;
+                            continue 'retry;
+                        }
                     }
                 }
                 let last = *group.route.last().expect("groups have non-empty routes");
                 batch = match link.deliver(Endpoint::Hop(last), Endpoint::Server, batch) {
                     Ok(delivered) => delivered,
-                    Err(source) => match self.policy {
-                        FailurePolicy::Abort => return Err(CascadeError::Link { source }),
-                        FailurePolicy::Skip => {
-                            // The segment into the server has no receiving
-                            // hop; blame the sender — the hop whose egress
-                            // is unreachable.
-                            self.skipped[last] = true;
-                            skipped_this_round.push(last);
-                            self.telemetry.incr(Counter::CascadeHopsSkipped, 1);
-                            self.telemetry.trace(
-                                Component::Cascade,
-                                Some(last as u16),
-                                TraceKind::HopSkipped,
-                            );
-                            continue 'retry;
-                        }
-                    },
+                    Err(source) => {
+                        // The segment into the server has no receiving
+                        // hop; blame the sender — the hop whose egress is
+                        // unreachable.
+                        self.fail_hop(
+                            last,
+                            CascadeError::Link { source },
+                            &mut skipped_this_round,
+                        )?;
+                        continue 'retry;
+                    }
                 };
                 for (local, wire) in batch.iter().enumerate() {
                     mixed[group.slots[local]] =
@@ -1335,178 +1142,6 @@ impl CascadeCoordinator {
             ));
         }
     }
-
-    /// Drives a batch of rounds with cross-hop pipelining: with
-    /// [`Parallelism::pipeline_depth`] `= d`, up to `d` rounds are in
-    /// flight at once, so hop `i + 1` can be mixing round `r` while hop
-    /// `i` ingests round `r + 1` — the cascade's wall-clock approaches the
-    /// slowest hop's share instead of the whole chain's sum.
-    ///
-    /// Each round seals its onions from an independent RNG stream derived
-    /// by drawing one `u64` from `rng` per round **up front** — the
-    /// caller's RNG consumption and every round's output are therefore
-    /// invariant to the depth (`d = 1` is the plain sequential
-    /// round-after-round loop, and any `d` reproduces it bit-exactly; on
-    /// any in-flight failure the whole batch re-runs sequentially, which
-    /// also restores the canonical skip-or-abort semantics).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CascadeCoordinator::run_round`], from the
-    /// first round that fails; earlier rounds' effects on coordinator
-    /// state (stats, skip flags) stand, exactly as if the rounds had been
-    /// driven one by one.
-    pub fn run_rounds<R: Rng + ?Sized>(
-        &mut self,
-        rounds: &[Vec<ModelParams>],
-        rng: &mut R,
-    ) -> Result<Vec<CascadeRound>, CascadeError> {
-        let seeds: Vec<u64> = (0..rounds.len()).map(|_| rng.gen()).collect();
-        let depth = self.parallelism.pipeline_depth;
-
-        if depth > 1 && rounds.len() > 1 {
-            let t0 = self.telemetry.now_ns();
-            if let Some(out) = self.try_pipelined_rounds(rounds, &seeds) {
-                // The pipelined drive commits without passing through
-                // `run_round_over`, so account each committed round here —
-                // same counters, same canonical trace order, wall-clock
-                // split evenly across the batch.
-                let elapsed_ns = self.telemetry.now_ns().saturating_sub(t0);
-                let per_round_ns = elapsed_ns / out.len() as u64;
-                for round in &out {
-                    let ordinal = self.rounds_driven;
-                    self.rounds_driven += 1;
-                    self.telemetry.trace(
-                        Component::Cascade,
-                        None,
-                        TraceKind::RoundStarted { round: ordinal },
-                    );
-                    self.record_round_success(round, ordinal, per_round_ns);
-                }
-                return Ok(out);
-            }
-            // Fall back: nothing was committed; the sequential loop below
-            // reproduces canonical behaviour (including partial progress
-            // before a genuinely failing round).
-        }
-        rounds
-            .iter()
-            .zip(&seeds)
-            .map(|(updates, &seed)| self.run_round(updates, &mut StdRng::seed_from_u64(seed)))
-            .collect()
-    }
-
-    /// The optimistic pipelined drive behind
-    /// [`CascadeCoordinator::run_rounds`]: validates, partitions and
-    /// pre-draws plans for **every** round up front (hop plan streams
-    /// consumed in round order via clones — cheap, O(C·L) per round), then
-    /// runs whole rounds concurrently at the configured depth. Each
-    /// worker task seals its own round from the round's derived RNG
-    /// stream (sealing is the expensive half of round setup, and the
-    /// per-round streams make it order-independent), so peak memory and
-    /// sealing work are bounded by the rounds actually in flight rather
-    /// than the whole batch. Commits everything in round order only when
-    /// every round succeeded; any failure returns `None` with no state
-    /// change.
-    fn try_pipelined_rounds(
-        &mut self,
-        rounds: &[Vec<ModelParams>],
-        seeds: &[u64],
-    ) -> Option<Vec<CascadeRound>> {
-        let mut rng_clones: Vec<StdRng> = self.hops.iter().map(CascadeHop::rng_clone).collect();
-        let mut prepared: Vec<(Vec<RouteGroup>, Vec<Vec<MixPlan>>)> =
-            Vec::with_capacity(rounds.len());
-        for updates in rounds {
-            if updates.is_empty() || updates.iter().any(|u| u.signature() != self.signature) {
-                return None; // canonical validation errors come from the fallback
-            }
-            let groups = self.active_groups(updates.len()).ok()?;
-            let plans = self.draw_group_plans(&groups, &mut rng_clones)?;
-            prepared.push((groups, plans));
-        }
-
-        // Capture only `Sync` fields — the boxed topology is not shareable
-        // (and the worker tasks have no business routing anyway).
-        let hops = &self.hops;
-        let signature = &self.signature;
-        let group_workers = self.parallelism.group_workers;
-        let compression = self.compression;
-        let tasks: Vec<usize> = (0..rounds.len()).collect();
-        let outcomes: Vec<Option<Vec<GroupOutcome>>> = map_chunked(
-            &tasks,
-            self.parallelism.pipeline_depth,
-            |&r: &usize| -> Option<Vec<GroupOutcome>> {
-                let (groups, plans) = &prepared[r];
-                let batches = Self::seal_groups(
-                    hops,
-                    groups,
-                    &rounds[r],
-                    compression,
-                    &mut StdRng::seed_from_u64(seeds[r]),
-                );
-                let group_tasks: Vec<usize> = (0..groups.len()).collect();
-                map_chunked(&group_tasks, group_workers, |&gi: &usize| {
-                    drive_group_shared(hops, signature, &groups[gi], &batches[gi], &plans[gi])
-                })
-                .into_iter()
-                .collect()
-            },
-        );
-        let outcomes: Vec<Vec<GroupOutcome>> = outcomes.into_iter().collect::<Option<Vec<_>>>()?;
-
-        // Every round succeeded: commit in round order.
-        for (hop, rng) in self.hops.iter_mut().zip(rng_clones) {
-            hop.set_rng(rng);
-        }
-        let mut results = Vec::with_capacity(rounds.len());
-        for ((updates, (groups, plans)), round_outcome) in rounds.iter().zip(prepared).zip(outcomes)
-        {
-            results.push(self.commit_round(updates.len(), &groups, plans, round_outcome));
-        }
-        Some(results)
-    }
-}
-
-/// What one route group's optimistic drive produced: the decoded final
-/// outputs in group-local slot order, and the per-(hop, delta) stats to
-/// absorb in canonical order on commit.
-type GroupOutcome = (Vec<ModelParams>, Vec<(usize, ProxyStats)>);
-
-/// Walks one route group through its hop sequence on the hops' `&self`
-/// round core with pre-drawn plans, decoding the final onions. `None` on
-/// any failure — every EPC charge was already released per-call, so the
-/// caller can simply fall back to the canonical sequential drive. Shared
-/// by both optimistic paths (the single-round group pool and the
-/// cross-hop round pipeline).
-fn drive_group_shared(
-    hops: &[CascadeHop],
-    signature: &[usize],
-    group: &RouteGroup,
-    batch: &[Vec<u8>],
-    plans: &[MixPlan],
-) -> Option<GroupOutcome> {
-    let mut current: Option<Vec<Vec<u8>>> = None;
-    let mut deltas = Vec::with_capacity(group.route.len());
-    for (pos, &h) in group.route.iter().enumerate() {
-        let input: &[Vec<u8>] = current.as_deref().unwrap_or(batch);
-        let workers = hops[h].parallelism().ingest_workers;
-        let (out, _, delta) = hops[h]
-            .mix_round_shared(input, plans[pos].clone(), workers)
-            .ok()?;
-        current = Some(out);
-        deltas.push((h, delta));
-    }
-    let finished = current.expect("every route has at least one hop");
-    let mut outputs = Vec::with_capacity(finished.len());
-    for wire in &finished {
-        outputs.push(
-            OnionUpdate::decode(wire)
-                .ok()?
-                .into_params(signature)
-                .ok()?,
-        );
-    }
-    Some((outputs, deltas))
 }
 
 #[cfg(test)]
@@ -1749,7 +1384,6 @@ mod tests {
                 expected_signature: vec![3, 2],
                 hops,
                 policy: FailurePolicy::Abort,
-                parallelism: Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(3)),
@@ -1782,7 +1416,6 @@ mod tests {
                 expected_signature: vec![3, 2],
                 hops,
                 policy: FailurePolicy::Skip,
-                parallelism: Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(3)),
@@ -1853,7 +1486,6 @@ mod tests {
                 expected_signature: vec![3, 2],
                 hops,
                 policy: FailurePolicy::Skip,
-                parallelism: Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(Split),
@@ -1889,11 +1521,9 @@ mod tests {
                     .map(|i| CascadeHopConfig {
                         enclave: dead.clone(),
                         seed: i as u64,
-                        ..CascadeHopConfig::default()
                     })
                     .collect(),
                 policy: FailurePolicy::Skip,
-                parallelism: Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(2)),
@@ -1934,7 +1564,6 @@ mod tests {
                     expected_signature: vec![2],
                     hops: vec![],
                     policy: FailurePolicy::Abort,
-                    parallelism: Parallelism::sequential(),
                     compression: CompressionConfig::F32,
                 },
                 Box::new(LinearChain::new(1)),
@@ -1949,7 +1578,6 @@ mod tests {
                     expected_signature: vec![],
                     hops: vec![CascadeHopConfig::default()],
                     policy: FailurePolicy::Abort,
-                    parallelism: Parallelism::sequential(),
                     compression: CompressionConfig::F32,
                 },
                 Box::new(LinearChain::new(1)),
@@ -1964,7 +1592,6 @@ mod tests {
                     expected_signature: vec![2],
                     hops: vec![CascadeHopConfig::default()],
                     policy: FailurePolicy::Abort,
-                    parallelism: Parallelism::sequential(),
                     compression: CompressionConfig::F32,
                 },
                 Box::new(LinearChain::new(2)),
@@ -2043,198 +1670,6 @@ mod tests {
             round.audit.unmix(&round.mixed[..3]),
             Err(CascadeError::Audit { .. })
         ));
-    }
-
-    /// Extracts the worker-invariant slice of per-hop stats (the
-    /// `*_seconds` fields are wall-clock and excluded by design).
-    fn counter_stats(cascade: &CascadeCoordinator) -> Vec<(u64, u64, u64, u64, u64)> {
-        cascade
-            .hop_stats()
-            .iter()
-            .map(|s| {
-                (
-                    s.updates_received,
-                    s.updates_forwarded,
-                    s.updates_rejected,
-                    s.bytes_received,
-                    s.bytes_rejected,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn concurrent_route_groups_are_worker_count_invariant() {
-        // Free routes split the round into several groups sharing hops;
-        // two back-to-back rounds also pin the hop RNG streams and the
-        // caller's sealing-RNG consumption across worker counts.
-        let run = |parallelism: Parallelism| {
-            let (mut cascade, _, mut rng) = launch_with(
-                Box::new(FreeRoute::new(4, 1, 4, 55)),
-                FailurePolicy::Abort,
-                36,
-            );
-            cascade.set_parallelism(parallelism);
-            let ins = updates(10);
-            let first = cascade.run_round(&ins, &mut rng).unwrap();
-            assert!(first.audit.groups().len() > 1, "free routes should split");
-            let second = cascade.run_round(&ins, &mut rng).unwrap();
-            (first, second, counter_stats(&cascade))
-        };
-        let sequential = run(Parallelism::sequential());
-        for workers in [2, 4, 8] {
-            let parallel = run(Parallelism {
-                group_workers: workers,
-                ingest_workers: workers,
-                ..Parallelism::sequential()
-            });
-            assert_eq!(sequential, parallel, "group_workers={workers}");
-        }
-    }
-
-    #[test]
-    fn concurrent_skip_falls_back_to_canonical_sequential_semantics() {
-        // A starved hop fails mid-round: the optimistic concurrent attempt
-        // must discard itself and reproduce the sequential skip exactly —
-        // same surviving chain, same outputs, same counters.
-        let run = |group_workers: usize| {
-            let mut rng = StdRng::seed_from_u64(41);
-            let service = AttestationService::new(&mut rng);
-            let mut hops: Vec<CascadeHopConfig> = (0..3)
-                .map(|i| CascadeHopConfig {
-                    seed: 50 + i as u64,
-                    ..CascadeHopConfig::default()
-                })
-                .collect();
-            hops[1].enclave = EnclaveConfig {
-                epc_limit: 32,
-                code_identity: crate::HOP_CODE_IDENTITY.to_vec(),
-                allow_paging: false,
-            };
-            let mut cascade = CascadeCoordinator::launch(
-                CascadeConfig {
-                    expected_signature: vec![3, 2],
-                    hops,
-                    policy: FailurePolicy::Skip,
-                    compression: CompressionConfig::F32,
-                    parallelism: Parallelism {
-                        group_workers,
-                        ..Parallelism::sequential()
-                    },
-                },
-                // Routes of >= 2 hops: skipping the one starved hop can
-                // never empty a route.
-                Box::new(FreeRoute::new(3, 2, 3, 8)),
-                &service,
-                &mut rng,
-            )
-            .unwrap();
-            let ins = updates(6);
-            let round = cascade.run_round(&ins, &mut rng).unwrap();
-            assert_eq!(round.audit.unmix(&round.mixed).unwrap(), ins);
-            (round, cascade.skipped_hops(), counter_stats(&cascade))
-        };
-        let sequential = run(1);
-        assert!(
-            sequential.1.contains(&1),
-            "the starved hop must have been skipped"
-        );
-        for workers in [2, 4] {
-            assert_eq!(sequential, run(workers), "group_workers={workers}");
-        }
-    }
-
-    #[test]
-    fn pipelined_rounds_are_depth_invariant() {
-        let rounds: Vec<Vec<ModelParams>> = (0..4)
-            .map(|r| (0..5).map(|i| params(i + r)).collect())
-            .collect();
-        let run = |parallelism: Parallelism| {
-            let (mut cascade, _, mut rng) = launch_with(
-                Box::new(StratifiedLayout::evenly(4, 2, 77)),
-                FailurePolicy::Abort,
-                33,
-            );
-            cascade.set_parallelism(parallelism);
-            let out = cascade.run_rounds(&rounds, &mut rng).unwrap();
-            (out, counter_stats(&cascade), rng.gen::<u64>())
-        };
-        let sequential = run(Parallelism::sequential());
-        assert_eq!(sequential.0.len(), 4);
-        for (r, round) in sequential.0.iter().enumerate() {
-            assert_eq!(round.audit.unmix(&round.mixed).unwrap(), rounds[r]);
-        }
-        for depth in [2, 3, 8] {
-            let pipelined = run(Parallelism {
-                pipeline_depth: depth,
-                group_workers: 2,
-                ingest_workers: 2,
-                ..Parallelism::sequential()
-            });
-            assert_eq!(sequential, pipelined, "pipeline_depth={depth}");
-        }
-    }
-
-    #[test]
-    fn pipelined_rounds_with_a_dead_hop_match_the_sequential_skip_path() {
-        let rounds: Vec<Vec<ModelParams>> = (0..3)
-            .map(|r| (0..4).map(|i| params(i + r)).collect())
-            .collect();
-        let run = |parallelism: Parallelism| {
-            let mut rng = StdRng::seed_from_u64(47);
-            let service = AttestationService::new(&mut rng);
-            let mut hops: Vec<CascadeHopConfig> = (0..3)
-                .map(|i| CascadeHopConfig {
-                    seed: 80 + i as u64,
-                    ..CascadeHopConfig::default()
-                })
-                .collect();
-            hops[2].enclave = EnclaveConfig {
-                epc_limit: 32,
-                code_identity: crate::HOP_CODE_IDENTITY.to_vec(),
-                allow_paging: false,
-            };
-            let mut cascade = CascadeCoordinator::launch(
-                CascadeConfig {
-                    expected_signature: vec![3, 2],
-                    hops,
-                    policy: FailurePolicy::Skip,
-                    parallelism,
-                    compression: CompressionConfig::F32,
-                },
-                Box::new(LinearChain::new(3)),
-                &service,
-                &mut rng,
-            )
-            .unwrap();
-            let out = cascade.run_rounds(&rounds, &mut rng).unwrap();
-            (out, cascade.skipped_hops(), counter_stats(&cascade))
-        };
-        let sequential = run(Parallelism::sequential());
-        assert_eq!(sequential.1, vec![2], "the starved hop must be skipped");
-        assert_eq!(
-            sequential.0[0].skipped_this_round,
-            vec![2],
-            "the first round takes the hit"
-        );
-        for depth in [2, 4] {
-            let pipelined = run(Parallelism {
-                pipeline_depth: depth,
-                ..Parallelism::sequential()
-            });
-            assert_eq!(sequential, pipelined, "pipeline_depth={depth}");
-        }
-    }
-
-    #[test]
-    fn set_parallelism_reaches_coordinator_and_hops() {
-        let (mut cascade, _, _) = launch(2, FailurePolicy::Abort);
-        cascade.set_parallelism(Parallelism::uniform(4));
-        assert_eq!(cascade.parallelism().group_workers, 4);
-        assert_eq!(cascade.parallelism().pipeline_depth, 4);
-        for hop in cascade.hops() {
-            assert_eq!(hop.parallelism().ingest_workers, 4);
-        }
     }
 
     #[test]

@@ -15,25 +15,17 @@
 //! in the hop changes for this — a batch is a batch — which is the point:
 //! partial-round mixing is purely a routing decision.
 //!
-//! # Staged ingest
+//! # Ingest
 //!
-//! §6.5 makes envelope decryption the dominant cost (0.17 s of the 0.19 s
-//! per-update budget), and unwrapping is per-(client, layer) independent —
-//! so a hop's round ingest mirrors `mixnn_core::ParallelIngest`: a
-//! **stateless** stage (decode framing, unwrap this hop's envelope on
-//! every layer, charge the EPC) fans out over
-//! [`Parallelism::ingest_workers`] scoped threads, and an
-//! **order-serialized commit** replays the cross-onion checks (depth
-//! uniformity) and the stats accounting in submission order. Staged
-//! charges can transiently exceed what the sequential loop would hold, so
-//! the moment a staged onion reports EPC exhaustion the hop discards every
-//! not-yet-committed charge and degrades to sequential ingest — the
-//! accept/reject outcome, the surfaced error and the final EPC state are
-//! therefore **bit-identical to the sequential loop at every worker
-//! count**.
+//! A round is ingested onion by onion, in submission order: decode the
+//! framing, check the per-onion structure and the round's depth
+//! uniformity, then open this hop's envelope on every layer in one batched
+//! pass and charge each unwrapped blob against the EPC. The first onion
+//! that fails any step fails the whole round and releases every byte
+//! charged so far.
 
 use crate::{CascadeError, OnionUpdate};
-use mixnn_core::{map_chunked, shard_seed, MixPlan, Parallelism, ProxyError, ProxyStats};
+use mixnn_core::{shard_seed, MixPlan, ProxyError, ProxyStats};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
 use mixnn_nn::{LayerParams, ModelParams};
@@ -56,10 +48,6 @@ pub struct CascadeHopConfig {
     pub enclave: EnclaveConfig,
     /// RNG seed for this hop's mixing decisions.
     pub seed: u64,
-    /// Worker counts for the hop's staged ingest
-    /// ([`Parallelism::ingest_workers`] is the knob a hop consumes);
-    /// results are bit-identical at every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for CascadeHopConfig {
@@ -70,7 +58,6 @@ impl Default for CascadeHopConfig {
                 ..EnclaveConfig::default()
             },
             seed: 0,
-            parallelism: Parallelism::sequential(),
         }
     }
 }
@@ -101,44 +88,12 @@ pub struct CascadeHop {
     /// each unwrapped frame's declared geometry to the signature.
     signature: Vec<usize>,
     stats: ProxyStats,
-    parallelism: Parallelism,
     telemetry: Telemetry,
 }
-
-/// One onion after the stateless ingest stage: its unwrapped per-layer
-/// blobs, the EPC bytes charged for them, and the per-onion timings the
-/// commit folds into the hop's stats in submission order.
-#[derive(Debug)]
-struct StagedOnion {
-    blobs: Vec<Vec<u8>>,
-    charged: usize,
-    store_seconds: f64,
-    decrypt_seconds: f64,
-}
-
-/// A staged onion (or its failure), paired with the declared depth
-/// whenever the framing parsed — the commit needs the depth for the
-/// cross-onion uniformity check even when decryption failed.
-type StagedIngest = (Option<u8>, Result<StagedOnion, CascadeError>);
 
 /// A successfully ingested round: unwrapped rows in submission order, the
 /// EPC bytes still charged for them, and the round's uniform onion depth.
 type IngestedRound = (Vec<Vec<Vec<u8>>>, usize, u8);
-
-/// Staged-but-uncommitted onions are capped at `workers * STAGING_DEPTH`
-/// per chunk: deep enough to amortize thread spawns, shallow enough to
-/// bound the transient EPC overshoot parallel staging can add.
-const STAGING_DEPTH: usize = 4;
-
-fn is_memory_exhausted(e: &CascadeError) -> bool {
-    matches!(
-        e,
-        CascadeError::Hop {
-            source: ProxyError::Enclave(mixnn_enclave::EnclaveError::MemoryExhausted { .. }),
-            ..
-        }
-    )
-}
 
 impl CascadeHop {
     /// Launches the hop inside a fresh enclave.
@@ -169,15 +124,12 @@ impl CascadeHop {
             dummy_seed: shard_seed(config.seed, 0x00c0_ffee),
             signature: signature.to_vec(),
             stats: ProxyStats::default(),
-            parallelism: config.parallelism,
             telemetry: mixnn_telemetry::noop(),
         }
     }
 
     /// Attaches a telemetry registry (the coordinator propagates its own
-    /// handle here). Counters mirror the hop's [`ProxyStats`] absorption
-    /// points, which run in canonical order on every drive path — recorded
-    /// values are therefore identical at every worker count.
+    /// handle here). Counters mirror the hop's [`ProxyStats`].
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -192,17 +144,6 @@ impl CascadeHop {
             .incr(Counter::CascadeUpdatesForwarded, delta.updates_forwarded);
         self.telemetry
             .incr(Counter::CascadeBytesReceived, delta.bytes_received);
-    }
-
-    /// The hop's worker configuration.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Reconfigures the hop's worker counts (a pure throughput knob:
-    /// results are identical at every setting).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     /// The hop's position in the cascade.
@@ -260,46 +201,48 @@ impl CascadeHop {
             .unwrap_or_else(|_| panic!("EPC accounting underflow {context}"));
     }
 
-    /// The **stateless** ingest stage for one wire message: decode
-    /// framing, validate the per-onion structure, unwrap this hop's
-    /// envelope on every layer and charge the unwrapped blobs against the
-    /// EPC. Takes `&self`; safe to call from any number of workers at
-    /// once. The first returned value is the onion's declared depth
-    /// whenever the framing parsed (the commit needs it for the
-    /// cross-onion uniformity check even when decryption failed); a
-    /// failing stage frees its own partial charges before returning.
-    fn ingest_stage(&self, wire: &[u8]) -> StagedIngest {
+    /// Ingests one wire message: decode framing, validate the per-onion
+    /// structure and the round's depth uniformity (`depth_seen` carries the
+    /// depth of the onions before this one), unwrap this hop's envelope on
+    /// every layer and charge the unwrapped blobs against the EPC. Returns
+    /// the blobs and the bytes charged for them; a failing onion frees its
+    /// own partial charges before returning.
+    fn ingest_onion(
+        &self,
+        wire: &[u8],
+        depth_seen: &mut Option<u8>,
+        delta: &mut ProxyStats,
+    ) -> Result<(Vec<Vec<u8>>, usize), CascadeError> {
         let t0 = Instant::now();
-        let onion = match OnionUpdate::decode(wire) {
-            Ok(onion) => onion,
-            Err(e) => return (None, Err(e)),
-        };
+        let onion = OnionUpdate::decode(wire)?;
         if onion.num_layers() != self.signature.len() {
-            return (
-                None,
-                Err(self.hop_err(ProxyError::SignatureMismatch {
-                    expected: vec![self.signature.len()],
-                    actual: vec![onion.num_layers()],
-                })),
-            );
+            return Err(self.hop_err(ProxyError::SignatureMismatch {
+                expected: vec![self.signature.len()],
+                actual: vec![onion.num_layers()],
+            }));
         }
         if onion.hops_remaining() == 0 {
-            return (
-                None,
-                Err(CascadeError::Onion {
-                    reason: "no sealed envelopes left for this hop".to_string(),
-                }),
-            );
+            return Err(CascadeError::Onion {
+                reason: "no sealed envelopes left for this hop".to_string(),
+            });
         }
         let depth = onion.hops_remaining();
+        match *depth_seen {
+            Some(seen) if seen != depth => {
+                return Err(CascadeError::Onion {
+                    reason: format!("mixed onion depths in one round: {seen} vs {depth}"),
+                });
+            }
+            _ => *depth_seen = Some(depth),
+        }
         let store_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
         // Open all L envelopes of this onion in one batched pass (the
         // X25519 schedule and field inversion are shared across layers),
-        // then replay each layer's EPC operations in the order the
-        // sequential per-layer loop performed them: transient decrypt
-        // charge, then the persistent charge for the unwrapped blob.
+        // then replay each layer's EPC operations in order: transient
+        // decrypt charge, then the persistent charge for the unwrapped
+        // blob.
         let sealed_layers = onion.into_layers();
         let opened = self.enclave.open_batch(&sealed_layers);
         let mut charged = 0usize;
@@ -329,135 +272,50 @@ impl CascadeHop {
                             &inner,
                             self.signature[layer_idx],
                         ) {
-                            self.free_charged(
-                                charged + inner.len(),
-                                "while failing an ingest stage",
-                            );
-                            return (Some(depth), Err(self.hop_err(e)));
+                            self.free_charged(charged + inner.len(), "while failing an onion");
+                            return Err(self.hop_err(e));
                         }
                     }
                     charged += inner.len();
                     blobs.push(inner);
                 }
                 Err(e) => {
-                    self.free_charged(charged, "while failing an ingest stage");
-                    return (Some(depth), Err(self.hop_err(e.into())));
+                    self.free_charged(charged, "while failing an onion");
+                    return Err(self.hop_err(e.into()));
                 }
             }
         }
-        (
-            Some(depth),
-            Ok(StagedOnion {
-                blobs,
-                charged,
-                store_seconds,
-                decrypt_seconds: t1.elapsed().as_secs_f64(),
-            }),
-        )
+        delta.store_seconds += store_seconds;
+        delta.decrypt_seconds += t1.elapsed().as_secs_f64();
+        Ok((blobs, charged))
     }
 
-    /// Releases a staged onion that will not be committed.
-    fn discard_staged(&self, staged: StagedOnion) {
-        self.free_charged(staged.charged, "while discarding a staged onion");
-    }
-
-    /// Ingests a whole round: stage 1 fans out over `workers` threads in
-    /// bounded chunks, stage 2 commits in submission order (depth
-    /// uniformity, stats, EPC accounting). On the first staged EPC
-    /// exhaustion every not-yet-committed charge is discarded and the rest
-    /// of the round re-runs sequentially — reproducing the sequential
-    /// loop's exact memory conditions, so accept/reject outcomes and the
-    /// surfaced error are identical at every worker count.
-    ///
-    /// On success returns the unwrapped rows (submission order), the total
-    /// EPC bytes still charged for them, and the round's uniform depth. On
-    /// failure every charge is released. `delta` accumulates the §6.5
-    /// counters either way (exactly what the sequential loop would have
-    /// recorded up to the failure).
+    /// Ingests a whole round in submission order. On success returns the
+    /// unwrapped rows, the total EPC bytes still charged for them, and the
+    /// round's uniform depth. The first failing onion fails the round and
+    /// releases every charge. `delta` accumulates the §6.5 counters either
+    /// way.
     fn ingest_round(
         &self,
         incoming: &[Vec<u8>],
-        workers: usize,
         delta: &mut ProxyStats,
     ) -> Result<IngestedRound, CascadeError> {
-        let workers = Parallelism::effective(workers, incoming.len());
-        let mut degraded = workers <= 1;
-        let chunk_len = workers.saturating_mul(STAGING_DEPTH).max(1);
         let mut charged_total = 0usize;
         let mut depth_seen: Option<u8> = None;
         let mut rows: Vec<Vec<Vec<u8>>> = Vec::with_capacity(incoming.len());
-
-        for chunk in incoming.chunks(chunk_len) {
-            let mut staged: Vec<Option<StagedIngest>> = if degraded {
-                (0..chunk.len()).map(|_| None).collect()
-            } else {
-                map_chunked(chunk, workers, |wire: &Vec<u8>| self.ingest_stage(wire))
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            };
-            for (i, wire) in chunk.iter().enumerate() {
-                delta.bytes_received += wire.len() as u64;
-                let (depth, outcome) = match staged[i].take() {
-                    Some((depth, outcome)) => {
-                        if outcome.as_ref().is_err_and(is_memory_exhausted) {
-                            // Charges staged ahead of this onion inflated
-                            // the budget beyond what the sequential loop
-                            // would hold; drop them and retry this onion
-                            // under the sequential loop's exact conditions.
-                            degraded = true;
-                            for slot in staged.iter_mut().skip(i + 1) {
-                                if let Some((_, Ok(ahead))) = slot.take() {
-                                    self.discard_staged(ahead);
-                                }
-                            }
-                            self.ingest_stage(wire)
-                        } else {
-                            (depth, outcome)
-                        }
-                    }
-                    // Degraded mid-chunk: the staged result (and its EPC
-                    // charge, if any) was discarded above — re-ingest now.
-                    None => self.ingest_stage(wire),
-                };
-                // The cross-onion depth check is the one stateful
-                // validation; replay it in submission order, before the
-                // decrypt outcome, exactly as the sequential loop orders
-                // its checks.
-                let outcome = match (depth, depth_seen) {
-                    (Some(d), Some(seen)) if d != seen => {
-                        if let Ok(staged_onion) = outcome {
-                            self.discard_staged(staged_onion);
-                        }
-                        Err(CascadeError::Onion {
-                            reason: format!("mixed onion depths in one round: {seen} vs {d}"),
-                        })
-                    }
-                    (Some(d), None) => {
-                        depth_seen = Some(d);
-                        outcome
-                    }
-                    _ => outcome,
-                };
-                match outcome {
-                    Ok(staged_onion) => {
-                        delta.updates_received += 1;
-                        delta.store_seconds += staged_onion.store_seconds;
-                        delta.decrypt_seconds += staged_onion.decrypt_seconds;
-                        charged_total += staged_onion.charged;
-                        rows.push(staged_onion.blobs);
-                    }
-                    Err(e) => {
-                        delta.updates_rejected += 1;
-                        delta.bytes_rejected += wire.len() as u64;
-                        for slot in staged.iter_mut().skip(i + 1) {
-                            if let Some((_, Ok(ahead))) = slot.take() {
-                                self.discard_staged(ahead);
-                            }
-                        }
-                        self.free_charged(charged_total, "while failing a round");
-                        return Err(e);
-                    }
+        for wire in incoming {
+            delta.bytes_received += wire.len() as u64;
+            match self.ingest_onion(wire, &mut depth_seen, delta) {
+                Ok((blobs, charged)) => {
+                    delta.updates_received += 1;
+                    charged_total += charged;
+                    rows.push(blobs);
+                }
+                Err(e) => {
+                    delta.updates_rejected += 1;
+                    delta.bytes_rejected += wire.len() as u64;
+                    self.free_charged(charged_total, "while failing a round");
+                    return Err(e);
                 }
             }
         }
@@ -468,18 +326,21 @@ impl CascadeHop {
         ))
     }
 
-    /// Applies `plan` to ingested rows and re-frames the outputs; releases
-    /// the round's EPC charges on both paths.
+    /// Draws the round's plan, applies it to the ingested rows and
+    /// re-frames the outputs; releases the round's EPC charges on both
+    /// paths.
     fn finish_round(
-        &self,
-        rows: Vec<Vec<Vec<u8>>>,
-        charged: usize,
-        depth: u8,
-        plan: Result<MixPlan, ProxyError>,
+        &mut self,
+        (rows, charged, depth): IngestedRound,
         delta: &mut ProxyStats,
     ) -> Result<(Vec<Vec<u8>>, MixPlan), CascadeError> {
         let t0 = Instant::now();
-        let mixed = plan.and_then(|plan| Ok((plan.apply_owned(rows)?, plan)));
+        // The shared round-plan policy (`MixPlan::for_round`) keeps this
+        // hop's mixing semantics identical to the single proxy's. The plan
+        // is drawn only after a fully successful ingest, so a failed round
+        // never advances the hop's RNG stream.
+        let mixed = MixPlan::for_round(rows.len(), self.signature.len(), &mut self.rng)
+            .and_then(|plan| Ok((plan.apply_owned(rows)?, plan)));
         let (mixed, plan) = match mixed {
             Ok(out) => out,
             Err(e) => {
@@ -498,18 +359,15 @@ impl CascadeHop {
     }
 
     /// Processes one round: unwraps this hop's envelope on every (client,
-    /// layer) blob — fanned over the configured
-    /// [`Parallelism::ingest_workers`] — draws a fresh [`MixPlan`],
-    /// shuffles the blobs across clients per layer, and re-frames the
-    /// outputs for the next hop (or, after the last hop, for the server).
+    /// layer) blob, draws a fresh [`MixPlan`], shuffles the blobs across
+    /// clients per layer, and re-frames the outputs for the next hop (or,
+    /// after the last hop, for the server).
     ///
     /// The round is all-or-nothing: any failure — malformed framing, a
     /// ciphertext this hop cannot open, EPC exhaustion — releases every
     /// byte charged so far and fails the whole round, so the coordinator
     /// can apply its skip-or-abort policy. The plan is returned for audits
     /// and experiments (in a deployment it never leaves the enclave).
-    /// Outputs, stats counters and EPC state are bit-identical at every
-    /// worker count (see the module docs).
     ///
     /// # Errors
     ///
@@ -524,68 +382,12 @@ impl CascadeHop {
             return Err(CascadeError::EmptyRound);
         }
         let mut delta = ProxyStats::default();
-        let ingested = self.ingest_round(incoming, self.parallelism.ingest_workers, &mut delta);
+        let result = self
+            .ingest_round(incoming, &mut delta)
+            .and_then(|ingested| self.finish_round(ingested, &mut delta));
         self.stats.absorb(&delta);
         self.record_absorb(&delta);
-        let (rows, charged, depth) = ingested?;
-
-        // The shared round-plan policy (`MixPlan::for_round`) keeps this
-        // hop's mixing semantics identical to the single proxy's. The plan
-        // is drawn only after a fully successful ingest, so a failed round
-        // never advances the hop's RNG stream.
-        let plan = MixPlan::for_round(rows.len(), self.signature.len(), &mut self.rng);
-        let mut delta = ProxyStats::default();
-        let finished = self.finish_round(rows, charged, depth, plan, &mut delta);
-        self.stats.absorb(&delta);
-        self.record_absorb(&delta);
-        finished
-    }
-
-    /// The `&self` round core behind [`CascadeHop::mix_round`], for
-    /// callers that pre-draw the plan (the coordinator's concurrent
-    /// route-group pool): ingest with `workers`, apply the given plan,
-    /// re-frame. Shared state touched is only the lock-free EPC budget, so
-    /// any number of groups may run concurrently on one hop; the caller
-    /// merges the returned stats delta in canonical group order on
-    /// success (and discards it on failure, where the canonical sequential
-    /// retry recomputes the stats).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CascadeHop::mix_round`].
-    pub(crate) fn mix_round_shared(
-        &self,
-        incoming: &[Vec<u8>],
-        plan: MixPlan,
-        workers: usize,
-    ) -> Result<(Vec<Vec<u8>>, MixPlan, ProxyStats), CascadeError> {
-        if incoming.is_empty() {
-            return Err(CascadeError::EmptyRound);
-        }
-        let mut delta = ProxyStats::default();
-        let (rows, charged, depth) = self.ingest_round(incoming, workers, &mut delta)?;
-        let (outgoing, plan) = self.finish_round(rows, charged, depth, Ok(plan), &mut delta)?;
-        Ok((outgoing, plan, delta))
-    }
-
-    /// Merges a stats delta produced by [`CascadeHop::mix_round_shared`]
-    /// into the hop's own counters (called by the coordinator in canonical
-    /// group order after a successful concurrent round).
-    pub(crate) fn absorb_stats(&mut self, delta: &ProxyStats) {
-        self.stats.absorb(delta);
-        self.record_absorb(delta);
-    }
-
-    /// Draws the plan this hop would use for a round of `participants`
-    /// from `rng` — the coordinator pre-draws plans from cloned hop RNG
-    /// streams so concurrent groups consume the streams in canonical
-    /// order.
-    pub(crate) fn draw_plan(
-        &self,
-        participants: usize,
-        rng: &mut StdRng,
-    ) -> Result<MixPlan, CascadeError> {
-        MixPlan::for_round(participants, self.signature.len(), rng).map_err(|e| self.hop_err(e))
+        result
     }
 
     /// Generates one cover ("dummy") update for this hop.
@@ -609,19 +411,6 @@ impl CascadeHop {
                 })
                 .collect(),
         )
-    }
-
-    /// The hop's mixing RNG stream (cloned by the coordinator's optimistic
-    /// concurrent path; committed back only when the whole round
-    /// succeeds).
-    pub(crate) fn rng_clone(&self) -> StdRng {
-        self.rng.clone()
-    }
-
-    /// Replaces the hop's mixing RNG stream (committing a successful
-    /// optimistic round's draws).
-    pub(crate) fn set_rng(&mut self, rng: StdRng) {
-        self.rng = rng;
     }
 }
 
@@ -741,7 +530,6 @@ mod tests {
                     allow_paging: false,
                 },
                 seed: 5,
-                ..CascadeHopConfig::default()
             },
             &[3, 2],
             &service,
@@ -764,131 +552,32 @@ mod tests {
             }
         ));
         assert_eq!(hop.memory_stats().allocated, 0, "failed round must free");
+        // One update's blobs fit, the second's do not: the counters show
+        // exactly that prefix.
+        let stats = hop.stats();
+        assert_eq!((stats.updates_received, stats.updates_rejected), (1, 1));
+        assert_eq!(stats.bytes_rejected, batch[1].len() as u64);
+        assert_eq!(
+            stats.bytes_received,
+            (batch[0].len() + batch[1].len()) as u64
+        );
     }
 
     #[test]
-    fn staged_ingest_is_worker_count_invariant() {
-        let run = |workers: usize| {
-            let (mut hops, _, mut rng) = launch_chain(2, &[3, 2]);
-            for h in &mut hops {
-                h.set_parallelism(Parallelism {
-                    ingest_workers: workers,
-                    ..Parallelism::sequential()
-                });
-            }
-            let batch = onions(&hops, 7, &mut rng);
-            let (batch, plan0) = hops[0].mix_round(&batch).unwrap();
-            let (batch, plan1) = hops[1].mix_round(&batch).unwrap();
-            let counters = hops
-                .iter()
-                .map(|h| {
-                    let s = h.stats();
-                    (s.updates_received, s.updates_forwarded, s.bytes_received)
-                })
-                .collect::<Vec<_>>();
-            (batch, plan0, plan1, counters)
-        };
-        let sequential = run(1);
-        for workers in [2, 3, 8] {
-            assert_eq!(sequential, run(workers), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn tight_epc_failure_is_worker_count_invariant() {
-        // Parallel staging transiently charges more than the sequential
-        // loop; the degrade path must reproduce the sequential failure —
-        // same error, same rejected counters, no leak — at every worker
-        // count.
-        let run = |workers: usize| {
-            let mut rng = StdRng::seed_from_u64(12);
-            let service = AttestationService::new(&mut rng);
-            let mut hop = CascadeHop::launch(
-                0,
-                CascadeHopConfig {
-                    enclave: EnclaveConfig {
-                        epc_limit: 48,
-                        code_identity: HOP_CODE_IDENTITY.to_vec(),
-                        allow_paging: false,
-                    },
-                    seed: 5,
-                    parallelism: Parallelism {
-                        ingest_workers: workers,
-                        ..Parallelism::sequential()
-                    },
-                },
-                &[3, 2],
-                &service,
-                &mut rng,
-            );
-            let keys = [*hop.public_key()];
-            let batch: Vec<Vec<u8>> = (0..6)
-                .map(|i| {
-                    OnionUpdate::build(&params(i), &keys, &mut rng)
-                        .unwrap()
-                        .encode()
-                })
-                .collect();
-            let err = hop.mix_round(&batch).unwrap_err();
-            assert_eq!(hop.memory_stats().allocated, 0, "workers={workers}");
-            let s = hop.stats();
-            (
-                err.to_string(),
-                s.updates_received,
-                s.updates_rejected,
-                s.bytes_received,
-                s.bytes_rejected,
-            )
-        };
-        let sequential = run(1);
-        assert!(sequential.0.contains("exhausted"));
-        for workers in [2, 4, 8] {
-            assert_eq!(sequential, run(workers), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn mixed_depth_round_fails_identically_at_every_worker_count() {
-        let run = |workers: usize| {
-            let (mut hops, _, mut rng) = launch_chain(2, &[3, 2]);
-            hops[0].set_parallelism(Parallelism {
-                ingest_workers: workers,
-                ..Parallelism::sequential()
-            });
-            let mut batch = onions(&hops, 4, &mut rng);
-            // Onion 2 sealed for a single hop: depth 1 among depth-2 peers.
-            let keys = [*hops[0].public_key()];
-            batch[2] = OnionUpdate::build(&params(9), &keys, &mut rng)
-                .unwrap()
-                .encode();
-            let err = hops[0].mix_round(&batch).unwrap_err();
-            assert_eq!(hops[0].memory_stats().allocated, 0);
-            (err.to_string(), hops[0].stats().updates_rejected)
-        };
-        let sequential = run(1);
-        assert!(sequential.0.contains("mixed onion depths"));
-        for workers in [2, 4] {
-            assert_eq!(sequential, run(workers), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn shared_round_core_matches_mix_round_bit_for_bit() {
-        let (mut hops, _, mut rng) = launch_chain(1, &[3, 2]);
-        let batch = onions(&hops, 5, &mut rng);
-
-        // Pre-draw the plan from a cloned stream, run the &self core…
-        let mut plan_rng = hops[0].rng_clone();
-        let plan = hops[0].draw_plan(5, &mut plan_rng).unwrap();
-        let (shared_out, shared_plan, delta) = hops[0].mix_round_shared(&batch, plan, 4).unwrap();
+    fn mixed_depth_round_is_rejected_before_decryption_and_leaks_nothing() {
+        let (mut hops, _, mut rng) = launch_chain(2, &[3, 2]);
+        let mut batch = onions(&hops, 4, &mut rng);
+        // Onion 2 sealed for a single hop: depth 1 among depth-2 peers.
+        let keys = [*hops[0].public_key()];
+        batch[2] = OnionUpdate::build(&params(9), &keys, &mut rng)
+            .unwrap()
+            .encode();
+        let err = hops[0].mix_round(&batch).unwrap_err();
+        assert!(err.to_string().contains("mixed onion depths"), "{err}");
         assert_eq!(hops[0].memory_stats().allocated, 0);
-        assert_eq!(delta.updates_received, 5);
-        assert_eq!(delta.updates_forwarded, 5);
-
-        // …and the &mut path must produce exactly the same round.
-        let (out, plan) = hops[0].mix_round(&batch).unwrap();
-        assert_eq!(shared_out, out);
-        assert_eq!(shared_plan, plan);
+        let stats = hops[0].stats();
+        assert_eq!((stats.updates_received, stats.updates_rejected), (2, 1));
+        assert_eq!(stats.bytes_rejected, batch[2].len() as u64);
     }
 
     #[test]

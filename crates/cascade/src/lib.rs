@@ -70,11 +70,9 @@
 //! * [`CascadeClient`] — builds onions from the hops' **attested** keys;
 //! * [`CascadeCoordinator`] — drives rounds end-to-end with configurable
 //!   skip-or-abort failure semantics ([`FailurePolicy`]), one partial
-//!   round per route group, audited by [`CascadeAudit`]; route groups run
-//!   concurrently and whole rounds pipeline across hops under the shared
-//!   `mixnn_core::Parallelism` knobs — bit-identically to the sequential
-//!   drive at every setting (see `docs/ARCHITECTURE.md`, "Cascade
-//!   concurrency model");
+//!   round per route group, audited by [`CascadeAudit`] — one sequential
+//!   drive with one failure handler (see `docs/ARCHITECTURE.md`, "The
+//!   round drive");
 //! * [`CascadeTransport`] — plugs the cascade into `mixnn_fl` rounds as an
 //!   [`mixnn_fl::UpdateTransport`];
 //! * [`MixPool`] / [`PooledCoordinator`] / [`PooledCascadeTransport`] —

@@ -327,8 +327,7 @@ impl PooledCoordinator {
         &self.cascade
     }
 
-    /// Mutable access to the underlying cascade (reinstating hops,
-    /// reconfiguring parallelism).
+    /// Mutable access to the underlying cascade (reinstating hops).
     pub fn cascade_mut(&mut self) -> &mut CascadeCoordinator {
         &mut self.cascade
     }
@@ -353,11 +352,20 @@ impl PooledCoordinator {
     /// passed and then any threshold this arrival completes — so a single
     /// submit can commit up to two rounds, in firing order.
     ///
+    /// The arrival is pooled **whatever happens to the firings**: an
+    /// update handed to `submit` is never lost to a wire fault.
+    ///
     /// # Errors
     ///
     /// A fired round's errors surface exactly as
     /// [`CascadeCoordinator::run_padded_round_over`]'s; the failed
-    /// firing's members are restored into the pool.
+    /// firing's members are restored into the pool (for a failed deadline
+    /// firing, with the arrival queued behind them), so a later
+    /// [`PooledCoordinator::tick`] or [`PooledCoordinator::flush`] retries
+    /// them. If the deadline firing committed and only the threshold
+    /// firing failed, the committed round is returned — its outputs must
+    /// reach the server — and the restored members surface the failure on
+    /// that retry.
     pub fn submit(
         &mut self,
         slot: usize,
@@ -365,12 +373,28 @@ impl PooledCoordinator {
         link: &mut dyn RoundLink,
     ) -> Result<Vec<PooledRound>, CascadeError> {
         let now = self.now_ns();
+        let deadline = self.pool.poll(now).map(|batch| self.fire(batch, link));
+        let threshold = self.pool.offer(slot, params, now);
         let mut fired = Vec::new();
-        if let Some(batch) = self.pool.poll(now) {
-            fired.push(self.fire(batch, link)?);
+        match deadline {
+            Some(Ok(round)) => fired.push(round),
+            Some(Err(e)) => {
+                // The old members are back in the pool and the arrival
+                // joined them; firing again over the wire that just failed
+                // would only fail again.
+                if let Some(batch) = threshold {
+                    self.pool.restore(batch);
+                }
+                return Err(e);
+            }
+            None => {}
         }
-        if let Some(batch) = self.pool.offer(slot, params, now) {
-            fired.push(self.fire(batch, link)?);
+        if let Some(batch) = threshold {
+            match self.fire(batch, link) {
+                Ok(round) => fired.push(round),
+                Err(e) if fired.is_empty() => return Err(e),
+                Err(_) => {}
+            }
         }
         Ok(fired)
     }
@@ -742,6 +766,60 @@ mod tests {
         assert_eq!(fired[0].trigger, PoolTrigger::Deadline);
         assert_eq!(fired[0].slots, vec![7]);
         assert_eq!(p.pool().len(), 1, "the new arrival is pooled, not fired");
+    }
+
+    /// Delivers in-process until `healthy_deliveries` run out, then times
+    /// out every segment.
+    struct FailingAfter {
+        healthy_deliveries: usize,
+    }
+
+    impl RoundLink for FailingAfter {
+        fn deliver(
+            &mut self,
+            from: mixnn_core::Endpoint,
+            to: mixnn_core::Endpoint,
+            messages: Vec<Vec<u8>>,
+        ) -> Result<Vec<Vec<u8>>, mixnn_core::LinkError> {
+            if self.healthy_deliveries == 0 {
+                return Err(mixnn_core::LinkError::Timeout {
+                    from,
+                    to,
+                    delivered: 0,
+                    expected: messages.len(),
+                });
+            }
+            self.healthy_deliveries -= 1;
+            Ok(messages)
+        }
+    }
+
+    #[test]
+    fn committed_deadline_round_survives_a_failed_threshold_firing() {
+        // k = 1: a failed firing leaves member 7 pooled; on the next
+        // arrival the deadline firing commits it and the arrival's own
+        // threshold firing hits the dead wire. The committed round must
+        // come back (its outputs belong to the server) and the arrival
+        // must stay pooled for the retry.
+        let (mut p, clock) = pooled(1, 100);
+        let mut dead = FailingAfter {
+            healthy_deliveries: 0,
+        };
+        assert!(p.submit(7, params(7), &mut dead).is_err());
+        assert_eq!(p.pool().len(), 1);
+
+        clock.set_ns(500);
+        // A 2-hop round is three deliveries: enough for one firing only.
+        let mut one_round = FailingAfter {
+            healthy_deliveries: 3,
+        };
+        let fired = p.submit(8, params(8), &mut one_round).unwrap();
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].slots, vec![7]);
+        assert_eq!(p.pool().len(), 1, "the arrival waits for the retry");
+
+        let retried = p.flush(&mut InProcessLink).unwrap().expect("retry");
+        assert_eq!(retried.slots, vec![8]);
     }
 
     #[test]

@@ -11,18 +11,17 @@
 //!   the partial round that traversed it;
 //! * both still hold when an intermediate hop dies of EPC exhaustion
 //!   mid-round under the skip policy (the surviving chain carries the
-//!   round);
-//! * **every parallelism knob is a pure throughput knob**: round outputs,
-//!   audits, `unmix` results and stats counters are bit-identical across
-//!   `ingest_workers`, `group_workers` and `pipeline_depth` — including
-//!   when an EPC-starved intermediate hop forces the skip path.
+//!   round) — in every compression mode, where `unmix` restores the
+//!   canonical post-wire form of the inputs;
+//! * a cascade is a pure function of its seeds: re-running the same
+//!   rounds reproduces outputs, audits, skip events, hop counters and the
+//!   caller's RNG position.
 
 use mixnn_cascade::{
     CascadeConfig, CascadeCoordinator, CascadeHopConfig, CascadeRound, CascadeTopology,
     FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
 use mixnn_core::codec::CompressionConfig;
-use mixnn_core::Parallelism;
 use mixnn_enclave::{AttestationService, EnclaveConfig};
 use mixnn_nn::{LayerParams, ModelParams};
 use proptest::prelude::*;
@@ -64,7 +63,7 @@ fn layout_for(kind: usize, hops: usize, clients: usize, seed: u64) -> Box<dyn Ca
     }
 }
 
-/// The worker-invariant observables of a cascade after some rounds: the
+/// The observables of a cascade after some rounds: the
 /// rounds themselves (outputs, audits, chains, skip events), the caller's
 /// RNG position, the skip state, and every hop's stats counters (the
 /// `*_seconds` fields are wall-clock and excluded by design).
@@ -84,10 +83,8 @@ fn compression_for(kind: usize) -> CompressionConfig {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn observe(
     topology: Box<dyn CascadeTopology>,
-    parallelism: Parallelism,
     policy: FailurePolicy,
     compression: CompressionConfig,
     dead_hop: Option<usize>,
@@ -116,7 +113,6 @@ fn observe(
             expected_signature: signature(layers),
             hops: hop_configs,
             policy,
-            parallelism,
             compression,
         },
         topology,
@@ -124,8 +120,10 @@ fn observe(
         &mut rng,
     )
     .expect("valid configuration");
-    cascade.set_parallelism(parallelism);
-    let out = cascade.run_rounds(rounds, &mut rng).expect("rounds run");
+    let out = rounds
+        .iter()
+        .map(|updates| cascade.run_round(updates, &mut rng).expect("round runs"))
+        .collect();
     let counters = cascade
         .hop_stats()
         .iter()
@@ -263,7 +261,6 @@ proptest! {
                 expected_signature: signature(layers),
                 hops: hop_configs,
                 policy: FailurePolicy::Skip,
-                parallelism: mixnn_core::Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(hops)),
@@ -289,15 +286,12 @@ proptest! {
     }
 
     #[test]
-    fn outputs_are_invariant_to_every_parallelism_knob(
+    fn multi_round_drives_unmix_to_the_canonical_inputs_on_every_layout_and_codec(
         hops in 1usize..5,
         kind in 0usize..4,
         comp in 0usize..3,
         clients in 3usize..9,
         layers in 1usize..4,
-        ingest_workers in 1usize..5,
-        group_workers in 1usize..5,
-        pipeline_depth in 1usize..5,
         rounds in 1usize..4,
         seed in 0u64..1000,
     ) {
@@ -305,9 +299,8 @@ proptest! {
         let batch: Vec<Vec<ModelParams>> = (0..rounds)
             .map(|r| round_updates(clients, layers, seed ^ (r as u64) << 9))
             .collect();
-        let sequential = observe(
+        let drive = || observe(
             layout_for(kind, hops, clients, seed),
-            Parallelism::sequential(),
             FailurePolicy::Abort,
             compression,
             None,
@@ -315,26 +308,12 @@ proptest! {
             layers,
             seed,
         );
-        let parallel = observe(
-            layout_for(kind, hops, clients, seed),
-            Parallelism {
-                ingest_workers,
-                group_workers,
-                pipeline_depth,
-                ..Parallelism::sequential()
-            },
-            FailurePolicy::Abort,
-            compression,
-            None,
-            &batch,
-            layers,
-            seed,
-        );
-        prop_assert_eq!(&sequential, &parallel);
-        // And the audits stay honest: unmix restores every round — the
+        let observed = drive();
+        prop_assert_eq!(&observed, &drive(), "a cascade is a pure function of its seeds");
+        // The audits stay honest: unmix restores every round — the
         // canonical post-wire form of it under a lossy codec (bit-exact
         // under F32, where canonicalization is the identity).
-        for (r, round) in sequential.0.iter().enumerate() {
+        for (r, round) in observed.0.iter().enumerate() {
             let expect: Vec<ModelParams> = batch[r]
                 .iter()
                 .map(|p| mixnn_core::codec::canonical_params(p, compression))
@@ -344,29 +323,21 @@ proptest! {
     }
 
     #[test]
-    fn epc_exhaustion_skip_path_is_parallelism_invariant(
+    fn epc_exhaustion_skip_path_holds_in_every_compression_mode(
         hops in 2usize..5,
         dead in 1usize..4,
         comp in 0usize..3,
         clients in 3usize..8,
         layers in 1usize..4,
-        ingest_workers in 2usize..5,
-        group_workers in 2usize..5,
-        pipeline_depth in 2usize..5,
         seed in 0u64..1000,
     ) {
-        // An EPC-starved intermediate hop forces the optimistic concurrent
-        // paths to discard themselves mid-flight; the fallback must land on
-        // exactly the sequential skip outcome — outputs, skip events, RNG
-        // position and counters alike — in every compression mode.
         let compression = compression_for(comp);
         let dead = dead.min(hops - 1);
         let batch: Vec<Vec<ModelParams>> = (0..2)
             .map(|r| round_updates(clients, layers, seed ^ (r as u64) << 9))
             .collect();
-        let sequential = observe(
+        let (rounds, _, skipped, counters) = observe(
             Box::new(LinearChain::new(hops)),
-            Parallelism::sequential(),
             FailurePolicy::Skip,
             compression,
             Some(dead),
@@ -374,24 +345,13 @@ proptest! {
             layers,
             seed,
         );
-        prop_assert_eq!(&sequential.2, &vec![dead], "the starved hop must be skipped");
-        let parallel = observe(
-            Box::new(LinearChain::new(hops)),
-            Parallelism {
-                ingest_workers,
-                group_workers,
-                pipeline_depth,
-                ..Parallelism::sequential()
-            },
-            FailurePolicy::Skip,
-            compression,
-            Some(dead),
-            &batch,
-            layers,
-            seed,
-        );
-        prop_assert_eq!(&sequential, &parallel);
-        for (r, round) in sequential.0.iter().enumerate() {
+        prop_assert_eq!(&skipped, &vec![dead], "the starved hop must be skipped");
+        // The first round takes the hit; the skip is sticky for the second.
+        prop_assert_eq!(&rounds[0].skipped_this_round, &vec![dead]);
+        prop_assert!(rounds[1].skipped_this_round.is_empty());
+        // The starved hop rejected exactly the one onion it choked on.
+        prop_assert_eq!(counters[dead].2, 1);
+        for (r, round) in rounds.iter().enumerate() {
             let expect: Vec<ModelParams> = batch[r]
                 .iter()
                 .map(|p| mixnn_core::codec::canonical_params(p, compression))

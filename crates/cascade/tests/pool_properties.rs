@@ -1,13 +1,10 @@
 //! The continuous-mixing pool's load-bearing properties, under arbitrary
 //! seeded arrival schedules:
 //!
-//! * **Parallelism is still a pure throughput knob.** For any arrival
-//!   schedule × pool size × deadline × layout, the full drain — firing
-//!   order, triggers, member slots, padded rounds, cover digests, audits —
-//!   is bit-identical between any `Parallelism` setting and the
-//!   sequential reference drain — under every wire codec mode, lossy or
-//!   not. Padding happens in the deterministic pre-phase shared by both
-//!   drive paths, so cover cannot introduce schedule-dependence.
+//! * **A drain is a pure function of its seed.** For any arrival
+//!   schedule × pool size × deadline × layout × codec, re-running the
+//!   drain reproduces firing order, triggers, member slots, padded
+//!   rounds, cover digests and audits bit for bit.
 //! * **The k-floor holds on every firing.** Every fired pool carries
 //!   `real + dummies ≥ k`, and every route group inside it is padded to
 //!   at least `k` members — across 1..4 hops and all three layouts.
@@ -22,7 +19,7 @@ use mixnn_cascade::{
     PooledCoordinator, PooledRound, StratifiedLayout,
 };
 use mixnn_core::codec::{canonical_params, CompressionConfig};
-use mixnn_core::{InProcessLink, Parallelism};
+use mixnn_core::InProcessLink;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Registry, VirtualClock};
@@ -76,15 +73,13 @@ fn layout_for(kind: usize, hops: usize, seed: u64) -> Box<dyn CascadeTopology> {
 /// returns every fired round, in firing order. The schedule (arrival
 /// gaps scaled to the deadline so threshold and deadline firings both
 /// occur), the sealing entropy and the cascade seeds are all pure
-/// functions of `seed`, so two calls differing only in `parallelism`
-/// must produce bit-identical drains.
+/// functions of `seed`.
 #[allow(clippy::too_many_arguments)]
 fn drain(
     kind: usize,
     hops: usize,
     k: usize,
     deadline_ns: u64,
-    parallelism: Parallelism,
     compression: CompressionConfig,
     clients: usize,
     layers: usize,
@@ -103,7 +98,6 @@ fn drain(
         &mut rng,
     )
     .expect("valid configuration");
-    cascade.set_parallelism(parallelism);
     cascade.set_compression(compression);
     let mut pooled = PooledCoordinator::new(cascade, PoolConfig { k, deadline_ns }, seed ^ 0x5ea1)
         .expect("valid pool config");
@@ -150,47 +144,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn pooled_drain_is_parallelism_invariant(
+    fn pooled_drain_is_a_pure_function_of_its_seed(
         kind in 0usize..3,
         hops in 1usize..5,
         k in 2usize..6,
         deadline_ns in 100u64..2_000,
         clients in 4usize..10,
         layers in 1usize..4,
-        ingest_workers in 1usize..5,
-        group_workers in 1usize..5,
-        pipeline_depth in 1usize..5,
         comp in 0usize..3,
         seed in 0u64..1000,
     ) {
-        let compression = compression_for(comp);
-        let reference = drain(
+        let run = || drain(
             kind, hops, k, deadline_ns,
-            Parallelism::sequential(),
-            compression,
-            clients, layers, seed,
-        );
-        let knobbed = drain(
-            kind, hops, k, deadline_ns,
-            Parallelism {
-                ingest_workers,
-                group_workers,
-                pipeline_depth,
-                ..Parallelism::sequential()
-            },
-            compression,
+            compression_for(comp),
             clients, layers, seed,
         );
         // Firing order, triggers, slots, padded rounds, audits and cover
         // digests — all of it, bit for bit.
-        prop_assert_eq!(&reference, &knobbed);
-        // The knobbed drain's aggregates match the reference's exactly.
-        for (a, b) in reference.iter().zip(&knobbed) {
-            prop_assert_eq!(
-                ModelParams::mean(&a.server_outputs().expect("strip")),
-                ModelParams::mean(&b.server_outputs().expect("strip"))
-            );
-        }
+        prop_assert_eq!(run(), run());
     }
 
     #[test]
@@ -206,7 +177,6 @@ proptest! {
         let updates = round_updates(clients, layers, seed);
         let fired = drain(
             kind, hops, k, deadline_ns,
-            Parallelism::sequential(),
             CompressionConfig::F32,
             clients, layers, seed,
         );
@@ -265,7 +235,6 @@ proptest! {
         let updates = round_updates(clients, layers, seed);
         let fired = drain(
             kind, hops, k, deadline_ns,
-            Parallelism::sequential(),
             compression,
             clients, layers, seed,
         );

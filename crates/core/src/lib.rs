@@ -23,14 +23,8 @@
 //!   algorithm with per-layer lists of size `k`;
 //! * [`MixnnProxy`] — the deployed object: enclave-resident, attested,
 //!   decrypts sealed updates, mixes, exposes §6.5-style cost statistics;
-//!   ingest is split into a stateless decrypt/decode stage and a
-//!   serialized store stage;
-//! * [`ParallelIngest`] — fans the stateless ingest stage across worker
-//!   threads (decryption dominates §6.5's budget and is per-update
-//!   independent), bit-identical to sequential ingest at any worker count;
-//! * [`Parallelism`] / [`map_chunked`] — the workspace's shared
-//!   concurrency core (worker knobs and the order-preserving bounded
-//!   worker pool), re-exported by `mixnn_fl` under its historical path;
+//!   one in-order ingest routine opens sealed updates four at a time and
+//!   commits each before the next is charged;
 //! * [`MixnnTransport`] — plugs the proxy into the `mixnn-fl` round loop
 //!   (the `UpdateTransport` impl itself lives in `mixnn_fl`, which depends
 //!   on this crate);
@@ -62,17 +56,13 @@
 
 pub mod codec;
 mod error;
-mod ingest;
 mod link;
 mod mixer;
-mod parallel;
 mod proxy;
 mod transport;
 
 pub use error::ProxyError;
-pub use ingest::ParallelIngest;
 pub use link::{Endpoint, InProcessLink, LinkError, RoundLink};
 pub use mixer::{shard_seed, BatchMixer, MixPlan, MixingStrategy, StreamingMixer};
-pub use parallel::{map_chunked, map_chunked_batched, Parallelism};
-pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats, StagedUpdate};
+pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats};
 pub use transport::{MixnnTransport, TransportMode};

@@ -132,11 +132,10 @@ pub trait RoundLink {
     ) -> Result<Vec<Vec<u8>>, LinkError>;
 
     /// `true` when delivery is the identity at zero cost (no queueing, no
-    /// mutable wire state), so callers may bypass per-segment delivery
-    /// calls from concurrent workers without observable difference.
-    /// Real network links return `false` (the default): their queue and
-    /// clock state must observe segments in the canonical sequential
-    /// order.
+    /// mutable wire state); real network links return `false` (the
+    /// default). Informational: the coordinator no longer consults it —
+    /// there is one drive, and it hits every link in the canonical
+    /// sequential order.
     fn is_transparent(&self) -> bool {
         false
     }

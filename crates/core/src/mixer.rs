@@ -17,18 +17,7 @@
 //!
 //! Both conserve the per-layer multiset of updates, which is exactly why
 //! FedAvg aggregation is unaffected.
-//!
-//! # Sharding
-//!
-//! The §4.2 plan treats each layer's column independently, so applying a
-//! plan (and streaming-swapping the per-layer lists) is embarrassingly
-//! parallel **across layers**. Both mixers therefore accept a shard count:
-//! layers are partitioned into contiguous shard tasks run on scoped
-//! threads. Randomness is derived per layer ([`shard_seed`]) rather than
-//! drawn from one serial stream, so the output is bit-identical at every
-//! shard count — including 1 — for a fixed seed.
 
-use crate::parallel::{map_chunked, Parallelism};
 use crate::ProxyError;
 use mixnn_enclave::ObliviousBuffer;
 use mixnn_nn::{LayerParams, ModelParams};
@@ -36,14 +25,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Below this many scalar touches per push (`total parameters x k`, the
-/// cost of the oblivious scans), a streaming push runs its swap pass
-/// inline: the work would not repay a thread spawn/join.
-const STREAM_SHARD_MIN_WORK: usize = 1 << 16;
-
-/// Deterministic per-layer seed derivation (SplitMix64-style): shard `l`
-/// of a mixer seeded with `seed` always draws from the same stream, no
-/// matter how layers are partitioned onto worker threads.
+/// Deterministic per-layer seed derivation (SplitMix64-style): layer `l`
+/// of a mixer seeded with `seed` always draws from its own stream.
 pub fn shard_seed(seed: u64, layer: usize) -> u64 {
     let mut z = seed
         .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(layer as u64 + 1))
@@ -234,15 +217,41 @@ impl MixPlan {
 
     /// Applies the plan: `out[i].layer[l] = updates[assignments[l][i]].layer[l]`.
     ///
-    /// Equivalent to [`MixPlan::apply_sharded`] with one shard.
-    ///
     /// # Errors
     ///
     /// Returns [`ProxyError::InsufficientUpdates`] if the update count does
     /// not match the plan, or [`ProxyError::SignatureMismatch`] if the
     /// updates disagree on layer structure.
     pub fn apply(&self, updates: &[ModelParams]) -> Result<Vec<ModelParams>, ProxyError> {
-        self.apply_sharded(updates, 1)
+        if updates.len() != self.participants {
+            return Err(ProxyError::InsufficientUpdates {
+                have: updates.len(),
+                need: self.participants,
+            });
+        }
+        let signature = check_common_signature(updates)?;
+        if signature.len() != self.assignments.len() {
+            return Err(ProxyError::SignatureMismatch {
+                expected: vec![self.assignments.len()],
+                actual: vec![signature.len()],
+            });
+        }
+        Ok((0..self.participants)
+            .map(|i| {
+                ModelParams::from_layers(
+                    self.assignments
+                        .iter()
+                        .enumerate()
+                        .map(|(l, col)| {
+                            updates[col[i]]
+                                .layer(l)
+                                .expect("signature verified")
+                                .clone()
+                        })
+                        .collect(),
+                )
+            })
+            .collect())
     }
 
     /// Applies the plan to opaque per-item rows, consuming them.
@@ -291,61 +300,6 @@ impl MixPlan {
                             .expect("plan columns are permutations (all constructors guarantee it)")
                     })
                     .collect()
-            })
-            .collect();
-        Ok(outputs)
-    }
-
-    /// Applies the plan with up to `shards` parallel per-layer tasks.
-    ///
-    /// Each layer's output column depends only on that layer's assignment
-    /// row and the (read-only) input updates, so layers are gathered in
-    /// parallel and the result is **bit-identical at every shard count**.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MixPlan::apply`].
-    pub fn apply_sharded(
-        &self,
-        updates: &[ModelParams],
-        shards: usize,
-    ) -> Result<Vec<ModelParams>, ProxyError> {
-        if updates.len() != self.participants {
-            return Err(ProxyError::InsufficientUpdates {
-                have: updates.len(),
-                need: self.participants,
-            });
-        }
-        let signature = check_common_signature(updates)?;
-        if signature.len() != self.assignments.len() {
-            return Err(ProxyError::SignatureMismatch {
-                expected: vec![self.assignments.len()],
-                actual: vec![signature.len()],
-            });
-        }
-        // Gather layer-major (one task per layer), then transpose into
-        // outgoing updates by moving the gathered columns.
-        let layer_indices: Vec<usize> = (0..self.assignments.len()).collect();
-        let columns: Vec<Vec<LayerParams>> = map_chunked(&layer_indices, shards, |&l| {
-            let col = &self.assignments[l];
-            (0..self.participants)
-                .map(|i| {
-                    updates[col[i]]
-                        .layer(l)
-                        .expect("signature verified")
-                        .clone()
-                })
-                .collect()
-        });
-        let mut column_iters: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-        let outputs = (0..self.participants)
-            .map(|_| {
-                ModelParams::from_layers(
-                    column_iters
-                        .iter_mut()
-                        .map(|it| it.next().expect("column length equals participants"))
-                        .collect(),
-                )
             })
             .collect();
         Ok(outputs)
@@ -413,8 +367,7 @@ impl BatchMixer {
     ///
     /// Uses the Latin construction when the model has no more layers than
     /// there are participants, otherwise falls back to independent
-    /// per-layer permutations. Equivalent to [`BatchMixer::mix_sharded`]
-    /// with one shard.
+    /// per-layer permutations.
     ///
     /// # Errors
     ///
@@ -424,39 +377,16 @@ impl BatchMixer {
         &mut self,
         updates: &[ModelParams],
     ) -> Result<(Vec<ModelParams>, MixPlan), ProxyError> {
-        self.mix_sharded(updates, 1)
-    }
-
-    /// Mixes one round with up to `shards` parallel per-layer gather tasks.
-    ///
-    /// Plan generation stays serialized (it is O(C + L) on the mixer's own
-    /// RNG stream, so parallelizing it would buy nothing and cost
-    /// reproducibility); only the plan *application* — the O(total
-    /// parameters) copy — is sharded. The plan and the mixed updates are
-    /// therefore bit-identical to [`BatchMixer::mix`] at every shard count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BatchMixer::mix`].
-    pub fn mix_sharded(
-        &mut self,
-        updates: &[ModelParams],
-        shards: usize,
-    ) -> Result<(Vec<ModelParams>, MixPlan), ProxyError> {
         let signature = check_common_signature(updates)?;
         let plan = MixPlan::for_round(updates.len(), signature.len(), &mut self.rng)?;
-        let mixed = plan.apply_sharded(updates, shards)?;
+        let mixed = plan.apply(updates)?;
         Ok((mixed, plan))
     }
 }
 
-/// One layer's streaming state: its oblivious list and its own RNG stream.
-///
-/// Giving every layer an independent, deterministically derived RNG
-/// (rather than drawing all layers' swap indices from one serial stream)
-/// is what makes the per-layer shard tasks order-independent: however the
-/// layers are partitioned onto threads, layer `l` always draws the same
-/// index sequence.
+/// One layer's streaming state: its oblivious list and its own RNG stream
+/// ([`shard_seed`]-derived), so layer `l`'s swap-index sequence depends on
+/// nothing but the mixer seed, the epoch and `l`.
 #[derive(Debug)]
 struct LayerShard {
     rng: StdRng,
@@ -479,12 +409,6 @@ impl LayerShard {
 /// further update swaps a uniformly random element out of each list and the
 /// extracted elements form the outgoing update. [`StreamingMixer::flush`]
 /// drains the lists at shutdown so the layer multiset is conserved overall.
-///
-/// The per-layer lists are independent shards: with
-/// [`StreamingMixer::with_shards`] the swap pass runs on up to that many
-/// scoped threads, and because each layer owns its RNG stream (see
-/// [`shard_seed`]) the emitted updates are bit-identical at every shard
-/// count.
 #[derive(Debug)]
 pub struct StreamingMixer {
     k: usize,
@@ -492,7 +416,6 @@ pub struct StreamingMixer {
     warmup: Vec<ModelParams>,
     shards: Option<Vec<LayerShard>>,
     seed: u64,
-    mix_shards: usize,
     // Promotions completed so far. Folded into the per-layer seed
     // derivation so that after a flush the next fill draws *fresh* index
     // streams: re-deriving the same streams every epoch would replay the
@@ -519,28 +442,15 @@ impl StreamingMixer {
             warmup: Vec::new(),
             shards: None,
             seed,
-            mix_shards: 1,
             epoch: 0,
             received: 0,
             emitted: 0,
         }
     }
 
-    /// Sets how many parallel per-layer shard tasks a push may use. Purely
-    /// a throughput knob: outputs are identical at every setting.
-    pub fn with_shards(mut self, mix_shards: usize) -> Self {
-        self.mix_shards = mix_shards.max(1);
-        self
-    }
-
     /// The configured list size.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The configured shard-task budget.
-    pub fn mix_shards(&self) -> usize {
-        self.mix_shards
     }
 
     /// Updates received so far.
@@ -609,53 +519,11 @@ impl StreamingMixer {
             }
             Some(shards) => {
                 let k = self.k;
-                let mut workers = Parallelism::effective(self.mix_shards, shards.len());
-                // Spawning threads costs more than a handful of small
-                // swaps: only fan out when the per-push work (an O(k)
-                // oblivious scan over every layer) is worth a spawn/join
-                // round-trip. Depends only on the model, never on the
-                // worker count, so determinism is unaffected.
-                let total_params: usize = self.signature.iter().sum();
-                if total_params * self.k < STREAM_SHARD_MIN_WORK {
-                    workers = 1;
-                }
-                let outgoing: Vec<LayerParams> = if workers <= 1 {
-                    shards
-                        .iter_mut()
-                        .zip(update.into_layers())
-                        .map(|(shard, incoming)| shard.swap(incoming, k))
-                        .collect()
-                } else {
-                    // Pair each shard with its incoming layer, then hand
-                    // contiguous chunks of pairs to scoped workers; every
-                    // shard's swap uses only its own RNG and buffer, so
-                    // the partitioning is invisible in the output.
-                    let mut pairs: Vec<(&mut LayerShard, Option<LayerParams>)> = shards
-                        .iter_mut()
-                        .zip(update.into_layers().into_iter().map(Some))
-                        .collect();
-                    let chunk = pairs.len().div_ceil(workers);
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = pairs
-                            .chunks_mut(chunk)
-                            .map(|c| {
-                                scope.spawn(move || {
-                                    c.iter_mut()
-                                        .map(|(shard, slot)| {
-                                            let incoming =
-                                                slot.take().expect("layer consumed once");
-                                            shard.swap(incoming, k)
-                                        })
-                                        .collect::<Vec<LayerParams>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("mix shard task panicked"))
-                            .collect()
-                    })
-                };
+                let outgoing: Vec<LayerParams> = shards
+                    .iter_mut()
+                    .zip(update.into_layers())
+                    .map(|(shard, incoming)| shard.swap(incoming, k))
+                    .collect();
                 self.emitted += 1;
                 Ok(Some(ModelParams::from_layers(outgoing)))
             }
@@ -846,36 +714,6 @@ mod tests {
         assert_eq!(shard_seed(7, 3), shard_seed(7, 3));
         assert_ne!(shard_seed(7, 3), shard_seed(7, 4));
         assert_ne!(shard_seed(7, 3), shard_seed(8, 3));
-    }
-
-    #[test]
-    fn sharded_batch_mix_matches_sequential_at_every_shard_count() {
-        let ups = updates(9, &[4, 2, 3, 1]);
-        let (seq, seq_plan) = BatchMixer::new(11).mix(&ups).unwrap();
-        for shards in [2, 3, 4, 8, 16] {
-            let (par, par_plan) = BatchMixer::new(11).mix_sharded(&ups, shards).unwrap();
-            assert_eq!(seq, par, "shards={shards}");
-            assert_eq!(seq_plan, par_plan, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_streaming_matches_sequential_at_every_shard_count() {
-        let run = |shards: usize| {
-            let mut mixer = StreamingMixer::new(vec![1, 2, 3], 4, 21).with_shards(shards);
-            let mut out = Vec::new();
-            for u in updates(12, &[1, 2, 3]) {
-                if let Some(m) = mixer.push(u).unwrap() {
-                    out.push(m);
-                }
-            }
-            out.extend(mixer.flush());
-            out
-        };
-        let sequential = run(1);
-        for shards in [2, 3, 8] {
-            assert_eq!(sequential, run(shards), "shards={shards}");
-        }
     }
 
     #[test]

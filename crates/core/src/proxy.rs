@@ -1,22 +1,18 @@
 //! The deployed MixNN proxy.
 //!
-//! # Pipeline stages
+//! # Ingest
 //!
-//! Ingest is split into two stages so the expensive half can run on many
-//! threads (§6.5: decryption is 0.17 s of the 0.19 s per-update budget):
-//!
-//! 1. [`MixnnProxy::ingest_stage`] — **stateless** per-update work:
-//!    decrypt, decode, validate against a known signature and charge the
-//!    EPC footprint. Takes `&self`; safe to call from any number of
-//!    workers at once (see [`crate::ParallelIngest`]).
-//! 2. [`MixnnProxy::commit_staged`] — **stateful** hand-off into the
-//!    per-layer lists (or the batch buffer), stats accounting included.
-//!    Takes `&mut self`; callers serialize commits in submission order,
-//!    which is what keeps the parallel pipeline bit-identical to the
-//!    sequential one.
+//! There is one ingest routine, [`MixnnProxy::ingest_sealed`], and it is
+//! strictly in submission order. Sealed updates are opened four at a time
+//! (`INGEST_BATCH`) through the enclave's batched kernels (pure
+//! crypto — the X25519 pass is shared, nothing is charged), then each
+//! update in turn replays the decrypt charge, is decoded and validated,
+//! charges its list footprint and is committed before the next one is
+//! touched. Nothing is ever charged ahead of its commit, so the EPC sees
+//! exactly the sequence a one-by-one loop would produce —
+//! [`MixnnProxy::submit_encrypted`] *is* that routine with a batch of one.
 
 use crate::mixer::check_common_signature;
-use crate::parallel::Parallelism;
 use crate::{codec, BatchMixer, MixPlan, MixingStrategy, ProxyError, StreamingMixer};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
@@ -41,10 +37,6 @@ pub struct MixnnProxyConfig {
     pub enclave: EnclaveConfig,
     /// RNG seed for mixing decisions inside the enclave.
     pub seed: u64,
-    /// Worker/shard counts for the concurrent pipeline. The proxy consumes
-    /// `ingest_workers` (decrypt/decode fan-out) and `mix_shards`
-    /// (per-layer mixing tasks); results are identical at every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for MixnnProxyConfig {
@@ -54,10 +46,17 @@ impl Default for MixnnProxyConfig {
             expected_signature: Vec::new(),
             enclave: EnclaveConfig::default(),
             seed: 0,
-            parallelism: Parallelism::sequential(),
         }
     }
 }
+
+/// Sealed updates opened per batched pass by
+/// [`MixnnProxy::ingest_sealed`]. Opened plaintexts sit in host memory,
+/// outside the EPC accounting, until their turn to be charged and
+/// committed comes; four bounds that to four updates (opening a whole
+/// 256-update round at once would hold ~6 MB of uncharged plaintext)
+/// while still sharing the X25519 pass.
+const INGEST_BATCH: usize = 4;
 
 /// §6.5-style cost accounting for the proxy pipeline.
 ///
@@ -87,12 +86,6 @@ pub struct ProxyStats {
 
 impl ProxyStats {
     /// Adds another record into this one, field by field.
-    ///
-    /// Concurrent pipelines (the cascade's staged hop ingest and its
-    /// route-group pool) accumulate per-stage deltas off to the side and
-    /// merge them in a canonical order, so the counters stay identical to
-    /// the sequential path at every worker count (the `*_seconds` fields
-    /// are wall-clock and never deterministic).
     pub fn absorb(&mut self, other: &ProxyStats) {
         self.updates_received += other.updates_received;
         self.updates_forwarded += other.updates_forwarded;
@@ -136,44 +129,6 @@ impl ProxyStats {
     pub fn mean_process_seconds(&self) -> f64 {
         self.mean_decrypt_seconds() + self.mean_store_seconds()
     }
-
-    /// Accepted-update ingest rate over a measured wall-clock interval.
-    ///
-    /// The per-stage counters above are summed across workers, so under
-    /// parallel ingest they exceed wall-clock; rates must therefore be
-    /// computed against an externally measured `elapsed` (the throughput
-    /// experiment times the whole ingest of a round).
-    pub fn throughput_updates_per_sec(&self, elapsed_seconds: f64) -> f64 {
-        if elapsed_seconds <= 0.0 {
-            0.0
-        } else {
-            self.updates_received as f64 / elapsed_seconds
-        }
-    }
-}
-
-/// The outcome of the stateless ingest stage for one sealed update:
-/// decrypted, decoded, (where possible) validated, and charged against the
-/// EPC budget. Produced by [`MixnnProxy::ingest_stage`] and consumed in
-/// submission order by [`MixnnProxy::commit_staged`].
-#[derive(Debug)]
-pub struct StagedUpdate {
-    params: ModelParams,
-    footprint: usize,
-    decrypt_seconds: f64,
-    decode_seconds: f64,
-}
-
-impl StagedUpdate {
-    /// The decoded update's layer signature.
-    pub fn signature(&self) -> Vec<usize> {
-        self.params.signature()
-    }
-
-    /// EPC bytes charged for this update while it sits in the lists.
-    pub fn footprint(&self) -> usize {
-        self.footprint
-    }
 }
 
 /// The MixNN proxy: an enclave-resident service that receives encrypted
@@ -183,8 +138,9 @@ impl StagedUpdate {
 /// See the crate docs for the privacy argument. The proxy's public surface
 /// mirrors a deployment: participants fetch [`MixnnProxy::quote`] and
 /// [`MixnnProxy::public_key`], verify, then submit sealed updates via
-/// [`MixnnProxy::submit_encrypted`] (or in bulk through
-/// [`crate::ParallelIngest`]); the server-facing side emits mixed updates.
+/// [`MixnnProxy::submit_encrypted`] (a transport hands over a whole round
+/// through [`MixnnProxy::mix_sealed_round`]); the server-facing side emits
+/// mixed updates.
 #[derive(Debug)]
 pub struct MixnnProxy {
     enclave: Enclave,
@@ -197,7 +153,6 @@ pub struct MixnnProxy {
     last_plan: Option<MixPlan>,
     stats: ProxyStats,
     seed: u64,
-    parallelism: Parallelism,
     telemetry: Telemetry,
 }
 
@@ -212,14 +167,13 @@ impl MixnnProxy {
         let expected_measurement = Enclave::expected_measurement(&config.enclave);
         let enclave = Enclave::launch(config.enclave, attestation, rng);
         let streaming = match config.strategy {
-            MixingStrategy::Streaming { k } if !config.expected_signature.is_empty() => Some(
-                StreamingMixer::new(
+            MixingStrategy::Streaming { k } if !config.expected_signature.is_empty() => {
+                Some(StreamingMixer::new(
                     config.expected_signature.clone(),
                     k,
                     Self::streaming_seed(config.seed),
-                )
-                .with_shards(config.parallelism.mix_shards),
-            ),
+                ))
+            }
             _ => None,
         };
         MixnnProxy {
@@ -233,15 +187,12 @@ impl MixnnProxy {
             last_plan: None,
             stats: ProxyStats::default(),
             seed: config.seed,
-            parallelism: config.parallelism,
             telemetry: mixnn_telemetry::noop(),
         }
     }
 
     /// Attaches a telemetry registry. Hooks are always wired (the default
-    /// handle is the shared no-op registry); counters fire only from
-    /// serialized accounting paths, so recorded values are independent of
-    /// the [`Parallelism`] knobs.
+    /// handle is the shared no-op registry).
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -264,11 +215,6 @@ impl MixnnProxy {
     /// The configured mixing strategy.
     pub fn strategy(&self) -> MixingStrategy {
         self.strategy
-    }
-
-    /// The configured pipeline worker/shard counts.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Full participant-side verification: the quote is signed by the
@@ -313,10 +259,11 @@ impl MixnnProxy {
         if self.signature.is_empty() {
             self.signature = params.signature();
             if let MixingStrategy::Streaming { k } = self.strategy {
-                self.streaming = Some(
-                    StreamingMixer::new(self.signature.clone(), k, Self::streaming_seed(self.seed))
-                        .with_shards(self.parallelism.mix_shards),
-                );
+                self.streaming = Some(StreamingMixer::new(
+                    self.signature.clone(),
+                    k,
+                    Self::streaming_seed(self.seed),
+                ));
             }
             return Ok(());
         }
@@ -342,8 +289,7 @@ impl MixnnProxy {
     /// emitted immediately.
     ///
     /// The plaintext is charged against the enclave's EPC budget while
-    /// buffered. Equivalent to [`MixnnProxy::ingest_stage`] followed by
-    /// [`MixnnProxy::commit_staged`].
+    /// buffered. This is [`MixnnProxy::ingest_sealed`] with a batch of one.
     ///
     /// # Errors
     ///
@@ -352,178 +298,145 @@ impl MixnnProxy {
     /// [`ProxyError::SignatureMismatch`] for foreign models. Rejected
     /// updates are counted and leave the proxy state unchanged.
     pub fn submit_encrypted(&mut self, sealed: &[u8]) -> Result<Option<ModelParams>, ProxyError> {
-        let staged = self.ingest_stage(sealed);
-        self.commit_staged(sealed.len(), staged)
+        self.ingest_sealed(&[sealed])
+            .pop()
+            .expect("one result per sealed update")
     }
 
-    /// Stage 1 of ingest: decrypt, decode, validate against the configured
-    /// signature (when one is known) and charge the update's EPC
-    /// footprint. **Stateless** — takes `&self` and touches only the
-    /// enclave's atomic memory accounting, so any number of workers may
-    /// run it concurrently on different sealed updates.
-    ///
-    /// The returned [`StagedUpdate`] owns its EPC charge; it must be handed
-    /// to [`MixnnProxy::commit_staged`] (which stores it or releases the
-    /// charge on rejection).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MixnnProxy::submit_encrypted`], except that a
-    /// signature mismatch can also surface later, in the commit stage, when
-    /// the proxy infers its signature from the first committed update.
-    pub fn ingest_stage(&self, sealed: &[u8]) -> Result<StagedUpdate, ProxyError> {
-        let t0 = Instant::now();
-        let plaintext = self.enclave.decrypt(sealed)?;
-        let decrypt_seconds = t0.elapsed().as_secs_f64();
-        self.stage_plaintext(&plaintext, decrypt_seconds)
-    }
-
-    /// Batched stage 1: opens every sealed update with the enclave's
-    /// batched kernels (one X25519 pass over the whole batch), then stages
-    /// each plaintext in submission order.
-    ///
-    /// Element-wise equivalent to calling [`MixnnProxy::ingest_stage`] on
-    /// each update: the EPC operations of each item — transient decrypt
-    /// charge, then footprint allocation — are replayed in the same
-    /// per-item order, so accept/reject patterns under tight budgets match
-    /// the sequential path exactly. Each result must still go through
-    /// [`MixnnProxy::commit_staged`].
-    pub fn ingest_stage_batch<T: AsRef<[u8]>>(
-        &self,
+    /// Ingests sealed updates in submission order, returning one result
+    /// per input in input order (streaming emissions included): each batch
+    /// of four is opened in one batched pass, then every update of it is
+    /// charged, decoded, validated and committed before the next
+    /// (see the module docs). A rejected update is counted and skipped;
+    /// the rest of the round is still ingested.
+    pub fn ingest_sealed<T: AsRef<[u8]>>(
+        &mut self,
         sealed: &[T],
-    ) -> Vec<Result<StagedUpdate, ProxyError>> {
-        let t0 = Instant::now();
-        let opened = self.enclave.open_batch(sealed);
-        // The batch shares one decryption pass; attribute it evenly.
-        let decrypt_seconds = t0.elapsed().as_secs_f64() / sealed.len().max(1) as f64;
-        opened
-            .into_iter()
-            .zip(sealed)
-            .map(|(opened, sealed)| {
-                let plaintext = self.enclave.charge_opened(sealed.as_ref().len(), opened)?;
-                self.stage_plaintext(&plaintext, decrypt_seconds)
-            })
-            .collect()
+    ) -> Vec<Result<Option<ModelParams>, ProxyError>> {
+        let mut results = Vec::with_capacity(sealed.len());
+        for batch in sealed.chunks(INGEST_BATCH) {
+            let t0 = Instant::now();
+            let opened = self.enclave.open_batch(batch);
+            // The batch shares one decryption pass; attribute it evenly.
+            let decrypt_seconds = t0.elapsed().as_secs_f64() / batch.len() as f64;
+            for (opened, sealed) in opened.into_iter().zip(batch) {
+                let sealed_len = sealed.as_ref().len();
+                self.stats.bytes_received += sealed_len as u64;
+                let result = self.commit_opened(sealed_len, opened, decrypt_seconds);
+                if result.is_err() {
+                    self.stats.updates_rejected += 1;
+                    self.stats.bytes_rejected += sealed_len as u64;
+                    self.telemetry.incr(Counter::CoreUpdatesRejected, 1);
+                }
+                results.push(result);
+            }
+        }
+        results
     }
 
-    /// Decode + validate + footprint-charge shared by the scalar and
-    /// batched stage-1 paths.
-    fn stage_plaintext(
-        &self,
-        plaintext: &[u8],
+    /// One opened update's turn: replay the decrypt charge, decode and
+    /// validate, charge the list footprint, hand the update to the mixing
+    /// state. On any error every charge taken here has been released and
+    /// the proxy state is unchanged (the caller counts the rejection).
+    fn commit_opened(
+        &mut self,
+        sealed_len: usize,
+        opened: Result<Vec<u8>, mixnn_crypto::CryptoError>,
         decrypt_seconds: f64,
-    ) -> Result<StagedUpdate, ProxyError> {
-        let t1 = Instant::now();
+    ) -> Result<Option<ModelParams>, ProxyError> {
+        let plaintext = self.enclave.charge_opened(sealed_len, opened)?;
+        let t0 = Instant::now();
         // With a configured signature, decode through the expecting path:
         // the declared geometry is pinned to the signature before any
         // value buffer is allocated, so a crafted header cannot name an
         // allocation the round never authorized.
         let params = if self.signature.is_empty() {
-            codec::decode_params(plaintext)?
+            codec::decode_params(&plaintext)?
         } else {
-            codec::decode_params_expecting(plaintext, &self.signature)?
+            codec::decode_params_expecting(&plaintext, &self.signature)?
         };
         // Charge the decoded update against the EPC while it sits in a
         // list (4 bytes per scalar, as in §6.5's per-update footprint).
         let footprint = params.total_len() * std::mem::size_of::<f32>();
         self.enclave.memory().allocate(footprint)?;
-        Ok(StagedUpdate {
-            params,
-            footprint,
-            decrypt_seconds,
-            decode_seconds: t1.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// Stage 2 of ingest: the serialized hand-off of a staged update into
-    /// the mixing state, plus all stats accounting. `sealed_len` is the
-    /// ciphertext length of the corresponding submission (stats count it
-    /// whether or not the update was accepted, as the sequential path
-    /// always has).
-    ///
-    /// Accepts the stage-1 *result* so rejected updates flow through the
-    /// same accounting: pass the error through and it is counted (and its
-    /// ciphertext bytes recorded in [`ProxyStats::bytes_rejected`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the staged error, or returns
-    /// [`ProxyError::SignatureMismatch`] when signature inference rejects
-    /// the update at commit time; either way the EPC charge is released and
-    /// the proxy state is unchanged.
-    pub fn commit_staged(
-        &mut self,
-        sealed_len: usize,
-        staged: Result<StagedUpdate, ProxyError>,
-    ) -> Result<Option<ModelParams>, ProxyError> {
-        self.stats.bytes_received += sealed_len as u64;
-        let staged = match staged {
-            Ok(staged) => staged,
-            Err(e) => {
-                self.stats.updates_rejected += 1;
-                self.stats.bytes_rejected += sealed_len as u64;
-                self.telemetry.incr(Counter::CoreUpdatesRejected, 1);
-                return Err(e);
-            }
-        };
-        // The staged result only exists if the sealed envelope opened.
+        // The update only got this far if the sealed envelope opened.
         self.telemetry.incr(Counter::CoreEnvelopesOpened, 1);
 
-        let t0 = Instant::now();
-        if let Err(e) = self.check_signature(&staged.params) {
-            // Stage 1 could not validate (signature still being inferred):
-            // release the staged charge and reject.
-            self.enclave.memory().free(staged.footprint)?;
-            self.stats.updates_rejected += 1;
-            self.stats.bytes_rejected += sealed_len as u64;
-            self.telemetry.incr(Counter::CoreUpdatesRejected, 1);
+        if let Err(e) = self.check_signature(&params) {
+            // Only reachable while the signature is still being inferred
+            // from the first committed update.
+            self.enclave.memory().free(footprint)?;
             return Err(e);
         }
         let emitted = if let Some(streaming) = &mut self.streaming {
-            let out = streaming.push(staged.params)?;
+            let out = streaming.push(params)?;
             if out.is_some() {
                 // One update left the lists for every one that entered.
-                self.enclave.memory().free(staged.footprint)?;
+                self.enclave.memory().free(footprint)?;
             }
             out
         } else {
-            self.batch_buffer.push(staged.params);
+            self.batch_buffer.push(params);
             None
         };
-        self.stats.decrypt_seconds += staged.decrypt_seconds;
-        self.stats.store_seconds += staged.decode_seconds + t0.elapsed().as_secs_f64();
+        self.stats.decrypt_seconds += decrypt_seconds;
+        self.stats.store_seconds += t0.elapsed().as_secs_f64();
         self.stats.updates_received += 1;
         self.telemetry.incr(Counter::CoreUpdatesCommitted, 1);
         self.telemetry
             .incr(Counter::CoreBytesReceived, sealed_len as u64);
-
-        if let Some(out) = emitted {
+        if emitted.is_some() {
             self.stats.updates_forwarded += 1;
-            Ok(Some(out))
-        } else {
-            Ok(None)
         }
+        Ok(emitted)
     }
 
-    /// Releases the EPC charge of a staged update that will **not** be
-    /// committed. The parallel front-end uses this when it discards staged
-    /// work to degrade to sequential ingest under memory pressure; any
-    /// other holder of a [`StagedUpdate`] it decides not to commit should
-    /// do the same.
+    /// One whole proxy round over sealed bytes: ingest every update in
+    /// submission order, then mix the batch (or, in streaming mode, drain
+    /// the lists so the server aggregates exactly C updates). The round
+    /// tail every transport shares.
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::Enclave`] if the accounting underflows (a
-    /// proxy bug, surfaced rather than hidden).
-    pub fn discard_staged(&self, staged: StagedUpdate) -> Result<(), ProxyError> {
-        self.enclave.memory().free(staged.footprint)?;
-        Ok(())
+    /// The first rejected update's error — surfaced only after the whole
+    /// round was ingested, so the accepted updates stay buffered exactly
+    /// as a per-update caller would have left them — or the mixing error.
+    pub fn mix_sealed_round<T: AsRef<[u8]>>(
+        &mut self,
+        sealed: &[T],
+    ) -> Result<Vec<ModelParams>, ProxyError> {
+        self.telemetry.trace(
+            Component::Core,
+            None,
+            TraceKind::IngestStaged {
+                updates: sealed.len() as u64,
+            },
+        );
+        let results = self.ingest_sealed(sealed);
+        let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
+        self.telemetry.trace(
+            Component::Core,
+            None,
+            TraceKind::IngestCommitted {
+                accepted,
+                rejected: results.len() as u64 - accepted,
+            },
+        );
+        let mut streamed = Vec::new();
+        for result in results {
+            streamed.extend(result?);
+        }
+        match self.strategy {
+            MixingStrategy::Batch => self.mix_batch(),
+            MixingStrategy::Streaming { .. } => {
+                streamed.extend(self.flush()?);
+                Ok(streamed)
+            }
+        }
     }
 
     /// Batch mode: mixes everything buffered and returns the mixed updates
-    /// in slot order, freeing the enclave memory they occupied. The mix is
-    /// sharded per layer across up to `parallelism.mix_shards` threads;
-    /// the result is identical at every shard count.
+    /// in slot order, freeing the enclave memory they occupied.
     ///
     /// # Errors
     ///
@@ -532,10 +445,7 @@ impl MixnnProxy {
         let _span = self.telemetry.span(Span::CoreMixBatch);
         let t0 = Instant::now();
         let updates = std::mem::take(&mut self.batch_buffer);
-        let result = self
-            .batch_mixer
-            .mix_sharded(&updates, self.parallelism.mix_shards);
-        match result {
+        match self.batch_mixer.mix(&updates) {
             Ok((mixed, plan)) => {
                 let footprint: usize = updates
                     .iter()
@@ -609,9 +519,7 @@ impl MixnnProxy {
             self.stats.updates_received += 1;
         }
         let t0 = Instant::now();
-        let (mixed, plan) = self
-            .batch_mixer
-            .mix_sharded(&updates, self.parallelism.mix_shards)?;
+        let (mixed, plan) = self.batch_mixer.mix(&updates)?;
         self.stats.mix_seconds += t0.elapsed().as_secs_f64();
         self.stats.updates_forwarded += mixed.len() as u64;
         self.last_plan = Some(plan);
@@ -740,7 +648,7 @@ mod tests {
         let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
         let sealed = seal(&proxy, &alien, &mut rng);
         assert!(proxy.submit_encrypted(&sealed).is_err());
-        // The rejected update's staged EPC charge was released.
+        // The rejected update's EPC charge was released.
         let accepted_footprint = params(0).total_len() * std::mem::size_of::<f32>();
         assert_eq!(proxy.memory_stats().allocated, accepted_footprint);
     }
@@ -814,19 +722,84 @@ mod tests {
     }
 
     #[test]
-    fn staged_ingest_matches_submit_encrypted() {
-        // ingest_stage + commit_staged is exactly submit_encrypted.
-        let (mut split, _, mut rng) = launch(MixingStrategy::Batch);
-        let (mut fused, _, mut rng2) = launch(MixingStrategy::Batch);
-        for i in 0..4 {
-            let sealed = seal(&split, &params(i), &mut rng);
-            let staged = split.ingest_stage(&sealed);
-            split.commit_staged(sealed.len(), staged).unwrap();
-            let sealed = seal(&fused, &params(i), &mut rng2);
-            fused.submit_encrypted(&sealed).unwrap();
+    fn batched_ingest_matches_a_submit_encrypted_loop() {
+        // Thirteen updates — three full ingest batches and a ragged tail,
+        // garbage mid-round — under a roomy EPC and under one that fits the
+        // k = 2 warm-up lists plus one decrypt buffer but not the
+        // steady-state peak, where the accept/reject pattern depends on
+        // nothing being charged ahead of its commit.
+        let footprint = params(0).total_len() * std::mem::size_of::<f32>();
+        let plaintext = codec::encode_params(&params(0)).len();
+        let tight = footprint + plaintext + footprint / 2;
+        for epc_limit in [mixnn_enclave::EnclaveConfig::default().epc_limit, tight] {
+            let build = || {
+                let mut rng = StdRng::seed_from_u64(0);
+                let service = AttestationService::new(&mut rng);
+                let config = MixnnProxyConfig {
+                    strategy: MixingStrategy::Streaming { k: 2 },
+                    expected_signature: vec![3, 2],
+                    seed: 11,
+                    enclave: mixnn_enclave::EnclaveConfig {
+                        epc_limit,
+                        ..Default::default()
+                    },
+                };
+                (MixnnProxy::launch(config, &service, &mut rng), rng)
+            };
+            // Same launch seed, same enclave key: one sealed round serves
+            // both proxies.
+            let (mut batched, mut rng) = build();
+            let (mut looped, _) = build();
+            let mut sealed: Vec<Vec<u8>> = (0..13)
+                .map(|i| seal(&batched, &params(i), &mut rng))
+                .collect();
+            sealed[5] = vec![0u8; 80];
+
+            let render = |r: Result<Option<ModelParams>, ProxyError>| match r {
+                Ok(out) => format!("ok {out:?}"),
+                Err(e) => format!("err {e}"),
+            };
+            let a: Vec<String> = batched
+                .ingest_sealed(&sealed)
+                .into_iter()
+                .map(render)
+                .collect();
+            let b: Vec<String> = sealed
+                .iter()
+                .map(|s| render(looped.submit_encrypted(s)))
+                .collect();
+            assert_eq!(a, b, "epc_limit={epc_limit}");
+            assert!(a.iter().any(|r| r.starts_with("ok")));
+            let exhausted = a.iter().filter(|r| r.contains("exhausted")).count();
+            assert_eq!(exhausted > 0, epc_limit == tight, "{a:?}");
+            assert_eq!(batched.stats(), {
+                // Wall-clock fields aside, the counters agree.
+                let mut s = looped.stats();
+                s.decrypt_seconds = batched.stats().decrypt_seconds;
+                s.store_seconds = batched.stats().store_seconds;
+                s
+            });
+            assert_eq!(
+                batched.stats().bytes_rejected,
+                80 + exhausted as u64 * sealed[0].len() as u64
+            );
+            assert_eq!(batched.memory_stats(), looped.memory_stats());
+            assert_eq!(batched.flush().unwrap(), looped.flush().unwrap());
+            assert_eq!(batched.memory_stats().allocated, 0);
         }
-        assert_eq!(split.mix_batch().unwrap(), fused.mix_batch().unwrap());
-        assert_eq!(split.stats().updates_received, 4);
-        assert_eq!(split.last_plan(), fused.last_plan());
+    }
+
+    #[test]
+    fn sealed_round_ingests_everything_before_surfacing_a_rejection() {
+        let (mut proxy, _, mut rng) = launch(MixingStrategy::Batch);
+        let mut sealed: Vec<Vec<u8>> = (0..4).map(|i| seal(&proxy, &params(i), &mut rng)).collect();
+        sealed.insert(2, vec![0u8; 64]); // garbage ciphertext mid-round
+        assert!(proxy.mix_sealed_round(&sealed).is_err());
+        assert_eq!(proxy.stats().updates_rejected, 1);
+        assert_eq!(proxy.stats().bytes_rejected, 64);
+        // The four good updates are buffered and still mix.
+        assert_eq!(proxy.buffered(), 4);
+        assert_eq!(proxy.mix_batch().unwrap().len(), 4);
+        assert_eq!(proxy.memory_stats().allocated, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Plugging the proxy into the federated round loop.
 
 use crate::codec::CompressionConfig;
-use crate::{codec, MixingStrategy, MixnnProxy, ParallelIngest, ProxyError};
+use crate::{codec, MixnnProxy, ProxyError};
 use mixnn_crypto::SealedBox;
 use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
@@ -97,14 +97,10 @@ impl MixnnTransport {
         &mut self,
         params: Vec<ModelParams>,
     ) -> Result<Vec<ModelParams>, ProxyError> {
-        let mixed: Vec<ModelParams> = match self.mode {
-            TransportMode::Plaintext => self.proxy.mix_plaintext_round(params)?,
+        match self.mode {
+            TransportMode::Plaintext => self.proxy.mix_plaintext_round(params),
             TransportMode::Encrypted => {
-                // Sealing stays serialized (one RNG stands in for all
-                // participants' entropy); ingest fans out across the
-                // proxy's configured worker count, with the store stage
-                // committed in submission order — same result as the
-                // sequential loop at every worker count.
+                // One RNG stands in for all participants' sealing entropy.
                 let sealed: Vec<Vec<u8>> = params
                     .iter()
                     .map(|p| {
@@ -116,33 +112,16 @@ impl MixnnTransport {
                         .expect("attested enclave keys are never low-order")
                     })
                     .collect();
-                let ingest = ParallelIngest::from_parallelism(self.proxy.parallelism());
-                let mut streamed = Vec::new();
-                for result in ingest.submit_all(&mut self.proxy, &sealed) {
-                    if let Some(out) = result? {
-                        streamed.push(out);
-                    }
-                }
-                match self.proxy.strategy() {
-                    MixingStrategy::Batch => self.proxy.mix_batch()?,
-                    MixingStrategy::Streaming { .. } => {
-                        // Within a round the proxy drains its lists so the
-                        // server aggregates exactly C updates (L = C).
-                        streamed.extend(self.proxy.flush()?);
-                        streamed
-                    }
-                }
+                self.proxy.mix_sealed_round(&sealed)
             }
-        };
-
-        Ok(mixed)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MixnnProxyConfig;
+    use crate::{MixingStrategy, MixnnProxyConfig};
     use mixnn_enclave::AttestationService;
     use mixnn_nn::LayerParams;
 

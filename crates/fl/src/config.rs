@@ -1,6 +1,5 @@
 //! Federated-learning hyper-parameters.
 
-use crate::Parallelism;
 use mixnn_core::codec::CompressionConfig;
 use serde::{Deserialize, Serialize};
 
@@ -47,10 +46,10 @@ pub struct FlConfig {
     pub clients_per_round: usize,
     /// Master seed: fixes client sampling, batch order and model init.
     pub seed: u64,
-    /// Worker counts for the concurrent pipeline (client training here;
-    /// ingest/mixing knobs are consumed by the proxy in `mixnn-core`).
-    /// Results are identical at every setting; only throughput changes.
-    pub parallelism: Parallelism,
+    /// Threads running per-client local training inside a round (`0`
+    /// behaves like `1`). Results are identical at every setting — each
+    /// client trains from its own derived seed — only throughput changes.
+    pub client_workers: usize,
     /// Wire compression for update transports. Round-wide: every
     /// participant must share the mode, or per-layer envelope sizes
     /// fingerprint the clients that differ. Transports constructed from
@@ -72,7 +71,9 @@ impl Default for FlConfig {
             seed: 0,
             // One worker per hardware thread by default: results are
             // identical at any worker count, so this only buys speed.
-            parallelism: Parallelism::available(),
+            client_workers: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
             compression: CompressionConfig::F32,
         }
     }

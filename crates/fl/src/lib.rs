@@ -35,10 +35,6 @@ mod update;
 pub use client::{train_local, FlClient};
 pub use config::{FlConfig, OptimizerKind};
 pub use error::FlError;
-// The shared concurrency core moved to `mixnn-core` (so the proxy pipeline
-// and the cascade can use it without a dependency cycle); re-exported here
-// under its historical path for compatibility.
-pub use mixnn_core::{map_chunked, Parallelism};
 pub use server::AggregationServer;
 pub use simulation::{FlSimulation, RoundOutcome};
 pub use transport::{DirectTransport, NoisyTransport, UpdateTransport};

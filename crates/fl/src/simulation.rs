@@ -34,7 +34,7 @@ pub struct RoundOutcome {
 /// baseline, or the MixNN proxy transport from `mixnn-core`.
 ///
 /// Client local training runs on a bounded pool of scoped threads
-/// (`FlConfig::parallelism.client_workers`), with per-client seeds derived
+/// (`FlConfig::client_workers`), with per-client seeds derived
 /// from the master seed so the outcome is deterministic at every worker
 /// count.
 #[derive(Debug)]
@@ -180,17 +180,16 @@ impl FlSimulation {
         }
 
         // Parallel local training on a bounded worker pool
-        // (`parallelism.client_workers`), deterministic via per-client
+        // (`client_workers`), deterministic via per-client
         // seeds: each client's result depends only on its own
         // (round, client) seed, so chunking across workers cannot change
         // the outcome — only the wall-clock.
         let cfg = self.cfg;
         let template = &self.template;
-        let results: Vec<Result<ModelUpdate, FlError>> = crate::map_chunked(
-            &work,
-            cfg.parallelism.client_workers,
-            |(client, model, seed)| client.train(template, model, &cfg, *seed),
-        );
+        let results: Vec<Result<ModelUpdate, FlError>> =
+            map_chunked(&work, cfg.client_workers, |(client, model, seed)| {
+                client.train(template, model, &cfg, *seed)
+            });
 
         let mut updates = Vec::with_capacity(results.len());
         for r in results {
@@ -260,6 +259,37 @@ impl FlSimulation {
         }
         Ok(out)
     }
+}
+
+/// Runs `f` over `items` with at most `workers` scoped threads, preserving
+/// input order in the output.
+///
+/// The item slice is split into contiguous chunks, one per worker; each
+/// worker maps its chunk sequentially. With `workers <= 1` no thread is
+/// spawned. Because `f` receives each item independently, the output is
+/// identical at every worker count — callers encode any per-item
+/// determinism (seeds) in the items themselves.
+fn map_chunked<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.max(1).min(items.len().max(1));
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|c| scope.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client training worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -342,10 +372,7 @@ mod tests {
     fn rounds_are_identical_at_any_client_worker_count() {
         let run = |workers: usize| {
             let (mut sim, _) = sim(7);
-            sim.cfg.parallelism = crate::Parallelism {
-                client_workers: workers,
-                ..crate::Parallelism::sequential()
-            };
+            sim.cfg.client_workers = workers;
             let mut transport = DirectTransport::new();
             sim.run_round(&mut transport).unwrap();
             sim.global().clone()
@@ -437,5 +464,17 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 6, "sampling must be without replacement");
         assert!(ids.iter().all(|&id| id < fed.len()));
+    }
+
+    #[test]
+    fn map_chunked_preserves_order_at_any_worker_count() {
+        let items: Vec<usize> = (0..37).collect();
+        let expected: Vec<usize> = items.iter().map(|&i| i * i).collect();
+        for workers in 0..9 {
+            assert_eq!(map_chunked(&items, workers, |&i| i * i), expected);
+        }
+        let empty: Vec<u8> = Vec::new();
+        assert!(map_chunked(&empty, 4, |&b| b).is_empty());
+        assert_eq!(map_chunked(&[9u8], 4, |&b| b), vec![9]);
     }
 }

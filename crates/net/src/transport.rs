@@ -13,9 +13,7 @@
 use crate::link::{FlushPolicy, SimLink};
 use crate::sim::LinkConfig;
 use mixnn_cascade::{CascadeAudit, CascadeCoordinator, CascadeError};
-use mixnn_core::{
-    codec, Endpoint, LinkError, MixingStrategy, MixnnProxy, ParallelIngest, RoundLink,
-};
+use mixnn_core::{codec, Endpoint, LinkError, MixnnProxy, RoundLink};
 use mixnn_crypto::SealedBox;
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
@@ -124,8 +122,9 @@ impl UpdateTransport for NetCascadeTransport {
 ///
 /// The sealed envelopes travel Clients → proxy as framed bursts; the
 /// mixed plaintext updates travel proxy → server the same way. The
-/// pipeline inside the proxy (parallel ingest, batch or streaming mix)
-/// is identical to `MixnnTransport`'s encrypted mode.
+/// pipeline inside the proxy (in-order ingest, batch or streaming mix) is
+/// `MixnnTransport`'s encrypted mode — the same
+/// `MixnnProxy::mix_sealed_round`.
 #[derive(Debug)]
 pub struct NetMixnnTransport {
     proxy: MixnnProxy,
@@ -200,27 +199,12 @@ impl NetMixnnTransport {
             .link
             .deliver(Endpoint::Clients, Endpoint::Hop(0), sealed)
             .map_err(fl_error)?;
-        let ingest = ParallelIngest::from_parallelism(self.proxy.parallelism());
-        let mut streamed = Vec::new();
-        for result in ingest.submit_all(&mut self.proxy, &delivered) {
-            let out = result.map_err(|e| FlError::Transport {
+        let mixed = self
+            .proxy
+            .mix_sealed_round(&delivered)
+            .map_err(|e| FlError::Transport {
                 message: e.to_string(),
             })?;
-            if let Some(out) = out {
-                streamed.push(out);
-            }
-        }
-        let mixed = match self.proxy.strategy() {
-            MixingStrategy::Batch => self.proxy.mix_batch().map_err(|e| FlError::Transport {
-                message: e.to_string(),
-            })?,
-            MixingStrategy::Streaming { .. } => {
-                streamed.extend(self.proxy.flush().map_err(|e| FlError::Transport {
-                    message: e.to_string(),
-                })?);
-                streamed
-            }
-        };
         let encoded: Vec<Vec<u8>> = mixed.iter().map(codec::encode_params).collect();
         drop(mixed);
         let delivered = self

@@ -5,9 +5,7 @@
 //! counters and the caller's RNG position all match; the wire only adds
 //! *cost* (virtual time, queueing, bytes), never semantics.
 //!
-//! This is the network-layer analogue of the cascade's parallelism
-//! invariant: just as worker counts are pure throughput knobs, the wire is
-//! a pure cost model.
+//! The wire is a pure cost model.
 
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, CascadeTransport, FailurePolicy, FreeRoute, LinearChain,

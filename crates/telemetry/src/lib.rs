@@ -12,9 +12,8 @@
 //!   there is no API for minting a series at runtime, so cardinality is
 //!   bounded by construction and no per-client or per-route-group label
 //!   axis can exist;
-//! - counters increment only on paths whose event counts are invariant
-//!   under every `Parallelism` knob, so snapshots are bit-identical across
-//!   worker counts;
+//! - counters increment only on the single in-order round path, so two
+//!   runs of one seed produce bit-identical snapshots;
 //! - timestamps flow through a [`ClockSource`] — wall clock for live runs,
 //!   a [`VirtualClock`] mirrored from the simulated network for `eval
 //!   load`, making traces byte-identical across reruns;

@@ -91,16 +91,14 @@ macro_rules! metric_ids {
 }
 
 metric_ids! {
-    /// Monotone counters. Every increment site sits on a path whose event
-    /// count is independent of the [`Parallelism`] knobs (commit loops,
-    /// canonical-order stat absorption, the single-threaded simulator
-    /// loop), so counter values are bit-identical across worker counts.
-    ///
-    /// [`Parallelism`]: https://en.wikipedia.org/wiki/Degree_of_parallelism
+    /// Monotone counters. Every increment site sits on the in-order round
+    /// path (the proxy's per-update commit, a hop's per-round stats
+    /// absorption, the single-threaded simulator loop), so counter values
+    /// are a pure function of the seed and the inputs.
     pub enum Counter {
         CoreUpdatesCommitted => (Core, "updates_committed", "Sealed updates accepted into the mixing pipeline."),
         CoreUpdatesRejected => (Core, "updates_rejected", "Sealed updates rejected during ingest (decrypt, decode, signature, or EPC failures)."),
-        CoreEnvelopesOpened => (Core, "envelopes_opened", "Sealed envelopes successfully opened and staged."),
+        CoreEnvelopesOpened => (Core, "envelopes_opened", "Sealed envelopes successfully opened, decoded and charged."),
         CoreBytesReceived => (Core, "bytes_received", "Ciphertext bytes of accepted updates."),
         CoreBatchesMixed => (Core, "batches_mixed", "Buffered batches flushed through a full layer-mixing plan."),
         CascadeUpdatesIngested => (Cascade, "updates_ingested", "Onion envelopes accepted by cascade hops (summed over hops)."),

@@ -34,12 +34,12 @@ pub enum TraceKind {
     /// A failing hop was dropped from the active chain
     /// (`FailurePolicy::Skip`).
     HopSkipped,
-    /// A batch of sealed inputs finished parallel staging.
+    /// A round of sealed inputs was handed to the proxy's ingest.
     IngestStaged {
-        /// Inputs handed to the staging fan-out.
+        /// Inputs handed over.
         updates: u64,
     },
-    /// A staged batch finished its serialized commit loop.
+    /// The round's in-order ingest finished.
     IngestCommitted {
         /// Updates accepted.
         accepted: u64,

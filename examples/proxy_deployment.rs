@@ -157,7 +157,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 expected_signature: signature.clone(),
                 hops: hop_configs,
                 policy,
-                parallelism: mixnn::proxy::Parallelism::sequential(),
                 compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(hops)),

@@ -428,6 +428,81 @@ fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
 }
 
 #[test]
+fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
+    use mixnn::cascade::{CascadeCoordinator, FailurePolicy, PoolConfig, PooledCoordinator};
+    use mixnn::fl::FlError;
+    use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
+    use mixnn::proxy::Endpoint;
+    use mixnn::telemetry::{Registry, VirtualClock};
+
+    // The pool's deadline has elapsed when the next update arrives, and
+    // the wire into the first hop is down: the deadline firing fails
+    // before the arrival has been pooled. The caller moved the update into
+    // `submit` and cannot resubmit it, so it must be in the pool afterwards
+    // — behind the restored members — and commit with them on the retry.
+    let clock = VirtualClock::new();
+    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
+    let mut rng = StdRng::seed_from_u64(24);
+    let service = AttestationService::new(&mut rng);
+    let cascade =
+        CascadeCoordinator::linear(vec![8, 4], 2, 9, FailurePolicy::Abort, &service, &mut rng)
+            .unwrap();
+    let mut pooled = PooledCoordinator::new(
+        cascade,
+        PoolConfig {
+            k: 5,
+            deadline_ns: 1_000,
+        },
+        31,
+    )
+    .unwrap();
+    pooled.attach_telemetry(telemetry);
+    let mut link = SimLink::new(
+        2,
+        13,
+        LinkConfig::default(),
+        FlushPolicy::Batched,
+        100_000_000,
+    );
+    for i in 0..2 {
+        assert!(pooled.submit(i, params(i), &mut link).unwrap().is_empty());
+    }
+    link.set_segment_config(
+        Endpoint::Clients,
+        Endpoint::Hop(0),
+        LinkConfig {
+            loss: 1.0,
+            ..LinkConfig::default()
+        },
+    );
+    clock.advance_ns(5_000); // sail past the pool deadline
+
+    let err = pooled.submit(2, params(2), &mut link).unwrap_err();
+    assert!(
+        matches!(FlError::from(err), FlError::Timeout { .. }),
+        "the wire outage must surface as the typed timeout"
+    );
+    assert_eq!(
+        pooled.pool().len(),
+        3,
+        "the two restored members plus the arrival"
+    );
+
+    let mut healed = SimLink::new(
+        2,
+        14,
+        LinkConfig::default(),
+        FlushPolicy::Batched,
+        100_000_000,
+    );
+    let round = pooled.flush(&mut healed).unwrap().expect("retry commits");
+    assert_eq!(round.slots, vec![0, 1, 2]);
+    let stripped = round.server_outputs().unwrap();
+    let reals: Vec<ModelParams> = (0..3).map(params).collect();
+    assert_eq!(ModelParams::mean(&stripped), ModelParams::mean(&reals));
+}
+
+#[test]
 fn partial_participation_rounds_still_aggregate() {
     use mixnn::data::motionsense_like;
     use mixnn::fl::{Dissemination, FlConfig, FlSimulation};
