@@ -8,20 +8,25 @@
 //! what the v2 quantized frames cost to produce and parse at the
 //! reference layer sizes, and `validate` prices the structural v2 check
 //! hops run per envelope without decompressing.
+//!
+//! Those rows stop at 2,048 smooth values, where the lossy modes' cost
+//! hides behind fixed overheads. The `/262144` rows run one layer of the
+//! repo benchmark's big signature with its Gaussian values (select cost
+//! depends on the distribution), `codec/topk/select` isolates the
+//! three-pass counting select, and its `all-equal` row is the worst case
+//! — every value in one bucket at every level — which must stay linear.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mixnn_bench::experiments::compress::{gaussian_update, BIG_SIGNATURE, PAPER_SIGNATURE};
 use mixnn_core::codec::{
     self, encode_layer_with, encode_params_with, validate_layer_frame, CompressionConfig,
 };
 use mixnn_nn::{LayerParams, ModelParams};
 use std::time::Duration;
 
-/// The paper's reference model signature.
-const SIGNATURE: [usize; 5] = [2048, 2048, 1024, 512, 130];
-
 fn reference_params() -> ModelParams {
     ModelParams::from_layers(
-        SIGNATURE
+        PAPER_SIGNATURE
             .iter()
             .map(|&len| {
                 LayerParams::from_values((0..len).map(|i| (i as f32).sin() * 0.7).collect())
@@ -91,5 +96,67 @@ fn bench_validate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_validate);
+/// The layer of `signature` holding exactly `len` values, Gaussian at the
+/// σ the repo benchmark gives that position.
+fn gaussian_layer(signature: &[usize], len: usize) -> LayerParams {
+    gaussian_update(signature, 7)
+        .into_layers()
+        .into_iter()
+        .find(|layer| layer.len() == len)
+        .expect("the signature has a layer of this length")
+}
+
+fn bench_big_layer(c: &mut Criterion) {
+    const LEN: usize = 262_144;
+    let layer = gaussian_layer(&BIG_SIGNATURE, LEN);
+    let mut group = c.benchmark_group("codec/encode");
+    configure(&mut group);
+    group.throughput(Throughput::Elements(LEN as u64));
+    for mode in modes() {
+        group.bench_with_input(BenchmarkId::new(mode.name(), LEN), &mode, |b, &m| {
+            b.iter(|| encode_layer_with(&layer, m));
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("codec/decode");
+    configure(&mut group);
+    group.throughput(Throughput::Elements(LEN as u64));
+    for mode in modes() {
+        let frame = encode_layer_with(&layer, mode);
+        group.bench_with_input(BenchmarkId::new(mode.name(), LEN), &frame, |b, frame| {
+            b.iter(|| codec::decode_layer_expecting(frame, LEN).unwrap());
+        });
+    }
+    group.finish();
+}
+
+fn bench_select(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec/topk/select");
+    configure(&mut group);
+    let rows = [
+        ("2048", gaussian_layer(&PAPER_SIGNATURE, 2048)),
+        ("262144", gaussian_layer(&BIG_SIGNATURE, 262_144)),
+        (
+            "262144-all-equal",
+            LayerParams::from_values(vec![0.5; 262_144]),
+        ),
+    ];
+    for (name, layer) in &rows {
+        let k = CompressionConfig::int8_top_k().kept(layer.len());
+        group.throughput(Throughput::Elements(layer.len() as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), layer, |b, layer| {
+            b.iter(|| codec::top_k_cut(layer.values(), k));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_encode,
+    bench_decode,
+    bench_validate,
+    bench_big_layer,
+    bench_select
+);
 criterion_main!(benches);

@@ -115,10 +115,10 @@ impl OnionUpdate {
         let layers = params
             .iter()
             .map(|layer| {
-                let plain = codec::encode_layer_with(layer, compression);
-                let mut blob = Vec::with_capacity(headers + plain.len());
+                let plain = codec::encoded_layer_len_with(layer.len(), compression);
+                let mut blob = Vec::with_capacity(headers + plain);
                 blob.resize(headers, 0);
-                blob.extend_from_slice(&plain);
+                codec::encode_layer_into(&mut blob, layer, compression);
                 for start in (0..headers).step_by(OVERHEAD).rev() {
                     let envelope = prepared.next().expect("one envelope per (layer, hop)");
                     envelope.seal_in_place(&mut blob[start..]);
@@ -476,11 +476,13 @@ mod tests {
         /// Batched building is bit-identical to the envelope-by-envelope
         /// loop, and leaves the caller's RNG where the loop leaves it, for
         /// any layer count, chain length, layer sizes and codec mode —
-        /// 2..=64 ladders, so every lane split of the batched driver.
+        /// 2..=64 ladders, so every lane split of the batched driver, and
+        /// layers on both sides of a one-byte index and of one select
+        /// block, each frame encoded in place behind its header room.
         #[test]
         fn batched_build_matches_envelope_by_envelope(
             seed in 0u64..1_000_000,
-            sizes in proptest::collection::vec(1usize..40, 1..9),
+            sizes in proptest::collection::vec(1usize..300, 1..9),
             hops in 1usize..5,
             mode in 0usize..3,
         ) {

@@ -205,32 +205,62 @@ pub fn encoded_layer_len_with(layer_len: usize, compression: CompressionConfig) 
     }
 }
 
-/// Affine quantization range over the **finite** values: `(zero, scale)`
-/// with `zero = min`, `scale = (max − min) / 255` (f64 intermediate so a
-/// full-f32-range layer yields a finite scale). A layer with no finite
-/// values (or none at all) gets `(0, 0)`; a constant layer gets scale `0`,
-/// so every quant level dequantizes back to the constant.
-fn quant_range(values: &[f32]) -> (f32, f32) {
-    let mut min = f32::INFINITY;
-    let mut max = f32::NEG_INFINITY;
-    for &v in values {
-        if v.is_finite() {
-            min = min.min(v);
-            max = max.max(v);
-        }
-    }
-    if min > max {
-        return (0.0, 0.0);
-    }
-    let scale = ((f64::from(max) - f64::from(min)) / 255.0) as f32;
-    (min, scale)
+/// The **finite** values seen so far, as a running `[min, max]`, and the
+/// affine quantization step they imply. Non-finite values never enter the
+/// range (they are quantized against it, saturating).
+#[derive(Debug)]
+struct FiniteRange {
+    min: f32,
+    max: f32,
 }
 
-/// `round((v − zero) / scale)` saturated into `0..=255`. The f64 cast's
-/// saturating semantics give the edge cases for free: NaN → 0, −∞ (and
-/// anything below `zero`) → 0, +∞ → 255, and a zero scale collapses every
-/// finite value onto the zero point.
+impl FiniteRange {
+    const EMPTY: FiniteRange = FiniteRange {
+        min: f32::INFINITY,
+        max: f32::NEG_INFINITY,
+    };
+
+    /// Branch-free: a non-finite `v` is replaced by the identity of each
+    /// fold. Of two equal bounds (±0.0) the one seen first stays.
+    fn include(&mut self, v: f32) {
+        let (lo, hi) = if v.is_finite() {
+            (v, v)
+        } else {
+            (f32::INFINITY, f32::NEG_INFINITY)
+        };
+        self.min = if lo < self.min { lo } else { self.min };
+        self.max = if hi > self.max { hi } else { self.max };
+    }
+
+    /// `(zero, scale)` with `zero = min`, `scale = (max − min) / 255` (f64
+    /// intermediate so a full-f32-range layer yields a finite scale). No
+    /// finite value at all gives `(0, 0)`; a constant layer gets scale
+    /// `0`, so every quant level dequantizes back to the constant.
+    fn affine(self) -> (f32, f32) {
+        if self.min > self.max {
+            return (0.0, 0.0);
+        }
+        let scale = ((f64::from(self.max) - f64::from(self.min)) / 255.0) as f32;
+        (self.min, scale)
+    }
+}
+
+/// `round((v − zero) / scale)` saturated into `0..=255`, rounding half
+/// away from zero without a libm call: the saturating cast truncates
+/// (NaN → 0, anything below `zero` → 0, +∞ → 255), `x − t` is exact for
+/// every `x` the cast did not saturate, and the saturating add keeps 255
+/// at 255. A zero scale collapses every finite value onto the zero point.
+/// Bit-identical to `x.round() as u8` for every input (pinned against
+/// `quantize_reference`).
 fn quantize(v: f32, zero: f32, scale: f32) -> u8 {
+    let x = (f64::from(v) - f64::from(zero)) / f64::from(scale);
+    let t = x as u8;
+    t.saturating_add(u8::from(x - f64::from(t) >= 0.5))
+}
+
+/// The definition [`quantize`] must reproduce.
+#[cfg(test)]
+fn quantize_reference(v: f32, zero: f32, scale: f32) -> u8 {
     ((f64::from(v) - f64::from(zero)) / f64::from(scale)).round() as u8
 }
 
@@ -239,11 +269,217 @@ fn dequantize(q: u8, zero: f32, scale: f32) -> f32 {
     (f64::from(zero) + f64::from(q) * f64::from(scale)) as f32
 }
 
-/// Indices of the `k` largest-magnitude values, ascending. Deterministic:
-/// ties break toward the lower index under a total order (`total_cmp` on
+/// Every level of [`dequantize`] for one frame's `(zero, scale)`: decoding
+/// a quant byte is then one load.
+fn dequant_table(zero: f32, scale: f32) -> [f32; 256] {
+    std::array::from_fn(|q| dequantize(q as u8, zero, scale))
+}
+
+// ---- top-k selection ---------------------------------------------------
+//
+// The top-k set is defined by a total order: larger `total_cmp(|v|)`
+// first (so NaN ranks above +∞), lower index first among equals. For a
+// non-negative float `total_cmp` is the order of the bit patterns, so the
+// order on magnitudes is the integer order on the 31-bit *key* below, and
+// the set is "every key above the k-th largest, plus the lowest-index
+// entries equal to it" — found by counting, never by comparing entries
+// with each other.
+
+/// Sign-stripped bit pattern: monotone in `total_cmp(|v|)`.
+fn magnitude_key(v: f32) -> u32 {
+    v.to_bits() & 0x7fff_ffff
+}
+
+/// The key's radix digits, most significant first: 11 + 10 + 10 bits.
+const TOP_DIGIT_BITS: u32 = 11;
+const LOW_DIGIT_BITS: u32 = 10;
+const TOP_DIGITS: usize = 1 << TOP_DIGIT_BITS;
+const LOW_DIGITS: usize = 1 << LOW_DIGIT_BITS;
+
+/// Occurrences of each value of one digit, counted in two halves (even
+/// and odd positions): on a layer whose values all share a digit the
+/// increments would otherwise form one store-to-load chain.
+type DigitCounts<const D: usize> = [[u32; D]; 2];
+
+/// Walks the digit values from the top until `need` entries are covered:
+/// returns the digit holding the `need`-th largest entry and how many of
+/// that digit's entries are still needed. Steps eight digits at a time
+/// while it can, so the (mostly empty) exponent range above a layer's
+/// values costs little.
+fn locate_digit<const D: usize>(counts: &DigitCounts<D>, need: usize) -> (u32, usize) {
+    let at = |d: usize| counts[0][d] as usize + counts[1][d] as usize;
+    let mut above = 0;
+    let mut end = D;
+    while end > 8 {
+        let step: usize = (end - 8..end).map(at).sum();
+        if above + step >= need {
+            break;
+        }
+        above += step;
+        end -= 8;
+    }
+    for d in (0..end).rev() {
+        if above + at(d) >= need {
+            return (d as u32, need - above);
+        }
+        above += at(d);
+    }
+    unreachable!("`need` never exceeds the number of entries counted")
+}
+
+/// Values per block of the flag-then-visit passes.
+const BLOCK: usize = 64;
+
+/// One flag byte per value of a block (at most [`BLOCK`] values; the rest
+/// stay 0) — a loop the compiler vectorizes.
+fn block_flags(block: &[f32], classify: impl Fn(u32) -> u8) -> [u8; BLOCK] {
+    let mut flags = [0u8; BLOCK];
+    for (flag, &v) in flags.iter_mut().zip(block) {
+        *flag = classify(magnitude_key(v));
+    }
+    flags
+}
+
+/// Bit `j` of the result is bit `bit` of `flags[j]`: eight flag bytes at a
+/// time, gathered into one byte by a carry-free multiply.
+fn flag_bits(flags: &[u8; BLOCK], bit: u32) -> u64 {
+    let mut bits = 0u64;
+    for (j, chunk) in flags.chunks_exact(8).enumerate() {
+        let lanes = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+        let ones = (lanes >> bit) & 0x0101_0101_0101_0101;
+        bits |= (ones.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * j);
+    }
+    bits
+}
+
+/// Counts the top digit of every key.
+fn count_top_digit(values: &[f32]) -> DigitCounts<TOP_DIGITS> {
+    let mut counts = [[0u32; TOP_DIGITS]; 2];
+    for (i, &v) in values.iter().enumerate() {
+        counts[i & 1][(magnitude_key(v) >> (2 * LOW_DIGIT_BITS)) as usize] += 1;
+    }
+    counts
+}
+
+/// Counts the 10-bit digit at `shift` over the keys whose bits above it
+/// equal `prefix`. Few keys match, so a block is flagged first and only
+/// the flagged positions are visited.
+fn count_low_digit(values: &[f32], prefix: u32, shift: u32) -> DigitCounts<LOW_DIGITS> {
+    let mut counts = [[0u32; LOW_DIGITS]; 2];
+    let above = shift + LOW_DIGIT_BITS;
+    for block in values.chunks(BLOCK) {
+        let flags = block_flags(block, |key| u8::from(key >> above == prefix));
+        let mut matching = flag_bits(&flags, 0);
+        while matching != 0 {
+            let j = matching.trailing_zeros() as usize;
+            let digit = (magnitude_key(block[j]) >> shift) as usize % LOW_DIGITS;
+            counts[j & 1][digit] += 1;
+            matching &= matching - 1;
+        }
+    }
+    counts
+}
+
+/// Where a layer's top-k set ends: it holds every value whose magnitude
+/// key exceeds `key`, plus the first `ties` (lowest-index) values whose
+/// key equals it.
+#[derive(Debug, Clone, Copy)]
+pub struct TopKCut {
+    key: u32,
+    ties: usize,
+}
+
+/// Finds the cut of the `k` largest-magnitude values (all of them when
+/// `k ≥ values.len()`) in three counting passes, one per key digit — the
+/// pass structure depends on nothing but the length. Deterministic: ties
+/// break toward the lower index under a total order (`total_cmp` on
 /// `|v|`, so NaN ranks above +∞ and is kept — it quantizes to the zero
 /// point rather than silently vanishing).
-fn top_k_indices(values: &[f32], k: usize) -> Vec<u32> {
+///
+/// # Panics
+///
+/// Panics on a layer longer than `u32::MAX` values — the wire format has
+/// no length for it.
+pub fn top_k_cut(values: &[f32], k: usize) -> TopKCut {
+    assert!(
+        u32::try_from(values.len()).is_ok(),
+        "layer lengths are u32 on the wire"
+    );
+    let need = k.min(values.len());
+    let (top, need) = locate_digit(&count_top_digit(values), need);
+    let (mid, need) = locate_digit(&count_low_digit(values, top, LOW_DIGIT_BITS), need);
+    let prefix = top << LOW_DIGIT_BITS | mid;
+    let (low, ties) = locate_digit(&count_low_digit(values, prefix, 0), need);
+    TopKCut {
+        key: prefix << LOW_DIGIT_BITS | low,
+        ties,
+    }
+}
+
+/// Writes the indices of the set `cut` describes into `index_area` —
+/// ascending, `W` big-endian bytes each, exactly filling it — and returns
+/// the range of the kept finite values. One pass: a block is flagged
+/// (above the cut key / equal to it), the first still-needed ties join the
+/// kept mask, and only kept positions are visited.
+fn emit_top_k<const W: usize>(values: &[f32], cut: TopKCut, index_area: &mut [u8]) -> FiniteRange {
+    let mut ties = cut.ties;
+    let mut range = FiniteRange::EMPTY;
+    let mut slots = index_area.chunks_exact_mut(W);
+    for (b, block) in values.chunks(BLOCK).enumerate() {
+        // 2 above the cut key, 1 equal to it, 0 below.
+        let flags = block_flags(block, |key| {
+            u8::from(key > cut.key) + u8::from(key >= cut.key)
+        });
+        let mut kept = flag_bits(&flags, 1);
+        let mut equal = flag_bits(&flags, 0);
+        while equal != 0 && ties > 0 {
+            kept |= equal & equal.wrapping_neg();
+            equal &= equal - 1;
+            ties -= 1;
+        }
+        while kept != 0 {
+            let j = kept.trailing_zeros() as usize;
+            let index = (b * BLOCK + j) as u32;
+            slots
+                .next()
+                .expect("the cut keeps exactly k values")
+                .copy_from_slice(&index.to_be_bytes()[4 - W..]);
+            range.include(block[j]);
+            kept &= kept - 1;
+        }
+    }
+    debug_assert!(slots.next().is_none(), "the cut keeps exactly k values");
+    range
+}
+
+/// One stored index: `W` big-endian bytes.
+fn read_index<const W: usize>(bytes: &[u8]) -> usize {
+    let mut be = [0u8; 4];
+    be[4 - W..].copy_from_slice(bytes);
+    u32::from_be_bytes(be) as usize
+}
+
+/// The top-k payload of one frame, written in place: indices into
+/// `index_area`, then the kept values quantized against their own range
+/// into `quant_area`. Returns that range's `(zero, scale)`.
+fn encode_top_k<const W: usize>(
+    values: &[f32],
+    index_area: &mut [u8],
+    quant_area: &mut [u8],
+) -> (f32, f32) {
+    let cut = top_k_cut(values, quant_area.len());
+    let (zero, scale) = emit_top_k::<W>(values, cut, index_area).affine();
+    for (quant, index) in quant_area.iter_mut().zip(index_area.chunks_exact(W)) {
+        *quant = quantize(values[read_index::<W>(index)], zero, scale);
+    }
+    (zero, scale)
+}
+
+/// The definition [`top_k_cut`] and [`emit_top_k`] must reproduce: indices
+/// of the `k` largest-magnitude values, ascending, by selection under the
+/// total order itself.
+#[cfg(test)]
+fn top_k_indices_reference(values: &[f32], k: usize) -> Vec<u32> {
     let rank = |a: u32, b: u32| {
         values[b as usize]
             .abs()
@@ -312,7 +548,7 @@ pub fn encode_params_with(params: &ModelParams, compression: CompressionConfig) 
     });
     out.put_u32(params.num_layers() as u32);
     for layer in params.iter() {
-        append_layer_with(&mut out, layer, compression);
+        encode_layer_into(&mut out, layer, compression);
     }
     debug_assert_eq!(out.len(), total, "encoded length must be content-free");
     out
@@ -487,55 +723,63 @@ pub fn encode_layer_with(layer: &LayerParams, compression: CompressionConfig) ->
         return encode_layer(layer);
     }
     let mut out = Vec::with_capacity(encoded_layer_len_with(layer.len(), compression));
-    append_layer_with(&mut out, layer, compression);
+    encode_layer_into(&mut out, layer, compression);
     out
 }
 
-/// Appends one layer frame to `out` (shared by the layer and params
-/// encoders).
-fn append_layer_with(out: &mut Vec<u8>, layer: &LayerParams, compression: CompressionConfig) {
+/// Appends the frame [`encode_layer_with`] returns to `out`, encoding it
+/// in place — for callers that lay a frame out inside a larger buffer
+/// (the params body, an onion blob behind its envelope headers). Exactly
+/// `encoded_layer_len_with(layer.len(), compression)` bytes are appended.
+pub fn encode_layer_into(out: &mut Vec<u8>, layer: &LayerParams, compression: CompressionConfig) {
     let values = layer.values();
     let start = out.len();
+    out.resize(start + encoded_layer_len_with(values.len(), compression), 0);
+    let frame = &mut out[start..];
     match compression {
         CompressionConfig::F32 => {
-            out.resize(start + encoded_layer_len(values.len()), 0);
-            out[start..start + 4].copy_from_slice(&(values.len() as u32).to_be_bytes());
-            write_f32_le_bulk(&mut out[start + 4..], values);
+            frame[..4].copy_from_slice(&(values.len() as u32).to_be_bytes());
+            write_f32_le_bulk(&mut frame[4..], values);
         }
         CompressionConfig::Int8 => {
-            let (zero, scale) = quant_range(values);
-            out.put_u32(V2_SENTINEL);
-            out.put_u8(VERSION_V2);
-            out.put_u8(MODE_DENSE);
-            out.put_u32(values.len() as u32);
-            out.put_f32_le(scale);
-            out.put_f32_le(zero);
-            out.extend(values.iter().map(|&v| quantize(v, zero, scale)));
+            let (header, quants) = frame.split_at_mut(V2_DENSE_HEADER);
+            let mut range = FiniteRange::EMPTY;
+            values.iter().for_each(|&v| range.include(v));
+            let (zero, scale) = range.affine();
+            write_v2_header(header, values.len(), None, zero, scale);
+            for (quant, &v) in quants.iter_mut().zip(values) {
+                *quant = quantize(v, zero, scale);
+            }
         }
         CompressionConfig::Int8TopK { .. } => {
             let k = compression.kept(values.len());
-            let kept = top_k_indices(values, k);
-            let kept_values: Vec<f32> = kept.iter().map(|&i| values[i as usize]).collect();
-            let (zero, scale) = quant_range(&kept_values);
             let width = index_width(values.len());
-            out.put_u32(V2_SENTINEL);
-            out.put_u8(VERSION_V2);
-            out.put_u8(MODE_TOPK);
-            out.put_u32(values.len() as u32);
-            out.put_u32(k as u32);
-            out.put_f32_le(scale);
-            out.put_f32_le(zero);
-            for &i in &kept {
-                out.extend_from_slice(&i.to_be_bytes()[4 - width..]);
-            }
-            out.extend(kept_values.iter().map(|&v| quantize(v, zero, scale)));
+            let (header, payload) = frame.split_at_mut(V2_TOPK_HEADER);
+            let (index_area, quant_area) = payload.split_at_mut(k * width);
+            let (zero, scale) = match width {
+                1 => encode_top_k::<1>(values, index_area, quant_area),
+                2 => encode_top_k::<2>(values, index_area, quant_area),
+                3 => encode_top_k::<3>(values, index_area, quant_area),
+                _ => encode_top_k::<4>(values, index_area, quant_area),
+            };
+            write_v2_header(header, values.len(), Some(k), zero, scale);
         }
     }
-    debug_assert_eq!(
-        out.len() - start,
-        encoded_layer_len_with(values.len(), compression),
-        "encoded length must be content-free"
-    );
+}
+
+/// Fills a v2 frame header: dense when `k` is `None`, top-k otherwise
+/// (`header` is exactly [`V2_DENSE_HEADER`] or [`V2_TOPK_HEADER`] bytes).
+fn write_v2_header(header: &mut [u8], len: usize, k: Option<usize>, zero: f32, scale: f32) {
+    header[..4].copy_from_slice(&V2_SENTINEL.to_be_bytes());
+    header[4] = VERSION_V2;
+    header[5] = if k.is_some() { MODE_TOPK } else { MODE_DENSE };
+    header[6..10].copy_from_slice(&(len as u32).to_be_bytes());
+    if let Some(k) = k {
+        header[10..14].copy_from_slice(&(k as u32).to_be_bytes());
+    }
+    let (scale_at, zero_at) = (header.len() - 8, header.len() - 4);
+    header[scale_at..zero_at].copy_from_slice(&scale.to_le_bytes());
+    header[zero_at..].copy_from_slice(&zero.to_le_bytes());
 }
 
 /// Decodes a single layer frame, auto-detecting v1 vs v2 from the
@@ -589,6 +833,7 @@ pub fn validate_layer_frame(bytes: &[u8]) -> Result<u8, ProxyError> {
         return Ok(VERSION);
     }
     let frame = parse_v2_frame(bytes)?;
+    frame.check_indices()?;
     if bytes.len() != frame.total_len {
         return Err(fail("trailing bytes after layer data"));
     }
@@ -694,7 +939,6 @@ fn detect_layer_version(bytes: &[u8]) -> Result<u8, ProxyError> {
 struct V2Frame<'a> {
     mode: u8,
     len: usize,
-    k: usize,
     scale: f32,
     zero: f32,
     width: usize,
@@ -706,8 +950,52 @@ struct V2Frame<'a> {
     total_len: usize,
 }
 
+impl V2Frame<'_> {
+    /// The one walk over a top-k frame's indices (none for a dense frame):
+    /// each must be in range and above its predecessor — the canonical
+    /// encoding — before `visit` sees it with its quant byte.
+    fn for_each_kept(&self, visit: impl FnMut(usize, u8)) -> Result<(), ProxyError> {
+        match self.width {
+            1 => self.walk_indices::<1>(visit),
+            2 => self.walk_indices::<2>(visit),
+            3 => self.walk_indices::<3>(visit),
+            _ => self.walk_indices::<4>(visit),
+        }
+    }
+
+    fn walk_indices<const W: usize>(
+        &self,
+        mut visit: impl FnMut(usize, u8),
+    ) -> Result<(), ProxyError> {
+        let fail = |reason: &str| ProxyError::Codec {
+            reason: reason.to_string(),
+        };
+        // The lowest index the next entry may carry.
+        let mut floor = 0;
+        for (index, &quant) in self.index_bytes.chunks_exact(W).zip(self.quant_bytes) {
+            let idx = read_index::<W>(index);
+            if idx >= self.len {
+                return Err(fail("top-k index out of range"));
+            }
+            if idx < floor {
+                return Err(fail("top-k indices must be strictly ascending"));
+            }
+            floor = idx + 1;
+            visit(idx, quant);
+        }
+        Ok(())
+    }
+
+    /// Structural validation of the indices alone — what a hop runs, so it
+    /// rejects exactly the frames a decoder would.
+    fn check_indices(&self) -> Result<(), ProxyError> {
+        self.for_each_kept(|_, _| {})
+    }
+}
+
 /// Parses a v2 frame's headers and payload bounds from the front of
-/// `bytes` (which may extend past the frame). No value is dequantized.
+/// `bytes` (which may extend past the frame). No value is dequantized and
+/// no index is read: [`V2Frame::for_each_kept`] does both.
 fn parse_v2_frame(bytes: &[u8]) -> Result<V2Frame<'_>, ProxyError> {
     let fail = |reason: &str| ProxyError::Codec {
         reason: reason.to_string(),
@@ -763,42 +1051,21 @@ fn parse_v2_frame(bytes: &[u8]) -> Result<V2Frame<'_>, ProxyError> {
     } else {
         0
     };
-    let total_len64 = header as u64 + index_len64 + k.min(len) as u64;
-    // Dense payload is `len` quants; `k == len` there, so `k.min(len)`
-    // covers both modes.
+    // `k == len` for a dense frame, so `k` quant bytes covers both modes.
+    let total_len64 = header as u64 + index_len64 + k as u64;
     if (bytes.len() as u64) < total_len64 {
         return Err(fail("v2 layer payload truncated"));
     }
     // Bounded by the buffer length, so these fit in usize.
     let index_len = index_len64 as usize;
     let total_len = total_len64 as usize;
-    let index_bytes = &bytes[header..header + index_len];
-    if mode == MODE_TOPK {
-        // Canonical index encoding: strictly ascending, in range. Checked
-        // here so the structural validation rejects what a decoder would.
-        let mut prev: Option<usize> = None;
-        for chunk in index_bytes.chunks_exact(width) {
-            let mut idx = 0usize;
-            for &b in chunk {
-                idx = (idx << 8) | b as usize;
-            }
-            if idx >= len {
-                return Err(fail("top-k index out of range"));
-            }
-            if prev.is_some_and(|p| idx <= p) {
-                return Err(fail("top-k indices must be strictly ascending"));
-            }
-            prev = Some(idx);
-        }
-    }
     Ok(V2Frame {
         mode,
         len,
-        k,
         scale,
         zero,
         width,
-        index_bytes,
+        index_bytes: &bytes[header..header + index_len],
         quant_bytes: &bytes[header + index_len..total_len],
         total_len,
     })
@@ -830,6 +1097,7 @@ fn skip_layer_frame(bytes: &[u8], version: u8) -> Result<(usize, &[u8]), ProxyEr
         return Err(fail("v2 body carries a layer without the v2 sentinel"));
     }
     let frame = parse_v2_frame(bytes)?;
+    frame.check_indices()?;
     Ok((frame.len, &bytes[frame.total_len..]))
 }
 
@@ -862,25 +1130,20 @@ fn consume_layer_frame(bytes: &[u8], version: u8) -> Result<(LayerParams, &[u8])
         return Err(fail("v2 body carries a layer without the v2 sentinel"));
     }
     let frame = parse_v2_frame(bytes)?;
-    let mut values = vec![0.0f32; frame.len];
-    if frame.mode == MODE_DENSE {
-        for (slot, &q) in values.iter_mut().zip(frame.quant_bytes) {
-            *slot = dequantize(q, frame.zero, frame.scale);
-        }
+    let levels = dequant_table(frame.zero, frame.scale);
+    let values = if frame.mode == MODE_DENSE {
+        frame
+            .quant_bytes
+            .iter()
+            .map(|&q| levels[usize::from(q)])
+            .collect()
     } else {
-        for (chunk, &q) in frame
-            .index_bytes
-            .chunks_exact(frame.width)
-            .zip(frame.quant_bytes)
-        {
-            let mut idx = 0usize;
-            for &b in chunk {
-                idx = (idx << 8) | b as usize;
-            }
-            values[idx] = dequantize(q, frame.zero, frame.scale);
-        }
-    }
-    let _ = frame.k;
+        // Allocated only now: the header passed the `len ≤ 1024·k` and
+        // payload-bounds checks. Positions the frame dropped stay 0.0.
+        let mut values = vec![0.0f32; frame.len];
+        frame.for_each_kept(|idx, q| values[idx] = levels[usize::from(q)])?;
+        values
+    };
     Ok((LayerParams::from_values(values), &bytes[frame.total_len..]))
 }
 
@@ -1452,5 +1715,246 @@ mod tests {
             f32_bytes as f64 / topk as f64 >= 4.0,
             "{f32_bytes} / {topk} < 4x"
         );
+    }
+
+    // ---- kernels pinned to their references --------------------------
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The encoder as it was before the counting select and the in-place
+    /// payload: comparator selection, a gathered copy of the kept values,
+    /// `min`/`max` folds and libm rounding. Every frame
+    /// [`encode_layer_with`] emits must equal this one byte for byte.
+    fn reference_frame(layer: &LayerParams, compression: CompressionConfig) -> Vec<u8> {
+        fn range(values: &[f32]) -> (f32, f32) {
+            let finite = || values.iter().copied().filter(|v| v.is_finite());
+            let min = finite().fold(f32::INFINITY, f32::min);
+            let max = finite().fold(f32::NEG_INFINITY, f32::max);
+            if min > max {
+                return (0.0, 0.0);
+            }
+            (min, ((f64::from(max) - f64::from(min)) / 255.0) as f32)
+        }
+        let values = layer.values();
+        let mut out = Vec::new();
+        match compression {
+            CompressionConfig::F32 => {
+                out.put_u32(values.len() as u32);
+                values.iter().for_each(|&v| out.put_f32_le(v));
+            }
+            CompressionConfig::Int8 => {
+                let (zero, scale) = range(values);
+                out.put_u32(V2_SENTINEL);
+                out.put_u8(VERSION_V2);
+                out.put_u8(MODE_DENSE);
+                out.put_u32(values.len() as u32);
+                out.put_f32_le(scale);
+                out.put_f32_le(zero);
+                out.extend(values.iter().map(|&v| quantize_reference(v, zero, scale)));
+            }
+            CompressionConfig::Int8TopK { .. } => {
+                let k = compression.kept(values.len());
+                let kept = top_k_indices_reference(values, k);
+                let kept_values: Vec<f32> = kept.iter().map(|&i| values[i as usize]).collect();
+                let (zero, scale) = range(&kept_values);
+                let width = index_width(values.len());
+                out.put_u32(V2_SENTINEL);
+                out.put_u8(VERSION_V2);
+                out.put_u8(MODE_TOPK);
+                out.put_u32(values.len() as u32);
+                out.put_u32(k as u32);
+                out.put_f32_le(scale);
+                out.put_f32_le(zero);
+                for &i in &kept {
+                    out.extend_from_slice(&i.to_be_bytes()[4 - width..]);
+                }
+                out.extend(
+                    kept_values
+                        .iter()
+                        .map(|&v| quantize_reference(v, zero, scale)),
+                );
+            }
+        }
+        out
+    }
+
+    /// [`top_k_cut`] + [`emit_top_k`] as an index list.
+    fn top_k_indices(values: &[f32], k: usize) -> Vec<u32> {
+        let mut area = vec![0u8; 4 * k.min(values.len())];
+        emit_top_k::<4>(values, top_k_cut(values, k), &mut area);
+        area.chunks_exact(4)
+            .map(|index| read_index::<4>(index) as u32)
+            .collect()
+    }
+
+    const ADVERSARIAL_KINDS: usize = 8;
+    const ADVERSARIAL_LENGTHS: [usize; 6] = [0, 1, 2, 130, 2048, 65_537];
+
+    /// Layers built to break a counting select: one bucket at every
+    /// level, signed zeros, a handful of magnitudes (so ties straddle
+    /// any k), non-finite mixes, subnormals, raw bit patterns, and the
+    /// Gaussians the benchmark feeds it.
+    fn adversarial_layer(kind: usize, len: usize, rng: &mut StdRng) -> Vec<f32> {
+        let gaussian = |rng: &mut StdRng, sigma: f64| {
+            let (u, v) = (1.0 - rng.gen::<f64>(), rng.gen::<f64>());
+            ((-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos() * sigma) as f32
+        };
+        let constant = f32::from_bits(rng.gen());
+        (0..len)
+            .map(|_| match kind % ADVERSARIAL_KINDS {
+                0 => constant,
+                1 => [0.0, -0.0][rng.gen_range(0..2usize)],
+                2 => [1.0, -1.0, 1.000_000_1, 0.5, -2.0][rng.gen_range(0..5usize)],
+                3 => [
+                    f32::NAN,
+                    -f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    3.0,
+                    -0.25,
+                ][rng.gen_range(0..6usize)],
+                4 => f32::from_bits(rng.gen::<u32>() & 0x807f_ffff),
+                5 => f32::from_bits(rng.gen()),
+                6 => gaussian(rng, 1e-3),
+                _ => gaussian(rng, 1e-1),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn counting_select_matches_the_comparator_select(
+            seed in proptest::num::u64::ANY,
+            kind in 0..ADVERSARIAL_KINDS,
+            length in 0..ADVERSARIAL_LENGTHS.len(),
+        ) {
+            let n = ADVERSARIAL_LENGTHS[length];
+            let values = adversarial_layer(kind, n, &mut StdRng::seed_from_u64(seed));
+            for k in [0, 1, n.div_ceil(4), n.saturating_sub(1), n] {
+                proptest::prop_assert_eq!(
+                    top_k_indices(&values, k),
+                    top_k_indices_reference(&values, k),
+                    "kind {} n {} k {}", kind, n, k
+                );
+            }
+        }
+
+        #[test]
+        fn frames_match_the_reference_encoder_byte_for_byte(
+            seed in proptest::num::u64::ANY,
+            kind in 0..ADVERSARIAL_KINDS,
+            length in 0..ADVERSARIAL_LENGTHS.len(),
+            keep_per_1024 in 0u16..1100,
+        ) {
+            let n = ADVERSARIAL_LENGTHS[length];
+            let layer = LayerParams::from_values(
+                adversarial_layer(kind, n, &mut StdRng::seed_from_u64(seed)),
+            );
+            for mode in [
+                CompressionConfig::F32,
+                CompressionConfig::Int8,
+                CompressionConfig::int8_top_k(),
+                CompressionConfig::Int8TopK { keep_per_1024 },
+            ] {
+                let frame = encode_layer_with(&layer, mode);
+                proptest::prop_assert!(
+                    frame == reference_frame(&layer, mode),
+                    "{:?} kind {} n {}", mode, kind, n
+                );
+                // Appending behind other bytes lays down the same frame.
+                let mut behind = vec![0xa5; 7];
+                encode_layer_into(&mut behind, &layer, mode);
+                proptest::prop_assert!(behind[..7] == [0xa5; 7] && behind[7..] == frame);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_libm_rounding_everywhere() {
+        let ranges = [
+            (0.0f32, 1.0f32),
+            (-1.0, 2.0 / 255.0),
+            (-0.0, 0.0),
+            (3.5, 0.0),
+            (-3.0e-3, 2.4e-5),
+            (
+                f32::MIN,
+                ((f64::from(f32::MAX) - f64::from(f32::MIN)) / 255.0) as f32,
+            ),
+            (1.0e-40, 1.0e-42),
+            (-7.25, f32::MIN_POSITIVE),
+        ];
+        for (zero, scale) in ranges {
+            let check = |v: f32| {
+                assert_eq!(
+                    quantize(v, zero, scale),
+                    quantize_reference(v, zero, scale),
+                    "v {v:e} ({:#010x}) zero {zero:e} scale {scale:e}",
+                    v.to_bits()
+                );
+            };
+            // Every half-way point, a few ulps to either side, one level
+            // outside the range at both ends.
+            for level in -1i32..=256 {
+                let half = (f64::from(zero) + (f64::from(level) + 0.5) * f64::from(scale)) as f32;
+                for ulps in -2i32..=2 {
+                    check(f32::from_bits(half.to_bits().wrapping_add_signed(ulps)));
+                }
+            }
+            // A prime stride over every bit pattern: both signs, NaN
+            // payloads, subnormals.
+            (0..=u32::MAX)
+                .step_by(65_521)
+                .for_each(|bits| check(f32::from_bits(bits)));
+            for v in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                check(v);
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_levels_are_dequantize_bit_for_bit() {
+        // Header fields are attacker-chosen on the decode side, so the
+        // table must agree for non-finite `(zero, scale)` too.
+        let headers = [
+            (0.0f32, 1.0f32),
+            (-1.5, 0.011_764_706),
+            (f32::MIN, f32::MAX),
+            (f32::NAN, 1.0),
+            (0.0, f32::INFINITY),
+            (f32::NEG_INFINITY, f32::INFINITY),
+            (1.0e-40, 1.0e-45),
+        ];
+        for (zero, scale) in headers {
+            let mut frame = vec![0u8; V2_DENSE_HEADER];
+            write_v2_header(&mut frame, 256, None, zero, scale);
+            frame.extend(0..=u8::MAX);
+            let decoded = decode_layer(&frame).unwrap();
+            for (q, level) in (0..=u8::MAX).zip(decoded.values()) {
+                assert_eq!(
+                    level.to_bits(),
+                    dequantize(q, zero, scale).to_bits(),
+                    "level {q} of zero {zero:e} scale {scale:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cut_is_total_in_k() {
+        // k = 0 keeps nothing, k ≥ n keeps everything — also of an empty
+        // layer — without a special case in the select.
+        assert!(top_k_indices(&[], 0).is_empty());
+        assert!(top_k_indices(&[], 3).is_empty());
+        let values = [0.0, -0.0, f32::NAN, 1.0];
+        assert!(top_k_indices(&values, 0).is_empty());
+        assert_eq!(top_k_indices(&values, 4), [0, 1, 2, 3]);
+        assert_eq!(top_k_indices(&values, 9), [0, 1, 2, 3]);
+        // NaN outranks everything; the zeros tie and the lower index wins.
+        assert_eq!(top_k_indices(&values, 1), [2]);
+        assert_eq!(top_k_indices(&values, 3), [0, 2, 3]);
     }
 }
