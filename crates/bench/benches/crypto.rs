@@ -54,12 +54,33 @@ fn bench_primitives(c: &mut Criterion) {
     group.finish();
 }
 
+/// One row per keystream tier the host supports, at the three buffer
+/// sizes the round benchmark runs: one sixteen-block pass, a
+/// `proxy_small` update (5,762 f32 parameters) and a `cascade3_big_*`
+/// layer. ns per byte is the reciprocal of the reported throughput.
+fn bench_chacha20_tiers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto/chacha20");
+    configure(&mut group);
+    let key = [7u8; 32];
+    let nonce = [9u8; 12];
+    for (tier, kernel) in chacha20::kernels() {
+        for &size in &[1024usize, 23_048, 2_097_152] {
+            let mut buf = vec![0xa5u8; size];
+            group.throughput(Throughput::Bytes(size as u64));
+            group.bench_with_input(BenchmarkId::new(tier, size), &size, |b, _| {
+                b.iter(|| kernel(&key, &nonce, 0, &mut buf));
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_sealed_box(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto/sealed_box");
     configure(&mut group);
     let mut rng = StdRng::seed_from_u64(0);
     let recipient = KeyPair::generate(&mut rng);
-    for &size in &[1024usize, 128 * 1024, 1024 * 1024] {
+    for &size in &[1024usize, 128 * 1024, 1024 * 1024, 2 * 1024 * 1024] {
         let message = vec![0x5au8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("seal", size), &size, |b, _| {
@@ -68,6 +89,17 @@ fn bench_sealed_box(c: &mut Criterion) {
         let sealed = SealedBox::seal(&message, recipient.public(), &mut rng).unwrap();
         group.bench_with_input(BenchmarkId::new("open", size), &size, |b, _| {
             b.iter(|| SealedBox::open(&sealed, &recipient).unwrap());
+        });
+        // What the hops run. Opening consumes the ciphertext, so every
+        // iteration first restores it into the same buffer — a copy the
+        // real path does not make, which this row therefore over-states
+        // by; what it leaves out against `open` is the fresh allocation.
+        let mut buffer = sealed.clone();
+        group.bench_with_input(BenchmarkId::new("open_in_place", size), &size, |b, _| {
+            b.iter(|| {
+                buffer.copy_from_slice(&sealed);
+                SealedBox::open_in_place(&mut buffer, &recipient).unwrap();
+            });
         });
     }
     group.finish();
@@ -121,6 +153,7 @@ fn bench_onion_prepare(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_primitives,
+    bench_chacha20_tiers,
     bench_sealed_box,
     bench_open_batch,
     bench_onion_prepare

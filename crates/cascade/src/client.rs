@@ -1,6 +1,6 @@
 //! The participant's side of the cascade.
 
-use crate::{CascadeError, HopDescriptor, OnionUpdate};
+use crate::{onion, CascadeError, HopDescriptor};
 use mixnn_core::codec::CompressionConfig;
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::AttestationService;
@@ -95,7 +95,8 @@ impl CascadeClient {
 
     /// Onion-encrypts one model update for the chain and frames it for the
     /// first hop: one sealed envelope per (hop, layer), innermost for the
-    /// last hop.
+    /// last hop. Every layer is encoded, and all its envelopes nested,
+    /// directly inside the returned message — the update's one allocation.
     ///
     /// # Errors
     ///
@@ -107,14 +108,14 @@ impl CascadeClient {
         params: &ModelParams,
         rng: &mut R,
     ) -> Result<Vec<u8>, CascadeError> {
-        Ok(OnionUpdate::build_with(params, &self.hop_keys, self.compression, rng)?.encode())
+        onion::seal_framed(params, &self.hop_keys, self.compression, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CascadeHop, CascadeHopConfig};
+    use crate::{CascadeHop, CascadeHopConfig, OnionUpdate};
     use mixnn_crypto::KeyPair;
     use mixnn_nn::LayerParams;
     use rand::rngs::StdRng;
@@ -193,5 +194,47 @@ mod tests {
         let overhead = 2 * mixnn_crypto::sealed_box::OVERHEAD;
         assert_eq!(sizes[1] - sizes[0], overhead);
         assert_eq!(sizes[2] - sizes[1], overhead);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The message `seal_update` builds in one buffer is, byte for
+        /// byte, the onion `OnionUpdate::build_with` returns (itself pinned
+        /// to envelope-by-envelope sealing) framed by `encode`, and both
+        /// leave the caller's RNG in the same place — in every codec mode,
+        /// over 1–4 hops, with layers on both sides of a one-byte index and
+        /// of one select block.
+        #[test]
+        fn seal_update_is_build_with_then_encode(
+            seed in 0u64..1_000_000,
+            sizes in proptest::collection::vec(1usize..300, 1..9),
+            hops in 1usize..5,
+            mode in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keys: Vec<PublicKey> = (0..hops)
+                .map(|_| *KeyPair::generate(&mut rng).public())
+                .collect();
+            let params = ModelParams::from_layers(
+                sizes
+                    .iter()
+                    .map(|&n| LayerParams::from_values((0..n).map(|_| rng.gen()).collect()))
+                    .collect(),
+            );
+            let mode = [
+                CompressionConfig::F32,
+                CompressionConfig::Int8,
+                CompressionConfig::int8_top_k(),
+            ][mode];
+            let client = CascadeClient::from_keys(keys.clone()).with_compression(mode);
+            let (mut framed, mut built) = (rng.clone(), rng);
+            let wire = client.seal_update(&params, &mut framed).unwrap();
+            let onion = OnionUpdate::build_with(&params, &keys, mode, &mut built).unwrap();
+            proptest::prop_assert_eq!(&wire, &onion.encode());
+            proptest::prop_assert_eq!(wire.capacity(), wire.len(), "one exact allocation");
+            proptest::prop_assert_eq!(OnionUpdate::decode(&wire).unwrap(), onion);
+            proptest::prop_assert_eq!(framed.gen::<u64>(), built.gen::<u64>());
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! There is one drive. A round is partitioned into route groups, every
 //! group's onions are sealed in canonical order (group by group, slot by
 //! slot), and each group's batch then walks its route hop by hop — link
-//! delivery, [`CascadeHop::mix_round`], next link — before the next group
+//! delivery, [`CascadeHop::mix_delivered`], next link — before the next group
 //! starts. Every failure that can be blamed on a hop (the wire into it,
 //! its own ingest, the wire from the last hop into the server) goes
 //! through one handler that applies the [`FailurePolicy`]: abort the
@@ -12,10 +12,11 @@
 //! routes. Pooled mixing ([`crate::PooledCoordinator`]) drives the same
 //! loop with a k-floor.
 
+use crate::onion::OnionView;
 use crate::topology::{partition_routes, uniform_route, validate_route, RouteGroup};
 use crate::{
     CascadeClient, CascadeError, CascadeHop, CascadeHopConfig, CascadeTopology, HopDescriptor,
-    LinearChain, OnionUpdate,
+    LinearChain,
 };
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::{shard_seed, Endpoint, InProcessLink, MixPlan, ProxyStats, RoundLink};
@@ -154,8 +155,14 @@ impl PaddedRound {
                 ),
             });
         }
+        // Every column holds exactly `real` layers: output `i` takes the
+        // `i`-th of each, moved out.
+        let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
         Ok((0..self.real)
-            .map(|i| ModelParams::from_layers(columns.iter().map(|c| c[i].clone()).collect()))
+            .map(|_| {
+                let layers = columns.iter_mut().map(|column| column.next());
+                ModelParams::from_layers(layers.map(|l| l.expect("length checked")).collect())
+            })
             .collect())
     }
 }
@@ -1077,6 +1084,11 @@ impl CascadeCoordinator {
             let mut chain: Vec<usize> = Vec::new();
             for (group, mut batch) in groups.iter().zip(batches) {
                 let mut plans = Vec::with_capacity(group.route.len());
+                // Message buffers circulate along the route: each hop
+                // writes its outgoing messages into the buffers the
+                // previous stage's arrived in and leaves its own behind,
+                // so from the second hop on no stage maps fresh memory.
+                let mut spent: Vec<Vec<u8>> = Vec::new();
                 for (pos, &h) in group.route.iter().enumerate() {
                     let from = if pos == 0 {
                         Endpoint::Clients
@@ -1088,7 +1100,7 @@ impl CascadeCoordinator {
                     let step = link
                         .deliver(from, Endpoint::Hop(h), batch)
                         .map_err(|source| CascadeError::Link { source })
-                        .and_then(|delivered| self.hops[h].mix_round(&delivered));
+                        .and_then(|delivered| self.hops[h].mix_delivered(delivered, &mut spent));
                     match step {
                         Ok((out, plan)) => {
                             batch = out;
@@ -1115,9 +1127,12 @@ impl CascadeCoordinator {
                         continue 'retry;
                     }
                 };
+                // The spent generation has no stage left to serve: release
+                // it before the decoded parameters are allocated.
+                drop(spent);
                 for (local, wire) in batch.iter().enumerate() {
                     mixed[group.slots[local]] =
-                        Some(OnionUpdate::decode(wire)?.into_params(&self.signature)?);
+                        Some(OnionView::parse(wire)?.into_params(&self.signature)?);
                 }
                 chain.extend(&group.route);
                 group_audits.push(RouteGroupAudit::new(

@@ -17,21 +17,33 @@
 //!
 //! # Ingest
 //!
-//! A round is ingested onion by onion, in submission order: decode the
-//! framing, check the per-onion structure and the round's depth
-//! uniformity, then open this hop's envelope on every layer in one batched
-//! pass and charge each unwrapped blob against the EPC. The first onion
-//! that fails any step fails the whole round and releases every byte
-//! charged so far.
+//! The hop owns the messages it was delivered and works inside them. A
+//! round is ingested onion by onion, in submission order: parse the
+//! framing where it lies, check the per-onion structure and the round's
+//! depth uniformity, derive this hop's shared secret for every layer in
+//! one batched ladder pass, then — layer by layer — open the envelope
+//! **in place** and charge the unwrapped blob against the EPC. The first
+//! onion that fails any step fails the whole round and releases every
+//! byte charged so far. After a successful ingest the plan is applied to
+//! slices of the delivered messages and every outgoing message is written
+//! exactly once: one buffer copy per blob per hop, the floor while a mix
+//! gathers blobs from different messages into one contiguous message.
+//! The copy goes into a buffer an earlier stage has finished with when
+//! the caller has one to offer, and the hop's own delivered messages are
+//! handed back the same way, so along a route only the first hop maps
+//! fresh memory.
 
-use crate::{CascadeError, OnionUpdate};
+use crate::onion::{self, OnionView};
+use crate::CascadeError;
 use mixnn_core::{shard_seed, MixPlan, ProxyError, ProxyStats};
+use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Counter, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Canonical code identity of the published cascade-hop enclave binary.
@@ -91,9 +103,10 @@ pub struct CascadeHop {
     telemetry: Telemetry,
 }
 
-/// A successfully ingested round: unwrapped rows in submission order, the
-/// EPC bytes still charged for them, and the round's uniform onion depth.
-type IngestedRound = (Vec<Vec<Vec<u8>>>, usize, u8);
+/// A successfully ingested round: the delivered messages with every blob
+/// opened in place (plaintext behind its spent envelope header), the EPC
+/// bytes still charged for them, and the round's uniform onion depth.
+type IngestedRound = (Vec<Vec<u8>>, usize, u8);
 
 impl CascadeHop {
     /// Launches the hop inside a fresh enclave.
@@ -201,32 +214,33 @@ impl CascadeHop {
             .unwrap_or_else(|_| panic!("EPC accounting underflow {context}"));
     }
 
-    /// Ingests one wire message: decode framing, validate the per-onion
-    /// structure and the round's depth uniformity (`depth_seen` carries the
-    /// depth of the onions before this one), unwrap this hop's envelope on
-    /// every layer and charge the unwrapped blobs against the EPC. Returns
-    /// the blobs and the bytes charged for them; a failing onion frees its
-    /// own partial charges before returning.
+    /// Ingests one wire message where it lies: parse the framing, validate
+    /// the per-onion structure and the round's depth uniformity
+    /// (`depth_seen` carries the depth of the onions before this one),
+    /// open this hop's envelope on every layer in place and charge the
+    /// unwrapped blobs against the EPC. Returns the bytes charged for
+    /// them; a failing onion frees its own partial charges before
+    /// returning.
     fn ingest_onion(
         &self,
-        wire: &[u8],
+        wire: &mut [u8],
         depth_seen: &mut Option<u8>,
         delta: &mut ProxyStats,
-    ) -> Result<(Vec<Vec<u8>>, usize), CascadeError> {
+    ) -> Result<usize, CascadeError> {
         let t0 = Instant::now();
-        let onion = OnionUpdate::decode(wire)?;
-        if onion.num_layers() != self.signature.len() {
+        let view = OnionView::parse(wire)?;
+        if view.num_layers() != self.signature.len() {
             return Err(self.hop_err(ProxyError::SignatureMismatch {
                 expected: vec![self.signature.len()],
-                actual: vec![onion.num_layers()],
+                actual: vec![view.num_layers()],
             }));
         }
-        if onion.hops_remaining() == 0 {
+        if view.hops_remaining() == 0 {
             return Err(CascadeError::Onion {
                 reason: "no sealed envelopes left for this hop".to_string(),
             });
         }
-        let depth = onion.hops_remaining();
+        let depth = view.hops_remaining();
         match *depth_seen {
             Some(seen) if seen != depth => {
                 return Err(CascadeError::Onion {
@@ -235,26 +249,29 @@ impl CascadeHop {
             }
             _ => *depth_seen = Some(depth),
         }
+        let blobs: Vec<Range<usize>> = view.blob_ranges().collect();
         let store_seconds = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        // Open all L envelopes of this onion in one batched pass (the
-        // X25519 schedule and field inversion are shared across layers),
-        // then replay each layer's EPC operations in order: transient
+        // Derive all L shared secrets of this onion in one batched pass
+        // (the X25519 schedule and field inversion are shared across
+        // layers), then open and charge layer by layer in order: transient
         // decrypt charge, then the persistent charge for the unwrapped
         // blob.
-        let sealed_layers = onion.into_layers();
-        let opened = self.enclave.open_batch(&sealed_layers);
+        let sealed: Vec<&[u8]> = blobs.iter().map(|blob| &wire[blob.clone()]).collect();
+        let prepared = self.enclave.prepare_open(&sealed);
         let mut charged = 0usize;
-        let mut blobs = Vec::with_capacity(self.signature.len());
-        for (layer_idx, (sealed, opened)) in sealed_layers.iter().zip(opened).enumerate() {
+        for (layer_idx, (blob, prepared)) in blobs.into_iter().zip(prepared).enumerate() {
+            let sealed = &mut wire[blob];
+            let opened = prepared.and_then(|envelope| envelope.open_in_place(sealed));
             let unwrapped = self
                 .enclave
                 .charge_opened(sealed.len(), opened)
-                .and_then(|inner| {
+                .and_then(|()| {
                     // Charge the unwrapped blob while it waits in a mixing
                     // list (the transient decrypt buffer was charged and
                     // released inside `charge_opened`).
+                    let inner = &sealed[OVERHEAD..];
                     self.enclave.memory().allocate(inner.len())?;
                     Ok(inner)
                 });
@@ -269,7 +286,7 @@ impl CascadeHop {
                         // mis-sized frame is charged to this ingest instead
                         // of surfacing (or allocating) at the server.
                         if let Err(e) = mixnn_core::codec::validate_layer_frame_expecting(
-                            &inner,
+                            inner,
                             self.signature[layer_idx],
                         ) {
                             self.free_charged(charged + inner.len(), "while failing an onion");
@@ -277,7 +294,6 @@ impl CascadeHop {
                         }
                     }
                     charged += inner.len();
-                    blobs.push(inner);
                 }
                 Err(e) => {
                     self.free_charged(charged, "while failing an onion");
@@ -287,29 +303,27 @@ impl CascadeHop {
         }
         delta.store_seconds += store_seconds;
         delta.decrypt_seconds += t1.elapsed().as_secs_f64();
-        Ok((blobs, charged))
+        Ok(charged)
     }
 
-    /// Ingests a whole round in submission order. On success returns the
-    /// unwrapped rows, the total EPC bytes still charged for them, and the
-    /// round's uniform depth. The first failing onion fails the round and
-    /// releases every charge. `delta` accumulates the §6.5 counters either
-    /// way.
+    /// Ingests a whole round in submission order, opening every message in
+    /// place. On success returns the messages, the total EPC bytes still
+    /// charged for their blobs, and the round's uniform depth. The first
+    /// failing onion fails the round and releases every charge. `delta`
+    /// accumulates the §6.5 counters either way.
     fn ingest_round(
         &self,
-        incoming: &[Vec<u8>],
+        mut incoming: Vec<Vec<u8>>,
         delta: &mut ProxyStats,
     ) -> Result<IngestedRound, CascadeError> {
         let mut charged_total = 0usize;
         let mut depth_seen: Option<u8> = None;
-        let mut rows: Vec<Vec<Vec<u8>>> = Vec::with_capacity(incoming.len());
-        for wire in incoming {
+        for wire in &mut incoming {
             delta.bytes_received += wire.len() as u64;
             match self.ingest_onion(wire, &mut depth_seen, delta) {
-                Ok((blobs, charged)) => {
+                Ok(charged) => {
                     delta.updates_received += 1;
                     charged_total += charged;
-                    rows.push(blobs);
                 }
                 Err(e) => {
                     delta.updates_rejected += 1;
@@ -319,22 +333,30 @@ impl CascadeHop {
                 }
             }
         }
-        Ok((
-            rows,
-            charged_total,
-            depth_seen.expect("non-empty round saw a depth"),
-        ))
+        let depth = depth_seen.expect("non-empty round saw a depth");
+        Ok((incoming, charged_total, depth))
     }
 
-    /// Draws the round's plan, applies it to the ingested rows and
-    /// re-frames the outputs; releases the round's EPC charges on both
-    /// paths.
+    /// Draws the round's plan, applies it to the opened blobs where they
+    /// lie and frames the outputs; releases the round's EPC charges on
+    /// both paths.
     fn finish_round(
         &mut self,
-        (rows, charged, depth): IngestedRound,
+        (opened, charged, depth): IngestedRound,
+        spent: &mut Vec<Vec<u8>>,
         delta: &mut ProxyStats,
     ) -> Result<(Vec<Vec<u8>>, MixPlan), CascadeError> {
         let t0 = Instant::now();
+        let rows: Vec<Vec<&[u8]>> = opened
+            .iter()
+            .map(|wire| {
+                OnionView::parse(wire)
+                    .expect("framing was validated at ingest and opening leaves it alone")
+                    .blobs()
+                    .map(|blob| &blob[OVERHEAD..])
+                    .collect()
+            })
+            .collect();
         // The shared round-plan policy (`MixPlan::for_round`) keeps this
         // hop's mixing semantics identical to the single proxy's. The plan
         // is drawn only after a fully successful ingest, so a failed round
@@ -349,19 +371,29 @@ impl CascadeHop {
             }
         };
         let outgoing: Vec<Vec<u8>> = mixed
-            .into_iter()
-            .map(|layers| OnionUpdate::from_parts(depth - 1, layers).encode())
+            .iter()
+            .map(|layers| onion::frame(depth - 1, layers, spent.pop().unwrap_or_default()))
             .collect();
+        // The last borrow of the delivered messages: they are spent now.
+        drop(mixed);
+        spent.extend(opened);
         self.free_charged(charged, "after mixing");
         delta.mix_seconds += t0.elapsed().as_secs_f64();
         delta.updates_forwarded += outgoing.len() as u64;
         Ok((outgoing, plan))
     }
 
-    /// Processes one round: unwraps this hop's envelope on every (client,
-    /// layer) blob, draws a fresh [`MixPlan`], shuffles the blobs across
-    /// clients per layer, and re-frames the outputs for the next hop (or,
+    /// Processes one round of delivered messages: unwraps this hop's
+    /// envelope on every (client, layer) blob inside the message that
+    /// carried it, draws a fresh [`MixPlan`], shuffles the blobs across
+    /// clients per layer, and frames the outputs for the next hop (or,
     /// after the last hop, for the server).
+    ///
+    /// `spent` carries message buffers whose contents are dead (any
+    /// capacity, possibly none at all): the hop writes its outgoing
+    /// messages into them before it allocates, and on success leaves the
+    /// delivered messages — spent by then — in their place, for the next
+    /// stage. It never changes a byte of the result.
     ///
     /// The round is all-or-nothing: any failure — malformed framing, a
     /// ciphertext this hop cannot open, EPC exhaustion — releases every
@@ -374,9 +406,10 @@ impl CascadeHop {
     /// Returns [`CascadeError::Onion`] for framing violations,
     /// [`CascadeError::Hop`] for enclave/plan failures, and
     /// [`CascadeError::EmptyRound`] for an empty round.
-    pub fn mix_round(
+    pub fn mix_delivered(
         &mut self,
-        incoming: &[Vec<u8>],
+        incoming: Vec<Vec<u8>>,
+        spent: &mut Vec<Vec<u8>>,
     ) -> Result<(Vec<Vec<u8>>, MixPlan), CascadeError> {
         if incoming.is_empty() {
             return Err(CascadeError::EmptyRound);
@@ -384,10 +417,24 @@ impl CascadeHop {
         let mut delta = ProxyStats::default();
         let result = self
             .ingest_round(incoming, &mut delta)
-            .and_then(|ingested| self.finish_round(ingested, &mut delta));
+            .and_then(|ingested| self.finish_round(ingested, spent, &mut delta));
         self.stats.absorb(&delta);
         self.record_absorb(&delta);
         result
+    }
+
+    /// [`CascadeHop::mix_delivered`] for a caller that keeps its batch:
+    /// copies the messages, then processes the copies. Same outputs, plan,
+    /// errors, stats and EPC accounting.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`CascadeHop::mix_delivered`].
+    pub fn mix_round(
+        &mut self,
+        incoming: &[Vec<u8>],
+    ) -> Result<(Vec<Vec<u8>>, MixPlan), CascadeError> {
+        self.mix_delivered(incoming.to_vec(), &mut Vec::new())
     }
 
     /// Generates one cover ("dummy") update for this hop.
@@ -417,6 +464,7 @@ impl CascadeHop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OnionUpdate;
     use mixnn_nn::{LayerParams, ModelParams};
 
     fn params(i: usize) -> ModelParams {

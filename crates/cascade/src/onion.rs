@@ -30,20 +30,250 @@
 //!     len   u32
 //!     data  len bytes      // sealed blob (or plaintext when 0 hops left)
 //! ```
+//!
+//! # One buffer per stage
+//!
+//! A blob shrinks by exactly one envelope header per hop and is never
+//! re-encoded, so the whole path works inside the framed message:
+//!
+//! * the client encodes every layer and nests all its envelopes directly
+//!   in the message it sends (`seal_framed`: one allocation per update);
+//! * a hop parses the framing as a borrowed view ([`OnionView`] — the
+//!   parser [`OnionUpdate::decode`] itself runs), opens each blob where it
+//!   lies, and `frame`s every outgoing message exactly once from slices
+//!   of the incoming ones — the one copy a mix cannot avoid, because it
+//!   gathers blobs from different messages into one contiguous message;
+//! * the server decodes layers straight out of the last hop's messages.
+//!
+//! [`OnionUpdate`] is the owned form of the same framing, for tests,
+//! tools and anything that wants to hold a message's blobs apart.
 
 use crate::CascadeError;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use mixnn_core::codec;
 use mixnn_core::codec::CompressionConfig;
 use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::{PublicKey, SealedBox};
-use mixnn_nn::ModelParams;
+use mixnn_nn::{LayerParams, ModelParams};
 use rand::Rng;
+use std::ops::Range;
 
 /// Onion framing magic: `"MIXC"` as a big-endian u32.
 pub const MAGIC: u32 = 0x4d49_5843;
 /// Current onion framing version.
 pub const VERSION: u8 = 1;
+
+/// Bytes before the first layer: magic, version, depth, layer count.
+const HEADER_LEN: usize = 10;
+
+fn put_header(out: &mut Vec<u8>, hops_remaining: u8, layers: usize) {
+    out.put_u32(MAGIC);
+    out.put_u8(VERSION);
+    out.put_u8(hops_remaining);
+    out.put_u32(layers as u32);
+}
+
+/// Frames `blobs` — one per layer — as one wire message, written once
+/// into `out`: a buffer whose contents are dead (an empty `Vec`, or a
+/// spent message whose allocation is reused when it is large enough).
+pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], mut out: Vec<u8>) -> Vec<u8> {
+    let len = HEADER_LEN + blobs.iter().map(|b| 4 + b.as_ref().len()).sum::<usize>();
+    if out.capacity() < len {
+        // Too small to reuse: growing it would copy its dead bytes.
+        out = Vec::with_capacity(len);
+    }
+    out.clear();
+    put_header(&mut out, hops_remaining, blobs.len());
+    for blob in blobs {
+        let blob = blob.as_ref();
+        out.put_u32(blob.len() as u32);
+        out.put_slice(blob);
+    }
+    out
+}
+
+/// Builds one update's onion directly as the framed wire message: every
+/// layer is encoded behind its envelope header room inside the message
+/// buffer and its envelopes nested in place there — one allocation for
+/// the whole update. Bytes and `rng` position are those of
+/// [`OnionUpdate::build_with`] followed by [`OnionUpdate::encode`] (that
+/// constructor is this function, taken apart again).
+pub(crate) fn seal_framed<R: Rng + ?Sized>(
+    params: &ModelParams,
+    hop_keys: &[PublicKey],
+    compression: CompressionConfig,
+    rng: &mut R,
+) -> Result<Vec<u8>, CascadeError> {
+    assert!(!hop_keys.is_empty(), "onion needs at least one hop key");
+    assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
+    // Phase one, content-independent: every envelope's ephemeral key
+    // and shared secret in one batch — drawn layer by layer, innermost
+    // hop first, the order the envelopes nest in.
+    let route = || hop_keys.iter().rev();
+    let mut prepared = SealedBox::prepare(params.iter().flat_map(|_| route()), rng)
+        .map_err(|source| CascadeError::Seal { source })?
+        .into_iter();
+    // Phase two: each layer's envelopes nest in the message itself,
+    // envelope `i` wrapping everything from its own header to the end of
+    // the blob — which, while the blob is being built, is the end of the
+    // buffer.
+    let headers = hop_keys.len() * OVERHEAD;
+    let blob_len =
+        |layer: &LayerParams| headers + codec::encoded_layer_len_with(layer.len(), compression);
+    let payload: usize = params.iter().map(|layer| 4 + blob_len(layer)).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + payload);
+    put_header(&mut out, hop_keys.len() as u8, params.num_layers());
+    for layer in params.iter() {
+        out.put_u32(blob_len(layer) as u32);
+        let blob = out.len();
+        out.resize(blob + headers, 0);
+        codec::encode_layer_into(&mut out, layer, compression);
+        for start in (0..headers).step_by(OVERHEAD).rev() {
+            let envelope = prepared.next().expect("one envelope per (layer, hop)");
+            envelope.seal_in_place(&mut out[blob + start..]);
+        }
+    }
+    debug_assert_eq!(out.len(), HEADER_LEN + payload);
+    Ok(out)
+}
+
+/// A framed onion message parsed where it lies: the framing is fully
+/// validated by [`OnionView::parse`], the blobs stay in the message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OnionView<'a> {
+    hops_remaining: u8,
+    layers: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> OnionView<'a> {
+    /// Validates a wire message's framing without copying anything out of
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CascadeError::Onion`] on truncation, bad magic, unknown
+    /// version, implausible layer counts or trailing garbage — the checks,
+    /// in the order, of [`OnionUpdate::decode`] (which calls this).
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, CascadeError> {
+        let fail = |reason: &str| CascadeError::Onion {
+            reason: reason.to_string(),
+        };
+        let be_u32 =
+            |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().expect("four bytes"));
+        if bytes.len() < HEADER_LEN {
+            return Err(fail("header truncated"));
+        }
+        if be_u32(0) != MAGIC {
+            return Err(fail("bad magic"));
+        }
+        let version = bytes[4];
+        if version != VERSION {
+            return Err(CascadeError::Onion {
+                reason: format!("unsupported version {version}"),
+            });
+        }
+        let hops_remaining = bytes[5];
+        let layers = be_u32(6) as usize;
+        if layers == 0 {
+            return Err(fail("zero layers"));
+        }
+        // Sanity bound: each declared layer needs at least its length
+        // header.
+        if layers > (bytes.len() - HEADER_LEN) / 4 + 1 {
+            return Err(fail("implausible layer count"));
+        }
+        let mut at = HEADER_LEN;
+        for _ in 0..layers {
+            if bytes.len() - at < 4 {
+                return Err(fail("layer header truncated"));
+            }
+            let len = be_u32(at) as usize;
+            at += 4;
+            if bytes.len() - at < len {
+                return Err(fail("layer blob truncated"));
+            }
+            at += len;
+        }
+        if at != bytes.len() {
+            return Err(fail("trailing bytes after last layer"));
+        }
+        Ok(OnionView {
+            hops_remaining,
+            layers,
+            bytes,
+        })
+    }
+
+    /// Sealed envelopes left on every layer blob.
+    pub(crate) fn hops_remaining(&self) -> u8 {
+        self.hops_remaining
+    }
+
+    /// Number of per-layer blobs.
+    pub(crate) fn num_layers(&self) -> usize {
+        self.layers
+    }
+
+    /// Where each layer's blob sits in the message, in layer order.
+    pub(crate) fn blob_ranges(&self) -> impl Iterator<Item = Range<usize>> + Clone + 'a {
+        let bytes = self.bytes;
+        let mut at = HEADER_LEN;
+        (0..self.layers).map(move |_| {
+            let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("four bytes"));
+            let blob = at + 4..at + 4 + len as usize;
+            at = blob.end;
+            blob
+        })
+    }
+
+    /// The per-layer blobs, borrowed from the message.
+    pub(crate) fn blobs(&self) -> impl Iterator<Item = &'a [u8]> + Clone + 'a {
+        let bytes = self.bytes;
+        self.blob_ranges().map(move |blob| &bytes[blob])
+    }
+
+    /// [`OnionUpdate::into_params`] straight from the wire slices.
+    pub(crate) fn into_params(
+        self,
+        expected_signature: &[usize],
+    ) -> Result<ModelParams, CascadeError> {
+        params_from_blobs(self.hops_remaining, self.blobs(), expected_signature)
+    }
+}
+
+/// Interprets fully unwrapped blobs as model parameters: the one
+/// implementation behind [`OnionUpdate::into_params`] and the server's
+/// decode from the wire.
+fn params_from_blobs<'a>(
+    hops_remaining: u8,
+    blobs: impl Iterator<Item = &'a [u8]> + Clone,
+    expected_signature: &[usize],
+) -> Result<ModelParams, CascadeError> {
+    if hops_remaining != 0 {
+        return Err(CascadeError::Onion {
+            reason: format!("{hops_remaining} sealed envelope(s) still wrap the layers"),
+        });
+    }
+    let layer_err = |e: mixnn_core::ProxyError| CascadeError::Onion {
+        reason: format!("inner layer plaintext: {e}"),
+    };
+    let declared = blobs
+        .clone()
+        .map(|blob| codec::declared_layer_len(blob).map_err(layer_err))
+        .collect::<Result<Vec<usize>, _>>()?;
+    if declared != expected_signature {
+        return Err(CascadeError::SignatureMismatch {
+            expected: expected_signature.to_vec(),
+            actual: declared,
+        });
+    }
+    let layers = blobs
+        .zip(expected_signature)
+        .map(|(blob, &len)| codec::decode_layer_expecting(blob, len).map_err(layer_err))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(ModelParams::from_layers(layers))
+}
 
 /// One client's update at one position in the chain: a per-layer vector of
 /// blobs, each still wrapped in `hops_remaining` sealed envelopes.
@@ -89,6 +319,9 @@ impl OnionUpdate {
     /// layer's envelopes are nested in place. The batch never extends past
     /// this one update, and no two envelopes share an ephemeral key (equal
     /// `eph_pub`s on two layers would let a hop re-link them after the mix).
+    /// The onion is built as its framed wire message (what
+    /// `CascadeClient::seal_update` sends as is) and the blobs are then
+    /// copied apart.
     ///
     /// # Errors
     ///
@@ -100,35 +333,16 @@ impl OnionUpdate {
         compression: CompressionConfig,
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
-        assert!(!hop_keys.is_empty(), "onion needs at least one hop key");
-        assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
-        // Phase one, content-independent: every envelope's ephemeral key
-        // and shared secret in one batch — drawn layer by layer, innermost
-        // hop first, the order the envelopes nest in.
-        let route = || hop_keys.iter().rev();
-        let mut prepared = SealedBox::prepare(params.iter().flat_map(|_| route()), rng)
-            .map_err(|source| CascadeError::Seal { source })?
-            .into_iter();
-        // Phase two: each layer's envelopes nest in one buffer, envelope
-        // `i` wrapping everything from its own header on.
-        let headers = hop_keys.len() * OVERHEAD;
-        let layers = params
-            .iter()
-            .map(|layer| {
-                let plain = codec::encoded_layer_len_with(layer.len(), compression);
-                let mut blob = Vec::with_capacity(headers + plain);
-                blob.resize(headers, 0);
-                codec::encode_layer_into(&mut blob, layer, compression);
-                for start in (0..headers).step_by(OVERHEAD).rev() {
-                    let envelope = prepared.next().expect("one envelope per (layer, hop)");
-                    envelope.seal_in_place(&mut blob[start..]);
-                }
-                blob
-            })
-            .collect();
-        Ok(OnionUpdate {
+        let wire = seal_framed(params, hop_keys, compression, rng)?;
+        // Own framing: taken apart without re-validating it.
+        let view = OnionView {
             hops_remaining: hop_keys.len() as u8,
-            layers,
+            layers: params.num_layers(),
+            bytes: &wire,
+        };
+        Ok(OnionUpdate {
+            hops_remaining: view.hops_remaining,
+            layers: view.blobs().map(<[u8]>::to_vec).collect(),
         })
     }
 
@@ -168,17 +382,7 @@ impl OnionUpdate {
 
     /// Serializes the onion for transmission to the next hop.
     pub fn encode(&self) -> Vec<u8> {
-        let payload: usize = self.layers.iter().map(|l| 4 + l.len()).sum();
-        let mut out = Vec::with_capacity(10 + payload);
-        out.put_u32(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u8(self.hops_remaining);
-        out.put_u32(self.layers.len() as u32);
-        for blob in &self.layers {
-            out.put_u32(blob.len() as u32);
-            out.put_slice(blob);
-        }
-        out
+        frame(self.hops_remaining, &self.layers, Vec::new())
     }
 
     /// Decodes an onion message from the wire.
@@ -187,51 +391,11 @@ impl OnionUpdate {
     ///
     /// Returns [`CascadeError::Onion`] on truncation, bad magic, unknown
     /// version, implausible layer counts or trailing garbage.
-    pub fn decode(mut bytes: &[u8]) -> Result<Self, CascadeError> {
-        let fail = |reason: &str| CascadeError::Onion {
-            reason: reason.to_string(),
-        };
-        if bytes.remaining() < 10 {
-            return Err(fail("header truncated"));
-        }
-        if bytes.get_u32() != MAGIC {
-            return Err(fail("bad magic"));
-        }
-        let version = bytes.get_u8();
-        if version != VERSION {
-            return Err(CascadeError::Onion {
-                reason: format!("unsupported version {version}"),
-            });
-        }
-        let hops_remaining = bytes.get_u8();
-        let layer_count = bytes.get_u32() as usize;
-        if layer_count == 0 {
-            return Err(fail("zero layers"));
-        }
-        // Sanity bound: each declared layer needs at least its length
-        // header.
-        if layer_count > bytes.remaining() / 4 + 1 {
-            return Err(fail("implausible layer count"));
-        }
-        let mut layers = Vec::with_capacity(layer_count);
-        for _ in 0..layer_count {
-            if bytes.remaining() < 4 {
-                return Err(fail("layer header truncated"));
-            }
-            let len = bytes.get_u32() as usize;
-            if bytes.remaining() < len {
-                return Err(fail("layer blob truncated"));
-            }
-            let mut blob = vec![0u8; len];
-            bytes.copy_to_slice(&mut blob);
-            layers.push(blob);
-        }
-        if bytes.has_remaining() {
-            return Err(fail("trailing bytes after last layer"));
-        }
+    pub fn decode(bytes: &[u8]) -> Result<Self, CascadeError> {
+        let view = OnionView::parse(bytes)?;
         Ok(OnionUpdate {
-            hops_remaining,
-            layers,
+            hops_remaining: view.hops_remaining(),
+            layers: view.blobs().map(<[u8]>::to_vec).collect(),
         })
     }
 
@@ -251,32 +415,8 @@ impl OnionUpdate {
     /// to decode, and [`CascadeError::SignatureMismatch`] if the declared
     /// signature differs from `expected_signature`.
     pub fn into_params(self, expected_signature: &[usize]) -> Result<ModelParams, CascadeError> {
-        if self.hops_remaining != 0 {
-            return Err(CascadeError::Onion {
-                reason: format!(
-                    "{} sealed envelope(s) still wrap the layers",
-                    self.hops_remaining
-                ),
-            });
-        }
-        let layer_err = |e: mixnn_core::ProxyError| CascadeError::Onion {
-            reason: format!("inner layer plaintext: {e}"),
-        };
-        let mut declared = Vec::with_capacity(self.layers.len());
-        for blob in &self.layers {
-            declared.push(codec::declared_layer_len(blob).map_err(layer_err)?);
-        }
-        if declared != expected_signature {
-            return Err(CascadeError::SignatureMismatch {
-                expected: expected_signature.to_vec(),
-                actual: declared,
-            });
-        }
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for (blob, &len) in self.layers.iter().zip(expected_signature) {
-            layers.push(codec::decode_layer_expecting(blob, len).map_err(layer_err)?);
-        }
-        Ok(ModelParams::from_layers(layers))
+        let blobs = self.layers.iter().map(Vec::as_slice);
+        params_from_blobs(self.hops_remaining, blobs, expected_signature)
     }
 }
 
@@ -375,6 +515,32 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("trailing"));
+    }
+
+    #[test]
+    fn view_borrows_what_decode_copies_and_frame_reuses_a_spent_buffer() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let kp = KeyPair::generate(&mut rng);
+        let onion = OnionUpdate::build(&params(), &[*kp.public()], &mut rng).unwrap();
+        let wire = onion.encode();
+        let view = OnionView::parse(&wire).unwrap();
+        assert_eq!(view.hops_remaining(), onion.hops_remaining());
+        assert_eq!(view.num_layers(), onion.num_layers());
+        let blobs: Vec<&[u8]> = view.blobs().collect();
+        assert_eq!(
+            blobs,
+            onion.layers().iter().map(Vec::as_slice).collect::<Vec<_>>()
+        );
+        for (range, blob) in view.blob_ranges().zip(&blobs) {
+            assert_eq!(&wire[range], *blob);
+        }
+        // Framing the borrowed blobs into a dirty, larger buffer gives the
+        // same message in the same allocation.
+        let spent = vec![0xeeu8; wire.len() + 100];
+        let at = spent.as_ptr();
+        let reframed = frame(view.hops_remaining(), &blobs, spent);
+        assert_eq!(reframed, wire);
+        assert_eq!(reframed.as_ptr(), at);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   algorithm with per-layer lists of size `k`;
 //! * [`MixnnProxy`] — the deployed object: enclave-resident, attested,
 //!   decrypts sealed updates, mixes, exposes §6.5-style cost statistics;
-//!   one in-order ingest routine opens sealed updates four at a time and
-//!   commits each before the next is charged;
+//!   one in-order ingest routine derives eight updates' shared secrets
+//!   per pass, then opens and commits each before the next is charged;
 //! * [`MixnnTransport`] — plugs the proxy into the `mixnn-fl` round loop
 //!   (the `UpdateTransport` impl itself lives in `mixnn_fl`, which depends
 //!   on this crate);

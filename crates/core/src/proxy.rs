@@ -3,14 +3,16 @@
 //! # Ingest
 //!
 //! There is one ingest routine, [`MixnnProxy::ingest_sealed`], and it is
-//! strictly in submission order. Sealed updates are opened four at a time
-//! (`INGEST_BATCH`) through the enclave's batched kernels (pure
-//! crypto — the X25519 pass is shared, nothing is charged), then each
-//! update in turn replays the decrypt charge, is decoded and validated,
-//! charges its list footprint and is committed before the next one is
-//! touched. Nothing is ever charged ahead of its commit, so the EPC sees
-//! exactly the sequence a one-by-one loop would produce —
-//! [`MixnnProxy::submit_encrypted`] *is* that routine with a batch of one.
+//! strictly in submission order. The shared secrets of eight sealed
+//! updates (`INGEST_BATCH`, one full pass of the eight-lane X25519
+//! ladder) are derived together — pure key agreement: no ciphertext is
+//! touched, nothing is charged — then each update in turn is opened,
+//! replays the decrypt charge, is decoded and validated, charges its list
+//! footprint and is committed before the next one is even decrypted. At
+//! most one uncharged plaintext exists at any time, and nothing is ever
+//! charged ahead of its commit, so the EPC sees exactly the sequence a
+//! one-by-one loop would produce — [`MixnnProxy::submit_encrypted`] *is*
+//! that routine with a batch of one.
 
 use crate::mixer::check_common_signature;
 use crate::{codec, BatchMixer, MixPlan, MixingStrategy, ProxyError, StreamingMixer};
@@ -50,13 +52,12 @@ impl Default for MixnnProxyConfig {
     }
 }
 
-/// Sealed updates opened per batched pass by
-/// [`MixnnProxy::ingest_sealed`]. Opened plaintexts sit in host memory,
-/// outside the EPC accounting, until their turn to be charged and
-/// committed comes; four bounds that to four updates (opening a whole
-/// 256-update round at once would hold ~6 MB of uncharged plaintext)
-/// while still sharing the X25519 pass.
-const INGEST_BATCH: usize = 4;
+/// Sealed updates whose shared secrets [`MixnnProxy::ingest_sealed`]
+/// derives per batched pass: the lane count of the AVX-512 IFMA ladder,
+/// whose pass costs the same whatever its fill, so every lane carries an
+/// envelope. Only the 32-byte secrets wait for their turn — each update
+/// is decrypted when it is charged and committed, never ahead of it.
+const INGEST_BATCH: usize = 8;
 
 /// §6.5-style cost accounting for the proxy pipeline.
 ///
@@ -305,8 +306,8 @@ impl MixnnProxy {
 
     /// Ingests sealed updates in submission order, returning one result
     /// per input in input order (streaming emissions included): each batch
-    /// of four is opened in one batched pass, then every update of it is
-    /// charged, decoded, validated and committed before the next
+    /// of eight shares one key-agreement pass, then every update of it is
+    /// opened, charged, decoded, validated and committed before the next
     /// (see the module docs). A rejected update is counted and skipped;
     /// the rest of the round is still ingested.
     pub fn ingest_sealed<T: AsRef<[u8]>>(
@@ -316,11 +317,15 @@ impl MixnnProxy {
         let mut results = Vec::with_capacity(sealed.len());
         for batch in sealed.chunks(INGEST_BATCH) {
             let t0 = Instant::now();
-            let opened = self.enclave.open_batch(batch);
-            // The batch shares one decryption pass; attribute it evenly.
-            let decrypt_seconds = t0.elapsed().as_secs_f64() / batch.len() as f64;
-            for (opened, sealed) in opened.into_iter().zip(batch) {
-                let sealed_len = sealed.as_ref().len();
+            let prepared = self.enclave.prepare_open(batch);
+            // The batch shares its ladder passes; attribute them evenly.
+            let ladder_seconds = t0.elapsed().as_secs_f64() / batch.len() as f64;
+            for (prepared, sealed) in prepared.into_iter().zip(batch) {
+                let sealed = sealed.as_ref();
+                let sealed_len = sealed.len();
+                let t1 = Instant::now();
+                let opened = prepared.and_then(|p| p.open(sealed));
+                let decrypt_seconds = ladder_seconds + t1.elapsed().as_secs_f64();
                 self.stats.bytes_received += sealed_len as u64;
                 let result = self.commit_opened(sealed_len, opened, decrypt_seconds);
                 if result.is_err() {
@@ -723,7 +728,7 @@ mod tests {
 
     #[test]
     fn batched_ingest_matches_a_submit_encrypted_loop() {
-        // Thirteen updates — three full ingest batches and a ragged tail,
+        // Twenty-one updates — two full ingest batches and a ragged tail,
         // garbage mid-round — under a roomy EPC and under one that fits the
         // k = 2 warm-up lists plus one decrypt buffer but not the
         // steady-state peak, where the accept/reject pattern depends on
@@ -750,7 +755,7 @@ mod tests {
             // both proxies.
             let (mut batched, mut rng) = build();
             let (mut looped, _) = build();
-            let mut sealed: Vec<Vec<u8>> = (0..13)
+            let mut sealed: Vec<Vec<u8>> = (0..21)
                 .map(|i| seal(&batched, &params(i), &mut rng))
                 .collect();
             sealed[5] = vec![0u8; 80];

@@ -4,16 +4,26 @@
 //! the natural choice for the enclave setting: constant-time by
 //! construction (add–rotate–xor only) and fast in plain portable code.
 //!
-//! For buffers of 256 bytes or more, [`ChaCha20::apply_keystream`] runs a
-//! widened kernel that computes four consecutive blocks per quarter-round
-//! pass: every state word becomes a `[u32; 4]` lane vector (one lane per
-//! block counter), which the compiler lowers to 128-bit SIMD. On x86-64
-//! CPUs with AVX2 (detected at runtime), stretches of 512 bytes or more
-//! instead use an eight-block kernel over 256-bit vectors. The tail — and
-//! any stretch close enough to the counter limit that a widened pass
-//! would overflow it — uses the scalar block function, so the keystream
-//! is bit-identical to the one-block-at-a-time definition at every
-//! length.
+//! [`ChaCha20::apply_keystream`] runs the widest kernel the CPU has over
+//! as much of the buffer as that kernel's pass size divides, then hands
+//! the rest down:
+//!
+//! | tier | blocks per pass | engaged from | where |
+//! |---|---|---|---|
+//! | AVX-512F | 16 | 1024 B | x86-64, detected at runtime |
+//! | AVX2 | 8 | 512 B | x86-64, detected at runtime |
+//! | portable quad | 4 | 256 B | everywhere (`[u32; 4]` lanes, lowered to 128-bit SIMD) |
+//! | scalar | 1 | the tail | everywhere |
+//!
+//! Every wide kernel holds one state word per vector, one lane per block
+//! counter. The AVX-512 kernel rotates with native `vprold`, transposes
+//! the sixteen finished words back into sixteen contiguous blocks in
+//! registers, and XORs them into the buffer with 64-byte loads and
+//! stores. A stretch close enough to the counter limit that a wide pass
+//! would overflow it falls to the narrower kernels, so the keystream is
+//! bit-identical to the one-block-at-a-time definition at every length
+//! and counter. The tier is chosen by CPU detection alone — there is no
+//! option; the tests pass each supported `Tier` as an argument instead.
 //!
 //! The 32-bit block counter is a hard limit, not a wrapping one: asking
 //! for keystream past block `u32::MAX` (256 GiB under one key/nonce)
@@ -23,6 +33,9 @@
 pub const KEY_LEN: usize = 32;
 /// Nonce length in bytes (IETF variant).
 pub const NONCE_LEN: usize = 12;
+
+/// Bytes per keystream block.
+const BLOCK: usize = 64;
 
 /// A ChaCha20 cipher instance for one (key, nonce) pair.
 ///
@@ -47,40 +60,181 @@ pub struct ChaCha20 {
     exhausted: bool,
 }
 
-/// Lane count of the widened kernel: four blocks per quarter-round pass.
-const LANES: usize = 4;
-type Lanes = [u32; LANES];
-
-#[inline(always)]
-fn lanes_add(a: Lanes, b: Lanes) -> Lanes {
-    [
-        a[0].wrapping_add(b[0]),
-        a[1].wrapping_add(b[1]),
-        a[2].wrapping_add(b[2]),
-        a[3].wrapping_add(b[3]),
-    ]
+/// The widest keystream kernel [`ChaCha20::apply_keystream_on`] may use;
+/// what a tier's pass size does not divide goes to the tiers below it.
+///
+/// An argument rather than ambient state so the tests can pin every tier
+/// the host supports against the scalar definition; production callers
+/// pass [`Tier::best`]. The keystream does not depend on the tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// One block at a time, straight from the RFC.
+    Scalar,
+    /// Four blocks per pass in portable `[u32; 4]` lanes.
+    Quad,
+    /// Eight blocks per pass over 256-bit vectors.
+    Avx2,
+    /// Sixteen blocks per pass over 512-bit vectors.
+    Avx512,
 }
 
-#[inline(always)]
-fn lanes_xor_rotl(a: Lanes, b: Lanes, r: u32) -> Lanes {
-    [
-        (a[0] ^ b[0]).rotate_left(r),
-        (a[1] ^ b[1]).rotate_left(r),
-        (a[2] ^ b[2]).rotate_left(r),
-        (a[3] ^ b[3]).rotate_left(r),
-    ]
+impl Tier {
+    const ALL: [Tier; 4] = [Tier::Scalar, Tier::Quad, Tier::Avx2, Tier::Avx512];
+
+    /// Whether the running CPU can execute this tier's kernel.
+    fn available(self) -> bool {
+        match self {
+            Tier::Scalar | Tier::Quad => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => avx2::available(),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => avx512::available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx2 | Tier::Avx512 => false,
+        }
+    }
+
+    /// The fastest tier the running CPU supports.
+    pub(crate) fn best() -> Tier {
+        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
+        widest.expect("the portable tiers are always available")
+    }
+
+    /// Every tier the running CPU supports, scalar first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Tier> {
+        Tier::ALL
+            .into_iter()
+            .filter(|tier| tier.available())
+            .collect()
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Quad => "quad",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
 }
 
-#[inline(always)]
-fn quad_quarter_round(w: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usize) {
-    w[a] = lanes_add(w[a], w[b]);
-    w[d] = lanes_xor_rotl(w[d], w[a], 16);
-    w[c] = lanes_add(w[c], w[d]);
-    w[b] = lanes_xor_rotl(w[b], w[c], 12);
-    w[a] = lanes_add(w[a], w[b]);
-    w[d] = lanes_xor_rotl(w[d], w[a], 8);
-    w[c] = lanes_add(w[c], w[d]);
-    w[b] = lanes_xor_rotl(w[b], w[c], 7);
+/// A one-shot keystream XOR, as [`xor_keystream`].
+#[doc(hidden)]
+pub type Kernel = fn(&[u8; KEY_LEN], &[u8; NONCE_LEN], u32, &mut [u8]);
+
+/// [`xor_keystream`] with `Tier::ALL[TIER]` as the widest kernel allowed.
+fn xor_keystream_on<const TIER: usize>(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+) {
+    ChaCha20::new(key, nonce, counter).apply_keystream_on(Tier::ALL[TIER], data);
+}
+
+/// Every keystream tier the running CPU supports, scalar first, as
+/// `(name, one-shot xor)` pairs: the per-tier rows of `cargo bench --bench
+/// crypto`. Not an option — [`ChaCha20::apply_keystream`] always takes the
+/// last one.
+#[doc(hidden)]
+pub fn kernels() -> Vec<(&'static str, Kernel)> {
+    const KERNELS: [Kernel; 4] = [
+        xor_keystream_on::<0>,
+        xor_keystream_on::<1>,
+        xor_keystream_on::<2>,
+        xor_keystream_on::<3>,
+    ];
+    Tier::ALL
+        .into_iter()
+        .zip(KERNELS)
+        .filter(|(tier, _)| tier.available())
+        .map(|(tier, kernel)| (tier.name(), kernel))
+        .collect()
+}
+
+/// The portable four-block kernel: every state word is a `[u32; 4]` lane
+/// vector (one lane per block counter), which the compiler lowers to
+/// 128-bit SIMD.
+mod quad {
+    /// Blocks per pass.
+    pub const LANES: usize = 4;
+    type Lanes = [u32; LANES];
+
+    #[inline(always)]
+    fn add(a: Lanes, b: Lanes) -> Lanes {
+        [
+            a[0].wrapping_add(b[0]),
+            a[1].wrapping_add(b[1]),
+            a[2].wrapping_add(b[2]),
+            a[3].wrapping_add(b[3]),
+        ]
+    }
+
+    #[inline(always)]
+    fn xor_rotl(a: Lanes, b: Lanes, r: u32) -> Lanes {
+        [
+            (a[0] ^ b[0]).rotate_left(r),
+            (a[1] ^ b[1]).rotate_left(r),
+            (a[2] ^ b[2]).rotate_left(r),
+            (a[3] ^ b[3]).rotate_left(r),
+        ]
+    }
+
+    #[inline(always)]
+    fn quarter_round(w: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usize) {
+        w[a] = add(w[a], w[b]);
+        w[d] = xor_rotl(w[d], w[a], 16);
+        w[c] = add(w[c], w[d]);
+        w[b] = xor_rotl(w[b], w[c], 12);
+        w[a] = add(w[a], w[b]);
+        w[d] = xor_rotl(w[d], w[a], 8);
+        w[c] = add(w[c], w[d]);
+        w[b] = xor_rotl(w[b], w[c], 7);
+    }
+
+    /// XORs the keystream blocks at counters `state[12]..` into `data`, a
+    /// whole number of four-block passes. The caller guarantees the
+    /// counter does not overflow within `data`.
+    pub fn xor_blocks(state: &[u32; 16], data: &mut [u8]) {
+        debug_assert_eq!(data.len() % (LANES * 64), 0);
+        let mut counter = state[12];
+        for chunk in data.chunks_exact_mut(LANES * 64) {
+            let mut init = [[0u32; LANES]; 16];
+            for (lanes, &word) in init.iter_mut().zip(state.iter()) {
+                *lanes = [word; LANES];
+            }
+            init[12] = [counter, counter + 1, counter + 2, counter + 3];
+            let mut w = init;
+            for _ in 0..10 {
+                // Column rounds.
+                quarter_round(&mut w, 0, 4, 8, 12);
+                quarter_round(&mut w, 1, 5, 9, 13);
+                quarter_round(&mut w, 2, 6, 10, 14);
+                quarter_round(&mut w, 3, 7, 11, 15);
+                // Diagonal rounds.
+                quarter_round(&mut w, 0, 5, 10, 15);
+                quarter_round(&mut w, 1, 6, 11, 12);
+                quarter_round(&mut w, 2, 7, 8, 13);
+                quarter_round(&mut w, 3, 4, 9, 14);
+            }
+            for (lanes, &start) in w.iter_mut().zip(init.iter()) {
+                *lanes = add(*lanes, start);
+            }
+            for lane in 0..LANES {
+                for (i, lanes) in w.iter().enumerate() {
+                    let keystream = lanes[lane].to_le_bytes();
+                    let base = lane * 64 + i * 4;
+                    for (byte, &k) in chunk[base..base + 4].iter_mut().zip(keystream.iter()) {
+                        *byte ^= k;
+                    }
+                }
+            }
+            // The last pass may end on block `u32::MAX`; the counter it
+            // would start the next pass from is never used.
+            counter = counter.wrapping_add(LANES as u32);
+        }
+    }
 }
 
 /// Eight-block AVX2 kernel: each 256-bit vector holds one state word
@@ -124,43 +278,182 @@ mod avx2 {
         x[b] = rotl!(_mm256_xor_si256(x[b], x[c]), 7);
     }
 
-    /// XORs the eight keystream blocks at counters
-    /// `state[12] .. state[12] + 7` into `chunk` (exactly 512 bytes).
+    /// XORs the keystream blocks at counters `state[12]..` into `data`, a
+    /// whole number of eight-block passes. The caller guarantees the
+    /// counter does not overflow within `data`.
     ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`] — callers select this tier only after
+    /// checking it.
+    pub fn xor_blocks(state: &[u32; 16], data: &mut [u8]) {
+        assert!(available(), "AVX2 keystream selected on a CPU without it");
+        // SAFETY: `available()` just confirmed AVX2, the one feature
+        // `xor_blocks_lanes` enables.
+        unsafe { xor_blocks_lanes(state, data) }
+    }
+
     /// # Safety
     ///
-    /// The caller must have verified AVX2 support via [`available`], and
-    /// that `state[12] + 7` does not overflow.
+    /// Requires AVX2, i.e. [`available`] returned `true`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_blocks8(state: &[u32; 16], chunk: &mut [u8]) {
-        debug_assert_eq!(chunk.len(), LANES * 64);
-        let mut x: [__m256i; 16] = core::array::from_fn(|i| _mm256_set1_epi32(state[i] as i32));
-        x[12] = _mm256_add_epi32(x[12], _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        let init = x;
-        for _ in 0..10 {
-            // Column rounds.
-            quarter_round(&mut x, 0, 4, 8, 12);
-            quarter_round(&mut x, 1, 5, 9, 13);
-            quarter_round(&mut x, 2, 6, 10, 14);
-            quarter_round(&mut x, 3, 7, 11, 15);
-            // Diagonal rounds.
-            quarter_round(&mut x, 0, 5, 10, 15);
-            quarter_round(&mut x, 1, 6, 11, 12);
-            quarter_round(&mut x, 2, 7, 8, 13);
-            quarter_round(&mut x, 3, 4, 9, 14);
-        }
-        let mut words = [[0u32; LANES]; 16];
-        for (slot, (&xi, &start)) in words.iter_mut().zip(x.iter().zip(init.iter())) {
-            _mm256_storeu_si256(slot.as_mut_ptr().cast(), _mm256_add_epi32(xi, start));
-        }
-        for lane in 0..LANES {
-            for (i, slot) in words.iter().enumerate() {
-                let keystream = slot[lane].to_le_bytes();
-                let base = lane * 64 + i * 4;
-                for (byte, &k) in chunk[base..base + 4].iter_mut().zip(keystream.iter()) {
-                    *byte ^= k;
+    unsafe fn xor_blocks_lanes(state: &[u32; 16], data: &mut [u8]) {
+        debug_assert_eq!(data.len() % (LANES * 64), 0);
+        let mut init: [__m256i; 16] = core::array::from_fn(|i| _mm256_set1_epi32(state[i] as i32));
+        init[12] = _mm256_add_epi32(init[12], _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        for chunk in data.chunks_exact_mut(LANES * 64) {
+            let mut x = init;
+            for _ in 0..10 {
+                // Column rounds.
+                quarter_round(&mut x, 0, 4, 8, 12);
+                quarter_round(&mut x, 1, 5, 9, 13);
+                quarter_round(&mut x, 2, 6, 10, 14);
+                quarter_round(&mut x, 3, 7, 11, 15);
+                // Diagonal rounds.
+                quarter_round(&mut x, 0, 5, 10, 15);
+                quarter_round(&mut x, 1, 6, 11, 12);
+                quarter_round(&mut x, 2, 7, 8, 13);
+                quarter_round(&mut x, 3, 4, 9, 14);
+            }
+            let mut words = [[0u32; LANES]; 16];
+            for (slot, (&xi, &start)) in words.iter_mut().zip(x.iter().zip(init.iter())) {
+                _mm256_storeu_si256(slot.as_mut_ptr().cast(), _mm256_add_epi32(xi, start));
+            }
+            for lane in 0..LANES {
+                for (i, slot) in words.iter().enumerate() {
+                    let keystream = slot[lane].to_le_bytes();
+                    let base = lane * 64 + i * 4;
+                    for (byte, &k) in chunk[base..base + 4].iter_mut().zip(keystream.iter()) {
+                        *byte ^= k;
+                    }
                 }
             }
+            init[12] = _mm256_add_epi32(init[12], _mm256_set1_epi32(LANES as i32));
+        }
+    }
+}
+
+/// Sixteen-block AVX-512F kernel: each 512-bit vector holds one state
+/// word across sixteen consecutive block counters, so the twenty rounds
+/// run entirely in the sixteen state registers with native `vprold`
+/// rotates. The finished words are transposed in registers — 4×4 within
+/// each 128-bit lane by `unpck{l,h}{dq,qdq}`, then 4×4 across lanes by
+/// `vshufi32x4` — so every vector holds one whole 64-byte block, which is
+/// XORed into the buffer with one load and one store.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Blocks per pass.
+    pub const LANES: usize = 16;
+
+    /// Runtime AVX-512F detection, cached after the first query.
+    pub fn available() -> bool {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| is_x86_feature_detected!("avx512f"))
+    }
+
+    macro_rules! quarter_round {
+        ($x:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
+            $x[$a] = _mm512_add_epi32($x[$a], $x[$b]);
+            $x[$d] = _mm512_rol_epi32::<16>(_mm512_xor_si512($x[$d], $x[$a]));
+            $x[$c] = _mm512_add_epi32($x[$c], $x[$d]);
+            $x[$b] = _mm512_rol_epi32::<12>(_mm512_xor_si512($x[$b], $x[$c]));
+            $x[$a] = _mm512_add_epi32($x[$a], $x[$b]);
+            $x[$d] = _mm512_rol_epi32::<8>(_mm512_xor_si512($x[$d], $x[$a]));
+            $x[$c] = _mm512_add_epi32($x[$c], $x[$d]);
+            $x[$b] = _mm512_rol_epi32::<7>(_mm512_xor_si512($x[$b], $x[$c]));
+        };
+    }
+
+    /// XORs the keystream blocks at counters `state[12]..` into `data`, a
+    /// whole number of sixteen-block passes. The caller guarantees the
+    /// counter does not overflow within `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`] — callers select this tier only after
+    /// checking it.
+    pub fn xor_blocks(state: &[u32; 16], data: &mut [u8]) {
+        assert!(
+            available(),
+            "AVX-512 keystream selected on a CPU without it"
+        );
+        // SAFETY: `available()` just confirmed AVX-512F, the one feature
+        // `xor_blocks_lanes` enables.
+        unsafe { xor_blocks_lanes(state, data) }
+    }
+
+    /// Word-major to block-major: on entry `x[w]` holds word `w` of blocks
+    /// `0..16` (lane `b` = block `b`); on return `x[b]` holds words
+    /// `0..16` of block `b`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn transpose(x: &mut [__m512i; 16]) {
+        // Within each 128-bit lane `j`: `y[4g + k]` gathers words
+        // `4g..4g + 4` of block `4j + k`.
+        let mut y = [_mm512_setzero_si512(); 16];
+        for g in 0..4 {
+            let lo01 = _mm512_unpacklo_epi32(x[4 * g], x[4 * g + 1]);
+            let hi01 = _mm512_unpackhi_epi32(x[4 * g], x[4 * g + 1]);
+            let lo23 = _mm512_unpacklo_epi32(x[4 * g + 2], x[4 * g + 3]);
+            let hi23 = _mm512_unpackhi_epi32(x[4 * g + 2], x[4 * g + 3]);
+            y[4 * g] = _mm512_unpacklo_epi64(lo01, lo23);
+            y[4 * g + 1] = _mm512_unpackhi_epi64(lo01, lo23);
+            y[4 * g + 2] = _mm512_unpacklo_epi64(hi01, hi23);
+            y[4 * g + 3] = _mm512_unpackhi_epi64(hi01, hi23);
+        }
+        // Across lanes: block `4j + k` is lane `j` of `y[k]`, `y[4 + k]`,
+        // `y[8 + k]`, `y[12 + k]`, in that word order.
+        for k in 0..4 {
+            let ab_lo = _mm512_shuffle_i32x4::<0x44>(y[k], y[4 + k]);
+            let ab_hi = _mm512_shuffle_i32x4::<0xee>(y[k], y[4 + k]);
+            let cd_lo = _mm512_shuffle_i32x4::<0x44>(y[8 + k], y[12 + k]);
+            let cd_hi = _mm512_shuffle_i32x4::<0xee>(y[8 + k], y[12 + k]);
+            x[k] = _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo);
+            x[4 + k] = _mm512_shuffle_i32x4::<0xdd>(ab_lo, cd_lo);
+            x[8 + k] = _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi);
+            x[12 + k] = _mm512_shuffle_i32x4::<0xdd>(ab_hi, cd_hi);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512F, i.e. [`available`] returned `true`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn xor_blocks_lanes(state: &[u32; 16], data: &mut [u8]) {
+        debug_assert_eq!(data.len() % (LANES * 64), 0);
+        let mut init: [__m512i; 16] = core::array::from_fn(|i| _mm512_set1_epi32(state[i] as i32));
+        init[12] = _mm512_add_epi32(
+            init[12],
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        );
+        for chunk in data.chunks_exact_mut(LANES * 64) {
+            let mut x = init;
+            for _ in 0..10 {
+                // Column rounds.
+                quarter_round!(x, 0, 4, 8, 12);
+                quarter_round!(x, 1, 5, 9, 13);
+                quarter_round!(x, 2, 6, 10, 14);
+                quarter_round!(x, 3, 7, 11, 15);
+                // Diagonal rounds.
+                quarter_round!(x, 0, 5, 10, 15);
+                quarter_round!(x, 1, 6, 11, 12);
+                quarter_round!(x, 2, 7, 8, 13);
+                quarter_round!(x, 3, 4, 9, 14);
+            }
+            for (xi, &start) in x.iter_mut().zip(init.iter()) {
+                *xi = _mm512_add_epi32(*xi, start);
+            }
+            transpose(&mut x);
+            for (block, &keystream) in chunk.chunks_exact_mut(64).zip(x.iter()) {
+                let at = block.as_mut_ptr().cast::<__m512i>();
+                // SAFETY: `block` is exactly 64 writable bytes; the
+                // unaligned load/store forms have no alignment demand.
+                _mm512_storeu_si512(at, _mm512_xor_si512(_mm512_loadu_si512(at), keystream));
+            }
+            init[12] = _mm512_add_epi32(init[12], _mm512_set1_epi32(LANES as i32));
         }
     }
 }
@@ -237,57 +530,52 @@ impl ChaCha20 {
             let word = working[i].wrapping_add(self.state[i]);
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_le_bytes());
         }
-        match self.state[12].checked_add(1) {
-            Some(next) => self.state[12] = next,
-            None => self.exhausted = true,
-        }
+        self.advance(1);
         out
     }
 
-    /// XORs four consecutive keystream blocks into `chunk` (exactly 256
-    /// bytes). The caller guarantees `counter + 3` does not overflow.
-    fn apply_quad(&mut self, chunk: &mut [u8]) {
-        debug_assert_eq!(chunk.len(), LANES * 64);
-        let counter = self.state[12];
-        let mut init = [[0u32; LANES]; 16];
-        for (lanes, &word) in init.iter_mut().zip(self.state.iter()) {
-            *lanes = [word; LANES];
+    /// Blocks the counter can still produce (the one at `u32::MAX` is the
+    /// last).
+    fn blocks_left(&self) -> u64 {
+        if self.exhausted {
+            0
+        } else {
+            u64::from(u32::MAX - self.state[12]) + 1
         }
-        init[12] = [counter, counter + 1, counter + 2, counter + 3];
-        let mut w = init;
-        for _ in 0..10 {
-            // Column rounds.
-            quad_quarter_round(&mut w, 0, 4, 8, 12);
-            quad_quarter_round(&mut w, 1, 5, 9, 13);
-            quad_quarter_round(&mut w, 2, 6, 10, 14);
-            quad_quarter_round(&mut w, 3, 7, 11, 15);
-            // Diagonal rounds.
-            quad_quarter_round(&mut w, 0, 5, 10, 15);
-            quad_quarter_round(&mut w, 1, 6, 11, 12);
-            quad_quarter_round(&mut w, 2, 7, 8, 13);
-            quad_quarter_round(&mut w, 3, 4, 9, 14);
-        }
-        for (lanes, &start) in w.iter_mut().zip(init.iter()) {
-            *lanes = lanes_add(*lanes, start);
-        }
-        for lane in 0..LANES {
-            for (i, lanes) in w.iter().enumerate() {
-                let keystream = lanes[lane].to_le_bytes();
-                let base = lane * 64 + i * 4;
-                for (byte, &k) in chunk[base..base + 4].iter_mut().zip(keystream.iter()) {
-                    *byte ^= k;
-                }
-            }
-        }
-        match counter.checked_add(LANES as u32) {
-            Some(next) => self.state[12] = next,
-            None => {
-                // The quad ended exactly on the last block — same end
-                // state the scalar path leaves behind.
+    }
+
+    /// Moves the counter past `blocks` produced blocks (at most
+    /// [`ChaCha20::blocks_left`]). Consuming the block at `u32::MAX` parks
+    /// the counter there and marks the cipher exhausted — the same end
+    /// state whichever kernel produced the block.
+    fn advance(&mut self, blocks: u64) {
+        match u32::try_from(u64::from(self.state[12]) + blocks) {
+            Ok(next) => self.state[12] = next,
+            Err(_) => {
                 self.state[12] = u32::MAX;
                 self.exhausted = true;
             }
         }
+    }
+
+    /// Runs one wide `kernel` (`lanes` blocks per pass) over as many whole
+    /// passes as `data` holds and the counter still allows; returns the
+    /// bytes it covered.
+    fn wide_passes(
+        &mut self,
+        data: &mut [u8],
+        lanes: usize,
+        kernel: fn(&[u32; 16], &mut [u8]),
+    ) -> usize {
+        let by_counter = self.blocks_left() / lanes as u64;
+        let passes =
+            (data.len() / (lanes * BLOCK)).min(by_counter.try_into().unwrap_or(usize::MAX));
+        let covered = passes * lanes * BLOCK;
+        if covered > 0 {
+            kernel(&self.state, &mut data[..covered]);
+            self.advance((passes * lanes) as u64);
+        }
+        covered
     }
 
     /// XORs the keystream into `data` in place (encryption and decryption
@@ -298,35 +586,26 @@ impl ChaCha20 {
     /// Panics if `data` needs keystream past block counter `u32::MAX`
     /// (256 GiB under one key/nonce) — see `ChaCha20::next_block`.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
+        self.apply_keystream_on(Tier::best(), data);
+    }
+
+    /// [`ChaCha20::apply_keystream`] with `tier` as the widest kernel
+    /// allowed.
+    pub(crate) fn apply_keystream_on(&mut self, tier: Tier, data: &mut [u8]) {
         let mut offset = 0;
         #[cfg(target_arch = "x86_64")]
-        if avx2::available() {
-            const WIDE: usize = avx2::LANES * 64;
-            while data.len() - offset >= WIDE
-                && !self.exhausted
-                && self.state[12] <= u32::MAX - (avx2::LANES as u32 - 1)
-            {
-                unsafe { avx2::xor_blocks8(&self.state, &mut data[offset..offset + WIDE]) };
-                offset += WIDE;
-                match self.state[12].checked_add(avx2::LANES as u32) {
-                    Some(next) => self.state[12] = next,
-                    None => {
-                        // The pass ended exactly on the last block — same
-                        // end state the scalar path leaves behind.
-                        self.state[12] = u32::MAX;
-                        self.exhausted = true;
-                    }
-                }
+        {
+            if tier >= Tier::Avx512 {
+                offset += self.wide_passes(&mut data[offset..], avx512::LANES, avx512::xor_blocks);
+            }
+            if tier >= Tier::Avx2 {
+                offset += self.wide_passes(&mut data[offset..], avx2::LANES, avx2::xor_blocks);
             }
         }
-        while data.len() - offset >= LANES * 64
-            && !self.exhausted
-            && self.state[12] <= u32::MAX - (LANES as u32 - 1)
-        {
-            self.apply_quad(&mut data[offset..offset + LANES * 64]);
-            offset += LANES * 64;
+        if tier >= Tier::Quad {
+            offset += self.wide_passes(&mut data[offset..], quad::LANES, quad::xor_blocks);
         }
-        for chunk in data[offset..].chunks_mut(64) {
+        for chunk in data[offset..].chunks_mut(BLOCK) {
             let block = self.next_block();
             for (byte, &k) in chunk.iter_mut().zip(block.iter()) {
                 *byte ^= k;
@@ -523,5 +802,148 @@ mod tests {
         xor_keystream(&key, &nonce, 1, &mut second);
         assert_eq!(&whole[..64], &first[..]);
         assert_eq!(&whole[64..], &second[..]);
+    }
+
+    fn tier_cipher(tier: Tier, cipher: &ChaCha20, data: &mut [u8]) {
+        cipher.clone().apply_keystream_on(tier, data);
+    }
+
+    /// RFC 8439 §2.3.2 and §2.4.2 on every tier the host supports. The
+    /// block vector (counter 1) is read out of a 2 KiB + 65 B zero buffer
+    /// keyed from counter 0 and from counter 1, so it comes out of lane 1
+    /// and lane 0 of every wide kernel, not only out of the scalar tail.
+    #[test]
+    fn rfc8439_vectors_hold_on_every_tier() {
+        let key: [u8; 32] = (0..32u8).collect::<Vec<_>>().try_into().unwrap();
+        let block_nonce: [u8; 12] = unhex("000000090000004a00000000").try_into().unwrap();
+        let block = unhex(
+            "10f1e7e4d13b5915500fdd1fa32071c4 c7d1f4c733c068030422aa9ac3d46c4e \
+             d2826446079faa0914c2d705d98b02a2 b5129cd1de164eb9cbd083e8a2503c4e",
+        );
+        let text_nonce: [u8; 12] = unhex("000000000000004a00000000").try_into().unwrap();
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
+        let ciphertext = unhex(
+            "6e2e359a2568f98041ba0728dd0d6981 e97e7aec1d4360c20a27afccfd9fae0b \
+             f91b65c5524733ab8f593dabcd62b357 1639d624e65152ab8f530c359f0861d8 \
+             07ca0dbf500d6a6156a38e088a22b65e 52bc514d16ccf806818ce91ab7793736 \
+             5af90bbf74a35be6b40b8eedf2785e42 874d",
+        );
+        for tier in Tier::supported() {
+            for counter in [0u32, 1] {
+                let mut stream = vec![0u8; 2 * 1024 + 65];
+                tier_cipher(
+                    tier,
+                    &ChaCha20::new(&key, &block_nonce, counter),
+                    &mut stream,
+                );
+                let at = 64 * (1 - counter as usize);
+                assert_eq!(&stream[at..at + 64], &block[..], "{tier:?}, from {counter}");
+            }
+            let mut text = plaintext.to_vec();
+            tier_cipher(tier, &ChaCha20::new(&key, &text_nonce, 1), &mut text);
+            assert_eq!(text, ciphertext, "{tier:?}");
+        }
+    }
+
+    /// Every tier equals the scalar definition at every length from empty
+    /// to two sixteen-block passes plus a ragged tail, at aligned and
+    /// unaligned buffer offsets.
+    #[test]
+    fn every_tier_matches_scalar_at_every_length_and_offset() {
+        let key = [0x3cu8; 32];
+        let nonce = [0x71u8; 12];
+        let cipher = ChaCha20::new(&key, &nonce, 5);
+        let pattern: Vec<u8> = (0..2 * 1024 + 65 + 3)
+            .map(|i| (i * 29 % 251) as u8)
+            .collect();
+        for offset in [0usize, 1, 3] {
+            for len in 0..=2 * 1024 + 65 {
+                let mut expected = pattern[offset..offset + len].to_vec();
+                scalar_keystream(&cipher, &mut expected);
+                for tier in Tier::supported() {
+                    let mut actual = pattern.clone();
+                    tier_cipher(tier, &cipher, &mut actual[offset..offset + len]);
+                    assert_eq!(
+                        &actual[offset..offset + len],
+                        &expected[..],
+                        "{tier:?}, len {len}, offset {offset}"
+                    );
+                    // Nothing outside the slice moved.
+                    assert_eq!(&actual[..offset], &pattern[..offset]);
+                    assert_eq!(&actual[offset + len..], &pattern[offset + len..]);
+                }
+            }
+        }
+    }
+
+    /// The counter limit on every tier: a request ending exactly on block
+    /// `u32::MAX` equals the scalar blocks however the passes split, one
+    /// byte more panics, and a request the widest pass cannot take whole
+    /// (21 blocks left) falls through the narrower tiers bit-identically.
+    #[test]
+    fn counter_limit_holds_on_every_tier() {
+        let key = [6u8; 32];
+        let nonce = [8u8; 12];
+        for tier in Tier::supported() {
+            for blocks in [1u32, 3, 4, 8, 16, 21, 32, 37] {
+                let cipher = ChaCha20::new(&key, &nonce, u32::MAX - (blocks - 1));
+                let mut expected = vec![0u8; blocks as usize * 64];
+                scalar_keystream(&cipher, &mut expected);
+                let mut actual = vec![0u8; expected.len()];
+                tier_cipher(tier, &cipher, &mut actual);
+                assert_eq!(actual, expected, "{tier:?}, last {blocks} blocks");
+
+                let overflow = std::panic::catch_unwind(|| {
+                    let mut buf = vec![0u8; blocks as usize * 64 + 1];
+                    tier_cipher(tier, &cipher, &mut buf);
+                });
+                let message = *overflow
+                    .expect_err("keystream past u32::MAX must panic")
+                    .downcast::<&str>()
+                    .expect("assert! with a literal message");
+                assert!(
+                    message.contains("block counter exhausted"),
+                    "{tier:?}: {message}"
+                );
+            }
+        }
+    }
+
+    /// A cipher driven in several calls ends in the same state on every
+    /// tier: splitting a buffer at pass-size multiples gives the whole
+    /// buffer's keystream (what chunked encrypt-then-MAC relies on).
+    #[test]
+    fn split_calls_continue_the_keystream_on_every_tier() {
+        let key = [0x11u8; 32];
+        let nonce = [0x22u8; 12];
+        let mut expected = vec![0u8; 4096 + 100];
+        scalar_keystream(&ChaCha20::new(&key, &nonce, 9), &mut expected);
+        for tier in Tier::supported() {
+            let mut cipher = ChaCha20::new(&key, &nonce, 9);
+            let mut actual = vec![0u8; expected.len()];
+            let (a, rest) = actual.split_at_mut(1024);
+            let (b, c) = rest.split_at_mut(2048);
+            cipher.apply_keystream_on(tier, a);
+            cipher.apply_keystream_on(tier, b);
+            cipher.apply_keystream_on(tier, c);
+            assert_eq!(actual, expected, "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn best_tier_is_the_widest_supported_and_the_bench_hook_lists_them_all() {
+        let supported = Tier::supported();
+        assert_eq!(supported.first(), Some(&Tier::Scalar));
+        assert_eq!(supported.last(), Some(&Tier::best()));
+        let names: Vec<&str> = kernels().iter().map(|(name, _)| *name).collect();
+        let expected: Vec<&str> = supported.iter().map(|tier| tier.name()).collect();
+        assert_eq!(names, expected);
+        let mut reference = vec![0u8; 1500];
+        xor_keystream(&[1; 32], &[2; 12], 3, &mut reference);
+        for (name, kernel) in kernels() {
+            let mut buf = vec![0u8; 1500];
+            kernel(&[1; 32], &[2; 12], 3, &mut buf);
+            assert_eq!(buf, reference, "{name}");
+        }
     }
 }

@@ -29,11 +29,14 @@
 //! * HMAC keys precompute their ipad/opad schedule once
 //!   ([`hmac::HmacKey`]), and the sealed box derives its three keys with
 //!   a single HKDF-Extract plus three expands per envelope;
-//! * ChaCha20 generates four keystream blocks per widened quarter-round
-//!   pass on buffers ≥ 256 B ([`chacha20`]);
-//! * [`sealed_box::SealedBox::open_batch`] opens a round's envelopes
-//!   together, sharing the X25519 ladder passes and one Montgomery-trick
-//!   field inversion across the batch ([`x25519::x25519_batch`]);
+//! * ChaCha20 generates sixteen keystream blocks per pass on AVX-512F
+//!   hosts, eight on AVX2, four in portable lanes, and XORs them into
+//!   the buffer where it lies ([`chacha20`]);
+//! * [`sealed_box::SealedBox::prepare_open`] derives the shared secrets
+//!   of a round's envelopes together, sharing the X25519 ladder passes
+//!   and one Montgomery-trick field inversion across the batch
+//!   ([`x25519::x25519_batch`]), and each [`PreparedOpen`] then verifies
+//!   and decrypts its envelope in place;
 //! * [`sealed_box::SealedBox::prepare`] does the same for everything one
 //!   sender seals — an onion's `layers × hops` envelopes, each under its
 //!   own ephemeral key ([`x25519::x25519_multi`]) — and each
@@ -67,7 +70,7 @@ pub mod sha256;
 pub mod x25519;
 
 pub use error::CryptoError;
-pub use sealed_box::{KeyPair, PreparedSeal, PublicKey, SealedBox, SecretKey};
+pub use sealed_box::{KeyPair, PreparedOpen, PreparedSeal, PublicKey, SealedBox, SecretKey};
 
 /// Constant-time equality of two byte slices.
 ///

@@ -33,10 +33,21 @@
 //!   envelopes are grouped. Every envelope still has its **own**
 //!   ephemeral key: equal `eph_pub`s would link the envelopes that carry
 //!   them.
-//! * **Batched opening**: [`SealedBox::open_batch`] opens many envelopes
-//!   addressed to one recipient, sharing the final field inversion and
-//!   the ladder passes across the batch ([`x25519::x25519_batch`]).
-//!   Results are bit-identical to per-envelope [`SealedBox::open`].
+//! * **Two-phase, in-place opening**: the recipient's scalar
+//!   multiplication does not depend on the ciphertext either, so
+//!   [`SealedBox::prepare_open`] runs it for many envelopes addressed to
+//!   one recipient in shared ladder passes with one shared field
+//!   inversion (the batched driver again). Each [`PreparedOpen`] then
+//!   verifies the tag over the ciphertext and decrypts it **where it
+//!   lies** ([`PreparedOpen::open_in_place`]): a buffer that fails any
+//!   check is left byte-for-byte untouched, and one that passes holds the
+//!   plaintext at `sealed[OVERHEAD..]` without a second buffer ever
+//!   existing. That is the one verify-and-decrypt implementation;
+//!   [`SealedBox::open`] and [`SealedBox::open_batch`] run the same
+//!   verification on a borrowed envelope, then copy the ciphertext out
+//!   and decrypt the copy in place, so every way of opening returns the
+//!   same bytes and the same error — and none allocates for an envelope
+//!   that fails.
 
 use crate::chacha20;
 use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
@@ -161,6 +172,14 @@ struct DerivedKeys {
     mac_key: [u8; 32],
 }
 
+impl DerivedKeys {
+    /// XORs the envelope's keystream into `body` — encryption and
+    /// decryption alike, always where the bytes lie.
+    fn crypt(&self, body: &mut [u8]) {
+        chacha20::xor_keystream(&self.cipher_key, &self.nonce, 0, body);
+    }
+}
+
 /// One envelope's content-independent half: a fresh ephemeral public key
 /// and the (contributory-checked) shared secret with its recipient, ready
 /// to seal exactly one plaintext. Made by [`SealedBox::prepare`].
@@ -206,11 +225,98 @@ impl PreparedSeal {
         );
         let keys = SealedBox::derive(&self.shared, &self.eph_pub, &self.recipient);
         let (header, ciphertext) = envelope.split_at_mut(OVERHEAD);
-        chacha20::xor_keystream(&keys.cipher_key, &keys.nonce, 0, ciphertext);
+        keys.crypt(ciphertext);
         let tag = HmacKey::new(&keys.mac_key).mac_parts(&[&self.eph_pub, ciphertext]);
         header[..32].copy_from_slice(&self.eph_pub);
         header[32..].copy_from_slice(&tag);
     }
+}
+
+/// One envelope's recipient-side, content-independent half: the
+/// (contributory-checked) shared secret between the recipient's key and
+/// the envelope's ephemeral point, ready to open exactly that envelope.
+/// Made by [`SealedBox::prepare_open`].
+///
+/// Opening consumes the value. Handing it a different envelope is safe —
+/// the keys derived for the wrong ephemeral point fail the tag check.
+/// The `Debug` impl redacts the secret.
+pub struct PreparedOpen {
+    shared: [u8; 32],
+    recipient: [u8; 32],
+}
+
+impl fmt::Debug for PreparedOpen {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PreparedOpen(redacted)")
+    }
+}
+
+impl PreparedOpen {
+    /// The contributory-behavior check every way of opening goes through.
+    fn checked(shared: [u8; 32], recipient: &KeyPair) -> Result<Self, CryptoError> {
+        if shared == [0u8; 32] {
+            return Err(CryptoError::LowOrderPoint);
+        }
+        Ok(PreparedOpen {
+            shared,
+            recipient: recipient.public().0,
+        })
+    }
+
+    /// Opens in place: on entry `sealed` is the whole envelope
+    /// `eph_pub ‖ tag ‖ ciphertext`; on success `sealed[OVERHEAD..]` holds
+    /// the plaintext (the header bytes are left as they were). The tag is
+    /// verified over the ciphertext before a byte of it is decrypted, so
+    /// on any error `sealed` is untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::BadLength`] if `sealed` is shorter than the header,
+    /// [`CryptoError::AuthenticationFailed`] if the tag does not verify.
+    pub fn open_in_place(self, sealed: &mut [u8]) -> Result<(), CryptoError> {
+        let keys = self.verify(sealed)?;
+        keys.crypt(&mut sealed[OVERHEAD..]);
+        Ok(())
+    }
+
+    /// Opens a borrowed envelope into a fresh plaintext buffer: verifies
+    /// it where it lies, then copies the ciphertext out and decrypts the
+    /// copy in place. Nothing is allocated for an envelope that fails.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedOpen::open_in_place`].
+    pub fn open(self, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        let keys = self.verify(sealed)?;
+        let mut plaintext = sealed[OVERHEAD..].to_vec();
+        keys.crypt(&mut plaintext);
+        Ok(plaintext)
+    }
+
+    /// The one verification every way of opening goes through: length,
+    /// key derivation, tag over `eph_pub ‖ ciphertext`. Returns the keys
+    /// the (now authenticated) ciphertext decrypts under.
+    fn verify(self, sealed: &[u8]) -> Result<DerivedKeys, CryptoError> {
+        check_envelope_len(sealed)?;
+        let (header, ciphertext) = sealed.split_at(OVERHEAD);
+        let eph_pub: [u8; 32] = header[..32].try_into().expect("length checked");
+        let keys = SealedBox::derive(&self.shared, &eph_pub, &self.recipient);
+        let expected_tag = HmacKey::new(&keys.mac_key).mac_parts(&[&eph_pub, ciphertext]);
+        if !crate::ct_eq(&expected_tag, &header[32..]) {
+            return Err(CryptoError::AuthenticationFailed);
+        }
+        Ok(keys)
+    }
+}
+
+fn check_envelope_len(sealed: &[u8]) -> Result<(), CryptoError> {
+    if sealed.len() < OVERHEAD {
+        return Err(CryptoError::BadLength {
+            expected: "at least 64 bytes",
+            actual: sealed.len(),
+        });
+    }
+    Ok(())
 }
 
 impl SealedBox {
@@ -317,6 +423,59 @@ impl SealedBox {
         Ok(prepared)
     }
 
+    /// The content-independent phase of opening, for a batch of envelopes
+    /// addressed to `recipient`: derives every shared secret through the
+    /// batched X25519 driver — one clamp and bit schedule, shared ladder
+    /// passes, one field inversion ([`x25519::x25519_batch`]). Returns one
+    /// result per envelope, in input order.
+    ///
+    /// An envelope shorter than the header is
+    /// [`CryptoError::BadLength`] and never enters the ladder; one whose
+    /// ephemeral point is low-order is [`CryptoError::LowOrderPoint`].
+    /// Either affects only its own slot.
+    pub fn prepare_open<T: AsRef<[u8]>>(
+        sealed: &[T],
+        recipient: &KeyPair,
+    ) -> Vec<Result<PreparedOpen, CryptoError>> {
+        let secret = recipient.secret().as_bytes();
+        let jobs = sealed
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|s| s.len() >= OVERHEAD)
+            .map(|s| (*secret, s[..32].try_into().expect("length checked")));
+        let mut shareds = Vec::with_capacity(sealed.len());
+        x25519::scalarmult_each(x25519::Tier::best(), jobs, |_, shared| shareds.push(shared));
+        let mut shareds = shareds.into_iter();
+        sealed
+            .iter()
+            .map(|s| {
+                check_envelope_len(s.as_ref())?;
+                let shared = shareds.next().expect("one ladder per well-formed envelope");
+                PreparedOpen::checked(shared, recipient)
+            })
+            .collect()
+    }
+
+    /// [`SealedBox::prepare_open`] for one envelope, without the batch's
+    /// bookkeeping.
+    fn prepare_open_one(sealed: &[u8], recipient: &KeyPair) -> Result<PreparedOpen, CryptoError> {
+        check_envelope_len(sealed)?;
+        let eph_pub: [u8; 32] = sealed[..32].try_into().expect("length checked");
+        let shared = x25519::x25519(recipient.secret().as_bytes(), &eph_pub);
+        PreparedOpen::checked(shared, recipient)
+    }
+
+    /// Decrypts a sealed box with the recipient's key pair, in place: on
+    /// success the plaintext is `sealed[OVERHEAD..]`; on any error
+    /// `sealed` is untouched ([`PreparedOpen::open_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`SealedBox::open`].
+    pub fn open_in_place(sealed: &mut [u8], recipient: &KeyPair) -> Result<(), CryptoError> {
+        Self::prepare_open_one(sealed, recipient)?.open_in_place(sealed)
+    }
+
     /// Decrypts a sealed box with the recipient's key pair.
     ///
     /// # Errors
@@ -327,21 +486,11 @@ impl SealedBox {
     /// [`CryptoError::AuthenticationFailed`] if the tag does not verify
     /// (wrong key, truncation, or tampering).
     pub fn open(sealed: &[u8], recipient: &KeyPair) -> Result<Vec<u8>, CryptoError> {
-        if sealed.len() < OVERHEAD {
-            return Err(CryptoError::BadLength {
-                expected: "at least 64 bytes",
-                actual: sealed.len(),
-            });
-        }
-        let eph_pub: [u8; 32] = sealed[..32].try_into().expect("length checked");
-        let shared = x25519::x25519(recipient.secret().as_bytes(), &eph_pub);
-        Self::open_with_shared(sealed, &shared, recipient)
+        Self::prepare_open_one(sealed, recipient)?.open(sealed)
     }
 
     /// Opens a batch of envelopes addressed to `recipient`, amortizing the
-    /// shared-secret derivation: one clamp and bit schedule for the whole
-    /// batch, and one field inversion shared across it
-    /// ([`x25519::x25519_batch`]).
+    /// shared-secret derivation ([`SealedBox::prepare_open`]).
     ///
     /// Returns one result per envelope, in input order, each **exactly**
     /// what [`SealedBox::open`] would have returned for that envelope —
@@ -351,62 +500,11 @@ impl SealedBox {
         sealed: &[T],
         recipient: &KeyPair,
     ) -> Vec<Result<Vec<u8>, CryptoError>> {
-        // Undersized envelopes are rejected up front; only well-formed
-        // ones enter the batched ladder.
-        let mut results: Vec<Option<Result<Vec<u8>, CryptoError>>> = sealed
-            .iter()
-            .map(|s| {
-                let s = s.as_ref();
-                (s.len() < OVERHEAD).then_some(Err(CryptoError::BadLength {
-                    expected: "at least 64 bytes",
-                    actual: s.len(),
-                }))
-            })
-            .collect();
-        let eph_pubs: Vec<[u8; 32]> = sealed
-            .iter()
-            .zip(&results)
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(s, _)| s.as_ref()[..32].try_into().expect("length checked"))
-            .collect();
-        let shareds = x25519::x25519_batch(recipient.secret().as_bytes(), &eph_pubs);
-        let mut shareds = shareds.into_iter();
-        for (slot, s) in results.iter_mut().zip(sealed) {
-            if slot.is_none() {
-                let shared = shareds.next().expect("one shared secret per envelope");
-                *slot = Some(Self::open_with_shared(s.as_ref(), &shared, recipient));
-            }
-        }
-        results
+        Self::prepare_open(sealed, recipient)
             .into_iter()
-            .map(|slot| slot.expect("every envelope resolved"))
+            .zip(sealed)
+            .map(|(prepared, s)| prepared?.open(s.as_ref()))
             .collect()
-    }
-
-    /// The tail of [`SealedBox::open`] after the scalar multiplication:
-    /// contributory check, key derivation, tag verification, decryption.
-    /// `sealed` is already length-checked.
-    fn open_with_shared(
-        sealed: &[u8],
-        shared: &[u8; 32],
-        recipient: &KeyPair,
-    ) -> Result<Vec<u8>, CryptoError> {
-        if *shared == [0u8; 32] {
-            return Err(CryptoError::LowOrderPoint);
-        }
-        let eph_pub: [u8; 32] = sealed[..32].try_into().expect("length checked");
-        let tag: [u8; 32] = sealed[32..64].try_into().expect("length checked");
-        let ciphertext = &sealed[64..];
-
-        let keys = Self::derive(shared, &eph_pub, recipient.public().as_bytes());
-        let expected_tag = HmacKey::new(&keys.mac_key).mac_parts(&[&eph_pub, ciphertext]);
-        if !crate::ct_eq(&expected_tag, &tag) {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-
-        let mut plaintext = ciphertext.to_vec();
-        chacha20::xor_keystream(&keys.cipher_key, &keys.nonce, 0, &mut plaintext);
-        Ok(plaintext)
     }
 }
 
@@ -671,6 +769,24 @@ mod tests {
                 .unwrap()
                 .is_empty());
         }
+    }
+
+    #[test]
+    fn prepared_open_debug_is_redacted_and_a_foreign_envelope_fails_closed() {
+        let (kp, mut rng) = recipient();
+        let mine = SealedBox::seal(b"mine", kp.public(), &mut rng).unwrap();
+        let other = SealedBox::seal(b"other", kp.public(), &mut rng).unwrap();
+        let mut prepared = SealedBox::prepare_open(&[&mine], &kp);
+        let prepared = prepared.pop().unwrap().unwrap();
+        assert_eq!(format!("{prepared:?}"), "PreparedOpen(redacted)");
+        // The secret belongs to `mine`'s ephemeral key: under it another
+        // envelope's tag cannot verify, and its bytes stay as they were.
+        let mut buffer = other.clone();
+        assert_eq!(
+            prepared.open_in_place(&mut buffer),
+            Err(CryptoError::AuthenticationFailed)
+        );
+        assert_eq!(buffer, other);
     }
 
     #[test]

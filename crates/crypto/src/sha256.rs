@@ -5,11 +5,13 @@
 //! validated against the FIPS/NIST short-message vectors.
 //!
 //! The compression function is multi-block: `update` feeds every full
-//! block of its input through one `compress_blocks` call, which
-//! dispatches at runtime to the SHA-NI (`sha` + `ssse3` + `sse4.1`)
-//! kernel when the CPU has it and to the portable scalar rounds
-//! otherwise. Both paths implement the same FIPS 180-4 function and are
-//! pinned by the same vectors, so the choice is invisible to callers.
+//! block of its input through one `compress_blocks` call, which runs the
+//! SHA-NI (`sha` + `ssse3` + `sse4.1`) kernel when the CPU has it and the
+//! portable scalar rounds otherwise. A hasher picks its `Tier` once, at
+//! construction, from CPU detection alone — there is no option; the tests
+//! construct one hasher per supported tier instead. Both tiers implement
+//! the same FIPS 180-4 function and are pinned by the same vectors, so
+//! the choice is invisible to callers.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -44,6 +46,7 @@ const H0: [u32; 8] = [
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
+    tier: Tier,
     state: [u32; 8],
     buffer: [u8; 64],
     buffer_len: usize,
@@ -59,7 +62,13 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
+        Self::on(Tier::best())
+    }
+
+    /// A fresh hasher whose compressions run on `tier`.
+    pub(crate) fn on(tier: Tier) -> Self {
         Sha256 {
+            tier,
             state: H0,
             buffer: [0u8; 64],
             buffer_len: 0,
@@ -84,7 +93,7 @@ impl Sha256 {
         }
         let full = input.len() - input.len() % 64;
         if full > 0 {
-            compress_blocks(&mut self.state, &input[..full]);
+            compress_blocks(self.tier, &mut self.state, &input[..full]);
             input = &input[full..];
         }
         if !input.is_empty() {
@@ -132,22 +141,56 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        compress_blocks(&mut self.state, block);
+        compress_blocks(self.tier, &mut self.state, block);
+    }
+}
+
+/// Which compression kernel a hasher runs.
+///
+/// An argument rather than ambient state so the tests can pin every tier
+/// the host supports to the same vectors; production callers get
+/// [`Tier::best`] through [`Sha256::new`]. Digests do not depend on the
+/// tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// The FIPS 180-4 rounds in plain scalar code.
+    Portable,
+    /// The x86-64 `sha` extension. Only [`Tier::best`] hands this out,
+    /// and only on a CPU that has the kernel.
+    ShaNi,
+}
+
+impl Tier {
+    /// The fastest tier the running CPU supports.
+    pub(crate) fn best() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            return Tier::ShaNi;
+        }
+        Tier::Portable
+    }
+
+    /// Every tier the running CPU supports, portable first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        if Tier::best() == Tier::ShaNi {
+            tiers.push(Tier::ShaNi);
+        }
+        tiers
     }
 }
 
 /// Runs the SHA-256 compression function over `blocks` (whose length must
-/// be a multiple of 64), dispatching to the SHA-NI kernel when the CPU
-/// supports it.
-fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+/// be a multiple of 64) on `tier`.
+fn compress_blocks(tier: Tier, state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
     #[cfg(target_arch = "x86_64")]
-    if shani::available() {
-        // SAFETY: `available` verified the sha/ssse3/sse4.1 CPU features
-        // at runtime.
-        unsafe { shani::compress_blocks(state, blocks) };
-        return;
+    if tier == Tier::ShaNi {
+        return shani::compress_blocks(state, blocks);
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
     compress_blocks_portable(state, blocks);
 }
 
@@ -216,13 +259,26 @@ mod shani {
         })
     }
 
+    /// Compresses `blocks` (whole 64-byte blocks; a ragged tail is
+    /// ignored) into `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`] — callers select this tier only after
+    /// checking it.
+    pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        assert!(available(), "SHA-NI selected on a CPU without it");
+        // SAFETY: `available()` just confirmed sha, ssse3 and sse4.1 —
+        // the features `compress_blocks_ni` enables.
+        unsafe { compress_blocks_ni(state, blocks) }
+    }
+
     /// # Safety
     ///
-    /// The caller must have verified (e.g. via [`available`]) that the CPU
-    /// supports the `sha`, `ssse3` and `sse4.1` features. `blocks` must be
-    /// a multiple of 64 bytes long.
+    /// Requires the `sha`, `ssse3` and `sse4.1` features, i.e.
+    /// [`available`] returned `true`.
     #[target_feature(enable = "sha,ssse3,sse4.1")]
-    pub unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    unsafe fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
         // Big-endian message words → little-endian u32 lanes.
         let mask = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
 
@@ -350,17 +406,67 @@ mod tests {
         }
     }
 
-    /// Whatever kernel the dispatcher picked, it must agree with the
-    /// portable rounds on multi-block inputs of every residue class.
+    /// Every supported tier must agree with the portable rounds on
+    /// multi-block inputs of every residue class.
     #[test]
     fn dispatched_kernel_matches_portable() {
-        for blocks in [1usize, 2, 3, 4, 7] {
-            let data: Vec<u8> = (0..blocks * 64).map(|i| (i % 251) as u8).collect();
-            let mut fast = H0;
-            compress_blocks(&mut fast, &data);
-            let mut portable = H0;
-            compress_blocks_portable(&mut portable, &data);
-            assert_eq!(fast, portable, "{blocks} blocks");
+        for tier in Tier::supported() {
+            for blocks in [1usize, 2, 3, 4, 7] {
+                let data: Vec<u8> = (0..blocks * 64).map(|i| (i % 251) as u8).collect();
+                let mut fast = H0;
+                compress_blocks(tier, &mut fast, &data);
+                let mut portable = H0;
+                compress_blocks_portable(&mut portable, &data);
+                assert_eq!(fast, portable, "{tier:?}, {blocks} blocks");
+            }
+        }
+    }
+
+    fn digest_on(tier: Tier, data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::on(tier);
+        h.update(data);
+        h.finalize()
+    }
+
+    /// The FIPS 180-4 vectors, the million-`a` vector and the split-point
+    /// sweep on every tier the host supports — `Sha256::new` only ever
+    /// exercises the best one.
+    #[test]
+    fn fips_vectors_and_split_points_hold_on_every_tier() {
+        let vectors: [(&[u8], &str); 4] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+        ];
+        let data: Vec<u8> = (0..200u8).collect();
+        for tier in Tier::supported() {
+            for (message, expected) in vectors {
+                assert_eq!(hex(&digest_on(tier, message)), expected, "{tier:?}");
+            }
+            let mut h = Sha256::on(tier);
+            for _ in 0..1000 {
+                h.update(&[b'a'; 1000]);
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{tier:?}"
+            );
+            let expected = digest_on(tier, &data);
+            assert_eq!(expected, digest_on(Tier::Portable, &data), "{tier:?}");
+            for split in [0, 1, 55, 56, 63, 64, 65, 127, 128, 199, 200] {
+                let mut h = Sha256::on(tier);
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expected, "{tier:?}, split at {split}");
+            }
         }
     }
 

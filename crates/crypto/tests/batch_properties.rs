@@ -5,6 +5,12 @@
 //!   [`SealedBox::open`] element-wise — including when tampered,
 //!   truncated and low-order envelopes are interleaved with good ones
 //!   mid-batch;
+//! * in-place opening ([`SealedBox::open_in_place`], and
+//!   [`SealedBox::prepare_open`] + [`PreparedOpen::open_in_place`]
+//!   mid-batch) must return what [`SealedBox::open`] returns on valid
+//!   envelopes, on a flip at every byte, on every truncation and on
+//!   low-order ephemeral points, and must leave a buffer it fails on
+//!   byte-identical;
 //! * two-phase sealing ([`SealedBox::prepare`] + [`PreparedSeal::seal`])
 //!   must produce the bytes, and leave the RNG where, a loop of
 //!   [`SealedBox::seal`] does, at every batch size;
@@ -14,7 +20,7 @@
 
 use mixnn_crypto::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use mixnn_crypto::sealed_box::OVERHEAD;
-use mixnn_crypto::{KeyPair, PreparedSeal, PublicKey, SealedBox};
+use mixnn_crypto::{CryptoError, KeyPair, PreparedOpen, PreparedSeal, PublicKey, SealedBox};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,6 +98,95 @@ proptest! {
                 cipher.apply_keystream(chunk);
             }
             prop_assert_eq!(&whole, &blockwise, "len {}", len);
+        }
+    }
+}
+
+/// Opens `envelope` in place, alone and as the middle member of a
+/// prepared batch of three, and checks both against [`SealedBox::open`]:
+/// same error and an untouched buffer, or the same plaintext behind an
+/// untouched header. Returns whether the envelope opened.
+fn in_place_matches_open(envelope: &[u8], neighbours: &[Vec<u8>; 2], recipient: &KeyPair) -> bool {
+    let expected = SealedBox::open(envelope, recipient);
+    let check = |buffer: &[u8], outcome: Result<(), CryptoError>| match (&expected, outcome) {
+        (Ok(plaintext), Ok(())) => {
+            assert_eq!(&buffer[OVERHEAD..], &plaintext[..]);
+            assert_eq!(&buffer[..OVERHEAD], &envelope[..OVERHEAD]);
+        }
+        (Err(expected), Err(actual)) => {
+            assert_eq!(expected, &actual);
+            assert_eq!(buffer, envelope, "a failed open touched the buffer");
+        }
+        (expected, actual) => panic!("open {expected:?}, in place {actual:?}"),
+    };
+
+    let mut alone = envelope.to_vec();
+    let outcome = SealedBox::open_in_place(&mut alone, recipient);
+    check(&alone, outcome);
+
+    let mut batch = [
+        neighbours[0].clone(),
+        envelope.to_vec(),
+        neighbours[1].clone(),
+    ];
+    let prepared = SealedBox::prepare_open(&batch, recipient);
+    assert_eq!(prepared.len(), 3);
+    for (position, (prepared, buffer)) in prepared.into_iter().zip(&mut batch).enumerate() {
+        let outcome = prepared.and_then(|p| PreparedOpen::open_in_place(p, buffer));
+        if position == 1 {
+            check(buffer, outcome);
+        } else {
+            // The neighbours are intact whatever sits between them.
+            assert_eq!(outcome, Ok(()));
+        }
+    }
+    expected.is_ok()
+}
+
+proptest! {
+    // Every case opens its envelope some 2·(len + 64) times, three ways
+    // each: a handful of short lengths keeps the debug-profile run in
+    // seconds, and the 1,100-byte neighbour takes the widest keystream
+    // kernel through the valid path on every one of them.
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// In-place opening is [`SealedBox::open`] without the copy, for every
+    /// way an envelope can be wrong.
+    #[test]
+    fn open_in_place_matches_open_and_leaves_failures_untouched(
+        seed in 0u64..1000,
+        len in 0usize..200,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1a9e);
+        let recipient = KeyPair::generate(&mut rng);
+        let mut seal = |len: usize| {
+            let msg: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            SealedBox::seal(&msg, recipient.public(), &mut rng).unwrap()
+        };
+        let neighbours = [seal(40), seal(1100)];
+        let sealed = seal(len);
+
+        prop_assert!(in_place_matches_open(&sealed, &neighbours, &recipient));
+        // A flip at every byte: ephemeral key, tag and ciphertext.
+        for at in 0..sealed.len() {
+            let mut flipped = sealed.clone();
+            flipped[at] ^= 1 << (at % 8);
+            prop_assert!(!in_place_matches_open(&flipped, &neighbours, &recipient), "flip at {}", at);
+        }
+        // Every truncation, below and above the header.
+        for cut in 0..sealed.len() {
+            prop_assert!(!in_place_matches_open(&sealed[..cut], &neighbours, &recipient), "cut at {}", cut);
+        }
+        // Low-order ephemeral points: u = 0 and u = 1.
+        for low_order in [0u8, 1] {
+            let mut forged = sealed.clone();
+            forged[..32].fill(0);
+            forged[0] = low_order;
+            prop_assert_eq!(
+                SealedBox::open(&forged, &recipient),
+                Err(CryptoError::LowOrderPoint)
+            );
+            prop_assert!(!in_place_matches_open(&forged, &neighbours, &recipient));
         }
     }
 }

@@ -4,7 +4,7 @@ use crate::{
     seal_data, unseal_data, AttestationService, EnclaveError, EpcBudget, Measurement, Quote,
     SealingKey,
 };
-use mixnn_crypto::{CryptoError, KeyPair, PublicKey, SealedBox};
+use mixnn_crypto::{CryptoError, KeyPair, PreparedOpen, PublicKey, SealedBox};
 use rand::Rng;
 
 /// Configuration of a simulated enclave.
@@ -164,22 +164,27 @@ impl Enclave {
             }))
     }
 
-    /// Opens a batch of sealed boxes addressed to the enclave **without**
-    /// touching the EPC budget: one result per input, in order.
+    /// The pure half of batched ingestion: derives the shared secret of
+    /// every sealed box in `sealed` together (shared X25519 ladder passes,
+    /// one Montgomery-trick inversion — where the per-envelope decryption
+    /// savings come from) **without** touching the EPC budget or any
+    /// ciphertext. One result per input, in order.
     ///
-    /// This is the pure half of batched ingestion — the X25519 shared
-    /// secrets for the whole batch are derived together (shared bit
-    /// schedule, one Montgomery-trick inversion), which is where the
-    /// per-envelope decryption savings come from. Pair each result with
+    /// Open each envelope with its [`PreparedOpen`] — in place when the
+    /// caller owns the buffer — and pair the outcome with
     /// [`Enclave::charge_opened`] to replay the exact EPC accounting
     /// [`Enclave::decrypt`] would have performed.
-    pub fn open_batch<T: AsRef<[u8]>>(&self, sealed: &[T]) -> Vec<Result<Vec<u8>, CryptoError>> {
-        SealedBox::open_batch(sealed, &self.keypair)
+    pub fn prepare_open<T: AsRef<[u8]>>(
+        &self,
+        sealed: &[T],
+    ) -> Vec<Result<PreparedOpen, CryptoError>> {
+        SealedBox::prepare_open(sealed, &self.keypair)
     }
 
-    /// Replays [`Enclave::decrypt`]'s EPC accounting for one envelope whose
-    /// cryptographic opening was already performed (by
-    /// [`Enclave::open_batch`]).
+    /// Replays [`Enclave::decrypt`]'s EPC accounting for one envelope of
+    /// `sealed_len` bytes whose cryptographic opening — into a fresh
+    /// buffer (`T = Vec<u8>`) or in place (`T = ()`) — was performed
+    /// through [`Enclave::prepare_open`].
     ///
     /// For every blob `s`,
     /// `decrypt(s) == charge_opened(s.len(), SealedBox::open(s, keypair))`
@@ -191,11 +196,11 @@ impl Enclave {
     /// # Errors
     ///
     /// Exactly those of [`Enclave::decrypt`].
-    pub fn charge_opened(
+    pub fn charge_opened<T>(
         &self,
         sealed_len: usize,
-        opened: Result<Vec<u8>, CryptoError>,
-    ) -> Result<Vec<u8>, EnclaveError> {
+        opened: Result<T, CryptoError>,
+    ) -> Result<T, EnclaveError> {
         let plaintext_len = Self::plaintext_len(sealed_len)?;
         self.memory.allocate(plaintext_len)?;
         // Decryption itself is pure; the transient buffer decrypt() charges
@@ -204,8 +209,8 @@ impl Enclave {
         Ok(opened?)
     }
 
-    /// Batched [`Enclave::decrypt`]: opens every blob with the batched
-    /// kernels, then replays the per-envelope EPC accounting in order.
+    /// Batched [`Enclave::decrypt`]: derives every shared secret with the
+    /// batched kernels, then opens and charges envelope by envelope.
     ///
     /// Equivalent to calling [`Enclave::decrypt`] on each element, only
     /// faster.
@@ -213,10 +218,13 @@ impl Enclave {
         &self,
         sealed: &[T],
     ) -> Vec<Result<Vec<u8>, EnclaveError>> {
-        self.open_batch(sealed)
+        self.prepare_open(sealed)
             .into_iter()
             .zip(sealed)
-            .map(|(opened, s)| self.charge_opened(s.as_ref().len(), opened))
+            .map(|(prepared, s)| {
+                let s = s.as_ref();
+                self.charge_opened(s.len(), prepared.and_then(|p| p.open(s)))
+            })
             .collect()
     }
 
