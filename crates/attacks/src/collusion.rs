@@ -7,21 +7,22 @@
 //! nothing; their permutations are drawn uniformly inside the enclave.
 //!
 //! The adversary's goal is to link final (output slot, layer) pairs back
-//! to the original client slots. [`analyze_collusion`] computes exactly
-//! what the pooled views support: walking the chain input→output, a known
-//! hop maps candidate sets through its permutation unchanged in size,
-//! while an unknown hop — a uniform permutation over the round — widens
-//! every candidate set to the full round. The result quantifies the
-//! cascade's core claim: **linkability degrades only when all hops
+//! to the original client slots. [`analyze_routed_collusion`] computes
+//! exactly what the pooled views support: walking a route input→output, a
+//! known hop maps candidate sets through its permutation unchanged in
+//! size, while an unknown hop — a uniform permutation over the slots it
+//! mixed — widens every candidate set to all of them. On the uniform
+//! chain, where the whole round is one route group, the result quantifies
+//! the cascade's core claim: **linkability degrades only when all hops
 //! collude**; any proper subset leaves every pair with the full round as
 //! its residual anonymity set.
 //!
-//! # Non-uniform routes
+//! # Route groups
 //!
 //! Stratified and free-route layouts split a round into **route groups**
 //! (clients sharing one exact hop sequence), and each hop only mixes the
 //! group that traversed it. That changes the adversary's arithmetic in
-//! two ways, both computed by [`analyze_routed_collusion`]:
+//! two ways:
 //!
 //! 1. routes are treated as **metadata the adversary knows** (mix-network
 //!    routes are observable by traffic analysis), so a client's anonymity
@@ -36,102 +37,6 @@
 //! hops you take.
 
 use mixnn_core::MixPlan;
-
-/// What a colluding subset of hops can reconstruct about one round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollusionReport {
-    /// Clients (= slots) in the analyzed round.
-    pub clients: usize,
-    /// Model layers covered by the plans.
-    pub layers: usize,
-    /// Chain length (total hops, colluding or not).
-    pub total_hops: usize,
-    /// Indices of the colluding hops, in chain order.
-    pub colluding_hops: Vec<usize>,
-    /// Fraction of (output slot, layer) pairs the adversary links to a
-    /// **unique** original client. 0.0 = nothing linkable, 1.0 = the whole
-    /// round is deanonymized.
-    pub linkable_fraction: f64,
-    /// Mean size of the residual anonymity set over all (output slot,
-    /// layer) pairs — `clients` when the adversary learned nothing, 1.0
-    /// when everything is linked.
-    pub mean_anonymity_set: f64,
-    /// The successful links, flattened as `[layer * clients + output]`:
-    /// `Some(client)` when the pair's residual anonymity set is a
-    /// singleton, `None` otherwise.
-    pub links: Vec<Option<usize>>,
-}
-
-impl CollusionReport {
-    /// Whether every (output, layer) pair is linked to a unique client.
-    pub fn fully_linkable(&self) -> bool {
-        self.linkable_fraction == 1.0
-    }
-
-    /// Whether no (output, layer) pair is linked (for rounds with more
-    /// than one client).
-    pub fn unlinkable(&self) -> bool {
-        self.linkable_fraction == 0.0
-    }
-}
-
-/// Runs the colluding-subset adversary over one cascade round.
-///
-/// `hop_views[i]` is `Some(plan)` when hop `i` colludes (revealing its
-/// per-round plan) and `None` when it is honest. The computation is a
-/// deterministic function of the plans — seed the cascade and you seed
-/// the adversary.
-///
-/// # Panics
-///
-/// Panics if `hop_views` is empty, if `clients`/`layers` are zero, or if
-/// a revealed plan's dimensions disagree with them — those are analysis
-/// bugs, not runtime conditions.
-pub fn analyze_collusion(
-    hop_views: &[Option<&MixPlan>],
-    clients: usize,
-    layers: usize,
-) -> CollusionReport {
-    assert!(!hop_views.is_empty(), "a cascade has at least one hop");
-    assert!(clients > 0 && layers > 0, "round must be non-empty");
-    for (i, view) in hop_views.iter().enumerate() {
-        if let Some(plan) = view {
-            assert_eq!(plan.participants(), clients, "hop {i} plan width");
-            assert_eq!(plan.layers(), layers, "hop {i} plan layers");
-        }
-    }
-
-    let mut links = Vec::with_capacity(clients * layers);
-    let mut anonymity_total = 0usize;
-    for layer in 0..layers {
-        let candidates = propagate_candidates(hop_views, clients, layer);
-        for set in &candidates {
-            let size = set.iter().filter(|&&p| p).count();
-            anonymity_total += size;
-            links.push(if size == 1 {
-                set.iter().position(|&p| p)
-            } else {
-                None
-            });
-        }
-    }
-
-    let pairs = (clients * layers) as f64;
-    let linked = links.iter().filter(|l| l.is_some()).count();
-    CollusionReport {
-        clients,
-        layers,
-        total_hops: hop_views.len(),
-        colluding_hops: hop_views
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.is_some().then_some(i))
-            .collect(),
-        linkable_fraction: linked as f64 / pairs,
-        mean_anonymity_set: anonymity_total as f64 / pairs,
-        links,
-    }
-}
 
 /// Candidate-set propagation through one chain of views, for `members`
 /// slots at one layer: `result[out]` is the set of original slots that
@@ -407,18 +312,34 @@ mod tests {
             .collect()
     }
 
-    fn views<'a>(plans: &'a [MixPlan], colluding: &[usize]) -> Vec<Option<&'a MixPlan>> {
-        (0..plans.len())
-            .map(|i| colluding.contains(&i).then_some(&plans[i]))
-            .collect()
+    fn group<'a>(
+        slots: &[usize],
+        route: &[usize],
+        plans: &'a [MixPlan],
+        colluding: &[usize],
+    ) -> RouteGroupView<'a> {
+        RouteGroupView::for_group(slots, route, plans, colluding)
+    }
+
+    /// The uniform chain as the routed analysis sees it: every client in
+    /// one group whose route is hops `0..plans.len()`.
+    fn chain(plans: &[MixPlan], colluding: &[usize]) -> RoutedCollusionReport {
+        let clients = plans[0].participants();
+        let slots: Vec<usize> = (0..clients).collect();
+        let route: Vec<usize> = (0..plans.len()).collect();
+        analyze_routed_collusion(
+            &[group(&slots, &route, plans, colluding)],
+            clients,
+            plans[0].layers(),
+        )
     }
 
     #[test]
     fn full_collusion_links_everything() {
-        let plans = plans(3, 6, 2, 1);
-        let report = analyze_collusion(&views(&plans, &[0, 1, 2]), 6, 2);
-        assert!(report.fully_linkable());
+        let report = chain(&plans(3, 6, 2, 1), &[0, 1, 2]);
+        assert_eq!(report.linkable_fraction, 1.0);
         assert_eq!(report.mean_anonymity_set, 1.0);
+        assert_eq!(report.linked_clients(), 6);
         assert_eq!(report.colluding_hops, vec![0, 1, 2]);
     }
 
@@ -427,8 +348,11 @@ mod tests {
         let plans = plans(3, 6, 2, 2);
         for honest in 0..3 {
             let colluding: Vec<usize> = (0..3).filter(|&i| i != honest).collect();
-            let report = analyze_collusion(&views(&plans, &colluding), 6, 2);
-            assert!(report.unlinkable(), "honest hop {honest} failed to hide");
+            let report = chain(&plans, &colluding);
+            assert_eq!(
+                report.linkable_fraction, 0.0,
+                "honest hop {honest} failed to hide"
+            );
             assert_eq!(
                 report.mean_anonymity_set, 6.0,
                 "honest hop {honest} shrank the anonymity set"
@@ -438,10 +362,10 @@ mod tests {
 
     #[test]
     fn no_collusion_reveals_nothing() {
-        let plans = plans(2, 4, 3, 3);
-        let report = analyze_collusion(&views(&plans, &[]), 4, 3);
-        assert!(report.unlinkable());
+        let report = chain(&plans(2, 4, 3, 3), &[]);
+        assert_eq!(report.linkable_fraction, 0.0);
         assert_eq!(report.mean_anonymity_set, 4.0);
+        assert!(report.links.iter().all(Option::is_none));
         assert!(report.colluding_hops.is_empty());
     }
 
@@ -450,9 +374,8 @@ mod tests {
         // The adversary's singleton sets must equal the true composed
         // permutation, not just have size one.
         let plans = plans(4, 5, 2, 4);
-        let all: Vec<usize> = (0..4).collect();
-        let report = analyze_collusion(&views(&plans, &all), 5, 2);
-        assert!(report.fully_linkable());
+        let report = chain(&plans, &[0, 1, 2, 3]);
+        assert_eq!(report.linkable_fraction, 1.0);
         for layer in 0..2 {
             for out in 0..5 {
                 let mut idx = out;
@@ -467,49 +390,24 @@ mod tests {
             }
         }
         // And the whole analysis is a pure function of its inputs.
-        assert_eq!(report, analyze_collusion(&views(&plans, &all), 5, 2));
+        assert_eq!(report, chain(&plans, &[0, 1, 2, 3]));
     }
 
     #[test]
     fn single_hop_chain_is_the_degenerate_case() {
         let plans = plans(1, 8, 3, 5);
         // The single hop colluding = total collusion.
-        assert!(analyze_collusion(&views(&plans, &[0]), 8, 3).fully_linkable());
+        assert_eq!(chain(&plans, &[0]).linkable_fraction, 1.0);
         // The single hop honest = nothing linkable.
-        assert!(analyze_collusion(&views(&plans, &[]), 8, 3).unlinkable());
+        assert_eq!(chain(&plans, &[]).linkable_fraction, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "plan width")]
     fn dimension_mismatch_is_a_bug() {
+        // A 4-wide plan revealed for a group of five.
         let plans = plans(1, 4, 2, 6);
-        let _ = analyze_collusion(&views(&plans, &[0]), 5, 2);
-    }
-
-    fn group<'a>(
-        slots: &[usize],
-        route: &[usize],
-        plans: &'a [MixPlan],
-        colluding: &[usize],
-    ) -> RouteGroupView<'a> {
-        RouteGroupView::for_group(slots, route, plans, colluding)
-    }
-
-    #[test]
-    fn routed_uniform_round_matches_the_flat_analysis() {
-        let plans = plans(3, 6, 2, 10);
-        let all_slots: Vec<usize> = (0..6).collect();
-        for colluding in [vec![], vec![0], vec![0, 2], vec![0, 1, 2]] {
-            let flat = analyze_collusion(&views(&plans, &colluding), 6, 2);
-            let routed = analyze_routed_collusion(
-                &[group(&all_slots, &[0, 1, 2], &plans, &colluding)],
-                6,
-                2,
-            );
-            assert_eq!(routed.links, flat.links, "colluding {colluding:?}");
-            assert_eq!(routed.linkable_fraction, flat.linkable_fraction);
-            assert_eq!(routed.colluding_hops, flat.colluding_hops);
-        }
+        let _ = analyze_routed_collusion(&[group(&[0, 1, 2, 3, 4], &[0], &plans, &[0])], 5, 2);
     }
 
     #[test]

@@ -17,12 +17,17 @@
 //! — every value in one bucket at every level — which must stay linear.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mixnn_bench::experiments::compress::{gaussian_update, BIG_SIGNATURE, PAPER_SIGNATURE};
+use mixnn_bench::experiments::compress::PAPER_SIGNATURE;
 use mixnn_core::codec::{
     self, encode_layer_with, encode_params_with, validate_layer_frame, CompressionConfig,
 };
 use mixnn_nn::{LayerParams, ModelParams};
+use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
+
+/// The repo benchmark's big signature (492,810 parameters; see
+/// `benchmark/README.md`).
+const BIG_SIGNATURE: [usize; 5] = [65_536, 262_144, 131_072, 32_768, 1_290];
 
 fn reference_params() -> ModelParams {
     ModelParams::from_layers(
@@ -94,6 +99,25 @@ fn bench_validate(c: &mut Criterion) {
         );
     }
     group.finish();
+}
+
+/// One update with Gaussian layers, σ log-spaced from 1e-3 (first layer)
+/// to 1e-1 (last) as in the repo benchmark: select cost and quantization
+/// error depend on the value distribution, not only on the size.
+fn gaussian_update(signature: &[usize], seed: u64) -> ModelParams {
+    let zeros = |&len: &usize| LayerParams::from_values(vec![0.0; len]);
+    let unit = ModelParams::from_layers(signature.iter().map(zeros).collect())
+        .perturbed(1.0, &mut StdRng::seed_from_u64(seed));
+    let last = signature.len().saturating_sub(1).max(1) as f32;
+    ModelParams::from_layers(
+        unit.iter()
+            .enumerate()
+            .map(|(l, layer)| {
+                let sigma = 1e-3 * 100f32.powf(l as f32 / last);
+                LayerParams::from_values(layer.values().iter().map(|z| sigma * z).collect())
+            })
+            .collect(),
+    )
 }
 
 /// The layer of `signature` holding exactly `len` values, Gaussian at the

@@ -1,13 +1,16 @@
-//! Ablation bench: mixing strategies and plan constructions.
+//! Ablation bench: mixing strategies and plan constructions, and the
+//! FedAvg kernel the mixed updates feed.
 //!
 //! Quantifies the design choices DESIGN.md calls out — Latin-rectangle vs
 //! independent permutations, batch vs streaming, and streaming list size k.
+//! Kernels and ablations only: a whole round is the repo benchmark's to
+//! time (ARCHITECTURE.md, "Which number comes from where").
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_core::{BatchMixer, MixPlan, StreamingMixer};
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn updates(c: usize, layers: usize, scalars: usize) -> Vec<ModelParams> {
@@ -81,5 +84,41 @@ fn bench_batch_vs_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_plan_construction, bench_batch_vs_streaming);
+/// The server's FedAvg kernel on the repo benchmark's two shapes: many
+/// small updates (the paper's 5,762-parameter model, 256 clients) and few
+/// huge ones (492,810 parameters, 8 clients).
+fn bench_mean(c: &mut Criterion) {
+    let shapes: [(usize, &[usize]); 2] = [
+        (256, &[2048, 2048, 1024, 512, 130]),
+        (8, &[65536, 262144, 131072, 32768, 1290]),
+    ];
+    let mut group = c.benchmark_group("nn/mean");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2));
+    for (clients, signature) in shapes {
+        let mut rng = StdRng::seed_from_u64(13);
+        let updates: Vec<ModelParams> = (0..clients)
+            .map(|_| {
+                let layers = signature.iter().map(|&len| {
+                    LayerParams::from_values((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                });
+                ModelParams::from_layers(layers.collect())
+            })
+            .collect();
+        let params: usize = signature.iter().sum();
+        group.throughput(Throughput::Elements((clients * params) as u64));
+        group.bench_function(format!("{clients}x{params}"), |b| {
+            b.iter(|| ModelParams::mean(&updates).unwrap())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_plan_construction,
+    bench_batch_vs_streaming,
+    bench_mean
+);
 criterion_main!(benches);

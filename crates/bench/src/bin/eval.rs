@@ -18,21 +18,25 @@
 //!   --load-clients <n>                             simulated clients for load (default 100000,
 //!                                                  quick 2000)
 //!   --out <path>                                   JSON artifact path override
-//!                                                  (throughput: BENCH_throughput.json,
-//!                                                   cascade: BENCH_cascade.json,
+//!                                                  (cascade: BENCH_cascade.json,
 //!                                                   topology: BENCH_topology.json,
 //!                                                   load: BENCH_load.json,
 //!                                                   pooled: BENCH_pooled.json,
 //!                                                   compress: BENCH_compress.json)
 //!   --metrics-out <path>                           write the run's Prometheus metrics
-//!                                                  snapshot (throughput/cascade/load)
+//!                                                  snapshot (cascade/load/pooled)
 //! ```
 //!
-//! `throughput` measures the proxy's in-order ingest over round sizes
-//! {32,128,512} (quick: {8,32}) and writes updates/s per round size to
-//! the JSON artifact. `cascade` sweeps the multi-hop mix cascade over hop
-//! counts 1..4 × every colluding subset of hops, asserting bit-identical
-//! aggregates against the single-proxy baseline.
+//! `eval` reports what is **deterministic** — paper figures, collusion and
+//! anonymity tables, byte budgets, virtual-clock latency curves — and no
+//! wall-clock time: every `BENCH_*.json` it writes is a pure function of
+//! seed and scale, regenerated and `git diff`ed by CI. Time is measured in
+//! one place, the repo benchmark (`benchmark/`; ARCHITECTURE.md, "Which
+//! number comes from where").
+//!
+//! `cascade` sweeps the multi-hop mix cascade over hop counts 1..4 ×
+//! every colluding subset of hops, asserting bit-identical aggregates
+//! against the sealed single-proxy baseline.
 //! `topology` compares the three cascade layouts (linear, stratified,
 //! free-route) over hop counts 2..4 × every colluding subset, asserting
 //! the same bit-identical aggregate and recording per-client
@@ -47,20 +51,18 @@
 //! and bit-identical dummy-stripped aggregates, and recording pools by
 //! trigger, cover overhead, p50/p99 added latency and residual
 //! anonymity-set sizes. `compress` sweeps the MIXN v2 wire codec (f32 /
-//! int8 / int8+topk) over wire bytes per client, sustained updates/s and
-//! stripped-aggregate error against the lossless baseline across all
-//! three layouts, asserting route-group size uniformity (cover updates
-//! included) and the ≥4x compressed-byte budget.
+//! int8 / int8+topk) over wire bytes per client, virtual-time sustained
+//! updates/s and stripped-aggregate error against the lossless baseline
+//! across all three layouts, asserting route-group size uniformity (cover
+//! updates included) and the ≥4x compressed-byte budget.
 
 use mixnn_attacks::AttackMode;
 use mixnn_bench::experiments::{
-    background, cascade, compress, inference, load, pooled, robustness, sysperf, throughput,
-    topology, utility, utility_cdf,
+    background, cascade, compress, inference, load, pooled, robustness, sysperf, topology, utility,
+    utility_cdf,
 };
 use mixnn_bench::{report, DatasetKind, Defense, ExperimentScale, ExperimentSetup};
-use mixnn_telemetry::{
-    check_counter_monotonicity, validate_prometheus, Registry, Telemetry, VirtualClock,
-};
+use mixnn_telemetry::{check_counter_monotonicity, validate_prometheus, Telemetry};
 use std::process::ExitCode;
 
 /// The experiment registry: every runnable command with its one-line
@@ -98,13 +100,8 @@ const EXPERIMENTS: &[Experiment] = &[
     ),
     (
         "sysperf",
-        "§6.5 proxy pipeline cost and memory breakdown",
+        "§6.5 proxy memory table: update size and EPC high-water per model",
         run_sysperf,
-    ),
-    (
-        "throughput",
-        "Proxy ingest throughput by round size -> BENCH_throughput.json",
-        run_throughput,
     ),
     (
         "cascade",
@@ -344,43 +341,20 @@ fn run_sysperf(opts: &Options) -> Result<(), String> {
     let results = sysperf::run(&setup, opts.clients).map_err(|e| e.to_string())?;
     report::print_table(
         &format!(
-            "Section 6.5: proxy pipeline cost ({} clients, encrypted path)",
+            "Section 6.5: proxy memory ({} clients, encrypted path)",
             opts.clients
         ),
-        &[
-            "model",
-            "params",
-            "update MB",
-            "decrypt ms",
-            "store ms",
-            "process ms",
-            "mix ms",
-            "EPC high-water MB",
-        ],
+        &["model", "params", "update MB", "EPC high-water MB"],
         &sysperf::rows(&results),
     );
     println!(
-        "\nNote: the paper reports 0.19 s / 26.9 MB (2conv+3fc) and 0.22 s / 51.3 MB\n\
-         (3conv+3fc) for TensorFlow-scale models on a 2016 laptop; the reproduction\n\
-         targets the *shape* (decrypt-dominated, scaling with model size).",
+        "\nNote: the paper reports 26.9 MB (2conv+3fc) and 51.3 MB (3conv+3fc) for\n\
+         TensorFlow-scale models; the reproduction targets the *shape* (memory scaling\n\
+         with model size). §6.5's time columns (decrypt-dominated) are the repo\n\
+         benchmark's `core.proxy.{{decrypt,store,mix}}_ms` on `proxy_small`.",
     );
     let _ = Defense::lineup(0.0);
     Ok(())
-}
-
-/// Splices the registry's JSON snapshot into a hand-rolled `{...}` BENCH
-/// artifact as a top-level `"telemetry"` key, so the shared registry's
-/// counters ship alongside the experiment rows they describe.
-fn embed_telemetry(artifact: String, telemetry: &Telemetry) -> String {
-    let trimmed = artifact.trim_end();
-    let body = trimmed
-        .strip_suffix('}')
-        .expect("BENCH artifacts are JSON objects");
-    format!(
-        "{},\n  \"telemetry\": {}\n}}\n",
-        body.trim_end(),
-        telemetry.snapshot().to_json("  ")
-    )
 }
 
 /// Renders the registry's final Prometheus snapshot, enforces the export
@@ -407,90 +381,27 @@ fn export_metrics(
     Ok(())
 }
 
-fn run_throughput(opts: &Options) -> Result<(), String> {
-    let out = opts.out.as_deref().unwrap_or("BENCH_throughput.json");
-    let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, opts.scale, opts.seed);
-    let telemetry = Registry::new().shared();
-    let clients: &[usize] = match opts.scale {
-        ExperimentScale::Paper => &throughput::DEFAULT_CLIENTS,
-        ExperimentScale::Quick => &[8, 32],
-    };
-    let results = throughput::run_with(&setup, clients, opts.repeats, &telemetry)
-        .map_err(|e| e.to_string())?;
-    let mid_prom = telemetry.snapshot().to_prometheus();
-    report::print_table(
-        "Ingest throughput by round size (encrypted path)",
-        &["clients", "ingest ms", "mix ms", "updates/s"],
-        &throughput::rows(&results),
-    );
-    std::fs::write(
-        out,
-        embed_telemetry(throughput::to_json(&results), &telemetry),
-    )
-    .map_err(|e| format!("writing {out}: {e}"))?;
-    println!("\nResults written to {out}.");
-
-    // The hooks stay enabled in production paths, so their cost is
-    // measured (enabled registry vs the no-op one) and gated every run.
-    // The pass must be long enough that scheduler jitter cannot fake a
-    // 2% delta — 64 updates is ~10 ms of decrypt even on one core.
-    let overhead_clients = match opts.scale {
-        ExperimentScale::Paper => 256,
-        ExperimentScale::Quick => 64,
-    };
-    let overhead = throughput::measure_overhead(opts.seed, overhead_clients, opts.repeats.max(15))
-        .map_err(|e| e.to_string())?;
-    println!(
-        "Telemetry hook overhead (ingest+mix, {} updates, min of {} repeats):\n\
-         enabled {:.4} s vs no-op {:.4} s -> {:+.2}% (gate: {:.0}%).",
-        overhead.clients,
-        overhead.repeats,
-        overhead.enabled_seconds,
-        overhead.noop_seconds,
-        overhead.overhead_fraction * 100.0,
-        throughput::MAX_TELEMETRY_OVERHEAD * 100.0,
-    );
-    if overhead.overhead_fraction > throughput::MAX_TELEMETRY_OVERHEAD {
-        return Err(format!(
-            "telemetry hook overhead {:.2}% exceeds the {:.0}% ceiling",
-            overhead.overhead_fraction * 100.0,
-            throughput::MAX_TELEMETRY_OVERHEAD * 100.0
-        ));
-    }
-    export_metrics(&telemetry, &mid_prom, opts.metrics_out.as_deref())
-}
-
 fn run_cascade(opts: &Options) -> Result<(), String> {
     let out = opts.out.as_deref().unwrap_or("BENCH_cascade.json");
     let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, opts.scale, opts.seed);
-    let telemetry = Registry::new().shared();
+    let telemetry = report::artefact_telemetry();
     let sweep = cascade::run_with(
         &setup,
         opts.scale,
         opts.clients,
         &cascade::DEFAULT_HOPS,
-        opts.repeats,
         &telemetry,
     )
     .map_err(|e| e.to_string())?;
     let mid_prom = telemetry.snapshot().to_prometheus();
     report::print_table(
         &format!(
-            "Mix cascade: per-hop cost over hop counts {:?} ({} clients, onion path)",
+            "Mix cascade: onion bytes received per hop over hop counts {:?} ({} clients)",
             cascade::DEFAULT_HOPS,
             opts.clients
         ),
-        &[
-            "hops",
-            "hop",
-            "decrypt ms",
-            "store ms",
-            "mix ms",
-            "recv MB",
-            "round ms",
-            "updates/s",
-        ],
-        &cascade::perf_rows(&sweep),
+        &["hops", "hop", "recv MB"],
+        &cascade::round_rows(&sweep),
     );
     report::print_table(
         "Colluding-subset adversary: residual linkability per subset of hops",
@@ -499,7 +410,7 @@ fn run_cascade(opts: &Options) -> Result<(), String> {
     );
     std::fs::write(
         out,
-        embed_telemetry(cascade::to_json(&sweep, opts.clients), &telemetry),
+        report::embed_telemetry(&cascade::to_json(&sweep, opts.clients), &telemetry),
     )
     .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
@@ -522,14 +433,7 @@ fn run_topology(opts: &Options) -> Result<(), String> {
             topology::DEFAULT_HOPS,
             opts.clients
         ),
-        &[
-            "layout",
-            "hops",
-            "groups",
-            "group sizes",
-            "mean route",
-            "round ms",
-        ],
+        &["layout", "hops", "groups", "group sizes", "mean route"],
         &topology::structure_rows(&sweep),
     );
     report::print_table(
@@ -562,7 +466,7 @@ fn run_load(opts: &Options) -> Result<(), String> {
     // The load generator runs entirely in virtual time, so its registry
     // gets a virtual clock: the simulator drives it and every recorded
     // timestamp reproduces byte for byte.
-    let telemetry = Registry::with_virtual_clock(VirtualClock::default()).shared();
+    let telemetry = report::artefact_telemetry();
     let rows = load::run_with(opts.scale, opts.load_clients, opts.seed, &telemetry)?;
     let mid_prom = telemetry.snapshot().to_prometheus();
     report::print_table(
@@ -587,8 +491,11 @@ fn run_load(opts: &Options) -> Result<(), String> {
         ],
         &load::rows(&rows),
     );
-    std::fs::write(out, embed_telemetry(load::to_json(&rows), &telemetry))
-        .map_err(|e| format!("writing {out}: {e}"))?;
+    std::fs::write(
+        out,
+        report::embed_telemetry(&load::to_json(&rows), &telemetry),
+    )
+    .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "\nAll figures are virtual-time derived (deterministic per seed and config).\n\
          Verified before measuring: a real crypto-carrying cascade round delivered\n\
@@ -612,7 +519,7 @@ fn run_pooled(opts: &Options) -> Result<(), String> {
     // Pool deadlines are measured on the registry clock, so the registry
     // gets a virtual clock: the arrival schedule drives it and every
     // firing decision reproduces byte for byte.
-    let telemetry = Registry::with_virtual_clock(VirtualClock::default()).shared();
+    let telemetry = report::artefact_telemetry();
     let rows = pooled::run_with(opts.scale, opts.seed, &telemetry)?;
     let mid_prom = telemetry.snapshot().to_prometheus();
     report::print_table(
@@ -635,8 +542,11 @@ fn run_pooled(opts: &Options) -> Result<(), String> {
         ],
         &pooled::rows(&rows),
     );
-    std::fs::write(out, embed_telemetry(pooled::to_json(&rows), &telemetry))
-        .map_err(|e| format!("writing {out}: {e}"))?;
+    std::fs::write(
+        out,
+        report::embed_telemetry(&pooled::to_json(&rows), &telemetry),
+    )
+    .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "\nAsserted at every (k, deadline) point: each fired pool and each of its route\n\
          groups meets the k-floor (real + cover >= k); the dummy-stripped server\n\
@@ -648,11 +558,11 @@ fn run_pooled(opts: &Options) -> Result<(), String> {
     export_metrics(&telemetry, &mid_prom, opts.metrics_out.as_deref())
 }
 
-/// `eval compress`. Two tables: the wire-cost/accuracy sweep, whose
-/// `sustained_updates_per_sec` is X25519-bound at 5,762 parameters (all
-/// modes read the same rate — it says nothing about the codec), and the
-/// codec's own wall-clock encode/decode cost per parameter at the paper
-/// and the big signature.
+/// `eval compress`: the wire-cost/accuracy sweep. Its
+/// `sustained_updates_per_sec` is the load model's virtual time and reads
+/// the same for every mode at 5,762 parameters — it says nothing about
+/// the codec, whose CPU cost is the repo benchmark's
+/// `core.codec.*_ns_per_param` and the `codec/*` criterion rows.
 fn run_compress(opts: &Options) -> Result<(), String> {
     let out = opts.out.as_deref().unwrap_or("BENCH_compress.json");
     let rows = compress::run(opts.scale, opts.seed)?;
@@ -673,29 +583,16 @@ fn run_compress(opts: &Options) -> Result<(), String> {
         ],
         &compress::rows(&rows),
     );
-    let costs = compress::codec_costs(opts.seed);
-    report::print_table(
-        "Codec CPU cost on one Gaussian update (fastest repetition, this host)",
-        &[
-            "mode",
-            "signature",
-            "params",
-            "encode ns/param",
-            "decode ns/param",
-        ],
-        &compress::cost_rows(&costs),
-    );
-    std::fs::write(out, compress::to_json(&rows, &costs))
-        .map_err(|e| format!("writing {out}: {e}"))?;
+    std::fs::write(out, compress::to_json(&rows)).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "\nAsserted per mode and layout (linear, stratified, free-route): every sealed\n\
          onion of a route — real clients and hop-generated cover alike — encodes to\n\
          one length, so compression adds no linkability side channel; the stripped\n\
          aggregate stays within the stated RMSE tolerance of the lossless baseline;\n\
          and int8+topk cuts wire bytes ≥{:.0}x to ≤{:.0} B/client/round ({:.2}x, {:.0} B\n\
-         measured). Those figures are deterministic per seed and scale; updates/s is\n\
-         X25519-bound at 5,762 parameters and says nothing about the codec, whose\n\
-         wall-clock cost per parameter is the second table.\n\
+         measured). All figures are deterministic per seed and scale; updates/s is\n\
+         virtual-time and says nothing about the codec's CPU cost (see the repo\n\
+         benchmark's `core.codec.*_ns_per_param`).\n\
          Results written to {out}.",
         compress::MIN_REDUCTION,
         compress::MAX_COMPRESSED_BYTES,
@@ -740,10 +637,10 @@ fn main() -> ExitCode {
         }
     };
     let result = if command == ALL_COMMAND.0 {
-        // `--out` names exactly one file, but `all` runs two JSON-writing
-        // experiments (throughput and cascade); honoring the override would
-        // clobber one artifact with the other, so reject the combination
-        // rather than silently dropping the flag.
+        // `--out` names exactly one file, but `all` runs five JSON-writing
+        // experiments; honoring the override would clobber one artifact
+        // with the next, so reject the combination rather than silently
+        // dropping the flag.
         if opts.out.is_some() {
             eprintln!(
                 "error: --out names a single file but 'all' writes several artifacts;\n\

@@ -1,5 +1,7 @@
 //! The three systems under comparison (§6.1.3): classic FL, the
-//! noisy-gradient baseline and MixNN.
+//! noisy-gradient baseline and MixNN — the last through the sealed proxy
+//! round the repo ships (`seal → ingest_sealed → mix_batch`), the only
+//! proxy round there is.
 
 use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use mixnn_enclave::AttestationService;
@@ -18,9 +20,8 @@ pub enum Defense {
         /// Noise standard deviation.
         sigma: f32,
     },
-    /// The MixNN proxy (batch mixing, plaintext transport — mixing
-    /// semantics identical to the encrypted path; §6.5 measures the
-    /// encrypted path separately).
+    /// The MixNN proxy as deployed: batch mixing over the sealed
+    /// transport (seal → enclave ingest → mix).
     MixNn,
 }
 
@@ -47,9 +48,9 @@ impl Defense {
     /// Builds the transport implementing this defense.
     ///
     /// For MixNN a fresh proxy is launched (attestation service and enclave
-    /// included); the plaintext transport mode is used so large sweeps are
-    /// not dominated by sealing costs — the encrypted pipeline is measured
-    /// by the sysperf experiment and the Criterion benches.
+    /// included) and every update is sealed to it: the figures run the
+    /// path that ships, at no change to a single output byte
+    /// (ARCHITECTURE.md, "What was removed", has the measurement).
     pub fn make_transport(&self, seed: u64) -> Box<dyn UpdateTransport> {
         match self {
             Defense::ClassicFl => Box::new(DirectTransport::new()),
@@ -66,7 +67,7 @@ impl Defense {
                     &service,
                     &mut rng,
                 );
-                Box::new(MixnnTransport::new(proxy, TransportMode::Plaintext, seed))
+                Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed))
             }
         }
     }

@@ -1,68 +1,49 @@
-//! The mix-cascade evaluation: utility equivalence, per-hop cost, and the
-//! colluding-adversary sweep.
+//! The mix-cascade evaluation: utility equivalence, per-hop wire bytes,
+//! and the colluding-adversary sweep.
 //!
 //! For each hop count the experiment drives one full onion round through a
 //! linear cascade and
 //!
-//! 1. **asserts** the server-side aggregate is bit-identical to a
+//! 1. **asserts** the server-side aggregate is bit-identical to a sealed
 //!    single-proxy `MixnnProxy` round over the same updates (the cascade
 //!    must not cost any utility),
 //! 2. **asserts** the audit's [`CascadeAudit::unmix`] restores the
 //!    original updates bit-exactly (the composed permutation is invertible
 //!    by an honest auditor),
-//! 3. measures wall-clock round latency and the per-hop §6.5-style cost
-//!    breakdown,
-//! 4. runs [`analyze_collusion`] for **every** subset of hops, recording
-//!    linkability and residual anonymity — and **asserts** the threat
-//!    model: proper subsets link nothing, full collusion links all.
+//! 3. records the onion bytes each hop received,
+//! 4. runs [`analyze_routed_collusion`] for **every** subset of hops,
+//!    recording linkability and residual anonymity — and **asserts** the
+//!    threat model: proper subsets link nothing, full collusion links all.
 //!
-//! Results land in `BENCH_cascade.json`.
+//! Results land in `BENCH_cascade.json`, which is a pure function of the
+//! seed and scale. What a round *costs* in time is the repo benchmark's to
+//! say (`cascade3_small`; ARCHITECTURE.md, "Which number comes from
+//! where").
 //!
 //! [`CascadeAudit::unmix`]: mixnn_cascade::CascadeAudit::unmix
 
-use crate::report::Percentiles;
 use crate::{ExperimentScale, ExperimentSetup};
-use mixnn_attacks::{analyze_collusion, AttackError};
+use mixnn_attacks::{analyze_routed_collusion, AttackError, RouteGroupView};
 use mixnn_cascade::{CascadeCoordinator, FailurePolicy};
-use mixnn_core::{MixPlan, MixingStrategy, MixnnProxy, MixnnProxyConfig};
+use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// The hop counts swept by default (1 is the single-proxy chain).
 pub const DEFAULT_HOPS: [usize; 4] = [1, 2, 3, 4];
 
-/// Per-hop cost of one measured round.
+/// One driven hop-count cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HopCost {
-    /// Hop index in the chain.
-    pub hop: usize,
-    /// Seconds this hop spent unwrapping envelopes.
-    pub decrypt_seconds: f64,
-    /// Seconds spent decoding/validating framing.
-    pub store_seconds: f64,
-    /// Seconds spent drawing and applying the mixing plan.
-    pub mix_seconds: f64,
-    /// Onion ciphertext bytes this hop received.
-    pub bytes_received: u64,
-}
-
-/// One measured hop-count cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CascadePerfRow {
+pub struct CascadeRoundRow {
     /// Chain length.
     pub hops: usize,
     /// Clients in the round.
     pub clients: usize,
-    /// Wall-clock seconds for the whole round (sealing included).
-    pub round_seconds: f64,
-    /// Updates per second of round wall-clock.
-    pub updates_per_sec: f64,
-    /// The per-hop cost breakdown.
-    pub per_hop: Vec<HopCost>,
+    /// Onion ciphertext bytes each hop received, in chain order.
+    pub hop_bytes_received: Vec<u64>,
 }
 
 /// One colluding-subset cell.
@@ -81,13 +62,13 @@ pub struct CollusionRow {
 /// Everything the cascade sweep produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeSweep {
-    /// Per-hop-count performance rows.
-    pub perf: Vec<CascadePerfRow>,
+    /// Per-hop-count round rows.
+    pub rounds: Vec<CascadeRoundRow>,
     /// Per-(hop count, subset) adversary rows.
     pub collusion: Vec<CollusionRow>,
 }
 
-fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
+pub(super) fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
     let mut rng = StdRng::seed_from_u64(seed);
     ModelParams::from_layers(
         signature
@@ -101,15 +82,40 @@ fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
 
 /// The model signature the sweep routes: §6.5-shaped at paper scale, tiny
 /// for smoke runs.
-fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
+pub(super) fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
     match scale {
         ExperimentScale::Paper => vec![2048, 2048, 1024, 512, 130],
         ExperimentScale::Quick => vec![64, 32, 16],
     }
 }
 
-/// Runs the cascade sweep. The per-hop-count round duration is the median
-/// of `repeats` identical re-runs ([`Percentiles::from_samples`]).
+/// The aggregate of one sealed single-proxy round over `originals` — the
+/// baseline every chain and layout must reproduce bit for bit.
+pub(super) fn single_proxy_aggregate(
+    signature: &[usize],
+    seed: u64,
+    originals: &[ModelParams],
+    telemetry: &Telemetry,
+) -> Result<ModelParams, mixnn_fl::FlError> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x51);
+    let service = AttestationService::new(&mut rng);
+    let mut proxy = MixnnProxy::launch(
+        MixnnProxyConfig {
+            strategy: MixingStrategy::Batch,
+            expected_signature: signature.to_vec(),
+            seed,
+            ..MixnnProxyConfig::default()
+        },
+        &service,
+        &mut rng,
+    );
+    proxy.attach_telemetry(telemetry.clone());
+    let mixed = MixnnTransport::new(proxy, TransportMode::Encrypted, seed)
+        .relay_round(originals.to_vec())?;
+    Ok(ModelParams::mean(&mixed).expect("non-empty round"))
+}
+
+/// Runs the cascade sweep.
 ///
 /// # Errors
 ///
@@ -128,21 +134,13 @@ pub fn run(
     scale: ExperimentScale,
     clients: usize,
     hop_counts: &[usize],
-    repeats: usize,
 ) -> Result<CascadeSweep, AttackError> {
-    run_with(
-        setup,
-        scale,
-        clients,
-        hop_counts,
-        repeats,
-        &mixnn_telemetry::noop(),
-    )
+    run_with(setup, scale, clients, hop_counts, &mixnn_telemetry::noop())
 }
 
-/// [`run`] with a telemetry registry attached to every coordinator the
-/// sweep drives, so round/group/hop counters and span timings accumulate
-/// into the shared registry `eval` exports.
+/// [`run`] with a telemetry registry attached to the baseline proxy and
+/// to every coordinator the sweep drives, so the proxy's and the hops'
+/// counters accumulate into the shared registry `eval` exports.
 ///
 /// # Errors
 ///
@@ -152,7 +150,6 @@ pub fn run_with(
     scale: ExperimentScale,
     clients: usize,
     hop_counts: &[usize],
-    repeats: usize,
     telemetry: &Telemetry,
 ) -> Result<CascadeSweep, AttackError> {
     if clients < 2 {
@@ -169,58 +166,26 @@ pub fn run_with(
         .map(|i| synth_update(&signature, seed ^ ((i as u64) << 8)))
         .collect();
 
-    // The single-proxy baseline aggregate every chain must reproduce.
-    let baseline_aggregate = {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51);
-        let service = AttestationService::new(&mut rng);
-        let mut proxy = MixnnProxy::launch(
-            MixnnProxyConfig {
-                strategy: MixingStrategy::Batch,
-                expected_signature: signature.clone(),
-                seed,
-                ..MixnnProxyConfig::default()
-            },
-            &service,
-            &mut rng,
-        );
-        let mixed = proxy
-            .mix_plaintext_round(originals.clone())
-            .map_err(mixnn_fl::FlError::from)?;
-        ModelParams::mean(&mixed).expect("non-empty round")
-    };
+    let baseline_aggregate = single_proxy_aggregate(&signature, seed, &originals, telemetry)?;
 
-    let mut perf = Vec::with_capacity(hop_counts.len());
+    let mut rounds = Vec::with_capacity(hop_counts.len());
     let mut collusion = Vec::new();
     for &hops in hop_counts {
-        // Each repetition rebuilds the cascade from the same seeds, so
-        // every rep runs the identical round (bit for bit) and the hop
-        // stats below describe exactly one round; the reported duration
-        // is the median of the repetitions, not a lucky or unlucky one.
-        let mut round_samples = Vec::with_capacity(repeats.max(1));
-        let mut last = None;
-        for _ in 0..repeats.max(1) {
-            let mut rng = StdRng::seed_from_u64(seed ^ ((hops as u64) << 16));
-            let service = AttestationService::new(&mut rng);
-            let mut cascade = CascadeCoordinator::linear(
-                signature.clone(),
-                hops,
-                seed,
-                FailurePolicy::Abort,
-                &service,
-                &mut rng,
-            )
+        let mut rng = StdRng::seed_from_u64(seed ^ ((hops as u64) << 16));
+        let service = AttestationService::new(&mut rng);
+        let mut cascade = CascadeCoordinator::linear(
+            signature.clone(),
+            hops,
+            seed,
+            FailurePolicy::Abort,
+            &service,
+            &mut rng,
+        )
+        .map_err(mixnn_fl::FlError::from)?;
+        cascade.attach_telemetry(telemetry.clone());
+        let round = cascade
+            .run_round(&originals, &mut rng)
             .map_err(mixnn_fl::FlError::from)?;
-            cascade.attach_telemetry(telemetry.clone());
-
-            let t0 = Instant::now();
-            let round = cascade
-                .run_round(&originals, &mut rng)
-                .map_err(mixnn_fl::FlError::from)?;
-            round_samples.push(t0.elapsed().as_secs_f64());
-            last = Some((cascade, round));
-        }
-        let (cascade, round) = last.expect("at least one repetition ran");
-        let round_seconds = Percentiles::from_samples(&round_samples).p50;
 
         // Assertion 1: utility equivalence against the single-proxy
         // baseline, bit for bit, at every hop count.
@@ -239,40 +204,30 @@ pub fn run_with(
             "unmix failed to restore the originals at {hops} hops"
         );
 
-        perf.push(CascadePerfRow {
+        rounds.push(CascadeRoundRow {
             hops,
             clients,
-            round_seconds,
-            updates_per_sec: if round_seconds > 0.0 {
-                clients as f64 / round_seconds
-            } else {
-                0.0
-            },
-            per_hop: cascade
+            hop_bytes_received: cascade
                 .hop_stats()
                 .iter()
-                .enumerate()
-                .map(|(hop, s)| HopCost {
-                    hop,
-                    decrypt_seconds: s.decrypt_seconds,
-                    store_seconds: s.store_seconds,
-                    mix_seconds: s.mix_seconds,
-                    bytes_received: s.bytes_received,
-                })
+                .map(|s| s.bytes_received)
                 .collect(),
         });
 
         // Every colluding subset of this chain, adversary-evaluated on the
-        // round's actual plans.
-        let plans = round.audit.plans().map_err(mixnn_fl::FlError::from)?;
+        // round's actual plans (a linear round is one route group).
         for mask in 0u32..(1 << hops) {
-            let views: Vec<Option<&MixPlan>> = (0..hops)
-                .map(|h| (mask & (1 << h) != 0).then_some(&plans[h]))
+            let colluding: Vec<usize> = (0..hops).filter(|h| mask & (1 << h) != 0).collect();
+            let views: Vec<RouteGroupView> = round
+                .audit
+                .groups()
+                .iter()
+                .map(|g| RouteGroupView::for_group(g.slots(), g.route(), g.plans(), &colluding))
                 .collect();
-            let report = analyze_collusion(&views, clients, signature.len());
+            let report = analyze_routed_collusion(&views, clients, signature.len());
             // Assertion 3: the cascade's threat-model claim, on this
             // round's actual plans — only full collusion links anything.
-            if report.colluding_hops.len() == hops {
+            if colluding.len() == hops {
                 assert_eq!(
                     report.linkable_fraction, 1.0,
                     "all {hops} hops colluding must deanonymize the round"
@@ -280,40 +235,37 @@ pub fn run_with(
             } else {
                 assert_eq!(
                     report.linkable_fraction, 0.0,
-                    "proper subset {:?} of {hops} hops linked something",
-                    report.colluding_hops
+                    "proper subset {colluding:?} of {hops} hops linked something"
                 );
             }
             collusion.push(CollusionRow {
                 hops,
-                subset: report.colluding_hops,
+                subset: colluding,
                 linkable_fraction: report.linkable_fraction,
                 mean_anonymity_set: report.mean_anonymity_set,
             });
         }
     }
 
-    Ok(CascadeSweep { perf, collusion })
+    Ok(CascadeSweep { rounds, collusion })
 }
 
-/// Formats the performance rows for the report table.
-pub fn perf_rows(sweep: &CascadeSweep) -> Vec<Vec<String>> {
+/// Formats the per-hop byte rows for the report table.
+pub fn round_rows(sweep: &CascadeSweep) -> Vec<Vec<String>> {
     sweep
-        .perf
+        .rounds
         .iter()
         .flat_map(|r| {
-            r.per_hop.iter().map(move |h| {
-                vec![
-                    r.hops.to_string(),
-                    h.hop.to_string(),
-                    crate::report::fmt_ms(h.decrypt_seconds),
-                    crate::report::fmt_ms(h.store_seconds),
-                    crate::report::fmt_ms(h.mix_seconds),
-                    format!("{:.1}", h.bytes_received as f64 / (1024.0 * 1024.0)),
-                    crate::report::fmt_ms(r.round_seconds),
-                    format!("{:.1}", r.updates_per_sec),
-                ]
-            })
+            r.hop_bytes_received
+                .iter()
+                .enumerate()
+                .map(|(hop, &bytes)| {
+                    vec![
+                        r.hops.to_string(),
+                        hop.to_string(),
+                        crate::report::fmt_mb(bytes as usize),
+                    ]
+                })
         })
         .collect()
 }
@@ -350,17 +302,12 @@ pub fn collusion_rows(sweep: &CascadeSweep) -> Vec<Vec<String>> {
 pub fn to_json(sweep: &CascadeSweep, clients: usize) -> String {
     let mut out =
         format!("{{\n  \"experiment\": \"cascade\",\n  \"clients\": {clients},\n  \"rows\": [\n");
-    for (i, r) in sweep.perf.iter().enumerate() {
+    for (i, r) in sweep.rounds.iter().enumerate() {
         let per_hop: Vec<String> = r
-            .per_hop
+            .hop_bytes_received
             .iter()
-            .map(|h| {
-                format!(
-                    "{{\"hop\": {}, \"decrypt_seconds\": {:.6}, \"store_seconds\": {:.6}, \
-                     \"mix_seconds\": {:.6}, \"bytes_received\": {}}}",
-                    h.hop, h.decrypt_seconds, h.store_seconds, h.mix_seconds, h.bytes_received
-                )
-            })
+            .enumerate()
+            .map(|(hop, bytes)| format!("{{\"hop\": {hop}, \"bytes_received\": {bytes}}}"))
             .collect();
         let subsets: Vec<String> = sweep
             .collusion
@@ -381,15 +328,13 @@ pub fn to_json(sweep: &CascadeSweep, clients: usize) -> String {
             })
             .collect();
         out.push_str(&format!(
-            "    {{\"hops\": {}, \"round_seconds\": {:.6}, \"updates_per_sec\": {:.2}, \
-             \"aggregate_bit_identical\": true, \"unmix_bit_identical\": true,\n     \
+            "    {{\"hops\": {}, \"aggregate_bit_identical\": true, \
+             \"unmix_bit_identical\": true,\n     \
              \"per_hop\": [{}],\n     \"collusion\": [{}]}}{}\n",
             r.hops,
-            r.round_seconds,
-            r.updates_per_sec,
             per_hop.join(", "),
             subsets.join(", "),
-            if i + 1 == sweep.perf.len() { "" } else { "," }
+            if i + 1 == sweep.rounds.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -403,18 +348,19 @@ mod tests {
 
     fn sweep() -> CascadeSweep {
         let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 3);
-        run(&setup, ExperimentScale::Quick, 6, &[1, 2, 3], 2).unwrap()
+        run(&setup, ExperimentScale::Quick, 6, &[1, 2, 3]).unwrap()
     }
 
     #[test]
     fn sweep_covers_every_hop_count_and_subset() {
         let sweep = sweep();
-        assert_eq!(sweep.perf.len(), 3);
+        assert_eq!(sweep.rounds.len(), 3);
         // 2^1 + 2^2 + 2^3 subsets.
         assert_eq!(sweep.collusion.len(), 2 + 4 + 8);
-        for r in &sweep.perf {
-            assert_eq!(r.per_hop.len(), r.hops);
-            assert!(r.round_seconds > 0.0);
+        for r in &sweep.rounds {
+            assert_eq!(r.hop_bytes_received.len(), r.hops);
+            // Each hop strips one envelope layer: bytes fall along the chain.
+            assert!(r.hop_bytes_received.windows(2).all(|w| w[0] > w[1]));
         }
     }
 

@@ -18,19 +18,19 @@
 //! [`MAX_COMPRESSED_BYTES`] at the reference model. Aggregate RMSE must
 //! stay under the per-mode tolerance. All figures are virtual-time or
 //! arithmetic derived, so `BENCH_compress.json` reproduces byte for byte
-//! per seed and scale.
+//! per seed and scale. What the codec costs in CPU time is measured
+//! elsewhere: `core.codec.{encode,decode}_ns_per_param` in the repo
+//! benchmark's trace and the `codec/*` criterion rows.
 
 use crate::ExperimentScale;
 use mixnn_cascade::{CascadeCoordinator, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout};
-use mixnn_core::codec::{self, CompressionConfig};
+use mixnn_core::codec::CompressionConfig;
 use mixnn_core::InProcessLink;
 use mixnn_enclave::AttestationService;
 use mixnn_net::{run_load, FlushPolicy, LoadConfig};
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::hint::black_box;
-use std::time::Instant;
 
 /// Minimum factor by which `int8+topk` must cut per-client wire bytes.
 pub const MIN_REDUCTION: f64 = 4.0;
@@ -82,25 +82,6 @@ pub struct CompressRow {
 /// The paper's reference model signature (5,762 parameters).
 pub const PAPER_SIGNATURE: [usize; 5] = [2048, 2048, 1024, 512, 130];
 
-/// The repo benchmark's big signature (492,810 parameters; see
-/// `benchmark/README.md`).
-pub const BIG_SIGNATURE: [usize; 5] = [65_536, 262_144, 131_072, 32_768, 1_290];
-
-/// What one wire mode costs in CPU time at one model size.
-#[derive(Debug, Clone)]
-pub struct CodecCost {
-    /// Codec mode name (`f32` / `int8` / `int8+topk`).
-    pub mode: &'static str,
-    /// `paper` or `big`.
-    pub signature: &'static str,
-    /// Parameters per update at that signature.
-    pub params: usize,
-    /// Fastest observed encode of one update, per parameter.
-    pub encode_ns_per_param: f64,
-    /// Fastest observed decode of one update, per parameter.
-    pub decode_ns_per_param: f64,
-}
-
 /// The three wire modes in report order (lossless baseline first).
 pub fn modes() -> [CompressionConfig; 3] {
     [
@@ -126,75 +107,6 @@ fn synthetic_updates(signature: &[usize], clients: usize, seed: u64) -> Vec<Mode
             )
         })
         .collect()
-}
-
-/// One update with Gaussian layers, σ log-spaced from 1e-3 (first layer)
-/// to 1e-1 (last) as in the repo benchmark: select cost and quantization
-/// error depend on the value distribution, not only on the size.
-pub fn gaussian_update(signature: &[usize], seed: u64) -> ModelParams {
-    let zeros = |&len: &usize| LayerParams::from_values(vec![0.0; len]);
-    let unit = ModelParams::from_layers(signature.iter().map(zeros).collect())
-        .perturbed(1.0, &mut StdRng::seed_from_u64(seed));
-    let last = signature.len().saturating_sub(1).max(1) as f32;
-    ModelParams::from_layers(
-        unit.iter()
-            .enumerate()
-            .map(|(l, layer)| {
-                let sigma = 1e-3 * 100f32.powf(l as f32 / last);
-                LayerParams::from_values(layer.values().iter().map(|z| sigma * z).collect())
-            })
-            .collect(),
-    )
-}
-
-/// Times every wire mode on one Gaussian update at the paper and the big
-/// signature: layer by layer through [`codec::encode_layer_with`] and
-/// [`codec::decode_layer_expecting`], as a cascade client and server run
-/// it. Reports the fastest of the repetitions (noise only adds time).
-pub fn codec_costs(seed: u64) -> Vec<CodecCost> {
-    let floor_ns = |reps: usize, run: &mut dyn FnMut()| {
-        (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed().as_nanos()
-            })
-            .min()
-            .unwrap_or(0) as f64
-    };
-    let mut costs = Vec::new();
-    for (name, signature, reps) in [
-        ("paper", &PAPER_SIGNATURE, 400),
-        ("big", &BIG_SIGNATURE, 16),
-    ] {
-        let update = gaussian_update(signature, seed);
-        let params = update.total_len();
-        for mode in modes() {
-            let mut frames: Vec<Vec<u8>> = Vec::new();
-            let encode_ns = floor_ns(reps, &mut || {
-                frames = update
-                    .iter()
-                    .map(|layer| codec::encode_layer_with(black_box(layer), mode))
-                    .collect();
-            });
-            let decode_ns = floor_ns(reps, &mut || {
-                for (frame, layer) in frames.iter().zip(update.iter()) {
-                    black_box(
-                        codec::decode_layer_expecting(black_box(frame), layer.len())
-                            .expect("a frame this codec just encoded decodes"),
-                    );
-                }
-            });
-            costs.push(CodecCost {
-                mode: mode.name(),
-                signature: name,
-                params,
-                encode_ns_per_param: encode_ns / params as f64,
-                decode_ns_per_param: decode_ns / params as f64,
-            });
-        }
-    }
-    costs
 }
 
 /// RMSE and max-|err| between two aggregates of the same signature.
@@ -414,26 +326,9 @@ pub fn rows(results: &[CompressRow]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Formats codec costs for the report table.
-pub fn cost_rows(costs: &[CodecCost]) -> Vec<Vec<String>> {
-    costs
-        .iter()
-        .map(|c| {
-            vec![
-                c.mode.to_string(),
-                c.signature.to_string(),
-                c.params.to_string(),
-                format!("{:.3}", c.encode_ns_per_param),
-                format!("{:.3}", c.decode_ns_per_param),
-            ]
-        })
-        .collect()
-}
-
-/// Serializes the `BENCH_compress.json` artifact. `rows` carries only
-/// virtual-time and arithmetic metrics, reproducible byte for byte from
-/// one seed and scale; `codec_cost` is wall-clock and moves with the host.
-pub fn to_json(results: &[CompressRow], costs: &[CodecCost]) -> String {
+/// Serializes the `BENCH_compress.json` artifact: only virtual-time and
+/// arithmetic metrics, reproducible byte for byte from one seed and scale.
+pub fn to_json(results: &[CompressRow]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"compress\",\n");
     out.push_str(&format!(
         "  \"min_reduction\": {MIN_REDUCTION:.1},\n  \"max_compressed_bytes\": {MAX_COMPRESSED_BYTES:.0},\n  \"rows\": [\n"
@@ -456,19 +351,6 @@ pub fn to_json(results: &[CompressRow], costs: &[CodecCost]) -> String {
             r.layouts_checked,
             r.uniform_onion_bytes,
             if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"codec_cost\": [\n");
-    for (i, c) in costs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"signature\": \"{}\", \"params\": {}, \
-             \"encode_ns_per_param\": {:.3}, \"decode_ns_per_param\": {:.3}}}{}\n",
-            c.mode,
-            c.signature,
-            c.params,
-            c.encode_ns_per_param,
-            c.decode_ns_per_param,
-            if i + 1 < costs.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -507,16 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn artifact_is_deterministic_per_seed() {
-        let a = run(ExperimentScale::Quick, 7).unwrap();
-        let b = run(ExperimentScale::Quick, 7).unwrap();
-        assert_eq!(to_json(&a, &[]), to_json(&b, &[]));
-    }
-
-    #[test]
     fn json_carries_the_budget_and_every_mode() {
         let rows = run(ExperimentScale::Quick, 42).unwrap();
-        let json = to_json(&rows, &codec_costs(42));
+        let json = to_json(&rows);
         for key in [
             "min_reduction",
             "max_compressed_bytes",
@@ -525,11 +400,6 @@ mod tests {
             "rmse_vs_f32",
             "max_abs_err_vs_f32",
             "uniform_onion_bytes",
-            "codec_cost",
-            "encode_ns_per_param",
-            "decode_ns_per_param",
-            "\"paper\"",
-            "\"big\"",
             "\"f32\"",
             "\"int8\"",
             "\"int8+topk\"",

@@ -8,7 +8,6 @@ pub mod load;
 pub mod pooled;
 pub mod robustness;
 pub mod sysperf;
-pub mod throughput;
 pub mod topology;
 pub mod utility;
 pub mod utility_cdf;

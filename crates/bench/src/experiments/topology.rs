@@ -4,14 +4,14 @@
 //! For each hop count and each of the three shipped layouts the
 //! experiment drives one full onion round and
 //!
-//! 1. **asserts** the server-side aggregate is bit-identical to a
+//! 1. **asserts** the server-side aggregate is bit-identical to a sealed
 //!    single-proxy `MixnnProxy` round over the same updates (no layout
 //!    may cost any utility),
 //! 2. **asserts** the audit's `CascadeAudit::unmix` restores the original
 //!    updates bit-exactly (the per-route-group permutations compose into
 //!    an invertible assignment),
-//! 3. measures wall-clock round latency and the round's route-group
-//!    structure (group count and sizes),
+//! 3. records the round's route-group structure (group count, sizes and
+//!    mean route length — the hops an update actually pays),
 //! 4. runs [`analyze_routed_collusion`] for **every** subset of hops and
 //!    **asserts** the routed threat model: a client is linked exactly
 //!    when the colluding subset covers its whole route *or* its route
@@ -19,23 +19,24 @@
 //!    group, whole and intact.
 //!
 //! Results — including the per-client anonymity-set distribution of every
-//! (layout, hops, subset) cell — land in `BENCH_topology.json`. The
+//! (layout, hops, subset) cell — land in `BENCH_topology.json`, a pure
+//! function of the seed and scale (round *time* per layout is the repo
+//! benchmark's: `cascade3_small`, `pooled_strat_small`). The
 //! distributions are the experiment's point: the linear cascade holds the
 //! full round as everyone's anonymity set until total collusion, while
 //! stratified and free-route layouts trade exactly that set size for
 //! shorter routes.
 
+use super::cascade::{single_proxy_aggregate, sweep_signature, synth_update};
 use crate::{ExperimentScale, ExperimentSetup};
 use mixnn_attacks::{analyze_routed_collusion, AttackError, RouteGroupView};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
-use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig};
 use mixnn_enclave::AttestationService;
-use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use rand::SeedableRng;
 
 /// The hop counts swept by default (2 is the shortest chain where layouts
 /// can differ).
@@ -73,8 +74,6 @@ pub struct TopologyRow {
     /// Mean route length over clients (the latency proxy: hops an update
     /// actually pays).
     pub mean_route_len: f64,
-    /// Wall-clock seconds for the whole round (sealing included).
-    pub round_seconds: f64,
     /// One row per colluding subset of the hops.
     pub collusion: Vec<TopologyCollusionRow>,
 }
@@ -84,27 +83,6 @@ pub struct TopologyRow {
 pub struct TopologySweep {
     /// One row per (layout, hop count).
     pub rows: Vec<TopologyRow>,
-}
-
-fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
-    let mut rng = StdRng::seed_from_u64(seed);
-    ModelParams::from_layers(
-        signature
-            .iter()
-            .map(|&len| {
-                LayerParams::from_values((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            })
-            .collect(),
-    )
-}
-
-/// The model signature the sweep routes: §6.5-shaped at paper scale, tiny
-/// for smoke runs.
-fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
-    match scale {
-        ExperimentScale::Paper => vec![2048, 2048, 1024, 512, 130],
-        ExperimentScale::Quick => vec![64, 32, 16],
-    }
 }
 
 /// The three layouts compared at `hops` hops: the full chain, a 2-stratum
@@ -155,25 +133,8 @@ pub fn run(
         .map(|i| synth_update(&signature, seed ^ ((i as u64) << 8)))
         .collect();
 
-    // The single-proxy baseline aggregate every layout must reproduce.
-    let baseline_aggregate = {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x70);
-        let service = AttestationService::new(&mut rng);
-        let mut proxy = MixnnProxy::launch(
-            MixnnProxyConfig {
-                strategy: MixingStrategy::Batch,
-                expected_signature: signature.clone(),
-                seed,
-                ..MixnnProxyConfig::default()
-            },
-            &service,
-            &mut rng,
-        );
-        let mixed = proxy
-            .mix_plaintext_round(originals.clone())
-            .map_err(mixnn_fl::FlError::from)?;
-        ModelParams::mean(&mixed).expect("non-empty round")
-    };
+    let baseline_aggregate =
+        single_proxy_aggregate(&signature, seed, &originals, &mixnn_telemetry::noop())?;
 
     let mut rows = Vec::new();
     for &hops in hop_counts {
@@ -191,11 +152,9 @@ pub fn run(
             )
             .map_err(mixnn_fl::FlError::from)?;
 
-            let t0 = Instant::now();
             let round = cascade
                 .run_round(&originals, &mut rng)
                 .map_err(mixnn_fl::FlError::from)?;
-            let round_seconds = t0.elapsed().as_secs_f64();
 
             // Assertion 1: utility equivalence against the single-proxy
             // baseline, bit for bit, for every layout.
@@ -268,7 +227,6 @@ pub fn run(
                 route_groups: groups.len(),
                 group_sizes,
                 mean_route_len,
-                round_seconds,
                 collusion,
             });
         }
@@ -288,7 +246,6 @@ pub fn structure_rows(sweep: &TopologySweep) -> Vec<Vec<String>> {
                 r.route_groups.to_string(),
                 format!("{:?}", r.group_sizes),
                 format!("{:.2}", r.mean_route_len),
-                crate::report::fmt_ms(r.round_seconds),
             ]
         })
         .collect()
@@ -364,7 +321,7 @@ pub fn to_json(sweep: &TopologySweep, clients: usize) -> String {
             .collect();
         out.push_str(&format!(
             "    {{\"layout\": \"{}\", \"hops\": {}, \"route_groups\": {}, \
-             \"group_sizes\": [{}], \"mean_route_len\": {:.4}, \"round_seconds\": {:.6}, \
+             \"group_sizes\": [{}], \"mean_route_len\": {:.4}, \
              \"aggregate_bit_identical\": true, \"unmix_bit_identical\": true,\n     \
              \"collusion\": [{}]}}{}\n",
             r.layout,
@@ -372,7 +329,6 @@ pub fn to_json(sweep: &TopologySweep, clients: usize) -> String {
             r.route_groups,
             sizes.join(", "),
             r.mean_route_len,
-            r.round_seconds,
             subsets.join(", "),
             if i + 1 == sweep.rows.len() { "" } else { "," }
         ));
@@ -398,7 +354,6 @@ mod tests {
         for r in &sweep.rows {
             assert_eq!(r.collusion.len(), 1 << r.hops);
             assert_eq!(r.group_sizes.iter().sum::<usize>(), 8);
-            assert!(r.round_seconds > 0.0);
             assert!(r.mean_route_len >= 1.0 && r.mean_route_len <= r.hops as f64);
         }
         let linear = sweep.rows.iter().find(|r| r.layout == "linear").unwrap();

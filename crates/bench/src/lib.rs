@@ -1,5 +1,7 @@
-//! Experiment harness regenerating **every** evaluation artifact of the
-//! MixNN paper: Figures 5–9 and the §6.5 system-performance numbers.
+//! Experiment harness regenerating the evaluation artifacts of the MixNN
+//! paper — Figures 5–9 and the §6.5 memory table — plus the deterministic
+//! beyond-the-paper sweeps. Nothing here reads a wall clock: time is the
+//! repo benchmark's (`benchmark/`) to measure.
 //!
 //! Each experiment module produces printable row/series structures so the
 //! `eval` binary can emit the same curves the paper plots:
@@ -11,9 +13,12 @@
 //! | [`experiments::inference`] | Fig. 7 — ∇Sim inference accuracy vs round |
 //! | [`experiments::background`] | Fig. 8 — inference vs background knowledge |
 //! | [`experiments::robustness`] | Fig. 9 — CDF of close-gradient neighbours |
-//! | [`experiments::sysperf`] | §6.5 — proxy cost and memory breakdown |
-//! | [`experiments::throughput`] | beyond the paper — proxy ingest throughput by round size (`BENCH_throughput.json`) |
+//! | [`experiments::sysperf`] | §6.5 — proxy memory table |
 //! | [`experiments::cascade`] | beyond the paper — mix-cascade hop/collusion sweep (`BENCH_cascade.json`) |
+//! | [`experiments::topology`] | beyond the paper — cascade layouts × colluding subsets (`BENCH_topology.json`) |
+//! | [`experiments::load`] | beyond the paper — simulated-network load, virtual time (`BENCH_load.json`) |
+//! | [`experiments::pooled`] | beyond the paper — pooled mixing, k × deadline (`BENCH_pooled.json`) |
+//! | [`experiments::compress`] | beyond the paper — wire codec bytes and aggregate error (`BENCH_compress.json`) |
 //!
 //! Experiments come in two scales: `paper` (the §6.1.4 round/epoch/batch
 //! parameters) and `quick` (shrunk for smoke tests). Absolute numbers

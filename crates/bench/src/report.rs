@@ -1,4 +1,35 @@
-//! Plain-text table output for experiment results.
+//! Plain-text table output for experiment results, and the two helpers
+//! every telemetry-bearing `BENCH_*.json` artefact is built with.
+
+use mixnn_telemetry::{Registry, Telemetry, VirtualClock};
+
+/// The registry an artefact-writing experiment runs on. Its clock is
+/// virtual — only an experiment that simulates time (`load`, `pooled`)
+/// advances it — so span families record counts, never wall-clock
+/// durations, and the embedded snapshot reproduces byte for byte. Time is
+/// measured by the repo benchmark, not here.
+pub fn artefact_telemetry() -> Telemetry {
+    Registry::with_virtual_clock(VirtualClock::default()).shared()
+}
+
+/// Splices the registry's JSON snapshot into a hand-rolled `{...}` BENCH
+/// artifact as a top-level `"telemetry"` key, so the shared registry's
+/// counters ship alongside the experiment rows they describe.
+///
+/// # Panics
+///
+/// Panics if `artifact` is not a JSON object — a harness bug.
+pub fn embed_telemetry(artifact: &str, telemetry: &Telemetry) -> String {
+    let body = artifact
+        .trim_end()
+        .strip_suffix('}')
+        .expect("BENCH artifacts are JSON objects");
+    format!(
+        "{},\n  \"telemetry\": {}\n}}\n",
+        body.trim_end(),
+        telemetry.snapshot().to_json("  ")
+    )
+}
 
 /// Prints an aligned table to stdout: a header row followed by data rows.
 ///
@@ -43,11 +74,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Formats an accuracy/fraction with three decimals.
 pub fn fmt3(v: f32) -> String {
     format!("{v:.3}")
-}
-
-/// Formats a duration in milliseconds with two decimals.
-pub fn fmt_ms(seconds: f64) -> String {
-    format!("{:.2}", seconds * 1000.0)
 }
 
 /// Formats a byte count in MB with two decimals.
@@ -121,7 +147,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt3(0.12345), "0.123");
-        assert_eq!(fmt_ms(0.19), "190.00");
         assert_eq!(fmt_mb(26_900_000), "25.65");
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);

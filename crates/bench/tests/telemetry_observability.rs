@@ -7,6 +7,10 @@
 //!    and the load generator — which runs entirely in virtual time —
 //!    reproduces its whole export byte for byte across reruns.
 //!
+//!    And no silent zeros: the registry `eval cascade` embeds counts the
+//!    single-proxy baseline it ran, because that baseline is the sealed,
+//!    telemetered round and not a plaintext shortcut around the hooks.
+//!
 //! 2. **Privacy.** Exporting telemetry hands the colluding adversary
 //!    nothing: the round itself is unperturbed by attachment (same seeds ⇒
 //!    same audit ⇒ the `mixnn_attacks` report with telemetry in hand
@@ -16,6 +20,8 @@
 //!    conditioning on it cannot shrink any anonymity set.
 
 use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
+use mixnn_bench::experiments::cascade;
+use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_cascade::{CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute};
 use mixnn_enclave::AttestationService;
 use mixnn_net::{run_load_with, FlushPolicy, LoadConfig};
@@ -88,6 +94,28 @@ fn cascade_snapshots_reproduce_bit_for_bit_across_reruns() {
     );
     assert!(!trace.is_empty(), "the rounds should be journalled");
     assert_eq!((prom, trace, rounds), drive_cascade(404));
+}
+
+#[test]
+fn cascade_experiment_telemetry_counts_its_single_proxy_baseline() {
+    let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
+    let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 42);
+    cascade::run_with(&setup, ExperimentScale::Quick, CLIENTS, &[1, 2], &telemetry).unwrap();
+    let prom = telemetry.snapshot().to_prometheus();
+    for line in [
+        // The baseline proxy: every update committed, one batch mixed.
+        format!("mixnn_core_updates_committed_total {CLIENTS}"),
+        format!("mixnn_core_envelopes_opened_total {CLIENTS}"),
+        "mixnn_core_batches_mixed_total 1".to_string(),
+        // The 1- and 2-hop chains: one round each, three hop ingests.
+        "mixnn_cascade_rounds_completed_total 2".to_string(),
+        format!("mixnn_cascade_updates_ingested_total {}", 3 * CLIENTS),
+    ] {
+        assert!(
+            prom.lines().any(|l| l == line),
+            "missing `{line}` in:\n{prom}"
+        );
+    }
 }
 
 #[test]

@@ -262,40 +262,6 @@ pub struct CascadeAudit {
 }
 
 impl CascadeAudit {
-    /// Builds an audit for a **uniform** round (every client took the same
-    /// chain) from plans in chain order (first applied first). The slots
-    /// are `0..participants` and the recorded route is `0..plans.len()`.
-    ///
-    /// An empty plan list yields the identity audit (`unmix` returns its
-    /// input unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plans disagree on participants or layers — such a
-    /// sequence cannot have come from one round, so composing it is a
-    /// construction bug, not a runtime condition.
-    pub fn new(plans: Vec<MixPlan>) -> Self {
-        let Some(first) = plans.first() else {
-            return CascadeAudit {
-                clients: 0,
-                groups: Vec::new(),
-            };
-        };
-        for (i, plan) in plans.iter().enumerate() {
-            assert_eq!(
-                (plan.participants(), plan.layers()),
-                (first.participants(), first.layers()),
-                "plan {i} disagrees with plan 0 on round dimensions"
-            );
-        }
-        let clients = first.participants();
-        let group = RouteGroupAudit::new((0..clients).collect(), (0..plans.len()).collect(), plans);
-        CascadeAudit {
-            clients,
-            groups: vec![group],
-        }
-    }
-
     /// Builds an audit from per-route-group records.
     ///
     /// # Panics
@@ -341,26 +307,6 @@ impl CascadeAudit {
     /// Clients covered by the audit.
     pub fn clients(&self) -> usize {
         self.clients
-    }
-
-    /// The per-hop plans of a **single-group** round (as every
-    /// [`LinearChain`] round produces — full, partial, or dummy-padded:
-    /// what matters is that every driven slot shared one route), in chain
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CascadeError::MultiGroupAudit`] when the round's driven
-    /// slots split into more than one route group — a flat plan list
-    /// cannot describe those; use [`CascadeAudit::groups`].
-    pub fn plans(&self) -> Result<&[MixPlan], CascadeError> {
-        match self.groups.as_slice() {
-            [] => Ok(&[]),
-            [only] => Ok(only.plans()),
-            groups => Err(CascadeError::MultiGroupAudit {
-                groups: groups.len(),
-            }),
-        }
     }
 
     /// The original client slot whose layer `layer` ended up in final
@@ -1235,7 +1181,7 @@ mod tests {
         let (mut cascade, _, mut rng) = launch(3, FailurePolicy::Abort);
         let ins = updates(8);
         let round = cascade.run_round(&ins, &mut rng).unwrap();
-        assert_eq!(round.audit.plans().unwrap().len(), 3);
+        assert_eq!(round.audit.groups()[0].plans().len(), 3);
         let changed = ins.iter().zip(&round.mixed).filter(|(a, b)| a != b).count();
         assert!(changed > 0, "no update changed content after cascading");
         // The composed permutation differs from every single hop's plan for
@@ -1640,31 +1586,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "disagrees with plan 0")]
+    #[should_panic(expected = "disagrees with the group size")]
     fn audit_rejects_inconsistent_plans_at_construction() {
         let mut rng = StdRng::seed_from_u64(50);
         let a = MixPlan::latin(5, 2, &mut rng).unwrap();
         let b = MixPlan::latin(4, 2, &mut rng).unwrap();
-        let _ = CascadeAudit::new(vec![a, b]);
-    }
-
-    #[test]
-    fn flat_plans_accessor_rejects_multi_group_audits() {
-        let mut rng = StdRng::seed_from_u64(51);
-        let a = MixPlan::latin(2, 1, &mut rng).unwrap();
-        let b = MixPlan::latin(3, 1, &mut rng).unwrap();
-        let audit = CascadeAudit::from_groups(
-            5,
-            vec![
-                RouteGroupAudit::new(vec![0, 1], vec![0], vec![a]),
-                RouteGroupAudit::new(vec![2, 3, 4], vec![1], vec![b]),
-            ],
-        );
-        let err = audit.plans().unwrap_err();
-        assert_eq!(err, CascadeError::MultiGroupAudit { groups: 2 });
-        assert!(err.to_string().contains("2 route groups"));
-        // The grouped accessor is the supported path.
-        assert_eq!(audit.groups().len(), 2);
+        let _ = RouteGroupAudit::new((0..5).collect(), vec![0, 1], vec![a, b]);
     }
 
     #[test]
@@ -1725,13 +1652,5 @@ mod tests {
         // the real originals in the leading slots.
         let restored = audit.unmix(&padded.round.mixed).unwrap();
         assert_eq!(&restored[..3], &ins[..]);
-
-        // And when the padded round splits into several groups, the flat
-        // plans() accessor refuses with the pooled-round wording.
-        if audit.groups().len() > 1 {
-            let err = audit.plans().unwrap_err();
-            assert!(matches!(err, CascadeError::MultiGroupAudit { .. }));
-            assert!(err.to_string().contains("pooled round"), "{err}");
-        }
     }
 }

@@ -60,13 +60,6 @@ pub enum CascadeError {
         /// Human-readable dimension mismatch.
         reason: String,
     },
-    /// `CascadeAudit::plans` was asked for the flat plan list of a round
-    /// that split into multiple route groups — a flat list cannot
-    /// describe those; use `CascadeAudit::groups`.
-    MultiGroupAudit {
-        /// Number of route groups the round split into.
-        groups: usize,
-    },
     /// A mix pool was misconfigured or driven inconsistently (zero
     /// threshold, a pooled transport without a virtual clock to measure
     /// deadlines on, a stripped round whose cover count disagrees with
@@ -106,12 +99,6 @@ impl fmt::Display for CascadeError {
             ),
             CascadeError::Topology { reason } => write!(f, "unsupported topology: {reason}"),
             CascadeError::Audit { reason } => write!(f, "audit failure: {reason}"),
-            CascadeError::MultiGroupAudit { groups } => write!(
-                f,
-                "the round's driven slots (a pooled round drives only the updates that \
-                 arrived, plus cover) split into {groups} route groups; a flat plan list \
-                 cannot describe it (use CascadeAudit::groups)"
-            ),
             CascadeError::Pool { reason } => write!(f, "mix pool misuse: {reason}"),
             CascadeError::Link { source } => write!(f, "wire delivery failed: {source}"),
         }

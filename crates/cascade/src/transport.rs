@@ -123,7 +123,7 @@ mod tests {
         let a: Vec<ModelParams> = ins.into_iter().map(|u| u.params).collect();
         let b: Vec<ModelParams> = outs.into_iter().map(|u| u.params).collect();
         assert_eq!(ModelParams::mean(&a), ModelParams::mean(&b));
-        assert_eq!(t.last_audit().unwrap().plans().unwrap().len(), 3);
+        assert_eq!(t.last_audit().unwrap().groups()[0].plans().len(), 3);
     }
 
     #[test]

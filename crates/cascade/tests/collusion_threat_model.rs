@@ -7,11 +7,10 @@
 //! anonymity set. Seeded and deterministic — every assertion is a pure
 //! function of the cascade seeds.
 
-use mixnn_attacks::{analyze_collusion, analyze_routed_collusion, CollusionReport, RouteGroupView};
+use mixnn_attacks::{analyze_routed_collusion, RouteGroupView, RoutedCollusionReport};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, StratifiedLayout,
 };
-use mixnn_core::MixPlan;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
@@ -49,12 +48,11 @@ fn run_round(hops: usize, seed: u64) -> CascadeRound {
     cascade.run_round(&updates, &mut rng).unwrap()
 }
 
-fn subset_report(round: &CascadeRound, mask: u32) -> CollusionReport {
-    let plans = round.audit.plans().expect("linear rounds are uniform");
-    let views: Vec<Option<&MixPlan>> = (0..plans.len())
-        .map(|h| (mask & (1 << h) != 0).then_some(&plans[h]))
+fn subset_report(round: &CascadeRound, mask: u32) -> RoutedCollusionReport {
+    let colluding: Vec<usize> = (0..u32::BITS as usize)
+        .filter(|h| mask & (1 << h) != 0)
         .collect();
-    analyze_collusion(&views, CLIENTS, SIGNATURE.len())
+    analyze_routed_collusion(&routed_views(round, &colluding), CLIENTS, SIGNATURE.len())
 }
 
 #[test]
@@ -89,7 +87,7 @@ fn full_collusion_agrees_with_the_honest_audit() {
     // composition the auditor inverts — link for link.
     let round = run_round(3, 42);
     let report = subset_report(&round, 0b111);
-    assert!(report.fully_linkable());
+    assert_eq!(report.linkable_fraction, 1.0);
     for layer in 0..SIGNATURE.len() {
         for out in 0..CLIENTS {
             assert_eq!(

@@ -641,14 +641,6 @@ fn decode_params_inner(
     Ok(ModelParams::from_layers(layers))
 }
 
-/// SHA-256 digest of a model's canonical wire encoding.
-///
-/// Two `ModelParams` share a digest exactly when [`encode_params`] produces
-/// the same bytes — i.e. when every scalar is bit-identical.
-pub fn params_digest(params: &ModelParams) -> [u8; 32] {
-    mixnn_crypto::sha256::digest(&encode_params(params))
-}
-
 /// SHA-256 digest of a **single layer's** canonical encoding
 /// ([`encode_layer`]).
 ///
@@ -1327,25 +1319,16 @@ mod tests {
     }
 
     #[test]
-    fn params_digest_is_stable_and_bit_sensitive() {
-        let p = sample();
-        assert_eq!(params_digest(&p), params_digest(&sample()));
-        let mut other = sample();
-        other.layer_mut(0).unwrap().values_mut()[0] += 1.0;
-        assert_ne!(params_digest(&p), params_digest(&other));
-        // -0.0 and +0.0 compare equal but encode differently — the digest
-        // follows the bytes, which is what content-stripping relies on.
-        let neg = ModelParams::from_layers(vec![LayerParams::from_values(vec![-0.0])]);
-        let pos = ModelParams::from_layers(vec![LayerParams::from_values(vec![0.0])]);
-        assert_ne!(params_digest(&neg), params_digest(&pos));
-    }
-
-    #[test]
     fn layer_digest_is_stable_and_bit_sensitive() {
         let a = LayerParams::from_values(vec![1.0, 2.5]);
         assert_eq!(layer_digest(&a), layer_digest(&a.clone()));
         let b = LayerParams::from_values(vec![1.0, 2.500001]);
         assert_ne!(layer_digest(&a), layer_digest(&b));
+        // -0.0 and +0.0 compare equal but encode differently: the digest
+        // follows the bytes, not `PartialEq`.
+        let neg = LayerParams::from_values(vec![-0.0]);
+        let pos = LayerParams::from_values(vec![0.0]);
+        assert_ne!(layer_digest(&neg), layer_digest(&pos));
         // A layer's digest matches the digest of the same bytes wherever
         // they travel — the property cover stripping relies on.
         assert_eq!(

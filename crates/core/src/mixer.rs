@@ -377,10 +377,18 @@ impl BatchMixer {
         &mut self,
         updates: &[ModelParams],
     ) -> Result<(Vec<ModelParams>, MixPlan), ProxyError> {
-        let signature = check_common_signature(updates)?;
-        let plan = MixPlan::for_round(updates.len(), signature.len(), &mut self.rng)?;
+        let plan = self.draw_plan(updates)?;
         let mixed = plan.apply(updates)?;
         Ok((mixed, plan))
+    }
+
+    /// The fallible half of [`BatchMixer::mix`]: checks the round shares
+    /// one signature and draws its plan, touching no update. The proxy
+    /// runs this on the buffer it still owns, then moves the layers with
+    /// [`MixPlan::apply_owned`] instead of cloning them.
+    pub(crate) fn draw_plan(&mut self, updates: &[ModelParams]) -> Result<MixPlan, ProxyError> {
+        let signature = check_common_signature(updates)?;
+        MixPlan::for_round(updates.len(), signature.len(), &mut self.rng)
     }
 }
 

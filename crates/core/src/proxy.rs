@@ -14,7 +14,6 @@
 //! one-by-one loop would produce — [`MixnnProxy::submit_encrypted`] *is*
 //! that routine with a batch of one.
 
-use crate::mixer::check_common_signature;
 use crate::{codec, BatchMixer, MixPlan, MixingStrategy, ProxyError, StreamingMixer};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
@@ -105,30 +104,6 @@ impl ProxyStats {
         } else {
             self.decrypt_seconds / self.updates_received as f64
         }
-    }
-
-    /// Mean per-update store time in seconds.
-    pub fn mean_store_seconds(&self) -> f64 {
-        if self.updates_received == 0 {
-            0.0
-        } else {
-            self.store_seconds / self.updates_received as f64
-        }
-    }
-
-    /// Mean per-forwarded-update mixing time in seconds.
-    pub fn mean_mix_seconds(&self) -> f64 {
-        if self.updates_forwarded == 0 {
-            0.0
-        } else {
-            self.mix_seconds / self.updates_forwarded as f64
-        }
-    }
-
-    /// Total per-update processing time (decrypt + store), §6.5's "0.19 s"
-    /// figure.
-    pub fn mean_process_seconds(&self) -> f64 {
-        self.mean_decrypt_seconds() + self.mean_store_seconds()
     }
 }
 
@@ -237,8 +212,8 @@ impl MixnnProxy {
     }
 
     /// The mixing plan of the most recent **batch** round — the one drawn
-    /// by [`MixnnProxy::mix_batch`] or [`MixnnProxy::mix_plaintext_round`]
-    /// — for experiments and audits (never exposed in a deployment).
+    /// by [`MixnnProxy::mix_batch`] — for experiments and audits (never
+    /// exposed in a deployment).
     ///
     /// Streaming emission and [`MixnnProxy::flush`] never produce a
     /// [`MixPlan`] (the §4.3 algorithm has no round-level matrix), so in
@@ -449,35 +424,40 @@ impl MixnnProxy {
     pub fn mix_batch(&mut self) -> Result<Vec<ModelParams>, ProxyError> {
         let _span = self.telemetry.span(Span::CoreMixBatch);
         let t0 = Instant::now();
-        let updates = std::mem::take(&mut self.batch_buffer);
-        match self.batch_mixer.mix(&updates) {
-            Ok((mixed, plan)) => {
-                let footprint: usize = updates
-                    .iter()
-                    .map(|u| u.total_len() * std::mem::size_of::<f32>())
-                    .sum();
-                self.enclave.memory().free(footprint)?;
-                self.stats.mix_seconds += t0.elapsed().as_secs_f64();
-                self.stats.updates_forwarded += mixed.len() as u64;
-                self.last_plan = Some(plan);
-                self.telemetry.incr(Counter::CoreBatchesMixed, 1);
-                self.telemetry
-                    .observe(Distribution::CoreMixBatchUpdates, mixed.len() as u64);
-                self.telemetry.trace(
-                    Component::Core,
-                    None,
-                    TraceKind::BatchMixed {
-                        updates: mixed.len() as u64,
-                    },
-                );
-                Ok(mixed)
-            }
-            Err(e) => {
-                // Restore the buffer on failure.
-                self.batch_buffer = updates;
-                Err(e)
-            }
-        }
+        // Everything that can fail runs while the proxy still owns the
+        // buffer, so a failed mix leaves it intact; after that the layers
+        // are moved into their output slots, never cloned.
+        let plan = self.batch_mixer.draw_plan(&self.batch_buffer)?;
+        let footprint: usize = self
+            .batch_buffer
+            .iter()
+            .map(|u| u.total_len() * std::mem::size_of::<f32>())
+            .sum();
+        let rows = std::mem::take(&mut self.batch_buffer)
+            .into_iter()
+            .map(ModelParams::into_layers)
+            .collect();
+        let mixed: Vec<ModelParams> = plan
+            .apply_owned(rows)
+            .expect("the plan was drawn for exactly this buffer")
+            .into_iter()
+            .map(ModelParams::from_layers)
+            .collect();
+        self.enclave.memory().free(footprint)?;
+        self.stats.mix_seconds += t0.elapsed().as_secs_f64();
+        self.stats.updates_forwarded += mixed.len() as u64;
+        self.last_plan = Some(plan);
+        self.telemetry.incr(Counter::CoreBatchesMixed, 1);
+        self.telemetry
+            .observe(Distribution::CoreMixBatchUpdates, mixed.len() as u64);
+        self.telemetry.trace(
+            Component::Core,
+            None,
+            TraceKind::BatchMixed {
+                updates: mixed.len() as u64,
+            },
+        );
+        Ok(mixed)
     }
 
     /// Streaming mode: drains the lists at shutdown.
@@ -504,31 +484,6 @@ impl MixnnProxy {
             }
             None => Ok(Vec::new()),
         }
-    }
-
-    /// The whole batch path without transport encryption: validate, mix,
-    /// account. Used by the plaintext transport mode for large sweeps where
-    /// per-update sealing would dominate runtime without affecting the
-    /// experiment (encryption never changes the mixing semantics).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MixnnProxy::mix_batch`].
-    pub fn mix_plaintext_round(
-        &mut self,
-        updates: Vec<ModelParams>,
-    ) -> Result<Vec<ModelParams>, ProxyError> {
-        check_common_signature(&updates)?;
-        for u in &updates {
-            self.check_signature(u)?;
-            self.stats.updates_received += 1;
-        }
-        let t0 = Instant::now();
-        let (mixed, plan) = self.batch_mixer.mix(&updates)?;
-        self.stats.mix_seconds += t0.elapsed().as_secs_f64();
-        self.stats.updates_forwarded += mixed.len() as u64;
-        self.last_plan = Some(plan);
-        Ok(mixed)
     }
 }
 
@@ -656,17 +611,6 @@ mod tests {
         // The rejected update's EPC charge was released.
         let accepted_footprint = params(0).total_len() * std::mem::size_of::<f32>();
         assert_eq!(proxy.memory_stats().allocated, accepted_footprint);
-    }
-
-    #[test]
-    fn plaintext_round_matches_batch_semantics() {
-        let (mut proxy, _, _) = launch(MixingStrategy::Batch);
-        let originals: Vec<ModelParams> = (0..6).map(params).collect();
-        let mixed = proxy.mix_plaintext_round(originals.clone()).unwrap();
-        assert_eq!(ModelParams::mean(&originals), ModelParams::mean(&mixed));
-        let plan = proxy.last_plan().unwrap();
-        assert!(plan.is_column_bijective());
-        assert!(plan.is_row_distinct());
     }
 
     #[test]

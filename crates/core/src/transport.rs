@@ -7,17 +7,17 @@ use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Whether the transport exercises the full cryptographic pipeline.
+/// How a [`MixnnTransport`] carries a round: sealed, always. There is no
+/// `Plaintext` variant — every caller, the paper figures included, runs
+/// the path that ships. The type keeps its one variant only because the
+/// pinned `benchmark/` package names `TransportMode::Encrypted`; it and
+/// [`MixnnTransport::new`]'s `mode` argument go in the next PR that may
+/// edit `benchmark/` (ROADMAP item 5, beside `RoundLink::is_transparent`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// Participants seal updates to the enclave key; the proxy decrypts
-    /// inside the enclave (full §4 pipeline — what the §6.5 benches
-    /// measure).
+    /// inside the enclave (the full §4 pipeline).
     Encrypted,
-    /// Updates enter the proxy unencrypted. Mixing semantics are
-    /// identical; use for large parameter sweeps where sealing every
-    /// update would dominate runtime without affecting the result.
-    Plaintext,
 }
 
 /// Routes each round's updates through a [`MixnnProxy`].
@@ -45,18 +45,17 @@ pub enum TransportMode {
 #[derive(Debug)]
 pub struct MixnnTransport {
     proxy: MixnnProxy,
-    mode: TransportMode,
     compression: CompressionConfig,
     /// RNG standing in for the participants' sealing entropy.
     participant_rng: StdRng,
 }
 
 impl MixnnTransport {
-    /// Wraps a launched proxy.
-    pub fn new(proxy: MixnnProxy, mode: TransportMode, seed: u64) -> Self {
+    /// Wraps a launched proxy. `seed` seeds the participants' sealing
+    /// entropy; `_mode` has one value (see [`TransportMode`]).
+    pub fn new(proxy: MixnnProxy, _mode: TransportMode, seed: u64) -> Self {
         MixnnTransport {
             proxy,
-            mode,
             compression: CompressionConfig::F32,
             participant_rng: StdRng::seed_from_u64(seed),
         }
@@ -81,11 +80,6 @@ impl MixnnTransport {
         &self.proxy
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> TransportMode {
-        self.mode
-    }
-
     /// Runs one proxy round over plain parameters, returning the mixed
     /// updates in slot order — the transport core `mixnn_fl`'s
     /// `UpdateTransport` impl (and any other caller) builds on.
@@ -97,24 +91,19 @@ impl MixnnTransport {
         &mut self,
         params: Vec<ModelParams>,
     ) -> Result<Vec<ModelParams>, ProxyError> {
-        match self.mode {
-            TransportMode::Plaintext => self.proxy.mix_plaintext_round(params),
-            TransportMode::Encrypted => {
-                // One RNG stands in for all participants' sealing entropy.
-                let sealed: Vec<Vec<u8>> = params
-                    .iter()
-                    .map(|p| {
-                        SealedBox::seal(
-                            &codec::encode_params_with(p, self.compression),
-                            self.proxy.public_key(),
-                            &mut self.participant_rng,
-                        )
-                        .expect("attested enclave keys are never low-order")
-                    })
-                    .collect();
-                self.proxy.mix_sealed_round(&sealed)
-            }
-        }
+        // One RNG stands in for all participants' sealing entropy.
+        let sealed: Vec<Vec<u8>> = params
+            .iter()
+            .map(|p| {
+                SealedBox::seal(
+                    &codec::encode_params_with(p, self.compression),
+                    self.proxy.public_key(),
+                    &mut self.participant_rng,
+                )
+                .expect("attested enclave keys are never low-order")
+            })
+            .collect();
+        self.proxy.mix_sealed_round(&sealed)
     }
 }
 
@@ -140,7 +129,7 @@ mod tests {
             .collect()
     }
 
-    fn transport(strategy: MixingStrategy, mode: TransportMode) -> MixnnTransport {
+    fn transport(strategy: MixingStrategy) -> MixnnTransport {
         let mut rng = StdRng::seed_from_u64(5);
         let service = AttestationService::new(&mut rng);
         let proxy = MixnnProxy::launch(
@@ -153,12 +142,12 @@ mod tests {
             &service,
             &mut rng,
         );
-        MixnnTransport::new(proxy, mode, 77)
+        MixnnTransport::new(proxy, TransportMode::Encrypted, 77)
     }
 
     #[test]
     fn encrypted_batch_preserves_aggregate_and_count() {
-        let mut t = transport(MixingStrategy::Batch, TransportMode::Encrypted);
+        let mut t = transport(MixingStrategy::Batch);
         let ins = updates(6);
         let outs = t.relay_round(ins.clone()).unwrap();
         assert_eq!(outs.len(), 6);
@@ -166,16 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_mode_matches_aggregate_too() {
-        let mut t = transport(MixingStrategy::Batch, TransportMode::Plaintext);
-        let ins = updates(5);
-        let outs = t.relay_round(ins.clone()).unwrap();
-        assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
-    }
-
-    #[test]
     fn streaming_round_conserves_count() {
-        let mut t = transport(MixingStrategy::Streaming { k: 2 }, TransportMode::Encrypted);
+        let mut t = transport(MixingStrategy::Streaming { k: 2 });
         let ins = updates(7);
         let outs = t.relay_round(ins.clone()).unwrap();
         assert_eq!(outs.len(), 7);
@@ -185,7 +166,7 @@ mod tests {
 
     #[test]
     fn updates_are_actually_mixed() {
-        let mut t = transport(MixingStrategy::Batch, TransportMode::Encrypted);
+        let mut t = transport(MixingStrategy::Batch);
         let ins = updates(8);
         let outs = t.relay_round(ins.clone()).unwrap();
         let changed = ins.iter().zip(&outs).filter(|(a, b)| a != b).count();

@@ -1,9 +1,6 @@
 //! The enclave runtime object.
 
-use crate::{
-    seal_data, unseal_data, AttestationService, EnclaveError, EpcBudget, Measurement, Quote,
-    SealingKey,
-};
+use crate::{AttestationService, EnclaveError, EpcBudget, Measurement, Quote};
 use mixnn_crypto::{CryptoError, KeyPair, PreparedOpen, PublicKey, SealedBox};
 use rand::Rng;
 
@@ -29,8 +26,8 @@ impl Default for EnclaveConfig {
     }
 }
 
-/// A launched (simulated) SGX enclave: key pair, measurement, memory
-/// budget and sealing identity.
+/// A launched (simulated) SGX enclave: key pair, measurement and memory
+/// budget.
 ///
 /// The MixNN proxy runs inside one of these. Participants verify the
 /// enclave's [`Quote`] (binding the code measurement to the enclave public
@@ -62,7 +59,6 @@ pub struct Enclave {
     measurement: Measurement,
     quote: Quote,
     memory: EpcBudget,
-    sealing_key: SealingKey,
 }
 
 impl Enclave {
@@ -75,6 +71,11 @@ impl Enclave {
     ) -> Self {
         let measurement = Measurement::of_code(&config.code_identity);
         let keypair = KeyPair::generate(rng);
+        // Launch has always drawn 32 more bytes here (once the root of a
+        // data-sealing key). Callers go on using `rng`, and the golden
+        // digests pin what it yields after launch, so the draw outlives the
+        // key until a PR re-records them (ROADMAP item 2).
+        rng.fill(&mut [0u8; 32]);
         // Bind the enclave's encryption key into the quote's report data so
         // a man in the middle cannot substitute its own key.
         let report_data = mixnn_crypto::sha256::digest(keypair.public().as_bytes());
@@ -89,7 +90,6 @@ impl Enclave {
             measurement,
             quote,
             memory,
-            sealing_key: SealingKey::generate(rng),
         }
     }
 
@@ -121,18 +121,13 @@ impl Enclave {
     }
 
     /// Memory accounting handle. The budget's counters are atomic, so this
-    /// shared handle is all the proxy (and its parallel ingest workers)
-    /// need to charge and release EPC bytes.
+    /// shared handle is all the proxy needs to charge and release EPC bytes.
     pub fn memory(&self) -> &EpcBudget {
         &self.memory
     }
 
     /// Decrypts a sealed box addressed to the enclave, charging the
     /// plaintext against the EPC budget for the duration of the call.
-    ///
-    /// Takes `&self`: decryption touches no mutable enclave state (the EPC
-    /// accounting is atomic), so sealed updates can be opened from many
-    /// ingest workers concurrently.
     ///
     /// # Errors
     ///
@@ -151,7 +146,7 @@ impl Enclave {
         Ok(result?)
     }
 
-    /// Plaintext length implied by a sealed blob's length, rejecting blobs
+    /// The plaintext length a sealed blob's length implies, rejecting blobs
     /// too short to even carry the sealed-box header. A truncated blob must
     /// not be charged as a zero-byte allocation — that would let garbage
     /// bypass EPC accounting entirely.
@@ -207,39 +202,6 @@ impl Enclave {
         // for the duration of SealedBox::open is released immediately.
         self.memory.free(plaintext_len)?;
         Ok(opened?)
-    }
-
-    /// Batched [`Enclave::decrypt`]: derives every shared secret with the
-    /// batched kernels, then opens and charges envelope by envelope.
-    ///
-    /// Equivalent to calling [`Enclave::decrypt`] on each element, only
-    /// faster.
-    pub fn decrypt_batch<T: AsRef<[u8]>>(
-        &self,
-        sealed: &[T],
-    ) -> Vec<Result<Vec<u8>, EnclaveError>> {
-        self.prepare_open(sealed)
-            .into_iter()
-            .zip(sealed)
-            .map(|(prepared, s)| {
-                let s = s.as_ref();
-                self.charge_opened(s.len(), prepared.and_then(|p| p.open(s)))
-            })
-            .collect()
-    }
-
-    /// Seals `data` to this enclave's identity for storage outside the EPC.
-    pub fn seal<R: Rng + ?Sized>(&self, data: &[u8], rng: &mut R) -> Vec<u8> {
-        seal_data(&self.sealing_key, &self.measurement, data, rng)
-    }
-
-    /// Unseals data previously sealed by this enclave.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnclaveError::Crypto`] on authentication failure.
-    pub fn unseal(&self, sealed: &[u8]) -> Result<Vec<u8>, EnclaveError> {
-        unseal_data(&self.sealing_key, &self.measurement, sealed)
     }
 }
 
@@ -305,13 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn seal_unseal_round_trip() {
-        let (enclave, _, mut rng) = launch();
-        let sealed = enclave.seal(b"spilled layer list", &mut rng);
-        assert_eq!(enclave.unseal(&sealed).unwrap(), b"spilled layer list");
-    }
-
-    #[test]
     fn garbage_ciphertext_fails_cleanly() {
         let (enclave, _, _) = launch();
         assert!(enclave.decrypt(&[0u8; 100]).is_err());
@@ -336,11 +291,11 @@ mod tests {
         assert_eq!(enclave.memory().stats().allocated, 0);
     }
 
-    /// `decrypt_batch` must agree with per-blob `decrypt` — results and
-    /// final EPC accounting — across good, tampered, truncated and
-    /// undersized envelopes.
+    /// `prepare_open` + `charge_opened` — the proxy's ingest — must agree
+    /// with per-blob `decrypt`, the reference: results and EPC accounting,
+    /// across good, tampered, truncated and undersized envelopes.
     #[test]
-    fn decrypt_batch_matches_sequential_decrypt() {
+    fn prepared_opens_match_sequential_decrypt() {
         let (enclave, _, mut rng) = launch();
         let mut blobs: Vec<Vec<u8>> = (0..4u8)
             .map(|i| SealedBox::seal(&[i; 40], enclave.public_key(), &mut rng).unwrap())
@@ -349,8 +304,14 @@ mod tests {
         blobs.push(vec![0u8; 10]); // undersized
         blobs.push(Vec::new()); // empty
 
-        let batched = enclave.decrypt_batch(&blobs);
-        assert_eq!(enclave.memory().stats().allocated, 0);
+        let batched: Vec<_> = enclave
+            .prepare_open(&blobs)
+            .into_iter()
+            .zip(&blobs)
+            .map(|(prepared, b)| enclave.charge_opened(b.len(), prepared.and_then(|p| p.open(b))))
+            .collect();
+        let after_batched = enclave.memory().stats();
+        assert_eq!(after_batched.allocated, 0);
         let sequential: Vec<_> = blobs.iter().map(|b| enclave.decrypt(b)).collect();
         assert_eq!(batched, sequential);
         assert!(batched[0].is_ok());
@@ -362,7 +323,12 @@ mod tests {
             batched[4],
             Err(EnclaveError::Crypto(CryptoError::BadLength { .. }))
         ));
+        // The second pass charged and released exactly what the first did.
         assert_eq!(enclave.memory().stats().allocated, 0);
+        assert_eq!(
+            enclave.memory().stats().high_water,
+            after_batched.high_water
+        );
     }
 
     /// `charge_opened` replays `decrypt`'s EPC trace: a blob whose

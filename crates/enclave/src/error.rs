@@ -20,8 +20,7 @@ pub enum EnclaveError {
         /// Bytes currently allocated.
         allocated: usize,
     },
-    /// A cryptographic step failed (decryption, unsealing, quote
-    /// verification).
+    /// A cryptographic step failed (decryption, quote verification).
     Crypto(CryptoError),
     /// A quote did not match the expected enclave measurement.
     MeasurementMismatch,

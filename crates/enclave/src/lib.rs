@@ -11,12 +11,12 @@
 //! * **Attestation** — enclaves prove the code they run ([`Measurement`],
 //!   [`Quote`], [`AttestationService`]); participants only provision their
 //!   updates after verifying the quote.
-//! * **Side-channel discipline** — processing cost must not depend on the
-//!   data (§4.3). [`CostPadder`] pads operations to a constant duration and
-//!   [`ObliviousBuffer`] provides linear-scan (ZeroTrace-style) storage
-//!   whose access pattern is independent of the accessed index.
+//! * **Side-channel discipline** — memory access must not depend on the
+//!   data (§4.3). [`ObliviousBuffer`] provides linear-scan
+//!   (ZeroTrace-style) storage whose access pattern is independent of the
+//!   accessed index.
 //!
-//! The cryptography (sealing, quotes, the enclave key pair) is real —
+//! The cryptography (quotes, the enclave key pair) is real —
 //! borrowed from [`mixnn_crypto`] — only the *isolation* is simulated,
 //! since no SGX hardware is available in this environment. The substitution
 //! is recorded in `DESIGN.md`.
@@ -28,13 +28,9 @@ mod enclave;
 mod error;
 mod memory;
 mod oblivious;
-mod padding;
-mod sealing;
 
 pub use attestation::{AttestationService, Measurement, Quote};
 pub use enclave::{Enclave, EnclaveConfig};
 pub use error::EnclaveError;
 pub use memory::{EpcBudget, MemoryStats};
 pub use oblivious::ObliviousBuffer;
-pub use padding::{CostPadder, PaddingMode, PaddingStats};
-pub use sealing::{seal_data, unseal_data, SealingKey};

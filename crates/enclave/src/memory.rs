@@ -12,12 +12,9 @@
 //! §6.5-style benches.
 //!
 //! The accounting is **thread-safe**: [`EpcBudget::allocate`] and
-//! [`EpcBudget::free`] take `&self` and update lock-free atomics, so the
-//! parallel ingest workers in `mixnn-core` can charge decrypt buffers and
-//! layer-list footprints concurrently while the exhaustion semantics stay
-//! exactly those of the sequential accounting (an allocation either fits
-//! under the limit at the instant it commits, or fails without changing
-//! any counter).
+//! [`EpcBudget::free`] take `&self` and update lock-free atomics, and an
+//! allocation either fits under the limit at the instant it commits, or
+//! fails without changing any counter.
 
 use crate::EnclaveError;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

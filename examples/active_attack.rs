@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The active attack against MixNN.
     let service = AttestationService::new(&mut rng);
     let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
-    let mut mixnn = MixnnTransport::new(proxy, TransportMode::Plaintext, 23);
+    let mut mixnn = MixnnTransport::new(proxy, TransportMode::Encrypted, 23);
     let experiment = InferenceExperiment::new(
         &population,
         template.clone(),

@@ -33,7 +33,7 @@ fn transports(seed: u64, sigma: f32) -> Vec<(&'static str, Box<dyn UpdateTranspo
         ("noisy-gradient", Box::new(NoisyTransport::new(sigma, seed))),
         (
             "mixnn",
-            Box::new(MixnnTransport::new(proxy, TransportMode::Plaintext, seed)),
+            Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed)),
         ),
     ]
 }

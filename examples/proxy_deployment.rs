@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "aggregate bit-identical to classic FL; audit inverted all {} per-hop plans\n\
          (outside the audit, linking requires ALL hops to collude — see `eval cascade`)",
-        round.audit.plans()?.len()
+        round.audit.groups()[0].plans().len()
     );
 
     // --- Failure handling: a tampered onion ------------------------------

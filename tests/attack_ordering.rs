@@ -54,7 +54,7 @@ fn run_attack(defense: &str, seed: u64) -> f32 {
             let mut rng = StdRng::seed_from_u64(seed ^ 7);
             let service = AttestationService::new(&mut rng);
             let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
-            Box::new(MixnnTransport::new(proxy, TransportMode::Plaintext, seed))
+            Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed))
         }
         other => panic!("unknown defense {other}"),
     };

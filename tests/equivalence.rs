@@ -2,9 +2,9 @@
 //! utility-equivalence theorem observed end to end.
 //!
 //! Classic FL and MixNN-protected FL are run from identical seeds; the
-//! global models must match **bitwise** after every round, through both
-//! the plaintext and the fully encrypted (sealed-box + enclave) proxy
-//! paths. The noisy-gradient baseline must *not* match — it trades utility
+//! global models must match **bitwise** after every round, through the
+//! fully encrypted (sealed-box + enclave) proxy path — the only one there
+//! is. The noisy-gradient baseline must *not* match — it trades utility
 //! for privacy, which is exactly the paper's contrast.
 
 use mixnn::data::{lfw_like, motionsense_like};
@@ -54,7 +54,7 @@ fn run_rounds(
         .collect()
 }
 
-fn mixnn_transport(mode: TransportMode, strategy: MixingStrategy, seed: u64) -> MixnnTransport {
+fn mixnn_transport(strategy: MixingStrategy, seed: u64) -> MixnnTransport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
     let service = AttestationService::new(&mut rng);
     let proxy = MixnnProxy::launch(
@@ -66,23 +66,14 @@ fn mixnn_transport(mode: TransportMode, strategy: MixingStrategy, seed: u64) -> 
         &service,
         &mut rng,
     );
-    MixnnTransport::new(proxy, mode, seed)
-}
-
-#[test]
-fn classic_and_mixnn_produce_bitwise_identical_models() {
-    let (population, template, cfg) = fixture(101);
-    let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut plaintext = mixnn_transport(TransportMode::Plaintext, MixingStrategy::Batch, 101);
-    let mixed = run_rounds(&template, cfg, &population, &mut plaintext);
-    assert_eq!(classic, mixed, "plaintext proxy path diverged");
+    MixnnTransport::new(proxy, TransportMode::Encrypted, seed)
 }
 
 #[test]
 fn encrypted_proxy_path_is_also_bitwise_identical() {
     let (population, template, cfg) = fixture(102);
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut encrypted = mixnn_transport(TransportMode::Encrypted, MixingStrategy::Batch, 102);
+    let mut encrypted = mixnn_transport(MixingStrategy::Batch, 102);
     let mixed = run_rounds(&template, cfg, &population, &mut encrypted);
     assert_eq!(classic, mixed, "encrypted proxy path diverged");
     // The proxy really did the work: every update decrypted inside the
@@ -100,11 +91,7 @@ fn encrypted_proxy_path_is_also_bitwise_identical() {
 fn streaming_strategy_preserves_aggregate_per_round() {
     let (population, template, cfg) = fixture(103);
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut streaming = mixnn_transport(
-        TransportMode::Encrypted,
-        MixingStrategy::Streaming { k: 3 },
-        103,
-    );
+    let mut streaming = mixnn_transport(MixingStrategy::Streaming { k: 3 }, 103);
     let mixed = run_rounds(&template, cfg, &population, &mut streaming);
     assert_eq!(classic, mixed, "streaming proxy path diverged");
 }
@@ -141,7 +128,7 @@ fn mixnn_works_on_deepface_architecture_too() {
         ..FlConfig::default()
     };
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut transport = mixnn_transport(TransportMode::Encrypted, MixingStrategy::Batch, 105);
+    let mut transport = mixnn_transport(MixingStrategy::Batch, 105);
     let mixed = run_rounds(&template, cfg, &population, &mut transport);
     assert_eq!(classic, mixed);
     // 5 trainable layers ≤ 6 participants: the Latin plan must be in force.
