@@ -22,12 +22,16 @@
 use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
 use mixnn_bench::experiments::cascade;
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
-use mixnn_cascade::{CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute};
+use mixnn_cascade::{
+    CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, LinearChain,
+    StratifiedLayout,
+};
+use mixnn_core::InProcessLink;
 use mixnn_enclave::AttestationService;
 use mixnn_net::{run_load_with, FlushPolicy, LoadConfig};
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{
-    validate_prometheus, Registry, Telemetry, VirtualClock, FORBIDDEN_LABEL_AXES,
+    validate_prometheus, Counter, Registry, Telemetry, VirtualClock, FORBIDDEN_LABEL_AXES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,6 +120,80 @@ fn cascade_experiment_telemetry_counts_its_single_proxy_baseline() {
             "missing `{line}` in:\n{prom}"
         );
     }
+}
+
+/// `mixnn_cascade_envelopes_opened_total` makes the wire format's saving
+/// visible: a committed round of C onions of L layers over H-hop routes
+/// opens one entry envelope per onion and one per layer at each later hop
+/// — C·(1 + L·(H − 1)), where version 1 opened C·L·H — on every layout,
+/// cover slots included.
+#[test]
+fn envelopes_opened_counts_one_entry_envelope_per_onion() {
+    // The repo benchmark's `cascade3_small` shape: 704, was 960.
+    let paper: Vec<usize> = vec![2048, 2048, 1024, 512, 130];
+    let drive = |signature: &[usize],
+                 topology: Box<dyn CascadeTopology>,
+                 clients: usize,
+                 floor: Option<usize>| {
+        let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
+        let mut rng = StdRng::seed_from_u64(7);
+        let service = AttestationService::new(&mut rng);
+        let mut cascade = CascadeCoordinator::with_topology(
+            signature.to_vec(),
+            topology,
+            7,
+            FailurePolicy::Abort,
+            &service,
+            &mut rng,
+        )
+        .unwrap();
+        cascade.attach_telemetry(telemetry.clone());
+        let updates: Vec<ModelParams> = (0..clients)
+            .map(|_| {
+                let layers = signature
+                    .iter()
+                    .map(|&n| LayerParams::from_values(vec![0.5; n]));
+                ModelParams::from_layers(layers.collect())
+            })
+            .collect();
+        let driven = match floor {
+            None => {
+                cascade.run_round(&updates, &mut rng).unwrap();
+                clients
+            }
+            Some(k) => {
+                let padded = cascade
+                    .run_padded_round_over(&updates, k, &mut rng, &mut InProcessLink)
+                    .unwrap();
+                assert!(padded.dummies() > 0, "the floor must inject cover");
+                clients + padded.dummies()
+            }
+        };
+        let prom = telemetry.snapshot().to_prometheus();
+        let opened = telemetry.counter(Counter::CascadeEnvelopesOpened);
+        assert!(
+            prom.lines()
+                .any(|l| l == format!("mixnn_cascade_envelopes_opened_total {opened}")),
+            "the export must carry the family:\n{prom}"
+        );
+        (opened, driven as u64)
+    };
+
+    let (opened, driven) = drive(&paper, Box::new(LinearChain::new(3)), 64, None);
+    assert_eq!((opened, driven), (704, 64));
+    for hops in 1..=4u64 {
+        let chain = Box::new(LinearChain::new(hops as usize));
+        let (opened, driven) = drive(&SIGNATURE, chain, CLIENTS, None);
+        assert_eq!(opened, driven * (1 + 3 * (hops - 1)), "linear, {hops} hops");
+    }
+    // Stratified 2x2: every route is two hops, whatever the grouping.
+    let strata = || Box::new(StratifiedLayout::evenly(4, 2, 77));
+    let (opened, driven) = drive(&SIGNATURE, strata(), 12, None);
+    assert_eq!(opened, driven * (1 + 3));
+    // Padded: cover slots are sealed and opened like any client's onion.
+    let (opened, driven) = drive(&SIGNATURE, strata(), 5, Some(8));
+    assert!(driven > 5);
+    assert_eq!(opened, driven * (1 + 3));
 }
 
 #[test]

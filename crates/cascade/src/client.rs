@@ -17,8 +17,9 @@ use rand::Rng;
 /// Under stratified and free-route layouts the "chain" is one client's
 /// **route**, not the whole hop set: each participant builds its own
 /// client over the descriptors of the hops its route traverses (see
-/// `CascadeCoordinator::client_for_slot`), and its onion carries exactly
-/// one envelope per route hop.
+/// `CascadeCoordinator::client_for_slot`), and its onion carries one
+/// envelope for the route's first hop plus one per layer for every hop
+/// after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeClient {
     hop_keys: Vec<PublicKey>,
@@ -94,9 +95,12 @@ impl CascadeClient {
     }
 
     /// Onion-encrypts one model update for the chain and frames it for the
-    /// first hop: one sealed envelope per (hop, layer), innermost for the
-    /// last hop. Every layer is encoded, and all its envelopes nested,
-    /// directly inside the returned message — the update's one allocation.
+    /// first hop: one sealed envelope per (hop, layer) for every hop after
+    /// the first, innermost for the last hop, and **one** envelope for the
+    /// first hop around the frame those blobs form — `1 + L·(H − 1)`
+    /// envelopes for `L` layers over `H` hops (see [`crate::OnionUpdate`]).
+    /// Every layer is encoded, and every envelope nested, directly inside
+    /// the returned message — the update's one allocation.
     ///
     /// # Errors
     ///
@@ -175,14 +179,14 @@ mod tests {
     #[test]
     fn sealed_update_grows_by_one_envelope_per_hop_per_layer() {
         let mut rng = StdRng::seed_from_u64(24);
-        let keys: Vec<PublicKey> = (0..3)
+        let keys: Vec<PublicKey> = (0..4)
             .map(|_| *KeyPair::generate(&mut rng).public())
             .collect();
         let params = ModelParams::from_layers(vec![
             LayerParams::from_values(vec![1.0; 4]),
             LayerParams::from_values(vec![2.0; 2]),
         ]);
-        let sizes: Vec<usize> = (1..=3)
+        let sizes: Vec<usize> = (1..=4)
             .map(|n| {
                 CascadeClient::from_keys(keys[..n].to_vec())
                     .seal_update(&params, &mut rng)
@@ -190,10 +194,20 @@ mod tests {
                     .len()
             })
             .collect();
-        // Two layers ⇒ each extra hop adds 2 × sealed-box overhead.
-        let overhead = 2 * mixnn_crypto::sealed_box::OVERHEAD;
-        assert_eq!(sizes[1] - sizes[0], overhead);
-        assert_eq!(sizes[2] - sizes[1], overhead);
+        // One hop: the two plaintext layer frames in an inner frame, in
+        // the entry envelope, in the entry message.
+        let overhead = mixnn_crypto::sealed_box::OVERHEAD;
+        let frames: usize = params
+            .iter()
+            .map(|l| 4 + mixnn_core::codec::encoded_layer_len_with(l.len(), CompressionConfig::F32))
+            .sum();
+        let header = 11;
+        assert_eq!(sizes[0], header + 4 + overhead + header + frames);
+        // Two layers ⇒ each further hop adds 2 × sealed-box overhead: the
+        // entry envelope is paid once, whatever the route length.
+        for pair in sizes.windows(2) {
+            assert_eq!(pair[1] - pair[0], 2 * overhead);
+        }
     }
 
     proptest::proptest! {

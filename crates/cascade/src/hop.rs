@@ -18,26 +18,43 @@
 //! # Ingest
 //!
 //! The hop owns the messages it was delivered and works inside them. A
-//! round is ingested onion by onion, in submission order: parse the
-//! framing where it lies, check the per-onion structure and the round's
-//! depth uniformity, derive this hop's shared secret for every layer in
-//! one batched ladder pass, then — layer by layer — open the envelope
-//! **in place** and charge the unwrapped blob against the EPC. The first
+//! round is ingested in windows of [`INGEST_BATCH`] onions. For a window
+//! the hop first parses every message's framing where it lies and checks
+//! the per-onion structure and the round's uniformity (one kind, one
+//! depth) — stopping the window short at the first onion that fails —
+//! and derives this hop's shared secret for **all** the window's
+//! envelopes in one batched key agreement: eight entry envelopes fill one
+//! eight-lane ladder pass, eight onions of five layers fill five, where
+//! onion by onion they would take eight passes at 5⁄8 fill. That
+//! look-ahead is pure: no ciphertext is touched and nothing is charged.
+//! Then, **one onion at a time in submission order**, the hop opens the
+//! onion's envelopes in place, charges the unwrapped blobs against the
+//! EPC, validates what the unwrap exposed and counts the onion — so at
+//! most one uncharged plaintext exists at any moment, and errors,
+//! counters and EPC traces are those of an onion-by-onion loop. The first
 //! onion that fails any step fails the whole round and releases every
-//! byte charged so far. After a successful ingest the plan is applied to
-//! slices of the delivered messages and every outgoing message is written
-//! exactly once: one buffer copy per blob per hop, the floor while a mix
-//! gathers blobs from different messages into one contiguous message.
-//! The copy goes into a buffer an earlier stage has finished with when
-//! the caller has one to offer, and the hop's own delivered messages are
-//! handed back the same way, so along a route only the first hop maps
-//! fresh memory.
+//! byte charged so far.
+//!
+//! A client's *entry* message carries one envelope around an inner frame
+//! (see `onion.rs`): the entry hop opens it, checks the frame it
+//! uncovered — inner kind, one envelope shallower, the round's layer
+//! count — and mixes that frame's blobs as they are, still sealed to the
+//! next hop. Every later hop receives inner messages and opens one
+//! envelope per layer.
+//!
+//! After a successful ingest the plan is applied to slices of the
+//! delivered messages and every outgoing message is written exactly once:
+//! one buffer copy per blob per hop, the floor while a mix gathers blobs
+//! from different messages into one contiguous message. The copy goes
+//! into a buffer an earlier stage has finished with when the caller has
+//! one to offer, and the hop's own delivered messages are handed back the
+//! same way, so along a route only the first hop maps fresh memory.
 
 use crate::onion::{self, OnionView};
 use crate::CascadeError;
-use mixnn_core::{shard_seed, MixPlan, ProxyError, ProxyStats};
+use mixnn_core::{shard_seed, MixPlan, ProxyError, ProxyStats, INGEST_BATCH};
 use mixnn_crypto::sealed_box::OVERHEAD;
-use mixnn_crypto::PublicKey;
+use mixnn_crypto::{CryptoError, PreparedOpen, PublicKey};
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Counter, Telemetry};
@@ -103,10 +120,30 @@ pub struct CascadeHop {
     telemetry: Telemetry,
 }
 
-/// A successfully ingested round: the delivered messages with every blob
-/// opened in place (plaintext behind its spent envelope header), the EPC
-/// bytes still charged for them, and the round's uniform onion depth.
-type IngestedRound = (Vec<Vec<u8>>, usize, u8);
+/// What every onion of one round must agree on: the message kind and the
+/// number of envelopes left. Fixed by the round's first onion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RoundShape {
+    entry: bool,
+    depth: u8,
+}
+
+/// The shared secrets a window's key agreement derived, in envelope order.
+type Prepared = std::vec::IntoIter<Result<PreparedOpen, CryptoError>>;
+
+/// A successfully ingested round.
+struct IngestedRound {
+    /// The delivered messages, every envelope addressed to this hop
+    /// opened in place.
+    messages: Vec<Vec<u8>>,
+    /// Where the unwrapped blobs lie: `signature.len()` ranges per
+    /// message, in message then layer order.
+    blobs: Vec<Range<usize>>,
+    /// EPC bytes still charged for those blobs.
+    charged: usize,
+    /// Envelopes left on every unwrapped blob.
+    depth: u8,
+}
 
 impl CascadeHop {
     /// Launches the hop inside a fresh enclave.
@@ -147,8 +184,9 @@ impl CascadeHop {
         self.telemetry = telemetry;
     }
 
-    /// Mirrors an absorbed stats delta into the telemetry counters.
-    fn record_absorb(&self, delta: &ProxyStats) {
+    /// Mirrors an absorbed stats delta, and the envelopes opened for the
+    /// onions it accepted, into the telemetry counters.
+    fn record_absorb(&self, delta: &ProxyStats, envelopes: u64) {
         self.telemetry
             .incr(Counter::CascadeUpdatesIngested, delta.updates_received);
         self.telemetry
@@ -157,6 +195,8 @@ impl CascadeHop {
             .incr(Counter::CascadeUpdatesForwarded, delta.updates_forwarded);
         self.telemetry
             .incr(Counter::CascadeBytesReceived, delta.bytes_received);
+        self.telemetry
+            .incr(Counter::CascadeEnvelopesOpened, envelopes);
     }
 
     /// The hop's position in the cascade.
@@ -214,127 +254,232 @@ impl CascadeHop {
             .unwrap_or_else(|_| panic!("EPC accounting underflow {context}"));
     }
 
-    /// Ingests one wire message where it lies: parse the framing, validate
-    /// the per-onion structure and the round's depth uniformity
-    /// (`depth_seen` carries the depth of the onions before this one),
-    /// open this hop's envelope on every layer in place and charge the
-    /// unwrapped blobs against the EPC. Returns the bytes charged for
-    /// them; a failing onion frees its own partial charges before
-    /// returning.
-    fn ingest_onion(
+    /// The look-ahead half of one onion's ingest, free of crypto and EPC:
+    /// parses the framing where it lies, checks the per-onion structure
+    /// and the round's uniformity (`shape` carries what the onions before
+    /// this one agreed on), and appends the ranges of the envelopes
+    /// addressed to this hop — one for an entry message, one per layer
+    /// otherwise.
+    fn check_framing(
         &self,
-        wire: &mut [u8],
-        depth_seen: &mut Option<u8>,
-        delta: &mut ProxyStats,
-    ) -> Result<usize, CascadeError> {
-        let t0 = Instant::now();
+        wire: &[u8],
+        shape: &mut Option<RoundShape>,
+        envelopes: &mut Vec<Range<usize>>,
+    ) -> Result<(), CascadeError> {
         let view = OnionView::parse(wire)?;
-        if view.num_layers() != self.signature.len() {
-            return Err(self.hop_err(ProxyError::SignatureMismatch {
-                expected: vec![self.signature.len()],
-                actual: vec![view.num_layers()],
-            }));
+        if !view.is_entry() && view.num_layers() != self.signature.len() {
+            return Err(self.signature_mismatch(view.num_layers()));
         }
         if view.hops_remaining() == 0 {
             return Err(CascadeError::Onion {
                 reason: "no sealed envelopes left for this hop".to_string(),
             });
         }
-        let depth = view.hops_remaining();
-        match *depth_seen {
-            Some(seen) if seen != depth => {
+        let own = RoundShape {
+            entry: view.is_entry(),
+            depth: view.hops_remaining(),
+        };
+        match *shape {
+            Some(seen) if seen.depth != own.depth => {
                 return Err(CascadeError::Onion {
-                    reason: format!("mixed onion depths in one round: {seen} vs {depth}"),
+                    reason: format!(
+                        "mixed onion depths in one round: {} vs {}",
+                        seen.depth, own.depth
+                    ),
                 });
             }
-            _ => *depth_seen = Some(depth),
+            Some(seen) if seen.entry != own.entry => {
+                return Err(CascadeError::Onion {
+                    reason: "entry and inner messages mixed in one round".to_string(),
+                });
+            }
+            _ => *shape = Some(own),
         }
-        let blobs: Vec<Range<usize>> = view.blob_ranges().collect();
-        let store_seconds = t0.elapsed().as_secs_f64();
+        envelopes.extend(view.blob_ranges());
+        Ok(())
+    }
 
-        let t1 = Instant::now();
-        // Derive all L shared secrets of this onion in one batched pass
-        // (the X25519 schedule and field inversion are shared across
-        // layers), then open and charge layer by layer in order: transient
-        // decrypt charge, then the persistent charge for the unwrapped
-        // blob.
-        let sealed: Vec<&[u8]> = blobs.iter().map(|blob| &wire[blob.clone()]).collect();
-        let prepared = self.enclave.prepare_open(&sealed);
+    fn signature_mismatch(&self, layers: usize) -> CascadeError {
+        self.hop_err(ProxyError::SignatureMismatch {
+            expected: vec![self.signature.len()],
+            actual: vec![layers],
+        })
+    }
+
+    /// Opens one envelope in place with the secret the window prepared for
+    /// it, replaying the transient decrypt charge.
+    fn open_envelope(&self, sealed: &mut [u8], prepared: &mut Prepared) -> Result<(), ProxyError> {
+        let opened = prepared
+            .next()
+            .expect("one prepared secret per envelope")
+            .and_then(|secret| secret.open_in_place(sealed));
+        Ok(self.enclave.charge_opened(sealed.len(), opened)?)
+    }
+
+    /// One onion's turn: opens its envelopes in place, charges every
+    /// unwrapped blob while it waits in a mixing list and appends where it
+    /// lies to `blobs`. Returns the bytes still charged; a failing onion
+    /// frees its own charges first.
+    fn open_onion(
+        &self,
+        wire: &mut [u8],
+        shape: RoundShape,
+        envelopes: &[Range<usize>],
+        prepared: &mut Prepared,
+        blobs: &mut Vec<Range<usize>>,
+    ) -> Result<usize, CascadeError> {
+        let last = shape.depth == 1;
         let mut charged = 0usize;
-        for (layer_idx, (blob, prepared)) in blobs.into_iter().zip(prepared).enumerate() {
-            let sealed = &mut wire[blob];
-            let opened = prepared.and_then(|envelope| envelope.open_in_place(sealed));
-            let unwrapped = self
-                .enclave
-                .charge_opened(sealed.len(), opened)
-                .and_then(|()| {
-                    // Charge the unwrapped blob while it waits in a mixing
-                    // list (the transient decrypt buffer was charged and
-                    // released inside `charge_opened`).
-                    let inner = &sealed[OVERHEAD..];
-                    self.enclave.memory().allocate(inner.len())?;
-                    Ok(inner)
-                });
-            match unwrapped {
-                Ok(inner) => {
-                    if depth == 1 {
-                        // This hop is last: the unwrap exposed the layer's
-                        // plaintext frame. Validate its structure (v1 or
-                        // v2, headers + exact geometry — no decompression,
-                        // no float work) *and* pin its declared parameter
-                        // count to the round signature, so a malformed or
-                        // mis-sized frame is charged to this ingest instead
-                        // of surfacing (or allocating) at the server.
-                        if let Err(e) = mixnn_core::codec::validate_layer_frame_expecting(
-                            inner,
-                            self.signature[layer_idx],
-                        ) {
-                            self.free_charged(charged + inner.len(), "while failing an onion");
-                            return Err(self.hop_err(e));
-                        }
-                    }
-                    charged += inner.len();
-                }
-                Err(e) => {
-                    self.free_charged(charged, "while failing an onion");
-                    return Err(self.hop_err(e.into()));
-                }
+        let fail = |charged: usize, e: ProxyError| {
+            self.free_charged(charged, "while failing an onion");
+            self.hop_err(e)
+        };
+        if !shape.entry {
+            for (layer_idx, envelope) in envelopes.iter().enumerate() {
+                let blob = envelope.start + OVERHEAD..envelope.end;
+                self.open_envelope(&mut wire[envelope.clone()], prepared)
+                    .and_then(|()| self.charge_unwrapped(&wire[blob.clone()], layer_idx, last))
+                    .map_err(|e| fail(charged, e))?;
+                charged += blob.len();
+                blobs.push(blob);
             }
+            return Ok(charged);
         }
-        delta.store_seconds += store_seconds;
-        delta.decrypt_seconds += t1.elapsed().as_secs_f64();
+        let envelope = &envelopes[0];
+        self.open_envelope(&mut wire[envelope.clone()], prepared)
+            .map_err(|e| self.hop_err(e))?;
+        // Authenticated now, but by a sender this hop does not trust: the
+        // frame the envelope wrapped is checked like any other framing.
+        let at = envelope.start + OVERHEAD;
+        let inner = OnionView::parse(&wire[at..envelope.end])?;
+        if inner.is_entry() {
+            return Err(CascadeError::Onion {
+                reason: "an entry envelope wraps another entry message".to_string(),
+            });
+        }
+        if inner.hops_remaining() != shape.depth - 1 {
+            return Err(CascadeError::Onion {
+                reason: format!(
+                    "inner frame of depth {} under an entry envelope of depth {}",
+                    inner.hops_remaining(),
+                    shape.depth
+                ),
+            });
+        }
+        if inner.num_layers() != self.signature.len() {
+            return Err(self.signature_mismatch(inner.num_layers()));
+        }
+        for (layer_idx, blob) in inner.blob_ranges().enumerate() {
+            let blob = at + blob.start..at + blob.end;
+            self.charge_unwrapped(&wire[blob.clone()], layer_idx, last)
+                .map_err(|e| fail(charged, e))?;
+            charged += blob.len();
+            blobs.push(blob);
+        }
         Ok(charged)
     }
 
+    /// Charges one unwrapped blob while it waits in a mixing list (the
+    /// transient decrypt buffer was charged and released inside
+    /// `charge_opened`). When this hop is last the unwrap exposed the
+    /// layer's plaintext frame: validate its structure (v1 or v2, headers
+    /// and exact geometry — no decompression, no float work) *and* pin its
+    /// declared parameter count to the round signature, so a malformed or
+    /// mis-sized frame is charged to this ingest instead of surfacing (or
+    /// allocating) at the server. A blob that fails holds no charge.
+    fn charge_unwrapped(
+        &self,
+        blob: &[u8],
+        layer_idx: usize,
+        last: bool,
+    ) -> Result<(), ProxyError> {
+        self.enclave.memory().allocate(blob.len())?;
+        if last {
+            let expected = self.signature[layer_idx];
+            if let Err(e) = mixnn_core::codec::validate_layer_frame_expecting(blob, expected) {
+                self.free_charged(blob.len(), "while failing an onion");
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// Ingests a whole round in submission order, opening every message in
-    /// place. On success returns the messages, the total EPC bytes still
-    /// charged for their blobs, and the round's uniform depth. The first
-    /// failing onion fails the round and releases every charge. `delta`
-    /// accumulates the §6.5 counters either way.
+    /// place, a window of [`INGEST_BATCH`] onions at a time: framing and
+    /// key agreement for the window, then one onion after the other (see
+    /// the module docs). The first failing onion fails the round and
+    /// releases every charge. `delta` accumulates the §6.5 counters, and
+    /// `opened` the envelopes of the accepted onions, either way.
     fn ingest_round(
         &self,
         mut incoming: Vec<Vec<u8>>,
         delta: &mut ProxyStats,
+        opened: &mut u64,
     ) -> Result<IngestedRound, CascadeError> {
+        let mut blobs = Vec::with_capacity(incoming.len() * self.signature.len());
         let mut charged_total = 0usize;
-        let mut depth_seen: Option<u8> = None;
-        for wire in &mut incoming {
-            delta.bytes_received += wire.len() as u64;
-            match self.ingest_onion(wire, &mut depth_seen, delta) {
-                Ok(charged) => {
-                    delta.updates_received += 1;
-                    charged_total += charged;
-                }
-                Err(e) => {
-                    delta.updates_rejected += 1;
-                    delta.bytes_rejected += wire.len() as u64;
-                    self.free_charged(charged_total, "while failing a round");
-                    return Err(e);
+        let mut shape: Option<RoundShape> = None;
+        let mut envelopes: Vec<Range<usize>> = Vec::new();
+        for window in incoming.chunks_mut(INGEST_BATCH) {
+            let t0 = Instant::now();
+            envelopes.clear();
+            // The window's first failing onion, by position. Bad framing
+            // ends the window early and waits here until the onions ahead
+            // of it had their turn.
+            let mut failed: Option<(usize, CascadeError)> = None;
+            for (i, wire) in window.iter().enumerate() {
+                if let Err(e) = self.check_framing(wire, &mut shape, &mut envelopes) {
+                    failed = Some((i, e));
+                    break;
                 }
             }
+            let admitted = failed.as_ref().map_or(window.len(), |&(i, _)| i);
+            delta.store_seconds += t0.elapsed().as_secs_f64();
+
+            let t1 = Instant::now();
+            if admitted > 0 {
+                let shape = shape.expect("an admitted onion fixed the shape");
+                let per_onion = if shape.entry { 1 } else { self.signature.len() };
+                let sealed: Vec<&[u8]> = window
+                    .iter()
+                    .zip(envelopes.chunks(per_onion))
+                    .flat_map(|(wire, ranges)| ranges.iter().map(|r| &wire[r.clone()]))
+                    .collect();
+                let mut prepared = self.enclave.prepare_open(&sealed).into_iter();
+                drop(sealed);
+                let turns = window.iter_mut().zip(envelopes.chunks(per_onion));
+                for (i, (wire, ranges)) in turns.enumerate() {
+                    match self.open_onion(wire, shape, ranges, &mut prepared, &mut blobs) {
+                        Ok(charged) => {
+                            delta.bytes_received += wire.len() as u64;
+                            delta.updates_received += 1;
+                            charged_total += charged;
+                            *opened += per_onion as u64;
+                        }
+                        Err(e) => {
+                            failed = Some((i, e));
+                            break;
+                        }
+                    }
+                }
+            }
+            delta.decrypt_seconds += t1.elapsed().as_secs_f64();
+            if let Some((i, e)) = failed {
+                let len = window[i].len() as u64;
+                delta.bytes_received += len;
+                delta.updates_rejected += 1;
+                delta.bytes_rejected += len;
+                self.free_charged(charged_total, "while failing a round");
+                return Err(e);
+            }
         }
-        let depth = depth_seen.expect("non-empty round saw a depth");
-        Ok((incoming, charged_total, depth))
+        let shape = shape.expect("non-empty round saw a shape");
+        Ok(IngestedRound {
+            messages: incoming,
+            blobs,
+            charged: charged_total,
+            depth: shape.depth - 1,
+        })
     }
 
     /// Draws the round's plan, applies it to the opened blobs where they
@@ -342,20 +487,21 @@ impl CascadeHop {
     /// both paths.
     fn finish_round(
         &mut self,
-        (opened, charged, depth): IngestedRound,
+        ingested: IngestedRound,
         spent: &mut Vec<Vec<u8>>,
         delta: &mut ProxyStats,
     ) -> Result<(Vec<Vec<u8>>, MixPlan), CascadeError> {
         let t0 = Instant::now();
-        let rows: Vec<Vec<&[u8]>> = opened
+        let IngestedRound {
+            messages,
+            blobs,
+            charged,
+            depth,
+        } = ingested;
+        let rows: Vec<Vec<&[u8]>> = messages
             .iter()
-            .map(|wire| {
-                OnionView::parse(wire)
-                    .expect("framing was validated at ingest and opening leaves it alone")
-                    .blobs()
-                    .map(|blob| &blob[OVERHEAD..])
-                    .collect()
-            })
+            .zip(blobs.chunks(self.signature.len()))
+            .map(|(wire, blobs)| blobs.iter().map(|blob| &wire[blob.clone()]).collect())
             .collect();
         // The shared round-plan policy (`MixPlan::for_round`) keeps this
         // hop's mixing semantics identical to the single proxy's. The plan
@@ -372,11 +518,11 @@ impl CascadeHop {
         };
         let outgoing: Vec<Vec<u8>> = mixed
             .iter()
-            .map(|layers| onion::frame(depth - 1, layers, spent.pop().unwrap_or_default()))
+            .map(|layers| onion::frame(depth, layers, spent.pop().unwrap_or_default()))
             .collect();
         // The last borrow of the delivered messages: they are spent now.
         drop(mixed);
-        spent.extend(opened);
+        spent.extend(messages);
         self.free_charged(charged, "after mixing");
         delta.mix_seconds += t0.elapsed().as_secs_f64();
         delta.updates_forwarded += outgoing.len() as u64;
@@ -415,11 +561,12 @@ impl CascadeHop {
             return Err(CascadeError::EmptyRound);
         }
         let mut delta = ProxyStats::default();
+        let mut envelopes = 0u64;
         let result = self
-            .ingest_round(incoming, &mut delta)
+            .ingest_round(incoming, &mut delta, &mut envelopes)
             .and_then(|ingested| self.finish_round(ingested, spent, &mut delta));
         self.stats.absorb(&delta);
-        self.record_absorb(&delta);
+        self.record_absorb(&delta, envelopes);
         result
     }
 
@@ -573,7 +720,10 @@ mod tests {
             0,
             CascadeHopConfig {
                 enclave: EnclaveConfig {
-                    epc_limit: 48, // one update's blobs fit, a round's do not
+                    // One update fits — its 47-byte inner frame while the
+                    // entry envelope is opened, then its 28 bytes of blobs —
+                    // a round does not.
+                    epc_limit: 48,
                     code_identity: HOP_CODE_IDENTITY.to_vec(),
                     allow_paging: false,
                 },

@@ -8,18 +8,21 @@
 //! instead of exactly one:
 //!
 //! ```text
-//!  client c:  layer l ──seal k₀(seal k₁(seal k₂(plain)))──▶ hop 0 ─▶ hop 1 ─▶ hop 2 ─▶ server
-//!                        (one envelope per hop)               σ₀       σ₁       σ₂
+//!  client c:  layer l ──bₗ = seal k₁(seal k₂(plain))
+//!             update  ──seal k₀(b₀ … b_{L-1})──▶ hop 0 ─▶ hop 1 ─▶ hop 2 ─▶ server
+//!                                                 σ₀       σ₁       σ₂
 //! ```
 //!
-//! Each client onion-encrypts every neural-network layer separately: one
-//! [`mixnn_crypto::SealedBox`] envelope per hop, innermost for the last
-//! proxy ([`OnionUpdate`]). Hop `i` unwraps exactly its own envelope on
-//! every (client, layer) blob, applies a fresh per-layer permutation
-//! `σᵢ` (a `mixnn_core::MixPlan` over **opaque ciphertext**), and forwards
-//! re-framed onions to hop `i+1`. Only the last hop uncovers plaintext
-//! layers — by which point the (client, layer) assignment has been
-//! re-drawn by every hop in the chain.
+//! Each client onion-encrypts every neural-network layer separately — one
+//! [`mixnn_crypto::SealedBox`] envelope per hop after the first, innermost
+//! for the last proxy — and wraps the framed blobs in one envelope for the
+//! first hop, which receives them together anyway ([`OnionUpdate`]). The
+//! entry hop unwraps that envelope, every later hop `i` exactly its own
+//! envelope on every (client, layer) blob; each applies a fresh per-layer
+//! permutation `σᵢ` (a `mixnn_core::MixPlan` over **opaque ciphertext**)
+//! and forwards re-framed onions to hop `i+1`. Only the last hop uncovers
+//! plaintext layers — by which point the (client, layer) assignment has
+//! been re-drawn by every hop in the chain.
 //!
 //! **The privacy claim this buys:** the composed assignment is
 //! `σ = σ_{n-1} ∘ … ∘ σ₀`, and an adversary must know *every* factor to
@@ -64,7 +67,7 @@
 //! * [`CascadeTopology`] / [`LinearChain`] / [`StratifiedLayout`] /
 //!   [`FreeRoute`] — which hops a client's onion traverses, and
 //!   [`route_groups`] to partition a round;
-//! * [`OnionUpdate`] — the per-layer onion wire format;
+//! * [`OnionUpdate`] — the onion wire format (MIXC version 2);
 //! * [`CascadeHop`] — one enclave-resident proxy: attested, EPC-budgeted,
 //!   `ProxyStats`-accounted, mixing blobs it cannot read;
 //! * [`CascadeClient`] — builds onions from the hops' **attested** keys;

@@ -1,18 +1,29 @@
-//! The onion wire format of the cascade.
+//! The onion wire format of the cascade (MIXC version 2).
 //!
 //! A participant splits its model update into per-layer blobs and wraps
-//! **each layer separately** in one [`SealedBox`] envelope per hop,
-//! innermost for the last proxy of the chain:
+//! **each layer separately** in one [`SealedBox`] envelope per hop *after
+//! the first*, innermost for the last proxy of its route; the per-layer
+//! blobs are framed together, and that frame is wrapped in **one**
+//! envelope for the first hop:
 //!
 //! ```text
 //! layer l plaintext:   codec::encode_layer(values_l)
 //! sealed for hop n-1:  seal(plaintext, k_{n-1})
-//! sealed for hop n-2:  seal(seal(plaintext, k_{n-1}), k_{n-2})
 //! …
-//! on the wire:         seal(… seal(plaintext, k_{n-1}) …, k_0)
+//! sealed for hop 1:    bₗ = seal(… seal(plaintext, k_{n-1}) …, k_1)
+//! inner frame:         F  = inner(n-1; b₀, …, b_{L-1})
+//! on the wire:         entry(n; seal(F, k_0))
 //! ```
 //!
-//! Hop `i` opens exactly one envelope per layer and sees only the next
+//! Per-layer envelopes exist so that a hop cannot re-link blobs a mix has
+//! moved into different slots: every blob a hop receives *after a mix*
+//! carries its own ephemeral key. Before the first mix there is nothing
+//! to hide — the entry hop receives all `L` blobs of one sender in one
+//! message and knows they belong together — so the outermost layer is one
+//! envelope around the whole frame: `1 + L·(n−1)` envelopes per update
+//! instead of `L·n`. The entry hop opens that envelope in place and mixes
+//! the inner frame's blobs, still sealed to hops `1…n−1`; from there on
+//! hop `i` opens exactly one envelope per layer and sees only the next
 //! envelope — ciphertext it cannot read — so it learns which *slots* it
 //! shuffles but never the layer contents. Only the last hop uncovers
 //! plaintext layers, and by then every earlier hop has re-assigned the
@@ -23,13 +34,20 @@
 //!
 //! ```text
 //! magic          u32  = 0x4d495843 ("MIXC")
-//! version        u8   = 1
-//! hops_remaining u8        // sealed envelopes left on every layer
-//! layers         u32
-//! repeat layers times:
+//! version        u8   = 2
+//! kind           u8        // 0 inner: one blob per layer
+//!                          // 1 entry: one blob, an envelope around an inner frame
+//! hops_remaining u8        // envelopes left on the way to the plaintext
+//! blobs          u32       // inner: the layer count; entry: always 1
+//! repeat blobs times:
 //!     len   u32
-//!     data  len bytes      // sealed blob (or plaintext when 0 hops left)
+//!     data  len bytes      // sealed blob (inner, 0 hops left: plaintext)
 //! ```
+//!
+//! The kind is stated, never inferred from the blob count: a one-layer
+//! model's inner frame also carries one blob. An entry message of depth
+//! `n` wraps an inner frame of depth `n − 1`; hops only ever emit inner
+//! frames, and the server accepts nothing else.
 //!
 //! # One buffer per stage
 //!
@@ -39,10 +57,11 @@
 //! * the client encodes every layer and nests all its envelopes directly
 //!   in the message it sends (`seal_framed`: one allocation per update);
 //! * a hop parses the framing as a borrowed view ([`OnionView`] — the
-//!   parser [`OnionUpdate::decode`] itself runs), opens each blob where it
-//!   lies, and `frame`s every outgoing message exactly once from slices
-//!   of the incoming ones — the one copy a mix cannot avoid, because it
-//!   gathers blobs from different messages into one contiguous message;
+//!   parser [`OnionUpdate::decode`] itself runs), opens each envelope
+//!   where it lies, and `frame`s every outgoing message exactly once from
+//!   slices of the incoming ones — the one copy a mix cannot avoid,
+//!   because it gathers blobs from different messages into one contiguous
+//!   message;
 //! * the server decodes layers straight out of the last hop's messages.
 //!
 //! [`OnionUpdate`] is the owned form of the same framing, for tests,
@@ -60,30 +79,41 @@ use std::ops::Range;
 
 /// Onion framing magic: `"MIXC"` as a big-endian u32.
 pub const MAGIC: u32 = 0x4d49_5843;
-/// Current onion framing version.
-pub const VERSION: u8 = 1;
+/// The onion framing version — the only one accepted.
+pub const VERSION: u8 = 2;
 
-/// Bytes before the first layer: magic, version, depth, layer count.
-const HEADER_LEN: usize = 10;
+/// Bytes before the first blob: magic, version, kind, depth, blob count.
+const HEADER_LEN: usize = 11;
 
-fn put_header(out: &mut Vec<u8>, hops_remaining: u8, layers: usize) {
+/// Header `kind` of a message whose blobs are one per layer.
+const KIND_INNER: u8 = 0;
+/// Header `kind` of a message whose one blob is the entry hop's envelope
+/// around an inner frame.
+const KIND_ENTRY: u8 = 1;
+
+fn put_header(out: &mut Vec<u8>, entry: bool, hops_remaining: u8, blobs: usize) {
     out.put_u32(MAGIC);
     out.put_u8(VERSION);
+    out.put_u8(if entry { KIND_ENTRY } else { KIND_INNER });
     out.put_u8(hops_remaining);
-    out.put_u32(layers as u32);
+    out.put_u32(blobs as u32);
 }
 
-/// Frames `blobs` — one per layer — as one wire message, written once
-/// into `out`: a buffer whose contents are dead (an empty `Vec`, or a
-/// spent message whose allocation is reused when it is large enough).
-pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], mut out: Vec<u8>) -> Vec<u8> {
+/// Writes one message of either kind into `out`, reusing its allocation
+/// when it is large enough.
+fn frame_as<B: AsRef<[u8]>>(
+    entry: bool,
+    hops_remaining: u8,
+    blobs: &[B],
+    mut out: Vec<u8>,
+) -> Vec<u8> {
     let len = HEADER_LEN + blobs.iter().map(|b| 4 + b.as_ref().len()).sum::<usize>();
     if out.capacity() < len {
         // Too small to reuse: growing it would copy its dead bytes.
         out = Vec::with_capacity(len);
     }
     out.clear();
-    put_header(&mut out, hops_remaining, blobs.len());
+    put_header(&mut out, entry, hops_remaining, blobs.len());
     for blob in blobs {
         let blob = blob.as_ref();
         out.put_u32(blob.len() as u32);
@@ -92,48 +122,76 @@ pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], mut out: Ve
     out
 }
 
-/// Builds one update's onion directly as the framed wire message: every
+/// Frames `blobs` — one per layer — as one inner wire message, written
+/// once into `out`: a buffer whose contents are dead (an empty `Vec`, or a
+/// spent message whose allocation is reused when it is large enough).
+pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], out: Vec<u8>) -> Vec<u8> {
+    frame_as(false, hops_remaining, blobs, out)
+}
+
+/// Builds one update's onion directly as the framed entry message: every
 /// layer is encoded behind its envelope header room inside the message
-/// buffer and its envelopes nested in place there — one allocation for
-/// the whole update. Bytes and `rng` position are those of
-/// [`OnionUpdate::build_with`] followed by [`OnionUpdate::encode`] (that
-/// constructor is this function, taken apart again).
+/// buffer, its envelopes for hops `1…` nested in place there, and the
+/// entry hop's envelope sealed last around the inner frame they form —
+/// one allocation for the whole update. Bytes and `rng` position are
+/// those of [`OnionUpdate::build_with`] followed by
+/// [`OnionUpdate::encode`] (that constructor is this function, taken
+/// apart again).
 pub(crate) fn seal_framed<R: Rng + ?Sized>(
     params: &ModelParams,
     hop_keys: &[PublicKey],
     compression: CompressionConfig,
     rng: &mut R,
 ) -> Result<Vec<u8>, CascadeError> {
-    assert!(!hop_keys.is_empty(), "onion needs at least one hop key");
     assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
+    let (entry_key, inner_keys) = hop_keys
+        .split_first()
+        .expect("onion needs at least one hop key");
     // Phase one, content-independent: every envelope's ephemeral key
-    // and shared secret in one batch — drawn layer by layer, innermost
-    // hop first, the order the envelopes nest in.
-    let route = || hop_keys.iter().rev();
-    let mut prepared = SealedBox::prepare(params.iter().flat_map(|_| route()), rng)
+    // and shared secret in one batch — drawn in the order the envelopes
+    // are sealed: layer by layer, innermost hop first, then the entry
+    // envelope around them all.
+    let recipients = params
+        .iter()
+        .flat_map(|_| inner_keys.iter().rev())
+        .chain([entry_key]);
+    let mut prepared = SealedBox::prepare(recipients, rng)
         .map_err(|source| CascadeError::Seal { source })?
         .into_iter();
     // Phase two: each layer's envelopes nest in the message itself,
     // envelope `i` wrapping everything from its own header to the end of
     // the blob — which, while the blob is being built, is the end of the
-    // buffer.
-    let headers = hop_keys.len() * OVERHEAD;
+    // buffer. The entry envelope wraps everything behind its header.
+    let headers = inner_keys.len() * OVERHEAD;
     let blob_len =
         |layer: &LayerParams| headers + codec::encoded_layer_len_with(layer.len(), compression);
-    let payload: usize = params.iter().map(|layer| 4 + blob_len(layer)).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload);
-    put_header(&mut out, hop_keys.len() as u8, params.num_layers());
+    let inner_len = HEADER_LEN + params.iter().map(|l| 4 + blob_len(l)).sum::<usize>();
+    let envelope_len =
+        u32::try_from(OVERHEAD + inner_len).expect("an update fits one length-prefixed blob");
+    let total = HEADER_LEN + 4 + OVERHEAD + inner_len;
+    let mut out = Vec::with_capacity(total);
+    put_header(&mut out, true, hop_keys.len() as u8, 1);
+    out.put_u32(envelope_len);
+    let envelope = out.len();
+    out.resize(envelope + OVERHEAD, 0);
+    put_header(&mut out, false, inner_keys.len() as u8, params.num_layers());
     for layer in params.iter() {
         out.put_u32(blob_len(layer) as u32);
         let blob = out.len();
         out.resize(blob + headers, 0);
         codec::encode_layer_into(&mut out, layer, compression);
         for start in (0..headers).step_by(OVERHEAD).rev() {
-            let envelope = prepared.next().expect("one envelope per (layer, hop)");
+            let envelope = prepared
+                .next()
+                .expect("one envelope per (layer, inner hop)");
             envelope.seal_in_place(&mut out[blob + start..]);
         }
     }
-    debug_assert_eq!(out.len(), HEADER_LEN + payload);
+    let entry = prepared
+        .next()
+        .expect("the entry envelope is prepared last");
+    entry.seal_in_place(&mut out[envelope..]);
+    debug_assert_eq!(out.len(), total);
     Ok(out)
 }
 
@@ -141,8 +199,9 @@ pub(crate) fn seal_framed<R: Rng + ?Sized>(
 /// validated by [`OnionView::parse`], the blobs stay in the message.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OnionView<'a> {
+    entry: bool,
     hops_remaining: u8,
-    layers: usize,
+    blobs: usize,
     bytes: &'a [u8],
 }
 
@@ -152,9 +211,11 @@ impl<'a> OnionView<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CascadeError::Onion`] on truncation, bad magic, unknown
-    /// version, implausible layer counts or trailing garbage — the checks,
-    /// in the order, of [`OnionUpdate::decode`] (which calls this).
+    /// Returns [`CascadeError::Onion`] on truncation, bad magic, any
+    /// version but [`VERSION`], an unknown kind, an entry message that
+    /// does not carry exactly one envelope, implausible blob counts or
+    /// trailing garbage — the checks, in the order, of
+    /// [`OnionUpdate::decode`] (which calls this).
     pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, CascadeError> {
         let fail = |reason: &str| CascadeError::Onion {
             reason: reason.to_string(),
@@ -173,18 +234,30 @@ impl<'a> OnionView<'a> {
                 reason: format!("unsupported version {version}"),
             });
         }
-        let hops_remaining = bytes[5];
-        let layers = be_u32(6) as usize;
-        if layers == 0 {
+        let entry = match bytes[5] {
+            KIND_INNER => false,
+            KIND_ENTRY => true,
+            kind => {
+                return Err(CascadeError::Onion {
+                    reason: format!("unknown message kind {kind}"),
+                })
+            }
+        };
+        let hops_remaining = bytes[6];
+        let blobs = be_u32(7) as usize;
+        if blobs == 0 {
             return Err(fail("zero layers"));
         }
-        // Sanity bound: each declared layer needs at least its length
+        if entry && blobs != 1 {
+            return Err(fail("entry message must carry exactly one envelope"));
+        }
+        // Sanity bound: each declared blob needs at least its length
         // header.
-        if layers > (bytes.len() - HEADER_LEN) / 4 + 1 {
+        if blobs > (bytes.len() - HEADER_LEN) / 4 + 1 {
             return Err(fail("implausible layer count"));
         }
         let mut at = HEADER_LEN;
-        for _ in 0..layers {
+        for _ in 0..blobs {
             if bytes.len() - at < 4 {
                 return Err(fail("layer header truncated"));
             }
@@ -199,27 +272,34 @@ impl<'a> OnionView<'a> {
             return Err(fail("trailing bytes after last layer"));
         }
         Ok(OnionView {
+            entry,
             hops_remaining,
-            layers,
+            blobs,
             bytes,
         })
     }
 
-    /// Sealed envelopes left on every layer blob.
+    /// Whether this is a client's entry message: its one blob is the
+    /// entry hop's envelope around an inner frame.
+    pub(crate) fn is_entry(&self) -> bool {
+        self.entry
+    }
+
+    /// Sealed envelopes left between this message and the plaintext.
     pub(crate) fn hops_remaining(&self) -> u8 {
         self.hops_remaining
     }
 
-    /// Number of per-layer blobs.
+    /// Number of blobs: one per layer, or the one entry envelope.
     pub(crate) fn num_layers(&self) -> usize {
-        self.layers
+        self.blobs
     }
 
-    /// Where each layer's blob sits in the message, in layer order.
+    /// Where each blob sits in the message, in order.
     pub(crate) fn blob_ranges(&self) -> impl Iterator<Item = Range<usize>> + Clone + 'a {
         let bytes = self.bytes;
         let mut at = HEADER_LEN;
-        (0..self.layers).map(move |_| {
+        (0..self.blobs).map(move |_| {
             let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("four bytes"));
             let blob = at + 4..at + 4 + len as usize;
             at = blob.end;
@@ -227,7 +307,7 @@ impl<'a> OnionView<'a> {
         })
     }
 
-    /// The per-layer blobs, borrowed from the message.
+    /// The blobs, borrowed from the message.
     pub(crate) fn blobs(&self) -> impl Iterator<Item = &'a [u8]> + Clone + 'a {
         let bytes = self.bytes;
         self.blob_ranges().map(move |blob| &bytes[blob])
@@ -238,7 +318,12 @@ impl<'a> OnionView<'a> {
         self,
         expected_signature: &[usize],
     ) -> Result<ModelParams, CascadeError> {
-        params_from_blobs(self.hops_remaining, self.blobs(), expected_signature)
+        params_from_blobs(
+            self.entry,
+            self.hops_remaining,
+            self.blobs(),
+            expected_signature,
+        )
     }
 }
 
@@ -246,10 +331,16 @@ impl<'a> OnionView<'a> {
 /// implementation behind [`OnionUpdate::into_params`] and the server's
 /// decode from the wire.
 fn params_from_blobs<'a>(
+    entry: bool,
     hops_remaining: u8,
     blobs: impl Iterator<Item = &'a [u8]> + Clone,
     expected_signature: &[usize],
 ) -> Result<ModelParams, CascadeError> {
+    if entry {
+        return Err(CascadeError::Onion {
+            reason: "the entry envelope still wraps the update".to_string(),
+        });
+    }
     if hops_remaining != 0 {
         return Err(CascadeError::Onion {
             reason: format!("{hops_remaining} sealed envelope(s) still wrap the layers"),
@@ -275,10 +366,13 @@ fn params_from_blobs<'a>(
     Ok(ModelParams::from_layers(layers))
 }
 
-/// One client's update at one position in the chain: a per-layer vector of
-/// blobs, each still wrapped in `hops_remaining` sealed envelopes.
+/// One client's update at one position in the chain, owned: either the
+/// entry message a client sends — one blob, the entry hop's envelope
+/// around everything else — or an inner message, a per-layer vector of
+/// blobs each still wrapped in `hops_remaining` sealed envelopes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnionUpdate {
+    entry: bool,
     hops_remaining: u8,
     layers: Vec<Vec<u8>>,
 }
@@ -305,23 +399,28 @@ impl OnionUpdate {
     }
 
     /// [`OnionUpdate::build`] with an explicit wire compression mode for
-    /// the innermost layer plaintext.
+    /// the innermost layer plaintext. The result is the client's **entry
+    /// message** ([`OnionUpdate::is_entry`]): one blob, `hop_keys[0]`'s
+    /// envelope around the inner frame of per-layer blobs sealed to
+    /// `hop_keys[1..]`.
     ///
     /// The compressed frame lengths are signature-derived
     /// (`codec::encoded_layer_len_with`), so two onions built for the same
-    /// model signature and chain length are byte-length-identical layer by
-    /// layer — compression never becomes a client fingerprint.
+    /// model signature and chain length are byte-length-identical, inside
+    /// the entry envelope layer by layer — compression never becomes a
+    /// client fingerprint.
     ///
-    /// Sealing is two-phase (`SealedBox::prepare`): all `layers × hops`
-    /// ephemeral secrets are drawn from `rng` first — layer-major, innermost
-    /// hop first, 32 bytes each, exactly the draws of sealing envelope by
+    /// Sealing is two-phase (`SealedBox::prepare`): all
+    /// `1 + layers × (hops − 1)` ephemeral secrets are drawn from `rng`
+    /// first — layer-major, innermost hop first, the entry envelope's
+    /// last, 32 bytes each, exactly the draws of sealing envelope by
     /// envelope — and their X25519 ladders run as one batch; then each
-    /// layer's envelopes are nested in place. The batch never extends past
-    /// this one update, and no two envelopes share an ephemeral key (equal
-    /// `eph_pub`s on two layers would let a hop re-link them after the mix).
-    /// The onion is built as its framed wire message (what
-    /// `CascadeClient::seal_update` sends as is) and the blobs are then
-    /// copied apart.
+    /// layer's envelopes are nested in place and the entry envelope sealed
+    /// around them. The batch never extends past this one update, and no
+    /// two envelopes share an ephemeral key (equal `eph_pub`s on two layers
+    /// would let a hop re-link them after the mix). The onion is built as
+    /// its framed wire message (what `CascadeClient::seal_update` sends as
+    /// is) and the envelope is then copied out of it.
     ///
     /// # Errors
     ///
@@ -336,18 +435,24 @@ impl OnionUpdate {
         let wire = seal_framed(params, hop_keys, compression, rng)?;
         // Own framing: taken apart without re-validating it.
         let view = OnionView {
+            entry: true,
             hops_remaining: hop_keys.len() as u8,
-            layers: params.num_layers(),
+            blobs: 1,
             bytes: &wire,
         };
-        Ok(OnionUpdate {
-            hops_remaining: view.hops_remaining,
-            layers: view.blobs().map(<[u8]>::to_vec).collect(),
-        })
+        Ok(Self::from_view(view))
     }
 
-    /// Reassembles an onion from already-processed parts (a hop re-framing
-    /// the blobs it just unwrapped and mixed).
+    fn from_view(view: OnionView<'_>) -> Self {
+        OnionUpdate {
+            entry: view.entry,
+            hops_remaining: view.hops_remaining,
+            layers: view.blobs().map(<[u8]>::to_vec).collect(),
+        }
+    }
+
+    /// Reassembles an inner onion from already-processed parts (a hop
+    /// re-framing the blobs it just unwrapped and mixed).
     ///
     /// # Panics
     ///
@@ -355,53 +460,60 @@ impl OnionUpdate {
     pub fn from_parts(hops_remaining: u8, layers: Vec<Vec<u8>>) -> Self {
         assert!(!layers.is_empty(), "onion must carry at least one layer");
         OnionUpdate {
+            entry: false,
             hops_remaining,
             layers,
         }
     }
 
-    /// Sealed envelopes left on every layer blob.
+    /// Whether this is a client's entry message: [`OnionUpdate::layers`]
+    /// is then the single envelope for the first hop, whose plaintext is
+    /// the encoded inner onion of depth `hops_remaining − 1`.
+    pub fn is_entry(&self) -> bool {
+        self.entry
+    }
+
+    /// Sealed envelopes left between this message and the plaintext.
     pub fn hops_remaining(&self) -> u8 {
         self.hops_remaining
     }
 
-    /// Number of per-layer blobs.
+    /// Number of blobs: one per layer, or 1 for an entry message.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }
 
-    /// The per-layer blobs.
+    /// The blobs: one per layer, or the one entry envelope.
     pub fn layers(&self) -> &[Vec<u8>] {
         &self.layers
     }
 
-    /// Consumes the onion into its per-layer blobs.
+    /// Consumes the onion into its blobs.
     pub fn into_layers(self) -> Vec<Vec<u8>> {
         self.layers
     }
 
     /// Serializes the onion for transmission to the next hop.
     pub fn encode(&self) -> Vec<u8> {
-        frame(self.hops_remaining, &self.layers, Vec::new())
+        frame_as(self.entry, self.hops_remaining, &self.layers, Vec::new())
     }
 
-    /// Decodes an onion message from the wire.
+    /// Decodes an onion message — entry or inner — from the wire;
+    /// [`OnionUpdate::encode`] gives the same bytes back.
     ///
     /// # Errors
     ///
-    /// Returns [`CascadeError::Onion`] on truncation, bad magic, unknown
-    /// version, implausible layer counts or trailing garbage.
+    /// Returns [`CascadeError::Onion`] on truncation, bad magic, an
+    /// unsupported version, an unknown kind, implausible layer counts or
+    /// trailing garbage.
     pub fn decode(bytes: &[u8]) -> Result<Self, CascadeError> {
-        let view = OnionView::parse(bytes)?;
-        Ok(OnionUpdate {
-            hops_remaining: view.hops_remaining(),
-            layers: view.blobs().map(<[u8]>::to_vec).collect(),
-        })
+        OnionView::parse(bytes).map(Self::from_view)
     }
 
-    /// Interprets a fully unwrapped onion (`hops_remaining == 0`) as model
-    /// parameters and validates the layer signature — what the aggregation
-    /// server does with the last hop's output.
+    /// Interprets a fully unwrapped onion (an inner message with
+    /// `hops_remaining == 0`) as model parameters and validates the layer
+    /// signature — what the aggregation server does with the last hop's
+    /// output.
     ///
     /// The signature check runs on the frames' **declared** headers before
     /// any layer is decoded: a crafted frame naming a parameter count the
@@ -411,12 +523,13 @@ impl OnionUpdate {
     ///
     /// # Errors
     ///
-    /// Returns [`CascadeError::Onion`] if envelopes remain or a layer fails
-    /// to decode, and [`CascadeError::SignatureMismatch`] if the declared
-    /// signature differs from `expected_signature`.
+    /// Returns [`CascadeError::Onion`] for an entry message, if envelopes
+    /// remain or a layer fails to decode, and
+    /// [`CascadeError::SignatureMismatch`] if the declared signature
+    /// differs from `expected_signature`.
     pub fn into_params(self, expected_signature: &[usize]) -> Result<ModelParams, CascadeError> {
         let blobs = self.layers.iter().map(Vec::as_slice);
-        params_from_blobs(self.hops_remaining, blobs, expected_signature)
+        params_from_blobs(self.entry, self.hops_remaining, blobs, expected_signature)
     }
 }
 
@@ -435,58 +548,90 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn onion_peels_hop_by_hop_to_the_original_layers() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let keys: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
-        let publics: Vec<PublicKey> = keys.iter().map(|k| *k.public()).collect();
-        let p = params();
-        let onion = OnionUpdate::build(&p, &publics, &mut rng).unwrap();
-        assert_eq!(onion.hops_remaining(), 3);
-        assert_eq!(onion.num_layers(), 2);
+    fn keypairs(n: usize, rng: &mut StdRng) -> (Vec<KeyPair>, Vec<PublicKey>) {
+        let keys: Vec<KeyPair> = (0..n).map(|_| KeyPair::generate(rng)).collect();
+        let publics = keys.iter().map(|k| *k.public()).collect();
+        (keys, publics)
+    }
 
-        let mut layers = onion.into_layers();
-        for kp in &keys {
+    /// What the entry hop does to a client's message: opens the one
+    /// envelope and finds the inner onion, one envelope shallower.
+    fn open_entry(onion: &OnionUpdate, entry_hop: &KeyPair) -> OnionUpdate {
+        assert!(onion.is_entry());
+        assert_eq!(onion.num_layers(), 1, "an entry message is one envelope");
+        let frame =
+            SealedBox::open(&onion.layers()[0], entry_hop).expect("sealed to the entry hop");
+        let inner = OnionUpdate::decode(&frame).expect("the envelope wraps a valid inner frame");
+        assert!(!inner.is_entry());
+        assert_eq!(inner.hops_remaining(), onion.hops_remaining() - 1);
+        inner
+    }
+
+    /// Peels a whole onion with the route's keys, down to plaintext blobs.
+    fn peel(onion: &OnionUpdate, keys: &[KeyPair]) -> OnionUpdate {
+        let inner = open_entry(onion, &keys[0]);
+        let mut layers = inner.into_layers();
+        for kp in &keys[1..] {
             layers = layers
                 .iter()
                 .map(|blob| SealedBox::open(blob, kp).expect("envelope addressed to this hop"))
                 .collect();
         }
-        let unwrapped = OnionUpdate::from_parts(0, layers);
-        assert_eq!(unwrapped.into_params(&p.signature()).unwrap(), p);
+        OnionUpdate::from_parts(0, layers)
+    }
+
+    #[test]
+    fn onion_peels_hop_by_hop_to_the_original_layers() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let p = params();
+        for hops in 1..=3 {
+            let (keys, publics) = keypairs(hops, &mut rng);
+            let onion = OnionUpdate::build(&p, &publics, &mut rng).unwrap();
+            assert_eq!(onion.hops_remaining(), hops as u8);
+            let inner = open_entry(&onion, &keys[0]);
+            assert_eq!(inner.num_layers(), 2);
+            assert_eq!(peel(&onion, &keys).into_params(&p.signature()).unwrap(), p);
+        }
     }
 
     #[test]
     fn wrong_hop_order_cannot_open() {
         let mut rng = StdRng::seed_from_u64(2);
-        let keys: Vec<KeyPair> = (0..2).map(|_| KeyPair::generate(&mut rng)).collect();
-        let publics: Vec<PublicKey> = keys.iter().map(|k| *k.public()).collect();
+        let (keys, publics) = keypairs(2, &mut rng);
         let onion = OnionUpdate::build(&params(), &publics, &mut rng).unwrap();
-        // The second hop's key cannot open the outermost envelope.
+        // The second hop's key cannot open the entry envelope, nor the
+        // first hop's the blobs inside it.
         assert!(SealedBox::open(&onion.layers()[0], &keys[1]).is_err());
+        let inner = open_entry(&onion, &keys[0]);
+        assert!(SealedBox::open(&inner.layers()[0], &keys[0]).is_err());
     }
 
     #[test]
     fn wire_round_trip() {
         let mut rng = StdRng::seed_from_u64(3);
-        let kp = KeyPair::generate(&mut rng);
-        let onion = OnionUpdate::build(&params(), &[*kp.public()], &mut rng).unwrap();
-        let decoded = OnionUpdate::decode(&onion.encode()).unwrap();
-        assert_eq!(decoded, onion);
+        let (keys, publics) = keypairs(2, &mut rng);
+        let entry = OnionUpdate::build(&params(), &publics, &mut rng).unwrap();
+        let inner = open_entry(&entry, &keys[0]);
+        for onion in [entry, inner] {
+            let wire = onion.encode();
+            let decoded = OnionUpdate::decode(&wire).unwrap();
+            assert_eq!(decoded, onion);
+            assert_eq!(decoded.encode(), wire);
+        }
     }
 
     #[test]
     fn truncation_anywhere_is_rejected() {
         let mut rng = StdRng::seed_from_u64(4);
-        let kp = KeyPair::generate(&mut rng);
-        let bytes = OnionUpdate::build(&params(), &[*kp.public()], &mut rng)
-            .unwrap()
-            .encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                OnionUpdate::decode(&bytes[..cut]).is_err(),
-                "truncation at {cut} accepted"
-            );
+        let (keys, publics) = keypairs(2, &mut rng);
+        let entry = OnionUpdate::build(&params(), &publics, &mut rng).unwrap();
+        for bytes in [entry.encode(), open_entry(&entry, &keys[0]).encode()] {
+            for cut in 0..bytes.len() {
+                assert!(
+                    OnionUpdate::decode(&bytes[..cut]).is_err(),
+                    "truncation at {cut} accepted"
+                );
+            }
         }
     }
 
@@ -497,33 +642,46 @@ mod tests {
         let good = OnionUpdate::build(&params(), &[*kp.public()], &mut rng)
             .unwrap()
             .encode();
+        let reason = |bytes: &[u8]| OnionUpdate::decode(bytes).unwrap_err().to_string();
 
         let mut bad = good.clone();
         bad[0] ^= 0xff;
         assert!(OnionUpdate::decode(&bad).is_err());
 
+        // Exactly one version is spoken; its predecessor is a typed error
+        // like any other unknown one.
+        for version in [1u8, 3, 9] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert!(reason(&bad).contains(&format!("unsupported version {version}")));
+        }
+
         let mut bad = good.clone();
-        bad[4] = 9; // version
-        assert!(OnionUpdate::decode(&bad)
-            .unwrap_err()
-            .to_string()
-            .contains("version 9"));
+        bad[5] = 2;
+        assert!(reason(&bad).contains("unknown message kind 2"));
 
         let mut bad = good.clone();
         bad.push(0);
-        assert!(OnionUpdate::decode(&bad)
-            .unwrap_err()
-            .to_string()
-            .contains("trailing"));
+        assert!(reason(&bad).contains("trailing"));
+
+        // An entry message is one envelope: two blobs under the entry kind
+        // are refused however well they are framed.
+        let blobs = [vec![7u8; 70], vec![8u8; 70]];
+        let two = frame_as(true, 1, &blobs, Vec::new());
+        assert!(reason(&two).contains("exactly one envelope"));
+        assert!(OnionUpdate::decode(&frame(1, &blobs, Vec::new())).is_ok());
     }
 
     #[test]
     fn view_borrows_what_decode_copies_and_frame_reuses_a_spent_buffer() {
         let mut rng = StdRng::seed_from_u64(11);
-        let kp = KeyPair::generate(&mut rng);
-        let onion = OnionUpdate::build(&params(), &[*kp.public()], &mut rng).unwrap();
+        let (keys, publics) = keypairs(2, &mut rng);
+        let entry = OnionUpdate::build(&params(), &publics, &mut rng).unwrap();
+        let onion = open_entry(&entry, &keys[0]);
         let wire = onion.encode();
         let view = OnionView::parse(&wire).unwrap();
+        assert!(!view.is_entry());
+        assert!(OnionView::parse(&entry.encode()).unwrap().is_entry());
         assert_eq!(view.hops_remaining(), onion.hops_remaining());
         assert_eq!(view.num_layers(), onion.num_layers());
         let blobs: Vec<&[u8]> = view.blobs().collect();
@@ -546,10 +704,7 @@ mod tests {
     #[test]
     fn implausible_layer_count_is_rejected_without_allocating() {
         let mut bytes = Vec::new();
-        bytes.put_u32(MAGIC);
-        bytes.put_u8(VERSION);
-        bytes.put_u8(1);
-        bytes.put_u32(u32::MAX);
+        put_header(&mut bytes, false, 1, u32::MAX as usize);
         assert!(OnionUpdate::decode(&bytes)
             .unwrap_err()
             .to_string()
@@ -559,21 +714,11 @@ mod tests {
     #[test]
     fn compressed_onion_peels_to_the_canonical_decode() {
         let mut rng = StdRng::seed_from_u64(7);
-        let keys: Vec<KeyPair> = (0..2).map(|_| KeyPair::generate(&mut rng)).collect();
-        let publics: Vec<PublicKey> = keys.iter().map(|k| *k.public()).collect();
+        let (keys, publics) = keypairs(2, &mut rng);
         let p = params();
         for mode in [CompressionConfig::Int8, CompressionConfig::int8_top_k()] {
             let onion = OnionUpdate::build_with(&p, &publics, mode, &mut rng).unwrap();
-            let mut layers = onion.into_layers();
-            for kp in &keys {
-                layers = layers
-                    .iter()
-                    .map(|blob| SealedBox::open(blob, kp).unwrap())
-                    .collect();
-            }
-            let decoded = OnionUpdate::from_parts(0, layers)
-                .into_params(&p.signature())
-                .unwrap();
+            let decoded = peel(&onion, &keys).into_params(&p.signature()).unwrap();
             // The server recovers exactly the canonical post-wire values.
             assert_eq!(
                 decoded,
@@ -586,13 +731,13 @@ mod tests {
 
     #[test]
     fn compressed_onions_are_length_identical_across_contents() {
-        // Same signature, different values -> every layer blob (and the
-        // whole framed message) is byte-length-identical. This is the
-        // unlinkability requirement the v2 codec exists to preserve.
+        // Same signature and route length, different values -> the entry
+        // message, and every layer blob inside its envelope, is
+        // byte-length-identical. This is the unlinkability requirement the
+        // v2 codec exists to preserve: a message's length is a function of
+        // the signature, the route length and the round's codec mode only.
         let mut rng = StdRng::seed_from_u64(8);
-        let keys: Vec<PublicKey> = (0..3)
-            .map(|_| *KeyPair::generate(&mut rng).public())
-            .collect();
+        let (keys, publics) = keypairs(3, &mut rng);
         let a = params();
         let b = ModelParams::from_layers(vec![
             LayerParams::from_values(vec![f32::NAN, 1e30, -1e-30]),
@@ -603,37 +748,45 @@ mod tests {
             CompressionConfig::Int8,
             CompressionConfig::int8_top_k(),
         ] {
-            let oa = OnionUpdate::build_with(&a, &keys, mode, &mut rng).unwrap();
-            let ob = OnionUpdate::build_with(&b, &keys, mode, &mut rng).unwrap();
-            for (la, lb) in oa.layers().iter().zip(ob.layers()) {
+            let oa = OnionUpdate::build_with(&a, &publics, mode, &mut rng).unwrap();
+            let ob = OnionUpdate::build_with(&b, &publics, mode, &mut rng).unwrap();
+            assert_eq!(oa.encode().len(), ob.encode().len(), "{}", mode.name());
+            let (ia, ib) = (open_entry(&oa, &keys[0]), open_entry(&ob, &keys[0]));
+            for (la, lb) in ia.layers().iter().zip(ib.layers()) {
                 assert_eq!(la.len(), lb.len(), "{}", mode.name());
             }
-            assert_eq!(oa.encode().len(), ob.encode().len(), "{}", mode.name());
         }
     }
 
-    /// Onion building as it was before the two-phase split: envelope by
-    /// envelope, each one drawing, laddering and sealing before the next.
-    /// The definition [`OnionUpdate::build_with`] must reproduce — bytes
-    /// and RNG position.
+    /// Onion building envelope by envelope, each one drawing, laddering and
+    /// sealing before the next: every layer for hops `n−1 … 1`, the inner
+    /// frame, then the entry envelope around it. The definition
+    /// [`OnionUpdate::build_with`] must reproduce — bytes and RNG position.
     fn build_envelope_by_envelope(
         params: &ModelParams,
         hop_keys: &[PublicKey],
         compression: CompressionConfig,
         rng: &mut StdRng,
     ) -> Result<OnionUpdate, CascadeError> {
+        let seal = |blob: &[u8], key: &PublicKey, rng: &mut StdRng| {
+            SealedBox::seal(blob, key, rng).map_err(|source| CascadeError::Seal { source })
+        };
         let layers = params
             .iter()
             .map(|layer| {
                 let mut blob = codec::encode_layer_with(layer, compression);
-                for key in hop_keys.iter().rev() {
-                    blob = SealedBox::seal(&blob, key, rng)
-                        .map_err(|source| CascadeError::Seal { source })?;
+                for key in hop_keys[1..].iter().rev() {
+                    blob = seal(&blob, key, rng)?;
                 }
                 Ok(blob)
             })
             .collect::<Result<_, CascadeError>>()?;
-        Ok(OnionUpdate::from_parts(hop_keys.len() as u8, layers))
+        let inner = OnionUpdate::from_parts(hop_keys.len() as u8 - 1, layers).encode();
+        Ok(OnionUpdate {
+            entry: true,
+            hops_remaining: hop_keys.len() as u8,
+            layers: vec![seal(&inner, &hop_keys[0], rng)?],
+        })
     }
 
     proptest::proptest! {
@@ -642,7 +795,7 @@ mod tests {
         /// Batched building is bit-identical to the envelope-by-envelope
         /// loop, and leaves the caller's RNG where the loop leaves it, for
         /// any layer count, chain length, layer sizes and codec mode —
-        /// 2..=64 ladders, so every lane split of the batched driver, and
+        /// 2..=50 ladders, so every lane split of the batched driver, and
         /// layers on both sides of a one-byte index and of one select
         /// block, each frame encoded in place behind its header room.
         #[test]
@@ -678,50 +831,51 @@ mod tests {
     #[test]
     fn low_order_hop_key_mid_route_is_the_same_seal_error() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut keys: Vec<PublicKey> = (0..3)
-            .map(|_| *KeyPair::generate(&mut rng).public())
-            .collect();
-        keys[1] = PublicKey::from_bytes([0u8; 32]);
-        let batched = OnionUpdate::build(&params(), &keys, &mut rng).unwrap_err();
-        let looped = build_envelope_by_envelope(&params(), &keys, CompressionConfig::F32, &mut rng)
-            .unwrap_err();
-        assert_eq!(batched, looped);
-        assert_eq!(
-            batched,
-            CascadeError::Seal {
-                source: mixnn_crypto::CryptoError::LowOrderPoint
-            }
-        );
+        for position in 0..3 {
+            let mut keys: Vec<PublicKey> = (0..3)
+                .map(|_| *KeyPair::generate(&mut rng).public())
+                .collect();
+            keys[position] = PublicKey::from_bytes([0u8; 32]);
+            let batched = OnionUpdate::build(&params(), &keys, &mut rng).unwrap_err();
+            let looped =
+                build_envelope_by_envelope(&params(), &keys, CompressionConfig::F32, &mut rng)
+                    .unwrap_err();
+            assert_eq!(batched, looped);
+            assert_eq!(
+                batched,
+                CascadeError::Seal {
+                    source: mixnn_crypto::CryptoError::LowOrderPoint
+                }
+            );
+        }
     }
 
     #[test]
     fn every_envelope_of_an_onion_has_its_own_ephemeral_key() {
-        // Peel a 5-layer, 3-hop onion and collect the eph_pub of all 15
-        // envelopes: any repeat would link two layers (or two hops' views
-        // of one layer) of the same client.
+        // Peel a 5-layer, 3-hop onion and collect the eph_pub of all
+        // 1 + 5·2 envelopes: any repeat would link two layers (or two
+        // hops' views of one layer) of the same client.
         let mut rng = StdRng::seed_from_u64(10);
-        let keys: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
-        let publics: Vec<PublicKey> = keys.iter().map(|k| *k.public()).collect();
+        let (keys, publics) = keypairs(3, &mut rng);
         let p = ModelParams::from_layers(
             (1..=5)
                 .map(|n| LayerParams::from_values(vec![0.25; n]))
                 .collect(),
         );
-        let mut layers = OnionUpdate::build(&p, &publics, &mut rng)
-            .unwrap()
-            .into_layers();
-        let mut eph_pubs = Vec::new();
-        for kp in &keys {
+        let onion = OnionUpdate::build(&p, &publics, &mut rng).unwrap();
+        let mut eph_pubs = vec![onion.layers()[0][..32].to_vec()];
+        let mut layers = open_entry(&onion, &keys[0]).into_layers();
+        for kp in &keys[1..] {
             eph_pubs.extend(layers.iter().map(|blob| blob[..32].to_vec()));
             layers = layers
                 .iter()
                 .map(|blob| SealedBox::open(blob, kp).unwrap())
                 .collect();
         }
-        assert_eq!(eph_pubs.len(), 15);
+        assert_eq!(eph_pubs.len(), 11);
         eph_pubs.sort_unstable();
         eph_pubs.dedup();
-        assert_eq!(eph_pubs.len(), 15, "an ephemeral key was reused");
+        assert_eq!(eph_pubs.len(), 11, "an ephemeral key was reused");
     }
 
     #[test]
@@ -729,17 +883,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let kp = KeyPair::generate(&mut rng);
         let p = params();
-        let wrapped = OnionUpdate::build(&p, &[*kp.public()], &mut rng).unwrap();
+        // A client's message: the entry envelope still wraps everything.
+        let entry = OnionUpdate::build(&p, &[*kp.public()], &mut rng).unwrap();
+        let err = entry.clone().into_params(&p.signature()).unwrap_err();
+        assert!(err.to_string().contains("entry envelope"), "{err}");
+        // An inner message some hop has yet to unwrap.
+        let plaintext: Vec<Vec<u8>> = p.iter().map(mixnn_core::codec::encode_layer).collect();
+        let wrapped = OnionUpdate::from_parts(1, plaintext.clone());
         assert!(matches!(
-            wrapped.clone().into_params(&p.signature()),
+            wrapped.into_params(&p.signature()),
             Err(CascadeError::Onion { .. })
         ));
 
-        let plain =
-            OnionUpdate::from_parts(0, p.iter().map(mixnn_core::codec::encode_layer).collect());
+        let plain = OnionUpdate::from_parts(0, plaintext);
         assert!(matches!(
-            plain.into_params(&[9, 9]),
+            plain.clone().into_params(&[9, 9]),
             Err(CascadeError::SignatureMismatch { .. })
         ));
+        assert_eq!(plain.into_params(&p.signature()).unwrap(), p);
+        // Opening the single hop's envelope gives exactly that message.
+        assert_eq!(
+            open_entry(&entry, &kp).into_params(&p.signature()).unwrap(),
+            p
+        );
     }
 }

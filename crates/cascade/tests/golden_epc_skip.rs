@@ -1,8 +1,8 @@
-//! Golden digest of a Skip-policy round whose middle hop is starved of
+//! Golden digests of a Skip-policy round whose middle hop is starved of
 //! EPC — the companion of `golden_rounds.rs` for the one scenario that
-//! needs a `CascadeConfig` literal. Recorded on commit e11645a, where the
-//! literal additionally read `parallelism: Parallelism::sequential()`;
-//! everything else in this file is identical on both commits.
+//! needs a `CascadeConfig` literal. Same split: the round digest was
+//! recorded on commit f992ffd (MIXC version 1) and has not been edited
+//! since; the wire digest was re-recorded by the MIXC version 2 PR.
 
 mod golden;
 
@@ -62,10 +62,17 @@ fn skip_round_around_an_epc_starved_hop_matches_the_recorded_drive() {
     g.hops(&cascade);
     check(
         &[("skip_epc_starved_hop1".to_string(), g.finish(&mut rng))],
-        GOLDEN,
+        GOLDEN_ROUND,
+        GOLDEN_WIRE,
     );
 }
 
-const GOLDEN: &str = "\
-skip_epc_starved_hop1 5d5bcfe4f7d2356b5e49526a40db1a1ca6915ba3a3932450fc3bacd149c9c048
+/// Framing-independent: recorded on f992ffd (MIXC version 1), never edited.
+const GOLDEN_ROUND: &str = "\
+skip_epc_starved_hop1 3a0a31d851ed2f8517f6dbab40019f00968464b286370583e9c580ddd6442025
+";
+
+/// Framing-dependent: re-recorded with the wire format.
+const GOLDEN_WIRE: &str = "\
+skip_epc_starved_hop1 c00b46b8a3c65e4bae9be61aeb1c003b2116bbbd3dad8ceb57e026e1cb2511d0
 ";

@@ -1,16 +1,19 @@
 //! Cross-commit golden digests of the cascade round drive.
 //!
-//! The constants below were recorded from the sequential drive of commit
-//! e11645a (the parent of the PR that deleted the concurrent and pipelined
-//! drives). This file compiles and passes **unedited** on that commit and
-//! on every later one: it only touches API both sides share, so a drift in
-//! output bytes, plan draws, hop counters, EPC charges or caller-RNG
-//! consumption on any layout, policy or codec fails here even though
-//! there is no second drive left to compare against.
+//! Every scenario is pinned by two digests (`golden/mod.rs`). The
+//! *round* table — outputs, plans, chain, skips, update counters — was
+//! recorded on commit f992ffd, the last one that spoke MIXC version 1,
+//! and this file passes against it **unedited** on that commit and on
+//! every later one: whatever a PR does to the wire, a drift in output
+//! bytes, plan draws or accepted prefixes on any layout, policy or codec
+//! fails here even though there is no second drive left to compare
+//! against. The *wire* table — hop byte counters, EPC charges, caller-RNG
+//! consumption — is what the MIXC version 2 PR re-recorded, once; it pins
+//! the same things from there on.
 //!
 //! (The one listed scenario that cannot live here is the Skip round with
-//! an EPC-starved hop: it needs a `CascadeConfig` literal, and that struct
-//! lost a field in the same PR. It sits in `golden_epc_skip.rs`.)
+//! an EPC-starved hop: it needs a `CascadeConfig` literal. It sits in
+//! `golden_epc_skip.rs`.)
 
 mod golden;
 
@@ -55,7 +58,7 @@ fn two_rounds(
     rng: &mut StdRng,
     clients: usize,
     link: &mut dyn RoundLink,
-) -> String {
+) -> (String, String) {
     let signature = cascade.signature().to_vec();
     let mut g = Golden::new();
     for r in 0..2 {
@@ -115,7 +118,7 @@ impl RoundLink for CorruptInto {
     }
 }
 
-fn scenarios() -> Vec<(String, String)> {
+fn scenarios() -> Vec<(String, (String, String))> {
     let mut out = Vec::new();
 
     for hops in 1..=4 {
@@ -252,21 +255,39 @@ fn scenarios() -> Vec<(String, String)> {
 
 #[test]
 fn round_digests_match_the_recorded_sequential_drive() {
-    check(&scenarios(), GOLDEN);
+    check(&scenarios(), GOLDEN_ROUND, GOLDEN_WIRE);
 }
 
-const GOLDEN: &str = "\
-linear1_f32 b2d7a9bf3f06ae54da530f728a1c3dec4b981d39662f7d2fb507034bf738a8c7
-linear2_f32 2b59c8ac6afdc44bc54d2129c8dedfc7d94e1bedc9e6c2103ab213886d1e26ec
-linear3_f32 a5047c2130ede63f5bd26e0f5ad4a50e17164a6378eec7545ca4a0f15be31a5d
-linear4_f32 1267ebaf628037474ce6b0fd416baf9c0cbfc940632153f8a9f8273e6d64a4cd
-stratified4x2_f32 836c780b1c18310d51f76101432dea77ddc01acb86b022fc217eaf3ddcccb735
-free_route4_f32 64a6ba5958a13220aee65880ec31abf4053c8a31496e696f57dd28dbf32c9f7e
-linear3_int8 3a0579ca9d7c8e8abe575ca27a5f4827861898453a9133bf868fce7f8f953ddf
-linear3_int8_topk 7929dff8d2f8da357d2a7ef2bdb69070a32e6006e7d58e466cc0314b57670ea6
-padded_free_route3_f32 9e30889af3d54703e271718a39658ac7c1d994861ce3fa48f4d2f4a81c8f569f
-padded_stratified2x2_int8_topk 99b3ec1dc8b75431534fdf0799cc6f2e2bb5a75a17cdd5542aae2d0f77397504
-skip_link_into_hop1 a2930a9dda717f4d602e21a1e837b14127690663b30f957f77d1ed0c06dc1ad8
-skip_hop1_rejects_tampered_onion 7658f9ecf1ebcfe3943d26861e20b76fa6c30427125447b2696d0f2067f14bec
-skip_link_hop2_to_server 05e5e558e34cb69f5c85217098dc5eeef08e4f1d4f0d628b0c32fdc4a84e6520
+/// Framing-independent: recorded on f992ffd (MIXC version 1), never edited.
+const GOLDEN_ROUND: &str = "\
+linear1_f32 ca76c8fab37cbceababe6726c50ccc2232cc078dadbe12df65d41158eae4b23a
+linear2_f32 3e12ceba38f4efa6a9bdb49a487c16cffb6e4fede900a67202e8e19e4b6f83e4
+linear3_f32 8b7a263b515f166c2ebebf8a74f3f23eb34a15ec8e7a5680173fb8c9c4acf6e7
+linear4_f32 19fedf8125b13f2ca9ad63ea272f6e6cb5615af7fbb51e485ac22e5d6c23d3cf
+stratified4x2_f32 a9a83a938bcce952ecec1e877b8d6f2e4fef3e420deb37fc1529579d9573e423
+free_route4_f32 c43d72a84ec9420fcc421e4d2f8eed8bdc73aaf522b963720c84c31fefe0c83d
+linear3_int8 cacae978edbc6c344475acda126ccd9fdd62e77faee17eb1194c543f6acdae41
+linear3_int8_topk e56d374a40668103ba8bed371c8c1887e75546289cf51883903c52038856da1d
+padded_free_route3_f32 63b09b3fcb0d1f22a1622de4240d7366f290455975b112331a573f36a43aec45
+padded_stratified2x2_int8_topk 8882f4d17c55b445f20a17dd9e4172768c8f34962fbaeade3195954b324b98a9
+skip_link_into_hop1 4cdbae7f3f6695cdd62fb209975cf3f1b14367f3cce8a60520496f4ec0f71953
+skip_hop1_rejects_tampered_onion 39f6879481fad7339a60ffa8cbd162f722733928a5c8db80e9271258a19ecaf6
+skip_link_hop2_to_server 244e8c215c702e8a4539d9ae5ff51ef61ffa1873e3212274b1ceec5406ae8616
+";
+
+/// Framing-dependent: re-recorded with the wire format.
+const GOLDEN_WIRE: &str = "\
+linear1_f32 44f94b4ed2a4dcf7644d67e89b3edc898bc68fd355810e5da9697bb3d18d57f6
+linear2_f32 9a0d1a3020339612bf9e83f3efc7a9a1eeec16eac86554612d55990c949f2329
+linear3_f32 5bec0ef0e6d1a6aa0683b6b75c423bb5c67e6a717927c7aa78428f27e1523aff
+linear4_f32 84dab527251e45bcc73c340fa1f0849938347f8ec1453ade55162b94eff275d6
+stratified4x2_f32 ed009cdf707df077194a7d353e7af25f27a64ee6894db45fb518de3913092705
+free_route4_f32 44bffe3342704acf2da6a507f79d929cac96938a6bb53e7d1e51a66b0f316a19
+linear3_int8 dd1dedf6c0577497d01c8ea2c8816adc2487ebd6cc57cbb2292c0b8ea53bd912
+linear3_int8_topk f1e026b9371212186ee4f7228759848f8bf0610dff1c71ed274ad08e253fa0c5
+padded_free_route3_f32 9bb40836cdf0cd3e885e01d21351603ac9e5456175f50f23c9910e9d905d5941
+padded_stratified2x2_int8_topk a71e77d52925130e8de2946521c1f54d410679c1813ca42f78b3a8d2e9cfe6f2
+skip_link_into_hop1 8d2215410585e7eff85970f371a7dae2f00bcaa8393defa74cd91b1af80eb03e
+skip_hop1_rejects_tampered_onion ff83e4df7ba3460094235042f344c36d414053490407ba4e71265f2476b04fcb
+skip_link_hop2_to_server 05aec9bed9c95984ff2819e26a05fdd9526f6cd64d379433fdeb92dd09bdac24
 ";

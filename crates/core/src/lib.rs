@@ -64,5 +64,5 @@ mod transport;
 pub use error::ProxyError;
 pub use link::{Endpoint, InProcessLink, LinkError, RoundLink};
 pub use mixer::{shard_seed, BatchMixer, MixPlan, MixingStrategy, StreamingMixer};
-pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats};
+pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats, INGEST_BATCH};
 pub use transport::{MixnnTransport, TransportMode};

@@ -51,12 +51,13 @@ impl Default for MixnnProxyConfig {
     }
 }
 
-/// Sealed updates whose shared secrets [`MixnnProxy::ingest_sealed`]
-/// derives per batched pass: the lane count of the AVX-512 IFMA ladder,
-/// whose pass costs the same whatever its fill, so every lane carries an
-/// envelope. Only the 32-byte secrets wait for their turn — each update
-/// is decrypted when it is charged and committed, never ahead of it.
-const INGEST_BATCH: usize = 8;
+/// Sealed updates whose shared secrets [`MixnnProxy::ingest_sealed`] — and
+/// a cascade hop's ingest — derives per batched key agreement: the lane
+/// count of the AVX-512 IFMA ladder, whose pass costs the same whatever
+/// its fill, so every lane carries an envelope. Only the 32-byte secrets
+/// wait for their turn — each update is decrypted when it is charged and
+/// committed, never ahead of it.
+pub const INGEST_BATCH: usize = 8;
 
 /// §6.5-style cost accounting for the proxy pipeline.
 ///

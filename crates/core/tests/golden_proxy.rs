@@ -1,13 +1,15 @@
 //! Cross-commit golden digests of the single-proxy round — the twin of
 //! `mixnn-cascade`'s `golden_rounds.rs`.
 //!
-//! Recorded from the sequential path of commit e11645a (per-update
-//! [`MixnnProxy::submit_encrypted`], and [`MixnnTransport::relay_round`]
-//! at its default worker count). The file compiles and passes **unedited**
-//! on that commit and on every later one, so the proxy's output bytes,
-//! plans, counters, EPC charges and sealing-RNG consumption cannot drift
-//! unnoticed now that there is no parallel front-end left to compare the
-//! in-order ingest against.
+//! Two tables, as there: the *round* digests — output bytes, plans,
+//! counters, EPC charges of per-update [`MixnnProxy::submit_encrypted`]
+//! and of [`MixnnTransport::relay_round`] — were recorded on commit
+//! f992ffd and pass **unedited** on that commit and on every later one,
+//! so none of it can drift unnoticed now that there is no parallel
+//! front-end left to compare the in-order ingest against. The *RNG* table
+//! — the caller's next draw after the rounds, i.e. how much entropy launch
+//! and sealing consumed — was re-recorded by the PR that stopped
+//! `Enclave::launch` drawing 32 bytes it discarded.
 
 // `..MixnnProxyConfig::default()` is a no-op since PR 14 wherever the
 // literal names every remaining field, but the parent commit needs it.
@@ -101,13 +103,10 @@ impl Golden {
         }
     }
 
-    fn finish(mut self, rng: &mut StdRng) -> String {
-        self.u64(rng.gen());
-        self.0
-            .finalize()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect()
+    /// `(round digest, the caller RNG's next draw)`.
+    fn finish(self, rng: &mut StdRng) -> (String, String) {
+        let round = self.0.finalize().into_iter().map(|b| format!("{b:02x}"));
+        (round.collect(), format!("{:016x}", rng.gen::<u64>()))
     }
 }
 
@@ -140,7 +139,7 @@ fn seal(proxy: &MixnnProxy, p: &ModelParams, rng: &mut StdRng) -> Vec<u8> {
 
 /// Per-update ingest of two rounds; each outcome (accepted, emitted
 /// or the typed error text) is part of the digest.
-fn submit_rounds(mut proxy: MixnnProxy, mut rng: StdRng, clients: usize) -> String {
+fn submit_rounds(mut proxy: MixnnProxy, mut rng: StdRng, clients: usize) -> (String, String) {
     let mut g = Golden(Sha256::new());
     for r in 0..2 {
         for p in updates(clients, SIGNATURE, 100 + r) {
@@ -170,7 +169,7 @@ fn relay_rounds(
     strategy: MixingStrategy,
     compression: CompressionConfig,
     signature: &[usize],
-) -> String {
+) -> (String, String) {
     let (proxy, mut rng) = launch(
         MixnnProxyConfig {
             strategy,
@@ -195,7 +194,7 @@ fn relay_rounds(
     g.finish(&mut rng)
 }
 
-fn scenarios() -> Vec<(String, String)> {
+fn scenarios() -> Vec<(String, (String, String))> {
     let mut out = Vec::new();
 
     for (name, strategy) in [
@@ -291,21 +290,41 @@ fn tight_epc_scenario_both_accepts_and_rejects() {
 
 #[test]
 fn proxy_digests_match_the_recorded_sequential_path() {
-    // On a drift the assertion prints the full actual table.
-    let actual: String = scenarios()
-        .iter()
-        .map(|(name, digest)| format!("{name} {digest}\n"))
-        .collect();
-    assert_eq!(actual, GOLDEN, "golden digests drifted");
+    // On a drift the panic prints both actual tables.
+    let scenarios = scenarios();
+    let table = |pick: fn(&(String, String)) -> &String| -> String {
+        scenarios
+            .iter()
+            .map(|(name, halves)| format!("{name} {}\n", pick(halves)))
+            .collect()
+    };
+    let (round, rng) = (table(|h| &h.0), table(|h| &h.1));
+    assert!(
+        round == GOLDEN_ROUND && rng == GOLDEN_RNG,
+        "golden digests drifted\nround table:\n{round}\nrng table:\n{rng}"
+    );
 }
 
-const GOLDEN: &str = "\
-submit_batch 63ce3e58d2ab6454e5e1d22b0519bf8e2b6b36321b953e246cdae527b6b83da4
-submit_streaming_k3 535a819a45d8e7e91c084cc0a4bed666f565d31583b98b7096aecb1c2e5abf22
-submit_streaming_k3_inferred_signature 535a819a45d8e7e91c084cc0a4bed666f565d31583b98b7096aecb1c2e5abf22
-submit_tight_epc 8e6181ef9065712e76d463f0ee1fb5b065007d6ba1b4040dc53767c5b1c44400
-relay_batch_f32 61af5896828224bface917181b3e6269a24494e44009e723720e9c927eed5d1e
-relay_batch_int8 393e731e0fc118da711aadb83bf267661c530f1ff5fb4c53795865578590b925
-relay_batch_int8_topk ef28424b8b1c4c61195f1456c8a52e9167e82f482b534a22e92035e0d0f9f2bf
-relay_streaming_k3_f32 083d38f86294ee72ffdd388829bc8cb2fa6352bcf8d13dba34769676e2f396cd
+/// Recorded on f992ffd, never edited.
+const GOLDEN_ROUND: &str = "\
+submit_batch 6d49917fb8b8978efd0e2e3b805c53954dbcbb7d045f228f6955760dffa7efe5
+submit_streaming_k3 74b95c25af2bfec547164922d40951986df999ddad35ae30a6d991e565364e04
+submit_streaming_k3_inferred_signature 74b95c25af2bfec547164922d40951986df999ddad35ae30a6d991e565364e04
+submit_tight_epc 5fd851ad59ddfbb03fead9addf651f99c35477669551574eb10426f2970df746
+relay_batch_f32 395701d78718882321f9908c3a5da1ae496bc99b35d976babfa4bc2c09cdd316
+relay_batch_int8 024d2ce2f460de73b91c7494018d81a31da12aab358b8522305d17154416dc31
+relay_batch_int8_topk 14056d58df1b04361c647952137250eaa0b6f3303dcc39272e8da4729a827830
+relay_streaming_k3_f32 dc3e6bacde62ba67cbd1ded29b5dbfdaa7032f036d18bef88f55bef2b7b070e2
+";
+
+/// Re-recorded whenever launch or sealing draws a different amount.
+const GOLDEN_RNG: &str = "\
+submit_batch 4d964f26d490de19
+submit_streaming_k3 4d964f26d490de19
+submit_streaming_k3_inferred_signature 4d964f26d490de19
+submit_tight_epc facc241d638bf5bb
+relay_batch_f32 fb797f4d139c03dd
+relay_batch_int8 fb797f4d139c03dd
+relay_batch_int8_topk fb797f4d139c03dd
+relay_streaming_k3_f32 fb797f4d139c03dd
 ";

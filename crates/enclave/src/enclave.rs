@@ -71,11 +71,6 @@ impl Enclave {
     ) -> Self {
         let measurement = Measurement::of_code(&config.code_identity);
         let keypair = KeyPair::generate(rng);
-        // Launch has always drawn 32 more bytes here (once the root of a
-        // data-sealing key). Callers go on using `rng`, and the golden
-        // digests pin what it yields after launch, so the draw outlives the
-        // key until a PR re-records them (ROADMAP item 2).
-        rng.fill(&mut [0u8; 32]);
         // Bind the enclave's encryption key into the quote's report data so
         // a man in the middle cannot substitute its own key.
         let report_data = mixnn_crypto::sha256::digest(keypair.public().as_bytes());

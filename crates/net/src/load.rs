@@ -4,8 +4,10 @@
 //! not networking — so the load generator ships **size-only packets**
 //! ([`Packet::synthetic`]): each client's round contribution is modelled
 //! by the exact wire sizes the MIXC onion codec produces (per-layer
-//! envelope `4 + 4·len + 64·seals`, burst framing from the MIXB codec),
-//! with no per-client allocation on the hot path. Client send times are
+//! envelope `4 + 4·len + 64·seals`; into the entry hop one frame per
+//! update, its layers under one further seal — MIXC version 2; burst
+//! framing from the MIXB codec), with no per-client allocation on the hot
+//! path. Client send times are
 //! computed arithmetically from a pooled arrival pattern (round start
 //! plus an even spread), hops count arriving frames per round and emit
 //! their (shrunken-by-one-seal) output after a per-update service time,
@@ -173,6 +175,16 @@ fn envelope_bytes(len: usize, seals: usize, compression: CompressionConfig) -> u
     encoded_layer_len_with(len, compression) + SEAL_OVERHEAD * seals
 }
 
+/// Payload of the one frame a client sends the entry hop (MIXC version
+/// 2): every layer under the `hops − 1` seals of the hops behind the
+/// entry, and **one** entry seal around them all. Like
+/// [`envelope_bytes`] it leaves the MIXC framing out (headers and length
+/// prefixes: a few bytes per layer).
+fn client_payload_bytes(signature: &[usize], hops: usize, compression: CompressionConfig) -> usize {
+    let inner_seals = |&len: &usize| envelope_bytes(len, hops - 1, compression);
+    signature.iter().map(inner_seals).sum::<usize>() + SEAL_OVERHEAD
+}
+
 /// A hop's (or the client pool's) not-yet-transmitted round output,
 /// materialized packet by packet so backpressure costs no storage.
 #[derive(Debug)]
@@ -272,7 +284,9 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
     let layers = cfg.signature.len();
     let clients = cfg.clients;
     let hops = cfg.hops;
-    let frames_per_round = (clients * layers) as u64;
+    // Frames that complete a round at stage `s`: the entry hop receives
+    // one frame per update, every later stage one per layer.
+    let frames_per_round = |stage: usize| (clients * if stage == 0 { 1 } else { layers }) as u64;
 
     // Wire the linear chain: clients -> hop 0 -> ... -> server.
     let mut net = SimNet::new(cfg.seed);
@@ -290,41 +304,32 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
         net.connect(hop_nodes[h], to, cfg.backbone);
     }
 
-    // Precompute per-stage envelope sizes: stage s is the ingress of hop
-    // s (s < hops) or of the server (s == hops); an envelope entering
-    // stage s still wears `hops - s` seals.
-    let env_sizes: Vec<Vec<usize>> = (0..=hops)
-        .map(|s| {
-            cfg.signature
-                .iter()
-                .map(|&len| envelope_bytes(len, hops - s, cfg.compression))
-                .collect()
-        })
+    // Precompute per-stage sizes: stage s is the ingress of hop s
+    // (s < hops) or of the server (s == hops). Stage 0 carries one frame
+    // per client; an envelope entering a later stage s still wears
+    // `hops - s` seals.
+    let client_payload = client_payload_bytes(&cfg.signature, hops, cfg.compression);
+    // A client's burst: its one frame in one packet, under either policy.
+    let client_burst_bytes = burst_overhead_bytes(1) + client_payload;
+    let env_sizes = |stage: usize| {
+        let seals = hops - stage;
+        let layers = cfg.signature.iter();
+        layers.map(move |&len| envelope_bytes(len, seals, cfg.compression))
+    };
+    let env_burst_sizes: Vec<Vec<usize>> = (1..=hops)
+        .map(|s| env_sizes(s).map(|b| b + burst_overhead_bytes(1)).collect())
         .collect();
-    let stage_payload_per_client: Vec<usize> = env_sizes.iter().map(|e| e.iter().sum()).collect();
-    let env_burst_sizes: Vec<Vec<usize>> = env_sizes
-        .iter()
-        .map(|e| e.iter().map(|b| b + burst_overhead_bytes(1)).collect())
-        .collect();
-    // A client's batched burst: its `layers` envelopes in one packet.
-    let client_burst_bytes = burst_overhead_bytes(layers) + stage_payload_per_client[0];
     // A hop's batched burst: the whole round's envelopes in one packet.
     let hop_burst_bytes: Vec<usize> = (1..=hops)
         .map(|s| {
-            burst_overhead_bytes(0)
-                + clients * (layers * FRAME_HEADER_BYTES + stage_payload_per_client[s])
+            let payload_per_client: usize = env_sizes(s).sum();
+            burst_overhead_bytes(0) + clients * (layers * FRAME_HEADER_BYTES + payload_per_client)
         })
         .collect();
 
-    let bursts_per_client = match cfg.flush {
-        FlushPolicy::Batched => 1,
-        FlushPolicy::PerEnvelope => layers,
-    };
-    let total_client_bursts = cfg.rounds * clients * bursts_per_client;
+    let total_client_bursts = cfg.rounds * clients;
     let send_time = |burst: usize| -> u64 {
-        let per_round = clients * bursts_per_client;
-        let round = burst / per_round;
-        let client = (burst % per_round) / bursts_per_client;
+        let (round, client) = (burst / clients, burst % clients);
         round as u64 * cfg.round_interval_ns
             + arrival_offset(client, clients, cfg.arrival_spread_ns)
     };
@@ -349,7 +354,7 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
             while let Some((_, packet)) = net.recv(hop_nodes[h]) {
                 let round = packet.tag as usize;
                 hop_frames[h][round] += packet.frames as u64;
-                if hop_frames[h][round] == frames_per_round {
+                if hop_frames[h][round] == frames_per_round(h) {
                     emits.push(Reverse((net.now_ns() + service_ns, h, packet.tag)));
                 }
             }
@@ -357,7 +362,7 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
         while let Some((_, packet)) = net.recv(server_node) {
             let round = packet.tag as usize;
             server_frames[round] += packet.frames as u64;
-            if server_frames[round] == frames_per_round {
+            if server_frames[round] == frames_per_round(hops) {
                 completions[round] = Some(net.now_ns());
                 completed += 1;
                 telemetry.trace(
@@ -391,7 +396,7 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
                 remaining: total,
                 total,
                 batched,
-                env_burst_bytes: env_burst_sizes[stage].clone(),
+                env_burst_bytes: env_burst_sizes[stage - 1].clone(),
             });
         }
 
@@ -412,14 +417,8 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
         // backpressure; sizes are arithmetic, nothing is stored per
         // client.
         while cursor < total_client_bursts && send_time(cursor) <= net.now_ns() {
-            let round = (cursor / (clients * bursts_per_client)) as u64;
-            let packet = match cfg.flush {
-                FlushPolicy::Batched => Packet::synthetic(client_burst_bytes, layers, round),
-                FlushPolicy::PerEnvelope => {
-                    let layer = cursor % layers;
-                    Packet::synthetic(env_burst_sizes[0][layer], 1, round)
-                }
-            };
+            let round = (cursor / clients) as u64;
+            let packet = Packet::synthetic(client_burst_bytes, 1, round);
             let bytes = packet.bytes as u64;
             if net.try_send(client_node, hop_nodes[0], packet).is_err() {
                 break;
@@ -492,7 +491,7 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
         .unwrap_or(0) as f64
         / 1e9;
     let updates = (cfg.rounds * clients) as f64;
-    let ingress_payload_bytes = (cfg.rounds * clients * stage_payload_per_client[0]) as u64;
+    let ingress_payload_bytes = (cfg.rounds * clients * client_payload) as u64;
     Ok(LoadOutcome {
         clients,
         rounds: cfg.rounds,
@@ -554,7 +553,11 @@ mod tests {
             per_env.sim_seconds
         );
         assert!(batched.framing_overhead < 0.05);
-        assert!(batched.framing_overhead < per_env.framing_overhead);
+        // The access link carries one frame per update under either
+        // policy; they differ behind the entry hop, where an update is
+        // `layers` envelopes again.
+        assert_eq!(batched.framing_overhead, per_env.framing_overhead);
+        assert!(batched.wire_bytes_total < per_env.wire_bytes_total);
         assert!(batched.packets_sent < per_env.packets_sent);
         // Same payload either way.
         assert_eq!(batched.ingress_payload_bytes, per_env.ingress_payload_bytes);
@@ -572,15 +575,57 @@ mod tests {
 
     #[test]
     fn per_client_wire_bytes_match_the_codec_arithmetic() {
-        let out = run_load(&small(FlushPolicy::Batched)).unwrap();
-        // 5 layers of the paper signature with 2 seals each, batched into
-        // one burst per client.
+        // 5 layers of the paper signature with the one inner seal of a
+        // 2-hop route each, all under one entry seal: one frame, one burst
+        // per client — whatever the flush policy.
         let payload: usize = [2048usize, 2048, 1024, 512, 130]
             .iter()
-            .map(|&l| envelope_bytes(l, 2, CompressionConfig::F32))
-            .sum();
-        let expected = burst_overhead_bytes(5) + payload;
-        assert_eq!(out.bytes_on_wire_per_client, expected as f64);
+            .map(|&l| envelope_bytes(l, 1, CompressionConfig::F32))
+            .sum::<usize>()
+            + SEAL_OVERHEAD;
+        let expected = burst_overhead_bytes(1) + payload;
+        for flush in [FlushPolicy::Batched, FlushPolicy::PerEnvelope] {
+            let out = run_load(&small(flush)).unwrap();
+            assert_eq!(out.bytes_on_wire_per_client, expected as f64);
+        }
+    }
+
+    /// The size-only model against a real onion: what a client's one
+    /// frame carries is a real `seal_update` message minus its MIXC
+    /// framing — the entry header and the envelope's length prefix, the
+    /// inner header and one length prefix per layer.
+    #[test]
+    fn client_payload_is_a_real_sealed_update_minus_its_mixc_framing() {
+        use mixnn_cascade::CascadeClient;
+        use mixnn_crypto::KeyPair;
+        use mixnn_nn::{LayerParams, ModelParams};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        const MIXC_HEADER: usize = 11;
+        let signature = LoadConfig::paper(0, FlushPolicy::Batched).signature;
+        let update = ModelParams::from_layers(
+            signature
+                .iter()
+                .map(|&n| LayerParams::from_values(vec![0.25; n]))
+                .collect(),
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        for hops in [2usize, 3] {
+            for compression in [CompressionConfig::F32, CompressionConfig::int8_top_k()] {
+                let keys = (0..hops).map(|_| *KeyPair::generate(&mut rng).public());
+                let sealed = CascadeClient::from_keys(keys.collect())
+                    .with_compression(compression)
+                    .seal_update(&update, &mut rng)
+                    .unwrap();
+                let framing = (MIXC_HEADER + 4) + (MIXC_HEADER + 4 * signature.len());
+                assert_eq!(
+                    client_payload_bytes(&signature, hops, compression),
+                    sealed.len() - framing,
+                    "{hops} hops, {}",
+                    compression.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -602,9 +647,10 @@ mod tests {
         // And the figure still matches the codec arithmetic exactly.
         let payload: usize = [2048usize, 2048, 1024, 512, 130]
             .iter()
-            .map(|&l| envelope_bytes(l, 2, CompressionConfig::int8_top_k()))
-            .sum();
-        let expected = burst_overhead_bytes(5) + payload;
+            .map(|&l| envelope_bytes(l, 1, CompressionConfig::int8_top_k()))
+            .sum::<usize>()
+            + SEAL_OVERHEAD;
+        let expected = burst_overhead_bytes(1) + payload;
         assert_eq!(topk_out.bytes_on_wire_per_client, expected as f64);
     }
 

@@ -105,6 +105,7 @@ metric_ids! {
         CascadeUpdatesRejected => (Cascade, "updates_rejected", "Onion envelopes rejected by cascade hops."),
         CascadeUpdatesForwarded => (Cascade, "updates_forwarded", "Mixed envelopes forwarded to the next stage (summed over hops)."),
         CascadeBytesReceived => (Cascade, "bytes_received", "Onion ciphertext bytes received by cascade hops."),
+        CascadeEnvelopesOpened => (Cascade, "envelopes_opened", "Sealed envelopes opened by cascade hops for the onions they accepted (summed over hops)."),
         CascadeRoundsCompleted => (Cascade, "rounds_completed", "Cascade rounds that committed a mixed output batch."),
         CascadeRoundsAborted => (Cascade, "rounds_aborted", "Cascade rounds abandoned under the failure policy."),
         CascadeGroupsMixed => (Cascade, "groups_mixed", "Route groups carried through their full hop sequence."),

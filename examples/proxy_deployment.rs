@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let onion = client.seal_update(&update, &mut rng)?;
     println!(
         "update wire size: {} bytes plaintext, {} bytes as a {hops}-hop onion\n\
-         (each hop strips one sealed envelope of {} bytes per layer)",
+         (the entry hop strips one sealed envelope of {} bytes, every later hop one per layer)",
         mixnn::proxy::codec::encode_params(&update).len(),
         onion.len(),
         mixnn::crypto::sealed_box::OVERHEAD,
