@@ -1,10 +1,11 @@
-//! Ablation bench: mixing strategies and plan constructions, and the
-//! FedAvg kernel the mixed updates feed.
+//! Ablation bench: mixing strategies and the Latin plan construction, and
+//! the FedAvg kernel the mixed updates feed.
 //!
-//! Quantifies the design choices DESIGN.md calls out — Latin-rectangle vs
-//! independent permutations, batch vs streaming, and streaming list size k.
-//! Kernels and ablations only: a whole round is the repo benchmark's to
-//! time (ARCHITECTURE.md, "Which number comes from where").
+//! Quantifies the design choices `docs/ARCHITECTURE.md` ("Data flow 1:
+//! the single proxy") names — the Latin-rectangle plan's cost, batch vs
+//! streaming, and streaming list size k. Kernels and ablations only: a
+//! whole round is the repo benchmark's to time (ARCHITECTURE.md, "Which
+//! number comes from where").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_core::{BatchMixer, MixPlan, StreamingMixer};
@@ -42,14 +43,6 @@ fn bench_plan_construction(c: &mut Criterion) {
             |b, &p| {
                 let mut rng = StdRng::seed_from_u64(0);
                 b.iter(|| MixPlan::latin(p, 5, &mut rng).unwrap());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("independent", participants),
-            &participants,
-            |b, &p| {
-                let mut rng = StdRng::seed_from_u64(0);
-                b.iter(|| MixPlan::independent(p, 5, &mut rng));
             },
         );
     }

@@ -75,7 +75,8 @@ pub struct ExperimentSetup {
     /// ∇Sim settings (attack models trained 5 epochs, cosine metric).
     pub attack: GradSimConfig,
     /// Noise scale of the noisy-gradient baseline, calibrated to land the
-    /// paper's shape (~10 pt accuracy drop; see DESIGN.md).
+    /// paper's shape (~10 pt accuracy drop; `docs/ARCHITECTURE.md`,
+    /// "Experiments").
     pub noise_sigma: f32,
     /// Convolution width of the model zoo template.
     pub conv_width: usize,

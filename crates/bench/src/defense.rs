@@ -1,6 +1,6 @@
 //! The three systems under comparison (§6.1.3): classic FL, the
 //! noisy-gradient baseline and MixNN — the last through the sealed proxy
-//! round the repo ships (`seal → ingest_sealed → mix_batch`), the only
+//! round the repo ships (`seal → mix_sealed_round`), the only
 //! proxy round there is.
 
 use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};

@@ -109,9 +109,9 @@ impl MixPlan {
     /// Builds a plan with an independent uniform permutation per layer.
     ///
     /// Column-bijective (so still utility-equivalent) but rows may repeat a
-    /// participant by chance. Used as a fallback when a model has more
-    /// layers than there are participants, and as an ablation baseline.
-    pub fn independent(participants: usize, layers: usize, rng: &mut StdRng) -> Self {
+    /// participant by chance. [`MixPlan::for_round`]'s fallback when a
+    /// model has more layers than there are participants.
+    fn independent(participants: usize, layers: usize, rng: &mut StdRng) -> Self {
         let assignments = (0..layers)
             .map(|_| {
                 let mut perm: Vec<usize> = (0..participants).collect();
@@ -145,15 +145,6 @@ impl MixPlan {
             Err(ProxyError::InsufficientUpdates { have: 0, need: 1 })
         } else {
             Ok(Self::independent(participants, layers, rng))
-        }
-    }
-
-    /// The degenerate identity plan (no mixing) — the classic-FL baseline
-    /// expressed in the same machinery, for ablations.
-    pub fn identity(participants: usize, layers: usize) -> Self {
-        MixPlan {
-            assignments: vec![(0..participants).collect(); layers],
-            participants,
         }
     }
 
@@ -197,22 +188,6 @@ impl MixPlan {
             let mut seen = std::collections::HashSet::new();
             self.assignments.iter().all(|col| seen.insert(col[i]))
         })
-    }
-
-    /// Fraction of (output, layer) cells whose source differs from the
-    /// identity plan — 0.0 means no mixing, values near `1 - 1/C` are
-    /// typical for uniform plans. Used by the ablation benches.
-    pub fn displacement(&self) -> f64 {
-        let total = self.participants * self.assignments.len();
-        if total == 0 {
-            return 0.0;
-        }
-        let moved: usize = self
-            .assignments
-            .iter()
-            .map(|col| col.iter().enumerate().filter(|&(i, &p)| i != p).count())
-            .sum();
-        moved as f64 / total as f64
     }
 
     /// Applies the plan: `out[i].layer[l] = updates[assignments[l][i]].layer[l]`.
@@ -607,16 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_plan_does_not_mix() {
-        let plan = MixPlan::identity(4, 3);
-        assert!(plan.is_column_bijective());
-        assert!(!plan.is_row_distinct()); // every row repeats one source
-        assert_eq!(plan.displacement(), 0.0);
-        let ups = updates(4, &[2, 3, 1]);
-        assert_eq!(plan.apply(&ups).unwrap(), ups);
-    }
-
-    #[test]
     fn apply_moves_layers_according_to_plan() {
         let mut rng = StdRng::seed_from_u64(2);
         let ups = updates(5, &[2, 3]);
@@ -691,7 +656,8 @@ mod tests {
         let mut mixer = BatchMixer::new(4);
         let ups = updates(10, &[2, 2, 2]);
         let (mixed, plan) = mixer.mix(&ups).unwrap();
-        assert!(plan.displacement() > 0.0, "plan was the identity");
+        let moved = (0..3).any(|l| (0..10).any(|i| plan.source(l, i) != Some(i)));
+        assert!(moved, "plan was the identity");
         assert_ne!(mixed, ups, "updates unchanged after mixing");
     }
 
@@ -701,6 +667,8 @@ mod tests {
         let ups = updates(2, &[1, 1, 1, 1]); // 4 layers, 2 participants
         let (mixed, plan) = mixer.mix(&ups).unwrap();
         assert!(plan.is_column_bijective());
+        // Four layers over two participants: every row repeats a source.
+        assert!(!plan.is_row_distinct());
         assert_eq!(ModelParams::mean(&ups), ModelParams::mean(&mixed));
     }
 

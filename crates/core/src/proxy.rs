@@ -2,8 +2,9 @@
 //!
 //! # Ingest
 //!
-//! There is one ingest routine, [`MixnnProxy::ingest_sealed`], and it is
-//! strictly in submission order. The shared secrets of eight sealed
+//! There is one ingest routine (`MixnnProxy::ingest_sealed`, private to
+//! this crate) behind the proxy's two ways in, and it is strictly in
+//! submission order. The shared secrets of eight sealed
 //! updates (`INGEST_BATCH`, one full pass of the eight-lane X25519
 //! ladder) are derived together — pure key agreement: no ciphertext is
 //! touched, nothing is charged — then each update in turn is opened,
@@ -12,7 +13,19 @@
 //! most one uncharged plaintext exists at any time, and nothing is ever
 //! charged ahead of its commit, so the EPC sees exactly the sequence a
 //! one-by-one loop would produce — [`MixnnProxy::submit_encrypted`] *is*
-//! that routine with a batch of one.
+//! that routine with a batch of one, and [`MixnnProxy::mix_sealed_round`]
+//! is that routine over a whole round followed by the mix.
+//!
+//! # Failure unit
+//!
+//! A rejected update is counted and skipped, and leaves what the proxy
+//! already holds untouched: that is the whole contract of
+//! `submit_encrypted`, whose caller decides what a rejection means. A
+//! *round* handed over through `mix_sealed_round` is all-or-nothing, like
+//! a cascade hop's: if any of its updates is rejected the call returns
+//! that first error and the proxy holds nothing afterwards — no buffered
+//! update, no EPC charge — so a failed round can neither wedge the enclave
+//! nor leak its accepted updates into the next round's mix.
 
 use crate::{codec, BatchMixer, MixPlan, MixingStrategy, ProxyError, StreamingMixer};
 use mixnn_crypto::PublicKey;
@@ -51,8 +64,8 @@ impl Default for MixnnProxyConfig {
     }
 }
 
-/// Sealed updates whose shared secrets [`MixnnProxy::ingest_sealed`] — and
-/// a cascade hop's ingest — derives per batched key agreement: the lane
+/// Sealed updates whose shared secrets the proxy's ingest — and a cascade
+/// hop's — derives per batched key agreement: the lane
 /// count of the AVX-512 IFMA ladder, whose pass costs the same whatever
 /// its fill, so every lane carries an envelope. Only the 32-byte secrets
 /// wait for their turn — each update is decrypted when it is charged and
@@ -96,15 +109,6 @@ impl ProxyStats {
         self.decrypt_seconds += other.decrypt_seconds;
         self.store_seconds += other.store_seconds;
         self.mix_seconds += other.mix_seconds;
-    }
-
-    /// Mean per-update decryption time in seconds.
-    pub fn mean_decrypt_seconds(&self) -> f64 {
-        if self.updates_received == 0 {
-            0.0
-        } else {
-            self.decrypt_seconds / self.updates_received as f64
-        }
     }
 }
 
@@ -266,7 +270,8 @@ impl MixnnProxy {
     /// emitted immediately.
     ///
     /// The plaintext is charged against the enclave's EPC budget while
-    /// buffered. This is [`MixnnProxy::ingest_sealed`] with a batch of one.
+    /// buffered. This is the proxy's one ingest routine with a batch of one
+    /// (see the module docs).
     ///
     /// # Errors
     ///
@@ -286,7 +291,7 @@ impl MixnnProxy {
     /// opened, charged, decoded, validated and committed before the next
     /// (see the module docs). A rejected update is counted and skipped;
     /// the rest of the round is still ingested.
-    pub fn ingest_sealed<T: AsRef<[u8]>>(
+    pub(crate) fn ingest_sealed<T: AsRef<[u8]>>(
         &mut self,
         sealed: &[T],
     ) -> Vec<Result<Option<ModelParams>, ProxyError>> {
@@ -337,8 +342,8 @@ impl MixnnProxy {
             codec::decode_params_expecting(&plaintext, &self.signature)?
         };
         // Charge the decoded update against the EPC while it sits in a
-        // list (4 bytes per scalar, as in §6.5's per-update footprint).
-        let footprint = params.total_len() * std::mem::size_of::<f32>();
+        // list.
+        let footprint = Self::footprint(&params);
         self.enclave.memory().allocate(footprint)?;
         // The update only got this far if the sealed envelope opened.
         self.telemetry.incr(Counter::CoreEnvelopesOpened, 1);
@@ -374,14 +379,18 @@ impl MixnnProxy {
 
     /// One whole proxy round over sealed bytes: ingest every update in
     /// submission order, then mix the batch (or, in streaming mode, drain
-    /// the lists so the server aggregates exactly C updates). The round
-    /// tail every transport shares.
+    /// the lists so the server aggregates exactly C updates). All or
+    /// nothing, like a cascade hop's `mix_delivered`.
     ///
     /// # Errors
     ///
-    /// The first rejected update's error — surfaced only after the whole
-    /// round was ingested, so the accepted updates stay buffered exactly
-    /// as a per-update caller would have left them — or the mixing error.
+    /// The first rejected update's error, or the mixing error of an empty
+    /// round. A round with a rejected update forwards nothing and leaves
+    /// the proxy holding nothing: every buffered update — the round's
+    /// accepted ones and any an earlier [`MixnnProxy::submit_encrypted`]
+    /// left — is dropped and its EPC charge released, so
+    /// [`MixnnProxy::buffered`] and the enclave's allocation read zero.
+    /// The received / rejected counters keep what the ingest counted.
     pub fn mix_sealed_round<T: AsRef<[u8]>>(
         &mut self,
         sealed: &[T],
@@ -404,8 +413,20 @@ impl MixnnProxy {
             },
         );
         let mut streamed = Vec::new();
+        let mut rejection = None;
         for result in results {
-            streamed.extend(result?);
+            match result {
+                Ok(emitted) => streamed.extend(emitted),
+                Err(e) => {
+                    rejection.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = rejection {
+            // What streaming emitted mid-round goes nowhere either.
+            self.stats.updates_forwarded -= streamed.len() as u64;
+            self.take_held()?;
+            return Err(e);
         }
         match self.strategy {
             MixingStrategy::Batch => self.mix_batch(),
@@ -414,6 +435,24 @@ impl MixnnProxy {
                 Ok(streamed)
             }
         }
+    }
+
+    /// Takes every update the proxy holds — the streaming lists' residue
+    /// or the batch buffer — and releases its EPC charge.
+    fn take_held(&mut self) -> Result<Vec<ModelParams>, ProxyError> {
+        let held = match &mut self.streaming {
+            Some(streaming) => streaming.flush(),
+            None => std::mem::take(&mut self.batch_buffer),
+        };
+        let charged = held.iter().map(Self::footprint).sum();
+        self.enclave.memory().free(charged)?;
+        Ok(held)
+    }
+
+    /// EPC bytes a decoded update is charged while it sits in a list (4
+    /// bytes per scalar, as in §6.5's per-update footprint).
+    fn footprint(update: &ModelParams) -> usize {
+        update.total_len() * std::mem::size_of::<f32>()
     }
 
     /// Batch mode: mixes everything buffered and returns the mixed updates
@@ -426,15 +465,12 @@ impl MixnnProxy {
         let _span = self.telemetry.span(Span::CoreMixBatch);
         let t0 = Instant::now();
         // Everything that can fail runs while the proxy still owns the
-        // buffer, so a failed mix leaves it intact; after that the layers
-        // are moved into their output slots, never cloned.
+        // buffer, so a failed mix leaves it intact (a streaming proxy's
+        // buffer is always empty, so it fails here); after that the
+        // layers are moved into their output slots, never cloned.
         let plan = self.batch_mixer.draw_plan(&self.batch_buffer)?;
-        let footprint: usize = self
-            .batch_buffer
-            .iter()
-            .map(|u| u.total_len() * std::mem::size_of::<f32>())
-            .sum();
-        let rows = std::mem::take(&mut self.batch_buffer)
+        let rows = self
+            .take_held()?
             .into_iter()
             .map(ModelParams::into_layers)
             .collect();
@@ -444,7 +480,6 @@ impl MixnnProxy {
             .into_iter()
             .map(ModelParams::from_layers)
             .collect();
-        self.enclave.memory().free(footprint)?;
         self.stats.mix_seconds += t0.elapsed().as_secs_f64();
         self.stats.updates_forwarded += mixed.len() as u64;
         self.last_plan = Some(plan);
@@ -472,19 +507,12 @@ impl MixnnProxy {
     /// Returns [`ProxyError::Enclave`] if the memory accounting
     /// underflows (a proxy bug, surfaced rather than hidden).
     pub fn flush(&mut self) -> Result<Vec<ModelParams>, ProxyError> {
-        match &mut self.streaming {
-            Some(streaming) => {
-                let out = streaming.flush();
-                let footprint: usize = out
-                    .iter()
-                    .map(|u| u.total_len() * std::mem::size_of::<f32>())
-                    .sum();
-                self.enclave.memory().free(footprint)?;
-                self.stats.updates_forwarded += out.len() as u64;
-                Ok(out)
-            }
-            None => Ok(Vec::new()),
+        if self.streaming.is_none() {
+            return Ok(Vec::new());
         }
+        let out = self.take_held()?;
+        self.stats.updates_forwarded += out.len() as u64;
+        Ok(out)
     }
 }
 
@@ -740,16 +768,32 @@ mod tests {
     }
 
     #[test]
-    fn sealed_round_ingests_everything_before_surfacing_a_rejection() {
-        let (mut proxy, _, mut rng) = launch(MixingStrategy::Batch);
-        let mut sealed: Vec<Vec<u8>> = (0..4).map(|i| seal(&proxy, &params(i), &mut rng)).collect();
-        sealed.insert(2, vec![0u8; 64]); // garbage ciphertext mid-round
-        assert!(proxy.mix_sealed_round(&sealed).is_err());
-        assert_eq!(proxy.stats().updates_rejected, 1);
-        assert_eq!(proxy.stats().bytes_rejected, 64);
-        // The four good updates are buffered and still mix.
-        assert_eq!(proxy.buffered(), 4);
-        assert_eq!(proxy.mix_batch().unwrap().len(), 4);
-        assert_eq!(proxy.memory_stats().allocated, 0);
+    fn a_rejected_update_fails_the_sealed_round_and_the_proxy_holds_nothing() {
+        for strategy in [MixingStrategy::Batch, MixingStrategy::Streaming { k: 2 }] {
+            let (mut proxy, _, mut rng) = launch(strategy);
+            let mut sealed: Vec<Vec<u8>> =
+                (0..4).map(|i| seal(&proxy, &params(i), &mut rng)).collect();
+            sealed.insert(2, vec![0u8; 64]); // garbage ciphertext mid-round
+            assert!(matches!(
+                proxy.mix_sealed_round(&sealed),
+                Err(ProxyError::Enclave(_))
+            ));
+            // Counted like a per-update caller's, forwarded nowhere.
+            let stats = proxy.stats();
+            assert_eq!(stats.updates_received, 4, "{strategy:?}");
+            assert_eq!(stats.updates_rejected, 1);
+            assert_eq!(stats.bytes_rejected, 64);
+            assert_eq!(stats.updates_forwarded, 0);
+            // Nothing of the failed round is left to leak into the next.
+            assert_eq!(proxy.buffered(), 0, "{strategy:?}");
+            assert_eq!(proxy.memory_stats().allocated, 0);
+            let inputs: Vec<ModelParams> = (10..13).map(params).collect();
+            let sealed: Vec<Vec<u8>> = inputs.iter().map(|p| seal(&proxy, p, &mut rng)).collect();
+            let outputs = proxy.mix_sealed_round(&sealed).unwrap();
+            assert_eq!(outputs.len(), 3);
+            assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
+            assert_eq!(proxy.stats().updates_forwarded, 3);
+            assert_eq!(proxy.memory_stats().allocated, 0);
+        }
     }
 }

@@ -86,7 +86,9 @@ impl MixnnTransport {
     ///
     /// # Errors
     ///
-    /// Propagates the proxy's rejection of any update in the round.
+    /// Propagates the proxy's rejection of any update in the round; the
+    /// round then fails whole and the proxy holds nothing
+    /// ([`MixnnProxy::mix_sealed_round`]).
     pub fn relay_round(
         &mut self,
         params: Vec<ModelParams>,
@@ -111,7 +113,7 @@ impl MixnnTransport {
 mod tests {
     use super::*;
     use crate::{MixingStrategy, MixnnProxyConfig};
-    use mixnn_enclave::AttestationService;
+    use mixnn_enclave::{AttestationService, EnclaveConfig, EnclaveError};
     use mixnn_nn::LayerParams;
 
     // Slot preservation and the `UpdateTransport` impl itself are covered
@@ -130,6 +132,10 @@ mod tests {
     }
 
     fn transport(strategy: MixingStrategy) -> MixnnTransport {
+        transport_with_epc(strategy, EnclaveConfig::default().epc_limit)
+    }
+
+    fn transport_with_epc(strategy: MixingStrategy, epc_limit: usize) -> MixnnTransport {
         let mut rng = StdRng::seed_from_u64(5);
         let service = AttestationService::new(&mut rng);
         let proxy = MixnnProxy::launch(
@@ -137,7 +143,10 @@ mod tests {
                 strategy,
                 expected_signature: vec![2, 3],
                 seed: 3,
-                ..MixnnProxyConfig::default()
+                enclave: EnclaveConfig {
+                    epc_limit,
+                    ..EnclaveConfig::default()
+                },
             },
             &service,
             &mut rng,
@@ -162,6 +171,35 @@ mod tests {
         assert_eq!(outs.len(), 7);
         // Multiset conservation implies the mean is preserved.
         assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
+    }
+
+    #[test]
+    fn a_round_the_epc_cannot_hold_fails_clean_and_the_next_round_commits() {
+        let footprint = updates(1)[0].total_len() * std::mem::size_of::<f32>();
+        let decrypt_buffer = codec::encode_params(&updates(1)[0]).len();
+        // Streaming with k above the round size holds every update until
+        // the flush, as batch mode does.
+        for strategy in [MixingStrategy::Batch, MixingStrategy::Streaming { k: 8 }] {
+            let mut t = transport_with_epc(strategy, 4 * footprint + decrypt_buffer);
+            let err = t.relay_round(updates(6)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProxyError::Enclave(EnclaveError::MemoryExhausted { .. })
+                ),
+                "{strategy:?}: {err}"
+            );
+            // The failed round released everything it had charged …
+            assert_eq!(t.proxy().buffered(), 0, "{strategy:?}");
+            assert_eq!(t.proxy().memory_stats().allocated, 0, "{strategy:?}");
+            // … so a round that fits a fresh proxy fits this one, and mixes
+            // only its own updates.
+            let ins = updates(9).split_off(6);
+            let outs = t.relay_round(ins.clone()).unwrap();
+            assert_eq!(outs.len(), 3, "{strategy:?}");
+            assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
+            assert_eq!(t.proxy().memory_stats().allocated, 0);
+        }
     }
 
     #[test]

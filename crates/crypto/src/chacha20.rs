@@ -12,7 +12,6 @@
 //! |---|---|---|---|
 //! | AVX-512F | 16 | 1024 B | x86-64, detected at runtime |
 //! | AVX2 | 8 | 512 B | x86-64, detected at runtime |
-//! | portable quad | 4 | 256 B | everywhere (`[u32; 4]` lanes, lowered to 128-bit SIMD) |
 //! | scalar | 1 | the tail | everywhere |
 //!
 //! Every wide kernel holds one state word per vector, one lane per block
@@ -70,8 +69,6 @@ pub struct ChaCha20 {
 pub(crate) enum Tier {
     /// One block at a time, straight from the RFC.
     Scalar,
-    /// Four blocks per pass in portable `[u32; 4]` lanes.
-    Quad,
     /// Eight blocks per pass over 256-bit vectors.
     Avx2,
     /// Sixteen blocks per pass over 512-bit vectors.
@@ -79,12 +76,12 @@ pub(crate) enum Tier {
 }
 
 impl Tier {
-    const ALL: [Tier; 4] = [Tier::Scalar, Tier::Quad, Tier::Avx2, Tier::Avx512];
+    const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
 
     /// Whether the running CPU can execute this tier's kernel.
     fn available(self) -> bool {
         match self {
-            Tier::Scalar | Tier::Quad => true,
+            Tier::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => avx2::available(),
             #[cfg(target_arch = "x86_64")]
@@ -97,7 +94,7 @@ impl Tier {
     /// The fastest tier the running CPU supports.
     pub(crate) fn best() -> Tier {
         let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
-        widest.expect("the portable tiers are always available")
+        widest.expect("the scalar tier is always available")
     }
 
     /// Every tier the running CPU supports, scalar first.
@@ -112,7 +109,6 @@ impl Tier {
     fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
-            Tier::Quad => "quad",
             Tier::Avx2 => "avx2",
             Tier::Avx512 => "avx512",
         }
@@ -139,11 +135,10 @@ fn xor_keystream_on<const TIER: usize>(
 /// last one.
 #[doc(hidden)]
 pub fn kernels() -> Vec<(&'static str, Kernel)> {
-    const KERNELS: [Kernel; 4] = [
+    const KERNELS: [Kernel; 3] = [
         xor_keystream_on::<0>,
         xor_keystream_on::<1>,
         xor_keystream_on::<2>,
-        xor_keystream_on::<3>,
     ];
     Tier::ALL
         .into_iter()
@@ -153,94 +148,10 @@ pub fn kernels() -> Vec<(&'static str, Kernel)> {
         .collect()
 }
 
-/// The portable four-block kernel: every state word is a `[u32; 4]` lane
-/// vector (one lane per block counter), which the compiler lowers to
-/// 128-bit SIMD.
-mod quad {
-    /// Blocks per pass.
-    pub const LANES: usize = 4;
-    type Lanes = [u32; LANES];
-
-    #[inline(always)]
-    fn add(a: Lanes, b: Lanes) -> Lanes {
-        [
-            a[0].wrapping_add(b[0]),
-            a[1].wrapping_add(b[1]),
-            a[2].wrapping_add(b[2]),
-            a[3].wrapping_add(b[3]),
-        ]
-    }
-
-    #[inline(always)]
-    fn xor_rotl(a: Lanes, b: Lanes, r: u32) -> Lanes {
-        [
-            (a[0] ^ b[0]).rotate_left(r),
-            (a[1] ^ b[1]).rotate_left(r),
-            (a[2] ^ b[2]).rotate_left(r),
-            (a[3] ^ b[3]).rotate_left(r),
-        ]
-    }
-
-    #[inline(always)]
-    fn quarter_round(w: &mut [Lanes; 16], a: usize, b: usize, c: usize, d: usize) {
-        w[a] = add(w[a], w[b]);
-        w[d] = xor_rotl(w[d], w[a], 16);
-        w[c] = add(w[c], w[d]);
-        w[b] = xor_rotl(w[b], w[c], 12);
-        w[a] = add(w[a], w[b]);
-        w[d] = xor_rotl(w[d], w[a], 8);
-        w[c] = add(w[c], w[d]);
-        w[b] = xor_rotl(w[b], w[c], 7);
-    }
-
-    /// XORs the keystream blocks at counters `state[12]..` into `data`, a
-    /// whole number of four-block passes. The caller guarantees the
-    /// counter does not overflow within `data`.
-    pub fn xor_blocks(state: &[u32; 16], data: &mut [u8]) {
-        debug_assert_eq!(data.len() % (LANES * 64), 0);
-        let mut counter = state[12];
-        for chunk in data.chunks_exact_mut(LANES * 64) {
-            let mut init = [[0u32; LANES]; 16];
-            for (lanes, &word) in init.iter_mut().zip(state.iter()) {
-                *lanes = [word; LANES];
-            }
-            init[12] = [counter, counter + 1, counter + 2, counter + 3];
-            let mut w = init;
-            for _ in 0..10 {
-                // Column rounds.
-                quarter_round(&mut w, 0, 4, 8, 12);
-                quarter_round(&mut w, 1, 5, 9, 13);
-                quarter_round(&mut w, 2, 6, 10, 14);
-                quarter_round(&mut w, 3, 7, 11, 15);
-                // Diagonal rounds.
-                quarter_round(&mut w, 0, 5, 10, 15);
-                quarter_round(&mut w, 1, 6, 11, 12);
-                quarter_round(&mut w, 2, 7, 8, 13);
-                quarter_round(&mut w, 3, 4, 9, 14);
-            }
-            for (lanes, &start) in w.iter_mut().zip(init.iter()) {
-                *lanes = add(*lanes, start);
-            }
-            for lane in 0..LANES {
-                for (i, lanes) in w.iter().enumerate() {
-                    let keystream = lanes[lane].to_le_bytes();
-                    let base = lane * 64 + i * 4;
-                    for (byte, &k) in chunk[base..base + 4].iter_mut().zip(keystream.iter()) {
-                        *byte ^= k;
-                    }
-                }
-            }
-            // The last pass may end on block `u32::MAX`; the counter it
-            // would start the next pass from is never used.
-            counter = counter.wrapping_add(LANES as u32);
-        }
-    }
-}
-
 /// Eight-block AVX2 kernel: each 256-bit vector holds one state word
 /// across eight consecutive block counters. Same add–rotate–xor math as
-/// the portable lanes, just wider; the block dispatch guarantees the
-/// output is bit-identical to the scalar definition.
+/// the scalar block, eight counters at a time; the block dispatch
+/// guarantees the output is bit-identical to the scalar definition.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::*;
@@ -536,6 +447,7 @@ impl ChaCha20 {
 
     /// Blocks the counter can still produce (the one at `u32::MAX` is the
     /// last).
+    #[cfg(target_arch = "x86_64")]
     fn blocks_left(&self) -> u64 {
         if self.exhausted {
             0
@@ -545,7 +457,7 @@ impl ChaCha20 {
     }
 
     /// Moves the counter past `blocks` produced blocks (at most
-    /// [`ChaCha20::blocks_left`]). Consuming the block at `u32::MAX` parks
+    /// `blocks_left`). Consuming the block at `u32::MAX` parks
     /// the counter there and marks the cipher exhausted — the same end
     /// state whichever kernel produced the block.
     fn advance(&mut self, blocks: u64) {
@@ -561,6 +473,7 @@ impl ChaCha20 {
     /// Runs one wide `kernel` (`lanes` blocks per pass) over as many whole
     /// passes as `data` holds and the counter still allows; returns the
     /// bytes it covered.
+    #[cfg(target_arch = "x86_64")]
     fn wide_passes(
         &mut self,
         data: &mut [u8],
@@ -592,20 +505,20 @@ impl ChaCha20 {
     /// [`ChaCha20::apply_keystream`] with `tier` as the widest kernel
     /// allowed.
     pub(crate) fn apply_keystream_on(&mut self, tier: Tier, data: &mut [u8]) {
-        let mut offset = 0;
         #[cfg(target_arch = "x86_64")]
-        {
+        let data = {
+            let mut offset = 0;
             if tier >= Tier::Avx512 {
                 offset += self.wide_passes(&mut data[offset..], avx512::LANES, avx512::xor_blocks);
             }
             if tier >= Tier::Avx2 {
                 offset += self.wide_passes(&mut data[offset..], avx2::LANES, avx2::xor_blocks);
             }
-        }
-        if tier >= Tier::Quad {
-            offset += self.wide_passes(&mut data[offset..], quad::LANES, quad::xor_blocks);
-        }
-        for chunk in data[offset..].chunks_mut(BLOCK) {
+            &mut data[offset..]
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
+        for chunk in data.chunks_mut(BLOCK) {
             let block = self.next_block();
             for (byte, &k) in chunk.iter_mut().zip(block.iter()) {
                 *byte ^= k;
@@ -707,26 +620,9 @@ mod tests {
         }
     }
 
-    /// The widened four-block kernel must be bit-identical to the scalar
-    /// path at every boundary length (the satellite's 63/64/65/128/256 B
-    /// cases plus multi-quad and ragged tails).
-    #[test]
-    fn quad_kernel_matches_scalar_at_boundary_lengths() {
-        let key = [0x5au8; 32];
-        let nonce = [0x17u8; 12];
-        for len in [63usize, 64, 65, 128, 255, 256, 257, 320, 512, 1000, 1024] {
-            let original: Vec<u8> = (0..len).map(|i| (i * 31 % 256) as u8).collect();
-            let cipher = ChaCha20::new(&key, &nonce, 7);
-            let mut expected = original.clone();
-            scalar_keystream(&cipher, &mut expected);
-            let mut actual = original;
-            cipher.clone().apply_keystream(&mut actual);
-            assert_eq!(actual, expected, "len {len}");
-        }
-    }
-
-    /// The last usable block is the one at counter `u32::MAX`; both the
-    /// scalar and the quad entry path must stop exactly there.
+    /// The last usable block is the one at counter `u32::MAX`; the scalar
+    /// path, and a wide pass handing its tail to it, must stop exactly
+    /// there.
     #[test]
     fn counter_near_max_produces_final_blocks() {
         let key = [2u8; 32];
@@ -734,14 +630,15 @@ mod tests {
         // Scalar path: three blocks starting at MAX - 2 are fine.
         let mut buf = vec![0u8; 192];
         ChaCha20::new(&key, &nonce, u32::MAX - 2).apply_keystream(&mut buf);
-        // Quad path: four blocks ending exactly at MAX are fine, and must
-        // equal the scalar blocks.
-        let mut quad = vec![0u8; 256];
-        ChaCha20::new(&key, &nonce, u32::MAX - 3).apply_keystream(&mut quad);
-        let mut scalar = vec![0u8; 256];
-        scalar_keystream(&ChaCha20::new(&key, &nonce, u32::MAX - 3), &mut scalar);
-        assert_eq!(quad, scalar);
-        assert_eq!(&quad[64..], &buf[..]);
+        // Nine blocks ending exactly at MAX: one eight-block pass where
+        // the host has it, then the scalar tail produces block MAX. They
+        // must equal the scalar blocks.
+        let mut split = vec![0u8; 576];
+        ChaCha20::new(&key, &nonce, u32::MAX - 8).apply_keystream(&mut split);
+        let mut scalar = vec![0u8; 576];
+        scalar_keystream(&ChaCha20::new(&key, &nonce, u32::MAX - 8), &mut scalar);
+        assert_eq!(split, scalar);
+        assert_eq!(&split[384..], &buf[..]);
     }
 
     #[test]
@@ -756,11 +653,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "block counter exhausted")]
-    fn counter_overflow_panics_after_quad_tail() {
-        // A 512-byte request starting at MAX - 3: the first quad consumes
-        // the remaining counters, the next block must panic.
-        let mut cipher = ChaCha20::new(&[0u8; 32], &[0u8; 12], u32::MAX - 3);
-        let mut buf = vec![0u8; 512];
+    fn counter_overflow_panics_after_scalar_tail() {
+        // 640 bytes starting at MAX - 8: an eight-block pass and one
+        // scalar block consume the remaining counters, the tenth block
+        // must panic.
+        let mut cipher = ChaCha20::new(&[0u8; 32], &[0u8; 12], u32::MAX - 8);
+        let mut buf = vec![0u8; 640];
         cipher.apply_keystream(&mut buf);
     }
 

@@ -16,7 +16,7 @@
 //!   [`SealedBox::seal`] does, at every batch size;
 //! * the multi-block ChaCha20 kernel must produce the same keystream as
 //!   block-at-a-time application at every length around the 64 B block
-//!   and 256 B quad-batch boundaries.
+//!   and 512 B eight-block-pass boundaries.
 
 use mixnn_crypto::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 use mixnn_crypto::sealed_box::OVERHEAD;
@@ -69,9 +69,9 @@ proptest! {
     }
 
     /// One whole-buffer `apply_keystream` call (which engages the
-    /// four-block kernel at >= 256 B) equals block-at-a-time application
-    /// of the same cipher state, at every length around the block and
-    /// quad boundaries.
+    /// eight-block kernel at >= 512 B where the host has it) equals
+    /// block-at-a-time application of the same cipher state, at every
+    /// length around the block and pass boundaries.
     #[test]
     fn chacha20_whole_buffer_matches_blockwise(
         seed in 0u64..1000,
@@ -85,7 +85,7 @@ proptest! {
         rng.fill(&mut nonce);
         // Exercise the exact boundary lengths on every run as well as the
         // drawn one.
-        for len in [len, 63, 64, 65, 128, 255, 256, 257, 512] {
+        for len in [len, 63, 64, 65, 128, 511, 512, 513, 1024] {
             let plain: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
 
             let mut whole = plain.clone();

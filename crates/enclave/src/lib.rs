@@ -19,7 +19,8 @@
 //! The cryptography (quotes, the enclave key pair) is real —
 //! borrowed from [`mixnn_crypto`] — only the *isolation* is simulated,
 //! since no SGX hardware is available in this environment. The substitution
-//! is recorded in `DESIGN.md`.
+//! is recorded in `docs/ARCHITECTURE.md` ("Crate map"; "Threat model" puts
+//! compromise of the simulated enclave out of scope).
 
 #![deny(missing_docs)]
 

@@ -14,10 +14,10 @@
 //!   packet per peer and flush — the transmission analogue of the
 //!   crypto layer's batched decrypt.
 //! - [`SimLink`] implements the coordinator-facing `RoundLink` over the
-//!   simulator, so [`NetCascadeTransport`] and [`NetMixnnTransport`]
-//!   run the unchanged cascade/proxy/server stack across the wire; wire
-//!   timeouts surface as typed `LinkError`s that the cascade's
-//!   `FailurePolicy` (skip or abort) consumes.
+//!   simulator, so [`NetCascadeTransport`] runs the unchanged
+//!   cascade/server stack across the wire (the single proxy over the wire
+//!   is a one-hop chain); wire timeouts surface as typed `LinkError`s
+//!   that the cascade's `FailurePolicy` (skip or abort) consumes.
 //! - [`run_load`] drives 10^5–10^6 size-only simulated clients
 //!   ([`Packet::synthetic`]) through the chain and reports sustained
 //!   updates/s, latency percentile samples, peak queue depths and
@@ -38,4 +38,4 @@ pub use frame::{
 pub use link::{FlushPolicy, SimLink};
 pub use load::{arrival_offset, run_load, run_load_with, LoadConfig, LoadError, LoadOutcome};
 pub use sim::{LinkConfig, NetStats, Packet, SimNet};
-pub use transport::{NetCascadeTransport, NetMixnnTransport};
+pub use transport::NetCascadeTransport;

@@ -68,11 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "after {} rounds: identical global models, accuracy {:.3}",
         cfg.rounds, eval.accuracy
     );
+    let stats = mixnn.proxy().stats();
     println!(
         "proxy processed {} updates ({} bytes), mean decrypt {:.2} ms",
-        mixnn.proxy().stats().updates_received,
-        mixnn.proxy().stats().bytes_received,
-        mixnn.proxy().stats().mean_decrypt_seconds() * 1000.0
+        stats.updates_received,
+        stats.bytes_received,
+        stats.decrypt_seconds / stats.updates_received as f64 * 1000.0
     );
     Ok(())
 }

@@ -20,8 +20,8 @@
 //! * [`crypto`] / [`enclave`] — the (simulated) SGX substrate the proxy
 //!   runs in.
 //!
-//! See the repository `README.md` for a quickstart and `DESIGN.md` for the
-//! full system inventory.
+//! See the repository `README.md` for a quickstart and
+//! `docs/ARCHITECTURE.md` ("Crate map") for the full system inventory.
 
 #![deny(missing_docs)]
 
