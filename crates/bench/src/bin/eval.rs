@@ -14,17 +14,16 @@
 //!   --round <n>                                    evaluation round for fig6 (default 6)
 //!   --radius <f32>                                 neighbour radius for fig9, on unit-normalized
 //!                                                  gradients (default 1.25; see EXPERIMENTS.md)
-//!   --clients <n>                                  clients for sysperf/cascade/topology (default 16)
+//!   --clients <n>                                  clients for sysperf/topology (default 16)
 //!   --load-clients <n>                             simulated clients for load (default 100000,
 //!                                                  quick 2000)
 //!   --out <path>                                   JSON artifact path override
-//!                                                  (cascade: BENCH_cascade.json,
-//!                                                   topology: BENCH_topology.json,
+//!                                                  (topology: BENCH_topology.json,
 //!                                                   load: BENCH_load.json,
 //!                                                   pooled: BENCH_pooled.json,
 //!                                                   compress: BENCH_compress.json)
 //!   --metrics-out <path>                           write the run's Prometheus metrics
-//!                                                  snapshot (cascade/load/pooled)
+//!                                                  snapshot (topology/load/pooled)
 //! ```
 //!
 //! `eval` reports what is **deterministic** — paper figures, collusion and
@@ -34,12 +33,10 @@
 //! one place, the repo benchmark (`benchmark/`; ARCHITECTURE.md, "Which
 //! number comes from where").
 //!
-//! `cascade` sweeps the multi-hop mix cascade over hop counts 1..4 ×
-//! every colluding subset of hops, asserting bit-identical aggregates
-//! against the sealed single-proxy baseline.
 //! `topology` compares the three cascade layouts (linear, stratified,
-//! free-route) over hop counts 2..4 × every colluding subset, asserting
-//! the same bit-identical aggregate and recording per-client
+//! free-route) over hop counts 1..4 (at one hop the chain alone) × every
+//! colluding subset of hops, asserting bit-identical aggregates against
+//! the sealed single-proxy baseline, recording per-hop bytes and per-client
 //! anonymity-set distributions. `load` drives 10^5 (default) simulated
 //! clients through the cascade wire under batched and per-envelope
 //! flushing, reporting sustained updates/s, p50/p99/p99.9 round latency,
@@ -58,7 +55,7 @@
 
 use mixnn_attacks::AttackMode;
 use mixnn_bench::experiments::{
-    background, cascade, compress, inference, load, pooled, robustness, sysperf, topology, utility,
+    background, compress, inference, load, pooled, robustness, sysperf, topology, utility,
     utility_cdf,
 };
 use mixnn_bench::{report, DatasetKind, Defense, ExperimentScale, ExperimentSetup};
@@ -102,11 +99,6 @@ const EXPERIMENTS: &[Experiment] = &[
         "sysperf",
         "§6.5 proxy memory table: update size and EPC high-water per model",
         run_sysperf,
-    ),
-    (
-        "cascade",
-        "Mix cascade: hop count x colluding subsets -> BENCH_cascade.json",
-        run_cascade,
     ),
     (
         "topology",
@@ -381,59 +373,33 @@ fn export_metrics(
     Ok(())
 }
 
-fn run_cascade(opts: &Options) -> Result<(), String> {
-    let out = opts.out.as_deref().unwrap_or("BENCH_cascade.json");
+fn run_topology(opts: &Options) -> Result<(), String> {
+    let out = opts.out.as_deref().unwrap_or("BENCH_topology.json");
     let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, opts.scale, opts.seed);
     let telemetry = report::artefact_telemetry();
-    let sweep = cascade::run_with(
+    let sweep = topology::run_with(
         &setup,
         opts.scale,
         opts.clients,
-        &cascade::DEFAULT_HOPS,
+        &topology::DEFAULT_HOPS,
         &telemetry,
     )
     .map_err(|e| e.to_string())?;
     let mid_prom = telemetry.snapshot().to_prometheus();
     report::print_table(
         &format!(
-            "Mix cascade: onion bytes received per hop over hop counts {:?} ({} clients)",
-            cascade::DEFAULT_HOPS,
-            opts.clients
-        ),
-        &["hops", "hop", "recv MB"],
-        &cascade::round_rows(&sweep),
-    );
-    report::print_table(
-        "Colluding-subset adversary: residual linkability per subset of hops",
-        &["hops", "colluding", "linkable", "anonymity set"],
-        &cascade::collusion_rows(&sweep),
-    );
-    std::fs::write(
-        out,
-        report::embed_telemetry(&cascade::to_json(&sweep, opts.clients), &telemetry),
-    )
-    .map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "\nAsserted at every hop count: the unmixed server aggregate is bit-identical\n\
-         to the single-proxy baseline, and the audit restores the original updates\n\
-         bit-exactly. Only the all-hops-colluding subsets report linkability 1.00.\n\
-         Results written to {out}."
-    );
-    export_metrics(&telemetry, &mid_prom, opts.metrics_out.as_deref())
-}
-
-fn run_topology(opts: &Options) -> Result<(), String> {
-    let out = opts.out.as_deref().unwrap_or("BENCH_topology.json");
-    let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, opts.scale, opts.seed);
-    let sweep = topology::run(&setup, opts.scale, opts.clients, &topology::DEFAULT_HOPS)
-        .map_err(|e| e.to_string())?;
-    report::print_table(
-        &format!(
             "Cascade layouts over hop counts {:?} ({} clients, onion path)",
             topology::DEFAULT_HOPS,
             opts.clients
         ),
-        &["layout", "hops", "groups", "group sizes", "mean route"],
+        &[
+            "layout",
+            "hops",
+            "groups",
+            "group sizes",
+            "mean route",
+            "recv MB per hop",
+        ],
         &topology::structure_rows(&sweep),
     );
     report::print_table(
@@ -449,16 +415,20 @@ fn run_topology(opts: &Options) -> Result<(), String> {
         ],
         &topology::collusion_rows(&sweep),
     );
-    std::fs::write(out, topology::to_json(&sweep, opts.clients))
-        .map_err(|e| format!("writing {out}: {e}"))?;
+    std::fs::write(
+        out,
+        report::embed_telemetry(&topology::to_json(&sweep, opts.clients), &telemetry),
+    )
+    .map_err(|e| format!("writing {out}: {e}"))?;
     println!(
         "\nAsserted for every layout and hop count: the server aggregate is bit-identical\n\
          to the single-proxy baseline and the audit inverts every route group exactly.\n\
          A client is linked iff the colluding subset covers its whole route (or its\n\
-         route is unique); otherwise its anonymity set is its full route group.\n\
+         route is unique); otherwise its anonymity set is its full route group — on\n\
+         the linear chain only the all-hops-colluding subsets link anything.\n\
          Results written to {out}."
     );
-    Ok(())
+    export_metrics(&telemetry, &mid_prom, opts.metrics_out.as_deref())
 }
 
 fn run_load(opts: &Options) -> Result<(), String> {
@@ -637,7 +607,7 @@ fn main() -> ExitCode {
         }
     };
     let result = if command == ALL_COMMAND.0 {
-        // `--out` names exactly one file, but `all` runs five JSON-writing
+        // `--out` names exactly one file, but `all` runs four JSON-writing
         // experiments; honoring the override would clobber one artifact
         // with the next, so reject the combination rather than silently
         // dropping the flag.

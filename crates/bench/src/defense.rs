@@ -45,13 +45,15 @@ impl Defense {
         ]
     }
 
-    /// Builds the transport implementing this defense.
+    /// Builds the transport implementing this defense for a model with
+    /// the given layer `signature`.
     ///
     /// For MixNN a fresh proxy is launched (attestation service and enclave
-    /// included) and every update is sealed to it: the figures run the
-    /// path that ships, at no change to a single output byte
-    /// (ARCHITECTURE.md, "What was removed", has the measurement).
-    pub fn make_transport(&self, seed: u64) -> Box<dyn UpdateTransport> {
+    /// included, the signature bound at launch) and every update is sealed
+    /// to it: the figures run the path that ships, at no change to a single
+    /// output byte (ARCHITECTURE.md, "What was removed", has the
+    /// measurement).
+    pub fn make_transport(&self, seed: u64, signature: &[usize]) -> Box<dyn UpdateTransport> {
         match self {
             Defense::ClassicFl => Box::new(DirectTransport::new()),
             Defense::NoisyGradient { sigma } => Box::new(NoisyTransport::new(*sigma, seed)),
@@ -61,6 +63,7 @@ impl Defense {
                 let proxy = MixnnProxy::launch(
                     MixnnProxyConfig {
                         strategy: MixingStrategy::Batch,
+                        expected_signature: signature.to_vec(),
                         seed,
                         ..MixnnProxyConfig::default()
                     },
@@ -103,7 +106,7 @@ mod tests {
     #[test]
     fn all_transports_relay_round() {
         for d in Defense::lineup(0.1) {
-            let mut t = d.make_transport(7);
+            let mut t = d.make_transport(7, &[2, 2]);
             let out = t.relay(updates(5)).unwrap();
             assert_eq!(out.len(), 5, "{}", d.label());
         }
@@ -113,21 +116,46 @@ mod tests {
     fn classic_is_identity_noisy_and_mixnn_are_not() {
         let ins = updates(6);
         let out = Defense::ClassicFl
-            .make_transport(0)
+            .make_transport(0, &[2, 2])
             .relay(ins.clone())
             .unwrap();
         assert_eq!(out, ins);
         let noisy = Defense::NoisyGradient { sigma: 0.5 }
-            .make_transport(0)
+            .make_transport(0, &[2, 2])
             .relay(ins.clone())
             .unwrap();
         assert_ne!(noisy, ins);
-        let mixed = Defense::MixNn.make_transport(0).relay(ins.clone()).unwrap();
+        let mixed = Defense::MixNn
+            .make_transport(0, &[2, 2])
+            .relay(ins.clone())
+            .unwrap();
         assert_ne!(mixed, ins);
         // MixNN preserves the aggregate exactly; noise does not.
         let mean_in = ModelParams::mean(&ins.iter().map(|u| u.params.clone()).collect::<Vec<_>>());
         let mean_mix =
             ModelParams::mean(&mixed.iter().map(|u| u.params.clone()).collect::<Vec<_>>());
         assert_eq!(mean_in, mean_mix);
+    }
+
+    #[test]
+    fn a_foreign_first_update_cannot_wedge_the_mixnn_arm() {
+        // The figures' proxy binds its signature at launch: a foreign
+        // update arriving first is the one blamed, and the next honest
+        // round commits.
+        let mut t = Defense::MixNn.make_transport(0, &[2, 2]);
+        let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
+        let mut round = vec![ModelUpdate::new(9, alien)];
+        round.extend(updates(3));
+        let err = t.relay(round).unwrap_err().to_string();
+        assert!(
+            err.contains("signature [1] does not match proxy model [2, 2]"),
+            "{err}"
+        );
+        let ins = updates(3);
+        let outs = t.relay(ins.clone()).unwrap();
+        let mean = |us: &[ModelUpdate]| {
+            ModelParams::mean(&us.iter().map(|u| u.params.clone()).collect::<Vec<_>>())
+        };
+        assert_eq!(mean(&ins), mean(&outs));
     }
 }

@@ -40,15 +40,16 @@ pub fn run(
     for defense in Defense::lineup(setup.noise_sigma) {
         for &fraction in fractions {
             let population = setup.spec.generate()?;
+            let template = setup.template();
+            let mut transport = defense.make_transport(setup.fl.seed, &template.signature());
             let experiment = InferenceExperiment::new(
                 &population,
-                setup.template(),
+                template,
                 setup.fl,
                 setup.attack.clone(),
                 mode,
                 fraction,
             );
-            let mut transport = defense.make_transport(setup.fl.seed);
             let result = experiment.run(transport.as_mut())?;
             points.push(BackgroundPoint {
                 dataset: setup.kind.name().to_string(),

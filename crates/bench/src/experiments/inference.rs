@@ -53,6 +53,7 @@ pub fn run(
             let mut setup_seeded = setup.clone();
             setup_seeded.fl = fl_cfg;
             let template = setup_seeded.template();
+            let mut transport = defense.make_transport(seed, &template.signature());
             let experiment = InferenceExperiment::new(
                 &population,
                 template,
@@ -61,7 +62,6 @@ pub fn run(
                 mode,
                 background_fraction,
             );
-            let mut transport = defense.make_transport(seed);
             let result = experiment.run(transport.as_mut())?;
             for (round, acc) in result.per_round_accuracy.iter().enumerate() {
                 acc_sum[round] += acc;

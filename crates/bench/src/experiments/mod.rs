@@ -1,7 +1,6 @@
 //! One module per paper artifact. See the crate docs for the mapping.
 
 pub mod background;
-pub mod cascade;
 pub mod compress;
 pub mod inference;
 pub mod load;

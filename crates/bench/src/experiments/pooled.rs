@@ -25,6 +25,7 @@
 //! Everything is virtual-time derived, so the JSON artifact is
 //! byte-identical across reruns with the same seed and scale.
 
+use super::topology::synth_update;
 use crate::report::Percentiles;
 use crate::ExperimentScale;
 use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
@@ -34,10 +35,10 @@ use mixnn_cascade::{
 };
 use mixnn_enclave::AttestationService;
 use mixnn_net::{arrival_offset, FlushPolicy, LinkConfig, SimLink};
-use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_nn::ModelParams;
 use mixnn_telemetry::Telemetry;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Mixing hops every point routes through (free-route layout, so the
 /// partition produces groups the padder must top up).
@@ -95,18 +96,6 @@ fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
         ExperimentScale::Paper => vec![64, 32, 16],
         ExperimentScale::Quick => vec![12, 6],
     }
-}
-
-fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
-    let mut rng = StdRng::seed_from_u64(seed);
-    ModelParams::from_layers(
-        signature
-            .iter()
-            .map(|&len| {
-                LayerParams::from_values((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            })
-            .collect(),
-    )
 }
 
 /// A free-route cascade for one sweep point, built from `point_seed`.

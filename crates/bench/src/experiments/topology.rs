@@ -1,8 +1,10 @@
 //! The cascade-layout evaluation: linear vs stratified vs free-route
-//! mixing, with per-client anonymity-set distributions.
+//! mixing, with per-hop wire bytes and per-client anonymity-set
+//! distributions.
 //!
-//! For each hop count and each of the three shipped layouts the
-//! experiment drives one full onion round and
+//! For each hop count and each of the three shipped layouts (at one hop
+//! the chain alone — the other two cannot differ from it) the experiment
+//! drives one full onion round and
 //!
 //! 1. **asserts** the server-side aggregate is bit-identical to a sealed
 //!    single-proxy `MixnnProxy` round over the same updates (no layout
@@ -11,7 +13,8 @@
 //!    updates bit-exactly (the per-route-group permutations compose into
 //!    an invertible assignment),
 //! 3. records the round's route-group structure (group count, sizes and
-//!    mean route length — the hops an update actually pays),
+//!    mean route length — the hops an update actually pays) and the onion
+//!    bytes each hop received,
 //! 4. runs [`analyze_routed_collusion`] for **every** subset of hops and
 //!    **asserts** the routed threat model: a client is linked exactly
 //!    when the colluding subset covers its whole route *or* its route
@@ -27,20 +30,21 @@
 //! stratified and free-route layouts trade exactly that set size for
 //! shorter routes.
 
-use super::cascade::{single_proxy_aggregate, sweep_signature, synth_update};
 use crate::{ExperimentScale, ExperimentSetup};
 use mixnn_attacks::{analyze_routed_collusion, AttackError, RouteGroupView};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
+use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use mixnn_enclave::AttestationService;
-use mixnn_nn::ModelParams;
+use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_telemetry::Telemetry;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-/// The hop counts swept by default (2 is the shortest chain where layouts
-/// can differ).
-pub const DEFAULT_HOPS: [usize; 3] = [2, 3, 4];
+/// The hop counts swept by default (1 is the single-proxy chain; 2 is the
+/// shortest where layouts can differ).
+pub const DEFAULT_HOPS: [usize; 4] = [1, 2, 3, 4];
 
 /// One colluding-subset cell of one (layout, hops) round.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +78,9 @@ pub struct TopologyRow {
     /// Mean route length over clients (the latency proxy: hops an update
     /// actually pays).
     pub mean_route_len: f64,
+    /// Onion ciphertext bytes each hop received, in hop-index order (a hop
+    /// off every route reads 0).
+    pub hop_bytes_received: Vec<u64>,
     /// One row per colluding subset of the hops.
     pub collusion: Vec<TopologyCollusionRow>,
 }
@@ -85,12 +92,65 @@ pub struct TopologySweep {
     pub rows: Vec<TopologyRow>,
 }
 
-/// The three layouts compared at `hops` hops: the full chain, a 2-stratum
+/// One seeded synthetic update of the given layer signature.
+pub(super) fn synth_update(signature: &[usize], seed: u64) -> ModelParams {
+    let mut rng = StdRng::seed_from_u64(seed);
+    ModelParams::from_layers(
+        signature
+            .iter()
+            .map(|&len| {
+                LayerParams::from_values((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            })
+            .collect(),
+    )
+}
+
+/// The model signature the sweep routes: §6.5-shaped at paper scale, tiny
+/// for smoke runs.
+fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
+    match scale {
+        ExperimentScale::Paper => vec![2048, 2048, 1024, 512, 130],
+        ExperimentScale::Quick => vec![64, 32, 16],
+    }
+}
+
+/// The aggregate of one sealed single-proxy round over `originals` — the
+/// baseline every layout must reproduce bit for bit.
+fn single_proxy_aggregate(
+    signature: &[usize],
+    seed: u64,
+    originals: &[ModelParams],
+    telemetry: &Telemetry,
+) -> Result<ModelParams, mixnn_fl::FlError> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x51);
+    let service = AttestationService::new(&mut rng);
+    let mut proxy = MixnnProxy::launch(
+        MixnnProxyConfig {
+            strategy: MixingStrategy::Batch,
+            expected_signature: signature.to_vec(),
+            seed,
+            ..MixnnProxyConfig::default()
+        },
+        &service,
+        &mut rng,
+    );
+    proxy.attach_telemetry(telemetry.clone());
+    let mixed = MixnnTransport::new(proxy, TransportMode::Encrypted, seed)
+        .relay_round(originals.to_vec())?;
+    Ok(ModelParams::mean(&mixed).expect("non-empty round"))
+}
+
+/// The layouts compared at `hops` hops: the full chain, a 2-stratum
 /// stratified layout (1 stratum at 2 hops collapses to per-hop choice),
-/// and free routes of 1..=hops hops.
+/// and free routes of 1..=hops hops. At one hop all three are the same
+/// single-hop route, so the chain stands alone.
 fn layouts(hops: usize, seed: u64) -> Vec<Box<dyn CascadeTopology>> {
+    let chain: Box<dyn CascadeTopology> = Box::new(LinearChain::new(hops));
+    if hops == 1 {
+        return vec![chain];
+    }
     vec![
-        Box::new(LinearChain::new(hops)),
+        chain,
         Box::new(StratifiedLayout::evenly(
             hops,
             hops.div_ceil(2),
@@ -100,7 +160,9 @@ fn layouts(hops: usize, seed: u64) -> Vec<Box<dyn CascadeTopology>> {
     ]
 }
 
-/// Runs the topology sweep.
+/// Runs the topology sweep with `telemetry` attached to the baseline
+/// proxy and to every coordinator it drives, so the proxy's and the hops'
+/// counters accumulate into the shared registry `eval` exports.
 ///
 /// # Errors
 ///
@@ -115,13 +177,16 @@ fn layouts(hops: usize, seed: u64) -> Vec<Box<dyn CascadeTopology>> {
 /// colluding-subset report violates the routed threat model (a client
 /// linked without its route covered and its group non-singleton, or an
 /// uncovered client's anonymity set smaller than its route group).
-pub fn run(
+pub fn run_with(
     setup: &ExperimentSetup,
     scale: ExperimentScale,
     clients: usize,
     hop_counts: &[usize],
+    telemetry: &Telemetry,
 ) -> Result<TopologySweep, AttackError> {
     if clients < 2 {
+        // One client has an anonymity set of one no matter the layout; the
+        // collusion invariants below would be vacuous lies at C = 1.
         return Err(mixnn_fl::FlError::Transport {
             message: "topology sweep needs at least 2 clients".to_string(),
         }
@@ -133,8 +198,7 @@ pub fn run(
         .map(|i| synth_update(&signature, seed ^ ((i as u64) << 8)))
         .collect();
 
-    let baseline_aggregate =
-        single_proxy_aggregate(&signature, seed, &originals, &mixnn_telemetry::noop())?;
+    let baseline_aggregate = single_proxy_aggregate(&signature, seed, &originals, telemetry)?;
 
     let mut rows = Vec::new();
     for &hops in hop_counts {
@@ -151,7 +215,7 @@ pub fn run(
                 &mut rng,
             )
             .map_err(mixnn_fl::FlError::from)?;
-
+            cascade.attach_telemetry(telemetry.clone());
             let round = cascade
                 .run_round(&originals, &mut rng)
                 .map_err(mixnn_fl::FlError::from)?;
@@ -227,6 +291,11 @@ pub fn run(
                 route_groups: groups.len(),
                 group_sizes,
                 mean_route_len,
+                hop_bytes_received: cascade
+                    .hop_stats()
+                    .iter()
+                    .map(|s| s.bytes_received)
+                    .collect(),
                 collusion,
             });
         }
@@ -246,6 +315,11 @@ pub fn structure_rows(sweep: &TopologySweep) -> Vec<Vec<String>> {
                 r.route_groups.to_string(),
                 format!("{:?}", r.group_sizes),
                 format!("{:.2}", r.mean_route_len),
+                r.hop_bytes_received
+                    .iter()
+                    .map(|&bytes| crate::report::fmt_mb(bytes as usize))
+                    .collect::<Vec<_>>()
+                    .join(" "),
             ]
         })
         .collect()
@@ -294,6 +368,12 @@ pub fn to_json(sweep: &TopologySweep, clients: usize) -> String {
         format!("{{\n  \"experiment\": \"topology\",\n  \"clients\": {clients},\n  \"rows\": [\n");
     for (i, r) in sweep.rows.iter().enumerate() {
         let sizes: Vec<String> = r.group_sizes.iter().map(usize::to_string).collect();
+        let per_hop: Vec<String> = r
+            .hop_bytes_received
+            .iter()
+            .enumerate()
+            .map(|(hop, bytes)| format!("{{\"hop\": {hop}, \"bytes_received\": {bytes}}}"))
+            .collect();
         let subsets: Vec<String> = r
             .collusion
             .iter()
@@ -323,12 +403,14 @@ pub fn to_json(sweep: &TopologySweep, clients: usize) -> String {
             "    {{\"layout\": \"{}\", \"hops\": {}, \"route_groups\": {}, \
              \"group_sizes\": [{}], \"mean_route_len\": {:.4}, \
              \"aggregate_bit_identical\": true, \"unmix_bit_identical\": true,\n     \
+             \"per_hop\": [{}],\n     \
              \"collusion\": [{}]}}{}\n",
             r.layout,
             r.hops,
             r.route_groups,
             sizes.join(", "),
             r.mean_route_len,
+            per_hop.join(", "),
             subsets.join(", "),
             if i + 1 == sweep.rows.len() { "" } else { "," }
         ));
@@ -344,32 +426,50 @@ mod tests {
 
     fn sweep() -> TopologySweep {
         let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 3);
-        run(&setup, ExperimentScale::Quick, 8, &[2, 3]).unwrap()
+        let telemetry = mixnn_telemetry::noop();
+        run_with(&setup, ExperimentScale::Quick, 8, &[1, 2, 3], &telemetry).unwrap()
     }
 
     #[test]
     fn sweep_covers_every_layout_hop_count_and_subset() {
         let sweep = sweep();
-        assert_eq!(sweep.rows.len(), 6, "3 layouts x 2 hop counts");
+        assert_eq!(
+            sweep.rows.len(),
+            7,
+            "the chain at 1 hop, 3 layouts at 2 and 3"
+        );
+        assert_eq!(layouts(1, 3).len(), 1, "one hop is the chain alone");
+        assert_eq!(sweep.rows[0].layout, "linear");
         for r in &sweep.rows {
             assert_eq!(r.collusion.len(), 1 << r.hops);
             assert_eq!(r.group_sizes.iter().sum::<usize>(), 8);
             assert!(r.mean_route_len >= 1.0 && r.mean_route_len <= r.hops as f64);
+            assert_eq!(r.hop_bytes_received.len(), r.hops);
         }
-        let linear = sweep.rows.iter().find(|r| r.layout == "linear").unwrap();
-        assert_eq!(linear.route_groups, 1, "the chain is one route group");
-        assert_eq!(linear.mean_route_len, linear.hops as f64);
+        for linear in sweep.rows.iter().filter(|r| r.layout == "linear") {
+            assert_eq!(linear.route_groups, 1, "the chain is one route group");
+            assert_eq!(linear.mean_route_len, linear.hops as f64);
+            // Each hop strips one envelope layer: bytes fall along the chain.
+            assert!(linear.hop_bytes_received.windows(2).all(|w| w[0] > w[1]));
+        }
     }
 
     #[test]
     fn linear_rows_reproduce_the_cascade_threat_model() {
+        // Only full collusion links anything — at one hop, the hop itself.
         let sweep = sweep();
         for r in sweep.rows.iter().filter(|r| r.layout == "linear") {
             for c in &r.collusion {
                 if c.subset.len() == r.hops {
+                    assert_eq!(
+                        c.linkable_fraction, 1.0,
+                        "full collusion at {} hops",
+                        r.hops
+                    );
                     assert_eq!(c.linked_clients, 8);
                     assert_eq!(c.mean_anonymity_set, 1.0);
                 } else {
+                    assert_eq!(c.linkable_fraction, 0.0, "proper subset {:?}", c.subset);
                     assert_eq!(c.linked_clients, 0, "proper subset {:?}", c.subset);
                     assert_eq!(c.mean_anonymity_set, 8.0);
                 }
@@ -407,7 +507,8 @@ mod tests {
         let sweep = sweep();
         let json = to_json(&sweep, 8);
         assert!(json.contains("\"topology\""));
-        assert_eq!(json.matches("\"layout\"").count(), 6);
+        assert_eq!(json.matches("\"layout\"").count(), 7);
+        assert_eq!(json.matches("\"per_hop\"").count(), 7);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"anonymity_distribution\""));
         assert!(json.contains("\"aggregate_bit_identical\": true"));

@@ -49,8 +49,8 @@ pub fn run(setup: &ExperimentSetup, repeats: usize) -> Result<Vec<UtilityPoint>,
             let mut setup_seeded = setup.clone();
             setup_seeded.fl = fl_cfg;
             let template = setup_seeded.template();
+            let mut transport = defense.make_transport(seed, &template.signature());
             let mut sim = FlSimulation::new(template, fl_cfg, &population);
-            let mut transport = defense.make_transport(seed);
             for round in 0..rounds {
                 sim.run_round(transport.as_mut())?;
                 let eval = sim.evaluate_global(population.global_test())?;

@@ -48,8 +48,9 @@ pub fn run(
 
     for defense in Defense::lineup(setup.noise_sigma) {
         let population = setup.spec.generate()?;
-        let mut sim = FlSimulation::new(setup.template(), setup.fl, &population);
-        let mut transport = defense.make_transport(setup.fl.seed);
+        let template = setup.template();
+        let mut transport = defense.make_transport(setup.fl.seed, &template.signature());
+        let mut sim = FlSimulation::new(template, setup.fl, &population);
         for _ in 0..rounds {
             sim.run_round(transport.as_mut())?;
         }

@@ -14,8 +14,7 @@
 //! | [`experiments::background`] | Fig. 8 — inference vs background knowledge |
 //! | [`experiments::robustness`] | Fig. 9 — CDF of close-gradient neighbours |
 //! | [`experiments::sysperf`] | §6.5 — proxy memory table |
-//! | [`experiments::cascade`] | beyond the paper — mix-cascade hop/collusion sweep (`BENCH_cascade.json`) |
-//! | [`experiments::topology`] | beyond the paper — cascade layouts × colluding subsets (`BENCH_topology.json`) |
+//! | [`experiments::topology`] | beyond the paper — cascade layouts (the linear chain included) × hop counts 1..4 × colluding subsets (`BENCH_topology.json`) |
 //! | [`experiments::load`] | beyond the paper — simulated-network load, virtual time (`BENCH_load.json`) |
 //! | [`experiments::pooled`] | beyond the paper — pooled mixing, k × deadline (`BENCH_pooled.json`) |
 //! | [`experiments::compress`] | beyond the paper — wire codec bytes and aggregate error (`BENCH_compress.json`) |

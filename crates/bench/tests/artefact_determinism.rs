@@ -1,12 +1,12 @@
 //! Every `BENCH_*.json` artefact `eval` writes is a pure function of seed
-//! and scale: each of the five experiments, run twice in-process at quick
+//! and scale: each of the four experiments, run twice in-process at quick
 //! scale, serializes to the same bytes — rows *and* the embedded telemetry
 //! snapshot. CI holds the committed full-scale artefacts to the same
 //! standard with `git diff --exit-code`; this is the fast local gate, and
 //! it fails the moment a wall-clock reading finds its way into a row or
 //! an artefact registry.
 
-use mixnn_bench::experiments::{cascade, compress, load, pooled, topology};
+use mixnn_bench::experiments::{compress, load, pooled, topology};
 use mixnn_bench::report::{artefact_telemetry, embed_telemetry};
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 
@@ -25,20 +25,18 @@ fn setup() -> ExperimentSetup {
 }
 
 #[test]
-fn cascade_artefact_reproduces() {
-    assert_reproduces("cascade", || {
-        let telemetry = artefact_telemetry();
-        let sweep = cascade::run_with(&setup(), SCALE, CLIENTS, &cascade::DEFAULT_HOPS, &telemetry)
-            .unwrap();
-        embed_telemetry(&cascade::to_json(&sweep, CLIENTS), &telemetry)
-    });
-}
-
-#[test]
 fn topology_artefact_reproduces() {
     assert_reproduces("topology", || {
-        let sweep = topology::run(&setup(), SCALE, CLIENTS, &topology::DEFAULT_HOPS).unwrap();
-        topology::to_json(&sweep, CLIENTS)
+        let telemetry = artefact_telemetry();
+        let sweep = topology::run_with(
+            &setup(),
+            SCALE,
+            CLIENTS,
+            &topology::DEFAULT_HOPS,
+            &telemetry,
+        )
+        .unwrap();
+        embed_telemetry(&topology::to_json(&sweep, CLIENTS), &telemetry)
     });
 }
 

@@ -7,7 +7,7 @@
 //!    and the load generator — which runs entirely in virtual time —
 //!    reproduces its whole export byte for byte across reruns.
 //!
-//!    And no silent zeros: the registry `eval cascade` embeds counts the
+//!    And no silent zeros: the registry `eval topology` embeds counts the
 //!    single-proxy baseline it ran, because that baseline is the sealed,
 //!    telemetered round and not a plaintext shortcut around the hooks.
 //!
@@ -20,7 +20,7 @@
 //!    conditioning on it cannot shrink any anonymity set.
 
 use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
-use mixnn_bench::experiments::cascade;
+use mixnn_bench::experiments::topology;
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, LinearChain,
@@ -104,16 +104,25 @@ fn cascade_snapshots_reproduce_bit_for_bit_across_reruns() {
 fn cascade_experiment_telemetry_counts_its_single_proxy_baseline() {
     let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
     let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 42);
-    cascade::run_with(&setup, ExperimentScale::Quick, CLIENTS, &[1, 2], &telemetry).unwrap();
+    let sweep =
+        topology::run_with(&setup, ExperimentScale::Quick, CLIENTS, &[1, 2], &telemetry).unwrap();
+    // The chain at 1 hop, all three layouts at 2: one round each, and
+    // every client's update ingested once per hop of its route.
+    assert_eq!(sweep.rows.len(), 4);
+    let hop_ingests = sweep
+        .rows
+        .iter()
+        .map(|r| r.mean_route_len * CLIENTS as f64)
+        .sum::<f64>()
+        .round() as u64;
     let prom = telemetry.snapshot().to_prometheus();
     for line in [
         // The baseline proxy: every update committed, one batch mixed.
         format!("mixnn_core_updates_committed_total {CLIENTS}"),
         format!("mixnn_core_envelopes_opened_total {CLIENTS}"),
         "mixnn_core_batches_mixed_total 1".to_string(),
-        // The 1- and 2-hop chains: one round each, three hop ingests.
-        "mixnn_cascade_rounds_completed_total 2".to_string(),
-        format!("mixnn_cascade_updates_ingested_total {}", 3 * CLIENTS),
+        "mixnn_cascade_rounds_completed_total 4".to_string(),
+        format!("mixnn_cascade_updates_ingested_total {hop_ingests}"),
     ] {
         assert!(
             prom.lines().any(|l| l == line),

@@ -13,7 +13,7 @@
 //! loop with a k-floor.
 
 use crate::onion::OnionView;
-use crate::topology::{partition_routes, uniform_route, validate_route, RouteGroup};
+use crate::topology::{partition_routes, validate_route, RouteGroup};
 use crate::{
     CascadeClient, CascadeError, CascadeHop, CascadeHopConfig, CascadeTopology, HopDescriptor,
     LinearChain,
@@ -25,12 +25,6 @@ use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
 use rand::Rng;
-
-/// How many client slots [`CascadeCoordinator::client`] probes when
-/// checking that the topology routes everyone identically (that
-/// constructor hands out ONE chain for all participants; per-route
-/// participants use [`CascadeCoordinator::client_for_slot`]).
-const UNIFORMITY_PROBE_SLOTS: usize = 64;
 
 /// What the coordinator does when a hop fails mid-round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -519,16 +513,16 @@ impl CascadeCoordinator {
         self.telemetry = telemetry;
     }
 
-    /// Convenience constructor for the classic linear cascade: `hop_count`
-    /// hops with per-hop seeds derived from `base_seed` via [`shard_seed`].
-    /// The derivation depends only on `(base_seed, hop index)`, so within
-    /// one chain every hop draws from its own stream, and hop `i` draws
-    /// the *same* stream regardless of chain length — deliberate, for
-    /// reproducible cross-length sweeps from one base seed.
+    /// The classic linear cascade: [`CascadeCoordinator::with_topology`]
+    /// over a [`LinearChain`] of `hop_count` hops. Per-hop seeds depend
+    /// only on `(base_seed, hop index)`, so hop `i` draws the *same*
+    /// stream regardless of chain length — deliberate, for reproducible
+    /// cross-length sweeps from one base seed.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CascadeCoordinator::launch`].
+    /// Same conditions as [`CascadeCoordinator::launch`]; a zero
+    /// `hop_count` is [`CascadeError::NoActiveHops`].
     pub fn linear<R: Rng + ?Sized>(
         expected_signature: Vec<usize>,
         hop_count: usize,
@@ -537,20 +531,15 @@ impl CascadeCoordinator {
         attestation: &AttestationService,
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
-        let hops = (0..hop_count)
-            .map(|i| CascadeHopConfig {
-                seed: shard_seed(base_seed, i),
-                ..CascadeHopConfig::default()
-            })
-            .collect();
-        Self::launch(
-            CascadeConfig {
-                expected_signature,
-                hops,
-                policy,
-                compression: CompressionConfig::F32,
-            },
-            Box::new(LinearChain::new(hop_count.max(1))),
+        if hop_count == 0 {
+            return Err(CascadeError::NoActiveHops);
+        }
+        let chain = Box::new(LinearChain::new(hop_count));
+        Self::with_topology(
+            expected_signature,
+            chain,
+            base_seed,
+            policy,
             attestation,
             rng,
         )
@@ -558,8 +547,8 @@ impl CascadeCoordinator {
 
     /// Convenience constructor for an arbitrary layout: launches
     /// `topology.num_hops()` hops with per-hop seeds derived from
-    /// `base_seed` via [`shard_seed`], exactly like
-    /// [`CascadeCoordinator::linear`] does for chains.
+    /// `base_seed` via [`shard_seed`], so every hop draws from its own
+    /// stream.
     ///
     /// # Errors
     ///
@@ -658,37 +647,9 @@ impl CascadeCoordinator {
         self.hops.iter().map(CascadeHop::descriptor).collect()
     }
 
-    /// Builds a **verified** participant-side client over the currently
-    /// active chain shared by every slot: every hop's quote is checked
-    /// against `attestation` before its key is used. Only meaningful for
-    /// uniform layouts — a stratified or free-route participant seals to
-    /// its own route and must use
-    /// [`CascadeCoordinator::client_for_slot`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CascadeError::Attestation`] (with the hop's position in
-    /// the active chain) when verification fails,
-    /// [`CascadeError::Topology`] when the layout routes clients
-    /// differently, and [`CascadeError::NoActiveHops`] when no routable
-    /// chain exists.
-    pub fn client(&self, attestation: &AttestationService) -> Result<CascadeClient, CascadeError> {
-        // Probe topology uniformity over a window of slots rather than a
-        // single one, so a non-uniform layout is rejected here — where the
-        // participant would otherwise build onions for a chain no round
-        // will drive for most slots.
-        let chain = self.active_chain(UNIFORMITY_PROBE_SLOTS)?;
-        let descriptors: Vec<HopDescriptor> =
-            chain.iter().map(|&h| self.hops[h].descriptor()).collect();
-        Ok(
-            CascadeClient::from_attested_hops(&descriptors, attestation)?
-                .with_compression(self.compression),
-        )
-    }
-
     /// Builds a **verified** participant-side client for one slot's route
-    /// under the current topology and skip state — the per-route analogue
-    /// of [`CascadeCoordinator::client`], usable with any layout.
+    /// under the current topology and skip state: every hop's quote is
+    /// checked against `attestation` before its key is used.
     ///
     /// # Errors
     ///
@@ -708,17 +669,6 @@ impl CascadeCoordinator {
             CascadeClient::from_attested_hops(&descriptors, attestation)?
                 .with_compression(self.compression),
         )
-    }
-
-    /// The uniform active route: the topology's shared route with skipped
-    /// hops removed. Fails for non-uniform layouts.
-    fn active_chain(&self, clients: usize) -> Result<Vec<usize>, CascadeError> {
-        let route = uniform_route(self.topology.as_ref(), clients.max(1))?;
-        let chain: Vec<usize> = route.into_iter().filter(|&h| !self.skipped[h]).collect();
-        if chain.is_empty() {
-            return Err(CascadeError::NoActiveHops);
-        }
-        Ok(chain)
     }
 
     /// One slot's route with skipped hops removed.
@@ -1290,30 +1240,13 @@ mod tests {
     }
 
     #[test]
-    fn verified_client_round_trips_through_the_chain() {
-        let (cascade, service, _) = launch(3, FailurePolicy::Abort);
-        let client = cascade.client(&service).unwrap();
-        assert_eq!(client.num_hops(), 3);
-        let foreign = AttestationService::new(&mut StdRng::seed_from_u64(99));
-        assert!(matches!(
-            cascade.client(&foreign),
-            Err(CascadeError::Attestation { .. })
-        ));
-    }
-
-    #[test]
     fn per_slot_clients_follow_their_routes() {
         let (cascade, service, _) = launch_with(
             Box::new(StratifiedLayout::evenly(4, 2, 21)),
             FailurePolicy::Abort,
             37,
         );
-        // The shared-chain constructor refuses a non-uniform layout…
-        assert!(matches!(
-            cascade.client(&service),
-            Err(CascadeError::Topology { .. })
-        ));
-        // …but every slot gets a verified client over its own route.
+        // Every slot gets a verified client over its own route.
         for slot in 0..8 {
             let client = cascade.client_for_slot(slot, &service).unwrap();
             assert_eq!(client.num_hops(), 2, "one hop per stratum");
@@ -1531,6 +1464,10 @@ mod tests {
                 &service,
                 &mut rng,
             ),
+            Err(CascadeError::NoActiveHops)
+        ));
+        assert!(matches!(
+            CascadeCoordinator::linear(vec![2], 0, 1, FailurePolicy::Abort, &service, &mut rng),
             Err(CascadeError::NoActiveHops)
         ));
         assert!(matches!(

@@ -46,10 +46,7 @@ pub enum CascadeError {
         actual: Vec<usize>,
     },
     /// The topology produced a route the coordinator cannot drive: an
-    /// empty route, a hop index out of range, a hop visited twice — or,
-    /// for callers that require one chain shared by every client (such as
-    /// `CascadeCoordinator::client`), a layout that routes clients
-    /// differently.
+    /// empty route, a hop index out of range or a hop visited twice.
     Topology {
         /// Human-readable constraint violation.
         reason: String,

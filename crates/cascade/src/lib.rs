@@ -110,7 +110,7 @@ pub use pool::{
     PooledRound,
 };
 pub use topology::{
-    route_groups, uniform_route, validate_route, CascadeTopology, FreeRoute, LinearChain,
-    RouteGroup, StratifiedLayout,
+    route_groups, validate_route, CascadeTopology, FreeRoute, LinearChain, RouteGroup,
+    StratifiedLayout,
 };
 pub use transport::CascadeTransport;

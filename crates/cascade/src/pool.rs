@@ -327,11 +327,6 @@ impl PooledCoordinator {
         &self.cascade
     }
 
-    /// Mutable access to the underlying cascade (reinstating hops).
-    pub fn cascade_mut(&mut self) -> &mut CascadeCoordinator {
-        &mut self.cascade
-    }
-
     /// The pool's current state.
     pub fn pool(&self) -> &MixPool {
         &self.pool

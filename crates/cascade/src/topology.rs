@@ -460,35 +460,6 @@ pub(crate) fn partition_routes(
         .collect())
 }
 
-/// The single route shared by every one of `clients` slots, or a
-/// [`CascadeError::Topology`] if the layout routes clients differently.
-///
-/// Non-uniform layouts are fully supported by the round pipeline (each
-/// route group mixes separately); this helper exists for the callers that
-/// specifically need one chain shared by everybody, such as
-/// [`CascadeCoordinator::client`](crate::CascadeCoordinator::client) —
-/// per-slot participants should use
-/// [`CascadeCoordinator::client_for_slot`](crate::CascadeCoordinator::client_for_slot)
-/// instead.
-pub fn uniform_route(
-    topology: &dyn CascadeTopology,
-    clients: usize,
-) -> Result<Vec<usize>, CascadeError> {
-    let route = topology.route(0);
-    for slot in 1..clients {
-        if topology.route(slot) != route {
-            return Err(CascadeError::Topology {
-                reason: format!(
-                    "layout '{}' routes clients differently; build per-slot clients with \
-                     client_for_slot",
-                    topology.name()
-                ),
-            });
-        }
-    }
-    Ok(route)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,23 +470,12 @@ mod tests {
         assert_eq!(chain.route(0), vec![0, 1, 2]);
         assert_eq!(chain.route(7), vec![0, 1, 2]);
         assert_eq!(chain.num_hops(), 3);
-        assert_eq!(uniform_route(&chain, 12).unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
     #[should_panic(expected = "at least one hop")]
     fn zero_hop_chain_panics() {
         let _ = LinearChain::new(0);
-    }
-
-    #[test]
-    fn non_uniform_layout_is_rejected_by_uniform_route() {
-        let free = FreeRoute::new(4, 1, 4, 3);
-        // With 64 slots over 1..=4-hop routes, at least two must differ.
-        assert!(matches!(
-            uniform_route(&free, 64),
-            Err(CascadeError::Topology { .. })
-        ));
     }
 
     #[test]

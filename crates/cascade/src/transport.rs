@@ -39,11 +39,6 @@ impl CascadeTransport {
         &self.coordinator
     }
 
-    /// Mutable access (reinstating hops between rounds).
-    pub fn coordinator_mut(&mut self) -> &mut CascadeCoordinator {
-        &mut self.coordinator
-    }
-
     /// The audit of the most recent round, for experiments (never exposed
     /// in a deployment).
     pub fn last_audit(&self) -> Option<&CascadeAudit> {

@@ -41,11 +41,12 @@ pub struct MixnnProxyConfig {
     /// Mixing strategy (batch by default, matching the paper's formal
     /// model).
     pub strategy: MixingStrategy,
-    /// Layer signature of the model being proxied. Empty = adopt the
-    /// signature of the first update received (§4.3 notes the memory
-    /// allocation "according to the considered neural network models \[is\]
-    /// initialized at the creation of the enclave"; pre-configuring the
-    /// signature is the faithful mode, inference is a convenience).
+    /// Layer signature of the model being proxied — launch-time
+    /// configuration, as a cascade hop's is (§4.3: the memory allocation
+    /// "according to the considered neural network models \[is\]
+    /// initialized at the creation of the enclave"). It is never inferred
+    /// from traffic: a proxy launched with the empty default rejects every
+    /// update with [`ProxyError::SignatureMismatch`].
     pub expected_signature: Vec<usize>,
     /// Enclave settings (EPC limit, code identity).
     pub enclave: EnclaveConfig,
@@ -133,7 +134,6 @@ pub struct MixnnProxy {
     streaming: Option<StreamingMixer>,
     last_plan: Option<MixPlan>,
     stats: ProxyStats,
-    seed: u64,
     telemetry: Telemetry,
 }
 
@@ -147,14 +147,13 @@ impl MixnnProxy {
     ) -> Self {
         let expected_measurement = Enclave::expected_measurement(&config.enclave);
         let enclave = Enclave::launch(config.enclave, attestation, rng);
+        // The streaming lists draw from their own stream (`seed ^ 0x57`),
+        // apart from the batch mixer's. An unconfigured proxy gets no
+        // lists: it rejects every update before one could reach them.
         let streaming = match config.strategy {
-            MixingStrategy::Streaming { k } if !config.expected_signature.is_empty() => {
-                Some(StreamingMixer::new(
-                    config.expected_signature.clone(),
-                    k,
-                    Self::streaming_seed(config.seed),
-                ))
-            }
+            MixingStrategy::Streaming { k } if !config.expected_signature.is_empty() => Some(
+                StreamingMixer::new(config.expected_signature.clone(), k, config.seed ^ 0x57),
+            ),
             _ => None,
         };
         MixnnProxy {
@@ -167,7 +166,6 @@ impl MixnnProxy {
             streaming,
             last_plan: None,
             stats: ProxyStats::default(),
-            seed: config.seed,
             telemetry: mixnn_telemetry::noop(),
         }
     }
@@ -234,35 +232,6 @@ impl MixnnProxy {
         } else {
             self.batch_buffer.len()
         }
-    }
-
-    fn check_signature(&mut self, params: &ModelParams) -> Result<(), ProxyError> {
-        if self.signature.is_empty() {
-            self.signature = params.signature();
-            if let MixingStrategy::Streaming { k } = self.strategy {
-                self.streaming = Some(StreamingMixer::new(
-                    self.signature.clone(),
-                    k,
-                    Self::streaming_seed(self.seed),
-                ));
-            }
-            return Ok(());
-        }
-        if params.signature() != self.signature {
-            return Err(ProxyError::SignatureMismatch {
-                expected: self.signature.clone(),
-                actual: params.signature(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Seed of the streaming mixer's per-layer RNG streams, derived from
-    /// the proxy's configured seed so a mixer bound late (signature adopted
-    /// from the first update) draws exactly the same streams as one
-    /// configured up front.
-    fn streaming_seed(seed: u64) -> u64 {
-        seed ^ 0x57
     }
 
     /// Ingests one encrypted update. In batch mode it is buffered until
@@ -332,15 +301,11 @@ impl MixnnProxy {
     ) -> Result<Option<ModelParams>, ProxyError> {
         let plaintext = self.enclave.charge_opened(sealed_len, opened)?;
         let t0 = Instant::now();
-        // With a configured signature, decode through the expecting path:
-        // the declared geometry is pinned to the signature before any
-        // value buffer is allocated, so a crafted header cannot name an
-        // allocation the round never authorized.
-        let params = if self.signature.is_empty() {
-            codec::decode_params(&plaintext)?
-        } else {
-            codec::decode_params_expecting(&plaintext, &self.signature)?
-        };
+        // The declared geometry is pinned to the configured signature
+        // before any value buffer is allocated, so a crafted header cannot
+        // name an allocation the round never authorized — and a foreign
+        // model is rejected here, whatever arrived before it.
+        let params = codec::decode_params_expecting(&plaintext, &self.signature)?;
         // Charge the decoded update against the EPC while it sits in a
         // list.
         let footprint = Self::footprint(&params);
@@ -348,12 +313,6 @@ impl MixnnProxy {
         // The update only got this far if the sealed envelope opened.
         self.telemetry.incr(Counter::CoreEnvelopesOpened, 1);
 
-        if let Err(e) = self.check_signature(&params) {
-            // Only reachable while the signature is still being inferred
-            // from the first committed update.
-            self.enclave.memory().free(footprint)?;
-            return Err(e);
-        }
         let emitted = if let Some(streaming) = &mut self.streaming {
             let out = streaming.push(params)?;
             if out.is_some() {
@@ -628,16 +587,31 @@ mod tests {
 
     #[test]
     fn signature_inference_from_first_update() {
+        // There is none: an unconfigured proxy rejects even the first
+        // update, typed, and adopts nothing from it.
         let mut rng = StdRng::seed_from_u64(1);
         let service = AttestationService::new(&mut rng);
         let mut proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+        for _ in 0..2 {
+            let sealed = seal(&proxy, &params(0), &mut rng);
+            match proxy.submit_encrypted(&sealed) {
+                Err(ProxyError::SignatureMismatch { expected, actual }) => {
+                    assert!(expected.is_empty());
+                    assert_eq!(actual, vec![3, 2]);
+                }
+                other => panic!("expected a signature mismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(proxy.memory_stats().allocated, 0);
+
+        // On a configured proxy a foreign update after an accepted one is
+        // rejected and its EPC charge released.
+        let (mut proxy, _, mut rng) = launch(MixingStrategy::Batch);
         let sealed = seal(&proxy, &params(0), &mut rng);
         proxy.submit_encrypted(&sealed).unwrap();
-        // Second update with a different signature is now rejected.
         let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
         let sealed = seal(&proxy, &alien, &mut rng);
         assert!(proxy.submit_encrypted(&sealed).is_err());
-        // The rejected update's EPC charge was released.
         let accepted_footprint = params(0).total_len() * std::mem::size_of::<f32>();
         assert_eq!(proxy.memory_stats().allocated, accepted_footprint);
     }
@@ -668,35 +642,6 @@ mod tests {
             }
         }
         assert!(failures > 0, "EPC limit was never enforced");
-    }
-
-    #[test]
-    fn late_bound_streaming_mixer_matches_preconfigured_seed_derivation() {
-        // Regression for the hardcoded `0x57` streaming seed: a proxy that
-        // adopts its signature from the first update must derive the same
-        // `seed ^ 0x57` streams as one configured with the signature up
-        // front — identical emissions, update for update.
-        let run = |preconfigure: bool| {
-            let mut rng = StdRng::seed_from_u64(9);
-            let service = AttestationService::new(&mut rng);
-            let config = MixnnProxyConfig {
-                strategy: MixingStrategy::Streaming { k: 3 },
-                expected_signature: if preconfigure { vec![3, 2] } else { Vec::new() },
-                seed: 1234,
-                ..MixnnProxyConfig::default()
-            };
-            let mut proxy = MixnnProxy::launch(config, &service, &mut rng);
-            let mut out = Vec::new();
-            for i in 0..10 {
-                let sealed = seal(&proxy, &params(i), &mut rng);
-                if let Some(m) = proxy.submit_encrypted(&sealed).unwrap() {
-                    out.push(m);
-                }
-            }
-            out.extend(proxy.flush().unwrap());
-            out
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -793,6 +738,35 @@ mod tests {
             assert_eq!(outputs.len(), 3);
             assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
             assert_eq!(proxy.stats().updates_forwarded, 3);
+            assert_eq!(proxy.memory_stats().allocated, 0);
+        }
+    }
+
+    #[test]
+    fn a_foreign_first_update_cannot_rebind_the_proxy() {
+        // The signature is launch-time configuration: a foreign update
+        // arriving first is the one rejected — not the honest ones after
+        // it — and the next all-honest round commits.
+        for strategy in [MixingStrategy::Batch, MixingStrategy::Streaming { k: 2 }] {
+            let (mut proxy, _, mut rng) = launch(strategy);
+            let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
+            let mut sealed = vec![seal(&proxy, &alien, &mut rng)];
+            sealed.extend((0..3).map(|i| seal(&proxy, &params(i), &mut rng)));
+            match proxy.mix_sealed_round(&sealed) {
+                Err(ProxyError::SignatureMismatch { expected, actual }) => {
+                    assert_eq!(expected, vec![3, 2], "{strategy:?}");
+                    assert_eq!(actual, vec![1]);
+                }
+                other => panic!("expected a signature mismatch, got {other:?}"),
+            }
+            assert_eq!(proxy.stats().updates_rejected, 1, "{strategy:?}");
+            assert_eq!(proxy.buffered(), 0, "{strategy:?}");
+            assert_eq!(proxy.memory_stats().allocated, 0);
+
+            let inputs: Vec<ModelParams> = (10..13).map(params).collect();
+            let sealed: Vec<Vec<u8>> = inputs.iter().map(|p| seal(&proxy, p, &mut rng)).collect();
+            let outputs = proxy.mix_sealed_round(&sealed).unwrap();
+            assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
             assert_eq!(proxy.memory_stats().allocated, 0);
         }
     }

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 /// the path that ships. The type keeps its one variant only because the
 /// pinned `benchmark/` package names `TransportMode::Encrypted`; it and
 /// [`MixnnTransport::new`]'s `mode` argument go in the next PR that may
-/// edit `benchmark/` (ROADMAP item 5, beside `RoundLink::is_transparent`).
+/// edit `benchmark/` (ROADMAP item 2, beside `RoundLink::is_transparent`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// Participants seal updates to the enclave key; the proxy decrypts
@@ -38,7 +38,11 @@ pub enum TransportMode {
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let service = AttestationService::new(&mut rng);
-/// let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+/// let config = MixnnProxyConfig {
+///     expected_signature: vec![6, 4],
+///     ..MixnnProxyConfig::default()
+/// };
+/// let proxy = MixnnProxy::launch(config, &service, &mut rng);
 /// let transport = MixnnTransport::new(proxy, TransportMode::Encrypted, 1);
 /// assert!(transport.proxy().stats().updates_received == 0);
 /// ```

@@ -213,20 +213,6 @@ fn scenarios() -> Vec<(String, (String, String))> {
         out.push((name.to_string(), submit_rounds(proxy, rng, 9)));
     }
 
-    // Signature adopted from the first update instead of configured.
-    let (proxy, rng) = launch(
-        MixnnProxyConfig {
-            strategy: MixingStrategy::Streaming { k: 3 },
-            seed: 11,
-            ..MixnnProxyConfig::default()
-        },
-        1,
-    );
-    out.push((
-        "submit_streaming_k3_inferred_signature".to_string(),
-        submit_rounds(proxy, rng, 9),
-    ));
-
     let (proxy, rng) = launch(tight_epc_config(), 2);
     out.push((
         "submit_tight_epc".to_string(),
@@ -309,7 +295,6 @@ fn proxy_digests_match_the_recorded_sequential_path() {
 const GOLDEN_ROUND: &str = "\
 submit_batch 6d49917fb8b8978efd0e2e3b805c53954dbcbb7d045f228f6955760dffa7efe5
 submit_streaming_k3 74b95c25af2bfec547164922d40951986df999ddad35ae30a6d991e565364e04
-submit_streaming_k3_inferred_signature 74b95c25af2bfec547164922d40951986df999ddad35ae30a6d991e565364e04
 submit_tight_epc 5fd851ad59ddfbb03fead9addf651f99c35477669551574eb10426f2970df746
 relay_batch_f32 395701d78718882321f9908c3a5da1ae496bc99b35d976babfa4bc2c09cdd316
 relay_batch_int8 024d2ce2f460de73b91c7494018d81a31da12aab358b8522305d17154416dc31
@@ -321,7 +306,6 @@ relay_streaming_k3_f32 dc3e6bacde62ba67cbd1ded29b5dbfdaa7032f036d18bef88f55bef2b
 const GOLDEN_RNG: &str = "\
 submit_batch 4d964f26d490de19
 submit_streaming_k3 4d964f26d490de19
-submit_streaming_k3_inferred_signature 4d964f26d490de19
 submit_tight_epc facc241d638bf5bb
 relay_batch_f32 fb797f4d139c03dd
 relay_batch_int8 fb797f4d139c03dd

@@ -1,6 +1,5 @@
 //! Federated-learning hyper-parameters.
 
-use mixnn_core::codec::CompressionConfig;
 use serde::{Deserialize, Serialize};
 
 /// The local optimizer run by each participant.
@@ -50,13 +49,6 @@ pub struct FlConfig {
     /// behaves like `1`). Results are identical at every setting — each
     /// client trains from its own derived seed — only throughput changes.
     pub client_workers: usize,
-    /// Wire compression for update transports. Round-wide: every
-    /// participant must share the mode, or per-layer envelope sizes
-    /// fingerprint the clients that differ. Transports constructed from
-    /// this config (`MixnnTransport::with_compression`,
-    /// `CascadeCoordinator::set_compression`) adopt it; the lossless
-    /// default keeps aggregates bit-identical to classic FL.
-    pub compression: CompressionConfig,
 }
 
 impl Default for FlConfig {
@@ -74,7 +66,6 @@ impl Default for FlConfig {
             client_workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            compression: CompressionConfig::F32,
         }
     }
 }

@@ -100,12 +100,6 @@ impl FlSimulation {
         self.server.global()
     }
 
-    /// Overwrites the global model (used by attack drivers to inject
-    /// crafted models).
-    pub fn set_global(&mut self, params: ModelParams) {
-        self.server = AggregationServer::new(params);
-    }
-
     /// Number of rounds executed so far.
     pub fn rounds_run(&self) -> usize {
         self.rounds_run

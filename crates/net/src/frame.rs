@@ -108,11 +108,6 @@ impl FrameWriter {
         self.count == 0
     }
 
-    /// Bytes the flushed burst will occupy on the wire.
-    pub fn wire_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Finishes the burst: patches the frame count, hands the bytes out
     /// and re-arms the writer.
     pub fn flush(&mut self) -> Vec<u8> {

@@ -124,18 +124,6 @@ impl SimLink {
         self.net.connect(from, to, cfg);
     }
 
-    /// The base/current configuration of one segment.
-    pub fn segment_config(&self, from: Endpoint, to: Endpoint) -> Option<LinkConfig> {
-        let from = self.node(from).ok()?;
-        let to = self.node(to).ok()?;
-        self.net.link_config(from, to)
-    }
-
-    /// The configured flush policy.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.flush
-    }
-
     /// Cumulative wire statistics (bytes, packets, peak queue depths).
     pub fn stats(&self) -> NetStats {
         self.net.stats()

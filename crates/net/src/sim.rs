@@ -261,11 +261,6 @@ impl SimNet {
         self.nodes.len() - 1
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Installs (or reconfigures) the directed link `from -> to`.
     ///
     /// # Panics

@@ -59,11 +59,6 @@ impl NetCascadeTransport {
         &self.coordinator
     }
 
-    /// Mutable access (reinstating hops between rounds).
-    pub fn coordinator_mut(&mut self) -> &mut CascadeCoordinator {
-        &mut self.coordinator
-    }
-
     /// The simulated wire (stats, segment reconfiguration).
     pub fn link(&self) -> &SimLink {
         &self.link

@@ -3,7 +3,7 @@
 use crate::layers::Layer;
 use crate::loss::{Evaluation, SoftmaxCrossEntropy};
 use crate::optimizer::Optimizer;
-use crate::params::{LayerParams, ModelParams};
+use crate::params::ModelParams;
 use crate::NnError;
 use mixnn_tensor::Tensor;
 
@@ -42,11 +42,6 @@ impl Sequential {
     /// Appends a layer to the stack.
     pub fn push<L: Layer + 'static>(&mut self, layer: L) {
         self.layers.push(Box::new(layer));
-    }
-
-    /// Appends a boxed layer (used by the model zoo builders).
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
     }
 
     /// Number of layers (including parameter-free ones).
@@ -227,23 +222,12 @@ impl Sequential {
     pub fn update_size_bytes(&self) -> usize {
         self.num_parameters() * std::mem::size_of::<f32>()
     }
-
-    /// The default parameter placeholder used by `ModelParams::default` —
-    /// a zeroed parameter set matching this model's signature.
-    pub fn zero_params(&self) -> ModelParams {
-        ModelParams::from_layers(
-            self.signature()
-                .into_iter()
-                .map(|len| LayerParams::from_values(vec![0.0; len]))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Adam, Dense, Flatten, Relu, Sgd};
+    use crate::{Adam, Dense, Flatten, LayerParams, Relu, Sgd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

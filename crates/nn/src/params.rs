@@ -35,11 +35,6 @@ impl LayerParams {
         &mut self.0
     }
 
-    /// Consumes the wrapper and returns the flat vector.
-    pub fn into_values(self) -> Vec<f32> {
-        self.0
-    }
-
     /// Number of parameters.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -108,11 +103,6 @@ impl ModelParams {
     /// Parameter vector of layer `i`, if present.
     pub fn layer(&self, i: usize) -> Option<&LayerParams> {
         self.layers.get(i)
-    }
-
-    /// Mutable parameter vector of layer `i`, if present.
-    pub fn layer_mut(&mut self, i: usize) -> Option<&mut LayerParams> {
-        self.layers.get_mut(i)
     }
 
     /// Iterates over per-layer parameter vectors in network order.

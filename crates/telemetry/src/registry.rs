@@ -21,8 +21,7 @@ pub type Telemetry = Arc<Registry>;
 ///
 /// Cardinality is fixed at construction: exactly one slot per
 /// [`Counter`]/[`Gauge`]/[`Distribution`]/[`Span`] variant. Recording into
-/// a disabled registry is a single branch; building the crate with the
-/// `off` feature folds every recording body away entirely.
+/// a disabled registry is a single branch.
 pub struct Registry {
     enabled: bool,
     clock: Box<dyn ClockSource>,
@@ -68,11 +67,6 @@ impl Registry {
         Self::build(true, Box::new(WallClock::new()), None)
     }
 
-    /// An enabled registry on an arbitrary clock source.
-    pub fn with_clock(clock: Box<dyn ClockSource>) -> Self {
-        Self::build(true, clock, None)
-    }
-
     /// An enabled registry on a [`VirtualClock`], keeping the handle so
     /// the simulated network can discover and drive it
     /// (see [`Registry::virtual_clock`]).
@@ -90,18 +84,10 @@ impl Registry {
         Arc::new(self)
     }
 
-    /// Whether hooks record anything. With the `off` feature this is
-    /// compile-time `false` regardless of construction.
+    /// Whether hooks record anything.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "off")]
-        {
-            false
-        }
-        #[cfg(not(feature = "off"))]
-        {
-            self.enabled
-        }
+        self.enabled
     }
 
     /// The virtual clock this registry was built on, if any — the

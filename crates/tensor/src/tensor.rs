@@ -145,11 +145,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -357,13 +352,6 @@ impl Tensor {
     /// Multiplies every element by `s`, returning a new tensor.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|v| v * s)
-    }
-
-    /// Multiplies every element by `s` in place.
-    pub fn scale_in_place(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
     }
 
     // ---------------------------------------------------------------------

@@ -99,7 +99,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The active attack against MixNN.
     let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+    let proxy = MixnnProxy::launch(
+        MixnnProxyConfig {
+            expected_signature: template.signature(),
+            ..MixnnProxyConfig::default()
+        },
+        &service,
+        &mut rng,
+    );
     let mut mixnn = MixnnTransport::new(proxy, TransportMode::Encrypted, 23);
     let experiment = InferenceExperiment::new(
         &population,

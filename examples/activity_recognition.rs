@@ -24,10 +24,21 @@ use mixnn::enclave::AttestationService;
 use mixnn::fl::{DirectTransport, NoisyTransport, UpdateTransport};
 use mixnn::proxy::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 
-fn transports(seed: u64, sigma: f32) -> Vec<(&'static str, Box<dyn UpdateTransport>)> {
+fn transports(
+    seed: u64,
+    sigma: f32,
+    signature: Vec<usize>,
+) -> Vec<(&'static str, Box<dyn UpdateTransport>)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+    let proxy = MixnnProxy::launch(
+        MixnnProxyConfig {
+            expected_signature: signature,
+            ..MixnnProxyConfig::default()
+        },
+        &service,
+        &mut rng,
+    );
     vec![
         ("classic-fl", Box::new(DirectTransport::new())),
         ("noisy-gradient", Box::new(NoisyTransport::new(sigma, seed))),
@@ -60,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("system          activity-accuracy  gender-inference  (chance = 0.500)");
     println!("--------------  -----------------  ----------------");
-    for (label, mut transport) in transports(11, 0.10) {
+    for (label, mut transport) in transports(11, 0.10, template.signature()) {
         // Leakage: the ∇Sim active attack over the whole run.
         let experiment = InferenceExperiment::new(
             &population,
@@ -75,9 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Utility: a fresh honest run with the same defense.
         let mut sim = FlSimulation::new(template.clone(), fl_cfg, &population);
         let mut honest = match label {
-            "classic-fl" => transports(12, 0.10).remove(0).1,
-            "noisy-gradient" => transports(12, 0.10).remove(1).1,
-            _ => transports(12, 0.10).remove(2).1,
+            "classic-fl" => transports(12, 0.10, template.signature()).remove(0).1,
+            "noisy-gradient" => transports(12, 0.10, template.signature()).remove(1).1,
+            _ => transports(12, 0.10, template.signature()).remove(2).1,
         };
         for _ in 0..fl_cfg.rounds {
             sim.run_round(honest.as_mut())?;

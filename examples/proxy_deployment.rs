@@ -108,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(round.audit.unmix(&round.mixed)?, updates);
     println!(
         "aggregate bit-identical to classic FL; audit inverted all {} per-hop plans\n\
-         (outside the audit, linking requires ALL hops to collude — see `eval cascade`)",
+         (outside the audit, linking requires ALL hops to collude — see `eval topology`)",
         round.audit.groups()[0].plans().len()
     );
 

@@ -50,7 +50,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //     layers across participants before forwarding.
     let mut protected = FlSimulation::new(template.clone(), cfg, &population);
     let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+    let proxy = MixnnProxy::launch(
+        MixnnProxyConfig {
+            expected_signature: template.signature(),
+            ..MixnnProxyConfig::default()
+        },
+        &service,
+        &mut rng,
+    );
     assert!(proxy.verify_against(&service), "attestation must verify");
     let mut mixnn = MixnnTransport::new(proxy, TransportMode::Encrypted, 42);
     for _ in 0..cfg.rounds {

@@ -32,6 +32,7 @@ fn run_attack(defense: &str, seed: u64) -> f32 {
         seed,
         ..GradSimConfig::default()
     };
+    let signature = template.signature();
     let experiment = InferenceExperiment::new(
         &population,
         template,
@@ -53,7 +54,14 @@ fn run_attack(defense: &str, seed: u64) -> f32 {
         "mixnn" => {
             let mut rng = StdRng::seed_from_u64(seed ^ 7);
             let service = AttestationService::new(&mut rng);
-            let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+            let proxy = MixnnProxy::launch(
+                MixnnProxyConfig {
+                    expected_signature: signature,
+                    ..MixnnProxyConfig::default()
+                },
+                &service,
+                &mut rng,
+            );
             Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed))
         }
         other => panic!("unknown defense {other}"),

@@ -54,12 +54,17 @@ fn run_rounds(
         .collect()
 }
 
-fn mixnn_transport(strategy: MixingStrategy, seed: u64) -> MixnnTransport {
+fn mixnn_transport(
+    strategy: MixingStrategy,
+    template: &mixnn::nn::Sequential,
+    seed: u64,
+) -> MixnnTransport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
     let service = AttestationService::new(&mut rng);
     let proxy = MixnnProxy::launch(
         MixnnProxyConfig {
             strategy,
+            expected_signature: template.signature(),
             seed,
             ..MixnnProxyConfig::default()
         },
@@ -73,7 +78,7 @@ fn mixnn_transport(strategy: MixingStrategy, seed: u64) -> MixnnTransport {
 fn encrypted_proxy_path_is_also_bitwise_identical() {
     let (population, template, cfg) = fixture(102);
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut encrypted = mixnn_transport(MixingStrategy::Batch, 102);
+    let mut encrypted = mixnn_transport(MixingStrategy::Batch, &template, 102);
     let mixed = run_rounds(&template, cfg, &population, &mut encrypted);
     assert_eq!(classic, mixed, "encrypted proxy path diverged");
     // The proxy really did the work: every update decrypted inside the
@@ -91,7 +96,7 @@ fn encrypted_proxy_path_is_also_bitwise_identical() {
 fn streaming_strategy_preserves_aggregate_per_round() {
     let (population, template, cfg) = fixture(103);
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut streaming = mixnn_transport(MixingStrategy::Streaming { k: 3 }, 103);
+    let mut streaming = mixnn_transport(MixingStrategy::Streaming { k: 3 }, &template, 103);
     let mixed = run_rounds(&template, cfg, &population, &mut streaming);
     assert_eq!(classic, mixed, "streaming proxy path diverged");
 }
@@ -128,7 +133,7 @@ fn mixnn_works_on_deepface_architecture_too() {
         ..FlConfig::default()
     };
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut transport = mixnn_transport(MixingStrategy::Batch, 105);
+    let mut transport = mixnn_transport(MixingStrategy::Batch, &template, 105);
     let mixed = run_rounds(&template, cfg, &population, &mut transport);
     assert_eq!(classic, mixed);
     // 5 trainable layers ≤ 6 participants: the Latin plan must be in force.

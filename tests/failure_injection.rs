@@ -522,10 +522,16 @@ fn partial_participation_rounds_still_aggregate() {
         seed: 5,
         ..FlConfig::default()
     };
-    let mut sim = FlSimulation::new(template, cfg, &population);
-
     let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(MixnnProxyConfig::default(), &service, &mut rng);
+    let proxy = MixnnProxy::launch(
+        MixnnProxyConfig {
+            expected_signature: template.signature(),
+            ..MixnnProxyConfig::default()
+        },
+        &service,
+        &mut rng,
+    );
+    let mut sim = FlSimulation::new(template, cfg, &population);
     let mut transport =
         mixnn::proxy::MixnnTransport::new(proxy, mixnn::proxy::TransportMode::Encrypted, 5);
 
