@@ -29,23 +29,6 @@ pub fn inference_accuracy(
     }
 }
 
-/// Confusion matrix `[actual][predicted]` over the overlapping keys.
-pub fn confusion_matrix(
-    predictions: &HashMap<usize, usize>,
-    truth: &HashMap<usize, usize>,
-    num_classes: usize,
-) -> Vec<Vec<usize>> {
-    let mut matrix = vec![vec![0usize; num_classes]; num_classes];
-    for (id, &pred) in predictions {
-        if let Some(&actual) = truth.get(id) {
-            if actual < num_classes && pred < num_classes {
-                matrix[actual][pred] += 1;
-            }
-        }
-    }
-    matrix
-}
-
 /// The random-guess baseline against which leakage is judged: `1 /
 /// num_classes` for a balanced attribute.
 pub fn chance_level(num_classes: usize) -> f32 {
@@ -71,16 +54,6 @@ mod tests {
     #[test]
     fn accuracy_none_without_overlap() {
         assert_eq!(inference_accuracy(&map(&[(5, 0)]), &map(&[(6, 0)])), None);
-    }
-
-    #[test]
-    fn confusion_matrix_shape_and_counts() {
-        let predictions = map(&[(0, 1), (1, 1), (2, 0)]);
-        let truth = map(&[(0, 1), (1, 0), (2, 0)]);
-        let m = confusion_matrix(&predictions, &truth, 2);
-        assert_eq!(m[1][1], 1); // id 0: actual 1, predicted 1
-        assert_eq!(m[0][1], 1); // id 1: actual 0, predicted 1
-        assert_eq!(m[0][0], 1); // id 2: actual 0, predicted 0
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! baseline recorded in the PR). The `int8` and `int8+topk` rows show
 //! what the v2 quantized frames cost to produce and parse at the
 //! reference layer sizes, and `validate` prices the structural v2 check
-//! hops run per envelope without decompressing.
+//! the last hop runs per envelope without decompressing. `decode` and
+//! `validate` time the `*_expecting` doors — the ones the proxy, the last
+//! hop and the server call.
 //!
 //! Those rows stop at 2,048 smooth values, where the lossy modes' cost
 //! hides behind fixed overheads. The `/262144` rows run one layer of the
@@ -19,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_bench::experiments::compress::PAPER_SIGNATURE;
 use mixnn_core::codec::{
-    self, encode_layer_with, encode_params_with, validate_layer_frame, CompressionConfig,
+    self, encode_layer_with, encode_params_with, validate_layer_frame_expecting, CompressionConfig,
 };
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::{rngs::StdRng, SeedableRng};
@@ -77,7 +79,7 @@ fn bench_decode(c: &mut Criterion) {
             BenchmarkId::from_parameter(mode.name()),
             &bytes,
             |b, bytes| {
-                b.iter(|| codec::decode_params(bytes).unwrap());
+                b.iter(|| codec::decode_params_expecting(bytes, &PAPER_SIGNATURE).unwrap());
             },
         );
     }
@@ -94,7 +96,7 @@ fn bench_validate(c: &mut Criterion) {
             BenchmarkId::from_parameter(mode.name()),
             &frame,
             |b, frame| {
-                b.iter(|| validate_layer_frame(frame).unwrap());
+                b.iter(|| validate_layer_frame_expecting(frame, layer.len()).unwrap());
             },
         );
     }

@@ -58,7 +58,7 @@ use mixnn_bench::experiments::{
     background, compress, inference, load, pooled, robustness, sysperf, topology, utility,
     utility_cdf,
 };
-use mixnn_bench::{report, DatasetKind, Defense, ExperimentScale, ExperimentSetup};
+use mixnn_bench::{report, DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_telemetry::{check_counter_monotonicity, validate_prometheus, Telemetry};
 use std::process::ExitCode;
 
@@ -345,7 +345,6 @@ fn run_sysperf(opts: &Options) -> Result<(), String> {
          with model size). §6.5's time columns (decrypt-dominated) are the repo\n\
          benchmark's `core.proxy.{{decrypt,store,mix}}_ms` on `proxy_small`.",
     );
-    let _ = Defense::lineup(0.0);
     Ok(())
 }
 

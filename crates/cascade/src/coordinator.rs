@@ -1271,7 +1271,6 @@ mod tests {
         hops[1].enclave = EnclaveConfig {
             epc_limit: 32, // cannot hold a round
             code_identity: crate::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
         let mut cascade = CascadeCoordinator::launch(
             CascadeConfig {
@@ -1303,7 +1302,6 @@ mod tests {
         hops[1].enclave = EnclaveConfig {
             epc_limit: 32,
             code_identity: crate::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
         let mut cascade = CascadeCoordinator::launch(
             CascadeConfig {
@@ -1373,7 +1371,6 @@ mod tests {
         hops[2].enclave = EnclaveConfig {
             epc_limit: 32, // cannot hold even its partial round
             code_identity: crate::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
         let mut cascade = CascadeCoordinator::launch(
             CascadeConfig {
@@ -1406,7 +1403,6 @@ mod tests {
         let dead = EnclaveConfig {
             epc_limit: 8,
             code_identity: crate::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
         let mut cascade = CascadeCoordinator::launch(
             CascadeConfig {

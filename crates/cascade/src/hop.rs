@@ -725,7 +725,6 @@ mod tests {
                     // a round does not.
                     epc_limit: 48,
                     code_identity: HOP_CODE_IDENTITY.to_vec(),
-                    allow_paging: false,
                 },
                 seed: 5,
             },

@@ -105,7 +105,6 @@ fn observe(
         hop_configs[dead].enclave = EnclaveConfig {
             epc_limit: 4,
             code_identity: mixnn_cascade::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
     }
     let mut cascade = CascadeCoordinator::launch(
@@ -254,7 +253,6 @@ proptest! {
         hop_configs[dead].enclave = EnclaveConfig {
             epc_limit: 4,
             code_identity: mixnn_cascade::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
         let mut cascade = CascadeCoordinator::launch(
             CascadeConfig {

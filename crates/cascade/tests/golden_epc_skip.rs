@@ -32,7 +32,6 @@ fn skip_round_around_an_epc_starved_hop_matches_the_recorded_drive() {
     hops[1].enclave = EnclaveConfig {
         epc_limit: 400,
         code_identity: HOP_CODE_IDENTITY.to_vec(),
-        allow_paging: false,
     };
     let mut cascade = CascadeCoordinator::launch(
         CascadeConfig {

@@ -60,7 +60,6 @@ fn twin_hops(seed: u64, epc_limit: usize) -> (CascadeHop, CascadeHop, KeyPair) {
             enclave: EnclaveConfig {
                 epc_limit,
                 code_identity: HOP_CODE_IDENTITY.to_vec(),
-                allow_paging: false,
             },
         };
         CascadeHop::launch(HOP_INDEX, config, &SIGNATURE, &service, &mut rng)

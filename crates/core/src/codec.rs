@@ -58,11 +58,11 @@
 //! allocating anything; a crafted ~30-byte frame can therefore never
 //! name a multi-gigabyte allocation. All frame-size arithmetic is done
 //! in `u64`, so a near-`u32::MAX` header cannot wrap a `usize`
-//! computation on 32-bit targets either. Callers that know the round's
-//! layer signature should prefer the `*_expecting` entry points
-//! ([`decode_layer_expecting`], [`validate_layer_frame_expecting`],
-//! [`decode_params_expecting`]), which reject any frame whose declared
-//! geometry differs from the signature before a value buffer exists.
+//! computation on 32-bit targets either. One private reader does all of
+//! it — a borrowed view, parsed where the frame lies — and every public
+//! door composes that view; the `*_expecting` doors additionally reject a
+//! frame whose declared geometry differs from the round's signature
+//! before a value buffer exists.
 
 use crate::ProxyError;
 use bytes::{Buf, BufMut};
@@ -591,14 +591,11 @@ fn decode_params_inner(
     mut bytes: &[u8],
     expected_signature: Option<&[usize]>,
 ) -> Result<ModelParams, ProxyError> {
-    let fail = |reason: &str| ProxyError::Codec {
-        reason: reason.to_string(),
-    };
     if bytes.remaining() < 9 {
-        return Err(fail("header truncated"));
+        return Err(malformed("header truncated"));
     }
     if bytes.get_u32() != MAGIC {
-        return Err(fail("bad magic"));
+        return Err(malformed("bad magic"));
     }
     let version = bytes.get_u8();
     if version != VERSION && version != VERSION_V2 {
@@ -607,21 +604,15 @@ fn decode_params_inner(
     let layer_count = bytes.get_u32() as usize;
     // Sanity bound: each declared layer needs at least its length header.
     if layer_count > bytes.remaining() / 4 + 1 {
-        return Err(fail("implausible layer count"));
+        return Err(malformed("implausible layer count"));
     }
     if let Some(expected) = expected_signature {
-        // Pre-pass: walk every frame's declared geometry (headers only)
-        // and pin it to the signature before any value buffer exists.
-        let mut rest = bytes;
-        let mut declared = Vec::with_capacity(layer_count);
-        for _ in 0..layer_count {
-            let (len, after) = skip_layer_frame(rest, version)?;
-            declared.push(len);
-            rest = after;
-        }
-        if rest.has_remaining() {
-            return Err(fail("trailing bytes after last layer"));
-        }
+        // Pre-pass: pin every frame's declared geometry to the signature
+        // before a value buffer exists. A second call of the one reader:
+        // held views would be a fatter allocation than their lengths are.
+        let declared = read_body(bytes, version, layer_count, |frame| {
+            frame.validate().map(|_| frame.len)
+        })?;
         if declared != expected {
             return Err(ProxyError::SignatureMismatch {
                 expected: expected.to_vec(),
@@ -629,16 +620,27 @@ fn decode_params_inner(
             });
         }
     }
-    let mut layers = Vec::with_capacity(layer_count);
+    read_body(bytes, version, layer_count, LayerFrame::decode).map(ModelParams::from_layers)
+}
+
+/// What `read` takes from each of the `layer_count` frames of a
+/// version-`version` params body, which must end with the last of them.
+fn read_body<'a, T>(
+    mut bytes: &'a [u8],
+    version: u8,
+    layer_count: usize,
+    read: impl Fn(&LayerFrame<'a>) -> Result<T, ProxyError>,
+) -> Result<Vec<T>, ProxyError> {
+    let mut out = Vec::with_capacity(layer_count);
     for _ in 0..layer_count {
-        let (layer, rest) = consume_layer_frame(bytes, version)?;
-        layers.push(layer);
-        bytes = rest;
+        let frame = LayerFrame::parse(bytes, Some(version), None)?;
+        out.push(read(&frame)?);
+        bytes = frame.rest;
     }
-    if bytes.has_remaining() {
-        return Err(fail("trailing bytes after last layer"));
+    if !bytes.is_empty() {
+        return Err(malformed("trailing bytes after last layer"));
     }
-    Ok(ModelParams::from_layers(layers))
+    Ok(out)
 }
 
 /// SHA-256 digest of a **single layer's** canonical encoding
@@ -699,11 +701,7 @@ pub fn canonical_params(params: &ModelParams, compression: CompressionConfig) ->
 /// layer travels as its own independently encrypted blob, so the per-layer
 /// framing cannot reference the rest of the model.
 pub fn encode_layer(layer: &LayerParams) -> Vec<u8> {
-    let values = layer.values();
-    let mut out = vec![0u8; encoded_layer_len(values.len())];
-    out[..4].copy_from_slice(&(values.len() as u32).to_be_bytes());
-    write_f32_le_bulk(&mut out[4..], values);
-    out
+    encode_layer_with(layer, CompressionConfig::F32)
 }
 
 /// Encodes a single layer under `compression`: the v1 frame for
@@ -711,9 +709,6 @@ pub fn encode_layer(layer: &LayerParams) -> Vec<u8> {
 /// The output length is exactly
 /// `encoded_layer_len_with(layer.len(), compression)` for **any** values.
 pub fn encode_layer_with(layer: &LayerParams, compression: CompressionConfig) -> Vec<u8> {
-    if compression.is_f32() {
-        return encode_layer(layer);
-    }
     let mut out = Vec::with_capacity(encoded_layer_len_with(layer.len(), compression));
     encode_layer_into(&mut out, layer, compression);
     out
@@ -783,14 +778,7 @@ fn write_v2_header(header: &mut [u8], len: usize, k: Option<usize>, zero: f32, s
 /// frame with an unknown version byte, and [`ProxyError::Codec`] on
 /// truncation, malformed v2 headers or trailing bytes.
 pub fn decode_layer(bytes: &[u8]) -> Result<LayerParams, ProxyError> {
-    let version = detect_layer_version(bytes)?;
-    let (layer, rest) = consume_layer_frame(bytes, version)?;
-    if !rest.is_empty() {
-        return Err(ProxyError::Codec {
-            reason: "trailing bytes after layer data".to_string(),
-        });
-    }
-    Ok(layer)
+    sole_frame(bytes, None, LayerFrame::decode)
 }
 
 /// Structurally validates one layer frame **without decompressing**: every
@@ -806,30 +794,7 @@ pub fn decode_layer(bytes: &[u8]) -> Result<LayerParams, ProxyError> {
 ///
 /// Same conditions as [`decode_layer`].
 pub fn validate_layer_frame(bytes: &[u8]) -> Result<u8, ProxyError> {
-    let fail = |reason: &str| ProxyError::Codec {
-        reason: reason.to_string(),
-    };
-    let version = detect_layer_version(bytes)?;
-    if version == VERSION {
-        if bytes.len() < 4 {
-            return Err(fail("layer header truncated"));
-        }
-        let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        // u64: `4 + 4·len` must not wrap usize on 32-bit targets.
-        if (bytes.len() as u64) < 4 + 4 * len as u64 {
-            return Err(fail("layer data truncated"));
-        }
-        if (bytes.len() as u64) > 4 + 4 * len as u64 {
-            return Err(fail("trailing bytes after layer data"));
-        }
-        return Ok(VERSION);
-    }
-    let frame = parse_v2_frame(bytes)?;
-    frame.check_indices()?;
-    if bytes.len() != frame.total_len {
-        return Err(fail("trailing bytes after layer data"));
-    }
-    Ok(VERSION_V2)
+    sole_frame(bytes, None, LayerFrame::validate)
 }
 
 /// The parameter count a layer frame *declares* in its header — a cheap
@@ -842,34 +807,7 @@ pub fn validate_layer_frame(bytes: &[u8]) -> Result<u8, ProxyError> {
 /// sentinel-opened version and [`ProxyError::Codec`] on a truncated
 /// header.
 pub fn declared_layer_len(bytes: &[u8]) -> Result<usize, ProxyError> {
-    let fail = |reason: &str| ProxyError::Codec {
-        reason: reason.to_string(),
-    };
-    let version = detect_layer_version(bytes)?;
-    if version == VERSION {
-        if bytes.len() < 4 {
-            return Err(fail("layer header truncated"));
-        }
-        return Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize);
-    }
-    if bytes.len() < 10 {
-        return Err(fail("v2 header truncated"));
-    }
-    Ok(u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize)
-}
-
-/// Rejects a frame whose declared parameter count differs from what the
-/// round's signature says this layer must carry — checked from the
-/// header alone, before any value buffer is allocated.
-fn check_declared_len(bytes: &[u8], expected_len: usize) -> Result<(), ProxyError> {
-    let declared = declared_layer_len(bytes)?;
-    if declared != expected_len {
-        return Err(ProxyError::SignatureMismatch {
-            expected: vec![expected_len],
-            actual: vec![declared],
-        });
-    }
-    Ok(())
+    LayerFrame::declared(bytes, None).map(|(_, len)| len)
 }
 
 /// [`decode_layer`], but the caller states how many parameters the frame
@@ -886,8 +824,7 @@ pub fn decode_layer_expecting(
     bytes: &[u8],
     expected_len: usize,
 ) -> Result<LayerParams, ProxyError> {
-    check_declared_len(bytes, expected_len)?;
-    decode_layer(bytes)
+    sole_frame(bytes, Some(expected_len), LayerFrame::decode)
 }
 
 /// [`validate_layer_frame`], but additionally pins the frame's declared
@@ -900,54 +837,172 @@ pub fn decode_layer_expecting(
 /// [`ProxyError::SignatureMismatch`] on a declared-length mismatch, plus
 /// every condition of [`validate_layer_frame`].
 pub fn validate_layer_frame_expecting(bytes: &[u8], expected_len: usize) -> Result<u8, ProxyError> {
-    check_declared_len(bytes, expected_len)?;
-    validate_layer_frame(bytes)
+    sole_frame(bytes, Some(expected_len), LayerFrame::validate)
 }
 
-/// Classifies the first bytes of a layer frame: v2 if (and only if) it
-/// opens with the sentinel, v1 otherwise. A sentinel-opened frame whose
-/// version byte is unknown is a *negotiation* failure, distinct from
-/// malformed structure.
-fn detect_layer_version(bytes: &[u8]) -> Result<u8, ProxyError> {
-    if bytes.len() >= 5 && bytes[..4] == V2_SENTINEL.to_be_bytes() {
-        let version = bytes[4];
+/// The doors whose buffer is one frame and nothing else: what `read`
+/// rejects is reported before bytes that follow the frame are.
+fn sole_frame<'a, T>(
+    bytes: &'a [u8],
+    expected_len: Option<usize>,
+    read: impl FnOnce(&LayerFrame<'a>) -> Result<T, ProxyError>,
+) -> Result<T, ProxyError> {
+    let frame = LayerFrame::parse(bytes, None, expected_len)?;
+    let out = read(&frame)?;
+    if !frame.rest.is_empty() {
+        return Err(malformed("trailing bytes after layer data"));
+    }
+    Ok(out)
+}
+
+/// A structural rejection: the bytes are not a frame this codec writes.
+fn malformed(reason: &str) -> ProxyError {
+    ProxyError::Codec {
+        reason: reason.to_string(),
+    }
+}
+
+/// The first `n` bytes of a v2 frame: its header up to the field the
+/// caller is about to read.
+fn v2_header(bytes: &[u8], n: usize) -> Result<&[u8], ProxyError> {
+    bytes
+        .get(..n)
+        .ok_or_else(|| malformed("v2 header truncated"))
+}
+
+/// One MIXN layer frame, parsed where it lies; nothing else reads a
+/// header. [`LayerFrame::parse`] negotiates the version, checks every
+/// header field and bounds the payload against the buffer; no index is
+/// read and no value converted until a door asks.
+#[derive(Default)]
+struct LayerFrame<'a> {
+    version: u8,
+    /// The parameter count the header declares.
+    len: usize,
+    /// v2: the quantization step and zero point.
+    scale: f32,
+    zero: f32,
+    /// Top-k only: the kept positions, `index_width(len)` bytes each.
+    indices: Option<&'a [u8]>,
+    /// `len` little-endian f32s (v1), or one quant byte per position
+    /// (dense) or per kept position (top-k).
+    values: &'a [u8],
+    /// What follows the frame in the buffer it was parsed from.
+    rest: &'a [u8],
+}
+
+impl<'a> LayerFrame<'a> {
+    /// Stage one, the header alone: the frame's wire version and the
+    /// parameter count it declares. `body` is the version of the params
+    /// body the frame lies in, which fixes the frame's; a standalone frame
+    /// (`None`) is v2 if and only if it opens with the sentinel.
+    fn declared(bytes: &[u8], body: Option<u8>) -> Result<(u8, usize), ProxyError> {
+        if !bytes.starts_with(&V2_SENTINEL.to_be_bytes()) {
+            if body == Some(VERSION_V2) {
+                return Err(malformed("v2 body carries a layer without the v2 sentinel"));
+            }
+            if bytes.len() < 4 {
+                return Err(malformed("layer header truncated"));
+            }
+            return Ok((VERSION, (&bytes[..4]).get_u32() as usize));
+        }
+        if body == Some(VERSION) {
+            // A v2 frame must never be misread as a v1 layer.
+            return Err(malformed("v1 layer length collides with the v2 sentinel"));
+        }
+        // A sentinel with no version byte is a truncated v2 header, not a
+        // v1 layer of u32::MAX values; an unknown version is a
+        // *negotiation* failure, distinct from malformed structure.
+        let version = v2_header(bytes, 5)?[4];
         if version != VERSION_V2 {
             return Err(ProxyError::UnsupportedCodecVersion { version });
         }
-        return Ok(VERSION_V2);
+        Ok((VERSION_V2, (&v2_header(bytes, 10)?[6..]).get_u32() as usize))
     }
-    if bytes.len() >= 4 && bytes[..4] == V2_SENTINEL.to_be_bytes() {
-        // Sentinel with no version byte: a truncated v2 header, not a v1
-        // layer of u32::MAX values.
-        return Err(ProxyError::Codec {
-            reason: "v2 header truncated".to_string(),
-        });
+
+    /// Parses the frame at the front of `bytes` (which may extend past
+    /// it). `expected_len` pins the declared parameter count to the
+    /// round's signature straight after the header stage, so a mis-sized
+    /// frame is reported before a malformed one.
+    fn parse(
+        bytes: &'a [u8],
+        body: Option<u8>,
+        expected_len: Option<usize>,
+    ) -> Result<Self, ProxyError> {
+        let (version, len) = Self::declared(bytes, body)?;
+        if let Some(expected) = expected_len.filter(|&expected| expected != len) {
+            return Err(ProxyError::SignatureMismatch {
+                expected: vec![expected],
+                actual: vec![len],
+            });
+        }
+        if version == VERSION {
+            let data = &bytes[4..];
+            // u64 compare: `4·len` may wrap usize on 32-bit targets.
+            if (data.len() as u64) < 4 * len as u64 {
+                return Err(malformed("layer data truncated"));
+            }
+            let (values, rest) = data.split_at(4 * len);
+            return Ok(LayerFrame {
+                version,
+                len,
+                values,
+                rest,
+                ..Default::default()
+            });
+        }
+        let (header, k) = match v2_header(bytes, V2_DENSE_HEADER)?[5] {
+            MODE_DENSE => (&bytes[..V2_DENSE_HEADER], None),
+            MODE_TOPK => {
+                let header = v2_header(bytes, V2_TOPK_HEADER)?;
+                (header, Some((&header[10..]).get_u32() as usize))
+            }
+            _ => return Err(malformed("unknown v2 layer mode")),
+        };
+        if k.is_some_and(|k| k > len) {
+            return Err(malformed(
+                "top-k frame keeps more values than the layer holds",
+            ));
+        }
+        // Encode-side invariant: the keep ratio is clamped to ≥ 1/1024, so
+        // every conforming frame has k ≥ ⌈len/1024⌉. Enforcing it here
+        // bounds the decode allocation by the frame's actual payload — a
+        // crafted header with a huge `len` and a tiny self-consistent `k`
+        // must be rejected before any `len`-sized buffer exists.
+        if k.is_some_and(|k| len as u64 > 1024 * k as u64) {
+            return Err(malformed(
+                "top-k frame declares more values than any keep ratio allows",
+            ));
+        }
+        let mut levels = &header[header.len() - 8..];
+        let (scale, zero) = (levels.get_f32_le(), levels.get_f32_le());
+        // u64 frame-size arithmetic: a near-u32::MAX header must not wrap a
+        // usize computation on 32-bit targets into a "valid" smaller size.
+        let index_len = k.map_or(0, |k| k as u64 * index_width(len) as u64);
+        let quant_len = k.unwrap_or(len);
+        let payload = &bytes[header.len()..];
+        if (payload.len() as u64) < index_len + quant_len as u64 {
+            return Err(malformed("v2 layer payload truncated"));
+        }
+        // Bounded by the buffer length, so this fits in usize.
+        let (indices, payload) = payload.split_at(index_len as usize);
+        let (values, rest) = payload.split_at(quant_len);
+        Ok(LayerFrame {
+            version,
+            len,
+            scale,
+            zero,
+            indices: k.map(|_| indices),
+            values,
+            rest,
+        })
     }
-    Ok(VERSION)
-}
 
-/// The parsed geometry of one v2 frame: everything needed to validate or
-/// decode it, with the payload bounds already checked against the buffer.
-struct V2Frame<'a> {
-    mode: u8,
-    len: usize,
-    scale: f32,
-    zero: f32,
-    width: usize,
-    /// `k·width` index bytes (top-k) — empty for dense.
-    index_bytes: &'a [u8],
-    /// `len` (dense) or `k` (top-k) quant bytes.
-    quant_bytes: &'a [u8],
-    /// Total frame length in the underlying buffer.
-    total_len: usize,
-}
-
-impl V2Frame<'_> {
-    /// The one walk over a top-k frame's indices (none for a dense frame):
-    /// each must be in range and above its predecessor — the canonical
-    /// encoding — before `visit` sees it with its quant byte.
+    /// The one walk over a top-k frame's indices (any other frame has
+    /// none): each must be in range and above its predecessor — the
+    /// canonical encoding — before `visit` sees it with its quant byte.
     fn for_each_kept(&self, visit: impl FnMut(usize, u8)) -> Result<(), ProxyError> {
-        match self.width {
+        match index_width(self.len) {
             1 => self.walk_indices::<1>(visit),
             2 => self.walk_indices::<2>(visit),
             3 => self.walk_indices::<3>(visit),
@@ -959,18 +1014,16 @@ impl V2Frame<'_> {
         &self,
         mut visit: impl FnMut(usize, u8),
     ) -> Result<(), ProxyError> {
-        let fail = |reason: &str| ProxyError::Codec {
-            reason: reason.to_string(),
-        };
         // The lowest index the next entry may carry.
         let mut floor = 0;
-        for (index, &quant) in self.index_bytes.chunks_exact(W).zip(self.quant_bytes) {
+        let indices = self.indices.unwrap_or_default();
+        for (index, &quant) in indices.chunks_exact(W).zip(self.values) {
             let idx = read_index::<W>(index);
             if idx >= self.len {
-                return Err(fail("top-k index out of range"));
+                return Err(malformed("top-k index out of range"));
             }
             if idx < floor {
-                return Err(fail("top-k indices must be strictly ascending"));
+                return Err(malformed("top-k indices must be strictly ascending"));
             }
             floor = idx + 1;
             visit(idx, quant);
@@ -978,165 +1031,34 @@ impl V2Frame<'_> {
         Ok(())
     }
 
-    /// Structural validation of the indices alone — what a hop runs, so it
-    /// rejects exactly the frames a decoder would.
-    fn check_indices(&self) -> Result<(), ProxyError> {
-        self.for_each_kept(|_, _| {})
+    /// Structural validation without the value work: rejects exactly the
+    /// frames [`LayerFrame::decode`] would. Returns the wire version.
+    fn validate(&self) -> Result<u8, ProxyError> {
+        self.for_each_kept(|_, _| {})?;
+        Ok(self.version)
     }
-}
 
-/// Parses a v2 frame's headers and payload bounds from the front of
-/// `bytes` (which may extend past the frame). No value is dequantized and
-/// no index is read: [`V2Frame::for_each_kept`] does both.
-fn parse_v2_frame(bytes: &[u8]) -> Result<V2Frame<'_>, ProxyError> {
-    let fail = |reason: &str| ProxyError::Codec {
-        reason: reason.to_string(),
-    };
-    // Sentinel and version were checked by `detect_layer_version`.
-    if bytes.len() < V2_DENSE_HEADER {
-        return Err(fail("v2 header truncated"));
+    /// The layer's values: the one f32 read, the one dequantize. A value
+    /// buffer exists only from here on — the header has passed the
+    /// `len ≤ 1024·k` and payload-bounds checks.
+    fn decode(&self) -> Result<LayerParams, ProxyError> {
+        if self.version == VERSION {
+            return Ok(LayerParams::from_values(read_f32_le_bulk(self.values)));
+        }
+        let levels = dequant_table(self.zero, self.scale);
+        let values = if self.indices.is_some() {
+            // Positions the frame dropped stay 0.0.
+            let mut values = vec![0.0f32; self.len];
+            self.for_each_kept(|idx, q| values[idx] = levels[usize::from(q)])?;
+            values
+        } else {
+            self.values
+                .iter()
+                .map(|&q| levels[usize::from(q)])
+                .collect()
+        };
+        Ok(LayerParams::from_values(values))
     }
-    let mode = bytes[5];
-    if mode != MODE_DENSE && mode != MODE_TOPK {
-        return Err(fail("unknown v2 layer mode"));
-    }
-    let len = u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-    let (k, header) = if mode == MODE_TOPK {
-        if bytes.len() < V2_TOPK_HEADER {
-            return Err(fail("v2 header truncated"));
-        }
-        let k = u32::from_be_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]) as usize;
-        if k > len {
-            return Err(fail("top-k frame keeps more values than the layer holds"));
-        }
-        // Encode-side invariant: the keep ratio is clamped to ≥ 1/1024,
-        // so every conforming frame has k ≥ ⌈len/1024⌉. Enforcing it here
-        // bounds the decode allocation by the frame's actual payload — a
-        // crafted header with a huge `len` and a tiny self-consistent `k`
-        // must be rejected before any `len`-sized buffer exists.
-        if len as u64 > 1024 * k as u64 {
-            return Err(fail(
-                "top-k frame declares more values than any keep ratio allows",
-            ));
-        }
-        (k, V2_TOPK_HEADER)
-    } else {
-        (len, V2_DENSE_HEADER)
-    };
-    let scale = f32::from_le_bytes([
-        bytes[header - 8],
-        bytes[header - 7],
-        bytes[header - 6],
-        bytes[header - 5],
-    ]);
-    let zero = f32::from_le_bytes([
-        bytes[header - 4],
-        bytes[header - 3],
-        bytes[header - 2],
-        bytes[header - 1],
-    ]);
-    let width = index_width(len);
-    // u64 frame-size arithmetic: a near-u32::MAX header must not wrap a
-    // usize computation on 32-bit targets into a "valid" smaller size.
-    let index_len64 = if mode == MODE_TOPK {
-        k as u64 * width as u64
-    } else {
-        0
-    };
-    // `k == len` for a dense frame, so `k` quant bytes covers both modes.
-    let total_len64 = header as u64 + index_len64 + k as u64;
-    if (bytes.len() as u64) < total_len64 {
-        return Err(fail("v2 layer payload truncated"));
-    }
-    // Bounded by the buffer length, so these fit in usize.
-    let index_len = index_len64 as usize;
-    let total_len = total_len64 as usize;
-    Ok(V2Frame {
-        mode,
-        len,
-        scale,
-        zero,
-        width,
-        index_bytes: &bytes[header..header + index_len],
-        quant_bytes: &bytes[header + index_len..total_len],
-        total_len,
-    })
-}
-
-/// Structurally steps over one layer frame of the given wire `version`
-/// without decoding any value, returning the frame's declared parameter
-/// count and the remaining bytes. Same rejection conditions as
-/// [`consume_layer_frame`], minus the value work.
-fn skip_layer_frame(bytes: &[u8], version: u8) -> Result<(usize, &[u8]), ProxyError> {
-    let fail = |reason: &str| ProxyError::Codec {
-        reason: reason.to_string(),
-    };
-    if version == VERSION {
-        if bytes.len() < 4 {
-            return Err(fail("layer header truncated"));
-        }
-        let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        if len == V2_SENTINEL as usize {
-            return Err(fail("v1 layer length collides with the v2 sentinel"));
-        }
-        let rest = &bytes[4..];
-        if (rest.len() as u64) < 4 * len as u64 {
-            return Err(fail("layer data truncated"));
-        }
-        return Ok((len, &rest[4 * len..]));
-    }
-    if detect_layer_version(bytes)? != VERSION_V2 {
-        return Err(fail("v2 body carries a layer without the v2 sentinel"));
-    }
-    let frame = parse_v2_frame(bytes)?;
-    frame.check_indices()?;
-    Ok((frame.len, &bytes[frame.total_len..]))
-}
-
-/// Consumes one layer frame of the given wire `version` from the front of
-/// `bytes`, returning the decoded layer and the remaining bytes.
-fn consume_layer_frame(bytes: &[u8], version: u8) -> Result<(LayerParams, &[u8]), ProxyError> {
-    let fail = |reason: &str| ProxyError::Codec {
-        reason: reason.to_string(),
-    };
-    if version == VERSION {
-        if bytes.len() < 4 {
-            return Err(fail("layer header truncated"));
-        }
-        let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        if len == V2_SENTINEL as usize {
-            // Unreachable through `decode_params` v1 (the length check
-            // below fails first) but kept explicit: a v2 frame must never
-            // be misread as a v1 layer.
-            return Err(fail("v1 layer length collides with the v2 sentinel"));
-        }
-        let rest = &bytes[4..];
-        // u64 compare first: `4·len` may wrap usize on 32-bit targets.
-        if (rest.len() as u64) < 4 * len as u64 {
-            return Err(fail("layer data truncated"));
-        }
-        let (data, rest) = rest.split_at(4 * len);
-        return Ok((LayerParams::from_values(read_f32_le_bulk(data)), rest));
-    }
-    if detect_layer_version(bytes)? != VERSION_V2 {
-        return Err(fail("v2 body carries a layer without the v2 sentinel"));
-    }
-    let frame = parse_v2_frame(bytes)?;
-    let levels = dequant_table(frame.zero, frame.scale);
-    let values = if frame.mode == MODE_DENSE {
-        frame
-            .quant_bytes
-            .iter()
-            .map(|&q| levels[usize::from(q)])
-            .collect()
-    } else {
-        // Allocated only now: the header passed the `len ≤ 1024·k` and
-        // payload-bounds checks. Positions the frame dropped stay 0.0.
-        let mut values = vec![0.0f32; frame.len];
-        frame.for_each_kept(|idx, q| values[idx] = levels[usize::from(q)])?;
-        values
-    };
-    Ok((LayerParams::from_values(values), &bytes[frame.total_len..]))
 }
 
 #[cfg(test)]
@@ -1665,6 +1587,163 @@ mod tests {
         let bytes = V2_SENTINEL.to_be_bytes();
         let err = decode_layer(&bytes).unwrap_err();
         assert!(err.to_string().contains("v2 header truncated"));
+    }
+
+    // ---- error precedence, per door ----------------------------------
+
+    /// One frame of each kind, broken once in every way that leaves its
+    /// header stage readable: `(what, body version, declared len, frame,
+    /// reason)`.
+    fn broken_frames() -> Vec<(String, u8, usize, Vec<u8>, &'static str)> {
+        let mut out = Vec::new();
+        for (kind, len, mode) in [
+            ("v1", 6, CompressionConfig::F32),
+            ("dense", 6, CompressionConfig::Int8),
+            (
+                "topk/1",
+                8,
+                CompressionConfig::Int8TopK { keep_per_1024: 512 },
+            ),
+            ("topk/2", 300, CompressionConfig::int8_top_k()),
+        ] {
+            let layer = LayerParams::from_values((0..len).map(|i| i as f32 - 2.5).collect());
+            let good = encode_layer_with(&layer, mode);
+            let version = if mode.is_f32() { VERSION } else { VERSION_V2 };
+            let mut push = |what: &str, frame: Vec<u8>, reason| {
+                out.push((format!("{kind}: {what}"), version, len, frame, reason));
+            };
+            let truncated = good[..good.len() - 1].to_vec();
+            if version == VERSION {
+                push("truncated payload", truncated, "layer data truncated");
+                continue;
+            }
+            push("truncated payload", truncated, "v2 layer payload truncated");
+            let mut bad = good.clone();
+            bad[5] = 9;
+            push("unknown mode", bad, "unknown v2 layer mode");
+            if mode == CompressionConfig::Int8 {
+                continue;
+            }
+            let width = index_width(len);
+            let (first, second) = (V2_TOPK_HEADER, V2_TOPK_HEADER + width);
+            let mut bad = good.clone();
+            for i in 0..width {
+                bad.swap(first + i, second + i);
+            }
+            push(
+                "out-of-order index",
+                bad,
+                "top-k indices must be strictly ascending",
+            );
+            let mut bad = good.clone();
+            bad[first..second].copy_from_slice(&(len as u32).to_be_bytes()[4 - width..]);
+            push("out-of-range index", bad, "top-k index out of range");
+        }
+        out
+    }
+
+    fn one_layer_body(version: u8, frame: &[u8]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.put_u32(MAGIC);
+        body.put_u8(version);
+        body.put_u32(1);
+        body.extend_from_slice(frame);
+        body
+    }
+
+    fn codec_error(reason: &str) -> ProxyError {
+        ProxyError::Codec {
+            reason: reason.to_string(),
+        }
+    }
+
+    #[test]
+    fn a_missized_frame_is_reported_before_a_malformed_one_but_a_malformed_body_first() {
+        for (what, version, len, frame, reason) in broken_frames() {
+            // The layer doors pin the header first …
+            let mismatch = ProxyError::SignatureMismatch {
+                expected: vec![len + 1],
+                actual: vec![len],
+            };
+            assert_eq!(
+                decode_layer_expecting(&frame, len + 1),
+                Err(mismatch.clone()),
+                "{what}"
+            );
+            assert_eq!(
+                validate_layer_frame_expecting(&frame, len + 1),
+                Err(mismatch),
+                "{what}"
+            );
+            // … and report the malformation once the length agrees;
+            assert_eq!(
+                decode_layer_expecting(&frame, len),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+            assert_eq!(
+                validate_layer_frame_expecting(&frame, len),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+            // the params door reports structure first, as its doc says.
+            assert_eq!(
+                decode_params_expecting(&one_layer_body(version, &frame), &[len + 1]),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_door_gives_the_same_reason_for_a_malformed_frame() {
+        let v1 = encode_layer(&LayerParams::from_values(vec![1.0, 2.0]));
+        let dense = encode_layer_with(
+            &LayerParams::from_values(vec![1.0, 2.0]),
+            CompressionConfig::Int8,
+        );
+        let mut cases = broken_frames();
+        let mut push = |what: &str, version, frame: &[u8], reason| {
+            cases.push((what.to_string(), version, 2, frame.to_vec(), reason));
+        };
+        push(
+            "v1: header truncated",
+            VERSION,
+            &v1[..2],
+            "layer header truncated",
+        );
+        push(
+            "v2: header truncated",
+            VERSION_V2,
+            &dense[..12],
+            "v2 header truncated",
+        );
+        for (what, version, _, frame, reason) in cases {
+            assert_eq!(decode_layer(&frame), Err(codec_error(reason)), "{what}");
+            assert_eq!(
+                validate_layer_frame(&frame),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+            assert_eq!(
+                decode_params(&one_layer_body(version, &frame)),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+        }
+        // Trailing bytes are about the end of the buffer, so the body has
+        // its own message for them.
+        for (version, good) in [(VERSION, v1), (VERSION_V2, dense)] {
+            let mut frame = good;
+            frame.push(0);
+            let reason = "trailing bytes after layer data";
+            assert_eq!(decode_layer(&frame), Err(codec_error(reason)));
+            assert_eq!(validate_layer_frame(&frame), Err(codec_error(reason)));
+            assert_eq!(
+                decode_params(&one_layer_body(version, &frame)),
+                Err(codec_error("trailing bytes after last layer"))
+            );
+        }
     }
 
     #[test]

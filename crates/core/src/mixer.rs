@@ -190,7 +190,8 @@ impl MixPlan {
         })
     }
 
-    /// Applies the plan: `out[i].layer[l] = updates[assignments[l][i]].layer[l]`.
+    /// Applies the plan: `out[i].layer[l] = updates[assignments[l][i]].layer[l]`
+    /// — [`MixPlan::apply_owned`] over cloned layers.
     ///
     /// # Errors
     ///
@@ -198,35 +199,21 @@ impl MixPlan {
     /// not match the plan, or [`ProxyError::SignatureMismatch`] if the
     /// updates disagree on layer structure.
     pub fn apply(&self, updates: &[ModelParams]) -> Result<Vec<ModelParams>, ProxyError> {
+        // Ahead of `apply_owned`'s own count check: the signature check in
+        // between would answer an empty slice with `need: 1`.
         if updates.len() != self.participants {
             return Err(ProxyError::InsufficientUpdates {
                 have: updates.len(),
                 need: self.participants,
             });
         }
-        let signature = check_common_signature(updates)?;
-        if signature.len() != self.assignments.len() {
-            return Err(ProxyError::SignatureMismatch {
-                expected: vec![self.assignments.len()],
-                actual: vec![signature.len()],
-            });
-        }
-        Ok((0..self.participants)
-            .map(|i| {
-                ModelParams::from_layers(
-                    self.assignments
-                        .iter()
-                        .enumerate()
-                        .map(|(l, col)| {
-                            updates[col[i]]
-                                .layer(l)
-                                .expect("signature verified")
-                                .clone()
-                        })
-                        .collect(),
-                )
-            })
-            .collect())
+        check_common_signature(updates)?;
+        let rows = updates
+            .iter()
+            .map(|u| u.iter().cloned().collect())
+            .collect();
+        let mixed = self.apply_owned(rows)?;
+        Ok(mixed.into_iter().map(ModelParams::from_layers).collect())
     }
 
     /// Applies the plan to opaque per-item rows, consuming them.

@@ -11,9 +11,6 @@ pub struct EnclaveConfig {
     pub code_identity: Vec<u8>,
     /// Usable EPC bytes. Defaults to the paper's 96 MiB.
     pub epc_limit: usize,
-    /// Whether the enclave may page past the EPC limit (SGX2 dynamic
-    /// memory) instead of failing allocations.
-    pub allow_paging: bool,
 }
 
 impl Default for EnclaveConfig {
@@ -21,7 +18,6 @@ impl Default for EnclaveConfig {
         EnclaveConfig {
             code_identity: b"mixnn proxy enclave v1".to_vec(),
             epc_limit: crate::memory::DEFAULT_USABLE_EPC,
-            allow_paging: false,
         }
     }
 }
@@ -75,16 +71,11 @@ impl Enclave {
         // a man in the middle cannot substitute its own key.
         let report_data = mixnn_crypto::sha256::digest(keypair.public().as_bytes());
         let quote = attestation.issue_quote(measurement, &report_data);
-        let memory = if config.allow_paging {
-            EpcBudget::paging(config.epc_limit)
-        } else {
-            EpcBudget::strict(config.epc_limit)
-        };
         Enclave {
             keypair,
             measurement,
             quote,
-            memory,
+            memory: EpcBudget::strict(config.epc_limit),
         }
     }
 

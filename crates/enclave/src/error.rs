@@ -5,7 +5,7 @@ use std::fmt;
 /// Error type for enclave operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnclaveError {
-    /// An allocation would exceed the usable EPC and paging is disabled.
+    /// An allocation would exceed the usable EPC.
     MemoryExhausted {
         /// Bytes requested by the allocation.
         requested: usize,

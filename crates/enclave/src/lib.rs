@@ -6,8 +6,8 @@
 //!
 //! * **EPC memory budget** — "only 96 MB out of the 128 reserved for the
 //!   enclave can be used by applications"; exceeding it forces expensive
-//!   encrypted paging. [`EpcBudget`] enforces exactly that arithmetic and
-//!   counts paging events.
+//!   encrypted paging, which the proxy never does. [`EpcBudget`] enforces
+//!   exactly that arithmetic: an allocation past the limit fails.
 //! * **Attestation** — enclaves prove the code they run ([`Measurement`],
 //!   [`Quote`], [`AttestationService`]); participants only provision their
 //!   updates after verifying the quote.

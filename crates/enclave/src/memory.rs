@@ -7,9 +7,9 @@
 //! 51.3 MB for the 3-conv one) against that limit.
 //!
 //! [`EpcBudget`] reproduces the arithmetic: allocations up to the usable
-//! limit succeed in "fast" EPC; beyond it they either fail (strict mode) or
-//! succeed while counting *paging events* whose cost shows up in the
-//! §6.5-style benches.
+//! limit succeed in "fast" EPC; beyond it they fail. A budget is strict —
+//! nothing this workspace runs pages, so [`MemoryStats`]' two paging fields
+//! read 0.
 //!
 //! The accounting is **thread-safe**: [`EpcBudget::allocate`] and
 //! [`EpcBudget::free`] take `&self` and update lock-free atomics, and an
@@ -17,7 +17,7 @@
 //! fails without changing any counter.
 
 use crate::EnclaveError;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Usable EPC bytes in the paper's SGX generation (96 MiB of the 128
 /// reserved).
@@ -32,24 +32,18 @@ pub struct MemoryStats {
     pub limit: usize,
     /// Highest allocation watermark observed.
     pub high_water: usize,
-    /// Number of allocations that spilled past the limit (paging events).
+    /// Allocations that spilled past the limit: always 0, a budget is
+    /// strict. Kept because the golden digests and the repo benchmark read
+    /// it.
     pub paging_events: u64,
-    /// Bytes currently paged out to (encrypted) untrusted memory.
+    /// Bytes paged out to untrusted memory: always 0, as above.
     pub paged_out: usize,
-}
-
-impl MemoryStats {
-    /// Fraction of the usable EPC currently occupied (can exceed 1.0 when
-    /// paging).
-    pub fn utilization(&self) -> f64 {
-        self.allocated as f64 / self.limit as f64
-    }
 }
 
 /// Allocation accounting for a (simulated) enclave.
 ///
 /// All counters are atomics, so a shared `&EpcBudget` can be charged from
-/// many threads at once; a strict budget still never over-commits because
+/// many threads at once; the budget still never over-commits because
 /// the headroom check and the counter update commit in one compare-exchange.
 ///
 /// # Example
@@ -70,8 +64,6 @@ pub struct EpcBudget {
     limit: usize,
     allocated: AtomicUsize,
     high_water: AtomicUsize,
-    paging_events: AtomicU64,
-    allow_paging: bool,
 }
 
 impl Clone for EpcBudget {
@@ -80,8 +72,6 @@ impl Clone for EpcBudget {
             limit: self.limit,
             allocated: AtomicUsize::new(self.allocated.load(Ordering::Acquire)),
             high_water: AtomicUsize::new(self.high_water.load(Ordering::Acquire)),
-            paging_events: AtomicU64::new(self.paging_events.load(Ordering::Acquire)),
-            allow_paging: self.allow_paging,
         }
     }
 }
@@ -94,38 +84,21 @@ impl EpcBudget {
             limit,
             allocated: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
-            paging_events: AtomicU64::new(0),
-            allow_paging: false,
         }
-    }
-
-    /// Budget that **pages** beyond `limit` bytes, counting the events
-    /// (models SGX2 dynamic memory with its sealing/unsealing overhead).
-    pub fn paging(limit: usize) -> Self {
-        EpcBudget {
-            allow_paging: true,
-            ..Self::strict(limit)
-        }
-    }
-
-    /// The paper's default: strict 96 MiB usable EPC.
-    pub fn paper_default() -> Self {
-        Self::strict(DEFAULT_USABLE_EPC)
     }
 
     /// Records an allocation of `bytes`.
     ///
     /// # Errors
     ///
-    /// In strict mode, returns [`EnclaveError::MemoryExhausted`] when the
-    /// allocation would exceed the limit; in paging mode the allocation
-    /// succeeds and a paging event is counted instead. A failed allocation
-    /// never changes the accounting, even under concurrency.
+    /// Returns [`EnclaveError::MemoryExhausted`] when the allocation would
+    /// exceed the limit. A failed allocation never changes the accounting,
+    /// even under concurrency.
     pub fn allocate(&self, bytes: usize) -> Result<(), EnclaveError> {
         let mut current = self.allocated.load(Ordering::Acquire);
         loop {
             let new_total = current.saturating_add(bytes);
-            if new_total > self.limit && !self.allow_paging {
+            if new_total > self.limit {
                 return Err(EnclaveError::MemoryExhausted {
                     requested: bytes,
                     available: self.limit.saturating_sub(current),
@@ -139,9 +112,6 @@ impl EpcBudget {
             ) {
                 Ok(_) => {
                     self.high_water.fetch_max(new_total, Ordering::AcqRel);
-                    if new_total > self.limit {
-                        self.paging_events.fetch_add(1, Ordering::AcqRel);
-                    }
                     return Ok(());
                 }
                 Err(observed) => current = observed,
@@ -178,17 +148,14 @@ impl EpcBudget {
         }
     }
 
-    /// Current usage snapshot. `paged_out` is derived from `allocated`
-    /// (bytes past the limit) rather than stored, so it can never race out
-    /// of sync with the allocation counter.
+    /// Current usage snapshot.
     pub fn stats(&self) -> MemoryStats {
-        let allocated = self.allocated.load(Ordering::Acquire);
         MemoryStats {
-            allocated,
+            allocated: self.allocated.load(Ordering::Acquire),
             limit: self.limit,
             high_water: self.high_water.load(Ordering::Acquire),
-            paging_events: self.paging_events.load(Ordering::Acquire),
-            paged_out: allocated.saturating_sub(self.limit),
+            paging_events: 0,
+            paged_out: 0,
         }
     }
 
@@ -198,7 +165,7 @@ impl EpcBudget {
             .saturating_sub(self.allocated.load(Ordering::Acquire))
     }
 
-    /// Whether an allocation of `bytes` would fit without paging.
+    /// Whether an allocation of `bytes` would fit.
     pub fn fits(&self, bytes: usize) -> bool {
         bytes <= self.available()
     }
@@ -225,19 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn paging_mode_counts_events() {
-        let epc = EpcBudget::paging(100);
-        epc.allocate(80).unwrap();
-        epc.allocate(50).unwrap();
-        let stats = epc.stats();
-        assert_eq!(stats.allocated, 130);
-        assert_eq!(stats.paging_events, 1);
-        assert_eq!(stats.paged_out, 30);
-        epc.free(50).unwrap();
-        assert_eq!(epc.stats().paged_out, 0);
-    }
-
-    #[test]
     fn high_water_tracks_peak() {
         let epc = EpcBudget::strict(100);
         epc.allocate(70).unwrap();
@@ -258,7 +212,7 @@ mod tests {
 
     #[test]
     fn paper_default_is_96_mib() {
-        let epc = EpcBudget::paper_default();
+        let epc = EpcBudget::strict(DEFAULT_USABLE_EPC);
         assert_eq!(epc.stats().limit, 96 * 1024 * 1024);
     }
 
@@ -273,20 +227,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_fraction() {
-        let epc = EpcBudget::strict(200);
-        epc.allocate(50).unwrap();
-        assert!((epc.stats().utilization() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn clone_snapshots_counters() {
-        let epc = EpcBudget::paging(100);
+        let epc = EpcBudget::strict(200);
         epc.allocate(120).unwrap();
         let snap = epc.clone();
         epc.free(120).unwrap();
         assert_eq!(snap.stats().allocated, 120);
-        assert_eq!(snap.stats().paging_events, 1);
+        assert_eq!(snap.stats().high_water, 120);
         assert_eq!(epc.stats().allocated, 0);
     }
 

@@ -50,12 +50,6 @@ impl Dissemination {
             Dissemination::PerClient(map) => map.get(&client_id),
         }
     }
-
-    /// Whether this dissemination deviates from the honest broadcast
-    /// protocol.
-    pub fn is_protocol_abuse(&self) -> bool {
-        matches!(self, Dissemination::PerClient(_))
-    }
 }
 
 #[cfg(test)]
@@ -85,13 +79,11 @@ mod tests {
     fn dissemination_lookup() {
         let b = Dissemination::Broadcast(params(&[1.0]));
         assert!(b.model_for(42).is_some());
-        assert!(!b.is_protocol_abuse());
 
         let mut map = HashMap::new();
         map.insert(1usize, params(&[2.0]));
         let p = Dissemination::PerClient(map);
         assert!(p.model_for(1).is_some());
         assert!(p.model_for(2).is_none());
-        assert!(p.is_protocol_abuse());
     }
 }

@@ -351,11 +351,6 @@ impl SimNet {
         popped
     }
 
-    /// Packets currently queued for [`SimNet::recv`] at `node`.
-    pub fn rx_len(&self, node: usize) -> usize {
-        self.nodes[node].rx.len()
-    }
-
     /// Re-arms every stalled link into `node` (in deterministic key
     /// order); each re-checks credit when its `TxReady` fires.
     fn release_stalled_into(&mut self, node: usize) {
@@ -378,12 +373,6 @@ impl SimNet {
     /// Virtual time of the next pending event, if any.
     pub fn next_event_ns(&self) -> Option<u64> {
         self.events.peek().map(|Reverse(e)| e.time_ns)
-    }
-
-    /// Whether no events are pending (nothing more can arrive without a
-    /// new send).
-    pub fn idle(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Processes the next event, advancing the clock to it. Returns
@@ -592,7 +581,6 @@ mod tests {
         }
         net.run_until_idle();
         // Only one packet could be delivered; the link is stalled.
-        assert_eq!(net.rx_len(b), 1);
         assert_eq!(net.peak_recv_queue(b), 1);
         // recv frees a credit; the stalled link resumes.
         assert_eq!(net.recv(b).unwrap().1.tag, 0);

@@ -216,12 +216,6 @@ impl Sequential {
     pub fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()
     }
-
-    /// Serialized size in bytes of one parameter update for this model
-    /// (4 bytes per scalar) — used by the §6.5 memory accounting.
-    pub fn update_size_bytes(&self) -> usize {
-        self.num_parameters() * std::mem::size_of::<f32>()
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +246,6 @@ mod tests {
         assert_eq!(m.num_trainable_layers(), 2);
         assert_eq!(m.num_parameters(), 2 * 8 + 8 + 8 * 2 + 2);
         assert_eq!(m.signature(), vec![24, 18]);
-        assert_eq!(m.update_size_bytes(), (24 + 18) * 4);
     }
 
     #[test]

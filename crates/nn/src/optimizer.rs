@@ -116,13 +116,6 @@ impl Adam {
             moments: HashMap::new(),
         }
     }
-
-    /// Resets all moment state (used when a fresh global model arrives in a
-    /// new federated round, mirroring a fresh TF optimizer per round).
-    pub fn reset(&mut self) {
-        self.t = 0;
-        self.moments.clear();
-    }
 }
 
 impl Optimizer for Adam {
@@ -212,19 +205,6 @@ mod tests {
             opt.advance();
         }
         assert!((p[0] - 3.0).abs() < 0.05, "converged to {}", p[0]);
-    }
-
-    #[test]
-    fn adam_reset_clears_state() {
-        let mut opt = Adam::new(0.01);
-        let mut p = vec![0.0f32];
-        opt.step(0, &mut p, &[1.0]);
-        opt.advance();
-        opt.reset();
-        let mut q = vec![0.0f32];
-        opt.step(0, &mut q, &[1.0]);
-        // After reset the step must equal a fresh optimizer's first step.
-        assert!((q[0] - p[0]).abs() < 1e-7);
     }
 
     #[test]

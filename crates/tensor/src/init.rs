@@ -36,12 +36,6 @@ pub fn glorot_uniform<R: Rng + ?Sized>(
     Tensor::rand_uniform(dims, -a, a, rng)
 }
 
-/// He (Kaiming) normal initialisation: `N(0, sqrt(2 / fan_in))`.
-pub fn he_normal<R: Rng + ?Sized>(fan_in: usize, dims: Vec<usize>, rng: &mut R) -> Tensor {
-    let std = (2.0 / fan_in.max(1) as f32).sqrt();
-    Tensor::randn(dims, 0.0, std, rng)
-}
-
 /// Zero initialisation, conventionally used for biases.
 pub fn zeros(dims: Vec<usize>) -> Tensor {
     Tensor::zeros(dims)
@@ -68,18 +62,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let w = glorot_uniform(0, 0, vec![4], &mut rng);
         assert!(w.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn he_normal_std_is_plausible() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let fan_in = 128;
-        let w = he_normal(fan_in, vec![40_000], &mut rng);
-        let expected_std = (2.0 / fan_in as f32).sqrt();
-        let mean = w.mean();
-        let var = w.map(|v| v * v).mean() - mean * mean;
-        assert!(mean.abs() < 0.01);
-        assert!((var.sqrt() - expected_std).abs() / expected_std < 0.1);
     }
 
     #[test]

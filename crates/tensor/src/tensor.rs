@@ -239,35 +239,6 @@ impl Tensor {
         &self.data[i * c..(i + 1) * c]
     }
 
-    /// Returns a new 2-D tensor consisting of the given rows (by index) of a
-    /// 2-D tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if any row index is out of
-    /// range, or [`TensorError::IncompatibleMatmul`] if the tensor is not
-    /// 2-D.
-    pub fn select_rows(&self, rows: &[usize]) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::IncompatibleMatmul {
-                left: self.dims().to_vec(),
-                right: self.dims().to_vec(),
-            });
-        }
-        let c = self.dims()[1];
-        let mut data = Vec::with_capacity(rows.len() * c);
-        for &r in rows {
-            if r >= self.dims()[0] {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: vec![r],
-                    shape: self.dims().to_vec(),
-                });
-            }
-            data.extend_from_slice(self.row(r));
-        }
-        Tensor::from_vec(vec![rows.len(), c], data)
-    }
-
     // ---------------------------------------------------------------------
     // Element-wise operations
     // ---------------------------------------------------------------------
@@ -494,29 +465,6 @@ impl Tensor {
             .ok_or(TensorError::EmptyTensor)
     }
 
-    /// Index of the maximum element in each row of a 2-D tensor.
-    ///
-    /// Ties resolve to the first maximal index, matching common argmax
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleMatmul`] if the tensor is not 2-D.
-    pub fn argmax_rows(&self) -> Result<Vec<usize>, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::IncompatibleMatmul {
-                left: self.dims().to_vec(),
-                right: self.dims().to_vec(),
-            });
-        }
-        Ok((0..self.dims()[0])
-            .map(|i| {
-                let row = self.row(i);
-                crate::vecmath::argmax(row)
-            })
-            .collect())
-    }
-
     /// Frobenius (L2) norm of the whole tensor.
     pub fn norm(&self) -> f32 {
         crate::vecmath::norm(&self.data)
@@ -674,22 +622,6 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert_eq!(t.max().unwrap(), 4.0);
-        assert_eq!(t.argmax_rows().unwrap(), vec![1, 1]);
-    }
-
-    #[test]
-    fn argmax_prefers_first_on_ties() {
-        let t = Tensor::from_vec(vec![1, 3], vec![5., 5., 1.]).unwrap();
-        assert_eq!(t.argmax_rows().unwrap(), vec![0]);
-    }
-
-    #[test]
-    fn select_rows_works_and_validates() {
-        let t = Tensor::from_vec(vec![3, 2], vec![0., 1., 2., 3., 4., 5.]).unwrap();
-        let s = t.select_rows(&[2, 0]).unwrap();
-        assert_eq!(s.dims(), &[2, 2]);
-        assert_eq!(s.data(), &[4., 5., 0., 1.]);
-        assert!(t.select_rows(&[3]).is_err());
     }
 
     #[test]

@@ -61,18 +61,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// `y ← y + alpha * x` (BLAS `axpy`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Scales a slice in place by `alpha`.
 pub fn scale(alpha: f32, x: &mut [f32]) {
     for v in x.iter_mut() {
@@ -293,10 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut y = vec![1., 1., 1.];
-        axpy(2.0, &[1., 2., 3.], &mut y);
-        assert_eq!(y, vec![3., 5., 7.]);
+    fn scale_in_place() {
+        let mut y = vec![3., 5., 7.];
         scale(0.5, &mut y);
         assert_eq!(y, vec![1.5, 2.5, 3.5]);
     }

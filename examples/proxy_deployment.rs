@@ -150,7 +150,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hop_configs[1].enclave = EnclaveConfig {
             epc_limit: 1024, // far below one round's onion footprint
             code_identity: mixnn::cascade::HOP_CODE_IDENTITY.to_vec(),
-            allow_paging: false,
         };
         let mut degraded = CascadeCoordinator::launch(
             CascadeConfig {
