@@ -3,6 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_crypto::chacha20;
 use mixnn_crypto::hmac::hmac_sha256;
+use mixnn_crypto::poly1305;
 use mixnn_crypto::sha256;
 use mixnn_crypto::x25519;
 use mixnn_crypto::{KeyPair, SealedBox};
@@ -69,6 +70,26 @@ fn bench_chacha20_tiers(c: &mut Criterion) {
             group.throughput(Throughput::Bytes(size as u64));
             group.bench_with_input(BenchmarkId::new(tier, size), &size, |b, _| {
                 b.iter(|| kernel(&key, &nonce, 0, &mut buf));
+            });
+        }
+    }
+    group.finish();
+}
+
+/// One row per Poly1305 tier the host supports, at the sizes of
+/// [`bench_chacha20_tiers`]: what the envelope's MAC costs per byte,
+/// beside the keystream rows and `primitives/hmac_sha256/64KiB` — the MAC
+/// it replaced.
+fn bench_poly1305_tiers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto/poly1305");
+    configure(&mut group);
+    let key = [7u8; 32];
+    for (tier, kernel) in poly1305::kernels() {
+        for &size in &[1024usize, 23_048, 2_097_152] {
+            let message = vec![0xa5u8; size];
+            group.throughput(Throughput::Bytes(size as u64));
+            group.bench_with_input(BenchmarkId::new(tier, size), &size, |b, _| {
+                b.iter(|| kernel(&key, &message));
             });
         }
     }
@@ -154,6 +175,7 @@ criterion_group!(
     benches,
     bench_primitives,
     bench_chacha20_tiers,
+    bench_poly1305_tiers,
     bench_sealed_box,
     bench_open_batch,
     bench_onion_prepare

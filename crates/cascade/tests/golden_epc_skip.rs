@@ -73,5 +73,5 @@ skip_epc_starved_hop1 3a0a31d851ed2f8517f6dbab40019f00968464b286370583e9c580ddd6
 
 /// Framing-dependent: re-recorded with the wire format.
 const GOLDEN_WIRE: &str = "\
-skip_epc_starved_hop1 c00b46b8a3c65e4bae9be61aeb1c003b2116bbbd3dad8ceb57e026e1cb2511d0
+skip_epc_starved_hop1 111d4dc2966836ae3c6496fb259b1fb7002df95f19bff5341c59cd877790adef
 ";

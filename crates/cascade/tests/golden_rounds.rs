@@ -277,17 +277,17 @@ skip_link_hop2_to_server 244e8c215c702e8a4539d9ae5ff51ef61ffa1873e3212274b1ceec5
 
 /// Framing-dependent: re-recorded with the wire format.
 const GOLDEN_WIRE: &str = "\
-linear1_f32 44f94b4ed2a4dcf7644d67e89b3edc898bc68fd355810e5da9697bb3d18d57f6
-linear2_f32 9a0d1a3020339612bf9e83f3efc7a9a1eeec16eac86554612d55990c949f2329
-linear3_f32 5bec0ef0e6d1a6aa0683b6b75c423bb5c67e6a717927c7aa78428f27e1523aff
-linear4_f32 84dab527251e45bcc73c340fa1f0849938347f8ec1453ade55162b94eff275d6
-stratified4x2_f32 ed009cdf707df077194a7d353e7af25f27a64ee6894db45fb518de3913092705
-free_route4_f32 44bffe3342704acf2da6a507f79d929cac96938a6bb53e7d1e51a66b0f316a19
-linear3_int8 dd1dedf6c0577497d01c8ea2c8816adc2487ebd6cc57cbb2292c0b8ea53bd912
-linear3_int8_topk f1e026b9371212186ee4f7228759848f8bf0610dff1c71ed274ad08e253fa0c5
-padded_free_route3_f32 9bb40836cdf0cd3e885e01d21351603ac9e5456175f50f23c9910e9d905d5941
-padded_stratified2x2_int8_topk a71e77d52925130e8de2946521c1f54d410679c1813ca42f78b3a8d2e9cfe6f2
-skip_link_into_hop1 8d2215410585e7eff85970f371a7dae2f00bcaa8393defa74cd91b1af80eb03e
-skip_hop1_rejects_tampered_onion ff83e4df7ba3460094235042f344c36d414053490407ba4e71265f2476b04fcb
-skip_link_hop2_to_server 05aec9bed9c95984ff2819e26a05fdd9526f6cd64d379433fdeb92dd09bdac24
+linear1_f32 0cdd6472177fc913004ef330e8aef4e970e55619f05286b02f62a8d09e9840df
+linear2_f32 edda5c16622cfe8cec7181b89d9d73df428c3adbff58310f17de1aec9d08824e
+linear3_f32 a6eafdf7ab005bacfeebca2460b76810f2d6c621e323d76c3c0757ef68d1b244
+linear4_f32 dd845b1cd1f354493899578eec4fdd58bea1ad5f2e8b4933b1be1b9ec76c26ee
+stratified4x2_f32 797b9ebc511b1e5c8b9ddb0ac7db7340406e82e2a3e05a07f214faf39bf4309b
+free_route4_f32 c9e4f6edcd6dc5ad55abbb28e51737e62f9e1be4f43856a3b1271f96f595b66a
+linear3_int8 02827e04cb2d7b9e9f49e8c6df36ca2ea9b80fb7ddc56785159ec45136592bc6
+linear3_int8_topk bcf3ee5b5ee46cf192e057ea5c2a93f6512fb0633296296ab8b3e54049d7a2ec
+padded_free_route3_f32 3aae8327c3a64705a2cda4299b10900063e08632328f9e19b02957946a352b0d
+padded_stratified2x2_int8_topk 9d5d134b942a7ab24c81687596c18ae80896a2de2726bd81df00be935a00f0a1
+skip_link_into_hop1 7efaeac9145c796abb9e5a2f6aa1fb290edf6178936a79cc2bdd0aad1e5165ce
+skip_hop1_rejects_tampered_onion 8c6c554bd991fa766c58414e3f377ec14ebda1ea65e4d5e502f66ae89101d905
+skip_link_hop2_to_server 681318fefefcd159540ffa982d5200fd6735fcd3fba8014a736b7dbda8df28ed
 ";

@@ -36,7 +36,7 @@ use mixc::{frame, reference_decode, requested, Frame, ENTRY, HEADER_LEN, INNER};
 use mixnn_cascade::{CascadeError, CascadeHop, CascadeHopConfig, OnionUpdate, HOP_CODE_IDENTITY};
 use mixnn_core::codec::{self, CompressionConfig};
 use mixnn_core::ProxyError;
-use mixnn_crypto::sealed_box::OVERHEAD;
+use mixnn_crypto::sealed_box::{plaintext_len, OVERHEAD};
 use mixnn_crypto::{CryptoError, KeyPair, PublicKey, SealedBox};
 use mixnn_enclave::{AttestationService, EnclaveConfig, EnclaveError, EpcBudget};
 use mixnn_nn::{LayerParams, ModelParams};
@@ -297,13 +297,7 @@ fn reference_decrypt(
     hop: &KeyPair,
     epc: &EpcBudget,
 ) -> Result<Vec<u8>, EnclaveError> {
-    let plaintext_len = sealed
-        .len()
-        .checked_sub(OVERHEAD)
-        .ok_or(EnclaveError::Crypto(CryptoError::BadLength {
-            expected: "at least 64 bytes",
-            actual: sealed.len(),
-        }))?;
+    let plaintext_len = plaintext_len(sealed.len()).map_err(EnclaveError::Crypto)?;
     epc.allocate(plaintext_len)?;
     let opened = SealedBox::open(sealed, hop);
     epc.free(plaintext_len).unwrap();

@@ -478,6 +478,7 @@ impl MixnnProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mixnn_crypto::sealed_box::OVERHEAD as SEAL_OVERHEAD;
     use mixnn_crypto::SealedBox;
     use mixnn_nn::LayerParams;
     use rand::rngs::StdRng;
@@ -676,7 +677,9 @@ mod tests {
             let mut sealed: Vec<Vec<u8>> = (0..21)
                 .map(|i| seal(&batched, &params(i), &mut rng))
                 .collect();
-            sealed[5] = vec![0u8; 80];
+            // Garbage with a 16-byte body: small enough for the tight
+            // budget to charge, so it fails as a forgery, not on EPC.
+            sealed[5] = vec![0u8; SEAL_OVERHEAD + 16];
 
             let render = |r: Result<Option<ModelParams>, ProxyError>| match r {
                 Ok(out) => format!("ok {out:?}"),
@@ -704,7 +707,7 @@ mod tests {
             });
             assert_eq!(
                 batched.stats().bytes_rejected,
-                80 + exhausted as u64 * sealed[0].len() as u64
+                sealed[5].len() as u64 + exhausted as u64 * sealed[0].len() as u64
             );
             assert_eq!(batched.memory_stats(), looped.memory_stats());
             assert_eq!(batched.flush().unwrap(), looped.flush().unwrap());

@@ -19,12 +19,20 @@ use mixnn_core::codec::{self, CompressionConfig};
 use mixnn_core::{
     MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, ProxyError, TransportMode,
 };
+use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::sha256::Sha256;
 use mixnn_crypto::SealedBox;
 use mixnn_enclave::{AttestationService, EnclaveConfig};
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The sealed-box header when `GOLDEN_ROUND` was recorded. The proxy's
+/// byte counters enter the digest as envelopes with that header would
+/// have counted them, so a change of the header alone — every envelope
+/// shorter or longer by the same amount — leaves the table unedited while
+/// any other change of what is counted still moves it.
+const RECORDED_OVERHEAD: u64 = 64;
 
 const SIGNATURE: &[usize] = &[6, 4, 2];
 /// Large enough for top-k to drop values and int8 to quantise visibly.
@@ -74,12 +82,17 @@ impl Golden {
     /// is pinned.
     fn proxy(&mut self, proxy: &MixnnProxy, with_high_water: bool) {
         let s = proxy.stats();
+        let as_recorded = |bytes: u64, envelopes: u64| {
+            bytes + envelopes * RECORDED_OVERHEAD - envelopes * OVERHEAD as u64
+        };
         for v in [
             s.updates_received,
             s.updates_forwarded,
             s.updates_rejected,
-            s.bytes_received,
-            s.bytes_rejected,
+            // Received bytes count every envelope, received updates only
+            // the committed ones.
+            as_recorded(s.bytes_received, s.updates_received + s.updates_rejected),
+            as_recorded(s.bytes_rejected, s.updates_rejected),
         ] {
             self.u64(v);
         }

@@ -26,7 +26,9 @@
 //!
 //! The 32-bit block counter is a hard limit, not a wrapping one: asking
 //! for keystream past block `u32::MAX` (256 GiB under one key/nonce)
-//! panics instead of silently reusing blocks.
+//! panics instead of silently reusing blocks. The sealed box spends
+//! block 0 on its one-time Poly1305 key (RFC 8439 §2.6) and encrypts the
+//! payload from block 1.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -712,6 +714,9 @@ mod tests {
     /// and lane 0 of every wide kernel, not only out of the scalar tail.
     #[test]
     fn rfc8439_vectors_hold_on_every_tier() {
+        // Shown by CI (`--nocapture`): a runner without the wide tiers
+        // says it pinned only the scalar twin.
+        println!("chacha20 tiers exercised: {:?}", Tier::supported());
         let key: [u8; 32] = (0..32u8).collect::<Vec<_>>().try_into().unwrap();
         let block_nonce: [u8; 12] = unhex("000000090000004a00000000").try_into().unwrap();
         let block = unhex(
@@ -809,7 +814,8 @@ mod tests {
 
     /// A cipher driven in several calls ends in the same state on every
     /// tier: splitting a buffer at pass-size multiples gives the whole
-    /// buffer's keystream (what chunked encrypt-then-MAC relies on).
+    /// buffer's keystream (what the sealed box relies on: block 0 for
+    /// the one-time MAC key, then the payload from block 1).
     #[test]
     fn split_calls_continue_the_keystream_on_every_tier() {
         let key = [0x11u8; 32];

@@ -9,7 +9,7 @@ pub enum CryptoError {
     AuthenticationFailed,
     /// Input had an invalid length for the operation.
     BadLength {
-        /// What the operation expected, e.g. `"at least 64 bytes"`.
+        /// What the operation expected, e.g. `"at least 48 bytes"`.
         expected: &'static str,
         /// Length actually supplied.
         actual: usize,

@@ -1,12 +1,14 @@
 //! HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869).
 //!
-//! HMAC authenticates sealed-box ciphertexts (encrypt-then-MAC); HKDF
-//! derives the per-message ChaCha20 key and nonce from the X25519 shared
-//! secret. Validated against the RFC 4231 and RFC 5869 test vectors.
+//! HKDF derives the per-envelope ChaCha20 key and nonce from the X25519
+//! shared secret; HMAC is what HKDF is made of, and signs the enclave's
+//! attestation quotes. Neither touches an envelope's payload — that is
+//! [`crate::poly1305`]'s. Validated against the RFC 4231 and RFC 5869
+//! test vectors.
 //!
 //! [`HmacKey`] is the reusable form: the ipad/opad key blocks are
 //! absorbed into two hasher states once at construction, so every MAC
-//! under the same key (HKDF-Expand's block loop, the sealed box's three
+//! under the same key (HKDF-Expand's block loop, the sealed box's two
 //! derivations per envelope) skips two compressions — half the total for
 //! the short messages HKDF feeds it.
 
@@ -61,19 +63,16 @@ impl HmacKey {
 
     /// Computes `HMAC-SHA256(key, message)`.
     pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
-        self.mac_parts(&[message])
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        self.finish(inner)
     }
 
-    /// MACs the concatenation of `parts` without materializing it — the
-    /// sealed box authenticates `eph_pub ‖ ciphertext` this way.
-    pub fn mac_parts(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-        let mut inner = self.inner.clone();
-        for part in parts {
-            inner.update(part);
-        }
-        let inner_digest = inner.finalize();
+    /// The outer hash over a finished inner one (a clone of `self.inner`
+    /// that has absorbed the message).
+    fn finish(&self, inner: Sha256) -> [u8; DIGEST_LEN] {
         let mut outer = self.outer.clone();
-        outer.update(&inner_digest);
+        outer.update(&inner.finalize());
         outer.finalize()
     }
 }
@@ -116,7 +115,7 @@ pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], len: usize) -> Vec<u8> {
 }
 
 /// HKDF-Expand with a prebuilt PRK schedule, so several expansions from
-/// one extract (the sealed box derives three) share the key setup.
+/// one extract (the sealed box derives two) share the key setup.
 ///
 /// # Panics
 ///
@@ -138,10 +137,14 @@ pub fn hkdf_expand_into(prk: &HmacKey, info: &[u8], okm: &mut [u8]) {
     let mut t: Option<[u8; DIGEST_LEN]> = None;
     for (i, chunk) in okm.chunks_mut(DIGEST_LEN).enumerate() {
         let counter = [u8::try_from(i + 1).expect("at most 255 blocks")];
-        let block = match &t {
-            Some(prev) => prk.mac_parts(&[prev, info, &counter]),
-            None => prk.mac_parts(&[info, &counter]),
-        };
+        // T(i) = HMAC(PRK, T(i − 1) ‖ info ‖ i), absorbed part by part.
+        let mut inner = prk.inner.clone();
+        if let Some(prev) = &t {
+            inner.update(prev);
+        }
+        inner.update(info);
+        inner.update(&counter);
+        let block = prk.finish(inner);
         chunk.copy_from_slice(&block[..chunk.len()]);
         t = Some(block);
     }
@@ -253,24 +256,28 @@ mod tests {
         assert_eq!(&okm[..5], &short[..]);
     }
 
-    /// The precomputed schedule must agree with from-scratch HMAC across
-    /// key-length classes (short, block-size, hashed-down) and split
-    /// messages.
+    /// The precomputed schedule must agree with HMAC written out from
+    /// RFC 2104 — `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))` over one-shot
+    /// digests — across key-length classes (short, block-size,
+    /// hashed-down).
     #[test]
     fn hmac_key_matches_one_shot() {
         let message: Vec<u8> = (0..150u8).collect();
         for key_len in [0usize, 1, 32, 63, 64, 65, 131] {
             let key = vec![0xc3u8; key_len];
-            let schedule = HmacKey::new(&key);
+            let mut block = if key_len > BLOCK_LEN {
+                digest(&key).to_vec()
+            } else {
+                key.clone()
+            };
+            block.resize(BLOCK_LEN, 0);
+            let pad = |with: u8| block.iter().map(|b| b ^ with).collect::<Vec<u8>>();
+            let inner = digest(&[pad(0x36), message.clone()].concat());
+            let expected = digest(&[pad(0x5c), inner.to_vec()].concat());
             assert_eq!(
-                schedule.mac(&message),
-                hmac_sha256(&key, &message),
+                HmacKey::new(&key).mac(&message),
+                expected,
                 "key len {key_len}"
-            );
-            assert_eq!(
-                schedule.mac_parts(&[&message[..70], &message[70..], &[]]),
-                hmac_sha256(&key, &message),
-                "key len {key_len} (parts)"
             );
         }
     }

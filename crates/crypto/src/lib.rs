@@ -8,9 +8,14 @@
 //! * [`sha256`] — SHA-256 (FIPS 180-4),
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869),
 //! * [`chacha20`] — the ChaCha20 stream cipher (RFC 8439),
+//! * [`poly1305`] — the Poly1305 one-time authenticator and the AEAD tag
+//!   built on it (RFC 8439 §2.5, §2.8),
 //! * [`x25519`] — X25519 Diffie–Hellman over Curve25519 (RFC 7748),
 //! * [`sealed_box`] — the hybrid public-key encryption used on the wire:
-//!   ephemeral X25519 → HKDF → ChaCha20 + HMAC (encrypt-then-MAC).
+//!   ephemeral X25519 → HKDF → ChaCha20-Poly1305 with the ephemeral key
+//!   as associated data; `eph_pub (32) ‖ tag (16) ‖ ciphertext`. Every
+//!   envelope has its own ephemeral key, so the AEAD's key and nonce —
+//!   and with them the one-time Poly1305 key — never repeat.
 //!
 //! Every primitive is validated against the official test vectors in its
 //! module's tests, so measured decryption costs in the §6.5 benches are
@@ -27,11 +32,15 @@
 //!   call and dispatches at runtime to the x86-64 SHA-NI kernel when the
 //!   CPU has it ([`sha256`]);
 //! * HMAC keys precompute their ipad/opad schedule once
-//!   ([`hmac::HmacKey`]), and the sealed box derives its three keys with
-//!   a single HKDF-Extract plus three expands per envelope;
+//!   ([`hmac::HmacKey`]), and the sealed box derives its key and nonce
+//!   with a single HKDF-Extract plus two expands per envelope;
 //! * ChaCha20 generates sixteen keystream blocks per pass on AVX-512F
-//!   hosts, eight on AVX2, four in portable lanes, and XORs them into
+//!   hosts, eight on AVX2, one in portable code, and XORs them into
 //!   the buffer where it lies ([`chacha20`]);
+//! * Poly1305 absorbs eight blocks per pass over `vpmadd52` on AVX-512
+//!   IFMA hosts and one per step in portable code ([`poly1305`]) — the
+//!   per-byte cost of an envelope is the keystream's plus this, and
+//!   HMAC-SHA256 is off the payload path;
 //! * [`sealed_box::SealedBox::prepare_open`] derives the shared secrets
 //!   of a round's envelopes together, sharing the X25519 ladder passes
 //!   and one Montgomery-trick field inversion across the batch
@@ -65,6 +74,7 @@
 pub mod chacha20;
 mod error;
 pub mod hmac;
+pub mod poly1305;
 pub mod sealed_box;
 pub mod sha256;
 pub mod x25519;

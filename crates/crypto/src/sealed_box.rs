@@ -8,14 +8,27 @@
 //! 1. sender generates an ephemeral X25519 key pair;
 //! 2. `shared = X25519(ephemeral_secret, recipient_public)`;
 //! 3. `key material = HKDF(salt = eph_pub ‖ recipient_pub, ikm = shared)`,
-//!    split into a ChaCha20 key, a nonce and an HMAC key;
-//! 4. ciphertext = ChaCha20(plaintext), tag = HMAC-SHA256 over
-//!    `eph_pub ‖ ciphertext` (encrypt-then-MAC).
+//!    expanded into a ChaCha20 key and a nonce;
+//! 4. the RFC 8439 §2.8 AEAD under that key and nonce, with
+//!    `AAD = eph_pub`: the one-time Poly1305 key is the first 32 bytes of
+//!    keystream block 0, ciphertext = plaintext XOR the keystream from
+//!    block 1, tag = Poly1305 over `eph_pub ‖ ciphertext ‖ pad16 ‖
+//!    le64(32) ‖ le64(len)`.
 //!
-//! Wire layout: `eph_pub (32) ‖ tag (32) ‖ ciphertext`.
+//! Wire layout: `eph_pub (32) ‖ tag (16) ‖ ciphertext`. That is the one
+//! envelope format: there is no version byte, and anything else —
+//! an envelope of the retired encrypt-then-HMAC format included — fails
+//! the tag check like any other forgery.
 //!
-//! Three properties worth calling out:
+//! Four properties worth calling out:
 //!
+//! * **The one-time key is one-time**: Poly1305 gives its key away to
+//!   whoever sees two tags under it. Every envelope has its own ephemeral
+//!   X25519 key, the HKDF salt binds it, and so ChaCha20 key, nonce and
+//!   the Poly1305 key drawn from them never repeat — the RFC's nonce
+//!   discipline holds with nothing for a sender to count. The tag covers
+//!   `eph_pub` (as AAD), the ciphertext and both lengths; the recipient's
+//!   key is bound through the HKDF salt.
 //! * **Contributory behavior** (RFC 7748 §6.1): a low-order peer point
 //!   makes the X25519 output all-zero, and every key above would be
 //!   attacker-predictable. Sealing ([`SealedBox::prepare`], and so
@@ -49,8 +62,9 @@
 //!   same bytes and the same error — and none allocates for an envelope
 //!   that fails.
 
-use crate::chacha20;
+use crate::chacha20::ChaCha20;
 use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
+use crate::poly1305;
 use crate::x25519;
 use crate::CryptoError;
 use rand::Rng;
@@ -137,12 +151,21 @@ impl KeyPair {
     }
 }
 
-/// Byte overhead of a sealed box over its plaintext.
-pub const OVERHEAD: usize = 64;
+/// The header size, once, as a literal both [`OVERHEAD`] and the
+/// [`CryptoError::BadLength`] text are made from.
+macro_rules! overhead {
+    () => {
+        48
+    };
+}
 
-const INFO_KEY: &[u8] = b"mixnn sealed box v1 key";
-const INFO_NONCE: &[u8] = b"mixnn sealed box v1 nonce";
-const INFO_MAC: &[u8] = b"mixnn sealed box v1 mac";
+/// Byte overhead of a sealed box over its plaintext: the ephemeral public
+/// key and the Poly1305 tag.
+pub const OVERHEAD: usize = overhead!();
+const _: () = assert!(OVERHEAD == x25519::KEY_LEN + poly1305::TAG_LEN);
+
+const INFO_KEY: &[u8] = b"mixnn sealed box v2 key";
+const INFO_NONCE: &[u8] = b"mixnn sealed box v2 nonce";
 
 /// Sealed-box encryption to a recipient public key.
 ///
@@ -166,17 +189,24 @@ const INFO_MAC: &[u8] = b"mixnn sealed box v1 mac";
 #[derive(Debug)]
 pub struct SealedBox;
 
-struct DerivedKeys {
-    cipher_key: [u8; 32],
-    nonce: [u8; 12],
-    mac_key: [u8; 32],
+/// One envelope's AEAD state: the one-time Poly1305 key (keystream block
+/// 0) and the cipher left at block 1, where the payload's keystream
+/// starts.
+struct Aead {
+    one_time_key: [u8; poly1305::KEY_LEN],
+    payload: ChaCha20,
 }
 
-impl DerivedKeys {
-    /// XORs the envelope's keystream into `body` — encryption and
-    /// decryption alike, always where the bytes lie.
-    fn crypt(&self, body: &mut [u8]) {
-        chacha20::xor_keystream(&self.cipher_key, &self.nonce, 0, body);
+impl Aead {
+    /// The tag over `eph_pub ‖ ciphertext` and their lengths.
+    fn tag(&self, eph_pub: &[u8; 32], ciphertext: &[u8]) -> [u8; poly1305::TAG_LEN] {
+        poly1305::aead_tag(&self.one_time_key, eph_pub, ciphertext)
+    }
+
+    /// XORs the payload keystream into `body` — encryption and decryption
+    /// alike, always where the bytes lie.
+    fn crypt(&mut self, body: &mut [u8]) {
+        self.payload.apply_keystream(body);
     }
 }
 
@@ -185,8 +215,8 @@ impl DerivedKeys {
 /// to seal exactly one plaintext. Made by [`SealedBox::prepare`].
 ///
 /// Sealing consumes the value — a second plaintext under the same
-/// ephemeral key would reuse the ChaCha20 keystream. The `Debug` impl
-/// redacts the secret.
+/// ephemeral key would reuse the ChaCha20 keystream and the one-time
+/// Poly1305 key. The `Debug` impl redacts the secret.
 pub struct PreparedSeal {
     eph_pub: [u8; 32],
     shared: [u8; 32],
@@ -223,10 +253,10 @@ impl PreparedSeal {
             envelope.len() >= OVERHEAD,
             "no room for the envelope header"
         );
-        let keys = SealedBox::derive(&self.shared, &self.eph_pub, &self.recipient);
+        let mut aead = SealedBox::derive(&self.shared, &self.eph_pub, &self.recipient);
         let (header, ciphertext) = envelope.split_at_mut(OVERHEAD);
-        keys.crypt(ciphertext);
-        let tag = HmacKey::new(&keys.mac_key).mac_parts(&[&self.eph_pub, ciphertext]);
+        aead.crypt(ciphertext);
+        let tag = aead.tag(&self.eph_pub, ciphertext);
         header[..32].copy_from_slice(&self.eph_pub);
         header[32..].copy_from_slice(&tag);
     }
@@ -274,8 +304,7 @@ impl PreparedOpen {
     /// [`CryptoError::BadLength`] if `sealed` is shorter than the header,
     /// [`CryptoError::AuthenticationFailed`] if the tag does not verify.
     pub fn open_in_place(self, sealed: &mut [u8]) -> Result<(), CryptoError> {
-        let keys = self.verify(sealed)?;
-        keys.crypt(&mut sealed[OVERHEAD..]);
+        self.verify(sealed)?.crypt(&mut sealed[OVERHEAD..]);
         Ok(())
     }
 
@@ -287,56 +316,66 @@ impl PreparedOpen {
     ///
     /// As [`PreparedOpen::open_in_place`].
     pub fn open(self, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let keys = self.verify(sealed)?;
+        let mut aead = self.verify(sealed)?;
         let mut plaintext = sealed[OVERHEAD..].to_vec();
-        keys.crypt(&mut plaintext);
+        aead.crypt(&mut plaintext);
         Ok(plaintext)
     }
 
     /// The one verification every way of opening goes through: length,
-    /// key derivation, tag over `eph_pub ‖ ciphertext`. Returns the keys
-    /// the (now authenticated) ciphertext decrypts under.
-    fn verify(self, sealed: &[u8]) -> Result<DerivedKeys, CryptoError> {
-        check_envelope_len(sealed)?;
+    /// key derivation, tag over `eph_pub ‖ ciphertext`. Returns the
+    /// cipher the (now authenticated) ciphertext decrypts under.
+    fn verify(self, sealed: &[u8]) -> Result<Aead, CryptoError> {
+        plaintext_len(sealed.len())?;
         let (header, ciphertext) = sealed.split_at(OVERHEAD);
         let eph_pub: [u8; 32] = header[..32].try_into().expect("length checked");
-        let keys = SealedBox::derive(&self.shared, &eph_pub, &self.recipient);
-        let expected_tag = HmacKey::new(&keys.mac_key).mac_parts(&[&eph_pub, ciphertext]);
-        if !crate::ct_eq(&expected_tag, &header[32..]) {
+        let aead = SealedBox::derive(&self.shared, &eph_pub, &self.recipient);
+        if !crate::ct_eq(&aead.tag(&eph_pub, ciphertext), &header[32..]) {
             return Err(CryptoError::AuthenticationFailed);
         }
-        Ok(keys)
+        Ok(aead)
     }
 }
 
-fn check_envelope_len(sealed: &[u8]) -> Result<(), CryptoError> {
-    if sealed.len() < OVERHEAD {
-        return Err(CryptoError::BadLength {
-            expected: "at least 64 bytes",
-            actual: sealed.len(),
-        });
-    }
-    Ok(())
+/// The plaintext length a sealed box of `sealed_len` bytes carries.
+///
+/// # Errors
+///
+/// [`CryptoError::BadLength`] if `sealed_len` cannot even hold the
+/// header — the check every way of opening makes first, exposed so that
+/// a caller accounting for the plaintext before opening (the enclave's
+/// EPC charge) rejects such a blob with the same error.
+pub fn plaintext_len(sealed_len: usize) -> Result<usize, CryptoError> {
+    sealed_len
+        .checked_sub(OVERHEAD)
+        .ok_or(CryptoError::BadLength {
+            expected: concat!("at least ", overhead!(), " bytes"),
+            actual: sealed_len,
+        })
 }
 
 impl SealedBox {
-    fn derive(shared: &[u8; 32], eph_pub: &[u8; 32], recipient_pub: &[u8; 32]) -> DerivedKeys {
+    fn derive(shared: &[u8; 32], eph_pub: &[u8; 32], recipient_pub: &[u8; 32]) -> Aead {
         let mut salt = [0u8; 64];
         salt[..32].copy_from_slice(eph_pub);
         salt[32..].copy_from_slice(recipient_pub);
-        // One HKDF-Extract, three expands under a shared PRK schedule,
-        // straight into the fixed-size keys.
+        // One HKDF-Extract, two expands under a shared PRK schedule,
+        // straight into the fixed-size key and nonce.
         let prk = hkdf_extract(&salt, shared);
         let prk_key = HmacKey::new(&prk);
-        let mut keys = DerivedKeys {
-            cipher_key: [0; 32],
-            nonce: [0; 12],
-            mac_key: [0; 32],
-        };
-        hkdf_expand_into(&prk_key, INFO_KEY, &mut keys.cipher_key);
-        hkdf_expand_into(&prk_key, INFO_NONCE, &mut keys.nonce);
-        hkdf_expand_into(&prk_key, INFO_MAC, &mut keys.mac_key);
-        keys
+        let (mut key, mut nonce) = ([0u8; 32], [0u8; 12]);
+        hkdf_expand_into(&prk_key, INFO_KEY, &mut key);
+        hkdf_expand_into(&prk_key, INFO_NONCE, &mut nonce);
+        // Keystream block 0 yields the one-time key (its other half is
+        // discarded) and leaves the cipher at block 1.
+        let mut payload = ChaCha20::new(&key, &nonce, 0);
+        let mut block0 = [0u8; 64];
+        payload.apply_keystream(&mut block0);
+        let one_time_key = block0[..32].try_into().expect("32 of 64 bytes");
+        Aead {
+            one_time_key,
+            payload,
+        }
     }
 
     /// Encrypts `plaintext` to `recipient`, drawing ephemeral key material
@@ -449,7 +488,7 @@ impl SealedBox {
         sealed
             .iter()
             .map(|s| {
-                check_envelope_len(s.as_ref())?;
+                plaintext_len(s.as_ref().len())?;
                 let shared = shareds.next().expect("one ladder per well-formed envelope");
                 PreparedOpen::checked(shared, recipient)
             })
@@ -459,7 +498,7 @@ impl SealedBox {
     /// [`SealedBox::prepare_open`] for one envelope, without the batch's
     /// bookkeeping.
     fn prepare_open_one(sealed: &[u8], recipient: &KeyPair) -> Result<PreparedOpen, CryptoError> {
-        check_envelope_len(sealed)?;
+        plaintext_len(sealed.len())?;
         let eph_pub: [u8; 32] = sealed[..32].try_into().expect("length checked");
         let shared = x25519::x25519(recipient.secret().as_bytes(), &eph_pub);
         PreparedOpen::checked(shared, recipient)
@@ -573,6 +612,39 @@ mod tests {
         );
     }
 
+    /// An envelope of the retired format (encrypt-then-HMAC-SHA256, 64-byte
+    /// header), sealed by the last commit that wrote it for
+    /// [`recipient`]'s key and RNG. It is not parsed, negotiated or
+    /// recognised: it is a forgery, on every door.
+    #[test]
+    fn a_v1_hmac_envelope_is_an_authentication_failure() {
+        let v1: Vec<u8> = "dd27a625f15ab8e9eb55b514e702b592a9dd5d18f95272a4b69e18306d6ccf2d\
+                           d0b0e56a4ec5d79f9e177f7ee73bc590bbbb8a337c7001103138b7bd12de2c42\
+                           950bf29c8682c11b76723c0c4ee4d610cdef717c1691213377c87ffdd6d5fcb1"
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect();
+        assert_eq!(v1.len(), 64 + 32);
+        let (kp, mut rng) = recipient();
+        assert_eq!(
+            SealedBox::open(&v1, &kp),
+            Err(CryptoError::AuthenticationFailed)
+        );
+        let mut buffer = v1.clone();
+        assert_eq!(
+            SealedBox::open_in_place(&mut buffer, &kp),
+            Err(CryptoError::AuthenticationFailed)
+        );
+        assert_eq!(buffer, v1, "a failed open touched the buffer");
+        let good = |rng: &mut StdRng| SealedBox::seal(b"current", kp.public(), rng).unwrap();
+        let batch = [good(&mut rng), v1, good(&mut rng)];
+        let opened = SealedBox::open_batch(&batch, &kp);
+        assert_eq!(opened[0].as_deref(), Ok(&b"current"[..]));
+        assert_eq!(opened[1], Err(CryptoError::AuthenticationFailed));
+        assert_eq!(opened[2].as_deref(), Ok(&b"current"[..]));
+    }
+
     #[test]
     fn sealing_is_randomized() {
         let (kp, mut rng) = recipient();
@@ -635,7 +707,7 @@ mod tests {
         // Mix in every failure mode mid-batch: tampering, truncation
         // below the header, and a low-order ephemeral point.
         batch[1][40] ^= 0x80;
-        batch[2].truncate(63);
+        batch[2].truncate(OVERHEAD - 1);
         for b in &mut batch[3][..32] {
             *b = 0;
         }
@@ -652,10 +724,13 @@ mod tests {
         assert!(SealedBox::open_batch::<Vec<u8>>(&[], &kp).is_empty());
     }
 
-    /// The sealing loop as it was before the two-phase split — scalar
-    /// X25519 per ladder, `Vec`-returning HKDF, copy-then-append tail —
-    /// kept as the definition the batched path must reproduce bit for bit.
+    /// The construction written out from the module docs and RFC 8439
+    /// §2.8 — scalar X25519 per ladder, `Vec`-returning HKDF, keystream
+    /// block 0 and the payload keyed apart, `mac_data` materialised and
+    /// MACed in one shot on the scalar tier — kept as the definition the
+    /// batched, in-place path must reproduce bit for bit.
     fn seal_reference(plaintext: &[u8], recipient: &PublicKey, rng: &mut StdRng) -> Vec<u8> {
+        use crate::chacha20::xor_keystream;
         use crate::hmac::hkdf_expand_keyed;
         let eph = KeyPair::generate(rng);
         let eph_pub = eph.public().as_bytes();
@@ -671,10 +746,17 @@ mod tests {
         let nonce: [u8; 12] = hkdf_expand_keyed(&prk_key, INFO_NONCE, 12)
             .try_into()
             .unwrap();
-        let mac = hkdf_expand_keyed(&prk_key, INFO_MAC, 32);
+        let mut block0 = [0u8; 64];
+        xor_keystream(&key, &nonce, 0, &mut block0);
+        let one_time_key: [u8; 32] = block0[..32].try_into().unwrap();
         let mut ciphertext = plaintext.to_vec();
-        chacha20::xor_keystream(&key, &nonce, 0, &mut ciphertext);
-        let tag = HmacKey::new(&mac).mac_parts(&[eph_pub, &ciphertext]);
+        xor_keystream(&key, &nonce, 1, &mut ciphertext);
+        let mut mac_data = eph_pub.to_vec();
+        mac_data.extend_from_slice(&ciphertext);
+        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
+        mac_data.extend_from_slice(&32u64.to_le_bytes());
+        mac_data.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+        let tag = poly1305::poly1305_on(poly1305::Tier::Scalar, &one_time_key, &mac_data);
         [&eph_pub[..], &tag, &ciphertext].concat()
     }
 

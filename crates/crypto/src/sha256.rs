@@ -433,6 +433,9 @@ mod tests {
     /// exercises the best one.
     #[test]
     fn fips_vectors_and_split_points_hold_on_every_tier() {
+        // Shown by CI (`--nocapture`): a runner without the wide tiers
+        // says it pinned only the scalar twin.
+        println!("sha256 tiers exercised: {:?}", Tier::supported());
         let vectors: [(&[u8], &str); 4] = [
             (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
             (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),

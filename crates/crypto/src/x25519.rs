@@ -1157,6 +1157,9 @@ mod tests {
 
     #[test]
     fn multi_matches_per_pair_at_every_lane_split_on_every_tier() {
+        // Shown by CI (`--nocapture`): a runner without the wide tiers
+        // says it pinned only the scalar twin.
+        println!("x25519 tiers exercised: {:?}", Tier::supported());
         // 1..=33 jobs with distinct scalars *and* points: below
         // MIN_POINTS (scalar ladder), one padded pass, full passes, full
         // passes + scalar tail, full passes + padded pass.

@@ -3,10 +3,11 @@
 //! tests cover internals; this suite guards the exported surface).
 //!
 //! Sources: FIPS 180-4 / NIST examples (SHA-256), RFC 4231 (HMAC-SHA256),
-//! RFC 5869 (HKDF), RFC 7748 (X25519), RFC 8439 (ChaCha20).
+//! RFC 5869 (HKDF), RFC 7748 (X25519), RFC 8439 (ChaCha20, Poly1305 and
+//! the AEAD construction the sealed box is built on).
 
 use mixnn_crypto::hmac::{hkdf, hmac_sha256};
-use mixnn_crypto::{chacha20, sha256, x25519};
+use mixnn_crypto::{chacha20, poly1305, sha256, x25519};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -247,4 +248,72 @@ fn chacha20_rfc8439_sunscreen_encryption() {
     // Decryption is the same keystream XOR.
     chacha20::xor_keystream(&key, &nonce, 1, &mut data);
     assert!(data.starts_with(b"Ladies and Gentlemen"));
+}
+
+// ---------------------------------------------------------------------------
+// Poly1305 and the ChaCha20-Poly1305 AEAD construction — RFC 8439, on every
+// tier the host supports
+// ---------------------------------------------------------------------------
+
+#[test]
+fn poly1305_rfc8439_tag() {
+    // §2.5.2.
+    let key = unhex32("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+    let message = b"Cryptographic Forum Research Group";
+    let kernels = poly1305::kernels();
+    assert_eq!(kernels[0].0, "scalar");
+    for (tier, kernel) in kernels {
+        assert_eq!(
+            hex(&kernel(&key, message)),
+            "a8061dc1305136c6c22b8baf0c0127a9",
+            "{tier}"
+        );
+    }
+    assert_eq!(
+        hex(&poly1305::poly1305(&key, message)),
+        "a8061dc1305136c6c22b8baf0c0127a9"
+    );
+}
+
+#[test]
+fn chacha20_poly1305_rfc8439_aead() {
+    // §2.8.2, step by step as the sealed box takes them: the one-time key
+    // out of keystream block 0, the payload from block 1, the tag over
+    // the padded AAD, the padded ciphertext and both lengths.
+    let key: [u8; 32] = (0x80u8..0xa0).collect::<Vec<_>>().try_into().unwrap();
+    let nonce = unhex("070000004041424344454647").try_into().unwrap();
+    let aad = unhex("50515253c0c1c2c3c4c5c6c7");
+    let mut data = b"Ladies and Gentlemen of the class of '99: If I could \
+                     offer you only one tip for the future, sunscreen would be it."
+        .to_vec();
+
+    let mut block0 = [0u8; 64];
+    chacha20::xor_keystream(&key, &nonce, 0, &mut block0);
+    let one_time_key: [u8; 32] = block0[..32].try_into().unwrap();
+    assert_eq!(
+        hex(&one_time_key),
+        "7bac2b252db447af09b67a55a4e955840ae1d6731075d9eb2a9375783ed553ff"
+    );
+
+    chacha20::xor_keystream(&key, &nonce, 1, &mut data);
+    assert_eq!(
+        hex(&data),
+        "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+         3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+         92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+         3ff4def08e4b7a9de576d26586cec64b6116"
+    );
+
+    let tag = "1ae10b594f09e26a7e902ecbd0600691";
+    assert_eq!(hex(&poly1305::aead_tag(&one_time_key, &aad, &data)), tag);
+    // The same tag from the materialised `mac_data`, per tier.
+    let mut mac_data = aad.clone();
+    mac_data.resize(16, 0);
+    mac_data.extend_from_slice(&data);
+    mac_data.resize(16 + data.len().next_multiple_of(16), 0);
+    mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+    mac_data.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    for (tier, kernel) in poly1305::kernels() {
+        assert_eq!(hex(&kernel(&one_time_key, &mac_data)), tag, "{tier}");
+    }
 }

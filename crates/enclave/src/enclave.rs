@@ -1,7 +1,7 @@
 //! The enclave runtime object.
 
 use crate::{AttestationService, EnclaveError, EpcBudget, Measurement, Quote};
-use mixnn_crypto::{CryptoError, KeyPair, PreparedOpen, PublicKey, SealedBox};
+use mixnn_crypto::{sealed_box, CryptoError, KeyPair, PreparedOpen, PublicKey, SealedBox};
 use rand::Rng;
 
 /// Configuration of a simulated enclave.
@@ -124,25 +124,15 @@ impl Enclave {
     /// the EPC (strict mode), or [`EnclaveError::Crypto`] if decryption
     /// fails.
     pub fn decrypt(&self, sealed: &[u8]) -> Result<Vec<u8>, EnclaveError> {
-        let plaintext_len = Self::plaintext_len(sealed.len())?;
+        // A blob too short to carry the sealed-box header is rejected
+        // here: charged as a zero-byte allocation it would let garbage
+        // bypass EPC accounting entirely.
+        let plaintext_len = sealed_box::plaintext_len(sealed.len())?;
         self.memory.allocate(plaintext_len)?;
         let result = SealedBox::open(sealed, &self.keypair);
         // The transient decryption buffer is released either way.
         self.memory.free(plaintext_len)?;
         Ok(result?)
-    }
-
-    /// The plaintext length a sealed blob's length implies, rejecting blobs
-    /// too short to even carry the sealed-box header. A truncated blob must
-    /// not be charged as a zero-byte allocation — that would let garbage
-    /// bypass EPC accounting entirely.
-    fn plaintext_len(sealed_len: usize) -> Result<usize, EnclaveError> {
-        sealed_len
-            .checked_sub(mixnn_crypto::sealed_box::OVERHEAD)
-            .ok_or(EnclaveError::Crypto(CryptoError::BadLength {
-                expected: "at least 64 bytes",
-                actual: sealed_len,
-            }))
     }
 
     /// The pure half of batched ingestion: derives the shared secret of
@@ -182,7 +172,7 @@ impl Enclave {
         sealed_len: usize,
         opened: Result<T, CryptoError>,
     ) -> Result<T, EnclaveError> {
-        let plaintext_len = Self::plaintext_len(sealed_len)?;
+        let plaintext_len = sealed_box::plaintext_len(sealed_len)?;
         self.memory.allocate(plaintext_len)?;
         // Decryption itself is pure; the transient buffer decrypt() charges
         // for the duration of SealedBox::open is released immediately.
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn undersized_blob_rejected_before_epc_charge() {
         let (enclave, _, _) = launch();
-        for len in [0usize, 1, 32, 63] {
+        for len in [0usize, 1, 32, sealed_box::OVERHEAD - 1] {
             assert!(matches!(
                 enclave.decrypt(&vec![0u8; len]),
                 Err(EnclaveError::Crypto(CryptoError::BadLength { actual, .. })) if actual == len

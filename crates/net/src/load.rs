@@ -4,7 +4,8 @@
 //! not networking — so the load generator ships **size-only packets**
 //! ([`Packet::synthetic`]): each client's round contribution is modelled
 //! by the exact wire sizes the MIXC onion codec produces (per-layer
-//! envelope `4 + 4·len + 64·seals`; into the entry hop one frame per
+//! envelope `4 + 4·len + SEAL_OVERHEAD·seals`, the sealed box's header
+//! taken from `mixnn_crypto` by name; into the entry hop one frame per
 //! update, its layers under one further seal — MIXC version 2; burst
 //! framing from the MIXB codec), with no per-client allocation on the hot
 //! path. Client send times are
