@@ -6,7 +6,7 @@ use mixnn_crypto::hmac::hmac_sha256;
 use mixnn_crypto::poly1305;
 use mixnn_crypto::sha256;
 use mixnn_crypto::x25519;
-use mixnn_crypto::{KeyPair, SealedBox};
+use mixnn_crypto::{KeyPair, SealedBox, SealingKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -41,9 +41,10 @@ fn bench_primitives(c: &mut Criterion) {
         let scalar = [0x42u8; 32];
         b.iter(|| x25519::x25519(&scalar, &x25519::BASEPOINT));
     });
-    // A scalar per point, as a client sealing an onion runs it. Per-element
-    // time against `scalarmult` is the lane kernel's gain; `/2` against two
-    // `scalarmult`s is the crossover `MIN_POINTS` in `x25519.rs` encodes.
+    // A scalar per point on the ladder, as a recipient's opens run it.
+    // Per-element time against `scalarmult` is the lane kernel's gain;
+    // `/2` against two `scalarmult`s is the crossover `MIN_POINTS` in
+    // `x25519.rs` encodes.
     for &n in &[2usize, 8, 30] {
         let scalars: Vec<[u8; 32]> = (0..n).map(|i| [0x42 ^ i as u8; 32]).collect();
         let points = vec![x25519::BASEPOINT; n];
@@ -51,6 +52,22 @@ fn bench_primitives(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("multi_scalar", n), &n, |b, _| {
             b.iter(|| x25519::x25519_multi(&scalars, &points));
         });
+    }
+    // The comb on one table, per tier the host supports: `/1` is a lone
+    // seal's cost per multiplication (final inversion included), `/8` one
+    // full eight-lane pass. The IFMA tier's `/2` against two scalar `/1`s
+    // is the crossover `MIN_COMBS` in `x25519.rs` encodes.
+    let table = x25519::FixedBase::basepoint();
+    for (tier, kernel) in x25519::fixed_base_kernels() {
+        for &n in &[1usize, 2, 8] {
+            let scalars: Vec<[u8; 32]> = (0..n).map(|i| [0x42 ^ i as u8; 32]).collect();
+            let mut out = vec![[0u8; 32]; n];
+            group.throughput(Throughput::Elements(n as u64));
+            let id = BenchmarkId::new(format!("fixed_base/{tier}"), n);
+            group.bench_with_input(id, &n, |b, _| {
+                b.iter(|| kernel(table, &scalars, &mut out));
+            });
+        }
     }
     group.finish();
 }
@@ -107,6 +124,17 @@ fn bench_sealed_box(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("seal", size), &size, |b, _| {
             b.iter(|| SealedBox::seal(&message, recipient.public(), &mut rng).unwrap());
         });
+        // What a participant that attested the key runs: both
+        // multiplications on the comb.
+        if size == 1024 {
+            let sealing = SealingKey::new(*recipient.public());
+            group.bench_with_input(BenchmarkId::new("seal_prepared", size), &size, |b, _| {
+                b.iter(|| {
+                    let prepared = SealedBox::prepare([&sealing], &mut rng).unwrap();
+                    prepared.into_iter().next().unwrap().seal(&message)
+                });
+            });
+        }
         let sealed = SealedBox::seal(&message, recipient.public(), &mut rng).unwrap();
         group.bench_with_input(BenchmarkId::new("open", size), &size, |b, _| {
             b.iter(|| SealedBox::open(&sealed, &recipient).unwrap());
@@ -154,16 +182,18 @@ fn bench_open_batch(c: &mut Criterion) {
 }
 
 /// The client-side twin of `open_batch`: the content-independent phase of
-/// sealing one 5-layer update for a 3-hop chain — 15 envelopes, 30 ladders
-/// in one batch. Per-envelope throughput reads against `sealed_box/seal`.
+/// sealing one 5-layer update for a 3-hop chain, to the hops'
+/// `SealingKey`s — 15 envelopes, 30 combs in one batch, grouped by table
+/// (15 on the base point's, 5 on each hop's). Per-envelope throughput
+/// reads against `sealed_box/seal_prepared`.
 fn bench_onion_prepare(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto/sealed_box/onion_prepare_5x3");
     configure(&mut group);
     let mut rng = StdRng::seed_from_u64(2);
-    let hops: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
-    let route: Vec<_> = (0..5)
-        .flat_map(|_| hops.iter().rev().map(KeyPair::public))
+    let hops: Vec<SealingKey> = (0..3)
+        .map(|_| SealingKey::new(*KeyPair::generate(&mut rng).public()))
         .collect();
+    let route: Vec<&SealingKey> = (0..5).flat_map(|_| hops.iter().rev()).collect();
     group.throughput(Throughput::Elements(route.len() as u64));
     group.bench_function("prepare", |b| {
         b.iter(|| SealedBox::prepare(route.iter().copied(), &mut rng).unwrap());

@@ -2,7 +2,7 @@
 
 use crate::{onion, CascadeError, HopDescriptor};
 use mixnn_core::codec::CompressionConfig;
-use mixnn_crypto::PublicKey;
+use mixnn_crypto::SealingKey;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::ModelParams;
 use rand::Rng;
@@ -20,20 +20,25 @@ use rand::Rng;
 /// `CascadeCoordinator::client_for_slot`), and its onion carries one
 /// envelope for the route's first hop plus one per layer for every hop
 /// after it.
+///
+/// Every hop key is held as a [`SealingKey`], its comb table built once
+/// when the client is made, so every shared secret an onion seals takes
+/// the comb.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CascadeClient {
-    hop_keys: Vec<PublicKey>,
+    hop_keys: Vec<SealingKey>,
     compression: CompressionConfig,
 }
 
 impl CascadeClient {
-    /// Builds a client from raw hop keys **without attestation** — for
-    /// tests and for the coordinator, which launched the hops itself.
+    /// Builds a client from hop keys **without attestation** — for tests
+    /// and for the coordinator, which launched the hops itself and made
+    /// their sealing keys at launch.
     ///
     /// # Panics
     ///
     /// Panics on an empty chain — a configuration bug.
-    pub fn from_keys(hop_keys: Vec<PublicKey>) -> Self {
+    pub fn from_keys(hop_keys: Vec<SealingKey>) -> Self {
         assert!(
             !hop_keys.is_empty(),
             "cascade client needs at least one hop"
@@ -63,7 +68,8 @@ impl CascadeClient {
 
     /// Verifies every hop's quote (platform signature, expected
     /// measurement, key binding) and builds a client over the attested
-    /// keys. Chain order is the descriptor order.
+    /// keys — where each becomes trusted, so where its [`SealingKey`] is
+    /// made. Chain order is the descriptor order.
     ///
     /// # Errors
     ///
@@ -84,7 +90,7 @@ impl CascadeClient {
             }
         }
         Ok(CascadeClient {
-            hop_keys: hops.iter().map(|d| d.public_key).collect(),
+            hop_keys: hops.iter().map(|d| SealingKey::new(d.public_key)).collect(),
             compression: CompressionConfig::F32,
         })
     }
@@ -120,7 +126,7 @@ impl CascadeClient {
 mod tests {
     use super::*;
     use crate::{CascadeHop, CascadeHopConfig, OnionUpdate};
-    use mixnn_crypto::KeyPair;
+    use mixnn_crypto::{KeyPair, PublicKey};
     use mixnn_nn::LayerParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -188,7 +194,7 @@ mod tests {
         ]);
         let sizes: Vec<usize> = (1..=4)
             .map(|n| {
-                CascadeClient::from_keys(keys[..n].to_vec())
+                CascadeClient::from_keys(keys[..n].iter().copied().map(SealingKey::new).collect())
                     .seal_update(&params, &mut rng)
                     .unwrap()
                     .len()
@@ -241,7 +247,8 @@ mod tests {
                 CompressionConfig::Int8,
                 CompressionConfig::int8_top_k(),
             ][mode];
-            let client = CascadeClient::from_keys(keys.clone()).with_compression(mode);
+            let sealing = keys.iter().copied().map(SealingKey::new).collect();
+            let client = CascadeClient::from_keys(sealing).with_compression(mode);
             let (mut framed, mut built) = (rng.clone(), rng);
             let wire = client.seal_update(&params, &mut framed).unwrap();
             let onion = OnionUpdate::build_with(&params, &keys, mode, &mut built).unwrap();

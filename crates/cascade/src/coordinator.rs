@@ -20,7 +20,7 @@ use crate::{
 };
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::{shard_seed, Endpoint, InProcessLink, MixPlan, ProxyStats, RoundLink};
-use mixnn_crypto::PublicKey;
+use mixnn_crypto::SealingKey;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
@@ -437,6 +437,10 @@ impl CascadeAudit {
 pub struct CascadeCoordinator {
     topology: Box<dyn CascadeTopology>,
     hops: Vec<CascadeHop>,
+    /// Each hop's key as the participants seal to it, its comb table
+    /// built at launch (the simulation's stand-in for every participant
+    /// attesting the hop once), in hop-index order.
+    sealing_keys: Vec<SealingKey>,
     skipped: Vec<bool>,
     signature: Vec<usize>,
     policy: FailurePolicy,
@@ -495,6 +499,10 @@ impl CascadeCoordinator {
         Ok(CascadeCoordinator {
             skipped: vec![false; hops.len()],
             topology,
+            sealing_keys: hops
+                .iter()
+                .map(|h| SealingKey::new(*h.public_key()))
+                .collect(),
             hops,
             signature,
             policy: config.policy,
@@ -702,10 +710,10 @@ impl CascadeCoordinator {
         groups
             .iter()
             .map(|group| {
-                let keys: Vec<PublicKey> = group
+                let keys: Vec<SealingKey> = group
                     .route
                     .iter()
-                    .map(|&h| *self.hops[h].public_key())
+                    .map(|&h| self.sealing_keys[h].clone())
                     .collect();
                 let client = CascadeClient::from_keys(keys).with_compression(self.compression);
                 group

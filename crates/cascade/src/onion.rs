@@ -72,7 +72,7 @@ use bytes::BufMut;
 use mixnn_core::codec;
 use mixnn_core::codec::CompressionConfig;
 use mixnn_crypto::sealed_box::OVERHEAD;
-use mixnn_crypto::{PublicKey, SealedBox};
+use mixnn_crypto::{Recipient, SealedBox};
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::Rng;
 use std::ops::Range;
@@ -137,9 +137,9 @@ pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], out: Vec<u8
 /// those of [`OnionUpdate::build_with`] followed by
 /// [`OnionUpdate::encode`] (that constructor is this function, taken
 /// apart again).
-pub(crate) fn seal_framed<R: Rng + ?Sized>(
+pub(crate) fn seal_framed<K: Recipient, R: Rng + ?Sized>(
     params: &ModelParams,
-    hop_keys: &[PublicKey],
+    hop_keys: &[K],
     compression: CompressionConfig,
     rng: &mut R,
 ) -> Result<Vec<u8>, CascadeError> {
@@ -379,7 +379,10 @@ pub struct OnionUpdate {
 
 impl OnionUpdate {
     /// Builds a fresh onion for `params`, sealed to the given chain of hop
-    /// keys (first key = first hop to receive the message).
+    /// keys (first key = first hop to receive the message). Either key
+    /// type gives the same bytes: a [`mixnn_crypto::SealingKey`] per hop
+    /// seals through the comb over its table, as a client does, and a bare
+    /// [`mixnn_crypto::PublicKey`] through the ladder.
     ///
     /// # Errors
     ///
@@ -390,9 +393,9 @@ impl OnionUpdate {
     ///
     /// Panics if `hop_keys` is empty or longer than 255 hops — a
     /// configuration bug, not a runtime condition.
-    pub fn build<R: Rng + ?Sized>(
+    pub fn build<K: Recipient, R: Rng + ?Sized>(
         params: &ModelParams,
-        hop_keys: &[PublicKey],
+        hop_keys: &[K],
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
         Self::build_with(params, hop_keys, CompressionConfig::F32, rng)
@@ -426,9 +429,9 @@ impl OnionUpdate {
     ///
     /// Same conditions as [`OnionUpdate::build`]. How far `rng` has
     /// advanced after an error is unspecified.
-    pub fn build_with<R: Rng + ?Sized>(
+    pub fn build_with<K: Recipient, R: Rng + ?Sized>(
         params: &ModelParams,
-        hop_keys: &[PublicKey],
+        hop_keys: &[K],
         compression: CompressionConfig,
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
@@ -536,7 +539,7 @@ impl OnionUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixnn_crypto::KeyPair;
+    use mixnn_crypto::{KeyPair, PublicKey, SealingKey};
     use mixnn_nn::LayerParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -795,7 +798,8 @@ mod tests {
         /// Batched building is bit-identical to the envelope-by-envelope
         /// loop, and leaves the caller's RNG where the loop leaves it, for
         /// any layer count, chain length, layer sizes and codec mode —
-        /// 2..=50 ladders, so every lane split of the batched driver, and
+        /// 1..=25 jobs on the base point's table and up to eight on each
+        /// hop's, so every lane split of the batched driver, and
         /// layers on both sides of a one-byte index and of one select
         /// block, each frame encoded in place behind its header room.
         #[test]
@@ -820,8 +824,11 @@ mod tests {
                 CompressionConfig::Int8,
                 CompressionConfig::int8_top_k(),
             ][mode];
+            // The batch seals to `SealingKey`s — comb jobs grouped by
+            // table — and the loop to bare keys, on the ladder.
+            let sealing: Vec<SealingKey> = keys.iter().copied().map(SealingKey::new).collect();
             let (mut batched, mut looped) = (rng.clone(), rng);
-            let onion = OnionUpdate::build_with(&params, &keys, mode, &mut batched).unwrap();
+            let onion = OnionUpdate::build_with(&params, &sealing, mode, &mut batched).unwrap();
             let expected = build_envelope_by_envelope(&params, &keys, mode, &mut looped).unwrap();
             proptest::prop_assert_eq!(onion, expected);
             proptest::prop_assert_eq!(batched.gen::<u64>(), looped.gen::<u64>());
@@ -836,7 +843,12 @@ mod tests {
                 .map(|_| *KeyPair::generate(&mut rng).public())
                 .collect();
             keys[position] = PublicKey::from_bytes([0u8; 32]);
-            let batched = OnionUpdate::build(&params(), &keys, &mut rng).unwrap_err();
+            let sealing: Vec<SealingKey> = keys.iter().copied().map(SealingKey::new).collect();
+            let batched = OnionUpdate::build(&params(), &sealing, &mut rng).unwrap_err();
+            assert_eq!(
+                OnionUpdate::build(&params(), &keys, &mut rng),
+                Err(batched.clone())
+            );
             let looped =
                 build_envelope_by_envelope(&params(), &keys, CompressionConfig::F32, &mut rng)
                     .unwrap_err();

@@ -538,8 +538,18 @@ pub fn encode_params(params: &ModelParams) -> Vec<u8> {
 /// [`CompressionConfig::F32`], otherwise a version-2 MIXN body whose
 /// layers are self-delimiting v2 frames ([`encode_layer_with`]).
 pub fn encode_params_with(params: &ModelParams, compression: CompressionConfig) -> Vec<u8> {
-    let total = encoded_len_with(&params.signature(), compression);
-    let mut out = Vec::with_capacity(total);
+    let mut out = Vec::with_capacity(encoded_len_with(&params.signature(), compression));
+    encode_params_into(&mut out, params, compression);
+    out
+}
+
+/// Appends the body [`encode_params_with`] returns to `out`, encoding it
+/// in place — for a caller that lays the body out behind a header of its
+/// own (a sealed box's, sealed in place around it). Exactly
+/// `encoded_len_with(&params.signature(), compression)` bytes are
+/// appended; reserve them first and nothing is reallocated.
+pub fn encode_params_into(out: &mut Vec<u8>, params: &ModelParams, compression: CompressionConfig) {
+    let start = out.len();
     out.put_u32(MAGIC);
     out.put_u8(if compression.is_f32() {
         VERSION
@@ -548,10 +558,13 @@ pub fn encode_params_with(params: &ModelParams, compression: CompressionConfig) 
     });
     out.put_u32(params.num_layers() as u32);
     for layer in params.iter() {
-        encode_layer_into(&mut out, layer, compression);
+        encode_layer_into(out, layer, compression);
     }
-    debug_assert_eq!(out.len(), total, "encoded length must be content-free");
-    out
+    debug_assert_eq!(
+        out.len() - start,
+        encoded_len_with(&params.signature(), compression),
+        "encoded length must be content-free"
+    );
 }
 
 /// Decodes model parameters from the wire format (v1 or v2,

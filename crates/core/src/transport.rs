@@ -2,7 +2,8 @@
 
 use crate::codec::CompressionConfig;
 use crate::{codec, MixnnProxy, ProxyError};
-use mixnn_crypto::SealedBox;
+use mixnn_crypto::sealed_box::OVERHEAD;
+use mixnn_crypto::{SealedBox, SealingKey};
 use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +50,10 @@ pub enum TransportMode {
 #[derive(Debug)]
 pub struct MixnnTransport {
     proxy: MixnnProxy,
+    /// The proxy's key as the participants seal to it, its comb table
+    /// built here — the simulation's stand-in for every participant
+    /// attesting the enclave once.
+    sealing_key: SealingKey,
     compression: CompressionConfig,
     /// RNG standing in for the participants' sealing entropy.
     participant_rng: StdRng,
@@ -59,6 +64,7 @@ impl MixnnTransport {
     /// entropy; `_mode` has one value (see [`TransportMode`]).
     pub fn new(proxy: MixnnProxy, _mode: TransportMode, seed: u64) -> Self {
         MixnnTransport {
+            sealing_key: SealingKey::new(*proxy.public_key()),
             proxy,
             compression: CompressionConfig::F32,
             participant_rng: StdRng::seed_from_u64(seed),
@@ -97,16 +103,24 @@ impl MixnnTransport {
         &mut self,
         params: Vec<ModelParams>,
     ) -> Result<Vec<ModelParams>, ProxyError> {
-        // One RNG stands in for all participants' sealing entropy.
+        // One RNG stands in for all participants' sealing entropy; each
+        // participant encodes its update behind the envelope's header room
+        // and seals it there, in its one buffer.
         let sealed: Vec<Vec<u8>> = params
             .iter()
             .map(|p| {
-                SealedBox::seal(
-                    &codec::encode_params_with(p, self.compression),
-                    self.proxy.public_key(),
-                    &mut self.participant_rng,
-                )
-                .expect("attested enclave keys are never low-order")
+                let body = codec::encoded_len_with(&p.signature(), self.compression);
+                let mut envelope = Vec::with_capacity(OVERHEAD + body);
+                envelope.resize(OVERHEAD, 0);
+                codec::encode_params_into(&mut envelope, p, self.compression);
+                let prepared = SealedBox::prepare([&self.sealing_key], &mut self.participant_rng)
+                    .expect("attested enclave keys are never low-order");
+                prepared
+                    .into_iter()
+                    .next()
+                    .expect("one envelope per recipient")
+                    .seal_in_place(&mut envelope);
+                envelope
             })
             .collect();
         self.proxy.mix_sealed_round(&sealed)

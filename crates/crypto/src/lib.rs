@@ -41,15 +41,25 @@
 //!   IFMA hosts and one per step in portable code ([`poly1305`]) — the
 //!   per-byte cost of an envelope is the keystream's plus this, and
 //!   HMAC-SHA256 is off the payload path;
+//! * X25519 runs two algorithms, chosen by the kind of job ([`x25519`]):
+//!   the Montgomery ladder for a variable base — a point seen once — and
+//!   a fixed-base comb on edwards25519 over a precomputed table
+//!   ([`x25519::FixedBase`]) for a base the sender reuses: the base point
+//!   for every ephemeral key, and each attested recipient key, held as a
+//!   [`SealingKey`], for every shared secret sealed to it. The comb takes
+//!   the full clamped scalar, never reduced mod ℓ (a recipient key need
+//!   not lie in the prime-order subgroup), reads every table entry of a
+//!   row and keeps one by mask, and yields the ladder's bytes;
 //! * [`sealed_box::SealedBox::prepare_open`] derives the shared secrets
-//!   of a round's envelopes together, sharing the X25519 ladder passes
-//!   and one Montgomery-trick field inversion across the batch
-//!   ([`x25519::x25519_batch`]), and each [`PreparedOpen`] then verifies
-//!   and decrypts its envelope in place;
+//!   of a round's envelopes together — every ephemeral point a variable
+//!   base, so eight ladders per IFMA pass — with one Montgomery-trick
+//!   field inversion across the batch, and each [`PreparedOpen`] then
+//!   verifies and decrypts its envelope in place;
 //! * [`sealed_box::SealedBox::prepare`] does the same for everything one
-//!   sender seals — an onion's `layers × hops` envelopes, each under its
-//!   own ephemeral key ([`x25519::x25519_multi`]) — and each
-//!   [`PreparedSeal`] then encrypts in place in its output buffer.
+//!   sender seals — an onion's `1 + layers × (hops − 1)` envelopes, each
+//!   under its own ephemeral key — grouping the combs by table so eight
+//!   share an IFMA pass, and each [`PreparedSeal`] then encrypts in place
+//!   in its output buffer.
 //!
 //! # Contributory behavior
 //!
@@ -65,7 +75,8 @@
 //! This is a **research reproduction**: the algorithms are the real ones and
 //! pass their RFC vectors, but the implementation has not been hardened
 //! against timing side channels beyond the basics ([`ct_eq`] for tag
-//! comparison, branch-free ladder steps in `x25519`). Do not lift it into a
+//! comparison, branch-free ladder steps and masked comb-table reads in
+//! `x25519`). Do not lift it into a
 //! production system.
 
 #![deny(missing_docs)]
@@ -80,7 +91,9 @@ pub mod sha256;
 pub mod x25519;
 
 pub use error::CryptoError;
-pub use sealed_box::{KeyPair, PreparedOpen, PreparedSeal, PublicKey, SealedBox, SecretKey};
+pub use sealed_box::{
+    KeyPair, PreparedOpen, PreparedSeal, PublicKey, Recipient, SealedBox, SealingKey, SecretKey,
+};
 
 /// Constant-time equality of two byte slices.
 ///

@@ -38,19 +38,25 @@
 //!   [`SealedBox::prepare`] runs them for *many* envelopes of one sender
 //!   at once — every ephemeral secret drawn from the caller's RNG in
 //!   envelope order, then all `2·n` scalar multiplications through the
-//!   batched X25519 driver (the one behind [`x25519::x25519_multi`]:
-//!   eight ladders per pass on AVX-512 IFMA hosts, one shared field
-//!   inversion). Each [`PreparedSeal`] then runs steps 3–4 over its
+//!   batched X25519 driver with one shared field inversion. Both bases
+//!   of a seal are ones the sender reuses, so both multiplications take
+//!   the fixed-base comb ([`x25519`]'s two algorithms): `k·G` over the
+//!   base point's table, `k·H` over the table of the recipient's
+//!   [`SealingKey`] — made once, where the key is attested. A bare
+//!   [`PublicKey`] has no table, and its `k·H` takes the ladder. On
+//!   AVX-512 IFMA hosts the driver runs eight combs on one table per
+//!   pass. Each [`PreparedSeal`] then runs steps 3–4 over its
 //!   plaintext, in place in the output buffer. [`SealedBox::seal`] is
-//!   the batch of one; bytes and RNG position are identical however
-//!   envelopes are grouped. Every envelope still has its **own**
-//!   ephemeral key: equal `eph_pub`s would link the envelopes that carry
-//!   them.
+//!   the batch of one to a bare key; bytes and RNG position are
+//!   identical however envelopes are grouped and whichever algorithm
+//!   computed them. Every envelope still has its **own** ephemeral key:
+//!   equal `eph_pub`s would link the envelopes that carry them.
 //! * **Two-phase, in-place opening**: the recipient's scalar
 //!   multiplication does not depend on the ciphertext either, so
 //!   [`SealedBox::prepare_open`] runs it for many envelopes addressed to
-//!   one recipient in shared ladder passes with one shared field
-//!   inversion (the batched driver again). Each [`PreparedOpen`] then
+//!   one recipient in shared ladder passes — every ephemeral point is a
+//!   variable base, seen once — with one shared field inversion (the
+//!   batched driver again). Each [`PreparedOpen`] then
 //!   verifies the tag over the ciphertext and decrypts it **where it
 //!   lies** ([`PreparedOpen::open_in_place`]): a buffer that fails any
 //!   check is left byte-for-byte untouched, and one that passes holds the
@@ -66,9 +72,11 @@ use crate::chacha20::ChaCha20;
 use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
 use crate::poly1305;
 use crate::x25519;
+use crate::x25519::Base;
 use crate::CryptoError;
 use rand::Rng;
 use std::fmt;
+use std::sync::Arc;
 
 /// An X25519 public key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,6 +113,89 @@ impl SecretKey {
 impl fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "SecretKey(redacted)")
+    }
+}
+
+/// A recipient key made ready for sealing: the [`PublicKey`] and its
+/// fixed-base comb table ([`x25519::FixedBase`]), shared by every clone.
+///
+/// Made once where a key becomes trusted — a participant verifying an
+/// enclave's quote, a coordinator launching its hops — never per
+/// envelope: the table costs ≈ 0.17 ms and 30 KiB, and every shared secret
+/// sealed to the key then takes the comb instead of the ladder. A key
+/// with no edwards25519 image (a point on the twist) has no table and
+/// seals through the ladder, to the same bytes. The table is public data
+/// derived from the public key.
+#[derive(Clone)]
+pub struct SealingKey {
+    public: PublicKey,
+    table: Option<Arc<x25519::FixedBase>>,
+}
+
+impl SealingKey {
+    /// Builds the key's table.
+    pub fn new(public: PublicKey) -> Self {
+        SealingKey {
+            public,
+            table: x25519::FixedBase::new(&public.0).map(Arc::new),
+        }
+    }
+}
+
+impl fmt::Debug for SealingKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SealingKey")
+            .field("public", &self.public)
+            .field("table", &self.table.is_some())
+            .finish()
+    }
+}
+
+/// Equal keys have equal tables: a table is a function of its key.
+impl PartialEq for SealingKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.public == other.public
+    }
+}
+
+impl Eq for SealingKey {}
+
+mod private {
+    /// Keeps [`super::Recipient`] to the crate's two key types.
+    pub trait Sealed {}
+    impl Sealed for super::PublicKey {}
+    impl Sealed for super::SealingKey {}
+}
+
+/// What [`SealedBox::prepare`] addresses envelopes to. The kind of key
+/// picks the algorithm for the shared secret: a [`SealingKey`] the comb
+/// over its table, a bare [`PublicKey`] the ladder. The bytes are the
+/// same.
+pub trait Recipient: private::Sealed {
+    /// The key envelopes are addressed to.
+    fn public_key(&self) -> &PublicKey;
+
+    /// The key's comb table, if it has one.
+    fn table(&self) -> Option<&x25519::FixedBase>;
+}
+
+impl Recipient for PublicKey {
+    fn public_key(&self) -> &PublicKey {
+        self
+    }
+
+    fn table(&self) -> Option<&x25519::FixedBase> {
+        None
+    }
+}
+
+impl Recipient for SealingKey {
+    fn public_key(&self) -> &PublicKey {
+        &self.public
+    }
+
+    fn table(&self) -> Option<&x25519::FixedBase> {
+        self.table.as_deref()
     }
 }
 
@@ -381,7 +472,10 @@ impl SealedBox {
     /// Encrypts `plaintext` to `recipient`, drawing ephemeral key material
     /// from `rng`. The output is `OVERHEAD` bytes longer than the input.
     /// This is [`SealedBox::prepare`] for one envelope followed by
-    /// [`PreparedSeal::seal`].
+    /// [`PreparedSeal::seal`]: the ephemeral key through the base point's
+    /// comb, the shared secret — `recipient` being a bare key, with no
+    /// table — through the ladder. A sender that reuses the key seals to
+    /// its [`SealingKey`] through [`SealedBox::prepare`] instead.
     ///
     /// # Errors
     ///
@@ -402,11 +496,13 @@ impl SealedBox {
     /// envelopes at once: draws one 32-byte ephemeral secret per recipient
     /// from `rng`, **in `recipients` order** (exactly the draws a loop of
     /// [`SealedBox::seal`] calls would make), then derives every ephemeral
-    /// public key and shared secret through the batched X25519 driver.
-    /// Returns one [`PreparedSeal`] per recipient, in order.
+    /// public key (the base point's comb) and shared secret (the
+    /// recipient's comb, or the ladder for a bare [`PublicKey`]) through
+    /// the batched X25519 driver. Returns one [`PreparedSeal`] per
+    /// recipient, in order.
     ///
-    /// Batch only what a single sender seals: the ladders of one batch run
-    /// in one process. Every envelope gets its own ephemeral key.
+    /// Batch only what a single sender seals: the multiplications of one
+    /// batch run in one process. Every envelope gets its own ephemeral key.
     ///
     /// # Errors
     ///
@@ -414,35 +510,46 @@ impl SealedBox {
     /// low-order point, as [`SealedBox::seal`] does. How far `rng` has
     /// advanced is then unspecified (the batch draws every secret before
     /// it checks any).
-    pub fn prepare<'a, I, R>(recipients: I, rng: &mut R) -> Result<Vec<PreparedSeal>, CryptoError>
+    pub fn prepare<'a, I, K, R>(
+        recipients: I,
+        rng: &mut R,
+    ) -> Result<Vec<PreparedSeal>, CryptoError>
     where
-        I: IntoIterator<Item = &'a PublicKey>,
+        I: IntoIterator<Item = &'a K>,
+        K: Recipient + ?Sized + 'a,
         R: Rng + ?Sized,
     {
         Self::prepare_on(x25519::Tier::best(), recipients, rng)
     }
 
-    fn prepare_on<'a, I, R>(
+    fn prepare_on<'a, I, K, R>(
         tier: x25519::Tier,
         recipients: I,
         rng: &mut R,
     ) -> Result<Vec<PreparedSeal>, CryptoError>
     where
-        I: IntoIterator<Item = &'a PublicKey>,
+        I: IntoIterator<Item = &'a K>,
+        K: Recipient + ?Sized + 'a,
         R: Rng + ?Sized,
     {
-        let pending: Vec<([u8; 32], [u8; 32])> = recipients
+        let pending: Vec<([u8; 32], &K)> = recipients
             .into_iter()
             .map(|recipient| {
                 let mut secret = [0u8; 32];
                 rng.fill(&mut secret);
-                (secret, recipient.0)
+                (secret, recipient)
             })
             .collect();
-        // Two ladders per envelope under its own secret: `k·G`, then `k·H`.
-        let jobs = pending
-            .iter()
-            .flat_map(|&(k, recipient)| [(k, x25519::BASEPOINT), (k, recipient)]);
+        // Two multiplications per envelope under its own secret: `k·G`
+        // through the base point's table, then `k·H`.
+        let base = Base::Table(x25519::FixedBase::basepoint());
+        let jobs = pending.iter().flat_map(|&(k, recipient)| {
+            let shared = match recipient.table() {
+                Some(table) => Base::Table(table),
+                None => Base::Point(recipient.public_key().0),
+            };
+            [(k, base), (k, shared)]
+        });
         let mut prepared: Vec<PreparedSeal> = Vec::with_capacity(pending.len());
         let mut eph_pub = [0u8; 32];
         x25519::scalarmult_each(tier, jobs, |job, u| {
@@ -452,7 +559,7 @@ impl SealedBox {
                 prepared.push(PreparedSeal {
                     eph_pub,
                     shared: u,
-                    recipient: pending[job / 2].1,
+                    recipient: pending[job / 2].1.public_key().0,
                 });
             }
         });
@@ -464,9 +571,9 @@ impl SealedBox {
 
     /// The content-independent phase of opening, for a batch of envelopes
     /// addressed to `recipient`: derives every shared secret through the
-    /// batched X25519 driver — one clamp and bit schedule, shared ladder
-    /// passes, one field inversion ([`x25519::x25519_batch`]). Returns one
-    /// result per envelope, in input order.
+    /// batched X25519 driver — every ephemeral point is a variable base,
+    /// so the ladder: shared ladder passes, one field inversion. Returns
+    /// one result per envelope, in input order.
     ///
     /// An envelope shorter than the header is
     /// [`CryptoError::BadLength`] and never enters the ladder; one whose
@@ -481,7 +588,8 @@ impl SealedBox {
             .iter()
             .map(AsRef::as_ref)
             .filter(|s| s.len() >= OVERHEAD)
-            .map(|s| (*secret, s[..32].try_into().expect("length checked")));
+            .map(|s| Base::Point(s[..32].try_into().expect("length checked")))
+            .map(|eph_pub| (*secret, eph_pub));
         let mut shareds = Vec::with_capacity(sealed.len());
         x25519::scalarmult_each(x25519::Tier::best(), jobs, |_, shared| shareds.push(shared));
         let mut shareds = shareds.into_iter();
@@ -669,6 +777,35 @@ mod tests {
                 SealedBox::seal(b"update", &bad, &mut rng),
                 Err(CryptoError::LowOrderPoint)
             );
+            assert_eq!(
+                SealedBox::prepare([&SealingKey::new(bad)], &mut rng).unwrap_err(),
+                CryptoError::LowOrderPoint
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_without_a_table_seals_through_the_ladder_to_the_same_bytes() {
+        // u = 2 is on the twist and u = p − 1 ≡ −1 has no Edwards image:
+        // neither gets a table, and sealing to its `SealingKey` is sealing
+        // to the bare key — same bytes, same error, same RNG position.
+        let mut two = [0u8; 32];
+        two[0] = 2;
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        let rng = StdRng::seed_from_u64(6);
+        for u in [two, minus_one] {
+            let key = PublicKey::from_bytes(u);
+            let sealing = SealingKey::new(key);
+            assert!(sealing.table().is_none(), "{u:02x?}");
+            let (mut a, mut b) = (rng.clone(), rng.clone());
+            let prepared = SealedBox::prepare([&sealing], &mut a).map(|mut p| p.remove(0));
+            assert_eq!(
+                prepared.map(|p| p.seal(b"update")),
+                SealedBox::seal(b"update", &key, &mut b)
+            );
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
     }
 
@@ -725,16 +862,18 @@ mod tests {
     }
 
     /// The construction written out from the module docs and RFC 8439
-    /// §2.8 — scalar X25519 per ladder, `Vec`-returning HKDF, keystream
-    /// block 0 and the payload keyed apart, `mac_data` materialised and
-    /// MACed in one shot on the scalar tier — kept as the definition the
-    /// batched, in-place path must reproduce bit for bit.
+    /// §2.8 — both X25519 multiplications on the scalar ladder,
+    /// `Vec`-returning HKDF, keystream block 0 and the payload keyed
+    /// apart, `mac_data` materialised and MACed in one shot on the scalar
+    /// tier — kept as the definition the batched, in-place path (combs
+    /// included) must reproduce bit for bit.
     fn seal_reference(plaintext: &[u8], recipient: &PublicKey, rng: &mut StdRng) -> Vec<u8> {
         use crate::chacha20::xor_keystream;
         use crate::hmac::hkdf_expand_keyed;
-        let eph = KeyPair::generate(rng);
-        let eph_pub = eph.public().as_bytes();
-        let shared = x25519::x25519(eph.secret().as_bytes(), recipient.as_bytes());
+        let mut secret = [0u8; 32];
+        rng.fill(&mut secret);
+        let eph_pub = &x25519::x25519(&secret, &x25519::BASEPOINT);
+        let shared = x25519::x25519(&secret, recipient.as_bytes());
         assert_ne!(shared, [0u8; 32], "reference is for well-formed recipients");
         let mut salt = [0u8; 64];
         salt[..32].copy_from_slice(eph_pub);
@@ -762,14 +901,23 @@ mod tests {
 
     #[test]
     fn seal_matches_the_scalar_reference_and_its_rng_position() {
+        // To a `SealingKey` (two combs) and to the bare key (a comb and
+        // the ladder), alternately on one RNG.
         let (kp, rng) = recipient();
+        let sealing = SealingKey::new(*kp.public());
         let (mut batched, mut reference) = (rng.clone(), rng);
         for len in [0usize, 1, 63, 64, 65, 255, 256, 257, 5000] {
             let msg: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+            let prepared = SealedBox::prepare([&sealing], &mut batched).unwrap();
+            assert_eq!(
+                prepared.into_iter().next().unwrap().seal(&msg),
+                seal_reference(&msg, kp.public(), &mut reference),
+                "len {len}, sealing key"
+            );
             assert_eq!(
                 SealedBox::seal(&msg, kp.public(), &mut batched).unwrap(),
                 seal_reference(&msg, kp.public(), &mut reference),
-                "len {len}"
+                "len {len}, public key"
             );
         }
         assert_eq!(batched.gen::<u64>(), reference.gen::<u64>());
@@ -777,14 +925,17 @@ mod tests {
 
     #[test]
     fn prepare_matches_the_scalar_reference_at_every_lane_split_on_every_tier() {
-        // 1..=17 envelopes → 2..=34 ladders: below MIN_POINTS, one padded
-        // pass, full passes with scalar and padded tails. Recipients
-        // cycle over three keys, as an onion's hops do.
+        // 1..=17 envelopes → 1..=17 jobs on the base table and up to six
+        // on each key's: below MIN_COMBS, one padded pass, full passes
+        // with scalar and padded tails. Recipients cycle over three keys,
+        // as an onion's hops do.
         let mut rng = StdRng::seed_from_u64(1234);
-        let hops: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+        let hops: Vec<SealingKey> = (0..3)
+            .map(|_| SealingKey::new(*KeyPair::generate(&mut rng).public()))
+            .collect();
         for tier in x25519::Tier::supported() {
             for n in 1..=17usize {
-                let recipients: Vec<&PublicKey> = (0..n).map(|i| hops[i % 3].public()).collect();
+                let recipients: Vec<&SealingKey> = (0..n).map(|i| &hops[i % 3]).collect();
                 let (mut batched, mut reference) = (rng.clone(), rng.clone());
                 let prepared =
                     SealedBox::prepare_on(tier, recipients.iter().copied(), &mut batched).unwrap();
@@ -793,7 +944,7 @@ mod tests {
                     let msg = vec![i as u8; 7 * i];
                     assert_eq!(
                         p.seal(&msg),
-                        seal_reference(&msg, r, &mut reference),
+                        seal_reference(&msg, r.public_key(), &mut reference),
                         "{tier:?}, envelope {i} of {n}"
                     );
                 }
@@ -813,17 +964,21 @@ mod tests {
         let plain = b"innermost layer plaintext".to_vec();
         let (mut batched, mut reference) = (rng.clone(), rng);
         // Innermost envelope first, as the draws go.
-        let route: Vec<&PublicKey> = hops.iter().rev().map(KeyPair::public).collect();
+        let route: Vec<SealingKey> = hops
+            .iter()
+            .rev()
+            .map(|kp| SealingKey::new(*kp.public()))
+            .collect();
         let mut nested = vec![0u8; route.len() * OVERHEAD];
         nested.extend_from_slice(&plain);
-        let prepared = SealedBox::prepare(route.iter().copied(), &mut batched).unwrap();
+        let prepared = SealedBox::prepare(&route, &mut batched).unwrap();
         for (depth, p) in prepared.into_iter().enumerate() {
             let start = (route.len() - 1 - depth) * OVERHEAD;
             p.seal_in_place(&mut nested[start..]);
         }
         let mut expected = plain.clone();
         for key in &route {
-            expected = seal_reference(&expected, key, &mut reference);
+            expected = seal_reference(&expected, key.public_key(), &mut reference);
         }
         assert_eq!(nested, expected);
         let mut opened = nested;
@@ -840,16 +995,29 @@ mod tests {
         let mut one = [0u8; 32];
         one[0] = 1;
         let bad = PublicKey::from_bytes(one);
+        // u = 1 lies on the curve, so its `SealingKey` has a table and the
+        // all-zero secret comes out of the comb.
+        let (good_key, bad_key) = (SealingKey::new(good), SealingKey::new(bad));
         for tier in x25519::Tier::supported() {
             for position in 0..6 {
                 let mut recipients = [good; 6];
                 recipients[position] = bad;
                 let err = SealedBox::prepare_on(tier, &recipients, &mut rng).unwrap_err();
                 assert_eq!(err, CryptoError::LowOrderPoint, "{tier:?}, slot {position}");
+                let mut keys = vec![&good_key; 6];
+                keys[position] = &bad_key;
+                let err = SealedBox::prepare_on(tier, keys, &mut rng).unwrap_err();
+                assert_eq!(
+                    err,
+                    CryptoError::LowOrderPoint,
+                    "{tier:?}, key slot {position}"
+                );
             }
-            assert!(SealedBox::prepare_on(tier, &[], &mut rng)
-                .unwrap()
-                .is_empty());
+            assert!(
+                SealedBox::prepare_on(tier, Vec::<&SealingKey>::new(), &mut rng)
+                    .unwrap()
+                    .is_empty()
+            );
         }
     }
 

@@ -2,26 +2,48 @@
 //!
 //! Participants derive a shared secret with the enclave's public key; the
 //! sealed box then encrypts model updates under keys derived from that
-//! secret. The implementation follows the RFC 7748 Montgomery ladder with
-//! branch-free conditional swaps and radix-2⁵¹ field arithmetic
-//! (five 51-bit limbs, u128 intermediate products), validated against the
-//! RFC test vectors including the iterated-scalar-multiplication test.
+//! secret. Radix-2⁵¹ field arithmetic (five 51-bit limbs, u128
+//! intermediate products) with a dedicated `Fe::square` (10 wide
+//! multiplies instead of 25) and the addition-chain `Fe::invert` (254
+//! squarings + 11 multiplications) carries two algorithms, chosen by the
+//! kind of job, never by an option:
 //!
-//! The field layer carries the performance: a dedicated `Fe::square`
-//! (10 wide multiplies instead of the generic 25) feeds both the ladder
-//! — whose per-bit step is square-heavy — and the addition-chain
-//! `Fe::invert` (254 squarings + 11 multiplications, down from the
-//! naive Fermat loop's 255 + 128).
+//! * **The Montgomery ladder**, for a **variable base** — a point seen
+//!   once: every [`x25519`] call, a recipient opening envelopes (each has
+//!   its own ephemeral point), a sender's shared secret with a key that
+//!   has no table. 255 branch-free steps whose conditional swaps are
+//!   masked moves; validated against the RFC vectors, the iterated test
+//!   included.
+//! * **The fixed-base comb**, for a base a **sender reuses** — the curve's
+//!   base point (every ephemeral key) and each attested recipient key
+//!   (every shared secret sealed to it). Given the base's precomputed
+//!   [`FixedBase`] table, the multiple is ref10's signed radix-16 comb on
+//!   edwards25519 — 64 mixed additions and four doublings — read back on
+//!   the u-line through RFC 7748 §4.1's birational map (the private
+//!   `edwards` module). It uses the full clamped scalar, never reduced
+//!   mod ℓ: a recipient key need not lie in the prime-order subgroup,
+//!   and only the unreduced scalar gives the multiple the ladder gives.
+//!   Its table reads are constant-time — every entry of a row is read and
+//!   kept or dropped by an arithmetic mask, the digit's sign negates by
+//!   mask — so neither algorithm branches on or indexes by a secret.
 //!
-//! Many scalar multiplications at once — [`x25519_batch`] (one scalar,
-//! many points: a hop opening a round's envelopes) and [`x25519_multi`]
-//! (a scalar *per* point: a client sealing one onion) — share one driver.
-//! It folds the per-job final inversion into one inversion plus three
-//! multiplications per job (Montgomery's trick), and on AVX-512 IFMA
-//! hosts runs the ladders eight to a pass through a `vpmadd52` kernel
-//! (the private `ifma` module) whose conditional swaps take a per-lane
-//! mask, so every lane may carry its own scalar. Outputs are
-//! bit-identical to [`x25519`] on every tier.
+//! Many multiplications at once share one driver: the sealed box's
+//! prepare phases, [`x25519_multi`] (a scalar *per* point, the ladder
+//! rows of the criterion bench) and [`public_key`]. It folds the per-job
+//! final inversion into one inversion plus three multiplications per job
+//! (Montgomery's trick) — the comb's output is the projective pair the
+//! ladder's is, so both serialize through the same code and the bytes
+//! are identical — and on AVX-512 IFMA hosts runs eight jobs per
+//! `vpmadd52` pass (the private `ifma` module): eight ladders, whose
+//! conditional swaps take a per-lane mask so every lane carries its own
+//! scalar, or eight combs over **one** table, each row entry broadcast
+//! and each lane's digit its own mask — so the driver groups a batch's
+//! comb jobs by table. Outputs are bit-identical to [`x25519`] on every
+//! tier.
+
+mod edwards;
+
+pub use edwards::FixedBase;
 
 /// Length of scalars, points and shared secrets in bytes.
 pub const KEY_LEN: usize = 32;
@@ -143,27 +165,19 @@ impl Fe {
     }
 
     fn mul(&self, other: &Fe) -> Fe {
-        let a: [u128; 5] = [
-            u128::from(self.0[0]),
-            u128::from(self.0[1]),
-            u128::from(self.0[2]),
-            u128::from(self.0[3]),
-            u128::from(self.0[4]),
-        ];
-        let b: [u128; 5] = [
-            u128::from(other.0[0]),
-            u128::from(other.0[1]),
-            u128::from(other.0[2]),
-            u128::from(other.0[3]),
-            u128::from(other.0[4]),
-        ];
-        let mut r = [0u128; 5];
-        r[0] = a[0] * b[0] + 19 * (a[1] * b[4] + a[2] * b[3] + a[3] * b[2] + a[4] * b[1]);
-        r[1] = a[0] * b[1] + a[1] * b[0] + 19 * (a[2] * b[4] + a[3] * b[3] + a[4] * b[2]);
-        r[2] = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + 19 * (a[3] * b[4] + a[4] * b[3]);
-        r[3] = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + 19 * (a[4] * b[4]);
-        r[4] = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
-        Fe::carry(r)
+        let [a0, a1, a2, a3, a4] = self.0;
+        let [b0, b1, b2, b3, b4] = other.0;
+        // The 19-folds on the 64-bit side: a limb below 2⁵⁴ times 19 stays
+        // below 2⁵⁹, so every product is one 64×64→128 multiply.
+        let (n1, n2, n3, n4) = (19 * b1, 19 * b2, 19 * b3, 19 * b4);
+        let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
+        Fe::carry([
+            m(a0, b0) + m(a1, n4) + m(a2, n3) + m(a3, n2) + m(a4, n1),
+            m(a0, b1) + m(a1, b0) + m(a2, n4) + m(a3, n3) + m(a4, n2),
+            m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, n4) + m(a4, n3),
+            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, n4),
+            m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
+        ])
     }
 
     /// Dedicated squaring: the symmetric cross terms collapse 25 wide
@@ -248,11 +262,17 @@ impl Fe {
         }
     }
 
-    /// Multiplicative inverse via Fermat: `self^(p−2)`, p−2 = 2²⁵⁵ − 21,
-    /// computed with the standard Curve25519 addition chain (254
-    /// squarings + 11 multiplications). `invert(0) = 0`, which the
-    /// ladder relies on for low-order inputs.
-    fn invert(&self) -> Fe {
+    /// Branch-free conditional move: `self = other` where `mask` is all
+    /// ones, unchanged where it is zero.
+    fn cmov(&mut self, other: &Fe, mask: u64) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a ^= mask & (*a ^ b);
+        }
+    }
+
+    /// `(z^(2²⁵⁰ − 1), z¹¹)`: the standard Curve25519 addition chain that
+    /// both [`Fe::invert`] and [`Fe::pow22523`] finish.
+    fn pow_2_250_minus_1(&self) -> (Fe, Fe) {
         let z2 = self.square();
         let z9 = z2.square_n(2).mul(self);
         let z11 = z9.mul(&z2);
@@ -264,9 +284,22 @@ impl Fe {
         let p50 = p40.square_n(10).mul(&p10);
         let p100 = p50.square_n(50).mul(&p50);
         let p200 = p100.square_n(100).mul(&p100);
-        let p250 = p200.square_n(50).mul(&p50);
+        (p200.square_n(50).mul(&p50), z11)
+    }
+
+    /// Multiplicative inverse via Fermat: `self^(p−2)`, p−2 = 2²⁵⁵ − 21
+    /// (254 squarings + 11 multiplications). `invert(0) = 0`, which the
+    /// ladder relies on for low-order inputs.
+    fn invert(&self) -> Fe {
+        let (p250, z11) = self.pow_2_250_minus_1();
         // 2²⁵⁵ − 32 + 11 = 2²⁵⁵ − 21.
         p250.square_n(5).mul(&z11)
+    }
+
+    /// `self^((p − 5)/8)` = `self^(2²⁵² − 3)`, the square-root exponent
+    /// for p ≡ 5 (mod 8).
+    fn pow22523(&self) -> Fe {
+        self.pow_2_250_minus_1().0.square_n(2).mul(self)
     }
 }
 
@@ -329,35 +362,18 @@ pub fn x25519(scalar: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Batched X25519: one scalar against many points, as the sealed box
-/// uses it to derive a round's shared secrets from one recipient secret
-/// and many ephemeral points.
+/// Batched X25519 over the ladder with a scalar **per point**: `out[i] =
+/// x25519(scalars[i], points[i])`, every job a variable base.
 ///
-/// The per-point final inversion — the single most expensive field
-/// operation — is shared across the batch with Montgomery's trick
-/// (`batch_invert`). Outputs are bit-identical to calling [`x25519`]
-/// per point: the batched inverses are the same field elements, and
-/// serialization is canonical.
-///
-/// Note the batch inversion branches on which `z` coordinates are zero
-/// (public information once the all-zero outputs are rejected by the
-/// caller's contributory-behavior check); the per-point ladder itself
-/// stays branch-free in the scalar bits.
-pub fn x25519_batch(scalar: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]]) -> Vec<[u8; KEY_LEN]> {
-    let mut out = Vec::with_capacity(points.len());
-    let jobs = points.iter().map(|point| (*scalar, *point));
-    scalarmult_each(Tier::best(), jobs, |_, u| out.push(u));
-    out
-}
-
-/// Batched X25519 with a scalar **per point**: `out[i] = x25519(scalars[i],
-/// points[i])`, as a client sealing an onion needs it (every envelope has
-/// its own ephemeral secret, multiplied once with the base point and once
-/// with a hop key).
-///
-/// Shares the driver of [`x25519_batch`] — same batched inversion, same
-/// lane kernel, same note on what the inversion may branch on — and is
-/// bit-identical to calling [`x25519`] per pair.
+/// The public entry to the driver's ladder tier — what the criterion
+/// rows `crypto/x25519/multi_scalar/*` time to re-measure the ladder's
+/// lane crossover. The per-point final inversion is shared across the
+/// batch with Montgomery's trick (`batch_invert`), and outputs are
+/// bit-identical to calling [`x25519`] per pair: the batched inverses are
+/// the same field elements, and serialization is canonical. The batch
+/// inversion branches on which `z` coordinates are zero — public once
+/// the all-zero outputs are rejected by a caller's contributory-behavior
+/// check; the ladders themselves stay branch-free in the scalar bits.
 ///
 /// # Panics
 ///
@@ -373,81 +389,154 @@ fn x25519_multi_on(
 ) -> Vec<[u8; KEY_LEN]> {
     assert_eq!(scalars.len(), points.len(), "one scalar per point");
     let mut out = Vec::with_capacity(points.len());
-    let jobs = scalars.iter().zip(points).map(|(k, p)| (*k, *p));
+    let jobs = scalars
+        .iter()
+        .zip(points)
+        .map(|(k, p)| (*k, Base::Point(*p)));
     scalarmult_each(tier, jobs, |_, u| out.push(u));
     out
 }
 
-/// Which ladder implementation the batched driver fills lanes with.
+/// `out[i] = x25519(scalars[i], u)` where `table` is [`FixedBase::new`]`(u)`,
+/// through the comb on `tier`.
+fn fixed_base_on(
+    tier: Tier,
+    table: &FixedBase,
+    scalars: &[[u8; KEY_LEN]],
+    out: &mut [[u8; KEY_LEN]],
+) {
+    assert_eq!(scalars.len(), out.len(), "one output per scalar");
+    let jobs = scalars.iter().map(|k| (*k, Base::Table(table)));
+    scalarmult_each(tier, jobs, |i, u| out[i] = u);
+}
+
+/// A batch of fixed-base multiplications on one table, as [`fixed_base_kernels`]
+/// lists them: `out[i] = x25519(scalars[i], u)` for the table of `u`.
+#[doc(hidden)]
+pub type FixedBaseKernel = fn(&FixedBase, &[[u8; KEY_LEN]], &mut [[u8; KEY_LEN]]);
+
+/// [`fixed_base_on`] with `Tier::ALL[TIER]`.
+fn fixed_base_tier<const TIER: usize>(
+    table: &FixedBase,
+    scalars: &[[u8; KEY_LEN]],
+    out: &mut [[u8; KEY_LEN]],
+) {
+    fixed_base_on(Tier::ALL[TIER], table, scalars, out);
+}
+
+/// Every comb tier the running CPU supports, scalar first, as `(name,
+/// kernel)` pairs: the rows `crypto/x25519/fixed_base/<tier>/*` of `cargo
+/// bench --bench crypto` and the per-tier checks of
+/// `tests/known_answer.rs`. Not an option — sealing always takes the
+/// widest.
+#[doc(hidden)]
+pub fn fixed_base_kernels() -> Vec<(&'static str, FixedBaseKernel)> {
+    const KERNELS: [FixedBaseKernel; 2] = [fixed_base_tier::<0>, fixed_base_tier::<1>];
+    Tier::ALL
+        .into_iter()
+        .zip(KERNELS)
+        .filter(|(tier, _)| tier.available())
+        .map(|(tier, kernel)| (tier.name(), kernel))
+        .collect()
+}
+
+/// Which kernels the batched driver fills lanes with — the ladder's and
+/// the comb's alike.
 ///
 /// An argument rather than ambient state so the tests can pin every
 /// tier the host supports against the scalar definition; production
 /// callers pass [`Tier::best`]. Outputs do not depend on the tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tier {
-    /// One radix-2⁵¹ [`ladder`] per job.
+    /// One radix-2⁵¹ [`ladder`] or comb per job.
     Scalar,
-    /// Eight jobs per pass of the AVX-512 IFMA kernel; groups too small
-    /// to pay for a pass take the scalar ladder. Only [`Tier::best`] hands
-    /// this out, and only on a CPU that has the kernel.
+    /// Eight jobs per pass of an AVX-512 IFMA kernel; groups too small to
+    /// pay for a pass take the scalar kernel. Only on a CPU that has it.
     Ifma,
 }
 
 impl Tier {
+    const ALL: [Tier; 2] = [Tier::Scalar, Tier::Ifma];
+
+    /// Whether the running CPU can execute this tier's kernels.
+    fn available(self) -> bool {
+        match self {
+            Tier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Ifma => ifma::available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Ifma => false,
+        }
+    }
+
     /// The fastest tier the running CPU supports.
     pub(crate) fn best() -> Tier {
-        #[cfg(target_arch = "x86_64")]
-        if ifma::available() {
-            return Tier::Ifma;
-        }
-        Tier::Scalar
+        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
+        widest.expect("the scalar tier is always available")
     }
 
     /// Every tier the running CPU supports, scalar first.
     #[cfg(test)]
     pub(crate) fn supported() -> Vec<Tier> {
-        let mut tiers = vec![Tier::Scalar];
-        if Tier::best() == Tier::Ifma {
-            tiers.push(Tier::Ifma);
+        Tier::ALL
+            .into_iter()
+            .filter(|tier| tier.available())
+            .collect()
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Ifma => "ifma",
         }
-        tiers
     }
 }
 
+/// What a driver job multiplies its scalar with — which is what picks the
+/// algorithm.
+#[derive(Clone, Copy)]
+pub(crate) enum Base<'a> {
+    /// A variable base, as a u-coordinate: the ladder.
+    Point([u8; KEY_LEN]),
+    /// A base the sender reuses, through its table: the comb.
+    Table(&'a FixedBase),
+}
+
 /// Jobs per stack-resident chunk of the batched driver. Each chunk
-/// shares one field inversion, so the 2·L·H ladders of any realistic
-/// onion (30 on a 5-layer, 3-hop update) pay for exactly one; a longer
-/// batch pays one per 64 jobs — under 0.2% of the ladders it follows —
-/// and in exchange the driver never touches the heap.
+/// shares one field inversion, so the 2·(1 + L·(H−1)) multiplications of
+/// any realistic onion (22 on a 5-layer, 3-hop update) pay for exactly
+/// one; a longer batch pays one per 64 jobs — under 0.2% of the ladders
+/// it follows — and in exchange the driver never touches the heap.
 const CHUNK: usize = 64;
 
-/// The batched driver behind [`x25519_batch`], [`x25519_multi`] and the
-/// sealed box's prepare phase: computes `x25519(scalar, point)` for every
-/// `(scalar, point)` job and hands `sink` each result with its job index,
-/// in job order.
-pub(crate) fn scalarmult_each<I, F>(tier: Tier, jobs: I, mut sink: F)
+/// The batched driver behind the sealed box's prepare phases,
+/// [`x25519_multi`] and [`public_key`]: computes `x25519(scalar, base)`
+/// for every `(scalar, base)` job — the ladder for a [`Base::Point`], the
+/// comb for a [`Base::Table`] — and hands `sink` each result with its job
+/// index, in job order.
+pub(crate) fn scalarmult_each<'a, I, F>(tier: Tier, jobs: I, mut sink: F)
 where
-    I: IntoIterator<Item = ([u8; KEY_LEN], [u8; KEY_LEN])>,
+    I: IntoIterator<Item = ([u8; KEY_LEN], Base<'a>)>,
     F: FnMut(usize, [u8; KEY_LEN]),
 {
     let mut jobs = jobs.into_iter();
     let mut ks = [[0u8; KEY_LEN]; CHUNK];
-    let mut points = [[0u8; KEY_LEN]; CHUNK];
+    let mut bases = [Base::Point([0; KEY_LEN]); CHUNK];
     let mut xs = [Fe::ZERO; CHUNK];
     let mut zs = [Fe::ZERO; CHUNK];
     let mut prefix = [Fe::ZERO; CHUNK];
     let mut emitted = 0;
     loop {
         let mut n = 0;
-        for (scalar, point) in jobs.by_ref().take(CHUNK) {
+        for (scalar, base) in jobs.by_ref().take(CHUNK) {
             ks[n] = clamp(&scalar);
-            points[n] = point;
+            bases[n] = base;
             n += 1;
         }
         if n == 0 {
             return;
         }
-        ladders(tier, &ks[..n], &points[..n], &mut xs[..n], &mut zs[..n]);
+        multiply(tier, &ks[..n], &bases[..n], &mut xs[..n], &mut zs[..n]);
         batch_invert(&mut zs[..n], &mut prefix[..n]);
         for (x2, z2_inv) in xs[..n].iter().zip(&zs[..n]) {
             sink(emitted, x2.mul(z2_inv).to_bytes());
@@ -456,7 +545,42 @@ where
     }
 }
 
-/// Projective `(x, z)` of `ks[i] · points[i]` for pre-clamped scalars.
+/// Projective `(x, z)` of `ks[i] · bases[i]` for pre-clamped scalars: one
+/// ladder group for every point job, then one comb group per table, in
+/// the order the tables first appear. Grouping is by table identity —
+/// public, like the tables — and changes no output.
+fn multiply(tier: Tier, ks: &[[u8; KEY_LEN]], bases: &[Base<'_>], xs: &mut [Fe], zs: &mut [Fe]) {
+    let mut points = [(0, [0u8; KEY_LEN]); CHUNK];
+    let mut n = 0;
+    for (i, base) in bases.iter().enumerate() {
+        if let Base::Point(point) = base {
+            points[n] = (i, *point);
+            n += 1;
+        }
+    }
+    ladders(tier, ks, &points[..n], xs, zs);
+    let mut grouped = [false; CHUNK];
+    let mut group = [0; CHUNK];
+    for first in 0..bases.len() {
+        let Base::Table(table) = bases[first] else {
+            continue;
+        };
+        if grouped[first] {
+            continue;
+        }
+        let mut n = 0;
+        for (i, base) in bases.iter().enumerate().skip(first) {
+            if matches!(base, Base::Table(t) if std::ptr::eq(*t, table)) {
+                group[n] = i;
+                grouped[i] = true;
+                n += 1;
+            }
+        }
+        combs(tier, table, ks, &group[..n], xs, zs);
+    }
+}
+
+/// The ladder over `jobs` — `(index into the chunk, point)` pairs.
 ///
 /// On the IFMA tier the jobs go eight to a pass (a short final group is
 /// padded by repeating its first job — same pass cost, surplus lanes
@@ -465,31 +589,62 @@ where
 fn ladders(
     tier: Tier,
     ks: &[[u8; KEY_LEN]],
-    points: &[[u8; KEY_LEN]],
+    jobs: &[(usize, [u8; KEY_LEN])],
     xs: &mut [Fe],
     zs: &mut [Fe],
 ) {
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Ifma {
-        while ks.len() - done >= ifma::MIN_POINTS {
-            let n = (ks.len() - done).min(ifma::LANES);
-            let mut lane_ks = [ks[done]; ifma::LANES];
-            let mut lane_points = [points[done]; ifma::LANES];
-            lane_ks[..n].copy_from_slice(&ks[done..done + n]);
-            lane_points[..n].copy_from_slice(&points[done..done + n]);
+        while jobs.len() - done >= ifma::MIN_POINTS {
+            let group = &jobs[done..jobs.len().min(done + ifma::LANES)];
+            let lane = |l: usize| group.get(l).unwrap_or(&group[0]);
+            let lane_ks = core::array::from_fn(|l| ks[lane(l).0]);
+            let lane_points = core::array::from_fn(|l| lane(l).1);
             let out = ifma::ladder8(&lane_ks, &lane_points);
-            for (lane, &(x2, z2)) in out.iter().take(n).enumerate() {
-                xs[done + lane] = x2;
-                zs[done + lane] = z2;
+            for (&(i, _), &(x2, z2)) in group.iter().zip(&out) {
+                (xs[i], zs[i]) = (x2, z2);
             }
-            done += n;
+            done += group.len();
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = tier;
-    for i in done..ks.len() {
-        (xs[i], zs[i]) = ladder(&ks[i], &points[i]);
+    for &(i, point) in &jobs[done..] {
+        (xs[i], zs[i]) = ladder(&ks[i], &point);
+    }
+}
+
+/// The comb over `jobs` (indices into the chunk), all on `table`.
+///
+/// On the IFMA tier the jobs go eight to a pass sharing the table, padded
+/// as [`ladders`] pads; a group too short to pay for a pass takes the
+/// scalar comb.
+fn combs(
+    tier: Tier,
+    table: &FixedBase,
+    ks: &[[u8; KEY_LEN]],
+    jobs: &[usize],
+    xs: &mut [Fe],
+    zs: &mut [Fe],
+) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Ifma {
+        while jobs.len() - done >= ifma::MIN_COMBS {
+            let group = &jobs[done..jobs.len().min(done + ifma::LANES)];
+            let lane_ks = core::array::from_fn(|l| ks[*group.get(l).unwrap_or(&group[0])]);
+            let out = ifma::comb8(table, &lane_ks);
+            for (&i, &(x, z)) in group.iter().zip(&out) {
+                (xs[i], zs[i]) = (x, z);
+            }
+            done += group.len();
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for &i in &jobs[done..] {
+        (xs[i], zs[i]) = edwards::comb(table, &ks[i]);
     }
 }
 
@@ -531,15 +686,23 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
     (x2, z2)
 }
 
-/// AVX-512 IFMA eight-lane Montgomery ladder.
+/// AVX-512 IFMA eight-lane Montgomery ladder and fixed-base comb.
 ///
 /// Every X25519 ladder runs the same 255 steps whatever its scalar; only
 /// the conditional swaps differ, and those are branch-free masked moves.
 /// So eight independent `(scalar, point)` jobs fit the 512-bit `vpmadd52`
 /// lanes in lockstep: the scalars' bits are transposed into one `u8` per
 /// step (bit `lane` = that lane's scalar bit) and each step's swap takes
-/// the byte as a per-lane write mask. One scalar against eight points
-/// ([`super::x25519_batch`]) is the case where all eight bits agree.
+/// the byte as a per-lane write mask. One scalar against eight points (a
+/// recipient opening a round) is the case where all eight bits agree.
+///
+/// Every comb over one table likewise runs the same 64 additions and four
+/// doublings; only which entry each addition takes differs. So eight
+/// scalars on one table share the lanes too: each row entry is broadcast
+/// to every lane and kept in a lane where that lane's digit magnitude —
+/// compared in a vector, one compare per entry — names it, then negated
+/// in the lanes whose digit is negative. Every entry is read on every
+/// step, as on the scalar comb.
 ///
 /// Lane field elements use radix-2⁴³ (six limbs): `vpmadd52` truncates
 /// operands to 52 bits, and the nine bits of headroom above a carried
@@ -554,18 +717,26 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 /// stays canonical and the results are bit-identical to the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
+    use super::edwards::{self, FixedBase, Niels, DIGITS, ENTRIES};
     use super::{Fe, KEY_LEN};
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
 
-    /// Jobs processed per ladder pass.
+    /// Jobs processed per ladder or comb pass.
     pub const LANES: usize = 8;
-    /// Smallest group worth a (padded) vector pass. Measured on the
+    /// Smallest group worth a (padded) ladder pass. Measured on the
     /// reference box, a pass costs 69 µs whatever its fill against 40 µs
     /// per scalar ladder, so it wins from two jobs up (`cargo bench
     /// --bench crypto`: `x25519/multi_scalar/2` against two
     /// `x25519/scalarmult`) — a lone ladder stays scalar.
     pub const MIN_POINTS: usize = 2;
+    /// Smallest group on one table worth a (padded) comb pass. Measured
+    /// on the box whose ladder reads the reference 40 µs, a pass costs
+    /// ≈ 22 µs whatever its fill against ≈ 10 µs per scalar comb beyond
+    /// the shared inversion, so it wins from two jobs up
+    /// (`x25519/fixed_base/ifma/2` 23.5 µs against `fixed_base/scalar/2`
+    /// 26.4 µs) — a lone comb stays scalar.
+    pub const MIN_COMBS: usize = 2;
 
     const MASK43: u64 = (1 << 43) - 1;
     /// 2²⁵⁸ mod p = 8 · 19.
@@ -848,6 +1019,163 @@ mod ifma {
         core::array::from_fn(|lane| (xs[lane], zs[lane]))
     }
 
+    /// Eight lanes of a fully reduced radix-2⁵¹ element (every limb
+    /// below 2⁵¹), re-cut into radix-2⁴³ limbs: limb `i` is bits
+    /// `43i .. 43i + 43` of the value, gathered from the one or two 51-bit
+    /// limbs they straddle.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn from_radix51(f: &[__m512i; 5]) -> FeV {
+        let mask = splat(MASK43);
+        let mut r = [
+            f[0],
+            _mm512_or_si512(_mm512_srli_epi64::<43>(f[0]), _mm512_slli_epi64::<8>(f[1])),
+            _mm512_or_si512(_mm512_srli_epi64::<35>(f[1]), _mm512_slli_epi64::<16>(f[2])),
+            _mm512_or_si512(_mm512_srli_epi64::<27>(f[2]), _mm512_slli_epi64::<24>(f[3])),
+            _mm512_or_si512(_mm512_srli_epi64::<19>(f[3]), _mm512_slli_epi64::<32>(f[4])),
+            _mm512_srli_epi64::<11>(f[4]),
+        ];
+        for limb in &mut r[..5] {
+            *limb = _mm512_and_si512(*limb, mask);
+        }
+        FeV(r)
+    }
+
+    /// Eight points in extended coordinates, one per lane.
+    #[derive(Clone, Copy)]
+    struct ExtV {
+        x: FeV,
+        y: FeV,
+        z: FeV,
+        t: FeV,
+    }
+
+    /// The finishing multiplications of [`add_niels`] and [`double`], as
+    /// the scalar `Ext::from_efgh`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn from_efgh(e: &FeV, f: &FeV, g: &FeV, h: &FeV) -> ExtV {
+        ExtV {
+            x: mul(e, f),
+            y: mul(g, h),
+            z: mul(f, g),
+            t: mul(e, h),
+        }
+    }
+
+    /// `p + q` per lane for an affine Niels `q = [y + x, y − x, 2d·x·y]`.
+    /// Every subtrahend is a multiplication's (carried) output and every
+    /// operand stays below 2⁴⁶.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn add_niels(p: &ExtV, q: &[FeV; 3]) -> ExtV {
+        let a = mul(&add(&p.y, &p.x), &q[0]);
+        let b = mul(&sub(&p.y, &p.x), &q[1]);
+        let c = mul(&p.t, &q[2]);
+        let d = add(&p.z, &p.z);
+        from_efgh(&sub(&a, &b), &sub(&d, &c), &add(&d, &c), &add(&a, &b))
+    }
+
+    /// `2·p` per lane, the scalar `Ext::double` (same negated `F`, `H`).
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn double(p: &ExtV) -> ExtV {
+        let xx = square(&p.x);
+        let yy = square(&p.y);
+        let zz = square(&p.z);
+        let e = sub(&sub(&square(&add(&p.x, &p.y)), &xx), &yy);
+        let g = sub(&yy, &xx);
+        let f = sub(&add(&add(&zz, &zz), &xx), &yy);
+        from_efgh(&e, &f, &g, &add(&xx, &yy))
+    }
+
+    /// Each lane's signed digit times the row's unit: every entry of the
+    /// row is broadcast, in the table's radix-2⁵¹ limbs, and kept in the
+    /// lanes whose `|digit|` it is (a vector compare per entry); what was
+    /// kept is re-cut into radix-2⁴³ once, then the lanes whose digit is
+    /// negative swap `y ± x` and negate `2d·x·y` by mask. A zero digit
+    /// keeps the identity `(1, 1, 0)`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn select(row: &[Niels; ENTRIES], magnitudes: &__m512i, negative: __mmask8) -> [FeV; 3] {
+        let zero = _mm512_setzero_si512();
+        let mut t = [[zero; 5]; 3];
+        t[0][0] = splat(1);
+        t[1][0] = splat(1);
+        for (j, entry) in (1..).zip(row) {
+            let pick = _mm512_cmpeq_epi64_mask(*magnitudes, splat(j));
+            let coordinates = [&entry.y_plus_x, &entry.y_minus_x, &entry.xy2d];
+            for (lanes, fe) in t.iter_mut().zip(coordinates) {
+                for (reg, &limb) in lanes.iter_mut().zip(&fe.0) {
+                    *reg = _mm512_mask_mov_epi64(*reg, pick, splat(limb));
+                }
+            }
+        }
+        let mut y_plus_x = from_radix51(&t[0]);
+        let mut y_minus_x = from_radix51(&t[1]);
+        let mut xy2d = from_radix51(&t[2]);
+        cswap(negative, &mut y_plus_x, &mut y_minus_x);
+        let negated = sub(&fev_splat(0), &xy2d);
+        for (reg, neg) in xy2d.0.iter_mut().zip(&negated.0) {
+            *reg = _mm512_mask_mov_epi64(*reg, negative, *neg);
+        }
+        [y_plus_x, y_minus_x, xy2d]
+    }
+
+    /// The comb over eight pre-clamped scalars on one table, one per lane.
+    /// Returns each lane's projective Montgomery pair for the caller's
+    /// batched inversion; outputs equal the scalar `edwards::comb`
+    /// lane for lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`] — callers select this tier only after
+    /// checking it.
+    pub fn comb8(table: &FixedBase, ks: &[[u8; KEY_LEN]; LANES]) -> [(Fe, Fe); LANES] {
+        assert!(available(), "IFMA comb selected on a CPU without it");
+        // Per digit position, every lane's magnitude (a vector row) and
+        // the lanes whose digit is negative (a mask).
+        let digits = ks.map(|k| edwards::digits(&k));
+        let mut magnitudes = [[0u64; LANES]; DIGITS];
+        let mut negative = [0 as __mmask8; DIGITS];
+        for (lane, e) in digits.iter().enumerate() {
+            for (i, &digit) in e.iter().enumerate() {
+                let (magnitude, sign) = edwards::magnitude_and_sign(digit);
+                magnitudes[i][lane] = magnitude;
+                negative[i] |= (sign as u8) << lane;
+            }
+        }
+        // SAFETY: `available()` just confirmed AVX-512 F (implied by the
+        // other two), DQ and IFMA — the features `comb8_lanes` enables.
+        unsafe { comb8_lanes(table.rows(), &magnitudes, &negative) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn comb8_lanes(
+        rows: &[[Niels; ENTRIES]],
+        magnitudes: &[[u64; LANES]; DIGITS],
+        negative: &[__mmask8; DIGITS],
+    ) -> [(Fe, Fe); LANES] {
+        let mut h = ExtV {
+            x: fev_splat(0),
+            y: fev_splat(1),
+            z: fev_splat(1),
+            t: fev_splat(0),
+        };
+        for i in (1..DIGITS).step_by(2) {
+            let magnitude = _mm512_loadu_si512(magnitudes[i].as_ptr().cast());
+            h = add_niels(&h, &select(&rows[i / 2], &magnitude, negative[i]));
+        }
+        for _ in 0..4 {
+            h = double(&h);
+        }
+        for i in (0..DIGITS).step_by(2) {
+            let magnitude = _mm512_loadu_si512(magnitudes[i].as_ptr().cast());
+            h = add_niels(&h, &select(&rows[i / 2], &magnitude, negative[i]));
+        }
+        let us = store(&add(&h.z, &h.y));
+        let ws = store(&sub(&h.z, &h.y));
+        core::array::from_fn(|lane| (us[lane], ws[lane]))
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -914,9 +1242,13 @@ mod ifma {
     }
 }
 
-/// Derives the public key for a secret scalar: `x25519(secret, 9)`.
+/// Derives the public key for a secret scalar: `x25519(secret, 9)`,
+/// through the comb over the base point's table.
 pub fn public_key(secret: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
-    x25519(secret, &BASEPOINT)
+    let mut public = [0u8; KEY_LEN];
+    let job = (*secret, Base::Table(FixedBase::basepoint()));
+    scalarmult_each(Tier::best(), [job], |_, u| public = u);
+    public
 }
 
 #[cfg(test)]
@@ -1081,17 +1413,53 @@ mod tests {
         }
     }
 
+    /// One scalar against many points through the driver, as a recipient
+    /// opening a round's envelopes (`SealedBox::prepare_open`) runs it:
+    /// the case where every lane's swap bits agree.
+    fn batch_on(tier: Tier, secret: &[u8; 32], points: &[[u8; 32]]) -> Vec<[u8; 32]> {
+        x25519_multi_on(tier, &vec![*secret; points.len()], points)
+    }
+
+    /// `x25519(k, u)` for each scalar through the comb over `u`'s table.
+    fn comb_on(tier: Tier, table: &FixedBase, scalars: &[[u8; 32]]) -> Vec<[u8; 32]> {
+        let mut out = vec![[0u8; 32]; scalars.len()];
+        fixed_base_on(tier, table, scalars, &mut out);
+        out
+    }
+
+    /// The u-coordinates the ladder tests use as points beyond honest
+    /// keys: the low-order u = 0 and u = 1 (and 1 written as p + 1),
+    /// p − 1 (≡ −1), p (≡ 0), the all-ones string (top bit set), and the
+    /// base point with its top bit set.
+    fn edge_points() -> Vec<[u8; 32]> {
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut high_nine = BASEPOINT;
+        high_nine[31] |= 0x80;
+        vec![
+            [0u8; 32],
+            one,
+            unhex32("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+            unhex32("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+            unhex32("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+            unhex32("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+            high_nine,
+        ]
+    }
+
     #[test]
     fn batch_matches_per_point_scalarmult() {
         let secret = [0x6bu8; 32];
         let points: Vec<[u8; 32]> = (0u8..7)
             .map(|i| public_key(&[i.wrapping_mul(53).wrapping_add(11); 32]))
             .collect();
-        let batched = x25519_batch(&secret, &points);
-        for (point, out) in points.iter().zip(&batched) {
-            assert_eq!(*out, x25519(&secret, point));
+        for tier in Tier::supported() {
+            let batched = batch_on(tier, &secret, &points);
+            for (point, out) in points.iter().zip(&batched) {
+                assert_eq!(*out, x25519(&secret, point), "{tier:?}");
+            }
+            assert!(batch_on(tier, &secret, &[]).is_empty());
         }
-        assert!(x25519_batch(&secret, &[]).is_empty());
     }
 
     #[test]
@@ -1106,30 +1474,32 @@ mod tests {
         one[0] = 1;
         let good = public_key(&[9u8; 32]);
         let points = [good, zero, one, good];
-        let batched = x25519_batch(&secret, &points);
-        assert_eq!(batched[0], x25519(&secret, &good));
-        assert_eq!(batched[1], [0u8; 32]);
-        assert_eq!(batched[2], [0u8; 32]);
-        assert_eq!(batched[3], batched[0]);
+        for tier in Tier::supported() {
+            let batched = batch_on(tier, &secret, &points);
+            assert_eq!(batched[0], x25519(&secret, &good));
+            assert_eq!(batched[1], [0u8; 32]);
+            assert_eq!(batched[2], [0u8; 32]);
+            assert_eq!(batched[3], batched[0]);
+        }
         assert_eq!(x25519(&secret, &zero), [0u8; 32]);
         assert_eq!(x25519(&secret, &one), [0u8; 32]);
     }
 
     #[test]
     fn batch_matches_per_point_at_every_group_split() {
-        // Cover every vector/scalar split the batch driver can take on an
-        // IFMA host: below MIN_POINTS (all scalar), exactly one padded
-        // group, a full group, full group + scalar tail, full group +
-        // padded group. On other hosts this degenerates to scalar-vs-
-        // scalar, which must still agree.
+        // Cover every vector/scalar split the driver can take on an IFMA
+        // host: below MIN_POINTS (all scalar), exactly one padded group, a
+        // full group, full group + scalar tail, full group + padded group.
         let secret = [0x2du8; 32];
         let points: Vec<[u8; 32]> = (0u8..21)
             .map(|i| public_key(&[i.wrapping_mul(29).wrapping_add(3); 32]))
             .collect();
-        for len in [1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 16, 17, 21] {
-            let batched = x25519_batch(&secret, &points[..len]);
-            for (point, out) in points[..len].iter().zip(&batched) {
-                assert_eq!(*out, x25519(&secret, point), "batch len {len}");
+        for tier in Tier::supported() {
+            for len in [1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 16, 17, 21] {
+                let batched = batch_on(tier, &secret, &points[..len]);
+                for (point, out) in points[..len].iter().zip(&batched) {
+                    assert_eq!(*out, x25519(&secret, point), "{tier:?}, batch len {len}");
+                }
             }
         }
     }
@@ -1137,21 +1507,168 @@ mod tests {
     #[test]
     fn batch_matches_per_point_on_edge_points() {
         // Non-canonical and boundary u-coordinates exercise the top-bit
-        // masking and reduction of the wide ladder: p − 1, p, p + 1, the
-        // all-ones string (top bit set), and 2²⁵⁵ − 1 − 19 ≡ p via the
-        // dropped bit.
+        // masking and reduction of the wide ladder.
         let secret = [0x91u8; 32];
-        let points = [
-            unhex32("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
-            unhex32("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
-            unhex32("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
-            unhex32("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
-            BASEPOINT,
-            [0u8; 32],
-        ];
-        let batched = x25519_batch(&secret, &points);
-        for (point, out) in points.iter().zip(&batched) {
-            assert_eq!(*out, x25519(&secret, point));
+        let mut points = edge_points();
+        points.push(BASEPOINT);
+        for tier in Tier::supported() {
+            let batched = batch_on(tier, &secret, &points);
+            for (point, out) in points.iter().zip(&batched) {
+                assert_eq!(*out, x25519(&secret, point), "{tier:?}");
+            }
+        }
+    }
+
+    /// Scalars that stress the comb's recoding: all-zero and all-`0xff`
+    /// before clamping, every nibble 8 (a carry through all 63 digits),
+    /// a top byte whose nibble plus the carry makes the top digit 8,
+    /// then pseudo-random ones.
+    fn comb_scalars(random: usize) -> Vec<[u8; 32]> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut top_carry = [0xf8u8; 32];
+        top_carry[31] = 0x7f;
+        let mut scalars = vec![[0u8; 32], [0xff; 32], [0x88; 32], top_carry];
+        let mut rng = StdRng::seed_from_u64(25);
+        scalars.extend((0..random).map(|_| {
+            let mut k = [0u8; 32];
+            rng.fill(&mut k);
+            k
+        }));
+        scalars
+    }
+
+    #[test]
+    fn comb_matches_the_ladder_on_the_base_point_and_random_keys_on_every_tier() {
+        let scalars = comb_scalars(256);
+        let mut bases = vec![BASEPOINT];
+        bases.extend((0u8..4).map(|i| public_key(&[i.wrapping_mul(77).wrapping_add(2); 32])));
+        for u in &bases {
+            let table = FixedBase::new(u).expect("a public key lies on the curve");
+            let expected: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, u)).collect();
+            for tier in Tier::supported() {
+                assert_eq!(comb_on(tier, &table, &scalars), expected, "{tier:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn comb_matches_the_ladder_on_low_order_mixed_order_and_non_canonical_points() {
+        // Mixed order: a key plus the order-4 point (u = 1), added on the
+        // Edwards side. A clamped scalar kills the small component, which
+        // the unreduced scalar does and `k mod ℓ` would not.
+        let key = edwards::Ext::from_montgomery(&Fe::from_bytes(&public_key(&[3; 32]))).unwrap();
+        let order4 = edwards::Ext::from_montgomery(&Fe::ONE).unwrap();
+        let (u, w) = key.add(&order4).to_montgomery();
+        let mixed = u.mul(&w.invert()).to_bytes();
+        let mut points = edge_points();
+        points.push(mixed);
+        let scalars = comb_scalars(12);
+        let mut tables = 0;
+        for u in &points {
+            let Some(table) = FixedBase::new(u) else {
+                continue;
+            };
+            tables += 1;
+            let expected: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, u)).collect();
+            for tier in Tier::supported() {
+                assert_eq!(
+                    comb_on(tier, &table, &scalars),
+                    expected,
+                    "{tier:?}, u {u:02x?}"
+                );
+            }
+        }
+        // All but p − 1 (≡ −1, no Edwards image) have a table.
+        assert_eq!(tables, points.len() - 1);
+        let mut low_order = points[..2].to_vec();
+        low_order.push(points[4]); // p + 1 ≡ 1
+        low_order.push(points[3]); // p ≡ 0
+        for u in &low_order {
+            let table = FixedBase::new(u).expect("u = 0 and u = 1 lie on the curve");
+            assert!(comb_on(Tier::Scalar, &table, &scalars)
+                .iter()
+                .all(|out| *out == [0u8; 32]));
+        }
+    }
+
+    #[test]
+    fn twist_points_and_minus_one_build_no_table() {
+        // Euler's criterion on v² = u³ + 486662·u² + u, independently of
+        // the table's square root: a square right-hand side is a curve
+        // point, a non-square one a twist point.
+        let is_square = |z: &Fe| {
+            let chi = z.pow22523().square().square().mul(&z.square());
+            chi.to_bytes() == Fe::ONE.to_bytes() || z.is_zero()
+        };
+        let mut twists = 0;
+        for small in 2u8..40 {
+            let mut bytes = [0u8; 32];
+            bytes[0] = small;
+            let u = Fe::from_bytes(&bytes);
+            let rhs = u
+                .square()
+                .mul(&u)
+                .add(&u.square().mul_small(486_662))
+                .add(&u);
+            assert_eq!(
+                FixedBase::new(&bytes).is_some(),
+                is_square(&rhs),
+                "u = {small}"
+            );
+            twists += usize::from(!is_square(&rhs));
+        }
+        assert!(twists > 0, "the sweep must include twist points");
+        let minus_one = unhex32("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+        assert!(FixedBase::new(&minus_one).is_none());
+    }
+
+    #[test]
+    fn ifma_comb_matches_the_scalar_comb_lane_for_lane_at_every_group_size() {
+        // Shown by CI (`--nocapture`): a runner without the wide tier says
+        // it pinned only the scalar comb.
+        println!("x25519 comb tiers exercised: {:?}", Tier::supported());
+        // 1..=33 jobs on one table, a different digit pattern per lane:
+        // below MIN_COMBS (scalar comb), one padded pass, full passes,
+        // full passes + scalar or padded tails.
+        let table = FixedBase::new(&public_key(&[0x5c; 32])).unwrap();
+        let scalars = comb_scalars(29);
+        let expected = comb_on(Tier::Scalar, &table, &scalars);
+        for tier in Tier::supported() {
+            for len in 1..=scalars.len() {
+                assert_eq!(
+                    comb_on(tier, &table, &scalars[..len]),
+                    expected[..len],
+                    "{tier:?}, {len} jobs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_driver_groups_comb_jobs_by_table_among_ladder_jobs() {
+        // Two tables and bare points interleaved, as `SealedBox::seal` to a
+        // bare key (base table + ladder) and `prepare` to keys with tables
+        // mix them: every job comes out as its own `x25519`, in job order.
+        let keys = [public_key(&[0x11; 32]), public_key(&[0x22; 32])];
+        let table = FixedBase::new(&keys[0]).unwrap();
+        let scalars = comb_scalars(20);
+        let bases: Vec<Base<'_>> = (0..scalars.len())
+            .map(|i| match i % 3 {
+                0 => Base::Table(FixedBase::basepoint()),
+                1 => Base::Table(&table),
+                _ => Base::Point(keys[1]),
+            })
+            .collect();
+        let point = |i: usize| [BASEPOINT, keys[0], keys[1]][i % 3];
+        for tier in Tier::supported() {
+            let mut seen = 0;
+            let jobs = scalars.iter().copied().zip(bases.iter().copied());
+            scalarmult_each(tier, jobs, |i, u| {
+                assert_eq!(i, seen);
+                assert_eq!(u, x25519(&scalars[i], &point(i)), "{tier:?}, job {i}");
+                seen += 1;
+            });
+            assert_eq!(seen, scalars.len());
         }
     }
 
@@ -1198,7 +1715,16 @@ mod tests {
             .collect();
         for tier in Tier::supported() {
             let mut seen = 0;
-            let jobs = scalars.iter().zip(&points).map(|(k, p)| (*k, *p));
+            // Every other base-point job through the comb, so both kinds
+            // straddle the chunk boundaries.
+            let jobs = scalars.iter().zip(&points).enumerate().map(|(i, (k, p))| {
+                let base = if i % 2 == 0 && *p == BASEPOINT {
+                    Base::Table(FixedBase::basepoint())
+                } else {
+                    Base::Point(*p)
+                };
+                (*k, base)
+            });
             scalarmult_each(tier, jobs, |i, u| {
                 assert_eq!(i, seen);
                 assert_eq!(u, x25519(&scalars[i], &points[i]), "{tier:?}, job {i}");

@@ -211,6 +211,70 @@ fn x25519_rfc7748_diffie_hellman() {
     );
 }
 
+/// §6.1's key pairs and shared secret out of the fixed-base comb, on every
+/// comb tier the host supports: both public keys over the base point's
+/// table, the shared secret over each public key's table — and
+/// `x25519::public_key`, which takes the comb.
+#[test]
+fn x25519_rfc7748_diffie_hellman_through_the_comb_on_every_tier() {
+    let secrets = [
+        unhex32("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"),
+        unhex32("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"),
+    ];
+    let publics = [
+        unhex32("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a"),
+        unhex32("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f"),
+    ];
+    let shared = unhex32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
+    assert_eq!(x25519::public_key(&secrets[0]), publics[0]);
+    assert_eq!(x25519::public_key(&secrets[1]), publics[1]);
+    let kernels = x25519::fixed_base_kernels();
+    assert_eq!(kernels[0].0, "scalar");
+    for (tier, kernel) in kernels {
+        let mut out = [[0u8; 32]; 2];
+        kernel(x25519::FixedBase::basepoint(), &secrets, &mut out);
+        assert_eq!(out, publics, "{tier}");
+        for (secret, peer) in [(secrets[0], publics[1]), (secrets[1], publics[0])] {
+            let table = x25519::FixedBase::new(&peer).expect("RFC keys lie on the curve");
+            let mut out = [[0u8; 32]; 1];
+            kernel(&table, &[secret], &mut out);
+            assert_eq!(out[0], shared, "{tier}");
+        }
+    }
+}
+
+/// The comb equals the ladder through the public API on every tier: one
+/// eight-lane group and a scalar tail on one table, for the base point, a
+/// key and RFC 7748 §5.2 vector 1's point. Vector 2's point (top bit set,
+/// and on the twist once it is dropped) and u = 2 have no Edwards image:
+/// no table, and multiples of them stay on the ladder.
+#[test]
+fn x25519_fixed_base_equals_the_ladder_on_every_tier() {
+    let scalars: Vec<[u8; 32]> = (0u8..11)
+        .map(|i| core::array::from_fn(|j| i.wrapping_mul(97) ^ (j as u8).wrapping_mul(29)))
+        .collect();
+    let points = [
+        x25519::BASEPOINT,
+        x25519::public_key(&[0x33; 32]),
+        unhex32("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"),
+    ];
+    for point in &points {
+        let table = x25519::FixedBase::new(point).expect("a curve point");
+        let expected: Vec<[u8; 32]> = scalars.iter().map(|k| x25519::x25519(k, point)).collect();
+        for (tier, kernel) in x25519::fixed_base_kernels() {
+            let mut out = vec![[0u8; 32]; scalars.len()];
+            kernel(&table, &scalars, &mut out);
+            assert_eq!(out, expected, "{tier}");
+        }
+    }
+    let mut two = [0u8; 32];
+    two[0] = 2;
+    let vector_2 = unhex32("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
+    for twist in [two, vector_2] {
+        assert!(x25519::FixedBase::new(&twist).is_none());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // ChaCha20 — RFC 8439
 // ---------------------------------------------------------------------------

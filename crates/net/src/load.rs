@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn client_payload_is_a_real_sealed_update_minus_its_mixc_framing() {
         use mixnn_cascade::CascadeClient;
-        use mixnn_crypto::KeyPair;
+        use mixnn_crypto::{KeyPair, SealingKey};
         use mixnn_nn::{LayerParams, ModelParams};
         use rand::{rngs::StdRng, SeedableRng};
 
@@ -613,7 +613,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for hops in [2usize, 3] {
             for compression in [CompressionConfig::F32, CompressionConfig::int8_top_k()] {
-                let keys = (0..hops).map(|_| *KeyPair::generate(&mut rng).public());
+                let keys =
+                    (0..hops).map(|_| SealingKey::new(*KeyPair::generate(&mut rng).public()));
                 let sealed = CascadeClient::from_keys(keys.collect())
                     .with_compression(compression)
                     .seal_update(&update, &mut rng)
