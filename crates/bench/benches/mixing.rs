@@ -1,14 +1,15 @@
-//! Ablation bench: mixing strategies and the Latin plan construction, and
-//! the FedAvg kernel the mixed updates feed.
+//! Kernel bench: the Latin plan construction, the batch mix, and the
+//! FedAvg kernel the mixed updates feed.
 //!
-//! Quantifies the design choices `docs/ARCHITECTURE.md` ("Data flow 1:
-//! the single proxy") names — the Latin-rectangle plan's cost, batch vs
-//! streaming, and streaming list size k. Kernels and ablations only: a
-//! whole round is the repo benchmark's to time (ARCHITECTURE.md, "Which
-//! number comes from where").
+//! Quantifies what `docs/ARCHITECTURE.md` ("Data flow 1: the single
+//! proxy") names — the Latin-rectangle plan's cost and the batch mix the
+//! proxy and every hop run (`MixPlan::for_round` + `apply_owned`, the
+//! calls the repo benchmark times as `core.mixer.{plan,apply}_us`).
+//! Kernels only: a whole round is the repo benchmark's to time
+//! (ARCHITECTURE.md, "Which number comes from where").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mixnn_core::{BatchMixer, MixPlan, StreamingMixer};
+use mixnn_core::MixPlan;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,31 +50,24 @@ fn bench_plan_construction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_vs_streaming(c: &mut Criterion) {
+/// The proxy's batch mix on 20 updates of five 2,000-value layers: one
+/// plan draw and the layers moved into their output slots. The timed call
+/// also clones the layers it moves (the bench keeps its input), so the row
+/// reads a little above the proxy's move-only mix.
+fn bench_batch_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("mixing/strategy");
     configure(&mut group);
     let ups = updates(20, 5, 2_000);
 
     group.bench_function("batch/20x5x2000", |b| {
-        let mut mixer = BatchMixer::new(7);
-        b.iter(|| mixer.mix(&ups).unwrap());
-    });
-
-    for &k in &[4usize, 8, 16] {
-        group.bench_with_input(BenchmarkId::new("streaming", k), &k, |b, &k| {
-            b.iter(|| {
-                let mut mixer = StreamingMixer::new(ups[0].signature(), k, 9);
-                let mut out = Vec::new();
-                for u in ups.clone() {
-                    if let Some(m) = mixer.push(u).unwrap() {
-                        out.push(m);
-                    }
-                }
-                out.extend(mixer.flush());
-                out
-            });
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let rows: Vec<Vec<LayerParams>> =
+                ups.iter().map(|u| u.iter().cloned().collect()).collect();
+            let plan = MixPlan::for_round(rows.len(), 5, &mut rng).unwrap();
+            plan.apply_owned(rows).unwrap()
         });
-    }
+    });
     group.finish();
 }
 
@@ -111,7 +105,7 @@ fn bench_mean(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_plan_construction,
-    bench_batch_vs_streaming,
+    bench_batch_mix,
     bench_mean
 );
 criterion_main!(benches);

@@ -8,7 +8,8 @@
 //!   --dataset <cifar10|motionsense|mobiact|lfw>   one dataset (default: all four)
 //!   --quick                                        shrunk configuration (fast smoke run)
 //!   --seed <u64>                                   base seed (default 42)
-//!   --repeats <n>                                  repetitions to average (default 1; paper uses 5)
+//!   --repeats <n>                                  repetitions fig5 and fig7 average (default 1;
+//!                                                  paper uses 5; the other experiments ignore it)
 //!   --sigma <f32>                                  noisy-gradient noise scale override
 //!   --passive                                      run ∇Sim passively (fig7/fig8; default active)
 //!   --round <n>                                    evaluation round for fig6 (default 6)

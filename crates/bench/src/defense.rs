@@ -3,7 +3,7 @@
 //! round the repo ships (`seal → mix_sealed_round`), the only
 //! proxy round there is.
 
-use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use mixnn_enclave::AttestationService;
 use mixnn_fl::{DirectTransport, NoisyTransport, UpdateTransport};
 use rand::rngs::StdRng;
@@ -62,7 +62,6 @@ impl Defense {
                 let service = AttestationService::new(&mut rng);
                 let proxy = MixnnProxy::launch(
                     MixnnProxyConfig {
-                        strategy: MixingStrategy::Batch,
                         expected_signature: signature.to_vec(),
                         seed,
                         ..MixnnProxyConfig::default()

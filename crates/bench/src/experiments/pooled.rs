@@ -31,7 +31,6 @@ use crate::ExperimentScale;
 use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
 use mixnn_cascade::{
     CascadeCoordinator, FailurePolicy, FreeRoute, PoolConfig, PoolTrigger, PooledCoordinator,
-    PooledRound,
 };
 use mixnn_enclave::AttestationService;
 use mixnn_net::{arrival_offset, FlushPolicy, LinkConfig, SimLink};
@@ -131,9 +130,6 @@ pub fn run_with(
     seed: u64,
     telemetry: &Telemetry,
 ) -> Result<Vec<PooledRow>, String> {
-    let clock = telemetry
-        .virtual_clock()
-        .ok_or("the pooled sweep needs a virtual-clock telemetry registry")?;
     let (clients, ks, deadlines_ms, spread_ms) = sweep_shape(scale);
     let spread_ns = spread_ms * 1_000_000;
     let signature = sweep_signature(scale);
@@ -168,34 +164,16 @@ pub fn run_with(
 
             // Trickle the roster through the pool on the virtual clock.
             let base = telemetry.now_ns();
-            let mut fired: Vec<PooledRound> = Vec::new();
-            for (i, update) in originals.iter().enumerate() {
-                let at = base + arrival_offset(i, clients, spread_ns);
-                while let Some(deadline) = pooled.next_deadline_ns() {
-                    if deadline > at {
-                        break;
-                    }
-                    clock.set_ns(deadline);
-                    if let Some(round) = pooled.tick(&mut link).map_err(|e| e.to_string())? {
-                        fired.push(round);
-                    }
-                }
-                clock.set_ns(at);
-                fired.extend(
-                    pooled
-                        .submit(i, update.clone(), &mut link)
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            if let Some(deadline) = pooled.next_deadline_ns() {
-                clock.set_ns(deadline);
-                if let Some(round) = pooled.tick(&mut link).map_err(|e| e.to_string())? {
-                    fired.push(round);
-                }
-            }
-            if let Some(round) = pooled.flush(&mut link).map_err(|e| e.to_string())? {
-                fired.push(round);
-            }
+            let arrivals = originals.iter().enumerate().map(|(i, update)| {
+                (
+                    i,
+                    update.clone(),
+                    base + arrival_offset(i, clients, spread_ns),
+                )
+            });
+            let fired = pooled
+                .trickle(arrivals, &mut link)
+                .map_err(|e| e.to_string())?;
 
             // Audit every firing: k-floor, utility, anonymity, coverage.
             let mut committed = vec![0usize; clients];

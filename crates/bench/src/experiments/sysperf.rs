@@ -10,7 +10,7 @@
 
 use crate::ExperimentSetup;
 use mixnn_attacks::AttackError;
-use mixnn_core::{codec, MixingStrategy, MixnnProxy, MixnnProxyConfig};
+use mixnn_core::{codec, MixnnProxy, MixnnProxyConfig};
 use mixnn_crypto::SealedBox;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{zoo, Sequential};
@@ -69,7 +69,6 @@ pub fn run(setup: &ExperimentSetup, clients: usize) -> Result<Vec<SysperfRow>, A
         let service = AttestationService::new(&mut rng);
         let mut proxy = MixnnProxy::launch(
             MixnnProxyConfig {
-                strategy: MixingStrategy::Batch,
                 expected_signature: template.signature(),
                 seed: setup.fl.seed,
                 ..MixnnProxyConfig::default()

@@ -35,7 +35,7 @@ use mixnn_attacks::{analyze_routed_collusion, AttackError, RouteGroupView};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
-use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::Telemetry;
@@ -126,7 +126,6 @@ fn single_proxy_aggregate(
     let service = AttestationService::new(&mut rng);
     let mut proxy = MixnnProxy::launch(
         MixnnProxyConfig {
-            strategy: MixingStrategy::Batch,
             expected_signature: signature.to_vec(),
             seed,
             ..MixnnProxyConfig::default()

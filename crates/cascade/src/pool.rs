@@ -418,6 +418,46 @@ impl PooledCoordinator {
         }
     }
 
+    /// Drives a trickle of `(slot, params, at_ns)` arrivals through the
+    /// pool on the attached registry's [`VirtualClock`], returning every
+    /// fired round in firing order. Before each arrival, every deadline the
+    /// schedule passes fires at its own instant; the clock is then set to
+    /// the arrival's `at_ns` and the arrival submitted. After the last
+    /// arrival the open pool's deadline is let elapse, and whatever is
+    /// still pooled is flushed. Arrival times must not decrease.
+    ///
+    /// # Errors
+    ///
+    /// [`CascadeError::Pool`] when the attached registry has no virtual
+    /// clock (deadlines would be non-deterministic or dead); otherwise the
+    /// first failed firing's error, as [`PooledCoordinator::submit`]
+    /// reports it. The rounds fired before a failure are not returned.
+    pub fn trickle(
+        &mut self,
+        arrivals: impl IntoIterator<Item = (usize, ModelParams, u64)>,
+        link: &mut dyn RoundLink,
+    ) -> Result<Vec<PooledRound>, CascadeError> {
+        let clock = virtual_clock(&self.telemetry)?;
+        let mut fired = Vec::new();
+        for (slot, params, at_ns) in arrivals {
+            while let Some(deadline) = self.next_deadline_ns() {
+                if deadline > at_ns {
+                    break;
+                }
+                clock.set_ns(deadline);
+                fired.extend(self.tick(link)?);
+            }
+            clock.set_ns(at_ns);
+            fired.extend(self.submit(slot, params, link)?);
+        }
+        if let Some(deadline) = self.next_deadline_ns() {
+            clock.set_ns(deadline);
+            fired.extend(self.tick(link)?);
+        }
+        fired.extend(self.flush(link)?);
+        Ok(fired)
+    }
+
     fn fire(
         &mut self,
         batch: PoolBatch,
@@ -455,13 +495,23 @@ impl PooledCoordinator {
     }
 }
 
+/// The virtual clock a pooled trickle drives, or the typed error for a
+/// registry without one.
+fn virtual_clock(telemetry: &Telemetry) -> Result<VirtualClock, CascadeError> {
+    telemetry.virtual_clock().ok_or_else(|| CascadeError::Pool {
+        reason: "a pooled trickle needs a virtual-clock telemetry registry \
+                 to drive deadlines deterministically"
+            .to_string(),
+    })
+}
+
 /// An [`UpdateTransport`] that feeds each federated round's updates
-/// through a [`PooledCoordinator`] as a **trickle**: arrivals are spread
-/// evenly over `arrival_spread_ns` on the registry's [`VirtualClock`]
-/// (the same `(i × spread) / n` schedule `mixnn-net`'s load generator
-/// emits), pools fire by threshold or deadline as the clock advances, and
-/// the round's outputs are reassembled from every fired pool with cover
-/// stripped.
+/// through a [`PooledCoordinator`] as a **trickle**
+/// ([`PooledCoordinator::trickle`]): arrivals are spread evenly over
+/// `arrival_spread_ns` on the registry's [`VirtualClock`] (the same
+/// `(i × spread) / n` schedule `mixnn-net`'s load generator emits), pools
+/// fire by threshold or deadline as the clock advances, and the round's
+/// outputs are reassembled from every fired pool with cover stripped.
 ///
 /// Slot ids are preserved exactly as [`crate::CascadeTransport`] preserves
 /// them; contents are pool-mixed, so attribution requires covering a
@@ -469,15 +519,14 @@ impl PooledCoordinator {
 #[derive(Debug)]
 pub struct PooledCascadeTransport {
     inner: PooledCoordinator,
-    clock: VirtualClock,
     arrival_spread_ns: u64,
     last_rounds: Vec<PooledRound>,
 }
 
 impl PooledCascadeTransport {
     /// Wraps a pooled coordinator. `telemetry` **must** be a registry
-    /// built on a [`VirtualClock`] — the transport drives that clock
-    /// through each round's arrival schedule.
+    /// built on a [`VirtualClock`] — each relay drives that clock through
+    /// the round's arrival schedule.
     ///
     /// # Errors
     ///
@@ -488,17 +537,10 @@ impl PooledCascadeTransport {
         telemetry: Telemetry,
         arrival_spread_ns: u64,
     ) -> Result<Self, CascadeError> {
-        let Some(clock) = telemetry.virtual_clock() else {
-            return Err(CascadeError::Pool {
-                reason: "a pooled transport needs a virtual-clock telemetry registry \
-                         to drive deadlines deterministically"
-                    .to_string(),
-            });
-        };
+        virtual_clock(&telemetry)?;
         inner.attach_telemetry(telemetry);
         Ok(PooledCascadeTransport {
             inner,
-            clock,
             arrival_spread_ns,
             last_rounds: Vec::new(),
         })
@@ -519,39 +561,15 @@ impl PooledCascadeTransport {
         if updates.is_empty() {
             return Err(CascadeError::EmptyRound);
         }
-        let mut link = InProcessLink;
         let base = self.inner.now_ns();
         let n = updates.len();
+        let spread = self.arrival_spread_ns;
         let order: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
-        let mut fired = Vec::new();
-        for (i, update) in updates.into_iter().enumerate() {
-            let at = base + (i as u64 * self.arrival_spread_ns) / n as u64;
-            // Fire any deadline the schedule passes before this arrival.
-            while let Some(deadline) = self.inner.next_deadline_ns() {
-                if deadline > at {
-                    break;
-                }
-                self.clock.set_ns(deadline);
-                if let Some(round) = self.inner.tick(&mut link)? {
-                    fired.push(round);
-                }
-            }
-            self.clock.set_ns(at);
-            fired.extend(
-                self.inner
-                    .submit(update.client_id, update.params, &mut link)?,
-            );
-        }
-        // Drain the remainder: let the last pool's deadline elapse.
-        if let Some(deadline) = self.inner.next_deadline_ns() {
-            self.clock.set_ns(deadline);
-            if let Some(round) = self.inner.tick(&mut link)? {
-                fired.push(round);
-            }
-        }
-        if let Some(round) = self.inner.flush(&mut link)? {
-            fired.push(round);
-        }
+        let arrivals = updates.into_iter().enumerate().map(|(i, update)| {
+            let at = base + (i as u64 * spread) / n as u64;
+            (update.client_id, update.params, at)
+        });
+        let fired = self.inner.trickle(arrivals, &mut InProcessLink)?;
 
         // Reassemble: each fired pool's stripped outputs are assigned to
         // its members' slot ids (contents are mixed within the pool, which

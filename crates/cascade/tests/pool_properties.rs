@@ -69,7 +69,7 @@ fn layout_for(kind: usize, hops: usize, seed: u64) -> Box<dyn CascadeTopology> {
     }
 }
 
-/// Drains one seeded arrival schedule through a pooled coordinator and
+/// Trickles one seeded arrival schedule through a pooled coordinator and
 /// returns every fired round, in firing order. The schedule (arrival
 /// gaps scaled to the deadline so threshold and deadline firings both
 /// occur), the sealing entropy and the cascade seeds are all pure
@@ -85,8 +85,7 @@ fn drain(
     layers: usize,
     seed: u64,
 ) -> Vec<PooledRound> {
-    let clock = VirtualClock::new();
-    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
+    let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xcafe);
     let service = AttestationService::new(&mut rng);
     let mut cascade = CascadeCoordinator::with_topology(
@@ -103,41 +102,18 @@ fn drain(
         .expect("valid pool config");
     pooled.attach_telemetry(telemetry);
 
-    let mut link = InProcessLink;
     let mut schedule = StdRng::seed_from_u64(seed ^ 0x07ea);
-    let updates = round_updates(clients, layers, seed);
-    let mut fired = Vec::new();
     let mut at = 0u64;
-    for (slot, update) in updates.iter().enumerate() {
-        at += schedule.gen_range(0..deadline_ns);
-        // Let every deadline the schedule jumps over fire first, at its
-        // own instant.
-        while let Some(deadline) = pooled.next_deadline_ns() {
-            if deadline > at {
-                break;
-            }
-            clock.set_ns(deadline);
-            if let Some(round) = pooled.tick(&mut link).expect("deadline firing") {
-                fired.push(round);
-            }
-        }
-        clock.set_ns(at);
-        fired.extend(
-            pooled
-                .submit(slot, update.clone(), &mut link)
-                .expect("submit"),
-        );
-    }
-    if let Some(deadline) = pooled.next_deadline_ns() {
-        clock.set_ns(deadline);
-        if let Some(round) = pooled.tick(&mut link).expect("final deadline") {
-            fired.push(round);
-        }
-    }
-    if let Some(round) = pooled.flush(&mut link).expect("flush") {
-        fired.push(round);
-    }
-    fired
+    let arrivals = round_updates(clients, layers, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(slot, update)| {
+            at += schedule.gen_range(0..deadline_ns);
+            (slot, update, at)
+        });
+    pooled
+        .trickle(arrivals, &mut InProcessLink)
+        .expect("every firing commits")
 }
 
 proptest! {

@@ -18,13 +18,16 @@
 //!
 //! # Crate layout
 //!
-//! * [`BatchMixer`] / [`StreamingMixer`] — the two mixing strategies: the
-//!   paper's formal L=C batch construction, and the §4.3 streaming
-//!   algorithm with per-layer lists of size `k`;
+//! * [`MixPlan`] — the one mixing construction, the paper's §4.2 batch
+//!   matrix: [`MixPlan::for_round`] draws it (Latin whenever the model has
+//!   no more layers than the round has participants) and
+//!   [`MixPlan::apply_owned`] moves each layer into its output slot. The
+//!   proxy and every cascade hop mix through exactly these two calls;
 //! * [`MixnnProxy`] — the deployed object: enclave-resident, attested,
-//!   decrypts sealed updates, mixes, exposes §6.5-style cost statistics;
-//!   one in-order ingest routine derives eight updates' shared secrets
-//!   per pass, then opens and commits each before the next is charged;
+//!   decrypts sealed updates, buffers the round, mixes it, exposes
+//!   §6.5-style cost statistics; one in-order ingest routine derives eight
+//!   updates' shared secrets per pass, then opens and commits each before
+//!   the next is charged;
 //! * [`MixnnTransport`] — plugs the proxy into the `mixnn-fl` round loop
 //!   (the `UpdateTransport` impl itself lives in `mixnn_fl`, which depends
 //!   on this crate);
@@ -33,7 +36,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use mixnn_core::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport};
+//! use mixnn_core::{MixnnProxy, MixnnProxyConfig};
 //! use mixnn_enclave::AttestationService;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -63,6 +66,6 @@ mod transport;
 
 pub use error::ProxyError;
 pub use link::{Endpoint, InProcessLink, LinkError, RoundLink};
-pub use mixer::{shard_seed, BatchMixer, MixPlan, MixingStrategy, StreamingMixer};
+pub use mixer::{shard_seed, MixPlan};
 pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats, INGEST_BATCH};
 pub use transport::{MixnnTransport, TransportMode};

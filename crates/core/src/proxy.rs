@@ -8,13 +8,20 @@
 //! updates (`INGEST_BATCH`, one full pass of the eight-lane X25519
 //! ladder) are derived together — pure key agreement: no ciphertext is
 //! touched, nothing is charged — then each update in turn is opened,
-//! replays the decrypt charge, is decoded and validated, charges its list
-//! footprint and is committed before the next one is even decrypted. At
-//! most one uncharged plaintext exists at any time, and nothing is ever
-//! charged ahead of its commit, so the EPC sees exactly the sequence a
+//! replays the decrypt charge, is decoded and validated, charges its
+//! buffer footprint and is committed before the next one is even
+//! decrypted. At most one uncharged plaintext exists at any time, and
+//! nothing is ever charged ahead of its commit, so the EPC sees exactly the sequence a
 //! one-by-one loop would produce — [`MixnnProxy::submit_encrypted`] *is*
 //! that routine with a batch of one, and [`MixnnProxy::mix_sealed_round`]
 //! is that routine over a whole round followed by the mix.
+//!
+//! # Mix
+//!
+//! The proxy mixes one way, the §4.2 batch construction: it buffers the
+//! round, draws one [`MixPlan::for_round`] from its enclave RNG and moves
+//! every layer into its output slot with [`MixPlan::apply_owned`] — the
+//! same two calls a cascade hop makes.
 //!
 //! # Failure unit
 //!
@@ -27,20 +34,18 @@
 //! update, no EPC charge — so a failed round can neither wedge the enclave
 //! nor leak its accepted updates into the next round's mix.
 
-use crate::{codec, BatchMixer, MixPlan, MixingStrategy, ProxyError, StreamingMixer};
+use crate::{codec, MixPlan, ProxyError};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
 use mixnn_nn::ModelParams;
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Configuration of a MixNN proxy instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MixnnProxyConfig {
-    /// Mixing strategy (batch by default, matching the paper's formal
-    /// model).
-    pub strategy: MixingStrategy,
     /// Layer signature of the model being proxied — launch-time
     /// configuration, as a cascade hop's is (§4.3: the memory allocation
     /// "according to the considered neural network models \[is\]
@@ -52,17 +57,6 @@ pub struct MixnnProxyConfig {
     pub enclave: EnclaveConfig,
     /// RNG seed for mixing decisions inside the enclave.
     pub seed: u64,
-}
-
-impl Default for MixnnProxyConfig {
-    fn default() -> Self {
-        MixnnProxyConfig {
-            strategy: MixingStrategy::Batch,
-            expected_signature: Vec::new(),
-            enclave: EnclaveConfig::default(),
-            seed: 0,
-        }
-    }
 }
 
 /// Sealed updates whose shared secrets the proxy's ingest — and a cascade
@@ -93,7 +87,7 @@ pub struct ProxyStats {
     pub bytes_rejected: u64,
     /// Total seconds spent decrypting.
     pub decrypt_seconds: f64,
-    /// Total seconds spent decoding and storing into the layer lists.
+    /// Total seconds spent decoding and storing into the round buffer.
     pub store_seconds: f64,
     /// Total seconds spent mixing.
     pub mix_seconds: f64,
@@ -127,11 +121,11 @@ impl ProxyStats {
 pub struct MixnnProxy {
     enclave: Enclave,
     expected_measurement: Measurement,
-    strategy: MixingStrategy,
     signature: Vec<usize>,
     batch_buffer: Vec<ModelParams>,
-    batch_mixer: BatchMixer,
-    streaming: Option<StreamingMixer>,
+    /// The enclave's mixing entropy: one [`MixPlan::for_round`] draw per
+    /// round, as a cascade hop draws its plans.
+    rng: StdRng,
     last_plan: Option<MixPlan>,
     stats: ProxyStats,
     telemetry: Telemetry,
@@ -147,23 +141,12 @@ impl MixnnProxy {
     ) -> Self {
         let expected_measurement = Enclave::expected_measurement(&config.enclave);
         let enclave = Enclave::launch(config.enclave, attestation, rng);
-        // The streaming lists draw from their own stream (`seed ^ 0x57`),
-        // apart from the batch mixer's. An unconfigured proxy gets no
-        // lists: it rejects every update before one could reach them.
-        let streaming = match config.strategy {
-            MixingStrategy::Streaming { k } if !config.expected_signature.is_empty() => Some(
-                StreamingMixer::new(config.expected_signature.clone(), k, config.seed ^ 0x57),
-            ),
-            _ => None,
-        };
         MixnnProxy {
             enclave,
             expected_measurement,
-            strategy: config.strategy,
             signature: config.expected_signature,
             batch_buffer: Vec::new(),
-            batch_mixer: BatchMixer::new(config.seed),
-            streaming,
+            rng: StdRng::seed_from_u64(config.seed),
             last_plan: None,
             stats: ProxyStats::default(),
             telemetry: mixnn_telemetry::noop(),
@@ -191,11 +174,6 @@ impl MixnnProxy {
         self.enclave.quote()
     }
 
-    /// The configured mixing strategy.
-    pub fn strategy(&self) -> MixingStrategy {
-        self.strategy
-    }
-
     /// Full participant-side verification: the quote is signed by the
     /// platform, attests the expected code, and binds this proxy's public
     /// key.
@@ -214,29 +192,20 @@ impl MixnnProxy {
         self.enclave.memory().stats()
     }
 
-    /// The mixing plan of the most recent **batch** round — the one drawn
-    /// by [`MixnnProxy::mix_batch`] — for experiments and audits (never
+    /// The mixing plan of the most recent round — the one drawn by
+    /// [`MixnnProxy::mix_batch`] — for experiments and audits (never
     /// exposed in a deployment).
-    ///
-    /// Streaming emission and [`MixnnProxy::flush`] never produce a
-    /// [`MixPlan`] (the §4.3 algorithm has no round-level matrix), so in
-    /// streaming mode this stays `None` / stays at the last batch plan.
     pub fn last_plan(&self) -> Option<&MixPlan> {
         self.last_plan.as_ref()
     }
 
     /// Updates currently buffered inside the enclave.
     pub fn buffered(&self) -> usize {
-        if let Some(streaming) = &self.streaming {
-            streaming.buffered()
-        } else {
-            self.batch_buffer.len()
-        }
+        self.batch_buffer.len()
     }
 
-    /// Ingests one encrypted update. In batch mode it is buffered until
-    /// [`MixnnProxy::mix_batch`]; in streaming mode a mixed update may be
-    /// emitted immediately.
+    /// Ingests one encrypted update and buffers it until
+    /// [`MixnnProxy::mix_batch`].
     ///
     /// The plaintext is charged against the enclave's EPC budget while
     /// buffered. This is the proxy's one ingest routine with a batch of one
@@ -248,14 +217,14 @@ impl MixnnProxy {
     /// [`ProxyError::Codec`] for malformed plaintext and
     /// [`ProxyError::SignatureMismatch`] for foreign models. Rejected
     /// updates are counted and leave the proxy state unchanged.
-    pub fn submit_encrypted(&mut self, sealed: &[u8]) -> Result<Option<ModelParams>, ProxyError> {
+    pub fn submit_encrypted(&mut self, sealed: &[u8]) -> Result<(), ProxyError> {
         self.ingest_sealed(&[sealed])
             .pop()
             .expect("one result per sealed update")
     }
 
     /// Ingests sealed updates in submission order, returning one result
-    /// per input in input order (streaming emissions included): each batch
+    /// per input in input order: each batch
     /// of eight shares one key-agreement pass, then every update of it is
     /// opened, charged, decoded, validated and committed before the next
     /// (see the module docs). A rejected update is counted and skipped;
@@ -263,7 +232,7 @@ impl MixnnProxy {
     pub(crate) fn ingest_sealed<T: AsRef<[u8]>>(
         &mut self,
         sealed: &[T],
-    ) -> Vec<Result<Option<ModelParams>, ProxyError>> {
+    ) -> Vec<Result<(), ProxyError>> {
         let mut results = Vec::with_capacity(sealed.len());
         for batch in sealed.chunks(INGEST_BATCH) {
             let t0 = Instant::now();
@@ -290,15 +259,15 @@ impl MixnnProxy {
     }
 
     /// One opened update's turn: replay the decrypt charge, decode and
-    /// validate, charge the list footprint, hand the update to the mixing
-    /// state. On any error every charge taken here has been released and
-    /// the proxy state is unchanged (the caller counts the rejection).
+    /// validate, charge the buffer footprint, buffer the update. On any
+    /// error every charge taken here has been released and the proxy state
+    /// is unchanged (the caller counts the rejection).
     fn commit_opened(
         &mut self,
         sealed_len: usize,
         opened: Result<Vec<u8>, mixnn_crypto::CryptoError>,
         decrypt_seconds: f64,
-    ) -> Result<Option<ModelParams>, ProxyError> {
+    ) -> Result<(), ProxyError> {
         let plaintext = self.enclave.charge_opened(sealed_len, opened)?;
         let t0 = Instant::now();
         // The declared geometry is pinned to the configured signature
@@ -306,40 +275,24 @@ impl MixnnProxy {
         // name an allocation the round never authorized — and a foreign
         // model is rejected here, whatever arrived before it.
         let params = codec::decode_params_expecting(&plaintext, &self.signature)?;
-        // Charge the decoded update against the EPC while it sits in a
-        // list.
-        let footprint = Self::footprint(&params);
-        self.enclave.memory().allocate(footprint)?;
+        // Charge the decoded update against the EPC while it sits in the
+        // buffer.
+        self.enclave.memory().allocate(Self::footprint(&params))?;
         // The update only got this far if the sealed envelope opened.
         self.telemetry.incr(Counter::CoreEnvelopesOpened, 1);
-
-        let emitted = if let Some(streaming) = &mut self.streaming {
-            let out = streaming.push(params)?;
-            if out.is_some() {
-                // One update left the lists for every one that entered.
-                self.enclave.memory().free(footprint)?;
-            }
-            out
-        } else {
-            self.batch_buffer.push(params);
-            None
-        };
+        self.batch_buffer.push(params);
         self.stats.decrypt_seconds += decrypt_seconds;
         self.stats.store_seconds += t0.elapsed().as_secs_f64();
         self.stats.updates_received += 1;
         self.telemetry.incr(Counter::CoreUpdatesCommitted, 1);
         self.telemetry
             .incr(Counter::CoreBytesReceived, sealed_len as u64);
-        if emitted.is_some() {
-            self.stats.updates_forwarded += 1;
-        }
-        Ok(emitted)
+        Ok(())
     }
 
     /// One whole proxy round over sealed bytes: ingest every update in
-    /// submission order, then mix the batch (or, in streaming mode, drain
-    /// the lists so the server aggregates exactly C updates). All or
-    /// nothing, like a cascade hop's `mix_delivered`.
+    /// submission order, then mix the batch. All or nothing, like a
+    /// cascade hop's `mix_delivered`.
     ///
     /// # Errors
     ///
@@ -371,51 +324,32 @@ impl MixnnProxy {
                 rejected: results.len() as u64 - accepted,
             },
         );
-        let mut streamed = Vec::new();
-        let mut rejection = None;
-        for result in results {
-            match result {
-                Ok(emitted) => streamed.extend(emitted),
-                Err(e) => {
-                    rejection.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = rejection {
-            // What streaming emitted mid-round goes nowhere either.
-            self.stats.updates_forwarded -= streamed.len() as u64;
+        if let Some(e) = results.into_iter().find_map(Result::err) {
             self.take_held()?;
             return Err(e);
         }
-        match self.strategy {
-            MixingStrategy::Batch => self.mix_batch(),
-            MixingStrategy::Streaming { .. } => {
-                streamed.extend(self.flush()?);
-                Ok(streamed)
-            }
-        }
+        self.mix_batch()
     }
 
-    /// Takes every update the proxy holds — the streaming lists' residue
-    /// or the batch buffer — and releases its EPC charge.
+    /// Takes every buffered update and releases its EPC charge.
     fn take_held(&mut self) -> Result<Vec<ModelParams>, ProxyError> {
-        let held = match &mut self.streaming {
-            Some(streaming) => streaming.flush(),
-            None => std::mem::take(&mut self.batch_buffer),
-        };
+        let held = std::mem::take(&mut self.batch_buffer);
         let charged = held.iter().map(Self::footprint).sum();
         self.enclave.memory().free(charged)?;
         Ok(held)
     }
 
-    /// EPC bytes a decoded update is charged while it sits in a list (4
-    /// bytes per scalar, as in §6.5's per-update footprint).
+    /// EPC bytes a decoded update is charged while it sits in the buffer
+    /// (4 bytes per scalar, as in §6.5's per-update footprint).
     fn footprint(update: &ModelParams) -> usize {
         update.total_len() * std::mem::size_of::<f32>()
     }
 
-    /// Batch mode: mixes everything buffered and returns the mixed updates
-    /// in slot order, freeing the enclave memory they occupied.
+    /// Mixes everything buffered and returns the mixed updates in slot
+    /// order, freeing the enclave memory they occupied. The plan is
+    /// [`MixPlan::for_round`] over the buffer, exactly as a cascade hop
+    /// draws its own; every buffered update already matches the launch
+    /// signature, which ingest enforced.
     ///
     /// # Errors
     ///
@@ -423,11 +357,11 @@ impl MixnnProxy {
     pub fn mix_batch(&mut self) -> Result<Vec<ModelParams>, ProxyError> {
         let _span = self.telemetry.span(Span::CoreMixBatch);
         let t0 = Instant::now();
-        // Everything that can fail runs while the proxy still owns the
-        // buffer, so a failed mix leaves it intact (a streaming proxy's
-        // buffer is always empty, so it fails here); after that the
-        // layers are moved into their output slots, never cloned.
-        let plan = self.batch_mixer.draw_plan(&self.batch_buffer)?;
+        // The plan is drawn while the proxy still owns the buffer, so a
+        // failed mix leaves it intact; after that the layers are moved
+        // into their output slots, never cloned.
+        let plan =
+            MixPlan::for_round(self.batch_buffer.len(), self.signature.len(), &mut self.rng)?;
         let rows = self
             .take_held()?
             .into_iter()
@@ -454,25 +388,6 @@ impl MixnnProxy {
         );
         Ok(mixed)
     }
-
-    /// Streaming mode: drains the lists at shutdown.
-    ///
-    /// Flushing emits the residual list contents position-wise; it draws no
-    /// [`MixPlan`], so [`MixnnProxy::last_plan`] — which describes only
-    /// batch rounds — is deliberately left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProxyError::Enclave`] if the memory accounting
-    /// underflows (a proxy bug, surfaced rather than hidden).
-    pub fn flush(&mut self) -> Result<Vec<ModelParams>, ProxyError> {
-        if self.streaming.is_none() {
-            return Ok(Vec::new());
-        }
-        let out = self.take_held()?;
-        self.stats.updates_forwarded += out.len() as u64;
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -491,11 +406,10 @@ mod tests {
         ])
     }
 
-    fn launch(strategy: MixingStrategy) -> (MixnnProxy, AttestationService, StdRng) {
+    fn launch() -> (MixnnProxy, AttestationService, StdRng) {
         let mut rng = StdRng::seed_from_u64(0);
         let service = AttestationService::new(&mut rng);
         let config = MixnnProxyConfig {
-            strategy,
             expected_signature: vec![3, 2],
             seed: 11,
             ..MixnnProxyConfig::default()
@@ -510,17 +424,17 @@ mod tests {
 
     #[test]
     fn launch_produces_verifiable_proxy() {
-        let (proxy, service, _) = launch(MixingStrategy::Batch);
+        let (proxy, service, _) = launch();
         assert!(proxy.verify_against(&service));
     }
 
     #[test]
     fn batch_pipeline_end_to_end() {
-        let (mut proxy, _, mut rng) = launch(MixingStrategy::Batch);
+        let (mut proxy, _, mut rng) = launch();
         let originals: Vec<ModelParams> = (0..5).map(params).collect();
         for p in &originals {
             let sealed = seal(&proxy, p, &mut rng);
-            assert!(proxy.submit_encrypted(&sealed).unwrap().is_none());
+            proxy.submit_encrypted(&sealed).unwrap();
         }
         assert_eq!(proxy.buffered(), 5);
         let mixed = proxy.mix_batch().unwrap();
@@ -536,24 +450,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_pipeline_emits_after_warmup() {
-        let (mut proxy, _, mut rng) = launch(MixingStrategy::Streaming { k: 2 });
-        let mut emitted = 0;
-        for i in 0..6 {
-            let sealed = seal(&proxy, &params(i), &mut rng);
-            if proxy.submit_encrypted(&sealed).unwrap().is_some() {
-                emitted += 1;
-            }
-        }
-        assert_eq!(emitted, 4);
-        let flushed = proxy.flush().unwrap();
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(proxy.memory_stats().allocated, 0);
-    }
-
-    #[test]
     fn garbage_ciphertext_is_rejected_and_counted() {
-        let (mut proxy, _, _) = launch(MixingStrategy::Batch);
+        let (mut proxy, _, _) = launch();
         assert!(proxy.submit_encrypted(&[0u8; 80]).is_err());
         let stats = proxy.stats();
         assert_eq!(stats.updates_rejected, 1);
@@ -564,7 +462,7 @@ mod tests {
 
     #[test]
     fn wrong_signature_is_rejected() {
-        let (mut proxy, _, mut rng) = launch(MixingStrategy::Batch);
+        let (mut proxy, _, mut rng) = launch();
         let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
         let sealed = seal(&proxy, &alien, &mut rng);
         let sealed_len = sealed.len() as u64;
@@ -579,11 +477,11 @@ mod tests {
 
     #[test]
     fn empty_batch_mix_fails_cleanly() {
-        let (mut proxy, _, _) = launch(MixingStrategy::Batch);
-        assert!(matches!(
+        let (mut proxy, _, _) = launch();
+        assert_eq!(
             proxy.mix_batch(),
-            Err(ProxyError::InsufficientUpdates { .. })
-        ));
+            Err(ProxyError::InsufficientUpdates { have: 0, need: 1 })
+        );
     }
 
     #[test]
@@ -607,7 +505,7 @@ mod tests {
 
         // On a configured proxy a foreign update after an accepted one is
         // rejected and its EPC charge released.
-        let (mut proxy, _, mut rng) = launch(MixingStrategy::Batch);
+        let (mut proxy, _, mut rng) = launch();
         let sealed = seal(&proxy, &params(0), &mut rng);
         proxy.submit_encrypted(&sealed).unwrap();
         let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
@@ -648,19 +546,18 @@ mod tests {
     #[test]
     fn batched_ingest_matches_a_submit_encrypted_loop() {
         // Twenty-one updates — two full ingest batches and a ragged tail,
-        // garbage mid-round — under a roomy EPC and under one that fits the
-        // k = 2 warm-up lists plus one decrypt buffer but not the
-        // steady-state peak, where the accept/reject pattern depends on
-        // nothing being charged ahead of its commit.
+        // garbage mid-round — under a roomy EPC and under one that fits
+        // four buffered updates plus one decrypt buffer but not a fifth
+        // update, where the accept/reject pattern depends on nothing being
+        // charged ahead of its commit.
         let footprint = params(0).total_len() * std::mem::size_of::<f32>();
         let plaintext = codec::encode_params(&params(0)).len();
-        let tight = footprint + plaintext + footprint / 2;
+        let tight = 3 * footprint + plaintext + footprint / 2;
         for epc_limit in [mixnn_enclave::EnclaveConfig::default().epc_limit, tight] {
             let build = || {
                 let mut rng = StdRng::seed_from_u64(0);
                 let service = AttestationService::new(&mut rng);
                 let config = MixnnProxyConfig {
-                    strategy: MixingStrategy::Streaming { k: 2 },
                     expected_signature: vec![3, 2],
                     seed: 11,
                     enclave: mixnn_enclave::EnclaveConfig {
@@ -681,8 +578,8 @@ mod tests {
             // budget to charge, so it fails as a forgery, not on EPC.
             sealed[5] = vec![0u8; SEAL_OVERHEAD + 16];
 
-            let render = |r: Result<Option<ModelParams>, ProxyError>| match r {
-                Ok(out) => format!("ok {out:?}"),
+            let render = |r: Result<(), ProxyError>| match r {
+                Ok(()) => "ok".to_string(),
                 Err(e) => format!("err {e}"),
             };
             let a: Vec<String> = batched
@@ -710,39 +607,36 @@ mod tests {
                 sealed[5].len() as u64 + exhausted as u64 * sealed[0].len() as u64
             );
             assert_eq!(batched.memory_stats(), looped.memory_stats());
-            assert_eq!(batched.flush().unwrap(), looped.flush().unwrap());
+            assert_eq!(batched.mix_batch().unwrap(), looped.mix_batch().unwrap());
             assert_eq!(batched.memory_stats().allocated, 0);
         }
     }
 
     #[test]
     fn a_rejected_update_fails_the_sealed_round_and_the_proxy_holds_nothing() {
-        for strategy in [MixingStrategy::Batch, MixingStrategy::Streaming { k: 2 }] {
-            let (mut proxy, _, mut rng) = launch(strategy);
-            let mut sealed: Vec<Vec<u8>> =
-                (0..4).map(|i| seal(&proxy, &params(i), &mut rng)).collect();
-            sealed.insert(2, vec![0u8; 64]); // garbage ciphertext mid-round
-            assert!(matches!(
-                proxy.mix_sealed_round(&sealed),
-                Err(ProxyError::Enclave(_))
-            ));
-            // Counted like a per-update caller's, forwarded nowhere.
-            let stats = proxy.stats();
-            assert_eq!(stats.updates_received, 4, "{strategy:?}");
-            assert_eq!(stats.updates_rejected, 1);
-            assert_eq!(stats.bytes_rejected, 64);
-            assert_eq!(stats.updates_forwarded, 0);
-            // Nothing of the failed round is left to leak into the next.
-            assert_eq!(proxy.buffered(), 0, "{strategy:?}");
-            assert_eq!(proxy.memory_stats().allocated, 0);
-            let inputs: Vec<ModelParams> = (10..13).map(params).collect();
-            let sealed: Vec<Vec<u8>> = inputs.iter().map(|p| seal(&proxy, p, &mut rng)).collect();
-            let outputs = proxy.mix_sealed_round(&sealed).unwrap();
-            assert_eq!(outputs.len(), 3);
-            assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
-            assert_eq!(proxy.stats().updates_forwarded, 3);
-            assert_eq!(proxy.memory_stats().allocated, 0);
-        }
+        let (mut proxy, _, mut rng) = launch();
+        let mut sealed: Vec<Vec<u8>> = (0..4).map(|i| seal(&proxy, &params(i), &mut rng)).collect();
+        sealed.insert(2, vec![0u8; 64]); // garbage ciphertext mid-round
+        assert!(matches!(
+            proxy.mix_sealed_round(&sealed),
+            Err(ProxyError::Enclave(_))
+        ));
+        // Counted like a per-update caller's, forwarded nowhere.
+        let stats = proxy.stats();
+        assert_eq!(stats.updates_received, 4);
+        assert_eq!(stats.updates_rejected, 1);
+        assert_eq!(stats.bytes_rejected, 64);
+        assert_eq!(stats.updates_forwarded, 0);
+        // Nothing of the failed round is left to leak into the next.
+        assert_eq!(proxy.buffered(), 0);
+        assert_eq!(proxy.memory_stats().allocated, 0);
+        let inputs: Vec<ModelParams> = (10..13).map(params).collect();
+        let sealed: Vec<Vec<u8>> = inputs.iter().map(|p| seal(&proxy, p, &mut rng)).collect();
+        let outputs = proxy.mix_sealed_round(&sealed).unwrap();
+        assert_eq!(outputs.len(), 3);
+        assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
+        assert_eq!(proxy.stats().updates_forwarded, 3);
+        assert_eq!(proxy.memory_stats().allocated, 0);
     }
 
     #[test]
@@ -750,27 +644,25 @@ mod tests {
         // The signature is launch-time configuration: a foreign update
         // arriving first is the one rejected — not the honest ones after
         // it — and the next all-honest round commits.
-        for strategy in [MixingStrategy::Batch, MixingStrategy::Streaming { k: 2 }] {
-            let (mut proxy, _, mut rng) = launch(strategy);
-            let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
-            let mut sealed = vec![seal(&proxy, &alien, &mut rng)];
-            sealed.extend((0..3).map(|i| seal(&proxy, &params(i), &mut rng)));
-            match proxy.mix_sealed_round(&sealed) {
-                Err(ProxyError::SignatureMismatch { expected, actual }) => {
-                    assert_eq!(expected, vec![3, 2], "{strategy:?}");
-                    assert_eq!(actual, vec![1]);
-                }
-                other => panic!("expected a signature mismatch, got {other:?}"),
+        let (mut proxy, _, mut rng) = launch();
+        let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
+        let mut sealed = vec![seal(&proxy, &alien, &mut rng)];
+        sealed.extend((0..3).map(|i| seal(&proxy, &params(i), &mut rng)));
+        match proxy.mix_sealed_round(&sealed) {
+            Err(ProxyError::SignatureMismatch { expected, actual }) => {
+                assert_eq!(expected, vec![3, 2]);
+                assert_eq!(actual, vec![1]);
             }
-            assert_eq!(proxy.stats().updates_rejected, 1, "{strategy:?}");
-            assert_eq!(proxy.buffered(), 0, "{strategy:?}");
-            assert_eq!(proxy.memory_stats().allocated, 0);
-
-            let inputs: Vec<ModelParams> = (10..13).map(params).collect();
-            let sealed: Vec<Vec<u8>> = inputs.iter().map(|p| seal(&proxy, p, &mut rng)).collect();
-            let outputs = proxy.mix_sealed_round(&sealed).unwrap();
-            assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
-            assert_eq!(proxy.memory_stats().allocated, 0);
+            other => panic!("expected a signature mismatch, got {other:?}"),
         }
+        assert_eq!(proxy.stats().updates_rejected, 1);
+        assert_eq!(proxy.buffered(), 0);
+        assert_eq!(proxy.memory_stats().allocated, 0);
+
+        let inputs: Vec<ModelParams> = (10..13).map(params).collect();
+        let sealed: Vec<Vec<u8>> = inputs.iter().map(|p| seal(&proxy, p, &mut rng)).collect();
+        let outputs = proxy.mix_sealed_round(&sealed).unwrap();
+        assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
+        assert_eq!(proxy.memory_stats().allocated, 0);
     }
 }

@@ -27,8 +27,8 @@ pub enum TransportMode {
 /// impl lives in `mixnn_fl`, which depends on this crate): the observed
 /// updates keep the **slot ids** of the incoming ones (the server still
 /// sees one connection per participant slot); their *contents* are the
-/// mixed updates. With batch mixing this is exactly the paper's
-/// deployment: the server receives C updates it cannot attribute.
+/// mixed updates. This is exactly the paper's deployment: the server
+/// receives C updates it cannot attribute.
 ///
 /// # Example
 ///
@@ -72,7 +72,7 @@ impl MixnnTransport {
     }
 
     /// Sets the wire compression participants encode with before sealing.
-    /// Round-wide, like the mixing strategy: every participant of a round
+    /// Round-wide, like the model signature: every participant of a round
     /// must share it or envelope sizes become a fingerprint.
     #[must_use]
     pub fn with_compression(mut self, compression: CompressionConfig) -> Self {
@@ -130,7 +130,7 @@ impl MixnnTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MixingStrategy, MixnnProxyConfig};
+    use crate::MixnnProxyConfig;
     use mixnn_enclave::{AttestationService, EnclaveConfig, EnclaveError};
     use mixnn_nn::LayerParams;
 
@@ -149,16 +149,15 @@ mod tests {
             .collect()
     }
 
-    fn transport(strategy: MixingStrategy) -> MixnnTransport {
-        transport_with_epc(strategy, EnclaveConfig::default().epc_limit)
+    fn transport() -> MixnnTransport {
+        transport_with_epc(EnclaveConfig::default().epc_limit)
     }
 
-    fn transport_with_epc(strategy: MixingStrategy, epc_limit: usize) -> MixnnTransport {
+    fn transport_with_epc(epc_limit: usize) -> MixnnTransport {
         let mut rng = StdRng::seed_from_u64(5);
         let service = AttestationService::new(&mut rng);
         let proxy = MixnnProxy::launch(
             MixnnProxyConfig {
-                strategy,
                 expected_signature: vec![2, 3],
                 seed: 3,
                 enclave: EnclaveConfig {
@@ -174,7 +173,7 @@ mod tests {
 
     #[test]
     fn encrypted_batch_preserves_aggregate_and_count() {
-        let mut t = transport(MixingStrategy::Batch);
+        let mut t = transport();
         let ins = updates(6);
         let outs = t.relay_round(ins.clone()).unwrap();
         assert_eq!(outs.len(), 6);
@@ -182,47 +181,33 @@ mod tests {
     }
 
     #[test]
-    fn streaming_round_conserves_count() {
-        let mut t = transport(MixingStrategy::Streaming { k: 2 });
-        let ins = updates(7);
-        let outs = t.relay_round(ins.clone()).unwrap();
-        assert_eq!(outs.len(), 7);
-        // Multiset conservation implies the mean is preserved.
-        assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
-    }
-
-    #[test]
     fn a_round_the_epc_cannot_hold_fails_clean_and_the_next_round_commits() {
         let footprint = updates(1)[0].total_len() * std::mem::size_of::<f32>();
         let decrypt_buffer = codec::encode_params(&updates(1)[0]).len();
-        // Streaming with k above the round size holds every update until
-        // the flush, as batch mode does.
-        for strategy in [MixingStrategy::Batch, MixingStrategy::Streaming { k: 8 }] {
-            let mut t = transport_with_epc(strategy, 4 * footprint + decrypt_buffer);
-            let err = t.relay_round(updates(6)).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ProxyError::Enclave(EnclaveError::MemoryExhausted { .. })
-                ),
-                "{strategy:?}: {err}"
-            );
-            // The failed round released everything it had charged …
-            assert_eq!(t.proxy().buffered(), 0, "{strategy:?}");
-            assert_eq!(t.proxy().memory_stats().allocated, 0, "{strategy:?}");
-            // … so a round that fits a fresh proxy fits this one, and mixes
-            // only its own updates.
-            let ins = updates(9).split_off(6);
-            let outs = t.relay_round(ins.clone()).unwrap();
-            assert_eq!(outs.len(), 3, "{strategy:?}");
-            assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
-            assert_eq!(t.proxy().memory_stats().allocated, 0);
-        }
+        let mut t = transport_with_epc(4 * footprint + decrypt_buffer);
+        let err = t.relay_round(updates(6)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ProxyError::Enclave(EnclaveError::MemoryExhausted { .. })
+            ),
+            "{err}"
+        );
+        // The failed round released everything it had charged …
+        assert_eq!(t.proxy().buffered(), 0);
+        assert_eq!(t.proxy().memory_stats().allocated, 0);
+        // … so a round that fits a fresh proxy fits this one, and mixes
+        // only its own updates.
+        let ins = updates(9).split_off(6);
+        let outs = t.relay_round(ins.clone()).unwrap();
+        assert_eq!(outs.len(), 3);
+        assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
+        assert_eq!(t.proxy().memory_stats().allocated, 0);
     }
 
     #[test]
     fn updates_are_actually_mixed() {
-        let mut t = transport(MixingStrategy::Batch);
+        let mut t = transport();
         let ins = updates(8);
         let outs = t.relay_round(ins.clone()).unwrap();
         let changed = ins.iter().zip(&outs).filter(|(a, b)| a != b).count();

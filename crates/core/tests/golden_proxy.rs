@@ -16,9 +16,7 @@
 #![allow(clippy::needless_update)]
 
 use mixnn_core::codec::{self, CompressionConfig};
-use mixnn_core::{
-    MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, ProxyError, TransportMode,
-};
+use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, ProxyError, TransportMode};
 use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::sha256::Sha256;
 use mixnn_crypto::SealedBox;
@@ -75,12 +73,9 @@ impl Golden {
         }
     }
 
-    /// The proxy's non-timing counters, its EPC state and the last batch
-    /// plan's source table. `high_water` is left out where the parent's
-    /// transport staged four footprint charges ahead of their commits (the
-    /// streaming relay): that overshoot is gone by design, everything else
-    /// is pinned.
-    fn proxy(&mut self, proxy: &MixnnProxy, with_high_water: bool) {
+    /// The proxy's non-timing counters, its EPC state and the last plan's
+    /// source table.
+    fn proxy(&mut self, proxy: &MixnnProxy) {
         let s = proxy.stats();
         let as_recorded = |bytes: u64, envelopes: u64| {
             bytes + envelopes * RECORDED_OVERHEAD - envelopes * OVERHEAD as u64
@@ -99,9 +94,7 @@ impl Golden {
         let m = proxy.memory_stats();
         self.u64(m.allocated as u64);
         self.u64(m.limit as u64);
-        if with_high_water {
-            self.u64(m.high_water as u64);
-        }
+        self.u64(m.high_water as u64);
         self.u64(m.paging_events);
         self.u64(m.paged_out as u64);
         self.u64(proxy.buffered() as u64);
@@ -130,16 +123,15 @@ fn launch(config: MixnnProxyConfig, seed: u64) -> (MixnnProxy, StdRng) {
     (proxy, rng)
 }
 
-/// A budget that fits the k = 2 warm-up lists plus one decrypt buffer but
-/// not the steady-state peak: the accept/reject pattern itself is the
-/// golden value.
+/// A budget that fits four buffered updates plus one decrypt buffer, so
+/// the fifth update of a round is accepted and the rest of it rejected:
+/// the accept/reject pattern itself is the golden value.
 fn tight_epc_config() -> MixnnProxyConfig {
     MixnnProxyConfig {
-        strategy: MixingStrategy::Streaming { k: 2 },
         expected_signature: SIGNATURE.to_vec(),
         seed: 13,
         enclave: EnclaveConfig {
-            epc_limit: 160,
+            epc_limit: 280,
             ..EnclaveConfig::default()
         },
         ..MixnnProxyConfig::default()
@@ -150,42 +142,30 @@ fn seal(proxy: &MixnnProxy, p: &ModelParams, rng: &mut StdRng) -> Vec<u8> {
     SealedBox::seal(&codec::encode_params(p), proxy.public_key(), rng).expect("attested key")
 }
 
-/// Per-update ingest of two rounds; each outcome (accepted, emitted
-/// or the typed error text) is part of the digest.
+/// Per-update ingest of two rounds; each outcome (accepted or the typed
+/// error text) is part of the digest.
 fn submit_rounds(mut proxy: MixnnProxy, mut rng: StdRng, clients: usize) -> (String, String) {
     let mut g = Golden(Sha256::new());
     for r in 0..2 {
         for p in updates(clients, SIGNATURE, 100 + r) {
             let sealed = seal(&proxy, &p, &mut rng);
             match proxy.submit_encrypted(&sealed) {
-                Ok(None) => g.u64(0),
-                Ok(Some(out)) => {
-                    g.u64(1);
-                    g.params(&[out]);
-                }
+                Ok(()) => g.u64(0),
                 Err(e) => {
                     g.u64(2);
                     g.bytes(e.to_string().as_bytes());
                 }
             }
         }
-        match proxy.strategy() {
-            MixingStrategy::Batch => g.params(&proxy.mix_batch().expect("buffered round")),
-            MixingStrategy::Streaming { .. } => g.params(&proxy.flush().expect("flush")),
-        }
-        g.proxy(&proxy, true);
+        g.params(&proxy.mix_batch().expect("buffered round"));
+        g.proxy(&proxy);
     }
     g.finish(&mut rng)
 }
 
-fn relay_rounds(
-    strategy: MixingStrategy,
-    compression: CompressionConfig,
-    signature: &[usize],
-) -> (String, String) {
+fn relay_rounds(compression: CompressionConfig, signature: &[usize]) -> (String, String) {
     let (proxy, mut rng) = launch(
         MixnnProxyConfig {
-            strategy,
             expected_signature: signature.to_vec(),
             seed: 23,
             ..MixnnProxyConfig::default()
@@ -202,7 +182,7 @@ fn relay_rounds(
             .relay_round(updates(11, signature, 200 + r))
             .expect("round commits");
         g.params(&mixed);
-        g.proxy(transport.proxy(), strategy == MixingStrategy::Batch);
+        g.proxy(transport.proxy());
     }
     g.finish(&mut rng)
 }
@@ -210,21 +190,15 @@ fn relay_rounds(
 fn scenarios() -> Vec<(String, (String, String))> {
     let mut out = Vec::new();
 
-    for (name, strategy) in [
-        ("submit_batch", MixingStrategy::Batch),
-        ("submit_streaming_k3", MixingStrategy::Streaming { k: 3 }),
-    ] {
-        let (proxy, rng) = launch(
-            MixnnProxyConfig {
-                strategy,
-                expected_signature: SIGNATURE.to_vec(),
-                seed: 11,
-                ..MixnnProxyConfig::default()
-            },
-            1,
-        );
-        out.push((name.to_string(), submit_rounds(proxy, rng, 9)));
-    }
+    let (proxy, rng) = launch(
+        MixnnProxyConfig {
+            expected_signature: SIGNATURE.to_vec(),
+            seed: 11,
+            ..MixnnProxyConfig::default()
+        },
+        1,
+    );
+    out.push(("submit_batch".to_string(), submit_rounds(proxy, rng, 9)));
 
     let (proxy, rng) = launch(tight_epc_config(), 2);
     out.push((
@@ -232,36 +206,16 @@ fn scenarios() -> Vec<(String, (String, String))> {
         submit_rounds(proxy, rng, 10),
     ));
 
-    for (name, strategy, compression, signature) in [
-        (
-            "relay_batch_f32",
-            MixingStrategy::Batch,
-            CompressionConfig::F32,
-            SIGNATURE,
-        ),
-        (
-            "relay_batch_int8",
-            MixingStrategy::Batch,
-            CompressionConfig::Int8,
-            WIDE_SIGNATURE,
-        ),
+    for (name, compression, signature) in [
+        ("relay_batch_f32", CompressionConfig::F32, SIGNATURE),
+        ("relay_batch_int8", CompressionConfig::Int8, WIDE_SIGNATURE),
         (
             "relay_batch_int8_topk",
-            MixingStrategy::Batch,
             CompressionConfig::int8_top_k(),
             WIDE_SIGNATURE,
         ),
-        (
-            "relay_streaming_k3_f32",
-            MixingStrategy::Streaming { k: 3 },
-            CompressionConfig::F32,
-            SIGNATURE,
-        ),
     ] {
-        out.push((
-            name.to_string(),
-            relay_rounds(strategy, compression, signature),
-        ));
+        out.push((name.to_string(), relay_rounds(compression, signature)));
     }
 
     out
@@ -271,7 +225,7 @@ fn scenarios() -> Vec<(String, (String, String))> {
 fn tight_epc_scenario_both_accepts_and_rejects() {
     // Guards the scenario above against a vacuous pattern.
     let (mut proxy, mut rng) = launch(tight_epc_config(), 2);
-    let results: Vec<Result<Option<ModelParams>, ProxyError>> = updates(10, SIGNATURE, 100)
+    let results: Vec<Result<(), ProxyError>> = updates(10, SIGNATURE, 100)
         .iter()
         .map(|p| {
             let sealed = seal(&proxy, p, &mut rng);
@@ -304,24 +258,23 @@ fn proxy_digests_match_the_recorded_sequential_path() {
     );
 }
 
-/// Recorded on f992ffd, never edited.
+/// Recorded on f992ffd and never edited, except `submit_tight_epc`: its
+/// scenario became a batch proxy under a tight budget when the streaming
+/// mixer was deleted, and its row was recorded by running that scenario on
+/// the deleting commit's parent, 43dc142.
 const GOLDEN_ROUND: &str = "\
 submit_batch 6d49917fb8b8978efd0e2e3b805c53954dbcbb7d045f228f6955760dffa7efe5
-submit_streaming_k3 74b95c25af2bfec547164922d40951986df999ddad35ae30a6d991e565364e04
-submit_tight_epc 5fd851ad59ddfbb03fead9addf651f99c35477669551574eb10426f2970df746
+submit_tight_epc 6eeef7f0272653cc6048b16b029f604c435c0ca483720b2c1f4c36aae0c2ece7
 relay_batch_f32 395701d78718882321f9908c3a5da1ae496bc99b35d976babfa4bc2c09cdd316
 relay_batch_int8 024d2ce2f460de73b91c7494018d81a31da12aab358b8522305d17154416dc31
 relay_batch_int8_topk 14056d58df1b04361c647952137250eaa0b6f3303dcc39272e8da4729a827830
-relay_streaming_k3_f32 dc3e6bacde62ba67cbd1ded29b5dbfdaa7032f036d18bef88f55bef2b7b070e2
 ";
 
 /// Re-recorded whenever launch or sealing draws a different amount.
 const GOLDEN_RNG: &str = "\
 submit_batch 4d964f26d490de19
-submit_streaming_k3 4d964f26d490de19
 submit_tight_epc facc241d638bf5bb
 relay_batch_f32 fb797f4d139c03dd
 relay_batch_int8 fb797f4d139c03dd
 relay_batch_int8_topk fb797f4d139c03dd
-relay_streaming_k3_f32 fb797f4d139c03dd
 ";

@@ -24,13 +24,6 @@ pub enum EnclaveError {
     Crypto(CryptoError),
     /// A quote did not match the expected enclave measurement.
     MeasurementMismatch,
-    /// An index was out of range for an oblivious buffer.
-    IndexOutOfRange {
-        /// The offending index.
-        index: usize,
-        /// Buffer capacity.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for EnclaveError {
@@ -53,9 +46,6 @@ impl fmt::Display for EnclaveError {
             EnclaveError::Crypto(e) => write!(f, "enclave crypto failure: {e}"),
             EnclaveError::MeasurementMismatch => {
                 write!(f, "quote does not match the expected enclave measurement")
-            }
-            EnclaveError::IndexOutOfRange { index, capacity } => {
-                write!(f, "index {index} out of range for capacity {capacity}")
             }
         }
     }

@@ -239,14 +239,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, LoadError> {
     run_load_with(cfg, &mixnn_telemetry::noop())
 }
 
-/// [`run_load`] with a telemetry registry attached to the simulator: net
-/// counters and queue-peak gauges accumulate into it, each completed
-/// round leaves a trace event stamped in **virtual** nanoseconds (the
-/// simulator drives the registry's virtual clock, if it carries one), so
-/// two runs of the same config produce byte-identical trace text.
-///
-/// # Errors
-///
 /// The load generator's trickle schedule: client `client` of `clients`
 /// sends `(client × spread_ns) / clients` after the round opens — arrivals
 /// spread evenly across the window, in client order, with pure integer
@@ -265,6 +257,14 @@ pub fn arrival_offset(client: usize, clients: usize, spread_ns: u64) -> u64 {
     (client as u64 * spread_ns) / clients as u64
 }
 
+/// [`run_load`] with a telemetry registry attached to the simulator: net
+/// counters and queue-peak gauges accumulate into it, each completed
+/// round leaves a trace event stamped in **virtual** nanoseconds (the
+/// simulator drives the registry's virtual clock, if it carries one), so
+/// two runs of the same config produce byte-identical trace text.
+///
+/// # Errors
+///
 /// Same conditions as [`run_load`].
 pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutcome, LoadError> {
     if cfg.clients == 0 || cfg.rounds == 0 || cfg.hops == 0 {

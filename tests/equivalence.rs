@@ -11,7 +11,7 @@ use mixnn::data::{lfw_like, motionsense_like};
 use mixnn::enclave::AttestationService;
 use mixnn::fl::{DirectTransport, FlConfig, FlSimulation, NoisyTransport, UpdateTransport};
 use mixnn::nn::zoo;
-use mixnn::proxy::{MixingStrategy, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn::proxy::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,16 +54,11 @@ fn run_rounds(
         .collect()
 }
 
-fn mixnn_transport(
-    strategy: MixingStrategy,
-    template: &mixnn::nn::Sequential,
-    seed: u64,
-) -> MixnnTransport {
+fn mixnn_transport(template: &mixnn::nn::Sequential, seed: u64) -> MixnnTransport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
     let service = AttestationService::new(&mut rng);
     let proxy = MixnnProxy::launch(
         MixnnProxyConfig {
-            strategy,
             expected_signature: template.signature(),
             seed,
             ..MixnnProxyConfig::default()
@@ -78,7 +73,7 @@ fn mixnn_transport(
 fn encrypted_proxy_path_is_also_bitwise_identical() {
     let (population, template, cfg) = fixture(102);
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut encrypted = mixnn_transport(MixingStrategy::Batch, &template, 102);
+    let mut encrypted = mixnn_transport(&template, 102);
     let mixed = run_rounds(&template, cfg, &population, &mut encrypted);
     assert_eq!(classic, mixed, "encrypted proxy path diverged");
     // The proxy really did the work: every update decrypted inside the
@@ -90,15 +85,6 @@ fn encrypted_proxy_path_is_also_bitwise_identical() {
     );
     assert_eq!(stats.updates_rejected, 0);
     assert!(stats.decrypt_seconds > 0.0);
-}
-
-#[test]
-fn streaming_strategy_preserves_aggregate_per_round() {
-    let (population, template, cfg) = fixture(103);
-    let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut streaming = mixnn_transport(MixingStrategy::Streaming { k: 3 }, &template, 103);
-    let mixed = run_rounds(&template, cfg, &population, &mut streaming);
-    assert_eq!(classic, mixed, "streaming proxy path diverged");
 }
 
 #[test]
@@ -133,7 +119,7 @@ fn mixnn_works_on_deepface_architecture_too() {
         ..FlConfig::default()
     };
     let classic = run_rounds(&template, cfg, &population, &mut DirectTransport::new());
-    let mut transport = mixnn_transport(MixingStrategy::Batch, &template, 105);
+    let mut transport = mixnn_transport(&template, 105);
     let mixed = run_rounds(&template, cfg, &population, &mut transport);
     assert_eq!(classic, mixed);
     // 5 trainable layers ≤ 6 participants: the Latin plan must be in force.

@@ -7,7 +7,7 @@
 use mixnn::crypto::SealedBox;
 use mixnn::enclave::{AttestationService, EnclaveConfig};
 use mixnn::nn::{LayerParams, ModelParams};
-use mixnn::proxy::{codec, MixingStrategy, MixnnProxy, MixnnProxyConfig, ProxyError};
+use mixnn::proxy::{codec, MixnnProxy, MixnnProxyConfig, ProxyError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,7 +23,6 @@ fn proxy(seed: u64) -> (MixnnProxy, StdRng) {
     let service = AttestationService::new(&mut rng);
     let p = MixnnProxy::launch(
         MixnnProxyConfig {
-            strategy: MixingStrategy::Batch,
             expected_signature: vec![8, 4],
             seed,
             ..MixnnProxyConfig::default()
@@ -93,7 +92,6 @@ fn epc_exhaustion_fails_the_offending_update_only() {
     // third) but not four.
     let mut p = MixnnProxy::launch(
         MixnnProxyConfig {
-            strategy: MixingStrategy::Batch,
             expected_signature: vec![8, 4],
             enclave: EnclaveConfig {
                 epc_limit: 150,
