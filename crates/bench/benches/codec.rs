@@ -17,6 +17,9 @@
 //! depends on the distribution), `codec/topk/select` isolates the
 //! three-pass counting select, and its `all-equal` row is the worst case
 //! — every value in one bucket at every level — which must stay linear.
+//! Those rows run the encoder's best tier; `codec/encode/<tier>/*` and
+//! `codec/topk/select/<tier>/*` repeat the lossy ones on every tier the
+//! host supports (`codec::kernels`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_bench::experiments::compress::PAPER_SIGNATURE;
@@ -143,6 +146,14 @@ fn bench_big_layer(c: &mut Criterion) {
             b.iter(|| encode_layer_with(&layer, m));
         });
     }
+    for (tier, kernel) in codec::kernels() {
+        for mode in [CompressionConfig::Int8, CompressionConfig::int8_top_k()] {
+            let id = BenchmarkId::new(format!("{tier}/{}", mode.name()), LEN);
+            group.bench_with_input(id, &mode, |b, &m| {
+                b.iter(|| (kernel.encode)(&layer, m));
+            });
+        }
+    }
     group.finish();
     let mut group = c.benchmark_group("codec/decode");
     configure(&mut group);
@@ -167,12 +178,23 @@ fn bench_select(c: &mut Criterion) {
             LayerParams::from_values(vec![0.5; 262_144]),
         ),
     ];
+    let kernels = codec::kernels();
+    let (_, best) = *kernels.last().expect("the scalar tier is always there");
     for (name, layer) in &rows {
         let k = CompressionConfig::int8_top_k().kept(layer.len());
         group.throughput(Throughput::Elements(layer.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(name), layer, |b, layer| {
-            b.iter(|| codec::top_k_cut(layer.values(), k));
+            b.iter(|| (best.select)(layer.values(), k));
         });
+    }
+    for (tier, kernel) in &kernels {
+        for (name, layer) in &rows[1..] {
+            let k = CompressionConfig::int8_top_k().kept(layer.len());
+            group.throughput(Throughput::Elements(layer.len() as u64));
+            group.bench_with_input(BenchmarkId::new(tier, name), layer, |b, layer| {
+                b.iter(|| (kernel.select)(layer.values(), k));
+            });
+        }
     }
     group.finish();
 }

@@ -63,6 +63,21 @@
 //! door composes that view; the `*_expecting` doors additionally reject a
 //! frame whose declared geometry differs from the round's signature
 //! before a value buffer exists.
+//!
+//! # Encoder tiers
+//!
+//! The lossy encoder runs the widest kernel the CPU has:
+//!
+//! | tier | select | emit and range fold | quantise | where |
+//! |---|---|---|---|---|
+//! | AVX-512 F + BW | top two digits bracketed from a sample, the last by 16-lane mask compares | 16-lane masks, compressed index stores | kept values gathered back by index, 16 per step | x86-64, detected at runtime |
+//! | scalar | three counting passes over flag bytes | flag bytes, one kept value at a time | one value at a time | everywhere |
+//!
+//! The scalar tier is the definition; the wide tier emits byte-identical
+//! frames (the same cut, the same f64 division per value, the same
+//! first-seen rule for a `±0.0` bound). The tier is chosen by CPU
+//! detection alone — there is no option; the tests pass each supported
+//! `Tier` as an argument instead.
 
 use crate::ProxyError;
 use bytes::{Buf, BufMut};
@@ -383,7 +398,7 @@ fn count_low_digit(values: &[f32], prefix: u32, shift: u32) -> DigitCounts<LOW_D
 /// Where a layer's top-k set ends: it holds every value whose magnitude
 /// key exceeds `key`, plus the first `ties` (lowest-index) values whose
 /// key equals it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKCut {
     key: u32,
     ties: usize,
@@ -394,7 +409,9 @@ pub struct TopKCut {
 /// pass structure depends on nothing but the length. Deterministic: ties
 /// break toward the lower index under a total order (`total_cmp` on
 /// `|v|`, so NaN ranks above +∞ and is kept — it quantizes to the zero
-/// point rather than silently vanishing).
+/// point rather than silently vanishing). This is the scalar tier, the
+/// definition; the encoder runs the widest tier the CPU has (see the
+/// module docs).
 ///
 /// # Panics
 ///
@@ -473,6 +490,789 @@ fn encode_top_k<const W: usize>(
         *quant = quantize(values[read_index::<W>(index)], zero, scale);
     }
     (zero, scale)
+}
+
+/// The dense payload of one frame, written in place: every value quantized
+/// against the range of the finite ones into `quants`. Returns that
+/// range's `(zero, scale)`.
+fn encode_dense(values: &[f32], quants: &mut [u8]) -> (f32, f32) {
+    let mut range = FiniteRange::EMPTY;
+    values.iter().for_each(|&v| range.include(v));
+    let (zero, scale) = range.affine();
+    for (quant, &v) in quants.iter_mut().zip(values) {
+        *quant = quantize(v, zero, scale);
+    }
+    (zero, scale)
+}
+
+/// The widest lossy-encoder kernel a call may use.
+///
+/// An argument rather than ambient state so the tests can pin every tier
+/// the host supports against the scalar definition; production callers
+/// pass [`Tier::best`]. Frames do not depend on the tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tier {
+    /// The flag-byte loops above: the definition.
+    Scalar,
+    /// Sixteen values per step in AVX-512 registers and mask registers.
+    Avx512,
+}
+
+impl Tier {
+    const ALL: [Tier; 2] = [Tier::Scalar, Tier::Avx512];
+
+    /// Whether the running CPU can execute this tier's kernel.
+    fn available(self) -> bool {
+        match self {
+            Tier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => avx512::available(),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Avx512 => false,
+        }
+    }
+
+    /// The fastest tier the running CPU supports.
+    pub(crate) fn best() -> Tier {
+        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
+        widest.expect("the scalar tier is always available")
+    }
+
+    /// Every tier the running CPU supports, scalar first.
+    #[cfg(test)]
+    pub(crate) fn supported() -> Vec<Tier> {
+        Tier::ALL
+            .into_iter()
+            .filter(|tier| tier.available())
+            .collect()
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
+/// [`top_k_cut`] on `tier`: the same cut.
+fn top_k_cut_on(tier: Tier, values: &[f32], k: usize) -> TopKCut {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => avx512::top_k_cut(values, k),
+        _ => top_k_cut(values, k),
+    }
+}
+
+/// [`encode_top_k`] on `tier`, with `width`-byte indices: the same payload.
+fn encode_top_k_on(
+    tier: Tier,
+    width: usize,
+    values: &[f32],
+    index_area: &mut [u8],
+    quant_area: &mut [u8],
+) -> (f32, f32) {
+    match (tier, width) {
+        #[cfg(target_arch = "x86_64")]
+        (Tier::Avx512, _) => avx512::encode_top_k(values, width, index_area, quant_area),
+        (_, 1) => encode_top_k::<1>(values, index_area, quant_area),
+        (_, 2) => encode_top_k::<2>(values, index_area, quant_area),
+        (_, 3) => encode_top_k::<3>(values, index_area, quant_area),
+        _ => encode_top_k::<4>(values, index_area, quant_area),
+    }
+}
+
+/// One lossy-encoder tier, as `cargo bench --bench codec` times it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Kernel {
+    /// [`encode_layer_with`] on this tier.
+    pub encode: fn(&LayerParams, CompressionConfig) -> Vec<u8>,
+    /// [`top_k_cut`] on this tier.
+    pub select: fn(&[f32], usize) -> TopKCut,
+}
+
+/// [`encode_layer_with`] with `Tier::ALL[TIER]` as the widest kernel.
+fn encode_layer_on_tier<const TIER: usize>(
+    layer: &LayerParams,
+    compression: CompressionConfig,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_layer_len_with(layer.len(), compression));
+    encode_layer_on(Tier::ALL[TIER], &mut out, layer, compression);
+    out
+}
+
+/// [`top_k_cut`] with `Tier::ALL[TIER]` as the widest kernel.
+fn top_k_cut_on_tier<const TIER: usize>(values: &[f32], k: usize) -> TopKCut {
+    top_k_cut_on(Tier::ALL[TIER], values, k)
+}
+
+/// Every lossy-encoder tier the running CPU supports, scalar first, as
+/// `(name, kernel)` pairs: the per-tier rows of `cargo bench --bench
+/// codec`. Not an option — the encoder always takes the last one.
+#[doc(hidden)]
+pub fn kernels() -> Vec<(&'static str, Kernel)> {
+    const KERNELS: [Kernel; 2] = [
+        Kernel {
+            encode: encode_layer_on_tier::<0>,
+            select: top_k_cut_on_tier::<0>,
+        },
+        Kernel {
+            encode: encode_layer_on_tier::<1>,
+            select: top_k_cut_on_tier::<1>,
+        },
+    ];
+    Tier::ALL
+        .into_iter()
+        .zip(KERNELS)
+        .filter(|(tier, _)| tier.available())
+        .map(|(tier, kernel)| (tier.name(), kernel))
+        .collect()
+}
+
+/// The AVX-512 tier of the lossy encoder. Every per-value decision of the
+/// scalar tier — above the cut key, equal to it, finite, inside a digit
+/// prefix — is one lane of a 16-bit mask here, so a step needs no flag
+/// bytes and kept lanes are compressed rather than visited:
+///
+/// - **select**: a layer of [`BRACKET_FROM`](avx512::BRACKET_FROM) values
+///   or more finds its top two digits through a bracket read off a
+///   strided sample — one pass counts the keys above the bracket by mask
+///   popcount and histograms the keys inside it by both digits at once —
+///   and counts them as the scalar tier does when the sample misled; the
+///   last digit counts the lanes a mask compare put under the prefix.
+/// - **emit**: a step's kept indices are compressed into one register,
+///   shuffled into big-endian `W`-byte entries and stored under a byte
+///   mask; the kept finite values fold into lane-wise min/max registers.
+/// - **quantise**: the written indices are read back sixteen at a time and
+///   their values gathered, and each lane takes the scalar tier's f64
+///   subtract, divide and round-half-up.
+///
+/// A lane-wise fold forgets visiting order, which decides only which zero
+/// a `±0.0` bound keeps; [`first_zero_wins`](avx512::first_zero_wins)
+/// restores the scalar rule. All of the codec's `unsafe` is here, behind
+/// safe entries that check the CPU first.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{
+        count_top_digit, locate_digit, magnitude_key, DigitCounts, FiniteRange, TopKCut,
+        LOW_DIGITS, LOW_DIGIT_BITS, TOP_DIGITS,
+    };
+    use core::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Values per step.
+    const LANES: usize = 16;
+    /// The key of +∞: every key below it is a finite value's.
+    const INFINITY_KEY: u32 = 0x7f80_0000;
+    /// Bits of a key below its top digit.
+    const TOP_SHIFT: u32 = 2 * LOW_DIGIT_BITS;
+    /// The shortest layer whose top two digits are bracketed from a
+    /// sample; a shorter one is counted in full.
+    pub(super) const BRACKET_FROM: usize = 1 << 14;
+    /// Steps of values in the sample, evenly strided over the layer.
+    const SAMPLE_STEPS: usize = 512;
+    /// The most top digits a bracket may span.
+    const BRACKET_DIGITS: u32 = 4;
+
+    /// Whether the running CPU has AVX-512 F and BW (cached).
+    pub fn available() -> bool {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+        })
+    }
+
+    /// [`super::top_k_cut`]: the same cut.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`] — callers select this tier only after
+    /// checking it — and on a layer longer than `u32::MAX` values.
+    pub fn top_k_cut(values: &[f32], k: usize) -> TopKCut {
+        assert!(available(), "AVX-512 codec selected on a CPU without it");
+        assert!(
+            u32::try_from(values.len()).is_ok(),
+            "layer lengths are u32 on the wire"
+        );
+        // SAFETY: `available()` just confirmed AVX-512 F and BW, the
+        // features `cut` enables; it reads `values` through masked loads
+        // of in-bounds lanes and bounds-checked indexing only.
+        unsafe { cut(values, k.min(values.len())) }
+    }
+
+    /// [`super::encode_top_k`] with `width`-byte indices: the same payload.
+    ///
+    /// # Panics
+    ///
+    /// As [`top_k_cut`], and unless `index_area` holds one entry per byte
+    /// of `quant_area`.
+    pub fn encode_top_k(
+        values: &[f32],
+        width: usize,
+        index_area: &mut [u8],
+        quant_area: &mut [u8],
+    ) -> (f32, f32) {
+        match width {
+            1 => top_k_payload::<1>(values, index_area, quant_area),
+            2 => top_k_payload::<2>(values, index_area, quant_area),
+            3 => top_k_payload::<3>(values, index_area, quant_area),
+            _ => top_k_payload::<4>(values, index_area, quant_area),
+        }
+    }
+
+    /// [`encode_top_k`] at one index width.
+    fn top_k_payload<const W: usize>(
+        values: &[f32],
+        index_area: &mut [u8],
+        quant_area: &mut [u8],
+    ) -> (f32, f32) {
+        let cut = top_k_cut(values, quant_area.len());
+        assert_eq!(
+            index_area.len(),
+            W * quant_area.len(),
+            "one index entry per kept value"
+        );
+        // SAFETY: `top_k_cut` just confirmed AVX-512 F and BW, the
+        // features `emit` enables; it loads only in-bounds lanes of
+        // `values` and stores only into bounds-checked subslices of
+        // `index_area`, under a byte mask no longer than the subslice.
+        let range = unsafe { emit::<W>(values, cut, index_area) };
+        let (zero, scale) = first_zero_wins(range, values).affine();
+        // SAFETY: as above, for `quantize_kept`, which reads `index_area`
+        // through masked loads no longer than each chunk, clamps every
+        // gathered index into `values`, and stores only into chunks of
+        // `quant_area` under a lane mask no longer than the chunk.
+        unsafe { quantize_kept::<W>(values, index_area, zero, scale, quant_area) };
+        (zero, scale)
+    }
+
+    /// [`super::encode_dense`]: the same payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`available`], and unless `quants` holds a byte per
+    /// value.
+    pub fn encode_dense(values: &[f32], quants: &mut [u8]) -> (f32, f32) {
+        assert!(available(), "AVX-512 codec selected on a CPU without it");
+        assert_eq!(values.len(), quants.len(), "one quant byte per value");
+        // SAFETY: `available()` just confirmed AVX-512 F and BW, the
+        // features `finite_range` enables; it loads only in-bounds lanes.
+        let range = unsafe { finite_range(values) };
+        let (zero, scale) = first_zero_wins(range, values).affine();
+        // SAFETY: as above, for `quantize_all`, which stores only into
+        // bounds-checked subslices of `quants` of at most sixteen bytes,
+        // under a lane mask no longer than the subslice.
+        unsafe { quantize_all(values, zero, scale, quants) };
+        (zero, scale)
+    }
+
+    /// `range` as [`FiniteRange::include`] leaves it, given that a
+    /// lane-wise fold found its bounds: a nonzero bound has one bit
+    /// pattern, but of the two zeros the scalar fold keeps whichever came
+    /// first. `values` is the layer the folded values came from, whose
+    /// first zero was folded whenever a zero bound was — every zero of a
+    /// dense frame is, and a zero has the smallest key, so the zeros a
+    /// top-k cut keeps are the layer's first `ties`.
+    pub(super) fn first_zero_wins(mut range: FiniteRange, values: &[f32]) -> FiniteRange {
+        if range.min == 0.0 || range.max == 0.0 {
+            let first = *values
+                .iter()
+                .find(|&&v| v == 0.0)
+                .expect("a zero bound was folded");
+            if range.min == 0.0 {
+                range.min = first;
+            }
+            if range.max == 0.0 {
+                range.max = first;
+            }
+        }
+        range
+    }
+
+    /// Whether the bracket, not the full count, found the top and middle
+    /// digits of the `need`-th largest key of `values`.
+    #[cfg(test)]
+    pub(super) fn bracket_holds(values: &[f32], need: usize) -> bool {
+        assert!(available(), "AVX-512 codec selected on a CPU without it");
+        // SAFETY: `available()` just confirmed AVX-512 F and BW, the
+        // features `bracketed_prefix` enables.
+        unsafe { bracketed_prefix(values, need) }.is_some()
+    }
+
+    /// The lanes a step keeps: every lane above the cut key and, while
+    /// ties remain, the lowest lanes equal to it.
+    fn keep(above: u16, equal: u16, ties: &mut usize) -> u16 {
+        let equal_count = equal.count_ones() as usize;
+        if equal_count <= *ties {
+            *ties -= equal_count;
+            return above | equal;
+        }
+        let (mut kept, mut equal) = (above, equal);
+        for _ in 0..*ties {
+            kept |= equal & equal.wrapping_neg();
+            equal &= equal - 1;
+        }
+        *ties = 0;
+        kept
+    }
+
+    /// Lanes `0..n` of a step.
+    fn lanes(n: usize) -> u16 {
+        if n >= LANES {
+            u16::MAX
+        } else {
+            (1 << n) - 1
+        }
+    }
+
+    /// The step of `values` at `at < values.len()`: its values, their
+    /// magnitude keys and the mask of lanes inside the layer (lanes past
+    /// its end are zero and outside the mask).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load(values: &[f32], at: usize) -> (__m512, __m512i, u16) {
+        let valid = lanes(values.len() - at);
+        // Masked-out lanes are neither read nor faulted on, and the rest
+        // lie in `values[at..]`.
+        let v = _mm512_maskz_loadu_ps(valid, values.as_ptr().add(at));
+        let key = _mm512_and_si512(_mm512_castps_si512(v), _mm512_set1_epi32(0x7fff_ffff));
+        (v, key, valid)
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW, i.e. [`available`] returned `true`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn cut(values: &[f32], need: usize) -> TopKCut {
+        let (prefix, need) = bracketed_prefix(values, need).unwrap_or_else(|| {
+            let (top, need) = locate_digit(&count_top_digit(values), need);
+            let (mid, need) = locate_digit(&count_low_digit(values, top, LOW_DIGIT_BITS), need);
+            (top << LOW_DIGIT_BITS | mid, need)
+        });
+        let (low, ties) = locate_digit(&count_low_digit(values, prefix, 0), need);
+        TopKCut {
+            key: prefix << LOW_DIGIT_BITS | low,
+            ties,
+        }
+    }
+
+    /// The top and middle digits of the `need`-th largest key, and how
+    /// many keys under that 21-bit prefix are still needed — by a bracket.
+    /// A strided sample names the top digits the key should lie between;
+    /// one pass counts the keys above them and histograms the keys inside
+    /// by top digit and middle digit at once (at most [`BRACKET_DIGITS`]
+    /// top digits, told apart by their two low bits), and the histogram
+    /// is walked as the scalar tier walks its first two. `None` — count
+    /// in full — for a short layer, for a sample spread over more top
+    /// digits, or when the sample misled and the key lies outside the
+    /// bracket.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn bracketed_prefix(values: &[f32], need: usize) -> Option<(u32, usize)> {
+        if values.len() < BRACKET_FROM || need == 0 {
+            return None;
+        }
+        let mut sample: DigitCounts<TOP_DIGITS> = [[0; TOP_DIGITS]; 2];
+        let mut sampled = 0;
+        let every = (values.len() / LANES / SAMPLE_STEPS).max(1);
+        for step in values.chunks_exact(LANES).step_by(every) {
+            for (j, &v) in step.iter().enumerate() {
+                sample[j & 1][(magnitude_key(v) >> TOP_SHIFT) as usize] += 1;
+            }
+            sampled += LANES;
+        }
+        // The key's rank in the sample, give or take a margin several
+        // standard deviations wide for a sample of the layer's own
+        // distribution.
+        let rank = (need * sampled).div_ceil(values.len());
+        let margin = sampled / 32 + 32;
+        let (high, _) = locate_digit(&sample, rank.saturating_sub(margin).max(1));
+        let (low, _) = locate_digit(&sample, (rank + margin).min(sampled));
+        if high - low >= BRACKET_DIGITS {
+            return None;
+        }
+        let ceiling = high << TOP_SHIFT | ((1 << TOP_SHIFT) - 1);
+        let (counts, mut above) = count_digit::<{ BRACKET_DIGITS as usize * LOW_DIGITS }>(
+            values,
+            low << TOP_SHIFT,
+            ceiling,
+            LOW_DIGIT_BITS,
+        );
+        if above >= need {
+            return None;
+        }
+        for top in (low..=high).rev() {
+            let at = (top % BRACKET_DIGITS) as usize * LOW_DIGITS;
+            let mids: DigitCounts<LOW_DIGITS> = [0, 1].map(|half| {
+                counts[half][at..at + LOW_DIGITS]
+                    .try_into()
+                    .expect("one top digit's middle digits")
+            });
+            let inside: usize = mids.iter().flatten().map(|&c| c as usize).sum();
+            if above + inside >= need {
+                let (mid, need) = locate_digit(&mids, need - above);
+                return Some((top << LOW_DIGIT_BITS | mid, need));
+            }
+            above += inside;
+        }
+        None
+    }
+
+    /// [`super::count_low_digit`]: the same counts.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn count_low_digit(values: &[f32], prefix: u32, shift: u32) -> DigitCounts<LOW_DIGITS> {
+        let above = shift + LOW_DIGIT_BITS;
+        let floor = prefix << above;
+        count_digit::<LOW_DIGITS>(values, floor, floor | ((1 << above) - 1), shift).0
+    }
+
+    /// Keys held back before they are counted.
+    const PENDING: usize = 256;
+
+    /// The occurrences of digit `(key >> shift) % D` among the keys in
+    /// `floor..=ceiling`, and how many keys lie above `ceiling`. A step's
+    /// keys inside are compressed into a buffer that is counted whenever
+    /// it fills, so no branch follows the data lane by lane; a step with
+    /// none (almost every step of the last digit's pass) stores nothing.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn count_digit<const D: usize>(
+        values: &[f32],
+        floor: u32,
+        ceiling: u32,
+        shift: u32,
+    ) -> (DigitCounts<D>, usize) {
+        let mut counts = [[0u32; D]; 2];
+        let count = |counts: &mut DigitCounts<D>, keys: &[u32]| {
+            for (i, &key) in keys.iter().enumerate() {
+                counts[i & 1][(key >> shift) as usize % D] += 1;
+            }
+        };
+        let (floor, ceiling) = (
+            _mm512_set1_epi32(floor as i32),
+            _mm512_set1_epi32(ceiling as i32),
+        );
+        let mut pending = [0u32; PENDING + LANES];
+        let (mut held, mut above) = (0, 0);
+        for at in (0..values.len()).step_by(LANES) {
+            let (_, key, valid) = load(values, at);
+            let over = _mm512_mask_cmpgt_epu32_mask(valid, key, ceiling);
+            let inside = _mm512_mask_cmpge_epu32_mask(valid, key, floor) & !over;
+            above += over.count_ones() as usize;
+            if inside == 0 {
+                continue;
+            }
+            let slots = &mut pending[held..held + LANES];
+            _mm512_storeu_si512(
+                slots.as_mut_ptr().cast(),
+                _mm512_maskz_compress_epi32(inside, key),
+            );
+            held += inside.count_ones() as usize;
+            if held >= PENDING {
+                count(&mut counts, &pending[..held]);
+                held = 0;
+            }
+        }
+        count(&mut counts, &pending[..held]);
+        (counts, above)
+    }
+
+    /// The shuffles between sixteen indices, one `u32` per lane, and their
+    /// big-endian `W`-byte entries packed at the front of a register: on
+    /// the way out `pack` moves each index's low `W` bytes, most
+    /// significant first, to the front of its 128-bit lane and `compact`
+    /// moves each lane's `W` dwords of entries next to the previous
+    /// lane's; on the way back `spread` and `unpack` undo them. A byte
+    /// index of `-128` clears its target.
+    struct Shuffles {
+        pack: [i8; 64],
+        compact: [i32; LANES],
+        spread: [i32; LANES],
+        unpack: [i8; 64],
+    }
+
+    fn shuffles<const W: usize>() -> Shuffles {
+        let mut shuffles = Shuffles {
+            pack: [-128; 64],
+            compact: [0; LANES],
+            spread: [0; LANES],
+            unpack: [-128; 64],
+        };
+        for lane in 0..4 {
+            for index in 0..4 {
+                // Byte `byte` of an entry is byte `W − 1 − byte` of its
+                // little-endian index.
+                for byte in 0..W {
+                    let entry = W * index + byte;
+                    let little = 4 * index + W - 1 - byte;
+                    shuffles.pack[16 * lane + entry] = little as i8;
+                    shuffles.unpack[16 * lane + little] = entry as i8;
+                }
+            }
+            for dword in 0..W {
+                shuffles.compact[W * lane + dword] = (4 * lane + dword) as i32;
+                shuffles.spread[4 * lane + dword] = (W * lane + dword) as i32;
+            }
+        }
+        shuffles
+    }
+
+    /// [`super::emit_top_k`]: the same index bytes and the same bounds up
+    /// to the sign of a zero one (see [`first_zero_wins`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn emit<const W: usize>(
+        values: &[f32],
+        cut: TopKCut,
+        index_area: &mut [u8],
+    ) -> FiniteRange {
+        let shuffles = shuffles::<W>();
+        let pack = _mm512_loadu_si512(shuffles.pack.as_ptr().cast());
+        let compact = _mm512_loadu_si512(shuffles.compact.as_ptr().cast());
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let cut_key = _mm512_set1_epi32(cut.key as i32);
+        let infinity = _mm512_set1_epi32(INFINITY_KEY as i32);
+        let mut min = _mm512_set1_ps(f32::INFINITY);
+        let mut max = _mm512_set1_ps(f32::NEG_INFINITY);
+        let mut ties = cut.ties;
+        let mut written = 0;
+        for at in (0..values.len()).step_by(LANES) {
+            let (v, key, valid) = load(values, at);
+            let kept = keep(
+                _mm512_mask_cmpgt_epu32_mask(valid, key, cut_key),
+                _mm512_mask_cmpeq_epi32_mask(valid, key, cut_key),
+                &mut ties,
+            );
+            if kept == 0 {
+                continue;
+            }
+            let count = kept.count_ones() as usize;
+            let indices = _mm512_add_epi32(_mm512_set1_epi32(at as i32), lane);
+            let entries = _mm512_permutexvar_epi32(
+                compact,
+                _mm512_shuffle_epi8(_mm512_maskz_compress_epi32(kept, indices), pack),
+            );
+            let slots = &mut index_area[W * written..W * (written + count)];
+            // `slots` holds 1..=64 bytes: the mask covers exactly it.
+            _mm512_mask_storeu_epi8(
+                slots.as_mut_ptr().cast(),
+                u64::MAX >> (64 - slots.len()),
+                entries,
+            );
+            written += count;
+            let finite = _mm512_mask_cmplt_epu32_mask(kept, key, infinity);
+            min = _mm512_mask_min_ps(min, finite, v, min);
+            max = _mm512_mask_max_ps(max, finite, v, max);
+        }
+        debug_assert_eq!(
+            W * written,
+            index_area.len(),
+            "the cut keeps exactly k values"
+        );
+        fold_lanes(min, max)
+    }
+
+    /// The range of sixteen lane minima and maxima (unfilled lanes hold
+    /// the fold identities ±∞, which do not enter it).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn fold_lanes(min: __m512, max: __m512) -> FiniteRange {
+        let mut lanes = [0f32; 2 * LANES];
+        _mm512_storeu_ps(lanes.as_mut_ptr(), min);
+        _mm512_storeu_ps(lanes[LANES..].as_mut_ptr(), max);
+        let mut range = FiniteRange::EMPTY;
+        lanes.iter().for_each(|&v| range.include(v));
+        range
+    }
+
+    /// The range of the finite values, lane-wise (see
+    /// [`first_zero_wins`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn finite_range(values: &[f32]) -> FiniteRange {
+        let infinity = _mm512_set1_epi32(INFINITY_KEY as i32);
+        let mut min = _mm512_set1_ps(f32::INFINITY);
+        let mut max = _mm512_set1_ps(f32::NEG_INFINITY);
+        for at in (0..values.len()).step_by(LANES) {
+            let (v, key, valid) = load(values, at);
+            let finite = _mm512_mask_cmplt_epu32_mask(valid, key, infinity);
+            min = _mm512_mask_min_ps(min, finite, v, min);
+            max = _mm512_mask_max_ps(max, finite, v, max);
+        }
+        fold_lanes(min, max)
+    }
+
+    /// A frame's `(zero, scale)` in every f64 lane.
+    struct Levels {
+        zero: __m512d,
+        scale: __m512d,
+    }
+
+    impl Levels {
+        /// # Safety
+        ///
+        /// Requires AVX-512 F.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn new(zero: f32, scale: f32) -> Levels {
+            Levels {
+                zero: _mm512_set1_pd(f64::from(zero)),
+                scale: _mm512_set1_pd(f64::from(scale)),
+            }
+        }
+
+        /// [`super::quantize`] of sixteen values, one level per 32-bit
+        /// lane.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512 F.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn of(&self, v: __m512) -> __m512i {
+            let high = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+            self.of_halves(_mm512_castps512_ps256(v), high)
+        }
+
+        /// [`Levels::of`] of the sixteen values `low`, then `high`.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512 F.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn of_halves(&self, low: __m256, high: __m256) -> __m512i {
+            let (low, low_up) = self.truncate(_mm512_cvtps_pd(low));
+            let (high, high_up) = self.truncate(_mm512_cvtps_pd(high));
+            let levels = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(low), high);
+            let up = u16::from(low_up) | u16::from(high_up) << 8;
+            _mm512_mask_add_epi32(levels, up, levels, _mm512_set1_epi32(1))
+        }
+
+        /// Eight lanes of [`super::quantize`] before its last step: the
+        /// saturating cast `t` of `x = (v − zero) / scale` and whether
+        /// `x − t ≥ 0.5`. `x` is clamped into `[0, 255]` first — `max`
+        /// returns its second operand, 0, when `x` is NaN — which changes
+        /// no level: below the range the cast gives 0 and `x − 0 < 0.5`,
+        /// above it 255 and the add saturates.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512 F.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn truncate(&self, v: __m512d) -> (__m256i, u8) {
+            let x = _mm512_div_pd(_mm512_sub_pd(v, self.zero), self.scale);
+            let x = _mm512_min_pd(_mm512_max_pd(x, _mm512_setzero_pd()), _mm512_set1_pd(255.0));
+            let t = _mm512_cvttpd_epi32(x);
+            let fraction = _mm512_sub_pd(x, _mm512_cvtepi32_pd(t));
+            (
+                t,
+                _mm512_cmp_pd_mask::<_CMP_GE_OQ>(fraction, _mm512_set1_pd(0.5)),
+            )
+        }
+    }
+
+    /// Writes the low byte of lanes `0..slots.len()` (at most sixteen) of
+    /// `levels` into `slots`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn store_levels(slots: &mut [u8], levels: __m512i) {
+        _mm512_mask_cvtepi32_storeu_epi8(slots.as_mut_ptr().cast(), lanes(slots.len()), levels);
+    }
+
+    /// Every value quantized into `quants`, sixteen per step.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn quantize_all(values: &[f32], zero: f32, scale: f32, quants: &mut [u8]) {
+        let levels = Levels::new(zero, scale);
+        for at in (0..values.len()).step_by(LANES) {
+            let (v, _, _) = load(values, at);
+            let end = values.len().min(at + LANES);
+            store_levels(&mut quants[at..end], levels.of(v));
+        }
+    }
+
+    /// The kept values quantized into `quant_area`, sixteen at a time:
+    /// their indices are read back from `index_area`, where [`emit`] wrote
+    /// them, and their values gathered.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and BW.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn quantize_kept<const W: usize>(
+        values: &[f32],
+        index_area: &[u8],
+        zero: f32,
+        scale: f32,
+        quant_area: &mut [u8],
+    ) {
+        let Some(last) = values.len().checked_sub(1) else {
+            return;
+        };
+        let shuffles = shuffles::<W>();
+        let spread = _mm512_loadu_si512(shuffles.spread.as_ptr().cast());
+        let unpack = _mm512_loadu_si512(shuffles.unpack.as_ptr().cast());
+        // Every index `emit` wrote lies in the layer already; the clamp
+        // keeps each gather inside it whatever `index_area` holds.
+        let last = _mm512_set1_epi32(last as i32);
+        let levels = Levels::new(zero, scale);
+        for (entries, quants) in index_area
+            .chunks(LANES * W)
+            .zip(quant_area.chunks_mut(LANES))
+        {
+            // `entries` holds 1..=64 bytes: the mask covers exactly it.
+            let bytes =
+                _mm512_maskz_loadu_epi8(u64::MAX >> (64 - entries.len()), entries.as_ptr().cast());
+            let indices = _mm512_shuffle_epi8(_mm512_permutexvar_epi32(spread, bytes), unpack);
+            let indices = _mm512_min_epu32(indices, last);
+            let valid = lanes(quants.len());
+            let low = _mm512_mask_i64gather_ps::<4>(
+                _mm256_setzero_ps(),
+                valid as u8,
+                _mm512_cvtepu32_epi64(_mm512_castsi512_si256(indices)),
+                values.as_ptr(),
+            );
+            let high = _mm512_mask_i64gather_ps::<4>(
+                _mm256_setzero_ps(),
+                (valid >> 8) as u8,
+                _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(indices)),
+                values.as_ptr(),
+            );
+            store_levels(quants, levels.of_halves(low, high));
+        }
+    }
 }
 
 /// The definition [`top_k_cut`] and [`emit_top_k`] must reproduce: indices
@@ -556,7 +1356,7 @@ pub fn encode_params_into(out: &mut Vec<u8>, params: &ModelParams, compression: 
     } else {
         VERSION_V2
     });
-    out.put_u32(params.num_layers() as u32);
+    out.put_u32(wire_len(params.num_layers()));
     for layer in params.iter() {
         encode_layer_into(out, layer, compression);
     }
@@ -732,39 +1532,52 @@ pub fn encode_layer_with(layer: &LayerParams, compression: CompressionConfig) ->
 /// (the params body, an onion blob behind its envelope headers). Exactly
 /// `encoded_layer_len_with(layer.len(), compression)` bytes are appended.
 pub fn encode_layer_into(out: &mut Vec<u8>, layer: &LayerParams, compression: CompressionConfig) {
+    encode_layer_on(Tier::best(), out, layer, compression);
+}
+
+/// [`encode_layer_into`] with `tier` as the widest kernel: the same frame.
+fn encode_layer_on(
+    tier: Tier,
+    out: &mut Vec<u8>,
+    layer: &LayerParams,
+    compression: CompressionConfig,
+) {
     let values = layer.values();
     let start = out.len();
     out.resize(start + encoded_layer_len_with(values.len(), compression), 0);
     let frame = &mut out[start..];
     match compression {
         CompressionConfig::F32 => {
-            frame[..4].copy_from_slice(&(values.len() as u32).to_be_bytes());
+            frame[..4].copy_from_slice(&wire_len(values.len()).to_be_bytes());
             write_f32_le_bulk(&mut frame[4..], values);
         }
         CompressionConfig::Int8 => {
             let (header, quants) = frame.split_at_mut(V2_DENSE_HEADER);
-            let mut range = FiniteRange::EMPTY;
-            values.iter().for_each(|&v| range.include(v));
-            let (zero, scale) = range.affine();
+            let (zero, scale) = match tier {
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx512 => avx512::encode_dense(values, quants),
+                _ => encode_dense(values, quants),
+            };
             write_v2_header(header, values.len(), None, zero, scale);
-            for (quant, &v) in quants.iter_mut().zip(values) {
-                *quant = quantize(v, zero, scale);
-            }
         }
         CompressionConfig::Int8TopK { .. } => {
             let k = compression.kept(values.len());
             let width = index_width(values.len());
             let (header, payload) = frame.split_at_mut(V2_TOPK_HEADER);
             let (index_area, quant_area) = payload.split_at_mut(k * width);
-            let (zero, scale) = match width {
-                1 => encode_top_k::<1>(values, index_area, quant_area),
-                2 => encode_top_k::<2>(values, index_area, quant_area),
-                3 => encode_top_k::<3>(values, index_area, quant_area),
-                _ => encode_top_k::<4>(values, index_area, quant_area),
-            };
+            let (zero, scale) = encode_top_k_on(tier, width, values, index_area, quant_area);
             write_v2_header(header, values.len(), Some(k), zero, scale);
         }
     }
+}
+
+/// A length field of a header: every count on the wire is a `u32`.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX` — the frame could not say how long it is.
+fn wire_len(len: usize) -> u32 {
+    u32::try_from(len).expect("layer lengths are u32 on the wire")
 }
 
 /// Fills a v2 frame header: dense when `k` is `None`, top-k otherwise
@@ -773,9 +1586,9 @@ fn write_v2_header(header: &mut [u8], len: usize, k: Option<usize>, zero: f32, s
     header[..4].copy_from_slice(&V2_SENTINEL.to_be_bytes());
     header[4] = VERSION_V2;
     header[5] = if k.is_some() { MODE_TOPK } else { MODE_DENSE };
-    header[6..10].copy_from_slice(&(len as u32).to_be_bytes());
+    header[6..10].copy_from_slice(&wire_len(len).to_be_bytes());
     if let Some(k) = k {
-        header[10..14].copy_from_slice(&(k as u32).to_be_bytes());
+        header[10..14].copy_from_slice(&wire_len(k).to_be_bytes());
     }
     let (scale_at, zero_at) = (header.len() - 8, header.len() - 4);
     header[scale_at..zero_at].copy_from_slice(&scale.to_le_bytes());
@@ -1802,10 +2615,13 @@ mod tests {
     /// `min`/`max` folds and libm rounding. Every frame
     /// [`encode_layer_with`] emits must equal this one byte for byte.
     fn reference_frame(layer: &LayerParams, compression: CompressionConfig) -> Vec<u8> {
+        /// The bounds of the finite values by the documented rule: the
+        /// first value no later one is strictly below (above), so of
+        /// `±0.0` the one seen first.
         fn range(values: &[f32]) -> (f32, f32) {
             let finite = || values.iter().copied().filter(|v| v.is_finite());
-            let min = finite().fold(f32::INFINITY, f32::min);
-            let max = finite().fold(f32::NEG_INFINITY, f32::max);
+            let min = finite().fold(f32::INFINITY, |min, v| if v < min { v } else { min });
+            let max = finite().fold(f32::NEG_INFINITY, |max, v| if v > max { v } else { max });
             if min > max {
                 return (0.0, 0.0);
             }
@@ -1854,30 +2670,46 @@ mod tests {
         out
     }
 
-    /// [`top_k_cut`] + [`emit_top_k`] as an index list.
-    fn top_k_indices(values: &[f32], k: usize) -> Vec<u32> {
-        let mut area = vec![0u8; 4 * k.min(values.len())];
-        emit_top_k::<4>(values, top_k_cut(values, k), &mut area);
-        area.chunks_exact(4)
+    /// The top-k payload on `tier` as an index list: width 4 whatever the
+    /// length, so the widest entry runs on every layer.
+    fn top_k_indices_on(tier: Tier, values: &[f32], k: usize) -> Vec<u32> {
+        let kept = k.min(values.len());
+        let (mut indices, mut quants) = (vec![0u8; 4 * kept], vec![0u8; kept]);
+        encode_top_k_on(tier, 4, values, &mut indices, &mut quants);
+        indices
+            .chunks_exact(4)
             .map(|index| read_index::<4>(index) as u32)
             .collect()
     }
 
-    const ADVERSARIAL_KINDS: usize = 8;
-    const ADVERSARIAL_LENGTHS: [usize; 6] = [0, 1, 2, 130, 2048, 65_537];
+    /// Lengths either side of every place a tier changes how it walks a
+    /// layer: the wide tier's sixteen-lane step, the scalar tier's
+    /// 64-value block, and the length from which the wide select brackets
+    /// its top two digits (`avx512::BRACKET_FROM`).
+    const SEAM_LENGTHS: [usize; 9] = [15, 16, 17, 63, 64, 65, 16_383, 16_384, 16_385];
+
+    const ADVERSARIAL_KINDS: usize = 10;
+    const ADVERSARIAL_LENGTHS: [usize; 15] = [
+        0, 1, 2, 15, 16, 17, 63, 64, 65, 130, 2048, 16_383, 16_384, 16_385, 65_537,
+    ];
 
     /// Layers built to break a counting select: one bucket at every
-    /// level, signed zeros, a handful of magnitudes (so ties straddle
-    /// any k), non-finite mixes, subnormals, raw bit patterns, and the
-    /// Gaussians the benchmark feeds it.
+    /// level (kind 0, the all-equal worst case), signed zeros, a handful
+    /// of magnitudes (so ties straddle any k), non-finite mixes,
+    /// subnormals, raw bit patterns, the Gaussians the benchmark feeds it,
+    /// and two decoys for the wide select's sample, one loud where it
+    /// looks and quiet elsewhere, one the other way round.
     fn adversarial_layer(kind: usize, len: usize, rng: &mut StdRng) -> Vec<f32> {
         let gaussian = |rng: &mut StdRng, sigma: f64| {
             let (u, v) = (1.0 - rng.gen::<f64>(), rng.gen::<f64>());
             ((-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos() * sigma) as f32
         };
+        // The wide select samples 512 evenly strided steps of sixteen.
+        let every = (len / 16 / 512).max(1);
+        let sampled = |i: usize| (i / 16).is_multiple_of(every);
         let constant = f32::from_bits(rng.gen());
         (0..len)
-            .map(|_| match kind % ADVERSARIAL_KINDS {
+            .map(|i| match kind % ADVERSARIAL_KINDS {
                 0 => constant,
                 1 => [0.0, -0.0][rng.gen_range(0..2usize)],
                 2 => [1.0, -1.0, 1.000_000_1, 0.5, -2.0][rng.gen_range(0..5usize)],
@@ -1892,7 +2724,9 @@ mod tests {
                 4 => f32::from_bits(rng.gen::<u32>() & 0x807f_ffff),
                 5 => f32::from_bits(rng.gen()),
                 6 => gaussian(rng, 1e-3),
-                _ => gaussian(rng, 1e-1),
+                7 => gaussian(rng, 1e-1),
+                8 => gaussian(rng, if sampled(i) { 1e3 } else { 1e-3 }),
+                _ => gaussian(rng, if sampled(i) { 1e-3 } else { 1e3 }),
             })
             .collect()
     }
@@ -1909,11 +2743,14 @@ mod tests {
             let n = ADVERSARIAL_LENGTHS[length];
             let values = adversarial_layer(kind, n, &mut StdRng::seed_from_u64(seed));
             for k in [0, 1, n.div_ceil(4), n.saturating_sub(1), n] {
-                proptest::prop_assert_eq!(
-                    top_k_indices(&values, k),
-                    top_k_indices_reference(&values, k),
-                    "kind {} n {} k {}", kind, n, k
-                );
+                let expected = top_k_indices_reference(&values, k);
+                for tier in Tier::supported() {
+                    proptest::prop_assert_eq!(
+                        top_k_indices_on(tier, &values, k),
+                        expected.clone(),
+                        "{:?} kind {} n {} k {}", tier, kind, n, k
+                    );
+                }
             }
         }
 
@@ -1934,17 +2771,171 @@ mod tests {
                 CompressionConfig::int8_top_k(),
                 CompressionConfig::Int8TopK { keep_per_1024 },
             ] {
-                let frame = encode_layer_with(&layer, mode);
-                proptest::prop_assert!(
-                    frame == reference_frame(&layer, mode),
-                    "{:?} kind {} n {}", mode, kind, n
-                );
-                // Appending behind other bytes lays down the same frame.
-                let mut behind = vec![0xa5; 7];
-                encode_layer_into(&mut behind, &layer, mode);
-                proptest::prop_assert!(behind[..7] == [0xa5; 7] && behind[7..] == frame);
+                let expected = reference_frame(&layer, mode);
+                for tier in Tier::supported() {
+                    // Appending behind other bytes lays down the same frame.
+                    let mut behind = vec![0xa5; 7];
+                    encode_layer_on(tier, &mut behind, &layer, mode);
+                    proptest::prop_assert!(
+                        behind[..7] == [0xa5; 7] && behind[7..] == expected,
+                        "{:?} {:?} kind {} n {}", tier, mode, kind, n
+                    );
+                }
             }
         }
+    }
+
+    /// Every supported tier against the references at every seam length
+    /// and for every adversarial kind: the cut itself, the top-k payload
+    /// at every index width that addresses the layer (width 4 at every
+    /// length, through the same test-only path as `top_k_indices_on`),
+    /// and whole dense and top-k frames.
+    #[test]
+    fn every_tier_matches_the_references_at_every_seam_and_width() {
+        // Shown by CI (`--nocapture`): a runner without AVX-512 F and BW
+        // says it pinned only the scalar twin.
+        println!("codec tiers exercised: {:?}", Tier::supported());
+        #[cfg(target_arch = "x86_64")]
+        assert!(SEAM_LENGTHS.contains(&avx512::BRACKET_FROM));
+        let mut rng = StdRng::seed_from_u64(27);
+        for kind in 0..ADVERSARIAL_KINDS {
+            for n in SEAM_LENGTHS {
+                let layer = LayerParams::from_values(adversarial_layer(kind, n, &mut rng));
+                let values = layer.values();
+                let topk = CompressionConfig::int8_top_k();
+                let k = topk.kept(n);
+                let kept = top_k_indices_reference(values, k);
+                let frame = reference_frame(&layer, topk);
+                let header = &frame[..V2_TOPK_HEADER];
+                let quants = &frame[frame.len() - k..];
+                for tier in Tier::supported() {
+                    let what = format!("{tier:?} kind {kind} n {n}");
+                    assert_eq!(
+                        top_k_cut_on(tier, values, k),
+                        top_k_cut(values, k),
+                        "{what}"
+                    );
+                    for width in index_width(n)..=4 {
+                        let (mut indices, mut quant_area) = (vec![0u8; width * k], vec![0u8; k]);
+                        let (zero, scale) =
+                            encode_top_k_on(tier, width, values, &mut indices, &mut quant_area);
+                        let expected: Vec<u8> = kept
+                            .iter()
+                            .flat_map(|i| i.to_be_bytes()[4 - width..].to_vec())
+                            .collect();
+                        assert_eq!(indices, expected, "{what} width {width}");
+                        assert_eq!(quant_area, quants, "{what} width {width}");
+                        assert_eq!(header[14..18], scale.to_le_bytes(), "{what}");
+                        assert_eq!(header[18..22], zero.to_le_bytes(), "{what}");
+                    }
+                    for mode in [CompressionConfig::Int8, topk] {
+                        let mut out = Vec::new();
+                        encode_layer_on(tier, &mut out, &layer, mode);
+                        assert!(out == reference_frame(&layer, mode), "{what} {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A bound that is a signed zero keeps the sign of the zero the fold
+    /// met first (`FiniteRange::include`'s rule), on every tier, for dense
+    /// and top-k frames, whichever zero comes first, and wherever the two
+    /// zeros fall among the sixteen lanes. Only the minimum is on the
+    /// wire (as the zero point); a zero maximum must still leave the
+    /// frame equal to the reference's.
+    #[test]
+    fn a_zero_bound_keeps_the_sign_of_the_first_zero_on_every_tier() {
+        let keep_all = CompressionConfig::Int8TopK {
+            keep_per_1024: 1024,
+        };
+        for (first, second) in [(0.0f32, -0.0f32), (-0.0, 0.0)] {
+            // Lanes ordered with the indices, against them, and shared.
+            for (at_first, at_second) in [(3, 5), (3, 20), (5, 19), (14, 16), (3, 19)] {
+                for sign in [1.0f32, -1.0] {
+                    // Zero is the minimum of a positive layer, the maximum
+                    // of a negative one.
+                    let mut values: Vec<f32> = (0..48).map(|i| sign * (1.0 + i as f32)).collect();
+                    values[at_first] = first;
+                    values[at_second] = second;
+                    let layer = LayerParams::from_values(values);
+                    for mode in [CompressionConfig::Int8, keep_all] {
+                        let expected = reference_frame(&layer, mode);
+                        let zero_at = if mode == keep_all { 18 } else { 14 };
+                        if sign > 0.0 {
+                            assert_eq!(
+                                expected[zero_at..zero_at + 4],
+                                first.to_le_bytes(),
+                                "{mode:?}"
+                            );
+                        }
+                        for tier in Tier::supported() {
+                            let mut out = Vec::new();
+                            encode_layer_on(tier, &mut out, &layer, mode);
+                            assert!(
+                                out == expected,
+                                "{tier:?} {mode:?} first {first:?} at {at_first}, {at_second}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Top-k keeping some zeros: four magnitudes, then zeros of
+            // alternating sign; k = 16 keeps the first twelve zeros.
+            let mut values = vec![4.0f32, 3.0, 2.0, 1.0];
+            values.extend((0..60).map(|i| if i % 2 == 0 { first } else { second }));
+            let layer = LayerParams::from_values(values);
+            let mode = CompressionConfig::int8_top_k();
+            let expected = reference_frame(&layer, mode);
+            assert_eq!(expected[18..22], first.to_le_bytes());
+            for tier in Tier::supported() {
+                let mut out = Vec::new();
+                encode_layer_on(tier, &mut out, &layer, mode);
+                assert!(out == expected, "{tier:?} first {first:?}");
+            }
+        }
+    }
+
+    /// The wide select's bracket is what runs on the benchmark's
+    /// Gaussians; raw bit patterns spread it over too many top digits and
+    /// both decoys mislead it, so those fall back to the full count — and
+    /// the tests above pin that every path cuts the same.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_bracket_holds_on_gaussians_and_falls_back_on_decoys() {
+        if !avx512::available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [avx512::BRACKET_FROM, 262_144] {
+            let need = CompressionConfig::int8_top_k().kept(n);
+            for (kind, holds) in [(5, false), (6, true), (7, true), (8, false), (9, false)] {
+                let values = adversarial_layer(kind, n, &mut rng);
+                assert_eq!(
+                    avx512::bracket_holds(&values, need),
+                    holds,
+                    "kind {kind} n {n}"
+                );
+            }
+        }
+        // Below the threshold the top digits are always counted in full.
+        let short = adversarial_layer(6, avx512::BRACKET_FROM - 1, &mut rng);
+        assert!(!avx512::bracket_holds(&short, short.len() / 4));
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn header_lengths_stop_at_u32_max() {
+        assert_eq!(wire_len(u32::MAX as usize), u32::MAX);
+        let past = std::panic::catch_unwind(|| wire_len(u32::MAX as usize + 1));
+        let message = *past
+            .expect_err("a length past u32::MAX has no field")
+            .downcast::<String>()
+            .expect("expect() panics with a formatted message");
+        assert!(
+            message.contains("layer lengths are u32 on the wire"),
+            "{message}"
+        );
     }
 
     #[test]
@@ -2022,14 +3013,17 @@ mod tests {
     fn cut_is_total_in_k() {
         // k = 0 keeps nothing, k ≥ n keeps everything — also of an empty
         // layer — without a special case in the select.
-        assert!(top_k_indices(&[], 0).is_empty());
-        assert!(top_k_indices(&[], 3).is_empty());
-        let values = [0.0, -0.0, f32::NAN, 1.0];
-        assert!(top_k_indices(&values, 0).is_empty());
-        assert_eq!(top_k_indices(&values, 4), [0, 1, 2, 3]);
-        assert_eq!(top_k_indices(&values, 9), [0, 1, 2, 3]);
-        // NaN outranks everything; the zeros tie and the lower index wins.
-        assert_eq!(top_k_indices(&values, 1), [2]);
-        assert_eq!(top_k_indices(&values, 3), [0, 2, 3]);
+        for tier in Tier::supported() {
+            assert!(top_k_indices_on(tier, &[], 0).is_empty());
+            assert!(top_k_indices_on(tier, &[], 3).is_empty());
+            let values = [0.0, -0.0, f32::NAN, 1.0];
+            assert!(top_k_indices_on(tier, &values, 0).is_empty());
+            assert_eq!(top_k_indices_on(tier, &values, 4), [0, 1, 2, 3]);
+            assert_eq!(top_k_indices_on(tier, &values, 9), [0, 1, 2, 3]);
+            // NaN outranks everything; the zeros tie and the lower index
+            // wins.
+            assert_eq!(top_k_indices_on(tier, &values, 1), [2]);
+            assert_eq!(top_k_indices_on(tier, &values, 3), [0, 2, 3]);
+        }
     }
 }
