@@ -19,7 +19,9 @@ use crate::{
     LinearChain,
 };
 use mixnn_core::codec::CompressionConfig;
-use mixnn_core::{shard_seed, Endpoint, InProcessLink, MixPlan, ProxyStats, RoundLink};
+use mixnn_core::{
+    shard_seed, Endpoint, InProcessLink, MixPlan, ProxyStats, RoundLink, SpentBuffers,
+};
 use mixnn_crypto::SealingKey;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
@@ -448,6 +450,9 @@ pub struct CascadeCoordinator {
     telemetry: Telemetry,
     rounds_driven: u64,
     dummy_nonce: u64,
+    /// Last committed round's server-bound messages, kept once the server
+    /// has decoded them: the next round's first hops write into them.
+    server_bound: SpentBuffers,
 }
 
 /// A committed round paired with the per-layer content digests of every
@@ -510,6 +515,7 @@ impl CascadeCoordinator {
             telemetry: mixnn_telemetry::noop(),
             rounds_driven: 0,
             dummy_nonce: 0,
+            server_bound: SpentBuffers::default(),
         })
     }
 
@@ -986,13 +992,24 @@ impl CascadeCoordinator {
             let mut mixed: Vec<Option<ModelParams>> = vec![None; clients];
             let mut group_audits = Vec::with_capacity(groups.len());
             let mut chain: Vec<usize> = Vec::new();
+            // A failed attempt drops whatever it took from the kept
+            // generation; the retry, and the round after an abort, start
+            // without one.
+            let mut kept = self.server_bound.take();
+            let mut server_bound = Vec::with_capacity(clients);
             for (group, mut batch) in groups.iter().zip(batches) {
                 let mut plans = Vec::with_capacity(group.route.len());
                 // Message buffers circulate along the route: each hop
                 // writes its outgoing messages into the buffers the
-                // previous stage's arrived in and leaves its own behind,
-                // so from the second hop on no stage maps fresh memory.
-                let mut spent: Vec<Vec<u8>> = Vec::new();
+                // previous stage's arrived in and leaves its own behind.
+                // The first hop writes into last round's server-bound
+                // messages — at most one per slot of the group — so in a
+                // steady round no hop maps fresh memory.
+                let mut spent = if kept.len() > group.slots.len() {
+                    kept.split_off(kept.len() - group.slots.len())
+                } else {
+                    std::mem::take(&mut kept)
+                };
                 for (pos, &h) in group.route.iter().enumerate() {
                     let from = if pos == 0 {
                         Endpoint::Clients
@@ -1032,12 +1049,15 @@ impl CascadeCoordinator {
                     }
                 };
                 // The spent generation has no stage left to serve: release
-                // it before the decoded parameters are allocated.
+                // it before the decoded parameters are allocated, which
+                // then reuse its memory. The server-bound messages are
+                // kept for the next round once they are decoded.
                 drop(spent);
                 for (local, wire) in batch.iter().enumerate() {
                     mixed[group.slots[local]] =
                         Some(OnionView::parse(wire)?.into_params(&self.signature)?);
                 }
+                server_bound.extend(batch);
                 chain.extend(&group.route);
                 group_audits.push(RouteGroupAudit::new(
                     group.slots.clone(),
@@ -1047,6 +1067,7 @@ impl CascadeCoordinator {
             }
             chain.sort_unstable();
             chain.dedup();
+            self.server_bound.keep(server_bound);
             return Ok((
                 CascadeRound {
                     mixed: mixed
@@ -1542,6 +1563,45 @@ mod tests {
         let a = MixPlan::latin(2, 1, &mut rng).unwrap();
         let _ =
             CascadeAudit::from_groups(4, vec![RouteGroupAudit::new(vec![0, 1], vec![0], vec![a])]);
+    }
+
+    #[test]
+    fn debug_counts_the_kept_generation_instead_of_printing_it() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let service = AttestationService::new(&mut rng);
+        let mut cascade = CascadeCoordinator::linear(
+            vec![4096, 1024],
+            3,
+            9,
+            FailurePolicy::Abort,
+            &service,
+            &mut rng,
+        )
+        .unwrap();
+        let before = format!("{cascade:?}");
+        assert!(before.contains("SpentBuffers { buffers: 0, capacity: 0 }"));
+        let ins: Vec<ModelParams> = (0..6)
+            .map(|i| {
+                ModelParams::from_layers(vec![
+                    LayerParams::from_values(vec![i as f32; 4096]),
+                    LayerParams::from_values(vec![-(i as f32); 1024]),
+                ])
+            })
+            .collect();
+        cascade.run_round(&ins, &mut rng).unwrap();
+        let after = format!("{cascade:?}");
+        // Six kept messages of over 20 KB each, printed as two numbers
+        // (the rest of the growth is counters and RNG state).
+        assert!(
+            after.contains("SpentBuffers { buffers: 6, capacity: "),
+            "{after}"
+        );
+        assert!(
+            after.len() < before.len() + 256,
+            "{} → {} bytes of Debug",
+            before.len(),
+            after.len()
+        );
     }
 
     #[test]

@@ -48,7 +48,10 @@
 //! from different messages into one contiguous message. The copy goes
 //! into a buffer an earlier stage has finished with when the caller has
 //! one to offer, and the hop's own delivered messages are handed back the
-//! same way, so along a route only the first hop maps fresh memory.
+//! same way. The coordinator offers the first hop of a route last round's
+//! server-bound messages and every later hop the messages the stage
+//! before it received, so in a steady round no hop maps fresh memory:
+//! only the client's onions and the server's decoded vectors are new.
 
 use crate::onion::{self, OnionView};
 use crate::CascadeError;

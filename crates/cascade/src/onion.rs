@@ -64,6 +64,16 @@
 //!   message;
 //! * the server decodes layers straight out of the last hop's messages.
 //!
+//! And no stage but the client needs a buffer of its own: a hop writes
+//! its outgoing messages into buffers an earlier stage is done with —
+//! along a route, the ones the previous stage's messages arrived in; at
+//! the first hop of a route, last round's server-bound messages, which
+//! the coordinator keeps once the server has decoded them. `frame` takes
+//! such a buffer when its capacity is between the message's length and
+//! twice it ([`SpentBuffers::reuse`]) and allocates exactly otherwise, so
+//! a smaller round or a more compressed codec cannot pin the memory of a
+//! larger one.
+//!
 //! [`OnionUpdate`] is the owned form of the same framing, for tests,
 //! tools and anything that wants to hold a message's blobs apart.
 
@@ -71,6 +81,7 @@ use crate::CascadeError;
 use bytes::BufMut;
 use mixnn_core::codec;
 use mixnn_core::codec::CompressionConfig;
+use mixnn_core::SpentBuffers;
 use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::{Recipient, SealedBox};
 use mixnn_nn::{LayerParams, ModelParams};
@@ -100,19 +111,11 @@ fn put_header(out: &mut Vec<u8>, entry: bool, hops_remaining: u8, blobs: usize) 
 }
 
 /// Writes one message of either kind into `out`, reusing its allocation
-/// when it is large enough.
-fn frame_as<B: AsRef<[u8]>>(
-    entry: bool,
-    hops_remaining: u8,
-    blobs: &[B],
-    mut out: Vec<u8>,
-) -> Vec<u8> {
+/// under [`SpentBuffers::reuse`]'s rule: at least the message's length and
+/// at most twice it.
+fn frame_as<B: AsRef<[u8]>>(entry: bool, hops_remaining: u8, blobs: &[B], out: Vec<u8>) -> Vec<u8> {
     let len = HEADER_LEN + blobs.iter().map(|b| 4 + b.as_ref().len()).sum::<usize>();
-    if out.capacity() < len {
-        // Too small to reuse: growing it would copy its dead bytes.
-        out = Vec::with_capacity(len);
-    }
-    out.clear();
+    let mut out = SpentBuffers::reuse(out, len);
     put_header(&mut out, entry, hops_remaining, blobs.len());
     for blob in blobs {
         let blob = blob.as_ref();
@@ -124,7 +127,7 @@ fn frame_as<B: AsRef<[u8]>>(
 
 /// Frames `blobs` — one per layer — as one inner wire message, written
 /// once into `out`: a buffer whose contents are dead (an empty `Vec`, or a
-/// spent message whose allocation is reused when it is large enough).
+/// spent message whose allocation is reused when its size fits).
 pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], out: Vec<u8>) -> Vec<u8> {
     frame_as(false, hops_remaining, blobs, out)
 }
@@ -695,13 +698,32 @@ mod tests {
         for (range, blob) in view.blob_ranges().zip(&blobs) {
             assert_eq!(&wire[range], *blob);
         }
-        // Framing the borrowed blobs into a dirty, larger buffer gives the
-        // same message in the same allocation.
-        let spent = vec![0xeeu8; wire.len() + 100];
-        let at = spent.as_ptr();
-        let reframed = frame(view.hops_remaining(), &blobs, spent);
+        // Framing the borrowed blobs into a dirty buffer of between the
+        // message's length and twice it gives the same message in the same
+        // allocation; a shorter or a longer one is left for an exact
+        // allocation, and the message is the same either way.
+        for (extra, reused) in [
+            (0, true),
+            (100, true),
+            (wire.len(), true),
+            (wire.len() + 1, false),
+        ] {
+            let spent = vec![0xeeu8; wire.len() + extra];
+            let at = spent.as_ptr();
+            let reframed = frame(view.hops_remaining(), &blobs, spent);
+            assert_eq!(reframed, wire);
+            assert_eq!(reframed.as_ptr() == at, reused, "extra {extra}");
+            assert_eq!(
+                reframed.capacity(),
+                wire.len() + if reused { extra } else { 0 }
+            );
+        }
+        let short = vec![0xeeu8; wire.len() - 1];
+        let at = short.as_ptr();
+        let reframed = frame(view.hops_remaining(), &blobs, short);
         assert_eq!(reframed, wire);
-        assert_eq!(reframed.as_ptr(), at);
+        assert_ne!(reframed.as_ptr(), at);
+        assert_eq!(reframed.capacity(), wire.len());
     }
 
     #[test]

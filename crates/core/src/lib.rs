@@ -31,6 +31,9 @@
 //! * [`MixnnTransport`] — plugs the proxy into the `mixnn-fl` round loop
 //!   (the `UpdateTransport` impl itself lives in `mixnn_fl`, which depends
 //!   on this crate);
+//! * [`SpentBuffers`] — the one rule for writing a message into a buffer
+//!   an earlier round is done with, and the generation a round driver
+//!   keeps between rounds;
 //! * [`codec`] — the serialized update wire format.
 //!
 //! # Quickstart
@@ -62,10 +65,12 @@ mod error;
 mod link;
 mod mixer;
 mod proxy;
+mod spent;
 mod transport;
 
 pub use error::ProxyError;
 pub use link::{Endpoint, InProcessLink, LinkError, RoundLink};
 pub use mixer::{shard_seed, MixPlan};
 pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats, INGEST_BATCH};
+pub use spent::SpentBuffers;
 pub use transport::{MixnnTransport, TransportMode};

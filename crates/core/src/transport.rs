@@ -1,7 +1,7 @@
 //! Plugging the proxy into the federated round loop.
 
 use crate::codec::CompressionConfig;
-use crate::{codec, MixnnProxy, ProxyError};
+use crate::{codec, MixnnProxy, ProxyError, SpentBuffers};
 use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::{SealedBox, SealingKey};
 use mixnn_nn::ModelParams;
@@ -57,6 +57,9 @@ pub struct MixnnTransport {
     compression: CompressionConfig,
     /// RNG standing in for the participants' sealing entropy.
     participant_rng: StdRng,
+    /// Last round's envelopes: the proxy only borrows them, so the next
+    /// round seals into them instead of into fresh pages.
+    envelopes: SpentBuffers,
 }
 
 impl MixnnTransport {
@@ -68,6 +71,7 @@ impl MixnnTransport {
             proxy,
             compression: CompressionConfig::F32,
             participant_rng: StdRng::seed_from_u64(seed),
+            envelopes: SpentBuffers::default(),
         }
     }
 
@@ -105,12 +109,15 @@ impl MixnnTransport {
     ) -> Result<Vec<ModelParams>, ProxyError> {
         // One RNG stands in for all participants' sealing entropy; each
         // participant encodes its update behind the envelope's header room
-        // and seals it there, in its one buffer.
+        // and seals it there, in its one buffer — last round's envelope
+        // when it fits.
+        let mut spent = self.envelopes.take();
         let sealed: Vec<Vec<u8>> = params
             .iter()
             .map(|p| {
                 let body = codec::encoded_len_with(&p.signature(), self.compression);
-                let mut envelope = Vec::with_capacity(OVERHEAD + body);
+                let spent = spent.pop().unwrap_or_default();
+                let mut envelope = SpentBuffers::reuse(spent, OVERHEAD + body);
                 envelope.resize(OVERHEAD, 0);
                 codec::encode_params_into(&mut envelope, p, self.compression);
                 let prepared = SealedBox::prepare([&self.sealing_key], &mut self.participant_rng)
@@ -123,7 +130,9 @@ impl MixnnTransport {
                 envelope
             })
             .collect();
-        self.proxy.mix_sealed_round(&sealed)
+        let mixed = self.proxy.mix_sealed_round(&sealed);
+        self.envelopes.keep(sealed);
+        mixed
     }
 }
 
@@ -154,11 +163,15 @@ mod tests {
     }
 
     fn transport_with_epc(epc_limit: usize) -> MixnnTransport {
+        launch(vec![2, 3], epc_limit)
+    }
+
+    fn launch(expected_signature: Vec<usize>, epc_limit: usize) -> MixnnTransport {
         let mut rng = StdRng::seed_from_u64(5);
         let service = AttestationService::new(&mut rng);
         let proxy = MixnnProxy::launch(
             MixnnProxyConfig {
-                expected_signature: vec![2, 3],
+                expected_signature,
                 seed: 3,
                 enclave: EnclaveConfig {
                     epc_limit,
@@ -203,6 +216,75 @@ mod tests {
         assert_eq!(outs.len(), 3);
         assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
         assert_eq!(t.proxy().memory_stats().allocated, 0);
+    }
+
+    /// Two layers of 2,000 and 3,000 values: an `Int8` envelope is well
+    /// under half an `F32` one.
+    fn wide_updates(c: usize) -> Vec<ModelParams> {
+        (0..c)
+            .map(|i| {
+                ModelParams::from_layers(vec![
+                    LayerParams::from_values(vec![i as f32; 2000]),
+                    LayerParams::from_values(vec![-(i as f32); 3000]),
+                ])
+            })
+            .collect()
+    }
+
+    /// Where each kept envelope lies, with its capacity and length.
+    fn kept(t: &mut MixnnTransport) -> Vec<(*const u8, usize, usize)> {
+        let envelopes = t.envelopes.take();
+        let kept = envelopes
+            .iter()
+            .map(|e| (e.as_ptr(), e.capacity(), e.len()))
+            .collect();
+        t.envelopes.keep(envelopes);
+        kept
+    }
+
+    #[test]
+    fn a_round_reseals_last_rounds_envelopes_while_they_fit() {
+        let mut t = launch(vec![2000, 3000], EnclaveConfig::default().epc_limit);
+        let ins = wide_updates(6);
+        let sorted = |mut v: Vec<(*const u8, usize, usize)>| {
+            v.sort_unstable();
+            v
+        };
+        t.relay_round(ins.clone()).unwrap();
+        let first = sorted(kept(&mut t));
+        assert_eq!(first.len(), 6);
+        let outs = t.relay_round(ins.clone()).unwrap();
+        assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&outs));
+        assert_eq!(sorted(kept(&mut t)), first, "the same six buffers");
+
+        // Under a codec that shrinks every envelope below half its buffer
+        // the buffers are let go: each envelope is an exact allocation.
+        let mut t = t.with_compression(CompressionConfig::Int8);
+        let outs = t.relay_round(ins.clone()).unwrap();
+        assert_eq!(outs.len(), 6);
+        let int8 = kept(&mut t);
+        assert!(int8
+            .iter()
+            .all(|&(_, capacity, len)| capacity == len && 2 * len < first[0].1));
+
+        // A smaller round keeps only its own envelopes.
+        t.relay_round(ins[..4].to_vec()).unwrap();
+        assert_eq!(kept(&mut t).len(), 4);
+    }
+
+    #[test]
+    fn debug_counts_the_kept_envelopes_instead_of_printing_them() {
+        let mut t = launch(vec![2000, 3000], EnclaveConfig::default().epc_limit);
+        t.relay_round(wide_updates(6)).unwrap();
+        let printed = format!("{t:?}");
+        let capacity: usize = kept(&mut t).iter().map(|&(_, capacity, _)| capacity).sum();
+        assert!(
+            printed.contains(&format!(
+                "SpentBuffers {{ buffers: 6, capacity: {capacity} }}"
+            )),
+            "{printed}"
+        );
+        assert!(printed.len() < 4096, "{} bytes of Debug", printed.len());
     }
 
     #[test]
