@@ -19,13 +19,14 @@
 //! — every value in one bucket at every level — which must stay linear.
 //! Those rows run the encoder's best tier; `codec/encode/<tier>/*` and
 //! `codec/topk/select/<tier>/*` repeat the lossy ones on every tier the
-//! host supports (`codec::kernels`).
+//! host supports (`codec::TIERS` on the `mixnn_crypto::cpu` ladder).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_bench::experiments::compress::PAPER_SIGNATURE;
 use mixnn_core::codec::{
     self, encode_layer_with, encode_params_with, validate_layer_frame_expecting, CompressionConfig,
 };
+use mixnn_crypto::cpu::Tier;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
@@ -146,11 +147,15 @@ fn bench_big_layer(c: &mut Criterion) {
             b.iter(|| encode_layer_with(&layer, m));
         });
     }
-    for (tier, kernel) in codec::kernels() {
+    for tier in Tier::runnable(codec::TIERS) {
         for mode in [CompressionConfig::Int8, CompressionConfig::int8_top_k()] {
-            let id = BenchmarkId::new(format!("{tier}/{}", mode.name()), LEN);
+            let id = BenchmarkId::new(format!("{}/{}", tier.name(), mode.name()), LEN);
             group.bench_with_input(id, &mode, |b, &m| {
-                b.iter(|| (kernel.encode)(&layer, m));
+                b.iter(|| {
+                    let mut frame = Vec::new();
+                    codec::encode_layer_on(tier, &mut frame, &layer, m);
+                    frame
+                });
             });
         }
     }
@@ -178,21 +183,19 @@ fn bench_select(c: &mut Criterion) {
             LayerParams::from_values(vec![0.5; 262_144]),
         ),
     ];
-    let kernels = codec::kernels();
-    let (_, best) = *kernels.last().expect("the scalar tier is always there");
     for (name, layer) in &rows {
         let k = CompressionConfig::int8_top_k().kept(layer.len());
         group.throughput(Throughput::Elements(layer.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(name), layer, |b, layer| {
-            b.iter(|| (best.select)(layer.values(), k));
+            b.iter(|| codec::top_k_cut_on(Tier::best(), layer.values(), k));
         });
     }
-    for (tier, kernel) in &kernels {
+    for tier in Tier::runnable(codec::TIERS) {
         for (name, layer) in &rows[1..] {
             let k = CompressionConfig::int8_top_k().kept(layer.len());
             group.throughput(Throughput::Elements(layer.len() as u64));
-            group.bench_with_input(BenchmarkId::new(tier, name), layer, |b, layer| {
-                b.iter(|| (kernel.select)(layer.values(), k));
+            group.bench_with_input(BenchmarkId::new(tier.name(), name), layer, |b, layer| {
+                b.iter(|| codec::top_k_cut_on(tier, layer.values(), k));
             });
         }
     }

@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_crypto::chacha20;
+use mixnn_crypto::cpu::Tier;
 use mixnn_crypto::hmac::hmac_sha256;
 use mixnn_crypto::poly1305;
 use mixnn_crypto::sha256;
@@ -58,14 +59,14 @@ fn bench_primitives(c: &mut Criterion) {
     // full eight-lane pass. The IFMA tier's `/2` against two scalar `/1`s
     // is the crossover `MIN_COMBS` in `x25519.rs` encodes.
     let table = x25519::FixedBase::basepoint();
-    for (tier, kernel) in x25519::fixed_base_kernels() {
+    for tier in Tier::runnable(x25519::TIERS) {
         for &n in &[1usize, 2, 8] {
             let scalars: Vec<[u8; 32]> = (0..n).map(|i| [0x42 ^ i as u8; 32]).collect();
             let mut out = vec![[0u8; 32]; n];
             group.throughput(Throughput::Elements(n as u64));
-            let id = BenchmarkId::new(format!("fixed_base/{tier}"), n);
+            let id = BenchmarkId::new(format!("fixed_base/{}", tier.name()), n);
             group.bench_with_input(id, &n, |b, _| {
-                b.iter(|| kernel(table, &scalars, &mut out));
+                b.iter(|| x25519::fixed_base_on(tier, table, &scalars, &mut out));
             });
         }
     }
@@ -81,12 +82,12 @@ fn bench_chacha20_tiers(c: &mut Criterion) {
     configure(&mut group);
     let key = [7u8; 32];
     let nonce = [9u8; 12];
-    for (tier, kernel) in chacha20::kernels() {
+    for tier in Tier::runnable(chacha20::TIERS) {
         for &size in &[1024usize, 23_048, 2_097_152] {
             let mut buf = vec![0xa5u8; size];
             group.throughput(Throughput::Bytes(size as u64));
-            group.bench_with_input(BenchmarkId::new(tier, size), &size, |b, _| {
-                b.iter(|| kernel(&key, &nonce, 0, &mut buf));
+            group.bench_with_input(BenchmarkId::new(tier.name(), size), &size, |b, _| {
+                b.iter(|| chacha20::xor_keystream_on(tier, &key, &nonce, 0, &mut buf));
             });
         }
     }
@@ -101,12 +102,12 @@ fn bench_poly1305_tiers(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto/poly1305");
     configure(&mut group);
     let key = [7u8; 32];
-    for (tier, kernel) in poly1305::kernels() {
+    for tier in Tier::runnable(poly1305::TIERS) {
         for &size in &[1024usize, 23_048, 2_097_152] {
             let message = vec![0xa5u8; size];
             group.throughput(Throughput::Bytes(size as u64));
-            group.bench_with_input(BenchmarkId::new(tier, size), &size, |b, _| {
-                b.iter(|| kernel(&key, &message));
+            group.bench_with_input(BenchmarkId::new(tier.name(), size), &size, |b, _| {
+                b.iter(|| poly1305::poly1305_on(tier, &key, &message));
             });
         }
     }

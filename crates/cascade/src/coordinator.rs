@@ -52,11 +52,6 @@ pub struct CascadeConfig {
     pub hops: Vec<CascadeHopConfig>,
     /// Skip-or-abort semantics for hop failures.
     pub policy: FailurePolicy,
-    /// Wire compression for every sealed update (and every injected
-    /// cover update) of this cascade. Round-wide by construction: mixed
-    /// modes within a round would make envelope sizes a client
-    /// fingerprint, so the knob lives here and not on individual clients.
-    pub compression: CompressionConfig,
 }
 
 /// Everything one cascade round produced.
@@ -511,7 +506,7 @@ impl CascadeCoordinator {
             hops,
             signature,
             policy: config.policy,
-            compression: config.compression,
+            compression: CompressionConfig::F32,
             telemetry: mixnn_telemetry::noop(),
             rounds_driven: 0,
             dummy_nonce: 0,
@@ -586,7 +581,6 @@ impl CascadeCoordinator {
                 expected_signature,
                 hops,
                 policy,
-                compression: CompressionConfig::F32,
             },
             topology,
             attestation,
@@ -594,7 +588,12 @@ impl CascadeCoordinator {
         )
     }
 
-    /// The wire compression every round of this cascade seals with.
+    /// The wire compression every round of this cascade seals with —
+    /// every sealed update and every injected cover update. `F32` from
+    /// launch until [`CascadeCoordinator::set_compression`]. Round-wide by
+    /// construction: mixed modes within a round would make envelope sizes
+    /// a client fingerprint, so the knob lives here and not on individual
+    /// clients.
     pub fn compression(&self) -> CompressionConfig {
         self.compression
     }
@@ -1306,7 +1305,6 @@ mod tests {
                 expected_signature: vec![3, 2],
                 hops,
                 policy: FailurePolicy::Abort,
-                compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(3)),
             &service,
@@ -1337,7 +1335,6 @@ mod tests {
                 expected_signature: vec![3, 2],
                 hops,
                 policy: FailurePolicy::Skip,
-                compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(3)),
             &service,
@@ -1406,7 +1403,6 @@ mod tests {
                 expected_signature: vec![3, 2],
                 hops,
                 policy: FailurePolicy::Skip,
-                compression: CompressionConfig::F32,
             },
             Box::new(Split),
             &service,
@@ -1443,7 +1439,6 @@ mod tests {
                     })
                     .collect(),
                 policy: FailurePolicy::Skip,
-                compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(2)),
             &service,
@@ -1483,7 +1478,6 @@ mod tests {
                     expected_signature: vec![2],
                     hops: vec![],
                     policy: FailurePolicy::Abort,
-                    compression: CompressionConfig::F32,
                 },
                 Box::new(LinearChain::new(1)),
                 &service,
@@ -1501,7 +1495,6 @@ mod tests {
                     expected_signature: vec![],
                     hops: vec![CascadeHopConfig::default()],
                     policy: FailurePolicy::Abort,
-                    compression: CompressionConfig::F32,
                 },
                 Box::new(LinearChain::new(1)),
                 &service,
@@ -1515,7 +1508,6 @@ mod tests {
                     expected_signature: vec![2],
                     hops: vec![CascadeHopConfig::default()],
                     policy: FailurePolicy::Abort,
-                    compression: CompressionConfig::F32,
                 },
                 Box::new(LinearChain::new(2)),
                 &service,

@@ -112,13 +112,13 @@ fn observe(
             expected_signature: signature(layers),
             hops: hop_configs,
             policy,
-            compression,
         },
         topology,
         &service,
         &mut rng,
     )
     .expect("valid configuration");
+    cascade.set_compression(compression);
     let out = rounds
         .iter()
         .map(|updates| cascade.run_round(updates, &mut rng).expect("round runs"))
@@ -259,7 +259,6 @@ proptest! {
                 expected_signature: signature(layers),
                 hops: hop_configs,
                 policy: FailurePolicy::Skip,
-                compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(hops)),
             &service,

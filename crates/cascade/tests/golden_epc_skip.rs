@@ -11,7 +11,6 @@ use mixnn_cascade::{
     CascadeConfig, CascadeCoordinator, CascadeHopConfig, FailurePolicy, LinearChain,
     HOP_CODE_IDENTITY,
 };
-use mixnn_core::codec::CompressionConfig;
 use mixnn_enclave::{AttestationService, EnclaveConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +37,6 @@ fn skip_round_around_an_epc_starved_hop_matches_the_recorded_drive() {
             expected_signature: signature.clone(),
             hops,
             policy: FailurePolicy::Skip,
-            compression: CompressionConfig::F32,
         },
         Box::new(LinearChain::new(3)),
         &service,

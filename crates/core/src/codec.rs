@@ -68,19 +68,21 @@
 //!
 //! The lossy encoder runs the widest kernel the CPU has:
 //!
-//! | tier | select | emit and range fold | quantise | where |
+//! | tier | select | emit and range fold | quantise | needs rung |
 //! |---|---|---|---|---|
-//! | AVX-512 F + BW | top two digits bracketed from a sample, the last by 16-lane mask compares | 16-lane masks, compressed index stores | kept values gathered back by index, 16 per step | x86-64, detected at runtime |
-//! | scalar | three counting passes over flag bytes | flag bytes, one kept value at a time | one value at a time | everywhere |
+//! | AVX-512 | top two digits bracketed from a sample, the last by 16-lane mask compares | 16-lane masks, compressed index stores | kept values gathered back by index, 16 per step | [`Tier::Avx512`] (F + BW + DQ; the kernels enable F + BW) |
+//! | scalar | three counting passes over flag bytes | flag bytes, one kept value at a time | one value at a time | — |
 //!
 //! The scalar tier is the definition; the wide tier emits byte-identical
 //! frames (the same cut, the same f64 division per value, the same
-//! first-seen rule for a `±0.0` bound). The tier is chosen by CPU
-//! detection alone — there is no option; the tests pass each supported
-//! `Tier` as an argument instead.
+//! first-seen rule for a `±0.0` bound). The tier is the rung of the one
+//! CPU ladder in [`mixnn_crypto::cpu`] — detection alone, no option; the
+//! tests pass each rung of [`TIERS`] the host reaches as an argument
+//! instead.
 
 use crate::ProxyError;
 use bytes::{Buf, BufMut};
+use mixnn_crypto::cpu::Tier;
 use mixnn_nn::{LayerParams, ModelParams};
 use serde::{Deserialize, Serialize};
 
@@ -505,63 +507,24 @@ fn encode_dense(values: &[f32], quants: &mut [u8]) -> (f32, f32) {
     (zero, scale)
 }
 
-/// The widest lossy-encoder kernel a call may use.
-///
-/// An argument rather than ambient state so the tests can pin every tier
-/// the host supports against the scalar definition; production callers
-/// pass [`Tier::best`]. Frames do not depend on the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// The flag-byte loops above: the definition.
-    Scalar,
-    /// Sixteen values per step in AVX-512 registers and mask registers.
-    Avx512,
-}
+/// The rungs with a lossy-encoder kernel, scalar first. Not an option —
+/// the encoder runs [`Tier::best`]; the tests and the bench rows
+/// `codec/encode/<tier>/*` and `codec/topk/select/<tier>/*` run each one
+/// the host reaches.
+#[doc(hidden)]
+pub const TIERS: &[Tier] = &[Tier::Scalar, Tier::Avx512];
 
-impl Tier {
-    const ALL: [Tier; 2] = [Tier::Scalar, Tier::Avx512];
-
-    /// Whether the running CPU can execute this tier's kernel.
-    fn available(self) -> bool {
-        match self {
-            Tier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => avx512::available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx512 => false,
-        }
+/// [`top_k_cut`] on `tier`: the same cut. Panics as it does, and if
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+pub fn top_k_cut_on(tier: Tier, values: &[f32], k: usize) -> TopKCut {
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        return avx512::top_k_cut(values, k);
     }
-
-    /// The fastest tier the running CPU supports.
-    pub(crate) fn best() -> Tier {
-        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
-        widest.expect("the scalar tier is always available")
-    }
-
-    /// Every tier the running CPU supports, scalar first.
-    #[cfg(test)]
-    pub(crate) fn supported() -> Vec<Tier> {
-        Tier::ALL
-            .into_iter()
-            .filter(|tier| tier.available())
-            .collect()
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Avx512 => "avx512",
-        }
-    }
-}
-
-/// [`top_k_cut`] on `tier`: the same cut.
-fn top_k_cut_on(tier: Tier, values: &[f32], k: usize) -> TopKCut {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => avx512::top_k_cut(values, k),
-        _ => top_k_cut(values, k),
-    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    top_k_cut(values, k)
 }
 
 /// [`encode_top_k`] on `tier`, with `width`-byte indices: the same payload.
@@ -572,62 +535,18 @@ fn encode_top_k_on(
     index_area: &mut [u8],
     quant_area: &mut [u8],
 ) -> (f32, f32) {
-    match (tier, width) {
-        #[cfg(target_arch = "x86_64")]
-        (Tier::Avx512, _) => avx512::encode_top_k(values, width, index_area, quant_area),
-        (_, 1) => encode_top_k::<1>(values, index_area, quant_area),
-        (_, 2) => encode_top_k::<2>(values, index_area, quant_area),
-        (_, 3) => encode_top_k::<3>(values, index_area, quant_area),
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        return avx512::encode_top_k(values, width, index_area, quant_area);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    match width {
+        1 => encode_top_k::<1>(values, index_area, quant_area),
+        2 => encode_top_k::<2>(values, index_area, quant_area),
+        3 => encode_top_k::<3>(values, index_area, quant_area),
         _ => encode_top_k::<4>(values, index_area, quant_area),
     }
-}
-
-/// One lossy-encoder tier, as `cargo bench --bench codec` times it.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
-pub struct Kernel {
-    /// [`encode_layer_with`] on this tier.
-    pub encode: fn(&LayerParams, CompressionConfig) -> Vec<u8>,
-    /// [`top_k_cut`] on this tier.
-    pub select: fn(&[f32], usize) -> TopKCut,
-}
-
-/// [`encode_layer_with`] with `Tier::ALL[TIER]` as the widest kernel.
-fn encode_layer_on_tier<const TIER: usize>(
-    layer: &LayerParams,
-    compression: CompressionConfig,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_layer_len_with(layer.len(), compression));
-    encode_layer_on(Tier::ALL[TIER], &mut out, layer, compression);
-    out
-}
-
-/// [`top_k_cut`] with `Tier::ALL[TIER]` as the widest kernel.
-fn top_k_cut_on_tier<const TIER: usize>(values: &[f32], k: usize) -> TopKCut {
-    top_k_cut_on(Tier::ALL[TIER], values, k)
-}
-
-/// Every lossy-encoder tier the running CPU supports, scalar first, as
-/// `(name, kernel)` pairs: the per-tier rows of `cargo bench --bench
-/// codec`. Not an option — the encoder always takes the last one.
-#[doc(hidden)]
-pub fn kernels() -> Vec<(&'static str, Kernel)> {
-    const KERNELS: [Kernel; 2] = [
-        Kernel {
-            encode: encode_layer_on_tier::<0>,
-            select: top_k_cut_on_tier::<0>,
-        },
-        Kernel {
-            encode: encode_layer_on_tier::<1>,
-            select: top_k_cut_on_tier::<1>,
-        },
-    ];
-    Tier::ALL
-        .into_iter()
-        .zip(KERNELS)
-        .filter(|(tier, _)| tier.available())
-        .map(|(tier, kernel)| (tier.name(), kernel))
-        .collect()
 }
 
 /// The AVX-512 tier of the lossy encoder. Every per-value decision of the
@@ -659,7 +578,7 @@ mod avx512 {
         LOW_DIGITS, LOW_DIGIT_BITS, TOP_DIGITS,
     };
     use core::arch::x86_64::*;
-    use std::sync::OnceLock;
+    use mixnn_crypto::cpu::Tier;
 
     /// Values per step.
     const LANES: usize = 16;
@@ -675,27 +594,23 @@ mod avx512 {
     /// The most top digits a bracket may span.
     const BRACKET_DIGITS: u32 = 4;
 
-    /// Whether the running CPU has AVX-512 F and BW (cached).
-    pub fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
-        })
-    }
-
     /// [`super::top_k_cut`]: the same cut.
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it — and on a layer longer than `u32::MAX` values.
+    /// Panics unless the CPU reaches [`Tier::Avx512`] — callers select this
+    /// tier only after checking it — and on a layer longer than `u32::MAX`
+    /// values.
     pub fn top_k_cut(values: &[f32], k: usize) -> TopKCut {
-        assert!(available(), "AVX-512 codec selected on a CPU without it");
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 codec selected on a CPU without it"
+        );
         assert!(
             u32::try_from(values.len()).is_ok(),
             "layer lengths are u32 on the wire"
         );
-        // SAFETY: `available()` just confirmed AVX-512 F and BW, the
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F and BW, the
         // features `cut` enables; it reads `values` through masked loads
         // of in-bounds lanes and bounds-checked indexing only.
         unsafe { cut(values, k.min(values.len())) }
@@ -751,12 +666,15 @@ mod avx512 {
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`], and unless `quants` holds a byte per
-    /// value.
+    /// Panics unless the CPU reaches [`Tier::Avx512`], and unless `quants`
+    /// holds a byte per value.
     pub fn encode_dense(values: &[f32], quants: &mut [u8]) -> (f32, f32) {
-        assert!(available(), "AVX-512 codec selected on a CPU without it");
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 codec selected on a CPU without it"
+        );
         assert_eq!(values.len(), quants.len(), "one quant byte per value");
-        // SAFETY: `available()` just confirmed AVX-512 F and BW, the
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F and BW, the
         // features `finite_range` enables; it loads only in-bounds lanes.
         let range = unsafe { finite_range(values) };
         let (zero, scale) = first_zero_wins(range, values).affine();
@@ -794,8 +712,11 @@ mod avx512 {
     /// digits of the `need`-th largest key of `values`.
     #[cfg(test)]
     pub(super) fn bracket_holds(values: &[f32], need: usize) -> bool {
-        assert!(available(), "AVX-512 codec selected on a CPU without it");
-        // SAFETY: `available()` just confirmed AVX-512 F and BW, the
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 codec selected on a CPU without it"
+        );
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F and BW, the
         // features `bracketed_prefix` enables.
         unsafe { bracketed_prefix(values, need) }.is_some()
     }
@@ -846,7 +767,7 @@ mod avx512 {
 
     /// # Safety
     ///
-    /// Requires AVX-512 F and BW, i.e. [`available`] returned `true`.
+    /// Requires AVX-512 F and BW, i.e. the CPU reaches [`Tier::Avx512`].
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn cut(values: &[f32], need: usize) -> TopKCut {
         let (prefix, need) = bracketed_prefix(values, need).unwrap_or_else(|| {
@@ -1536,7 +1457,9 @@ pub fn encode_layer_into(out: &mut Vec<u8>, layer: &LayerParams, compression: Co
 }
 
 /// [`encode_layer_into`] with `tier` as the widest kernel: the same frame.
-fn encode_layer_on(
+/// Panics if `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+pub fn encode_layer_on(
     tier: Tier,
     out: &mut Vec<u8>,
     layer: &LayerParams,
@@ -1555,7 +1478,7 @@ fn encode_layer_on(
             let (header, quants) = frame.split_at_mut(V2_DENSE_HEADER);
             let (zero, scale) = match tier {
                 #[cfg(target_arch = "x86_64")]
-                Tier::Avx512 => avx512::encode_dense(values, quants),
+                tier if tier >= Tier::Avx512 => avx512::encode_dense(values, quants),
                 _ => encode_dense(values, quants),
             };
             write_v2_header(header, values.len(), None, zero, scale);
@@ -2744,7 +2667,7 @@ mod tests {
             let values = adversarial_layer(kind, n, &mut StdRng::seed_from_u64(seed));
             for k in [0, 1, n.div_ceil(4), n.saturating_sub(1), n] {
                 let expected = top_k_indices_reference(&values, k);
-                for tier in Tier::supported() {
+                for tier in Tier::runnable(TIERS) {
                     proptest::prop_assert_eq!(
                         top_k_indices_on(tier, &values, k),
                         expected.clone(),
@@ -2772,7 +2695,7 @@ mod tests {
                 CompressionConfig::Int8TopK { keep_per_1024 },
             ] {
                 let expected = reference_frame(&layer, mode);
-                for tier in Tier::supported() {
+                for tier in Tier::runnable(TIERS) {
                     // Appending behind other bytes lays down the same frame.
                     let mut behind = vec![0xa5; 7];
                     encode_layer_on(tier, &mut behind, &layer, mode);
@@ -2794,7 +2717,7 @@ mod tests {
     fn every_tier_matches_the_references_at_every_seam_and_width() {
         // Shown by CI (`--nocapture`): a runner without AVX-512 F and BW
         // says it pinned only the scalar twin.
-        println!("codec tiers exercised: {:?}", Tier::supported());
+        println!("codec tiers exercised: {:?}", Tier::runnable(TIERS));
         #[cfg(target_arch = "x86_64")]
         assert!(SEAM_LENGTHS.contains(&avx512::BRACKET_FROM));
         let mut rng = StdRng::seed_from_u64(27);
@@ -2808,7 +2731,7 @@ mod tests {
                 let frame = reference_frame(&layer, topk);
                 let header = &frame[..V2_TOPK_HEADER];
                 let quants = &frame[frame.len() - k..];
-                for tier in Tier::supported() {
+                for tier in Tier::runnable(TIERS) {
                     let what = format!("{tier:?} kind {kind} n {n}");
                     assert_eq!(
                         top_k_cut_on(tier, values, k),
@@ -2869,7 +2792,7 @@ mod tests {
                                 "{mode:?}"
                             );
                         }
-                        for tier in Tier::supported() {
+                        for tier in Tier::runnable(TIERS) {
                             let mut out = Vec::new();
                             encode_layer_on(tier, &mut out, &layer, mode);
                             assert!(
@@ -2888,7 +2811,7 @@ mod tests {
             let mode = CompressionConfig::int8_top_k();
             let expected = reference_frame(&layer, mode);
             assert_eq!(expected[18..22], first.to_le_bytes());
-            for tier in Tier::supported() {
+            for tier in Tier::runnable(TIERS) {
                 let mut out = Vec::new();
                 encode_layer_on(tier, &mut out, &layer, mode);
                 assert!(out == expected, "{tier:?} first {first:?}");
@@ -2903,7 +2826,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_bracket_holds_on_gaussians_and_falls_back_on_decoys() {
-        if !avx512::available() {
+        if !Tier::Avx512.available() {
             return;
         }
         let mut rng = StdRng::seed_from_u64(11);
@@ -3013,7 +2936,7 @@ mod tests {
     fn cut_is_total_in_k() {
         // k = 0 keeps nothing, k ≥ n keeps everything — also of an empty
         // layer — without a special case in the select.
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             assert!(top_k_indices_on(tier, &[], 0).is_empty());
             assert!(top_k_indices_on(tier, &[], 3).is_empty());
             let values = [0.0, -0.0, f32::NAN, 1.0];

@@ -8,11 +8,11 @@
 //! as much of the buffer as that kernel's pass size divides, then hands
 //! the rest down:
 //!
-//! | tier | blocks per pass | engaged from | where |
+//! | tier | blocks per pass | engaged from | needs rung |
 //! |---|---|---|---|
-//! | AVX-512F | 16 | 1024 B | x86-64, detected at runtime |
-//! | AVX2 | 8 | 512 B | x86-64, detected at runtime |
-//! | scalar | 1 | the tail | everywhere |
+//! | AVX-512 | 16 | 1024 B | [`Tier::Avx512`] (F + BW + DQ) |
+//! | AVX2 | 8 | 512 B | [`Tier::Avx2`] |
+//! | scalar | 1 | the tail | — |
 //!
 //! Every wide kernel holds one state word per vector, one lane per block
 //! counter. The AVX-512 kernel rotates with native `vprold`, transposes
@@ -21,14 +21,19 @@
 //! stores. A stretch close enough to the counter limit that a wide pass
 //! would overflow it falls to the narrower kernels, so the keystream is
 //! bit-identical to the one-block-at-a-time definition at every length
-//! and counter. The tier is chosen by CPU detection alone — there is no
-//! option; the tests pass each supported `Tier` as an argument instead.
+//! and counter. The tier is the rung of the one CPU ladder in
+//! [`crate::cpu`] — detection alone, no option; the tests pass each rung
+//! of [`TIERS`] the host reaches as an argument instead. An AVX-512F host
+//! without BW and DQ (Xeon Phi) stops at the `Avx2` rung and runs the
+//! eight-block kernel.
 //!
 //! The 32-bit block counter is a hard limit, not a wrapping one: asking
 //! for keystream past block `u32::MAX` (256 GiB under one key/nonce)
 //! panics instead of silently reusing blocks. The sealed box spends
 //! block 0 on its one-time Poly1305 key (RFC 8439 §2.6) and encrypts the
 //! payload from block 1.
+
+use crate::cpu::Tier;
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -61,94 +66,11 @@ pub struct ChaCha20 {
     exhausted: bool,
 }
 
-/// The widest keystream kernel [`ChaCha20::apply_keystream_on`] may use;
-/// what a tier's pass size does not divide goes to the tiers below it.
-///
-/// An argument rather than ambient state so the tests can pin every tier
-/// the host supports against the scalar definition; production callers
-/// pass [`Tier::best`]. The keystream does not depend on the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Tier {
-    /// One block at a time, straight from the RFC.
-    Scalar,
-    /// Eight blocks per pass over 256-bit vectors.
-    Avx2,
-    /// Sixteen blocks per pass over 512-bit vectors.
-    Avx512,
-}
-
-impl Tier {
-    const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
-
-    /// Whether the running CPU can execute this tier's kernel.
-    fn available(self) -> bool {
-        match self {
-            Tier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => avx2::available(),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => avx512::available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx2 | Tier::Avx512 => false,
-        }
-    }
-
-    /// The fastest tier the running CPU supports.
-    pub(crate) fn best() -> Tier {
-        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
-        widest.expect("the scalar tier is always available")
-    }
-
-    /// Every tier the running CPU supports, scalar first.
-    #[cfg(test)]
-    pub(crate) fn supported() -> Vec<Tier> {
-        Tier::ALL
-            .into_iter()
-            .filter(|tier| tier.available())
-            .collect()
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Avx2 => "avx2",
-            Tier::Avx512 => "avx512",
-        }
-    }
-}
-
-/// A one-shot keystream XOR, as [`xor_keystream`].
+/// The rungs with a keystream kernel, scalar first. Not an option —
+/// [`ChaCha20::apply_keystream`] runs [`Tier::best`]; the tests and the
+/// bench rows `crypto/chacha20/<tier>/*` run each one the host reaches.
 #[doc(hidden)]
-pub type Kernel = fn(&[u8; KEY_LEN], &[u8; NONCE_LEN], u32, &mut [u8]);
-
-/// [`xor_keystream`] with `Tier::ALL[TIER]` as the widest kernel allowed.
-fn xor_keystream_on<const TIER: usize>(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    counter: u32,
-    data: &mut [u8],
-) {
-    ChaCha20::new(key, nonce, counter).apply_keystream_on(Tier::ALL[TIER], data);
-}
-
-/// Every keystream tier the running CPU supports, scalar first, as
-/// `(name, one-shot xor)` pairs: the per-tier rows of `cargo bench --bench
-/// crypto`. Not an option — [`ChaCha20::apply_keystream`] always takes the
-/// last one.
-#[doc(hidden)]
-pub fn kernels() -> Vec<(&'static str, Kernel)> {
-    const KERNELS: [Kernel; 3] = [
-        xor_keystream_on::<0>,
-        xor_keystream_on::<1>,
-        xor_keystream_on::<2>,
-    ];
-    Tier::ALL
-        .into_iter()
-        .zip(KERNELS)
-        .filter(|(tier, _)| tier.available())
-        .map(|(tier, kernel)| (tier.name(), kernel))
-        .collect()
-}
+pub const TIERS: &[Tier] = &[Tier::Scalar, Tier::Avx2, Tier::Avx512];
 
 /// Eight-block AVX2 kernel: each 256-bit vector holds one state word
 /// across eight consecutive block counters. Same add–rotate–xor math as
@@ -156,17 +78,11 @@ pub fn kernels() -> Vec<(&'static str, Kernel)> {
 /// guarantees the output is bit-identical to the scalar definition.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use crate::cpu::Tier;
     use core::arch::x86_64::*;
-    use std::sync::OnceLock;
 
     /// Blocks per pass.
     pub const LANES: usize = 8;
-
-    /// Runtime AVX2 detection, cached after the first query.
-    pub fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| is_x86_feature_detected!("avx2"))
-    }
 
     /// 32-bit left rotation of every lane by a constant amount (the shift
     /// intrinsics require immediate counts).
@@ -197,18 +113,21 @@ mod avx2 {
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it.
+    /// Panics unless the CPU reaches [`Tier::Avx2`] — callers select this
+    /// tier only after checking it.
     pub fn xor_blocks(state: &[u32; 16], data: &mut [u8]) {
-        assert!(available(), "AVX2 keystream selected on a CPU without it");
-        // SAFETY: `available()` just confirmed AVX2, the one feature
-        // `xor_blocks_lanes` enables.
+        assert!(
+            Tier::Avx2.available(),
+            "AVX2 keystream selected on a CPU without it"
+        );
+        // SAFETY: the `Avx2` rung was just confirmed; it requires AVX2,
+        // the one feature `xor_blocks_lanes` enables.
         unsafe { xor_blocks_lanes(state, data) }
     }
 
     /// # Safety
     ///
-    /// Requires AVX2, i.e. [`available`] returned `true`.
+    /// Requires AVX2, i.e. the CPU reaches [`Tier::Avx2`].
     #[target_feature(enable = "avx2")]
     unsafe fn xor_blocks_lanes(state: &[u32; 16], data: &mut [u8]) {
         debug_assert_eq!(data.len() % (LANES * 64), 0);
@@ -246,7 +165,7 @@ mod avx2 {
     }
 }
 
-/// Sixteen-block AVX-512F kernel: each 512-bit vector holds one state
+/// Sixteen-block AVX-512 kernel: each 512-bit vector holds one state
 /// word across sixteen consecutive block counters, so the twenty rounds
 /// run entirely in the sixteen state registers with native `vprold`
 /// rotates. The finished words are transposed in registers — 4×4 within
@@ -255,17 +174,11 @@ mod avx2 {
 /// XORed into the buffer with one load and one store.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
+    use crate::cpu::Tier;
     use core::arch::x86_64::*;
-    use std::sync::OnceLock;
 
     /// Blocks per pass.
     pub const LANES: usize = 16;
-
-    /// Runtime AVX-512F detection, cached after the first query.
-    pub fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| is_x86_feature_detected!("avx512f"))
-    }
 
     macro_rules! quarter_round {
         ($x:ident, $a:literal, $b:literal, $c:literal, $d:literal) => {
@@ -286,15 +199,15 @@ mod avx512 {
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it.
+    /// Panics unless the CPU reaches [`Tier::Avx512`] — callers select
+    /// this tier only after checking it.
     pub fn xor_blocks(state: &[u32; 16], data: &mut [u8]) {
         assert!(
-            available(),
+            Tier::Avx512.available(),
             "AVX-512 keystream selected on a CPU without it"
         );
-        // SAFETY: `available()` just confirmed AVX-512F, the one feature
-        // `xor_blocks_lanes` enables.
+        // SAFETY: the `Avx512` rung was just confirmed; it requires
+        // AVX-512F, the one feature `xor_blocks_lanes` enables.
         unsafe { xor_blocks_lanes(state, data) }
     }
 
@@ -333,7 +246,7 @@ mod avx512 {
 
     /// # Safety
     ///
-    /// Requires AVX-512F, i.e. [`available`] returned `true`.
+    /// Requires AVX-512F, i.e. the CPU reaches [`Tier::Avx512`].
     #[target_feature(enable = "avx512f")]
     unsafe fn xor_blocks_lanes(state: &[u32; 16], data: &mut [u8]) {
         debug_assert_eq!(data.len() % (LANES * 64), 0);
@@ -506,7 +419,7 @@ impl ChaCha20 {
 
     /// [`ChaCha20::apply_keystream`] with `tier` as the widest kernel
     /// allowed.
-    pub(crate) fn apply_keystream_on(&mut self, tier: Tier, data: &mut [u8]) {
+    fn apply_keystream_on(&mut self, tier: Tier, data: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
         let data = {
             let mut offset = 0;
@@ -538,6 +451,19 @@ impl ChaCha20 {
 /// [`ChaCha20::apply_keystream`].
 pub fn xor_keystream(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
     ChaCha20::new(key, nonce, counter).apply_keystream(data);
+}
+
+/// [`xor_keystream`] with `tier` as the widest kernel allowed; panics as
+/// it does, and if `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+pub fn xor_keystream_on(
+    tier: Tier,
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    counter: u32,
+    data: &mut [u8],
+) {
+    ChaCha20::new(key, nonce, counter).apply_keystream_on(tier, data);
 }
 
 #[cfg(test)]
@@ -716,7 +642,7 @@ mod tests {
     fn rfc8439_vectors_hold_on_every_tier() {
         // Shown by CI (`--nocapture`): a runner without the wide tiers
         // says it pinned only the scalar twin.
-        println!("chacha20 tiers exercised: {:?}", Tier::supported());
+        println!("chacha20 tiers exercised: {:?}", Tier::runnable(TIERS));
         let key: [u8; 32] = (0..32u8).collect::<Vec<_>>().try_into().unwrap();
         let block_nonce: [u8; 12] = unhex("000000090000004a00000000").try_into().unwrap();
         let block = unhex(
@@ -731,7 +657,7 @@ mod tests {
              07ca0dbf500d6a6156a38e088a22b65e 52bc514d16ccf806818ce91ab7793736 \
              5af90bbf74a35be6b40b8eedf2785e42 874d",
         );
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             for counter in [0u32, 1] {
                 let mut stream = vec![0u8; 2 * 1024 + 65];
                 tier_cipher(
@@ -763,7 +689,7 @@ mod tests {
             for len in 0..=2 * 1024 + 65 {
                 let mut expected = pattern[offset..offset + len].to_vec();
                 scalar_keystream(&cipher, &mut expected);
-                for tier in Tier::supported() {
+                for tier in Tier::runnable(TIERS) {
                     let mut actual = pattern.clone();
                     tier_cipher(tier, &cipher, &mut actual[offset..offset + len]);
                     assert_eq!(
@@ -787,7 +713,7 @@ mod tests {
     fn counter_limit_holds_on_every_tier() {
         let key = [6u8; 32];
         let nonce = [8u8; 12];
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             for blocks in [1u32, 3, 4, 8, 16, 21, 32, 37] {
                 let cipher = ChaCha20::new(&key, &nonce, u32::MAX - (blocks - 1));
                 let mut expected = vec![0u8; blocks as usize * 64];
@@ -822,7 +748,7 @@ mod tests {
         let nonce = [0x22u8; 12];
         let mut expected = vec![0u8; 4096 + 100];
         scalar_keystream(&ChaCha20::new(&key, &nonce, 9), &mut expected);
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let mut cipher = ChaCha20::new(&key, &nonce, 9);
             let mut actual = vec![0u8; expected.len()];
             let (a, rest) = actual.split_at_mut(1024);
@@ -834,20 +760,28 @@ mod tests {
         }
     }
 
+    /// The bench rows iterate `Tier::runnable(TIERS)`: it lists every
+    /// rung of `TIERS` the host reaches, scalar first, and its widest
+    /// rung is the kernel `Tier::best` dispatches to, so production runs
+    /// exactly what the widest row measures and every row computes the
+    /// same keystream.
     #[test]
     fn best_tier_is_the_widest_supported_and_the_bench_hook_lists_them_all() {
-        let supported = Tier::supported();
-        assert_eq!(supported.first(), Some(&Tier::Scalar));
-        assert_eq!(supported.last(), Some(&Tier::best()));
-        let names: Vec<&str> = kernels().iter().map(|(name, _)| *name).collect();
-        let expected: Vec<&str> = supported.iter().map(|tier| tier.name()).collect();
-        assert_eq!(names, expected);
+        assert!(TIERS.windows(2).all(|pair| pair[0] < pair[1]), "{TIERS:?}");
+        let listed = Tier::runnable(TIERS);
+        assert_eq!(listed.first(), Some(&Tier::Scalar));
+        let expected: Vec<Tier> = TIERS
+            .iter()
+            .copied()
+            .filter(|t| *t <= Tier::best())
+            .collect();
+        assert_eq!(listed, expected);
         let mut reference = vec![0u8; 1500];
         xor_keystream(&[1; 32], &[2; 12], 3, &mut reference);
-        for (name, kernel) in kernels() {
+        for tier in listed {
             let mut buf = vec![0u8; 1500];
-            kernel(&[1; 32], &[2; 12], 3, &mut buf);
-            assert_eq!(buf, reference, "{name}");
+            xor_keystream_on(tier, &[1; 32], &[2; 12], 3, &mut buf);
+            assert_eq!(buf, reference, "{}", tier.name());
         }
     }
 }

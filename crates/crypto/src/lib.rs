@@ -11,6 +11,7 @@
 //! * [`poly1305`] — the Poly1305 one-time authenticator and the AEAD tag
 //!   built on it (RFC 8439 §2.5, §2.8),
 //! * [`x25519`] — X25519 Diffie–Hellman over Curve25519 (RFC 7748),
+//! * [`cpu`] — the one CPU ladder every SIMD kernel dispatches on,
 //! * [`sealed_box`] — the hybrid public-key encryption used on the wire:
 //!   ephemeral X25519 → HKDF → ChaCha20-Poly1305 with the ephemeral key
 //!   as associated data; `eph_pub (32) ‖ tag (16) ‖ ciphertext`. Every
@@ -26,7 +27,12 @@
 //! Decryption dominates the proxy's per-round cost (§6.5), so the stack
 //! is built as batched kernels behind the scalar APIs — each one
 //! bit-identical to the scalar definition and pinned by the same RFC/FIPS
-//! vectors:
+//! vectors. There is one ladder of wide tiers, [`cpu::Tier`] — `Scalar`,
+//! `Avx2`, `Avx512` (F + BW + DQ), `Ifma` — each rung needing every
+//! feature below it; each kernel names the rung it needs, and SHA-NI is
+//! probed beside the ladder ([`cpu::sha_ni`]), not on it. An AVX-512F
+//! host without BW and DQ (Xeon Phi) stops at `Avx2`, so its ChaCha20
+//! runs the eight-block kernel.
 //!
 //! * SHA-256 compresses all full blocks of an `update` in one multi-block
 //!   call and dispatches at runtime to the x86-64 SHA-NI kernel when the
@@ -34,11 +40,11 @@
 //! * HMAC keys precompute their ipad/opad schedule once
 //!   ([`hmac::HmacKey`]), and the sealed box derives its key and nonce
 //!   with a single HKDF-Extract plus two expands per envelope;
-//! * ChaCha20 generates sixteen keystream blocks per pass on AVX-512F
-//!   hosts, eight on AVX2, one in portable code, and XORs them into
-//!   the buffer where it lies ([`chacha20`]);
-//! * Poly1305 absorbs eight blocks per pass over `vpmadd52` on AVX-512
-//!   IFMA hosts and one per step in portable code ([`poly1305`]) — the
+//! * ChaCha20 generates sixteen keystream blocks per pass from the
+//!   `Avx512` rung, eight from `Avx2`, one in portable code, and XORs
+//!   them into the buffer where it lies ([`chacha20`]);
+//! * Poly1305 absorbs eight blocks per pass over `vpmadd52` from the
+//!   `Ifma` rung and one per step in portable code ([`poly1305`]) — the
 //!   per-byte cost of an envelope is the keystream's plus this, and
 //!   HMAC-SHA256 is off the payload path;
 //! * X25519 runs two algorithms, chosen by the kind of job ([`x25519`]):
@@ -52,9 +58,9 @@
 //!   row and keeps one by mask, and yields the ladder's bytes;
 //! * [`sealed_box::SealedBox::prepare_open`] derives the shared secrets
 //!   of a round's envelopes together — every ephemeral point a variable
-//!   base, so eight ladders per IFMA pass — with one Montgomery-trick
-//!   field inversion across the batch, and each [`PreparedOpen`] then
-//!   verifies and decrypts its envelope in place;
+//!   base, so eight ladders per IFMA pass (the `Ifma` rung) — with one
+//!   Montgomery-trick field inversion across the batch, and each
+//!   [`PreparedOpen`] then verifies and decrypts its envelope in place;
 //! * [`sealed_box::SealedBox::prepare`] does the same for everything one
 //!   sender seals — an onion's `1 + layers × (hops − 1)` envelopes, each
 //!   under its own ephemeral key — grouping the combs by table so eight
@@ -83,6 +89,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod chacha20;
+pub mod cpu;
 mod error;
 pub mod hmac;
 pub mod poly1305;

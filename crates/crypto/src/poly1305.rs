@@ -10,10 +10,10 @@
 //! The accumulator and `r` live in radix-2⁴⁴ limbs (44/44/42 bits), the
 //! layout whose column products `vpmadd52` takes directly:
 //!
-//! | tier | blocks per pass | engaged from | where |
+//! | tier | blocks per pass | engaged from | needs rung |
 //! |---|---|---|---|
-//! | AVX-512 IFMA | 8 | 128 B | x86-64, detected at runtime |
-//! | scalar | 1 | the tail | everywhere |
+//! | AVX-512 IFMA | 8 | 128 B | [`Tier::Ifma`] |
+//! | scalar | 1 | the tail | — |
 //!
 //! The scalar tier is Horner's rule one block at a time, `h ← (h + m)·r`,
 //! with `u128` column sums and the wrap 2¹³² ≡ 20 folded into `s = 20·r`;
@@ -29,8 +29,11 @@
 //! by mask.
 //!
 //! Callers hand whole slices ([`poly1305`], [`aead_tag`]), so there is
-//! no buffering state. The tier is chosen by CPU detection alone — there
-//! is no option; the tests pass each supported `Tier` as an argument.
+//! no buffering state. The tier is the rung of the one CPU ladder in
+//! [`crate::cpu`] — detection alone, no option; the tests pass each rung
+//! of [`TIERS`] the host reaches as an argument.
+
+use crate::cpu::Tier;
 
 /// Key length in bytes: `r` (clamped on use) then `s`.
 pub const KEY_LEN: usize = 32;
@@ -48,56 +51,12 @@ const HIBIT: u64 = 1 << 40;
 /// A value mod 2¹³⁰ − 5 in radix 2⁴⁴: `l[0] + l[1]·2⁴⁴ + l[2]·2⁸⁸`.
 type Limbs = [u64; 3];
 
-/// The widest kernel [`Poly1305::blocks`] may use; what its pass size
-/// does not divide goes to the scalar tier.
-///
-/// An argument rather than ambient state so the tests can pin every tier
-/// the host supports against the scalar definition; production callers
-/// pass [`Tier::best`]. The tag does not depend on the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// One block at a time, the definition.
-    Scalar,
-    /// Eight blocks per pass over `vpmadd52{lo,hi}uq`.
-    Ifma,
-}
-
-impl Tier {
-    const ALL: [Tier; 2] = [Tier::Scalar, Tier::Ifma];
-
-    /// Whether the running CPU can execute this tier's kernel.
-    fn available(self) -> bool {
-        match self {
-            Tier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Ifma => ifma::available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Ifma => false,
-        }
-    }
-
-    /// The fastest tier the running CPU supports.
-    pub(crate) fn best() -> Tier {
-        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
-        widest.expect("the scalar tier is always available")
-    }
-
-    /// Every tier the running CPU supports, scalar first.
-    #[cfg(test)]
-    pub(crate) fn supported() -> Vec<Tier> {
-        Tier::ALL
-            .into_iter()
-            .filter(|tier| tier.available())
-            .collect()
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Ifma => "ifma",
-        }
-    }
-}
+/// The rungs with a Poly1305 kernel, scalar first. Not an option —
+/// [`poly1305`] and [`aead_tag`] run [`Tier::best`]; the tests, the KATs
+/// and the bench rows `crypto/poly1305/<tier>/*` run each one the host
+/// reaches.
+#[doc(hidden)]
+pub const TIERS: &[Tier] = &[Tier::Scalar, Tier::Ifma];
 
 /// Splits sixteen little-endian bytes into 44/44/40-bit limbs.
 fn block_limbs(block: &[u8]) -> Limbs {
@@ -176,7 +135,7 @@ impl Poly1305 {
     fn blocks(&mut self, tier: Tier, data: &[u8]) {
         debug_assert_eq!(data.len() % BLOCK, 0);
         #[cfg(target_arch = "x86_64")]
-        let data = if tier == Tier::Ifma && data.len() >= ifma::GROUP {
+        let data = if tier >= Tier::Ifma && data.len() >= ifma::GROUP {
             let (wide, tail) = data.split_at(data.len() - data.len() % ifma::GROUP);
             // r¹ … r⁸ as `mul` carries them, three products deep.
             let r = self.r;
@@ -252,8 +211,10 @@ impl Poly1305 {
     }
 }
 
-/// [`poly1305`] with `tier` as the widest kernel allowed.
-pub(crate) fn poly1305_on(tier: Tier, key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
+/// [`poly1305`] with `tier` as the widest kernel allowed; panics if
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+pub fn poly1305_on(tier: Tier, key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
     let mut mac = Poly1305::new(key);
     if let Some((mut last, len)) = mac.absorb(tier, message) {
         // A short last block is closed by a 1 byte in place of the 2¹²⁸
@@ -309,30 +270,6 @@ pub fn aead_tag(key: &[u8; KEY_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_
     aead_tag_on(Tier::best(), key, aad, ciphertext)
 }
 
-/// A one-shot MAC, as [`poly1305`].
-#[doc(hidden)]
-pub type Kernel = fn(&[u8; KEY_LEN], &[u8]) -> [u8; TAG_LEN];
-
-/// [`poly1305`] with `Tier::ALL[TIER]` as the widest kernel allowed.
-fn poly1305_tier<const TIER: usize>(key: &[u8; KEY_LEN], message: &[u8]) -> [u8; TAG_LEN] {
-    poly1305_on(Tier::ALL[TIER], key, message)
-}
-
-/// Every tier the running CPU supports, scalar first, as `(name,
-/// one-shot MAC)` pairs: the per-tier rows of `cargo bench --bench
-/// crypto` and of `tests/known_answer.rs`. Not an option — [`poly1305`]
-/// always takes the last one.
-#[doc(hidden)]
-pub fn kernels() -> Vec<(&'static str, Kernel)> {
-    const KERNELS: [Kernel; 2] = [poly1305_tier::<0>, poly1305_tier::<1>];
-    Tier::ALL
-        .into_iter()
-        .zip(KERNELS)
-        .filter(|(tier, _)| tier.available())
-        .map(|(tier, kernel)| (tier.name(), kernel))
-        .collect()
-}
-
 /// AVX-512 IFMA eight-lane Poly1305.
 ///
 /// Register `k` of an accumulator holds limb `k` of eight partial sums,
@@ -351,23 +288,13 @@ pub fn kernels() -> Vec<(&'static str, Kernel)> {
 /// 52-bit operand window asks for.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::{Limbs, BLOCK, HIBIT, MASK42, MASK44};
+    use super::{Limbs, Tier, BLOCK, HIBIT, MASK42, MASK44};
     use core::arch::x86_64::*;
-    use std::sync::OnceLock;
 
     /// Blocks per pass.
     pub const LANES: usize = 8;
     /// Bytes per pass.
     pub const GROUP: usize = LANES * BLOCK;
-
-    /// Whether the running CPU has AVX-512 F and IFMA (cached).
-    pub fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512ifma")
-        })
-    }
 
     /// Absorbs `data`, a whole number of eight-block groups, into the
     /// accumulator `h` (limbs below 2⁴⁹: the scalar tier's, or an earlier
@@ -377,17 +304,21 @@ mod ifma {
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it — or if `data` is empty or ragged.
+    /// Panics unless the CPU reaches [`Tier::Ifma`] — callers select this
+    /// tier only after checking it — or if `data` is empty or ragged.
     pub fn absorb(powers: &[Limbs; LANES], h: Limbs, data: &[u8]) -> Limbs {
-        assert!(available(), "IFMA Poly1305 selected on a CPU without it");
+        assert!(
+            Tier::Ifma.available(),
+            "IFMA Poly1305 selected on a CPU without it"
+        );
         assert!(
             !data.is_empty() && data.len().is_multiple_of(GROUP),
             "the wide tier takes whole eight-block groups"
         );
-        // SAFETY: `available()` just confirmed AVX-512 F and IFMA, the
-        // features `absorb_lanes` enables, and `data` is a whole number
-        // of 128-byte groups, which is all its loads read.
+        // SAFETY: the `Ifma` rung was just confirmed; it requires AVX-512
+        // F (from the `Avx512` rung) and IFMA, the features `absorb_lanes`
+        // enables, and `data` is a whole number of 128-byte groups, which
+        // is all its loads read.
         unsafe { absorb_lanes(powers, h, data) }
     }
 
@@ -402,7 +333,7 @@ mod ifma {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and IFMA, i.e. [`available`] returned `true`.
+    /// Requires AVX-512 F and IFMA, i.e. the CPU reaches [`Tier::Ifma`].
     #[target_feature(enable = "avx512f,avx512ifma")]
     unsafe fn multiplier(r: [__m512i; 3]) -> Multiplier {
         // 20 = 2⁴ + 2².
@@ -420,7 +351,7 @@ mod ifma {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and IFMA, i.e. [`available`] returned `true`.
+    /// Requires AVX-512 F and IFMA, i.e. the CPU reaches [`Tier::Ifma`].
     #[target_feature(enable = "avx512f,avx512ifma")]
     unsafe fn mul(a: [__m512i; 3], by: &Multiplier) -> [__m512i; 3] {
         let zero = _mm512_setzero_si512();
@@ -460,7 +391,7 @@ mod ifma {
 
     /// # Safety
     ///
-    /// Requires AVX-512 F and IFMA, i.e. [`available`] returned `true`,
+    /// Requires AVX-512 F and IFMA, i.e. the CPU reaches [`Tier::Ifma`],
     /// and `data.len()` a multiple of [`GROUP`].
     #[target_feature(enable = "avx512f,avx512ifma")]
     unsafe fn absorb_lanes(powers: &[Limbs; LANES], h: Limbs, data: &[u8]) -> Limbs {
@@ -665,9 +596,9 @@ mod tests {
     fn rfc8439_vector_holds_on_every_tier() {
         // Shown by CI (`--nocapture`): a runner without the wide tiers
         // says it pinned only the scalar twin.
-        println!("poly1305 tiers exercised: {:?}", Tier::supported());
+        println!("poly1305 tiers exercised: {:?}", Tier::runnable(TIERS));
         let tag = unhex("a8061dc1305136c6c22b8baf0c0127a9");
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let got = poly1305_on(tier, &KEY, b"Cryptographic Forum Research Group");
             assert_eq!(got.to_vec(), tag, "{tier:?}");
         }
@@ -687,7 +618,7 @@ mod tests {
             for len in 0..=2 * 128 + 17 {
                 let message = &buffer[offset..offset + len];
                 let expected = reference::poly1305(&KEY, message);
-                for tier in Tier::supported() {
+                for tier in Tier::runnable(TIERS) {
                     assert_eq!(
                         poly1305_on(tier, &KEY, message),
                         expected,
@@ -705,7 +636,7 @@ mod tests {
         for len in [23_048usize, 2 << 20] {
             let message = pattern(len, len);
             let expected = reference::poly1305(&KEY, &message);
-            for tier in Tier::supported() {
+            for tier in Tier::runnable(TIERS) {
                 assert_eq!(
                     poly1305_on(tier, &KEY, &message),
                     expected,
@@ -736,7 +667,7 @@ mod tests {
                 ];
                 for message in messages {
                     let expected = reference::poly1305(&key, &message);
-                    for tier in Tier::supported() {
+                    for tier in Tier::runnable(TIERS) {
                         assert_eq!(
                             poly1305_on(tier, &key, &message),
                             expected,
@@ -781,7 +712,7 @@ mod tests {
             for ct_len in (0..=2 * 128 + 17).chain([3 * 128, 3 * 128 + 1]) {
                 let ciphertext = &rest[..ct_len];
                 let expected = reference::poly1305(&KEY, &reference::mac_data(aad, ciphertext));
-                for tier in Tier::supported() {
+                for tier in Tier::runnable(TIERS) {
                     assert_eq!(
                         aead_tag_on(tier, &KEY, aad, ciphertext),
                         expected,
@@ -798,7 +729,7 @@ mod tests {
     fn split_calls_continue_the_accumulator_on_every_tier() {
         let message = pattern(16 + 128 + 256 + 48, 9);
         let expected = reference::poly1305(&KEY, &message);
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let mut mac = Poly1305::new(&KEY);
             let (a, rest) = message.split_at(16);
             let (b, rest) = rest.split_at(128);
@@ -810,17 +741,30 @@ mod tests {
         }
     }
 
+    /// The bench rows iterate `Tier::runnable(TIERS)`: it lists every
+    /// rung of `TIERS` the host reaches, scalar first, and its widest
+    /// rung is the kernel `Tier::best` dispatches to, so production runs
+    /// exactly what the widest row measures and every row computes the
+    /// same tag.
     #[test]
     fn best_tier_is_the_widest_supported_and_the_bench_hook_lists_them_all() {
-        let supported = Tier::supported();
-        assert_eq!(supported.first(), Some(&Tier::Scalar));
-        assert_eq!(supported.last(), Some(&Tier::best()));
-        let names: Vec<&str> = kernels().iter().map(|(name, _)| *name).collect();
-        let expected: Vec<&str> = supported.iter().map(|tier| tier.name()).collect();
-        assert_eq!(names, expected);
+        assert!(TIERS.windows(2).all(|pair| pair[0] < pair[1]), "{TIERS:?}");
+        let listed = Tier::runnable(TIERS);
+        assert_eq!(listed.first(), Some(&Tier::Scalar));
+        let expected: Vec<Tier> = TIERS
+            .iter()
+            .copied()
+            .filter(|t| *t <= Tier::best())
+            .collect();
+        assert_eq!(listed, expected);
         let message = pattern(1500, 1);
-        for (name, kernel) in kernels() {
-            assert_eq!(kernel(&KEY, &message), poly1305(&KEY, &message), "{name}");
+        for tier in listed {
+            assert_eq!(
+                poly1305_on(tier, &KEY, &message),
+                poly1305(&KEY, &message),
+                "{}",
+                tier.name()
+            );
         }
         assert_eq!(
             aead_tag(&KEY, b"aad", &message),

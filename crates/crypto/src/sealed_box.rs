@@ -69,6 +69,7 @@
 //!   that fails.
 
 use crate::chacha20::ChaCha20;
+use crate::cpu::Tier;
 use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
 use crate::poly1305;
 use crate::x25519;
@@ -519,11 +520,11 @@ impl SealedBox {
         K: Recipient + ?Sized + 'a,
         R: Rng + ?Sized,
     {
-        Self::prepare_on(x25519::Tier::best(), recipients, rng)
+        Self::prepare_on(Tier::best(), recipients, rng)
     }
 
     fn prepare_on<'a, I, K, R>(
-        tier: x25519::Tier,
+        tier: Tier,
         recipients: I,
         rng: &mut R,
     ) -> Result<Vec<PreparedSeal>, CryptoError>
@@ -591,7 +592,7 @@ impl SealedBox {
             .map(|s| Base::Point(s[..32].try_into().expect("length checked")))
             .map(|eph_pub| (*secret, eph_pub));
         let mut shareds = Vec::with_capacity(sealed.len());
-        x25519::scalarmult_each(x25519::Tier::best(), jobs, |_, shared| shareds.push(shared));
+        x25519::scalarmult_each(Tier::best(), jobs, |_, shared| shareds.push(shared));
         let mut shareds = shareds.into_iter();
         sealed
             .iter()
@@ -895,7 +896,7 @@ mod tests {
         mac_data.resize(mac_data.len().next_multiple_of(16), 0);
         mac_data.extend_from_slice(&32u64.to_le_bytes());
         mac_data.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
-        let tag = poly1305::poly1305_on(poly1305::Tier::Scalar, &one_time_key, &mac_data);
+        let tag = poly1305::poly1305_on(Tier::Scalar, &one_time_key, &mac_data);
         [&eph_pub[..], &tag, &ciphertext].concat()
     }
 
@@ -933,7 +934,7 @@ mod tests {
         let hops: Vec<SealingKey> = (0..3)
             .map(|_| SealingKey::new(*KeyPair::generate(&mut rng).public()))
             .collect();
-        for tier in x25519::Tier::supported() {
+        for tier in Tier::runnable(x25519::TIERS) {
             for n in 1..=17usize {
                 let recipients: Vec<&SealingKey> = (0..n).map(|i| &hops[i % 3]).collect();
                 let (mut batched, mut reference) = (rng.clone(), rng.clone());
@@ -998,7 +999,7 @@ mod tests {
         // u = 1 lies on the curve, so its `SealingKey` has a table and the
         // all-zero secret comes out of the comb.
         let (good_key, bad_key) = (SealingKey::new(good), SealingKey::new(bad));
-        for tier in x25519::Tier::supported() {
+        for tier in Tier::runnable(x25519::TIERS) {
             for position in 0..6 {
                 let mut recipients = [good; 6];
                 recipients[position] = bad;

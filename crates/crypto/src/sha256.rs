@@ -8,10 +8,12 @@
 //! block of its input through one `compress_blocks` call, which runs the
 //! SHA-NI (`sha` + `ssse3` + `sse4.1`) kernel when the CPU has it and the
 //! portable scalar rounds otherwise. A hasher picks its `Tier` once, at
-//! construction, from CPU detection alone — there is no option; the tests
-//! construct one hasher per supported tier instead. Both tiers implement
-//! the same FIPS 180-4 function and are pinned by the same vectors, so
-//! the choice is invisible to callers.
+//! construction, from [`crate::cpu::sha_ni`] alone — SHA-NI ships
+//! independently of AVX-512, so it is probed beside the CPU ladder, not
+//! on it, and there is no option; the tests construct one hasher per
+//! supported tier instead. Both tiers implement the same FIPS 180-4
+//! function and are pinned by the same vectors, so the choice is
+//! invisible to callers.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -163,11 +165,11 @@ pub(crate) enum Tier {
 impl Tier {
     /// The fastest tier the running CPU supports.
     pub(crate) fn best() -> Tier {
-        #[cfg(target_arch = "x86_64")]
-        if shani::available() {
-            return Tier::ShaNi;
+        if crate::cpu::sha_ni() {
+            Tier::ShaNi
+        } else {
+            Tier::Portable
         }
-        Tier::Portable
     }
 
     /// Every tier the running CPU supports, portable first.
@@ -245,30 +247,20 @@ fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use super::K;
+    use crate::cpu;
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// Whether the running CPU has every feature the kernel needs.
-    pub fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            is_x86_feature_detected!("sha")
-                && is_x86_feature_detected!("ssse3")
-                && is_x86_feature_detected!("sse4.1")
-        })
-    }
 
     /// Compresses `blocks` (whole 64-byte blocks; a ragged tail is
     /// ignored) into `state`.
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it.
+    /// Panics unless [`cpu::sha_ni`] — callers select this tier only
+    /// after checking it.
     pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-        assert!(available(), "SHA-NI selected on a CPU without it");
-        // SAFETY: `available()` just confirmed sha, ssse3 and sse4.1 —
+        assert!(cpu::sha_ni(), "SHA-NI selected on a CPU without it");
+        // SAFETY: `cpu::sha_ni()` just confirmed sha, ssse3 and sse4.1 —
         // the features `compress_blocks_ni` enables.
         unsafe { compress_blocks_ni(state, blocks) }
     }
@@ -276,7 +268,7 @@ mod shani {
     /// # Safety
     ///
     /// Requires the `sha`, `ssse3` and `sse4.1` features, i.e.
-    /// [`available`] returned `true`.
+    /// [`cpu::sha_ni`] returned `true`.
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     unsafe fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
         // Big-endian message words → little-endian u32 lanes.

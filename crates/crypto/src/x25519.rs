@@ -39,9 +39,12 @@
 //! scalar, or eight combs over **one** table, each row entry broadcast
 //! and each lane's digit its own mask — so the driver groups a batch's
 //! comb jobs by table. Outputs are bit-identical to [`x25519`] on every
-//! tier.
+//! tier. The IFMA tier needs the `Ifma` rung of the one CPU ladder in
+//! [`crate::cpu`] — AVX-512 F, BW and DQ below it, IFMA on top.
 
 mod edwards;
+
+use crate::cpu::Tier;
 
 pub use edwards::FixedBase;
 
@@ -398,8 +401,10 @@ fn x25519_multi_on(
 }
 
 /// `out[i] = x25519(scalars[i], u)` where `table` is [`FixedBase::new`]`(u)`,
-/// through the comb on `tier`.
-fn fixed_base_on(
+/// through the comb on `tier`; panics if the slices differ in length or
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+pub fn fixed_base_on(
     tier: Tier,
     table: &FixedBase,
     scalars: &[[u8; KEY_LEN]],
@@ -410,87 +415,10 @@ fn fixed_base_on(
     scalarmult_each(tier, jobs, |i, u| out[i] = u);
 }
 
-/// A batch of fixed-base multiplications on one table, as [`fixed_base_kernels`]
-/// lists them: `out[i] = x25519(scalars[i], u)` for the table of `u`.
+/// The rungs with ladder and comb kernels, scalar first; the tests, the
+/// KATs and the bench rows run each one the host reaches.
 #[doc(hidden)]
-pub type FixedBaseKernel = fn(&FixedBase, &[[u8; KEY_LEN]], &mut [[u8; KEY_LEN]]);
-
-/// [`fixed_base_on`] with `Tier::ALL[TIER]`.
-fn fixed_base_tier<const TIER: usize>(
-    table: &FixedBase,
-    scalars: &[[u8; KEY_LEN]],
-    out: &mut [[u8; KEY_LEN]],
-) {
-    fixed_base_on(Tier::ALL[TIER], table, scalars, out);
-}
-
-/// Every comb tier the running CPU supports, scalar first, as `(name,
-/// kernel)` pairs: the rows `crypto/x25519/fixed_base/<tier>/*` of `cargo
-/// bench --bench crypto` and the per-tier checks of
-/// `tests/known_answer.rs`. Not an option — sealing always takes the
-/// widest.
-#[doc(hidden)]
-pub fn fixed_base_kernels() -> Vec<(&'static str, FixedBaseKernel)> {
-    const KERNELS: [FixedBaseKernel; 2] = [fixed_base_tier::<0>, fixed_base_tier::<1>];
-    Tier::ALL
-        .into_iter()
-        .zip(KERNELS)
-        .filter(|(tier, _)| tier.available())
-        .map(|(tier, kernel)| (tier.name(), kernel))
-        .collect()
-}
-
-/// Which kernels the batched driver fills lanes with — the ladder's and
-/// the comb's alike.
-///
-/// An argument rather than ambient state so the tests can pin every
-/// tier the host supports against the scalar definition; production
-/// callers pass [`Tier::best`]. Outputs do not depend on the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tier {
-    /// One radix-2⁵¹ [`ladder`] or comb per job.
-    Scalar,
-    /// Eight jobs per pass of an AVX-512 IFMA kernel; groups too small to
-    /// pay for a pass take the scalar kernel. Only on a CPU that has it.
-    Ifma,
-}
-
-impl Tier {
-    const ALL: [Tier; 2] = [Tier::Scalar, Tier::Ifma];
-
-    /// Whether the running CPU can execute this tier's kernels.
-    fn available(self) -> bool {
-        match self {
-            Tier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Ifma => ifma::available(),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Ifma => false,
-        }
-    }
-
-    /// The fastest tier the running CPU supports.
-    pub(crate) fn best() -> Tier {
-        let widest = Tier::ALL.into_iter().rev().find(|tier| tier.available());
-        widest.expect("the scalar tier is always available")
-    }
-
-    /// Every tier the running CPU supports, scalar first.
-    #[cfg(test)]
-    pub(crate) fn supported() -> Vec<Tier> {
-        Tier::ALL
-            .into_iter()
-            .filter(|tier| tier.available())
-            .collect()
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Scalar => "scalar",
-            Tier::Ifma => "ifma",
-        }
-    }
-}
+pub const TIERS: &[Tier] = &[Tier::Scalar, Tier::Ifma];
 
 /// What a driver job multiplies its scalar with — which is what picks the
 /// algorithm.
@@ -595,7 +523,7 @@ fn ladders(
 ) {
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Ifma {
+    if tier >= Tier::Ifma {
         while jobs.len() - done >= ifma::MIN_POINTS {
             let group = &jobs[done..jobs.len().min(done + ifma::LANES)];
             let lane = |l: usize| group.get(l).unwrap_or(&group[0]);
@@ -630,7 +558,7 @@ fn combs(
 ) {
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if tier == Tier::Ifma {
+    if tier >= Tier::Ifma {
         while jobs.len() - done >= ifma::MIN_COMBS {
             let group = &jobs[done..jobs.len().min(done + ifma::LANES)];
             let lane_ks = core::array::from_fn(|l| ks[*group.get(l).unwrap_or(&group[0])]);
@@ -718,9 +646,8 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::edwards::{self, FixedBase, Niels, DIGITS, ENTRIES};
-    use super::{Fe, KEY_LEN};
+    use super::{Fe, Tier, KEY_LEN};
     use core::arch::x86_64::*;
-    use std::sync::OnceLock;
 
     /// Jobs processed per ladder or comb pass.
     pub const LANES: usize = 8;
@@ -753,15 +680,6 @@ mod ifma {
         (1 << 44) - 2,
         (1 << 44) - 2,
     ];
-
-    /// Whether the running CPU has the required AVX-512 subsets (cached).
-    pub fn available() -> bool {
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx512ifma")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-        })
-    }
 
     /// Eight field elements in radix-2⁴³: register `i` holds limb `i` of
     /// every lane.
@@ -962,21 +880,25 @@ mod ifma {
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it.
+    /// Panics unless the CPU reaches [`Tier::Ifma`] — callers select this
+    /// tier only after checking it.
     pub fn ladder8(
         ks: &[[u8; KEY_LEN]; LANES],
         points: &[[u8; KEY_LEN]; LANES],
     ) -> [(Fe, Fe); LANES] {
-        assert!(available(), "IFMA ladder selected on a CPU without it");
-        // SAFETY: `available()` just confirmed AVX-512 F (implied by the
-        // other two), DQ and IFMA — the features `ladder8_lanes` enables.
+        assert!(
+            Tier::Ifma.available(),
+            "IFMA ladder selected on a CPU without it"
+        );
+        // SAFETY: the `Ifma` rung was just confirmed; it requires AVX-512
+        // F and DQ (from the `Avx512` rung) and IFMA — the features
+        // `ladder8_lanes` enables.
         unsafe { ladder8_lanes(ks, points) }
     }
 
     /// # Safety
     ///
-    /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
+    /// Requires AVX-512 F/DQ/IFMA, i.e. the CPU reaches [`Tier::Ifma`].
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn ladder8_lanes(
         ks: &[[u8; KEY_LEN]; LANES],
@@ -1124,10 +1046,13 @@ mod ifma {
     ///
     /// # Panics
     ///
-    /// Panics unless [`available`] — callers select this tier only after
-    /// checking it.
+    /// Panics unless the CPU reaches [`Tier::Ifma`] — callers select this
+    /// tier only after checking it.
     pub fn comb8(table: &FixedBase, ks: &[[u8; KEY_LEN]; LANES]) -> [(Fe, Fe); LANES] {
-        assert!(available(), "IFMA comb selected on a CPU without it");
+        assert!(
+            Tier::Ifma.available(),
+            "IFMA comb selected on a CPU without it"
+        );
         // Per digit position, every lane's magnitude (a vector row) and
         // the lanes whose digit is negative (a mask).
         let digits = ks.map(|k| edwards::digits(&k));
@@ -1140,14 +1065,15 @@ mod ifma {
                 negative[i] |= (sign as u8) << lane;
             }
         }
-        // SAFETY: `available()` just confirmed AVX-512 F (implied by the
-        // other two), DQ and IFMA — the features `comb8_lanes` enables.
+        // SAFETY: the `Ifma` rung was just confirmed; it requires AVX-512
+        // F and DQ (from the `Avx512` rung) and IFMA — the features
+        // `comb8_lanes` enables.
         unsafe { comb8_lanes(table.rows(), &magnitudes, &negative) }
     }
 
     /// # Safety
     ///
-    /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
+    /// Requires AVX-512 F/DQ/IFMA, i.e. the CPU reaches [`Tier::Ifma`].
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn comb8_lanes(
         rows: &[[Niels; ENTRIES]],
@@ -1182,7 +1108,7 @@ mod ifma {
 
         #[test]
         fn dedicated_square_matches_generic_mul_lane_for_lane() {
-            if !available() {
+            if !Tier::Ifma.available() {
                 return;
             }
             // Carried operands from the edges of the representation, one
@@ -1210,7 +1136,7 @@ mod ifma {
             let rotated: [[u64; 6]; LANES] =
                 core::array::from_fn(|lane| carried[(lane + 3) % LANES]);
             let bound = [[(1u64 << 46) - 1; 6]; LANES];
-            // SAFETY: `available()` checked above.
+            // SAFETY: the `Ifma` rung was checked above.
             unsafe {
                 let (a, b) = (load(&carried), load(&rotated));
                 for operand in [a, b, add(&a, &b), sub(&a, &b), sub(&b, &a), load(&bound)] {
@@ -1453,7 +1379,7 @@ mod tests {
         let points: Vec<[u8; 32]> = (0u8..7)
             .map(|i| public_key(&[i.wrapping_mul(53).wrapping_add(11); 32]))
             .collect();
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let batched = batch_on(tier, &secret, &points);
             for (point, out) in points.iter().zip(&batched) {
                 assert_eq!(*out, x25519(&secret, point), "{tier:?}");
@@ -1474,7 +1400,7 @@ mod tests {
         one[0] = 1;
         let good = public_key(&[9u8; 32]);
         let points = [good, zero, one, good];
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let batched = batch_on(tier, &secret, &points);
             assert_eq!(batched[0], x25519(&secret, &good));
             assert_eq!(batched[1], [0u8; 32]);
@@ -1494,7 +1420,7 @@ mod tests {
         let points: Vec<[u8; 32]> = (0u8..21)
             .map(|i| public_key(&[i.wrapping_mul(29).wrapping_add(3); 32]))
             .collect();
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             for len in [1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 16, 17, 21] {
                 let batched = batch_on(tier, &secret, &points[..len]);
                 for (point, out) in points[..len].iter().zip(&batched) {
@@ -1511,7 +1437,7 @@ mod tests {
         let secret = [0x91u8; 32];
         let mut points = edge_points();
         points.push(BASEPOINT);
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let batched = batch_on(tier, &secret, &points);
             for (point, out) in points.iter().zip(&batched) {
                 assert_eq!(*out, x25519(&secret, point), "{tier:?}");
@@ -1545,7 +1471,7 @@ mod tests {
         for u in &bases {
             let table = FixedBase::new(u).expect("a public key lies on the curve");
             let expected: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, u)).collect();
-            for tier in Tier::supported() {
+            for tier in Tier::runnable(TIERS) {
                 assert_eq!(comb_on(tier, &table, &scalars), expected, "{tier:?}");
             }
         }
@@ -1570,7 +1496,7 @@ mod tests {
             };
             tables += 1;
             let expected: Vec<[u8; 32]> = scalars.iter().map(|k| x25519(k, u)).collect();
-            for tier in Tier::supported() {
+            for tier in Tier::runnable(TIERS) {
                 assert_eq!(
                     comb_on(tier, &table, &scalars),
                     expected,
@@ -1626,14 +1552,14 @@ mod tests {
     fn ifma_comb_matches_the_scalar_comb_lane_for_lane_at_every_group_size() {
         // Shown by CI (`--nocapture`): a runner without the wide tier says
         // it pinned only the scalar comb.
-        println!("x25519 comb tiers exercised: {:?}", Tier::supported());
+        println!("x25519 comb tiers exercised: {:?}", Tier::runnable(TIERS));
         // 1..=33 jobs on one table, a different digit pattern per lane:
         // below MIN_COMBS (scalar comb), one padded pass, full passes,
         // full passes + scalar or padded tails.
         let table = FixedBase::new(&public_key(&[0x5c; 32])).unwrap();
         let scalars = comb_scalars(29);
         let expected = comb_on(Tier::Scalar, &table, &scalars);
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             for len in 1..=scalars.len() {
                 assert_eq!(
                     comb_on(tier, &table, &scalars[..len]),
@@ -1660,7 +1586,7 @@ mod tests {
             })
             .collect();
         let point = |i: usize| [BASEPOINT, keys[0], keys[1]][i % 3];
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let mut seen = 0;
             let jobs = scalars.iter().copied().zip(bases.iter().copied());
             scalarmult_each(tier, jobs, |i, u| {
@@ -1676,7 +1602,7 @@ mod tests {
     fn multi_matches_per_pair_at_every_lane_split_on_every_tier() {
         // Shown by CI (`--nocapture`): a runner without the wide tiers
         // says it pinned only the scalar twin.
-        println!("x25519 tiers exercised: {:?}", Tier::supported());
+        println!("x25519 tiers exercised: {:?}", Tier::runnable(TIERS));
         // 1..=33 jobs with distinct scalars *and* points: below
         // MIN_POINTS (scalar ladder), one padded pass, full passes, full
         // passes + scalar tail, full passes + padded pass.
@@ -1691,7 +1617,7 @@ mod tests {
             .zip(&points)
             .map(|(k, p)| x25519(k, p))
             .collect();
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             for len in 0..=33 {
                 assert_eq!(
                     x25519_multi_on(tier, &scalars[..len], &points[..len]),
@@ -1713,7 +1639,7 @@ mod tests {
         let points: Vec<[u8; 32]> = (0..n)
             .map(|i| if i % 5 == 0 { [0u8; 32] } else { BASEPOINT })
             .collect();
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let mut seen = 0;
             // Every other base-point job through the comb, so both kinds
             // straddle the chunk boundaries.
@@ -1767,7 +1693,7 @@ mod tests {
         ];
         let scalars: Vec<[u8; 32]> = jobs.iter().map(|j| j.0).collect();
         let points: Vec<[u8; 32]> = jobs.iter().map(|j| j.1).collect();
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let out = x25519_multi_on(tier, &scalars, &points);
             for (got, job) in out.iter().zip(&jobs) {
                 assert_eq!(hex(got), job.2, "{tier:?}");
@@ -1784,7 +1710,7 @@ mod tests {
         let good = public_key(&[9u8; 32]);
         let scalars = [[0x42u8; 32], [0x43; 32], [0x44; 32], [0x45; 32], [0x46; 32]];
         let points = [good, [0u8; 32], good, one, good];
-        for tier in Tier::supported() {
+        for tier in Tier::runnable(TIERS) {
             let out = x25519_multi_on(tier, &scalars, &points);
             for ((k, p), got) in scalars.iter().zip(&points).zip(&out) {
                 assert_eq!(*got, x25519(k, p), "{tier:?}");

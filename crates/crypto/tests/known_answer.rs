@@ -6,6 +6,7 @@
 //! RFC 5869 (HKDF), RFC 7748 (X25519), RFC 8439 (ChaCha20, Poly1305 and
 //! the AEAD construction the sealed box is built on).
 
+use mixnn_crypto::cpu::Tier;
 use mixnn_crypto::hmac::{hkdf, hmac_sha256};
 use mixnn_crypto::{chacha20, poly1305, sha256, x25519};
 
@@ -228,17 +229,17 @@ fn x25519_rfc7748_diffie_hellman_through_the_comb_on_every_tier() {
     let shared = unhex32("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
     assert_eq!(x25519::public_key(&secrets[0]), publics[0]);
     assert_eq!(x25519::public_key(&secrets[1]), publics[1]);
-    let kernels = x25519::fixed_base_kernels();
-    assert_eq!(kernels[0].0, "scalar");
-    for (tier, kernel) in kernels {
+    let tiers = Tier::runnable(x25519::TIERS);
+    assert_eq!(tiers[0], Tier::Scalar);
+    for tier in tiers {
         let mut out = [[0u8; 32]; 2];
-        kernel(x25519::FixedBase::basepoint(), &secrets, &mut out);
-        assert_eq!(out, publics, "{tier}");
+        x25519::fixed_base_on(tier, x25519::FixedBase::basepoint(), &secrets, &mut out);
+        assert_eq!(out, publics, "{tier:?}");
         for (secret, peer) in [(secrets[0], publics[1]), (secrets[1], publics[0])] {
             let table = x25519::FixedBase::new(&peer).expect("RFC keys lie on the curve");
             let mut out = [[0u8; 32]; 1];
-            kernel(&table, &[secret], &mut out);
-            assert_eq!(out[0], shared, "{tier}");
+            x25519::fixed_base_on(tier, &table, &[secret], &mut out);
+            assert_eq!(out[0], shared, "{tier:?}");
         }
     }
 }
@@ -261,10 +262,10 @@ fn x25519_fixed_base_equals_the_ladder_on_every_tier() {
     for point in &points {
         let table = x25519::FixedBase::new(point).expect("a curve point");
         let expected: Vec<[u8; 32]> = scalars.iter().map(|k| x25519::x25519(k, point)).collect();
-        for (tier, kernel) in x25519::fixed_base_kernels() {
+        for tier in Tier::runnable(x25519::TIERS) {
             let mut out = vec![[0u8; 32]; scalars.len()];
-            kernel(&table, &scalars, &mut out);
-            assert_eq!(out, expected, "{tier}");
+            x25519::fixed_base_on(tier, &table, &scalars, &mut out);
+            assert_eq!(out, expected, "{tier:?}");
         }
     }
     let mut two = [0u8; 32];
@@ -324,13 +325,13 @@ fn poly1305_rfc8439_tag() {
     // §2.5.2.
     let key = unhex32("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
     let message = b"Cryptographic Forum Research Group";
-    let kernels = poly1305::kernels();
-    assert_eq!(kernels[0].0, "scalar");
-    for (tier, kernel) in kernels {
+    let tiers = Tier::runnable(poly1305::TIERS);
+    assert_eq!(tiers[0], Tier::Scalar);
+    for tier in tiers {
         assert_eq!(
-            hex(&kernel(&key, message)),
+            hex(&poly1305::poly1305_on(tier, &key, message)),
             "a8061dc1305136c6c22b8baf0c0127a9",
-            "{tier}"
+            "{tier:?}"
         );
     }
     assert_eq!(
@@ -377,7 +378,8 @@ fn chacha20_poly1305_rfc8439_aead() {
     mac_data.resize(16 + data.len().next_multiple_of(16), 0);
     mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
     mac_data.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    for (tier, kernel) in poly1305::kernels() {
-        assert_eq!(hex(&kernel(&one_time_key, &mac_data)), tag, "{tier}");
+    for tier in Tier::runnable(poly1305::TIERS) {
+        let got = poly1305::poly1305_on(tier, &one_time_key, &mac_data);
+        assert_eq!(hex(&got), tag, "{tier:?}");
     }
 }

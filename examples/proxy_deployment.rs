@@ -18,7 +18,6 @@ use mixnn::cascade::{
 };
 use mixnn::enclave::{AttestationService, EnclaveConfig};
 use mixnn::nn::{LayerParams, ModelParams};
-use mixnn::proxy::codec::CompressionConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -156,7 +155,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 expected_signature: signature.clone(),
                 hops: hop_configs,
                 policy,
-                compression: CompressionConfig::F32,
             },
             Box::new(LinearChain::new(hops)),
             &service,
