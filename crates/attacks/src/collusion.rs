@@ -35,8 +35,12 @@
 //! This is the graph-structure dependence the membership-inference
 //! literature points at: who you mix with is as load-bearing as how many
 //! hops you take.
+//!
+//! The analysis reads a round's [`RoundTranscript`] directly — a cascade
+//! round's, or a single proxy's, which is the one-hop case: the proxy
+//! colluding links everything, the proxy honest links nothing.
 
-use mixnn_core::MixPlan;
+use mixnn_core::{MixPlan, RoundTranscript};
 
 /// Candidate-set propagation through one chain of views, for `members`
 /// slots at one layer: `result[out]` is the set of original slots that
@@ -58,7 +62,7 @@ fn propagate_candidates(
                 .map(|out| {
                     let src = plan
                         .source(layer, out)
-                        .expect("plan dimensions checked by the caller");
+                        .expect("RouteGroup::new checks plan dimensions");
                     candidates[src].clone()
                 })
                 .collect(),
@@ -76,52 +80,14 @@ fn propagate_candidates(
     candidates
 }
 
-/// The adversary's view of one route group of a non-uniform round: which
-/// clients took the route, which hops it traverses, and — for each
-/// colluding hop on it — the plan that hop drew for the group.
-///
-/// Build one per route group of a `mixnn_cascade::CascadeAudit`, setting
-/// `views[i]` to `Some` exactly when the route's `i`-th hop colludes.
-#[derive(Debug, Clone)]
-pub struct RouteGroupView<'a> {
-    /// Global client slots of the group, in group-local order.
-    pub slots: Vec<usize>,
-    /// Hop indices of the group's route, in traversal order.
-    pub route: Vec<usize>,
-    /// Per route position: `Some(plan)` when that hop colludes (revealing
-    /// the plan it drew for this group), `None` when it is honest.
-    pub views: Vec<Option<&'a MixPlan>>,
-}
-
-impl<'a> RouteGroupView<'a> {
-    /// Builds the view of one route group given the colluding hop set:
-    /// the plan of route hop `i` is revealed exactly when that hop is in
-    /// `colluding`. `slots`, `route` and `plans` come straight from a
-    /// `mixnn_cascade::RouteGroupAudit` (`plans` parallel to `route`).
-    pub fn for_group(
-        slots: &[usize],
-        route: &[usize],
-        plans: &'a [MixPlan],
-        colluding: &[usize],
-    ) -> Self {
-        RouteGroupView {
-            slots: slots.to_vec(),
-            route: route.to_vec(),
-            views: route
-                .iter()
-                .zip(plans)
-                .map(|(h, plan)| colluding.contains(h).then_some(plan))
-                .collect(),
-        }
-    }
-}
-
 /// What a colluding subset of hops reconstructs about a round whose
 /// clients took per-route mixing groups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedCollusionReport {
     /// Clients (= slots) in the analyzed round, across all groups.
     pub clients: usize,
+    /// Real clients: slots `0..real`; the rest carried cover.
+    pub real: usize,
     /// Model layers covered by the plans.
     pub layers: usize,
     /// Hop indices that revealed at least one plan, ascending.
@@ -157,18 +123,8 @@ impl RoutedCollusionReport {
     /// are dummies whose "anonymity" is meaningless (nobody sent them).
     /// This is the slice the cover-traffic indistinguishability checks
     /// compare against a dummy-free baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `real` exceeds the analyzed client count.
-    pub fn real_client_anonymity(&self, real: usize) -> &[usize] {
-        assert!(
-            real <= self.per_client_anonymity.len(),
-            "round analyzed {} slots but {} real clients claimed",
-            self.per_client_anonymity.len(),
-            real
-        );
-        &self.per_client_anonymity[..real]
+    pub fn real_client_anonymity(&self) -> &[usize] {
+        &self.per_client_anonymity[..self.real]
     }
 
     /// The distribution of per-client anonymity-set sizes, as ascending
@@ -182,59 +138,27 @@ impl RoutedCollusionReport {
     }
 }
 
-/// Runs the colluding-subset adversary over one **routed** cascade round:
-/// each route group is analyzed against the views of the hops on its own
-/// route, and the results are mapped back to global client slots.
+/// Runs the colluding-subset adversary over one **routed** round: each
+/// route group of the transcript is analyzed against the plans of the hops
+/// in `colluding` on its own route, and the results are mapped back to
+/// global client slots.
 ///
 /// Routes are modeled as adversary-known metadata, so candidate sets are
 /// confined to route groups: an honest hop on a client's route widens its
 /// set to the *group*, not the round, and a group of one is linkable with
 /// no collusion at all. The computation is a deterministic function of
-/// the plans — seed the cascade and you seed the adversary.
+/// the plans — seed the round and you seed the adversary.
 ///
 /// # Panics
 ///
-/// Panics if `groups` is empty, `layers` is zero, the groups' slots do
-/// not partition `0..clients`, a group's `views` does not line up with
-/// its `route`, or a revealed plan's dimensions disagree with its group —
-/// those are analysis bugs, not runtime conditions.
+/// Panics if the transcript's plans cover no layers.
 pub fn analyze_routed_collusion(
-    groups: &[RouteGroupView],
-    clients: usize,
-    layers: usize,
+    transcript: &RoundTranscript,
+    colluding: &[usize],
 ) -> RoutedCollusionReport {
-    assert!(!groups.is_empty(), "a round has at least one route group");
-    assert!(clients > 0 && layers > 0, "round must be non-empty");
-    let mut seen = vec![false; clients];
-    for (g, group) in groups.iter().enumerate() {
-        assert!(!group.slots.is_empty(), "group {g} has no clients");
-        assert_eq!(
-            group.views.len(),
-            group.route.len(),
-            "group {g}: one view per route hop"
-        );
-        for &slot in &group.slots {
-            assert!(
-                slot < clients && !seen[slot],
-                "groups must partition 0..{clients} (slot {slot} misplaced)"
-            );
-            seen[slot] = true;
-        }
-        for (i, view) in group.views.iter().enumerate() {
-            if let Some(plan) = view {
-                assert_eq!(
-                    plan.participants(),
-                    group.slots.len(),
-                    "group {g} hop {i} plan width"
-                );
-                assert_eq!(plan.layers(), layers, "group {g} hop {i} plan layers");
-            }
-        }
-    }
-    assert!(
-        seen.iter().all(|&s| s),
-        "groups must partition 0..{clients} (some slot uncovered)"
-    );
+    let clients = transcript.clients();
+    let layers = transcript.layers();
+    assert!(layers > 0, "round must cover at least one layer");
 
     let mut links = vec![None; clients * layers];
     // Seeded with MAX so the per-layer fold below can take the minimum
@@ -242,16 +166,25 @@ pub fn analyze_routed_collusion(
     // >= 1).
     let mut per_client_anonymity = vec![usize::MAX; clients];
     let mut linked_pairs = 0usize;
-    for group in groups {
-        let members = group.slots.len();
+    let mut colluding_hops = Vec::new();
+    for group in transcript.groups() {
+        let slots = group.slots();
+        let members = group.members();
+        let views: Vec<Option<&MixPlan>> = group
+            .route()
+            .iter()
+            .zip(group.plans())
+            .map(|(h, plan)| colluding.contains(h).then_some(plan))
+            .collect();
+        colluding_hops.extend(group.route().iter().filter(|h| colluding.contains(h)));
         for layer in 0..layers {
-            let candidates = propagate_candidates(&group.views, members, layer);
+            let candidates = propagate_candidates(&views, members, layer);
             // Per-output links, mapped back to global slots.
             for (out, set) in candidates.iter().enumerate() {
                 let size = set.iter().filter(|&&p| p).count();
                 if size == 1 {
                     let src = set.iter().position(|&p| p).expect("size == 1");
-                    links[layer * clients + group.slots[out]] = Some(group.slots[src]);
+                    links[layer * clients + slots[out]] = Some(slots[src]);
                     linked_pairs += 1;
                 }
             }
@@ -261,7 +194,7 @@ pub fn analyze_routed_collusion(
             // the operative anonymity bound (with whole plans revealed
             // per hop the sizes are layer-invariant, but a partial leak
             // that pins one layer pins the client).
-            for (local, &slot) in group.slots.iter().enumerate() {
+            for (local, &slot) in slots.iter().enumerate() {
                 let mut confusable = vec![false; members];
                 for set in &candidates {
                     if set[local] {
@@ -275,21 +208,12 @@ pub fn analyze_routed_collusion(
             }
         }
     }
-
-    let mut colluding_hops: Vec<usize> = groups
-        .iter()
-        .flat_map(|g| {
-            g.route
-                .iter()
-                .zip(&g.views)
-                .filter_map(|(&h, v)| v.is_some().then_some(h))
-        })
-        .collect();
     colluding_hops.sort_unstable();
     colluding_hops.dedup();
 
     RoutedCollusionReport {
         clients,
+        real: transcript.real(),
         layers,
         colluding_hops,
         linkable_fraction: linked_pairs as f64 / (clients * layers) as f64,
@@ -302,6 +226,7 @@ pub fn analyze_routed_collusion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mixnn_core::RouteGroup;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -312,13 +237,8 @@ mod tests {
             .collect()
     }
 
-    fn group<'a>(
-        slots: &[usize],
-        route: &[usize],
-        plans: &'a [MixPlan],
-        colluding: &[usize],
-    ) -> RouteGroupView<'a> {
-        RouteGroupView::for_group(slots, route, plans, colluding)
+    fn group(slots: &[usize], route: &[usize], plans: &[MixPlan]) -> RouteGroup {
+        RouteGroup::new(slots.to_vec(), route.to_vec(), plans.to_vec())
     }
 
     /// The uniform chain as the routed analysis sees it: every client in
@@ -327,11 +247,8 @@ mod tests {
         let clients = plans[0].participants();
         let slots: Vec<usize> = (0..clients).collect();
         let route: Vec<usize> = (0..plans.len()).collect();
-        analyze_routed_collusion(
-            &[group(&slots, &route, plans, colluding)],
-            clients,
-            plans[0].layers(),
-        )
+        let transcript = RoundTranscript::from_groups(clients, vec![group(&slots, &route, plans)]);
+        analyze_routed_collusion(&transcript, colluding)
     }
 
     #[test]
@@ -403,28 +320,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "plan width")]
-    fn dimension_mismatch_is_a_bug() {
-        // A 4-wide plan revealed for a group of five.
-        let plans = plans(1, 4, 2, 6);
-        let _ = analyze_routed_collusion(&[group(&[0, 1, 2, 3, 4], &[0], &plans, &[0])], 5, 2);
-    }
-
-    #[test]
     fn covering_a_route_links_exactly_that_group() {
         // Group A (slots 0,2,4) takes hops [0,1]; group B (slots 1,3)
         // takes [0,2]. Colluding {0,1} covers A's whole route but leaves
         // hop 2 honest for B.
         let a_plans = plans(2, 3, 2, 11);
         let b_plans = plans(2, 2, 2, 12);
-        let report = analyze_routed_collusion(
-            &[
-                group(&[0, 2, 4], &[0, 1], &a_plans, &[0, 1]),
-                group(&[1, 3], &[0, 2], &b_plans, &[0, 1]),
-            ],
+        let transcript = RoundTranscript::from_groups(
             5,
-            2,
+            vec![
+                group(&[0, 2, 4], &[0, 1], &a_plans),
+                group(&[1, 3], &[0, 2], &b_plans),
+            ],
         );
+        let report = analyze_routed_collusion(&transcript, &[0, 1]);
         assert_eq!(report.colluding_hops, vec![0, 1]);
         assert_eq!(report.per_client_anonymity, vec![1, 2, 1, 2, 1]);
         assert_eq!(report.linked_clients(), 3);
@@ -447,8 +356,9 @@ mod tests {
     #[test]
     fn an_honest_hop_on_the_route_keeps_the_group_hidden() {
         let a_plans = plans(2, 4, 3, 13);
-        let report =
-            analyze_routed_collusion(&[group(&[0, 1, 2, 3], &[1, 3], &a_plans, &[1])], 4, 3);
+        let transcript =
+            RoundTranscript::from_groups(4, vec![group(&[0, 1, 2, 3], &[1, 3], &a_plans)]);
+        let report = analyze_routed_collusion(&transcript, &[1]);
         assert_eq!(report.per_client_anonymity, vec![4; 4]);
         assert_eq!(report.linkable_fraction, 0.0);
         assert_eq!(report.mean_anonymity_set, 4.0);
@@ -459,19 +369,13 @@ mod tests {
         // A dummy-padded group: slots 2..4 are trailing cover, so only
         // slots 0..2 count as real clients.
         let a_plans = plans(2, 4, 3, 13);
-        let report =
-            analyze_routed_collusion(&[group(&[0, 1, 2, 3], &[1, 3], &a_plans, &[1])], 4, 3);
-        assert_eq!(report.real_client_anonymity(2), &[4, 4]);
-        assert_eq!(report.real_client_anonymity(4), &[4, 4, 4, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "real clients claimed")]
-    fn real_client_anonymity_rejects_too_many_reals() {
-        let a_plans = plans(2, 4, 3, 13);
-        let report =
-            analyze_routed_collusion(&[group(&[0, 1, 2, 3], &[1, 3], &a_plans, &[1])], 4, 3);
-        let _ = report.real_client_anonymity(5);
+        let transcript =
+            RoundTranscript::from_groups(4, vec![group(&[0, 1, 2, 3], &[1, 3], &a_plans)]);
+        let all_real = analyze_routed_collusion(&transcript, &[1]);
+        assert_eq!(all_real.real_client_anonymity(), &[4, 4, 4, 4]);
+        let padded = analyze_routed_collusion(&transcript.with_real(2), &[1]);
+        assert_eq!(padded.real, 2);
+        assert_eq!(padded.real_client_anonymity(), &[4, 4]);
     }
 
     #[test]
@@ -482,24 +386,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let lone = vec![MixPlan::for_round(1, 2, &mut rng).unwrap()];
         let rest = plans(1, 3, 2, 15);
-        let report = analyze_routed_collusion(
-            &[
-                group(&[2], &[0], &lone, &[]),
-                group(&[0, 1, 3], &[1], &rest, &[]),
-            ],
+        let transcript = RoundTranscript::from_groups(
             4,
-            2,
+            vec![group(&[2], &[0], &lone), group(&[0, 1, 3], &[1], &rest)],
         );
+        let report = analyze_routed_collusion(&transcript, &[]);
         assert!(report.colluding_hops.is_empty());
         assert_eq!(report.per_client_anonymity, vec![3, 3, 1, 3]);
         assert_eq!(report.links[2], Some(2), "the singleton links to itself");
         assert_eq!(report.linked_clients(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition")]
-    fn routed_analysis_rejects_non_partitions() {
-        let p = plans(1, 2, 1, 16);
-        let _ = analyze_routed_collusion(&[group(&[0, 1], &[0], &p, &[])], 3, 1);
     }
 }

@@ -26,9 +26,10 @@
 //! Beyond the paper, [`collusion`] models the adversary the **mix
 //! cascade** (`mixnn-cascade`) is built against: a subset of compromised
 //! hops pooling their plaintext views to link forwarded layers back to
-//! participants. One analysis, [`analyze_routed_collusion`], covers the
-//! uniform chain (one route group) and the stratified/free-route layouts
-//! whose clients mix in per-route groups, and computes per-client
+//! participants. One analysis, [`analyze_routed_collusion`], reads a
+//! round's `mixnn_core::RoundTranscript` and covers the single proxy (one
+//! hop), the uniform chain (one route group) and the stratified/free-route
+//! layouts whose clients mix in per-route groups, and computes per-client
 //! anonymity sets.
 
 #![deny(missing_docs)]
@@ -40,7 +41,7 @@ mod gradsim;
 pub mod metrics;
 pub mod robustness;
 
-pub use collusion::{analyze_routed_collusion, RouteGroupView, RoutedCollusionReport};
+pub use collusion::{analyze_routed_collusion, RoutedCollusionReport};
 pub use driver::{AttackMode, InferenceExperiment, InferenceResult};
 pub use error::AttackError;
 pub use gradsim::{AttackSession, GradSim, GradSimConfig, SimilarityMetric};

@@ -28,7 +28,7 @@
 use super::topology::synth_update;
 use crate::report::Percentiles;
 use crate::ExperimentScale;
-use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
+use mixnn_attacks::analyze_routed_collusion;
 use mixnn_cascade::{
     CascadeCoordinator, FailurePolicy, FreeRoute, PoolConfig, PoolTrigger, PooledCoordinator,
 };
@@ -216,13 +216,8 @@ pub fn run_with(
                      (k={k}, deadline={deadline_ms}ms)"
                 );
 
-                let driven = round.real() + round.dummies();
-                let views: Vec<RouteGroupView> = groups
-                    .iter()
-                    .map(|g| RouteGroupView::for_group(g.slots(), g.route(), g.plans(), &[]))
-                    .collect();
-                let report = analyze_routed_collusion(&views, driven, signature.len());
-                anonymity.extend_from_slice(report.real_client_anonymity(round.real()));
+                let report = analyze_routed_collusion(round.audit(), &[]);
+                anonymity.extend_from_slice(report.real_client_anonymity());
 
                 wait_samples.extend(round.waits_ns.iter().map(|&w| w as f64 / 1e6));
                 dummies += round.dummies();

@@ -9,7 +9,7 @@
 //! 1. **asserts** the server-side aggregate is bit-identical to a sealed
 //!    single-proxy `MixnnProxy` round over the same updates (no layout
 //!    may cost any utility),
-//! 2. **asserts** the audit's `CascadeAudit::unmix` restores the original
+//! 2. **asserts** the transcript's `RoundTranscript::unmix` restores the original
 //!    updates bit-exactly (the per-route-group permutations compose into
 //!    an invertible assignment),
 //! 3. records the round's route-group structure (group count, sizes and
@@ -31,7 +31,7 @@
 //! shorter routes.
 
 use crate::{ExperimentScale, ExperimentSetup};
-use mixnn_attacks::{analyze_routed_collusion, AttackError, RouteGroupView};
+use mixnn_attacks::{analyze_routed_collusion, AttackError};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
@@ -249,11 +249,7 @@ pub fn run_with(
             let mut collusion = Vec::with_capacity(1 << hops);
             for mask in 0u32..(1 << hops) {
                 let colluding: Vec<usize> = (0..hops).filter(|h| mask & (1 << h) != 0).collect();
-                let views: Vec<RouteGroupView> = groups
-                    .iter()
-                    .map(|g| RouteGroupView::for_group(g.slots(), g.route(), g.plans(), &colluding))
-                    .collect();
-                let report = analyze_routed_collusion(&views, clients, signature.len());
+                let report = analyze_routed_collusion(&round.audit, &colluding);
 
                 // Assertion 3: the routed threat model, client by client —
                 // linked exactly when the subset covers the whole route or

@@ -10,7 +10,7 @@
 //! sets whether the round ran lossless or compressed — compression
 //! changes what the wire carries, not what the adversary learns.
 
-use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
+use mixnn_attacks::analyze_routed_collusion;
 use mixnn_cascade::{
     CascadeCoordinator, FailurePolicy, FreeRoute, LinearChain, PaddedRound, StratifiedLayout,
 };
@@ -122,7 +122,7 @@ fn every_route_group_is_size_uniform_under_every_mode_and_layout() {
                 let mut lens = std::collections::BTreeSet::new();
                 for &s in group.slots() {
                     // Trailing slots are the injected cover updates.
-                    if s >= padded.real {
+                    if s >= padded.round.audit.real() {
                         continue;
                     }
                     lens.insert(client.seal_update(&updates[s], &mut rng).unwrap().len());
@@ -178,23 +178,11 @@ fn collusion_analysis_is_identical_with_compression_on_and_off() {
                 }
             }
             for colluding in subsets {
-                let analyze = |r: &PaddedRound| {
-                    let views: Vec<RouteGroupView> = r
-                        .round
-                        .audit
-                        .groups()
-                        .iter()
-                        .map(|g| {
-                            RouteGroupView::for_group(g.slots(), g.route(), g.plans(), &colluding)
-                        })
-                        .collect();
-                    analyze_routed_collusion(&views, r.round.audit.clients(), SIGNATURE.len())
-                };
-                let a = analyze(&lossless);
-                let b = analyze(&compressed);
+                let a = analyze_routed_collusion(&lossless.round.audit, &colluding);
+                let b = analyze_routed_collusion(&compressed.round.audit, &colluding);
                 assert_eq!(
-                    a.real_client_anonymity(lossless.real),
-                    b.real_client_anonymity(compressed.real),
+                    a.real_client_anonymity(),
+                    b.real_client_anonymity(),
                     "{name}/{}/colluding {colluding:?}: anonymity sets differ",
                     compression.name()
                 );

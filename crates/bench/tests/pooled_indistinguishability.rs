@@ -14,7 +14,7 @@
 //!    forbidden per-entity label axis (`client=`, `slot=`, `route=`, …),
 //!    so the exporter leaks nothing the padder hid.
 
-use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
+use mixnn_attacks::analyze_routed_collusion;
 use mixnn_cascade::{
     CascadeCoordinator, FailurePolicy, FreeRoute, PoolConfig, PoolTrigger, PooledCoordinator,
     PooledRound,
@@ -97,59 +97,29 @@ fn fire_padded_round(
     (round, reals)
 }
 
-/// The per-real-client anonymity sets a round's audit yields under one
-/// colluding subset.
-fn real_anonymity(
-    round_groups: &[(Vec<usize>, Vec<usize>, Vec<mixnn_core::MixPlan>)],
-    driven: usize,
-    real: usize,
-    colluding: &[usize],
-) -> Vec<usize> {
-    let views: Vec<RouteGroupView> = round_groups
-        .iter()
-        .map(|(slots, route, plans)| RouteGroupView::for_group(slots, route, plans, colluding))
-        .collect();
-    analyze_routed_collusion(&views, driven, SIGNATURE.len())
-        .real_client_anonymity(real)
-        .to_vec()
-}
-
-fn audit_groups(round: &PooledRound) -> Vec<(Vec<usize>, Vec<usize>, Vec<mixnn_core::MixPlan>)> {
-    round
-        .audit()
-        .groups()
-        .iter()
-        .map(|g| (g.slots().to_vec(), g.route().to_vec(), g.plans().to_vec()))
-        .collect()
-}
-
 #[test]
 fn dummies_never_shrink_a_real_clients_anonymity_set() {
     let clock = VirtualClock::new();
     let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
     let (round, reals) = fire_padded_round(&telemetry, &clock);
-    let padded_groups = audit_groups(&round);
-    let driven = round.real() + round.dummies();
 
     // The dummy-free baseline: the same three updates through an
     // identically-seeded cascade, no padding.
     let mut baseline = free_route_cascade(SEED);
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x5ea1);
     let bare = baseline.run_round(&reals, &mut rng).expect("bare round");
-    let bare_groups: Vec<(Vec<usize>, Vec<usize>, Vec<mixnn_core::MixPlan>)> = bare
-        .audit
-        .groups()
-        .iter()
-        .map(|g| (g.slots().to_vec(), g.route().to_vec(), g.plans().to_vec()))
-        .collect();
 
     // Every colluding subset of the hops: padding may only grow (or hold)
     // each real client's residual anonymity set.
     for mask in 0u32..(1 << HOPS) {
         let colluding: Vec<usize> = (0..HOPS).filter(|h| mask & (1 << h) != 0).collect();
-        let padded = real_anonymity(&padded_groups, driven, round.real(), &colluding);
-        let unpadded = real_anonymity(&bare_groups, reals.len(), reals.len(), &colluding);
-        for (client, (with_cover, without)) in padded.iter().zip(&unpadded).enumerate() {
+        let padded = analyze_routed_collusion(round.audit(), &colluding);
+        let unpadded = analyze_routed_collusion(&bare.audit, &colluding);
+        let pairs = padded
+            .real_client_anonymity()
+            .iter()
+            .zip(unpadded.real_client_anonymity());
+        for (client, (with_cover, without)) in pairs.enumerate() {
             assert!(
                 with_cover >= without,
                 "colluding {colluding:?}: cover shrank client {client}'s anonymity set \
@@ -158,8 +128,9 @@ fn dummies_never_shrink_a_real_clients_anonymity_set() {
         }
     }
     // And under no collusion the k-floor is the anonymity floor.
-    let padded = real_anonymity(&padded_groups, driven, round.real(), &[]);
-    assert!(padded.iter().all(|&a| a >= K), "k-floor: {padded:?}");
+    let padded = analyze_routed_collusion(round.audit(), &[]);
+    let floor = padded.real_client_anonymity();
+    assert!(floor.iter().all(|&a| a >= K), "k-floor: {floor:?}");
 }
 
 #[test]

@@ -19,14 +19,16 @@
 //!    invariant under permutation of the client→slot assignment — so
 //!    conditioning on it cannot shrink any anonymity set.
 
-use mixnn_attacks::{analyze_routed_collusion, RouteGroupView};
+use mixnn_attacks::analyze_routed_collusion;
 use mixnn_bench::experiments::topology;
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, LinearChain,
     StratifiedLayout,
 };
-use mixnn_core::InProcessLink;
+use mixnn_core::{
+    InProcessLink, MixnnProxy, MixnnProxyConfig, MixnnTransport, RoundTranscript, TransportMode,
+};
 use mixnn_enclave::AttestationService;
 use mixnn_net::{run_load_with, FlushPolicy, LoadConfig};
 use mixnn_nn::{LayerParams, ModelParams};
@@ -239,15 +241,6 @@ fn load_generator_telemetry_reproduces_byte_for_byte_across_reruns() {
     assert!(outcome_a.packets_lost == 0 && outcome_a.packets_reordered == 0);
 }
 
-fn routed_views<'a>(round: &'a CascadeRound, colluding: &[usize]) -> Vec<RouteGroupView<'a>> {
-    round
-        .audit
-        .groups()
-        .iter()
-        .map(|g| RouteGroupView::for_group(g.slots(), g.route(), g.plans(), colluding))
-        .collect()
-}
-
 /// Runs a seeded free-route round, optionally with a live registry
 /// attached, and returns the round plus the registry that observed it.
 fn routed_round(seed: u64, telemetry: Option<&Telemetry>) -> CascadeRound {
@@ -269,33 +262,58 @@ fn routed_round(seed: u64, telemetry: Option<&Telemetry>) -> CascadeRound {
     cascade.run_round(&updates, &mut rng).unwrap()
 }
 
+/// Runs a seeded sealed single-proxy round, optionally with a live
+/// registry attached, and returns the proxy's transcript of it.
+fn proxy_round(seed: u64, telemetry: Option<&Telemetry>) -> RoundTranscript {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let service = AttestationService::new(&mut rng);
+    let config = MixnnProxyConfig {
+        expected_signature: SIGNATURE.to_vec(),
+        seed,
+        ..MixnnProxyConfig::default()
+    };
+    let mut proxy = MixnnProxy::launch(config, &service, &mut rng);
+    if let Some(t) = telemetry {
+        proxy.attach_telemetry(t.clone());
+    }
+    let mut transport = MixnnTransport::new(proxy, TransportMode::Encrypted, seed);
+    let updates = synth_rounds(&mut rng, 1).pop().unwrap();
+    transport.relay_round(updates).unwrap();
+    transport.proxy().last_audit().unwrap().clone()
+}
+
 #[test]
 fn exported_telemetry_adds_zero_linkage_to_the_collusion_adversary() {
     const SEED: u64 = 2024;
     let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-    let observed = routed_round(SEED, Some(&telemetry));
-    let baseline = routed_round(SEED, None);
+    // A free-route cascade round and a sealed single-proxy round (the
+    // one-hop case), each driven with and without the registry.
+    let rounds = [
+        (
+            routed_round(SEED, Some(&telemetry)).audit,
+            routed_round(SEED, None).audit,
+        ),
+        (proxy_round(SEED, Some(&telemetry)), proxy_round(SEED, None)),
+    ];
 
-    // The rounds are identical — attachment perturbs nothing the
+    // The transcripts are identical — attachment perturbs nothing the
     // adversary can see — so for every colluding subset the report
     // computed *with the telemetry-bearing round* equals the
     // no-telemetry one, link for link and set for set.
-    for mask in 0u32..(1 << 3) {
-        let colluding: Vec<usize> = (0..3).filter(|h| mask & (1 << h) != 0).collect();
-        let with_telemetry = analyze_routed_collusion(
-            &routed_views(&observed, &colluding),
-            CLIENTS,
-            SIGNATURE.len(),
-        );
-        let without = analyze_routed_collusion(
-            &routed_views(&baseline, &colluding),
-            CLIENTS,
-            SIGNATURE.len(),
-        );
+    for (observed, baseline) in &rounds {
         assert_eq!(
-            with_telemetry, without,
-            "telemetry attachment changed the adversary's report for subset {colluding:?}"
+            observed, baseline,
+            "telemetry attachment changed the transcript"
         );
+        assert_eq!(observed.clients(), CLIENTS);
+        for mask in 0u32..(1 << 3) {
+            let colluding: Vec<usize> = (0..3).filter(|h| mask & (1 << h) != 0).collect();
+            assert_eq!(
+                analyze_routed_collusion(observed, &colluding),
+                analyze_routed_collusion(baseline, &colluding),
+                "telemetry attachment changed the adversary's report for subset {colluding:?}"
+            );
+        }
     }
 
     // And the snapshot itself offers no new axis to condition on: the

@@ -20,7 +20,7 @@ use crate::{
 };
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::{
-    shard_seed, Endpoint, InProcessLink, MixPlan, ProxyStats, RoundLink, SpentBuffers,
+    shard_seed, Endpoint, InProcessLink, ProxyStats, RoundLink, RoundTranscript, SpentBuffers,
 };
 use mixnn_crypto::SealingKey;
 use mixnn_enclave::AttestationService;
@@ -59,9 +59,10 @@ pub struct CascadeConfig {
 pub struct CascadeRound {
     /// The mixed updates as the server receives them, in slot order.
     pub mixed: Vec<ModelParams>,
-    /// The per-route-group mixing plans, for audits and experiments (never
-    /// exposed in a deployment).
-    pub audit: CascadeAudit,
+    /// The round's transcript — per-route-group mixing plans and the real
+    /// slot count — for audits and experiments (never exposed in a
+    /// deployment).
+    pub audit: RoundTranscript,
     /// Hop indices at least one client actually traversed this round,
     /// ascending. For a uniform layout this is the whole active chain.
     pub chain: Vec<usize>,
@@ -72,16 +73,14 @@ pub struct CascadeRound {
 
 /// A round driven under a k-floor
 /// ([`CascadeCoordinator::run_padded_round_over`]): the cascade round over
-/// the padded slots, the number of real updates, and the content digests
-/// of the injected cover.
+/// the padded slots and the content digests of the injected cover.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PaddedRound {
     /// The committed round over **all** driven slots — real updates in
-    /// slots `0..real`, cover in the trailing slots. `round.mixed` is what
-    /// the wire delivered to the server, cover still in.
+    /// slots `0..round.audit.real()`, cover in the trailing slots.
+    /// `round.mixed` is what the wire delivered to the server, cover still
+    /// in.
     pub round: CascadeRound,
-    /// Number of real client updates the round carried.
-    pub real: usize,
     /// [`mixnn_core::codec::layer_digest`] of every layer of each injected
     /// cover update, in injection order (`dummy_digests[d][l]` is cover
     /// `d`'s layer `l`) — the only knowledge the server needs (or gets) to
@@ -120,13 +119,13 @@ impl PaddedRound {
         if self.dummy_digests.is_empty() {
             return Ok(self.round.mixed.clone());
         }
+        let real = self.round.audit.real();
         let layer_count = self.round.mixed.first().map_or(0, ModelParams::num_layers);
         let mut unclaimed: Vec<Vec<[u8; 32]>> = (0..layer_count)
             .map(|l| self.dummy_digests.iter().map(|d| d[l]).collect())
             .collect();
-        let mut columns: Vec<Vec<LayerParams>> = (0..layer_count)
-            .map(|_| Vec::with_capacity(self.real))
-            .collect();
+        let mut columns: Vec<Vec<LayerParams>> =
+            (0..layer_count).map(|_| Vec::with_capacity(real)).collect();
         for params in &self.round.mixed {
             for (l, layer) in params.iter().enumerate() {
                 let digest = mixnn_core::codec::layer_digest(layer);
@@ -137,230 +136,22 @@ impl PaddedRound {
                 }
             }
         }
-        if columns.iter().any(|c| c.len() != self.real) || unclaimed.iter().any(|u| !u.is_empty()) {
+        if columns.iter().any(|c| c.len() != real) || unclaimed.iter().any(|u| !u.is_empty()) {
             return Err(CascadeError::Pool {
                 reason: format!(
                     "cover stripping kept {:?} layer blobs for {} expected real updates",
                     columns.iter().map(Vec::len).collect::<Vec<_>>(),
-                    self.real,
+                    real,
                 ),
             });
         }
         // Every column holds exactly `real` layers: output `i` takes the
         // `i`-th of each, moved out.
         let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-        Ok((0..self.real)
+        Ok((0..real)
             .map(|_| {
                 let layers = columns.iter_mut().map(|column| column.next());
                 ModelParams::from_layers(layers.map(|l| l.expect("length checked")).collect())
-            })
-            .collect())
-    }
-}
-
-/// The audit record of one route group: which clients took the route,
-/// which hops they traversed, and the plan each hop drew for the group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteGroupAudit {
-    slots: Vec<usize>,
-    route: Vec<usize>,
-    plans: Vec<MixPlan>,
-}
-
-impl RouteGroupAudit {
-    /// Builds one group's audit record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group or its route is empty, `plans` does not line up
-    /// with `route` one-to-one, or any plan's dimensions disagree with the
-    /// group size — such a record cannot have come from one driven group,
-    /// so composing it is a construction bug, not a runtime condition.
-    pub fn new(slots: Vec<usize>, route: Vec<usize>, plans: Vec<MixPlan>) -> Self {
-        assert!(!slots.is_empty(), "a route group has at least one client");
-        assert!(
-            !route.is_empty(),
-            "a route group traverses at least one hop"
-        );
-        assert_eq!(
-            plans.len(),
-            route.len(),
-            "one plan per traversed hop, in route order"
-        );
-        for (i, plan) in plans.iter().enumerate() {
-            assert_eq!(
-                plan.participants(),
-                slots.len(),
-                "plan {i} disagrees with the group size"
-            );
-            if i > 0 {
-                assert_eq!(
-                    plan.layers(),
-                    plans[0].layers(),
-                    "plan {i} disagrees with plan 0 on layers"
-                );
-            }
-        }
-        RouteGroupAudit {
-            slots,
-            route,
-            plans,
-        }
-    }
-
-    /// The group's client slots, in group-local order (ascending).
-    pub fn slots(&self) -> &[usize] {
-        &self.slots
-    }
-
-    /// The hop indices the group traversed, in order.
-    pub fn route(&self) -> &[usize] {
-        &self.route
-    }
-
-    /// The per-hop plans the route drew for this group, in route order.
-    pub fn plans(&self) -> &[MixPlan] {
-        &self.plans
-    }
-
-    /// Number of clients in the group — the ceiling of any member's
-    /// anonymity set.
-    pub fn members(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-/// The composition of every route group's per-hop [`MixPlan`]s.
-///
-/// Each hop's plan is a per-layer permutation over its group, so the whole
-/// round's assignment is a disjoint union of per-group permutations —
-/// which is exactly why the server-side aggregate is untouched and why an
-/// adversary must cover a client's **entire route** to invert its mix. See
-/// `mixnn_attacks::collusion` for the adversary's view; this type is the
-/// honest auditor's.
-///
-/// An audit covers the **slots the round actually drove**, not a fixed
-/// client population: since pooled mixing, rounds are routinely *partial*
-/// (only the updates a [`crate::MixPool`] fired) and may carry trailing
-/// cover slots a hop padded in ([`CascadeCoordinator::run_padded_round_over`]).
-/// [`CascadeAudit::clients`] counts those driven slots — real and dummy
-/// alike, because on the wire and through every plan a cover slot is
-/// indistinguishable from a real one until the server strips it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CascadeAudit {
-    clients: usize,
-    groups: Vec<RouteGroupAudit>,
-}
-
-impl CascadeAudit {
-    /// Builds an audit from per-route-group records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the groups' slots do not partition `0..clients` or the
-    /// groups disagree on the layer count — a round cannot have produced
-    /// such a record.
-    pub fn from_groups(clients: usize, groups: Vec<RouteGroupAudit>) -> Self {
-        let mut seen = vec![false; clients];
-        for group in &groups {
-            for &slot in &group.slots {
-                assert!(
-                    slot < clients && !seen[slot],
-                    "groups must partition 0..{clients} (slot {slot} misplaced)"
-                );
-                seen[slot] = true;
-            }
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "groups must partition 0..{clients} (some slot uncovered)"
-        );
-        if let Some(layers) = groups
-            .first()
-            .and_then(|g| g.plans.first())
-            .map(MixPlan::layers)
-        {
-            for group in &groups {
-                assert!(
-                    group.plans.iter().all(|p| p.layers() == layers),
-                    "groups disagree on the layer count"
-                );
-            }
-        }
-        CascadeAudit { clients, groups }
-    }
-
-    /// The per-route-group audit records, ordered by route.
-    pub fn groups(&self) -> &[RouteGroupAudit] {
-        &self.groups
-    }
-
-    /// Clients covered by the audit.
-    pub fn clients(&self) -> usize {
-        self.clients
-    }
-
-    /// The original client slot whose layer `layer` ended up in final
-    /// output `output`, traced back through every hop of the output's
-    /// route group.
-    pub fn composed_source(&self, layer: usize, output: usize) -> Option<usize> {
-        if self.groups.is_empty() {
-            return Some(output); // the identity audit
-        }
-        let group = self.groups.iter().find(|g| g.slots.contains(&output))?;
-        let mut idx = group.slots.iter().position(|&s| s == output)?;
-        for plan in group.plans.iter().rev() {
-            idx = plan.source(layer, idx)?;
-        }
-        group.slots.get(idx).copied()
-    }
-
-    /// Inverts the whole cascade: reassembles each client's original
-    /// update from the mixed outputs, group by group. Restores both the
-    /// client order and the exact layer bits — the correctness check
-    /// behind the utility equivalence claim.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CascadeError::Audit`] when `mixed` does not match the
-    /// recorded dimensions.
-    pub fn unmix(&self, mixed: &[ModelParams]) -> Result<Vec<ModelParams>, CascadeError> {
-        if self.groups.is_empty() {
-            return Ok(mixed.to_vec()); // no hops: the identity cascade
-        }
-        let layers = self.groups[0].plans.first().map_or(0, MixPlan::layers);
-        if mixed.len() != self.clients || mixed.iter().any(|m| m.num_layers() != layers) {
-            return Err(CascadeError::Audit {
-                reason: format!(
-                    "audit covers {} updates of {layers} layers, got {} updates",
-                    self.clients,
-                    mixed.len()
-                ),
-            });
-        }
-        // Walk group-wise rather than via `composed_source` per cell: the
-        // latter re-locates the output's group by linear scan on every
-        // call, which would make this O(clients² · layers).
-        let mut slots: Vec<Vec<Option<LayerParams>>> = vec![vec![None; layers]; self.clients];
-        for group in &self.groups {
-            for (local_out, &out) in group.slots.iter().enumerate() {
-                for (l, layer) in mixed[out].iter().enumerate() {
-                    let mut idx = local_out;
-                    for plan in group.plans.iter().rev() {
-                        idx = plan.source(l, idx).expect("dimensions checked above");
-                    }
-                    slots[group.slots[idx]][l] = Some(layer.clone());
-                }
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|row| {
-                ModelParams::from_layers(
-                    row.into_iter()
-                        .map(|slot| slot.expect("group permutations cover every cell"))
-                        .collect(),
-                )
             })
             .collect())
     }
@@ -379,7 +170,7 @@ impl CascadeAudit {
 /// use mixnn_nn::{LayerParams, ModelParams};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// # fn main() -> Result<(), mixnn_cascade::CascadeError> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let service = AttestationService::new(&mut rng);
 /// let mut cascade =
@@ -408,7 +199,7 @@ impl CascadeAudit {
 /// use mixnn_nn::{LayerParams, ModelParams};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// # fn main() -> Result<(), mixnn_cascade::CascadeError> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let service = AttestationService::new(&mut rng);
 /// let layout = StratifiedLayout::evenly(4, 2, 99);
@@ -854,13 +645,11 @@ impl CascadeCoordinator {
                 reason: "k-floor must be at least 1".to_string(),
             });
         }
-        let real = updates.len();
         let (round, dummy_digests) = self.accounted_drive(updates, Some(floor), rng, link)?;
         self.telemetry
             .incr(Counter::CascadeDummiesInjected, dummy_digests.len() as u64);
         Ok(PaddedRound {
             round,
-            real,
             dummy_digests,
         })
     }
@@ -989,7 +778,7 @@ impl CascadeCoordinator {
             let batches = self.seal_groups(&groups, updates, &cover, rng);
 
             let mut mixed: Vec<Option<ModelParams>> = vec![None; clients];
-            let mut group_audits = Vec::with_capacity(groups.len());
+            let mut recorded = Vec::with_capacity(groups.len());
             let mut chain: Vec<usize> = Vec::new();
             // A failed attempt drops whatever it took from the kept
             // generation; the retry, and the round after an abort, start
@@ -1058,7 +847,7 @@ impl CascadeCoordinator {
                 }
                 server_bound.extend(batch);
                 chain.extend(&group.route);
-                group_audits.push(RouteGroupAudit::new(
+                recorded.push(mixnn_core::RouteGroup::new(
                     group.slots.clone(),
                     group.route.clone(),
                     plans,
@@ -1073,7 +862,7 @@ impl CascadeCoordinator {
                         .into_iter()
                         .map(|m| m.expect("groups partition the round"))
                         .collect(),
-                    audit: CascadeAudit::from_groups(clients, group_audits),
+                    audit: RoundTranscript::from_groups(clients, recorded).with_real(updates.len()),
                     chain,
                     skipped_this_round,
                 },
@@ -1087,6 +876,7 @@ impl CascadeCoordinator {
 mod tests {
     use super::*;
     use crate::{FreeRoute, StratifiedLayout};
+    use mixnn_core::{MixPlan, ProxyError, RouteGroup};
     use mixnn_enclave::EnclaveConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1545,7 +1335,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(50);
         let a = MixPlan::latin(5, 2, &mut rng).unwrap();
         let b = MixPlan::latin(4, 2, &mut rng).unwrap();
-        let _ = RouteGroupAudit::new((0..5).collect(), vec![0, 1], vec![a, b]);
+        let _ = RouteGroup::new((0..5).collect(), vec![0, 1], vec![a, b]);
     }
 
     #[test]
@@ -1554,7 +1344,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let a = MixPlan::latin(2, 1, &mut rng).unwrap();
         let _ =
-            CascadeAudit::from_groups(4, vec![RouteGroupAudit::new(vec![0, 1], vec![0], vec![a])]);
+            RoundTranscript::from_groups(4, vec![RouteGroup::new(vec![0, 1], vec![0], vec![a])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one route group")]
+    fn empty_transcript_is_rejected() {
+        // No round produces an empty group list, and there is no identity
+        // transcript to stand in for one.
+        let _ = RoundTranscript::from_groups(0, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "real clients claimed")]
+    fn transcript_rejects_more_real_slots_than_it_covers() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let a = MixPlan::latin(2, 1, &mut rng).unwrap();
+        let _ =
+            RoundTranscript::from_groups(2, vec![RouteGroup::new(vec![0, 1], vec![0], vec![a])])
+                .with_real(3);
     }
 
     #[test]
@@ -1601,10 +1409,19 @@ mod tests {
         let (mut cascade, _, mut rng) = launch(2, FailurePolicy::Abort);
         let ins = updates(5);
         let round = cascade.run_round(&ins, &mut rng).unwrap();
-        assert!(matches!(
+        assert_eq!(
             round.audit.unmix(&round.mixed[..3]),
-            Err(CascadeError::Audit { .. })
-        ));
+            Err(ProxyError::InsufficientUpdates { have: 3, need: 5 })
+        );
+        let mut short = round.mixed.clone();
+        short[4] = ModelParams::from_layers(vec![LayerParams::from_values(vec![0.0; 3])]);
+        assert_eq!(
+            round.audit.unmix(&short),
+            Err(ProxyError::SignatureMismatch {
+                expected: vec![2],
+                actual: vec![1]
+            })
+        );
     }
 
     #[test]
@@ -1622,10 +1439,11 @@ mod tests {
         let padded = cascade
             .run_padded_round_over(&ins, 5, &mut rng, &mut InProcessLink)
             .unwrap();
-        assert_eq!(padded.real, 3);
-        assert!(padded.dummies() > 0, "a 3-member round needs cover at k=5");
         let audit = &padded.round.audit;
-        let driven = padded.real + padded.dummies();
+        assert_eq!(audit.real(), 3);
+        assert!(padded.dummies() > 0, "a 3-member round needs cover at k=5");
+        let driven = audit.real() + padded.dummies();
+        assert_eq!(audit.clients(), driven);
 
         // The groups partition every driven slot (real and cover alike)
         // and each group meets the k-floor with plans sized to its padded

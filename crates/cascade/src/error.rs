@@ -51,12 +51,6 @@ pub enum CascadeError {
         /// Human-readable constraint violation.
         reason: String,
     },
-    /// An audit operation was handed data that does not fit its recorded
-    /// plans (wrong update count or layer shape).
-    Audit {
-        /// Human-readable dimension mismatch.
-        reason: String,
-    },
     /// A mix pool was misconfigured or driven inconsistently (zero
     /// threshold, a pooled transport without a virtual clock to measure
     /// deadlines on, a stripped round whose cover count disagrees with
@@ -95,7 +89,6 @@ impl fmt::Display for CascadeError {
                 "update signature {actual:?} does not match cascade model {expected:?}"
             ),
             CascadeError::Topology { reason } => write!(f, "unsupported topology: {reason}"),
-            CascadeError::Audit { reason } => write!(f, "audit failure: {reason}"),
             CascadeError::Pool { reason } => write!(f, "mix pool misuse: {reason}"),
             CascadeError::Link { source } => write!(f, "wire delivery failed: {source}"),
         }

@@ -34,8 +34,9 @@
 //!
 //! **The utility claim is unchanged:** every `σᵢ` is a per-layer
 //! permutation, so their composition conserves each layer's multiset and
-//! FedAvg aggregation is bit-for-bit identical — [`CascadeAudit::unmix`]
-//! inverts the whole chain as a checkable witness.
+//! FedAvg aggregation is bit-for-bit identical — the round's
+//! [`mixnn_core::RoundTranscript::unmix`] inverts the whole chain as a
+//! checkable witness.
 //!
 //! # Route groups: stratified and free-route layouts
 //!
@@ -73,7 +74,8 @@
 //! * [`CascadeClient`] — builds onions from the hops' **attested** keys;
 //! * [`CascadeCoordinator`] — drives rounds end-to-end with configurable
 //!   skip-or-abort failure semantics ([`FailurePolicy`]), one partial
-//!   round per route group, audited by [`CascadeAudit`] — one sequential
+//!   round per route group, recorded in a [`mixnn_core::RoundTranscript`]
+//!   (the same record a single proxy's round leaves) — one sequential
 //!   drive with one failure handler (see `docs/ARCHITECTURE.md`, "The
 //!   round drive");
 //! * [`CascadeTransport`] — plugs the cascade into `mixnn_fl` rounds as an
@@ -99,8 +101,7 @@ mod transport;
 
 pub use client::CascadeClient;
 pub use coordinator::{
-    CascadeAudit, CascadeConfig, CascadeCoordinator, CascadeRound, FailurePolicy, PaddedRound,
-    RouteGroupAudit,
+    CascadeConfig, CascadeCoordinator, CascadeRound, FailurePolicy, PaddedRound,
 };
 pub use error::CascadeError;
 pub use hop::{CascadeHop, CascadeHopConfig, HopDescriptor, HOP_CODE_IDENTITY};

@@ -28,8 +28,8 @@
 //! fire and a [`PooledCoordinator`] degrades to threshold-only batching —
 //! also deterministic.
 
-use crate::{CascadeAudit, CascadeCoordinator, CascadeError, PaddedRound};
-use mixnn_core::{InProcessLink, RoundLink};
+use crate::{CascadeCoordinator, CascadeError, PaddedRound};
+use mixnn_core::{InProcessLink, RoundLink, RoundTranscript};
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
 use mixnn_telemetry::{Counter, Distribution, Span, Telemetry, VirtualClock};
@@ -230,8 +230,9 @@ impl MixPool {
 /// metadata that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PooledRound {
-    /// The padded round the cascade committed (real slots `0..real` are
-    /// the pool members in arrival order, trailing slots are cover).
+    /// The padded round the cascade committed (real slots
+    /// `0..`[`PooledRound::real`] are the pool members in arrival order,
+    /// trailing slots are cover).
     pub padded: PaddedRound,
     /// Caller-assigned ids of the real members, arrival order (parallel
     /// to the round's real slots).
@@ -247,9 +248,10 @@ pub struct PooledRound {
 }
 
 impl PooledRound {
-    /// Number of real member updates.
+    /// Number of real member updates (the transcript's
+    /// [`RoundTranscript::real`]).
     pub fn real(&self) -> usize {
-        self.padded.real
+        self.audit().real()
     }
 
     /// Number of cover updates injected.
@@ -257,9 +259,9 @@ impl PooledRound {
         self.padded.dummies()
     }
 
-    /// The round's audit (covers real **and** cover slots — they are
+    /// The round's transcript (covers real **and** cover slots — they are
     /// indistinguishable below the server).
-    pub fn audit(&self) -> &CascadeAudit {
+    pub fn audit(&self) -> &RoundTranscript {
         &self.padded.round.audit
     }
 

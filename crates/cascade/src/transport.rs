@@ -1,6 +1,7 @@
 //! Plugging the cascade into the federated round loop.
 
-use crate::{CascadeAudit, CascadeCoordinator, CascadeError};
+use crate::{CascadeCoordinator, CascadeError};
+use mixnn_core::RoundTranscript;
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
@@ -21,7 +22,7 @@ pub struct CascadeTransport {
     coordinator: CascadeCoordinator,
     /// RNG standing in for the participants' onion-sealing entropy.
     participant_rng: StdRng,
-    last_audit: Option<CascadeAudit>,
+    last_audit: Option<RoundTranscript>,
 }
 
 impl CascadeTransport {
@@ -41,7 +42,7 @@ impl CascadeTransport {
 
     /// The audit of the most recent round, for experiments (never exposed
     /// in a deployment).
-    pub fn last_audit(&self) -> Option<&CascadeAudit> {
+    pub fn last_audit(&self) -> Option<&RoundTranscript> {
         self.last_audit.as_ref()
     }
 

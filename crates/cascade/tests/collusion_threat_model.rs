@@ -7,7 +7,7 @@
 //! anonymity set. Seeded and deterministic — every assertion is a pure
 //! function of the cascade seeds.
 
-use mixnn_attacks::{analyze_routed_collusion, RouteGroupView, RoutedCollusionReport};
+use mixnn_attacks::{analyze_routed_collusion, RoutedCollusionReport};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, StratifiedLayout,
 };
@@ -52,7 +52,7 @@ fn subset_report(round: &CascadeRound, mask: u32) -> RoutedCollusionReport {
     let colluding: Vec<usize> = (0..u32::BITS as usize)
         .filter(|h| mask & (1 << h) != 0)
         .collect();
-    analyze_routed_collusion(&routed_views(round, &colluding), CLIENTS, SIGNATURE.len())
+    analyze_routed_collusion(&round.audit, &colluding)
 }
 
 #[test]
@@ -139,15 +139,6 @@ fn run_routed_round(topology: Box<dyn CascadeTopology>, seed: u64) -> CascadeRou
     cascade.run_round(&updates, &mut rng).unwrap()
 }
 
-fn routed_views<'a>(round: &'a CascadeRound, colluding: &[usize]) -> Vec<RouteGroupView<'a>> {
-    round
-        .audit
-        .groups()
-        .iter()
-        .map(|g| RouteGroupView::for_group(g.slots(), g.route(), g.plans(), colluding))
-        .collect()
-}
-
 #[test]
 fn routed_adversary_links_exactly_the_covered_routes() {
     for (hops, seed) in [(3usize, 60u64), (4, 61)] {
@@ -158,11 +149,7 @@ fn routed_adversary_links_exactly_the_covered_routes() {
             let round = run_routed_round(layout, seed);
             for mask in 0u32..(1 << hops) {
                 let colluding: Vec<usize> = (0..hops).filter(|h| mask & (1 << h) != 0).collect();
-                let report = analyze_routed_collusion(
-                    &routed_views(&round, &colluding),
-                    CLIENTS,
-                    SIGNATURE.len(),
-                );
+                let report = analyze_routed_collusion(&round.audit, &colluding);
                 for group in round.audit.groups() {
                     let covered = group.route().iter().all(|h| colluding.contains(h));
                     let expected = if covered { 1 } else { group.members() };
@@ -188,8 +175,7 @@ fn min_group_size_codebook_restores_the_anonymity_floor() {
     // asserted here through the adversary's own arithmetic.
     const K: usize = 4;
     let unconstrained = run_routed_round(Box::new(FreeRoute::new(4, 1, 4, 55)), 55);
-    let baseline =
-        analyze_routed_collusion(&routed_views(&unconstrained, &[]), CLIENTS, SIGNATURE.len());
+    let baseline = analyze_routed_collusion(&unconstrained.audit, &[]);
     assert!(
         baseline.per_client_anonymity.iter().any(|&a| a < K),
         "baseline layout should exhibit the floor violation being fixed"
@@ -197,7 +183,7 @@ fn min_group_size_codebook_restores_the_anonymity_floor() {
 
     let floored = FreeRoute::new(4, 1, 4, 55).with_min_group_size(K, CLIENTS);
     let round = run_routed_round(Box::new(floored), 55);
-    let report = analyze_routed_collusion(&routed_views(&round, &[]), CLIENTS, SIGNATURE.len());
+    let report = analyze_routed_collusion(&round.audit, &[]);
     assert!(report.colluding_hops.is_empty());
     assert_eq!(report.linkable_fraction, 0.0, "zero collusion links nobody");
     for (slot, &anonymity) in report.per_client_anonymity.iter().enumerate() {
@@ -214,7 +200,7 @@ fn min_group_size_codebook_restores_the_anonymity_floor() {
 fn routed_full_collusion_agrees_with_the_honest_audit() {
     let round = run_routed_round(Box::new(FreeRoute::new(3, 1, 3, 71)), 71);
     let all = [0usize, 1, 2];
-    let report = analyze_routed_collusion(&routed_views(&round, &all), CLIENTS, SIGNATURE.len());
+    let report = analyze_routed_collusion(&round.audit, &all);
     assert_eq!(report.linked_clients(), CLIENTS);
     for layer in 0..SIGNATURE.len() {
         for out in 0..CLIENTS {

@@ -17,8 +17,8 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use mixnn_cascade::{CascadeAudit, CascadeCoordinator, CascadeRound, PaddedRound};
-use mixnn_core::codec;
+use mixnn_cascade::{CascadeCoordinator, CascadeRound, PaddedRound};
+use mixnn_core::{codec, RoundTranscript};
 use mixnn_crypto::sha256::Sha256;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
@@ -93,7 +93,7 @@ impl Golden {
         }
     }
 
-    fn audit(&mut self, audit: &CascadeAudit) {
+    fn audit(&mut self, audit: &RoundTranscript) {
         let g = &mut self.round;
         g.u64(audit.clients() as u64);
         g.u64(audit.groups().len() as u64);
@@ -122,7 +122,7 @@ impl Golden {
     pub fn padded(&mut self, padded: &PaddedRound) {
         self.round(&padded.round);
         let g = &mut self.round;
-        g.u64(padded.real as u64);
+        g.u64(padded.round.audit.real() as u64);
         g.u64(padded.dummy_digests.len() as u64);
         for dummy in &padded.dummy_digests {
             for layer in dummy {

@@ -23,6 +23,11 @@
 //!   no more layers than the round has participants) and
 //!   [`MixPlan::apply_owned`] moves each layer into its output slot. The
 //!   proxy and every cascade hop mix through exactly these two calls;
+//! * [`RoundTranscript`] — the record of one round's mixing: its route
+//!   groups ([`RouteGroup`]), each hop's plan, and which slots were real.
+//!   The proxy's round is the one-hop case; the cascade records one group
+//!   per route. Experiments invert it and the collusion adversary reads
+//!   it;
 //! * [`MixnnProxy`] — the deployed object: enclave-resident, attested,
 //!   decrypts sealed updates, buffers the round, mixes it, exposes
 //!   §6.5-style cost statistics; one in-order ingest routine derives eight
@@ -70,7 +75,7 @@ mod transport;
 
 pub use error::ProxyError;
 pub use link::{Endpoint, InProcessLink, LinkError, RoundLink};
-pub use mixer::{shard_seed, MixPlan};
+pub use mixer::{shard_seed, MixPlan, RoundTranscript, RouteGroup};
 pub use proxy::{MixnnProxy, MixnnProxyConfig, ProxyStats, INGEST_BATCH};
 pub use spent::SpentBuffers;
 pub use transport::{MixnnTransport, TransportMode};

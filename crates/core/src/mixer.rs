@@ -11,8 +11,12 @@
 //!
 //! A column permutation conserves the per-layer multiset of updates, which
 //! is exactly why FedAvg aggregation is unaffected.
+//!
+//! A [`RoundTranscript`] records which plans a round drew, group by group,
+//! for the proxy and the cascade alike.
 
 use crate::ProxyError;
+use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -248,10 +252,243 @@ impl MixPlan {
     }
 }
 
+/// One route group of a [`RoundTranscript`]: which slots took the route,
+/// which hops they traversed, and the plan each hop drew for the group.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteGroup {
+    slots: Vec<usize>,
+    route: Vec<usize>,
+    plans: Vec<MixPlan>,
+}
+
+impl RouteGroup {
+    /// Builds one group's record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group or its route is empty, `plans` does not line up
+    /// with `route` one-to-one, or any plan's dimensions disagree with the
+    /// group size — such a record cannot have come from one mixed group,
+    /// so composing it is a construction bug, not a runtime condition.
+    pub fn new(slots: Vec<usize>, route: Vec<usize>, plans: Vec<MixPlan>) -> Self {
+        assert!(!slots.is_empty(), "a route group has at least one client");
+        assert!(
+            !route.is_empty(),
+            "a route group traverses at least one hop"
+        );
+        assert_eq!(
+            plans.len(),
+            route.len(),
+            "one plan per traversed hop, in route order"
+        );
+        for (i, plan) in plans.iter().enumerate() {
+            assert_eq!(
+                plan.participants(),
+                slots.len(),
+                "plan {i} disagrees with the group size"
+            );
+            assert_eq!(
+                plan.layers(),
+                plans[0].layers(),
+                "plan {i} disagrees with plan 0 on layers"
+            );
+        }
+        RouteGroup {
+            slots,
+            route,
+            plans,
+        }
+    }
+
+    /// The group's slots, in group-local order (ascending).
+    pub fn slots(&self) -> &[usize] {
+        &self.slots
+    }
+
+    /// The hop indices the group traversed, in order.
+    pub fn route(&self) -> &[usize] {
+        &self.route
+    }
+
+    /// The per-hop plans the route drew for this group, in route order.
+    pub fn plans(&self) -> &[MixPlan] {
+        &self.plans
+    }
+
+    /// Number of slots in the group — the ceiling of any member's
+    /// anonymity set.
+    pub fn members(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// The record of one mixing round: who was in each route group, which
+/// slots were real and which cover, and — through every hop's
+/// [`MixPlan`] — where each output layer came from.
+///
+/// A cascade round is a disjoint union of per-group permutations, which is
+/// exactly why the server-side aggregate is untouched and why an
+/// adversary must cover a client's **entire route** to invert its mix
+/// (`mixnn_attacks::analyze_routed_collusion` reads this record
+/// directly). A single proxy's round is the one-hop case: one group over
+/// every slot, route `[0]`, one plan
+/// ([`MixnnProxy::last_audit`](crate::MixnnProxy::last_audit)).
+///
+/// A transcript covers the **slots the round actually drove**, not a fixed
+/// client population: pooled rounds are routinely *partial* and may carry
+/// trailing cover slots a hop padded in. [`RoundTranscript::clients`]
+/// counts every driven slot — on the wire and through every plan a cover
+/// slot is indistinguishable from a real one until the server strips it —
+/// and [`RoundTranscript::real`] says where the real ones end.
+///
+/// It is an experiment artefact: no deployment exposes it, and it never
+/// reaches telemetry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundTranscript {
+    clients: usize,
+    real: usize,
+    groups: Vec<RouteGroup>,
+}
+
+impl RoundTranscript {
+    /// Builds a transcript from per-route-group records, every slot real.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no groups, the groups' slots do not partition
+    /// `0..clients`, or the groups disagree on the layer count — a round
+    /// cannot have produced such a record.
+    pub fn from_groups(clients: usize, groups: Vec<RouteGroup>) -> Self {
+        assert!(!groups.is_empty(), "a round has at least one route group");
+        let mut seen = vec![false; clients];
+        for group in &groups {
+            for &slot in &group.slots {
+                assert!(
+                    slot < clients && !seen[slot],
+                    "groups must partition 0..{clients} (slot {slot} misplaced)"
+                );
+                seen[slot] = true;
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "groups must partition 0..{clients} (some slot uncovered)"
+        );
+        let layers = groups[0].plans[0].layers();
+        assert!(
+            groups.iter().all(|g| g.plans[0].layers() == layers),
+            "groups disagree on the layer count"
+        );
+        RoundTranscript {
+            clients,
+            real: clients,
+            groups,
+        }
+    }
+
+    /// Marks the trailing slots `real..` as cover.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `real` exceeds the transcript's slots.
+    pub fn with_real(mut self, real: usize) -> Self {
+        assert!(
+            real <= self.clients,
+            "transcript covers {} slots but {real} real clients claimed",
+            self.clients
+        );
+        self.real = real;
+        self
+    }
+
+    /// The per-route-group records, ordered by route.
+    pub fn groups(&self) -> &[RouteGroup] {
+        &self.groups
+    }
+
+    /// Slots covered by the transcript, real and cover alike.
+    pub fn clients(&self) -> usize {
+        self.clients
+    }
+
+    /// Number of real slots: slots `0..real` carried client updates, the
+    /// rest carried cover.
+    pub fn real(&self) -> usize {
+        self.real
+    }
+
+    /// Model layers covered by the plans.
+    pub fn layers(&self) -> usize {
+        self.groups[0].plans[0].layers()
+    }
+
+    /// The original slot whose layer `layer` ended up in final output
+    /// `output`, traced back through every hop of the output's route
+    /// group.
+    pub fn composed_source(&self, layer: usize, output: usize) -> Option<usize> {
+        let group = self.groups.iter().find(|g| g.slots.contains(&output))?;
+        let mut idx = group.slots.iter().position(|&s| s == output)?;
+        for plan in group.plans.iter().rev() {
+            idx = plan.source(layer, idx)?;
+        }
+        group.slots.get(idx).copied()
+    }
+
+    /// Inverts the whole round: reassembles each slot's original update
+    /// from the mixed outputs, group by group. Restores both the slot
+    /// order and the exact layer bits — the correctness check behind the
+    /// utility equivalence claim.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProxyError::InsufficientUpdates`] if `mixed` does not
+    /// hold one update per slot, or [`ProxyError::SignatureMismatch`] if
+    /// an update's layer count differs from the plans'.
+    pub fn unmix(&self, mixed: &[ModelParams]) -> Result<Vec<ModelParams>, ProxyError> {
+        if mixed.len() != self.clients {
+            return Err(ProxyError::InsufficientUpdates {
+                have: mixed.len(),
+                need: self.clients,
+            });
+        }
+        let layers = self.layers();
+        if let Some(m) = mixed.iter().find(|m| m.num_layers() != layers) {
+            return Err(ProxyError::SignatureMismatch {
+                expected: vec![layers],
+                actual: vec![m.num_layers()],
+            });
+        }
+        // Walk group-wise rather than via `composed_source` per cell: the
+        // latter re-locates the output's group by linear scan on every
+        // call, which would make this O(clients² · layers).
+        let mut slots: Vec<Vec<Option<LayerParams>>> = vec![vec![None; layers]; self.clients];
+        for group in &self.groups {
+            for (local_out, &out) in group.slots.iter().enumerate() {
+                for (l, layer) in mixed[out].iter().enumerate() {
+                    let mut idx = local_out;
+                    for plan in group.plans.iter().rev() {
+                        idx = plan.source(l, idx).expect("dimensions checked above");
+                    }
+                    slots[group.slots[idx]][l] = Some(layer.clone());
+                }
+            }
+        }
+        Ok(slots
+            .into_iter()
+            .map(|row| {
+                ModelParams::from_layers(
+                    row.into_iter()
+                        .map(|slot| slot.expect("group permutations cover every cell"))
+                        .collect(),
+                )
+            })
+            .collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixnn_nn::{LayerParams, ModelParams};
     use rand::SeedableRng;
 
     fn updates(c: usize, layers: &[usize]) -> Vec<ModelParams> {

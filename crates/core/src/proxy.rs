@@ -34,7 +34,7 @@
 //! update, no EPC charge — so a failed round can neither wedge the enclave
 //! nor leak its accepted updates into the next round's mix.
 
-use crate::{codec, MixPlan, ProxyError};
+use crate::{codec, MixPlan, ProxyError, RoundTranscript, RouteGroup};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
 use mixnn_nn::ModelParams;
@@ -126,7 +126,7 @@ pub struct MixnnProxy {
     /// The enclave's mixing entropy: one [`MixPlan::for_round`] draw per
     /// round, as a cascade hop draws its plans.
     rng: StdRng,
-    last_plan: Option<MixPlan>,
+    last_audit: Option<RoundTranscript>,
     stats: ProxyStats,
     telemetry: Telemetry,
 }
@@ -147,7 +147,7 @@ impl MixnnProxy {
             signature: config.expected_signature,
             batch_buffer: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
-            last_plan: None,
+            last_audit: None,
             stats: ProxyStats::default(),
             telemetry: mixnn_telemetry::noop(),
         }
@@ -192,11 +192,12 @@ impl MixnnProxy {
         self.enclave.memory().stats()
     }
 
-    /// The mixing plan of the most recent round — the one drawn by
-    /// [`MixnnProxy::mix_batch`] — for experiments and audits (never
-    /// exposed in a deployment).
-    pub fn last_plan(&self) -> Option<&MixPlan> {
-        self.last_plan.as_ref()
+    /// The transcript of the most recent round mixed by
+    /// [`MixnnProxy::mix_batch`] — one route group over every slot, route
+    /// `[0]`, the one plan the round drew — for experiments and audits
+    /// (never exposed in a deployment).
+    pub fn last_audit(&self) -> Option<&RoundTranscript> {
+        self.last_audit.as_ref()
     }
 
     /// Updates currently buffered inside the enclave.
@@ -375,7 +376,11 @@ impl MixnnProxy {
             .collect();
         self.stats.mix_seconds += t0.elapsed().as_secs_f64();
         self.stats.updates_forwarded += mixed.len() as u64;
-        self.last_plan = Some(plan);
+        let slots = (0..mixed.len()).collect();
+        self.last_audit = Some(RoundTranscript::from_groups(
+            mixed.len(),
+            vec![RouteGroup::new(slots, vec![0], vec![plan])],
+        ));
         self.telemetry.incr(Counter::CoreBatchesMixed, 1);
         self.telemetry
             .observe(Distribution::CoreMixBatchUpdates, mixed.len() as u64);

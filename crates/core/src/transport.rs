@@ -89,7 +89,7 @@ impl MixnnTransport {
         self.compression
     }
 
-    /// Access to the proxy (stats, memory, last plan).
+    /// Access to the proxy (stats, memory, last round transcript).
     pub fn proxy(&self) -> &MixnnProxy {
         &self.proxy
     }

@@ -73,8 +73,8 @@ impl Golden {
         }
     }
 
-    /// The proxy's non-timing counters, its EPC state and the last plan's
-    /// source table.
+    /// The proxy's non-timing counters, its EPC state and the source table
+    /// of the last round's one plan.
     fn proxy(&mut self, proxy: &MixnnProxy) {
         let s = proxy.stats();
         let as_recorded = |bytes: u64, envelopes: u64| {
@@ -98,7 +98,8 @@ impl Golden {
         self.u64(m.paging_events);
         self.u64(m.paged_out as u64);
         self.u64(proxy.buffered() as u64);
-        if let Some(plan) = proxy.last_plan() {
+        if let Some(transcript) = proxy.last_audit() {
+            let plan = &transcript.groups()[0].plans()[0];
             self.u64(plan.participants() as u64);
             self.u64(plan.layers() as u64);
             for l in 0..plan.layers() {

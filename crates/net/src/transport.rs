@@ -13,7 +13,8 @@
 
 use crate::link::{FlushPolicy, SimLink};
 use crate::sim::LinkConfig;
-use mixnn_cascade::{CascadeAudit, CascadeCoordinator, CascadeError};
+use mixnn_cascade::{CascadeCoordinator, CascadeError};
+use mixnn_core::RoundTranscript;
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
@@ -32,7 +33,7 @@ pub struct NetCascadeTransport {
     link: SimLink,
     /// RNG standing in for the participants' onion-sealing entropy.
     participant_rng: StdRng,
-    last_audit: Option<CascadeAudit>,
+    last_audit: Option<RoundTranscript>,
 }
 
 impl NetCascadeTransport {
@@ -70,7 +71,7 @@ impl NetCascadeTransport {
     }
 
     /// The audit of the most recent round, for experiments.
-    pub fn last_audit(&self) -> Option<&CascadeAudit> {
+    pub fn last_audit(&self) -> Option<&RoundTranscript> {
         self.last_audit.as_ref()
     }
 

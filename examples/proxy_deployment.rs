@@ -200,15 +200,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The adversary that owns stratum 0 entirely still covers no client's
     // whole route, so every anonymity set stays a full route group.
     let colluding = [0usize, 1];
-    let views: Vec<mixnn::attacks::RouteGroupView> = round
-        .audit
-        .groups()
-        .iter()
-        .map(|g| {
-            mixnn::attacks::RouteGroupView::for_group(g.slots(), g.route(), g.plans(), &colluding)
-        })
-        .collect();
-    let report = analyze_routed_collusion(&views, clients, signature.len());
+    let report = analyze_routed_collusion(&round.audit, &colluding);
     println!(
         "route groups {:?}; with stratum 0 fully colluding, {} of {clients} clients linked,\n\
          per-client anonymity distribution {:?} (see `eval topology` for the full sweep)",

@@ -7,6 +7,7 @@
 //! is. The noisy-gradient baseline must *not* match — it trades utility
 //! for privacy, which is exactly the paper's contrast.
 
+use mixnn::attacks::analyze_routed_collusion;
 use mixnn::data::{lfw_like, motionsense_like};
 use mixnn::enclave::AttestationService;
 use mixnn::fl::{DirectTransport, FlConfig, FlSimulation, NoisyTransport, UpdateTransport};
@@ -123,7 +124,36 @@ fn mixnn_works_on_deepface_architecture_too() {
     let mixed = run_rounds(&template, cfg, &population, &mut transport);
     assert_eq!(classic, mixed);
     // 5 trainable layers ≤ 6 participants: the Latin plan must be in force.
-    let plan = transport.proxy().last_plan().unwrap();
+    let plan = &transport.proxy().last_audit().unwrap().groups()[0].plans()[0];
     assert!(plan.is_column_bijective());
     assert!(plan.is_row_distinct());
+}
+
+#[test]
+fn proxy_transcript_inverts_the_round_and_arms_the_collusion_adversary() {
+    // One sealed proxy round over six distinct updates of the LFW model,
+    // seen through the proxy's transcript: one group, route [0], one plan.
+    let mut rng = StdRng::seed_from_u64(106);
+    let template = zoo::deepface_like(zoo::InputSpec::new(1, 8, 8), 2, 3, &mut rng);
+    let updates: Vec<_> = (0..6)
+        .map(|_| template.params().perturbed(0.1, &mut rng))
+        .collect();
+    let mut transport = mixnn_transport(&template, 106);
+    let mixed = transport.relay_round(updates.clone()).unwrap();
+    assert_ne!(mixed, updates, "the proxy must mix");
+    let transcript = transport.proxy().last_audit().unwrap();
+    assert_eq!(transcript.groups().len(), 1);
+    assert_eq!(transcript.groups()[0].route(), &[0]);
+    assert_eq!(transcript.real(), updates.len());
+
+    // The transcript inverts the round bit for bit.
+    assert_eq!(transcript.unmix(&mixed).unwrap(), updates);
+    // A compromised proxy sees everything — the paper's trust assumption —
+    // and an honest one reveals nothing.
+    let compromised = analyze_routed_collusion(transcript, &[0]);
+    assert_eq!(compromised.linkable_fraction, 1.0);
+    assert_eq!(compromised.linked_clients(), updates.len());
+    let honest = analyze_routed_collusion(transcript, &[]);
+    assert_eq!(honest.linkable_fraction, 0.0);
+    assert!(honest.links.iter().all(Option::is_none));
 }
