@@ -1,10 +1,15 @@
 //! ∇Sim cost bench: fitting attack models and scoring observed updates
-//! (fig7/fig8-adjacent micro benchmarks).
+//! (fig7/fig8-adjacent micro benchmarks), and the windowed layers that
+//! local training — the clients' and the attacker's — spends its time in.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixnn_attacks::{GradSim, GradSimConfig};
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_fl::FlConfig;
+use mixnn_nn::{Conv2d, Layer, LocallyConnected2d};
+use mixnn_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::time::Duration;
 
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
@@ -52,7 +57,7 @@ fn bench_fit_and_score(c: &mut Criterion) {
         ..GradSimConfig::default()
     };
     let attack = GradSim::fit(&template, &base, &background, &fl_cfg, &cfg).unwrap();
-    let observed = base.perturbed(0.01, &mut rand::rngs::StdRng::seed_from_u64(1));
+    let observed = base.perturbed(0.01, &mut StdRng::seed_from_u64(1));
     group.bench_function("score", |b| {
         b.iter(|| attack.score(&observed).unwrap());
     });
@@ -62,7 +67,55 @@ fn bench_fit_and_score(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Conv2d` and `LocallyConnected2d` forward and backward at the shapes
+/// training runs them: `fl_train`'s `conv2_fc3` (width 4, 1×8×8 input,
+/// batch 64) and the LFW `deepface_like` (width 4, batch 16). The
+/// backward rows feed a gradient that is 80 % zeros, as it is behind
+/// ReLU and 2×2 max pooling.
+fn bench_windowed_layers(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut group = c.benchmark_group("nn");
+    group
+        .sample_size(2000)
+        .warm_up_time(Duration::from_millis(100))
+        .measurement_time(Duration::from_secs(1));
+    let mut row = |name: &str, mut layer: Box<dyn Layer>, dims: [usize; 4], rng: &mut StdRng| {
+        let x = Tensor::randn(dims.to_vec(), 0.0, 1.0, rng);
+        let y = layer.forward(&x).unwrap();
+        let g = Tensor::from_fn(y.dims().to_vec(), |_| {
+            if rng.gen_bool(0.2) {
+                rng.gen_range(-1.0f32..1.0)
+            } else {
+                0.0
+            }
+        });
+        let (kind, shape) = name.split_once('/').unwrap();
+        group.bench_function(format!("{kind}/forward/{shape}"), |b| {
+            b.iter(|| layer.forward(&x).unwrap());
+        });
+        group.bench_function(format!("{kind}/backward/{shape}"), |b| {
+            b.iter(|| layer.backward(&g).unwrap());
+        });
+    };
+    let conv = Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
+    row("conv2d/fl_train/conv1", conv, [64, 1, 8, 8], &mut rng);
+    let conv = Box::new(Conv2d::new(4, 8, 3, 1, 1, &mut rng));
+    row("conv2d/fl_train/conv2", conv, [64, 4, 4, 4], &mut rng);
+    let conv = Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
+    row("conv2d/lfw/conv1", conv, [16, 1, 8, 8], &mut rng);
+    let conv = Box::new(Conv2d::new(4, 4, 3, 1, 1, &mut rng));
+    row("conv2d/lfw/conv3", conv, [16, 4, 4, 4], &mut rng);
+    let local = Box::new(LocallyConnected2d::new(4, 4, 3, 4, 4, &mut rng));
+    row(
+        "locally_connected2d/lfw/local4",
+        local,
+        [16, 4, 4, 4],
+        &mut rng,
+    );
+    group.finish();
+}
+
 use rand::SeedableRng;
 
-criterion_group!(benches, bench_fit_and_score);
+criterion_group!(benches, bench_fit_and_score, bench_windowed_layers);
 criterion_main!(benches);

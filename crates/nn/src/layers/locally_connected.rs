@@ -5,6 +5,7 @@
 //! whose kernels are **not shared** across spatial positions. This layer
 //! provides that building block for the `zoo::deepface_like` model.
 
+use crate::layers::window::{Passes, Window};
 use crate::layers::{check_param_len, Layer};
 use crate::{LayerParams, NnError};
 use mixnn_tensor::{init, Tensor};
@@ -19,6 +20,14 @@ use rand::Rng;
 /// biases, both row-major. Note the parameter count grows with the output
 /// area — exactly the property that makes DeepFace-style models large,
 /// which the paper's §6.5 memory discussion depends on.
+///
+/// The passes share [`crate::Conv2d`]'s loops: the forward pass sums batch
+/// innermost, sixteen examples at once over a batch-innermost copy of the
+/// input, and the backward pass is the direct loop with zero output
+/// gradients skipped. Per element the f32 operations and their order are
+/// the direct loop's — `bias` then `+= x·w` in ascending `(ic, kh, kw)`;
+/// batch order for a kernel or bias gradient; `(oc, oy, ox)` for the input
+/// gradient — so both passes are bit-identical to it.
 #[derive(Debug, Clone)]
 pub struct LocallyConnected2d {
     in_channels: usize,
@@ -30,7 +39,7 @@ pub struct LocallyConnected2d {
     bias: Tensor,
     grad_weights: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
+    passes: Passes,
 }
 
 impl LocallyConnected2d {
@@ -66,7 +75,7 @@ impl LocallyConnected2d {
             bias: Tensor::zeros(vec![out_channels, out_h, out_w]),
             grad_weights: Tensor::zeros(w_dims),
             grad_bias: Tensor::zeros(vec![out_channels, out_h, out_w]),
-            cached_input: None,
+            passes: Passes::default(),
         }
     }
 
@@ -80,10 +89,21 @@ impl LocallyConnected2d {
         self.in_w - self.kernel + 1
     }
 
-    #[inline]
-    fn w_idx(&self, oc: usize, oy: usize, ox: usize, ic: usize, kh: usize, kw: usize) -> usize {
-        let (oh, ow, icn, k) = (self.out_h(), self.out_w(), self.in_channels, self.kernel);
-        ((((oc * oh + oy) * ow + ox) * icn + ic) * k + kh) * k + kw
+    /// The pass geometry for a batch of `batch` examples.
+    fn window(&self, batch: usize) -> Window {
+        Window {
+            batch,
+            in_c: self.in_channels,
+            out_c: self.out_channels,
+            in_h: self.in_h,
+            in_w: self.in_w,
+            out_h: self.out_h(),
+            out_w: self.out_w(),
+            kernel: self.kernel,
+            stride: 1,
+            padding: 0,
+            shared: false,
+        }
     }
 }
 
@@ -107,91 +127,21 @@ impl Layer for LocallyConnected2d {
                 actual: input.dims().to_vec(),
             });
         }
-        let batch = input.dims()[0];
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let (icn, ocn, k, h, w) = (
-            self.in_channels,
-            self.out_channels,
-            self.kernel,
-            self.in_h,
-            self.in_w,
-        );
-        let mut out = Tensor::zeros(vec![batch, ocn, oh, ow]);
-        let x = input.data();
-        for b in 0..batch {
-            for oc in 0..ocn {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = self.bias.data()[(oc * oh + oy) * ow + ox];
-                        for ic in 0..icn {
-                            for kh in 0..k {
-                                for kw in 0..k {
-                                    let xi = ((b * icn + ic) * h + oy + kh) * w + ox + kw;
-                                    acc += x[xi]
-                                        * self.weights.data()[self.w_idx(oc, oy, ox, ic, kh, kw)];
-                                }
-                            }
-                        }
-                        out.data_mut()[((b * ocn + oc) * oh + oy) * ow + ox] = acc;
-                    }
-                }
-            }
-        }
-        self.cached_input = Some(input.clone());
-        Ok(out)
+        let win = self.window(input.dims()[0]);
+        Ok(self
+            .passes
+            .forward(win, input, self.weights.data(), self.bias.data()))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: self.name().to_string(),
-            })?
-            .clone();
-        let batch = input.dims()[0];
-        let (oh, ow) = (self.out_h(), self.out_w());
-        if grad_output.dims() != [batch, self.out_channels, oh, ow] {
-            return Err(NnError::BadInput {
-                layer: self.name().to_string(),
-                expected: format!("[{batch}, {}, {oh}, {ow}]", self.out_channels),
-                actual: grad_output.dims().to_vec(),
-            });
-        }
-        let (icn, ocn, k, h, w) = (
-            self.in_channels,
-            self.out_channels,
-            self.kernel,
-            self.in_h,
-            self.in_w,
-        );
-        let x = input.data();
-        let g = grad_output.data();
-        let mut dx = Tensor::zeros(input.dims().to_vec());
-        for b in 0..batch {
-            for oc in 0..ocn {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let go = g[((b * ocn + oc) * oh + oy) * ow + ox];
-                        if go == 0.0 {
-                            continue;
-                        }
-                        self.grad_bias.data_mut()[(oc * oh + oy) * ow + ox] += go;
-                        for ic in 0..icn {
-                            for kh in 0..k {
-                                for kw in 0..k {
-                                    let xi = ((b * icn + ic) * h + oy + kh) * w + ox + kw;
-                                    let wi = self.w_idx(oc, oy, ox, ic, kh, kw);
-                                    self.grad_weights.data_mut()[wi] += go * x[xi];
-                                    dx.data_mut()[xi] += go * self.weights.data()[wi];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(dx)
+        let layer = self.name();
+        self.passes.backward(
+            layer,
+            grad_output,
+            self.weights.data(),
+            self.grad_weights.data_mut(),
+            self.grad_bias.data_mut(),
+        )
     }
 
     fn params(&self) -> Option<LayerParams> {
@@ -234,11 +184,127 @@ impl Layer for LocallyConnected2d {
     }
 }
 
+/// The direct loops the layer ran before its batch-innermost forward pass,
+/// kept as the twin its passes are pinned to bit for bit.
+#[cfg(test)]
+impl LocallyConnected2d {
+    fn w_idx(&self, oc: usize, oy: usize, ox: usize, ic: usize, kh: usize, kw: usize) -> usize {
+        let (oh, ow, icn, k) = (self.out_h(), self.out_w(), self.in_channels, self.kernel);
+        ((((oc * oh + oy) * ow + ox) * icn + ic) * k + kh) * k + kw
+    }
+
+    fn forward_reference(&self, input: &Tensor) -> Tensor {
+        let batch = input.dims()[0];
+        let (oh, ow) = (self.out_h(), self.out_w());
+        let (icn, ocn, k, h, w) = (
+            self.in_channels,
+            self.out_channels,
+            self.kernel,
+            self.in_h,
+            self.in_w,
+        );
+        let mut out = Tensor::zeros(vec![batch, ocn, oh, ow]);
+        let x = input.data();
+        for b in 0..batch {
+            for oc in 0..ocn {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = self.bias.data()[(oc * oh + oy) * ow + ox];
+                        for ic in 0..icn {
+                            for kh in 0..k {
+                                for kw in 0..k {
+                                    let xi = ((b * icn + ic) * h + oy + kh) * w + ox + kw;
+                                    acc += x[xi]
+                                        * self.weights.data()[self.w_idx(oc, oy, ox, ic, kh, kw)];
+                                }
+                            }
+                        }
+                        out.data_mut()[((b * ocn + oc) * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn backward_reference(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let batch = input.dims()[0];
+        let (oh, ow) = (self.out_h(), self.out_w());
+        let (icn, ocn, k, h, w) = (
+            self.in_channels,
+            self.out_channels,
+            self.kernel,
+            self.in_h,
+            self.in_w,
+        );
+        let x = input.data();
+        let g = grad_output.data();
+        let mut dx = Tensor::zeros(input.dims().to_vec());
+        for b in 0..batch {
+            for oc in 0..ocn {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let go = g[((b * ocn + oc) * oh + oy) * ow + ox];
+                        if go == 0.0 {
+                            continue;
+                        }
+                        self.grad_bias.data_mut()[(oc * oh + oy) * ow + ox] += go;
+                        for ic in 0..icn {
+                            for kh in 0..k {
+                                for kw in 0..k {
+                                    let xi = ((b * icn + ic) * h + oy + kh) * w + ox + kw;
+                                    let wi = self.w_idx(oc, oy, ox, ic, kh, kw);
+                                    self.grad_weights.data_mut()[wi] += go * x[xi];
+                                    dx.data_mut()[xi] += go * self.weights.data()[wi];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::window::hostile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn batch_innermost_passes_match_the_direct_loops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut exercised = 0;
+        for kernel in 1..=5 {
+            for (h, w) in [(5, 7), (7, 5), (9, 9)] {
+                let batch = hostile::BATCHES[exercised % hostile::BATCHES.len()];
+                let mut lc = LocallyConnected2d::new(2, 3, kernel, h, w, &mut rng);
+                let biases = 3 * lc.out_h() * lc.out_w();
+                let values = hostile::params(lc.param_len(), biases, &mut rng);
+                lc.set_params(&LayerParams::from_values(values)).unwrap();
+                let x = hostile::input(vec![batch, 2, h, w], &mut rng);
+                let mut twin = lc.clone();
+                let y = lc.forward(&x).unwrap();
+                hostile::assert_bits_eq("forward", y.data(), twin.forward_reference(&x).data());
+                for _ in 0..2 {
+                    let g = hostile::grad(y.dims().to_vec(), &mut rng);
+                    let dx = lc.backward(&g).unwrap();
+                    let dx_twin = twin.backward_reference(&x, &g);
+                    hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
+                    hostile::assert_bits_eq(
+                        "grads",
+                        lc.grads().unwrap().values(),
+                        twin.grads().unwrap().values(),
+                    );
+                }
+                exercised += 1;
+            }
+        }
+        println!("locally connected geometries exercised: {exercised}");
+    }
 
     #[test]
     fn output_shape_is_valid_convolution_shape() {

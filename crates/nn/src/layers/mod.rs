@@ -12,6 +12,7 @@ pub mod dense;
 pub mod flatten;
 pub mod locally_connected;
 pub mod pool;
+mod window;
 
 use crate::{LayerParams, NnError};
 use mixnn_tensor::Tensor;

@@ -30,7 +30,7 @@ use mixnn_tensor::Tensor;
 pub struct MaxPool2d {
     window: usize,
     argmax: Vec<usize>,
-    input_dims: Option<Vec<usize>>,
+    input_dims: Option<[usize; 4]>,
 }
 
 impl MaxPool2d {
@@ -77,7 +77,8 @@ impl Layer for MaxPool2d {
         let k = self.window;
         let (oh, ow) = (h / k, w / k);
         let mut out = Tensor::zeros(vec![batch, c, oh, ow]);
-        self.argmax = vec![0; batch * c * oh * ow];
+        self.argmax.clear();
+        self.argmax.resize(batch * c * oh * ow, 0);
         let x = input.data();
         for b in 0..batch {
             for ch in 0..c {
@@ -103,7 +104,7 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        self.input_dims = Some(input.dims().to_vec());
+        self.input_dims = Some([batch, c, h, w]);
         Ok(out)
     }
 
@@ -121,7 +122,7 @@ impl Layer for MaxPool2d {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let mut dx = Tensor::zeros(dims.clone());
+        let mut dx = Tensor::zeros(dims.to_vec());
         for (oidx, &iidx) in self.argmax.iter().enumerate() {
             dx.data_mut()[iidx] += grad_output.data()[oidx];
         }

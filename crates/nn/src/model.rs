@@ -66,8 +66,11 @@ impl Sequential {
     ///
     /// Propagates the first layer error (typically a shape mismatch).
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input)?;
+        for layer in rest {
             x = layer.forward(&x)?;
         }
         Ok(x)
@@ -81,8 +84,11 @@ impl Sequential {
     /// Returns [`NnError::BackwardBeforeForward`] if `forward` was not
     /// called first.
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return Ok(());
+        };
+        let mut g = last.backward(grad_output)?;
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         Ok(())
