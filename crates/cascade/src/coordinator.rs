@@ -59,13 +59,11 @@ pub struct CascadeConfig {
 pub struct CascadeRound {
     /// The mixed updates as the server receives them, in slot order.
     pub mixed: Vec<ModelParams>,
-    /// The round's transcript — per-route-group mixing plans and the real
-    /// slot count — for audits and experiments (never exposed in a
-    /// deployment).
+    /// The round's transcript — per-route-group mixing plans, the real
+    /// slot count and the hops the clients traversed
+    /// ([`RoundTranscript::hops`]) — for audits and experiments (never
+    /// exposed in a deployment).
     pub audit: RoundTranscript,
-    /// Hop indices at least one client actually traversed this round,
-    /// ascending. For a uniform layout this is the whole active chain.
-    pub chain: Vec<usize>,
     /// Hops newly skipped while running this round (non-empty only under
     /// [`FailurePolicy::Skip`]).
     pub skipped_this_round: Vec<usize>,
@@ -779,7 +777,6 @@ impl CascadeCoordinator {
 
             let mut mixed: Vec<Option<ModelParams>> = vec![None; clients];
             let mut recorded = Vec::with_capacity(groups.len());
-            let mut chain: Vec<usize> = Vec::new();
             // A failed attempt drops whatever it took from the kept
             // generation; the retry, and the round after an abort, start
             // without one.
@@ -846,15 +843,12 @@ impl CascadeCoordinator {
                         Some(OnionView::parse(wire)?.into_params(&self.signature)?);
                 }
                 server_bound.extend(batch);
-                chain.extend(&group.route);
                 recorded.push(mixnn_core::RouteGroup::new(
                     group.slots.clone(),
                     group.route.clone(),
                     plans,
                 ));
             }
-            chain.sort_unstable();
-            chain.dedup();
             self.server_bound.keep(server_bound);
             return Ok((
                 CascadeRound {
@@ -863,7 +857,6 @@ impl CascadeCoordinator {
                         .map(|m| m.expect("groups partition the round"))
                         .collect(),
                     audit: RoundTranscript::from_groups(clients, recorded).with_real(updates.len()),
-                    chain,
                     skipped_this_round,
                 },
                 dummy_digests,
@@ -930,7 +923,7 @@ mod tests {
             let ins = updates(6);
             let round = cascade.run_round(&ins, &mut rng).unwrap();
             assert_eq!(round.mixed.len(), 6);
-            assert_eq!(round.chain.len(), hop_count);
+            assert_eq!(round.audit.hops().len(), hop_count);
             assert_eq!(
                 ModelParams::mean(&ins),
                 ModelParams::mean(&round.mixed),
@@ -1026,7 +1019,7 @@ mod tests {
         let round = cascade.run_round(&ins, &mut rng).unwrap();
         assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&round.mixed));
         assert_eq!(round.audit.unmix(&round.mixed).unwrap(), ins);
-        assert_eq!(round.chain, vec![0, 2], "hop 1 is off every route");
+        assert_eq!(round.audit.hops(), vec![0, 2], "hop 1 is off every route");
         let stats = cascade.hop_stats();
         assert_eq!(stats[1].updates_received, 0, "unused hop does no work");
         // Hop 0 serves both groups: 1 + 4 updates across two partial rounds.
@@ -1134,7 +1127,7 @@ mod tests {
         let ins = updates(5);
         let round = cascade.run_round(&ins, &mut rng).unwrap();
         assert_eq!(round.skipped_this_round, vec![1]);
-        assert_eq!(round.chain, vec![0, 2]);
+        assert_eq!(round.audit.hops(), vec![0, 2]);
         assert_eq!(cascade.skipped_hops(), vec![1]);
         assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&round.mixed));
         assert_eq!(round.audit.unmix(&round.mixed).unwrap(), ins);
@@ -1142,7 +1135,7 @@ mod tests {
         // The skip is sticky: the next round goes straight to the
         // surviving chain…
         let round2 = cascade.run_round(&ins, &mut rng).unwrap();
-        assert_eq!(round2.chain, vec![0, 2]);
+        assert_eq!(round2.audit.hops(), vec![0, 2]);
         assert!(round2.skipped_this_round.is_empty());
 
         // …until the operator reinstates the hop (here still broken, so it
@@ -1203,7 +1196,7 @@ mod tests {
         let round = cascade.run_round(&ins, &mut rng).unwrap();
         assert_eq!(round.skipped_this_round, vec![2]);
         assert_eq!(cascade.skipped_hops(), vec![2]);
-        assert_eq!(round.chain, vec![0, 1]);
+        assert_eq!(round.audit.hops(), vec![0, 1]);
         assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&round.mixed));
         assert_eq!(round.audit.unmix(&round.mixed).unwrap(), ins);
         let routes: Vec<&[usize]> = round.audit.groups().iter().map(|g| g.route()).collect();

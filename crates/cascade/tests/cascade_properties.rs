@@ -270,8 +270,8 @@ proptest! {
         let round = cascade.run_round(&updates, &mut rng).expect("skip saves the round");
 
         prop_assert_eq!(&round.skipped_this_round, &vec![dead]);
-        prop_assert_eq!(round.chain.len(), hops - 1);
-        prop_assert!(!round.chain.contains(&dead));
+        prop_assert_eq!(round.audit.hops().len(), hops - 1);
+        prop_assert!(!round.audit.hops().contains(&dead));
         // The surviving chain still carries the round bit-exactly.
         prop_assert_eq!(&round.audit.unmix(&round.mixed).expect("unmix"), &updates);
         prop_assert_eq!(

@@ -115,7 +115,7 @@ impl Golden {
     pub fn round(&mut self, round: &CascadeRound) {
         self.round.params(&round.mixed);
         self.audit(&round.audit);
-        self.round.usizes(&round.chain);
+        self.round.usizes(&round.audit.hops());
         self.round.usizes(&round.skipped_this_round);
     }
 

@@ -223,7 +223,7 @@ fn a_skip_reroute_costs_at_most_one_warm_up() {
     let (rerouted, _) = counted_round(&mut cascade, &ins, &mut rng, &mut drop_into_hop_1);
     let rerouted = rerouted.unwrap();
     assert_eq!(rerouted.skipped_this_round, vec![1]);
-    assert_eq!(rerouted.chain, vec![0, 2]);
+    assert_eq!(rerouted.audit.hops(), vec![0, 2]);
     assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&rerouted.mixed));
     let next = recovers(&mut cascade, &ins, &mut rng);
     println!("after a skip reroute: {next} message-sized allocations, then {CLIENTS}");

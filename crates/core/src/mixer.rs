@@ -422,6 +422,20 @@ impl RoundTranscript {
         self.groups[0].plans[0].layers()
     }
 
+    /// The hops at least one group traversed — the union of the groups'
+    /// routes, ascending. For a uniform layout this is the whole active
+    /// chain.
+    pub fn hops(&self) -> Vec<usize> {
+        let mut hops: Vec<usize> = self
+            .groups
+            .iter()
+            .flat_map(|g| g.route.iter().copied())
+            .collect();
+        hops.sort_unstable();
+        hops.dedup();
+        hops
+    }
+
     /// The original slot whose layer `layer` ended up in final output
     /// `output`, traced back through every hop of the output's route
     /// group.

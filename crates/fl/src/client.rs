@@ -62,7 +62,8 @@ impl FlClient {
 ///
 /// # Errors
 ///
-/// Propagates model/data failures as [`FlError`].
+/// Returns [`FlError::InvalidConfig`] if `cfg.learning_rate` is not finite
+/// and positive, and propagates model/data failures as [`FlError`].
 pub fn train_local(
     template: &Sequential,
     global: &ModelParams,
@@ -70,6 +71,14 @@ pub fn train_local(
     cfg: &FlConfig,
     seed: u64,
 ) -> Result<ModelParams, FlError> {
+    if !(cfg.learning_rate.is_finite() && cfg.learning_rate > 0.0) {
+        return Err(FlError::InvalidConfig {
+            reason: format!(
+                "learning rate must be finite and positive, got {}",
+                cfg.learning_rate
+            ),
+        });
+    }
     let mut model = template.clone();
     model.set_params(global)?;
     let loss = SoftmaxCrossEntropy::new();
@@ -164,6 +173,26 @@ mod tests {
             l_after < l_before,
             "local training failed to reduce loss ({l_before} -> {l_after})"
         );
+    }
+
+    #[test]
+    fn invalid_learning_rate_is_a_typed_error() {
+        let (template, data, cfg) = setup();
+        let global = template.params();
+        for learning_rate in [0.0, -0.01, f32::NAN, f32::INFINITY] {
+            for optimizer in [OptimizerKind::Sgd, OptimizerKind::Adam] {
+                let cfg = FlConfig {
+                    learning_rate,
+                    optimizer,
+                    ..cfg
+                };
+                let err = train_local(&template, &global, &data, &cfg, 0).unwrap_err();
+                assert!(
+                    matches!(&err, FlError::InvalidConfig { reason } if reason.contains("learning rate")),
+                    "{learning_rate} under {optimizer:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@ pub enum FlError {
     Data(DataError),
     /// A round was attempted with no participating clients.
     EmptyRound,
+    /// The [`crate::FlConfig`] holds a value training cannot run with.
+    InvalidConfig {
+        /// Which value is wrong and why.
+        reason: String,
+    },
     /// Client updates cannot be aggregated because their layer signatures
     /// disagree (different architectures on the wire).
     IncompatibleUpdates {
@@ -53,6 +58,9 @@ impl fmt::Display for FlError {
             FlError::Nn(e) => write!(f, "model failure during federated round: {e}"),
             FlError::Data(e) => write!(f, "data failure during federated round: {e}"),
             FlError::EmptyRound => write!(f, "cannot run a federated round with zero clients"),
+            FlError::InvalidConfig { reason } => {
+                write!(f, "invalid federated configuration: {reason}")
+            }
             FlError::IncompatibleUpdates { expected, actual } => write!(
                 f,
                 "incompatible update signatures: expected {expected:?}, got {actual:?}"

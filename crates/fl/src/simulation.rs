@@ -439,6 +439,16 @@ mod tests {
     }
 
     #[test]
+    fn invalid_learning_rate_fails_the_round_without_a_panic() {
+        let (mut sim, _) = sim(9);
+        sim.cfg.learning_rate = 0.0;
+        sim.cfg.client_workers = 2;
+        let err = sim.run_round(&mut DirectTransport::new()).unwrap_err();
+        assert!(matches!(err, FlError::InvalidConfig { .. }), "{err}");
+        assert_eq!(sim.rounds_run(), 0);
+    }
+
+    #[test]
     fn per_participant_evaluation_covers_population() {
         let (mut sim, fed) = sim(8);
         sim.run_round(&mut DirectTransport::new()).unwrap();

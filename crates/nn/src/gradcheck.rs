@@ -14,9 +14,9 @@ use std::fmt;
 /// Report of a gradient-check failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradCheckError {
-    /// `"params"` or `"input"` depending on which gradient disagreed.
+    /// `"weights"`, `"bias"` or `"input"`: which gradient disagreed.
     pub which: &'static str,
-    /// Flat index of the offending scalar.
+    /// Flat index of the offending scalar within that tensor.
     pub index: usize,
     /// Analytic (backprop) gradient value.
     pub analytic: f32,
@@ -77,6 +77,19 @@ fn probe_indices(len: usize) -> Vec<usize> {
     }
 }
 
+/// The values and gradient of a trainable `layer`'s weights (`t = 0`) or
+/// bias (`t = 1`).
+fn tensor(layer: &mut dyn Layer, t: usize) -> (&mut [f32], &[f32]) {
+    let block = layer
+        .params_mut()
+        .expect("only trainable layers are probed");
+    if t == 0 {
+        (block.weights.data_mut(), block.grad_weights.data())
+    } else {
+        (block.bias.data_mut(), block.grad_bias.data())
+    }
+}
+
 fn relative_error(a: f32, n: f32) -> f32 {
     (a - n).abs() / 1.0f32.max(a.abs()).max(n.abs())
 }
@@ -85,9 +98,10 @@ fn relative_error(a: f32, n: f32) -> f32 {
 ///
 /// The scalar objective is `L = Σᵢ cᵢ · forward(x)ᵢ` for a fixed,
 /// non-uniform weighting `c`, which exercises every output coordinate with a
-/// distinct sensitivity. Both parameter gradients (when the layer has
+/// distinct sensitivity. The weight and bias gradients (when the layer has
 /// parameters) and the input gradient are verified on a spread subset of
-/// coordinates.
+/// coordinates; a probed parameter is perturbed in place in the layer's
+/// [`crate::ParamBlock`] and restored afterwards.
 ///
 /// # Errors
 ///
@@ -99,9 +113,10 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input: &Tensor, tol: f32) -> Resul
     // Fixed non-uniform weights, deterministic across runs.
     let c = Tensor::from_fn(out.dims().to_vec(), |i| 0.1 + 0.25 * ((i % 7) as f32 - 3.0));
 
-    layer.zero_grads();
+    if let Some(block) = layer.params_mut() {
+        block.zero_grads();
+    }
     let analytic_dx = layer.backward(&c)?;
-    let analytic_dp = layer.grads();
 
     let eps = 1e-2f32;
     let objective = |layer: &mut Box<dyn Layer>, x: &Tensor| -> Result<f32, NnError> {
@@ -114,29 +129,27 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input: &Tensor, tol: f32) -> Resul
             .sum::<f64>() as f32)
     };
 
-    // Parameter gradients.
-    if let (Some(p0), Some(dp)) = (layer.params(), analytic_dp) {
-        for i in probe_indices(p0.len()) {
-            let mut plus = p0.clone();
-            plus.values_mut()[i] += eps;
-            layer.set_params(&plus)?;
-            let f_plus = objective(&mut layer, input)?;
-
-            let mut minus = p0.clone();
-            minus.values_mut()[i] -= eps;
-            layer.set_params(&minus)?;
-            let f_minus = objective(&mut layer, input)?;
-
-            layer.set_params(&p0)?;
-            let numeric = (f_plus - f_minus) / (2.0 * eps);
-            let analytic = dp.values()[i];
-            if relative_error(analytic, numeric) > tol {
-                return Err(CheckError::Mismatch(GradCheckError {
-                    which: "params",
-                    index: i,
-                    analytic,
-                    numeric,
-                }));
+    // Parameter gradients. Forward passes leave the accumulated gradients
+    // as `backward` left them.
+    if layer.params().is_some() {
+        for (t, which) in ["weights", "bias"].into_iter().enumerate() {
+            for i in probe_indices(tensor(layer.as_mut(), t).0.len()) {
+                let (values, grads) = tensor(layer.as_mut(), t);
+                let (value, analytic) = (values[i], grads[i]);
+                tensor(layer.as_mut(), t).0[i] = value + eps;
+                let f_plus = objective(&mut layer, input)?;
+                tensor(layer.as_mut(), t).0[i] = value - eps;
+                let f_minus = objective(&mut layer, input)?;
+                tensor(layer.as_mut(), t).0[i] = value;
+                let numeric = (f_plus - f_minus) / (2.0 * eps);
+                if relative_error(analytic, numeric) > tol {
+                    return Err(CheckError::Mismatch(GradCheckError {
+                        which,
+                        index: i,
+                        analytic,
+                        numeric,
+                    }));
+                }
             }
         }
     }

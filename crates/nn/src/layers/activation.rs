@@ -1,7 +1,7 @@
 //! Activation layers.
 
 use crate::layers::Layer;
-use crate::{LayerParams, NnError};
+use crate::NnError;
 use mixnn_tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)` element-wise.
@@ -62,24 +62,6 @@ impl Layer for Relu {
         Ok(grad_output.zip_map(input, |g, x| if x > 0.0 { g } else { 0.0 })?)
     }
 
-    fn params(&self) -> Option<LayerParams> {
-        None
-    }
-
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError> {
-        crate::layers::check_param_len(self.name(), 0, params)
-    }
-
-    fn grads(&self) -> Option<LayerParams> {
-        None
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn param_len(&self) -> usize {
-        0
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -88,6 +70,7 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamBlock;
 
     #[test]
     fn forward_clamps_negatives() {
@@ -121,7 +104,7 @@ mod tests {
     fn has_no_params() {
         let relu = Relu::new();
         assert!(relu.params().is_none());
-        assert_eq!(relu.param_len(), 0);
+        assert_eq!(relu.params().map_or(0, ParamBlock::len), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! 2-D convolution layer (NCHW).
 
 use crate::layers::window::{Passes, Window};
-use crate::layers::{check_param_len, Layer};
-use crate::{LayerParams, NnError};
+use crate::layers::Layer;
+use crate::{NnError, ParamBlock};
 use mixnn_tensor::{init, Tensor};
 use rand::Rng;
 
@@ -47,10 +47,7 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    weights: Tensor,
-    bias: Tensor,
-    grad_weights: Tensor,
-    grad_bias: Tensor,
+    block: ParamBlock,
     passes: Passes,
 }
 
@@ -78,15 +75,16 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            weights: init::glorot_uniform(
-                fan_in,
-                fan_out,
-                vec![out_channels, in_channels, kernel, kernel],
-                rng,
+            block: ParamBlock::new(
+                "conv2d",
+                init::glorot_uniform(
+                    fan_in,
+                    fan_out,
+                    vec![out_channels, in_channels, kernel, kernel],
+                    rng,
+                ),
+                Tensor::zeros(vec![out_channels]),
             ),
-            bias: Tensor::zeros(vec![out_channels]),
-            grad_weights: Tensor::zeros(vec![out_channels, in_channels, kernel, kernel]),
-            grad_bias: Tensor::zeros(vec![out_channels]),
             passes: Passes::default(),
         }
     }
@@ -143,55 +141,19 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let win = self.window(input.dims())?;
-        Ok(self
-            .passes
-            .forward(win, input, self.weights.data(), self.bias.data()))
+        Ok(self.passes.forward(win, input, &self.block))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let layer = self.name();
-        self.passes.backward(
-            layer,
-            grad_output,
-            self.weights.data(),
-            self.grad_weights.data_mut(),
-            self.grad_bias.data_mut(),
-        )
+        self.passes.backward(grad_output, &mut self.block)
     }
 
-    fn params(&self) -> Option<LayerParams> {
-        let mut v = Vec::with_capacity(self.param_len());
-        v.extend_from_slice(self.weights.data());
-        v.extend_from_slice(self.bias.data());
-        Some(LayerParams::from_values(v))
+    fn params(&self) -> Option<&ParamBlock> {
+        Some(&self.block)
     }
 
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError> {
-        check_param_len(self.name(), self.param_len(), params)?;
-        let w_len = self.weights.len();
-        self.weights
-            .data_mut()
-            .copy_from_slice(&params.values()[..w_len]);
-        self.bias
-            .data_mut()
-            .copy_from_slice(&params.values()[w_len..]);
-        Ok(())
-    }
-
-    fn grads(&self) -> Option<LayerParams> {
-        let mut v = Vec::with_capacity(self.param_len());
-        v.extend_from_slice(self.grad_weights.data());
-        v.extend_from_slice(self.grad_bias.data());
-        Some(LayerParams::from_values(v))
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weights.map_in_place(|_| 0.0);
-        self.grad_bias.map_in_place(|_| 0.0);
-    }
-
-    fn param_len(&self) -> usize {
-        self.out_channels * self.in_channels * self.kernel * self.kernel + self.out_channels
+    fn params_mut(&mut self) -> Option<&mut ParamBlock> {
+        Some(&mut self.block)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -215,11 +177,11 @@ impl Conv2d {
         );
         let mut out = Tensor::zeros(vec![batch, oc_n, oh, ow]);
         let x = input.data();
-        let wt = self.weights.data();
+        let wt = self.block.weights.data();
         let o = out.data_mut();
         for b in 0..batch {
             for oc in 0..oc_n {
-                let bias = self.bias.data()[oc];
+                let bias = self.block.bias.data()[oc];
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut acc = bias;
@@ -268,7 +230,7 @@ impl Conv2d {
                         if go == 0.0 {
                             continue;
                         }
-                        self.grad_bias.data_mut()[oc] += go;
+                        self.block.grad_bias.data_mut()[oc] += go;
                         for ic in 0..ic_n {
                             for kh in 0..k {
                                 let iy = (oy * s + kh) as isize - p as isize;
@@ -282,8 +244,8 @@ impl Conv2d {
                                     }
                                     let xi = ((b * ic_n + ic) * h + iy as usize) * w + ix as usize;
                                     let wi = ((oc * ic_n + ic) * k + kh) * k + kw;
-                                    self.grad_weights.data_mut()[wi] += go * x[xi];
-                                    dx.data_mut()[xi] += go * self.weights.data()[wi];
+                                    self.block.grad_weights.data_mut()[wi] += go * x[xi];
+                                    dx.data_mut()[xi] += go * self.block.weights.data()[wi];
                                 }
                             }
                         }
@@ -299,6 +261,7 @@ impl Conv2d {
 mod tests {
     use super::*;
     use crate::layers::window::hostile;
+    use crate::LayerParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -314,8 +277,8 @@ mod tests {
                     let (h, w) = (5 + 2 * (stride % 2), 1 + 2 * ((kernel + padding) % 4));
                     let batch = hostile::BATCHES[exercised % hostile::BATCHES.len()];
                     let mut conv = Conv2d::new(2, 3, kernel, stride, padding, &mut rng);
-                    let values = hostile::params(conv.param_len(), 3, &mut rng);
-                    conv.set_params(&LayerParams::from_values(values)).unwrap();
+                    let values = hostile::params(conv.block.len(), 3, &mut rng);
+                    conv.block.load(&LayerParams::from_values(values)).unwrap();
                     let x = hostile::input(vec![batch, 2, h, w], &mut rng);
                     if conv.output_size(w).is_none() {
                         assert!(conv.forward(&x).is_err());
@@ -333,8 +296,8 @@ mod tests {
                         hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
                         hostile::assert_bits_eq(
                             "grads",
-                            conv.grads().unwrap().values(),
-                            twin.grads().unwrap().values(),
+                            conv.block.grads().values(),
+                            twin.block.grads().values(),
                         );
                     }
                     exercised += 1;
@@ -377,7 +340,8 @@ mod tests {
     fn identity_kernel_preserves_input() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
-        conv.set_params(&LayerParams::from_values(vec![1.0, 0.0]))
+        conv.block
+            .load(&LayerParams::from_values(vec![1.0, 0.0]))
             .unwrap();
         let x = Tensor::from_fn(vec![1, 1, 3, 3], |i| i as f32);
         let y = conv.forward(&x).unwrap();
@@ -389,7 +353,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::new(1, 1, 2, 1, 0, &mut rng);
         // Kernel [[1, 2], [3, 4]], bias 0.5.
-        conv.set_params(&LayerParams::from_values(vec![1., 2., 3., 4., 0.5]))
+        conv.block
+            .load(&LayerParams::from_values(vec![1., 2., 3., 4., 0.5]))
             .unwrap();
         // Input 3x3: 0..9.
         let x = Tensor::from_fn(vec![1, 1, 3, 3], |i| i as f32);
@@ -420,11 +385,11 @@ mod tests {
     fn param_round_trip() {
         let mut rng = StdRng::seed_from_u64(2);
         let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
-        assert_eq!(conv.param_len(), 4 * 2 * 9 + 4);
-        let p = conv.params().unwrap();
+        assert_eq!(conv.block.len(), 4 * 2 * 9 + 4);
+        let p = conv.block.to_layer_params();
         let mut other = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
-        other.set_params(&p).unwrap();
-        assert_eq!(other.params().unwrap(), p);
+        other.block.load(&p).unwrap();
+        assert_eq!(other.block.to_layer_params(), p);
     }
 
     #[test]

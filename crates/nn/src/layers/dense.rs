@@ -1,7 +1,7 @@
 //! Fully connected (dense) layer.
 
-use crate::layers::{check_param_len, Layer};
-use crate::{LayerParams, NnError};
+use crate::layers::Layer;
+use crate::{NnError, ParamBlock};
 use mixnn_tensor::{init, Tensor};
 use rand::Rng;
 
@@ -9,9 +9,9 @@ use rand::Rng;
 ///
 /// Input is `[batch, in_features]`, output `[batch, out_features]`. The
 /// weight matrix is stored `[in_features, out_features]` so the forward pass
-/// is a plain matmul. The flat parameter layout is `W` row-major followed by
-/// `b` — this layout is part of the wire format the MixNN proxy shuffles, so
-/// it is stable and documented.
+/// is a plain matmul. Its [`ParamBlock`] holds `W` as the weights and `b`
+/// as the bias, so the flat parameter layout — part of the wire format the
+/// MixNN proxy shuffles — is `W` row-major followed by `b`.
 ///
 /// # Example
 ///
@@ -33,10 +33,7 @@ use rand::Rng;
 pub struct Dense {
     in_features: usize,
     out_features: usize,
-    weights: Tensor,
-    bias: Tensor,
-    grad_weights: Tensor,
-    grad_bias: Tensor,
+    block: ParamBlock,
     cached_input: Option<Tensor>,
 }
 
@@ -46,15 +43,16 @@ impl Dense {
         Dense {
             in_features,
             out_features,
-            weights: init::glorot_uniform(
-                in_features,
-                out_features,
-                vec![in_features, out_features],
-                rng,
+            block: ParamBlock::new(
+                "dense",
+                init::glorot_uniform(
+                    in_features,
+                    out_features,
+                    vec![in_features, out_features],
+                    rng,
+                ),
+                Tensor::zeros(vec![out_features]),
             ),
-            bias: Tensor::zeros(vec![out_features]),
-            grad_weights: Tensor::zeros(vec![in_features, out_features]),
-            grad_bias: Tensor::zeros(vec![out_features]),
             cached_input: None,
         }
     }
@@ -71,12 +69,12 @@ impl Dense {
 
     /// The weight matrix, `[in_features, out_features]`.
     pub fn weights(&self) -> &Tensor {
-        &self.weights
+        &self.block.weights
     }
 
     /// The bias vector, `[out_features]`.
     pub fn bias(&self) -> &Tensor {
-        &self.bias
+        &self.block.bias
     }
 }
 
@@ -93,13 +91,16 @@ impl Layer for Dense {
                 actual: input.dims().to_vec(),
             });
         }
-        let mut out = input.matmul(&self.weights)?;
+        let mut out = input.matmul(&self.block.weights)?;
         let batch = out.dims()[0];
         let of = self.out_features;
         {
             let data = out.data_mut();
             for b in 0..batch {
-                for (o, &bias) in data[b * of..(b + 1) * of].iter_mut().zip(self.bias.data()) {
+                for (o, &bias) in data[b * of..(b + 1) * of]
+                    .iter_mut()
+                    .zip(self.block.bias.data())
+                {
                     *o += bias;
                 }
             }
@@ -127,11 +128,11 @@ impl Layer for Dense {
         }
         // dW = Xᵀ · dY, accumulated.
         let dw = input.matmul_tn(grad_output)?;
-        self.grad_weights.add_assign(&dw)?;
+        self.block.grad_weights.add_assign(&dw)?;
         // db = column sums of dY, accumulated.
         let batch = grad_output.dims()[0];
         {
-            let gb = self.grad_bias.data_mut();
+            let gb = self.block.grad_bias.data_mut();
             for b in 0..batch {
                 for (g, &d) in gb.iter_mut().zip(grad_output.row(b)) {
                     *g += d;
@@ -139,43 +140,16 @@ impl Layer for Dense {
             }
         }
         // dX = dY · Wᵀ.
-        let dx = grad_output.matmul_nt(&self.weights)?;
+        let dx = grad_output.matmul_nt(&self.block.weights)?;
         Ok(dx)
     }
 
-    fn params(&self) -> Option<LayerParams> {
-        let mut v = Vec::with_capacity(self.param_len());
-        v.extend_from_slice(self.weights.data());
-        v.extend_from_slice(self.bias.data());
-        Some(LayerParams::from_values(v))
+    fn params(&self) -> Option<&ParamBlock> {
+        Some(&self.block)
     }
 
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError> {
-        check_param_len(self.name(), self.param_len(), params)?;
-        let w_len = self.weights.len();
-        self.weights
-            .data_mut()
-            .copy_from_slice(&params.values()[..w_len]);
-        self.bias
-            .data_mut()
-            .copy_from_slice(&params.values()[w_len..]);
-        Ok(())
-    }
-
-    fn grads(&self) -> Option<LayerParams> {
-        let mut v = Vec::with_capacity(self.param_len());
-        v.extend_from_slice(self.grad_weights.data());
-        v.extend_from_slice(self.grad_bias.data());
-        Some(LayerParams::from_values(v))
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weights.map_in_place(|_| 0.0);
-        self.grad_bias.map_in_place(|_| 0.0);
-    }
-
-    fn param_len(&self) -> usize {
-        self.in_features * self.out_features + self.out_features
+    fn params_mut(&mut self) -> Option<&mut ParamBlock> {
+        Some(&mut self.block)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -186,6 +160,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LayerParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -196,7 +171,7 @@ mod tests {
         // Set known parameters: W = rows of ones, b = [1, 2, 3].
         let mut params = vec![1.0f32; 6];
         params.extend_from_slice(&[1.0, 2.0, 3.0]);
-        layer.set_params(&LayerParams::from_values(params)).unwrap();
+        layer.block.load(&LayerParams::from_values(params)).unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![10.0, 20.0]).unwrap();
         let y = layer.forward(&x).unwrap();
         assert_eq!(y.data(), &[31.0, 32.0, 33.0]);
@@ -225,11 +200,11 @@ mod tests {
     fn params_round_trip() {
         let mut rng = StdRng::seed_from_u64(2);
         let layer = Dense::new(4, 5, &mut rng);
-        let p = layer.params().unwrap();
+        let p = layer.block.to_layer_params();
         assert_eq!(p.len(), 4 * 5 + 5);
         let mut other = Dense::new(4, 5, &mut rng);
-        other.set_params(&p).unwrap();
-        assert_eq!(other.params().unwrap(), p);
+        other.block.load(&p).unwrap();
+        assert_eq!(other.block.to_layer_params(), p);
     }
 
     #[test]
@@ -238,7 +213,7 @@ mod tests {
         let mut layer = Dense::new(2, 2, &mut rng);
         let bad = LayerParams::from_values(vec![0.0; 3]);
         assert!(matches!(
-            layer.set_params(&bad),
+            layer.block.load(&bad),
             Err(NnError::ParamLengthMismatch { .. })
         ));
     }
@@ -251,15 +226,15 @@ mod tests {
         let g = Tensor::ones(vec![1, 2]);
         layer.forward(&x).unwrap();
         layer.backward(&g).unwrap();
-        let g1 = layer.grads().unwrap();
+        let g1 = layer.block.grads();
         layer.forward(&x).unwrap();
         layer.backward(&g).unwrap();
-        let g2 = layer.grads().unwrap();
+        let g2 = layer.block.grads();
         for (a, b) in g1.values().iter().zip(g2.values()) {
             assert!((b - 2.0 * a).abs() < 1e-6);
         }
-        layer.zero_grads();
-        assert!(layer.grads().unwrap().values().iter().all(|&v| v == 0.0));
+        layer.block.zero_grads();
+        assert!(layer.block.grads().values().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Flattening layer.
 
 use crate::layers::Layer;
-use crate::{LayerParams, NnError};
+use crate::NnError;
 use mixnn_tensor::Tensor;
 
 /// Flattens `[batch, d1, d2, …]` into `[batch, d1·d2·…]`.
@@ -61,24 +61,6 @@ impl Layer for Flatten {
                 layer: self.name().to_string(),
             })?;
         Ok(grad_output.reshape(dims.clone())?)
-    }
-
-    fn params(&self) -> Option<LayerParams> {
-        None
-    }
-
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError> {
-        crate::layers::check_param_len(self.name(), 0, params)
-    }
-
-    fn grads(&self) -> Option<LayerParams> {
-        None
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn param_len(&self) -> usize {
-        0
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -6,8 +6,8 @@
 //! provides that building block for the `zoo::deepface_like` model.
 
 use crate::layers::window::{Passes, Window};
-use crate::layers::{check_param_len, Layer};
-use crate::{LayerParams, NnError};
+use crate::layers::Layer;
+use crate::{NnError, ParamBlock};
 use mixnn_tensor::{init, Tensor};
 use rand::Rng;
 
@@ -35,10 +35,7 @@ pub struct LocallyConnected2d {
     kernel: usize,
     in_h: usize,
     in_w: usize,
-    weights: Tensor,
-    bias: Tensor,
-    grad_weights: Tensor,
-    grad_bias: Tensor,
+    block: ParamBlock,
     passes: Passes,
 }
 
@@ -71,10 +68,11 @@ impl LocallyConnected2d {
             kernel,
             in_h,
             in_w,
-            weights: init::glorot_uniform(fan_in, out_channels, w_dims.clone(), rng),
-            bias: Tensor::zeros(vec![out_channels, out_h, out_w]),
-            grad_weights: Tensor::zeros(w_dims),
-            grad_bias: Tensor::zeros(vec![out_channels, out_h, out_w]),
+            block: ParamBlock::new(
+                "locally_connected2d",
+                init::glorot_uniform(fan_in, out_channels, w_dims, rng),
+                Tensor::zeros(vec![out_channels, out_h, out_w]),
+            ),
             passes: Passes::default(),
         }
     }
@@ -128,55 +126,19 @@ impl Layer for LocallyConnected2d {
             });
         }
         let win = self.window(input.dims()[0]);
-        Ok(self
-            .passes
-            .forward(win, input, self.weights.data(), self.bias.data()))
+        Ok(self.passes.forward(win, input, &self.block))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let layer = self.name();
-        self.passes.backward(
-            layer,
-            grad_output,
-            self.weights.data(),
-            self.grad_weights.data_mut(),
-            self.grad_bias.data_mut(),
-        )
+        self.passes.backward(grad_output, &mut self.block)
     }
 
-    fn params(&self) -> Option<LayerParams> {
-        let mut v = Vec::with_capacity(self.param_len());
-        v.extend_from_slice(self.weights.data());
-        v.extend_from_slice(self.bias.data());
-        Some(LayerParams::from_values(v))
+    fn params(&self) -> Option<&ParamBlock> {
+        Some(&self.block)
     }
 
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError> {
-        check_param_len(self.name(), self.param_len(), params)?;
-        let w_len = self.weights.len();
-        self.weights
-            .data_mut()
-            .copy_from_slice(&params.values()[..w_len]);
-        self.bias
-            .data_mut()
-            .copy_from_slice(&params.values()[w_len..]);
-        Ok(())
-    }
-
-    fn grads(&self) -> Option<LayerParams> {
-        let mut v = Vec::with_capacity(self.param_len());
-        v.extend_from_slice(self.grad_weights.data());
-        v.extend_from_slice(self.grad_bias.data());
-        Some(LayerParams::from_values(v))
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weights.map_in_place(|_| 0.0);
-        self.grad_bias.map_in_place(|_| 0.0);
-    }
-
-    fn param_len(&self) -> usize {
-        self.weights.len() + self.bias.len()
+    fn params_mut(&mut self) -> Option<&mut ParamBlock> {
+        Some(&mut self.block)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -209,13 +171,14 @@ impl LocallyConnected2d {
             for oc in 0..ocn {
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut acc = self.bias.data()[(oc * oh + oy) * ow + ox];
+                        let mut acc = self.block.bias.data()[(oc * oh + oy) * ow + ox];
                         for ic in 0..icn {
                             for kh in 0..k {
                                 for kw in 0..k {
                                     let xi = ((b * icn + ic) * h + oy + kh) * w + ox + kw;
                                     acc += x[xi]
-                                        * self.weights.data()[self.w_idx(oc, oy, ox, ic, kh, kw)];
+                                        * self.block.weights.data()
+                                            [self.w_idx(oc, oy, ox, ic, kh, kw)];
                                 }
                             }
                         }
@@ -248,14 +211,14 @@ impl LocallyConnected2d {
                         if go == 0.0 {
                             continue;
                         }
-                        self.grad_bias.data_mut()[(oc * oh + oy) * ow + ox] += go;
+                        self.block.grad_bias.data_mut()[(oc * oh + oy) * ow + ox] += go;
                         for ic in 0..icn {
                             for kh in 0..k {
                                 for kw in 0..k {
                                     let xi = ((b * icn + ic) * h + oy + kh) * w + ox + kw;
                                     let wi = self.w_idx(oc, oy, ox, ic, kh, kw);
-                                    self.grad_weights.data_mut()[wi] += go * x[xi];
-                                    dx.data_mut()[xi] += go * self.weights.data()[wi];
+                                    self.block.grad_weights.data_mut()[wi] += go * x[xi];
+                                    dx.data_mut()[xi] += go * self.block.weights.data()[wi];
                                 }
                             }
                         }
@@ -271,6 +234,7 @@ impl LocallyConnected2d {
 mod tests {
     use super::*;
     use crate::layers::window::hostile;
+    use crate::LayerParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -283,8 +247,8 @@ mod tests {
                 let batch = hostile::BATCHES[exercised % hostile::BATCHES.len()];
                 let mut lc = LocallyConnected2d::new(2, 3, kernel, h, w, &mut rng);
                 let biases = 3 * lc.out_h() * lc.out_w();
-                let values = hostile::params(lc.param_len(), biases, &mut rng);
-                lc.set_params(&LayerParams::from_values(values)).unwrap();
+                let values = hostile::params(lc.block.len(), biases, &mut rng);
+                lc.block.load(&LayerParams::from_values(values)).unwrap();
                 let x = hostile::input(vec![batch, 2, h, w], &mut rng);
                 let mut twin = lc.clone();
                 let y = lc.forward(&x).unwrap();
@@ -296,8 +260,8 @@ mod tests {
                     hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
                     hostile::assert_bits_eq(
                         "grads",
-                        lc.grads().unwrap().values(),
-                        twin.grads().unwrap().values(),
+                        lc.block.grads().values(),
+                        twin.block.grads().values(),
                     );
                 }
                 exercised += 1;
@@ -321,11 +285,11 @@ mod tests {
         // others zero, only the first output position responds.
         let mut rng = StdRng::seed_from_u64(0);
         let mut lc = LocallyConnected2d::new(1, 1, 2, 3, 3, &mut rng);
-        let mut params = vec![0.0f32; lc.param_len()];
+        let mut params = vec![0.0f32; lc.block.len()];
         for p in params.iter_mut().take(4) {
             *p = 1.0;
         }
-        lc.set_params(&LayerParams::from_values(params)).unwrap();
+        lc.block.load(&LayerParams::from_values(params)).unwrap();
         let x = Tensor::ones(vec![1, 1, 3, 3]);
         let y = lc.forward(&x).unwrap();
         assert_eq!(y.data(), &[4.0, 0.0, 0.0, 0.0]);
@@ -344,7 +308,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let lc = LocallyConnected2d::new(1, 1, 2, 4, 4, &mut rng);
         // 3x3 output positions, each with a 2x2 kernel + bias.
-        assert_eq!(lc.param_len(), 9 * 4 + 9);
+        assert_eq!(lc.block.len(), 9 * 4 + 9);
     }
 
     #[test]

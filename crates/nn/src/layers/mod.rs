@@ -2,9 +2,11 @@
 //!
 //! Every layer implements the object-safe [`Layer`] trait so that
 //! [`crate::Sequential`] can hold a heterogeneous stack. Layers cache the
-//! activations they need during `forward` and consume them in `backward`;
-//! gradient buffers accumulate until [`Layer::zero_grads`] is called, which
-//! lets callers implement mini-batch or multi-batch accumulation on top.
+//! activations they need during `forward` and consume them in `backward`.
+//! A trainable layer keeps its weights, bias and their gradients in one
+//! [`ParamBlock`]; `backward` adds into the gradients, and they are zeroed
+//! only when the optimizer steps the block, so backward passes over several
+//! batches accumulate.
 
 pub mod activation;
 pub mod conv;
@@ -14,13 +16,18 @@ pub mod locally_connected;
 pub mod pool;
 mod window;
 
-use crate::{LayerParams, NnError};
+use crate::{NnError, ParamBlock};
 use mixnn_tensor::Tensor;
 use std::fmt::Debug;
 
 /// A differentiable network layer.
 ///
 /// The trait is object-safe: [`crate::Sequential`] stores `Box<dyn Layer>`.
+/// A parameter-free layer implements `name`, `forward`, `backward` and
+/// `clone_box`; a trainable one also returns its [`ParamBlock`] from
+/// [`Layer::params`] and [`Layer::params_mut`], which is all the model
+/// needs to move, step and zero its parameters.
+///
 /// Implementations must be deterministic — given the same input and
 /// parameters, `forward` and `backward` must produce identical results, a
 /// property the reproduction relies on to verify MixNN's exact utility
@@ -47,27 +54,18 @@ pub trait Layer: Debug + Send + Sync {
     /// cached, or [`NnError::BadInput`] on a shape mismatch.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
-    /// Flat view of the trainable parameters, or `None` for parameter-free
-    /// layers (activations, pooling, flatten).
-    fn params(&self) -> Option<LayerParams>;
+    /// The layer's trainable parameters and their accumulated gradients,
+    /// or `None` — the default — for a parameter-free layer (activations,
+    /// pooling, flatten).
+    fn params(&self) -> Option<&ParamBlock> {
+        None
+    }
 
-    /// Loads a flat parameter vector produced by [`Layer::params`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ParamLengthMismatch`] if the vector length differs
-    /// from the layer's parameter count.
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError>;
-
-    /// Flat view of the accumulated parameter gradients, aligned with
-    /// [`Layer::params`]; `None` for parameter-free layers.
-    fn grads(&self) -> Option<LayerParams>;
-
-    /// Clears the accumulated gradients.
-    fn zero_grads(&mut self);
-
-    /// Number of trainable parameters (0 for parameter-free layers).
-    fn param_len(&self) -> usize;
+    /// Mutable access to [`Layer::params`]: loading values, and the
+    /// optimizer step that updates them in place.
+    fn params_mut(&mut self) -> Option<&mut ParamBlock> {
+        None
+    }
 
     /// Clones the layer into a box (enables `Clone` for the model).
     fn clone_box(&self) -> Box<dyn Layer>;
@@ -77,20 +75,4 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
-}
-
-/// Shared helper: validate a parameter vector length against a layer.
-pub(crate) fn check_param_len(
-    layer: &'static str,
-    expected: usize,
-    params: &LayerParams,
-) -> Result<(), NnError> {
-    if params.len() != expected {
-        return Err(NnError::ParamLengthMismatch {
-            layer: layer.to_string(),
-            expected,
-            actual: params.len(),
-        });
-    }
-    Ok(())
 }

@@ -1,7 +1,7 @@
 //! 2-D max pooling.
 
 use crate::layers::Layer;
-use crate::{LayerParams, NnError};
+use crate::NnError;
 use mixnn_tensor::Tensor;
 
 /// Max pooling over `[batch, channels, height, width]` inputs with a square
@@ -127,24 +127,6 @@ impl Layer for MaxPool2d {
             dx.data_mut()[iidx] += grad_output.data()[oidx];
         }
         Ok(dx)
-    }
-
-    fn params(&self) -> Option<LayerParams> {
-        None
-    }
-
-    fn set_params(&mut self, params: &LayerParams) -> Result<(), NnError> {
-        crate::layers::check_param_len(self.name(), 0, params)
-    }
-
-    fn grads(&self) -> Option<LayerParams> {
-        None
-    }
-
-    fn zero_grads(&mut self) {}
-
-    fn param_len(&self) -> usize {
-        0
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -39,7 +39,7 @@
 //! batch-innermost input gradient built that way measured slower than the
 //! skip at this sparsity.
 
-use crate::NnError;
+use crate::{NnError, ParamBlock};
 use mixnn_tensor::Tensor;
 use std::ops::Range;
 
@@ -124,22 +124,17 @@ pub(crate) struct Passes {
 impl Passes {
     /// Runs the forward pass of `win` (already checked against `input`)
     /// and keeps what the backward pass needs.
-    pub(crate) fn forward(
-        &mut self,
-        win: Window,
-        input: &Tensor,
-        weights: &[f32],
-        bias: &[f32],
-    ) -> Tensor {
+    pub(crate) fn forward(&mut self, win: Window, input: &Tensor, block: &ParamBlock) -> Tensor {
         let mut out = Tensor::zeros(vec![win.batch, win.out_c, win.out_h, win.out_w]);
         to_batch_innermost(input.data(), win.batch, &mut self.input);
+        let (weights, bias) = (block.weights.data(), block.bias.data());
         forward(&win, &self.input, weights, bias, out.data_mut());
         self.last = Some(win);
         out
     }
 
-    /// Runs the backward pass of the last forward pass: adds to the kernel
-    /// and bias gradients and returns the input gradient.
+    /// Runs the backward pass of the last forward pass: adds to `block`'s
+    /// kernel and bias gradients and returns the input gradient.
     ///
     /// # Errors
     ///
@@ -147,12 +142,10 @@ impl Passes {
     /// [`NnError::BadInput`] if `grad_output` is not the last output's shape.
     pub(crate) fn backward(
         &mut self,
-        layer: &str,
         grad_output: &Tensor,
-        weights: &[f32],
-        grad_weights: &mut [f32],
-        grad_bias: &mut [f32],
+        block: &mut ParamBlock,
     ) -> Result<Tensor, NnError> {
+        let layer = block.layer;
         let win = self.last.ok_or_else(|| NnError::BackwardBeforeForward {
             layer: layer.to_string(),
         })?;
@@ -168,6 +161,8 @@ impl Passes {
         from_batch_innermost(&self.input, win.batch, &mut self.nchw);
         self.hits.resize(win.out_w, 0);
         let (x, g, hits) = (&self.nchw, grad_output.data(), &mut self.hits);
+        let weights = block.weights.data();
+        let (grad_weights, grad_bias) = (block.grad_weights.data_mut(), block.grad_bias.data_mut());
         let dx_data = dx.data_mut();
         // The paper's models use 3×3 windows only; that copy of the loop
         // runs with its bounds known.

@@ -12,7 +12,9 @@
 //! a [`ModelParams`]): the MixNN proxy mixes exactly these per-layer vectors
 //! between participants, and FedAvg aggregates them column-wise. Keeping the
 //! layer structure first-class makes the mixing operation and its
-//! utility-equivalence property direct to implement and test.
+//! utility-equivalence property direct to implement and test. Each
+//! trainable layer keeps its state in one [`ParamBlock`], the only code that
+//! knows how a layer's weights and bias lay out in its `LayerParams`.
 //!
 //! # Example
 //!
@@ -64,4 +66,4 @@ pub use layers::Layer;
 pub use loss::{Evaluation, SoftmaxCrossEntropy};
 pub use model::Sequential;
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use params::{LayerParams, ModelParams};
+pub use params::{LayerParams, ModelParams, ParamBlock};

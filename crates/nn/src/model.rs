@@ -3,7 +3,7 @@
 use crate::layers::Layer;
 use crate::loss::{Evaluation, SoftmaxCrossEntropy};
 use crate::optimizer::Optimizer;
-use crate::params::ModelParams;
+use crate::params::{ModelParams, ParamBlock};
 use crate::NnError;
 use mixnn_tensor::Tensor;
 
@@ -52,12 +52,21 @@ impl Sequential {
     /// Number of trainable layers — the "n" in the paper's mixing matrix:
     /// the proxy maintains one mixing list per trainable layer.
     pub fn num_trainable_layers(&self) -> usize {
-        self.layers.iter().filter(|l| l.param_len() > 0).count()
+        self.blocks().count()
     }
 
     /// Total number of trainable scalars.
     pub fn num_parameters(&self) -> usize {
-        self.layers.iter().map(|l| l.param_len()).sum()
+        self.blocks().map(ParamBlock::len).sum()
+    }
+
+    /// The trainable layers' parameter blocks, network order.
+    fn blocks(&self) -> impl Iterator<Item = &ParamBlock> {
+        self.layers.iter().filter_map(|l| l.params())
+    }
+
+    fn blocks_mut(&mut self) -> impl Iterator<Item = &mut ParamBlock> {
+        self.layers.iter_mut().filter_map(|l| l.params_mut())
     }
 
     /// Runs the forward pass.
@@ -97,25 +106,15 @@ impl Sequential {
     /// Applies accumulated gradients through `optimizer` and advances its
     /// timestep, then clears the gradients.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if a layer's parameter buffers are inconsistent
-    /// (cannot happen through the public API).
-    pub fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) -> Result<(), NnError> {
-        let mut trainable_idx = 0usize;
-        for layer in &mut self.layers {
-            if layer.param_len() == 0 {
-                continue;
-            }
-            let mut params = layer.params().expect("trainable layer must expose params");
-            let grads = layer.grads().expect("trainable layer must expose grads");
-            optimizer.step(trainable_idx, params.values_mut(), grads.values());
-            layer.set_params(&params)?;
-            layer.zero_grads();
-            trainable_idx += 1;
+    /// Every block is stepped where it lies: trainable layer `i`'s weights
+    /// are the optimizer's slot `2i` and its bias slot `2i + 1`. Both
+    /// optimizers work element by element, so splitting a layer into two
+    /// slots changes no value.
+    pub fn apply_gradients(&mut self, optimizer: &mut dyn Optimizer) {
+        for (i, block) in self.blocks_mut().enumerate() {
+            block.step(i, optimizer);
         }
         optimizer.advance();
-        Ok(())
     }
 
     /// One optimization step on a batch: forward, loss, backward, update.
@@ -134,7 +133,7 @@ impl Sequential {
         let logits = self.forward(x)?;
         let (loss_value, dlogits) = loss.loss_and_grad(&logits, labels)?;
         self.backward(&dlogits)?;
-        self.apply_gradients(optimizer)?;
+        self.apply_gradients(optimizer);
         Ok(loss_value)
     }
 
@@ -155,13 +154,7 @@ impl Sequential {
 
     /// Extracts the per-layer parameter vectors of all trainable layers.
     pub fn params(&self) -> ModelParams {
-        ModelParams::from_layers(
-            self.layers
-                .iter()
-                .filter(|l| l.param_len() > 0)
-                .map(|l| l.params().expect("trainable layer must expose params"))
-                .collect(),
-        )
+        ModelParams::from_layers(self.blocks().map(ParamBlock::to_layer_params).collect())
     }
 
     /// Loads per-layer parameter vectors into the trainable layers.
@@ -173,49 +166,22 @@ impl Sequential {
     /// length (the model is left partially updated only up to the failing
     /// layer; callers treat this as fatal).
     pub fn set_params(&mut self, params: &ModelParams) -> Result<(), NnError> {
-        let trainable: Vec<&mut Box<dyn Layer>> = self
-            .layers
-            .iter_mut()
-            .filter(|l| l.param_len() > 0)
-            .collect();
-        if trainable.len() != params.num_layers() {
+        let trainable = self.num_trainable_layers();
+        if trainable != params.num_layers() {
             return Err(NnError::LayerCountMismatch {
-                expected: trainable.len(),
+                expected: trainable,
                 actual: params.num_layers(),
             });
         }
-        for (i, layer) in trainable.into_iter().enumerate() {
-            layer.set_params(params.layer(i).expect("bounds checked"))?;
+        for (block, layer) in self.blocks_mut().zip(params.iter()) {
+            block.load(layer)?;
         }
         Ok(())
     }
 
-    /// Extracts the accumulated gradients of all trainable layers as
-    /// per-layer vectors (aligned with [`Sequential::params`]).
-    pub fn grads(&self) -> ModelParams {
-        ModelParams::from_layers(
-            self.layers
-                .iter()
-                .filter(|l| l.param_len() > 0)
-                .map(|l| l.grads().expect("trainable layer must expose grads"))
-                .collect(),
-        )
-    }
-
-    /// Clears accumulated gradients in every layer.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
-    }
-
     /// Per-layer parameter signature (lengths of each trainable layer).
     pub fn signature(&self) -> Vec<usize> {
-        self.layers
-            .iter()
-            .filter(|l| l.param_len() > 0)
-            .map(|l| l.param_len())
-            .collect()
+        self.blocks().map(ParamBlock::len).collect()
     }
 
     /// Layer names in order, for diagnostics.
@@ -323,11 +289,13 @@ mod tests {
         let logits = m.forward(&x).unwrap();
         let (_, d) = loss.loss_and_grad(&logits, &y).unwrap();
         m.backward(&d).unwrap();
-        let g = m.grads();
+        let grads =
+            |m: &Sequential| ModelParams::from_layers(m.blocks().map(ParamBlock::grads).collect());
+        let g = grads(&m);
         assert_eq!(g.signature(), m.params().signature());
         assert!(g.flatten().iter().any(|&v| v != 0.0));
-        m.zero_grads();
-        assert!(m.grads().flatten().iter().all(|&v| v == 0.0));
+        m.blocks_mut().for_each(ParamBlock::zero_grads);
+        assert!(grads(&m).flatten().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -8,27 +8,25 @@
 
 use std::collections::HashMap;
 
-/// An optimization algorithm applying per-layer gradient steps.
+/// An optimization algorithm applying per-buffer gradient steps.
 ///
 /// The trait is object-safe so models can hold `&mut dyn Optimizer`.
-/// `layer_idx` identifies the trainable layer, letting stateful optimizers
-/// (Adam) keep separate moment estimates per layer.
+/// `slot` identifies the parameter buffer, letting stateful optimizers
+/// (Adam) keep separate moment estimates per buffer;
+/// [`crate::Sequential`] steps trainable layer `i`'s weights as slot `2i`
+/// and its bias as slot `2i + 1`.
 pub trait Optimizer: std::fmt::Debug + Send {
-    /// Updates `params` in place given the accumulated `grads` of trainable
-    /// layer `layer_idx`.
+    /// Updates `params` in place given their accumulated `grads`.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `params` and `grads` lengths differ;
     /// the model guarantees alignment.
-    fn step(&mut self, layer_idx: usize, params: &mut [f32], grads: &[f32]);
+    fn step(&mut self, slot: usize, params: &mut [f32], grads: &[f32]);
 
-    /// Advances the global timestep (call once per batch, after all layers
-    /// have been stepped). Stateless optimizers may ignore this.
+    /// Advances the global timestep (call once per batch, after every slot
+    /// has been stepped). Stateless optimizers may ignore this.
     fn advance(&mut self) {}
-
-    /// The base learning rate.
-    fn learning_rate(&self) -> f32;
 }
 
 /// Stochastic gradient descent: `θ ← θ − η·∇θ`.
@@ -61,21 +59,17 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, _layer_idx: usize, params: &mut [f32], grads: &[f32]) {
+    fn step(&mut self, _slot: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "sgd: param/grad length mismatch");
         for (p, &g) in params.iter_mut().zip(grads.iter()) {
             *p -= self.lr * g;
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 /// Adam optimizer (Kingma & Ba) with bias-corrected moment estimates.
 ///
-/// State (first and second moments) is kept per layer index; the timestep
+/// State (first and second moments) is kept per slot; the timestep
 /// `t` is shared and advanced by [`Optimizer::advance`].
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -119,7 +113,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, layer_idx: usize, params: &mut [f32], grads: &[f32]) {
+    fn step(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -127,9 +121,9 @@ impl Optimizer for Adam {
         );
         let (m, v) = self
             .moments
-            .entry(layer_idx)
+            .entry(slot)
             .or_insert_with(|| (vec![0.0; params.len()], vec![0.0; params.len()]));
-        assert_eq!(m.len(), params.len(), "adam: layer size changed");
+        assert_eq!(m.len(), params.len(), "adam: slot size changed");
         // `t` is advanced once per batch by `advance`; the current step uses
         // t+1 so the very first update is bias-corrected.
         let t = (self.t + 1) as i32;
@@ -146,10 +140,6 @@ impl Optimizer for Adam {
 
     fn advance(&mut self) {
         self.t += 1;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
     }
 }
 

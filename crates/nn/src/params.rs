@@ -1,3 +1,5 @@
+use crate::{NnError, Optimizer};
+use mixnn_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -63,6 +65,101 @@ impl LayerParams {
 impl fmt::Display for LayerParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "LayerParams(len={})", self.0.len())
+    }
+}
+
+/// The trainable state of one layer: its weights and bias, and the
+/// gradients accumulating for each, shaped alike.
+///
+/// This is the one place that knows a layer's wire layout — the weights
+/// row-major, then the bias: [`ParamBlock::to_layer_params`] writes it and
+/// [`ParamBlock::load`] reads it. Training never leaves the block:
+/// [`crate::Sequential::apply_gradients`] steps the optimizer over the
+/// weights and the bias where they lie and then zeroes their gradients.
+///
+/// # Example
+///
+/// ```
+/// use mixnn_nn::{Dense, Layer, LayerParams};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// # fn main() -> Result<(), mixnn_nn::NnError> {
+/// let mut dense = Dense::new(2, 1, &mut StdRng::seed_from_u64(0));
+/// let block = dense.params_mut().expect("dense layers are trainable");
+/// // Weights [[1], [2]], then bias [3].
+/// block.load(&LayerParams::from_values(vec![1.0, 2.0, 3.0]))?;
+/// assert_eq!(block.to_layer_params().values(), &[1.0, 2.0, 3.0]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ParamBlock {
+    /// Kind of the owning layer, for error messages.
+    pub(crate) layer: &'static str,
+    pub(crate) weights: Tensor,
+    pub(crate) bias: Tensor,
+    pub(crate) grad_weights: Tensor,
+    pub(crate) grad_bias: Tensor,
+}
+
+impl ParamBlock {
+    /// A block of `layer`'s `weights` and `bias`, gradients zeroed.
+    pub(crate) fn new(layer: &'static str, weights: Tensor, bias: Tensor) -> Self {
+        ParamBlock {
+            layer,
+            grad_weights: Tensor::zeros(weights.dims().to_vec()),
+            grad_bias: Tensor::zeros(bias.dims().to_vec()),
+            weights,
+            bias,
+        }
+    }
+
+    /// Number of trainable scalars, weights and bias together.
+    pub(crate) fn len(&self) -> usize {
+        self.weights.len() + self.bias.len()
+    }
+
+    /// The values in wire layout: the weights row-major, then the bias.
+    pub fn to_layer_params(&self) -> LayerParams {
+        let mut values = Vec::with_capacity(self.len());
+        values.extend_from_slice(self.weights.data());
+        values.extend_from_slice(self.bias.data());
+        LayerParams(values)
+    }
+
+    /// Loads values laid out as [`ParamBlock::to_layer_params`] writes them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParamLengthMismatch`], leaving the block as it
+    /// was, if `params` holds a different number of values than the block.
+    pub fn load(&mut self, params: &LayerParams) -> Result<(), NnError> {
+        if params.len() != self.len() {
+            return Err(NnError::ParamLengthMismatch {
+                layer: self.layer.to_string(),
+                expected: self.len(),
+                actual: params.len(),
+            });
+        }
+        let (weights, bias) = params.values().split_at(self.weights.len());
+        self.weights.data_mut().copy_from_slice(weights);
+        self.bias.data_mut().copy_from_slice(bias);
+        Ok(())
+    }
+
+    /// Clears the accumulated gradients.
+    pub(crate) fn zero_grads(&mut self) {
+        self.grad_weights.data_mut().fill(0.0);
+        self.grad_bias.data_mut().fill(0.0);
+    }
+
+    /// Steps `optimizer` over the values in place — the weights as its slot
+    /// `2 * index`, the bias as slot `2 * index + 1` — then zeroes the
+    /// gradients.
+    pub(crate) fn step(&mut self, index: usize, optimizer: &mut dyn Optimizer) {
+        optimizer.step(2 * index, self.weights.data_mut(), self.grad_weights.data());
+        optimizer.step(2 * index + 1, self.bias.data_mut(), self.grad_bias.data());
+        self.zero_grads();
     }
 }
 
@@ -278,6 +375,18 @@ fn sample_standard_normal<R: rand::Rng + ?Sized>(rng: &mut R) -> f32 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
+}
+
+#[cfg(test)]
+impl ParamBlock {
+    /// The accumulated gradients in wire layout, aligned with
+    /// [`ParamBlock::to_layer_params`].
+    pub(crate) fn grads(&self) -> LayerParams {
+        let mut grads = self.clone();
+        std::mem::swap(&mut grads.weights, &mut grads.grad_weights);
+        std::mem::swap(&mut grads.bias, &mut grads.grad_bias);
+        grads.to_layer_params()
+    }
 }
 
 #[cfg(test)]

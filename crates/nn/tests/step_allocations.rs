@@ -1,0 +1,100 @@
+//! What one optimizer step allocates.
+//!
+//! `Sequential::apply_gradients` steps every trainable layer's
+//! `ParamBlock` where it lies, so once the optimizer holds its state (Adam
+//! draws its moment buffers on the first step) a step allocates nothing.
+//! This binary's allocator counts, per thread, every allocation made while
+//! a test asks it to.
+
+use mixnn_nn::{zoo, Adam, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy};
+use mixnn_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Whether this thread's allocations are being counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread, and their bytes.
+    static ALLOCATIONS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// The system allocator, counting requests per thread so concurrently
+/// running tests do not see each other.
+struct Counting;
+
+fn count(bytes: usize) {
+    // A thread being torn down may allocate after its locals are gone.
+    let _ = COUNTING.try_with(|counting| {
+        if counting.get() {
+            let _ = ALLOCATIONS.try_with(|n| {
+                let (count, total) = n.get();
+                n.set((count + 1, total + bytes));
+            });
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters never touch the heap
+// (const-initialised `Cell`s without a destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The allocations, and their bytes, of one `apply_gradients` on the
+/// `fl_train` model (`conv2_fc3` at width 4/32 on 1×8×8 input, four
+/// classes: 1,988 parameters) after one warm-up step under `optimizer`.
+fn step_allocations(optimizer: &mut dyn Optimizer) -> (usize, usize) {
+    let mut rng = StdRng::seed_from_u64(33);
+    let mut model: Sequential = zoo::conv2_fc3(zoo::InputSpec::new(1, 8, 8), 4, 4, 32, &mut rng);
+    assert_eq!(model.num_parameters(), 1_988);
+    let x = Tensor::randn(vec![64, 1, 8, 8], 0.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..4)).collect();
+    let loss = SoftmaxCrossEntropy::new();
+    model.train_batch(&x, &labels, &loss, optimizer).unwrap();
+
+    let logits = model.forward(&x).unwrap();
+    let (_, dlogits) = loss.loss_and_grad(&logits, &labels).unwrap();
+    model.backward(&dlogits).unwrap();
+    let before = model.params();
+    ALLOCATIONS.with(|n| n.set((0, 0)));
+    COUNTING.with(|c| c.set(true));
+    model.apply_gradients(optimizer);
+    COUNTING.with(|c| c.set(false));
+    assert_ne!(model.params(), before, "the step moved no parameter");
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn a_step_after_the_first_allocates_nothing() {
+    for (name, optimizer) in [
+        ("adam", &mut Adam::new(0.005) as &mut dyn Optimizer),
+        ("sgd", &mut Sgd::new(0.005)),
+    ] {
+        let (allocations, bytes) = step_allocations(optimizer);
+        println!("apply_gradients under {name}: {allocations} allocations, {bytes} B");
+        assert_eq!(allocations, 0, "{name}: {bytes} B allocated by one step");
+    }
+}

@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let round = cascade.run_round(&updates, &mut rng)?;
     println!(
         "\nround traversed hops {:?}; per-hop costs (§6.5 breakdown):",
-        round.chain
+        round.audit.hops()
     );
     println!("  hop  decrypt ms  store ms  mix ms  high-water MiB");
     for (hop, stats) in cascade.hop_stats().iter().enumerate() {
@@ -163,7 +163,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match degraded.run_round(&updates, &mut rng) {
             Ok(round) => println!(
                 "policy {policy:?}: round completed on surviving chain {:?} (skipped {:?})",
-                round.chain, round.skipped_this_round
+                round.audit.hops(),
+                round.skipped_this_round
             ),
             Err(e) => println!("policy {policy:?}: round failed closed: {e}"),
         }
