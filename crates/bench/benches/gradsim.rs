@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixnn_attacks::{GradSim, GradSimConfig};
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_fl::FlConfig;
-use mixnn_nn::{Conv2d, Layer, LocallyConnected2d};
+use mixnn_nn::{Conv2d, Layer, LocallyConnected2d, MaxPool2d};
 use mixnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -67,11 +67,13 @@ fn bench_fit_and_score(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Conv2d` and `LocallyConnected2d` forward and backward at the shapes
-/// training runs them: `fl_train`'s `conv2_fc3` (width 4, 1×8×8 input,
-/// batch 64) and the LFW `deepface_like` (width 4, batch 16). The
-/// backward rows feed a gradient that is 80 % zeros, as it is behind
-/// ReLU and 2×2 max pooling.
+/// `Conv2d`, `LocallyConnected2d` and `MaxPool2d` forward and backward at
+/// the shapes training runs them: `fl_train`'s `conv2_fc3` (width 4, 1×8×8
+/// input, batch 64) and the LFW `deepface_like` (width 4, batch 16). The
+/// windowed layers' backward rows feed a gradient that is 80 % zeros, as it
+/// is behind ReLU and 2×2 max pooling; `backward_params` is the first
+/// layer's backward, which skips the input gradient. The pooling rows read
+/// ReLU output, about half of it zeros.
 fn bench_windowed_layers(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut group = c.benchmark_group("nn");
@@ -79,8 +81,7 @@ fn bench_windowed_layers(c: &mut Criterion) {
         .sample_size(2000)
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_secs(1));
-    let mut row = |name: &str, mut layer: Box<dyn Layer>, dims: [usize; 4], rng: &mut StdRng| {
-        let x = Tensor::randn(dims.to_vec(), 0.0, 1.0, rng);
+    let mut row = |name: &str, mut layer: Box<dyn Layer>, x: Tensor, rng: &mut StdRng| {
         let y = layer.forward(&x).unwrap();
         let g = Tensor::from_fn(y.dims().to_vec(), |_| {
             if rng.gen_bool(0.2) {
@@ -96,20 +97,41 @@ fn bench_windowed_layers(c: &mut Criterion) {
         group.bench_function(format!("{kind}/backward/{shape}"), |b| {
             b.iter(|| layer.backward(&g).unwrap());
         });
+        if shape.ends_with("conv1") {
+            group.bench_function(format!("{kind}/backward_params/{shape}"), |b| {
+                b.iter(|| layer.backward_params(&g).unwrap());
+            });
+        }
     };
+    let normal = |dims: [usize; 4], rng: &mut StdRng| Tensor::randn(dims.to_vec(), 0.0, 1.0, rng);
+    let relu = |dims: [usize; 4], rng: &mut StdRng| normal(dims, rng).map(|v| v.max(0.0));
     let conv = Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
-    row("conv2d/fl_train/conv1", conv, [64, 1, 8, 8], &mut rng);
+    let x = normal([64, 1, 8, 8], &mut rng);
+    row("conv2d/fl_train/conv1", conv, x, &mut rng);
     let conv = Box::new(Conv2d::new(4, 8, 3, 1, 1, &mut rng));
-    row("conv2d/fl_train/conv2", conv, [64, 4, 4, 4], &mut rng);
+    let x = normal([64, 4, 4, 4], &mut rng);
+    row("conv2d/fl_train/conv2", conv, x, &mut rng);
     let conv = Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng));
-    row("conv2d/lfw/conv1", conv, [16, 1, 8, 8], &mut rng);
+    let x = normal([16, 1, 8, 8], &mut rng);
+    row("conv2d/lfw/conv1", conv, x, &mut rng);
     let conv = Box::new(Conv2d::new(4, 4, 3, 1, 1, &mut rng));
-    row("conv2d/lfw/conv3", conv, [16, 4, 4, 4], &mut rng);
+    let x = normal([16, 4, 4, 4], &mut rng);
+    row("conv2d/lfw/conv3", conv, x, &mut rng);
     let local = Box::new(LocallyConnected2d::new(4, 4, 3, 4, 4, &mut rng));
+    let x = normal([16, 4, 4, 4], &mut rng);
+    row("locally_connected2d/lfw/local4", local, x, &mut rng);
+    let x = relu([64, 4, 8, 8], &mut rng);
     row(
-        "locally_connected2d/lfw/local4",
-        local,
-        [16, 4, 4, 4],
+        "maxpool2d/fl_train/pool1",
+        Box::new(MaxPool2d::new(2)),
+        x,
+        &mut rng,
+    );
+    let x = relu([64, 8, 4, 4], &mut rng);
+    row(
+        "maxpool2d/fl_train/pool2",
+        Box::new(MaxPool2d::new(2)),
+        x,
         &mut rng,
     );
     group.finish();

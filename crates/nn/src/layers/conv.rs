@@ -19,10 +19,12 @@ use rand::Rng;
 /// examples at once, a loop the compiler vectorises. Every output element
 /// still sees the direct loop's f32 operations in the direct loop's order
 /// (`bias`, then `+= x·w` over the taps inside the input in ascending
-/// `(ic, kh, kw)`), so outputs are bit-identical to it. The backward pass is
-/// the direct loop, zero output gradients skipped, so every gradient keeps
-/// its accumulation order too: `(b, oy, ox)` for kernels and biases,
-/// `(oc, oy, ox)` for the input.
+/// `(ic, kh, kw)`), so outputs are bit-identical to it. The backward pass
+/// takes one output channel at a time and sums its kernel and bias
+/// gradients in registers, zero output gradients skipped; every gradient
+/// keeps the direct loop's accumulation order: `(b, oy, ox)` for kernels
+/// and biases, `(oc, oy, ox)` for the input. As a model's first layer it
+/// skips the input gradient ([`Layer::backward_params`]).
 ///
 /// # Example
 ///
@@ -146,6 +148,10 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
         self.passes.backward(grad_output, &mut self.block)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        self.passes.backward_params(grad_output, &mut self.block)
     }
 
     fn params(&self) -> Option<&ParamBlock> {

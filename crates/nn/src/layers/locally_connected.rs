@@ -23,7 +23,8 @@ use rand::Rng;
 ///
 /// The passes share [`crate::Conv2d`]'s loops: the forward pass sums batch
 /// innermost, sixteen examples at once over a batch-innermost copy of the
-/// input, and the backward pass is the direct loop with zero output
+/// input, and the backward pass takes one kernel — an output channel and
+/// position — at a time, its gradient sums in registers, with zero output
 /// gradients skipped. Per element the f32 operations and their order are
 /// the direct loop's — `bias` then `+= x·w` in ascending `(ic, kh, kw)`;
 /// batch order for a kernel or bias gradient; `(oc, oy, ox)` for the input
@@ -131,6 +132,10 @@ impl Layer for LocallyConnected2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
         self.passes.backward(grad_output, &mut self.block)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        self.passes.backward_params(grad_output, &mut self.block)
     }
 
     fn params(&self) -> Option<&ParamBlock> {

@@ -54,6 +54,18 @@ pub trait Layer: Debug + Send + Sync {
     /// cached, or [`NnError::BadInput`] on a shape mismatch.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// a model's first layer: accumulates the parameter gradients only.
+    /// The default runs `backward` and drops the input gradient; a layer
+    /// that can skip computing it overrides this.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        self.backward(grad_output).map(drop)
+    }
+
     /// The layer's trainable parameters and their accumulated gradients,
     /// or `None` — the default — for a parameter-free layer (activations,
     /// pooling, flatten).

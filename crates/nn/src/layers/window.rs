@@ -21,23 +21,31 @@
 //! `-0.0 + 0·w` is `+0.0`, so adding them would change an output whose
 //! bias is `-0.0` and whose taps all lie in the padding.
 //!
-//! **Backward, the direct loop.** [`Passes::backward`] runs the direct loop —
-//! `b, oc, oy, ox`, skipping an output gradient equal to zero, then the
-//! window's taps — over the input put back in NCHW order, so every
-//! gradient element keeps its accumulation order: `(b, oy, ox)` for a
-//! kernel or bias gradient and `(oc, oy, ox)` for an input gradient. Two
-//! things make it cheaper than before without touching that order: each
-//! output row's non-zero columns are gathered without a branch per column
-//! before any tap runs, and 3×3 windows get their own copy of the loop
-//! with the bounds known. It stays scalar on purpose. The kernel and bias
-//! gradients reduce over the batch, so the batch is not a free axis for
-//! them; and behind ReLU and max pooling three in four output gradients or
-//! more are zero, which the skip turns into no work, while vector lanes
-//! would have to do it. Lanes could stand in for the skip by adding +0.0 —
-//! exact for a buffer that starts at +0.0 and only receives additions,
-//! since under round-to-nearest such a buffer never holds −0.0 — but a
-//! batch-innermost input gradient built that way measured slower than the
-//! skip at this sparsity.
+//! **Backward, one kernel at a time.** [`Passes::backward`] makes the
+//! kernel unit — an output channel of a convolution, an output channel and
+//! position of a locally connected layer — the outer loop, so the unit's
+//! kernel and bias gradients are summed in locals (registers, for the 3×3
+//! windows the paper's models use) instead of being loaded, added to and
+//! stored back once per output gradient. The batch goes through in blocks
+//! of examples, each copied out of the batch-innermost input into NCHW
+//! order inside a zero border of the layer's padding. Within a block the
+//! unit's non-zero output gradients are gathered once, without a branch per
+//! gradient, in `(b, oy, ox)` order, and walked once per input channel;
+//! each step adds `go·x` to the channel's kernel sums and `go·w` to the
+//! input gradient, which a block keeps in the same padded layout. So every
+//! kernel and bias gradient still accumulates in `(b, oy, ox)` order and
+//! every input gradient in `(oc, oy, ox)` order — per element exactly the
+//! direct loop's operations, zero output gradients skipped. A padding tap
+//! reads the border's +0.0; for a finite output gradient `go·0` is ±0.0,
+//! and adding it leaves a sum unchanged because a sum that starts at +0.0
+//! and only receives additions never holds −0.0 under round-to-nearest
+//! (what lands in the input gradient's border is dropped). For ±∞ or NaN it
+//! would be NaN, so such an output gradient runs with its padding taps
+//! skipped. A model's first layer skips the input gradient altogether
+//! ([`Passes::backward_params`]): nobody reads the gradient of the data.
+//! The batch is not vectorised here: it is a reduction axis for the kernel
+//! gradients, and behind ReLU and max pooling three in four output
+//! gradients or more are zero, which the gather turns into no work.
 
 use crate::{NnError, ParamBlock};
 use mixnn_tensor::Tensor;
@@ -115,10 +123,12 @@ pub(crate) struct Passes {
     last: Option<Window>,
     /// The last forward input, `[c][h][w][batch]`.
     input: Vec<f32>,
-    /// The same input back in NCHW order, for the backward pass.
-    nchw: Vec<f32>,
-    /// The columns of one output row whose gradient is non-zero.
-    hits: Vec<u32>,
+    /// One backward block: its examples of the input in NCHW order inside
+    /// a zero border of the layer's padding, then, when the input gradient
+    /// is wanted, that gradient laid out alike.
+    padded: Vec<f32>,
+    /// One kernel unit's non-zero output gradients in a block.
+    hits: Vec<Hit>,
 }
 
 impl Passes {
@@ -145,7 +155,30 @@ impl Passes {
         grad_output: &Tensor,
         block: &mut ParamBlock,
     ) -> Result<Tensor, NnError> {
-        let layer = block.layer;
+        let win = self.backward_window(grad_output, block.layer)?;
+        let mut dx = Tensor::zeros(vec![win.batch, win.in_c, win.in_h, win.in_w]);
+        self.backward_blocks(win, grad_output.data(), block, Some(dx.data_mut()));
+        Ok(dx)
+    }
+
+    /// [`Passes::backward`] without the input gradient: adds to `block`'s
+    /// kernel and bias gradients only.
+    ///
+    /// # Errors
+    ///
+    /// As [`Passes::backward`].
+    pub(crate) fn backward_params(
+        &mut self,
+        grad_output: &Tensor,
+        block: &mut ParamBlock,
+    ) -> Result<(), NnError> {
+        let win = self.backward_window(grad_output, block.layer)?;
+        self.backward_blocks(win, grad_output.data(), block, None);
+        Ok(())
+    }
+
+    /// The last forward pass's geometry, checked against `grad_output`.
+    fn backward_window(&self, grad_output: &Tensor, layer: &str) -> Result<Window, NnError> {
         let win = self.last.ok_or_else(|| NnError::BackwardBeforeForward {
             layer: layer.to_string(),
         })?;
@@ -157,40 +190,123 @@ impl Passes {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let mut dx = Tensor::zeros(vec![win.batch, win.in_c, win.in_h, win.in_w]);
-        from_batch_innermost(&self.input, win.batch, &mut self.nchw);
-        self.hits.resize(win.out_w, 0);
-        let (x, g, hits) = (&self.nchw, grad_output.data(), &mut self.hits);
-        let weights = block.weights.data();
-        let (grad_weights, grad_bias) = (block.grad_weights.data_mut(), block.grad_bias.data_mut());
-        let dx_data = dx.data_mut();
-        // The paper's models use 3×3 windows only; that copy of the loop
-        // runs with its bounds known.
-        match win.kernel {
-            3 => backward(
-                &win,
-                3,
-                x,
-                weights,
+        Ok(win)
+    }
+
+    /// The backward pass over the batch, a block of examples at a time.
+    fn backward_blocks(
+        &mut self,
+        win: Window,
+        g: &[f32],
+        block: &mut ParamBlock,
+        mut dx: Option<&mut [f32]>,
+    ) {
+        let pad = Padded::of(&win);
+        let unit_hw = if win.shared { win.out_h * win.out_w } else { 1 };
+        let examples = (BLOCK / unit_hw.max(1)).clamp(1, win.batch.max(1));
+        let copies = if dx.is_some() { 2 } else { 1 };
+        self.hits.resize(examples * unit_hw, Hit::default());
+        self.padded.resize(copies * examples * pad.example, 0.0);
+        let (xp, dxp) = self.padded.split_at_mut(examples * pad.example);
+        let (weights, kernels, biases) = (
+            block.weights.data(),
+            block.grad_weights.data_mut(),
+            block.grad_bias.data_mut(),
+        );
+        for b0 in (0..win.batch).step_by(examples) {
+            let b = b0..win.batch.min(b0 + examples);
+            let span = b.len() * pad.example;
+            pad.fill(&win, &self.input, b.clone(), &mut xp[..span]);
+            let pass = Block {
+                win: &win,
+                pad,
+                b: b.clone(),
+                x: &xp[..span],
                 g,
-                hits,
-                grad_weights,
-                grad_bias,
-                dx_data,
-            ),
-            k => backward(
-                &win,
-                k,
-                x,
                 weights,
-                g,
-                hits,
-                grad_weights,
-                grad_bias,
-                dx_data,
-            ),
+            };
+            let hits = &mut self.hits;
+            // The paper's models use 3×3 windows only; that copy of the
+            // loop runs with its bounds known and a kernel's sums in
+            // registers.
+            match (win.kernel, dx.as_deref_mut()) {
+                (3, None) => pass.run::<9, false>(3, hits, kernels, biases, &mut []),
+                (k, None) => pass.run::<0, false>(k, hits, kernels, biases, &mut []),
+                (k, Some(dx)) => {
+                    let dxp = &mut dxp[..span];
+                    dxp.fill(0.0);
+                    if k == 3 {
+                        pass.run::<9, true>(3, hits, kernels, biases, dxp);
+                    } else {
+                        pass.run::<0, true>(k, hits, kernels, biases, dxp);
+                    }
+                    pad.crop(&win, dxp, b, dx);
+                }
+            }
         }
-        Ok(dx)
+    }
+}
+
+/// Output-gradient candidates a kernel unit gathers per block: enough that
+/// the loop over its hits runs long, few enough that the block's examples
+/// stay in cache.
+const BLOCK: usize = 256;
+
+/// The input extent inside the zero border the backward pass works in.
+#[derive(Debug, Clone, Copy)]
+struct Padded {
+    /// Padded rows and columns of one channel.
+    h: usize,
+    w: usize,
+    /// Scalars in one padded example, all channels.
+    example: usize,
+}
+
+impl Padded {
+    fn of(win: &Window) -> Self {
+        let (h, w) = (win.in_h + 2 * win.padding, win.in_w + 2 * win.padding);
+        Padded {
+            h,
+            w,
+            example: win.in_c * h * w,
+        }
+    }
+
+    /// Where input row `y` of channel `c` of the block's example `e`
+    /// starts inside the border.
+    fn row(&self, win: &Window, e: usize, c: usize, y: usize) -> usize {
+        e * self.example + (c * self.h + y + win.padding) * self.w + win.padding
+    }
+
+    /// Writes examples `b` of the batch-innermost input `xt` into `into`
+    /// (NCHW, zero border).
+    fn fill(&self, win: &Window, xt: &[f32], b: Range<usize>, into: &mut [f32]) {
+        into.fill(0.0);
+        for (e, b) in b.enumerate() {
+            for c in 0..win.in_c {
+                for y in 0..win.in_h {
+                    let from = (c * win.in_h + y) * win.in_w;
+                    let row = &mut into[self.row(win, e, c, y)..][..win.in_w];
+                    for (x, v) in row.iter_mut().enumerate() {
+                        *v = xt[(from + x) * win.batch + b];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Copies the inside of the padded input gradient `from`, examples `b`,
+    /// into `dx` (NCHW, the whole batch).
+    fn crop(&self, win: &Window, from: &[f32], b: Range<usize>, dx: &mut [f32]) {
+        for (e, b) in b.enumerate() {
+            for c in 0..win.in_c {
+                for y in 0..win.in_h {
+                    let to = ((b * win.in_c + c) * win.in_h + y) * win.in_w;
+                    let row = &from[self.row(win, e, c, y)..][..win.in_w];
+                    dx[to..][..win.in_w].copy_from_slice(row);
+                }
+            }
+        }
     }
 }
 
@@ -206,22 +322,6 @@ fn to_batch_innermost(x: &[f32], batch: usize, into: &mut Vec<f32>) {
     for (b, example) in x.chunks_exact(plane).enumerate() {
         for (i, &v) in example.iter().enumerate() {
             into[i * batch + b] = v;
-        }
-    }
-}
-
-/// The inverse of [`to_batch_innermost`]: `[c][h][w][batch]` back to
-/// NCHW in `into`, reusing its allocation.
-fn from_batch_innermost(xt: &[f32], batch: usize, into: &mut Vec<f32>) {
-    into.clear();
-    into.resize(xt.len(), 0.0);
-    if batch == 0 {
-        return;
-    }
-    let plane = xt.len() / batch;
-    for (b, example) in into.chunks_exact_mut(plane).enumerate() {
-        for (i, v) in example.iter_mut().enumerate() {
-            *v = xt[i * batch + b];
         }
     }
 }
@@ -310,61 +410,167 @@ impl Tap<'_> {
     }
 }
 
-/// The backward pass for a `k`×`k` window: the direct loop over the NCHW
-/// input `x` and output gradient `g`, adding to the kernel and bias
-/// gradients and to `dx` (NCHW, +0.0 on entry), with `hits` as scratch for
-/// one output row's non-zero columns.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn backward(
-    win: &Window,
-    k: usize,
-    x: &[f32],
-    weights: &[f32],
-    g: &[f32],
-    hits: &mut [u32],
-    grad_weights: &mut [f32],
-    grad_bias: &mut [f32],
-    dx: &mut [f32],
-) {
-    let (s, p) = (win.stride, win.padding);
-    let (in_h, in_w) = (win.in_h as isize, win.in_w as isize);
-    let mut rows = g.chunks_exact(win.out_w);
-    for b in 0..win.batch {
-        for oc in 0..win.out_c {
-            for oy in 0..win.out_h {
-                let g = rows.next().expect("g holds batch·out_c·out_h rows");
-                // The row's columns with a non-zero gradient, in order, found
-                // without a branch per column: the skip's branch would mispredict
-                // on about every other hit.
-                let mut found = 0;
-                for (ox, &go) in g.iter().enumerate() {
-                    hits[found] = ox as u32;
-                    found += usize::from(go != 0.0);
+/// One non-zero output gradient of a kernel unit.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hit {
+    go: f32,
+    /// Where its window starts in the padded block, channel 0.
+    at: usize,
+}
+
+/// What the backward pass reads over one block of examples: their padded
+/// input, the whole output gradient and the layer's weights.
+struct Block<'a> {
+    win: &'a Window,
+    pad: Padded,
+    b: Range<usize>,
+    x: &'a [f32],
+    g: &'a [f32],
+    weights: &'a [f32],
+}
+
+impl Block<'_> {
+    /// The backward pass over the block for a `k`×`k` window, `hits` as
+    /// scratch: adds to the `kernels` and `biases` gradients and, when
+    /// `DX`, to the block's padded input gradient `dx`. With `SUMS == k²`
+    /// one input channel's kernel sums live in locals; with `SUMS == 0`
+    /// they are added in place.
+    ///
+    /// A kernel unit — an output channel of a convolution, an output
+    /// channel and position of a locally connected layer — is the outer
+    /// loop. Its non-zero output gradients in the block are gathered in
+    /// `(b, oy, ox)` order, then walked once per input channel, adding into
+    /// the input gradient on the way: each kernel and bias gradient sees
+    /// its terms in `(b, oy, ox)` order across blocks, and each input
+    /// gradient in `(oc, oy, ox)`, as in the direct loop.
+    #[inline(always)]
+    fn run<const SUMS: usize, const DX: bool>(
+        &self,
+        k: usize,
+        hits: &mut [Hit],
+        kernels: &mut [f32],
+        biases: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        let win = self.win;
+        let (s, pw) = (win.stride, self.pad.w);
+        let out_hw = win.out_h * win.out_w;
+        let (kernel_len, kk) = (win.kernel_len(), k * k);
+        // One bias per kernel unit.
+        for (unit, bias) in biases.iter_mut().enumerate() {
+            let (oc, oys, oxs) = if win.shared {
+                (unit, 0..win.out_h, 0..win.out_w)
+            } else {
+                let (oy, ox) = (unit % out_hw / win.out_w, unit % win.out_w);
+                (unit / out_hw, oy..oy + 1, ox..ox + 1)
+            };
+            // Without a branch per gradient: the skip's branch would
+            // mispredict on about every other hit.
+            let mut found = 0;
+            for (e, b) in self.b.clone().enumerate() {
+                for oy in oys.clone() {
+                    let row = ((b * win.out_c + oc) * win.out_h + oy) * win.out_w;
+                    let at = e * self.pad.example + oy * s * pw;
+                    for (&go, ox) in self.g[row..][oxs.clone()].iter().zip(oxs.clone()) {
+                        hits[found] = Hit {
+                            go,
+                            at: at + ox * s,
+                        };
+                        found += usize::from(go != 0.0);
+                    }
                 }
-                for &ox in &hits[..found] {
-                    let ox = ox as usize;
-                    let go = g[ox];
-                    grad_bias[win.bias_at(oc, oy, ox)] += go;
-                    let kernel = win.kernel_at(oc, oy, ox);
-                    for ic in 0..win.in_c {
-                        for kh in 0..k {
-                            let iy = (oy * s + kh) as isize - p as isize;
-                            if iy < 0 || iy >= in_h {
-                                continue;
-                            }
-                            let row = ((b * win.in_c + ic) * win.in_h + iy as usize) * win.in_w;
-                            let wi = kernel + (ic * k + kh) * k;
-                            for kw in 0..k {
-                                let ix = (ox * s + kw) as isize - p as isize;
-                                if ix < 0 || ix >= in_w {
-                                    continue;
-                                }
-                                let xi = row + ix as usize;
-                                grad_weights[wi + kw] += go * x[xi];
-                                dx[xi] += go * weights[wi + kw];
-                            }
-                        }
+            }
+            let hits = &hits[..found];
+            let mut sum = *bias;
+            for hit in hits {
+                sum += hit.go;
+            }
+            *bias = sum;
+            for ic in 0..win.in_c {
+                let at = unit * kernel_len + ic * kk;
+                let weights = &self.weights[at..][..kk];
+                let sums = &mut kernels[at..][..kk];
+                if SUMS == 0 {
+                    self.channel::<DX>(k, ic, weights, hits, sums, dx);
+                } else {
+                    let mut local = [0.0; SUMS];
+                    local.copy_from_slice(sums);
+                    self.channel::<DX>(k, ic, weights, hits, &mut local, dx);
+                    sums.copy_from_slice(&local);
+                }
+            }
+        }
+    }
+
+    /// Walks `hits` over input channel `ic`, adding `go·x` to the channel's
+    /// kernel `sums` and, when `DX`, `go·w` to the input gradient.
+    ///
+    /// A tap in the padding reads the border's +0.0, and `go·0` is ±0.0
+    /// for a finite `go`: adding that leaves a kernel sum unchanged, since
+    /// a sum that starts at +0.0 and only receives additions never holds
+    /// −0.0 under round-to-nearest, and what it adds to the input
+    /// gradient's border is never read. For a non-finite `go` it would be
+    /// NaN, so such a hit runs with its padding taps skipped.
+    #[inline(always)]
+    fn channel<const DX: bool>(
+        &self,
+        k: usize,
+        ic: usize,
+        weights: &[f32],
+        hits: &[Hit],
+        sums: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        let plane = ic * self.pad.h * self.pad.w;
+        for &hit in hits {
+            if hit.go.is_finite() {
+                self.taps::<DX, false>(k, plane, weights, hit, sums, dx);
+            } else {
+                self.taps::<DX, true>(k, plane, weights, hit, sums, dx);
+            }
+        }
+    }
+
+    /// One hit's taps in `(kh, kw)` order; with `BOUNDED`, only those
+    /// inside the input.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn taps<const DX: bool, const BOUNDED: bool>(
+        &self,
+        k: usize,
+        plane: usize,
+        weights: &[f32],
+        hit: Hit,
+        sums: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        let (win, pw) = (self.win, self.pad.w);
+        let (go, at) = (hit.go, hit.at + plane);
+        // The window's padded coordinates, only needed to find the border.
+        let (y0, x0) = if BOUNDED {
+            let within = hit.at % self.pad.example;
+            (within / pw, within % pw)
+        } else {
+            (0, 0)
+        };
+        let p = win.padding;
+        let inside = |kh: usize, kw: usize| {
+            !BOUNDED
+                || ((p..p + win.in_h).contains(&(y0 + kh))
+                    && (p..p + win.in_w).contains(&(x0 + kw)))
+        };
+        for kh in 0..k {
+            let x = &self.x[at + kh * pw..][..k];
+            for kw in 0..k {
+                if inside(kh, kw) {
+                    sums[kh * k + kw] += go * x[kw];
+                }
+            }
+            if DX {
+                let dx = &mut dx[at + kh * pw..][..k];
+                for kw in 0..k {
+                    if inside(kh, kw) {
+                        dx[kw] += go * weights[kh * k + kw];
                     }
                 }
             }
@@ -394,10 +600,11 @@ pub(crate) mod hostile {
         x
     }
 
-    /// An output gradient with 75–90 % zeros, about half of them −0.0.
+    /// An output gradient with 75–90 % zeros, about half of them −0.0,
+    /// and a +∞, a −∞ and a NaN planted among the rest.
     pub(crate) fn grad(dims: Vec<usize>, rng: &mut StdRng) -> Tensor {
         let zeros = rng.gen_range(0.75..0.90);
-        Tensor::from_fn(dims, |_| {
+        let mut g = Tensor::from_fn(dims, |_| {
             if rng.gen_bool(zeros) {
                 if rng.gen_bool(0.5) {
                     -0.0
@@ -407,7 +614,12 @@ pub(crate) mod hostile {
             } else {
                 rng.gen_range(-1.0f32..1.0)
             }
-        })
+        });
+        let len = g.len();
+        for v in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            g.data_mut()[rng.gen_range(0..len)] = v;
+        }
+        g
     }
 
     /// Layer parameters with every other bias −0.0.
@@ -421,11 +633,20 @@ pub(crate) mod hostile {
         v
     }
 
-    /// Panics unless `a` and `b` hold the same f32 bit patterns.
+    /// Panics unless `a` and `b` hold the same f32 bit patterns, any NaN
+    /// matching any NaN.
+    ///
+    /// Rust leaves the sign and payload of a NaN that arithmetic returns
+    /// unspecified: when both operands of an addition are NaN, x86 returns
+    /// the first one's, and the compiler may commute the operands. So the
+    /// bits of a NaN depend on register allocation, not on the order of
+    /// the operations, which is what these tests pin.
     pub(crate) fn assert_bits_eq(what: &str, a: &[f32], b: &[f32]) {
         assert_eq!(a.len(), b.len(), "{what}: lengths differ");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+            if !(x.is_nan() && y.is_nan()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+            }
         }
     }
 }
@@ -483,8 +704,28 @@ mod tests {
         to_batch_innermost(&x, 3, &mut t);
         assert_eq!(t, [0., 4., 8., 1., 5., 9., 2., 6., 10., 3., 7., 11.]);
         assert_eq!(t.as_ptr(), ptr);
-        let mut back = Vec::new();
-        from_batch_innermost(&t, 3, &mut back);
-        assert_eq!(back, x);
+        // Examples 1 and 2 back in NCHW order, each 2×2 plane inside a
+        // zero border of one, and out again.
+        let win = Window {
+            batch: 3,
+            in_h: 2,
+            in_w: 2,
+            ..conv(3, 1, 1)
+        };
+        let pad = Padded::of(&win);
+        let mut padded = vec![f32::NAN; 2 * pad.example];
+        pad.fill(&win, &t, 1..3, &mut padded);
+        #[rustfmt::skip]
+        let first = [
+            0., 0., 0., 0.,
+            0., 4., 5., 0.,
+            0., 6., 7., 0.,
+            0., 0., 0., 0.,
+        ];
+        assert_eq!(padded[..pad.example], first);
+        let mut back = vec![-1.0; x.len()];
+        pad.crop(&win, &padded, 1..3, &mut back);
+        assert_eq!(back[..4], [-1.0; 4]);
+        assert_eq!(back[4..], x[4..]);
     }
 }

@@ -86,21 +86,23 @@ impl Sequential {
     }
 
     /// Runs the backward pass from the loss gradient, accumulating
-    /// parameter gradients in every trainable layer.
+    /// parameter gradients in every trainable layer. The first layer's
+    /// input gradient — the gradient of the data — is never computed
+    /// ([`Layer::backward_params`]).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if `forward` was not
     /// called first.
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
-        let Some((last, rest)) = self.layers.split_last_mut() else {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
             return Ok(());
         };
-        let mut g = last.backward(grad_output)?;
+        let mut g = None;
         for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
         }
-        Ok(())
+        first.backward_params(g.as_ref().unwrap_or(grad_output))
     }
 
     /// Applies accumulated gradients through `optimizer` and advances its
@@ -296,6 +298,57 @@ mod tests {
         assert!(g.flatten().iter().any(|&v| v != 0.0));
         m.blocks_mut().for_each(ParamBlock::zero_grads);
         assert!(grads(&m).flatten().iter().all(|&v| v == 0.0));
+    }
+
+    /// The parameter gradients of `model` after two backward passes on
+    /// `x`, bit for bit the same whether the first layer skips its input
+    /// gradient (`Sequential::backward`) or every layer runs its full
+    /// `backward`.
+    fn assert_first_layer_path_changes_no_gradient(mut model: Sequential, x: &Tensor) {
+        let loss = SoftmaxCrossEntropy::new();
+        let mut twin = model.clone();
+        for _ in 0..2 {
+            let logits = model.forward(x).unwrap();
+            twin.forward(x).unwrap();
+            let labels: Vec<usize> = (0..logits.dims()[0]).map(|i| i % 2).collect();
+            let (_, d) = loss.loss_and_grad(&logits, &labels).unwrap();
+            model.backward(&d).unwrap();
+            let mut g = d;
+            for layer in twin.layers.iter_mut().rev() {
+                g = layer.backward(&g).unwrap();
+            }
+        }
+        assert_eq!(model.num_trainable_layers(), twin.num_trainable_layers());
+        for (i, (a, b)) in model.blocks().zip(twin.blocks()).enumerate() {
+            let (a, b) = (a.grads(), b.grads());
+            assert!(
+                a.values().iter().any(|&v| v != 0.0),
+                "block {i} has no gradient"
+            );
+            let bits = |p: &LayerParams| p.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "block {i}");
+        }
+    }
+
+    #[test]
+    fn first_layer_skipping_its_input_gradient_changes_no_parameter_gradient() {
+        let mut rng = StdRng::seed_from_u64(34);
+        let spec = crate::zoo::InputSpec::new(1, 8, 8);
+        let x = Tensor::randn(vec![16, 1, 8, 8], 0.0, 1.0, &mut rng);
+        // A convolution first (the paper's models), a locally connected
+        // layer first, and a dense layer first (the default path).
+        assert_first_layer_path_changes_no_gradient(
+            crate::zoo::conv2_fc3(spec, 2, 4, 32, &mut rng),
+            &x,
+        );
+        let mut local = Sequential::new();
+        local.push(crate::LocallyConnected2d::new(1, 2, 3, 8, 8, &mut rng));
+        local.push(Relu::new());
+        local.push(Flatten::new());
+        local.push(Dense::new(2 * 6 * 6, 2, &mut rng));
+        assert_first_layer_path_changes_no_gradient(local, &x);
+        let (x, _) = xor_data();
+        assert_first_layer_path_changes_no_gradient(xor_model(34), &x);
     }
 
     #[test]
