@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixnn_attacks::{GradSim, GradSimConfig};
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_fl::FlConfig;
-use mixnn_nn::{Conv2d, Layer, LocallyConnected2d, MaxPool2d};
+use mixnn_nn::{
+    Adam, Conv2d, Dense, Layer, LocallyConnected2d, MaxPool2d, Optimizer, SoftmaxCrossEntropy,
+};
 use mixnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -74,6 +76,13 @@ fn bench_fit_and_score(c: &mut Criterion) {
 /// is behind ReLU and 2×2 max pooling; `backward_params` is the first
 /// layer's backward, which skips the input gradient. The pooling rows read
 /// ReLU output, about half of it zeros.
+///
+/// Then the rest of `fl_train`'s step, with data drawn after every row
+/// above so theirs does not change: its three `Dense` layers (32 → 32 →
+/// 16 → 6) on ReLU output, the hidden layers' gradients about half zeros
+/// (behind ReLU) and the classifier's dense; one Adam step over the
+/// model's 2,022 parameters in its ten slots; and the loss on batch-64
+/// logits.
 fn bench_windowed_layers(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut group = c.benchmark_group("nn");
@@ -134,6 +143,52 @@ fn bench_windowed_layers(c: &mut Criterion) {
         x,
         &mut rng,
     );
+
+    for (name, inputs, outputs, zeros) in [
+        ("fc1", 32, 32, 0.5),
+        ("fc2", 32, 16, 0.5),
+        ("fc3", 16, 6, 0.0),
+    ] {
+        let mut dense = Dense::new(inputs, outputs, &mut rng);
+        let x = Tensor::randn(vec![64, inputs], 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
+        let g = Tensor::from_fn(vec![64, outputs], |_| {
+            if rng.gen_bool(zeros) {
+                0.0
+            } else {
+                rng.gen_range(-1.0f32..1.0)
+            }
+        });
+        group.bench_function(format!("dense/forward/fl_train/{name}"), |b| {
+            b.iter(|| dense.forward(&x).unwrap());
+        });
+        group.bench_function(format!("dense/backward/fl_train/{name}"), |b| {
+            b.iter(|| dense.backward(&g).unwrap());
+        });
+    }
+
+    // Weights and bias of conv1, conv2, fc1, fc2 and fc3 at six classes.
+    let slots = [36, 4, 288, 8, 1024, 32, 512, 16, 96, 6];
+    let mut params: Vec<Vec<f32>> = slots.iter().map(|&n| vec![0.0; n]).collect();
+    let grads: Vec<Vec<f32>> = slots
+        .iter()
+        .map(|&n| (0..n).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
+        .collect();
+    let mut adam = Adam::new(0.001);
+    group.bench_function("adam/step/fl_train", |b| {
+        b.iter(|| {
+            for (slot, (p, g)) in params.iter_mut().zip(&grads).enumerate() {
+                adam.step(slot, p, g);
+            }
+            adam.advance();
+        });
+    });
+
+    let logits = Tensor::randn(vec![64, 6], 0.0, 2.0, &mut rng);
+    let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..6)).collect();
+    let loss = SoftmaxCrossEntropy::new();
+    group.bench_function("loss/fl_train", |b| {
+        b.iter(|| loss.loss_and_grad(&logits, &labels).unwrap());
+    });
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 
 use crate::layers::Layer;
 use crate::{NnError, ParamBlock};
-use mixnn_tensor::{init, Tensor};
+use mixnn_tensor::{init, matmul_into, matmul_nt_into, matmul_tn_into, Gathered, Tensor};
 use rand::Rng;
 
 /// A fully connected layer computing `Y = X·W + b`.
@@ -12,6 +12,11 @@ use rand::Rng;
 /// is a plain matmul. Its [`ParamBlock`] holds `W` as the weights and `b`
 /// as the bias, so the flat parameter layout — part of the wire format the
 /// MixNN proxy shuffles — is `W` row-major followed by `b`.
+///
+/// The three products run the `mixnn_tensor` slice kernels over buffers the
+/// layer keeps from pass to pass (the gathered non-zero inputs, the
+/// transposed weights, one `dW` block), so a forward and a backward pass
+/// allocate only the tensors they return.
 ///
 /// # Example
 ///
@@ -35,6 +40,14 @@ pub struct Dense {
     out_features: usize,
     block: ParamBlock,
     cached_input: Option<Tensor>,
+    /// Non-zero inputs of one row (forward) or one input feature
+    /// (backward), gathered by the products that skip zeros.
+    gathered: Vec<Gathered>,
+    /// `W` transposed, for the input gradient.
+    transposed: Vec<f32>,
+    /// `Xᵀ·dY` of one backward pass, summed from +0.0 before it is added
+    /// to the accumulated weight gradient.
+    dw: Vec<f32>,
 }
 
 impl Dense {
@@ -54,6 +67,9 @@ impl Dense {
                 Tensor::zeros(vec![out_features]),
             ),
             cached_input: None,
+            gathered: Vec::new(),
+            transposed: Vec::new(),
+            dw: Vec::new(),
         }
     }
 
@@ -91,21 +107,30 @@ impl Layer for Dense {
                 actual: input.dims().to_vec(),
             });
         }
-        let mut out = input.matmul(&self.block.weights)?;
-        let batch = out.dims()[0];
-        let of = self.out_features;
-        {
-            let data = out.data_mut();
-            for b in 0..batch {
-                for (o, &bias) in data[b * of..(b + 1) * of]
-                    .iter_mut()
-                    .zip(self.block.bias.data())
-                {
-                    *o += bias;
-                }
+        let (batch, inf, of) = (input.dims()[0], self.in_features, self.out_features);
+        let mut out = Tensor::zeros(vec![batch, of]);
+        let (weights, bias) = (self.block.weights.data(), self.block.bias.data());
+        matmul_into(
+            input.data(),
+            weights,
+            batch,
+            inf,
+            of,
+            &mut self.gathered,
+            out.data_mut(),
+        );
+        let data = out.data_mut();
+        for b in 0..batch {
+            for (o, &bias) in data[b * of..][..of].iter_mut().zip(bias) {
+                *o += bias;
             }
         }
-        self.cached_input = Some(input.clone());
+        match &mut self.cached_input {
+            Some(cached) if cached.dims() == input.dims() => {
+                cached.data_mut().copy_from_slice(input.data());
+            }
+            cached => *cached = Some(input.clone()),
+        }
         Ok(out)
     }
 
@@ -126,21 +151,42 @@ impl Layer for Dense {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        // dW = Xᵀ · dY, accumulated.
-        let dw = input.matmul_tn(grad_output)?;
-        self.block.grad_weights.add_assign(&dw)?;
+        let (batch, inf, of) = (input.dims()[0], self.in_features, self.out_features);
+        let dy = grad_output.data();
+        // dW = Xᵀ · dY, summed on its own and then accumulated: adding it
+        // into the running gradient term by term would change the order in
+        // which backward passes over several batches accumulate.
+        self.dw.resize(inf * of, 0.0);
+        matmul_tn_into(
+            input.data(),
+            dy,
+            batch,
+            inf,
+            of,
+            &mut self.gathered,
+            &mut self.dw,
+        );
+        for (g, &d) in self.block.grad_weights.data_mut().iter_mut().zip(&self.dw) {
+            *g += d;
+        }
         // db = column sums of dY, accumulated.
-        let batch = grad_output.dims()[0];
-        {
-            let gb = self.block.grad_bias.data_mut();
-            for b in 0..batch {
-                for (g, &d) in gb.iter_mut().zip(grad_output.row(b)) {
-                    *g += d;
-                }
+        let gb = self.block.grad_bias.data_mut();
+        for b in 0..batch {
+            for (g, &d) in gb.iter_mut().zip(&dy[b * of..][..of]) {
+                *g += d;
             }
         }
         // dX = dY · Wᵀ.
-        let dx = grad_output.matmul_nt(&self.block.weights)?;
+        let mut dx = Tensor::zeros(vec![batch, inf]);
+        matmul_nt_into(
+            dy,
+            self.block.weights.data(),
+            batch,
+            of,
+            inf,
+            &mut self.transposed,
+            dx.data_mut(),
+        );
         Ok(dx)
     }
 

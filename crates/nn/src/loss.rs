@@ -17,7 +17,10 @@ pub struct Evaluation {
 ///
 /// `loss_and_grad` returns both the scalar loss and the gradient with
 /// respect to the logits (`(softmax(z) − onehot(y)) / batch`), which is the
-/// textbook fused derivative.
+/// textbook fused derivative. Non-finite logits follow
+/// [`vecmath::softmax_into`]: a row with a NaN logit has a NaN loss and
+/// gradient, so a diverged model does not read as chance; +∞ logits share
+/// the row's probability mass.
 ///
 /// # Example
 ///
@@ -51,6 +54,13 @@ impl SoftmaxCrossEntropy {
             });
         }
         let (batch, classes) = (logits.dims()[0], logits.dims()[1]);
+        if batch == 0 {
+            return Err(NnError::BadInput {
+                layer: "softmax_cross_entropy".to_string(),
+                expected: "[batch >= 1, classes]".to_string(),
+                actual: logits.dims().to_vec(),
+            });
+        }
         if labels.len() != batch {
             return Err(NnError::LabelCountMismatch {
                 expected: batch,
@@ -71,8 +81,9 @@ impl SoftmaxCrossEntropy {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BadInput`], [`NnError::LabelCountMismatch`] or
-    /// [`NnError::LabelOutOfRange`] on malformed inputs.
+    /// Returns [`NnError::BadInput`] for an empty batch or logits that are
+    /// not `[batch, classes]`, and [`NnError::LabelCountMismatch`] or
+    /// [`NnError::LabelOutOfRange`] on malformed labels.
     pub fn loss_and_grad(
         &self,
         logits: &Tensor,
@@ -81,13 +92,12 @@ impl SoftmaxCrossEntropy {
         let (batch, classes) = self.validate(logits, labels)?;
         let mut grad = Tensor::zeros(vec![batch, classes]);
         let mut total_loss = 0.0f64;
-        for b in 0..batch {
-            let probs = vecmath::softmax(logits.row(b));
-            let p_true = probs[labels[b]].max(1e-12);
-            total_loss += -f64::from(p_true.ln());
-            let g_row = &mut grad.data_mut()[b * classes..(b + 1) * classes];
-            for (j, (&p, g)) in probs.iter().zip(g_row.iter_mut()).enumerate() {
-                *g = (p - if j == labels[b] { 1.0 } else { 0.0 }) / batch as f32;
+        for (b, g_row) in grad.data_mut().chunks_exact_mut(classes).enumerate() {
+            // The probabilities land in the gradient row, then become it.
+            vecmath::softmax_into(logits.row(b), g_row);
+            total_loss += -f64::from(clamped(g_row[labels[b]]).ln());
+            for (j, g) in g_row.iter_mut().enumerate() {
+                *g = (*g - if j == labels[b] { 1.0 } else { 0.0 }) / batch as f32;
             }
         }
         Ok(((total_loss / batch as f64) as f32, grad))
@@ -99,13 +109,14 @@ impl SoftmaxCrossEntropy {
     ///
     /// Same conditions as [`SoftmaxCrossEntropy::loss_and_grad`].
     pub fn evaluate(&self, logits: &Tensor, labels: &[usize]) -> Result<Evaluation, NnError> {
-        let (batch, _classes) = self.validate(logits, labels)?;
+        let (batch, classes) = self.validate(logits, labels)?;
         let mut total_loss = 0.0f64;
         let mut correct = 0usize;
+        let mut probs = vec![0.0; classes];
         for b in 0..batch {
             let row = logits.row(b);
-            let probs = vecmath::softmax(row);
-            total_loss += -f64::from(probs[labels[b]].max(1e-12).ln());
+            vecmath::softmax_into(row, &mut probs);
+            total_loss += -f64::from(clamped(probs[labels[b]]).ln());
             if vecmath::argmax(row) == labels[b] {
                 correct += 1;
             }
@@ -114,6 +125,16 @@ impl SoftmaxCrossEntropy {
             loss: (total_loss / batch as f64) as f32,
             accuracy: correct as f32 / batch as f32,
         })
+    }
+}
+
+/// A true-class probability floored at 1e-12 before its logarithm, so a
+/// confident miss costs about 27.6 rather than +∞; a NaN stays NaN.
+fn clamped(p: f32) -> f32 {
+    if p.is_nan() {
+        p
+    } else {
+        p.max(1e-12)
     }
 }
 
@@ -178,6 +199,54 @@ mod tests {
         let logits = Tensor::from_vec(vec![3, 2], vec![2.0, 1.0, 0.0, 5.0, 3.0, 1.0]).unwrap();
         let eval = loss.evaluate(&logits, &[0, 1, 1]).unwrap();
         assert!((eval.accuracy - 2.0 / 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn an_infinite_logit_takes_the_mass() {
+        let loss = SoftmaxCrossEntropy::new();
+        let logits = Tensor::from_vec(vec![1, 3], vec![f32::INFINITY, 1.0, 2.0]).unwrap();
+        let (l, grad) = loss.loss_and_grad(&logits, &[1]).unwrap();
+        assert!((l - 1e-12f32.ln().abs()).abs() < 1e-3, "loss {l}");
+        assert_eq!(grad.data(), &[1.0, -1.0, 0.0]);
+        let (l, grad) = loss.loss_and_grad(&logits, &[0]).unwrap();
+        assert_eq!(l, 0.0);
+        assert_eq!(grad.data(), &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_nan_logit_makes_its_row_nan() {
+        let loss = SoftmaxCrossEntropy::new();
+        let logits = Tensor::from_vec(vec![2, 3], vec![f32::NAN, 1.0, 2.0, 1.0, 2.0, 3.0]).unwrap();
+        let (l, grad) = loss.loss_and_grad(&logits, &[1, 2]).unwrap();
+        assert!(l.is_nan());
+        assert!(grad.row(0).iter().all(|g| g.is_nan()));
+        assert!(grad.row(1).iter().all(|g| g.is_finite()));
+        let all_nan = Tensor::full(vec![1, 3], f32::NAN);
+        assert!(loss.loss_and_grad(&all_nan, &[1]).unwrap().0.is_nan());
+        assert!(loss.evaluate(&all_nan, &[1]).unwrap().loss.is_nan());
+    }
+
+    #[test]
+    fn all_negative_infinite_logits_stay_uniform() {
+        let loss = SoftmaxCrossEntropy::new();
+        let logits = Tensor::full(vec![1, 4], f32::NEG_INFINITY);
+        let (l, grad) = loss.loss_and_grad(&logits, &[2]).unwrap();
+        assert!((l - 4.0f32.ln()).abs() < 1e-6);
+        assert_eq!(grad.data(), &[0.25, 0.25, -0.75, 0.25]);
+    }
+
+    #[test]
+    fn an_empty_batch_is_bad_input() {
+        let loss = SoftmaxCrossEntropy::new();
+        let logits = Tensor::zeros(vec![0, 3]);
+        assert!(matches!(
+            loss.loss_and_grad(&logits, &[]),
+            Err(NnError::BadInput { .. })
+        ));
+        assert!(matches!(
+            loss.evaluate(&logits, &[]),
+            Err(NnError::BadInput { .. })
+        ));
     }
 
     #[test]

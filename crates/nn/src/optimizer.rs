@@ -127,14 +127,19 @@ impl Optimizer for Adam {
         // `t` is advanced once per batch by `advance`; the current step uses
         // t+1 so the very first update is bias-corrected.
         let t = (self.t + 1) as i32;
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-        for i in 0..params.len() {
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grads[i];
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grads[i] * grads[i];
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let (fresh1, fresh2) = (1.0 - beta1, 1.0 - beta2);
+        let bc1 = 1.0 - beta1.powi(t);
+        let bc2 = 1.0 - beta2.powi(t);
+        // One zipped pass, free of bounds checks, vectorises; `divps` and
+        // `sqrtps` round exactly as their scalar forms, so every element
+        // gets the bits of the per-element expression below.
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+            *m = beta1 * *m + fresh1 * g;
+            *v = beta2 * *v + fresh2 * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 

@@ -1,12 +1,14 @@
-//! What one optimizer step allocates.
+//! What one training step allocates.
 //!
 //! `Sequential::apply_gradients` steps every trainable layer's
 //! `ParamBlock` where it lies, so once the optimizer holds its state (Adam
 //! draws its moment buffers on the first step) a step allocates nothing.
-//! This binary's allocator counts, per thread, every allocation made while
-//! a test asks it to.
+//! `Dense` keeps its products' scratch from pass to pass and the loss
+//! writes its softmax into the gradient, so after a warm-up step each
+//! allocates only the tensors it returns. This binary's allocator counts,
+//! per thread, every allocation made while a test asks it to.
 
-use mixnn_nn::{zoo, Adam, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy};
+use mixnn_nn::{zoo, Adam, Dense, Layer, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy};
 use mixnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,12 +81,50 @@ fn step_allocations(optimizer: &mut dyn Optimizer) -> (usize, usize) {
     let (_, dlogits) = loss.loss_and_grad(&logits, &labels).unwrap();
     model.backward(&dlogits).unwrap();
     let before = model.params();
+    let ((), counts) = counted(|| model.apply_gradients(optimizer));
+    assert_ne!(model.params(), before, "the step moved no parameter");
+    counts
+}
+
+/// What `f` returns, and the allocations and bytes it makes on this
+/// thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, (usize, usize)) {
     ALLOCATIONS.with(|n| n.set((0, 0)));
     COUNTING.with(|c| c.set(true));
-    model.apply_gradients(optimizer);
+    let value = f();
     COUNTING.with(|c| c.set(false));
-    assert_ne!(model.params(), before, "the step moved no parameter");
-    ALLOCATIONS.with(Cell::get)
+    (value, ALLOCATIONS.with(Cell::get))
+}
+
+#[test]
+fn a_warm_dense_layer_and_loss_allocate_only_what_they_return() {
+    let mut rng = StdRng::seed_from_u64(35);
+    let loss = SoftmaxCrossEntropy::new();
+    // `fl_train`'s three Dense layers: 32 → 32 → 16 → 6, batch 64.
+    for (inputs, outputs) in [(32, 32), (32, 16), (16, 6)] {
+        let mut dense = Dense::new(inputs, outputs, &mut rng);
+        let x = Tensor::randn(vec![64, inputs], 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
+        let g = Tensor::randn(vec![64, outputs], 0.0, 1.0, &mut rng);
+        dense.forward(&x).unwrap();
+        dense.backward(&g).unwrap();
+        let (_, one_output) = counted(|| Tensor::zeros(vec![64, outputs]));
+        let (_, one_input) = counted(|| Tensor::zeros(vec![64, inputs]));
+        let (_, forward) = counted(|| dense.forward(&x).unwrap());
+        let (_, backward) = counted(|| dense.backward(&g).unwrap());
+        println!(
+            "dense {inputs}->{outputs}: forward {} allocations, {} B; backward {} allocations, {} B",
+            forward.0, forward.1, backward.0, backward.1
+        );
+        assert_eq!(forward, one_output, "dense {inputs}->{outputs} forward");
+        assert_eq!(backward, one_input, "dense {inputs}->{outputs} backward");
+    }
+    let logits = Tensor::randn(vec![64, 6], 0.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..6)).collect();
+    loss.loss_and_grad(&logits, &labels).unwrap();
+    let (_, gradient) = counted(|| Tensor::zeros(vec![64, 6]));
+    let (_, counts) = counted(|| loss.loss_and_grad(&logits, &labels).unwrap());
+    println!("loss_and_grad: {} allocations, {} B", counts.0, counts.1);
+    assert_eq!(counts, gradient, "loss_and_grad");
 }
 
 #[test]

@@ -39,4 +39,4 @@ pub mod vecmath;
 
 pub use error::TensorError;
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{matmul_into, matmul_nt_into, matmul_tn_into, Gathered, Tensor};

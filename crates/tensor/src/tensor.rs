@@ -329,7 +329,10 @@ impl Tensor {
     // Linear algebra
     // ---------------------------------------------------------------------
 
-    /// Matrix multiplication of two 2-D tensors: `(m×k) · (k×n) → (m×n)`.
+    /// Matrix multiplication of two 2-D tensors: `(m×k) · (k×n) → (m×n)`,
+    /// computed by [`matmul_into`]: element `(i, j)` starts at +0.0 and adds
+    /// `self[i][p]·other[p][j]` for `p` ascending, skipping every `p` where
+    /// `self[i][p]` is ±0.0.
     ///
     /// # Errors
     ///
@@ -344,27 +347,22 @@ impl Tensor {
         }
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let n = other.dims()[1];
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(Tensor {
-            shape: Shape::new(vec![m, n]),
-            data: out,
-        })
+        let mut out = Tensor::zeros(vec![m, n]);
+        matmul_into(
+            &self.data,
+            &other.data,
+            m,
+            k,
+            n,
+            &mut Vec::new(),
+            &mut out.data,
+        );
+        Ok(out)
     }
 
-    /// `self · otherᵀ` for 2-D tensors: `(m×k) · (n×k)ᵀ → (m×n)`.
+    /// `self · otherᵀ` for 2-D tensors: `(m×k) · (n×k)ᵀ → (m×n)`, computed
+    /// by [`matmul_nt_into`]: element `(i, j)` starts at −0.0 and adds
+    /// `self[i][p]·other[j][p]` for every `p` ascending, with no zero skip.
     ///
     /// This avoids materialising the transpose in backprop hot paths.
     ///
@@ -381,21 +379,23 @@ impl Tensor {
         }
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let n = other.dims()[0];
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                out[i * n + j] = crate::vecmath::dot(a_row, b_row);
-            }
-        }
-        Ok(Tensor {
-            shape: Shape::new(vec![m, n]),
-            data: out,
-        })
+        let mut out = Tensor::zeros(vec![m, n]);
+        matmul_nt_into(
+            &self.data,
+            &other.data,
+            m,
+            k,
+            n,
+            &mut Vec::new(),
+            &mut out.data,
+        );
+        Ok(out)
     }
 
-    /// `selfᵀ · other` for 2-D tensors: `(k×m)ᵀ · (k×n) → (m×n)`.
+    /// `selfᵀ · other` for 2-D tensors: `(k×m)ᵀ · (k×n) → (m×n)`, computed
+    /// by [`matmul_tn_into`]: element `(i, j)` starts at +0.0 and adds
+    /// `self[p][i]·other[p][j]` for `p` ascending, skipping every `p` where
+    /// `self[p][i]` is ±0.0.
     ///
     /// # Errors
     ///
@@ -410,24 +410,17 @@ impl Tensor {
         }
         let (k, m) = (self.dims()[0], self.dims()[1]);
         let n = other.dims()[1];
-        let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(Tensor {
-            shape: Shape::new(vec![m, n]),
-            data: out,
-        })
+        let mut out = Tensor::zeros(vec![m, n]);
+        matmul_tn_into(
+            &self.data,
+            &other.data,
+            k,
+            m,
+            n,
+            &mut Vec::new(),
+            &mut out.data,
+        );
+        Ok(out)
     }
 
     // ---------------------------------------------------------------------
@@ -496,6 +489,204 @@ impl fmt::Display for Tensor {
         }
         write!(f, "]")
     }
+}
+
+// -------------------------------------------------------------------------
+// Matrix-product kernels
+// -------------------------------------------------------------------------
+//
+// Each product sums an output element in exactly the order its direct loop
+// does — one f32 multiply and one f32 add per term, `p` ascending — so the
+// result is bit-identical to that loop. What changes is the loop nest: a
+// chunk of up to 32 output columns is summed in a local array, which the
+// baseline target keeps in vector registers (eight independent SSE
+// accumulators for a full chunk), and a row's terms stream through it.
+// Lanes round as the scalar unit does and Rust never contracts `a * b + c`
+// into a fused multiply-add.
+
+/// Calls `$chunk::<W>(args.., j)` over the output columns `0..$n`: chunks
+/// of 32 while they last, then at most one each of 16, 8, 4, 2 and 1, so
+/// a narrow or ragged width (the classifier's 6 is 4 + 2) still runs
+/// fixed-width, unrolled lanes rather than a scalar remainder loop.
+macro_rules! by_column_chunks {
+    ($n:expr, $chunk:ident($($arg:expr),*)) => {{
+        let n: usize = $n;
+        let mut j = 0;
+        while n - j >= 32 {
+            $chunk::<32>($($arg,)* j);
+            j += 32;
+        }
+        if n - j >= 16 {
+            $chunk::<16>($($arg,)* j);
+            j += 16;
+        }
+        if n - j >= 8 {
+            $chunk::<8>($($arg,)* j);
+            j += 8;
+        }
+        if n - j >= 4 {
+            $chunk::<4>($($arg,)* j);
+            j += 4;
+        }
+        if n - j >= 2 {
+            $chunk::<2>($($arg,)* j);
+            j += 2;
+        }
+        if n - j == 1 {
+            $chunk::<1>($($arg,)* j);
+        }
+    }};
+}
+
+/// A non-zero left entry of [`matmul_into`] or [`matmul_tn_into`]: its
+/// value and the offset of the right operand's row it multiplies.
+pub type Gathered = (f32, usize);
+
+/// `x · w` for row-major `x` (`m×k`) and `w` (`k×n`) into `out` (`m×n`).
+///
+/// Element `(i, j)` starts at +0.0 and adds `x[i][p]·w[p][j]` for `p`
+/// ascending, skipping every `p` where `x[i][p]` is ±0.0 (a NaN is not
+/// skipped). The skip is what keeps a zero input from turning an infinite
+/// weight into NaN, and it is made without a branch per entry: each row's
+/// non-zero entries are first gathered into `gathered` (caller scratch,
+/// grown to `k` entries and reused), in ascending `p`, so every element
+/// still sees its terms in the direct loop's order. Every element of
+/// `out` is written.
+///
+/// # Panics
+///
+/// Panics if a slice's length disagrees with the dimensions.
+pub fn matmul_into(
+    x: &[f32],
+    w: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    gathered: &mut Vec<Gathered>,
+    out: &mut [f32],
+) {
+    assert_eq!(x.len(), m * k, "matmul_into: x is not m×k");
+    assert_eq!(w.len(), k * n, "matmul_into: w is not k×n");
+    assert_eq!(out.len(), m * n, "matmul_into: out is not m×n");
+    gathered.resize(k, (0.0, 0));
+    for i in 0..m {
+        let mut found = 0;
+        for (p, &a) in x[i * k..][..k].iter().enumerate() {
+            gathered[found] = (a, p * n);
+            found += usize::from(a != 0.0);
+        }
+        by_column_chunks!(
+            n,
+            gathered_chunk(&gathered[..found], w, &mut out[i * n..][..n])
+        );
+    }
+}
+
+/// `xᵀ · g` for row-major `x` (`k×m`) and `g` (`k×n`) into `out` (`m×n`).
+///
+/// Element `(i, j)` starts at +0.0 and adds `x[p][i]·g[p][j]` for `p`
+/// ascending, skipping every `p` where `x[p][i]` is ±0.0 (a NaN is not
+/// skipped). As in [`matmul_into`], column `i`'s non-zero entries are
+/// gathered first, without a branch, in ascending `p`, into `gathered`
+/// (caller scratch, grown to `k` entries). Every element of `out` is
+/// written.
+///
+/// # Panics
+///
+/// Panics if a slice's length disagrees with the dimensions.
+pub fn matmul_tn_into(
+    x: &[f32],
+    g: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    gathered: &mut Vec<Gathered>,
+    out: &mut [f32],
+) {
+    assert_eq!(x.len(), k * m, "matmul_tn_into: x is not k×m");
+    assert_eq!(g.len(), k * n, "matmul_tn_into: g is not k×n");
+    assert_eq!(out.len(), m * n, "matmul_tn_into: out is not m×n");
+    gathered.resize(k, (0.0, 0));
+    for i in 0..m {
+        let mut found = 0;
+        for p in 0..k {
+            let a = x[p * m + i];
+            gathered[found] = (a, p * n);
+            found += usize::from(a != 0.0);
+        }
+        by_column_chunks!(
+            n,
+            gathered_chunk(&gathered[..found], g, &mut out[i * n..][..n])
+        );
+    }
+}
+
+/// `g · wᵀ` for row-major `g` (`m×k`) and `w` (`n×k`) into `out` (`m×n`).
+///
+/// Element `(i, j)` starts at −0.0 — where `iter::Sum for f32`, and so
+/// [`crate::vecmath::dot`], starts — and adds `g[i][p]·w[j][p]` for
+/// **every** `p` ascending, with no zero skip, so `0·∞` still lands as
+/// NaN and a row of −0.0 products stays −0.0. `w` is first transposed into
+/// `transposed` (caller scratch, grown to `k·n`), so the inner loop reads
+/// contiguous output columns. Every element of `out` is written.
+///
+/// # Panics
+///
+/// Panics if a slice's length disagrees with the dimensions.
+pub fn matmul_nt_into(
+    g: &[f32],
+    w: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    transposed: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    assert_eq!(g.len(), m * k, "matmul_nt_into: g is not m×k");
+    assert_eq!(w.len(), n * k, "matmul_nt_into: w is not n×k");
+    assert_eq!(out.len(), m * n, "matmul_nt_into: out is not m×n");
+    transposed.resize(k * n, 0.0);
+    for j in 0..n {
+        for p in 0..k {
+            transposed[p * n + j] = w[j * k + p];
+        }
+    }
+    for i in 0..m {
+        by_column_chunks!(
+            n,
+            transposed_chunk(&g[i * k..][..k], transposed, &mut out[i * n..][..n])
+        );
+    }
+}
+
+/// Columns `j..j + W` of one output row of [`matmul_into`] or
+/// [`matmul_tn_into`]: from +0.0, add `a·right[row + j + c]` for each
+/// gathered `(a, row)` in order.
+#[inline(always)]
+fn gathered_chunk<const W: usize>(hits: &[Gathered], right: &[f32], out: &mut [f32], j: usize) {
+    let mut acc = [0.0f32; W];
+    for &(a, row) in hits {
+        let r = &right[row + j..][..W];
+        for (s, &b) in acc.iter_mut().zip(r) {
+            *s += a * b;
+        }
+    }
+    out[j..][..W].copy_from_slice(&acc);
+}
+
+/// Columns `j..j + W` of one output row of [`matmul_nt_into`]: from −0.0,
+/// add `g_row[p]·transposed[p][j + c]` for every `p` ascending.
+#[inline(always)]
+fn transposed_chunk<const W: usize>(g_row: &[f32], transposed: &[f32], out: &mut [f32], j: usize) {
+    let n = out.len();
+    let mut acc = [-0.0f32; W];
+    for (p, &a) in g_row.iter().enumerate() {
+        let r = &transposed[p * n + j..][..W];
+        for (s, &b) in acc.iter_mut().zip(r) {
+            *s += a * b;
+        }
+    }
+    out[j..][..W].copy_from_slice(&acc);
 }
 
 /// Minimal Box–Muller standard-normal sampler.
@@ -578,6 +769,145 @@ mod tests {
         let via_t = a.transpose2d().unwrap().matmul(&b).unwrap();
         for (x, y) in direct.data().iter().zip(via_t.data()) {
             assert!((x - y).abs() < 1e-5);
+        }
+    }
+
+    /// `Tensor::matmul` before the slice kernels, verbatim.
+    fn matmul_direct(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let n = b.dims()[1];
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let b_row = &b.data[p * n..(p + 1) * n];
+                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a * b;
+                }
+            }
+        }
+        Tensor::from_vec(vec![m, n], out).unwrap()
+    }
+
+    /// `Tensor::matmul_nt` before the slice kernels, verbatim.
+    fn matmul_nt_direct(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let n = b.dims()[0];
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            for j in 0..n {
+                let b_row = &b.data[j * k..(j + 1) * k];
+                out[i * n + j] = crate::vecmath::dot(a_row, b_row);
+            }
+        }
+        Tensor::from_vec(vec![m, n], out).unwrap()
+    }
+
+    /// `Tensor::matmul_tn` before the slice kernels, verbatim.
+    fn matmul_tn_direct(a: &Tensor, b: &Tensor) -> Tensor {
+        let (k, m) = (a.dims()[0], a.dims()[1]);
+        let n = b.dims()[1];
+        let mut out = vec![0.0f32; m * n];
+        for p in 0..k {
+            let a_row = &a.data[p * m..(p + 1) * m];
+            let b_row = &b.data[p * n..(p + 1) * n];
+            for (i, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out[i * n..(i + 1) * n];
+                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a * b;
+                }
+            }
+        }
+        Tensor::from_vec(vec![m, n], out).unwrap()
+    }
+
+    /// Panics unless `a` and `b` hold the same f32 bit patterns, any NaN
+    /// matching any NaN (Rust leaves an arithmetic NaN's sign and payload
+    /// unspecified).
+    fn assert_bits_eq(what: &str, a: &[f32], b: &[f32]) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            if !(x.is_nan() && y.is_nan()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+            }
+        }
+    }
+
+    /// A matrix about half ±0.0, with subnormals, and with ±∞ and NaN
+    /// rare enough that most sums stay finite.
+    fn hostile(dims: Vec<usize>, rng: &mut StdRng) -> Tensor {
+        Tensor::from_fn(dims, |_| match rng.gen_range(0..100) {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            2 => f32::NAN,
+            3..=7 => {
+                f32::from_bits(rng.gen_range(1..0x0080_0000)) * [1.0, -1.0][rng.gen_range(0..2)]
+            }
+            8..=29 => 0.0,
+            30..=49 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+    }
+
+    #[test]
+    fn products_match_the_direct_loops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let (mut gathered, mut transposed) = (Vec::new(), Vec::new());
+        let mut geometries = 0;
+        for m in [0, 1, 3, 64] {
+            for k in [0, 1, 2, 7, 32] {
+                for n in 0..=40 {
+                    let x = hostile(vec![m, k], &mut rng);
+                    let w = hostile(vec![k, n], &mut rng);
+                    // The kernels write every element: start from garbage.
+                    let mut out = vec![7.0; m * n];
+                    matmul_into(x.data(), w.data(), m, k, n, &mut gathered, &mut out);
+                    assert_bits_eq("matmul", &out, matmul_direct(&x, &w).data());
+                    assert_bits_eq("matmul wrapper", x.matmul(&w).unwrap().data(), &out);
+
+                    let wt = hostile(vec![n, k], &mut rng);
+                    out.fill(7.0);
+                    matmul_nt_into(x.data(), wt.data(), m, k, n, &mut transposed, &mut out);
+                    assert_bits_eq("matmul_nt", &out, matmul_nt_direct(&x, &wt).data());
+                    assert_bits_eq("nt wrapper", x.matmul_nt(&wt).unwrap().data(), &out);
+
+                    let xt = hostile(vec![k, m], &mut rng);
+                    let g = hostile(vec![k, n], &mut rng);
+                    out.fill(7.0);
+                    matmul_tn_into(xt.data(), g.data(), k, m, n, &mut gathered, &mut out);
+                    assert_bits_eq("matmul_tn", &out, matmul_tn_direct(&xt, &g).data());
+                    assert_bits_eq("tn wrapper", xt.matmul_tn(&g).unwrap().data(), &out);
+                    geometries += 1;
+                }
+            }
+        }
+        println!("matmul geometries exercised: {geometries}");
+    }
+
+    #[test]
+    fn zero_products_keep_each_products_starting_sign() {
+        for (k, n) in [(1, 1), (6, 6), (16, 33), (32, 32)] {
+            // −0.0·w for a positive w: every term is −0.0.
+            let g = Tensor::full(vec![2, k], -0.0);
+            let w = Tensor::full(vec![n, k], 0.5);
+            let nt = g.matmul_nt(&w).unwrap();
+            assert!(nt.data().iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            assert_bits_eq("nt", nt.data(), matmul_nt_direct(&g, &w).data());
+            // The skipping products never add a term: +0.0, even against ∞.
+            let inf = Tensor::full(vec![k, n], f32::INFINITY);
+            let zeros = Tensor::full(vec![2, k], -0.0);
+            let nn = zeros.matmul(&inf).unwrap();
+            assert!(nn.data().iter().all(|v| v.to_bits() == 0));
+            let tn = Tensor::full(vec![k, 2], -0.0).matmul_tn(&inf).unwrap();
+            assert!(tn.data().iter().all(|v| v.to_bits() == 0));
         }
     }
 

@@ -225,31 +225,58 @@ pub fn argmax(a: &[f32]) -> usize {
     best
 }
 
-/// Numerically stable softmax of a slice.
-///
-/// Subtracts the maximum before exponentiating; an all-`-inf` input yields a
-/// uniform distribution rather than NaN.
+/// Numerically stable softmax of a slice: [`softmax_into`] into a new
+/// vector.
 pub fn softmax(a: &[f32]) -> Vec<f32> {
-    if a.is_empty() {
-        return Vec::new();
+    let mut out = vec![0.0; a.len()];
+    softmax_into(a, &mut out);
+    out
+}
+
+/// Numerically stable softmax of `logits`, written into `out`.
+///
+/// Subtracts the maximum before exponentiating. Non-finite logits are not
+/// hidden:
+///
+/// * any NaN makes every output NaN;
+/// * otherwise, +∞ logits share the mass equally and the rest get 0;
+/// * an all-`-inf` input yields a uniform distribution.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn softmax_into(logits: &[f32], out: &mut [f32]) {
+    assert_eq!(logits.len(), out.len(), "softmax_into: length mismatch");
+    let mut max = f32::NEG_INFINITY;
+    let mut nan = false;
+    for &v in logits {
+        max = max.max(v);
+        nan |= v.is_nan();
     }
-    let max = a.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = a
-        .iter()
-        .map(|&v| {
-            let e = (v - max).exp();
-            if e.is_nan() {
-                0.0
-            } else {
-                e
-            }
-        })
-        .collect();
-    let sum: f32 = exps.iter().sum();
-    if sum == 0.0 {
-        return vec![1.0 / a.len() as f32; a.len()];
+    if nan {
+        out.fill(f32::NAN);
+        return;
     }
-    exps.into_iter().map(|e| e / sum).collect()
+    if max == f32::INFINITY {
+        let share = 1.0 / logits.iter().filter(|&&v| v == max).count() as f32;
+        for (o, &v) in out.iter_mut().zip(logits) {
+            *o = if v == max { share } else { 0.0 };
+        }
+        return;
+    }
+    if max == f32::NEG_INFINITY {
+        out.fill(1.0 / logits.len() as f32);
+        return;
+    }
+    // With a finite maximum every exponential is finite and their sum is
+    // at least 1.
+    for (o, &v) in out.iter_mut().zip(logits) {
+        *o = (v - max).exp();
+    }
+    let sum: f32 = out.iter().sum();
+    for o in out {
+        *o /= sum;
+    }
 }
 
 #[cfg(test)]
@@ -331,6 +358,15 @@ mod tests {
     #[test]
     fn softmax_of_empty_is_empty() {
         assert!(softmax(&[]).is_empty());
+    }
+
+    #[test]
+    fn softmax_does_not_hide_non_finite_logits() {
+        assert_eq!(softmax(&[f32::INFINITY, 1.0, 2.0]), [1.0, 0.0, 0.0]);
+        let inf = f32::INFINITY;
+        assert_eq!(softmax(&[inf, f32::NEG_INFINITY, inf]), [0.5, 0.0, 0.5]);
+        assert!(softmax(&[0.0, f32::NAN, 1.0]).iter().all(|v| v.is_nan()));
+        assert_eq!(softmax(&[f32::NEG_INFINITY; 4]), [0.25; 4]);
     }
 }
 
