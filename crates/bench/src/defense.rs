@@ -3,11 +3,8 @@
 //! round the repo ships (`seal → mix_sealed_round`), the only
 //! proxy round there is.
 
-use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
-use mixnn_enclave::AttestationService;
+use mixnn_core::{MixnnProxyConfig, MixnnTransport};
 use mixnn_fl::{DirectTransport, NoisyTransport, UpdateTransport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A defense (or its absence) applied to the update path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,20 +54,14 @@ impl Defense {
         match self {
             Defense::ClassicFl => Box::new(DirectTransport::new()),
             Defense::NoisyGradient { sigma } => Box::new(NoisyTransport::new(*sigma, seed)),
-            Defense::MixNn => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let service = AttestationService::new(&mut rng);
-                let proxy = MixnnProxy::launch(
-                    MixnnProxyConfig {
-                        expected_signature: signature.to_vec(),
-                        seed,
-                        ..MixnnProxyConfig::default()
-                    },
-                    &service,
-                    &mut rng,
-                );
-                Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed))
-            }
+            Defense::MixNn => Box::new(MixnnTransport::launch(
+                MixnnProxyConfig {
+                    expected_signature: signature.to_vec(),
+                    seed,
+                    ..MixnnProxyConfig::default()
+                },
+                seed,
+            )),
         }
     }
 }
@@ -108,6 +99,32 @@ mod tests {
             let mut t = d.make_transport(7, &[2, 2]);
             let out = t.relay(updates(5)).unwrap();
             assert_eq!(out.len(), 5, "{}", d.label());
+        }
+    }
+
+    #[test]
+    fn only_the_mixnn_arm_reports_a_transcript_and_it_inverts_the_relay() {
+        for d in Defense::lineup(0.1) {
+            let mut t = d.make_transport(7, &[2, 2]);
+            assert!(t.transcript().is_none(), "{} before a relay", d.label());
+            let ins = updates(5);
+            let outs = t.relay(ins.clone()).unwrap();
+            if d != Defense::MixNn {
+                assert!(t.transcript().is_none(), "{}", d.label());
+                continue;
+            }
+            let transcript = t.transcript().expect("a mixnn relay leaves a transcript");
+            let params = |us: Vec<ModelUpdate>| -> Vec<ModelParams> {
+                us.into_iter().map(|u| u.params).collect()
+            };
+            let bits = |ps: &[ModelParams]| -> Vec<u32> {
+                ps.iter()
+                    .flat_map(ModelParams::flatten)
+                    .map(f32::to_bits)
+                    .collect()
+            };
+            let restored = transcript.unmix(&params(outs)).unwrap();
+            assert_eq!(bits(&restored), bits(&params(ins)));
         }
     }
 

@@ -23,7 +23,9 @@
 //! benchmark's trace and the `codec/*` criterion rows.
 
 use crate::ExperimentScale;
-use mixnn_cascade::{CascadeCoordinator, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout};
+use mixnn_cascade::{
+    CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
+};
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::InProcessLink;
 use mixnn_enclave::AttestationService;
@@ -91,6 +93,25 @@ pub fn modes() -> [CompressionConfig; 3] {
     ]
 }
 
+/// Builds a fresh layout for each round that drives it.
+pub type LayoutFactory = Box<dyn Fn() -> Box<dyn CascadeTopology>>;
+
+/// The three layouts every mode is checked on: the classic chain, two
+/// strata of two hops, and free routes of 2–3 hops out of four.
+pub fn layouts(seed: u64) -> Vec<(&'static str, LayoutFactory)> {
+    vec![
+        ("linear", Box::new(|| Box::new(LinearChain::new(3)))),
+        (
+            "stratified",
+            Box::new(move || Box::new(StratifiedLayout::evenly(4, 2, seed))),
+        ),
+        (
+            "free-route",
+            Box::new(move || Box::new(FreeRoute::new(4, 2, 3, seed))),
+        ),
+    ]
+}
+
 fn synthetic_updates(signature: &[usize], clients: usize, seed: u64) -> Vec<ModelParams> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..clients)
@@ -141,20 +162,7 @@ fn layouts_accuracy_and_uniformity(
     let mut worst_abs = 0.0f64;
     let mut linear_onion = 0usize;
     let clients = updates.len();
-    // Three layouts: the classic chain, two strata of two hops, and
-    // per-client free routes of 2–3 hops out of four.
-    type LayoutFactory = Box<dyn Fn() -> Box<dyn mixnn_cascade::CascadeTopology>>;
-    let layouts: Vec<(&str, LayoutFactory)> = vec![
-        ("linear", Box::new(|| Box::new(LinearChain::new(3)))),
-        (
-            "stratified",
-            Box::new(move || Box::new(StratifiedLayout::evenly(4, 2, seed))),
-        ),
-        (
-            "free-route",
-            Box::new(move || Box::new(FreeRoute::new(4, 2, 3, seed))),
-        ),
-    ];
+    let layouts = layouts(seed);
     let layout_count = layouts.len();
     for (name, make) in layouts {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);

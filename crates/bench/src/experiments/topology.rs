@@ -35,7 +35,7 @@ use mixnn_attacks::{analyze_routed_collusion, AttackError};
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
-use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn_core::{MixnnProxyConfig, MixnnTransport};
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::Telemetry;
@@ -122,20 +122,16 @@ fn single_proxy_aggregate(
     originals: &[ModelParams],
     telemetry: &Telemetry,
 ) -> Result<ModelParams, mixnn_fl::FlError> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x51);
-    let service = AttestationService::new(&mut rng);
-    let mut proxy = MixnnProxy::launch(
+    let mut transport = MixnnTransport::launch(
         MixnnProxyConfig {
             expected_signature: signature.to_vec(),
             seed,
             ..MixnnProxyConfig::default()
         },
-        &service,
-        &mut rng,
+        seed,
     );
-    proxy.attach_telemetry(telemetry.clone());
-    let mixed = MixnnTransport::new(proxy, TransportMode::Encrypted, seed)
-        .relay_round(originals.to_vec())?;
+    transport.attach_telemetry(telemetry.clone());
+    let mixed = transport.relay_round(originals.to_vec())?;
     Ok(ModelParams::mean(&mixed).expect("non-empty round"))
 }
 

@@ -11,9 +11,8 @@
 //! changes what the wire carries, not what the adversary learns.
 
 use mixnn_attacks::analyze_routed_collusion;
-use mixnn_cascade::{
-    CascadeCoordinator, FailurePolicy, FreeRoute, LinearChain, PaddedRound, StratifiedLayout,
-};
+use mixnn_bench::experiments::compress::layouts;
+use mixnn_cascade::{CascadeCoordinator, FailurePolicy, PaddedRound};
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::InProcessLink;
 use mixnn_enclave::AttestationService;
@@ -35,22 +34,6 @@ fn all_modes() -> Vec<CompressionConfig> {
         CompressionConfig::Int8TopK {
             keep_per_1024: 1024,
         },
-    ]
-}
-
-type LayoutFactory = Box<dyn Fn() -> Box<dyn mixnn_cascade::CascadeTopology>>;
-
-fn layouts() -> Vec<(&'static str, LayoutFactory)> {
-    vec![
-        ("linear", Box::new(|| Box::new(LinearChain::new(3)))),
-        (
-            "stratified",
-            Box::new(|| Box::new(StratifiedLayout::evenly(4, 2, SEED))),
-        ),
-        (
-            "free-route",
-            Box::new(|| Box::new(FreeRoute::new(4, 2, 3, SEED))),
-        ),
     ]
 }
 
@@ -107,7 +90,7 @@ fn padded_round(
 #[test]
 fn every_route_group_is_size_uniform_under_every_mode_and_layout() {
     let updates = adversarial_updates();
-    for (name, make) in layouts() {
+    for (name, make) in layouts(SEED) {
         for compression in all_modes() {
             let (cascade, service, padded) = padded_round(&make, compression, &updates);
             assert!(padded.dummies() > 0, "{name}: no cover rode the round");
@@ -145,7 +128,7 @@ fn every_route_group_is_size_uniform_under_every_mode_and_layout() {
 #[test]
 fn collusion_analysis_is_identical_with_compression_on_and_off() {
     let updates = adversarial_updates();
-    for (name, make) in layouts() {
+    for (name, make) in layouts(SEED) {
         // The same seeded round, lossless vs compressed: routing, group
         // partition and mix plans must match, so the adversary's view is
         // unchanged and the anonymity sets are equal element for element.

@@ -23,14 +23,13 @@ use mixnn_attacks::analyze_routed_collusion;
 use mixnn_bench::experiments::topology;
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
 use mixnn_cascade::{
-    CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, LinearChain,
-    StratifiedLayout,
+    CascadeCoordinator, CascadeRound, CascadeTopology, CascadeTransport, FailurePolicy, FreeRoute,
+    LinearChain, StratifiedLayout,
 };
-use mixnn_core::{
-    InProcessLink, MixnnProxy, MixnnProxyConfig, MixnnTransport, RoundTranscript, TransportMode,
-};
+use mixnn_core::{InProcessLink, MixnnProxyConfig, MixnnTransport, RoundTranscript};
 use mixnn_enclave::AttestationService;
-use mixnn_net::{run_load_with, FlushPolicy, LoadConfig};
+use mixnn_fl::{ModelUpdate, UpdateTransport};
+use mixnn_net::{run_load_with, FlushPolicy, LinkConfig, LoadConfig, NetCascadeTransport};
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{
     validate_prometheus, Counter, Registry, Telemetry, VirtualClock, FORBIDDEN_LABEL_AXES,
@@ -241,9 +240,8 @@ fn load_generator_telemetry_reproduces_byte_for_byte_across_reruns() {
     assert!(outcome_a.packets_lost == 0 && outcome_a.packets_reordered == 0);
 }
 
-/// Runs a seeded free-route round, optionally with a live registry
-/// attached, and returns the round plus the registry that observed it.
-fn routed_round(seed: u64, telemetry: Option<&Telemetry>) -> CascadeRound {
+/// A seeded free-route cascade, optionally with a live registry attached.
+fn free_route(seed: u64, telemetry: Option<&Telemetry>) -> CascadeCoordinator {
     let mut rng = StdRng::seed_from_u64(seed);
     let service = AttestationService::new(&mut rng);
     let mut cascade = CascadeCoordinator::with_topology(
@@ -258,49 +256,67 @@ fn routed_round(seed: u64, telemetry: Option<&Telemetry>) -> CascadeRound {
     if let Some(t) = telemetry {
         cascade.attach_telemetry(t.clone());
     }
-    let updates = synth_rounds(&mut rng, 1).pop().unwrap();
-    cascade.run_round(&updates, &mut rng).unwrap()
+    cascade
 }
 
-/// Runs a seeded sealed single-proxy round, optionally with a live
-/// registry attached, and returns the proxy's transcript of it.
-fn proxy_round(seed: u64, telemetry: Option<&Telemetry>) -> RoundTranscript {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let config = MixnnProxyConfig {
-        expected_signature: SIGNATURE.to_vec(),
+/// Relays one seeded round through each mixing arm — a free-route
+/// cascade in process, the sealed single proxy (the one-hop case) and
+/// the same cascade over a zero-loss simulated wire — optionally with a
+/// live registry attached, and returns each arm's transcript as
+/// `UpdateTransport::transcript` reports it.
+fn transcripts(seed: u64, telemetry: Option<&Telemetry>) -> Vec<RoundTranscript> {
+    let mut proxy = MixnnTransport::launch(
+        MixnnProxyConfig {
+            expected_signature: SIGNATURE.to_vec(),
+            seed,
+            ..MixnnProxyConfig::default()
+        },
         seed,
-        ..MixnnProxyConfig::default()
-    };
-    let mut proxy = MixnnProxy::launch(config, &service, &mut rng);
+    );
     if let Some(t) = telemetry {
         proxy.attach_telemetry(t.clone());
     }
-    let mut transport = MixnnTransport::new(proxy, TransportMode::Encrypted, seed);
-    let updates = synth_rounds(&mut rng, 1).pop().unwrap();
-    transport.relay_round(updates).unwrap();
-    transport.proxy().last_audit().unwrap().clone()
+    let arms: Vec<Box<dyn UpdateTransport>> = vec![
+        Box::new(CascadeTransport::new(free_route(seed, telemetry), seed)),
+        Box::new(proxy),
+        Box::new(NetCascadeTransport::new(
+            free_route(seed, telemetry),
+            seed,
+            LinkConfig::default(), // lossless
+            FlushPolicy::Batched,
+            10_000_000_000,
+        )),
+    ];
+    let updates: Vec<ModelUpdate> = synth_rounds(&mut StdRng::seed_from_u64(seed), 1)
+        .remove(0)
+        .into_iter()
+        .enumerate()
+        .map(|(slot, params)| ModelUpdate::new(slot, params))
+        .collect();
+    arms.into_iter()
+        .map(|mut arm| {
+            arm.relay(updates.clone()).unwrap();
+            arm.transcript()
+                .unwrap_or_else(|| panic!("{} relayed without a transcript", arm.label()))
+                .clone()
+        })
+        .collect()
 }
 
 #[test]
 fn exported_telemetry_adds_zero_linkage_to_the_collusion_adversary() {
     const SEED: u64 = 2024;
     let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-    // A free-route cascade round and a sealed single-proxy round (the
-    // one-hop case), each driven with and without the registry.
-    let rounds = [
-        (
-            routed_round(SEED, Some(&telemetry)).audit,
-            routed_round(SEED, None).audit,
-        ),
-        (proxy_round(SEED, Some(&telemetry)), proxy_round(SEED, None)),
-    ];
+    // Every mixing arm, each driven with and without the registry.
+    let observed = transcripts(SEED, Some(&telemetry));
+    let baseline = transcripts(SEED, None);
+    assert_eq!(observed.len(), 3);
 
     // The transcripts are identical — attachment perturbs nothing the
     // adversary can see — so for every colluding subset the report
     // computed *with the telemetry-bearing round* equals the
     // no-telemetry one, link for link and set for set.
-    for (observed, baseline) in &rounds {
+    for (observed, baseline) in observed.iter().zip(&baseline) {
         assert_eq!(
             observed, baseline,
             "telemetry attachment changed the transcript"

@@ -1,6 +1,6 @@
 //! Plugging the cascade into the federated round loop.
 
-use crate::{CascadeCoordinator, CascadeError};
+use crate::CascadeCoordinator;
 use mixnn_core::RoundTranscript;
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
@@ -22,7 +22,7 @@ pub struct CascadeTransport {
     coordinator: CascadeCoordinator,
     /// RNG standing in for the participants' onion-sealing entropy.
     participant_rng: StdRng,
-    last_audit: Option<RoundTranscript>,
+    transcript: Option<RoundTranscript>,
 }
 
 impl CascadeTransport {
@@ -31,33 +31,13 @@ impl CascadeTransport {
         CascadeTransport {
             coordinator,
             participant_rng: StdRng::seed_from_u64(seed),
-            last_audit: None,
+            transcript: None,
         }
     }
 
     /// Access to the cascade (per-hop stats, skip state).
     pub fn coordinator(&self) -> &CascadeCoordinator {
         &self.coordinator
-    }
-
-    /// The audit of the most recent round, for experiments (never exposed
-    /// in a deployment).
-    pub fn last_audit(&self) -> Option<&RoundTranscript> {
-        self.last_audit.as_ref()
-    }
-
-    fn relay_inner(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, CascadeError> {
-        let slot_ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
-        let params: Vec<ModelParams> = updates.into_iter().map(|u| u.params).collect();
-        let round = self
-            .coordinator
-            .run_round(&params, &mut self.participant_rng)?;
-        self.last_audit = Some(round.audit);
-        Ok(slot_ids
-            .into_iter()
-            .zip(round.mixed)
-            .map(|(slot, params)| ModelUpdate::new(slot, params))
-            .collect())
     }
 }
 
@@ -67,7 +47,21 @@ impl UpdateTransport for CascadeTransport {
     }
 
     fn relay(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, FlError> {
-        self.relay_inner(updates).map_err(FlError::from)
+        let slot_ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
+        let params: Vec<ModelParams> = updates.into_iter().map(|u| u.params).collect();
+        let round = self
+            .coordinator
+            .run_round(&params, &mut self.participant_rng)?;
+        self.transcript = Some(round.audit);
+        Ok(slot_ids
+            .into_iter()
+            .zip(round.mixed)
+            .map(|(slot, params)| ModelUpdate::new(slot, params))
+            .collect())
+    }
+
+    fn transcript(&self) -> Option<&RoundTranscript> {
+        self.transcript.as_ref()
     }
 }
 
@@ -119,7 +113,7 @@ mod tests {
         let a: Vec<ModelParams> = ins.into_iter().map(|u| u.params).collect();
         let b: Vec<ModelParams> = outs.into_iter().map(|u| u.params).collect();
         assert_eq!(ModelParams::mean(&a), ModelParams::mean(&b));
-        assert_eq!(t.last_audit().unwrap().groups()[0].plans().len(), 3);
+        assert_eq!(t.transcript().unwrap().groups()[0].plans().len(), 3);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Plugging the proxy into the federated round loop.
 
 use crate::codec::CompressionConfig;
-use crate::{codec, MixnnProxy, ProxyError, SpentBuffers};
+use crate::{codec, MixnnProxy, MixnnProxyConfig, ProxyError, SpentBuffers};
 use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::{SealedBox, SealingKey};
+use mixnn_enclave::AttestationService;
 use mixnn_nn::ModelParams;
+use mixnn_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -14,6 +16,8 @@ use rand::SeedableRng;
 /// pinned `benchmark/` package names `TransportMode::Encrypted`; it and
 /// [`MixnnTransport::new`]'s `mode` argument go in the next PR that may
 /// edit `benchmark/` (ROADMAP item 2, beside `RoundLink::is_transparent`).
+/// Until then `new` is called only by [`MixnnTransport::launch`] and its
+/// pinning test, `golden_proxy`, the `quickstart` example and `benchmark/`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// Participants seal updates to the enclave key; the proxy decrypts
@@ -33,18 +37,13 @@ pub enum TransportMode {
 /// # Example
 ///
 /// ```
-/// use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
-/// use mixnn_enclave::AttestationService;
-/// use rand::{rngs::StdRng, SeedableRng};
+/// use mixnn_core::{MixnnProxyConfig, MixnnTransport};
 ///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let service = AttestationService::new(&mut rng);
 /// let config = MixnnProxyConfig {
 ///     expected_signature: vec![6, 4],
 ///     ..MixnnProxyConfig::default()
 /// };
-/// let proxy = MixnnProxy::launch(config, &service, &mut rng);
-/// let transport = MixnnTransport::new(proxy, TransportMode::Encrypted, 1);
+/// let transport = MixnnTransport::launch(config, 1);
 /// assert!(transport.proxy().stats().updates_received == 0);
 /// ```
 #[derive(Debug)]
@@ -63,6 +62,17 @@ pub struct MixnnTransport {
 }
 
 impl MixnnTransport {
+    /// Launches a proxy in a fresh attested enclave and wraps it (§4's
+    /// deployment). `seed` seeds the attestation, the enclave keys and the
+    /// participants' sealing; the mix draws only from `config.seed`, so
+    /// launches sharing a `config` mix alike whatever their `seed`.
+    pub fn launch(config: MixnnProxyConfig, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let service = AttestationService::new(&mut rng);
+        let proxy = MixnnProxy::launch(config, &service, &mut rng);
+        MixnnTransport::new(proxy, TransportMode::Encrypted, seed)
+    }
+
     /// Wraps a launched proxy. `seed` seeds the participants' sealing
     /// entropy; `_mode` has one value (see [`TransportMode`]).
     pub fn new(proxy: MixnnProxy, _mode: TransportMode, seed: u64) -> Self {
@@ -92,6 +102,11 @@ impl MixnnTransport {
     /// Access to the proxy (stats, memory, last round transcript).
     pub fn proxy(&self) -> &MixnnProxy {
         &self.proxy
+    }
+
+    /// Attaches a telemetry registry to the proxy.
+    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
+        self.proxy.attach_telemetry(telemetry);
     }
 
     /// Runs one proxy round over plain parameters, returning the mixed
@@ -139,8 +154,7 @@ impl MixnnTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MixnnProxyConfig;
-    use mixnn_enclave::{AttestationService, EnclaveConfig, EnclaveError};
+    use mixnn_enclave::{EnclaveConfig, EnclaveError};
     use mixnn_nn::LayerParams;
 
     // Slot preservation and the `UpdateTransport` impl itself are covered
@@ -167,9 +181,7 @@ mod tests {
     }
 
     fn launch(expected_signature: Vec<usize>, epc_limit: usize) -> MixnnTransport {
-        let mut rng = StdRng::seed_from_u64(5);
-        let service = AttestationService::new(&mut rng);
-        let proxy = MixnnProxy::launch(
+        MixnnTransport::launch(
             MixnnProxyConfig {
                 expected_signature,
                 seed: 3,
@@ -178,10 +190,43 @@ mod tests {
                     ..EnclaveConfig::default()
                 },
             },
-            &service,
-            &mut rng,
-        );
-        MixnnTransport::new(proxy, TransportMode::Encrypted, 77)
+            77,
+        )
+    }
+
+    /// The mix draws only from `config.seed`: a hand-rolled launch under
+    /// other attestation and sealing seeds mixes two rounds into the same
+    /// bits and records the same transcripts — what makes swapping a
+    /// hand-rolled launch for `launch` bit-safe.
+    #[test]
+    fn launch_mixes_as_any_launch_sharing_its_config() {
+        let config = MixnnProxyConfig {
+            expected_signature: vec![2, 3],
+            seed: 3,
+            ..MixnnProxyConfig::default()
+        };
+        let mut launched = MixnnTransport::launch(config.clone(), 77);
+        let mut rng = StdRng::seed_from_u64(5);
+        let service = AttestationService::new(&mut rng);
+        let proxy = MixnnProxy::launch(config, &service, &mut rng);
+        let mut by_hand = MixnnTransport::new(proxy, TransportMode::Encrypted, 78);
+        assert_ne!(launched.proxy().public_key(), by_hand.proxy().public_key());
+
+        let bits = |round: &[ModelParams]| -> Vec<u32> {
+            round
+                .iter()
+                .flat_map(ModelParams::flatten)
+                .map(f32::to_bits)
+                .collect()
+        };
+        for round in [updates(6), updates(9).split_off(2)] {
+            let ours = launched.relay_round(round.clone()).unwrap();
+            let theirs = by_hand.relay_round(round.clone()).unwrap();
+            assert_ne!(bits(&ours), bits(&round), "the round must mix");
+            assert_eq!(bits(&ours), bits(&theirs));
+            assert!(launched.proxy().last_audit().is_some());
+            assert_eq!(launched.proxy().last_audit(), by_hand.proxy().last_audit());
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! arguments rest on, checked bitwise for arbitrary update contents and
 //! shapes.
 
-use mixnn_core::{MixPlan, MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
-use mixnn_enclave::AttestationService;
+use mixnn_core::{MixPlan, MixnnProxyConfig, MixnnTransport};
 use mixnn_nn::{LayerParams, ModelParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -222,15 +221,12 @@ proptest! {
     ) {
         prop_assume!(extra <= 3 * layers);
         let clients = layers + extra;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let service = AttestationService::new(&mut rng);
         let config = MixnnProxyConfig {
             expected_signature: client_update(0, layers).signature(),
             seed,
             ..MixnnProxyConfig::default()
         };
-        let proxy = MixnnProxy::launch(config, &service, &mut rng);
-        let mut transport = MixnnTransport::new(proxy, TransportMode::Encrypted, seed ^ 0x5ea1);
+        let mut transport = MixnnTransport::launch(config, seed ^ 0x5ea1);
         let inputs: Vec<ModelParams> = (0..clients).map(|c| client_update(c, layers)).collect();
         let outputs = transport.relay_round(inputs.clone()).expect("round commits");
         prop_assert_eq!(outputs.len(), clients);

@@ -10,9 +10,8 @@
 //! count is zero.
 
 use mixnn_core::codec::{self, CompressionConfig};
-use mixnn_core::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn_core::{MixnnProxyConfig, MixnnTransport};
 use mixnn_crypto::sealed_box::OVERHEAD;
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,21 +85,17 @@ fn updates(rng: &mut StdRng) -> Vec<ModelParams> {
 
 #[test]
 fn from_the_second_round_on_no_envelope_is_allocated() {
-    let mut rng = StdRng::seed_from_u64(4);
-    let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(
+    let mut transport = MixnnTransport::launch(
         MixnnProxyConfig {
             expected_signature: SIGNATURE.to_vec(),
             seed: 5,
             ..MixnnProxyConfig::default()
         },
-        &service,
-        &mut rng,
+        6,
     );
-    let mut transport = MixnnTransport::new(proxy, TransportMode::Encrypted, 6);
     let envelope = OVERHEAD + codec::encoded_len_with(&SIGNATURE, CompressionConfig::F32);
     THRESHOLD.with(|t| t.set(envelope));
-    let ins = updates(&mut rng);
+    let ins = updates(&mut StdRng::seed_from_u64(4));
 
     let relay = |transport: &mut MixnnTransport| {
         let params = ins.clone();

@@ -1,6 +1,7 @@
 //! Update transports: the path from participants to the server.
 
 use crate::{FlError, ModelUpdate};
+use mixnn_core::RoundTranscript;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,6 +28,14 @@ pub trait UpdateTransport: std::fmt::Debug {
     /// Implementations return [`FlError`] when updates are malformed or
     /// (for the proxy) fail decryption.
     fn relay(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, FlError>;
+
+    /// Who sent each layer of the last relayed round, for experiments and
+    /// audits (never exposed in a deployment): `Some` after a relay on the
+    /// proxy and on both cascade transports; `None` on classic FL, the
+    /// noisy baseline and the pooled cascade (read its `last_rounds()`).
+    fn transcript(&self) -> Option<&RoundTranscript> {
+        None
+    }
 }
 
 /// Classic FL: updates pass through unchanged, fully attributable.
@@ -114,6 +123,10 @@ impl UpdateTransport for mixnn_core::MixnnTransport {
             .map(|(slot, params)| ModelUpdate::new(slot, params))
             .collect())
     }
+
+    fn transcript(&self) -> Option<&RoundTranscript> {
+        self.proxy().last_audit()
+    }
 }
 
 #[cfg(test)]
@@ -172,21 +185,14 @@ mod tests {
     }
 
     fn mixnn_transport() -> mixnn_core::MixnnTransport {
-        use mixnn_core::{MixnnProxy, MixnnProxyConfig, TransportMode};
-        use rand::rngs::StdRng;
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let service = mixnn_enclave::AttestationService::new(&mut rng);
-        let proxy = MixnnProxy::launch(
-            MixnnProxyConfig {
+        mixnn_core::MixnnTransport::launch(
+            mixnn_core::MixnnProxyConfig {
                 expected_signature: vec![2, 3],
                 seed: 3,
-                ..MixnnProxyConfig::default()
+                ..mixnn_core::MixnnProxyConfig::default()
             },
-            &service,
-            &mut rng,
-        );
-        mixnn_core::MixnnTransport::new(proxy, TransportMode::Encrypted, 77)
+            77,
+        )
     }
 
     #[test]

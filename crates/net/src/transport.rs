@@ -13,7 +13,7 @@
 
 use crate::link::{FlushPolicy, SimLink};
 use crate::sim::LinkConfig;
-use mixnn_cascade::{CascadeCoordinator, CascadeError};
+use mixnn_cascade::CascadeCoordinator;
 use mixnn_core::RoundTranscript;
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
@@ -33,7 +33,7 @@ pub struct NetCascadeTransport {
     link: SimLink,
     /// RNG standing in for the participants' onion-sealing entropy.
     participant_rng: StdRng,
-    last_audit: Option<RoundTranscript>,
+    transcript: Option<RoundTranscript>,
 }
 
 impl NetCascadeTransport {
@@ -51,7 +51,7 @@ impl NetCascadeTransport {
             coordinator,
             link: SimLink::new(hops, seed ^ 0x6e65_745f, cfg, flush, timeout_ns),
             participant_rng: StdRng::seed_from_u64(seed),
-            last_audit: None,
+            transcript: None,
         }
     }
 
@@ -69,25 +69,6 @@ impl NetCascadeTransport {
     pub fn link_mut(&mut self) -> &mut SimLink {
         &mut self.link
     }
-
-    /// The audit of the most recent round, for experiments.
-    pub fn last_audit(&self) -> Option<&RoundTranscript> {
-        self.last_audit.as_ref()
-    }
-
-    fn relay_inner(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, CascadeError> {
-        let slot_ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
-        let params: Vec<ModelParams> = updates.into_iter().map(|u| u.params).collect();
-        let round =
-            self.coordinator
-                .run_round_over(&params, &mut self.participant_rng, &mut self.link)?;
-        self.last_audit = Some(round.audit);
-        Ok(slot_ids
-            .into_iter()
-            .zip(round.mixed)
-            .map(|(slot, params)| ModelUpdate::new(slot, params))
-            .collect())
-    }
 }
 
 impl UpdateTransport for NetCascadeTransport {
@@ -96,7 +77,21 @@ impl UpdateTransport for NetCascadeTransport {
     }
 
     fn relay(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, FlError> {
-        self.relay_inner(updates).map_err(FlError::from)
+        let slot_ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
+        let params: Vec<ModelParams> = updates.into_iter().map(|u| u.params).collect();
+        let round =
+            self.coordinator
+                .run_round_over(&params, &mut self.participant_rng, &mut self.link)?;
+        self.transcript = Some(round.audit);
+        Ok(slot_ids
+            .into_iter()
+            .zip(round.mixed)
+            .map(|(slot, params)| ModelUpdate::new(slot, params))
+            .collect())
+    }
+
+    fn transcript(&self) -> Option<&RoundTranscript> {
+        self.transcript.as_ref()
     }
 }
 

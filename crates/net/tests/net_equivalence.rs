@@ -183,6 +183,6 @@ proptest! {
         let wire_out = wired.relay(updates).expect("wired relay");
 
         prop_assert_eq!(&base_out, &wire_out);
-        prop_assert_eq!(baseline.last_audit(), wired.last_audit());
+        prop_assert_eq!(baseline.transcript(), wired.transcript());
     }
 }

@@ -13,10 +13,9 @@
 
 use mixnn::attacks::{AttackMode, GradSim, GradSimConfig, InferenceExperiment};
 use mixnn::data::{lfw_like, AttributeMechanism, Dataset};
-use mixnn::enclave::AttestationService;
 use mixnn::fl::{DirectTransport, FlConfig};
 use mixnn::nn::zoo;
-use mixnn::proxy::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn::proxy::{MixnnProxyConfig, MixnnTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,16 +97,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The active attack against MixNN.
-    let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(
+    let mut mixnn = MixnnTransport::launch(
         MixnnProxyConfig {
             expected_signature: template.signature(),
             ..MixnnProxyConfig::default()
         },
-        &service,
-        &mut rng,
+        23,
     );
-    let mut mixnn = MixnnTransport::new(proxy, TransportMode::Encrypted, 23);
     let experiment = InferenceExperiment::new(
         &population,
         template.clone(),

@@ -10,42 +10,30 @@
 //!
 //! Run with: `cargo run --release --example activity_recognition`
 
-use mixnn::attacks::{AttackMode, InferenceExperiment};
+use mixnn::attacks::{AttackMode, GradSimConfig, InferenceExperiment};
 use mixnn::data::motionsense_like;
-use mixnn::fl::{FlConfig, FlSimulation};
+use mixnn::fl::{DirectTransport, FlConfig, FlSimulation, NoisyTransport, UpdateTransport};
 use mixnn::nn::zoo;
+use mixnn::proxy::{MixnnProxyConfig, MixnnTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-// Re-use the bench harness's defense lineup machinery inline to keep the
-// example self-contained.
-use mixnn::attacks::GradSimConfig;
-use mixnn::enclave::AttestationService;
-use mixnn::fl::{DirectTransport, NoisyTransport, UpdateTransport};
-use mixnn::proxy::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
-
+/// The three systems compared, built inline (the bench harness's
+/// `Defense::make_transport` does the same) to keep the example
+/// self-contained.
 fn transports(
     seed: u64,
     sigma: f32,
     signature: Vec<usize>,
 ) -> Vec<(&'static str, Box<dyn UpdateTransport>)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(
-        MixnnProxyConfig {
-            expected_signature: signature,
-            ..MixnnProxyConfig::default()
-        },
-        &service,
-        &mut rng,
-    );
+    let config = MixnnProxyConfig {
+        expected_signature: signature,
+        ..MixnnProxyConfig::default()
+    };
     vec![
         ("classic-fl", Box::new(DirectTransport::new())),
         ("noisy-gradient", Box::new(NoisyTransport::new(sigma, seed))),
-        (
-            "mixnn",
-            Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed)),
-        ),
+        ("mixnn", Box::new(MixnnTransport::launch(config, seed))),
     ]
 }
 
@@ -85,11 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Utility: a fresh honest run with the same defense.
         let mut sim = FlSimulation::new(template.clone(), fl_cfg, &population);
-        let mut honest = match label {
-            "classic-fl" => transports(12, 0.10, template.signature()).remove(0).1,
-            "noisy-gradient" => transports(12, 0.10, template.signature()).remove(1).1,
-            _ => transports(12, 0.10, template.signature()).remove(2).1,
-        };
+        let (_, mut honest) = transports(12, 0.10, template.signature())
+            .into_iter()
+            .find(|(name, _)| *name == label)
+            .expect("every label has an honest twin");
         for _ in 0..fl_cfg.rounds {
             sim.run_round(honest.as_mut())?;
         }

@@ -42,28 +42,21 @@ fn run_attack(defense: &str, seed: u64) -> f32 {
         0.8,
     );
 
-    use mixnn::enclave::AttestationService;
     use mixnn::fl::{DirectTransport, NoisyTransport, UpdateTransport};
-    use mixnn::proxy::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+    use mixnn::proxy::{MixnnProxyConfig, MixnnTransport};
     let mut transport: Box<dyn UpdateTransport> = match defense {
         "classic" => Box::new(DirectTransport::new()),
         // σ must be large enough to measurably blunt ∇Sim at this reduced
         // scale; 0.1 leaves the attack at full accuracy and turns the
         // classic ≥ noisy ordering below into a coin flip.
         "noisy" => Box::new(NoisyTransport::new(0.5, seed)),
-        "mixnn" => {
-            let mut rng = StdRng::seed_from_u64(seed ^ 7);
-            let service = AttestationService::new(&mut rng);
-            let proxy = MixnnProxy::launch(
-                MixnnProxyConfig {
-                    expected_signature: signature,
-                    ..MixnnProxyConfig::default()
-                },
-                &service,
-                &mut rng,
-            );
-            Box::new(MixnnTransport::new(proxy, TransportMode::Encrypted, seed))
-        }
+        "mixnn" => Box::new(MixnnTransport::launch(
+            MixnnProxyConfig {
+                expected_signature: signature,
+                ..MixnnProxyConfig::default()
+            },
+            seed,
+        )),
         other => panic!("unknown defense {other}"),
     };
     experiment.run(transport.as_mut()).unwrap().final_accuracy

@@ -9,10 +9,9 @@
 
 use mixnn::attacks::analyze_routed_collusion;
 use mixnn::data::{lfw_like, motionsense_like};
-use mixnn::enclave::AttestationService;
 use mixnn::fl::{DirectTransport, FlConfig, FlSimulation, NoisyTransport, UpdateTransport};
 use mixnn::nn::zoo;
-use mixnn::proxy::{MixnnProxy, MixnnProxyConfig, MixnnTransport, TransportMode};
+use mixnn::proxy::{MixnnProxyConfig, MixnnTransport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,18 +55,14 @@ fn run_rounds(
 }
 
 fn mixnn_transport(template: &mixnn::nn::Sequential, seed: u64) -> MixnnTransport {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
-    let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(
+    MixnnTransport::launch(
         MixnnProxyConfig {
             expected_signature: template.signature(),
             seed,
             ..MixnnProxyConfig::default()
         },
-        &service,
-        &mut rng,
-    );
-    MixnnTransport::new(proxy, TransportMode::Encrypted, seed)
+        seed,
+    )
 }
 
 #[test]
@@ -124,7 +119,7 @@ fn mixnn_works_on_deepface_architecture_too() {
     let mixed = run_rounds(&template, cfg, &population, &mut transport);
     assert_eq!(classic, mixed);
     // 5 trainable layers ≤ 6 participants: the Latin plan must be in force.
-    let plan = &transport.proxy().last_audit().unwrap().groups()[0].plans()[0];
+    let plan = &transport.transcript().unwrap().groups()[0].plans()[0];
     assert!(plan.is_column_bijective());
     assert!(plan.is_row_distinct());
 }
@@ -141,7 +136,7 @@ fn proxy_transcript_inverts_the_round_and_arms_the_collusion_adversary() {
     let mut transport = mixnn_transport(&template, 106);
     let mixed = transport.relay_round(updates.clone()).unwrap();
     assert_ne!(mixed, updates, "the proxy must mix");
-    let transcript = transport.proxy().last_audit().unwrap();
+    let transcript = transport.transcript().unwrap();
     assert_eq!(transcript.groups().len(), 1);
     assert_eq!(transcript.groups()[0].route(), &[0]);
     assert_eq!(transcript.real(), updates.len());

@@ -172,7 +172,7 @@ fn wire_loss_under_skip_reroutes_only_the_affected_route_groups() {
     // The surviving route groups avoid it entirely and still partition
     // the round — only groups that traversed hop 1 were rerouted; none
     // were dropped.
-    let audit = transport.last_audit().unwrap();
+    let audit = transport.transcript().unwrap();
     let covered: usize = audit.groups().iter().map(|g| g.members()).sum();
     assert_eq!(covered, 8);
     for group in audit.groups() {
@@ -520,18 +520,14 @@ fn partial_participation_rounds_still_aggregate() {
         seed: 5,
         ..FlConfig::default()
     };
-    let service = AttestationService::new(&mut rng);
-    let proxy = MixnnProxy::launch(
+    let mut transport = mixnn::proxy::MixnnTransport::launch(
         MixnnProxyConfig {
             expected_signature: template.signature(),
             ..MixnnProxyConfig::default()
         },
-        &service,
-        &mut rng,
+        5,
     );
     let mut sim = FlSimulation::new(template, cfg, &population);
-    let mut transport =
-        mixnn::proxy::MixnnTransport::new(proxy, mixnn::proxy::TransportMode::Encrypted, 5);
 
     // Only three of eight participants show up (dropped clients).
     let outcome = sim
