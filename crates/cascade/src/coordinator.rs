@@ -12,7 +12,7 @@
 //! routes. Pooled mixing ([`crate::PooledCoordinator`]) drives the same
 //! loop with a k-floor.
 
-use crate::onion::OnionView;
+use crate::onion::{self, OnionView};
 use crate::topology::{partition_routes, validate_route, RouteGroup};
 use crate::{
     CascadeClient, CascadeError, CascadeHop, CascadeHopConfig, CascadeTopology, HopDescriptor,
@@ -27,6 +27,7 @@ use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// What the coordinator does when a hop fails mid-round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -237,6 +238,9 @@ pub struct CascadeCoordinator {
     /// Last committed round's server-bound messages, kept once the server
     /// has decoded them: the next round's first hops write into them.
     server_bound: SpentBuffers,
+    /// The messages last committed round's last hops received, spent once
+    /// they had mixed: the next round's clients seal into them.
+    last_hops_spent: SpentBuffers,
 }
 
 /// A committed round paired with the per-layer content digests of every
@@ -300,6 +304,7 @@ impl CascadeCoordinator {
             rounds_driven: 0,
             dummy_nonce: 0,
             server_bound: SpentBuffers::default(),
+            last_hops_spent: SpentBuffers::default(),
         })
     }
 
@@ -492,13 +497,15 @@ impl CascadeCoordinator {
     }
 
     /// Seals every group's onions in the canonical order (group by group,
-    /// slot by slot). Slot `s` is `updates[s]`, or — for the trailing
-    /// slots a k-floor padded in — `cover[s - updates.len()]`.
+    /// slot by slot), each into a buffer taken from `spent` while it lasts.
+    /// Slot `s` is `updates[s]`, or — for the trailing slots a k-floor
+    /// padded in — `cover[s - updates.len()]`.
     fn seal_groups<R: Rng + ?Sized>(
         &self,
         groups: &[RouteGroup],
         updates: &[ModelParams],
         cover: &[ModelParams],
+        spent: &mut Vec<Vec<u8>>,
         rng: &mut R,
     ) -> Vec<Vec<Vec<u8>>> {
         groups
@@ -509,14 +516,13 @@ impl CascadeCoordinator {
                     .iter()
                     .map(|&h| self.sealing_keys[h].clone())
                     .collect();
-                let client = CascadeClient::from_keys(keys).with_compression(self.compression);
                 group
                     .slots
                     .iter()
                     .map(|&s| {
                         let update = updates.get(s).unwrap_or_else(|| &cover[s - updates.len()]);
-                        client
-                            .seal_update(update, rng)
+                        let out = spent.pop().unwrap_or_default();
+                        onion::seal_framed(update, &keys, self.compression, out, rng)
                             .expect("attested hop keys are never low-order")
                     })
                     .collect()
@@ -566,6 +572,13 @@ impl CascadeCoordinator {
     /// Under [`FailurePolicy::Abort`] the first hop failure fails the
     /// round.
     ///
+    /// `updates` is borrowed (`&[ModelParams]`, `&Vec<ModelParams>`) or
+    /// owned (`Vec<ModelParams>`). The round's outputs are the same bits
+    /// either way; an owned batch is where they are written — once the
+    /// round has committed, the server decodes every slot into the buffers
+    /// of the update it consumed and [`CascadeRound::mixed`] is that
+    /// vector — while a borrowed one gets fresh buffers.
+    ///
     /// # Errors
     ///
     /// Returns [`CascadeError::EmptyRound`] /
@@ -573,9 +586,9 @@ impl CascadeCoordinator {
     /// [`CascadeError::Topology`] for an undrivable route,
     /// [`CascadeError::NoActiveHops`] when skipping exhausts a route, and
     /// the failing hop's error under abort semantics.
-    pub fn run_round<R: Rng + ?Sized>(
+    pub fn run_round<'a, R: Rng + ?Sized>(
         &mut self,
-        updates: &[ModelParams],
+        updates: impl Into<Cow<'a, [ModelParams]>>,
         rng: &mut R,
     ) -> Result<CascadeRound, CascadeError> {
         self.run_round_over(updates, rng, &mut InProcessLink)
@@ -605,13 +618,13 @@ impl CascadeCoordinator {
     /// Same conditions as [`CascadeCoordinator::run_round`], plus
     /// [`CascadeError::Link`] for a delivery failure under
     /// [`FailurePolicy::Abort`].
-    pub fn run_round_over<R: Rng + ?Sized>(
+    pub fn run_round_over<'a, R: Rng + ?Sized>(
         &mut self,
-        updates: &[ModelParams],
+        updates: impl Into<Cow<'a, [ModelParams]>>,
         rng: &mut R,
         link: &mut dyn RoundLink,
     ) -> Result<CascadeRound, CascadeError> {
-        self.accounted_drive(updates, None, rng, link)
+        self.accounted_drive(updates.into(), None, rng, link)
             .map(|(round, _)| round)
     }
 
@@ -625,7 +638,10 @@ impl CascadeCoordinator {
     /// ([`PaddedRound::server_outputs`] strips them). Under
     /// [`FailurePolicy::Skip`] a reroute re-partitions the surviving
     /// routes and **re-pads** the merged groups with fresh cover, so the
-    /// floor holds on the round that actually commits.
+    /// floor holds on the round that actually commits. The updates stay
+    /// borrowed and the outputs get fresh buffers, so a caller keeps its
+    /// batch whatever the outcome (a failed pool firing hands its members
+    /// back).
     ///
     /// # Errors
     ///
@@ -643,7 +659,8 @@ impl CascadeCoordinator {
                 reason: "k-floor must be at least 1".to_string(),
             });
         }
-        let (round, dummy_digests) = self.accounted_drive(updates, Some(floor), rng, link)?;
+        let (round, dummy_digests) =
+            self.accounted_drive(Cow::Borrowed(updates), Some(floor), rng, link)?;
         self.telemetry
             .incr(Counter::CascadeDummiesInjected, dummy_digests.len() as u64);
         Ok(PaddedRound {
@@ -658,7 +675,7 @@ impl CascadeCoordinator {
     /// many skip-and-reroute attempts the drive takes.
     fn accounted_drive<R: Rng + ?Sized>(
         &mut self,
-        updates: &[ModelParams],
+        updates: Cow<'_, [ModelParams]>,
         floor: Option<usize>,
         rng: &mut R,
         link: &mut dyn RoundLink,
@@ -666,7 +683,7 @@ impl CascadeCoordinator {
         if updates.is_empty() {
             return Err(CascadeError::EmptyRound);
         }
-        for u in updates {
+        for u in updates.iter() {
             if u.signature() != self.signature {
                 return Err(CascadeError::SignatureMismatch {
                     expected: self.signature.clone(),
@@ -731,12 +748,13 @@ impl CascadeCoordinator {
     /// cover content digests of the attempt that committed.
     fn drive_round<R: Rng + ?Sized>(
         &mut self,
-        updates: &[ModelParams],
+        updates: Cow<'_, [ModelParams]>,
         floor: Option<usize>,
         rng: &mut R,
         link: &mut dyn RoundLink,
     ) -> Result<DrivenRound, CascadeError> {
         let mut skipped_this_round = Vec::new();
+        let real = updates.len();
         'retry: loop {
             let mut groups = self.active_groups(updates.len())?;
             // Pad under-full groups up to the k-floor with cover drawn
@@ -773,14 +791,17 @@ impl CascadeCoordinator {
                 }
             }
             let clients = updates.len() + cover.len();
-            let batches = self.seal_groups(&groups, updates, &cover, rng);
-
-            let mut mixed: Vec<Option<ModelParams>> = vec![None; clients];
-            let mut recorded = Vec::with_capacity(groups.len());
             // A failed attempt drops whatever it took from the kept
-            // generation; the retry, and the round after an abort, start
-            // without one.
+            // generations; the retry, and the round after an abort, start
+            // without them.
             let mut kept = self.server_bound.take();
+            // The clients seal into the last hops' generation; what the
+            // last hops leave this round refills it.
+            let mut last_hops_spent = self.last_hops_spent.take();
+            let batches = self.seal_groups(&groups, &updates, &cover, &mut last_hops_spent, rng);
+            last_hops_spent.clear();
+
+            let mut recorded = Vec::with_capacity(groups.len());
             let mut server_bound = Vec::with_capacity(clients);
             for (group, mut batch) in groups.iter().zip(batches) {
                 let mut plans = Vec::with_capacity(group.route.len());
@@ -833,15 +854,15 @@ impl CascadeCoordinator {
                         continue 'retry;
                     }
                 };
-                // The spent generation has no stage left to serve: release
-                // it before the decoded parameters are allocated, which
-                // then reuse its memory. The server-bound messages are
-                // kept for the next round once they are decoded.
-                drop(spent);
-                for (local, wire) in batch.iter().enumerate() {
-                    mixed[group.slots[local]] =
-                        Some(OnionView::parse(wire)?.into_params(&self.signature)?);
+                // The server checks what reached it here, group by group,
+                // so a hostile message fails the round before the next
+                // group's hops run; it decodes once the round commits.
+                for wire in &batch {
+                    OnionView::parse(wire)?.validate_params(&self.signature)?;
                 }
+                // The spent generation has no stage left to serve this
+                // round: the next round's clients seal into it.
+                last_hops_spent.append(&mut spent);
                 server_bound.extend(batch);
                 recorded.push(mixnn_core::RouteGroup::new(
                     group.slots.clone(),
@@ -849,14 +870,30 @@ impl CascadeCoordinator {
                     plans,
                 ));
             }
+            // Committed: no reroute re-seals from `updates` any more, so an
+            // owned batch can take the outputs.
+            let mut mixed: Vec<Option<ModelParams>> = match updates {
+                Cow::Owned(owned) => owned.into_iter().map(Some).collect(),
+                Cow::Borrowed(_) => Vec::new(),
+            };
+            mixed.resize_with(clients, || None);
+            let slots = groups.iter().flat_map(|group| &group.slots);
+            for (&slot, wire) in slots.zip(&server_bound) {
+                let view = OnionView::parse(wire)?;
+                match &mut mixed[slot] {
+                    Some(target) => view.decode_into(target)?,
+                    fresh => *fresh = Some(view.into_params(&self.signature)?),
+                }
+            }
             self.server_bound.keep(server_bound);
+            self.last_hops_spent.keep(last_hops_spent);
             return Ok((
                 CascadeRound {
                     mixed: mixed
                         .into_iter()
                         .map(|m| m.expect("groups partition the round"))
                         .collect(),
-                    audit: RoundTranscript::from_groups(clients, recorded).with_real(updates.len()),
+                    audit: RoundTranscript::from_groups(clients, recorded).with_real(real),
                     skipped_this_round,
                 },
                 dummy_digests,
@@ -1094,7 +1131,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let err = cascade.run_round(&updates(5), &mut rng).unwrap_err();
+        let err = cascade.run_round(updates(5), &mut rng).unwrap_err();
         assert!(matches!(err, CascadeError::Hop { hop: 1, .. }));
         assert!(cascade.skipped_hops().is_empty(), "abort must not skip");
     }
@@ -1229,7 +1266,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            cascade.run_round(&updates(4), &mut rng).unwrap_err(),
+            cascade.run_round(updates(4), &mut rng).unwrap_err(),
             CascadeError::NoActiveHops
         );
     }
@@ -1317,7 +1354,7 @@ mod tests {
         }
         let (mut cascade, _, mut rng) = launch_with(Box::new(OutOfRange), FailurePolicy::Abort, 45);
         assert!(matches!(
-            cascade.run_round(&updates(3), &mut rng).unwrap_err(),
+            cascade.run_round(updates(3), &mut rng).unwrap_err(),
             CascadeError::Topology { .. }
         ));
     }

@@ -50,8 +50,10 @@
 //! one to offer, and the hop's own delivered messages are handed back the
 //! same way. The coordinator offers the first hop of a route last round's
 //! server-bound messages and every later hop the messages the stage
-//! before it received, so in a steady round no hop maps fresh memory:
-//! only the client's onions and the server's decoded vectors are new.
+//! before it received, so in a steady round no hop maps fresh memory —
+//! and neither do the clients, who seal into the messages the last hop
+//! received, nor the server, which decodes into the updates the round
+//! consumed.
 
 use crate::onion::{self, OnionView};
 use crate::CascadeError;

@@ -55,24 +55,27 @@
 //! re-encoded, so the whole path works inside the framed message:
 //!
 //! * the client encodes every layer and nests all its envelopes directly
-//!   in the message it sends (`seal_framed`: one allocation per update);
+//!   in the message it sends (`seal_framed`: one buffer per update);
 //! * a hop parses the framing as a borrowed view ([`OnionView`] — the
 //!   parser [`OnionUpdate::decode`] itself runs), opens each envelope
 //!   where it lies, and `frame`s every outgoing message exactly once from
 //!   slices of the incoming ones — the one copy a mix cannot avoid,
 //!   because it gathers blobs from different messages into one contiguous
 //!   message;
-//! * the server decodes layers straight out of the last hop's messages.
+//! * the server decodes layers straight out of the last hop's messages,
+//!   into the `f32` buffers of the updates the round consumed when the
+//!   caller hands them over.
 //!
-//! And no stage but the client needs a buffer of its own: a hop writes
-//! its outgoing messages into buffers an earlier stage is done with —
-//! along a route, the ones the previous stage's messages arrived in; at
-//! the first hop of a route, last round's server-bound messages, which
-//! the coordinator keeps once the server has decoded them. `frame` takes
-//! such a buffer when its capacity is between the message's length and
-//! twice it ([`SpentBuffers::reuse`]) and allocates exactly otherwise, so
-//! a smaller round or a more compressed codec cannot pin the memory of a
-//! larger one.
+//! And no stage needs a buffer of its own: every stage writes into
+//! buffers an earlier one is done with. Along a route a hop writes into
+//! the ones the previous stage's messages arrived in; the first hop of a
+//! route into last round's server-bound messages, which the coordinator
+//! keeps once the server has decoded them; and the clients into the
+//! messages last round's last hops received, which it keeps too.
+//! `frame` and `seal_framed` take such a buffer when its capacity is
+//! between the message's length and twice it ([`SpentBuffers::reuse`])
+//! and allocate exactly otherwise, so a smaller round or a more compressed
+//! codec cannot pin the memory of a larger one.
 //!
 //! [`OnionUpdate`] is the owned form of the same framing, for tests,
 //! tools and anything that wants to hold a message's blobs apart.
@@ -132,18 +135,20 @@ pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], out: Vec<u8
     frame_as(false, hops_remaining, blobs, out)
 }
 
-/// Builds one update's onion directly as the framed entry message: every
-/// layer is encoded behind its envelope header room inside the message
-/// buffer, its envelopes for hops `1…` nested in place there, and the
-/// entry hop's envelope sealed last around the inner frame they form —
-/// one allocation for the whole update. Bytes and `rng` position are
-/// those of [`OnionUpdate::build_with`] followed by
-/// [`OnionUpdate::encode`] (that constructor is this function, taken
-/// apart again).
+/// Builds one update's onion directly as the framed entry message, in
+/// `out` (a buffer whose contents are dead, reused under
+/// [`SpentBuffers::reuse`]'s rule): every layer is encoded behind its
+/// envelope header room inside the message buffer, its envelopes for hops
+/// `1…` nested in place there, and the entry hop's envelope sealed last
+/// around the inner frame they form — at most one allocation for the
+/// whole update. Bytes and `rng` position are those of
+/// [`OnionUpdate::build_with`] followed by [`OnionUpdate::encode`] (that
+/// constructor is this function, taken apart again).
 pub(crate) fn seal_framed<K: Recipient, R: Rng + ?Sized>(
     params: &ModelParams,
     hop_keys: &[K],
     compression: CompressionConfig,
+    out: Vec<u8>,
     rng: &mut R,
 ) -> Result<Vec<u8>, CascadeError> {
     assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
@@ -172,7 +177,7 @@ pub(crate) fn seal_framed<K: Recipient, R: Rng + ?Sized>(
     let envelope_len =
         u32::try_from(OVERHEAD + inner_len).expect("an update fits one length-prefixed blob");
     let total = HEADER_LEN + 4 + OVERHEAD + inner_len;
-    let mut out = Vec::with_capacity(total);
+    let mut out = SpentBuffers::reuse(out, total);
     put_header(&mut out, true, hop_keys.len() as u8, 1);
     out.put_u32(envelope_len);
     let envelope = out.len();
@@ -328,17 +333,85 @@ impl<'a> OnionView<'a> {
             expected_signature,
         )
     }
+
+    /// Checks a server-bound message without decoding it: rejects exactly
+    /// the messages, with exactly the errors, that
+    /// [`OnionUpdate::into_params`] rejects for `expected_signature`.
+    pub(crate) fn validate_params(self, expected_signature: &[usize]) -> Result<(), CascadeError> {
+        check_plaintext(
+            self.entry,
+            self.hops_remaining,
+            self.blobs(),
+            expected_signature.iter().copied(),
+        )?;
+        for (blob, &len) in self.blobs().zip(expected_signature) {
+            codec::validate_layer_frame_expecting(blob, len).map_err(layer_err)?;
+        }
+        Ok(())
+    }
+
+    /// [`OnionUpdate::into_params`] straight from the wire slices into
+    /// `target`'s buffers, whose shape is the signature the message must
+    /// carry: every value of `target` is overwritten, nothing allocated.
+    /// Checked as `into_params` checks, and on an error `target` may hold
+    /// part of the message.
+    pub(crate) fn decode_into(self, target: &mut ModelParams) -> Result<(), CascadeError> {
+        check_plaintext(
+            self.entry,
+            self.hops_remaining,
+            self.blobs(),
+            target.iter().map(LayerParams::len),
+        )?;
+        for (blob, layer) in self.blobs().zip(target.iter_mut()) {
+            codec::decode_layer_into(blob, layer.values_mut()).map_err(layer_err)?;
+        }
+        Ok(())
+    }
 }
 
-/// Interprets fully unwrapped blobs as model parameters: the one
-/// implementation behind [`OnionUpdate::into_params`] and the server's
-/// decode from the wire.
+/// Interprets fully unwrapped blobs as model parameters in fresh buffers:
+/// the one implementation behind [`OnionUpdate::into_params`] and the
+/// server's decode of a borrowed round from the wire.
 fn params_from_blobs<'a>(
     entry: bool,
     hops_remaining: u8,
     blobs: impl Iterator<Item = &'a [u8]> + Clone,
     expected_signature: &[usize],
 ) -> Result<ModelParams, CascadeError> {
+    check_plaintext(
+        entry,
+        hops_remaining,
+        blobs.clone(),
+        expected_signature.iter().copied(),
+    )?;
+    let layers = blobs
+        .zip(expected_signature)
+        .map(|(blob, &len)| codec::decode_layer_expecting(blob, len).map_err(layer_err))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(ModelParams::from_layers(layers))
+}
+
+/// A layer frame's codec error, as the server reports it.
+fn layer_err(e: mixnn_core::ProxyError) -> CascadeError {
+    CascadeError::Onion {
+        reason: format!("inner layer plaintext: {e}"),
+    }
+}
+
+/// The checks a message passes before the server decodes it as model
+/// parameters, shared by every server-side door: an inner message with no
+/// envelope left, whose frames' **declared** lengths are
+/// `expected_signature` — headers only, so a crafted frame naming a
+/// parameter count the signature never authorized is rejected before any
+/// value buffer is touched. A header error in any frame is reported
+/// before a mismatch, and only a mismatch allocates (the two signatures
+/// it reports).
+fn check_plaintext<'a>(
+    entry: bool,
+    hops_remaining: u8,
+    blobs: impl Iterator<Item = &'a [u8]> + Clone,
+    expected_signature: impl Iterator<Item = usize> + Clone,
+) -> Result<(), CascadeError> {
     if entry {
         return Err(CascadeError::Onion {
             reason: "the entry envelope still wraps the update".to_string(),
@@ -349,24 +422,20 @@ fn params_from_blobs<'a>(
             reason: format!("{hops_remaining} sealed envelope(s) still wrap the layers"),
         });
     }
-    let layer_err = |e: mixnn_core::ProxyError| CascadeError::Onion {
-        reason: format!("inner layer plaintext: {e}"),
-    };
-    let declared = blobs
-        .clone()
-        .map(|blob| codec::declared_layer_len(blob).map_err(layer_err))
-        .collect::<Result<Vec<usize>, _>>()?;
-    if declared != expected_signature {
+    let mut expected = expected_signature.clone();
+    let mut same = true;
+    for blob in blobs.clone() {
+        let len = codec::declared_layer_len(blob).map_err(layer_err)?;
+        same &= expected.next() == Some(len);
+    }
+    if !same || expected.next().is_some() {
+        let declared = blobs.map(|blob| codec::declared_layer_len(blob).expect("read above"));
         return Err(CascadeError::SignatureMismatch {
-            expected: expected_signature.to_vec(),
-            actual: declared,
+            expected: expected_signature.collect(),
+            actual: declared.collect(),
         });
     }
-    let layers = blobs
-        .zip(expected_signature)
-        .map(|(blob, &len)| codec::decode_layer_expecting(blob, len).map_err(layer_err))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ModelParams::from_layers(layers))
+    Ok(())
 }
 
 /// One client's update at one position in the chain, owned: either the
@@ -438,7 +507,7 @@ impl OnionUpdate {
         compression: CompressionConfig,
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
-        let wire = seal_framed(params, hop_keys, compression, rng)?;
+        let wire = seal_framed(params, hop_keys, compression, Vec::new(), rng)?;
         // Own framing: taken apart without re-validating it.
         let view = OnionView {
             entry: true,

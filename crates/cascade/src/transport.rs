@@ -49,9 +49,12 @@ impl UpdateTransport for CascadeTransport {
     fn relay(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, FlError> {
         let slot_ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
         let params: Vec<ModelParams> = updates.into_iter().map(|u| u.params).collect();
+        // A failed round leaves no transcript behind: an audit must not
+        // read the last good round's provenance as this one's.
         let round = self
             .coordinator
-            .run_round(&params, &mut self.participant_rng)?;
+            .run_round(params, &mut self.participant_rng)
+            .inspect_err(|_| self.transcript = None)?;
         self.transcript = Some(round.audit);
         Ok(slot_ids
             .into_iter()

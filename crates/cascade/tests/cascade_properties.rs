@@ -15,13 +15,17 @@
 //!   canonical post-wire form of the inputs;
 //! * a cascade is a pure function of its seeds: re-running the same
 //!   rounds reproduces outputs, audits, skip events, hop counters and the
-//!   caller's RNG position.
+//!   caller's RNG position;
+//! * handing a round its updates by value — the server then decodes into
+//!   them — changes none of those, under abort and across a skip
+//!   reroute.
 
 use mixnn_cascade::{
     CascadeConfig, CascadeCoordinator, CascadeHopConfig, CascadeRound, CascadeTopology,
     FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
 };
 use mixnn_core::codec::CompressionConfig;
+use mixnn_core::InProcessLink;
 use mixnn_enclave::{AttestationService, EnclaveConfig};
 use mixnn_nn::{LayerParams, ModelParams};
 use proptest::prelude::*;
@@ -83,6 +87,9 @@ fn compression_for(kind: usize) -> CompressionConfig {
     }
 }
 
+/// Drives `rounds` through a freshly launched cascade; `owned` hands each
+/// round a copy of its updates by value instead of borrowing them.
+#[allow(clippy::too_many_arguments)]
 fn observe(
     topology: Box<dyn CascadeTopology>,
     policy: FailurePolicy,
@@ -91,6 +98,7 @@ fn observe(
     rounds: &[Vec<ModelParams>],
     layers: usize,
     seed: u64,
+    owned: bool,
 ) -> Observed {
     let hops = topology.num_hops();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xcafe);
@@ -121,7 +129,14 @@ fn observe(
     cascade.set_compression(compression);
     let out = rounds
         .iter()
-        .map(|updates| cascade.run_round(updates, &mut rng).expect("round runs"))
+        .map(|updates| {
+            if owned {
+                cascade.run_round_over(updates.clone(), &mut rng, &mut InProcessLink)
+            } else {
+                cascade.run_round_over(updates, &mut rng, &mut InProcessLink)
+            }
+            .expect("round runs")
+        })
         .collect();
     let counters = cascade
         .hop_stats()
@@ -304,6 +319,7 @@ proptest! {
             &batch,
             layers,
             seed,
+            false,
         );
         let observed = drive();
         prop_assert_eq!(&observed, &drive(), "a cascade is a pure function of its seeds");
@@ -341,6 +357,7 @@ proptest! {
             &batch,
             layers,
             seed,
+            false,
         );
         prop_assert_eq!(&skipped, &vec![dead], "the starved hop must be skipped");
         // The first round takes the hit; the skip is sticky for the second.
@@ -354,6 +371,40 @@ proptest! {
                 .map(|p| mixnn_core::codec::canonical_params(p, compression))
                 .collect();
             prop_assert_eq!(&round.audit.unmix(&round.mixed).expect("unmix"), &expect);
+        }
+    }
+
+    #[test]
+    fn an_owned_batch_gets_the_borrowed_rounds_outputs_and_transcripts(
+        hops in 2usize..5,
+        dead in 1usize..4,
+        kind in 0usize..4,
+        comp in 0usize..3,
+        clients in 3usize..8,
+        layers in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let compression = compression_for(comp);
+        let dead = dead.min(hops - 1);
+        let batch: Vec<Vec<ModelParams>> = (0..3)
+            .map(|r| round_updates(clients, layers, seed ^ (r as u64) << 9))
+            .collect();
+        // Abort on any layout; Skip around a hop starved on the chain, so
+        // the first round reroutes and re-seals from the updates it was
+        // handed before anything is decoded into them.
+        for (policy, dead_hop) in [(FailurePolicy::Abort, None), (FailurePolicy::Skip, Some(dead))] {
+            let drive = |owned| {
+                let topology = match dead_hop {
+                    None => layout_for(kind, hops, clients, seed),
+                    Some(_) => Box::new(LinearChain::new(hops)),
+                };
+                observe(topology, policy, compression, dead_hop, &batch, layers, seed, owned)
+            };
+            let borrowed = drive(false);
+            if dead_hop.is_some() {
+                prop_assert_eq!(&borrowed.0[0].skipped_this_round, &vec![dead]);
+            }
+            prop_assert_eq!(&drive(true), &borrowed, "{:?}", policy);
         }
     }
 }

@@ -7,12 +7,16 @@
 //! binary's allocator counts, per thread, the allocations of at least that
 //! size. On a 3-hop linear chain the warm-up round makes `2·C` of them
 //! (the `C` client onions and the first hop's outgoing messages); every
-//! later round makes only the `C` client onions, because the first hop
-//! writes into the server-bound messages the coordinator kept from the
-//! round before and every later hop into the messages the stage before it
-//! received. A failed round (abort) or a reroute (skip) gives that
-//! generation up, so the round after it may pay the warm-up again; the
-//! round after that is back to `C`.
+//! later round makes none: the clients seal into the messages the last
+//! hop received the round before, the first hop writes into the
+//! server-bound messages the coordinator kept from the round before, and
+//! every later hop into the messages the stage before it received. A
+//! failed round (abort) or a reroute (skip) gives both generations up, so
+//! the round after it pays for them again — the whole warm-up after an
+//! abort; after a reroute onto a 2-hop chain only the client onions, as
+//! the message the last hop received there is one envelope header per
+//! layer shorter than an onion — and the round after that is back to
+//! none.
 
 use mixnn_cascade::{CascadeCoordinator, CascadeError, CascadeRound, FailurePolicy};
 use mixnn_core::{Endpoint, InProcessLink, LinkError, RoundLink};
@@ -121,12 +125,16 @@ fn correct_round(cascade: &mut CascadeCoordinator, ins: &[ModelParams], rng: &mu
     fresh
 }
 
-/// After a failed or rerouted round: the next round is correct and pays
-/// at most the warm-up, the one after it only the client onions.
-fn recovers(cascade: &mut CascadeCoordinator, ins: &[ModelParams], rng: &mut StdRng) -> usize {
-    let next = correct_round(cascade, ins, rng);
-    assert!(next <= 2 * CLIENTS, "{next} message-sized allocations");
-    assert_eq!(correct_round(cascade, ins, rng), CLIENTS);
+/// After a failed or rerouted round: the next round is correct and makes
+/// `next` message-sized allocations, the one after it none.
+fn recovers(
+    cascade: &mut CascadeCoordinator,
+    ins: &[ModelParams],
+    rng: &mut StdRng,
+    next: usize,
+) -> usize {
+    assert_eq!(correct_round(cascade, ins, rng), next);
+    assert_eq!(correct_round(cascade, ins, rng), 0);
     next
 }
 
@@ -177,7 +185,7 @@ impl RoundLink for CorruptInto {
 }
 
 #[test]
-fn steady_rounds_allocate_only_the_client_onions() {
+fn steady_rounds_allocate_no_message_buffers() {
     let (mut cascade, mut rng) = launch(FailurePolicy::Abort, 1);
     let ins = updates(&mut rng);
     assert_eq!(
@@ -188,10 +196,10 @@ fn steady_rounds_allocate_only_the_client_onions() {
     let steady: Vec<usize> = (0..3)
         .map(|_| correct_round(&mut cascade, &ins, &mut rng))
         .collect();
-    assert_eq!(steady, [CLIENTS; 3]);
+    assert_eq!(steady, [0; 3]);
     println!(
-        "steady-state round: {} fresh message buffers beyond {CLIENTS} client onions",
-        steady[2] - CLIENTS
+        "steady-state round: {} fresh message buffers, {CLIENTS} client onions included",
+        steady[2]
     );
 }
 
@@ -206,8 +214,8 @@ fn an_aborted_round_costs_at_most_one_warm_up() {
     };
     let (failed, _) = counted_round(&mut cascade, &ins, &mut rng, &mut corrupt);
     assert!(matches!(failed, Err(CascadeError::Hop { hop: 1, .. })));
-    let next = recovers(&mut cascade, &ins, &mut rng);
-    println!("after an abort: {next} message-sized allocations, then {CLIENTS}");
+    let next = recovers(&mut cascade, &ins, &mut rng, 2 * CLIENTS);
+    println!("after an abort: {next} message-sized allocations, then 0");
 }
 
 #[test]
@@ -225,6 +233,6 @@ fn a_skip_reroute_costs_at_most_one_warm_up() {
     assert_eq!(rerouted.skipped_this_round, vec![1]);
     assert_eq!(rerouted.audit.hops(), vec![0, 2]);
     assert_eq!(ModelParams::mean(&ins), ModelParams::mean(&rerouted.mixed));
-    let next = recovers(&mut cascade, &ins, &mut rng);
-    println!("after a skip reroute: {next} message-sized allocations, then {CLIENTS}");
+    let next = recovers(&mut cascade, &ins, &mut rng, CLIENTS);
+    println!("after a skip reroute: {next} message-sized allocations, then 0");
 }

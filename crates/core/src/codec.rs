@@ -1228,12 +1228,11 @@ fn write_f32_le_bulk(dst: &mut [u8], values: &[f32]) {
     }
 }
 
-/// Bulk LE read: the inverse of [`write_f32_le_bulk`].
-fn read_f32_le_bulk(src: &[u8]) -> Vec<f32> {
+/// Bulk LE read: the inverse of [`write_f32_le_bulk`], value by value.
+fn read_f32_le_bulk(src: &[u8]) -> impl Iterator<Item = f32> + '_ {
     debug_assert_eq!(src.len() % 4, 0);
     src.chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
 }
 
 /// Encodes model parameters into the v1 wire format.
@@ -1576,6 +1575,23 @@ pub fn decode_layer_expecting(
     sole_frame(bytes, Some(expected_len), LayerFrame::decode)
 }
 
+/// [`decode_layer_expecting`] into the caller's buffer: the frame must
+/// declare exactly `out.len()` parameters, and every position of `out` is
+/// overwritten — a top-k frame's dropped positions with `0.0` — so what
+/// `out` held before never shows through. Bit for bit the values
+/// [`decode_layer_expecting`] returns (that door is this one, into a fresh
+/// buffer), with no allocation: what the server runs to decode a round
+/// into the updates it consumed.
+///
+/// # Errors
+///
+/// [`ProxyError::SignatureMismatch`] when the frame declares another
+/// length, reported before anything is written; otherwise every condition
+/// of [`decode_layer`], after which `out` may hold part of the frame.
+pub fn decode_layer_into(bytes: &[u8], out: &mut [f32]) -> Result<(), ProxyError> {
+    sole_frame(bytes, Some(out.len()), |frame| frame.decode_into(out))
+}
+
 /// [`validate_layer_frame`], but additionally pins the frame's declared
 /// parameter count to the round's signature — what the last hop runs on
 /// every unwrapped blob, so a frame that would make the server allocate
@@ -1787,26 +1803,71 @@ impl<'a> LayerFrame<'a> {
         Ok(self.version)
     }
 
-    /// The layer's values: the one f32 read, the one dequantize. A value
-    /// buffer exists only from here on — the header has passed the
-    /// `len ≤ 1024·k` and payload-bounds checks.
+    /// The layer's values in a fresh buffer. A value buffer exists only
+    /// from here on — the header has passed the `len ≤ 1024·k` and
+    /// payload-bounds checks.
     fn decode(&self) -> Result<LayerParams, ProxyError> {
+        let mut values = Vec::new();
+        self.decode_into(&mut values)?;
+        Ok(LayerParams::from_values(values))
+    }
+
+    /// The one f32 read, the one dequantize, into `out`: written value by
+    /// value for the frame kinds that store every value, zeroed and then
+    /// scattered for top-k.
+    fn decode_into<S: ValueSink + ?Sized>(&self, out: &mut S) -> Result<(), ProxyError> {
         if self.version == VERSION {
-            return Ok(LayerParams::from_values(read_f32_le_bulk(self.values)));
+            out.put_all(read_f32_le_bulk(self.values));
+            return Ok(());
         }
         let levels = dequant_table(self.zero, self.scale);
-        let values = if self.indices.is_some() {
-            // Positions the frame dropped stay 0.0.
-            let mut values = vec![0.0f32; self.len];
-            self.for_each_kept(|idx, q| values[idx] = levels[usize::from(q)])?;
-            values
+        if self.indices.is_some() {
+            // Positions the frame dropped are 0.0.
+            let values = out.zeroed(self.len);
+            self.for_each_kept(|idx, q| values[idx] = levels[usize::from(q)])
         } else {
-            self.values
-                .iter()
-                .map(|&q| levels[usize::from(q)])
-                .collect()
-        };
-        Ok(LayerParams::from_values(values))
+            out.put_all(self.values.iter().map(|&q| levels[usize::from(q)]));
+            Ok(())
+        }
+    }
+}
+
+/// Where [`LayerFrame::decode_into`] writes a layer's `len` values: a
+/// fresh, empty vector that grows to hold them (no pass before the
+/// values), or a caller's slice of exactly `len` values, overwritten.
+trait ValueSink {
+    /// Takes the layer's values, in order.
+    fn put_all(&mut self, values: impl Iterator<Item = f32>);
+    /// `len` zeros, for a top-k frame to overwrite where it kept values.
+    fn zeroed(&mut self, len: usize) -> &mut [f32];
+}
+
+impl ValueSink for Vec<f32> {
+    fn put_all(&mut self, values: impl Iterator<Item = f32>) {
+        debug_assert!(self.is_empty());
+        self.extend(values);
+    }
+
+    fn zeroed(&mut self, len: usize) -> &mut [f32] {
+        debug_assert!(self.is_empty());
+        // Zeroed memory straight from the allocator: untouched pages stay
+        // unfaulted until a kept value lands on them.
+        *self = vec![0.0; len];
+        self
+    }
+}
+
+impl ValueSink for [f32] {
+    fn put_all(&mut self, values: impl Iterator<Item = f32>) {
+        for (out, v) in self.iter_mut().zip(values) {
+            *out = v;
+        }
+    }
+
+    fn zeroed(&mut self, len: usize) -> &mut [f32] {
+        debug_assert_eq!(self.len(), len);
+        self.fill(0.0);
+        self
     }
 }
 
@@ -2300,6 +2361,63 @@ mod tests {
     }
 
     #[test]
+    fn decode_layer_into_overwrites_every_position_as_decode_layer_expecting_decodes() {
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let smooth: Vec<f32> = (0..300).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+        let mut special = smooth.clone();
+        special[..6].copy_from_slice(&[
+            f32::NAN,
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ]);
+        for (values, mode) in [
+            (special, CompressionConfig::F32),
+            (smooth.clone(), CompressionConfig::Int8),
+            (smooth, CompressionConfig::Int8TopK { keep_per_1024: 256 }),
+        ] {
+            let len = values.len();
+            let frame = encode_layer_with(&LayerParams::from_values(values), mode);
+            let fresh = decode_layer_expecting(&frame, len).unwrap();
+            if !mode.is_f32() && mode != CompressionConfig::Int8 {
+                assert!(
+                    fresh.values().iter().any(|v| v.to_bits() == 0),
+                    "top-k drops positions, which decode to +0.0"
+                );
+            }
+            // A NaN or −0.0 left anywhere would show in the bits: every
+            // position is written, a dropped one with +0.0.
+            for fill in [f32::NAN, -0.0] {
+                let mut out = vec![fill; len];
+                decode_layer_into(&frame, &mut out).unwrap();
+                assert_eq!(
+                    bits(&out),
+                    bits(fresh.values()),
+                    "{} over {fill}",
+                    mode.name()
+                );
+            }
+            // A target of any other length is the typed signature error,
+            // reported before anything is written.
+            for wrong in [len - 1, len + 1] {
+                let mut out = vec![f32::NAN; wrong];
+                assert_eq!(
+                    decode_layer_into(&frame, &mut out),
+                    Err(ProxyError::SignatureMismatch {
+                        expected: vec![wrong],
+                        actual: vec![len],
+                    }),
+                    "{}",
+                    mode.name()
+                );
+                assert_eq!(bits(&out), bits(&vec![f32::NAN; wrong]), "{}", mode.name());
+            }
+        }
+    }
+
+    #[test]
     fn decode_params_expecting_pins_the_signature() {
         let p = sample();
         let signature = p.signature();
@@ -2421,6 +2539,11 @@ mod tests {
             );
             assert_eq!(
                 validate_layer_frame_expecting(&frame, len + 1),
+                Err(mismatch.clone()),
+                "{what}"
+            );
+            assert_eq!(
+                decode_layer_into(&frame, &mut vec![0.0; len + 1]),
                 Err(mismatch),
                 "{what}"
             );
@@ -2432,6 +2555,11 @@ mod tests {
             );
             assert_eq!(
                 validate_layer_frame_expecting(&frame, len),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+            assert_eq!(
+                decode_layer_into(&frame, &mut vec![0.0; len]),
                 Err(codec_error(reason)),
                 "{what}"
             );
@@ -2467,8 +2595,13 @@ mod tests {
             &dense[..12],
             "v2 header truncated",
         );
-        for (what, version, _, frame, reason) in cases {
+        for (what, version, len, frame, reason) in cases {
             assert_eq!(decode_layer(&frame), Err(codec_error(reason)), "{what}");
+            assert_eq!(
+                decode_layer_into(&frame, &mut vec![0.0; len]),
+                Err(codec_error(reason)),
+                "{what}"
+            );
             assert_eq!(
                 validate_layer_frame(&frame),
                 Err(codec_error(reason)),
@@ -2487,6 +2620,10 @@ mod tests {
             frame.push(0);
             let reason = "trailing bytes after layer data";
             assert_eq!(decode_layer(&frame), Err(codec_error(reason)));
+            assert_eq!(
+                decode_layer_into(&frame, &mut [0.0; 2]),
+                Err(codec_error(reason))
+            );
             assert_eq!(validate_layer_frame(&frame), Err(codec_error(reason)));
             assert_eq!(
                 decode_params(&one_layer_body(version, &frame)),

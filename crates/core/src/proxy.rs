@@ -195,7 +195,8 @@ impl MixnnProxy {
     /// The transcript of the most recent round mixed by
     /// [`MixnnProxy::mix_batch`] — one route group over every slot, route
     /// `[0]`, the one plan the round drew — for experiments and audits
-    /// (never exposed in a deployment).
+    /// (never exposed in a deployment). `None` before the first round and
+    /// after a [`MixnnProxy::mix_sealed_round`] that failed.
     pub fn last_audit(&self) -> Option<&RoundTranscript> {
         self.last_audit.as_ref()
     }
@@ -303,7 +304,8 @@ impl MixnnProxy {
     /// accepted ones and any an earlier [`MixnnProxy::submit_encrypted`]
     /// left — is dropped and its EPC charge released, so
     /// [`MixnnProxy::buffered`] and the enclave's allocation read zero.
-    /// The received / rejected counters keep what the ingest counted.
+    /// The received / rejected counters keep what the ingest counted, and
+    /// [`MixnnProxy::last_audit`] reads `None` until a round succeeds.
     pub fn mix_sealed_round<T: AsRef<[u8]>>(
         &mut self,
         sealed: &[T],
@@ -325,11 +327,13 @@ impl MixnnProxy {
                 rejected: results.len() as u64 - accepted,
             },
         );
+        // A failed round clears the transcript; a mixed one replaces it.
         if let Some(e) = results.into_iter().find_map(Result::err) {
+            self.last_audit = None;
             self.take_held()?;
             return Err(e);
         }
-        self.mix_batch()
+        self.mix_batch().inspect_err(|_| self.last_audit = None)
     }
 
     /// Takes every buffered update and releases its EPC charge.

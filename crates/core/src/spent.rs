@@ -13,10 +13,13 @@
 use std::fmt;
 
 /// One generation of message buffers whose contents are dead, kept
-/// between rounds by whatever drives the rounds — the proxy transport
-/// keeps last round's envelopes, the cascade coordinator last round's
-/// server-bound messages. Holds only bytes already delivered; `Debug`
-/// prints how many buffers and how much capacity, never the bytes.
+/// between rounds by whatever drives the rounds. The proxy transport keeps
+/// last round's envelopes, which its participants seal into. The cascade
+/// coordinator keeps two generations: last round's server-bound messages,
+/// which the first hops write into, and the messages the last hops
+/// received, which the clients seal their onions into. Holds only bytes
+/// already delivered; `Debug` prints how many buffers and how much
+/// capacity, never the bytes.
 #[derive(Default)]
 pub struct SpentBuffers(Vec<Vec<u8>>);
 

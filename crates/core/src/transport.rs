@@ -145,6 +145,9 @@ impl MixnnTransport {
                 envelope
             })
             .collect();
+        // The plaintext updates are dead once sealed: released before the
+        // proxy decodes, the decoded updates reuse their memory.
+        drop(params);
         let mixed = self.proxy.mix_sealed_round(&sealed);
         self.envelopes.keep(sealed);
         mixed

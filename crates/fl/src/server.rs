@@ -35,7 +35,8 @@ impl AggregationServer {
     }
 
     /// FedAvg: replaces the global model with the per-layer mean of the
-    /// updates.
+    /// updates — written over the global model's own buffers when the
+    /// updates have its shape, so a steady round allocates nothing here.
     ///
     /// This is the paper's `Agr` function (§4.2). Because the mean is
     /// computed per layer and is permutation-invariant across updates,
@@ -51,14 +52,18 @@ impl AggregationServer {
         let first = updates.first().ok_or(FlError::EmptyRound)?;
         // `mean` owns the shape invariant; a `None` on a non-empty round
         // is a mismatch, and only then are the signatures materialised.
+        // Updates of another shape than the global model's (a new model)
+        // take the fresh path.
         let params = updates.iter().map(|u| &u.params);
-        self.global = ModelParams::mean(params.clone()).ok_or_else(|| {
-            let odd = params.clone().find(|p| !p.same_shape(&first.params));
-            FlError::IncompatibleUpdates {
-                expected: first.params.signature(),
-                actual: odd.map_or_else(Vec::new, ModelParams::signature),
-            }
-        })?;
+        if !ModelParams::mean_into(params.clone(), &mut self.global) {
+            self.global = ModelParams::mean(params.clone()).ok_or_else(|| {
+                let odd = params.clone().find(|p| !p.same_shape(&first.params));
+                FlError::IncompatibleUpdates {
+                    expected: first.params.signature(),
+                    actual: odd.map_or_else(Vec::new, ModelParams::signature),
+                }
+            })?;
+        }
         self.rounds_aggregated += 1;
         Ok(&self.global)
     }
@@ -83,6 +88,27 @@ mod tests {
         let global = server.aggregate(&updates).unwrap();
         assert_eq!(global.layer(0).unwrap().values(), &[2.0, 4.0]);
         assert_eq!(server.rounds_aggregated(), 1);
+    }
+
+    #[test]
+    fn aggregate_writes_over_the_global_model_unless_the_shape_changes() {
+        let mut server = AggregationServer::new(params(&[9.0, 9.0]));
+        let at = server.global().layer(0).unwrap().values().as_ptr();
+        let round = |a: f32| {
+            vec![
+                ModelUpdate::new(0, params(&[a, -0.0])),
+                ModelUpdate::new(1, params(&[3.0, -0.0])),
+            ]
+        };
+        for a in [1.0, 5.0] {
+            let expected = ModelParams::mean(round(a).iter().map(|u| &u.params)).unwrap();
+            assert_eq!(server.aggregate(&round(a)).unwrap(), &expected);
+            assert_eq!(server.global().layer(0).unwrap().values().as_ptr(), at);
+        }
+        // A model of another shape replaces the global one.
+        let grown = vec![ModelUpdate::new(0, params(&[1.0, 2.0, 3.0]))];
+        assert_eq!(server.aggregate(&grown).unwrap(), &params(&[1.0, 2.0, 3.0]));
+        assert_eq!(server.rounds_aggregated(), 3);
     }
 
     #[test]

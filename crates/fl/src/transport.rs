@@ -31,8 +31,10 @@ pub trait UpdateTransport: std::fmt::Debug {
 
     /// Who sent each layer of the last relayed round, for experiments and
     /// audits (never exposed in a deployment): `Some` after a relay on the
-    /// proxy and on both cascade transports; `None` on classic FL, the
-    /// noisy baseline and the pooled cascade (read its `last_rounds()`).
+    /// proxy and on both cascade transports, `None` after one that failed
+    /// (no transcript outlives the round it describes); `None` on classic
+    /// FL, the noisy baseline and the pooled cascade (read its
+    /// `last_rounds()`).
     fn transcript(&self) -> Option<&RoundTranscript> {
         None
     }

@@ -203,8 +203,14 @@ impl ModelParams {
     }
 
     /// Iterates over per-layer parameter vectors in network order.
-    pub fn iter(&self) -> impl Iterator<Item = &LayerParams> {
+    pub fn iter(&self) -> impl Iterator<Item = &LayerParams> + Clone {
         self.layers.iter()
+    }
+
+    /// Iterates mutably over per-layer parameter vectors in network order:
+    /// the values can be rewritten, the shape cannot change.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut LayerParams> {
+        self.layers.iter_mut()
     }
 
     /// Consumes the model parameters and returns the per-layer vectors.
@@ -311,21 +317,34 @@ impl ModelParams {
     {
         let updates = updates.into_iter();
         let first = updates.clone().next()?;
-        if !updates.clone().all(|u| first.same_shape(u)) {
-            return None;
+        let mut out = ModelParams {
+            layers: first
+                .layers
+                .iter()
+                .map(|shape| LayerParams(vec![0.0; shape.len()]))
+                .collect(),
+        };
+        Self::mean_into(updates, &mut out).then_some(out)
+    }
+
+    /// [`ModelParams::mean`] written into `out`'s buffers, which must have
+    /// the updates' shape: the same bits, and no allocation. Returns
+    /// `false`, leaving `out` as it was, if `updates` is empty or any
+    /// update's shape differs from `out`'s.
+    pub fn mean_into<'a, I>(updates: I, out: &mut ModelParams) -> bool
+    where
+        I: IntoIterator<Item = &'a ModelParams>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let updates = updates.into_iter();
+        if updates.len() == 0 || !updates.clone().all(|u| out.same_shape(u)) {
+            return false;
         }
-        let layers = first
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(l, shape)| {
-                let mut out = vec![0.0f32; shape.len()];
-                let column = updates.clone().map(|u| u.layers[l].values());
-                mixnn_tensor::vecmath::mean_into(column, &mut out);
-                LayerParams(out)
-            })
-            .collect();
-        Some(ModelParams { layers })
+        for (l, layer) in out.layers.iter_mut().enumerate() {
+            let column = updates.clone().map(|u| u.layers[l].values());
+            mixnn_tensor::vecmath::mean_into(column, &mut layer.0);
+        }
+        true
     }
 
     /// Adds i.i.d. Gaussian noise `N(0, sigma²)` to every scalar — the
@@ -491,6 +510,30 @@ mod tests {
         assert_eq!(ModelParams::mean(&mixed).unwrap(), expected);
         // Borrowed updates from any exact-size iterator, not only a slice.
         assert_eq!(ModelParams::mean(mixed.iter().rev()).unwrap(), expected);
+    }
+
+    #[test]
+    fn mean_into_writes_the_mean_over_the_buffers_it_is_given() {
+        let updates: Vec<ModelParams> = [1.0e8f32, 1.0, -1.0e8, 0.1, -0.0]
+            .iter()
+            .map(|&v| mp(&[&[v, -0.0], &[v * 1.7]]))
+            .collect();
+        let expected = ModelParams::mean(&updates).unwrap();
+        let mut out = mp(&[&[f32::NAN, 5.0], &[-0.0]]);
+        let at = out.layer(0).unwrap().values().as_ptr();
+        assert!(ModelParams::mean_into(&updates, &mut out));
+        assert_eq!(out, expected);
+        assert_eq!(
+            out.layer(0).unwrap().values()[1].to_bits(),
+            (-0.0f32).to_bits()
+        );
+        assert_eq!(out.layer(0).unwrap().values().as_ptr(), at, "no new buffer");
+        // Empty, or shaped unlike `out`: refused, `out` untouched.
+        assert!(!ModelParams::mean_into(&[], &mut out));
+        assert!(!ModelParams::mean_into(&[mp(&[&[1., 2.]])], &mut out));
+        let odd = [updates[0].clone(), mp(&[&[1., 2.], &[3., 4.]])];
+        assert!(!ModelParams::mean_into(&odd, &mut out));
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -231,6 +231,61 @@ fn wire_timeout_under_abort_is_a_typed_timeout() {
 }
 
 #[test]
+fn a_failed_relay_leaves_no_transcript_on_any_transport() {
+    use mixnn::cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy};
+    use mixnn::fl::{ModelUpdate, UpdateTransport};
+    use mixnn::net::{FlushPolicy, LinkConfig, NetCascadeTransport};
+    use mixnn::proxy::MixnnTransport;
+
+    // An audit that reads the transcript after a failed round must not
+    // find the round before it there.
+    let cascade = |seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let service = AttestationService::new(&mut rng);
+        CascadeCoordinator::linear(
+            vec![8, 4],
+            3,
+            seed,
+            FailurePolicy::Abort,
+            &service,
+            &mut rng,
+        )
+        .unwrap()
+    };
+    let transports: Vec<Box<dyn UpdateTransport>> = vec![
+        Box::new(MixnnTransport::launch(
+            MixnnProxyConfig {
+                expected_signature: vec![8, 4],
+                seed: 14,
+                ..MixnnProxyConfig::default()
+            },
+            14,
+        )),
+        Box::new(CascadeTransport::new(cascade(15), 15)),
+        Box::new(NetCascadeTransport::new(
+            cascade(16),
+            16,
+            LinkConfig::default(),
+            FlushPolicy::Batched,
+            1_000_000_000,
+        )),
+    ];
+    let good: Vec<ModelUpdate> = (0..4).map(|i| ModelUpdate::new(i, params(i))).collect();
+    let mut foreign = good.clone();
+    foreign[2].params = ModelParams::from_layers(vec![LayerParams::from_values(vec![0.0; 12])]);
+    for mut transport in transports {
+        let label = transport.label().to_string();
+        transport.relay(good.clone()).unwrap();
+        assert!(transport.transcript().is_some(), "{label}");
+        assert!(transport.relay(foreign.clone()).is_err(), "{label}");
+        assert!(transport.transcript().is_none(), "{label}");
+        // The next good round records its own.
+        transport.relay(good.clone()).unwrap();
+        assert!(transport.transcript().is_some(), "{label}");
+    }
+}
+
+#[test]
 fn mid_pool_wire_loss_under_skip_reroutes_and_repads_the_fired_round() {
     use mixnn::cascade::{
         CascadeCoordinator, FailurePolicy, FreeRoute, PoolConfig, PooledCoordinator,
