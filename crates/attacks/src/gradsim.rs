@@ -8,30 +8,6 @@ use mixnn_tensor::vecmath;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// The similarity metric comparing gradient directions (cosine in the
-/// paper; the alternatives are ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimilarityMetric {
-    /// Cosine similarity (the paper's choice — scale-invariant, so it
-    /// survives learning-rate differences between attacker and victims).
-    Cosine,
-    /// Negative Euclidean distance.
-    Euclidean,
-    /// Raw dot product.
-    Dot,
-}
-
-impl SimilarityMetric {
-    /// Scores how close `update` is to `reference` (higher = closer).
-    pub fn score(&self, update: &[f32], reference: &[f32]) -> f32 {
-        match self {
-            SimilarityMetric::Cosine => vecmath::cosine_similarity(update, reference),
-            SimilarityMetric::Euclidean => -vecmath::euclidean_distance(update, reference),
-            SimilarityMetric::Dot => vecmath::dot(update, reference),
-        }
-    }
-}
-
 /// Configuration of the ∇Sim attack.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GradSimConfig {
@@ -40,8 +16,6 @@ pub struct GradSimConfig {
     /// previous architecture" — mirror the victims' settings with
     /// `attack_epochs` controlling depth.
     pub attack_epochs: usize,
-    /// The similarity metric (cosine in the paper).
-    pub metric: SimilarityMetric,
     /// Seed for the attack model training (batch shuffling).
     pub seed: u64,
 }
@@ -50,7 +24,6 @@ impl Default for GradSimConfig {
     fn default() -> Self {
         GradSimConfig {
             attack_epochs: 5,
-            metric: SimilarityMetric::Cosine,
             seed: 0,
         }
     }
@@ -91,7 +64,6 @@ impl Default for GradSimConfig {
 pub struct GradSim {
     base: ModelParams,
     references: Vec<ModelParams>,
-    metric: SimilarityMetric,
 }
 
 impl GradSim {
@@ -148,7 +120,6 @@ impl GradSim {
         Ok(GradSim {
             base: base.clone(),
             references,
-            metric: cfg.metric,
         })
     }
 
@@ -194,7 +165,9 @@ impl GradSim {
     }
 
     /// Scores an observed update (the returned parameters) against every
-    /// attribute class. Higher = closer.
+    /// attribute class by cosine similarity, as the paper does: it is
+    /// scale-invariant, so it survives learning-rate differences between
+    /// attacker and victims. Higher = closer.
     ///
     /// # Errors
     ///
@@ -210,7 +183,7 @@ impl GradSim {
                 let reference = self
                     .centered_direction(attr)
                     .ok_or(AttackError::SignatureMismatch)?;
-                Ok(self.metric.score(&gradient, &reference))
+                Ok(vecmath::cosine_similarity(&gradient, &reference))
             })
             .collect()
     }
@@ -364,17 +337,16 @@ mod tests {
         GradSim {
             base: mp(&[0.0, 0.0]),
             references: vec![mp(&[1.0, 0.0]), mp(&[0.0, 1.0])],
-            metric: SimilarityMetric::Cosine,
         }
     }
 
     #[test]
     fn metric_scores() {
-        let a = [1.0f32, 0.0];
-        let b = [2.0f32, 0.0];
-        assert!(SimilarityMetric::Cosine.score(&a, &b) > 0.99);
-        assert_eq!(SimilarityMetric::Euclidean.score(&a, &b), -1.0);
-        assert_eq!(SimilarityMetric::Dot.score(&a, &b), 2.0);
+        // Cosine: a class's score ignores the update's scale.
+        let gs = hand_built_gradsim();
+        let unit = gs.score(&mp(&[1.0, 0.0])).unwrap();
+        assert!(unit[0] > 0.7 && unit[1] < -0.7, "{unit:?}");
+        assert_eq!(gs.score(&mp(&[2.0, 0.0])).unwrap(), unit);
     }
 
     #[test]
@@ -420,7 +392,6 @@ mod tests {
         let gs = GradSim {
             base: mp(&[0.0, 0.0]),
             references: vec![mp(&[1.0, 0.0]), mp(&[0.0, 1.0]), mp(&[3.0, 3.0])],
-            metric: SimilarityMetric::Cosine,
         };
         let e = gs.equidistant_model();
         let ds: Vec<f32> = (0..3)

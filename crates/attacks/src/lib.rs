@@ -44,4 +44,4 @@ pub mod robustness;
 pub use collusion::{analyze_routed_collusion, RoutedCollusionReport};
 pub use driver::{AttackMode, InferenceExperiment, InferenceResult};
 pub use error::AttackError;
-pub use gradsim::{AttackSession, GradSim, GradSimConfig, SimilarityMetric};
+pub use gradsim::{AttackSession, GradSim, GradSimConfig};

@@ -161,7 +161,6 @@ impl ExperimentSetup {
             attack: GradSimConfig {
                 attack_epochs: 5,
                 seed,
-                ..GradSimConfig::default()
             },
             noise_sigma: 0.10,
             conv_width,

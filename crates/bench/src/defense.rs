@@ -1,8 +1,10 @@
 //! The three systems under comparison (§6.1.3): classic FL, the
 //! noisy-gradient baseline and MixNN — the last through the sealed proxy
 //! round the repo ships (`seal → mix_sealed_round`), the only
-//! proxy round there is.
+//! proxy round there is. Beside them, the three cascade [`Layout`]s every
+//! beyond-the-paper experiment routes through, declared once.
 
+use mixnn_cascade::{CascadeTopology, FreeRoute, LinearChain, StratifiedLayout};
 use mixnn_core::{MixnnProxyConfig, MixnnTransport};
 use mixnn_fl::{DirectTransport, NoisyTransport, UpdateTransport};
 
@@ -62,6 +64,47 @@ impl Defense {
                 },
                 seed,
             )),
+        }
+    }
+}
+
+/// A shipped cascade layout. The topology, pooled and compress
+/// experiments build theirs here, so a layout name means one layout in
+/// every `BENCH_*.json`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Every client through every hop, in order (§4's proxy, chained).
+    Linear,
+    /// `hops.div_ceil(2)` strata; each client takes one hop per stratum.
+    Stratified,
+    /// Each client draws its own route of 1 to `hops` hops.
+    FreeRoute,
+}
+
+impl Layout {
+    /// Every layout, the chain first.
+    pub const ALL: [Layout; 3] = [Layout::Linear, Layout::Stratified, Layout::FreeRoute];
+
+    /// The layouts that differ at `hops` hops: at one hop all three are
+    /// the same single-hop route, so the chain stands alone.
+    pub fn distinct_at(hops: usize) -> &'static [Layout] {
+        if hops == 1 {
+            &Layout::ALL[..1]
+        } else {
+            &Layout::ALL
+        }
+    }
+
+    /// This layout over `hops` hops, its routes drawn from `seed`.
+    pub fn topology(self, hops: usize, seed: u64) -> Box<dyn CascadeTopology> {
+        match self {
+            Layout::Linear => Box::new(LinearChain::new(hops)),
+            Layout::Stratified => Box::new(StratifiedLayout::evenly(
+                hops,
+                hops.div_ceil(2),
+                seed ^ 0x57,
+            )),
+            Layout::FreeRoute => Box::new(FreeRoute::new(hops, 1, hops, seed ^ 0xf4)),
         }
     }
 }
@@ -173,5 +216,25 @@ mod tests {
             ModelParams::mean(&us.iter().map(|u| u.params.clone()).collect::<Vec<_>>())
         };
         assert_eq!(mean(&ins), mean(&outs));
+    }
+
+    #[test]
+    fn layouts_are_declared_once_with_their_names_and_the_one_hop_rule() {
+        assert_eq!(Layout::distinct_at(1), &[Layout::Linear]);
+        assert_eq!(Layout::distinct_at(2), &Layout::ALL);
+        assert_eq!(Layout::distinct_at(4), &Layout::ALL);
+        let names: Vec<String> = Layout::ALL
+            .iter()
+            .map(|l| l.topology(3, 5).name().to_string())
+            .collect();
+        assert_eq!(names, ["linear", "stratified", "free-route"]);
+        for seed in [0, 5, 0xf4] {
+            let layout = Layout::FreeRoute.topology(3, seed);
+            let free = FreeRoute::new(3, 1, 3, seed ^ 0xf4);
+            assert_eq!(layout.num_hops(), 3);
+            for slot in 0..64 {
+                assert_eq!(layout.route(slot), free.route(slot), "seed {seed}");
+            }
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! wire bytes per client per round and framing-amortized sustained
 //! updates/s (both from the simulated-network load generator), and the
 //! aggregate error a *real* padded cascade round accumulates against the
-//! lossless baseline, taken as the worst case over the three layouts
-//! (linear, stratified, free-route).
+//! lossless baseline, taken as the worst case over the three shipped
+//! layouts ([`Layout::ALL`]: linear, stratified, free-route) at
+//! [`LAYOUT_HOPS`] hops.
 //!
 //! The run fails rather than reporting nonsense. Size uniformity is
 //! asserted on every layout: all sealed onions of a route — real clients
@@ -22,13 +23,10 @@
 //! elsewhere: `core.codec.{encode,decode}_ns_per_param` in the repo
 //! benchmark's trace and the `codec/*` criterion rows.
 
-use crate::ExperimentScale;
-use mixnn_cascade::{
-    CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
-};
+use crate::{ExperimentScale, Layout};
+use mixnn_cascade::{CascadeCoordinator, FailurePolicy};
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::InProcessLink;
-use mixnn_enclave::AttestationService;
 use mixnn_net::{run_load, FlushPolicy, LoadConfig};
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
@@ -93,24 +91,9 @@ pub fn modes() -> [CompressionConfig; 3] {
     ]
 }
 
-/// Builds a fresh layout for each round that drives it.
-pub type LayoutFactory = Box<dyn Fn() -> Box<dyn CascadeTopology>>;
-
-/// The three layouts every mode is checked on: the classic chain, two
-/// strata of two hops, and free routes of 2–3 hops out of four.
-pub fn layouts(seed: u64) -> Vec<(&'static str, LayoutFactory)> {
-    vec![
-        ("linear", Box::new(|| Box::new(LinearChain::new(3)))),
-        (
-            "stratified",
-            Box::new(move || Box::new(StratifiedLayout::evenly(4, 2, seed))),
-        ),
-        (
-            "free-route",
-            Box::new(move || Box::new(FreeRoute::new(4, 2, 3, seed))),
-        ),
-    ]
-}
+/// Hops every layout is checked at: the cascade length of the pooled
+/// sweep and of the repo benchmark's `cascade3_*` workloads.
+pub const LAYOUT_HOPS: usize = 3;
 
 fn synthetic_updates(signature: &[usize], clients: usize, seed: u64) -> Vec<ModelParams> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -162,21 +145,18 @@ fn layouts_accuracy_and_uniformity(
     let mut worst_abs = 0.0f64;
     let mut linear_onion = 0usize;
     let clients = updates.len();
-    let layouts = layouts(seed);
-    let layout_count = layouts.len();
-    for (name, make) in layouts {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let service = AttestationService::new(&mut rng);
-        let mut cascade = CascadeCoordinator::with_topology(
+    for layout in Layout::ALL {
+        let topology = layout.topology(LAYOUT_HOPS, seed);
+        let name = topology.name().to_string();
+        let (mut cascade, service) = CascadeCoordinator::launch_seeded(
             signature.to_vec(),
-            make(),
+            topology,
             seed,
             FailurePolicy::Abort,
-            &service,
-            &mut rng,
         )
         .map_err(|e| format!("{name}: {e}"))?;
         cascade.set_compression(compression);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
 
         // Pad past the client count so hop-generated cover actually
         // rides the round, then strip it at the server boundary.
@@ -229,11 +209,11 @@ fn layouts_accuracy_and_uniformity(
                 compression.name()
             ));
         }
-        if name == "linear" {
+        if layout == Layout::Linear {
             linear_onion = lens.into_iter().next().unwrap_or(0);
         }
     }
-    Ok((worst_rmse, worst_abs, layout_count, linear_onion))
+    Ok((worst_rmse, worst_abs, Layout::ALL.len(), linear_onion))
 }
 
 /// Runs the compression experiment at `scale`, returning one row per

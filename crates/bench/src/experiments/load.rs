@@ -20,16 +20,13 @@
 //! configuration.
 
 use crate::report::Percentiles;
-use crate::ExperimentScale;
+use crate::{ExperimentScale, Layout};
 use mixnn_cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy};
 use mixnn_core::codec;
-use mixnn_enclave::AttestationService;
 use mixnn_fl::{ModelUpdate, UpdateTransport};
 use mixnn_net::{run_load_with, FlushPolicy, LinkConfig, LoadConfig, NetCascadeTransport};
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::Telemetry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The ~23 KB/client/round `bytes_received` reference ROADMAP.md records
 /// for the paper-scale model, in bytes.
@@ -97,9 +94,9 @@ fn small_updates(c: usize) -> Vec<ModelUpdate> {
 /// model's sizes mean nothing if the wire itself corrupts rounds.
 fn fidelity_check(seed: u64) -> Result<(), String> {
     let cascade = |s| {
-        let mut rng = StdRng::seed_from_u64(s);
-        let service = AttestationService::new(&mut rng);
-        CascadeCoordinator::linear(vec![3, 2], 2, s, FailurePolicy::Abort, &service, &mut rng)
+        let chain = Layout::Linear.topology(2, s);
+        CascadeCoordinator::launch_seeded(vec![3, 2], chain, s, FailurePolicy::Abort)
+            .map(|(cascade, _)| cascade)
             .map_err(|e| e.to_string())
     };
     let mut in_process = CascadeTransport::new(cascade(seed)?, seed ^ 0x11);

@@ -27,12 +27,11 @@
 
 use super::topology::synth_update;
 use crate::report::Percentiles;
-use crate::ExperimentScale;
+use crate::{ExperimentScale, Layout};
 use mixnn_attacks::analyze_routed_collusion;
 use mixnn_cascade::{
-    CascadeCoordinator, FailurePolicy, FreeRoute, PoolConfig, PoolTrigger, PooledCoordinator,
+    CascadeCoordinator, FailurePolicy, PoolConfig, PoolTrigger, PooledCoordinator,
 };
-use mixnn_enclave::AttestationService;
 use mixnn_net::{arrival_offset, FlushPolicy, LinkConfig, SimLink};
 use mixnn_nn::ModelParams;
 use mixnn_telemetry::Telemetry;
@@ -99,17 +98,10 @@ fn sweep_signature(scale: ExperimentScale) -> Vec<usize> {
 
 /// A free-route cascade for one sweep point, built from `point_seed`.
 fn point_cascade(signature: Vec<usize>, point_seed: u64) -> Result<CascadeCoordinator, String> {
-    let mut rng = StdRng::seed_from_u64(point_seed);
-    let service = AttestationService::new(&mut rng);
-    CascadeCoordinator::with_topology(
-        signature,
-        Box::new(FreeRoute::new(HOPS, 1, HOPS, point_seed ^ 0xf4)),
-        point_seed,
-        FailurePolicy::Abort,
-        &service,
-        &mut rng,
-    )
-    .map_err(|e| e.to_string())
+    let topology = Layout::FreeRoute.topology(HOPS, point_seed);
+    CascadeCoordinator::launch_seeded(signature, topology, point_seed, FailurePolicy::Abort)
+        .map(|(cascade, _)| cascade)
+        .map_err(|e| e.to_string())
 }
 
 /// Runs the pooled-mixing sweep on `telemetry`'s virtual clock.

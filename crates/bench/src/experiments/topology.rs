@@ -30,13 +30,10 @@
 //! stratified and free-route layouts trade exactly that set size for
 //! shorter routes.
 
-use crate::{ExperimentScale, ExperimentSetup};
+use crate::{ExperimentScale, ExperimentSetup, Layout};
 use mixnn_attacks::{analyze_routed_collusion, AttackError};
-use mixnn_cascade::{
-    CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, StratifiedLayout,
-};
+use mixnn_cascade::{CascadeCoordinator, FailurePolicy};
 use mixnn_core::{MixnnProxyConfig, MixnnTransport};
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -135,26 +132,6 @@ fn single_proxy_aggregate(
     Ok(ModelParams::mean(&mixed).expect("non-empty round"))
 }
 
-/// The layouts compared at `hops` hops: the full chain, a 2-stratum
-/// stratified layout (1 stratum at 2 hops collapses to per-hop choice),
-/// and free routes of 1..=hops hops. At one hop all three are the same
-/// single-hop route, so the chain stands alone.
-fn layouts(hops: usize, seed: u64) -> Vec<Box<dyn CascadeTopology>> {
-    let chain: Box<dyn CascadeTopology> = Box::new(LinearChain::new(hops));
-    if hops == 1 {
-        return vec![chain];
-    }
-    vec![
-        chain,
-        Box::new(StratifiedLayout::evenly(
-            hops,
-            hops.div_ceil(2),
-            seed ^ 0x57,
-        )),
-        Box::new(FreeRoute::new(hops, 1, hops, seed ^ 0xf4)),
-    ]
-}
-
 /// Runs the topology sweep with `telemetry` attached to the baseline
 /// proxy and to every coordinator it drives, so the proxy's and the hops'
 /// counters accumulate into the shared registry `eval` exports.
@@ -197,20 +174,18 @@ pub fn run_with(
 
     let mut rows = Vec::new();
     for &hops in hop_counts {
-        for topology in layouts(hops, seed) {
+        for kind in Layout::distinct_at(hops) {
+            let topology = kind.topology(hops, seed);
             let layout = topology.name().to_string();
-            let mut rng = StdRng::seed_from_u64(seed ^ ((hops as u64) << 16));
-            let service = AttestationService::new(&mut rng);
-            let mut cascade = CascadeCoordinator::with_topology(
+            let (mut cascade, _) = CascadeCoordinator::launch_seeded(
                 signature.clone(),
                 topology,
                 seed,
                 FailurePolicy::Abort,
-                &service,
-                &mut rng,
             )
             .map_err(mixnn_fl::FlError::from)?;
             cascade.attach_telemetry(telemetry.clone());
+            let mut rng = StdRng::seed_from_u64(seed ^ ((hops as u64) << 16));
             let round = cascade
                 .run_round(&originals, &mut rng)
                 .map_err(mixnn_fl::FlError::from)?;
@@ -429,7 +404,11 @@ mod tests {
             7,
             "the chain at 1 hop, 3 layouts at 2 and 3"
         );
-        assert_eq!(layouts(1, 3).len(), 1, "one hop is the chain alone");
+        assert_eq!(
+            Layout::distinct_at(1).len(),
+            1,
+            "one hop is the chain alone"
+        );
         assert_eq!(sweep.rows[0].layout, "linear");
         for r in &sweep.rows {
             assert_eq!(r.collusion.len(), 1 << r.hops);

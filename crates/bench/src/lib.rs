@@ -34,4 +34,4 @@ pub mod experiments;
 pub mod report;
 
 pub use configs::{DatasetKind, ExperimentScale, ExperimentSetup};
-pub use defense::Defense;
+pub use defense::{Defense, Layout};

@@ -11,7 +11,8 @@
 //! changes what the wire carries, not what the adversary learns.
 
 use mixnn_attacks::analyze_routed_collusion;
-use mixnn_bench::experiments::compress::layouts;
+use mixnn_bench::experiments::compress::LAYOUT_HOPS;
+use mixnn_bench::Layout;
 use mixnn_cascade::{CascadeCoordinator, FailurePolicy, PaddedRound};
 use mixnn_core::codec::CompressionConfig;
 use mixnn_core::InProcessLink;
@@ -65,22 +66,19 @@ fn adversarial_updates() -> Vec<ModelParams> {
 }
 
 fn padded_round(
-    make: &dyn Fn() -> Box<dyn mixnn_cascade::CascadeTopology>,
+    layout: Layout,
     compression: CompressionConfig,
     updates: &[ModelParams],
 ) -> (CascadeCoordinator, AttestationService, PaddedRound) {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::with_topology(
+    let (mut cascade, service) = CascadeCoordinator::launch_seeded(
         SIGNATURE.to_vec(),
-        make(),
+        layout.topology(LAYOUT_HOPS, SEED),
         SEED,
         FailurePolicy::Abort,
-        &service,
-        &mut rng,
     )
     .unwrap();
     cascade.set_compression(compression);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5eed);
     let round = cascade
         .run_padded_round_over(updates, CLIENTS + 2, &mut rng, &mut InProcessLink)
         .unwrap();
@@ -90,10 +88,10 @@ fn padded_round(
 #[test]
 fn every_route_group_is_size_uniform_under_every_mode_and_layout() {
     let updates = adversarial_updates();
-    for (name, make) in layouts(SEED) {
+    for layout in Layout::ALL {
         for compression in all_modes() {
-            let (cascade, service, padded) = padded_round(&make, compression, &updates);
-            assert!(padded.dummies() > 0, "{name}: no cover rode the round");
+            let (cascade, service, padded) = padded_round(layout, compression, &updates);
+            assert!(padded.dummies() > 0, "{layout:?}: no cover rode the round");
             // Per route group: seal that group's real updates and fresh
             // hop-generated cover with a group member's client; every
             // onion must land on one length.
@@ -117,7 +115,7 @@ fn every_route_group_is_size_uniform_under_every_mode_and_layout() {
                 assert_eq!(
                     lens.len(),
                     1,
-                    "{name}/{}: onion sizes leak content: {lens:?}",
+                    "{layout:?}/{}: onion sizes leak content: {lens:?}",
                     compression.name()
                 );
             }
@@ -128,13 +126,13 @@ fn every_route_group_is_size_uniform_under_every_mode_and_layout() {
 #[test]
 fn collusion_analysis_is_identical_with_compression_on_and_off() {
     let updates = adversarial_updates();
-    for (name, make) in layouts(SEED) {
+    for layout in Layout::ALL {
         // The same seeded round, lossless vs compressed: routing, group
         // partition and mix plans must match, so the adversary's view is
         // unchanged and the anonymity sets are equal element for element.
-        let (_, _, lossless) = padded_round(&make, CompressionConfig::F32, &updates);
+        let (_, _, lossless) = padded_round(layout, CompressionConfig::F32, &updates);
         for compression in [CompressionConfig::Int8, CompressionConfig::int8_top_k()] {
-            let (_, _, compressed) = padded_round(&make, compression, &updates);
+            let (_, _, compressed) = padded_round(layout, compression, &updates);
             let slots = |r: &PaddedRound| {
                 r.round
                     .audit
@@ -146,11 +144,11 @@ fn collusion_analysis_is_identical_with_compression_on_and_off() {
             assert_eq!(
                 slots(&lossless),
                 slots(&compressed),
-                "{name}/{}: group structure changed under compression",
+                "{layout:?}/{}: group structure changed under compression",
                 compression.name()
             );
             // Sweep colluding subsets of up to two hops.
-            let hops: Vec<usize> = (0..4).collect();
+            let hops: Vec<usize> = (0..LAYOUT_HOPS).collect();
             let mut subsets: Vec<Vec<usize>> = vec![vec![]];
             for &h in &hops {
                 subsets.push(vec![h]);
@@ -166,7 +164,7 @@ fn collusion_analysis_is_identical_with_compression_on_and_off() {
                 assert_eq!(
                     a.real_client_anonymity(),
                     b.real_client_anonymity(),
-                    "{name}/{}/colluding {colluding:?}: anonymity sets differ",
+                    "{layout:?}/{}/colluding {colluding:?}: anonymity sets differ",
                     compression.name()
                 );
                 assert_eq!(a.linked_clients(), b.linked_clients());

@@ -15,12 +15,11 @@
 //!    so the exporter leaks nothing the padder hid.
 
 use mixnn_attacks::analyze_routed_collusion;
+use mixnn_bench::Layout;
 use mixnn_cascade::{
-    CascadeCoordinator, FailurePolicy, FreeRoute, PoolConfig, PoolTrigger, PooledCoordinator,
-    PooledRound,
+    CascadeCoordinator, FailurePolicy, PoolConfig, PoolTrigger, PooledCoordinator, PooledRound,
 };
 use mixnn_core::InProcessLink;
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{
     validate_prometheus, Registry, Telemetry, VirtualClock, FORBIDDEN_LABEL_AXES,
@@ -46,17 +45,10 @@ fn synth_update(seed: u64) -> ModelParams {
 }
 
 fn free_route_cascade(seed: u64) -> CascadeCoordinator {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    CascadeCoordinator::with_topology(
-        SIGNATURE.to_vec(),
-        Box::new(FreeRoute::new(HOPS, 1, HOPS, seed ^ 0xf4)),
-        seed,
-        FailurePolicy::Abort,
-        &service,
-        &mut rng,
-    )
-    .expect("cascade launches")
+    let topology = Layout::FreeRoute.topology(HOPS, seed);
+    CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), topology, seed, FailurePolicy::Abort)
+        .expect("cascade launches")
+        .0
 }
 
 /// Fires one under-full pool (3 real members against a k-floor of 6) by

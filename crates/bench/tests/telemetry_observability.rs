@@ -27,7 +27,6 @@ use mixnn_cascade::{
     LinearChain, StratifiedLayout,
 };
 use mixnn_core::{InProcessLink, MixnnProxyConfig, MixnnTransport, RoundTranscript};
-use mixnn_enclave::AttestationService;
 use mixnn_fl::{ModelUpdate, UpdateTransport};
 use mixnn_net::{run_load_with, FlushPolicy, LinkConfig, LoadConfig, NetCascadeTransport};
 use mixnn_nn::{LayerParams, ModelParams};
@@ -66,18 +65,12 @@ fn synth_rounds(rng: &mut StdRng, rounds: usize) -> Vec<Vec<ModelParams>> {
 /// text, trace text, round outputs).
 fn drive_cascade(seed: u64) -> (String, String, Vec<CascadeRound>) {
     let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::linear(
-        SIGNATURE.to_vec(),
-        3,
-        seed,
-        FailurePolicy::Abort,
-        &service,
-        &mut rng,
-    )
-    .unwrap();
+    let chain = Box::new(LinearChain::new(3));
+    let (mut cascade, _) =
+        CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, FailurePolicy::Abort)
+            .unwrap();
     cascade.attach_telemetry(telemetry.clone());
+    let mut rng = StdRng::seed_from_u64(seed);
     let outputs = synth_rounds(&mut rng, 3)
         .iter()
         .map(|round| cascade.run_round(round, &mut rng).unwrap())
@@ -146,18 +139,15 @@ fn envelopes_opened_counts_one_entry_envelope_per_onion() {
                  clients: usize,
                  floor: Option<usize>| {
         let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-        let mut rng = StdRng::seed_from_u64(7);
-        let service = AttestationService::new(&mut rng);
-        let mut cascade = CascadeCoordinator::with_topology(
+        let (mut cascade, _) = CascadeCoordinator::launch_seeded(
             signature.to_vec(),
             topology,
             7,
             FailurePolicy::Abort,
-            &service,
-            &mut rng,
         )
         .unwrap();
         cascade.attach_telemetry(telemetry.clone());
+        let mut rng = StdRng::seed_from_u64(7);
         let updates: Vec<ModelParams> = (0..clients)
             .map(|_| {
                 let layers = signature
@@ -242,15 +232,11 @@ fn load_generator_telemetry_reproduces_byte_for_byte_across_reruns() {
 
 /// A seeded free-route cascade, optionally with a live registry attached.
 fn free_route(seed: u64, telemetry: Option<&Telemetry>) -> CascadeCoordinator {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::with_topology(
+    let (mut cascade, _) = CascadeCoordinator::launch_seeded(
         SIGNATURE.to_vec(),
-        Box::new(FreeRoute::new(3, 1, 3, seed)) as Box<dyn CascadeTopology>,
+        Box::new(FreeRoute::new(3, 1, 3, seed)),
         seed,
         FailurePolicy::Abort,
-        &service,
-        &mut rng,
     )
     .unwrap();
     if let Some(t) = telemetry {
@@ -354,18 +340,12 @@ fn snapshots_are_invariant_under_client_permutation() {
     // snapshot learns nothing about which client sat in which slot.
     let drive = |reverse: bool| {
         let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-        let mut rng = StdRng::seed_from_u64(99);
-        let service = AttestationService::new(&mut rng);
-        let mut cascade = CascadeCoordinator::linear(
-            SIGNATURE.to_vec(),
-            3,
-            99,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .unwrap();
+        let chain = Box::new(LinearChain::new(3));
+        let (mut cascade, _) =
+            CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, 99, FailurePolicy::Abort)
+                .unwrap();
         cascade.attach_telemetry(telemetry.clone());
+        let mut rng = StdRng::seed_from_u64(99);
         let mut updates = synth_rounds(&mut rng, 1).pop().unwrap();
         if reverse {
             updates.reverse();

@@ -26,7 +26,8 @@ use mixnn_crypto::SealingKey;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 
 /// What the coordinator does when a hop fails mid-round.
@@ -164,16 +165,15 @@ impl PaddedRound {
 /// # Example
 ///
 /// ```
-/// use mixnn_cascade::{CascadeCoordinator, FailurePolicy};
-/// use mixnn_enclave::AttestationService;
+/// use mixnn_cascade::{CascadeCoordinator, FailurePolicy, LinearChain};
 /// use mixnn_nn::{LayerParams, ModelParams};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let chain = Box::new(LinearChain::new(3));
+/// let (mut cascade, _attestation) =
+///     CascadeCoordinator::launch_seeded(vec![2, 3], chain, 7, FailurePolicy::Abort)?;
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let service = AttestationService::new(&mut rng);
-/// let mut cascade =
-///     CascadeCoordinator::linear(vec![2, 3], 3, 7, FailurePolicy::Abort, &service, &mut rng)?;
 /// let updates: Vec<ModelParams> = (0..5)
 ///     .map(|i| ModelParams::from_layers(vec![
 ///         LayerParams::from_values(vec![i as f32; 2]),
@@ -194,22 +194,14 @@ impl PaddedRound {
 ///
 /// ```
 /// use mixnn_cascade::{CascadeCoordinator, FailurePolicy, StratifiedLayout};
-/// use mixnn_enclave::AttestationService;
 /// use mixnn_nn::{LayerParams, ModelParams};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let layout = Box::new(StratifiedLayout::evenly(4, 2, 99));
+/// let (mut cascade, _attestation) =
+///     CascadeCoordinator::launch_seeded(vec![2], layout, 7, FailurePolicy::Abort)?;
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let service = AttestationService::new(&mut rng);
-/// let layout = StratifiedLayout::evenly(4, 2, 99);
-/// let mut cascade = CascadeCoordinator::with_topology(
-///     vec![2],
-///     Box::new(layout),
-///     7,
-///     FailurePolicy::Abort,
-///     &service,
-///     &mut rng,
-/// )?;
 /// let updates: Vec<ModelParams> = (0..8)
 ///     .map(|i| ModelParams::from_layers(vec![LayerParams::from_values(vec![i as f32; 2])]))
 ///     .collect();
@@ -380,6 +372,39 @@ impl CascadeCoordinator {
             attestation,
             rng,
         )
+    }
+
+    /// [`CascadeCoordinator::with_topology`] from one seed: a fresh
+    /// attestation service and the hops' keys drawn from
+    /// `StdRng::seed_from_u64(seed)`, the hops' mix seeds derived from
+    /// `seed`. Returns the service too, for attested clients
+    /// ([`CascadeCoordinator::client_for_slot`]).
+    ///
+    /// The mix draws only from the hop seeds and sealing entropy stays the
+    /// caller's, so a launch whose attestation RNG differs but whose
+    /// `seed` matches mixes every round alike: the same outputs, the same
+    /// transcripts — only keys and ciphertext differ.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CascadeCoordinator::launch`].
+    pub fn launch_seeded(
+        expected_signature: Vec<usize>,
+        topology: Box<dyn CascadeTopology>,
+        seed: u64,
+        policy: FailurePolicy,
+    ) -> Result<(Self, AttestationService), CascadeError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let attestation = AttestationService::new(&mut rng);
+        let cascade = Self::with_topology(
+            expected_signature,
+            topology,
+            seed,
+            policy,
+            &attestation,
+            &mut rng,
+        )?;
+        Ok((cascade, attestation))
     }
 
     /// The wire compression every round of this cascade seals with —
@@ -908,8 +933,6 @@ mod tests {
     use crate::{FreeRoute, StratifiedLayout};
     use mixnn_core::{MixPlan, ProxyError, RouteGroup};
     use mixnn_enclave::EnclaveConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn params(i: usize) -> ModelParams {
         ModelParams::from_layers(vec![
@@ -926,12 +949,7 @@ mod tests {
         hop_count: usize,
         policy: FailurePolicy,
     ) -> (CascadeCoordinator, AttestationService, StdRng) {
-        let mut rng = StdRng::seed_from_u64(31);
-        let service = AttestationService::new(&mut rng);
-        let cascade =
-            CascadeCoordinator::linear(vec![3, 2], hop_count, 9, policy, &service, &mut rng)
-                .unwrap();
-        (cascade, service, rng)
+        launch_with(Box::new(LinearChain::new(hop_count)), policy, 9)
     }
 
     fn launch_with(
@@ -939,18 +957,71 @@ mod tests {
         policy: FailurePolicy,
         seed: u64,
     ) -> (CascadeCoordinator, AttestationService, StdRng) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let service = AttestationService::new(&mut rng);
-        let cascade = CascadeCoordinator::with_topology(
-            vec![3, 2],
-            topology,
-            seed,
-            policy,
-            &service,
-            &mut rng,
-        )
-        .unwrap();
-        (cascade, service, rng)
+        let (cascade, service) =
+            CascadeCoordinator::launch_seeded(vec![3, 2], topology, seed, policy).unwrap();
+        (cascade, service, StdRng::seed_from_u64(seed ^ 0x5ea1))
+    }
+
+    /// Refuses every delivery into hop `.0`, when set.
+    struct DeadHop(Option<usize>);
+
+    impl RoundLink for DeadHop {
+        fn deliver(
+            &mut self,
+            from: Endpoint,
+            to: Endpoint,
+            messages: Vec<Vec<u8>>,
+        ) -> Result<Vec<Vec<u8>>, mixnn_core::LinkError> {
+            if self.0.is_some_and(|h| to == Endpoint::Hop(h)) {
+                return Err(mixnn_core::LinkError::Timeout {
+                    from,
+                    to,
+                    delivered: 0,
+                    expected: messages.len(),
+                });
+            }
+            Ok(messages)
+        }
+    }
+
+    #[test]
+    fn a_seeded_launch_mixes_like_any_launch_from_the_same_seed() {
+        // The launch RNG draws keys only: a hand-rolled launch from
+        // another attestation RNG but the same seed must give the same
+        // outputs and transcripts, round after round, skip included.
+        let layout = || Box::new(StratifiedLayout::evenly(4, 2, 5));
+        for policy in [FailurePolicy::Abort, FailurePolicy::Skip] {
+            let (mut seeded, _) =
+                CascadeCoordinator::launch_seeded(vec![3, 2], layout(), 9, policy).unwrap();
+            let mut rng = StdRng::seed_from_u64(1234);
+            let service = AttestationService::new(&mut rng);
+            let mut by_hand = CascadeCoordinator::with_topology(
+                vec![3, 2],
+                layout(),
+                9,
+                policy,
+                &service,
+                &mut rng,
+            )
+            .unwrap();
+            assert_ne!(
+                seeded.hops()[0].public_key(),
+                by_hand.hops()[0].public_key()
+            );
+            // Under skip, hop 1 is unreachable and the first round reroutes.
+            let mut link = DeadHop((policy == FailurePolicy::Skip).then_some(1));
+            let (mut a, mut b) = (StdRng::seed_from_u64(77), StdRng::seed_from_u64(77));
+            for round in 0..2 {
+                let ins = updates(8);
+                let x = seeded.run_round_over(&ins, &mut a, &mut link).unwrap();
+                let y = by_hand.run_round_over(&ins, &mut b, &mut link).unwrap();
+                assert_eq!(x, y, "{policy:?}, round {round}");
+            }
+            assert_eq!(seeded.skipped_hops(), by_hand.skipped_hops());
+            if policy == FailurePolicy::Skip {
+                assert_eq!(seeded.skipped_hops(), vec![1]);
+            }
+        }
     }
 
     #[test]
@@ -1397,17 +1468,11 @@ mod tests {
 
     #[test]
     fn debug_counts_the_kept_generation_instead_of_printing_it() {
+        let chain = Box::new(LinearChain::new(3));
+        let (mut cascade, _) =
+            CascadeCoordinator::launch_seeded(vec![4096, 1024], chain, 9, FailurePolicy::Abort)
+                .unwrap();
         let mut rng = StdRng::seed_from_u64(60);
-        let service = AttestationService::new(&mut rng);
-        let mut cascade = CascadeCoordinator::linear(
-            vec![4096, 1024],
-            3,
-            9,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .unwrap();
         let before = format!("{cascade:?}");
         assert!(before.contains("SpentBuffers { buffers: 0, capacity: 0 }"));
         let ins: Vec<ModelParams> = (0..6)

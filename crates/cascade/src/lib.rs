@@ -79,7 +79,8 @@
 //!   drive with one failure handler (see `docs/ARCHITECTURE.md`, "The
 //!   round drive");
 //! * [`CascadeTransport`] — plugs the cascade into `mixnn_fl` rounds as an
-//!   [`mixnn_fl::UpdateTransport`];
+//!   [`mixnn_fl::UpdateTransport`], one relay over any
+//!   [`mixnn_core::RoundLink`] (in process by default);
 //! * [`MixPool`] / [`PooledCoordinator`] / [`PooledCascadeTransport`] —
 //!   **continuous** mixing: arrivals pool until `k` are buffered or a
 //!   deadline (on the telemetry clock) elapses, and every fired partial

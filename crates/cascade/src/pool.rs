@@ -354,6 +354,10 @@ impl PooledCoordinator {
     ///
     /// # Errors
     ///
+    /// Returns [`CascadeError::SignatureMismatch`] for an update whose
+    /// layer signature is not the cascade's, before anything fires or is
+    /// pooled: a foreign member would fail every firing it joined.
+    ///
     /// A fired round's errors surface exactly as
     /// [`CascadeCoordinator::run_padded_round_over`]'s; the failed
     /// firing's members are restored into the pool (for a failed deadline
@@ -369,6 +373,13 @@ impl PooledCoordinator {
         params: ModelParams,
         link: &mut dyn RoundLink,
     ) -> Result<Vec<PooledRound>, CascadeError> {
+        let expected = self.cascade.signature();
+        if !params.iter().map(|l| l.len()).eq(expected.iter().copied()) {
+            return Err(CascadeError::SignatureMismatch {
+                expected: expected.to_vec(),
+                actual: params.signature(),
+            });
+        }
         let now = self.now_ns();
         let deadline = self.pool.poll(now).map(|batch| self.fire(batch, link));
         let threshold = self.pool.offer(slot, params, now);
@@ -606,15 +617,22 @@ impl UpdateTransport for PooledCascadeTransport {
     }
 
     fn relay(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, FlError> {
-        self.relay_inner(updates).map_err(FlError::from)
+        // All or nothing, like the proxy's held batch: a failed relay
+        // leaves nothing pooled to be fired into the next one, and no
+        // record of the rounds before it.
+        self.relay_inner(updates)
+            .inspect_err(|_| {
+                self.inner.pool.drain(0);
+                self.last_rounds.clear();
+            })
+            .map_err(FlError::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailurePolicy;
-    use mixnn_enclave::AttestationService;
+    use crate::{FailurePolicy, LinearChain};
     use mixnn_nn::LayerParams;
     use mixnn_telemetry::Registry;
 
@@ -626,17 +644,10 @@ mod tests {
     }
 
     fn cascade(hops: usize) -> CascadeCoordinator {
-        let mut rng = StdRng::seed_from_u64(41);
-        let service = AttestationService::new(&mut rng);
-        CascadeCoordinator::linear(
-            vec![3, 2],
-            hops,
-            9,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .unwrap()
+        let chain = Box::new(LinearChain::new(hops));
+        CascadeCoordinator::launch_seeded(vec![3, 2], chain, 9, FailurePolicy::Abort)
+            .unwrap()
+            .0
     }
 
     fn pooled(k: usize, deadline_ns: u64) -> (PooledCoordinator, VirtualClock) {
@@ -976,5 +987,48 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_foreign_update_fails_its_relay_and_leaves_the_pool_empty() {
+        let clock = VirtualClock::new();
+        let telemetry = Registry::with_virtual_clock(clock).shared();
+        let p = PooledCoordinator::new(
+            cascade(2),
+            PoolConfig {
+                k: 4,
+                deadline_ns: u64::MAX,
+            },
+            7,
+        )
+        .unwrap();
+        let mut t = PooledCascadeTransport::new(p, telemetry, 1_000).unwrap();
+        let round = |base: usize| -> Vec<ModelUpdate> {
+            (0..4)
+                .map(|i| ModelUpdate::new(i, params(base + i)))
+                .collect()
+        };
+        let mean = |us: &[ModelUpdate]| {
+            ModelParams::mean(&us.iter().map(|u| u.params.clone()).collect::<Vec<_>>())
+        };
+        t.relay(round(0)).unwrap();
+
+        // Three honest members pool before the foreign one arrives.
+        let mut foreign = round(100);
+        foreign[3].params = ModelParams::from_layers(vec![LayerParams::from_values(vec![1.0])]);
+        let err = t.relay(foreign).unwrap_err().to_string();
+        assert!(err.contains("[1]"), "{err}");
+        assert!(
+            t.coordinator().pool().is_empty(),
+            "nothing outlives a failed relay"
+        );
+        assert!(t.last_rounds().is_empty());
+
+        // The next honest relay commits its own members, and only them.
+        let ins = round(1000);
+        let outs = t.relay(ins.clone()).unwrap();
+        assert_eq!(mean(&outs), mean(&ins));
+        let total_real: usize = t.last_rounds().iter().map(PooledRound::real).sum();
+        assert_eq!(total_real, 4);
     }
 }

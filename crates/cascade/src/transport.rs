@@ -1,14 +1,19 @@
 //! Plugging the cascade into the federated round loop.
 
 use crate::CascadeCoordinator;
-use mixnn_core::RoundTranscript;
+use mixnn_core::{InProcessLink, RoundLink, RoundTranscript};
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
 
 /// An [`UpdateTransport`] that routes each round's updates through a mix
-/// cascade instead of a single proxy.
+/// cascade instead of a single proxy, every inter-stage exchange crossing
+/// the link `L` — in process by default, or a simulated wire
+/// ([`CascadeTransport::over`]). There is one relay for every link: a
+/// successful delivery returns the batch unchanged, so the link moves a
+/// round's cost, never its outputs or transcript.
 ///
 /// As with `MixnnTransport`, the observed updates keep the incoming slot
 /// ids (the server still sees one connection per slot) while their
@@ -18,18 +23,30 @@ use rand::SeedableRng;
 /// per route group — an adversary must cover a client's entire route
 /// (see `mixnn_attacks::collusion`).
 #[derive(Debug)]
-pub struct CascadeTransport {
+pub struct CascadeTransport<L: RoundLink = InProcessLink> {
     coordinator: CascadeCoordinator,
+    link: L,
     /// RNG standing in for the participants' onion-sealing entropy.
     participant_rng: StdRng,
     transcript: Option<RoundTranscript>,
 }
 
 impl CascadeTransport {
-    /// Wraps a launched cascade.
+    /// Wraps a launched cascade, every exchange in process. `seed` seeds
+    /// the participants' sealing entropy.
     pub fn new(coordinator: CascadeCoordinator, seed: u64) -> Self {
+        CascadeTransport::over(coordinator, seed, InProcessLink)
+    }
+}
+
+impl<L: RoundLink> CascadeTransport<L> {
+    /// Wraps a launched cascade whose every exchange crosses `link`.
+    /// `seed` seeds the participants' sealing entropy, exactly as in
+    /// [`CascadeTransport::new`].
+    pub fn over(coordinator: CascadeCoordinator, seed: u64, link: L) -> Self {
         CascadeTransport {
             coordinator,
+            link,
             participant_rng: StdRng::seed_from_u64(seed),
             transcript: None,
         }
@@ -39,9 +56,19 @@ impl CascadeTransport {
     pub fn coordinator(&self) -> &CascadeCoordinator {
         &self.coordinator
     }
+
+    /// The link the rounds cross (stats, virtual time).
+    pub fn link(&self) -> &L {
+        &self.link
+    }
+
+    /// Mutable link access (loss injection in tests).
+    pub fn link_mut(&mut self) -> &mut L {
+        &mut self.link
+    }
 }
 
-impl UpdateTransport for CascadeTransport {
+impl<L: RoundLink + fmt::Debug> UpdateTransport for CascadeTransport<L> {
     fn label(&self) -> &str {
         "mixnn-cascade"
     }
@@ -53,7 +80,7 @@ impl UpdateTransport for CascadeTransport {
         // read the last good round's provenance as this one's.
         let round = self
             .coordinator
-            .run_round(params, &mut self.participant_rng)
+            .run_round_over(params, &mut self.participant_rng, &mut self.link)
             .inspect_err(|_| self.transcript = None)?;
         self.transcript = Some(round.audit);
         Ok(slot_ids
@@ -71,8 +98,7 @@ impl UpdateTransport for CascadeTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailurePolicy;
-    use mixnn_enclave::AttestationService;
+    use crate::{FailurePolicy, LinearChain};
     use mixnn_nn::LayerParams;
 
     fn updates(c: usize) -> Vec<ModelUpdate> {
@@ -90,17 +116,9 @@ mod tests {
     }
 
     fn transport(hop_count: usize) -> CascadeTransport {
-        let mut rng = StdRng::seed_from_u64(61);
-        let service = AttestationService::new(&mut rng);
-        let cascade = CascadeCoordinator::linear(
-            vec![2, 3],
-            hop_count,
-            17,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .unwrap();
+        let chain = Box::new(LinearChain::new(hop_count));
+        let (cascade, _) =
+            CascadeCoordinator::launch_seeded(vec![2, 3], chain, 17, FailurePolicy::Abort).unwrap();
         CascadeTransport::new(cascade, 77)
     }
 

@@ -164,17 +164,11 @@ proptest! {
         layers in 1usize..4,
         seed in 0u64..1000,
     ) {
+        let chain = Box::new(LinearChain::new(hops));
+        let (mut cascade, _) =
+            CascadeCoordinator::launch_seeded(signature(layers), chain, seed, FailurePolicy::Abort)
+                .expect("valid configuration");
         let mut rng = StdRng::seed_from_u64(seed);
-        let service = AttestationService::new(&mut rng);
-        let mut cascade = CascadeCoordinator::linear(
-            signature(layers),
-            hops,
-            seed,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .expect("valid configuration");
         let updates = round_updates(clients, layers, seed);
         let round = cascade.run_round(&updates, &mut rng).expect("round runs");
 
@@ -211,17 +205,10 @@ proptest! {
         } else {
             Box::new(FreeRoute::new(hops, 1, hops, seed))
         };
+        let (mut cascade, _) =
+            CascadeCoordinator::launch_seeded(signature(layers), topology, seed, FailurePolicy::Abort)
+                .expect("valid configuration");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-        let service = AttestationService::new(&mut rng);
-        let mut cascade = CascadeCoordinator::with_topology(
-            signature(layers),
-            topology,
-            seed,
-            FailurePolicy::Abort,
-            &service,
-            &mut rng,
-        )
-        .expect("valid configuration");
         let updates = round_updates(clients, layers, seed);
         let round = cascade.run_round(&updates, &mut rng).expect("round runs");
 
@@ -442,15 +429,12 @@ fn cascade_transport_drives_a_full_fl_round() {
     let run = |cascaded: bool| {
         let mut sim = FlSimulation::new(template.clone(), cfg, &fed);
         if cascaded {
-            let mut rng = StdRng::seed_from_u64(6);
-            let service = AttestationService::new(&mut rng);
-            let cascade = CascadeCoordinator::linear(
+            let chain = Box::new(LinearChain::new(3));
+            let (cascade, _) = CascadeCoordinator::launch_seeded(
                 layer_signature.clone(),
-                3,
+                chain,
                 21,
                 FailurePolicy::Abort,
-                &service,
-                &mut rng,
             )
             .unwrap();
             let mut transport = CascadeTransport::new(cascade, 77);

@@ -9,9 +9,9 @@
 
 use mixnn_attacks::{analyze_routed_collusion, RoutedCollusionReport};
 use mixnn_cascade::{
-    CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, StratifiedLayout,
+    CascadeCoordinator, CascadeRound, CascadeTopology, FailurePolicy, FreeRoute, LinearChain,
+    StratifiedLayout,
 };
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,17 +20,11 @@ const CLIENTS: usize = 7;
 const SIGNATURE: [usize; 3] = [4, 2, 3];
 
 fn run_round(hops: usize, seed: u64) -> CascadeRound {
+    let chain = Box::new(LinearChain::new(hops));
+    let (mut cascade, _) =
+        CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, FailurePolicy::Abort)
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::linear(
-        SIGNATURE.to_vec(),
-        hops,
-        seed,
-        FailurePolicy::Abort,
-        &service,
-        &mut rng,
-    )
-    .unwrap();
     let updates: Vec<ModelParams> = (0..CLIENTS)
         .map(|_| {
             ModelParams::from_layers(
@@ -111,17 +105,10 @@ fn the_analysis_is_deterministic_per_seed() {
 }
 
 fn run_routed_round(topology: Box<dyn CascadeTopology>, seed: u64) -> CascadeRound {
+    let (mut cascade, _) =
+        CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), topology, seed, FailurePolicy::Abort)
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::with_topology(
-        SIGNATURE.to_vec(),
-        topology,
-        seed,
-        FailurePolicy::Abort,
-        &service,
-        &mut rng,
-    )
-    .unwrap();
     let updates: Vec<ModelParams> = (0..CLIENTS)
         .map(|_| {
             ModelParams::from_layers(

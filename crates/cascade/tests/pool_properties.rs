@@ -20,7 +20,6 @@ use mixnn_cascade::{
 };
 use mixnn_core::codec::{canonical_params, CompressionConfig};
 use mixnn_core::InProcessLink;
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Registry, VirtualClock};
 use proptest::prelude::*;
@@ -86,15 +85,11 @@ fn drain(
     seed: u64,
 ) -> Vec<PooledRound> {
     let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xcafe);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::with_topology(
+    let (mut cascade, _) = CascadeCoordinator::launch_seeded(
         signature(layers),
         layout_for(kind, hops, seed),
         seed,
         FailurePolicy::Abort,
-        &service,
-        &mut rng,
     )
     .expect("valid configuration");
     cascade.set_compression(compression);

@@ -18,9 +18,8 @@
 //! layer shorter than an onion — and the round after that is back to
 //! none.
 
-use mixnn_cascade::{CascadeCoordinator, CascadeError, CascadeRound, FailurePolicy};
+use mixnn_cascade::{CascadeCoordinator, CascadeError, CascadeRound, FailurePolicy, LinearChain};
 use mixnn_core::{Endpoint, InProcessLink, LinkError, RoundLink};
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,12 +82,10 @@ fn message_sized() -> usize {
 }
 
 fn launch(policy: FailurePolicy, seed: u64) -> (CascadeCoordinator, StdRng) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let cascade =
-        CascadeCoordinator::linear(SIGNATURE.to_vec(), 3, seed, policy, &service, &mut rng)
-            .unwrap();
-    (cascade, rng)
+    let chain = Box::new(LinearChain::new(3));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, policy).unwrap();
+    (cascade, StdRng::seed_from_u64(seed))
 }
 
 fn updates(rng: &mut StdRng) -> Vec<ModelParams> {

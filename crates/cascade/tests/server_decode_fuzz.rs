@@ -23,10 +23,9 @@
 mod mixc;
 
 use mixc::{frame, reference_decode, requested, ENTRY, HEADER_LEN, INNER};
-use mixnn_cascade::{CascadeCoordinator, CascadeError, FailurePolicy};
+use mixnn_cascade::{CascadeCoordinator, CascadeError, FailurePolicy, LinearChain};
 use mixnn_core::codec::{self, CompressionConfig, V2_SENTINEL};
 use mixnn_core::{Endpoint, LinkError, ProxyError, RoundLink};
-use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -254,12 +253,11 @@ proptest! {
         kind in 0usize..MUTATIONS,
         at in 0usize..100_000,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let service = AttestationService::new(&mut rng);
         let policy = [FailurePolicy::Abort, FailurePolicy::Skip][skip];
-        let mut cascade =
-            CascadeCoordinator::linear(SIGNATURE.to_vec(), hops, seed, policy, &service, &mut rng)
-                .unwrap();
+        let chain = Box::new(LinearChain::new(hops));
+        let (mut cascade, _) =
+            CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, policy).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
         cascade.set_compression([
             CompressionConfig::F32,
             CompressionConfig::Int8,

@@ -14,9 +14,8 @@
 //! its messages). The layers are sized so that the round's per-envelope
 //! bookkeeping, one entry per (client, layer), stays below that floor.
 
-use mixnn_cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy};
+use mixnn_cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy, LinearChain};
 use mixnn_core::codec::{self, CompressionConfig};
-use mixnn_enclave::AttestationService;
 use mixnn_fl::{AggregationServer, ModelUpdate, UpdateTransport};
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::rngs::StdRng;
@@ -89,17 +88,11 @@ fn layer_bytes(compression: CompressionConfig) -> usize {
 /// Four relay + aggregate rounds under `compression`: the layer- or
 /// message-sized allocations of each, every aggregate checked bit for bit.
 fn rounds(compression: CompressionConfig, seed: u64) -> Vec<usize> {
+    let chain = Box::new(LinearChain::new(3));
+    let (mut cascade, _) =
+        CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, FailurePolicy::Abort)
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let service = AttestationService::new(&mut rng);
-    let mut cascade = CascadeCoordinator::linear(
-        SIGNATURE.to_vec(),
-        3,
-        seed,
-        FailurePolicy::Abort,
-        &service,
-        &mut rng,
-    )
-    .unwrap();
     cascade.set_compression(compression);
     let mut transport = CascadeTransport::new(cascade, seed);
     let inputs: Vec<ModelUpdate> = (0..CLIENTS)

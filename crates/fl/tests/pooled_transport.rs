@@ -4,10 +4,10 @@
 //! with hop-generated cover is invisible to the learning loop.
 
 use mixnn_cascade::{
-    CascadeCoordinator, FailurePolicy, PoolConfig, PooledCascadeTransport, PooledCoordinator,
+    CascadeCoordinator, FailurePolicy, LinearChain, PoolConfig, PooledCascadeTransport,
+    PooledCoordinator,
 };
 use mixnn_data::lfw_like;
-use mixnn_enclave::AttestationService;
 use mixnn_fl::{DirectTransport, FlConfig, FlSimulation};
 use mixnn_nn::zoo;
 use mixnn_telemetry::{Registry, VirtualClock};
@@ -38,15 +38,12 @@ fn pooled_cascade_transport_drives_a_full_fl_round() {
 
     let pooled_run = || {
         let mut sim = FlSimulation::new(template.clone(), cfg, &fed);
-        let mut rng = StdRng::seed_from_u64(6);
-        let service = AttestationService::new(&mut rng);
-        let cascade = CascadeCoordinator::linear(
+        let chain = Box::new(LinearChain::new(3));
+        let (cascade, _) = CascadeCoordinator::launch_seeded(
             layer_signature.clone(),
-            3,
+            chain,
             21,
             FailurePolicy::Abort,
-            &service,
-            &mut rng,
         )
         .unwrap();
         // k = 2 with a 2 ms deadline against a 10 ms arrival spread: the

@@ -14,10 +14,12 @@
 //!   packet per peer and flush — the transmission analogue of the
 //!   crypto layer's batched decrypt.
 //! - [`SimLink`] implements the coordinator-facing `RoundLink` over the
-//!   simulator, so [`NetCascadeTransport`] runs the unchanged
-//!   cascade/server stack across the wire (the single proxy over the wire
-//!   is a one-hop chain); wire timeouts surface as typed `LinkError`s
-//!   that the cascade's `FailurePolicy` (skip or abort) consumes.
+//!   simulator, so `CascadeTransport::over` a [`SimLink`] (or
+//!   [`NetCascadeTransport`], the same relay with a wire sized to the
+//!   cascade) runs the unchanged cascade/server stack across the wire
+//!   (the single proxy over the wire is a one-hop chain); wire timeouts
+//!   surface as typed `LinkError`s that the cascade's `FailurePolicy`
+//!   (skip or abort) consumes.
 //! - [`run_load`] drives 10^5–10^6 size-only simulated clients
 //!   ([`Packet::synthetic`]) through the chain and reports sustained
 //!   updates/s, latency percentile samples, peak queue depths and

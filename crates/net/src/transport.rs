@@ -1,44 +1,32 @@
 //! The update transport that crosses the simulated wire.
 //!
-//! [`NetCascadeTransport`] mirrors the in-process `CascadeTransport`
-//! exactly — same sealing RNG discipline, same mixing pipeline — but
-//! every segment of the update path travels through a [`SimLink`]:
-//! framed, transmitted under latency/jitter/backpressure, reassembled.
-//! Under zero loss the mixed output is bit-identical to the in-process
-//! drive (the equivalence proptest pins this); packet loss and stalls
-//! surface as `LinkError` timeouts, which the cascade's `FailurePolicy`
-//! consumes and the federated loop sees as `FlError::Timeout`. The
-//! paper's single proxy over the wire is this transport around a one-hop
-//! cascade.
+//! [`NetCascadeTransport`] is the in-process `CascadeTransport` over a
+//! [`SimLink`] — the same relay, the same sealing RNG discipline, the same
+//! mixing pipeline — with every segment of the update path framed,
+//! transmitted under latency/jitter/backpressure and reassembled. Under
+//! zero loss the mixed output is bit-identical to the in-process drive
+//! (the equivalence proptest pins this); packet loss and stalls surface
+//! as `LinkError` timeouts, which the cascade's `FailurePolicy` consumes
+//! and the federated loop sees as `FlError::Timeout`. The paper's single
+//! proxy over the wire is this transport around a one-hop cascade.
 
 use crate::link::{FlushPolicy, SimLink};
 use crate::sim::LinkConfig;
-use mixnn_cascade::CascadeCoordinator;
+use mixnn_cascade::{CascadeCoordinator, CascadeTransport};
 use mixnn_core::RoundTranscript;
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
-use mixnn_nn::ModelParams;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// An [`UpdateTransport`] that routes each round through a mix cascade
-/// whose every segment crosses the simulated network.
-///
-/// Coordinator, hops and server run unchanged — the coordinator's
-/// link-aware drive (`run_round_over`) moves batches through the
-/// [`SimLink`], so delivery failures trigger the configured
-/// `FailurePolicy` exactly as a real wire outage would.
+/// `CascadeTransport<SimLink>` under its own label, with a wire sized to
+/// the cascade: the relay and transcript are the cascade transport's.
+/// Build `CascadeTransport::over` directly for coordinator or mutable
+/// wire access.
 #[derive(Debug)]
-pub struct NetCascadeTransport {
-    coordinator: CascadeCoordinator,
-    link: SimLink,
-    /// RNG standing in for the participants' onion-sealing entropy.
-    participant_rng: StdRng,
-    transcript: Option<RoundTranscript>,
-}
+pub struct NetCascadeTransport(CascadeTransport<SimLink>);
 
 impl NetCascadeTransport {
     /// Wraps a launched cascade, wiring a simulated network sized to its
-    /// hop count.
+    /// hop count. `seed` seeds the participants' sealing entropy and the
+    /// wire's jitter stream.
     pub fn new(
         coordinator: CascadeCoordinator,
         seed: u64,
@@ -47,27 +35,13 @@ impl NetCascadeTransport {
         timeout_ns: u64,
     ) -> Self {
         let hops = coordinator.hops().len();
-        NetCascadeTransport {
-            coordinator,
-            link: SimLink::new(hops, seed ^ 0x6e65_745f, cfg, flush, timeout_ns),
-            participant_rng: StdRng::seed_from_u64(seed),
-            transcript: None,
-        }
+        let link = SimLink::new(hops, seed ^ 0x6e65_745f, cfg, flush, timeout_ns);
+        NetCascadeTransport(CascadeTransport::over(coordinator, seed, link))
     }
 
-    /// Access to the cascade (per-hop stats, skip state).
-    pub fn coordinator(&self) -> &CascadeCoordinator {
-        &self.coordinator
-    }
-
-    /// The simulated wire (stats, segment reconfiguration).
+    /// The simulated wire (stats, virtual time).
     pub fn link(&self) -> &SimLink {
-        &self.link
-    }
-
-    /// Mutable wire access (loss injection in tests).
-    pub fn link_mut(&mut self) -> &mut SimLink {
-        &mut self.link
+        self.0.link()
     }
 }
 
@@ -77,33 +51,19 @@ impl UpdateTransport for NetCascadeTransport {
     }
 
     fn relay(&mut self, updates: Vec<ModelUpdate>) -> Result<Vec<ModelUpdate>, FlError> {
-        let slot_ids: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
-        let params: Vec<ModelParams> = updates.into_iter().map(|u| u.params).collect();
-        // A failed round leaves no transcript behind: an audit must not
-        // read the last good round's provenance as this one's.
-        let round = self
-            .coordinator
-            .run_round_over(params, &mut self.participant_rng, &mut self.link)
-            .inspect_err(|_| self.transcript = None)?;
-        self.transcript = Some(round.audit);
-        Ok(slot_ids
-            .into_iter()
-            .zip(round.mixed)
-            .map(|(slot, params)| ModelUpdate::new(slot, params))
-            .collect())
+        self.0.relay(updates)
     }
 
     fn transcript(&self) -> Option<&RoundTranscript> {
-        self.transcript.as_ref()
+        self.0.transcript()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixnn_cascade::FailurePolicy;
-    use mixnn_enclave::AttestationService;
-    use mixnn_nn::LayerParams;
+    use mixnn_cascade::{FailurePolicy, LinearChain};
+    use mixnn_nn::{LayerParams, ModelParams};
 
     fn updates(c: usize) -> Vec<ModelUpdate> {
         (0..c)
@@ -120,10 +80,9 @@ mod tests {
     }
 
     fn cascade_transport(policy: FailurePolicy) -> NetCascadeTransport {
-        let mut rng = StdRng::seed_from_u64(61);
-        let service = AttestationService::new(&mut rng);
-        let cascade =
-            CascadeCoordinator::linear(vec![2, 3], 3, 17, policy, &service, &mut rng).unwrap();
+        let chain = Box::new(LinearChain::new(3));
+        let (cascade, _) =
+            CascadeCoordinator::launch_seeded(vec![2, 3], chain, 17, policy).unwrap();
         NetCascadeTransport::new(
             cascade,
             77,

@@ -11,7 +11,6 @@ use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, CascadeTransport, FailurePolicy, FreeRoute, LinearChain,
     StratifiedLayout,
 };
-use mixnn_enclave::AttestationService;
 use mixnn_fl::{ModelUpdate, UpdateTransport};
 use mixnn_net::{FlushPolicy, LinkConfig, NetCascadeTransport, SimLink};
 use mixnn_nn::{LayerParams, ModelParams};
@@ -56,17 +55,14 @@ fn topology_for(kind: usize, hops: usize, seed: u64) -> Box<dyn CascadeTopology>
 /// Two cascades launched from the same seeds are bit-identical; the
 /// baseline and the wired drive each get their own copy.
 fn launch(kind: usize, hops: usize, layers: usize, seed: u64) -> CascadeCoordinator {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xacce);
-    let service = AttestationService::new(&mut rng);
-    CascadeCoordinator::with_topology(
+    CascadeCoordinator::launch_seeded(
         signature(layers),
         topology_for(kind, hops, seed),
         seed,
         FailurePolicy::Abort,
-        &service,
-        &mut rng,
     )
     .expect("valid configuration")
+    .0
 }
 
 /// The hop stats counters (the `*_seconds` fields are wall-clock and

@@ -45,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attack_cfg = GradSimConfig {
         attack_epochs: 5,
         seed: 23,
-        ..GradSimConfig::default()
     };
 
     // Peek inside the attack: fit reference models and inspect the crafted

@@ -54,7 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let attack_cfg = GradSimConfig {
         attack_epochs: 3,
         seed: 11,
-        ..GradSimConfig::default()
     };
 
     println!("system          activity-accuracy  gender-inference  (chance = 0.500)");

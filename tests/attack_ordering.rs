@@ -30,7 +30,6 @@ fn run_attack(defense: &str, seed: u64) -> f32 {
     let attack_cfg = GradSimConfig {
         attack_epochs: 3,
         seed,
-        ..GradSimConfig::default()
     };
     let signature = template.signature();
     let experiment = InferenceExperiment::new(

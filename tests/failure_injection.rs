@@ -124,9 +124,9 @@ fn epc_exhaustion_fails_the_offending_update_only() {
 
 #[test]
 fn wire_loss_under_skip_reroutes_only_the_affected_route_groups() {
-    use mixnn::cascade::{CascadeCoordinator, FailurePolicy, FreeRoute};
+    use mixnn::cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy, FreeRoute};
     use mixnn::fl::{ModelUpdate, UpdateTransport};
-    use mixnn::net::{FlushPolicy, LinkConfig, NetCascadeTransport};
+    use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
     use mixnn::nn::ModelParams;
     use mixnn::proxy::Endpoint;
 
@@ -135,24 +135,17 @@ fn wire_loss_under_skip_reroutes_only_the_affected_route_groups() {
     // packets. Under the skip policy the round must survive — the dead
     // hop is marked down and the groups re-partition onto the surviving
     // routes.
-    let mut rng = StdRng::seed_from_u64(11);
-    let service = AttestationService::new(&mut rng);
-    let cascade = CascadeCoordinator::with_topology(
-        vec![8, 4],
-        Box::new(FreeRoute::new(3, 2, 3, 9)),
-        9,
-        FailurePolicy::Skip,
-        &service,
-        &mut rng,
-    )
-    .unwrap();
-    let mut transport = NetCascadeTransport::new(
-        cascade,
+    let routes = Box::new(FreeRoute::new(3, 2, 3, 9));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(vec![8, 4], routes, 9, FailurePolicy::Skip).unwrap();
+    let link = SimLink::new(
+        3,
         13,
         LinkConfig::default(),
         FlushPolicy::Batched,
         200_000_000, // 200 ms of virtual time before a segment times out
     );
+    let mut transport = CascadeTransport::over(cascade, 13, link);
     for from in [Endpoint::Clients, Endpoint::Hop(0), Endpoint::Hop(2)] {
         transport.link_mut().set_segment_config(
             from,
@@ -194,26 +187,25 @@ fn wire_loss_under_skip_reroutes_only_the_affected_route_groups() {
 
 #[test]
 fn wire_timeout_under_abort_is_a_typed_timeout() {
-    use mixnn::cascade::{CascadeCoordinator, FailurePolicy};
+    use mixnn::cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy, LinearChain};
     use mixnn::fl::{FlError, ModelUpdate, UpdateTransport};
-    use mixnn::net::{FlushPolicy, LinkConfig, NetCascadeTransport};
+    use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
     use mixnn::proxy::Endpoint;
 
     // The same outage under the abort policy: the round fails, and it
     // fails with the *typed* timeout the FL loop can act on — not a
     // stringly transport error.
-    let mut rng = StdRng::seed_from_u64(12);
-    let service = AttestationService::new(&mut rng);
-    let cascade =
-        CascadeCoordinator::linear(vec![8, 4], 2, 9, FailurePolicy::Abort, &service, &mut rng)
-            .unwrap();
-    let mut transport = NetCascadeTransport::new(
-        cascade,
+    let chain = Box::new(LinearChain::new(2));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(vec![8, 4], chain, 9, FailurePolicy::Abort).unwrap();
+    let link = SimLink::new(
+        2,
         13,
         LinkConfig::default(),
         FlushPolicy::Batched,
         100_000_000,
     );
+    let mut transport = CascadeTransport::over(cascade, 13, link);
     transport.link_mut().set_segment_config(
         Endpoint::Clients,
         Endpoint::Hop(0),
@@ -298,17 +290,9 @@ fn mid_pool_wire_loss_under_skip_reroutes_and_repads_the_fired_round() {
     // hop is marked down, the groups re-partition onto surviving routes,
     // and the re-partitioned groups are re-padded to the k-floor with
     // fresh cover.
-    let mut rng = StdRng::seed_from_u64(21);
-    let service = AttestationService::new(&mut rng);
-    let cascade = CascadeCoordinator::with_topology(
-        vec![8, 4],
-        Box::new(FreeRoute::new(3, 2, 3, 9)),
-        9,
-        FailurePolicy::Skip,
-        &service,
-        &mut rng,
-    )
-    .unwrap();
+    let routes = Box::new(FreeRoute::new(3, 2, 3, 9));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(vec![8, 4], routes, 9, FailurePolicy::Skip).unwrap();
     let mut pooled = PooledCoordinator::new(
         cascade,
         PoolConfig {
@@ -365,7 +349,9 @@ fn mid_pool_wire_loss_under_skip_reroutes_and_repads_the_fired_round() {
 
 #[test]
 fn mid_pool_wire_loss_under_abort_surfaces_a_typed_timeout_and_restores_the_pool() {
-    use mixnn::cascade::{CascadeCoordinator, FailurePolicy, PoolConfig, PooledCoordinator};
+    use mixnn::cascade::{
+        CascadeCoordinator, FailurePolicy, LinearChain, PoolConfig, PooledCoordinator,
+    };
     use mixnn::fl::FlError;
     use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
     use mixnn::proxy::Endpoint;
@@ -373,11 +359,9 @@ fn mid_pool_wire_loss_under_abort_surfaces_a_typed_timeout_and_restores_the_pool
     // The same mid-pool outage under the abort policy: the firing fails
     // with the typed timeout the FL loop can act on, the members go back
     // into the pool, and a retry over a healed wire commits them.
-    let mut rng = StdRng::seed_from_u64(22);
-    let service = AttestationService::new(&mut rng);
-    let cascade =
-        CascadeCoordinator::linear(vec![8, 4], 2, 9, FailurePolicy::Abort, &service, &mut rng)
-            .unwrap();
+    let chain = Box::new(LinearChain::new(2));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(vec![8, 4], chain, 9, FailurePolicy::Abort).unwrap();
     let mut pooled = PooledCoordinator::new(
         cascade,
         PoolConfig {
@@ -432,7 +416,9 @@ fn mid_pool_wire_loss_under_abort_surfaces_a_typed_timeout_and_restores_the_pool
 
 #[test]
 fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
-    use mixnn::cascade::{CascadeCoordinator, FailurePolicy, PoolConfig, PooledCoordinator};
+    use mixnn::cascade::{
+        CascadeCoordinator, FailurePolicy, LinearChain, PoolConfig, PooledCoordinator,
+    };
     use mixnn::fl::FlError;
     use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
     use mixnn::telemetry::{Registry, VirtualClock};
@@ -443,11 +429,9 @@ fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
     // under-full pool survives for a later retry.
     let clock = VirtualClock::new();
     let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-    let mut rng = StdRng::seed_from_u64(23);
-    let service = AttestationService::new(&mut rng);
-    let cascade =
-        CascadeCoordinator::linear(vec![8, 4], 2, 9, FailurePolicy::Abort, &service, &mut rng)
-            .unwrap();
+    let chain = Box::new(LinearChain::new(2));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(vec![8, 4], chain, 9, FailurePolicy::Abort).unwrap();
     let mut pooled = PooledCoordinator::new(
         cascade,
         PoolConfig {
@@ -482,7 +466,9 @@ fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
 
 #[test]
 fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
-    use mixnn::cascade::{CascadeCoordinator, FailurePolicy, PoolConfig, PooledCoordinator};
+    use mixnn::cascade::{
+        CascadeCoordinator, FailurePolicy, LinearChain, PoolConfig, PooledCoordinator,
+    };
     use mixnn::fl::FlError;
     use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
     use mixnn::proxy::Endpoint;
@@ -495,11 +481,9 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
     // — behind the restored members — and commit with them on the retry.
     let clock = VirtualClock::new();
     let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-    let mut rng = StdRng::seed_from_u64(24);
-    let service = AttestationService::new(&mut rng);
-    let cascade =
-        CascadeCoordinator::linear(vec![8, 4], 2, 9, FailurePolicy::Abort, &service, &mut rng)
-            .unwrap();
+    let chain = Box::new(LinearChain::new(2));
+    let (cascade, _) =
+        CascadeCoordinator::launch_seeded(vec![8, 4], chain, 9, FailurePolicy::Abort).unwrap();
     let mut pooled = PooledCoordinator::new(
         cascade,
         PoolConfig {
