@@ -1,9 +1,9 @@
 //! The end-to-end inference experiment: ∇Sim against a live federated run.
 
-use crate::{AttackError, AttackSession, GradSim, GradSimConfig};
+use crate::{AttackError, AttackSession, GradSim, GradSimConfig, ServerLog};
 use mixnn_data::{Dataset, FederatedDataset};
-use mixnn_fl::{Dissemination, FlConfig, FlSimulation, UpdateTransport};
-use mixnn_nn::Sequential;
+use mixnn_fl::{FlConfig, FlSimulation, UpdateTransport};
+use mixnn_nn::{ModelParams, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -40,9 +40,10 @@ impl InferenceResult {
     }
 }
 
-/// Configuration + orchestration of the full ∇Sim experiment: run FL for
-/// `fl_cfg.rounds` rounds over a transport (classic, noisy or MixNN),
-/// fitting attack models each round and accumulating per-target scores.
+/// Configuration + orchestration of the full ∇Sim experiment: record
+/// `fl_cfg.rounds` rounds of FL over a transport (classic, noisy or MixNN)
+/// into a [`ServerLog`], then fit attack models for each recorded round and
+/// accumulate per-target scores.
 #[derive(Debug)]
 pub struct InferenceExperiment<'a> {
     population: &'a FederatedDataset,
@@ -79,23 +80,19 @@ impl<'a> InferenceExperiment<'a> {
 
     /// Runs the experiment against the given transport.
     ///
-    /// Each round: the adversary fits per-class attack models from the
-    /// current global model; the server disseminates either the honest
-    /// global model (passive) or the crafted equidistant model (active);
-    /// the selected clients train; the transport relays (classic FL passes
-    /// updates through, MixNN mixes them); the adversary scores every
-    /// observed target update and the session accumulates.
+    /// First the FL run is recorded into a [`ServerLog`]: the server
+    /// disseminates the honest global model (passive) or the model
+    /// equidistant from attack models fitted at it (active). Then ∇Sim
+    /// folds over the log: each round it fits attack models at the model
+    /// the round disseminated — victims train *from* it, so their gradient
+    /// directions are measured from it too — scores every observed target
+    /// update, and the session accumulates.
     ///
     /// # Errors
     ///
     /// Returns [`AttackError::InvalidConfig`] for degenerate setups and
     /// propagates FL/training failures.
     pub fn run(&self, transport: &mut dyn UpdateTransport) -> Result<InferenceResult, AttackError> {
-        if self.fl_cfg.rounds == 0 {
-            return Err(AttackError::InvalidConfig {
-                reason: "experiment needs at least one round".to_string(),
-            });
-        }
         if !(0.0..=1.0).contains(&self.background_fraction) {
             return Err(AttackError::InvalidConfig {
                 reason: "background fraction must be in [0, 1]".to_string(),
@@ -131,55 +128,32 @@ impl<'a> InferenceExperiment<'a> {
             .map(|&id| (id, self.population.participants()[id].attribute()))
             .collect();
 
-        let mut sim = FlSimulation::new(self.template.clone(), self.fl_cfg, self.population);
-        let mut session = AttackSession::new();
-        let mut per_round_accuracy = Vec::with_capacity(self.fl_cfg.rounds);
-        let chance = 1.0 / num_attributes as f32;
-
-        for _round in 0..self.fl_cfg.rounds {
-            let global = sim.global().clone();
-            let gradsim = GradSim::fit(
+        let fit = |base: &ModelParams| {
+            GradSim::fit(
                 &self.template,
-                &global,
+                base,
                 &background,
                 &self.fl_cfg,
                 &self.attack_cfg,
-            )?;
-
-            // What the (possibly malicious) server disseminates, and the
-            // base the adversary scores gradients against. For the active
-            // attack the references must be re-anchored at the crafted
-            // model: victims train *from* it, so their gradient directions
-            // are measured from it too.
-            let (dissemination_base, scoring) = match self.mode {
-                AttackMode::Passive => (global.clone(), gradsim),
-                AttackMode::Active => {
-                    let crafted = gradsim.equidistant_model();
-                    let re_anchored = GradSim::fit(
-                        &self.template,
-                        &crafted,
-                        &background,
-                        &self.fl_cfg,
-                        &self.attack_cfg,
-                    )?;
-                    (crafted, re_anchored)
-                }
-            };
-
-            let selected = sim.sample_clients();
-            let outcome = sim.run_round_with(
-                &selected,
-                Dissemination::Broadcast(dissemination_base),
-                transport,
-            )?;
-
-            for update in &outcome.observed {
-                if truth.contains_key(&update.client_id) {
-                    let scores = scoring.score(&update.params)?;
-                    session.record(update.client_id, &scores);
-                }
+            )
+        };
+        let mut sim = FlSimulation::new(self.template.clone(), self.fl_cfg, self.population);
+        let disseminate = |global: &ModelParams| -> Result<ModelParams, AttackError> {
+            match self.mode {
+                AttackMode::Passive => Ok(global.clone()),
+                AttackMode::Active => Ok(fit(global)?.equidistant_model()),
             }
-            session.end_round();
+        };
+        let log = ServerLog::record(&mut sim, transport, self.fl_cfg.rounds, disseminate)?;
+
+        let chance = 1.0 / num_attributes as f32;
+        let mut session = AttackSession::new();
+        let mut per_round_accuracy = Vec::with_capacity(self.fl_cfg.rounds);
+        for (disseminated, observed) in log.broadcasts() {
+            let gradsim = fit(disseminated)?;
+            for update in observed.iter().filter(|u| truth.contains_key(&u.client_id)) {
+                session.record(update.client_id, &gradsim.score(&update.params)?);
+            }
             per_round_accuracy.push(session.accuracy(&truth).unwrap_or(chance));
         }
 

@@ -188,15 +188,6 @@ impl GradSim {
             .collect()
     }
 
-    /// Predicts the attribute class of an observed update (argmax score).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradSim::score`].
-    pub fn infer(&self, observed: &ModelParams) -> Result<usize, AttackError> {
-        Ok(vecmath::argmax(&self.score(observed)?))
-    }
-
     /// The **active-attack model**: a point (approximately) equidistant
     /// from all reference models, computed in the models' affine hull by
     /// iterative correction from their centroid. Sending this model makes
@@ -254,7 +245,6 @@ impl GradSim {
 #[derive(Debug, Clone, Default)]
 pub struct AttackSession {
     scores: HashMap<usize, Vec<f32>>,
-    rounds_recorded: usize,
 }
 
 impl AttackSession {
@@ -278,28 +268,6 @@ impl AttackSession {
         for (acc, &s) in entry.iter_mut().zip(scores) {
             *acc += s;
         }
-    }
-
-    /// Marks the end of a round (for bookkeeping).
-    pub fn end_round(&mut self) {
-        self.rounds_recorded += 1;
-    }
-
-    /// Rounds recorded so far.
-    pub fn rounds_recorded(&self) -> usize {
-        self.rounds_recorded
-    }
-
-    /// Targets with at least one recorded score.
-    pub fn observed_targets(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.scores.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Current prediction for a target (argmax of accumulated scores).
-    pub fn prediction(&self, target: usize) -> Option<usize> {
-        self.scores.get(&target).map(|s| vecmath::argmax(s))
     }
 
     /// Inference accuracy against ground truth, over the targets observed
@@ -352,9 +320,10 @@ mod tests {
     #[test]
     fn infer_picks_closest_direction() {
         let gs = hand_built_gradsim();
-        // An update pulled along +x must classify as attribute 0.
-        assert_eq!(gs.infer(&mp(&[0.9, 0.1])).unwrap(), 0);
-        assert_eq!(gs.infer(&mp(&[0.1, 0.9])).unwrap(), 1);
+        // An update pulled along +x must score highest for attribute 0.
+        let infer = |v: &[f32]| vecmath::argmax(&gs.score(&mp(v)).unwrap());
+        assert_eq!(infer(&[0.9, 0.1]), 0);
+        assert_eq!(infer(&[0.1, 0.9]), 1);
     }
 
     #[test]
@@ -411,20 +380,29 @@ mod tests {
         let mut s = AttackSession::new();
         s.record(7, &[0.1, 0.5]);
         s.record(7, &[0.3, 0.0]);
-        s.end_round();
         // Accumulated: [0.4, 0.5] → class 1.
-        assert_eq!(s.prediction(7), Some(1));
         let mut truth = HashMap::new();
         truth.insert(7usize, 1usize);
         assert_eq!(s.accuracy(&truth), Some(1.0));
-        assert_eq!(s.rounds_recorded(), 1);
-        assert_eq!(s.observed_targets(), vec![7]);
+        // Only targets both scored and known count: 0 → class 1 is right,
+        // 1 → class 0 is wrong, 9 has no truth and 4 was never scored.
+        s.record(0, &[0.0, 1.0]);
+        s.record(1, &[1.0, 0.0]);
+        s.record(9, &[0.0, 1.0]);
+        truth.insert(0, 1);
+        truth.insert(1, 1);
+        truth.insert(4, 0);
+        assert_eq!(s.accuracy(&truth), Some(2.0 / 3.0));
+        truth.remove(&7);
+        assert_eq!(s.accuracy(&truth), Some(0.5));
     }
 
     #[test]
     fn session_accuracy_none_when_empty() {
-        let s = AttackSession::new();
+        let mut s = AttackSession::new();
         assert_eq!(s.accuracy(&HashMap::new()), None);
-        assert_eq!(s.prediction(0), None);
+        // Nothing scored overlaps the truth.
+        s.record(5, &[1.0, 0.0]);
+        assert_eq!(s.accuracy(&HashMap::from([(6, 0)])), None);
     }
 }

@@ -19,9 +19,14 @@
 //! crafted model **equidistant** from the per-class attack models so every
 //! class's pull is maximally distinguishable ([`GradSim::equidistant_model`]).
 //!
-//! [`InferenceExperiment`] packages the whole multi-round protocol attack
-//! against any transport (classic FL, noisy gradient, MixNN) and produces
-//! the per-round inference accuracies of Figures 7 and 8.
+//! Attacks read what the server held. [`ServerLog::record`] is the one
+//! loop here that drives FL: per round it keeps who took part, the model
+//! the server disseminated and the updates it received, in arrival order.
+//! An attack is a function over a `&ServerLog` and never takes a
+//! transport's transcript — who really sent which layer is ground truth
+//! the server does not see. [`InferenceExperiment`] records a log against
+//! any transport (classic FL, noisy gradient, MixNN) and folds ∇Sim over
+//! it into the per-round inference accuracies of Figures 7 and 8.
 //!
 //! Beyond the paper, [`collusion`] models the adversary the **mix
 //! cascade** (`mixnn-cascade`) is built against: a subset of compromised
@@ -38,10 +43,11 @@ pub mod collusion;
 mod driver;
 mod error;
 mod gradsim;
-pub mod metrics;
+mod log;
 pub mod robustness;
 
 pub use collusion::{analyze_routed_collusion, RoutedCollusionReport};
 pub use driver::{AttackMode, InferenceExperiment, InferenceResult};
 pub use error::AttackError;
 pub use gradsim::{AttackSession, GradSim, GradSimConfig};
+pub use log::ServerLog;

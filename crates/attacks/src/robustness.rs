@@ -67,15 +67,6 @@ pub fn cdf_of_counts(counts: &[usize]) -> Vec<(usize, f64)> {
     out
 }
 
-/// Expected number of layer-combination hypotheses a reconstruction
-/// attacker must discriminate between, given per-participant neighbour
-/// counts and the number of mixed layers: each of the `n` layers of a
-/// target's update could plausibly come from the target or any of its
-/// alter egos, giving `(neighbors + 1)^layers` combinations.
-pub fn reconstruction_hypotheses(neighbor_count: usize, layers: usize) -> f64 {
-    ((neighbor_count + 1) as f64).powi(layers as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,12 +120,5 @@ mod tests {
     #[test]
     fn cdf_of_empty_is_empty() {
         assert!(cdf_of_counts(&[]).is_empty());
-    }
-
-    #[test]
-    fn hypothesis_count_grows_with_layers() {
-        assert_eq!(reconstruction_hypotheses(0, 5), 1.0);
-        assert_eq!(reconstruction_hypotheses(1, 2), 4.0);
-        assert!(reconstruction_hypotheses(3, 5) > reconstruction_hypotheses(3, 4));
     }
 }

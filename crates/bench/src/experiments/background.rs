@@ -36,15 +36,15 @@ pub fn run(
     fractions: &[f64],
     mode: AttackMode,
 ) -> Result<Vec<BackgroundPoint>, AttackError> {
+    let population = setup.spec.generate()?;
+    let template = setup.template();
     let mut points = Vec::new();
     for defense in Defense::lineup(setup.noise_sigma) {
         for &fraction in fractions {
-            let population = setup.spec.generate()?;
-            let template = setup.template();
             let mut transport = defense.make_transport(setup.fl.seed, &template.signature());
             let experiment = InferenceExperiment::new(
                 &population,
-                template,
+                template.clone(),
                 setup.fl,
                 setup.attack.clone(),
                 mode,

@@ -7,7 +7,7 @@
 
 use crate::ExperimentSetup;
 use mixnn_attacks::robustness::{cdf_of_counts, neighbor_counts};
-use mixnn_attacks::AttackError;
+use mixnn_attacks::{AttackError, ServerLog};
 use mixnn_fl::{DirectTransport, FlSimulation};
 
 /// One CDF point of Fig. 9.
@@ -21,11 +21,11 @@ pub struct NeighborPoint {
     pub fraction: f64,
 }
 
-/// Runs the Fig. 9 analysis: train classic FL for `warmup_rounds`, then
-/// collect one round of raw updates and count, for each participant, how
-/// many others are within `radius` (on unit-normalized gradients; the
-/// normalization keeps the radius meaningful as gradients shrink, see
-/// `mixnn_attacks::robustness`).
+/// Runs the Fig. 9 analysis: record `warmup_rounds` rounds of classic FL
+/// and one more, then count, for each participant of the last round, how
+/// many others' raw updates are within `radius` (on unit-normalized
+/// gradients; the normalization keeps the radius meaningful as gradients
+/// shrink, see `mixnn_attacks::robustness`).
 ///
 /// # Errors
 ///
@@ -41,16 +41,14 @@ pub fn run(
     // cover the population, as in the paper's figure.
     fl_cfg.clients_per_round = population.len();
     let mut sim = FlSimulation::new(setup.template(), fl_cfg, &population);
-    let mut transport = DirectTransport::new();
-    for _ in 0..warmup_rounds {
-        sim.run_round(&mut transport)?;
-    }
-    let global = sim.global().clone();
-    let outcome = sim.run_round(&mut transport)?;
-    let gradients: Vec<Vec<f32>> = outcome
-        .observed
+    let rounds = warmup_rounds + 1;
+    let log = ServerLog::record(&mut sim, &mut DirectTransport::new(), rounds, |global| {
+        Ok(global.clone())
+    })?;
+    let (global, observed) = log.broadcasts().next_back().expect("at least one round");
+    let gradients: Vec<Vec<f32>> = observed
         .iter()
-        .map(|u| u.gradient_from(&global).expect("same architecture"))
+        .map(|u| u.gradient_from(global).expect("same architecture"))
         .collect();
     let counts = neighbor_counts(&gradients, radius, true);
     let points = cdf_of_counts(&counts)
