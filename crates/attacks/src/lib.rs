@@ -51,3 +51,6 @@ pub use driver::{AttackMode, InferenceExperiment, InferenceResult};
 pub use error::AttackError;
 pub use gradsim::{AttackSession, GradSim, GradSimConfig};
 pub use log::ServerLog;
+
+#[cfg(test)]
+mod metrics;
