@@ -20,6 +20,11 @@
 //! Those rows run the encoder's best tier; `codec/encode/<tier>/*` and
 //! `codec/topk/select/<tier>/*` repeat the lossy ones on every tier the
 //! host supports (`codec::TIERS` on the `mixnn_crypto::cpu` ladder).
+//!
+//! `codec/layer_digest/{2048,65536}` hash one layer's v1 frame as the
+//! cover-stripping server does, streamed without building the frame; their
+//! throughput is in frame bytes, so their ns/B reads beside
+//! `crypto/primitives/sha256/64KiB`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mixnn_bench::experiments::compress::PAPER_SIGNATURE;
@@ -202,12 +207,34 @@ fn bench_select(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_layer_digest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec/layer_digest");
+    configure(&mut group);
+    let rows = [
+        gaussian_layer(&PAPER_SIGNATURE, 2048),
+        gaussian_layer(&BIG_SIGNATURE, 65_536),
+    ];
+    for layer in &rows {
+        let frame_bytes = codec::encoded_layer_len(layer.len());
+        group.throughput(Throughput::Bytes(frame_bytes as u64));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(layer.len()),
+            layer,
+            |b, layer| {
+                b.iter(|| codec::layer_digest(layer));
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_encode,
     bench_decode,
     bench_validate,
     bench_big_layer,
-    bench_select
+    bench_select,
+    bench_layer_digest
 );
 criterion_main!(benches);

@@ -118,7 +118,14 @@ impl CascadeClient {
         params: &ModelParams,
         rng: &mut R,
     ) -> Result<Vec<u8>, CascadeError> {
-        onion::seal_framed(params, &self.hop_keys, self.compression, Vec::new(), rng)
+        onion::seal_framed(
+            params,
+            &self.hop_keys,
+            self.compression,
+            Vec::new(),
+            rng,
+            None,
+        )
     }
 }
 

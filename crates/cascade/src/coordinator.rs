@@ -29,6 +29,7 @@ use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKi
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::fmt;
 
 /// What the coordinator does when a hop fails mid-round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,23 +117,55 @@ impl PaddedRound {
     /// round/digest mismatch — either way the aggregate cannot be
     /// trusted).
     pub fn server_outputs(&self) -> Result<Vec<ModelParams>, CascadeError> {
-        if self.dummy_digests.is_empty() {
-            return Ok(self.round.mixed.clone());
-        }
+        let signature = self.round.mixed.first().map(ModelParams::signature);
+        let signature = signature.unwrap_or_default();
+        self.server_outputs_into(|| blank(&signature))
+    }
+
+    /// [`PaddedRound::server_outputs`], each output written over an update
+    /// `blank` hands out — one of the mixed outputs' shape whose values
+    /// are dead — instead of fresh memory.
+    pub(crate) fn server_outputs_into(
+        &self,
+        mut blank: impl FnMut() -> ModelParams,
+    ) -> Result<Vec<ModelParams>, CascadeError> {
+        let columns = self.real_columns()?;
+        Ok((0..self.round.audit.real())
+            .map(|i| {
+                let mut out = blank();
+                for (l, (layer, column)) in out.iter_mut().zip(&columns).enumerate() {
+                    let source = self.round.mixed[column[i]].layer(l);
+                    layer
+                        .values_mut()
+                        .copy_from_slice(source.expect("one signature").values());
+                }
+                out
+            })
+            .collect())
+    }
+
+    /// Where the real layers lie: `columns[l]` lists, in slot order, the
+    /// mixed outputs whose layer `l` no announced digest claimed, and
+    /// output `i` of [`PaddedRound::server_outputs`] takes the `i`-th of
+    /// each column.
+    fn real_columns(&self) -> Result<Vec<Vec<usize>>, CascadeError> {
         let real = self.round.audit.real();
         let layer_count = self.round.mixed.first().map_or(0, ModelParams::num_layers);
+        if self.dummy_digests.is_empty() {
+            return Ok(vec![(0..self.round.mixed.len()).collect(); layer_count]);
+        }
         let mut unclaimed: Vec<Vec<[u8; 32]>> = (0..layer_count)
             .map(|l| self.dummy_digests.iter().map(|d| d[l]).collect())
             .collect();
-        let mut columns: Vec<Vec<LayerParams>> =
+        let mut columns: Vec<Vec<usize>> =
             (0..layer_count).map(|_| Vec::with_capacity(real)).collect();
-        for params in &self.round.mixed {
+        for (slot, params) in self.round.mixed.iter().enumerate() {
             for (l, layer) in params.iter().enumerate() {
                 let digest = mixnn_core::codec::layer_digest(layer);
                 if let Some(pos) = unclaimed[l].iter().position(|d| *d == digest) {
                     unclaimed[l].swap_remove(pos);
                 } else {
-                    columns[l].push(layer.clone());
+                    columns[l].push(slot);
                 }
             }
         }
@@ -145,16 +178,25 @@ impl PaddedRound {
                 ),
             });
         }
-        // Every column holds exactly `real` layers: output `i` takes the
-        // `i`-th of each, moved out.
-        let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-        Ok((0..real)
-            .map(|_| {
-                let layers = columns.iter_mut().map(|column| column.next());
-                ModelParams::from_layers(layers.map(|l| l.expect("length checked")).collect())
-            })
-            .collect())
+        Ok(columns)
     }
+}
+
+/// An update of `signature`'s shape whose values are dead: the last of
+/// `spares` (every spare is a round's update, so it has that shape), else
+/// fresh zeros.
+pub(crate) fn take_spare(spares: &mut Vec<ModelParams>, signature: &[usize]) -> ModelParams {
+    spares.pop().unwrap_or_else(|| blank(signature))
+}
+
+/// Fresh zeros of `signature`'s shape.
+pub(crate) fn blank(signature: &[usize]) -> ModelParams {
+    ModelParams::from_layers(
+        signature
+            .iter()
+            .map(|&len| LayerParams::from_values(vec![0.0; len]))
+            .collect(),
+    )
 }
 
 /// Owns the hops and drives rounds end-to-end: partitions the round into
@@ -233,12 +275,30 @@ pub struct CascadeCoordinator {
     /// The messages last committed round's last hops received, spent once
     /// they had mixed: the next round's clients seal into them.
     last_hops_spent: SpentBuffers,
+    /// Where a lossy cover frame is decoded for its announced digest.
+    digest_scratch: DigestScratch,
 }
 
-/// A committed round paired with the per-layer content digests of every
-/// cover update injected while driving it (one digest vector per dummy),
-/// in the order the dummies were appended.
-type DrivenRound = (CascadeRound, Vec<Vec<[u8; 32]>>);
+/// Values a lossy cover frame is decoded into for its digest, grown to the
+/// longest layer once. Holds only dead values; `Debug` prints how many.
+#[derive(Default)]
+struct DigestScratch(Vec<f32>);
+
+impl fmt::Debug for DigestScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DigestScratch")
+            .field("capacity", &self.0.capacity())
+            .finish()
+    }
+}
+
+/// The per-layer content digests of every cover update injected into a
+/// round (one digest vector per dummy), in the order the dummies were
+/// appended.
+type CoverDigests = Vec<Vec<[u8; 32]>>;
+
+/// A committed round paired with its [`CoverDigests`].
+type DrivenRound = (CascadeRound, CoverDigests);
 
 impl CascadeCoordinator {
     /// Launches every hop of `config` and binds them to `topology`.
@@ -297,6 +357,7 @@ impl CascadeCoordinator {
             dummy_nonce: 0,
             server_bound: SpentBuffers::default(),
             last_hops_spent: SpentBuffers::default(),
+            digest_scratch: DigestScratch::default(),
         })
     }
 
@@ -524,35 +585,43 @@ impl CascadeCoordinator {
     /// Seals every group's onions in the canonical order (group by group,
     /// slot by slot), each into a buffer taken from `spent` while it lasts.
     /// Slot `s` is `updates[s]`, or — for the trailing slots a k-floor
-    /// padded in — `cover[s - updates.len()]`.
+    /// padded in — `cover[s - updates.len()]`, whose layer digests, as
+    /// the server will decode them, come back in cover order.
     fn seal_groups<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         groups: &[RouteGroup],
         updates: &[ModelParams],
         cover: &[ModelParams],
         spent: &mut Vec<Vec<u8>>,
         rng: &mut R,
-    ) -> Vec<Vec<Vec<u8>>> {
-        groups
+    ) -> (Vec<Vec<Vec<u8>>>, CoverDigests) {
+        let mut digests: CoverDigests = cover
             .iter()
-            .map(|group| {
-                let keys: Vec<SealingKey> = group
-                    .route
-                    .iter()
-                    .map(|&h| self.sealing_keys[h].clone())
-                    .collect();
-                group
-                    .slots
-                    .iter()
-                    .map(|&s| {
-                        let update = updates.get(s).unwrap_or_else(|| &cover[s - updates.len()]);
-                        let out = spent.pop().unwrap_or_default();
-                        onion::seal_framed(update, &keys, self.compression, out, rng)
-                            .expect("attested hop keys are never low-order")
-                    })
-                    .collect()
-            })
-            .collect()
+            .map(|c| Vec::with_capacity(c.num_layers()))
+            .collect();
+        let mut batches = Vec::with_capacity(groups.len());
+        for group in groups {
+            let keys: Vec<SealingKey> = group
+                .route
+                .iter()
+                .map(|&h| self.sealing_keys[h].clone())
+                .collect();
+            let mut batch = Vec::with_capacity(group.slots.len());
+            for &s in &group.slots {
+                let out = spent.pop().unwrap_or_default();
+                let compression = self.compression;
+                let sealed = match s.checked_sub(updates.len()) {
+                    None => onion::seal_framed(&updates[s], &keys, compression, out, rng, None),
+                    Some(d) => {
+                        let announce = (&mut digests[d], &mut self.digest_scratch.0);
+                        onion::seal_framed(&cover[d], &keys, compression, out, rng, Some(announce))
+                    }
+                };
+                batch.push(sealed.expect("attested hop keys are never low-order"));
+            }
+            batches.push(batch);
+        }
+        (batches, digests)
     }
 
     /// The one failure handler: hop `h` is to blame for `cause` — the wire
@@ -649,7 +718,7 @@ impl CascadeCoordinator {
         rng: &mut R,
         link: &mut dyn RoundLink,
     ) -> Result<CascadeRound, CascadeError> {
-        self.accounted_drive(updates.into(), None, rng, link)
+        self.accounted_drive(updates.into(), None, &mut Vec::new(), rng, link)
             .map(|(round, _)| round)
     }
 
@@ -664,9 +733,10 @@ impl CascadeCoordinator {
     /// [`FailurePolicy::Skip`] a reroute re-partitions the surviving
     /// routes and **re-pads** the merged groups with fresh cover, so the
     /// floor holds on the round that actually commits. The updates stay
-    /// borrowed and the outputs get fresh buffers, so a caller keeps its
-    /// batch whatever the outcome (a failed pool firing hands its members
-    /// back).
+    /// borrowed, so a caller keeps its batch whatever the outcome (a
+    /// failed pool firing hands its members back). Cover is generated into
+    /// fresh memory and, once sealed, is what the server decodes the first
+    /// slots into; the other slots get fresh buffers.
     ///
     /// # Errors
     ///
@@ -679,13 +749,29 @@ impl CascadeCoordinator {
         rng: &mut R,
         link: &mut dyn RoundLink,
     ) -> Result<PaddedRound, CascadeError> {
+        self.run_padded_round_into(updates, floor, &mut Vec::new(), rng, link)
+    }
+
+    /// [`CascadeCoordinator::run_padded_round_over`] over `spares`:
+    /// updates of the round's shape whose values are dead. Cover is
+    /// generated into them, sealed cover goes back to them, and the server
+    /// decodes every slot into one while they last — so a caller that
+    /// refills `spares` with what it is done with maps no fresh memory.
+    pub(crate) fn run_padded_round_into<R: Rng + ?Sized>(
+        &mut self,
+        updates: &[ModelParams],
+        floor: usize,
+        spares: &mut Vec<ModelParams>,
+        rng: &mut R,
+        link: &mut dyn RoundLink,
+    ) -> Result<PaddedRound, CascadeError> {
         if floor == 0 {
             return Err(CascadeError::Pool {
                 reason: "k-floor must be at least 1".to_string(),
             });
         }
         let (round, dummy_digests) =
-            self.accounted_drive(Cow::Borrowed(updates), Some(floor), rng, link)?;
+            self.accounted_drive(Cow::Borrowed(updates), Some(floor), spares, rng, link)?;
         self.telemetry
             .incr(Counter::CascadeDummiesInjected, dummy_digests.len() as u64);
         Ok(PaddedRound {
@@ -702,6 +788,7 @@ impl CascadeCoordinator {
         &mut self,
         updates: Cow<'_, [ModelParams]>,
         floor: Option<usize>,
+        spares: &mut Vec<ModelParams>,
         rng: &mut R,
         link: &mut dyn RoundLink,
     ) -> Result<DrivenRound, CascadeError> {
@@ -725,7 +812,7 @@ impl CascadeCoordinator {
             TraceKind::RoundStarted { round: ordinal },
         );
         let t0 = self.telemetry.now_ns();
-        let result = self.drive_round(updates, floor, rng, link);
+        let result = self.drive_round(updates, floor, spares, rng, link);
         let elapsed_ns = self.telemetry.now_ns().saturating_sub(t0);
         self.telemetry
             .record_span_ns(Span::CascadeRound, elapsed_ns);
@@ -770,11 +857,14 @@ impl CascadeCoordinator {
     ///
     /// With `floor: Some(k)`, each attempt pads every under-`k` route
     /// group with hop-generated cover **before** sealing. Returns the
-    /// cover content digests of the attempt that committed.
+    /// cover content digests of the attempt that committed. Cover is
+    /// generated into `spares` and returned to them once sealed; every
+    /// slot an owned batch does not cover is decoded into one of them.
     fn drive_round<R: Rng + ?Sized>(
         &mut self,
         updates: Cow<'_, [ModelParams]>,
         floor: Option<usize>,
+        spares: &mut Vec<ModelParams>,
         rng: &mut R,
         link: &mut dyn RoundLink,
     ) -> Result<DrivenRound, CascadeError> {
@@ -788,28 +878,12 @@ impl CascadeCoordinator {
             // with fresh nonces — stale cover for a dead route never
             // carries over.
             let mut cover: Vec<ModelParams> = Vec::new();
-            let mut dummy_digests: Vec<Vec<[u8; 32]>> = Vec::new();
             if let Some(k) = floor {
                 for group in &mut groups {
                     while group.slots.len() < k {
-                        let hop = group.route[0];
-                        let dummy =
-                            self.hops[hop].generate_dummy(&self.signature, self.dummy_nonce);
+                        let mut dummy = take_spare(spares, &self.signature);
+                        self.hops[group.route[0]].generate_dummy_into(&mut dummy, self.dummy_nonce);
                         self.dummy_nonce += 1;
-                        // Announce the digest of what the wire will
-                        // deliver: under a lossy codec the server decodes
-                        // the *dequantized* cover layers, so digest the
-                        // canonical post-wire form (identity under F32).
-                        dummy_digests.push(
-                            dummy
-                                .iter()
-                                .map(|l| {
-                                    mixnn_core::codec::layer_digest(
-                                        &mixnn_core::codec::canonical_layer(l, self.compression),
-                                    )
-                                })
-                                .collect(),
-                        );
                         group.slots.push(updates.len() + cover.len());
                         cover.push(dummy);
                     }
@@ -823,8 +897,14 @@ impl CascadeCoordinator {
             // The clients seal into the last hops' generation; what the
             // last hops leave this round refills it.
             let mut last_hops_spent = self.last_hops_spent.take();
-            let batches = self.seal_groups(&groups, &updates, &cover, &mut last_hops_spent, rng);
+            // Each cover layer's digest is taken from the frame it is
+            // sealed in: under a lossy codec the server decodes the
+            // *dequantized* cover layers, and that is what is announced.
+            let (batches, dummy_digests) =
+                self.seal_groups(&groups, &updates, &cover, &mut last_hops_spent, rng);
             last_hops_spent.clear();
+            // Sealed cover is dead: the server decodes into it.
+            spares.append(&mut cover);
 
             let mut recorded = Vec::with_capacity(groups.len());
             let mut server_bound = Vec::with_capacity(clients);
@@ -896,7 +976,7 @@ impl CascadeCoordinator {
                 ));
             }
             // Committed: no reroute re-seals from `updates` any more, so an
-            // owned batch can take the outputs.
+            // owned batch can take the outputs; the spares take the rest.
             let mut mixed: Vec<Option<ModelParams>> = match updates {
                 Cow::Owned(owned) => owned.into_iter().map(Some).collect(),
                 Cow::Borrowed(_) => Vec::new(),
@@ -904,11 +984,8 @@ impl CascadeCoordinator {
             mixed.resize_with(clients, || None);
             let slots = groups.iter().flat_map(|group| &group.slots);
             for (&slot, wire) in slots.zip(&server_bound) {
-                let view = OnionView::parse(wire)?;
-                match &mut mixed[slot] {
-                    Some(target) => view.decode_into(target)?,
-                    fresh => *fresh = Some(view.into_params(&self.signature)?),
-                }
+                let target = mixed[slot].get_or_insert_with(|| take_spare(spares, &self.signature));
+                OnionView::parse(wire)?.decode_into(target)?;
             }
             self.server_bound.keep(server_bound);
             self.last_hops_spent.keep(last_hops_spent);
@@ -1489,6 +1566,37 @@ mod tests {
         // (the rest of the growth is counters and RNG state).
         assert!(
             after.contains("SpentBuffers { buffers: 6, capacity: "),
+            "{after}"
+        );
+        assert!(
+            after.len() < before.len() + 256,
+            "{} → {} bytes of Debug",
+            before.len(),
+            after.len()
+        );
+    }
+
+    #[test]
+    fn debug_counts_the_digest_scratch_instead_of_printing_it() {
+        let chain = Box::new(LinearChain::new(2));
+        let (mut cascade, _) =
+            CascadeCoordinator::launch_seeded(vec![4096, 1024], chain, 9, FailurePolicy::Abort)
+                .unwrap();
+        cascade.set_compression(CompressionConfig::int8_top_k());
+        let mut rng = StdRng::seed_from_u64(61);
+        let before = format!("{cascade:?}");
+        let ins = vec![ModelParams::from_layers(vec![
+            LayerParams::from_values(vec![0.5; 4096]),
+            LayerParams::from_values(vec![-0.5; 1024]),
+        ])];
+        // Three lossy cover updates are digested through the scratch.
+        let padded = cascade
+            .run_padded_round_over(&ins, 4, &mut rng, &mut InProcessLink)
+            .unwrap();
+        assert_eq!(padded.dummies(), 3);
+        let after = format!("{cascade:?}");
+        assert!(
+            after.contains("DigestScratch { capacity: 4096 }"),
             "{after}"
         );
         assert!(

@@ -61,7 +61,7 @@ use mixnn_core::{shard_seed, MixPlan, ProxyError, ProxyStats, INGEST_BATCH};
 use mixnn_crypto::sealed_box::OVERHEAD;
 use mixnn_crypto::{CryptoError, PreparedOpen, PublicKey};
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
-use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_nn::ModelParams;
 use mixnn_telemetry::{Counter, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -597,19 +597,23 @@ impl CascadeHop {
     /// envelope count, same ciphertext length, fresh randomness). The
     /// *values* are drawn from a per-hop stream keyed by `(dummy_seed,
     /// nonce)` — independent of the mixing RNG, so injecting cover never
-    /// changes the plans a round would draw. Deterministic per nonce: the
-    /// coordinator re-derives the digest the server strips by, and
-    /// replaying a seed reproduces the exact cover bytes.
+    /// changes the plans a round would draw. Deterministic per nonce:
+    /// replaying a seed reproduces the exact cover bytes, and so the
+    /// digests the coordinator takes from the frames it seals them into.
     pub fn generate_dummy(&self, signature: &[usize], nonce: u64) -> ModelParams {
+        let mut dummy = crate::coordinator::blank(signature);
+        self.generate_dummy_into(&mut dummy, nonce);
+        dummy
+    }
+
+    /// [`CascadeHop::generate_dummy`] written over `dummy`, an update whose
+    /// values are dead and whose shape is the signature: every value is
+    /// overwritten, nothing allocated.
+    pub(crate) fn generate_dummy_into(&self, dummy: &mut ModelParams, nonce: u64) {
         let mut rng = StdRng::seed_from_u64(shard_seed(self.dummy_seed, nonce as usize));
-        ModelParams::from_layers(
-            signature
-                .iter()
-                .map(|&len| {
-                    LayerParams::from_values((0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
-                })
-                .collect(),
-        )
+        for value in dummy.iter_mut().flat_map(|l| l.values_mut()) {
+            *value = rng.gen_range(-1.0..1.0);
+        }
     }
 }
 

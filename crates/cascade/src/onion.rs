@@ -144,12 +144,18 @@ pub(crate) fn frame<B: AsRef<[u8]>>(hops_remaining: u8, blobs: &[B], out: Vec<u8
 /// whole update. Bytes and `rng` position are those of
 /// [`OnionUpdate::build_with`] followed by [`OnionUpdate::encode`] (that
 /// constructor is this function, taken apart again).
+///
+/// With `digests` — `(into, scratch)` — the [`codec::frame_digest`] of
+/// each layer frame is pushed onto `into` right after the frame is
+/// written, before it is sealed (`scratch` is that call's): what a server
+/// decoding this update will find, from the one encode it already took.
 pub(crate) fn seal_framed<K: Recipient, R: Rng + ?Sized>(
     params: &ModelParams,
     hop_keys: &[K],
     compression: CompressionConfig,
     out: Vec<u8>,
     rng: &mut R,
+    mut digests: Option<(&mut Vec<[u8; 32]>, &mut Vec<f32>)>,
 ) -> Result<Vec<u8>, CascadeError> {
     assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
     let (entry_key, inner_keys) = hop_keys
@@ -188,6 +194,10 @@ pub(crate) fn seal_framed<K: Recipient, R: Rng + ?Sized>(
         let blob = out.len();
         out.resize(blob + headers, 0);
         codec::encode_layer_into(&mut out, layer, compression);
+        if let Some((into, scratch)) = digests.as_mut() {
+            let frame = &out[blob + headers..];
+            into.push(codec::frame_digest(frame, scratch).expect("a frame this codec just wrote"));
+        }
         for start in (0..headers).step_by(OVERHEAD).rev() {
             let envelope = prepared
                 .next()
@@ -321,19 +331,6 @@ impl<'a> OnionView<'a> {
         self.blob_ranges().map(move |blob| &bytes[blob])
     }
 
-    /// [`OnionUpdate::into_params`] straight from the wire slices.
-    pub(crate) fn into_params(
-        self,
-        expected_signature: &[usize],
-    ) -> Result<ModelParams, CascadeError> {
-        params_from_blobs(
-            self.entry,
-            self.hops_remaining,
-            self.blobs(),
-            expected_signature,
-        )
-    }
-
     /// Checks a server-bound message without decoding it: rejects exactly
     /// the messages, with exactly the errors, that
     /// [`OnionUpdate::into_params`] rejects for `expected_signature`.
@@ -367,28 +364,6 @@ impl<'a> OnionView<'a> {
         }
         Ok(())
     }
-}
-
-/// Interprets fully unwrapped blobs as model parameters in fresh buffers:
-/// the one implementation behind [`OnionUpdate::into_params`] and the
-/// server's decode of a borrowed round from the wire.
-fn params_from_blobs<'a>(
-    entry: bool,
-    hops_remaining: u8,
-    blobs: impl Iterator<Item = &'a [u8]> + Clone,
-    expected_signature: &[usize],
-) -> Result<ModelParams, CascadeError> {
-    check_plaintext(
-        entry,
-        hops_remaining,
-        blobs.clone(),
-        expected_signature.iter().copied(),
-    )?;
-    let layers = blobs
-        .zip(expected_signature)
-        .map(|(blob, &len)| codec::decode_layer_expecting(blob, len).map_err(layer_err))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ModelParams::from_layers(layers))
 }
 
 /// A layer frame's codec error, as the server reports it.
@@ -507,7 +482,7 @@ impl OnionUpdate {
         compression: CompressionConfig,
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
-        let wire = seal_framed(params, hop_keys, compression, Vec::new(), rng)?;
+        let wire = seal_framed(params, hop_keys, compression, Vec::new(), rng, None)?;
         // Own framing: taken apart without re-validating it.
         let view = OnionView {
             entry: true,
@@ -604,7 +579,17 @@ impl OnionUpdate {
     /// differs from `expected_signature`.
     pub fn into_params(self, expected_signature: &[usize]) -> Result<ModelParams, CascadeError> {
         let blobs = self.layers.iter().map(Vec::as_slice);
-        params_from_blobs(self.entry, self.hops_remaining, blobs, expected_signature)
+        check_plaintext(
+            self.entry,
+            self.hops_remaining,
+            blobs.clone(),
+            expected_signature.iter().copied(),
+        )?;
+        let layers = blobs
+            .zip(expected_signature)
+            .map(|(blob, &len)| codec::decode_layer_expecting(blob, len).map_err(layer_err))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ModelParams::from_layers(layers))
     }
 }
 

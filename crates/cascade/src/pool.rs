@@ -28,6 +28,7 @@
 //! fire and a [`PooledCoordinator`] degrades to threshold-only batching —
 //! also deterministic.
 
+use crate::coordinator::take_spare;
 use crate::{CascadeCoordinator, CascadeError, PaddedRound};
 use mixnn_core::{InProcessLink, RoundLink, RoundTranscript};
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
@@ -295,6 +296,10 @@ pub struct PooledCoordinator {
     /// entropy.
     sealing_rng: StdRng,
     telemetry: Telemetry,
+    /// Updates of the cascade's shape whose values are dead — members
+    /// whose firing committed, and whatever a transport hands back — that
+    /// the next firing generates cover into and decodes into.
+    spares: Vec<ModelParams>,
 }
 
 impl PooledCoordinator {
@@ -314,6 +319,7 @@ impl PooledCoordinator {
             pool: MixPool::new(config)?,
             sealing_rng: StdRng::seed_from_u64(seal_seed),
             telemetry: mixnn_telemetry::noop(),
+            spares: Vec::new(),
         })
     }
 
@@ -332,6 +338,12 @@ impl PooledCoordinator {
     /// The pool's current state.
     pub fn pool(&self) -> &MixPool {
         &self.pool
+    }
+
+    /// How many updates whose values are dead the coordinator holds for
+    /// the next firing to generate cover and decode into.
+    pub fn spares(&self) -> usize {
+        self.spares.len()
     }
 
     /// Current time on the pool clock (the telemetry clock).
@@ -442,9 +454,13 @@ impl PooledCoordinator {
     /// # Errors
     ///
     /// [`CascadeError::Pool`] when the attached registry has no virtual
-    /// clock (deadlines would be non-deterministic or dead); otherwise the
-    /// first failed firing's error, as [`PooledCoordinator::submit`]
-    /// reports it. The rounds fired before a failure are not returned.
+    /// clock (deadlines would be non-deterministic or dead), or at the
+    /// first arrival earlier than the clock — before the clock is set, so
+    /// it never runs backwards under the spans and waits recorded after;
+    /// otherwise the first failed firing's error, as
+    /// [`PooledCoordinator::submit`] reports it. The rounds fired before a
+    /// failure are not returned, and the arrivals submitted before it stay
+    /// pooled.
     pub fn trickle(
         &mut self,
         arrivals: impl IntoIterator<Item = (usize, ModelParams, u64)>,
@@ -453,6 +469,14 @@ impl PooledCoordinator {
         let clock = virtual_clock(&self.telemetry)?;
         let mut fired = Vec::new();
         for (slot, params, at_ns) in arrivals {
+            let now = self.now_ns();
+            if at_ns < now {
+                return Err(CascadeError::Pool {
+                    reason: format!(
+                        "arrival of slot {slot} at {at_ns} ns is before the clock ({now} ns)"
+                    ),
+                });
+            }
             while let Some(deadline) = self.next_deadline_ns() {
                 if deadline > at_ns {
                     break;
@@ -476,9 +500,10 @@ impl PooledCoordinator {
         batch: PoolBatch,
         link: &mut dyn RoundLink,
     ) -> Result<PooledRound, CascadeError> {
-        let padded = match self.cascade.run_padded_round_over(
+        let padded = match self.cascade.run_padded_round_into(
             &batch.updates,
             self.pool.k(),
+            &mut self.spares,
             &mut self.sealing_rng,
             link,
         ) {
@@ -497,6 +522,8 @@ impl PooledCoordinator {
         for &wait in &waits_ns {
             self.telemetry.record_span_ns(Span::CascadePoolWait, wait);
         }
+        // Committed: the members' values are in the round's outputs.
+        self.spares.extend(batch.updates);
         Ok(PooledRound {
             padded,
             slots: batch.slots,
@@ -529,6 +556,12 @@ fn virtual_clock(telemetry: &Telemetry) -> Result<VirtualClock, CascadeError> {
 /// Slot ids are preserved exactly as [`crate::CascadeTransport`] preserves
 /// them; contents are pool-mixed, so attribution requires covering a
 /// member's entire route *and* out-waiting its pool.
+///
+/// A steady relay maps no fresh memory for an update: when it starts, the
+/// previous relay's rounds are done with, and their mixed outputs join the
+/// members of committed firings as what cover is generated into, what the
+/// server decodes into and what the outputs are copied into. Between
+/// relays it keeps exactly the [`PooledCascadeTransport::last_rounds`].
 #[derive(Debug)]
 pub struct PooledCascadeTransport {
     inner: PooledCoordinator,
@@ -574,6 +607,11 @@ impl PooledCascadeTransport {
         if updates.is_empty() {
             return Err(CascadeError::EmptyRound);
         }
+        let spent = self
+            .last_rounds
+            .drain(..)
+            .flat_map(|r| r.padded.round.mixed);
+        self.inner.spares.extend(spent);
         let base = self.inner.now_ns();
         let n = updates.len();
         let spread = self.arrival_spread_ns;
@@ -587,11 +625,17 @@ impl PooledCascadeTransport {
         // Reassemble: each fired pool's stripped outputs are assigned to
         // its members' slot ids (contents are mixed within the pool, which
         // is the point), then everything returns in the callers' order.
+        let spares = &mut self.inner.spares;
+        let signature = self.inner.cascade.signature();
         let mut by_slot: Vec<(usize, ModelParams)> = Vec::with_capacity(n);
         for round in &fired {
-            let outputs = round.server_outputs()?;
+            let outputs = round
+                .padded
+                .server_outputs_into(|| take_spare(spares, signature))?;
             by_slot.extend(round.slots.iter().copied().zip(outputs));
         }
+        // What is left would outlive the relay it was sized for.
+        spares.clear();
         self.last_rounds = fired;
         order
             .into_iter()
@@ -623,6 +667,7 @@ impl UpdateTransport for PooledCascadeTransport {
         self.relay_inner(updates)
             .inspect_err(|_| {
                 self.inner.pool.drain(0);
+                self.inner.spares.clear();
                 self.last_rounds.clear();
             })
             .map_err(FlError::from)
@@ -634,7 +679,7 @@ mod tests {
     use super::*;
     use crate::{FailurePolicy, LinearChain};
     use mixnn_nn::LayerParams;
-    use mixnn_telemetry::Registry;
+    use mixnn_telemetry::{ClockSource, Registry};
 
     fn params(i: usize) -> ModelParams {
         ModelParams::from_layers(vec![
@@ -792,6 +837,26 @@ mod tests {
         assert_eq!(fired[0].trigger, PoolTrigger::Deadline);
         assert_eq!(fired[0].slots, vec![7]);
         assert_eq!(p.pool().len(), 1, "the new arrival is pooled, not fired");
+    }
+
+    #[test]
+    fn a_trickle_refuses_an_arrival_before_the_clock() {
+        let (mut p, clock) = pooled(4, 1_000);
+        // The trickle pulls an arrival only once the one before it is
+        // handled, so each reading is the clock that arrival left.
+        let mut readings = Vec::new();
+        let arrivals = [(0, 10), (1, 5)].into_iter().map(|(slot, at)| {
+            readings.push(clock.now_ns());
+            (slot, params(slot), at)
+        });
+        let err = p.trickle(arrivals, &mut InProcessLink).unwrap_err();
+        assert!(
+            matches!(&err, CascadeError::Pool { reason } if reason.contains("before the clock")),
+            "{err}"
+        );
+        assert_eq!(readings, [0, 10]);
+        assert_eq!(clock.now_ns(), 10, "the clock was never set back");
+        assert_eq!(p.pool().len(), 1, "the first arrival stays pooled");
     }
 
     /// Delivers in-process until `healthy_deliveries` run out, then times

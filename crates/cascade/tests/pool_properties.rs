@@ -13,12 +13,16 @@
 //!   pool's real members, and every client is committed exactly once.
 //!   Under a lossy codec the same identity holds against the members'
 //!   canonical (quantize∘dequantize) images.
+//! * **Cover is announced as the wire delivers it.** Every digest a
+//!   padded round announces, taken from the frame the cover was sealed
+//!   in, is the digest of that cover's canonical image, re-derived from
+//!   the generating hop and nonce — in injection order, under every codec.
 
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, FailurePolicy, FreeRoute, LinearChain, PoolConfig,
     PooledCoordinator, PooledRound, StratifiedLayout,
 };
-use mixnn_core::codec::{canonical_params, CompressionConfig};
+use mixnn_core::codec::{canonical_layer, canonical_params, layer_digest, CompressionConfig};
 use mixnn_core::InProcessLink;
 use mixnn_nn::{LayerParams, ModelParams};
 use mixnn_telemetry::{Registry, VirtualClock};
@@ -222,6 +226,55 @@ proptest! {
                 ModelParams::mean(&stripped),
                 ModelParams::mean(&members)
             );
+        }
+    }
+
+    #[test]
+    fn announced_cover_digests_are_the_canonical_cover_digests(
+        kind in 0usize..3,
+        hops in 1usize..5,
+        k in 2usize..7,
+        clients in 1usize..6,
+        layers in 1usize..4,
+        comp in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let compression = compression_for(comp);
+        let (mut cascade, _) = CascadeCoordinator::launch_seeded(
+            signature(layers),
+            layout_for(kind, hops, seed),
+            seed,
+            FailurePolicy::Abort,
+        )
+        .expect("valid configuration");
+        cascade.set_compression(compression);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ea1);
+        // Nonces run on across rounds, one per cover update, in the order
+        // the cover is injected.
+        let mut nonce = 0;
+        for round in 0..2 {
+            let updates = round_updates(clients, layers, seed + round);
+            let padded = cascade
+                .run_padded_round_over(&updates, k, &mut rng, &mut InProcessLink)
+                .expect("the round commits");
+            prop_assert!(padded.dummies() > 0 || clients >= k);
+            for (d, announced) in padded.dummy_digests.iter().enumerate() {
+                let slot = clients + d;
+                let group = padded
+                    .round
+                    .audit
+                    .groups()
+                    .iter()
+                    .find(|g| g.slots().contains(&slot))
+                    .expect("every cover slot is in a group");
+                let dummy = cascade.hops()[group.route()[0]].generate_dummy(&signature(layers), nonce);
+                let expected: Vec<[u8; 32]> = dummy
+                    .iter()
+                    .map(|l| layer_digest(&canonical_layer(l, compression)))
+                    .collect();
+                prop_assert_eq!(announced, &expected, "{} cover {}", compression.name(), d);
+                nonce += 1;
+            }
         }
     }
 }

@@ -13,11 +13,25 @@
 //! codec and under int8 + top-k (whose decoded layers are about four times
 //! its messages). The layers are sized so that the round's per-envelope
 //! bookkeeping, one entry per (client, layer), stays below that floor.
+//!
+//! The pooled round — `PooledCascadeTransport::relay`, whose firings are
+//! padded with cover — makes no allocation of a decoded layer's size
+//! either: cover is generated into updates the relay is done with, the
+//! server decodes into them, and the outputs are copied into the members
+//! of committed firings. Its floor is the smallest layer's `f32` values,
+//! which every message also exceeds, rather than its shortest frame: the
+//! virtual-clock registry a pool needs keeps a trace journal that grows by
+//! doubling up to a fixed cap, and at this test's twelve events a relay
+//! that journal stays far below a layer.
 
-use mixnn_cascade::{CascadeCoordinator, CascadeTransport, FailurePolicy, LinearChain};
+use mixnn_cascade::{
+    CascadeCoordinator, CascadeTransport, FailurePolicy, LinearChain, PoolConfig,
+    PooledCascadeTransport, PooledCoordinator,
+};
 use mixnn_core::codec::{self, CompressionConfig};
 use mixnn_fl::{AggregationServer, ModelUpdate, UpdateTransport};
 use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_telemetry::{Registry, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -148,6 +162,96 @@ fn steady_relay_and_aggregate_allocate_nothing_of_a_layers_size() {
             "steady relay + aggregate under {}: {} allocations of a layer's or a message's size",
             compression.name(),
             counts[3]
+        );
+    }
+}
+
+/// Pooled relays in one test: each relay's arrivals come in pairs a
+/// deadline apart, so every firing holds two members and is padded to
+/// the k-floor with two cover updates.
+const POOLED_CLIENTS: usize = 8;
+const POOL_K: usize = 4;
+const POOLED_RELAYS: usize = 6;
+
+/// `POOLED_RELAYS` pooled relay + aggregate rounds under `compression`:
+/// the layer-sized allocations of each and the updates the transport
+/// holds after it, every aggregate checked bit for bit.
+fn pooled_relays(compression: CompressionConfig, seed: u64) -> Vec<(usize, usize)> {
+    let chain = Box::new(LinearChain::new(2));
+    let (mut cascade, _) =
+        CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, FailurePolicy::Abort)
+            .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    cascade.set_compression(compression);
+    let config = PoolConfig {
+        k: POOL_K,
+        deadline_ns: 1_000,
+    };
+    let pooled = PooledCoordinator::new(cascade, config, seed).unwrap();
+    let registry = Registry::with_virtual_clock(VirtualClock::new()).shared();
+    // Arrivals 750 ns apart: the pool opened by one arrival fires by
+    // deadline after the next.
+    let spread = 750 * POOLED_CLIENTS as u64;
+    let mut transport = PooledCascadeTransport::new(pooled, registry, spread).unwrap();
+    let inputs: Vec<ModelUpdate> = (0..POOLED_CLIENTS)
+        .map(|id| {
+            let layers = SIGNATURE
+                .iter()
+                .map(|&n| {
+                    LayerParams::from_values((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                })
+                .collect();
+            ModelUpdate::new(id, ModelParams::from_layers(layers))
+        })
+        .collect();
+    let delivered: Vec<ModelParams> = inputs
+        .iter()
+        .map(|u| codec::canonical_params(&u.params, compression))
+        .collect();
+    let expected = ModelParams::mean(&delivered).unwrap();
+    let mut server = AggregationServer::new(expected.scale(0.0));
+    let smallest = *SIGNATURE.iter().min().expect("layers");
+    FLOOR.with(|floor| floor.set(4 * smallest));
+    (0..POOLED_RELAYS)
+        .map(|_| {
+            let batch = inputs.clone();
+            let before = counted();
+            let observed = transport.relay(batch).unwrap();
+            server.aggregate(&observed).unwrap();
+            let fresh = counted() - before;
+            assert_eq!(server.global(), &expected, "{}", compression.name());
+            drop(observed);
+            let rounds = transport.last_rounds();
+            assert!(rounds.iter().all(|r| r.real() == 2 && r.dummies() == 2));
+            let mixed: usize = rounds.iter().map(|r| r.padded.round.mixed.len()).sum();
+            (fresh, transport.coordinator().spares() + mixed)
+        })
+        .collect()
+}
+
+#[test]
+fn steady_pooled_relay_and_aggregate_allocate_nothing_of_a_layers_size() {
+    for (compression, seed) in [
+        (CompressionConfig::F32, 3),
+        (CompressionConfig::int8_top_k(), 4),
+    ] {
+        let relays = pooled_relays(compression, seed);
+        let slots = 2 * POOLED_CLIENTS;
+        for (i, &(fresh, held)) in relays.iter().enumerate() {
+            // Between relays the transport holds the last relay's mixed
+            // outputs and nothing more: the spares never pile up.
+            assert_eq!(held, slots, "{} relay {i}", compression.name());
+            if i > 0 {
+                assert_eq!(fresh, 0, "{} relay {i}", compression.name());
+            }
+        }
+        println!(
+            "steady pooled relay + aggregate under {}: {} allocations of a layer's size \
+             ({} at warm-up), {} updates held between relays",
+            compression.name(),
+            relays[POOLED_RELAYS - 1].0,
+            relays[0].0,
+            relays[POOLED_RELAYS - 1].1,
         );
     }
 }

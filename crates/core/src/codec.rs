@@ -83,6 +83,7 @@
 use crate::ProxyError;
 use bytes::{Buf, BufMut};
 use mixnn_crypto::cpu::Tier;
+use mixnn_crypto::sha256::Sha256;
 use mixnn_nn::{LayerParams, ModelParams};
 use serde::{Deserialize, Serialize};
 
@@ -1391,9 +1392,50 @@ fn read_body<'a, T>(
 /// bit-exact values. Under a lossy wire codec the values the server
 /// decodes are the *dequantized* ones, so announce
 /// `layer_digest(&canonical_layer(layer, compression))` — the digest of
-/// what the wire will deliver, not of the pre-quantization original.
+/// what the wire will deliver, not of the pre-quantization original — or,
+/// holding the frame itself, [`frame_digest`].
+///
+/// The frame is streamed into the hash 1,024 values at a time through a
+/// stack buffer; it is never built.
 pub fn layer_digest(layer: &LayerParams) -> [u8; 32] {
-    mixnn_crypto::sha256::digest(&encode_layer(layer))
+    values_digest(layer.values())
+}
+
+/// [`layer_digest`] of the layer holding `values`.
+fn values_digest(values: &[f32]) -> [u8; 32] {
+    let mut hash = Sha256::new();
+    hash.update(&wire_len(values.len()).to_be_bytes());
+    let mut chunk = [0u8; 4 * DIGEST_CHUNK];
+    for part in values.chunks(DIGEST_CHUNK) {
+        let bytes = &mut chunk[..4 * part.len()];
+        write_f32_le_bulk(bytes, part);
+        hash.update(bytes);
+    }
+    hash.finalize()
+}
+
+/// How many values [`layer_digest`] converts to wire bytes per hash update.
+const DIGEST_CHUNK: usize = 1024;
+
+/// [`layer_digest`] of the layer `frame` decodes to: what a sender that
+/// has just encoded a frame announces, without a second encode. A v1
+/// frame is the canonical encoding already and is hashed where it lies; a
+/// v2 frame is decoded into `scratch` (kept by the caller, grown to the
+/// longest layer once) and its values hashed.
+///
+/// # Errors
+///
+/// Every condition of [`decode_layer`].
+pub fn frame_digest(frame: &[u8], scratch: &mut Vec<f32>) -> Result<[u8; 32], ProxyError> {
+    sole_frame(frame, None, |layer| {
+        if layer.version == VERSION {
+            return Ok(mixnn_crypto::sha256::digest(frame));
+        }
+        scratch.clear();
+        scratch.resize(layer.len, 0.0);
+        layer.decode_into(scratch.as_mut_slice())?;
+        Ok(values_digest(scratch))
+    })
 }
 
 /// The value a decoder recovers after one encode/decode trip of `layer`
@@ -2070,6 +2112,49 @@ mod tests {
     }
 
     #[test]
+    fn streamed_layer_digest_hashes_the_v1_frame() {
+        // Lengths around the 1,024-value chunk seams, then the payloads
+        // `PartialEq` cannot tell apart.
+        let mut rng = StdRng::seed_from_u64(0xd16e);
+        let mut layers: Vec<LayerParams> = [0, 1, 1023, 1024, 1025, 4097]
+            .into_iter()
+            .map(|n| LayerParams::from_values((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()))
+            .collect();
+        layers.push(LayerParams::from_values(vec![-0.0; 1025]));
+        layers.push(LayerParams::from_values(vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+        ]));
+        for layer in &layers {
+            let frame = encode_layer(layer);
+            let expected = mixnn_crypto::sha256::digest(&frame);
+            assert_eq!(layer_digest(layer), expected, "{} values", layer.len());
+            assert_eq!(frame_digest(&frame, &mut Vec::new()).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn frame_digest_is_the_digest_of_the_decoded_layer() {
+        let mut rng = StdRng::seed_from_u64(0xf4a3);
+        let mut scratch = vec![7.0; 3];
+        for mode in [CompressionConfig::Int8, CompressionConfig::int8_top_k()] {
+            for n in [1, 130, 1025, 2048] {
+                let layer =
+                    LayerParams::from_values((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect());
+                let frame = encode_layer_with(&layer, mode);
+                assert_eq!(
+                    frame_digest(&frame, &mut scratch).unwrap(),
+                    layer_digest(&canonical_layer(&layer, mode)),
+                    "{} at {n}",
+                    mode.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn nan_and_special_values_survive() {
         let p = ModelParams::from_layers(vec![LayerParams::from_values(vec![
             f32::INFINITY,
@@ -2608,6 +2693,11 @@ mod tests {
                 "{what}"
             );
             assert_eq!(
+                frame_digest(&frame, &mut Vec::new()),
+                Err(codec_error(reason)),
+                "{what}"
+            );
+            assert_eq!(
                 decode_params(&one_layer_body(version, &frame)),
                 Err(codec_error(reason)),
                 "{what}"
@@ -2625,6 +2715,10 @@ mod tests {
                 Err(codec_error(reason))
             );
             assert_eq!(validate_layer_frame(&frame), Err(codec_error(reason)));
+            assert_eq!(
+                frame_digest(&frame, &mut Vec::new()),
+                Err(codec_error(reason))
+            );
             assert_eq!(
                 decode_params(&one_layer_body(version, &frame)),
                 Err(codec_error("trailing bytes after last layer"))
