@@ -486,9 +486,9 @@ fn run_load(opts: &Options) -> Result<(), String> {
 
 fn run_pooled(opts: &Options) -> Result<(), String> {
     let out = opts.out.as_deref().unwrap_or("BENCH_pooled.json");
-    // Pool deadlines are measured on the registry clock, so the registry
-    // gets a virtual clock: the arrival schedule drives it and every
-    // firing decision reproduces byte for byte.
+    // The pools keep their own clocks and the registry only counts what
+    // they fire; its virtual clock stays at 0, so every span it records
+    // is a count and the snapshot reproduces byte for byte.
     let telemetry = report::artefact_telemetry();
     let rows = pooled::run_with(opts.scale, opts.seed, &telemetry)?;
     let mid_prom = telemetry.snapshot().to_prometheus();

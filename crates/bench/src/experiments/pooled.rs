@@ -3,12 +3,11 @@
 //!
 //! Round-synchronous experiments feed the cascade a complete client
 //! roster; production traffic trickles. This sweep spreads each point's
-//! clients over a fixed arrival window on the telemetry registry's
-//! virtual clock (the same `(i × spread) / n` schedule `mixnn-net`'s
-//! load generator uses — see [`mixnn_net::arrival_offset`]), pools them
-//! in a [`PooledCoordinator`], and lets every firing — threshold or
-//! deadline — drive a k-floor-padded partial round over a [`SimLink`]
-//! wire. Per `(k, deadline)` point it records how the pool traded
+//! clients over a fixed arrival window on the pool's clock (the
+//! [`arrival_offset`] schedule `mixnn-net`'s load generator also uses),
+//! pools them in a [`PooledCoordinator`], and lets every firing —
+//! threshold or deadline — drive a k-floor-padded partial round over a
+//! [`SimLink`] wire. Per `(k, deadline)` point it records how the pool traded
 //! latency for anonymity: firings by trigger, cover updates injected,
 //! p50/p99 added latency, and the residual anonymity-set sizes of the
 //! *real* clients.
@@ -30,9 +29,9 @@ use crate::report::Percentiles;
 use crate::{ExperimentScale, Layout};
 use mixnn_attacks::analyze_routed_collusion;
 use mixnn_cascade::{
-    CascadeCoordinator, FailurePolicy, PoolConfig, PoolTrigger, PooledCoordinator,
+    arrival_offset, CascadeCoordinator, FailurePolicy, PoolConfig, PoolTrigger, PooledCoordinator,
 };
-use mixnn_net::{arrival_offset, FlushPolicy, LinkConfig, SimLink};
+use mixnn_net::{FlushPolicy, LinkConfig, SimLink};
 use mixnn_nn::ModelParams;
 use mixnn_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -104,12 +103,11 @@ fn point_cascade(signature: Vec<usize>, point_seed: u64) -> Result<CascadeCoordi
         .map_err(|e| e.to_string())
 }
 
-/// Runs the pooled-mixing sweep on `telemetry`'s virtual clock.
+/// Runs the pooled-mixing sweep, its pools observed by `telemetry`.
 ///
 /// # Errors
 ///
-/// Fails when `telemetry` has no virtual clock (deadline firing would
-/// not be reproducible) or a cascade/wire error surfaces.
+/// Fails when a cascade/wire error surfaces.
 ///
 /// # Panics
 ///
@@ -154,15 +152,11 @@ pub fn run_with(
                 WIRE_TIMEOUT_NS,
             );
 
-            // Trickle the roster through the pool on the virtual clock.
-            let base = telemetry.now_ns();
-            let arrivals = originals.iter().enumerate().map(|(i, update)| {
-                (
-                    i,
-                    update.clone(),
-                    base + arrival_offset(i, clients, spread_ns),
-                )
-            });
+            // Trickle the roster through the pool from its clock's start.
+            let arrivals = originals
+                .iter()
+                .enumerate()
+                .map(|(i, update)| (i, update.clone(), arrival_offset(i, clients, spread_ns)));
             let fired = pooled
                 .trickle(arrivals, &mut link)
                 .map_err(|e| e.to_string())?;
@@ -304,11 +298,9 @@ pub fn to_json(sweep: &[PooledRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixnn_telemetry::{Registry, VirtualClock};
 
     fn sweep() -> Vec<PooledRow> {
-        let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-        run_with(ExperimentScale::Quick, 3, &telemetry).unwrap()
+        run_with(ExperimentScale::Quick, 3, &mixnn_telemetry::noop()).unwrap()
     }
 
     #[test]

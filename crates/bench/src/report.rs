@@ -4,10 +4,10 @@
 use mixnn_telemetry::{Registry, Telemetry, VirtualClock};
 
 /// The registry an artefact-writing experiment runs on. Its clock is
-/// virtual — only an experiment that simulates time (`load`, `pooled`)
-/// advances it — so span families record counts, never wall-clock
-/// durations, and the embedded snapshot reproduces byte for byte. Time is
-/// measured by the repo benchmark, not here.
+/// virtual — only the simulated network of `load` advances it — so span
+/// families record counts, never wall-clock durations, and the embedded
+/// snapshot reproduces byte for byte. Time is measured by the repo
+/// benchmark, not here.
 pub fn artefact_telemetry() -> Telemetry {
     Registry::with_virtual_clock(VirtualClock::default()).shared()
 }

@@ -53,10 +53,7 @@ fn free_route_cascade(seed: u64) -> CascadeCoordinator {
 
 /// Fires one under-full pool (3 real members against a k-floor of 6) by
 /// deadline and returns it with the telemetry handle that observed it.
-fn fire_padded_round(
-    telemetry: &Telemetry,
-    clock: &VirtualClock,
-) -> (PooledRound, Vec<ModelParams>) {
+fn fire_padded_round(telemetry: &Telemetry) -> (PooledRound, Vec<ModelParams>) {
     let mut pooled = PooledCoordinator::new(
         free_route_cascade(SEED),
         PoolConfig {
@@ -72,15 +69,15 @@ fn fire_padded_round(
         .map(|i| synth_update(SEED ^ (i as u64) << 8))
         .collect();
     for (i, update) in reals.iter().enumerate() {
-        clock.advance_ns(10_000);
+        let at_ns = 10_000 * (i as u64 + 1);
         assert!(pooled
-            .submit(i, update.clone(), &mut link)
+            .submit(i, update.clone(), at_ns, &mut link)
             .expect("submit")
             .is_empty());
     }
-    clock.set_ns(pooled.next_deadline_ns().expect("pool is open"));
+    let deadline = pooled.next_deadline_ns().expect("pool is open");
     let round = pooled
-        .tick(&mut link)
+        .tick(deadline, &mut link)
         .expect("deadline firing")
         .expect("pool fires");
     assert_eq!(round.trigger, PoolTrigger::Deadline);
@@ -91,9 +88,8 @@ fn fire_padded_round(
 
 #[test]
 fn dummies_never_shrink_a_real_clients_anonymity_set() {
-    let clock = VirtualClock::new();
-    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-    let (round, reals) = fire_padded_round(&telemetry, &clock);
+    let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
+    let (round, reals) = fire_padded_round(&telemetry);
 
     // The dummy-free baseline: the same three updates through an
     // identically-seeded cascade, no padding.
@@ -127,9 +123,8 @@ fn dummies_never_shrink_a_real_clients_anonymity_set() {
 
 #[test]
 fn dummy_stripped_aggregate_is_bit_identical_to_a_no_dummy_round() {
-    let clock = VirtualClock::new();
-    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-    let (round, reals) = fire_padded_round(&telemetry, &clock);
+    let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
+    let (round, reals) = fire_padded_round(&telemetry);
     let stripped = round.server_outputs().expect("cover strips cleanly");
     assert_eq!(stripped.len(), reals.len());
 
@@ -150,9 +145,8 @@ fn dummy_stripped_aggregate_is_bit_identical_to_a_no_dummy_round() {
 
 #[test]
 fn pooled_export_gains_no_forbidden_label_axis() {
-    let clock = VirtualClock::new();
-    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-    let (_round, _reals) = fire_padded_round(&telemetry, &clock);
+    let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
+    let (_round, _reals) = fire_padded_round(&telemetry);
     let text = telemetry.snapshot().to_prometheus();
     // The pool metrics made it into the export...
     assert!(text.contains("pools_fired"), "pool counters are exported");

@@ -52,9 +52,8 @@ pub enum CascadeError {
         reason: String,
     },
     /// A mix pool was misconfigured or driven inconsistently (zero
-    /// threshold, a pooled transport without a virtual clock to measure
-    /// deadlines on, a stripped round whose cover count disagrees with
-    /// what was injected).
+    /// threshold, a call earlier than the pool clock, a stripped round
+    /// whose cover count disagrees with what was injected).
     Pool {
         /// Human-readable constraint violation.
         reason: String,

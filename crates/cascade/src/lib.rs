@@ -83,7 +83,7 @@
 //!   [`mixnn_core::RoundLink`] (in process by default);
 //! * [`MixPool`] / [`PooledCoordinator`] / [`PooledCascadeTransport`] —
 //!   **continuous** mixing: arrivals pool until `k` are buffered or a
-//!   deadline (on the telemetry clock) elapses, and every fired partial
+//!   deadline (on the pool's own clock) elapses, and every fired partial
 //!   round is padded with hop-generated cover traffic up to the k-floor —
 //!   byte-indistinguishable on the wire, stripped only at the server
 //!   boundary by content digest ([`PaddedRound::server_outputs`]). See
@@ -108,8 +108,8 @@ pub use error::CascadeError;
 pub use hop::{CascadeHop, CascadeHopConfig, HopDescriptor, HOP_CODE_IDENTITY};
 pub use onion::OnionUpdate;
 pub use pool::{
-    MixPool, PoolBatch, PoolConfig, PoolTrigger, PooledCascadeTransport, PooledCoordinator,
-    PooledRound,
+    arrival_offset, MixPool, PoolBatch, PoolConfig, PoolTrigger, PooledCascadeTransport,
+    PooledCoordinator, PooledRound,
 };
 pub use topology::{
     route_groups, validate_route, CascadeTopology, FreeRoute, LinearChain, RouteGroup,

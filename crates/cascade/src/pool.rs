@@ -6,7 +6,7 @@
 //!
 //! * **threshold** — the pool holds at least `k` real updates, or
 //! * **deadline** — `deadline_ns` elapsed since the first update of the
-//!   current pool arrived, measured on the telemetry clock.
+//!   current pool arrived, measured on the pool clock.
 //!
 //! Pool state machine: `Empty --arrival--> Open(opened_at) --len ≥ k-->
 //! fire(Threshold) --> Empty`, with `Open --now ≥ opened_at + deadline-->
@@ -20,20 +20,19 @@
 //! ([`PaddedRound::server_outputs`]). On the wire, through every hop, and
 //! in every audit, a dummy is byte-indistinguishable from real traffic.
 //!
-//! Time is read from the telemetry [`mixnn_telemetry::ClockSource`], so a
-//! [`VirtualClock`]-backed registry (the one `mixnn-net`'s simulator
-//! drives) makes deadline behaviour a pure function of the arrival
-//! schedule — `eval pooled` runs are bit-reproducible. The default
-//! [`mixnn_telemetry::noop`] handle pins time at 0, so deadlines never
-//! fire and a [`PooledCoordinator`] degrades to threshold-only batching —
-//! also deterministic.
+//! Time is an argument: every call that can fire takes the instant it
+//! happens at, and a [`PooledCoordinator`] keeps the latest one as its
+//! pool clock, which never runs backwards. Who mixes with whom is
+//! therefore a pure function of the call sequence — `eval pooled` runs
+//! are bit-reproducible — and an attached telemetry registry only
+//! observes the firings, whatever clock it carries.
 
 use crate::coordinator::take_spare;
 use crate::{CascadeCoordinator, CascadeError, PaddedRound};
 use mixnn_core::{InProcessLink, RoundLink, RoundTranscript};
 use mixnn_fl::{FlError, ModelUpdate, UpdateTransport};
 use mixnn_nn::ModelParams;
-use mixnn_telemetry::{Counter, Distribution, Span, Telemetry, VirtualClock};
+use mixnn_telemetry::{Counter, Distribution, Span, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,7 +44,7 @@ pub struct PoolConfig {
     /// slots. Must be at least 1.
     pub k: usize,
     /// Maximum time the first update of a pool waits before the pool
-    /// fires under-full, in nanoseconds on the telemetry clock. Must be at
+    /// fires under-full, in nanoseconds on the pool clock. Must be at
     /// least 1 (`u64::MAX` effectively disables deadline firing).
     pub deadline_ns: u64,
 }
@@ -111,7 +110,7 @@ impl PoolBatch {
 ///
 /// The pool is clock-agnostic — every method takes `now_ns` explicitly, so
 /// firing is a pure function of the call sequence. [`PooledCoordinator`]
-/// binds it to the telemetry clock.
+/// keeps the clock those calls are made on.
 #[derive(Debug)]
 pub struct MixPool {
     config: PoolConfig,
@@ -282,12 +281,13 @@ impl PooledRound {
 /// [`RoundLink`]: arrivals are submitted as they come, and every firing —
 /// threshold, deadline, or flush — runs one k-floor-padded partial round.
 ///
-/// Time is the attached telemetry registry's clock. Attach a
-/// [`mixnn_telemetry::Registry::with_virtual_clock`] registry and drive
-/// its [`VirtualClock`] (or let `mixnn-net`'s simulator mirror its event
-/// clock into it) for deterministic deadline behaviour; the default
-/// [`mixnn_telemetry::noop`] handle freezes time at 0, which disables
-/// deadlines and leaves pure threshold batching.
+/// Time is the caller's: [`PooledCoordinator::submit`],
+/// [`PooledCoordinator::tick`] and [`PooledCoordinator::flush`] each take
+/// the instant they happen at, and the coordinator keeps the latest as
+/// its pool clock ([`PooledCoordinator::now_ns`]). A call earlier than
+/// the clock is refused, so the clock never runs backwards and the
+/// firings are a pure function of the calls. An attached telemetry
+/// registry observes them and never moves them.
 #[derive(Debug)]
 pub struct PooledCoordinator {
     cascade: CascadeCoordinator,
@@ -300,6 +300,8 @@ pub struct PooledCoordinator {
     /// whose firing committed, and whatever a transport hands back — that
     /// the next firing generates cover into and decodes into.
     spares: Vec<ModelParams>,
+    /// The pool clock: the latest instant a call was made at.
+    now_ns: u64,
 }
 
 impl PooledCoordinator {
@@ -320,11 +322,12 @@ impl PooledCoordinator {
             sealing_rng: StdRng::seed_from_u64(seal_seed),
             telemetry: mixnn_telemetry::noop(),
             spares: Vec::new(),
+            now_ns: 0,
         })
     }
 
-    /// Attaches a telemetry registry to the pool (its clock becomes the
-    /// deadline clock) and to the underlying cascade.
+    /// Attaches a telemetry registry to the pool's counters and spans and
+    /// to the underlying cascade. Its clock is never read for a firing.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.cascade.attach_telemetry(telemetry.clone());
         self.telemetry = telemetry;
@@ -346,9 +349,10 @@ impl PooledCoordinator {
         self.spares.len()
     }
 
-    /// Current time on the pool clock (the telemetry clock).
+    /// The pool clock: the latest instant a call was made at (0 before
+    /// the first).
     pub fn now_ns(&self) -> u64 {
-        self.telemetry.now_ns()
+        self.now_ns
     }
 
     /// The absolute pool-clock time of the next deadline firing, if a
@@ -357,9 +361,9 @@ impl PooledCoordinator {
         self.pool.next_deadline_ns()
     }
 
-    /// Submits one arrival, firing first any deadline the clock has
-    /// passed and then any threshold this arrival completes — so a single
-    /// submit can commit up to two rounds, in firing order.
+    /// Submits one arrival at `at_ns`, firing first any deadline that
+    /// instant has passed and then any threshold this arrival completes —
+    /// so a single submit can commit up to two rounds, in firing order.
     ///
     /// The arrival is pooled **whatever happens to the firings**: an
     /// update handed to `submit` is never lost to a wire fault.
@@ -367,8 +371,9 @@ impl PooledCoordinator {
     /// # Errors
     ///
     /// Returns [`CascadeError::SignatureMismatch`] for an update whose
-    /// layer signature is not the cascade's, before anything fires or is
-    /// pooled: a foreign member would fail every firing it joined.
+    /// layer signature is not the cascade's, and [`CascadeError::Pool`]
+    /// for an `at_ns` earlier than the pool clock, before anything fires
+    /// or is pooled: a foreign member would fail every firing it joined.
     ///
     /// A fired round's errors surface exactly as
     /// [`CascadeCoordinator::run_padded_round_over`]'s; the failed
@@ -383,6 +388,7 @@ impl PooledCoordinator {
         &mut self,
         slot: usize,
         params: ModelParams,
+        at_ns: u64,
         link: &mut dyn RoundLink,
     ) -> Result<Vec<PooledRound>, CascadeError> {
         let expected = self.cascade.signature();
@@ -392,9 +398,9 @@ impl PooledCoordinator {
                 actual: params.signature(),
             });
         }
-        let now = self.now_ns();
-        let deadline = self.pool.poll(now).map(|batch| self.fire(batch, link));
-        let threshold = self.pool.offer(slot, params, now);
+        self.advance_to(at_ns)?;
+        let deadline = self.pool.poll(at_ns).map(|batch| self.fire(batch, link));
+        let threshold = self.pool.offer(slot, params, at_ns);
         let mut fired = Vec::new();
         match deadline {
             Some(Ok(round)) => fired.push(round),
@@ -419,80 +425,83 @@ impl PooledCoordinator {
         Ok(fired)
     }
 
-    /// Fires the pool by deadline if the clock has reached it.
+    /// Fires the pool by deadline if `at_ns` has reached it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`PooledCoordinator::submit`].
-    pub fn tick(&mut self, link: &mut dyn RoundLink) -> Result<Option<PooledRound>, CascadeError> {
-        match self.pool.poll(self.now_ns()) {
+    pub fn tick(
+        &mut self,
+        at_ns: u64,
+        link: &mut dyn RoundLink,
+    ) -> Result<Option<PooledRound>, CascadeError> {
+        self.advance_to(at_ns)?;
+        match self.pool.poll(at_ns) {
             Some(batch) => self.fire(batch, link).map(Some),
             None => Ok(None),
         }
     }
 
-    /// Force-fires whatever is pooled (end of an experiment / shutdown).
+    /// Force-fires whatever is pooled at `at_ns` (end of an experiment /
+    /// shutdown).
     ///
     /// # Errors
     ///
     /// Same conditions as [`PooledCoordinator::submit`].
-    pub fn flush(&mut self, link: &mut dyn RoundLink) -> Result<Option<PooledRound>, CascadeError> {
-        match self.pool.drain(self.now_ns()) {
+    pub fn flush(
+        &mut self,
+        at_ns: u64,
+        link: &mut dyn RoundLink,
+    ) -> Result<Option<PooledRound>, CascadeError> {
+        self.advance_to(at_ns)?;
+        match self.pool.drain(at_ns) {
             Some(batch) => self.fire(batch, link).map(Some),
             None => Ok(None),
         }
     }
 
     /// Drives a trickle of `(slot, params, at_ns)` arrivals through the
-    /// pool on the attached registry's [`VirtualClock`], returning every
-    /// fired round in firing order. Before each arrival, every deadline the
-    /// schedule passes fires at its own instant; the clock is then set to
-    /// the arrival's `at_ns` and the arrival submitted. After the last
-    /// arrival the open pool's deadline is let elapse, and whatever is
-    /// still pooled is flushed. Arrival times must not decrease.
+    /// pool, returning every fired round in firing order. Before each
+    /// arrival, every deadline the schedule passes fires at its own
+    /// instant; the arrival is then submitted at its `at_ns`. After the
+    /// last arrival the open pool's deadline is let elapse, and whatever
+    /// is still pooled is flushed. Arrival times must not decrease.
     ///
     /// # Errors
     ///
-    /// [`CascadeError::Pool`] when the attached registry has no virtual
-    /// clock (deadlines would be non-deterministic or dead), or at the
-    /// first arrival earlier than the clock — before the clock is set, so
-    /// it never runs backwards under the spans and waits recorded after;
-    /// otherwise the first failed firing's error, as
-    /// [`PooledCoordinator::submit`] reports it. The rounds fired before a
-    /// failure are not returned, and the arrivals submitted before it stay
-    /// pooled.
+    /// [`CascadeError::Pool`] at the first instant earlier than the pool
+    /// clock, before anything fires at it; otherwise the first failed
+    /// firing's error, as [`PooledCoordinator::submit`] reports it. The
+    /// rounds fired before a failure are not returned, and the arrivals
+    /// submitted before it stay pooled.
     pub fn trickle(
         &mut self,
         arrivals: impl IntoIterator<Item = (usize, ModelParams, u64)>,
         link: &mut dyn RoundLink,
     ) -> Result<Vec<PooledRound>, CascadeError> {
-        let clock = virtual_clock(&self.telemetry)?;
         let mut fired = Vec::new();
         for (slot, params, at_ns) in arrivals {
-            let now = self.now_ns();
-            if at_ns < now {
-                return Err(CascadeError::Pool {
-                    reason: format!(
-                        "arrival of slot {slot} at {at_ns} ns is before the clock ({now} ns)"
-                    ),
-                });
+            while let Some(deadline) = self.next_deadline_ns().filter(|&d| d <= at_ns) {
+                fired.extend(self.tick(deadline, link)?);
             }
-            while let Some(deadline) = self.next_deadline_ns() {
-                if deadline > at_ns {
-                    break;
-                }
-                clock.set_ns(deadline);
-                fired.extend(self.tick(link)?);
-            }
-            clock.set_ns(at_ns);
-            fired.extend(self.submit(slot, params, link)?);
+            fired.extend(self.submit(slot, params, at_ns, link)?);
         }
         if let Some(deadline) = self.next_deadline_ns() {
-            clock.set_ns(deadline);
-            fired.extend(self.tick(link)?);
+            fired.extend(self.tick(deadline, link)?);
         }
-        fired.extend(self.flush(link)?);
+        fired.extend(self.flush(self.now_ns, link)?);
         Ok(fired)
+    }
+
+    /// Moves the pool clock to `at_ns`, or refuses an instant before it.
+    fn advance_to(&mut self, at_ns: u64) -> Result<(), CascadeError> {
+        if at_ns < self.now_ns {
+            return Err(CascadeError::Pool {
+                reason: format!("{at_ns} ns is before the clock ({} ns)", self.now_ns),
+            });
+        }
+        self.now_ns = at_ns;
+        Ok(())
     }
 
     fn fire(
@@ -535,21 +544,25 @@ impl PooledCoordinator {
     }
 }
 
-/// The virtual clock a pooled trickle drives, or the typed error for a
-/// registry without one.
-fn virtual_clock(telemetry: &Telemetry) -> Result<VirtualClock, CascadeError> {
-    telemetry.virtual_clock().ok_or_else(|| CascadeError::Pool {
-        reason: "a pooled trickle needs a virtual-clock telemetry registry \
-                 to drive deadlines deterministically"
-            .to_string(),
-    })
+/// When client `client` of `clients` arrives after a round opens: the
+/// `(client × spread_ns) / clients` schedule, spreading arrivals evenly
+/// across the window in client order with pure integer arithmetic.
+/// [`PooledCascadeTransport`] trickles each round on it, and so do
+/// `mixnn-net`'s load generator and `eval pooled`.
+///
+/// # Panics
+///
+/// Panics when `clients` is zero (there is no schedule to place a client
+/// in).
+pub fn arrival_offset(client: usize, clients: usize, spread_ns: u64) -> u64 {
+    assert!(clients > 0, "an arrival schedule needs at least one client");
+    (client as u64 * spread_ns) / clients as u64
 }
 
 /// An [`UpdateTransport`] that feeds each federated round's updates
 /// through a [`PooledCoordinator`] as a **trickle**
-/// ([`PooledCoordinator::trickle`]): arrivals are spread evenly over
-/// `arrival_spread_ns` on the registry's [`VirtualClock`] (the same
-/// `(i × spread) / n` schedule `mixnn-net`'s load generator emits), pools
+/// ([`PooledCoordinator::trickle`]): arrivals are spread over
+/// `arrival_spread_ns` from the pool clock by [`arrival_offset`], pools
 /// fire by threshold or deadline as the clock advances, and the round's
 /// outputs are reassembled from every fired pool with cover stripped.
 ///
@@ -570,20 +583,19 @@ pub struct PooledCascadeTransport {
 }
 
 impl PooledCascadeTransport {
-    /// Wraps a pooled coordinator. `telemetry` **must** be a registry
-    /// built on a [`VirtualClock`] — each relay drives that clock through
-    /// the round's arrival schedule.
+    /// Wraps a pooled coordinator, attaching `telemetry` to it. Any
+    /// registry will do, [`mixnn_telemetry::noop`] included: the pool
+    /// keeps its own clock.
     ///
     /// # Errors
     ///
-    /// Returns [`CascadeError::Pool`] when the registry has no virtual
-    /// clock (deadlines would be non-deterministic or dead).
+    /// Never fails. The `Result` is kept so that existing callers build
+    /// unchanged.
     pub fn new(
         mut inner: PooledCoordinator,
         telemetry: Telemetry,
         arrival_spread_ns: u64,
     ) -> Result<Self, CascadeError> {
-        virtual_clock(&telemetry)?;
         inner.attach_telemetry(telemetry);
         Ok(PooledCascadeTransport {
             inner,
@@ -617,7 +629,7 @@ impl PooledCascadeTransport {
         let spread = self.arrival_spread_ns;
         let order: Vec<usize> = updates.iter().map(|u| u.client_id).collect();
         let arrivals = updates.into_iter().enumerate().map(|(i, update)| {
-            let at = base + (i as u64 * spread) / n as u64;
+            let at = base + arrival_offset(i, n, spread);
             (update.client_id, update.params, at)
         });
         let fired = self.inner.trickle(arrivals, &mut InProcessLink)?;
@@ -679,7 +691,7 @@ mod tests {
     use super::*;
     use crate::{FailurePolicy, LinearChain};
     use mixnn_nn::LayerParams;
-    use mixnn_telemetry::{ClockSource, Registry};
+    use mixnn_telemetry::{ClockSource, Registry, VirtualClock};
 
     fn params(i: usize) -> ModelParams {
         ModelParams::from_layers(vec![
@@ -695,12 +707,8 @@ mod tests {
             .0
     }
 
-    fn pooled(k: usize, deadline_ns: u64) -> (PooledCoordinator, VirtualClock) {
-        let clock = VirtualClock::new();
-        let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-        let mut p = PooledCoordinator::new(cascade(2), PoolConfig { k, deadline_ns }, 7).unwrap();
-        p.attach_telemetry(telemetry);
-        (p, clock)
+    fn pooled(k: usize, deadline_ns: u64) -> PooledCoordinator {
+        PooledCoordinator::new(cascade(2), PoolConfig { k, deadline_ns }, 7).unwrap()
     }
 
     #[test]
@@ -780,11 +788,11 @@ mod tests {
 
     #[test]
     fn threshold_round_pads_nothing_and_strips_to_identity() {
-        let (mut p, _clock) = pooled(3, u64::MAX);
+        let mut p = pooled(3, u64::MAX);
         let mut link = InProcessLink;
-        assert!(p.submit(0, params(0), &mut link).unwrap().is_empty());
-        assert!(p.submit(1, params(1), &mut link).unwrap().is_empty());
-        let rounds = p.submit(2, params(2), &mut link).unwrap();
+        assert!(p.submit(0, params(0), 0, &mut link).unwrap().is_empty());
+        assert!(p.submit(1, params(1), 0, &mut link).unwrap().is_empty());
+        let rounds = p.submit(2, params(2), 0, &mut link).unwrap();
         assert_eq!(rounds.len(), 1);
         let round = &rounds[0];
         assert_eq!(round.trigger, PoolTrigger::Threshold);
@@ -801,15 +809,15 @@ mod tests {
 
     #[test]
     fn deadline_round_is_padded_to_the_k_floor() {
-        let (mut p, clock) = pooled(5, 1_000);
+        let mut p = pooled(5, 1_000);
         let mut link = InProcessLink;
-        clock.set_ns(10);
-        p.submit(0, params(0), &mut link).unwrap();
-        clock.set_ns(200);
-        p.submit(1, params(1), &mut link).unwrap();
-        assert!(p.tick(&mut link).unwrap().is_none(), "deadline not reached");
-        clock.set_ns(1_010);
-        let round = p.tick(&mut link).unwrap().expect("deadline fires");
+        p.submit(0, params(0), 10, &mut link).unwrap();
+        p.submit(1, params(1), 200, &mut link).unwrap();
+        assert!(
+            p.tick(200, &mut link).unwrap().is_none(),
+            "deadline not reached"
+        );
+        let round = p.tick(1_010, &mut link).unwrap().expect("deadline fires");
         assert_eq!(round.trigger, PoolTrigger::Deadline);
         assert_eq!(round.real(), 2);
         assert_eq!(round.dummies(), 3, "padded up to k = 5");
@@ -825,14 +833,12 @@ mod tests {
 
     #[test]
     fn submit_after_elapsed_deadline_fires_old_pool_first() {
-        let (mut p, clock) = pooled(2, 100);
+        let mut p = pooled(2, 100);
         let mut link = InProcessLink;
-        clock.set_ns(0);
-        p.submit(7, params(7), &mut link).unwrap();
+        p.submit(7, params(7), 0, &mut link).unwrap();
         // The clock jumps past the deadline before the next arrival: the
         // old pool fires by deadline, the arrival opens a fresh pool.
-        clock.set_ns(500);
-        let fired = p.submit(8, params(8), &mut link).unwrap();
+        let fired = p.submit(8, params(8), 500, &mut link).unwrap();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].trigger, PoolTrigger::Deadline);
         assert_eq!(fired[0].slots, vec![7]);
@@ -841,22 +847,39 @@ mod tests {
 
     #[test]
     fn a_trickle_refuses_an_arrival_before_the_clock() {
-        let (mut p, clock) = pooled(4, 1_000);
-        // The trickle pulls an arrival only once the one before it is
-        // handled, so each reading is the clock that arrival left.
-        let mut readings = Vec::new();
-        let arrivals = [(0, 10), (1, 5)].into_iter().map(|(slot, at)| {
-            readings.push(clock.now_ns());
-            (slot, params(slot), at)
-        });
-        let err = p.trickle(arrivals, &mut InProcessLink).unwrap_err();
-        assert!(
-            matches!(&err, CascadeError::Pool { reason } if reason.contains("before the clock")),
-            "{err}"
-        );
-        assert_eq!(readings, [0, 10]);
-        assert_eq!(clock.now_ns(), 10, "the clock was never set back");
-        assert_eq!(p.pool().len(), 1, "the first arrival stays pooled");
+        // Each call reaches the clock at 10 with one arrival, then is
+        // handed 5. The refusal names both instants, so it read the
+        // clock the first arrival left.
+        type Late = fn(&mut PooledCoordinator) -> Result<(), CascadeError>;
+        let calls: [(&str, Late); 4] = [
+            ("trickle", |p| {
+                let arrivals = [(0, params(0), 10), (1, params(1), 5)];
+                p.trickle(arrivals, &mut InProcessLink).map(drop)
+            }),
+            ("submit", |p| {
+                p.submit(0, params(0), 10, &mut InProcessLink)?;
+                p.submit(1, params(1), 5, &mut InProcessLink).map(drop)
+            }),
+            ("tick", |p| {
+                p.submit(0, params(0), 10, &mut InProcessLink)?;
+                p.tick(5, &mut InProcessLink).map(drop)
+            }),
+            ("flush", |p| {
+                p.submit(0, params(0), 10, &mut InProcessLink)?;
+                p.flush(5, &mut InProcessLink).map(drop)
+            }),
+        ];
+        for (call, late) in calls {
+            let mut p = pooled(4, 1_000);
+            let err = late(&mut p).unwrap_err();
+            assert!(
+                matches!(&err, CascadeError::Pool { reason }
+                    if reason == "5 ns is before the clock (10 ns)"),
+                "{call}: {err}"
+            );
+            assert_eq!(p.now_ns(), 10, "{call}: the clock was never set back");
+            assert_eq!(p.pool().len(), 1, "{call}: the first arrival stays pooled");
+        }
     }
 
     /// Delivers in-process until `healthy_deliveries` run out, then times
@@ -892,64 +915,69 @@ mod tests {
         // threshold firing hits the dead wire. The committed round must
         // come back (its outputs belong to the server) and the arrival
         // must stay pooled for the retry.
-        let (mut p, clock) = pooled(1, 100);
+        let mut p = pooled(1, 100);
         let mut dead = FailingAfter {
             healthy_deliveries: 0,
         };
-        assert!(p.submit(7, params(7), &mut dead).is_err());
+        assert!(p.submit(7, params(7), 0, &mut dead).is_err());
         assert_eq!(p.pool().len(), 1);
 
-        clock.set_ns(500);
         // A 2-hop round is three deliveries: enough for one firing only.
         let mut one_round = FailingAfter {
             healthy_deliveries: 3,
         };
-        let fired = p.submit(8, params(8), &mut one_round).unwrap();
+        let fired = p.submit(8, params(8), 500, &mut one_round).unwrap();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].slots, vec![7]);
         assert_eq!(p.pool().len(), 1, "the arrival waits for the retry");
 
-        let retried = p.flush(&mut InProcessLink).unwrap().expect("retry");
+        let retried = p.flush(500, &mut InProcessLink).unwrap().expect("retry");
         assert_eq!(retried.slots, vec![8]);
     }
 
     #[test]
-    fn noop_telemetry_freezes_deadlines() {
-        let mut p = PooledCoordinator::new(
-            cascade(1),
-            PoolConfig {
-                k: 3,
-                deadline_ns: 1,
-            },
-            7,
-        )
-        .unwrap();
-        let mut link = InProcessLink;
-        p.submit(0, params(0), &mut link).unwrap();
-        // now_ns() is pinned at 0 and the pool opened at 0, but the
-        // deadline is `opened + 1` — it can never be reached.
-        assert!(p.tick(&mut link).unwrap().is_none());
-        assert_eq!(p.pool().len(), 1);
+    fn the_registry_cannot_change_what_fires() {
+        // Two deadline firings, a threshold firing between them, and the
+        // closing deadline.
+        let schedule = [0, 300, 2_000, 2_100, 2_200, 5_000, 9_000];
+        let clock = VirtualClock::new();
+        let registries = [
+            mixnn_telemetry::noop(),
+            Registry::new().shared(),
+            Registry::with_virtual_clock(clock.clone()).shared(),
+        ];
+        let runs: Vec<Vec<PooledRound>> = registries
+            .into_iter()
+            .map(|telemetry| {
+                let mut p = pooled(3, 1_000);
+                p.attach_telemetry(telemetry);
+                let arrivals = schedule
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &at)| (slot, params(slot), at));
+                p.trickle(arrivals, &mut InProcessLink).unwrap()
+            })
+            .collect();
+        let triggers: Vec<PoolTrigger> = runs[0].iter().map(|r| r.trigger).collect();
+        use PoolTrigger::{Deadline, Threshold};
+        assert_eq!(triggers, [Deadline, Threshold, Deadline, Deadline]);
+        assert_eq!(runs[0], runs[1], "a wall-clock registry");
+        assert_eq!(runs[0], runs[2], "a virtual-clock registry");
+        assert_eq!(
+            clock.now_ns(),
+            0,
+            "the pool never writes a registry's clock"
+        );
     }
 
     #[test]
     fn pool_telemetry_counts_fires_dummies_and_waits() {
-        let clock = VirtualClock::new();
-        let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-        let mut p = PooledCoordinator::new(
-            cascade(2),
-            PoolConfig {
-                k: 4,
-                deadline_ns: 50,
-            },
-            7,
-        )
-        .unwrap();
+        let telemetry = Registry::new().shared();
+        let mut p = pooled(4, 50);
         p.attach_telemetry(telemetry.clone());
         let mut link = InProcessLink;
-        p.submit(0, params(0), &mut link).unwrap();
-        clock.set_ns(50);
-        p.tick(&mut link).unwrap().expect("deadline fire");
+        p.submit(0, params(0), 0, &mut link).unwrap();
+        p.tick(50, &mut link).unwrap().expect("deadline fire");
         assert_eq!(telemetry.counter(Counter::CascadePoolsFired), 1);
         assert_eq!(telemetry.counter(Counter::CascadeDummiesInjected), 3);
         let snap = telemetry.snapshot();
@@ -970,34 +998,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_transport_requires_a_virtual_clock() {
-        let p = PooledCoordinator::new(
-            cascade(1),
-            PoolConfig {
-                k: 2,
-                deadline_ns: 1,
-            },
-            7,
-        )
-        .unwrap();
-        let err = PooledCascadeTransport::new(p, Registry::disabled().shared(), 1_000).unwrap_err();
-        assert!(matches!(err, CascadeError::Pool { .. }));
-    }
-
-    #[test]
     fn pooled_transport_relay_covers_every_slot_and_keeps_the_aggregate() {
-        let clock = VirtualClock::new();
-        let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-        let p = PooledCoordinator::new(
-            cascade(2),
-            PoolConfig {
-                k: 4,
-                deadline_ns: 5_000,
-            },
-            7,
-        )
-        .unwrap();
-        let mut t = PooledCascadeTransport::new(p, telemetry, 10_000).unwrap();
+        let p = pooled(4, 5_000);
+        let mut t = PooledCascadeTransport::new(p, mixnn_telemetry::noop(), 10_000).unwrap();
         let ins: Vec<ModelUpdate> = (0..10)
             .map(|i| ModelUpdate::new(100 + i, params(i)))
             .collect();
@@ -1025,18 +1028,8 @@ mod tests {
     #[test]
     fn pooled_transport_is_deterministic_across_reruns() {
         let run = || {
-            let clock = VirtualClock::new();
-            let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
-            let p = PooledCoordinator::new(
-                cascade(2),
-                PoolConfig {
-                    k: 3,
-                    deadline_ns: 2_000,
-                },
-                7,
-            )
-            .unwrap();
-            let mut t = PooledCascadeTransport::new(p, telemetry, 8_000).unwrap();
+            let p = pooled(3, 2_000);
+            let mut t = PooledCascadeTransport::new(p, mixnn_telemetry::noop(), 8_000).unwrap();
             let ins: Vec<ModelUpdate> = (0..7).map(|i| ModelUpdate::new(i, params(i))).collect();
             let outs = t.relay(ins).unwrap();
             let rounds: Vec<(Vec<usize>, PoolTrigger, usize)> = t
@@ -1056,18 +1049,8 @@ mod tests {
 
     #[test]
     fn a_foreign_update_fails_its_relay_and_leaves_the_pool_empty() {
-        let clock = VirtualClock::new();
-        let telemetry = Registry::with_virtual_clock(clock).shared();
-        let p = PooledCoordinator::new(
-            cascade(2),
-            PoolConfig {
-                k: 4,
-                deadline_ns: u64::MAX,
-            },
-            7,
-        )
-        .unwrap();
-        let mut t = PooledCascadeTransport::new(p, telemetry, 1_000).unwrap();
+        let p = pooled(4, u64::MAX);
+        let mut t = PooledCascadeTransport::new(p, mixnn_telemetry::noop(), 1_000).unwrap();
         let round = |base: usize| -> Vec<ModelUpdate> {
             (0..4)
                 .map(|i| ModelUpdate::new(i, params(base + i)))

@@ -25,7 +25,6 @@ use mixnn_cascade::{
 use mixnn_core::codec::{canonical_layer, canonical_params, layer_digest, CompressionConfig};
 use mixnn_core::InProcessLink;
 use mixnn_nn::{LayerParams, ModelParams};
-use mixnn_telemetry::{Registry, VirtualClock};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -88,7 +87,6 @@ fn drain(
     layers: usize,
     seed: u64,
 ) -> Vec<PooledRound> {
-    let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
     let (mut cascade, _) = CascadeCoordinator::launch_seeded(
         signature(layers),
         layout_for(kind, hops, seed),
@@ -99,7 +97,6 @@ fn drain(
     cascade.set_compression(compression);
     let mut pooled = PooledCoordinator::new(cascade, PoolConfig { k, deadline_ns }, seed ^ 0x5ea1)
         .expect("valid pool config");
-    pooled.attach_telemetry(telemetry);
 
     let mut schedule = StdRng::seed_from_u64(seed ^ 0x07ea);
     let mut at = 0u64;

@@ -15,14 +15,11 @@
 //! bookkeeping, one entry per (client, layer), stays below that floor.
 //!
 //! The pooled round — `PooledCascadeTransport::relay`, whose firings are
-//! padded with cover — makes no allocation of a decoded layer's size
-//! either: cover is generated into updates the relay is done with, the
-//! server decodes into them, and the outputs are copied into the members
-//! of committed firings. Its floor is the smallest layer's `f32` values,
-//! which every message also exceeds, rather than its shortest frame: the
-//! virtual-clock registry a pool needs keeps a trace journal that grows by
-//! doubling up to a fixed cap, and at this test's twelve events a relay
-//! that journal stays far below a layer.
+//! padded with cover — is held to the same floor: cover is generated into
+//! updates the relay is done with, the server decodes into them, and the
+//! outputs are copied into the members of committed firings. It runs on
+//! the no-op telemetry handle, as a pool may: the pool keeps its own
+//! clock.
 
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTransport, FailurePolicy, LinearChain, PoolConfig,
@@ -31,7 +28,6 @@ use mixnn_cascade::{
 use mixnn_core::codec::{self, CompressionConfig};
 use mixnn_fl::{AggregationServer, ModelUpdate, UpdateTransport};
 use mixnn_nn::{LayerParams, ModelParams};
-use mixnn_telemetry::{Registry, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -174,8 +170,8 @@ const POOL_K: usize = 4;
 const POOLED_RELAYS: usize = 6;
 
 /// `POOLED_RELAYS` pooled relay + aggregate rounds under `compression`:
-/// the layer-sized allocations of each and the updates the transport
-/// holds after it, every aggregate checked bit for bit.
+/// the layer- or message-sized allocations of each and the updates the
+/// transport holds after it, every aggregate checked bit for bit.
 fn pooled_relays(compression: CompressionConfig, seed: u64) -> Vec<(usize, usize)> {
     let chain = Box::new(LinearChain::new(2));
     let (mut cascade, _) =
@@ -188,11 +184,11 @@ fn pooled_relays(compression: CompressionConfig, seed: u64) -> Vec<(usize, usize
         deadline_ns: 1_000,
     };
     let pooled = PooledCoordinator::new(cascade, config, seed).unwrap();
-    let registry = Registry::with_virtual_clock(VirtualClock::new()).shared();
     // Arrivals 750 ns apart: the pool opened by one arrival fires by
     // deadline after the next.
     let spread = 750 * POOLED_CLIENTS as u64;
-    let mut transport = PooledCascadeTransport::new(pooled, registry, spread).unwrap();
+    let mut transport =
+        PooledCascadeTransport::new(pooled, mixnn_telemetry::noop(), spread).unwrap();
     let inputs: Vec<ModelUpdate> = (0..POOLED_CLIENTS)
         .map(|id| {
             let layers = SIGNATURE
@@ -210,8 +206,7 @@ fn pooled_relays(compression: CompressionConfig, seed: u64) -> Vec<(usize, usize
         .collect();
     let expected = ModelParams::mean(&delivered).unwrap();
     let mut server = AggregationServer::new(expected.scale(0.0));
-    let smallest = *SIGNATURE.iter().min().expect("layers");
-    FLOOR.with(|floor| floor.set(4 * smallest));
+    FLOOR.with(|floor| floor.set(layer_bytes(compression)));
     (0..POOLED_RELAYS)
         .map(|_| {
             let batch = inputs.clone();
@@ -246,8 +241,8 @@ fn steady_pooled_relay_and_aggregate_allocate_nothing_of_a_layers_size() {
             }
         }
         println!(
-            "steady pooled relay + aggregate under {}: {} allocations of a layer's size \
-             ({} at warm-up), {} updates held between relays",
+            "steady pooled relay + aggregate under {}: {} allocations of a layer's or a \
+             message's size ({} at warm-up), {} updates held between relays",
             compression.name(),
             relays[POOLED_RELAYS - 1].0,
             relays[0].0,

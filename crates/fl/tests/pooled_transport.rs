@@ -10,7 +10,6 @@ use mixnn_cascade::{
 use mixnn_data::lfw_like;
 use mixnn_fl::{DirectTransport, FlConfig, FlSimulation};
 use mixnn_nn::zoo;
-use mixnn_telemetry::{Registry, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,8 +57,8 @@ fn pooled_cascade_transport_drives_a_full_fl_round() {
             77,
         )
         .unwrap();
-        let telemetry = Registry::with_virtual_clock(VirtualClock::new()).shared();
-        let mut transport = PooledCascadeTransport::new(pool, telemetry, 10_000_000).unwrap();
+        let mut transport =
+            PooledCascadeTransport::new(pool, mixnn_telemetry::noop(), 10_000_000).unwrap();
         sim.run_round(&mut transport).unwrap();
 
         // The pool really did split the round and pad the remainder.

@@ -38,6 +38,6 @@ pub use frame::{
     BURST_VERSION, FRAME_HEADER_BYTES,
 };
 pub use link::{FlushPolicy, SimLink};
-pub use load::{arrival_offset, run_load, run_load_with, LoadConfig, LoadError, LoadOutcome};
+pub use load::{run_load, run_load_with, LoadConfig, LoadError, LoadOutcome};
 pub use sim::{LinkConfig, NetStats, Packet, SimNet};
 pub use transport::NetCascadeTransport;

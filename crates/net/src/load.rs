@@ -10,7 +10,7 @@
 //! framing from the MIXB codec), with no per-client allocation on the hot
 //! path. Client send times are
 //! computed arithmetically from a pooled arrival pattern (round start
-//! plus an even spread), hops count arriving frames per round and emit
+//! plus [`mixnn_cascade::arrival_offset`]), hops count arriving frames per round and emit
 //! their (shrunken-by-one-seal) output after a per-update service time,
 //! and the server's round-completion times yield per-client latency
 //! samples.
@@ -22,6 +22,7 @@
 use crate::frame::{burst_overhead_bytes, FRAME_HEADER_BYTES};
 use crate::link::FlushPolicy;
 use crate::sim::{LinkConfig, Packet, SimNet};
+use mixnn_cascade::arrival_offset;
 use mixnn_core::codec::{encoded_layer_len_with, CompressionConfig};
 use mixnn_crypto::sealed_box::OVERHEAD as SEAL_OVERHEAD;
 use mixnn_telemetry::{Component, Telemetry, TraceKind};
@@ -237,24 +238,6 @@ impl PendingOut {
 /// round fails to complete `timeout_ns` after its start.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, LoadError> {
     run_load_with(cfg, &mixnn_telemetry::noop())
-}
-
-/// The load generator's trickle schedule: client `client` of `clients`
-/// sends `(client × spread_ns) / clients` after the round opens — arrivals
-/// spread evenly across the window, in client order, with pure integer
-/// arithmetic (no per-client state, bit-reproducible anywhere).
-///
-/// Public so pooled-mixing experiments and tests can feed a
-/// `mixnn-cascade` `PooledCoordinator` the **exact** arrival offsets the
-/// simulated network generates.
-///
-/// # Panics
-///
-/// Panics when `clients` is zero (there is no schedule to place a client
-/// in).
-pub fn arrival_offset(client: usize, clients: usize, spread_ns: u64) -> u64 {
-    assert!(clients > 0, "an arrival schedule needs at least one client");
-    (client as u64 * spread_ns) / clients as u64
 }
 
 /// [`run_load`] with a telemetry registry attached to the simulator: net

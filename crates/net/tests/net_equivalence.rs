@@ -5,15 +5,19 @@
 //! counters and the caller's RNG position all match; the wire only adds
 //! *cost* (virtual time, queueing, bytes), never semantics.
 //!
-//! The wire is a pure cost model.
+//! The wire is a pure cost model — for a pool too: a trickle over a
+//! [`SimLink`] fires the rounds it fires in process, even when the link
+//! drives the virtual clock of the registry the pool reports to.
 
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTopology, CascadeTransport, FailurePolicy, FreeRoute, LinearChain,
-    StratifiedLayout,
+    PoolConfig, PooledCoordinator, PooledRound, StratifiedLayout,
 };
+use mixnn_core::{InProcessLink, RoundLink};
 use mixnn_fl::{ModelUpdate, UpdateTransport};
 use mixnn_net::{FlushPolicy, LinkConfig, NetCascadeTransport, SimLink};
 use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_telemetry::{Registry, Telemetry, VirtualClock};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -180,5 +184,79 @@ proptest! {
 
         prop_assert_eq!(&base_out, &wire_out);
         prop_assert_eq!(baseline.transcript(), wired.transcript());
+    }
+}
+
+/// Trickles one update per `schedule` entry through a pooled coordinator
+/// over a free-route cascade, its pool reporting to `telemetry`; returns
+/// the fired rounds, their stripped outputs and the pool clock after.
+fn pooled_trickle(
+    k: usize,
+    deadline_ns: u64,
+    schedule: &[u64],
+    telemetry: Telemetry,
+    link: &mut dyn RoundLink,
+) -> (Vec<PooledRound>, Vec<Vec<ModelParams>>, u64) {
+    let mut pooled = PooledCoordinator::new(launch(2, 3, 2, 5), PoolConfig { k, deadline_ns }, 8)
+        .expect("valid pool config");
+    pooled.attach_telemetry(telemetry);
+    let updates = round_updates(schedule.len(), 2, 5);
+    let arrivals = updates
+        .into_iter()
+        .zip(schedule)
+        .enumerate()
+        .map(|(slot, (update, &at))| (slot, update, at));
+    let fired = pooled
+        .trickle(arrivals, link)
+        .expect("every firing commits");
+    let stripped = fired
+        .iter()
+        .map(|round| round.server_outputs().expect("cover strips"))
+        .collect();
+    (fired, stripped, pooled.now_ns())
+}
+
+#[test]
+fn a_trickle_over_a_link_sharing_the_pools_registry_fires_as_in_process() {
+    // (k, deadline, arrivals, the last event's time): arrivals 10 µs
+    // apart, far closer than the wire's latency, ending on the last
+    // pool's deadline; then arrivals 10 ms apart, each firing by its
+    // 5 ms deadline long after the wire went quiet.
+    let cases: [(usize, u64, Vec<u64>, u64); 2] = [
+        (
+            2,
+            1_000_000,
+            (0..5).map(|i| i * 10_000).collect(),
+            1_040_000,
+        ),
+        (
+            3,
+            5_000_000,
+            (0..4).map(|i| i * 10_000_000).collect(),
+            35_000_000,
+        ),
+    ];
+    for (k, deadline_ns, schedule, last_event_ns) in cases {
+        let registry = || Registry::with_virtual_clock(VirtualClock::new()).shared();
+        let in_process = pooled_trickle(k, deadline_ns, &schedule, registry(), &mut InProcessLink);
+        let registry = registry();
+        let mut link = SimLink::new(
+            3,
+            11,
+            LinkConfig::default(),
+            FlushPolicy::Batched,
+            600_000_000_000,
+        );
+        link.attach_telemetry(registry.clone());
+        let wired = pooled_trickle(k, deadline_ns, &schedule, registry, &mut link);
+
+        assert!(link.now_ns() > 0, "the rounds crossed the wire");
+        assert_eq!(wired.0, in_process.0, "k = {k}: the fired rounds");
+        assert_eq!(wired.1, in_process.1, "k = {k}: the stripped outputs");
+        assert_eq!(in_process.2, last_event_ns, "k = {k}: the pool clock");
+        assert_eq!(
+            wired.2, last_event_ns,
+            "k = {k}: the pool clock over the wire"
+        );
     }
 }

@@ -312,7 +312,10 @@ fn mid_pool_wire_loss_under_skip_reroutes_and_repads_the_fired_round() {
 
     // Five arrivals pool quietly over the healthy wire...
     for i in 0..5 {
-        assert!(pooled.submit(i, params(i), &mut link).unwrap().is_empty());
+        assert!(pooled
+            .submit(i, params(i), 0, &mut link)
+            .unwrap()
+            .is_empty());
     }
     // ...then hop 1 dies: every ingress segment into it drops all packets.
     for from in [Endpoint::Clients, Endpoint::Hop(0), Endpoint::Hop(2)] {
@@ -325,7 +328,7 @@ fn mid_pool_wire_loss_under_skip_reroutes_and_repads_the_fired_round() {
             },
         );
     }
-    let fired = pooled.submit(5, params(5), &mut link).unwrap();
+    let fired = pooled.submit(5, params(5), 0, &mut link).unwrap();
     assert_eq!(fired.len(), 1, "the k-th arrival fires the pool");
     let round = &fired[0];
 
@@ -379,7 +382,10 @@ fn mid_pool_wire_loss_under_abort_surfaces_a_typed_timeout_and_restores_the_pool
         100_000_000,
     );
     for i in 0..3 {
-        assert!(pooled.submit(i, params(i), &mut link).unwrap().is_empty());
+        assert!(pooled
+            .submit(i, params(i), 0, &mut link)
+            .unwrap()
+            .is_empty());
     }
     link.set_segment_config(
         Endpoint::Clients,
@@ -389,7 +395,7 @@ fn mid_pool_wire_loss_under_abort_surfaces_a_typed_timeout_and_restores_the_pool
             ..LinkConfig::default()
         },
     );
-    let err = pooled.submit(3, params(3), &mut link).unwrap_err();
+    let err = pooled.submit(3, params(3), 0, &mut link).unwrap_err();
     assert!(
         matches!(FlError::from(err), FlError::Timeout { .. }),
         "the wire outage must surface as the typed timeout"
@@ -407,7 +413,10 @@ fn mid_pool_wire_loss_under_abort_surfaces_a_typed_timeout_and_restores_the_pool
         FlushPolicy::Batched,
         100_000_000,
     );
-    let round = pooled.flush(&mut healed).unwrap().expect("retry commits");
+    let round = pooled
+        .flush(0, &mut healed)
+        .unwrap()
+        .expect("retry commits");
     assert_eq!(round.slots, vec![0, 1, 2, 3]);
     let stripped = round.server_outputs().unwrap();
     let reals: Vec<ModelParams> = (0..4).map(params).collect();
@@ -421,14 +430,11 @@ fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
     };
     use mixnn::fl::FlError;
     use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
-    use mixnn::telemetry::{Registry, VirtualClock};
 
     // A stalled wire (every packet delayed far beyond the delivery
     // timeout) must not hang a deadline firing: SimLink's timeouts are
     // virtual-time bounded, so the tick returns a typed timeout and the
     // under-full pool survives for a later retry.
-    let clock = VirtualClock::new();
-    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
     let chain = Box::new(LinearChain::new(2));
     let (cascade, _) =
         CascadeCoordinator::launch_seeded(vec![8, 4], chain, 9, FailurePolicy::Abort).unwrap();
@@ -441,17 +447,15 @@ fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
         31,
     )
     .unwrap();
-    pooled.attach_telemetry(telemetry);
     let stalled = LinkConfig {
         latency_ns: 1_000_000_000_000, // 1000 s per packet
         ..LinkConfig::default()
     };
     let mut link = SimLink::new(2, 13, stalled, FlushPolicy::Batched, 100_000_000);
 
-    pooled.submit(0, params(0), &mut link).unwrap();
-    pooled.submit(1, params(1), &mut link).unwrap();
-    clock.advance_ns(5_000); // sail past the pool deadline
-    let err = pooled.tick(&mut link).unwrap_err();
+    pooled.submit(0, params(0), 0, &mut link).unwrap();
+    pooled.submit(1, params(1), 0, &mut link).unwrap();
+    let err = pooled.tick(5_000, &mut link).unwrap_err(); // past the deadline
     assert!(
         matches!(FlError::from(err), FlError::Timeout { .. }),
         "a stalled wire is a bounded timeout, not a deadlock"
@@ -460,7 +464,7 @@ fn deadline_firing_under_a_stalled_link_times_out_instead_of_deadlocking() {
     // so the next tick retries immediately (and fails the same bounded
     // way while the wire stays stalled).
     assert_eq!(pooled.pool().len(), 2);
-    assert!(pooled.tick(&mut link).is_err());
+    assert!(pooled.tick(5_000, &mut link).is_err());
     assert_eq!(pooled.pool().len(), 2);
 }
 
@@ -472,15 +476,12 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
     use mixnn::fl::FlError;
     use mixnn::net::{FlushPolicy, LinkConfig, SimLink};
     use mixnn::proxy::Endpoint;
-    use mixnn::telemetry::{Registry, VirtualClock};
 
     // The pool's deadline has elapsed when the next update arrives, and
     // the wire into the first hop is down: the deadline firing fails
     // before the arrival has been pooled. The caller moved the update into
     // `submit` and cannot resubmit it, so it must be in the pool afterwards
     // — behind the restored members — and commit with them on the retry.
-    let clock = VirtualClock::new();
-    let telemetry = Registry::with_virtual_clock(clock.clone()).shared();
     let chain = Box::new(LinearChain::new(2));
     let (cascade, _) =
         CascadeCoordinator::launch_seeded(vec![8, 4], chain, 9, FailurePolicy::Abort).unwrap();
@@ -493,7 +494,6 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
         31,
     )
     .unwrap();
-    pooled.attach_telemetry(telemetry);
     let mut link = SimLink::new(
         2,
         13,
@@ -502,7 +502,10 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
         100_000_000,
     );
     for i in 0..2 {
-        assert!(pooled.submit(i, params(i), &mut link).unwrap().is_empty());
+        assert!(pooled
+            .submit(i, params(i), 0, &mut link)
+            .unwrap()
+            .is_empty());
     }
     link.set_segment_config(
         Endpoint::Clients,
@@ -512,9 +515,9 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
             ..LinkConfig::default()
         },
     );
-    clock.advance_ns(5_000); // sail past the pool deadline
 
-    let err = pooled.submit(2, params(2), &mut link).unwrap_err();
+    // The arrival comes after the pool deadline.
+    let err = pooled.submit(2, params(2), 5_000, &mut link).unwrap_err();
     assert!(
         matches!(FlError::from(err), FlError::Timeout { .. }),
         "the wire outage must surface as the typed timeout"
@@ -532,7 +535,10 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
         FlushPolicy::Batched,
         100_000_000,
     );
-    let round = pooled.flush(&mut healed).unwrap().expect("retry commits");
+    let round = pooled
+        .flush(5_000, &mut healed)
+        .unwrap()
+        .expect("retry commits");
     assert_eq!(round.slots, vec![0, 1, 2]);
     let stripped = round.server_outputs().unwrap();
     let reals: Vec<ModelParams> = (0..3).map(params).collect();
