@@ -8,8 +8,9 @@
 //! what the v2 quantized frames cost to produce and parse at the
 //! reference layer sizes, and `validate` prices the structural v2 check
 //! the last hop runs per envelope without decompressing. `decode` and
-//! `validate` time the `*_expecting` doors — the ones the proxy, the last
-//! hop and the server call.
+//! `validate` time the `*_expecting` doors — the ones the last hop and
+//! the server call — and `decode_into` the door the proxy calls, into an
+//! update it already holds.
 //!
 //! Those rows stop at 2,048 smooth values, where the lossy modes' cost
 //! hides behind fixed overheads. The `/262144` rows run one layer of the
@@ -89,6 +90,27 @@ fn bench_decode(c: &mut Criterion) {
             &bytes,
             |b, bytes| {
                 b.iter(|| codec::decode_params_expecting(bytes, &PAPER_SIGNATURE).unwrap());
+            },
+        );
+    }
+    group.finish();
+}
+
+/// What the proxy runs: the same bodies decoded into an update it
+/// already holds (`decode_params_into`), against `codec/decode`'s fresh
+/// one.
+fn bench_decode_into(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec/decode_into");
+    configure(&mut group);
+    let params = reference_params();
+    let mut target = params.scale(0.0);
+    for mode in modes() {
+        let bytes = encode_params_with(&params, mode);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(mode.name()),
+            &bytes,
+            |b, bytes| {
+                b.iter(|| codec::decode_params_into(bytes, &PAPER_SIGNATURE, &mut target).unwrap());
             },
         );
     }
@@ -232,6 +254,7 @@ criterion_group!(
     benches,
     bench_encode,
     bench_decode,
+    bench_decode_into,
     bench_validate,
     bench_big_layer,
     bench_select,

@@ -140,6 +140,14 @@ fn bench_sealed_box(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("open", size), &size, |b, _| {
             b.iter(|| SealedBox::open(&sealed, &recipient).unwrap());
         });
+        // What the single proxy runs: every envelope opened into the one
+        // plaintext buffer it keeps. Against `open` it leaves out the fresh
+        // allocation (and, past the allocator's mmap threshold, the page
+        // faults of a new mapping).
+        let mut plaintext = Vec::new();
+        group.bench_with_input(BenchmarkId::new("open_into", size), &size, |b, _| {
+            b.iter(|| SealedBox::open_into(&sealed, &recipient, &mut plaintext).unwrap());
+        });
         // What the hops run. Opening consumes the ciphertext, so every
         // iteration first restores it into the same buffer — a copy the
         // real path does not make, which this row therefore over-states

@@ -110,7 +110,6 @@ pub struct HopDescriptor {
 }
 
 /// One mixing proxy in the chain.
-#[derive(Debug)]
 pub struct CascadeHop {
     index: usize,
     enclave: Enclave,
@@ -123,6 +122,19 @@ pub struct CascadeHop {
     signature: Vec<usize>,
     stats: ProxyStats,
     telemetry: Telemetry,
+}
+
+/// Leaves out `dummy_seed`: it keys every cover value the hop will draw.
+impl std::fmt::Debug for CascadeHop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CascadeHop")
+            .field("index", &self.index)
+            .field("enclave", &self.enclave)
+            .field("rng", &self.rng)
+            .field("signature", &self.signature)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 /// What every onion of one round must agree on: the message kind and the
@@ -651,6 +663,18 @@ mod tests {
             })
             .collect();
         (hops, service, rng)
+    }
+
+    #[test]
+    fn debug_prints_neither_the_mixing_state_nor_the_cover_seed() {
+        let (hops, _, _) = launch_chain(2, &[3, 2]);
+        for (i, hop) in hops.iter().enumerate() {
+            let printed = format!("{hop:?}");
+            assert!(printed.contains("rng: StdRng { .. }"), "{printed}");
+            let dummy_seed = shard_seed(100 + i as u64, 0x00c0_ffee);
+            assert_eq!(hop.dummy_seed, dummy_seed);
+            assert!(!printed.contains(&dummy_seed.to_string()), "{printed}");
+        }
     }
 
     fn onions(hops: &[CascadeHop], c: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {

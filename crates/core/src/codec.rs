@@ -1297,7 +1297,8 @@ pub fn encode_params_into(out: &mut Vec<u8>, params: &ModelParams, compression: 
 /// build does not speak, and [`ProxyError::Codec`] on truncation, bad
 /// magic, malformed v2 frames or trailing garbage.
 pub fn decode_params(bytes: &[u8]) -> Result<ModelParams, ProxyError> {
-    decode_params_inner(bytes, None)
+    let body = ParamsBody::parse(bytes)?;
+    body.read(LayerFrame::decode).map(ModelParams::from_layers)
 }
 
 /// [`decode_params`], but the caller states the layer signature the body
@@ -1306,6 +1307,10 @@ pub fn decode_params(bytes: &[u8]) -> Result<ModelParams, ProxyError> {
 /// and compared to `expected_signature` **before** anything is decoded,
 /// so a crafted body cannot force allocations the signature does not
 /// authorize.
+///
+/// This is [`decode_params_into`] over fresh zeros, allocated once the
+/// body has passed both checks: the same values, bit for bit, and the
+/// same error for every body.
 ///
 /// # Errors
 ///
@@ -1318,63 +1323,152 @@ pub fn decode_params_expecting(
     bytes: &[u8],
     expected_signature: &[usize],
 ) -> Result<ModelParams, ProxyError> {
-    decode_params_inner(bytes, Some(expected_signature))
+    let body = ParamsBody::expecting(bytes, expected_signature)?;
+    let mut out = ModelParams::from_layers(
+        expected_signature
+            .iter()
+            .map(|&len| LayerParams::from_values(vec![0.0; len]))
+            .collect(),
+    );
+    body.write(&mut out)?;
+    Ok(out)
 }
 
-fn decode_params_inner(
-    mut bytes: &[u8],
-    expected_signature: Option<&[usize]>,
-) -> Result<ModelParams, ProxyError> {
-    if bytes.remaining() < 9 {
-        return Err(malformed("header truncated"));
-    }
-    if bytes.get_u32() != MAGIC {
-        return Err(malformed("bad magic"));
-    }
-    let version = bytes.get_u8();
-    if version != VERSION && version != VERSION_V2 {
-        return Err(ProxyError::UnsupportedCodecVersion { version });
-    }
-    let layer_count = bytes.get_u32() as usize;
-    // Sanity bound: each declared layer needs at least its length header.
-    if layer_count > bytes.remaining() / 4 + 1 {
-        return Err(malformed("implausible layer count"));
-    }
-    if let Some(expected) = expected_signature {
-        // Pre-pass: pin every frame's declared geometry to the signature
-        // before a value buffer exists. A second call of the one reader:
-        // held views would be a fatter allocation than their lengths are.
-        let declared = read_body(bytes, version, layer_count, |frame| {
-            frame.validate().map(|_| frame.len)
-        })?;
-        if declared != expected {
-            return Err(ProxyError::SignatureMismatch {
-                expected: expected.to_vec(),
-                actual: declared,
-            });
-        }
-    }
-    read_body(bytes, version, layer_count, LayerFrame::decode).map(ModelParams::from_layers)
+/// [`decode_params_expecting`] into the caller's update, which must
+/// already have the layer lengths `expected_signature` names: nothing is
+/// allocated, and every position of `out` is overwritten — a top-k
+/// frame's dropped positions with `0.0` — so what `out` held before never
+/// shows through. Bit for bit the values [`decode_params_expecting`]
+/// returns: what the proxy runs to decode a round into the updates its
+/// participants handed over.
+///
+/// # Errors
+///
+/// Exactly those of [`decode_params_expecting`], in the same precedence,
+/// all reported before anything is written: on any error `out` is
+/// untouched.
+///
+/// # Panics
+///
+/// Panics if `out`'s layer lengths are not `expected_signature`.
+pub fn decode_params_into(
+    bytes: &[u8],
+    expected_signature: &[usize],
+    out: &mut ModelParams,
+) -> Result<(), ProxyError> {
+    assert!(
+        has_signature(out, expected_signature),
+        "the decode target must have the expected signature"
+    );
+    ParamsBody::expecting(bytes, expected_signature)?.write(out)
 }
 
-/// What `read` takes from each of the `layer_count` frames of a
-/// version-`version` params body, which must end with the last of them.
-fn read_body<'a, T>(
-    mut bytes: &'a [u8],
+/// Whether `params` has the layer lengths `signature` names, compared in
+/// place.
+pub(crate) fn has_signature(params: &ModelParams, signature: &[usize]) -> bool {
+    params.num_layers() == signature.len()
+        && params
+            .iter()
+            .zip(signature)
+            .all(|(layer, &len)| layer.len() == len)
+}
+
+/// A params body past its header: the frames of a version-`version` body
+/// that declares `layer_count` of them, and must end with the last.
+struct ParamsBody<'a> {
     version: u8,
     layer_count: usize,
-    read: impl Fn(&LayerFrame<'a>) -> Result<T, ProxyError>,
-) -> Result<Vec<T>, ProxyError> {
-    let mut out = Vec::with_capacity(layer_count);
-    for _ in 0..layer_count {
-        let frame = LayerFrame::parse(bytes, Some(version), None)?;
-        out.push(read(&frame)?);
-        bytes = frame.rest;
+    frames: &'a [u8],
+}
+
+impl<'a> ParamsBody<'a> {
+    /// Reads the body header: magic, version, a plausible layer count.
+    fn parse(mut bytes: &'a [u8]) -> Result<Self, ProxyError> {
+        if bytes.remaining() < 9 {
+            return Err(malformed("header truncated"));
+        }
+        if bytes.get_u32() != MAGIC {
+            return Err(malformed("bad magic"));
+        }
+        let version = bytes.get_u8();
+        if version != VERSION && version != VERSION_V2 {
+            return Err(ProxyError::UnsupportedCodecVersion { version });
+        }
+        let layer_count = bytes.get_u32() as usize;
+        // Sanity bound: each declared layer needs at least its length header.
+        if layer_count > bytes.remaining() / 4 + 1 {
+            return Err(malformed("implausible layer count"));
+        }
+        Ok(ParamsBody {
+            version,
+            layer_count,
+            frames: bytes,
+        })
     }
-    if !bytes.is_empty() {
-        return Err(malformed("trailing bytes after last layer"));
+
+    /// [`ParamsBody::parse`], then the pre-pass: every frame validated
+    /// and its declared length compared to `expected` where it lies,
+    /// before a value buffer exists. Structure is reported before the
+    /// signature, and the declared signature is only built for the
+    /// mismatch error.
+    fn expecting(bytes: &'a [u8], expected: &[usize]) -> Result<Self, ProxyError> {
+        let body = Self::parse(bytes)?;
+        let mut matches = body.layer_count == expected.len();
+        let mut expected_lens = expected.iter();
+        body.walk(|frame| {
+            frame.validate()?;
+            matches &= expected_lens.next() == Some(&frame.len);
+            Ok(())
+        })?;
+        if !matches {
+            return Err(ProxyError::SignatureMismatch {
+                expected: expected.to_vec(),
+                actual: body.read(|frame| Ok(frame.len))?,
+            });
+        }
+        Ok(body)
     }
-    Ok(out)
+
+    /// Hands every frame to `visit`, in order; the body must end with the
+    /// last of them.
+    fn walk(
+        &self,
+        mut visit: impl FnMut(&LayerFrame<'a>) -> Result<(), ProxyError>,
+    ) -> Result<(), ProxyError> {
+        let mut bytes = self.frames;
+        for _ in 0..self.layer_count {
+            let frame = LayerFrame::parse(bytes, Some(self.version), None)?;
+            visit(&frame)?;
+            bytes = frame.rest;
+        }
+        if !bytes.is_empty() {
+            return Err(malformed("trailing bytes after last layer"));
+        }
+        Ok(())
+    }
+
+    /// What `read` takes from each frame.
+    fn read<T>(
+        &self,
+        read: impl Fn(&LayerFrame<'a>) -> Result<T, ProxyError>,
+    ) -> Result<Vec<T>, ProxyError> {
+        let mut out = Vec::with_capacity(self.layer_count);
+        self.walk(|frame| {
+            out.push(read(frame)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Decodes every frame over the matching layer of `out`, which a
+    /// [`ParamsBody::expecting`] pre-pass pinned to the frames' lengths.
+    fn write(&self, out: &mut ModelParams) -> Result<(), ProxyError> {
+        let mut layers = out.iter_mut();
+        self.walk(|frame| {
+            let layer = layers.next().expect("the pre-pass pinned the layer count");
+            frame.decode_into(layer.values_mut())
+        })
+    }
 }
 
 /// SHA-256 digest of a **single layer's** canonical encoding
@@ -2535,6 +2629,89 @@ mod tests {
     }
 
     #[test]
+    fn decode_params_into_overwrites_every_position_as_decode_params_expecting_decodes() {
+        let bits = |p: &ModelParams| p.flatten().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let filled = |signature: &[usize], fill: f32| {
+            ModelParams::from_layers(
+                signature
+                    .iter()
+                    .map(|&len| LayerParams::from_values(vec![fill; len]))
+                    .collect(),
+            )
+        };
+        let layer = |len: usize, phase: f32| {
+            LayerParams::from_values((0..len).map(|i| (i as f32 * 0.37 + phase).sin()).collect())
+        };
+        let smooth =
+            ModelParams::from_layers(vec![layer(300, 0.0), layer(3, 1.0), layer(1000, 2.0)]);
+        let mut special = smooth.clone();
+        special.iter_mut().next().unwrap().values_mut()[..6].copy_from_slice(&[
+            f32::NAN,
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ]);
+        let signature = smooth.signature();
+        for (p, mode) in [
+            (special, CompressionConfig::F32),
+            (smooth.clone(), CompressionConfig::Int8),
+            (smooth, CompressionConfig::Int8TopK { keep_per_1024: 256 }),
+        ] {
+            let bytes = encode_params_with(&p, mode);
+            let fresh = decode_params_expecting(&bytes, &signature).unwrap();
+            // A NaN or −0.0 left anywhere would show in the bits: every
+            // position is written, a dropped one with +0.0.
+            for fill in [f32::NAN, -0.0] {
+                let mut out = filled(&signature, fill);
+                decode_params_into(&bytes, &signature, &mut out).unwrap();
+                assert_eq!(bits(&out), bits(&fresh), "{} over {fill}", mode.name());
+            }
+            // A rejected body writes nothing: not on a signature mismatch,
+            // not on a malformation.
+            let mut wrong = signature.clone();
+            wrong[1] += 1;
+            let mut out = filled(&wrong, f32::NAN);
+            assert_eq!(
+                decode_params_into(&bytes, &wrong, &mut out),
+                Err(ProxyError::SignatureMismatch {
+                    expected: wrong.clone(),
+                    actual: signature.clone(),
+                }),
+                "{}",
+                mode.name()
+            );
+            assert_eq!(
+                bits(&out),
+                bits(&filled(&wrong, f32::NAN)),
+                "{}",
+                mode.name()
+            );
+            let mut out = filled(&signature, f32::NAN);
+            assert!(matches!(
+                decode_params_into(&bytes[..bytes.len() - 1], &signature, &mut out),
+                Err(ProxyError::Codec { .. })
+            ));
+            assert_eq!(
+                bits(&out),
+                bits(&filled(&signature, f32::NAN)),
+                "{}",
+                mode.name()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the decode target must have the expected signature")]
+    fn decode_params_into_needs_a_target_of_the_expected_signature() {
+        let p = sample();
+        let bytes = encode_params(&p);
+        let mut short = ModelParams::from_layers(vec![LayerParams::from_values(vec![0.0; 3])]);
+        let _ = decode_params_into(&bytes, &p.signature(), &mut short);
+    }
+
+    #[test]
     fn bare_sentinel_is_a_truncated_v2_header_not_a_v1_layer() {
         let bytes = V2_SENTINEL.to_be_bytes();
         let err = decode_layer(&bytes).unwrap_err();
@@ -2648,10 +2825,15 @@ mod tests {
                 Err(codec_error(reason)),
                 "{what}"
             );
-            // the params door reports structure first, as its doc says.
+            // the params doors report structure first, as their docs say.
             assert_eq!(
                 decode_params_expecting(&one_layer_body(version, &frame), &[len + 1]),
                 Err(codec_error(reason)),
+                "{what}"
+            );
+            assert_eq!(
+                decode_params_into_target(&one_layer_body(version, &frame), len + 1),
+                (Err(codec_error(reason)), true),
                 "{what}"
             );
         }
@@ -2702,6 +2884,11 @@ mod tests {
                 Err(codec_error(reason)),
                 "{what}"
             );
+            assert_eq!(
+                decode_params_into_target(&one_layer_body(version, &frame), len),
+                (Err(codec_error(reason)), true),
+                "{what}"
+            );
         }
         // Trailing bytes are about the end of the buffer, so the body has
         // its own message for them.
@@ -2723,7 +2910,20 @@ mod tests {
                 decode_params(&one_layer_body(version, &frame)),
                 Err(codec_error("trailing bytes after last layer"))
             );
+            assert_eq!(
+                decode_params_into_target(&one_layer_body(version, &frame), 2),
+                (Err(codec_error("trailing bytes after last layer")), true)
+            );
         }
+    }
+
+    /// [`decode_params_into`] a one-layer target of `len` NaNs: the
+    /// outcome, and whether the target is still all NaN.
+    fn decode_params_into_target(body: &[u8], len: usize) -> (Result<(), ProxyError>, bool) {
+        let mut target =
+            ModelParams::from_layers(vec![LayerParams::from_values(vec![f32::NAN; len])]);
+        let outcome = decode_params_into(body, &[len], &mut target);
+        (outcome, target.flatten().iter().all(|v| v.is_nan()))
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! # Ingest
 //!
-//! There is one ingest routine (`MixnnProxy::ingest_sealed`, private to
-//! this crate) behind the proxy's two ways in, and it is strictly in
+//! There is one ingest routine (`MixnnProxy::ingest_sealed_into`, private
+//! to this crate) behind the proxy's two ways in, and it is strictly in
 //! submission order. The shared secrets of eight sealed
 //! updates (`INGEST_BATCH`, one full pass of the eight-lane X25519
 //! ladder) are derived together — pure key agreement: no ciphertext is
@@ -15,6 +15,18 @@
 //! one-by-one loop would produce — [`MixnnProxy::submit_encrypted`] *is*
 //! that routine with a batch of one, and [`MixnnProxy::mix_sealed_round`]
 //! is that routine over a whole round followed by the mix.
+//!
+//! A steady round writes only into memory the proxy already holds. The
+//! one plaintext lives in a buffer the proxy keeps: every update is opened
+//! into it ([`PreparedOpen::open_into`](mixnn_crypto::PreparedOpen::open_into)),
+//! decoded out of it and wiped from it before the next turn, whether the
+//! update was committed or rejected, so between turns it holds only
+//! zeros. The decode writes into the updates the round consumed — the
+//! plaintexts `MixnnTransport::relay_round` has just sealed
+//! ([`codec::decode_params_into`]) — when they have the launch signature,
+//! and into fresh memory otherwise; `submit_encrypted` and
+//! `mix_sealed_round` hand over none. The mixed updates are thus made of
+//! the round's own memory.
 //!
 //! # Mix
 //!
@@ -41,6 +53,7 @@ use mixnn_nn::ModelParams;
 use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use std::time::Instant;
 
 /// Configuration of a MixNN proxy instance.
@@ -117,18 +130,37 @@ impl ProxyStats {
 /// [`MixnnProxy::submit_encrypted`] (a transport hands over a whole round
 /// through [`MixnnProxy::mix_sealed_round`]); the server-facing side emits
 /// mixed updates.
-#[derive(Debug)]
 pub struct MixnnProxy {
     enclave: Enclave,
     expected_measurement: Measurement,
     signature: Vec<usize>,
     batch_buffer: Vec<ModelParams>,
+    /// The one opened plaintext: every update is opened into it, decoded
+    /// out of it and wiped from it within its turn, so it holds zeros
+    /// between turns and grows only to the longest update ever opened.
+    plaintext: Vec<u8>,
     /// The enclave's mixing entropy: one [`MixPlan::for_round`] draw per
     /// round, as a cascade hop draws its plans.
     rng: StdRng,
     last_audit: Option<RoundTranscript>,
     stats: ProxyStats,
     telemetry: Telemetry,
+}
+
+/// Counts the buffered updates and prints only the plaintext scratch's
+/// capacity: a buffered update is a participant's plaintext.
+impl fmt::Debug for MixnnProxy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MixnnProxy")
+            .field("enclave", &self.enclave)
+            .field("signature", &self.signature)
+            .field("buffered", &self.batch_buffer.len())
+            .field("plaintext_capacity", &self.plaintext.capacity())
+            .field("rng", &self.rng)
+            .field("last_audit", &self.last_audit)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 impl MixnnProxy {
@@ -146,6 +178,7 @@ impl MixnnProxy {
             expected_measurement,
             signature: config.expected_signature,
             batch_buffer: Vec::new(),
+            plaintext: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             last_audit: None,
             stats: ProxyStats::default(),
@@ -230,11 +263,28 @@ impl MixnnProxy {
     /// of eight shares one key-agreement pass, then every update of it is
     /// opened, charged, decoded, validated and committed before the next
     /// (see the module docs). A rejected update is counted and skipped;
-    /// the rest of the round is still ingested.
+    /// the rest of the round is still ingested. Every update is decoded
+    /// into fresh memory ([`MixnnProxy::ingest_sealed_into`] with no
+    /// targets).
     pub(crate) fn ingest_sealed<T: AsRef<[u8]>>(
         &mut self,
         sealed: &[T],
     ) -> Vec<Result<(), ProxyError>> {
+        self.ingest_sealed_into(sealed, Vec::new())
+    }
+
+    /// The one ingest routine: [`MixnnProxy::ingest_sealed`], decoding
+    /// each update into one of `targets` — updates whose values are
+    /// spent, the plaintexts the participants just sealed — and into
+    /// fresh memory once none is left. A target is used only if its layer
+    /// lengths are the launch signature, and then every value of it is
+    /// overwritten.
+    pub(crate) fn ingest_sealed_into<T: AsRef<[u8]>>(
+        &mut self,
+        sealed: &[T],
+        mut targets: Vec<ModelParams>,
+    ) -> Vec<Result<(), ProxyError>> {
+        targets.retain(|target| codec::has_signature(target, &self.signature));
         let mut results = Vec::with_capacity(sealed.len());
         for batch in sealed.chunks(INGEST_BATCH) {
             let t0 = Instant::now();
@@ -245,10 +295,12 @@ impl MixnnProxy {
                 let sealed = sealed.as_ref();
                 let sealed_len = sealed.len();
                 let t1 = Instant::now();
-                let opened = prepared.and_then(|p| p.open(sealed));
+                let opened = prepared.and_then(|p| p.open_into(sealed, &mut self.plaintext));
                 let decrypt_seconds = ladder_seconds + t1.elapsed().as_secs_f64();
                 self.stats.bytes_received += sealed_len as u64;
-                let result = self.commit_opened(sealed_len, opened, decrypt_seconds);
+                let result = self.commit_opened(sealed_len, opened, decrypt_seconds, &mut targets);
+                // The turn is over: no participant's plaintext outlives it.
+                self.plaintext.fill(0);
                 if result.is_err() {
                     self.stats.updates_rejected += 1;
                     self.stats.bytes_rejected += sealed_len as u64;
@@ -261,22 +313,36 @@ impl MixnnProxy {
     }
 
     /// One opened update's turn: replay the decrypt charge, decode and
-    /// validate, charge the buffer footprint, buffer the update. On any
-    /// error every charge taken here has been released and the proxy state
-    /// is unchanged (the caller counts the rejection).
+    /// validate the plaintext scratch into a target (or fresh memory),
+    /// charge the buffer footprint, buffer the update. On any error every
+    /// charge taken here has been released and the proxy state is
+    /// unchanged (the caller counts the rejection).
     fn commit_opened(
         &mut self,
         sealed_len: usize,
-        opened: Result<Vec<u8>, mixnn_crypto::CryptoError>,
+        opened: Result<(), mixnn_crypto::CryptoError>,
         decrypt_seconds: f64,
+        targets: &mut Vec<ModelParams>,
     ) -> Result<(), ProxyError> {
-        let plaintext = self.enclave.charge_opened(sealed_len, opened)?;
+        self.enclave.charge_opened(sealed_len, opened)?;
         let t0 = Instant::now();
         // The declared geometry is pinned to the configured signature
-        // before any value buffer is allocated, so a crafted header cannot
-        // name an allocation the round never authorized — and a foreign
-        // model is rejected here, whatever arrived before it.
-        let params = codec::decode_params_expecting(&plaintext, &self.signature)?;
+        // before any value is written, so a crafted header cannot name an
+        // allocation the round never authorized — and a foreign model is
+        // rejected here, whatever arrived before it.
+        let params = match targets.pop() {
+            Some(mut target) => {
+                match codec::decode_params_into(&self.plaintext, &self.signature, &mut target) {
+                    Ok(()) => target,
+                    Err(e) => {
+                        // Untouched: the next update can still use it.
+                        targets.push(target);
+                        return Err(e);
+                    }
+                }
+            }
+            None => codec::decode_params_expecting(&self.plaintext, &self.signature)?,
+        };
         // Charge the decoded update against the EPC while it sits in the
         // buffer.
         self.enclave.memory().allocate(Self::footprint(&params))?;
@@ -310,6 +376,17 @@ impl MixnnProxy {
         &mut self,
         sealed: &[T],
     ) -> Result<Vec<ModelParams>, ProxyError> {
+        self.mix_sealed_round_into(sealed, Vec::new())
+    }
+
+    /// [`MixnnProxy::mix_sealed_round`], decoding the round into `targets`
+    /// while they last ([`MixnnProxy::ingest_sealed_into`]): the mixed
+    /// updates are then made of their memory.
+    pub(crate) fn mix_sealed_round_into<T: AsRef<[u8]>>(
+        &mut self,
+        sealed: &[T],
+        targets: Vec<ModelParams>,
+    ) -> Result<Vec<ModelParams>, ProxyError> {
         self.telemetry.trace(
             Component::Core,
             None,
@@ -317,7 +394,7 @@ impl MixnnProxy {
                 updates: sealed.len() as u64,
             },
         );
-        let results = self.ingest_sealed(sealed);
+        let results = self.ingest_sealed_into(sealed, targets);
         let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
         self.telemetry.trace(
             Component::Core,
@@ -646,6 +723,62 @@ mod tests {
         assert_eq!(ModelParams::mean(&inputs), ModelParams::mean(&outputs));
         assert_eq!(proxy.stats().updates_forwarded, 3);
         assert_eq!(proxy.memory_stats().allocated, 0);
+    }
+
+    #[test]
+    fn the_plaintext_scratch_is_wiped_after_every_round() {
+        let (mut proxy, _, mut rng) = launch();
+        let wiped = |proxy: &MixnnProxy| {
+            !proxy.plaintext.is_empty() && proxy.plaintext.iter().all(|&b| b == 0)
+        };
+        let sealed: Vec<Vec<u8>> = (0..5)
+            .map(|i| seal(&proxy, &params(i + 1), &mut rng))
+            .collect();
+        proxy.mix_sealed_round(&sealed).unwrap();
+        assert!(wiped(&proxy), "{:?}", proxy.plaintext);
+
+        // Failing rounds: a foreign model, which opens and then fails its
+        // decode, and garbage, which never opens — mid-round and last.
+        let alien = ModelParams::from_layers(vec![LayerParams::from_values(vec![7.0; 4])]);
+        for at in [2, 4] {
+            for bad in [
+                seal(&proxy, &alien, &mut rng),
+                vec![0u8; SEAL_OVERHEAD + 16],
+            ] {
+                let mut sealed: Vec<Vec<u8>> = (0..4)
+                    .map(|i| seal(&proxy, &params(i + 1), &mut rng))
+                    .collect();
+                sealed.insert(at, bad);
+                assert!(proxy.mix_sealed_round(&sealed).is_err());
+                assert!(wiped(&proxy), "{:?}", proxy.plaintext);
+            }
+        }
+    }
+
+    #[test]
+    fn debug_counts_buffered_updates_instead_of_printing_them() {
+        let (mut proxy, _, mut rng) = launch();
+        let secret = ModelParams::from_layers(vec![
+            LayerParams::from_values(vec![12345.678; 3]),
+            LayerParams::from_values(vec![-8_765.432; 2]),
+        ]);
+        for _ in 0..3 {
+            let sealed = seal(&proxy, &secret, &mut rng);
+            proxy.submit_encrypted(&sealed).unwrap();
+        }
+        let printed = format!("{proxy:?}");
+        assert!(printed.contains("buffered: 3"), "{printed}");
+        assert!(
+            printed.contains(&format!(
+                "plaintext_capacity: {}",
+                proxy.plaintext.capacity()
+            )),
+            "{printed}"
+        );
+        assert!(printed.contains("rng: StdRng { .. }"), "{printed}");
+        for value in ["12345.678", "8765.432"] {
+            assert!(!printed.contains(value), "{printed}");
+        }
     }
 
     #[test]

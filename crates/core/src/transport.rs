@@ -145,10 +145,9 @@ impl MixnnTransport {
                 envelope
             })
             .collect();
-        // The plaintext updates are dead once sealed: released before the
-        // proxy decodes, the decoded updates reuse their memory.
-        drop(params);
-        let mixed = self.proxy.mix_sealed_round(&sealed);
+        // The plaintext updates are dead once sealed: the proxy decodes
+        // the round into them, so the mixed updates are their memory.
+        let mixed = self.proxy.mix_sealed_round_into(&sealed, params);
         self.envelopes.keep(sealed);
         mixed
     }
@@ -333,6 +332,27 @@ mod tests {
             "{printed}"
         );
         assert!(printed.len() < 4096, "{} bytes of Debug", printed.len());
+    }
+
+    #[test]
+    fn debug_prints_no_rng_state_and_no_update() {
+        let mut t = transport();
+        let ins: Vec<ModelParams> = (0..4)
+            .map(|_| {
+                ModelParams::from_layers(vec![
+                    LayerParams::from_values(vec![12345.678; 2]),
+                    LayerParams::from_values(vec![-8_765.432; 3]),
+                ])
+            })
+            .collect();
+        t.relay_round(ins).unwrap();
+        let printed = format!("{t:?}");
+        // The enclave's mixing RNG and the participants' sealing RNG.
+        assert_eq!(printed.matches("StdRng { .. }").count(), 2, "{printed}");
+        assert!(!printed.contains("state"), "{printed}");
+        for value in ["12345.678", "8765.432"] {
+            assert!(!printed.contains(value), "{printed}");
+        }
     }
 
     #[test]

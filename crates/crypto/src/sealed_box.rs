@@ -62,11 +62,13 @@
 //!   check is left byte-for-byte untouched, and one that passes holds the
 //!   plaintext at `sealed[OVERHEAD..]` without a second buffer ever
 //!   existing. That is the one verify-and-decrypt implementation;
-//!   [`SealedBox::open`] and [`SealedBox::open_batch`] run the same
-//!   verification on a borrowed envelope, then copy the ciphertext out
-//!   and decrypt the copy in place, so every way of opening returns the
-//!   same bytes and the same error — and none allocates for an envelope
-//!   that fails.
+//!   [`PreparedOpen::open_into`] runs the same verification on a borrowed
+//!   envelope, then copies the ciphertext into the caller's buffer — one
+//!   a recipient keeps across envelopes — and decrypts the copy in place
+//!   ([`SealedBox::open_into`] for one envelope). [`SealedBox::open`] and
+//!   [`SealedBox::open_batch`] are that door over a fresh buffer, so
+//!   every way of opening returns the same bytes and the same error — and
+//!   none allocates or writes for an envelope that fails.
 
 use crate::chacha20::ChaCha20;
 use crate::cpu::Tier;
@@ -400,17 +402,36 @@ impl PreparedOpen {
         Ok(())
     }
 
-    /// Opens a borrowed envelope into a fresh plaintext buffer: verifies
-    /// it where it lies, then copies the ciphertext out and decrypts the
-    /// copy in place. Nothing is allocated for an envelope that fails.
+    /// Opens a borrowed envelope into the caller's buffer: verifies it
+    /// where it lies, then replaces `out`'s contents with the ciphertext
+    /// and decrypts them in place, so on success `out` is exactly the
+    /// plaintext. `out` keeps its allocation when the plaintext fits — a
+    /// recipient that opens into one kept buffer allocates nothing per
+    /// envelope — and is untouched, contents and length, on any error.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedOpen::open_in_place`].
+    pub fn open_into(self, sealed: &[u8], out: &mut Vec<u8>) -> Result<(), CryptoError> {
+        let mut aead = self.verify(sealed)?;
+        let ciphertext = &sealed[OVERHEAD..];
+        out.clear();
+        out.reserve_exact(ciphertext.len());
+        out.extend_from_slice(ciphertext);
+        aead.crypt(out);
+        Ok(())
+    }
+
+    /// [`PreparedOpen::open_into`] a fresh buffer of exactly the
+    /// plaintext's length. Nothing is allocated for an envelope that
+    /// fails.
     ///
     /// # Errors
     ///
     /// As [`PreparedOpen::open_in_place`].
     pub fn open(self, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let mut aead = self.verify(sealed)?;
-        let mut plaintext = sealed[OVERHEAD..].to_vec();
-        aead.crypt(&mut plaintext);
+        let mut plaintext = Vec::new();
+        self.open_into(sealed, &mut plaintext)?;
         Ok(plaintext)
     }
 
@@ -622,6 +643,22 @@ impl SealedBox {
     /// Exactly those of [`SealedBox::open`].
     pub fn open_in_place(sealed: &mut [u8], recipient: &KeyPair) -> Result<(), CryptoError> {
         Self::prepare_open_one(sealed, recipient)?.open_in_place(sealed)
+    }
+
+    /// Decrypts a sealed box with the recipient's key pair into `out`,
+    /// replacing its contents and keeping its allocation when the
+    /// plaintext fits; on any error `out` is untouched
+    /// ([`PreparedOpen::open_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`SealedBox::open`].
+    pub fn open_into(
+        sealed: &[u8],
+        recipient: &KeyPair,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        Self::prepare_open_one(sealed, recipient)?.open_into(sealed, out)
     }
 
     /// Decrypts a sealed box with the recipient's key pair.

@@ -10,7 +10,9 @@
 //!   mid-batch) must return what [`SealedBox::open`] returns on valid
 //!   envelopes, on a flip at every byte, on every truncation and on
 //!   low-order ephemeral points, and must leave a buffer it fails on
-//!   byte-identical;
+//!   byte-identical; so must opening into a kept buffer
+//!   ([`SealedBox::open_into`], and [`PreparedOpen::open_into`]
+//!   mid-batch), whatever that buffer held before;
 //! * two-phase sealing ([`SealedBox::prepare`] + [`PreparedSeal::seal`])
 //!   must produce the bytes, and leave the RNG where, a loop of
 //!   [`SealedBox::seal`] does, at every batch size;
@@ -143,6 +145,48 @@ fn in_place_matches_open(envelope: &[u8], neighbours: &[Vec<u8>; 2], recipient: 
     expected.is_ok()
 }
 
+/// Opens `envelope` into a kept buffer — alone, and as the middle member
+/// of a prepared batch of three whose neighbours open into the same
+/// buffer — and checks it against [`SealedBox::open`]: the same plaintext
+/// in the buffer, or the same error and the buffer as it was, contents
+/// and length. Returns whether the envelope opened.
+fn into_matches_open(envelope: &[u8], neighbours: &[Vec<u8>; 2], recipient: &KeyPair) -> bool {
+    let expected = SealedBox::open(envelope, recipient);
+    let check = |buffer: &Vec<u8>, before: &[u8], outcome: Result<(), CryptoError>| match (
+        &expected, outcome,
+    ) {
+        (Ok(plaintext), Ok(())) => assert_eq!(buffer, plaintext),
+        (Err(expected), Err(actual)) => {
+            assert_eq!(expected, &actual);
+            assert_eq!(&buffer[..], before, "a failed open touched the buffer");
+        }
+        (expected, actual) => panic!("open {expected:?}, into {actual:?}"),
+    };
+
+    // A buffer that already holds more than any plaintext here, and one
+    // that holds nothing.
+    for kept in [vec![0xa5; 1500], Vec::new()] {
+        let mut buffer = kept.clone();
+        let outcome = SealedBox::open_into(envelope, recipient, &mut buffer);
+        check(&buffer, &kept, outcome);
+    }
+
+    let batch = [neighbours[0].as_slice(), envelope, neighbours[1].as_slice()];
+    let mut buffer = Vec::new();
+    let prepared = SealedBox::prepare_open(&batch, recipient);
+    for (position, (prepared, sealed)) in prepared.into_iter().zip(batch).enumerate() {
+        let before = buffer.clone();
+        let outcome = prepared.and_then(|p| p.open_into(sealed, &mut buffer));
+        if position == 1 {
+            check(&buffer, &before, outcome);
+        } else {
+            assert_eq!(outcome, Ok(()));
+            assert_eq!(Ok(&buffer), SealedBox::open(sealed, recipient).as_ref());
+        }
+    }
+    expected.is_ok()
+}
+
 proptest! {
     // Every case opens its envelope some 2·(len + 64) times, three ways
     // each: a handful of short lengths keeps the debug-profile run in
@@ -187,6 +231,39 @@ proptest! {
                 Err(CryptoError::LowOrderPoint)
             );
             prop_assert!(!in_place_matches_open(&forged, &neighbours, &recipient));
+        }
+    }
+
+    /// Opening into a kept buffer is [`SealedBox::open`] into memory the
+    /// caller already holds, for every way an envelope can be wrong.
+    #[test]
+    fn open_into_matches_open_and_leaves_failures_untouched(
+        seed in 0u64..1000,
+        len in 0usize..200,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0e17);
+        let recipient = KeyPair::generate(&mut rng);
+        let mut seal = |len: usize| {
+            let msg: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            SealedBox::seal(&msg, recipient.public(), &mut rng).unwrap()
+        };
+        let neighbours = [seal(40), seal(1100)];
+        let sealed = seal(len);
+
+        prop_assert!(into_matches_open(&sealed, &neighbours, &recipient));
+        for at in 0..sealed.len() {
+            let mut flipped = sealed.clone();
+            flipped[at] ^= 1 << (at % 8);
+            prop_assert!(!into_matches_open(&flipped, &neighbours, &recipient), "flip at {}", at);
+        }
+        for cut in 0..sealed.len() {
+            prop_assert!(!into_matches_open(&sealed[..cut], &neighbours, &recipient), "cut at {}", cut);
+        }
+        for low_order in [0u8, 1] {
+            let mut forged = sealed.clone();
+            forged[..32].fill(0);
+            forged[0] = low_order;
+            prop_assert!(!into_matches_open(&forged, &neighbours, &recipient));
         }
     }
 }

@@ -322,6 +322,16 @@ mod tests {
     }
 
     #[test]
+    fn debug_prints_no_state() {
+        let rng = StdRng::seed_from_u64(10);
+        let printed = format!("{rng:?} {rng:#?}");
+        assert_eq!(format!("{rng:?}"), "StdRng { .. }");
+        for word in rng.state_words() {
+            assert!(!printed.contains(&word.to_string()), "{printed}");
+        }
+    }
+
+    #[test]
     fn works_through_mut_references_and_unsized_bounds() {
         fn draw<R: Rng + ?Sized>(rng: &mut R) -> f64 {
             rng.gen()

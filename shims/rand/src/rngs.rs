@@ -7,9 +7,25 @@ use crate::{RngCore, SeedableRng};
 /// Drop-in for `rand::rngs::StdRng` in seeded-simulation use: the stream is
 /// fixed for a given seed forever, but it is *not* the same stream as
 /// upstream's ChaCha12-based `StdRng`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct StdRng {
     state: [u64; 4],
+}
+
+/// Prints `StdRng { .. }`, as upstream's does: the state predicts every
+/// later draw.
+impl core::fmt::Debug for StdRng {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("StdRng").finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+impl StdRng {
+    /// The generator's state, which `Debug` must not print.
+    pub(crate) fn state_words(&self) -> [u64; 4] {
+        self.state
+    }
 }
 
 impl RngCore for StdRng {
