@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixnn_attacks::{GradSim, GradSimConfig};
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
-use mixnn_fl::FlConfig;
+use mixnn_fl::{train_local, FlConfig, LocalTrainer};
 use mixnn_nn::{
-    Adam, Conv2d, Dense, Layer, LocallyConnected2d, MaxPool2d, Optimizer, SoftmaxCrossEntropy,
+    zoo, Adam, Conv2d, Dense, Layer, LocallyConnected2d, MaxPool2d, Optimizer, SoftmaxCrossEntropy,
 };
 use mixnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -91,7 +91,8 @@ fn bench_windowed_layers(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_secs(1));
     let mut row = |name: &str, mut layer: Box<dyn Layer>, x: Tensor, rng: &mut StdRng| {
-        let y = layer.forward(&x).unwrap();
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+        layer.forward(&x, &mut y).unwrap();
         let g = Tensor::from_fn(y.dims().to_vec(), |_| {
             if rng.gen_bool(0.2) {
                 rng.gen_range(-1.0f32..1.0)
@@ -101,10 +102,10 @@ fn bench_windowed_layers(c: &mut Criterion) {
         });
         let (kind, shape) = name.split_once('/').unwrap();
         group.bench_function(format!("{kind}/forward/{shape}"), |b| {
-            b.iter(|| layer.forward(&x).unwrap());
+            b.iter(|| layer.forward(&x, &mut y).unwrap());
         });
         group.bench_function(format!("{kind}/backward/{shape}"), |b| {
-            b.iter(|| layer.backward(&g).unwrap());
+            b.iter(|| layer.backward(&g, &mut dx).unwrap());
         });
         if shape.ends_with("conv1") {
             group.bench_function(format!("{kind}/backward_params/{shape}"), |b| {
@@ -158,11 +159,12 @@ fn bench_windowed_layers(c: &mut Criterion) {
                 rng.gen_range(-1.0f32..1.0)
             }
         });
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
         group.bench_function(format!("dense/forward/fl_train/{name}"), |b| {
-            b.iter(|| dense.forward(&x).unwrap());
+            b.iter(|| dense.forward(&x, &mut y).unwrap());
         });
         group.bench_function(format!("dense/backward/fl_train/{name}"), |b| {
-            b.iter(|| dense.backward(&g).unwrap());
+            b.iter(|| dense.backward(&g, &mut dx).unwrap());
         });
     }
 
@@ -186,13 +188,57 @@ fn bench_windowed_layers(c: &mut Criterion) {
     let logits = Tensor::randn(vec![64, 6], 0.0, 2.0, &mut rng);
     let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..6)).collect();
     let loss = SoftmaxCrossEntropy::new();
+    let mut dlogits = Tensor::default();
     group.bench_function("loss/fl_train", |b| {
-        b.iter(|| loss.loss_and_grad(&logits, &labels).unwrap());
+        b.iter(|| {
+            loss.loss_and_grad_into(&logits, &labels, &mut dlogits)
+                .unwrap()
+        });
+    });
+    group.finish();
+}
+
+/// One client's local training on `fl_train`'s shapes — the repo
+/// benchmark's MotionSense-like population, `conv2_fc3` at width 4/32, two
+/// epochs of one 64-example batch under Adam at 0.005 — in a fresh trainer
+/// (`train_local`, which builds a model, an optimizer and every buffer)
+/// and in one kept from the previous iteration (what each worker of a
+/// simulation does from its second client on). Both return the same bits.
+fn bench_local_training(c: &mut Criterion) {
+    let population = mixnn_data::motionsense_like(7).generate().unwrap();
+    let dims = population.spec().dims;
+    let template = zoo::conv2_fc3(
+        zoo::InputSpec::new(dims.channels, dims.height, dims.width),
+        population.spec().num_classes,
+        4,
+        32,
+        &mut StdRng::seed_from_u64(4),
+    );
+    let cfg = FlConfig {
+        local_epochs: 2,
+        batch_size: 256,
+        learning_rate: 0.005,
+        ..FlConfig::default()
+    };
+    let (global, data) = (template.params(), population.participants()[0].train());
+    let mut group = c.benchmark_group("fl");
+    configure(&mut group);
+    group.bench_function("train_local/fresh", |b| {
+        b.iter(|| train_local(&template, &global, data, &cfg, 11).unwrap());
+    });
+    let mut trainer = LocalTrainer::new(&template);
+    group.bench_function("train_local/kept", |b| {
+        b.iter(|| trainer.train(&global, data, &cfg, 11).unwrap());
     });
     group.finish();
 }
 
 use rand::SeedableRng;
 
-criterion_group!(benches, bench_fit_and_score, bench_windowed_layers);
+criterion_group!(
+    benches,
+    bench_fit_and_score,
+    bench_windowed_layers,
+    bench_local_training
+);
 criterion_main!(benches);

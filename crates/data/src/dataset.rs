@@ -134,16 +134,41 @@ impl Dataset {
     ///
     /// Returns [`DataError::IndexOutOfRange`] if any index is bad.
     pub fn batch(&self, indices: &[usize]) -> Result<(Tensor, Vec<usize>), DataError> {
-        let v = self.dims.volume();
-        let mut data = Vec::with_capacity(indices.len() * v);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            data.extend_from_slice(self.example(i)?);
-            labels.push(self.labels[i]);
+        let (mut x, mut labels) = (Tensor::default(), Vec::new());
+        self.batch_into(indices, &mut x, &mut labels)?;
+        Ok((x, labels))
+    }
+
+    /// [`Dataset::batch`] into buffers the caller keeps: `x` is resized in
+    /// place to the NCHW batch and every element overwritten, and `labels`
+    /// is cleared and refilled, so a training loop allocates only when a
+    /// batch outgrows the buffers. Both are left as they were on an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::IndexOutOfRange`] if any index is bad.
+    pub fn batch_into(
+        &self,
+        indices: &[usize],
+        x: &mut Tensor,
+        labels: &mut Vec<usize>,
+    ) -> Result<(), DataError> {
+        if let Some(&bad) = indices.iter().find(|&&i| i >= self.len()) {
+            return Err(DataError::IndexOutOfRange {
+                index: bad,
+                len: self.len(),
+            });
         }
-        let t = Tensor::from_vec(self.dims.batch_dims(indices.len()), data)
-            .expect("volume arithmetic is consistent");
-        Ok((t, labels))
+        let d = self.dims;
+        x.resize(&[indices.len(), d.channels, d.height, d.width]);
+        let v = d.volume();
+        let data = x.data_mut();
+        for (e, &i) in indices.iter().enumerate() {
+            data[e * v..][..v].copy_from_slice(&self.inputs[i * v..][..v]);
+        }
+        labels.clear();
+        labels.extend(indices.iter().map(|&i| self.labels[i]));
+        Ok(())
     }
 
     /// The whole dataset as one batch.
@@ -157,7 +182,9 @@ impl Dataset {
         self.batch(&indices)
     }
 
-    /// Shuffled mini-batch index lists for one training epoch.
+    /// Shuffled mini-batch index lists for one training epoch: the
+    /// [`Dataset::epoch_order`] cut into chunks of `batch_size` (`0`
+    /// behaves like `1`).
     ///
     /// The final short batch is kept (TensorFlow default), so every example
     /// is visited exactly once per epoch.
@@ -166,12 +193,22 @@ impl Dataset {
         batch_size: usize,
         rng: &mut R,
     ) -> Vec<Vec<usize>> {
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        indices.shuffle(rng);
-        indices
+        let mut order = Vec::new();
+        self.epoch_order(rng, &mut order);
+        order
             .chunks(batch_size.max(1))
             .map(|c| c.to_vec())
             .collect()
+    }
+
+    /// One epoch's visiting order into a buffer the caller keeps: every
+    /// example index once, shuffled by `rng`. A training loop takes its
+    /// batches as `order.chunks(batch_size.max(1))`, which are
+    /// [`Dataset::epoch_batches`]'s for the same `rng` state.
+    pub fn epoch_order<R: Rng + ?Sized>(&self, rng: &mut R, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..self.len());
+        order.shuffle(rng);
     }
 
     /// Splits off the last `fraction` of examples (after a shuffle) into a
@@ -286,6 +323,41 @@ mod tests {
             ds.batch(&[5]),
             Err(DataError::IndexOutOfRange { .. })
         ));
+        // A kept batch is left as it was.
+        let (mut x, mut y) = ds.batch(&[1, 0]).unwrap();
+        let (x0, y0) = (x.clone(), y.clone());
+        assert!(ds.batch_into(&[0, 2], &mut x, &mut y).is_err());
+        assert_eq!((x, y), (x0, y0));
+    }
+
+    #[test]
+    fn batch_into_reuses_its_buffers_and_matches_batch() {
+        let ds = sample(5);
+        let (mut x, mut y) = ds.batch(&[0, 1, 2, 3]).unwrap();
+        let (data, labels) = (x.data().as_ptr(), y.as_ptr());
+        for indices in [&[4, 0, 3][..], &[2], &[1, 1, 4, 0]] {
+            ds.batch_into(indices, &mut x, &mut y).unwrap();
+            assert_eq!(
+                (&x, &y),
+                (&ds.batch(indices).unwrap().0, &ds.batch(indices).unwrap().1)
+            );
+            assert_eq!((x.data().as_ptr(), y.as_ptr()), (data, labels));
+        }
+    }
+
+    #[test]
+    fn epoch_order_is_epoch_batches_unchunked() {
+        let ds = sample(10);
+        let mut order = Vec::with_capacity(1);
+        for batch_size in [0, 1, 3, 10, 16] {
+            let batches = ds.epoch_batches(batch_size, &mut StdRng::seed_from_u64(4));
+            ds.epoch_order(&mut StdRng::seed_from_u64(4), &mut order);
+            let chunks: Vec<Vec<usize>> = order
+                .chunks(batch_size.max(1))
+                .map(<[usize]>::to_vec)
+                .collect();
+            assert_eq!(chunks, batches, "batch size {batch_size}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use mixnn_crypto::hmac::hmac_sha256;
 use mixnn_crypto::sha256;
 use rand::Rng;
+use std::fmt;
 
 /// An enclave code measurement (MRENCLAVE): SHA-256 of the enclave binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,9 +70,18 @@ impl Quote {
 }
 
 /// The (simulated) platform attestation authority.
-#[derive(Debug, Clone)]
+///
+/// Its `Debug` output is redacted: the platform key signs every quote, so
+/// whoever reads it can forge one for any measurement.
+#[derive(Clone)]
 pub struct AttestationService {
     platform_key: [u8; 32],
+}
+
+impl fmt::Debug for AttestationService {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "AttestationService(redacted)")
+    }
 }
 
 impl AttestationService {
@@ -159,6 +169,22 @@ mod tests {
         let mut q = svc.issue_quote(m, b"data");
         q.report_data = b"DATA".to_vec();
         assert!(!svc.verify_quote(&q, &m));
+    }
+
+    #[test]
+    fn debug_prints_no_byte_of_the_platform_key() {
+        for seed in 0..8 {
+            let svc = AttestationService::new(&mut StdRng::seed_from_u64(seed));
+            let text = format!("{svc:?} {svc:#?}");
+            // No byte in decimal, as a derived `Debug` prints an array...
+            assert!(!text.contains(|c: char| c.is_ascii_digit()), "{text}");
+            // ...nor any two consecutive bytes in hex, either case.
+            for pair in svc.platform_key.windows(2) {
+                let hex = format!("{:02x}{:02x}", pair[0], pair[1]);
+                assert!(!text.contains(&hex), "{text} holds {hex}");
+                assert!(!text.contains(&hex.to_uppercase()), "{text} holds {hex}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{FlConfig, FlError, ModelUpdate, OptimizerKind};
 use mixnn_data::Dataset;
-use mixnn_nn::{Adam, ModelParams, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy};
+use mixnn_nn::{Adam, ModelParams, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,6 +35,7 @@ impl FlClient {
     /// `template` supplies the architecture; its weights are overwritten
     /// with `global` before training. `seed` fixes batch shuffling, so a
     /// given (model, data, seed) triple always produces the same update.
+    /// This is [`FlClient::train_in`] over a fresh [`LocalTrainer`].
     ///
     /// # Errors
     ///
@@ -46,14 +47,32 @@ impl FlClient {
         cfg: &FlConfig,
         seed: u64,
     ) -> Result<ModelUpdate, FlError> {
-        let params = train_local(template, global, &self.data, cfg, seed)?;
+        self.train_in(&mut LocalTrainer::new(template), global, cfg, seed)
+    }
+
+    /// [`FlClient::train`] in a trainer kept from earlier clients: the same
+    /// update, bit for bit, without building a model, an optimizer or a
+    /// batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`LocalTrainer::train`].
+    pub fn train_in(
+        &self,
+        trainer: &mut LocalTrainer,
+        global: &ModelParams,
+        cfg: &FlConfig,
+        seed: u64,
+    ) -> Result<ModelUpdate, FlError> {
+        let params = trainer.train(global, &self.data, cfg, seed)?;
         Ok(ModelUpdate::new(self.id, params))
     }
 }
 
 /// Local refinement: load `global` into a copy of `template`, run
 /// `cfg.local_epochs` epochs of mini-batch training on `data`, and return
-/// the resulting parameters.
+/// the resulting parameters — [`LocalTrainer::train`] over a fresh
+/// trainer.
 ///
 /// Exposed as a free function because the ∇Sim adversary uses the *same*
 /// routine to build its per-attribute attack models from auxiliary data —
@@ -71,29 +90,116 @@ pub fn train_local(
     cfg: &FlConfig,
     seed: u64,
 ) -> Result<ModelParams, FlError> {
-    if !(cfg.learning_rate.is_finite() && cfg.learning_rate > 0.0) {
-        return Err(FlError::InvalidConfig {
-            reason: format!(
-                "learning rate must be finite and positive, got {}",
-                cfg.learning_rate
-            ),
-        });
-    }
-    let mut model = template.clone();
-    model.set_params(global)?;
-    let loss = SoftmaxCrossEntropy::new();
-    let mut optimizer: Box<dyn Optimizer> = match cfg.optimizer {
-        OptimizerKind::Sgd => Box::new(Sgd::new(cfg.learning_rate)),
-        OptimizerKind::Adam => Box::new(Adam::new(cfg.learning_rate)),
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _epoch in 0..cfg.local_epochs {
-        for batch in data.epoch_batches(cfg.batch_size, &mut rng) {
-            let (x, y) = data.batch(&batch)?;
-            model.train_batch(&x, &y, &loss, optimizer.as_mut())?;
+    LocalTrainer::new(template).train(global, data, cfg, seed)
+}
+
+/// What local training keeps from one client to the next: a model of the
+/// template's architecture (with its activation and gradient buffers), the
+/// Adam optimizer's moments, one batch and the epoch's visiting order.
+///
+/// Each call of [`LocalTrainer::train`] starts from the same state a fresh
+/// trainer would — `global` loaded, gradients zeroed, the optimizer at
+/// step zero — so what a trainer trained before, or an error it returned,
+/// never reaches an update; only the memory is reused. A simulation keeps
+/// one per training worker.
+///
+/// # Example
+///
+/// ```
+/// use mixnn_data::lfw_like;
+/// use mixnn_fl::{train_local, FlConfig, LocalTrainer};
+/// use mixnn_nn::zoo;
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let population = lfw_like(1).generate()?;
+/// let dims = population.spec().dims;
+/// let input = zoo::InputSpec::new(dims.channels, dims.height, dims.width);
+/// let classes = population.spec().num_classes;
+/// let template = zoo::conv2_fc3(input, classes, 2, 8, &mut StdRng::seed_from_u64(0));
+/// let cfg = FlConfig { local_epochs: 1, ..FlConfig::default() };
+/// let global = template.params();
+/// let mut trainer = LocalTrainer::new(&template);
+/// for (seed, p) in population.participants()[..2].iter().enumerate() {
+///     let kept = trainer.train(&global, p.train(), &cfg, seed as u64)?;
+///     assert_eq!(kept, train_local(&template, &global, p.train(), &cfg, seed as u64)?);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct LocalTrainer {
+    model: Sequential,
+    /// Created by the first call under Adam, restarted by every later one.
+    adam: Option<Adam>,
+    x: Tensor,
+    labels: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl LocalTrainer {
+    /// A trainer for `template`'s architecture.
+    pub fn new(template: &Sequential) -> Self {
+        LocalTrainer {
+            model: template.clone(),
+            adam: None,
+            x: Tensor::default(),
+            labels: Vec::new(),
+            order: Vec::new(),
         }
     }
-    Ok(model.params())
+
+    /// Loads `global` into the trainer's model, zeroes its gradients,
+    /// starts the optimizer `cfg` names afresh at `cfg.learning_rate`,
+    /// runs `cfg.local_epochs` epochs of mini-batch training on `data`,
+    /// their batches shuffled by `seed`, and returns the resulting
+    /// parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::InvalidConfig`], before anything else, if
+    /// `cfg.learning_rate` is not finite and positive, and propagates
+    /// model/data failures (a `global` of another architecture, data the
+    /// model does not take) as [`FlError`].
+    pub fn train(
+        &mut self,
+        global: &ModelParams,
+        data: &Dataset,
+        cfg: &FlConfig,
+        seed: u64,
+    ) -> Result<ModelParams, FlError> {
+        let lr = cfg.learning_rate;
+        if !(lr.is_finite() && lr > 0.0) {
+            return Err(FlError::InvalidConfig {
+                reason: format!("learning rate must be finite and positive, got {lr}"),
+            });
+        }
+        self.model.set_params(global)?;
+        self.model.zero_grads();
+        let mut sgd;
+        let optimizer: &mut dyn Optimizer = match cfg.optimizer {
+            OptimizerKind::Sgd => {
+                sgd = Sgd::new(lr);
+                &mut sgd
+            }
+            OptimizerKind::Adam => {
+                let adam = self.adam.get_or_insert_with(|| Adam::new(lr));
+                adam.restart(lr);
+                adam
+            }
+        };
+        let loss = SoftmaxCrossEntropy::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _epoch in 0..cfg.local_epochs {
+            data.epoch_order(&mut rng, &mut self.order);
+            for batch in self.order.chunks(cfg.batch_size.max(1)) {
+                data.batch_into(batch, &mut self.x, &mut self.labels)?;
+                self.model
+                    .train_batch(&self.x, &self.labels, &loss, optimizer)?;
+            }
+        }
+        Ok(self.model.params())
+    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ mod simulation;
 mod transport;
 mod update;
 
-pub use client::{train_local, FlClient};
+pub use client::{train_local, FlClient, LocalTrainer};
 pub use config::{FlConfig, OptimizerKind};
 pub use error::FlError;
 pub use server::AggregationServer;

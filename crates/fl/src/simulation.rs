@@ -1,7 +1,8 @@
 //! Round orchestration.
 
 use crate::{
-    AggregationServer, Dissemination, FlClient, FlConfig, FlError, ModelUpdate, UpdateTransport,
+    AggregationServer, Dissemination, FlClient, FlConfig, FlError, LocalTrainer, ModelUpdate,
+    UpdateTransport,
 };
 use mixnn_data::{Dataset, FederatedDataset};
 use mixnn_nn::{Evaluation, ModelParams, Sequential, SoftmaxCrossEntropy};
@@ -36,12 +37,17 @@ pub struct RoundOutcome {
 /// Client local training runs on a bounded pool of scoped threads
 /// (`FlConfig::client_workers`), with per-client seeds derived
 /// from the master seed so the outcome is deterministic at every worker
-/// count.
+/// count. Each worker trains its clients one after the other in a
+/// [`LocalTrainer`] the simulation keeps from round to round, so from the
+/// second client on training reuses one model, optimizer and batch per
+/// worker.
 #[derive(Debug)]
 pub struct FlSimulation {
     template: Sequential,
     cfg: FlConfig,
     clients: Vec<FlClient>,
+    /// One per training worker that has run so far.
+    trainers: Vec<LocalTrainer>,
     server: AggregationServer,
     sampler: StdRng,
     rounds_run: usize,
@@ -63,6 +69,7 @@ impl FlSimulation {
         FlSimulation {
             template,
             clients,
+            trainers: Vec::new(),
             server: AggregationServer::new(initial),
             sampler: StdRng::seed_from_u64(cfg.seed ^ 0x5e1ec7),
             cfg,
@@ -177,13 +184,18 @@ impl FlSimulation {
         // (`client_workers`), deterministic via per-client
         // seeds: each client's result depends only on its own
         // (round, client) seed, so chunking across workers cannot change
-        // the outcome — only the wall-clock.
+        // the outcome — only the wall-clock. A worker's trainer carries
+        // memory, never state, from one client to the next.
         let cfg = self.cfg;
-        let template = &self.template;
-        let results: Vec<Result<ModelUpdate, FlError>> =
-            map_chunked(&work, cfg.client_workers, |(client, model, seed)| {
-                client.train(template, model, &cfg, *seed)
-            });
+        let workers = cfg.client_workers.clamp(1, work.len());
+        while self.trainers.len() < workers {
+            self.trainers.push(LocalTrainer::new(&self.template));
+        }
+        let results: Vec<Result<ModelUpdate, FlError>> = map_chunked(
+            &work,
+            &mut self.trainers[..workers],
+            |trainer, (client, model, seed)| client.train_in(trainer, model, &cfg, *seed),
+        );
 
         let mut updates = Vec::with_capacity(results.len());
         for r in results {
@@ -255,29 +267,45 @@ impl FlSimulation {
     }
 }
 
-/// Runs `f` over `items` with at most `workers` scoped threads, preserving
-/// input order in the output.
+/// Runs `f` over `items` with one scoped thread per state in `workers`
+/// (at most one per item), preserving input order in the output.
 ///
 /// The item slice is split into contiguous chunks, one per worker; each
-/// worker maps its chunk sequentially. With `workers <= 1` no thread is
-/// spawned. Because `f` receives each item independently, the output is
-/// identical at every worker count — callers encode any per-item
-/// determinism (seeds) in the items themselves.
-fn map_chunked<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+/// worker maps its chunk sequentially, handing `f` its own state each
+/// time. With one worker no thread is spawned. Because `f` receives each
+/// item independently, the output is identical at every worker count —
+/// callers encode any per-item determinism (seeds) in the items
+/// themselves, and a state may carry memory, never results, between
+/// items.
+///
+/// # Panics
+///
+/// Panics if `workers` is empty while `items` is not.
+fn map_chunked<T, S, R, F>(items: &[T], workers: &mut [S], f: F) -> Vec<R>
 where
     T: Sync,
+    S: Send,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
 {
-    let workers = workers.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(f).collect();
+    if items.is_empty() {
+        return Vec::new();
     }
-    let chunk = items.len().div_ceil(workers);
+    let used = workers.len().min(items.len());
+    let workers = &mut workers[..used];
+    if let [state] = workers {
+        return items.iter().map(|item| f(state, item)).collect();
+    }
+    assert!(!workers.is_empty(), "map_chunked needs a worker");
+    let chunk = items.len().div_ceil(workers.len());
+    let f = &f;
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
-            .map(|c| scope.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
+            .zip(workers)
+            .map(|(c, state)| {
+                scope.spawn(move || c.iter().map(|item| f(state, item)).collect::<Vec<R>>())
+            })
             .collect();
         handles
             .into_iter()
@@ -474,11 +502,19 @@ mod tests {
     fn map_chunked_preserves_order_at_any_worker_count() {
         let items: Vec<usize> = (0..37).collect();
         let expected: Vec<usize> = items.iter().map(|&i| i * i).collect();
-        for workers in 0..9 {
-            assert_eq!(map_chunked(&items, workers, |&i| i * i), expected);
+        for workers in 1..9 {
+            // Each worker counts the items it mapped in its own state.
+            let mut seen = vec![0usize; workers];
+            let squares = map_chunked(&items, &mut seen, |n, &i| {
+                *n += 1;
+                i * i
+            });
+            assert_eq!(squares, expected);
+            assert_eq!(seen.iter().sum::<usize>(), items.len());
+            assert!(seen.iter().all(|&n| n > 0), "{workers} workers: {seen:?}");
         }
         let empty: Vec<u8> = Vec::new();
-        assert!(map_chunked(&empty, 4, |&b| b).is_empty());
-        assert_eq!(map_chunked(&[9u8], 4, |&b| b), vec![9]);
+        assert!(map_chunked(&empty, &mut [(); 4], |_, &b| b).is_empty());
+        assert_eq!(map_chunked(&[9u8], &mut [(); 4], |_, &b| b), vec![9]);
     }
 }

@@ -109,18 +109,20 @@ fn relative_error(a: f32, n: f32) -> f32 {
 /// coordinate exceeds `tol`, or [`CheckError::Layer`] if the layer rejects
 /// its input.
 pub fn check_layer(mut layer: Box<dyn Layer>, input: &Tensor, tol: f32) -> Result<(), CheckError> {
-    let out = layer.forward(input)?;
+    let mut out = Tensor::default();
+    layer.forward(input, &mut out)?;
     // Fixed non-uniform weights, deterministic across runs.
     let c = Tensor::from_fn(out.dims().to_vec(), |i| 0.1 + 0.25 * ((i % 7) as f32 - 3.0));
 
     if let Some(block) = layer.params_mut() {
         block.zero_grads();
     }
-    let analytic_dx = layer.backward(&c)?;
+    let mut analytic_dx = Tensor::default();
+    layer.backward(&c, &mut analytic_dx)?;
 
     let eps = 1e-2f32;
-    let objective = |layer: &mut Box<dyn Layer>, x: &Tensor| -> Result<f32, NnError> {
-        let out = layer.forward(x)?;
+    let mut objective = |layer: &mut Box<dyn Layer>, x: &Tensor| -> Result<f32, NnError> {
+        layer.forward(x, &mut out)?;
         Ok(out
             .data()
             .iter()

@@ -37,7 +37,8 @@ use rand::Rng;
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
 /// let x = Tensor::zeros(vec![2, 3, 8, 8]);
-/// let y = conv.forward(&x)?;
+/// let mut y = Tensor::default();
+/// conv.forward(&x, &mut y)?;
 /// assert_eq!(y.dims(), &[2, 8, 8, 8]);
 /// # Ok(())
 /// # }
@@ -141,13 +142,15 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
         let win = self.window(input.dims())?;
-        Ok(self.passes.forward(win, input, &self.block))
+        self.passes.forward(win, input, &self.block, output);
+        Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        self.passes.backward(grad_output, &mut self.block)
+    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
+        self.passes
+            .backward(grad_output, &mut self.block, grad_input)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
@@ -275,6 +278,9 @@ mod tests {
     fn batch_innermost_passes_match_the_direct_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(32);
         let mut exercised = 0;
+        // One input-gradient buffer for every geometry, starting as NaN:
+        // whatever an earlier pass left in it must be overwritten.
+        let mut dx = Tensor::full(vec![4096], f32::NAN);
         for kernel in 1..=5 {
             for stride in 1..=3 {
                 for padding in 0..=3 {
@@ -287,17 +293,19 @@ mod tests {
                     conv.block.load(&LayerParams::from_values(values)).unwrap();
                     let x = hostile::input(vec![batch, 2, h, w], &mut rng);
                     if conv.output_size(w).is_none() {
-                        assert!(conv.forward(&x).is_err());
+                        assert!(conv.forward(&x, &mut Tensor::default()).is_err());
                         continue;
                     }
                     let mut twin = conv.clone();
-                    let y = conv.forward(&x).unwrap();
+                    let mut y = Tensor::default();
+                    conv.forward(&x, &mut y).unwrap();
                     hostile::assert_bits_eq("forward", y.data(), twin.forward_reference(&x).data());
+                    let out_dims = y.dims().to_vec();
                     // Twice, so the gradients also accumulate onto non-zero
                     // values.
                     for _ in 0..2 {
-                        let g = hostile::grad(y.dims().to_vec(), &mut rng);
-                        let dx = conv.backward(&g).unwrap();
+                        let g = hostile::grad(out_dims.clone(), &mut rng);
+                        conv.backward(&g, &mut dx).unwrap();
                         let dx_twin = twin.backward_reference(&x, &g);
                         hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
                         hostile::assert_bits_eq(
@@ -319,17 +327,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut conv = Conv2d::new(1, 2, 3, 1, 1, &mut rng);
         let g = Tensor::zeros(vec![1, 2, 4, 4]);
+        let mut dx = Tensor::default();
         assert!(matches!(
-            conv.backward(&g),
+            conv.backward(&g, &mut dx),
             Err(NnError::BackwardBeforeForward { .. })
         ));
-        conv.forward(&Tensor::zeros(vec![1, 1, 4, 4])).unwrap();
+        conv.forward(&Tensor::zeros(vec![1, 1, 4, 4]), &mut Tensor::default())
+            .unwrap();
         let wrong = Tensor::zeros(vec![1, 2, 4, 3]);
         assert!(matches!(
-            conv.backward(&wrong),
+            conv.backward(&wrong, &mut dx),
             Err(NnError::BadInput { .. })
         ));
-        assert_eq!(conv.backward(&g).unwrap().dims(), &[1, 1, 4, 4]);
+        conv.backward(&g, &mut dx).unwrap();
+        assert_eq!(dx.dims(), &[1, 1, 4, 4]);
     }
 
     #[test]
@@ -350,7 +361,8 @@ mod tests {
             .load(&LayerParams::from_values(vec![1.0, 0.0]))
             .unwrap();
         let x = Tensor::from_fn(vec![1, 1, 3, 3], |i| i as f32);
-        let y = conv.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        conv.forward(&x, &mut y).unwrap();
         assert_eq!(y.data(), x.data());
     }
 
@@ -364,7 +376,8 @@ mod tests {
             .unwrap();
         // Input 3x3: 0..9.
         let x = Tensor::from_fn(vec![1, 1, 3, 3], |i| i as f32);
-        let y = conv.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        conv.forward(&x, &mut y).unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         // Window at (0,0): 0*1 + 1*2 + 3*3 + 4*4 = 27, plus bias.
         assert_eq!(y.data(), &[27.5, 37.5, 57.5, 67.5]);
@@ -375,7 +388,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let x = Tensor::randn(vec![1, 2, 5, 5], 0.0, 1.0, &mut rng);
-        let y = conv.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        conv.forward(&x, &mut y).unwrap();
         assert_eq!(y.dims(), &[1, 3, 5, 5]);
     }
 
@@ -384,7 +398,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let x = Tensor::zeros(vec![1, 5, 5, 5]);
-        assert!(matches!(conv.forward(&x), Err(NnError::BadInput { .. })));
+        assert!(matches!(
+            conv.forward(&x, &mut Tensor::default()),
+            Err(NnError::BadInput { .. })
+        ));
     }
 
     #[test]

@@ -14,9 +14,11 @@ use rand::Rng;
 /// MixNN proxy shuffles — is `W` row-major followed by `b`.
 ///
 /// The three products run the `mixnn_tensor` slice kernels over buffers the
-/// layer keeps from pass to pass (the gathered non-zero inputs, the
-/// transposed weights, one `dW` block), so a forward and a backward pass
-/// allocate only the tensors they return.
+/// layer keeps from pass to pass (a copy of its input, the gathered
+/// non-zero inputs, the transposed weights, one `dW` block) into the
+/// caller's tensors, so once warm a forward and a backward pass allocate
+/// nothing. Every kernel writes every element of its output, so no buffer
+/// is zero-filled first.
 ///
 /// # Example
 ///
@@ -29,7 +31,8 @@ use rand::Rng;
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let mut layer = Dense::new(3, 2, &mut rng);
 /// let x = Tensor::ones(vec![4, 3]);
-/// let y = layer.forward(&x)?;
+/// let mut y = Tensor::default();
+/// layer.forward(&x, &mut y)?;
 /// assert_eq!(y.dims(), &[4, 2]);
 /// # Ok(())
 /// # }
@@ -99,7 +102,7 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::BadInput {
                 layer: self.name().to_string(),
@@ -108,7 +111,7 @@ impl Layer for Dense {
             });
         }
         let (batch, inf, of) = (input.dims()[0], self.in_features, self.out_features);
-        let mut out = Tensor::zeros(vec![batch, of]);
+        output.resize(&[batch, of]);
         let (weights, bias) = (self.block.weights.data(), self.block.bias.data());
         matmul_into(
             input.data(),
@@ -117,24 +120,21 @@ impl Layer for Dense {
             inf,
             of,
             &mut self.gathered,
-            out.data_mut(),
+            output.data_mut(),
         );
-        let data = out.data_mut();
+        let data = output.data_mut();
         for b in 0..batch {
             for (o, &bias) in data[b * of..][..of].iter_mut().zip(bias) {
                 *o += bias;
             }
         }
-        match &mut self.cached_input {
-            Some(cached) if cached.dims() == input.dims() => {
-                cached.data_mut().copy_from_slice(input.data());
-            }
-            cached => *cached = Some(input.clone()),
-        }
-        Ok(out)
+        let cached = self.cached_input.get_or_insert_with(Tensor::default);
+        cached.resize(input.dims());
+        cached.data_mut().copy_from_slice(input.data());
+        Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
         let input = self
             .cached_input
             .as_ref()
@@ -177,7 +177,7 @@ impl Layer for Dense {
             }
         }
         // dX = dY · Wᵀ.
-        let mut dx = Tensor::zeros(vec![batch, inf]);
+        grad_input.resize(&[batch, inf]);
         matmul_nt_into(
             dy,
             self.block.weights.data(),
@@ -185,9 +185,9 @@ impl Layer for Dense {
             of,
             inf,
             &mut self.transposed,
-            dx.data_mut(),
+            grad_input.data_mut(),
         );
-        Ok(dx)
+        Ok(())
     }
 
     fn params(&self) -> Option<&ParamBlock> {
@@ -219,7 +219,8 @@ mod tests {
         params.extend_from_slice(&[1.0, 2.0, 3.0]);
         layer.block.load(&LayerParams::from_values(params)).unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![10.0, 20.0]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        layer.forward(&x, &mut y).unwrap();
         assert_eq!(y.data(), &[31.0, 32.0, 33.0]);
     }
 
@@ -228,7 +229,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut layer = Dense::new(2, 3, &mut rng);
         let x = Tensor::zeros(vec![1, 5]);
-        assert!(matches!(layer.forward(&x), Err(NnError::BadInput { .. })));
+        assert!(matches!(
+            layer.forward(&x, &mut Tensor::default()),
+            Err(NnError::BadInput { .. })
+        ));
     }
 
     #[test]
@@ -237,7 +241,7 @@ mod tests {
         let mut layer = Dense::new(2, 3, &mut rng);
         let g = Tensor::zeros(vec![1, 3]);
         assert!(matches!(
-            layer.backward(&g),
+            layer.backward(&g, &mut Tensor::default()),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }
@@ -270,11 +274,12 @@ mod tests {
         let mut layer = Dense::new(2, 2, &mut rng);
         let x = Tensor::ones(vec![1, 2]);
         let g = Tensor::ones(vec![1, 2]);
-        layer.forward(&x).unwrap();
-        layer.backward(&g).unwrap();
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+        layer.forward(&x, &mut y).unwrap();
+        layer.backward(&g, &mut dx).unwrap();
         let g1 = layer.block.grads();
-        layer.forward(&x).unwrap();
-        layer.backward(&g).unwrap();
+        layer.forward(&x, &mut y).unwrap();
+        layer.backward(&g, &mut dx).unwrap();
         let g2 = layer.block.grads();
         for (a, b) in g1.values().iter().zip(g2.values()) {
             assert!((b - 2.0 * a).abs() < 1e-6);

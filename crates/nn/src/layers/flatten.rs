@@ -17,20 +17,22 @@ use mixnn_tensor::Tensor;
 /// # fn main() -> Result<(), mixnn_nn::NnError> {
 /// let mut flatten = Flatten::new();
 /// let x = Tensor::zeros(vec![2, 3, 4, 4]);
-/// let y = flatten.forward(&x)?;
+/// let mut y = Tensor::default();
+/// flatten.forward(&x, &mut y)?;
 /// assert_eq!(y.dims(), &[2, 48]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
-    cached_dims: Option<Vec<usize>>,
+    /// The last forward pass's input shape, `None` before the first.
+    input_dims: Option<Vec<usize>>,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { cached_dims: None }
+        Flatten { input_dims: None }
     }
 }
 
@@ -39,7 +41,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
         if input.rank() < 2 {
             return Err(NnError::BadInput {
                 layer: self.name().to_string(),
@@ -49,18 +51,32 @@ impl Layer for Flatten {
         }
         let batch = input.dims()[0];
         let rest: usize = input.dims()[1..].iter().product();
-        self.cached_dims = Some(input.dims().to_vec());
-        Ok(input.reshape(vec![batch, rest])?)
+        let dims = self.input_dims.get_or_insert_with(Vec::new);
+        dims.clear();
+        dims.extend_from_slice(input.dims());
+        output.resize(&[batch, rest]);
+        output.data_mut().copy_from_slice(input.data());
+        Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
         let dims = self
-            .cached_dims
+            .input_dims
             .as_ref()
             .ok_or_else(|| NnError::BackwardBeforeForward {
                 layer: self.name().to_string(),
             })?;
-        Ok(grad_output.reshape(dims.clone())?)
+        let (batch, rest) = (dims[0], dims[1..].iter().product::<usize>());
+        if grad_output.dims() != [batch, rest] {
+            return Err(NnError::BadInput {
+                layer: self.name().to_string(),
+                expected: format!("[{batch}, {rest}]"),
+                actual: grad_output.dims().to_vec(),
+            });
+        }
+        grad_input.resize(dims);
+        grad_input.data_mut().copy_from_slice(grad_output.data());
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -76,9 +92,11 @@ mod tests {
     fn round_trip_restores_shape() {
         let mut f = Flatten::new();
         let x = Tensor::from_fn(vec![2, 3, 4], |i| i as f32);
-        let y = f.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        f.forward(&x, &mut y).unwrap();
         assert_eq!(y.dims(), &[2, 12]);
-        let dx = f.backward(&y).unwrap();
+        let mut dx = Tensor::default();
+        f.backward(&y, &mut dx).unwrap();
         assert_eq!(dx.dims(), &[2, 3, 4]);
         assert_eq!(dx.data(), x.data());
     }
@@ -87,14 +105,17 @@ mod tests {
     fn rejects_rank_one() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(vec![5]);
-        assert!(matches!(f.forward(&x), Err(NnError::BadInput { .. })));
+        assert!(matches!(
+            f.forward(&x, &mut Tensor::default()),
+            Err(NnError::BadInput { .. })
+        ));
     }
 
     #[test]
     fn backward_requires_forward() {
         let mut f = Flatten::new();
         assert!(matches!(
-            f.backward(&Tensor::zeros(vec![1, 1])),
+            f.backward(&Tensor::zeros(vec![1, 1]), &mut Tensor::default()),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }

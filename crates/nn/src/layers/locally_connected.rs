@@ -111,7 +111,7 @@ impl Layer for LocallyConnected2d {
         "locally_connected2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
         if input.rank() != 4
             || input.dims()[1] != self.in_channels
             || input.dims()[2] != self.in_h
@@ -127,11 +127,13 @@ impl Layer for LocallyConnected2d {
             });
         }
         let win = self.window(input.dims()[0]);
-        Ok(self.passes.forward(win, input, &self.block))
+        self.passes.forward(win, input, &self.block, output);
+        Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        self.passes.backward(grad_output, &mut self.block)
+    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
+        self.passes
+            .backward(grad_output, &mut self.block, grad_input)
     }
 
     fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
@@ -247,6 +249,9 @@ mod tests {
     fn batch_innermost_passes_match_the_direct_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(33);
         let mut exercised = 0;
+        // One input-gradient buffer for every geometry, starting as NaN:
+        // whatever an earlier pass left in it must be overwritten.
+        let mut dx = Tensor::full(vec![4096], f32::NAN);
         for kernel in 1..=5 {
             for (h, w) in [(5, 7), (7, 5), (9, 9)] {
                 let batch = hostile::BATCHES[exercised % hostile::BATCHES.len()];
@@ -256,11 +261,13 @@ mod tests {
                 lc.block.load(&LayerParams::from_values(values)).unwrap();
                 let x = hostile::input(vec![batch, 2, h, w], &mut rng);
                 let mut twin = lc.clone();
-                let y = lc.forward(&x).unwrap();
+                let mut y = Tensor::default();
+                lc.forward(&x, &mut y).unwrap();
                 hostile::assert_bits_eq("forward", y.data(), twin.forward_reference(&x).data());
+                let out_dims = y.dims().to_vec();
                 for _ in 0..2 {
-                    let g = hostile::grad(y.dims().to_vec(), &mut rng);
-                    let dx = lc.backward(&g).unwrap();
+                    let g = hostile::grad(out_dims.clone(), &mut rng);
+                    lc.backward(&g, &mut dx).unwrap();
                     let dx_twin = twin.backward_reference(&x, &g);
                     hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
                     hostile::assert_bits_eq(
@@ -280,7 +287,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut lc = LocallyConnected2d::new(2, 3, 3, 6, 5, &mut rng);
         let x = Tensor::zeros(vec![2, 2, 6, 5]);
-        let y = lc.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        lc.forward(&x, &mut y).unwrap();
         assert_eq!(y.dims(), &[2, 3, 4, 3]);
     }
 
@@ -296,7 +304,8 @@ mod tests {
         }
         lc.block.load(&LayerParams::from_values(params)).unwrap();
         let x = Tensor::ones(vec![1, 1, 3, 3]);
-        let y = lc.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        lc.forward(&x, &mut y).unwrap();
         assert_eq!(y.data(), &[4.0, 0.0, 0.0, 0.0]);
     }
 
@@ -305,7 +314,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut lc = LocallyConnected2d::new(1, 1, 2, 4, 4, &mut rng);
         let x = Tensor::zeros(vec![1, 1, 5, 5]);
-        assert!(matches!(lc.forward(&x), Err(NnError::BadInput { .. })));
+        assert!(matches!(
+            lc.forward(&x, &mut Tensor::default()),
+            Err(NnError::BadInput { .. })
+        ));
     }
 
     #[test]

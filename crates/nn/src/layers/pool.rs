@@ -12,7 +12,10 @@ use mixnn_tensor::Tensor;
 /// positions (ties go to the first maximal element scanned, row-major; a
 /// NaN never wins, and a window with no value above −∞ outputs −∞ and
 /// routes to its own first element). 2×2 windows, the paper's, are folded
-/// a row pair at a time without a branch.
+/// a row pair at a time without a branch. The backward pass adds each
+/// output gradient into the input gradient at its window's winner, so the
+/// input gradient — unlike any other buffer the layers write — is
+/// zero-filled first.
 ///
 /// # Example
 ///
@@ -23,7 +26,8 @@ use mixnn_tensor::Tensor;
 /// # fn main() -> Result<(), mixnn_nn::NnError> {
 /// let mut pool = MaxPool2d::new(2);
 /// let x = Tensor::from_fn(vec![1, 1, 4, 4], |i| i as f32);
-/// let y = pool.forward(&x)?;
+/// let mut y = Tensor::default();
+/// pool.forward(&x, &mut y)?;
 /// assert_eq!(y.dims(), &[1, 1, 2, 2]);
 /// assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
 /// # Ok(())
@@ -63,7 +67,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
         if input.rank() != 4 || input.dims()[2] < self.window || input.dims()[3] < self.window {
             return Err(NnError::BadInput {
                 layer: self.name().to_string(),
@@ -79,11 +83,10 @@ impl Layer for MaxPool2d {
         );
         let k = self.window;
         let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros(vec![batch, c, oh, ow]);
-        self.argmax.clear();
+        output.resize(&[batch, c, oh, ow]);
         self.argmax.resize(batch * c * oh * ow, 0);
         let x = input.data();
-        let planes = out.data_mut().chunks_exact_mut(oh * ow);
+        let planes = output.data_mut().chunks_exact_mut(oh * ow);
         for (plane, (out, argmax)) in planes
             .zip(self.argmax.chunks_exact_mut(oh * ow))
             .enumerate()
@@ -100,10 +103,10 @@ impl Layer for MaxPool2d {
             }
         }
         self.input_dims = Some([batch, c, h, w]);
-        Ok(out)
+        Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
+    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
         let dims = self
             .input_dims
             .as_ref()
@@ -117,11 +120,13 @@ impl Layer for MaxPool2d {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let mut dx = Tensor::zeros(dims.to_vec());
-        for (oidx, &iidx) in self.argmax.iter().enumerate() {
-            dx.data_mut()[iidx] += grad_output.data()[oidx];
+        grad_input.resize(dims);
+        let dx = grad_input.data_mut();
+        dx.fill(0.0);
+        for (&at, &g) in self.argmax.iter().zip(grad_output.data()) {
+            dx[at] += g;
         }
-        Ok(dx)
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -244,6 +249,9 @@ mod tests {
             f32::NAN,
         ];
         let mut exercised = 0;
+        // One input-gradient buffer for every geometry, starting as NaN:
+        // the scatter-add must start from zero whatever it held.
+        let mut dx = Tensor::full(vec![4096], f32::NAN);
         for window in 1..=3 {
             // Odd extents truncate; 3×9 leaves one output row at window 3.
             for (h, w) in [(4, 4), (5, 7), (7, 5), (8, 8), (3, 9)] {
@@ -252,7 +260,8 @@ mod tests {
                     values[rng.gen_range(0..values.len())]
                 });
                 let mut pool = MaxPool2d::new(window);
-                let y = pool.forward(&x).unwrap();
+                let mut y = Tensor::default();
+                pool.forward(&x, &mut y).unwrap();
                 let (want, want_argmax) = pool.forward_reference(&x);
                 hostile::assert_bits_eq("forward", y.data(), &want);
                 assert_eq!(pool.argmax, want_argmax, "argmax, window {window}, {h}×{w}");
@@ -261,7 +270,8 @@ mod tests {
                 for (&at, &go) in want_argmax.iter().zip(g.data()) {
                     want_dx[at] += go;
                 }
-                hostile::assert_bits_eq("dx", pool.backward(&g).unwrap().data(), &want_dx);
+                pool.backward(&g, &mut dx).unwrap();
+                hostile::assert_bits_eq("dx", dx.data(), &want_dx);
                 exercised += 1;
             }
         }
@@ -276,10 +286,12 @@ mod tests {
         let mut data = vec![1., 2., 3., 4.];
         data.extend([f32::NAN; 4]);
         let x = Tensor::from_vec(vec![2, 1, 2, 2], data).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        pool.forward(&x, &mut y).unwrap();
         assert_eq!(y.data(), &[4.0, f32::NEG_INFINITY]);
         let g = Tensor::from_vec(vec![2, 1, 1, 1], vec![5.0, 10.0]).unwrap();
-        let dx = pool.backward(&g).unwrap();
+        let mut dx = Tensor::default();
+        pool.backward(&g, &mut dx).unwrap();
         assert_eq!(dx.data(), &[0., 0., 0., 5., 10., 0., 0., 0.]);
     }
 
@@ -287,7 +299,8 @@ mod tests {
     fn forward_picks_window_maxima() {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 2, 4], vec![1., 9., 2., 3., 4., 5., 8., 6.]).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        pool.forward(&x, &mut y).unwrap();
         assert_eq!(y.dims(), &[1, 1, 1, 2]);
         assert_eq!(y.data(), &[9.0, 8.0]);
     }
@@ -296,9 +309,10 @@ mod tests {
     fn backward_routes_to_argmax_only() {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1., 9., 2., 3.]).unwrap();
-        pool.forward(&x).unwrap();
+        pool.forward(&x, &mut Tensor::default()).unwrap();
         let g = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]).unwrap();
-        let dx = pool.backward(&g).unwrap();
+        let mut dx = Tensor::full(vec![4], 1.0);
+        pool.backward(&g, &mut dx).unwrap();
         assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -306,7 +320,10 @@ mod tests {
     fn rejects_window_larger_than_input() {
         let mut pool = MaxPool2d::new(4);
         let x = Tensor::zeros(vec![1, 1, 2, 2]);
-        assert!(matches!(pool.forward(&x), Err(NnError::BadInput { .. })));
+        assert!(matches!(
+            pool.forward(&x, &mut Tensor::default()),
+            Err(NnError::BadInput { .. })
+        ));
     }
 
     #[test]
@@ -320,7 +337,8 @@ mod tests {
     fn non_divisible_sizes_truncate() {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::from_fn(vec![1, 1, 5, 5], |i| i as f32);
-        let y = pool.forward(&x).unwrap();
+        let mut y = Tensor::default();
+        pool.forward(&x, &mut y).unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
     }
 }

@@ -133,18 +133,26 @@ pub(crate) struct Passes {
 
 impl Passes {
     /// Runs the forward pass of `win` (already checked against `input`)
-    /// and keeps what the backward pass needs.
-    pub(crate) fn forward(&mut self, win: Window, input: &Tensor, block: &ParamBlock) -> Tensor {
-        let mut out = Tensor::zeros(vec![win.batch, win.out_c, win.out_h, win.out_w]);
+    /// into `out`, every element of it, and keeps what the backward pass
+    /// needs.
+    pub(crate) fn forward(
+        &mut self,
+        win: Window,
+        input: &Tensor,
+        block: &ParamBlock,
+        out: &mut Tensor,
+    ) {
+        out.resize(&[win.batch, win.out_c, win.out_h, win.out_w]);
         to_batch_innermost(input.data(), win.batch, &mut self.input);
         let (weights, bias) = (block.weights.data(), block.bias.data());
         forward(&win, &self.input, weights, bias, out.data_mut());
         self.last = Some(win);
-        out
     }
 
     /// Runs the backward pass of the last forward pass: adds to `block`'s
-    /// kernel and bias gradients and returns the input gradient.
+    /// kernel and bias gradients and writes the input gradient into `dx`,
+    /// every element of it (the blocks' padded gradients are what
+    /// accumulate, and they start from zero).
     ///
     /// # Errors
     ///
@@ -154,11 +162,12 @@ impl Passes {
         &mut self,
         grad_output: &Tensor,
         block: &mut ParamBlock,
-    ) -> Result<Tensor, NnError> {
+        dx: &mut Tensor,
+    ) -> Result<(), NnError> {
         let win = self.backward_window(grad_output, block.layer)?;
-        let mut dx = Tensor::zeros(vec![win.batch, win.in_c, win.in_h, win.in_w]);
+        dx.resize(&[win.batch, win.in_c, win.in_h, win.in_w]);
         self.backward_blocks(win, grad_output.data(), block, Some(dx.data_mut()));
-        Ok(dx)
+        Ok(())
     }
 
     /// [`Passes::backward`] without the input gradient: adds to `block`'s

@@ -64,6 +64,10 @@ pub use layers::locally_connected::LocallyConnected2d;
 pub use layers::pool::MaxPool2d;
 pub use layers::Layer;
 pub use loss::{Evaluation, SoftmaxCrossEntropy};
+/// The tensor every layer reads and writes, re-exported so a crate that
+/// trains models can keep batches and buffers without naming
+/// `mixnn-tensor`.
+pub use mixnn_tensor::Tensor;
 pub use model::Sequential;
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use params::{LayerParams, ModelParams, ParamBlock};

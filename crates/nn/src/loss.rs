@@ -89,8 +89,26 @@ impl SoftmaxCrossEntropy {
         logits: &Tensor,
         labels: &[usize],
     ) -> Result<(f32, Tensor), NnError> {
+        let mut grad = Tensor::default();
+        let loss = self.loss_and_grad_into(logits, labels, &mut grad)?;
+        Ok((loss, grad))
+    }
+
+    /// [`SoftmaxCrossEntropy::loss_and_grad`] with the gradient written
+    /// into `grad`, which is resized in place and has every element
+    /// overwritten; it is left as it was on an error.
+    ///
+    /// # Errors
+    ///
+    /// As [`SoftmaxCrossEntropy::loss_and_grad`].
+    pub fn loss_and_grad_into(
+        &self,
+        logits: &Tensor,
+        labels: &[usize],
+        grad: &mut Tensor,
+    ) -> Result<f32, NnError> {
         let (batch, classes) = self.validate(logits, labels)?;
-        let mut grad = Tensor::zeros(vec![batch, classes]);
+        grad.resize(&[batch, classes]);
         let mut total_loss = 0.0f64;
         for (b, g_row) in grad.data_mut().chunks_exact_mut(classes).enumerate() {
             // The probabilities land in the gradient row, then become it.
@@ -100,7 +118,7 @@ impl SoftmaxCrossEntropy {
                 *g = (*g - if j == labels[b] { 1.0 } else { 0.0 }) / batch as f32;
             }
         }
-        Ok(((total_loss / batch as f64) as f32, grad))
+        Ok((total_loss / batch as f64) as f32)
     }
 
     /// Computes loss and accuracy without gradients (evaluation path).

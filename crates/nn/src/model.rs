@@ -15,6 +15,16 @@ use mixnn_tensor::Tensor;
 /// [`ModelParams`] (one flat vector per trainable layer), which is exactly
 /// the representation the MixNN proxy mixes and the server aggregates.
 ///
+/// Training allocates only while the model meets a new batch shape. The
+/// model keeps two activation-sized buffers: the forward pass ping-pongs
+/// between them, each layer reading its input from one and writing its
+/// output into the other, and the backward pass reuses them alike for the
+/// input gradients. It also keeps the loss gradient, each layer keeps what
+/// its own backward pass needs, and the optimizer steps the parameters
+/// where they lie. A model's first layer skips its input gradient; a
+/// parameter-free or dense first layer runs [`Layer::backward_params`]'s
+/// default, which computes it into a fresh tensor.
+///
 /// # Example
 ///
 /// ```
@@ -31,12 +41,17 @@ use mixnn_tensor::Tensor;
 #[derive(Debug, Clone, Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// The activations of the forward pass, then the input gradients of
+    /// the backward pass: each layer reads one and writes the other.
+    buffers: [Tensor; 2],
+    /// The loss gradient of the last training batch.
+    dlogits: Tensor,
 }
 
 impl Sequential {
     /// Creates an empty model.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::default()
     }
 
     /// Appends a layer to the stack.
@@ -69,20 +84,14 @@ impl Sequential {
         self.layers.iter_mut().filter_map(|l| l.params_mut())
     }
 
-    /// Runs the forward pass.
+    /// Runs the forward pass and lends the output, which the model keeps
+    /// until its next pass (an empty model lends `input` back).
     ///
     /// # Errors
     ///
     /// Propagates the first layer error (typically a shape mismatch).
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(input.clone());
-        };
-        let mut x = first.forward(input)?;
-        for layer in rest {
-            x = layer.forward(&x)?;
-        }
-        Ok(x)
+    pub fn forward<'a>(&'a mut self, input: &'a Tensor) -> Result<&'a Tensor, NnError> {
+        forward(&mut self.layers, &mut self.buffers, input)
     }
 
     /// Runs the backward pass from the loss gradient, accumulating
@@ -95,14 +104,12 @@ impl Sequential {
     /// Returns [`NnError::BackwardBeforeForward`] if `forward` was not
     /// called first.
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(());
-        };
-        let mut g = None;
-        for layer in rest.iter_mut().rev() {
-            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output))?);
-        }
-        first.backward_params(g.as_ref().unwrap_or(grad_output))
+        backward(&mut self.layers, &mut self.buffers, grad_output)
+    }
+
+    /// Clears every trainable layer's accumulated gradients.
+    pub fn zero_grads(&mut self) {
+        self.blocks_mut().for_each(ParamBlock::zero_grads);
     }
 
     /// Applies accumulated gradients through `optimizer` and advances its
@@ -132,9 +139,9 @@ impl Sequential {
         loss: &SoftmaxCrossEntropy,
         optimizer: &mut dyn Optimizer,
     ) -> Result<f32, NnError> {
-        let logits = self.forward(x)?;
-        let (loss_value, dlogits) = loss.loss_and_grad(&logits, labels)?;
-        self.backward(&dlogits)?;
+        let logits = forward(&mut self.layers, &mut self.buffers, x)?;
+        let loss_value = loss.loss_and_grad_into(logits, labels, &mut self.dlogits)?;
+        backward(&mut self.layers, &mut self.buffers, &self.dlogits)?;
         self.apply_gradients(optimizer);
         Ok(loss_value)
     }
@@ -151,7 +158,7 @@ impl Sequential {
         loss: &SoftmaxCrossEntropy,
     ) -> Result<Evaluation, NnError> {
         let logits = self.forward(x)?;
-        loss.evaluate(&logits, labels)
+        loss.evaluate(logits, labels)
     }
 
     /// Extracts the per-layer parameter vectors of all trainable layers.
@@ -190,6 +197,47 @@ impl Sequential {
     pub fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()
     }
+}
+
+/// [`Sequential::forward`] over `layers`, the activations ping-ponging
+/// between `buffers`.
+fn forward<'a>(
+    layers: &mut [Box<dyn Layer>],
+    buffers: &'a mut [Tensor; 2],
+    input: &'a Tensor,
+) -> Result<&'a Tensor, NnError> {
+    // Which buffer holds the last layer's output.
+    let mut last = None;
+    for layer in layers {
+        let [a, b] = &mut *buffers;
+        match last {
+            None => layer.forward(input, a)?,
+            Some(0) => layer.forward(a, b)?,
+            Some(_) => layer.forward(b, a)?,
+        }
+        last = Some(last.map_or(0, |i| 1 - i));
+    }
+    Ok(last.map_or(input, |i| &buffers[i]))
+}
+
+/// [`Sequential::backward`] over `layers`, the input gradients ping-ponging
+/// between `buffers`.
+fn backward(
+    layers: &mut [Box<dyn Layer>],
+    buffers: &mut [Tensor; 2],
+    grad_output: &Tensor,
+) -> Result<(), NnError> {
+    let Some((first, rest)) = layers.split_first_mut() else {
+        return Ok(());
+    };
+    let [mut read, mut write] = buffers.each_mut();
+    let mut g = grad_output;
+    for layer in rest.iter_mut().rev() {
+        layer.backward(g, write)?;
+        std::mem::swap(&mut read, &mut write);
+        g = read;
+    }
+    first.backward_params(g)
 }
 
 #[cfg(test)]
@@ -252,12 +300,12 @@ mod tests {
     fn params_round_trip_preserves_outputs() {
         let mut m = xor_model(7);
         let (x, _) = xor_data();
-        let out1 = m.forward(&x).unwrap();
+        let out1 = m.forward(&x).unwrap().clone();
         let p = m.params();
         let mut m2 = xor_model(8); // different init
         m2.set_params(&p).unwrap();
         let out2 = m2.forward(&x).unwrap();
-        assert_eq!(out1, out2);
+        assert_eq!(&out1, out2);
     }
 
     #[test]
@@ -289,14 +337,14 @@ mod tests {
         let (x, y) = xor_data();
         let loss = SoftmaxCrossEntropy::new();
         let logits = m.forward(&x).unwrap();
-        let (_, d) = loss.loss_and_grad(&logits, &y).unwrap();
+        let (_, d) = loss.loss_and_grad(logits, &y).unwrap();
         m.backward(&d).unwrap();
         let grads =
             |m: &Sequential| ModelParams::from_layers(m.blocks().map(ParamBlock::grads).collect());
         let g = grads(&m);
         assert_eq!(g.signature(), m.params().signature());
         assert!(g.flatten().iter().any(|&v| v != 0.0));
-        m.blocks_mut().for_each(ParamBlock::zero_grads);
+        m.zero_grads();
         assert!(grads(&m).flatten().iter().all(|&v| v == 0.0));
     }
 
@@ -311,11 +359,13 @@ mod tests {
             let logits = model.forward(x).unwrap();
             twin.forward(x).unwrap();
             let labels: Vec<usize> = (0..logits.dims()[0]).map(|i| i % 2).collect();
-            let (_, d) = loss.loss_and_grad(&logits, &labels).unwrap();
+            let (_, d) = loss.loss_and_grad(logits, &labels).unwrap();
             model.backward(&d).unwrap();
             let mut g = d;
             for layer in twin.layers.iter_mut().rev() {
-                g = layer.backward(&g).unwrap();
+                let mut dx = Tensor::default();
+                layer.backward(&g, &mut dx).unwrap();
+                g = dx;
             }
         }
         assert_eq!(model.num_trainable_layers(), twin.num_trainable_layers());

@@ -6,8 +6,6 @@
 //! the Adam optimizer proposed by TensorFlow", §6.1.4). Defaults match the
 //! TensorFlow/Keras defaults.
 
-use std::collections::HashMap;
-
 /// An optimization algorithm applying per-buffer gradient steps.
 ///
 /// The trait is object-safe so models can hold `&mut dyn Optimizer`.
@@ -71,6 +69,9 @@ impl Optimizer for Sgd {
 ///
 /// State (first and second moments) is kept per slot; the timestep
 /// `t` is shared and advanced by [`Optimizer::advance`].
+/// [`Adam::restart`] returns the optimizer to the state it was created
+/// in while keeping the moments' memory, so one `Adam` can train model
+/// after model without allocating.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -78,7 +79,9 @@ pub struct Adam {
     beta2: f32,
     eps: f32,
     t: u64,
-    moments: HashMap<usize, (Vec<f32>, Vec<f32>)>,
+    /// First and second moments by slot; an empty pair is a slot not
+    /// stepped since the optimizer was created or restarted.
+    moments: Vec<(Vec<f32>, Vec<f32>)>,
 }
 
 impl Adam {
@@ -107,7 +110,25 @@ impl Adam {
             beta2,
             eps,
             t: 0,
-            moments: HashMap::new(),
+            moments: Vec::new(),
+        }
+    }
+
+    /// Returns to the state [`Adam::with_betas`] starts from at learning
+    /// rate `lr` and this optimizer's betas and epsilon — timestep zero, no
+    /// slot stepped — keeping the moment buffers' memory for the slots'
+    /// next first steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lr` is not finite and positive.
+    pub fn restart(&mut self, lr: f32) {
+        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
+        self.lr = lr;
+        self.t = 0;
+        for (m, v) in &mut self.moments {
+            m.clear();
+            v.clear();
         }
     }
 }
@@ -119,10 +140,14 @@ impl Optimizer for Adam {
             grads.len(),
             "adam: param/grad length mismatch"
         );
-        let (m, v) = self
-            .moments
-            .entry(slot)
-            .or_insert_with(|| (vec![0.0; params.len()], vec![0.0; params.len()]));
+        if self.moments.len() <= slot {
+            self.moments.resize_with(slot + 1, Default::default);
+        }
+        let (m, v) = &mut self.moments[slot];
+        if m.is_empty() {
+            m.resize(params.len(), 0.0);
+            v.resize(params.len(), 0.0);
+        }
         assert_eq!(m.len(), params.len(), "adam: slot size changed");
         // `t` is advanced once per batch by `advance`; the current step uses
         // t+1 so the very first update is bias-corrected.
@@ -187,6 +212,38 @@ mod tests {
         // first step.
         opt.step(1, &mut p1, &[1.0]);
         assert!(p1[0] < 0.0);
+    }
+
+    #[test]
+    fn a_restarted_adam_steps_as_a_new_one() {
+        let grads = [[0.5f32, -2.0, 0.0], [1.5, 0.25, -0.75]];
+        let run = |opt: &mut Adam| {
+            let mut p = [vec![1.0f32, -1.0, 0.5], vec![0.0f32; 2], vec![2.0f32]];
+            for g in grads {
+                for (slot, p) in p.iter_mut().enumerate() {
+                    let len = p.len();
+                    opt.step(slot, p, &g[..len]);
+                }
+                opt.advance();
+            }
+            p
+        };
+        let fresh = run(&mut Adam::new(0.01));
+        let mut reused = Adam::new(0.5);
+        run(&mut reused);
+        let held = reused
+            .moments
+            .iter()
+            .map(|(m, _)| m.as_ptr())
+            .collect::<Vec<_>>();
+        reused.restart(0.01);
+        assert_eq!(run(&mut reused), fresh);
+        let kept = reused
+            .moments
+            .iter()
+            .map(|(m, _)| m.as_ptr())
+            .collect::<Vec<_>>();
+        assert_eq!(kept, held, "restart gave up the moments' memory");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! `Sequential::apply_gradients` steps every trainable layer's
 //! `ParamBlock` where it lies, so once the optimizer holds its state (Adam
 //! draws its moment buffers on the first step) a step allocates nothing.
-//! `Dense` keeps its products' scratch from pass to pass and the loss
-//! writes its softmax into the gradient, so after a warm-up step each
-//! allocates only the tensors it returns. This binary's allocator counts,
-//! per thread, every allocation made while a test asks it to.
+//! Every layer keeps its scratch from pass to pass and writes its output
+//! and input gradient into tensors its caller keeps, and the loss writes
+//! its softmax into a kept gradient, so after a warm-up batch of the same
+//! shape a whole `train_batch` allocates nothing. This binary's allocator
+//! counts, per thread, every allocation made while a test asks it to.
 
 use mixnn_nn::{zoo, Adam, Dense, Layer, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy};
 use mixnn_tensor::Tensor;
@@ -65,20 +66,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The allocations, and their bytes, of one `apply_gradients` on the
-/// `fl_train` model (`conv2_fc3` at width 4/32 on 1×8×8 input, four
-/// classes: 1,988 parameters) after one warm-up step under `optimizer`.
-fn step_allocations(optimizer: &mut dyn Optimizer) -> (usize, usize) {
-    let mut rng = StdRng::seed_from_u64(33);
-    let mut model: Sequential = zoo::conv2_fc3(zoo::InputSpec::new(1, 8, 8), 4, 4, 32, &mut rng);
+/// The `fl_train` model (`conv2_fc3` at width 4/32 on 1×8×8 input, four
+/// classes: 1,988 parameters), one 64-example batch and its labels.
+fn fl_train_model(seed: u64) -> (Sequential, Tensor, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = zoo::conv2_fc3(zoo::InputSpec::new(1, 8, 8), 4, 4, 32, &mut rng);
     assert_eq!(model.num_parameters(), 1_988);
     let x = Tensor::randn(vec![64, 1, 8, 8], 0.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..4)).collect();
+    (model, x, labels)
+}
+
+/// The allocations, and their bytes, of one `apply_gradients` on the
+/// `fl_train` model after one warm-up step under `optimizer`.
+fn step_allocations(optimizer: &mut dyn Optimizer) -> (usize, usize) {
+    let (mut model, x, labels) = fl_train_model(33);
     let loss = SoftmaxCrossEntropy::new();
     model.train_batch(&x, &labels, &loss, optimizer).unwrap();
 
     let logits = model.forward(&x).unwrap();
-    let (_, dlogits) = loss.loss_and_grad(&logits, &labels).unwrap();
+    let (_, dlogits) = loss.loss_and_grad(logits, &labels).unwrap();
     model.backward(&dlogits).unwrap();
     let before = model.params();
     let ((), counts) = counted(|| model.apply_gradients(optimizer));
@@ -97,7 +104,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, (usize, usize)) {
 }
 
 #[test]
-fn a_warm_dense_layer_and_loss_allocate_only_what_they_return() {
+fn a_warm_dense_layer_and_loss_allocate_nothing() {
     let mut rng = StdRng::seed_from_u64(35);
     let loss = SoftmaxCrossEntropy::new();
     // `fl_train`'s three Dense layers: 32 → 32 → 16 → 6, batch 64.
@@ -105,26 +112,50 @@ fn a_warm_dense_layer_and_loss_allocate_only_what_they_return() {
         let mut dense = Dense::new(inputs, outputs, &mut rng);
         let x = Tensor::randn(vec![64, inputs], 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
         let g = Tensor::randn(vec![64, outputs], 0.0, 1.0, &mut rng);
-        dense.forward(&x).unwrap();
-        dense.backward(&g).unwrap();
-        let (_, one_output) = counted(|| Tensor::zeros(vec![64, outputs]));
-        let (_, one_input) = counted(|| Tensor::zeros(vec![64, inputs]));
-        let (_, forward) = counted(|| dense.forward(&x).unwrap());
-        let (_, backward) = counted(|| dense.backward(&g).unwrap());
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+        dense.forward(&x, &mut y).unwrap();
+        dense.backward(&g, &mut dx).unwrap();
+        let (_, forward) = counted(|| dense.forward(&x, &mut y).unwrap());
+        let (_, backward) = counted(|| dense.backward(&g, &mut dx).unwrap());
         println!(
             "dense {inputs}->{outputs}: forward {} allocations, {} B; backward {} allocations, {} B",
             forward.0, forward.1, backward.0, backward.1
         );
-        assert_eq!(forward, one_output, "dense {inputs}->{outputs} forward");
-        assert_eq!(backward, one_input, "dense {inputs}->{outputs} backward");
+        assert_eq!(forward, (0, 0), "dense {inputs}->{outputs} forward");
+        assert_eq!(backward, (0, 0), "dense {inputs}->{outputs} backward");
     }
     let logits = Tensor::randn(vec![64, 6], 0.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..6)).collect();
-    loss.loss_and_grad(&logits, &labels).unwrap();
-    let (_, gradient) = counted(|| Tensor::zeros(vec![64, 6]));
-    let (_, counts) = counted(|| loss.loss_and_grad(&logits, &labels).unwrap());
-    println!("loss_and_grad: {} allocations, {} B", counts.0, counts.1);
-    assert_eq!(counts, gradient, "loss_and_grad");
+    let mut gradient = Tensor::default();
+    loss.loss_and_grad_into(&logits, &labels, &mut gradient)
+        .unwrap();
+    let (_, counts) = counted(|| {
+        loss.loss_and_grad_into(&logits, &labels, &mut gradient)
+            .unwrap()
+    });
+    println!(
+        "loss_and_grad_into: {} allocations, {} B",
+        counts.0, counts.1
+    );
+    assert_eq!(counts, (0, 0), "loss_and_grad_into");
+}
+
+#[test]
+fn a_warm_train_batch_allocates_nothing() {
+    for (name, optimizer) in [
+        ("adam", &mut Adam::new(0.005) as &mut dyn Optimizer),
+        ("sgd", &mut Sgd::new(0.005)),
+    ] {
+        let (mut model, x, labels) = fl_train_model(37);
+        let loss = SoftmaxCrossEntropy::new();
+        model.train_batch(&x, &labels, &loss, optimizer).unwrap();
+        let before = model.params();
+        let (_, (allocations, bytes)) =
+            counted(|| model.train_batch(&x, &labels, &loss, optimizer).unwrap());
+        assert_ne!(model.params(), before, "the batch moved no parameter");
+        println!("train_batch under {name}: {allocations} allocations, {bytes} B");
+        assert_eq!(allocations, 0, "{name}: {bytes} B allocated by one batch");
+    }
 }
 
 #[test]

@@ -30,6 +30,12 @@ impl Shape {
         &self.0
     }
 
+    /// Replaces the extents with `dims`, reusing the allocation.
+    pub(crate) fn set_dims(&mut self, dims: &[usize]) {
+        self.0.clear();
+        self.0.extend_from_slice(dims);
+    }
+
     /// Number of dimensions (rank) of the shape.
     pub fn rank(&self) -> usize {
         self.0.len()

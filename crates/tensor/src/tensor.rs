@@ -30,6 +30,14 @@ pub struct Tensor {
     data: Vec<f32>,
 }
 
+/// An empty tensor of shape `[0]`: a buffer for [`Tensor::resize`] to
+/// grow.
+impl Default for Tensor {
+    fn default() -> Self {
+        Tensor::zeros(vec![0])
+    }
+}
+
 impl Tensor {
     // ---------------------------------------------------------------------
     // Constructors
@@ -202,6 +210,17 @@ impl Tensor {
             shape,
             data: self.data.clone(),
         })
+    }
+
+    /// Gives the tensor the shape `dims` in place, reusing both the
+    /// extents' and the data's allocations: a buffer a layer or a batch
+    /// keeps from pass to pass allocates only when it outgrows what it
+    /// held. The first values up to the new length are kept and any
+    /// beyond the old length are +0.0, so a caller that does not
+    /// overwrite every element fills the tensor first.
+    pub fn resize(&mut self, dims: &[usize]) {
+        self.shape.set_dims(dims);
+        self.data.resize(self.shape.volume(), 0.0);
     }
 
     /// Transposes a 2-D tensor.
@@ -978,6 +997,22 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("1.0000"));
         assert!(s.contains("(2)"));
+    }
+
+    #[test]
+    fn resize_reuses_both_allocations() {
+        let mut t = Tensor::from_fn(vec![2, 3, 4], |i| i as f32);
+        let (dims, data) = (t.dims().as_ptr(), t.data().as_ptr());
+        t.resize(&[3, 2]);
+        assert_eq!(t.dims(), &[3, 2]);
+        assert_eq!(t.data(), &[0., 1., 2., 3., 4., 5.]);
+        t.resize(&[4, 5, 1]);
+        assert_eq!(t.len(), 20);
+        assert_eq!(t.data()[..6], [0., 1., 2., 3., 4., 5.]);
+        assert_eq!(t.data()[6..], [0.0; 14]);
+        assert_eq!((t.dims().as_ptr(), t.data().as_ptr()), (dims, data));
+        t.resize(&[0]);
+        assert!(t.is_empty());
     }
 
     #[test]
