@@ -10,32 +10,26 @@
 use mixnn_tensor::vecmath;
 
 /// Counts, for every gradient vector, how many *other* vectors lie within
-/// `radius` (Euclidean).
+/// `radius` (Euclidean) once every vector is scaled to unit norm.
 ///
-/// If `normalize` is set, each vector is scaled to unit norm first —
-/// gradients shrink as training converges, so normalization keeps one
-/// radius meaningful across rounds (the raw variant matches the paper's
-/// description literally).
+/// Gradients shrink as training converges, so normalization keeps one
+/// radius meaningful across rounds. A zero vector stays zero.
 ///
 /// # Panics
 ///
 /// Panics if vectors have inconsistent lengths.
-pub fn neighbor_counts(gradients: &[Vec<f32>], radius: f32, normalize: bool) -> Vec<usize> {
-    let prepared: Vec<Vec<f32>> = if normalize {
-        gradients
-            .iter()
-            .map(|g| {
-                let n = vecmath::norm(g);
-                if n == 0.0 {
-                    g.clone()
-                } else {
-                    g.iter().map(|v| v / n).collect()
-                }
-            })
-            .collect()
-    } else {
-        gradients.to_vec()
-    };
+pub fn neighbor_counts(gradients: &[Vec<f32>], radius: f32) -> Vec<usize> {
+    let prepared: Vec<Vec<f32>> = gradients
+        .iter()
+        .map(|g| {
+            let n = vecmath::norm(g);
+            if n == 0.0 {
+                g.clone()
+            } else {
+                g.iter().map(|v| v / n).collect()
+            }
+        })
+        .collect();
     (0..prepared.len())
         .map(|i| {
             (0..prepared.len())
@@ -74,32 +68,32 @@ mod tests {
     #[test]
     fn neighbor_counts_basic_geometry() {
         let gradients = vec![
-            vec![0.0, 0.0],
-            vec![0.1, 0.0],  // close to #0
-            vec![10.0, 0.0], // far from both
+            vec![1.0, 0.0],
+            vec![2.0, 0.2], // ≈ 0.1 from #0 on the unit circle
+            vec![0.0, 3.0], // > 1.3 from both
         ];
-        let counts = neighbor_counts(&gradients, 0.5, false);
+        let counts = neighbor_counts(&gradients, 0.5);
         assert_eq!(counts, vec![1, 1, 0]);
     }
 
     #[test]
     fn radius_zero_counts_exact_duplicates_only() {
-        let gradients = vec![vec![1.0], vec![1.0], vec![2.0]];
-        let counts = neighbor_counts(&gradients, 0.0, false);
+        // [4, 3] has the duplicates' norm but not their direction.
+        let gradients = vec![vec![3.0, 4.0], vec![3.0, 4.0], vec![4.0, 3.0]];
+        let counts = neighbor_counts(&gradients, 0.0);
         assert_eq!(counts, vec![1, 1, 0]);
     }
 
     #[test]
     fn normalization_ignores_scale() {
         let gradients = vec![vec![1.0, 0.0], vec![100.0, 0.0]];
-        assert_eq!(neighbor_counts(&gradients, 0.5, false), vec![0, 0]);
-        assert_eq!(neighbor_counts(&gradients, 0.5, true), vec![1, 1]);
+        assert_eq!(neighbor_counts(&gradients, 0.5), vec![1, 1]);
     }
 
     #[test]
     fn zero_vector_survives_normalization() {
         let gradients = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
-        let counts = neighbor_counts(&gradients, 0.5, true);
+        let counts = neighbor_counts(&gradients, 0.5);
         assert_eq!(counts, vec![1, 1]);
     }
 

@@ -477,10 +477,6 @@ fn run_load(opts: &Options) -> Result<(), String> {
         load::MAX_FRAMING_OVERHEAD * 100.0,
         rows[0].roadmap_bytes_ratio,
     );
-    println!(
-        "Round trace: {} event(s) on the virtual clock (byte-identical across reruns).",
-        telemetry.trace_events().len()
-    );
     export_metrics(&telemetry, &mid_prom, opts.metrics_out.as_deref())
 }
 

@@ -145,8 +145,8 @@ pub fn run(
 
 /// [`run`] with a telemetry registry attached to the simulated network —
 /// the load generator drives the registry's virtual clock (if it carries
-/// one), so counters, queue-depth gauges and round trace events are all
-/// stamped in virtual nanoseconds and reproduce byte for byte.
+/// one), so its counters, queue-depth gauges and spans reproduce byte for
+/// byte.
 ///
 /// # Errors
 ///

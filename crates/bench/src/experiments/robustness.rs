@@ -50,7 +50,7 @@ pub fn run(
         .iter()
         .map(|u| u.gradient_from(global).expect("same architecture"))
         .collect();
-    let counts = neighbor_counts(&gradients, radius, true);
+    let counts = neighbor_counts(&gradients, radius);
     let points = cdf_of_counts(&counts)
         .into_iter()
         .map(|(neighbors, fraction)| NeighborPoint {

@@ -25,7 +25,7 @@ use mixnn_core::{
 use mixnn_crypto::SealingKey;
 use mixnn_enclave::AttestationService;
 use mixnn_nn::{LayerParams, ModelParams};
-use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
+use mixnn_telemetry::{Counter, Distribution, Span, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -267,7 +267,6 @@ pub struct CascadeCoordinator {
     policy: FailurePolicy,
     compression: CompressionConfig,
     telemetry: Telemetry,
-    rounds_driven: u64,
     dummy_nonce: u64,
     /// Last committed round's server-bound messages, kept once the server
     /// has decoded them: the next round's first hops write into them.
@@ -353,7 +352,6 @@ impl CascadeCoordinator {
             policy: config.policy,
             compression: CompressionConfig::F32,
             telemetry: mixnn_telemetry::noop(),
-            rounds_driven: 0,
             dummy_nonce: 0,
             server_bound: SpentBuffers::default(),
             last_hops_spent: SpentBuffers::default(),
@@ -642,8 +640,6 @@ impl CascadeCoordinator {
                 self.skipped[h] = true;
                 skipped_this_round.push(h);
                 self.telemetry.incr(Counter::CascadeHopsSkipped, 1);
-                self.telemetry
-                    .trace(Component::Cascade, Some(h as u16), TraceKind::HopSkipped);
                 Ok(())
             }
         }
@@ -781,9 +777,9 @@ impl CascadeCoordinator {
     }
 
     /// The accounting wrapper shared by the plain and padded round drives:
-    /// input validation, the round ordinal, trace events, the round span,
-    /// and success/abort counters — exactly once per round, no matter how
-    /// many skip-and-reroute attempts the drive takes.
+    /// input validation, the round span and the success/abort counters —
+    /// exactly once per round, no matter how many skip-and-reroute attempts
+    /// the drive takes.
     fn accounted_drive<R: Rng + ?Sized>(
         &mut self,
         updates: Cow<'_, [ModelParams]>,
@@ -804,13 +800,6 @@ impl CascadeCoordinator {
             }
         }
 
-        let ordinal = self.rounds_driven;
-        self.rounds_driven += 1;
-        self.telemetry.trace(
-            Component::Cascade,
-            None,
-            TraceKind::RoundStarted { round: ordinal },
-        );
         let t0 = self.telemetry.now_ns();
         let result = self.drive_round(updates, floor, spares, rng, link);
         let elapsed_ns = self.telemetry.now_ns().saturating_sub(t0);
@@ -826,25 +815,10 @@ impl CascadeCoordinator {
                     let members = group.slots().len() as u64;
                     self.telemetry
                         .observe(Distribution::CascadeGroupMembers, members);
-                    self.telemetry.trace(
-                        Component::Cascade,
-                        None,
-                        TraceKind::GroupMixed { members },
-                    );
                 }
-                self.telemetry.trace(
-                    Component::Cascade,
-                    None,
-                    TraceKind::RoundCompleted { round: ordinal },
-                );
             }
             Err(_) => {
                 self.telemetry.incr(Counter::CascadeRoundsAborted, 1);
-                self.telemetry.trace(
-                    Component::Cascade,
-                    None,
-                    TraceKind::RoundAborted { round: ordinal },
-                );
             }
         }
         result

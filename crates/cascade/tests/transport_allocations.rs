@@ -18,8 +18,10 @@
 //! padded with cover — is held to the same floor: cover is generated into
 //! updates the relay is done with, the server decodes into them, and the
 //! outputs are copied into the members of committed firings. It runs on
-//! the no-op telemetry handle, as a pool may: the pool keeps its own
-//! clock.
+//! two telemetry handles: the no-op one, as a pool may hold (the pool
+//! keeps its own clock), and a live virtual-clock registry, as the repo
+//! benchmark attaches. A live registry holds one fixed slot per series,
+//! so recording into it must not allocate either.
 
 use mixnn_cascade::{
     CascadeCoordinator, CascadeTransport, FailurePolicy, LinearChain, PoolConfig,
@@ -28,6 +30,7 @@ use mixnn_cascade::{
 use mixnn_core::codec::{self, CompressionConfig};
 use mixnn_fl::{AggregationServer, ModelUpdate, UpdateTransport};
 use mixnn_nn::{LayerParams, ModelParams};
+use mixnn_telemetry::{Counter, Registry, Telemetry, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -169,10 +172,15 @@ const POOLED_CLIENTS: usize = 8;
 const POOL_K: usize = 4;
 const POOLED_RELAYS: usize = 6;
 
-/// `POOLED_RELAYS` pooled relay + aggregate rounds under `compression`:
-/// the layer- or message-sized allocations of each and the updates the
-/// transport holds after it, every aggregate checked bit for bit.
-fn pooled_relays(compression: CompressionConfig, seed: u64) -> Vec<(usize, usize)> {
+/// `POOLED_RELAYS` pooled relay + aggregate rounds under `compression`,
+/// recorded into `telemetry`: the layer- or message-sized allocations of
+/// each and the updates the transport holds after it, every aggregate
+/// checked bit for bit.
+fn pooled_relays(
+    compression: CompressionConfig,
+    seed: u64,
+    telemetry: Telemetry,
+) -> Vec<(usize, usize)> {
     let chain = Box::new(LinearChain::new(2));
     let (mut cascade, _) =
         CascadeCoordinator::launch_seeded(SIGNATURE.to_vec(), chain, seed, FailurePolicy::Abort)
@@ -187,8 +195,7 @@ fn pooled_relays(compression: CompressionConfig, seed: u64) -> Vec<(usize, usize
     // Arrivals 750 ns apart: the pool opened by one arrival fires by
     // deadline after the next.
     let spread = 750 * POOLED_CLIENTS as u64;
-    let mut transport =
-        PooledCascadeTransport::new(pooled, mixnn_telemetry::noop(), spread).unwrap();
+    let mut transport = PooledCascadeTransport::new(pooled, telemetry, spread).unwrap();
     let inputs: Vec<ModelUpdate> = (0..POOLED_CLIENTS)
         .map(|id| {
             let layers = SIGNATURE
@@ -230,23 +237,34 @@ fn steady_pooled_relay_and_aggregate_allocate_nothing_of_a_layers_size() {
         (CompressionConfig::F32, 3),
         (CompressionConfig::int8_top_k(), 4),
     ] {
-        let relays = pooled_relays(compression, seed);
-        let slots = 2 * POOLED_CLIENTS;
-        for (i, &(fresh, held)) in relays.iter().enumerate() {
-            // Between relays the transport holds the last relay's mixed
-            // outputs and nothing more: the spares never pile up.
-            assert_eq!(held, slots, "{} relay {i}", compression.name());
-            if i > 0 {
-                assert_eq!(fresh, 0, "{} relay {i}", compression.name());
+        for (handle, telemetry) in [
+            ("no-op", mixnn_telemetry::noop()),
+            (
+                "live",
+                Registry::with_virtual_clock(VirtualClock::new()).shared(),
+            ),
+        ] {
+            let arm = format!("{} on the {handle} handle", compression.name());
+            let relays = pooled_relays(compression, seed, telemetry.clone());
+            let slots = 2 * POOLED_CLIENTS;
+            for (i, &(fresh, held)) in relays.iter().enumerate() {
+                // Between relays the transport holds the last relay's mixed
+                // outputs and nothing more: the spares never pile up.
+                assert_eq!(held, slots, "{arm}: relay {i}");
+                if i > 0 {
+                    assert_eq!(fresh, 0, "{arm}: relay {i}");
+                }
             }
+            // A live arm that recorded nothing would pass vacuously.
+            let fired = telemetry.counter(Counter::CascadePoolsFired);
+            assert_eq!(fired > 0, telemetry.enabled(), "{arm}: {fired} firings");
+            println!(
+                "steady pooled relay + aggregate under {arm}: {} allocations of a layer's \
+                 or a message's size ({} at warm-up), {} updates held between relays",
+                relays[POOLED_RELAYS - 1].0,
+                relays[0].0,
+                relays[POOLED_RELAYS - 1].1,
+            );
         }
-        println!(
-            "steady pooled relay + aggregate under {}: {} allocations of a layer's or a \
-             message's size ({} at warm-up), {} updates held between relays",
-            compression.name(),
-            relays[POOLED_RELAYS - 1].0,
-            relays[0].0,
-            relays[POOLED_RELAYS - 1].1,
-        );
     }
 }

@@ -50,7 +50,7 @@ use crate::{codec, MixPlan, ProxyError, RoundTranscript, RouteGroup};
 use mixnn_crypto::PublicKey;
 use mixnn_enclave::{AttestationService, Enclave, EnclaveConfig, Measurement, Quote};
 use mixnn_nn::ModelParams;
-use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
+use mixnn_telemetry::{Counter, Distribution, Span, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -387,23 +387,7 @@ impl MixnnProxy {
         sealed: &[T],
         targets: Vec<ModelParams>,
     ) -> Result<Vec<ModelParams>, ProxyError> {
-        self.telemetry.trace(
-            Component::Core,
-            None,
-            TraceKind::IngestStaged {
-                updates: sealed.len() as u64,
-            },
-        );
         let results = self.ingest_sealed_into(sealed, targets);
-        let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
-        self.telemetry.trace(
-            Component::Core,
-            None,
-            TraceKind::IngestCommitted {
-                accepted,
-                rejected: results.len() as u64 - accepted,
-            },
-        );
         // A failed round clears the transcript; a mixed one replaces it.
         if let Some(e) = results.into_iter().find_map(Result::err) {
             self.last_audit = None;
@@ -465,13 +449,6 @@ impl MixnnProxy {
         self.telemetry.incr(Counter::CoreBatchesMixed, 1);
         self.telemetry
             .observe(Distribution::CoreMixBatchUpdates, mixed.len() as u64);
-        self.telemetry.trace(
-            Component::Core,
-            None,
-            TraceKind::BatchMixed {
-                updates: mixed.len() as u64,
-            },
-        );
         Ok(mixed)
     }
 }

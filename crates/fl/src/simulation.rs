@@ -6,7 +6,7 @@ use crate::{
 };
 use mixnn_data::{Dataset, FederatedDataset};
 use mixnn_nn::{Evaluation, ModelParams, Sequential, SoftmaxCrossEntropy};
-use mixnn_telemetry::{Component, Counter, Distribution, Span, Telemetry, TraceKind};
+use mixnn_telemetry::{Counter, Distribution, Span, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -80,8 +80,8 @@ impl FlSimulation {
     }
 
     /// Attaches a telemetry registry: each round records its span, the
-    /// part of it spent in server aggregation, participant count and
-    /// lifecycle trace events. Only aggregate, selection-size-level
+    /// part of it spent in server aggregation, its participant count and
+    /// the round and client counters. Only aggregate, selection-size-level
     /// figures are recorded — never per-client ids.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -157,13 +157,6 @@ impl FlSimulation {
             return Err(FlError::EmptyRound);
         }
         let round = self.rounds_run;
-        self.telemetry.trace(
-            Component::Fl,
-            None,
-            TraceKind::RoundStarted {
-                round: round as u64,
-            },
-        );
         let round_t0 = self.telemetry.now_ns();
 
         // Resolve clients and their disseminated models up front.
@@ -217,13 +210,6 @@ impl FlSimulation {
             .incr(Counter::FlClientsTrained, selected.len() as u64);
         self.telemetry
             .observe(Distribution::FlRoundParticipants, selected.len() as u64);
-        self.telemetry.trace(
-            Component::Fl,
-            None,
-            TraceKind::RoundCompleted {
-                round: round as u64,
-            },
-        );
         Ok(RoundOutcome {
             round,
             disseminated: dissemination,

@@ -13,16 +13,7 @@
 use crate::frame::{parse_burst, FrameWriter};
 use crate::sim::{LinkConfig, NetStats, Packet, SimNet};
 use mixnn_core::{Endpoint, LinkError, RoundLink};
-use mixnn_telemetry::{Component, Counter, Telemetry, TraceKind};
-
-/// Trace attribution for a segment endpoint: the hop index when the
-/// endpoint is a hop, `None` for the client population or the server.
-fn hop_index(endpoint: Endpoint) -> Option<u16> {
-    match endpoint {
-        Endpoint::Hop(h) => Some(h as u16),
-        _ => None,
-    }
-}
+use mixnn_telemetry::{Counter, Telemetry};
 
 /// When a sender flushes its frame buffer to a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,22 +176,9 @@ impl SimLink {
         }
         drop(messages);
 
-        {
-            let burst_count = bursts.len() as u64;
-            let frame_count: u64 = bursts.iter().map(|b| b.frames as u64).sum();
-            let byte_count: u64 = bursts.iter().map(|b| b.bytes as u64).sum();
-            let telemetry = self.net.telemetry();
-            telemetry.incr(Counter::NetBurstsFlushed, burst_count);
-            telemetry.trace(
-                Component::Net,
-                hop_index(to),
-                TraceKind::BurstFlushed {
-                    bursts: burst_count,
-                    frames: frame_count,
-                    bytes: byte_count,
-                },
-            );
-        }
+        self.net
+            .telemetry()
+            .incr(Counter::NetBurstsFlushed, bursts.len() as u64);
 
         // Transmit under backpressure, drive the event loop, reassemble
         // by sequence number.
@@ -275,9 +253,7 @@ impl RoundLink for SimLink {
     ) -> Result<Vec<Vec<u8>>, LinkError> {
         let result = self.deliver_inner(from, to, messages);
         if result.is_err() {
-            let telemetry = self.net.telemetry();
-            telemetry.incr(Counter::NetLinkErrors, 1);
-            telemetry.trace(Component::Net, hop_index(to), TraceKind::LinkError);
+            self.net.telemetry().incr(Counter::NetLinkErrors, 1);
         }
         result
     }

@@ -25,7 +25,7 @@ use crate::sim::{LinkConfig, Packet, SimNet};
 use mixnn_cascade::arrival_offset;
 use mixnn_core::codec::{encoded_layer_len_with, CompressionConfig};
 use mixnn_crypto::sealed_box::OVERHEAD as SEAL_OVERHEAD;
-use mixnn_telemetry::{Component, Telemetry, TraceKind};
+use mixnn_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
@@ -241,10 +241,8 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, LoadError> {
 }
 
 /// [`run_load`] with a telemetry registry attached to the simulator: net
-/// counters and queue-peak gauges accumulate into it, each completed
-/// round leaves a trace event stamped in **virtual** nanoseconds (the
-/// simulator drives the registry's virtual clock, if it carries one), so
-/// two runs of the same config produce byte-identical trace text.
+/// counters and queue-peak gauges accumulate into it, so two runs of the
+/// same config produce byte-identical snapshots.
 ///
 /// # Errors
 ///
@@ -349,11 +347,6 @@ pub fn run_load_with(cfg: &LoadConfig, telemetry: &Telemetry) -> Result<LoadOutc
             if server_frames[round] == frames_per_round(hops) {
                 completions[round] = Some(net.now_ns());
                 completed += 1;
-                telemetry.trace(
-                    Component::Net,
-                    None,
-                    TraceKind::RoundCompleted { round: packet.tag },
-                );
             }
         }
 

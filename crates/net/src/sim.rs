@@ -233,8 +233,8 @@ impl SimNet {
     /// Attaches a telemetry registry. If the registry carries a
     /// [`VirtualClock`], the simulator drives it: every event processed
     /// (and every [`SimNet::run_until`] deadline) pushes the virtual
-    /// time into the clock, so span and trace timestamps recorded
-    /// anywhere in the system are taken in simulated nanoseconds —
+    /// time into the clock, so spans recorded anywhere in the system
+    /// are taken in simulated nanoseconds —
     /// byte-identical across reruns of the same scenario.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.vclock = telemetry.virtual_clock();

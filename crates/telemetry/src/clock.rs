@@ -3,9 +3,9 @@
 //! A [`crate::Registry`] reads time through a [`ClockSource`], so the same
 //! instrumentation can run against the wall clock (live deployments,
 //! throughput benchmarks) or against [`SimNet`]'s virtual nanosecond clock
-//! (the load generator) — under the virtual clock, trace timestamps and
-//! span durations are pure functions of the simulation and therefore
-//! byte-identical across reruns.
+//! (the load generator) — under the virtual clock, span durations are
+//! pure functions of the simulation and therefore byte-identical across
+//! reruns.
 //!
 //! [`SimNet`]: https://docs.rs/
 

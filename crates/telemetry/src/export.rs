@@ -391,16 +391,14 @@ pub fn check_counter_monotonicity(prev: &str, next: &str) -> Result<(), String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Component, Counter, Distribution};
+    use crate::metrics::{Counter, Distribution};
     use crate::registry::Registry;
-    use crate::trace::TraceKind;
 
     fn sample_registry() -> Registry {
         let reg = Registry::with_virtual_clock(crate::clock::VirtualClock::new());
         reg.incr(Counter::CoreUpdatesCommitted, 12);
         reg.incr(Counter::NetPacketsSent, 3);
         reg.observe(Distribution::CoreMixBatchUpdates, 12);
-        reg.trace(Component::Core, None, TraceKind::BatchMixed { updates: 12 });
         reg
     }
 

@@ -1,4 +1,4 @@
-//! Deterministic, aggregate-only metrics and round tracing for MixNN.
+//! Deterministic, aggregate-only metrics for MixNN.
 //!
 //! The paper's §6 evaluation lives on per-hop latency, decrypt cost, EPC
 //! pressure and bytes-per-round — numbers a deployment needs as first-class
@@ -16,10 +16,7 @@
 //!   runs of one seed produce bit-identical snapshots;
 //! - timestamps flow through a [`ClockSource`] — wall clock for live runs,
 //!   a [`VirtualClock`] mirrored from the simulated network for `eval
-//!   load`, making traces byte-identical across reruns;
-//! - the [`RoundTrace`] journal records per-round/per-hop lifecycle events
-//!   (ingest staged/committed, batches opened/mixed, groups mixed, bursts
-//!   flushed, skip/abort decisions) from serialized code paths only.
+//!   load`, making span histograms byte-identical across reruns.
 //!
 //! [`Snapshot`] renders to Prometheus text and JSON; [`validate_prometheus`]
 //! is the exported-format checker CI runs (duplicate series, non-monotone
@@ -43,7 +40,6 @@ mod clock;
 mod export;
 mod metrics;
 mod registry;
-mod trace;
 
 pub use clock::{ClockSource, VirtualClock, WallClock};
 pub use export::{
@@ -54,4 +50,3 @@ pub use metrics::{
     Component, Counter, Distribution, Gauge, Histogram, Span, COUNT_BOUNDS, LATENCY_NS_BOUNDS,
 };
 pub use registry::{noop, Registry, SpanGuard, Telemetry};
-pub use trace::{RoundTrace, TraceEvent, TraceKind, DEFAULT_TRACE_CAPACITY};

@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The instrumented subsystem a metric or trace event belongs to.
+/// The instrumented subsystem a metric belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Component {
     /// The single-proxy ingest/mix pipeline (`mixnn-core`).

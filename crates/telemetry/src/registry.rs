@@ -1,14 +1,13 @@
-//! The metric registry: one atomic slot per static identifier, a span
-//! timer, and the round-trace journal.
+//! The metric registry: one atomic slot per static identifier and a span
+//! timer.
 
 use crate::clock::{ClockSource, VirtualClock, WallClock};
 use crate::export::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 use crate::metrics::{
-    Component, Counter, Distribution, Gauge, Histogram, Span, COUNT_BOUNDS, LATENCY_NS_BOUNDS,
+    Counter, Distribution, Gauge, Histogram, Span, COUNT_BOUNDS, LATENCY_NS_BOUNDS,
 };
-use crate::trace::{RoundTrace, TraceEvent, TraceKind};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// The shared handle instrumented components hold.
 ///
@@ -30,7 +29,6 @@ pub struct Registry {
     gauges: Vec<AtomicU64>,
     distributions: Vec<Histogram>,
     spans: Vec<Histogram>,
-    trace: Mutex<RoundTrace>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -58,7 +56,6 @@ impl Registry {
                 .iter()
                 .map(|_| Histogram::new(&LATENCY_NS_BOUNDS))
                 .collect(),
-            trace: Mutex::new(RoundTrace::default()),
         }
     }
 
@@ -146,41 +143,6 @@ impl Registry {
         SpanGuard {
             active: Some((Arc::clone(self), span, self.now_ns())),
         }
-    }
-
-    /// Appends a trace event stamped with the registry clock.
-    ///
-    /// Call only from serialized code paths — the journal preserves
-    /// insertion order, and deterministic traces depend on that order
-    /// being a function of program semantics rather than scheduling.
-    pub fn trace(&self, component: Component, hop: Option<u16>, kind: TraceKind) {
-        if !self.enabled() {
-            return;
-        }
-        let event = TraceEvent {
-            at_ns: self.now_ns(),
-            component,
-            hop,
-            kind,
-        };
-        self.trace
-            .lock()
-            .expect("trace journal poisoned")
-            .push(event);
-    }
-
-    /// A copy of the trace journal's events, in order.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace
-            .lock()
-            .expect("trace journal poisoned")
-            .events()
-            .to_vec()
-    }
-
-    /// The rendered trace journal.
-    pub fn trace_text(&self) -> String {
-        self.trace.lock().expect("trace journal poisoned").render()
     }
 
     /// Reads one counter (tests and report plumbing).
@@ -289,10 +251,8 @@ mod tests {
         reg.gauge_max(Gauge::NetPeakSendQueue, 9);
         reg.observe(Distribution::CoreMixBatchUpdates, 3);
         reg.record_span_ns(Span::CoreMixBatch, 100);
-        reg.trace(Component::Core, None, TraceKind::HopSkipped);
         assert_eq!(reg.counter(Counter::CoreUpdatesCommitted), 0);
         assert_eq!(reg.gauge(Gauge::NetPeakSendQueue), 0);
-        assert!(reg.trace_events().is_empty());
     }
 
     #[test]
@@ -322,17 +282,6 @@ mod tests {
             .unwrap();
         assert_eq!(fl_round.count, 1);
         assert_eq!(fl_round.sum, 1_500);
-    }
-
-    #[test]
-    fn trace_events_are_stamped_with_the_registry_clock() {
-        let clock = VirtualClock::new();
-        let reg = Registry::with_virtual_clock(clock.clone()).shared();
-        clock.set_ns(77);
-        reg.trace(Component::Net, None, TraceKind::RoundCompleted { round: 1 });
-        let events = reg.trace_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].at_ns, 77);
     }
 
     #[test]
