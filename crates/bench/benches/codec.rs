@@ -20,7 +20,7 @@
 //! — every value in one bucket at every level — which must stay linear.
 //! Those rows run the encoder's best tier; `codec/encode/<tier>/*` and
 //! `codec/topk/select/<tier>/*` repeat the lossy ones on every tier the
-//! host supports (`codec::TIERS` on the `mixnn_crypto::cpu` ladder).
+//! host supports (`codec::TIERS` on the `mixnn_cpu` ladder).
 //!
 //! `codec/layer_digest/{2048,65536}` hash one layer's v1 frame as the
 //! cover-stripping server does, streamed without building the frame; their
@@ -32,7 +32,7 @@ use mixnn_bench::experiments::compress::PAPER_SIGNATURE;
 use mixnn_core::codec::{
     self, encode_layer_with, encode_params_with, validate_layer_frame_expecting, CompressionConfig,
 };
-use mixnn_crypto::cpu::Tier;
+use mixnn_cpu::Tier;
 use mixnn_nn::{LayerParams, ModelParams};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;

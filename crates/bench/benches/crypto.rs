@@ -1,8 +1,8 @@
 //! Crypto primitive costs backing the §6.5 "decryption dominates" claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mixnn_cpu::Tier;
 use mixnn_crypto::chacha20;
-use mixnn_crypto::cpu::Tier;
 use mixnn_crypto::hmac::hmac_sha256;
 use mixnn_crypto::poly1305;
 use mixnn_crypto::sha256;

@@ -76,13 +76,13 @@
 //! The scalar tier is the definition; the wide tier emits byte-identical
 //! frames (the same cut, the same f64 division per value, the same
 //! first-seen rule for a `±0.0` bound). The tier is the rung of the one
-//! CPU ladder in [`mixnn_crypto::cpu`] — detection alone, no option; the
+//! CPU ladder in [`mixnn_cpu`] — detection alone, no option; the
 //! tests pass each rung of [`TIERS`] the host reaches as an argument
 //! instead.
 
 use crate::ProxyError;
 use bytes::{Buf, BufMut};
-use mixnn_crypto::cpu::Tier;
+use mixnn_cpu::Tier;
 use mixnn_crypto::sha256::Sha256;
 use mixnn_nn::{LayerParams, ModelParams};
 use serde::{Deserialize, Serialize};
@@ -579,7 +579,7 @@ mod avx512 {
         LOW_DIGITS, LOW_DIGIT_BITS, TOP_DIGITS,
     };
     use core::arch::x86_64::*;
-    use mixnn_crypto::cpu::Tier;
+    use mixnn_cpu::Tier;
 
     /// Values per step.
     const LANES: usize = 16;

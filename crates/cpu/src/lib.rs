@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`Tier::Scalar`] | — | every definition |
 //! | [`Tier::Avx2`] | `avx2` | ChaCha20's eight-block keystream |
-//! | [`Tier::Avx512`] | `avx512f`, `avx512bw`, `avx512dq` | ChaCha20's sixteen-block keystream; the lossy encoder |
+//! | [`Tier::Avx512`] | `avx512f`, `avx512bw`, `avx512dq` | ChaCha20's sixteen-block keystream; the lossy encoder; the `Conv2d` / `LocallyConnected2d` window passes; the column mean of FedAvg |
 //! | [`Tier::Ifma`] | `avx512ifma` | Poly1305's eight-lane MAC; X25519's eight-lane ladder and comb |
 //!
 //! So a rung is a whole generation of x86-64, not one kernel's list: an
@@ -19,6 +19,9 @@
 //! AVX-512 — on either side of it — so it is probed beside the ladder
 //! ([`sha_ni`]), not on it. Detection is the only input: there is no
 //! option, env var or feature.
+
+#![deny(missing_docs)]
+#![deny(missing_debug_implementations)]
 
 use std::sync::OnceLock;
 
@@ -41,11 +44,13 @@ impl Tier {
 
     /// Whether the running CPU has this rung's features and every lower
     /// rung's.
+    #[inline]
     pub fn available(self) -> bool {
         self <= Tier::best()
     }
 
     /// The highest rung the running CPU reaches.
+    #[inline]
     pub fn best() -> Tier {
         detected().0
     }
@@ -75,12 +80,14 @@ impl Tier {
 
 /// Whether the running CPU has the SHA-256 extension and what its kernel
 /// also needs: `sha`, `ssse3` and `sse4.1`.
+#[inline]
 pub fn sha_ni() -> bool {
     detected().1
 }
 
 /// The top rung and [`sha_ni`], detected on first use: every kernel asks
 /// on every call, so this is the one probe that caches.
+#[inline]
 fn detected() -> (Tier, bool) {
     static DETECTED: OnceLock<(Tier, bool)> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -118,10 +125,12 @@ mod tests {
 
     /// Per kernel module on the ladder, the union of its
     /// `#[target_feature(enable = …)]` lists, with the rung that gates it.
-    const KERNELS: [(&str, Tier, &[&str]); 5] = [
+    const KERNELS: [(&str, Tier, &[&str]); 7] = [
         ("chacha20::avx2", Tier::Avx2, &["avx2"]),
         ("chacha20::avx512", Tier::Avx512, &["avx512f"]),
         ("codec::avx512", Tier::Avx512, &["avx512f", "avx512bw"]),
+        ("window::avx512", Tier::Avx512, &["avx512f"]),
+        ("vecmath::mean_avx512", Tier::Avx512, &["avx512f"]),
         ("poly1305::ifma", Tier::Ifma, &["avx512f", "avx512ifma"]),
         (
             "x25519::ifma",

@@ -22,7 +22,7 @@
 //! would overflow it falls to the narrower kernels, so the keystream is
 //! bit-identical to the one-block-at-a-time definition at every length
 //! and counter. The tier is the rung of the one CPU ladder in
-//! [`crate::cpu`] — detection alone, no option; the tests pass each rung
+//! [`mixnn_cpu`] — detection alone, no option; the tests pass each rung
 //! of [`TIERS`] the host reaches as an argument instead. An AVX-512F host
 //! without BW and DQ (Xeon Phi) stops at the `Avx2` rung and runs the
 //! eight-block kernel.
@@ -33,7 +33,7 @@
 //! block 0 on its one-time Poly1305 key (RFC 8439 §2.6) and encrypts the
 //! payload from block 1.
 
-use crate::cpu::Tier;
+use mixnn_cpu::Tier;
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -78,8 +78,8 @@ pub const TIERS: &[Tier] = &[Tier::Scalar, Tier::Avx2, Tier::Avx512];
 /// guarantees the output is bit-identical to the scalar definition.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use crate::cpu::Tier;
     use core::arch::x86_64::*;
+    use mixnn_cpu::Tier;
 
     /// Blocks per pass.
     pub const LANES: usize = 8;
@@ -174,8 +174,8 @@ mod avx2 {
 /// XORed into the buffer with one load and one store.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use crate::cpu::Tier;
     use core::arch::x86_64::*;
+    use mixnn_cpu::Tier;
 
     /// Blocks per pass.
     pub const LANES: usize = 16;

@@ -11,7 +11,6 @@
 //! * [`poly1305`] — the Poly1305 one-time authenticator and the AEAD tag
 //!   built on it (RFC 8439 §2.5, §2.8),
 //! * [`x25519`] — X25519 Diffie–Hellman over Curve25519 (RFC 7748),
-//! * [`cpu`] — the one CPU ladder every SIMD kernel dispatches on,
 //! * [`sealed_box`] — the hybrid public-key encryption used on the wire:
 //!   ephemeral X25519 → HKDF → ChaCha20-Poly1305 with the ephemeral key
 //!   as associated data; `eph_pub (32) ‖ tag (16) ‖ ciphertext`. Every
@@ -27,10 +26,10 @@
 //! Decryption dominates the proxy's per-round cost (§6.5), so the stack
 //! is built as batched kernels behind the scalar APIs — each one
 //! bit-identical to the scalar definition and pinned by the same RFC/FIPS
-//! vectors. There is one ladder of wide tiers, [`cpu::Tier`] — `Scalar`,
+//! vectors. There is one ladder of wide tiers, [`mixnn_cpu::Tier`] — `Scalar`,
 //! `Avx2`, `Avx512` (F + BW + DQ), `Ifma` — each rung needing every
 //! feature below it; each kernel names the rung it needs, and SHA-NI is
-//! probed beside the ladder ([`cpu::sha_ni`]), not on it. An AVX-512F
+//! probed beside the ladder ([`mixnn_cpu::sha_ni`]), not on it. An AVX-512F
 //! host without BW and DQ (Xeon Phi) stops at `Avx2`, so its ChaCha20
 //! runs the eight-block kernel.
 //!
@@ -89,7 +88,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod chacha20;
-pub mod cpu;
 mod error;
 pub mod hmac;
 pub mod poly1305;

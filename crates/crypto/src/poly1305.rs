@@ -30,10 +30,10 @@
 //!
 //! Callers hand whole slices ([`poly1305`], [`aead_tag`]), so there is
 //! no buffering state. The tier is the rung of the one CPU ladder in
-//! [`crate::cpu`] — detection alone, no option; the tests pass each rung
+//! [`mixnn_cpu`] — detection alone, no option; the tests pass each rung
 //! of [`TIERS`] the host reaches as an argument.
 
-use crate::cpu::Tier;
+use mixnn_cpu::Tier;
 
 /// Key length in bytes: `r` (clamped on use) then `s`.
 pub const KEY_LEN: usize = 32;

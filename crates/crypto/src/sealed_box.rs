@@ -71,12 +71,12 @@
 //!   none allocates or writes for an envelope that fails.
 
 use crate::chacha20::ChaCha20;
-use crate::cpu::Tier;
 use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
 use crate::poly1305;
 use crate::x25519;
 use crate::x25519::Base;
 use crate::CryptoError;
+use mixnn_cpu::Tier;
 use rand::Rng;
 use std::fmt;
 use std::sync::Arc;

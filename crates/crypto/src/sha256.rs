@@ -8,7 +8,7 @@
 //! block of its input through one `compress_blocks` call, which runs the
 //! SHA-NI (`sha` + `ssse3` + `sse4.1`) kernel when the CPU has it and the
 //! portable scalar rounds otherwise. A hasher picks its `Tier` once, at
-//! construction, from [`crate::cpu::sha_ni`] alone — SHA-NI ships
+//! construction, from [`mixnn_cpu::sha_ni`] alone — SHA-NI ships
 //! independently of AVX-512, so it is probed beside the CPU ladder, not
 //! on it, and there is no option; the tests construct one hasher per
 //! supported tier instead. Both tiers implement the same FIPS 180-4
@@ -165,7 +165,7 @@ pub(crate) enum Tier {
 impl Tier {
     /// The fastest tier the running CPU supports.
     pub(crate) fn best() -> Tier {
-        if crate::cpu::sha_ni() {
+        if mixnn_cpu::sha_ni() {
             Tier::ShaNi
         } else {
             Tier::Portable
@@ -247,7 +247,7 @@ fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use super::K;
-    use crate::cpu;
+    use mixnn_cpu::sha_ni;
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
@@ -256,11 +256,11 @@ mod shani {
     ///
     /// # Panics
     ///
-    /// Panics unless [`cpu::sha_ni`] — callers select this tier only
+    /// Panics unless [`sha_ni`] — callers select this tier only
     /// after checking it.
     pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
-        assert!(cpu::sha_ni(), "SHA-NI selected on a CPU without it");
-        // SAFETY: `cpu::sha_ni()` just confirmed sha, ssse3 and sse4.1 —
+        assert!(sha_ni(), "SHA-NI selected on a CPU without it");
+        // SAFETY: `sha_ni()` just confirmed sha, ssse3 and sse4.1 —
         // the features `compress_blocks_ni` enables.
         unsafe { compress_blocks_ni(state, blocks) }
     }
@@ -268,7 +268,7 @@ mod shani {
     /// # Safety
     ///
     /// Requires the `sha`, `ssse3` and `sse4.1` features, i.e.
-    /// [`cpu::sha_ni`] returned `true`.
+    /// [`sha_ni`] returned `true`.
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     unsafe fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
         // Big-endian message words → little-endian u32 lanes.

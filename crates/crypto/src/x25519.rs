@@ -40,11 +40,11 @@
 //! and each lane's digit its own mask — so the driver groups a batch's
 //! comb jobs by table. Outputs are bit-identical to [`x25519`] on every
 //! tier. The IFMA tier needs the `Ifma` rung of the one CPU ladder in
-//! [`crate::cpu`] — AVX-512 F, BW and DQ below it, IFMA on top.
+//! [`mixnn_cpu`] — AVX-512 F, BW and DQ below it, IFMA on top.
 
 mod edwards;
 
-use crate::cpu::Tier;
+use mixnn_cpu::Tier;
 
 pub use edwards::FixedBase;
 

@@ -6,7 +6,7 @@
 //! RFC 5869 (HKDF), RFC 7748 (X25519), RFC 8439 (ChaCha20, Poly1305 and
 //! the AEAD construction the sealed box is built on).
 
-use mixnn_crypto::cpu::Tier;
+use mixnn_cpu::Tier;
 use mixnn_crypto::hmac::{hkdf, hmac_sha256};
 use mixnn_crypto::{chacha20, poly1305, sha256, x25519};
 

@@ -26,6 +26,16 @@ use rand::Rng;
 /// and biases, `(oc, oy, ox)` for the input. As a model's first layer it
 /// skips the input gradient ([`Layer::backward_params`]).
 ///
+/// On a CPU with AVX-512 (the `Avx512` rung of `mixnn_cpu::Tier`, detected
+/// at run time) both passes run AVX-512 kernels: sixteen examples of an
+/// output element per register and up to eight output channels per input
+/// load forward; backward, sixteen examples of an input-gradient element
+/// per register, and an output channel's 3×3 kernel sums a window row per
+/// register, one non-zero output gradient after another. A register only
+/// ever holds elements independent of each other, and each element still
+/// sees the same multiplies and adds in the same order, unfused, so the
+/// outputs and gradients are bit-identical on every rung.
+///
 /// # Example
 ///
 /// ```
@@ -274,13 +284,32 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The direct loops' output for `x` and two hostile output gradients.
+    fn expected(conv: &Conv2d, x: &Tensor, rng: &mut StdRng) -> hostile::Expected {
+        let mut twin = conv.clone();
+        let y = twin.forward_reference(x);
+        let steps = (0..2)
+            .map(|_| {
+                let g = hostile::grad(y.dims().to_vec(), rng);
+                let dx = twin.backward_reference(x, &g);
+                (g, dx, twin.block.grads().values().to_vec())
+            })
+            .collect();
+        hostile::Expected { y, steps }
+    }
+
     #[test]
     fn batch_innermost_passes_match_the_direct_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(32);
-        let mut exercised = 0;
-        // One input-gradient buffer for every geometry, starting as NaN:
-        // whatever an earlier pass left in it must be overwritten.
-        let mut dx = Tensor::full(vec![4096], f32::NAN);
+        let (mut exercised, mut tiers) = (0, Vec::new());
+        // One input-gradient buffer for every geometry and rung.
+        let mut dx = Tensor::default();
+        let mut check = |conv: Conv2d, x: &Tensor, rng: &mut StdRng| {
+            let win = conv.window(x.dims()).unwrap();
+            let want = expected(&conv, x, rng);
+            let layer = (&conv.passes, &conv.block);
+            hostile::assert_every_tier(win, layer, x, &want, &mut dx)
+        };
         for kernel in 1..=5 {
             for stride in 1..=3 {
                 for padding in 0..=3 {
@@ -296,30 +325,25 @@ mod tests {
                         assert!(conv.forward(&x, &mut Tensor::default()).is_err());
                         continue;
                     }
-                    let mut twin = conv.clone();
-                    let mut y = Tensor::default();
-                    conv.forward(&x, &mut y).unwrap();
-                    hostile::assert_bits_eq("forward", y.data(), twin.forward_reference(&x).data());
-                    let out_dims = y.dims().to_vec();
-                    // Twice, so the gradients also accumulate onto non-zero
-                    // values.
-                    for _ in 0..2 {
-                        let g = hostile::grad(out_dims.clone(), &mut rng);
-                        conv.backward(&g, &mut dx).unwrap();
-                        let dx_twin = twin.backward_reference(&x, &g);
-                        hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
-                        hostile::assert_bits_eq(
-                            "grads",
-                            conv.block.grads().values(),
-                            twin.block.grads().values(),
-                        );
-                    }
+                    tiers = check(conv, &x, &mut rng);
                     exercised += 1;
                 }
             }
         }
+        let geometries = exercised;
+        for (in_c, out_c, h, w) in hostile::MODEL_SHAPES {
+            for batch in hostile::BATCHES {
+                let mut conv = Conv2d::new(in_c, out_c, 3, 1, 1, &mut rng);
+                let values = hostile::params(conv.block.len(), out_c, &mut rng);
+                conv.block.load(&LayerParams::from_values(values)).unwrap();
+                let x = hostile::input(vec![batch, in_c, h, w], &mut rng);
+                tiers = check(conv, &x, &mut rng);
+                exercised += 1;
+            }
+        }
         println!("conv geometries exercised: {exercised}");
-        assert!(exercised >= 40, "only {exercised} geometries fit");
+        println!("window tiers exercised: {tiers:?}");
+        assert!(geometries >= 40, "only {geometries} geometries fit");
     }
 
     #[test]

@@ -135,6 +135,25 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
+        self.backward_params(grad_output)?;
+        // dX = dY · Wᵀ.
+        let (batch, inf, of) = (grad_output.dims()[0], self.in_features, self.out_features);
+        grad_input.resize(&[batch, inf]);
+        matmul_nt_into(
+            grad_output.data(),
+            self.block.weights.data(),
+            batch,
+            of,
+            inf,
+            &mut self.transposed,
+            grad_input.data_mut(),
+        );
+        Ok(())
+    }
+
+    /// The weight and bias gradients only: as a model's first layer the
+    /// input gradient `dY · Wᵀ` is never read, so it is not computed.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
         let input = self
             .cached_input
             .as_ref()
@@ -176,17 +195,6 @@ impl Layer for Dense {
                 *g += d;
             }
         }
-        // dX = dY · Wᵀ.
-        grad_input.resize(&[batch, inf]);
-        matmul_nt_into(
-            dy,
-            self.block.weights.data(),
-            batch,
-            of,
-            inf,
-            &mut self.transposed,
-            grad_input.data_mut(),
-        );
         Ok(())
     }
 

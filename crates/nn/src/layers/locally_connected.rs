@@ -28,7 +28,10 @@ use rand::Rng;
 /// gradients skipped. Per element the f32 operations and their order are
 /// the direct loop's — `bias` then `+= x·w` in ascending `(ic, kh, kw)`;
 /// batch order for a kernel or bias gradient; `(oc, oy, ox)` for the input
-/// gradient — so both passes are bit-identical to it.
+/// gradient — so both passes are bit-identical to it. On the `Avx512` rung
+/// of `mixnn_cpu::Tier` they run [`crate::Conv2d`]'s AVX-512 kernels, which
+/// keep every element's operations and order: the same bits, with the
+/// sixteen examples of a position in one register.
 #[derive(Debug, Clone)]
 pub struct LocallyConnected2d {
     in_channels: usize,
@@ -245,41 +248,53 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The direct loops' output for `x` and two hostile output gradients.
+    fn expected(lc: &LocallyConnected2d, x: &Tensor, rng: &mut StdRng) -> hostile::Expected {
+        let mut twin = lc.clone();
+        let y = twin.forward_reference(x);
+        let steps = (0..2)
+            .map(|_| {
+                let g = hostile::grad(y.dims().to_vec(), rng);
+                let dx = twin.backward_reference(x, &g);
+                (g, dx, twin.block.grads().values().to_vec())
+            })
+            .collect();
+        hostile::Expected { y, steps }
+    }
+
     #[test]
     fn batch_innermost_passes_match_the_direct_loops_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(33);
-        let mut exercised = 0;
-        // One input-gradient buffer for every geometry, starting as NaN:
-        // whatever an earlier pass left in it must be overwritten.
-        let mut dx = Tensor::full(vec![4096], f32::NAN);
+        let (mut exercised, mut tiers) = (0, Vec::new());
+        // One input-gradient buffer for every geometry and rung.
+        let mut dx = Tensor::default();
+        let mut check = |in_c, out_c, kernel, (h, w), batch, rng: &mut StdRng| {
+            let mut lc = LocallyConnected2d::new(in_c, out_c, kernel, h, w, rng);
+            let biases = out_c * lc.out_h() * lc.out_w();
+            let values = hostile::params(lc.block.len(), biases, rng);
+            lc.block.load(&LayerParams::from_values(values)).unwrap();
+            let x = hostile::input(vec![batch, in_c, h, w], rng);
+            let want = expected(&lc, &x, rng);
+            let layer = (&lc.passes, &lc.block);
+            hostile::assert_every_tier(lc.window(batch), layer, &x, &want, &mut dx)
+        };
         for kernel in 1..=5 {
-            for (h, w) in [(5, 7), (7, 5), (9, 9)] {
+            for extent in [(5, 7), (7, 5), (9, 9)] {
                 let batch = hostile::BATCHES[exercised % hostile::BATCHES.len()];
-                let mut lc = LocallyConnected2d::new(2, 3, kernel, h, w, &mut rng);
-                let biases = 3 * lc.out_h() * lc.out_w();
-                let values = hostile::params(lc.block.len(), biases, &mut rng);
-                lc.block.load(&LayerParams::from_values(values)).unwrap();
-                let x = hostile::input(vec![batch, 2, h, w], &mut rng);
-                let mut twin = lc.clone();
-                let mut y = Tensor::default();
-                lc.forward(&x, &mut y).unwrap();
-                hostile::assert_bits_eq("forward", y.data(), twin.forward_reference(&x).data());
-                let out_dims = y.dims().to_vec();
-                for _ in 0..2 {
-                    let g = hostile::grad(out_dims.clone(), &mut rng);
-                    lc.backward(&g, &mut dx).unwrap();
-                    let dx_twin = twin.backward_reference(&x, &g);
-                    hostile::assert_bits_eq("dx", dx.data(), dx_twin.data());
-                    hostile::assert_bits_eq(
-                        "grads",
-                        lc.block.grads().values(),
-                        twin.block.grads().values(),
-                    );
-                }
+                tiers = check(2, 3, kernel, extent, batch, &mut rng);
+                exercised += 1;
+            }
+        }
+        // `deepface_like`'s layer at the experiments' width, and the
+        // model shapes' channel counts at 3×3.
+        for (in_c, out_c, h, w) in hostile::MODEL_SHAPES {
+            for batch in hostile::BATCHES {
+                tiers = check(in_c, out_c, 3, (h.max(3), w.max(3)), batch, &mut rng);
                 exercised += 1;
             }
         }
         println!("locally connected geometries exercised: {exercised}");
+        println!("window tiers exercised: {tiers:?}");
     }
 
     #[test]

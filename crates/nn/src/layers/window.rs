@@ -46,10 +46,36 @@
 //! The batch is not vectorised here: it is a reduction axis for the kernel
 //! gradients, and behind ReLU and max pooling three in four output
 //! gradients or more are zero, which the gather turns into no work.
+//!
+//! **The wide tier.** Those loops are the scalar twin. On the
+//! [`Tier::Avx512`] rung of the CPU ladder each pass has an AVX-512
+//! kernel instead (the `avx512` module), and each output and gradient
+//! element still sees exactly the scalar twin's f32 operations in the
+//! scalar twin's order: a lane of a vector multiply or add rounds as the
+//! scalar unit does, nothing is fused, and what runs side by side is only
+//! ever a set of independent elements — sixteen examples of one output
+//! element, a kernel unit's `3·3·in_c` sums. The forward pass puts
+//! sixteen examples in a register and sums up to eight output channels
+//! from each input load. The input gradient is gathered rather than
+//! scattered: sixteen examples of one element summed in a register over
+//! the output gradients that reach it, in `(oc, oy, ox)` order, a zero
+//! gradient's lane masked out of the add as the twin skips it. The kernel
+//! and bias gradients keep the twin's hits in `(b, oy, ox)` order, found
+//! sixteen candidates per compare, and add each hit to all of a unit's
+//! sums at once, a window row in one load from an input laid out channel
+//! innermost. Which rung runs is detection alone: the layers pass
+//! [`Tier::best`], the tests every rung the host reaches.
 
 use crate::{NnError, ParamBlock};
+use mixnn_cpu::Tier;
 use mixnn_tensor::Tensor;
 use std::ops::Range;
+
+/// The rungs with a windowed-pass kernel, scalar first. Not an option:
+/// the layers run [`Tier::best`]; the tests run each rung the host
+/// reaches.
+#[cfg(test)]
+pub(crate) const TIERS: &[Tier] = &[Tier::Scalar, Tier::Avx512];
 
 /// Examples summed together by the forward pass's innermost loop. Sixteen
 /// f32 accumulators fit in registers on every x86-64 target (four SSE
@@ -129,6 +155,9 @@ pub(crate) struct Passes {
     padded: Vec<f32>,
     /// One kernel unit's non-zero output gradients in a block.
     hits: Vec<Hit>,
+    /// What the wide tier's backward pass keeps.
+    #[cfg(target_arch = "x86_64")]
+    wide: avx512::Scratch,
 }
 
 impl Passes {
@@ -142,17 +171,35 @@ impl Passes {
         block: &ParamBlock,
         out: &mut Tensor,
     ) {
+        self.forward_on(Tier::best(), win, input, block, out);
+    }
+
+    /// [`Passes::forward`] on `tier`: the same output.
+    pub(crate) fn forward_on(
+        &mut self,
+        tier: Tier,
+        win: Window,
+        input: &Tensor,
+        block: &ParamBlock,
+        out: &mut Tensor,
+    ) {
         out.resize(&[win.batch, win.out_c, win.out_h, win.out_w]);
-        to_batch_innermost(input.data(), win.batch, &mut self.input);
         let (weights, bias) = (block.weights.data(), block.bias.data());
-        forward(&win, &self.input, weights, bias, out.data_mut());
         self.last = Some(win);
+        #[cfg(target_arch = "x86_64")]
+        if tier >= Tier::Avx512 {
+            avx512::to_batch_innermost(input.data(), win.batch, &mut self.input);
+            return avx512::forward(&win, &self.input, weights, bias, out.data_mut());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
+        to_batch_innermost(input.data(), win.batch, &mut self.input);
+        forward(&win, &self.input, weights, bias, out.data_mut());
     }
 
     /// Runs the backward pass of the last forward pass: adds to `block`'s
     /// kernel and bias gradients and writes the input gradient into `dx`,
-    /// every element of it (the blocks' padded gradients are what
-    /// accumulate, and they start from zero).
+    /// every element of it.
     ///
     /// # Errors
     ///
@@ -164,10 +211,7 @@ impl Passes {
         block: &mut ParamBlock,
         dx: &mut Tensor,
     ) -> Result<(), NnError> {
-        let win = self.backward_window(grad_output, block.layer)?;
-        dx.resize(&[win.batch, win.in_c, win.in_h, win.in_w]);
-        self.backward_blocks(win, grad_output.data(), block, Some(dx.data_mut()));
-        Ok(())
+        self.backward_on(Tier::best(), grad_output, block, Some(dx))
     }
 
     /// [`Passes::backward`] without the input gradient: adds to `block`'s
@@ -181,8 +225,36 @@ impl Passes {
         grad_output: &Tensor,
         block: &mut ParamBlock,
     ) -> Result<(), NnError> {
+        self.backward_on(Tier::best(), grad_output, block, None)
+    }
+
+    /// [`Passes::backward`] on `tier`, or [`Passes::backward_params`] when
+    /// `dx` is `None`: the same gradients.
+    ///
+    /// # Errors
+    ///
+    /// As [`Passes::backward`].
+    pub(crate) fn backward_on(
+        &mut self,
+        tier: Tier,
+        grad_output: &Tensor,
+        block: &mut ParamBlock,
+        dx: Option<&mut Tensor>,
+    ) -> Result<(), NnError> {
         let win = self.backward_window(grad_output, block.layer)?;
-        self.backward_blocks(win, grad_output.data(), block, None);
+        let g = grad_output.data();
+        let dx = dx.map(|dx| {
+            dx.resize(&[win.batch, win.in_c, win.in_h, win.in_w]);
+            dx.data_mut()
+        });
+        #[cfg(target_arch = "x86_64")]
+        if tier >= Tier::Avx512 {
+            self.wide_backward(win, g, block, dx);
+            return Ok(());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
+        self.backward_blocks(win, g, block, dx);
         Ok(())
     }
 
@@ -202,7 +274,10 @@ impl Passes {
         Ok(win)
     }
 
-    /// The backward pass over the batch, a block of examples at a time.
+    /// The backward pass over the batch, a block of examples at a time:
+    /// adds to `block`'s kernel and bias gradients and, given `dx`, writes
+    /// the input gradient there, every element of it (the blocks' padded
+    /// gradients are what accumulate, and they start from zero).
     fn backward_blocks(
         &mut self,
         win: Window,
@@ -254,6 +329,48 @@ impl Passes {
             }
         }
     }
+
+    /// [`Passes::backward_blocks`] on the wide tier. The input gradient
+    /// is one pass over the batch ([`avx512::input_grad`]); the kernel and
+    /// bias gradients run a chunk of [`LANES`] examples at a time, each
+    /// copied into the cell layout ([`Padded::fill_cells`]), or take the
+    /// scalar tier's loops for a window [`avx512::sums_fit`] refuses.
+    #[cfg(target_arch = "x86_64")]
+    fn wide_backward(
+        &mut self,
+        win: Window,
+        g: &[f32],
+        block: &mut ParamBlock,
+        dx: Option<&mut [f32]>,
+    ) {
+        let sums_fit = avx512::sums_fit(&win);
+        let gt = &mut self.wide.grad;
+        if dx.is_some() || (sums_fit && !win.shared) {
+            avx512::to_batch_innermost(g, win.batch, gt);
+        }
+        if let Some(dx) = dx {
+            avx512::input_grad(&win, gt, block.weights.data(), dx);
+        }
+        if !sums_fit {
+            return self.backward_blocks(win, g, block, None);
+        }
+        let pad = Padded::of(&win);
+        self.padded.resize(LANES * pad.example, 0.0);
+        for b0 in (0..win.batch).step_by(LANES) {
+            let b = b0..win.batch.min(b0 + LANES);
+            let x = &mut self.padded[..b.len() * pad.example];
+            pad.fill_cells(&win, &self.input, b.clone(), x);
+            let cells = avx512::Cells {
+                win: &win,
+                pad,
+                b,
+                x,
+                g,
+                gt: &self.wide.grad,
+            };
+            avx512::kernel_sums(&cells, &mut self.wide.offsets, block);
+        }
+    }
 }
 
 /// Output-gradient candidates a kernel unit gathers per block: enough that
@@ -298,6 +415,27 @@ impl Padded {
                     let row = &mut into[self.row(win, e, c, y)..][..win.in_w];
                     for (x, v) in row.iter_mut().enumerate() {
                         *v = xt[(from + x) * win.batch + b];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes examples `b` of the batch-innermost input `xt` into `into`
+    /// in the cell layout, `[example][row][column][channel]` inside a zero
+    /// border: a window's row of `k` columns is `k · in_c` adjacent
+    /// scalars.
+    #[cfg(target_arch = "x86_64")]
+    fn fill_cells(&self, win: &Window, xt: &[f32], b: Range<usize>, into: &mut [f32]) {
+        into.fill(0.0);
+        let (c_n, p) = (win.in_c, win.padding);
+        for c in 0..c_n {
+            for y in 0..win.in_h {
+                for x in 0..win.in_w {
+                    let from = ((c * win.in_h + y) * win.in_w + x) * win.batch;
+                    let cell = ((y + p) * self.w + x + p) * c_n + c;
+                    for (e, &v) in xt[from..][b.clone()].iter().enumerate() {
+                        into[e * self.example + cell] = v;
                     }
                 }
             }
@@ -587,18 +725,661 @@ impl Block<'_> {
     }
 }
 
+/// The AVX-512 tier of the windowed passes. Every output and gradient
+/// element sees the scalar tier's f32 operations in the scalar tier's
+/// order, one element per lane: a vector multiply and a vector add round
+/// each lane as the scalar unit rounds it, and nothing here fuses them.
+/// What runs side by side is only ever a set of independent elements:
+///
+/// - **forward**: sixteen examples of one output element (the batch is
+///   innermost in the kept input, copied there by gathers), for up to
+///   eight output channels at once, each input vector loaded once for all
+///   of them; the sums leave by scatter into the NCHW output.
+/// - **input gradient**: sixteen examples of one input-gradient element,
+///   summed in a register from +0.0 over the windows that cover it in
+///   `(oc, oy, ox)` order, from the output gradient laid batch innermost.
+///   A zero output gradient's lane is masked out of the add — the direct
+///   loop's skip — and a padding tap is never visited, so a non-finite
+///   gradient needs no bounded walk here.
+/// - **kernel and bias sums**: a kernel unit's non-zero output gradients
+///   in the chunk, in `(b, oy, ox)` order: sixteen candidates per compare
+///   into a mask of up to 64, then one hit per set bit, lowest first. Each
+///   hit adds `go` to the bias and `go · x` to all `3 · 3 · in_c` kernel
+///   sums at once, a window row per register set read in one load from
+///   the chunk laid out channel innermost. A non-finite `go` masks its
+///   padding taps off, as the scalar tier's bounded walk skips them.
+///
+/// All of the windowed passes' `unsafe` is here, behind safe entries that
+/// check the CPU first.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Padded, Window};
+    use crate::ParamBlock;
+    use core::arch::x86_64::*;
+    use mixnn_cpu::Tier;
+    use std::ops::Range;
+
+    /// Examples per register.
+    const LANES: usize = 16;
+
+    /// Panics unless the CPU reaches [`Tier::Avx512`].
+    fn check() {
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 windowed pass selected on a CPU without it"
+        );
+    }
+
+    /// The first `len` lanes (all of them from [`LANES`] on).
+    fn lanes(len: usize) -> __mmask16 {
+        ((1u32 << len.min(LANES)) - 1) as __mmask16
+    }
+
+    /// [`super::forward`]: the same output.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Avx512`].
+    pub(super) fn forward(
+        win: &Window,
+        xt: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        check();
+        assert_eq!(xt.len(), win.batch * win.in_c * win.in_h * win.in_w);
+        assert_eq!(out.len(), win.batch * win.out_c * win.out_h * win.out_w);
+        assert_eq!(weights.len(), win.kernel_at(win.out_c, 0, 0));
+        assert_eq!(bias.len(), win.bias_at(win.out_c, 0, 0));
+        assert!(i32::try_from(win.out_c * win.out_h * win.out_w * LANES).is_ok());
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F, the feature
+        // `forward_wide` enables, and the lengths just checked are the
+        // ones its loads and scatters stay within.
+        unsafe { forward_wide(win, xt, weights, bias, out) }
+    }
+
+    /// One output position over a chunk of examples.
+    struct Site<'a> {
+        win: &'a Window,
+        xt: &'a [f32],
+        weights: &'a [f32],
+        bias: &'a [f32],
+        /// The chunk's first example and its lanes.
+        b: usize,
+        mask: __mmask16,
+        oy: usize,
+        ox: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and the lengths [`forward`] checks.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn forward_wide(
+        win: &Window,
+        xt: &[f32],
+        weights: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        let example_len = win.out_c * win.out_h * win.out_w;
+        let scatter = strides(example_len);
+        for b in (0..win.batch).step_by(LANES) {
+            for oy in 0..win.out_h {
+                for ox in 0..win.out_w {
+                    let site = Site {
+                        win,
+                        xt,
+                        weights,
+                        bias,
+                        b,
+                        mask: lanes(win.batch - b),
+                        oy,
+                        ox,
+                        rows: win.taps(oy, win.in_h),
+                        cols: win.taps(ox, win.in_w),
+                    };
+                    let mut oc = 0;
+                    while oc < win.out_c {
+                        oc += match win.out_c - oc {
+                            8.. => site.channels::<8>(oc, scatter, out),
+                            4..=7 => site.channels::<4>(oc, scatter, out),
+                            2 | 3 => site.channels::<2>(oc, scatter, out),
+                            _ => site.channels::<1>(oc, scatter, out),
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// `0, n, 2n, …`: the scatter offsets of sixteen examples `n` scalars
+    /// apart.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn strides(n: usize) -> __m512i {
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        _mm512_mullo_epi32(lane, _mm512_set1_epi32(n as i32))
+    }
+
+    /// [`super::to_batch_innermost`]: the same copy, sixteen examples of
+    /// an element per gather, which reads a handful of cache lines over
+    /// and over where the scalar loop's stores stride the whole buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Avx512`].
+    pub(super) fn to_batch_innermost(x: &[f32], batch: usize, into: &mut Vec<f32>) {
+        check();
+        into.clear();
+        into.resize(x.len(), 0.0);
+        if batch == 0 {
+            return;
+        }
+        let plane = x.len() / batch;
+        assert_eq!(plane * batch, x.len());
+        assert!(i32::try_from(plane * LANES).is_ok());
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F, the feature
+        // `transpose` enables; `into` is as long as `x`, which holds
+        // `batch` examples of `plane` scalars, the bounds `transpose`
+        // keeps to.
+        unsafe { transpose(x, batch, plane, into) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and what [`to_batch_innermost`] checks.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose(x: &[f32], batch: usize, plane: usize, into: &mut [f32]) {
+        let scatter = strides(plane);
+        for b in (0..batch).step_by(LANES) {
+            let mask = lanes(batch - b);
+            let from = x.as_ptr().add(b * plane);
+            for i in 0..plane {
+                let zero = _mm512_setzero_ps();
+                let v = _mm512_mask_i32gather_ps::<4>(zero, mask, scatter, from.add(i));
+                _mm512_mask_storeu_ps(into.as_mut_ptr().add(i * batch + b), mask, v);
+            }
+        }
+    }
+
+    impl Site<'_> {
+        /// Output channels `oc..oc + G` of the site: `bias`, then `+= x·w`
+        /// over the taps inside the input in ascending `(ic, kh, kw)`,
+        /// each `x` loaded once for the `G` channels. Returns `G`.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512 F and the lengths [`forward`] checks.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn channels<const G: usize>(
+            &self,
+            oc: usize,
+            scatter: __m512i,
+            out: &mut [f32],
+        ) -> usize {
+            let (win, n, k) = (self.win, self.win.batch, self.win.kernel);
+            let (oy, ox) = (self.oy, self.ox);
+            let mut acc = [_mm512_setzero_ps(); G];
+            let mut kernel = [0; G];
+            for g in 0..G {
+                acc[g] = _mm512_set1_ps(self.bias[win.bias_at(oc + g, oy, ox)]);
+                kernel[g] = win.kernel_at(oc + g, oy, ox);
+            }
+            for ic in 0..win.in_c {
+                for kh in self.rows.clone() {
+                    let row = (ic * win.in_h + win.input_at(oy, kh)) * win.in_w;
+                    let tap = (ic * k + kh) * k;
+                    for kw in self.cols.clone() {
+                        let at = (row + win.input_at(ox, kw)) * n + self.b;
+                        let x = _mm512_maskz_loadu_ps(self.mask, self.xt.as_ptr().add(at));
+                        for g in 0..G {
+                            // SAFETY: `forward` checked that `weights` holds
+                            // every unit's kernel, and `(ic, kh, kw)` lies in
+                            // one. Unchecked: the bounds checks cost a fifth
+                            // of `fl_train`'s second convolution.
+                            let w = *self.weights.get_unchecked(kernel[g] + tap + kw);
+                            acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(x, _mm512_set1_ps(w)));
+                        }
+                    }
+                }
+            }
+            let example_len = win.out_c * win.out_h * win.out_w;
+            for (g, &sum) in acc.iter().enumerate() {
+                let o = ((oc + g) * win.out_h + oy) * win.out_w + ox;
+                let at = out.as_mut_ptr().add(self.b * example_len + o);
+                _mm512_mask_i32scatter_ps::<4>(at, self.mask, scatter, sum);
+            }
+            G
+        }
+    }
+
+    /// Writes the input gradient of the output gradient `gt` (batch
+    /// innermost) into `dx` (NCHW), every element of it: per element,
+    /// `+= go·w` from +0.0 over the non-zero `go` of the windows that
+    /// cover it, in `(oc, oy, ox)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Avx512`].
+    pub(super) fn input_grad(win: &Window, gt: &[f32], weights: &[f32], dx: &mut [f32]) {
+        check();
+        assert_eq!(gt.len(), win.batch * win.out_c * win.out_h * win.out_w);
+        assert_eq!(dx.len(), win.batch * win.in_c * win.in_h * win.in_w);
+        assert_eq!(weights.len(), win.kernel_at(win.out_c, 0, 0));
+        assert!(i32::try_from(win.in_c * win.in_h * win.in_w * LANES).is_ok());
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F, the feature
+        // `input_grad_wide` enables, and the lengths just checked are the
+        // ones its loads and scatters stay within.
+        unsafe { input_grad_wide(win, gt, weights, dx) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and the lengths [`input_grad`] checks.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn input_grad_wide(win: &Window, gt: &[f32], weights: &[f32], dx: &mut [f32]) {
+        let scatter = strides(win.in_c * win.in_h * win.in_w);
+        for b in (0..win.batch).step_by(LANES) {
+            for iy in 0..win.in_h {
+                let oys = covering(win, iy, win.out_h);
+                for ix in 0..win.in_w {
+                    let cell = Cell {
+                        win,
+                        gt,
+                        weights,
+                        b,
+                        mask: lanes(win.batch - b),
+                        iy: iy + win.padding,
+                        ix: ix + win.padding,
+                        oys: oys.clone(),
+                        oxs: covering(win, ix, win.out_w),
+                    };
+                    let mut ic = 0;
+                    while ic < win.in_c {
+                        ic += match win.in_c - ic {
+                            8.. => cell.channels::<8>(ic, scatter, dx),
+                            4..=7 => cell.channels::<4>(ic, scatter, dx),
+                            2 | 3 => cell.channels::<2>(ic, scatter, dx),
+                            _ => cell.channels::<1>(ic, scatter, dx),
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// The outputs among `n` whose window covers input coordinate `i`,
+    /// ascending: the `o` with `o · stride <= i + padding < o · stride +
+    /// kernel`.
+    fn covering(win: &Window, i: usize, n: usize) -> Range<usize> {
+        let at = i + win.padding;
+        let first = (at + 1).saturating_sub(win.kernel).div_ceil(win.stride);
+        first..(at / win.stride + 1).min(n)
+    }
+
+    /// One input position over a chunk of examples: its padded
+    /// coordinates and the outputs whose windows cover it.
+    struct Cell<'a> {
+        win: &'a Window,
+        gt: &'a [f32],
+        weights: &'a [f32],
+        b: usize,
+        mask: __mmask16,
+        iy: usize,
+        ix: usize,
+        oys: Range<usize>,
+        oxs: Range<usize>,
+    }
+
+    impl Cell<'_> {
+        /// Input channels `ic..ic + G` of the cell, each `go` loaded once
+        /// for the `G` channels. Returns `G`.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX-512 F and the lengths [`input_grad`] checks.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn channels<const G: usize>(
+            &self,
+            ic: usize,
+            scatter: __m512i,
+            dx: &mut [f32],
+        ) -> usize {
+            let (win, n, k, s) = (self.win, self.win.batch, self.win.kernel, self.win.stride);
+            let mut acc = [_mm512_setzero_ps(); G];
+            for oc in 0..win.out_c {
+                for oy in self.oys.clone() {
+                    let kh = self.iy - oy * s;
+                    for ox in self.oxs.clone() {
+                        let kw = self.ix - ox * s;
+                        let at = ((oc * win.out_h + oy) * win.out_w + ox) * n + self.b;
+                        let go = _mm512_maskz_loadu_ps(self.mask, self.gt.as_ptr().add(at));
+                        // `go != 0.0`, which a NaN passes.
+                        let hit = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(go, _mm512_setzero_ps());
+                        let tap = win.kernel_at(oc, oy, ox) + (ic * k + kh) * k + kw;
+                        for (g, sum) in acc.iter_mut().enumerate() {
+                            // SAFETY: `input_grad` checked that `weights`
+                            // holds every unit's kernel, and channel
+                            // `ic + g < in_c` of it is one.
+                            let w = *self.weights.get_unchecked(tap + g * k * k);
+                            let term = _mm512_mul_ps(go, _mm512_set1_ps(w));
+                            *sum = _mm512_mask_add_ps(*sum, hit, *sum, term);
+                        }
+                    }
+                }
+            }
+            let example_len = win.in_c * win.in_h * win.in_w;
+            let (iy, ix) = (self.iy - win.padding, self.ix - win.padding);
+            for (g, &sum) in acc.iter().enumerate() {
+                let i = ((ic + g) * win.in_h + iy) * win.in_w + ix;
+                let at = dx.as_mut_ptr().add(self.b * example_len + i);
+                _mm512_mask_i32scatter_ps::<4>(at, self.mask, scatter, sum);
+            }
+            G
+        }
+    }
+
+    /// What the wide backward pass keeps from one call to the next.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Scratch {
+        /// The output gradient, `[c][h][w][batch]`.
+        pub grad: Vec<f32>,
+        /// Per output position of a convolution, where its window starts
+        /// in an example's cells.
+        pub offsets: Vec<u32>,
+    }
+
+    /// One chunk of examples in the cell layout, with the output gradient
+    /// as it arrived (`g`, NCHW) and batch innermost (`gt`, read only by a
+    /// locally connected layer).
+    pub(super) struct Cells<'a> {
+        pub win: &'a Window,
+        pub pad: Padded,
+        pub b: Range<usize>,
+        pub x: &'a [f32],
+        pub g: &'a [f32],
+        pub gt: &'a [f32],
+    }
+
+    /// The widest input the kernel-sum kernel takes: a window row of
+    /// `3 · in_c` sums in at most three registers.
+    const MAX_IN_C: usize = 16;
+
+    /// Whether [`kernel_sums`] takes `win`: a 3×3 window over at most
+    /// [`MAX_IN_C`] input channels. Every model of the zoo qualifies; the
+    /// rest run the scalar tier's sums.
+    pub(super) fn sums_fit(win: &Window) -> bool {
+        win.kernel == 3 && win.in_c <= MAX_IN_C
+    }
+
+    /// Adds the chunk's terms to every kernel unit's bias and kernel
+    /// gradients in `block`: per unit, its non-zero output gradients in
+    /// `(b, oy, ox)` order, `go` to the bias and `go·x` to each kernel sum.
+    /// `offsets` is scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Avx512`], [`sums_fit`] takes
+    /// the window and `cells` is laid out as [`Padded::fill_cells`] writes
+    /// a chunk of at most [`LANES`] examples.
+    pub(super) fn kernel_sums(cells: &Cells<'_>, offsets: &mut Vec<u32>, block: &mut ParamBlock) {
+        check();
+        let (win, pad) = (cells.win, cells.pad);
+        assert!(sums_fit(win), "kernel sums need a 3×3 window");
+        assert!(cells.b.end <= win.batch && cells.b.len() <= LANES);
+        assert_eq!(pad.example, win.in_c * pad.h * pad.w);
+        assert_eq!(cells.x.len(), cells.b.len() * pad.example);
+        assert!(u32::try_from(cells.x.len()).is_ok());
+        let reach = |o: usize| o.saturating_sub(1) * win.stride + 3;
+        assert!(reach(win.out_h) <= pad.h && reach(win.out_w) <= pad.w);
+        let out_len = win.batch * win.out_c * win.out_h * win.out_w;
+        assert_eq!(cells.g.len(), out_len);
+        assert!(win.shared || cells.gt.len() == out_len);
+        let (kernels, biases) = (block.grad_weights.data_mut(), block.grad_bias.data_mut());
+        assert_eq!(kernels.len(), biases.len() * win.kernel_len());
+        assert_eq!(biases.len(), win.bias_at(win.out_c, 0, 0));
+        offsets.clear();
+        for oy in 0..win.out_h {
+            for ox in 0..win.out_w {
+                offsets.push(((oy * pad.w + ox) * win.stride * win.in_c) as u32);
+            }
+        }
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F, the feature
+        // `sums_wide` enables. Every window of the geometry just checked
+        // lies inside its padded example, `offsets` holds where each
+        // output position's window starts, and a hit's load reads only
+        // its window's lanes.
+        unsafe {
+            match (3 * win.in_c).div_ceil(LANES) {
+                1 => sums_wide::<1>(cells, offsets, kernels, biases),
+                2 => sums_wide::<2>(cells, offsets, kernels, biases),
+                _ => sums_wide::<3>(cells, offsets, kernels, biases),
+            }
+        }
+    }
+
+    /// The non-zero ones among the `len` (at most 64) output gradients
+    /// at `run`, as bits: `go != 0.0`, which a NaN passes, sixteen per
+    /// compare.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and `run` valid for `len` reads.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn nonzero(run: *const f32, len: usize) -> u64 {
+        let mut hits = 0;
+        for j in (0..len).step_by(LANES) {
+            let mask = lanes(len - j);
+            let v = _mm512_maskz_loadu_ps(mask, run.add(j));
+            let found = _mm512_mask_cmp_ps_mask::<_CMP_NEQ_UQ>(mask, v, _mm512_setzero_ps());
+            hits |= u64::from(found) << j;
+        }
+        hits
+    }
+
+    /// [`kernel_sums`] with a window row in `R` registers: row `kh`'s lane
+    /// `kw · in_c + ic` of a unit's `acc` holds its sum `(ic, kh, kw)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and what [`kernel_sums`] checks and fills.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sums_wide<const R: usize>(
+        cells: &Cells<'_>,
+        offsets: &[u32],
+        kernels: &mut [f32],
+        biases: &mut [f32],
+    ) {
+        let (win, pad) = (cells.win, cells.pad);
+        let (c_n, p, kernel_len) = (win.in_c, win.padding, win.kernel_len());
+        let (out_hw, row_stride, x) = (win.out_h * win.out_w, pad.w * c_n, cells.x.as_ptr());
+        // Where each lane's sum lives in a unit's kernel, `[ic][kh][kw]`.
+        let mut masks = [0; R];
+        let mut index = [[_mm512_setzero_si512(); R]; 3];
+        for (r, mask) in masks.iter_mut().enumerate() {
+            *mask = lanes((3 * c_n).saturating_sub(r * LANES));
+        }
+        for (kh, row) in index.iter_mut().enumerate() {
+            for (r, v) in row.iter_mut().enumerate() {
+                let mut at = [0i32; LANES];
+                for (j, at) in at.iter_mut().enumerate() {
+                    let (kw, ic) = ((r * LANES + j) / c_n, (r * LANES + j) % c_n);
+                    *at = ((ic * 3 + kh) * 3 + kw.min(2)) as i32;
+                }
+                *v = _mm512_loadu_si512(at.as_ptr().cast());
+            }
+        }
+        // A convolution's unit is an output channel: its candidates are
+        // every output position of every example, 64 at a time. A locally
+        // connected layer's is an output channel and position: one
+        // candidate per example.
+        let steps: [u32; LANES] = std::array::from_fn(|e| (e * pad.example) as u32);
+        let per_example = out_hw.div_ceil(64);
+        let runs = if win.shared {
+            cells.b.len() * per_example
+        } else {
+            1
+        };
+        for (unit, bias_sum) in biases.iter_mut().enumerate() {
+            let kernel = kernels.as_mut_ptr().add(unit * kernel_len);
+            let mut acc = [[_mm512_setzero_ps(); R]; 3];
+            for (kh, row) in acc.iter_mut().enumerate() {
+                for (r, v) in row.iter_mut().enumerate() {
+                    let zero = _mm512_setzero_ps();
+                    *v = _mm512_mask_i32gather_ps::<4>(zero, masks[r], index[kh][r], kernel);
+                }
+            }
+            let mut bias = *bias_sum;
+            for run in 0..runs {
+                // The run's gradients, where their windows start, and how
+                // many there are.
+                let (go, at, base, len) = if win.shared {
+                    let (e, j) = (run / per_example, run % per_example * 64);
+                    let b = cells.b.start + e;
+                    let plane = cells.g.as_ptr().add((b * win.out_c + unit) * out_hw);
+                    let len = (out_hw - j).min(64);
+                    (plane.add(j), offsets.as_ptr().add(j), e * pad.example, len)
+                } else {
+                    let go = cells.gt.as_ptr().add(unit * win.batch + cells.b.start);
+                    (
+                        go,
+                        steps.as_ptr(),
+                        offsets[unit % out_hw] as usize,
+                        cells.b.len(),
+                    )
+                };
+                let mut hits = nonzero(go, len);
+                while hits != 0 {
+                    let lane = hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let (go, at) = (*go.add(lane), base + *at.add(lane) as usize);
+                    bias += go;
+                    let term = _mm512_set1_ps(go);
+                    if go.is_finite() {
+                        for (kh, row) in acc.iter_mut().enumerate() {
+                            for (r, v) in row.iter_mut().enumerate() {
+                                let from = x.add(at + kh * row_stride + r * LANES);
+                                let x = _mm512_maskz_loadu_ps(masks[r], from);
+                                *v = _mm512_add_ps(*v, _mm512_mul_ps(term, x));
+                            }
+                        }
+                        continue;
+                    }
+                    // `go · 0.0` would be NaN: the window's padding taps
+                    // are masked off, as the scalar tier skips them.
+                    let within = at % pad.example / c_n;
+                    let (y0, x0) = (within / pad.w, within % pad.w);
+                    let mut inside = 0u64;
+                    for kw in 0..3 {
+                        if (p..p + win.in_w).contains(&(x0 + kw)) {
+                            inside |= ((1u64 << c_n) - 1) << (kw * c_n);
+                        }
+                    }
+                    for (kh, row) in acc.iter_mut().enumerate() {
+                        if !(p..p + win.in_h).contains(&(y0 + kh)) {
+                            continue;
+                        }
+                        for (r, v) in row.iter_mut().enumerate() {
+                            let mask = (inside >> (r * LANES)) as __mmask16;
+                            let from = x.add(at + kh * row_stride + r * LANES);
+                            let x = _mm512_maskz_loadu_ps(mask, from);
+                            *v = _mm512_mask_add_ps(*v, mask, *v, _mm512_mul_ps(term, x));
+                        }
+                    }
+                }
+            }
+            *bias_sum = bias;
+            for (kh, row) in acc.iter().enumerate() {
+                for (r, &v) in row.iter().enumerate() {
+                    _mm512_mask_i32scatter_ps::<4>(kernel, masks[r], index[kh][r], v);
+                }
+            }
+        }
+    }
+}
+
 /// Inputs that pin the edge semantics of the windowed layers, and a
 /// bit-level comparison, for the differential tests against each layer's
 /// direct-loop twin.
 #[cfg(test)]
 pub(crate) mod hostile {
+    use super::{Passes, Window, TIERS};
+    use crate::ParamBlock;
+    use mixnn_cpu::Tier;
     use mixnn_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::Rng;
 
+    /// `(in_c, out_c, h, w)` of the 3×3 windows the zoo's models run, as
+    /// the experiments and `fl_train` size them (width 4, 8×8 inputs),
+    /// then two shapes that reach what those do not: output and input
+    /// channels left over after groups of eight, four and two, a window
+    /// row of two registers, and an input too wide for the kernel-sum
+    /// kernel.
+    pub(crate) const MODEL_SHAPES: [(usize, usize, usize, usize); 7] = [
+        (1, 4, 8, 8),
+        (3, 4, 8, 8),
+        (4, 8, 4, 4),
+        (4, 4, 4, 4),
+        (8, 8, 2, 2),
+        (6, 15, 5, 5),
+        (17, 3, 3, 3),
+    ];
+
+    /// What the direct loops give for one input: the output, then per
+    /// output gradient the input gradient and the accumulated parameter
+    /// gradients.
+    pub(crate) struct Expected {
+        pub y: Tensor,
+        pub steps: Vec<(Tensor, Tensor, Vec<f32>)>,
+    }
+
+    /// Runs a layer's passes — `passes` and `block` cloned afresh — on
+    /// every rung of [`TIERS`] the host reaches over `x` (of geometry
+    /// `win`) and `expected`'s output gradients, and panics unless every
+    /// output and gradient matches `expected` bit for bit. There are two
+    /// steps, so the gradients also accumulate onto non-zero values. The
+    /// first writes the input gradient into `dx`, NaN-filled first: every
+    /// element must be written. The second skips it, as a model's first
+    /// layer does. Returns the rungs run.
+    pub(crate) fn assert_every_tier(
+        win: Window,
+        (passes, block): (&Passes, &ParamBlock),
+        x: &Tensor,
+        expected: &Expected,
+        dx: &mut Tensor,
+    ) -> Vec<Tier> {
+        let tiers = Tier::runnable(TIERS);
+        for &tier in &tiers {
+            let (mut passes, mut block) = (passes.clone(), block.clone());
+            let mut y = Tensor::full(vec![1], f32::NAN);
+            passes.forward_on(tier, win, x, &block, &mut y);
+            assert_bits_eq(&format!("{tier:?} forward"), y.data(), expected.y.data());
+            for (step, (g, want_dx, want_grads)) in expected.steps.iter().enumerate() {
+                dx.data_mut().fill(f32::NAN);
+                let wants_dx = step == 0;
+                let into = wants_dx.then_some(&mut *dx);
+                passes.backward_on(tier, g, &mut block, into).unwrap();
+                if wants_dx {
+                    assert_bits_eq(&format!("{tier:?} dx"), dx.data(), want_dx.data());
+                }
+                let grads = block.grads();
+                assert_bits_eq(&format!("{tier:?} grads"), grads.values(), want_grads);
+            }
+        }
+        tiers
+    }
+
     /// Batch sizes the differential tests cycle through: one example, a
-    /// remainder shorter than a lane chunk, and `fl_train`'s batch.
-    pub(crate) const BATCHES: [usize; 3] = [1, 3, 64];
+    /// remainder shorter than a lane chunk, one whole chunk (`lfw`'s
+    /// batch) and `fl_train`'s batch.
+    pub(crate) const BATCHES: [usize; 4] = [1, 3, 16, 64];
 
     /// A normal input with a +∞ and a −∞ planted in it.
     pub(crate) fn input(dims: Vec<usize>, rng: &mut StdRng) -> Tensor {

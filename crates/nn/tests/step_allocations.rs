@@ -66,9 +66,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// A model, one batch for it and the batch's labels.
+type Batch = (Sequential, Tensor, Vec<usize>);
+
 /// The `fl_train` model (`conv2_fc3` at width 4/32 on 1×8×8 input, four
 /// classes: 1,988 parameters), one 64-example batch and its labels.
-fn fl_train_model(seed: u64) -> (Sequential, Tensor, Vec<usize>) {
+fn fl_train_model(seed: u64) -> Batch {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = zoo::conv2_fc3(zoo::InputSpec::new(1, 8, 8), 4, 4, 32, &mut rng);
     assert_eq!(model.num_parameters(), 1_988);
@@ -140,21 +143,43 @@ fn a_warm_dense_layer_and_loss_allocate_nothing() {
     assert_eq!(counts, (0, 0), "loss_and_grad_into");
 }
 
+/// A dense-first model of `fl_train`'s widths (64 → 32 → 16 → 4, the
+/// input a flattened 1×8×8 example) and one 64-example batch: its first
+/// layer skips the input gradient through `Dense::backward_params`.
+fn dense_first_model(seed: u64) -> Batch {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let model = zoo::mlp(&[64, 32, 16, 4], &mut rng);
+    let x = Tensor::randn(vec![64, 64], 0.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..4)).collect();
+    (model, x, labels)
+}
+
 #[test]
 fn a_warm_train_batch_allocates_nothing() {
-    for (name, optimizer) in [
-        ("adam", &mut Adam::new(0.005) as &mut dyn Optimizer),
-        ("sgd", &mut Sgd::new(0.005)),
-    ] {
-        let (mut model, x, labels) = fl_train_model(37);
-        let loss = SoftmaxCrossEntropy::new();
-        model.train_batch(&x, &labels, &loss, optimizer).unwrap();
-        let before = model.params();
-        let (_, (allocations, bytes)) =
-            counted(|| model.train_batch(&x, &labels, &loss, optimizer).unwrap());
-        assert_ne!(model.params(), before, "the batch moved no parameter");
-        println!("train_batch under {name}: {allocations} allocations, {bytes} B");
-        assert_eq!(allocations, 0, "{name}: {bytes} B allocated by one batch");
+    let models = [
+        ("conv2_fc3", fl_train_model as fn(u64) -> Batch),
+        ("dense-first mlp", dense_first_model),
+    ];
+    for (model_name, model) in models {
+        for (name, optimizer) in [
+            ("adam", &mut Adam::new(0.005) as &mut dyn Optimizer),
+            ("sgd", &mut Sgd::new(0.005)),
+        ] {
+            let (mut model, x, labels) = model(37);
+            let loss = SoftmaxCrossEntropy::new();
+            model.train_batch(&x, &labels, &loss, optimizer).unwrap();
+            let before = model.params();
+            let (_, (allocations, bytes)) =
+                counted(|| model.train_batch(&x, &labels, &loss, optimizer).unwrap());
+            assert_ne!(model.params(), before, "the batch moved no parameter");
+            println!(
+                "train_batch of {model_name} under {name}: {allocations} allocations, {bytes} B"
+            );
+            assert_eq!(
+                allocations, 0,
+                "{model_name} under {name}: {bytes} B allocated by one batch"
+            );
+        }
     }
 }
 

@@ -10,6 +10,8 @@
 //! All functions operate on slices and make no allocation unless the result
 //! is a vector.
 
+use mixnn_cpu::Tier;
+
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -129,10 +131,67 @@ pub fn mean_of(vectors: &[&[f32]]) -> Option<Vec<f32>> {
 /// `−0.0` only if every entry is `−0.0` (as IEEE addition would), so the
 /// mean of a single row is that row bit for bit, NaN payloads aside.
 ///
+/// The columns are independent, each seeing its operations in the same
+/// order whatever the vector width, so the tiled loops below are also
+/// compiled for the [`Tier::Avx512`] rung and run there when the CPU
+/// reaches it (the module's [`TIERS`]): the same bits, more columns per
+/// instruction.
+///
 /// # Panics
 ///
 /// Panics if `rows` is empty or a row's length differs from `out.len()`.
 pub fn mean_into<'a, I>(rows: I, out: &mut [f32])
+where
+    I: ExactSizeIterator<Item = &'a [f32]> + Clone,
+{
+    mean_into_on(Tier::best(), rows, out);
+}
+
+/// The rungs with a [`mean_into`] kernel, scalar first. Not an option:
+/// the mean runs [`Tier::best`]; the tests run each rung the host reaches.
+#[doc(hidden)]
+pub const TIERS: &[Tier] = &[Tier::Scalar, Tier::Avx512];
+
+/// [`mean_into`] on `tier`: the same bits. Panics as it does, and if
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+pub fn mean_into_on<'a, I>(tier: Tier, rows: I, out: &mut [f32])
+where
+    I: ExactSizeIterator<Item = &'a [f32]> + Clone,
+{
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 mean selected on a CPU without it"
+        );
+        // SAFETY: the `Avx512` rung just confirmed AVX-512 F, the only
+        // feature `mean_avx512` enables; its body is `mean_tiles`, safe
+        // code.
+        return unsafe { mean_avx512(rows, out) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    mean_tiles(rows, out);
+}
+
+/// [`mean_tiles`] compiled for AVX-512 F.
+///
+/// # Safety
+///
+/// Requires AVX-512 F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn mean_avx512<'a, I>(rows: I, out: &mut [f32])
+where
+    I: ExactSizeIterator<Item = &'a [f32]> + Clone,
+{
+    mean_tiles(rows, out);
+}
+
+/// The body of [`mean_into`], inlined into each rung's instantiation.
+#[inline(always)]
+fn mean_tiles<'a, I>(rows: I, out: &mut [f32])
 where
     I: ExactSizeIterator<Item = &'a [f32]> + Clone,
 {
@@ -716,6 +775,57 @@ mod mean_tests {
         for count in COUNTS {
             let rows = vec![vec![f32::MAX, -f32::MAX]; count];
             assert_eq!(mean_rows(&rows), vec![f32::MAX, -f32::MAX]);
+        }
+    }
+
+    /// One column of `count` values of kind `kind`: a NaN among normals,
+    /// a +∞, a −∞, both infinities, −0.0 only, zeros of both signs,
+    /// subnormals only, mixed binades, or plain normals.
+    fn hostile_column(kind: usize, count: usize, rng: &mut StdRng) -> Vec<f32> {
+        let mut column: Vec<f32> = (0..count).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut plant = |v: f32| {
+            let at = rng.gen_range(0..count);
+            column[at] = v;
+        };
+        match kind {
+            0 => plant(f32::NAN),
+            1 => plant(f32::INFINITY),
+            2 => plant(f32::NEG_INFINITY),
+            3 => {
+                plant(f32::INFINITY);
+                plant(f32::NEG_INFINITY);
+            }
+            4 => column.fill(-0.0),
+            5 => column.iter_mut().for_each(|v| *v = v.signum() * 0.0),
+            6 => column.iter_mut().for_each(|v| *v *= f32::MIN_POSITIVE),
+            7 => column
+                .iter_mut()
+                .for_each(|v| *v *= 2f32.powi(rng.gen_range(-60..60))),
+            _ => {}
+        }
+        column
+    }
+
+    #[test]
+    fn every_rung_matches_the_scalar_body_bit_for_bit() {
+        let tiers = Tier::runnable(TIERS);
+        println!("mean tiers exercised: {tiers:?}");
+        let mut rng = StdRng::seed_from_u64(48);
+        // Two whole tiles and a short one.
+        let width = 2 * MEAN_TILE + 37;
+        for count in [1, 2, 3, 8, 256, 1024] {
+            let columns: Vec<Vec<f32>> = (0..width)
+                .map(|j| hostile_column(j % 9, count, &mut rng))
+                .collect();
+            let rows = rows_from_columns(&columns);
+            let refs = || rows.iter().map(Vec::as_slice);
+            let mut want = vec![f32::NAN; width];
+            mean_into_on(Tier::Scalar, refs(), &mut want);
+            for &tier in &tiers {
+                let mut got = vec![f32::NAN; width];
+                mean_into_on(tier, refs(), &mut got);
+                assert_eq!(bits(&got), bits(&want), "{tier:?}, {count} rows");
+            }
         }
     }
 

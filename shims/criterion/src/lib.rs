@@ -4,11 +4,14 @@
 //! `criterion_group!` / `criterion_main!`, benchmark groups with
 //! `sample_size` / `warm_up_time` / `measurement_time` / `throughput`,
 //! `BenchmarkId`, and `Bencher::iter` — with a simple wall-clock runner:
-//! one warm-up call, then timed iterations until the measurement budget or
-//! the sample count is exhausted, reporting mean time per iteration (and
-//! derived throughput when one was declared). No statistics, plots or
-//! baselines; good enough to keep the bench targets compiling, runnable and
-//! comparable run-over-run without crates.io access.
+//! one warm-up call, then timed batches of iterations until the
+//! measurement budget or the sample count is exhausted, reporting the mean
+//! time per iteration, the fastest batch's (noise on a shared machine only
+//! ever adds time) and derived throughput when one was declared. As in
+//! criterion, `cargo bench -- <filter>` runs only the rows whose
+//! `group/id` contains the filter. No statistics, plots or baselines; good
+//! enough to keep the bench targets compiling, runnable and comparable
+//! run-over-run without crates.io access.
 
 use std::fmt::Display;
 use std::hint;
@@ -71,6 +74,10 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// The shortest a timed batch of iterations runs: long enough that
+/// reading the clock around it costs nothing measurable.
+const BATCH_TIME: Duration = Duration::from_micros(100);
+
 /// Timing loop handed to each benchmark closure.
 #[derive(Debug)]
 pub struct Bencher {
@@ -78,19 +85,30 @@ pub struct Bencher {
     measurement_time: Duration,
     elapsed: Duration,
     iterations: u64,
+    /// The fastest batch's time per iteration.
+    fastest: Duration,
 }
 
 impl Bencher {
-    /// Calls `routine` repeatedly, timing each call.
+    /// Calls `routine` repeatedly, timing batches of calls.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        // One untimed warm-up call.
+        // One warm-up call, timed only to size the batches.
+        let warm_up = Instant::now();
         hint::black_box(routine());
-        let budget = self.measurement_time;
+        let once = warm_up.elapsed().max(Duration::from_nanos(1));
+        let batch = (BATCH_TIME.as_nanos() / once.as_nanos()).clamp(1, 1 << 20) as u64;
+        let (budget, samples) = (self.measurement_time, self.sample_size as u64);
         let start = Instant::now();
         let mut iterations = 0u64;
-        while iterations < self.sample_size as u64 && start.elapsed() < budget {
-            hint::black_box(routine());
-            iterations += 1;
+        self.fastest = Duration::MAX;
+        while iterations < samples && start.elapsed() < budget {
+            let len = batch.min(samples - iterations);
+            let at = Instant::now();
+            for _ in 0..len {
+                hint::black_box(routine());
+            }
+            self.fastest = self.fastest.min(at.elapsed() / len as u32);
+            iterations += len;
         }
         self.elapsed = start.elapsed();
         self.iterations = iterations.max(1);
@@ -175,18 +193,23 @@ impl<M> BenchmarkGroup<'_, M> {
     pub fn finish(self) {}
 
     fn run(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) {
+        let row = format!("{}/{id}", self.name);
+        if !self.criterion.selects(&row) {
+            return;
+        }
         let mut bencher = Bencher {
             sample_size: self.config.sample_size,
             measurement_time: self.config.measurement_time,
             elapsed: Duration::ZERO,
             iterations: 1,
+            fastest: Duration::ZERO,
         };
         f(&mut bencher);
         let per_iter = bencher.elapsed.as_secs_f64() / bencher.iterations as f64;
         let mut line = format!(
-            "{}/{id}: {} over {} iter",
-            self.name,
+            "{row}: {} (fastest batch {}) over {} iter",
             format_time(per_iter),
+            format_time(bencher.fastest.as_secs_f64()),
             bencher.iterations
         );
         if let Some(throughput) = self.config.throughput {
@@ -217,10 +240,33 @@ fn format_time(seconds: f64) -> String {
 /// Benchmark driver; one per bench binary.
 #[derive(Debug, Default)]
 pub struct Criterion {
-    _private: (),
+    /// Runs only the rows whose `group/id` contains it.
+    filter: Option<String>,
+    /// Every line reported, in order.
+    reported: Vec<String>,
 }
 
 impl Criterion {
+    /// Takes the row filter from the command line, as `cargo bench --
+    /// <filter>` passes it: the first argument after the program name
+    /// that is not a `--` flag (cargo adds `--bench`).
+    pub fn configure_from_args(self) -> Self {
+        match filter_from(std::env::args().skip(1)) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
+    /// Runs only the rows whose `group/id` contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
+    }
+
+    fn selects(&self, row: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| row.contains(f))
+    }
+
     /// Opens a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -244,7 +290,14 @@ impl Criterion {
 
     fn report(&mut self, line: &str) {
         println!("{line}");
+        self.reported.push(line.to_string());
     }
+}
+
+/// The row filter among command-line `args`: the first that is not a
+/// `--` flag.
+fn filter_from(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|arg| !arg.starts_with("--"))
 }
 
 /// Declares a function running the listed benchmark targets in order.
@@ -252,7 +305,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -290,5 +343,38 @@ mod tests {
         });
         group.finish();
         assert!(runs > 0);
+        assert_eq!(criterion.reported.len(), 2);
+        for line in &criterion.reported {
+            assert!(line.contains(" (fastest batch "), "{line}");
+            assert!(line.ends_with(" MiB/s)"), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_filter_runs_only_the_rows_containing_it() {
+        let args = ["--bench", "--nocapture", "nn/conv2d", "later"];
+        let filter = filter_from(args.into_iter().map(String::from));
+        assert_eq!(filter.as_deref(), Some("nn/conv2d"));
+        assert_eq!(filter_from(["--bench".to_string()].into_iter()), None);
+
+        let mut criterion = Criterion::default().with_filter(filter.unwrap());
+        let mut runs = [0u32; 3];
+        let mut group = criterion.benchmark_group("nn");
+        group.sample_size(2);
+        for (row, id) in ["conv2d/forward", "dense/forward", "conv2d/backward"]
+            .into_iter()
+            .enumerate()
+        {
+            group.bench_function(id, |b| b.iter(|| runs[row] += 1));
+        }
+        group.finish();
+        // The warm-up call and the two samples.
+        assert_eq!(runs, [3, 0, 3]);
+        let rows: Vec<&str> = criterion
+            .reported
+            .iter()
+            .map(|line| line.split(':').next().unwrap())
+            .collect();
+        assert_eq!(rows, ["nn/conv2d/forward", "nn/conv2d/backward"]);
     }
 }
