@@ -5,11 +5,10 @@ use mixnn_data::Dataset;
 use mixnn_fl::{train_local, FlConfig};
 use mixnn_nn::{ModelParams, Sequential};
 use mixnn_tensor::vecmath;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of the ∇Sim attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradSimConfig {
     /// Local-training hyper-parameters used to build the attack models.
     /// §6.1.4: "the attack models are trained for 5 learning rounds of the
@@ -64,9 +63,39 @@ impl Default for GradSimConfig {
 pub struct GradSim {
     base: ModelParams,
     references: Vec<ModelParams>,
+    /// [`GradSim::centered_direction`] of every class, in class order.
+    centered: Vec<Vec<f32>>,
 }
 
 impl GradSim {
+    /// The attack over `references`, all trained from `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reference's signature differs from `base`'s.
+    fn new(base: ModelParams, references: Vec<ModelParams>) -> GradSim {
+        let directions: Vec<Vec<f32>> = references
+            .iter()
+            .map(|r| r.delta(&base).expect("trained from base").flatten())
+            .collect();
+        let classes = directions.len() as f32;
+        let mut mean = vec![0.0f32; directions.first().map_or(0, Vec::len)];
+        for dir in &directions {
+            for (m, d) in mean.iter_mut().zip(dir) {
+                *m += d / classes;
+            }
+        }
+        let centered = directions
+            .iter()
+            .map(|dir| dir.iter().zip(&mean).map(|(t, m)| t - m).collect())
+            .collect();
+        GradSim {
+            base,
+            references,
+            centered,
+        }
+    }
+
     /// Trains the per-attribute attack models.
     ///
     /// `background` pairs each attribute class with the adversary's pooled
@@ -117,10 +146,7 @@ impl GradSim {
             )?;
             references.push(reference);
         }
-        Ok(GradSim {
-            base: base.clone(),
-            references,
-        })
+        Ok(GradSim::new(base.clone(), references))
     }
 
     /// Number of attribute classes covered.
@@ -151,17 +177,10 @@ impl GradSim {
     /// direction leaves only the class-discriminative part. This is what
     /// scoring uses — without it, the shared component dominates the
     /// cosine and the active attack (whose crafted starting point sits far
-    /// from the honest trajectory) loses its edge.
-    pub fn centered_direction(&self, attr: usize) -> Option<Vec<f32>> {
-        let target = self.reference_direction(attr)?;
-        let mut mean = vec![0.0f32; target.len()];
-        for a in 0..self.references.len() {
-            let dir = self.reference_direction(a)?;
-            for (m, d) in mean.iter_mut().zip(&dir) {
-                *m += d / self.references.len() as f32;
-            }
-        }
-        Some(target.iter().zip(&mean).map(|(t, m)| t - m).collect())
+    /// from the honest trajectory) loses its edge. Computed once, when
+    /// the attack is fitted.
+    pub fn centered_direction(&self, attr: usize) -> Option<&[f32]> {
+        self.centered.get(attr).map(Vec::as_slice)
     }
 
     /// Scores an observed update (the returned parameters) against every
@@ -178,14 +197,11 @@ impl GradSim {
             .delta(&self.base)
             .ok_or(AttackError::SignatureMismatch)?
             .flatten();
-        (0..self.references.len())
-            .map(|attr| {
-                let reference = self
-                    .centered_direction(attr)
-                    .ok_or(AttackError::SignatureMismatch)?;
-                Ok(vecmath::cosine_similarity(&gradient, &reference))
-            })
-            .collect()
+        Ok(self
+            .centered
+            .iter()
+            .map(|reference| vecmath::cosine_similarity(&gradient, reference))
+            .collect())
     }
 
     /// The **active-attack model**: a point (approximately) equidistant
@@ -302,10 +318,7 @@ mod tests {
 
     fn hand_built_gradsim() -> GradSim {
         // base at origin; reference directions along +x and +y.
-        GradSim {
-            base: mp(&[0.0, 0.0]),
-            references: vec![mp(&[1.0, 0.0]), mp(&[0.0, 1.0])],
-        }
+        GradSim::new(mp(&[0.0, 0.0]), vec![mp(&[1.0, 0.0]), mp(&[0.0, 1.0])])
     }
 
     #[test]
@@ -344,6 +357,14 @@ mod tests {
     }
 
     #[test]
+    fn centered_directions_remove_the_mean_direction() {
+        let gs = hand_built_gradsim();
+        assert_eq!(gs.centered_direction(0).unwrap(), [0.5, -0.5]);
+        assert_eq!(gs.centered_direction(1).unwrap(), [-0.5, 0.5]);
+        assert!(gs.centered_direction(2).is_none());
+    }
+
+    #[test]
     fn equidistant_of_two_is_midpoint() {
         let gs = hand_built_gradsim();
         let e = gs.equidistant_model();
@@ -358,10 +379,10 @@ mod tests {
 
     #[test]
     fn equidistant_of_three_is_nearly_equidistant() {
-        let gs = GradSim {
-            base: mp(&[0.0, 0.0]),
-            references: vec![mp(&[1.0, 0.0]), mp(&[0.0, 1.0]), mp(&[3.0, 3.0])],
-        };
+        let gs = GradSim::new(
+            mp(&[0.0, 0.0]),
+            vec![mp(&[1.0, 0.0]), mp(&[0.0, 1.0]), mp(&[3.0, 3.0])],
+        );
         let e = gs.equidistant_model();
         let ds: Vec<f32> = (0..3)
             .map(|i| e.l2_distance(gs.reference(i).unwrap()).unwrap())

@@ -8,7 +8,7 @@
 //! nor stores one.
 
 use crate::AttackError;
-use mixnn_fl::{Dissemination, FlSimulation, ModelUpdate, RoundOutcome, UpdateTransport};
+use mixnn_fl::{FlSimulation, ModelUpdate, RoundOutcome, UpdateTransport};
 use mixnn_nn::ModelParams;
 
 /// The server's view of a federated run, one [`RoundOutcome`] per round.
@@ -43,7 +43,7 @@ impl ServerLog {
         let mut log = Vec::with_capacity(rounds);
         for _ in 0..rounds {
             let selected = sim.sample_clients();
-            let sent = Dissemination::Broadcast(disseminate(sim.global())?);
+            let sent = disseminate(sim.global())?;
             log.push(sim.run_round_with(&selected, sent, transport)?);
         }
         Ok(ServerLog { rounds: log })
@@ -58,10 +58,9 @@ impl ServerLog {
     pub fn broadcasts(
         &self,
     ) -> impl DoubleEndedIterator<Item = (&ModelParams, &[ModelUpdate])> + '_ {
-        self.rounds.iter().map(|round| match &round.disseminated {
-            Dissemination::Broadcast(model) => (model, round.observed.as_slice()),
-            Dissemination::PerClient(_) => unreachable!("`record` broadcasts every round"),
-        })
+        self.rounds
+            .iter()
+            .map(|round| (&round.disseminated, round.observed.as_slice()))
     }
 }
 

@@ -12,9 +12,6 @@
 //!                                                  paper uses 5; the other experiments ignore it)
 //!   --sigma <f32>                                  noisy-gradient noise scale override
 //!   --passive                                      run ∇Sim passively (fig7/fig8; default active)
-//!   --round <n>                                    evaluation round for fig6 (default 6)
-//!   --radius <f32>                                 neighbour radius for fig9, on unit-normalized
-//!                                                  gradients (default 1.25; see EXPERIMENTS.md)
 //!   --clients <n>                                  clients for sysperf/topology (default 16)
 //!   --load-clients <n>                             simulated clients for load (default 100000,
 //!                                                  quick 2000)
@@ -134,8 +131,6 @@ struct Options {
     repeats: usize,
     sigma: Option<f32>,
     mode: AttackMode,
-    round: usize,
-    radius: f32,
     clients: usize,
     out: Option<String>,
     load_clients: Option<usize>,
@@ -151,8 +146,6 @@ impl Default for Options {
             repeats: 1,
             sigma: None,
             mode: AttackMode::Active,
-            round: 6,
-            radius: 1.25,
             clients: 16,
             out: None,
             load_clients: None,
@@ -187,8 +180,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.sigma = Some(take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?)
             }
             "--passive" => opts.mode = AttackMode::Passive,
-            "--round" => opts.round = take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--radius" => opts.radius = take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--clients" => {
                 opts.clients = take_value(&mut i)?.parse().map_err(|e| format!("{e}"))?
             }
@@ -234,12 +225,12 @@ fn run_fig5(opts: &Options) -> Result<(), String> {
 
 fn run_fig6(opts: &Options) -> Result<(), String> {
     for setup in setups(opts) {
-        let (points, means) = utility_cdf::run(&setup, opts.round).map_err(|e| e.to_string())?;
+        let round = utility_cdf::evaluated_round(&setup, utility_cdf::ROUND);
+        let (points, means) = utility_cdf::run(&setup, round).map_err(|e| e.to_string())?;
         report::print_table(
             &format!(
-                "Figure 6 ({}): CDF of per-participant accuracy at round {}",
+                "Figure 6 ({}): CDF of per-participant accuracy at round {round}",
                 setup.kind.name(),
-                opts.round
             ),
             &["dataset", "defense", "accuracy", "cdf"],
             &utility_cdf::rows(&points),
@@ -308,12 +299,12 @@ fn run_fig8(opts: &Options) -> Result<(), String> {
 fn run_fig9(opts: &Options) -> Result<(), String> {
     for setup in setups(opts) {
         let (points, counts) =
-            robustness::run(&setup, 2, opts.radius).map_err(|e| e.to_string())?;
+            robustness::run(&setup, 2, robustness::RADIUS).map_err(|e| e.to_string())?;
         report::print_table(
             &format!(
                 "Figure 9 ({}): CDF of close-gradient neighbours (radius {})",
                 setup.kind.name(),
-                opts.radius
+                robustness::RADIUS
             ),
             &["dataset", "neighbors", "cdf"],
             &robustness::rows(&points),

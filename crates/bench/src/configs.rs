@@ -2,7 +2,7 @@
 
 use mixnn_attacks::GradSimConfig;
 use mixnn_data::SyntheticSpec;
-use mixnn_fl::{FlConfig, OptimizerKind};
+use mixnn_fl::FlConfig;
 use mixnn_nn::{zoo, Sequential};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,7 +101,6 @@ impl ExperimentSetup {
                     batch_size: 32,
                     clients_per_round: 16,
                     learning_rate: 0.005,
-                    optimizer: OptimizerKind::Adam,
                     seed,
                     ..FlConfig::default()
                 },
@@ -116,7 +115,6 @@ impl ExperimentSetup {
                     batch_size: 256,
                     clients_per_round: 20,
                     learning_rate: 0.005,
-                    optimizer: OptimizerKind::Adam,
                     seed,
                     ..FlConfig::default()
                 },
@@ -131,7 +129,6 @@ impl ExperimentSetup {
                     batch_size: 64,
                     clients_per_round: 40,
                     learning_rate: 0.005,
-                    optimizer: OptimizerKind::Adam,
                     seed,
                     ..FlConfig::default()
                 },
@@ -146,7 +143,6 @@ impl ExperimentSetup {
                     batch_size: 16,
                     clients_per_round: 20,
                     learning_rate: 0.005,
-                    optimizer: OptimizerKind::Adam,
                     seed,
                     ..FlConfig::default()
                 },
@@ -287,10 +283,7 @@ mod tests {
             (30, 2, 16, 20)
         );
         for k in DatasetKind::ALL {
-            assert_eq!(
-                ExperimentSetup::paper(k, 0).fl.optimizer,
-                OptimizerKind::Adam
-            );
+            assert_eq!(ExperimentSetup::paper(k, 0).fl.learning_rate, 0.005);
         }
     }
 

@@ -261,8 +261,8 @@ pub fn rows(sweep: &[PooledRow]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Serializes the sweep as the `BENCH_pooled.json` artifact — hand-rolled
-/// because the offline serde shim does not serialize.
+/// Serializes the sweep as the `BENCH_pooled.json` artifact, hand-rolled
+/// like every artifact of the offline workspace.
 pub fn to_json(sweep: &[PooledRow]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"pooled\",\n  \"rows\": [\n");
     for (i, r) in sweep.iter().enumerate() {

@@ -10,6 +10,11 @@ use mixnn_attacks::robustness::{cdf_of_counts, neighbor_counts};
 use mixnn_attacks::{AttackError, ServerLog};
 use mixnn_fl::{DirectTransport, FlSimulation};
 
+/// The neighbour radius of Fig. 9, on unit-normalized gradients. Two unit
+/// vectors lie within 1.25 of each other exactly when their cosine is at
+/// least 1 − 1.25²/2 ≈ 0.22.
+pub const RADIUS: f32 = 1.25;
+
 /// One CDF point of Fig. 9.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeighborPoint {

@@ -327,8 +327,8 @@ pub fn collusion_rows(sweep: &TopologySweep) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Serializes the sweep as the `BENCH_topology.json` artifact — hand-rolled
-/// because the offline serde shim does not serialize.
+/// Serializes the sweep as the `BENCH_topology.json` artifact, hand-rolled
+/// like every artifact of the offline workspace.
 pub fn to_json(sweep: &TopologySweep, clients: usize) -> String {
     let mut out =
         format!("{{\n  \"experiment\": \"topology\",\n  \"clients\": {clients},\n  \"rows\": [\n");

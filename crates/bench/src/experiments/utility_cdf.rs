@@ -32,8 +32,18 @@ pub struct PopulationMean {
     pub mean_accuracy: f32,
 }
 
-/// Runs the Fig. 6 experiment: train `at_round` rounds under each defense,
-/// then evaluate the global model on every participant's local test set.
+/// The round Fig. 6 evaluates at, as in the paper.
+pub const ROUND: usize = 6;
+
+/// The round [`run`] evaluates at when asked for `at_round`: at least the
+/// first, at most the last `setup` trains.
+pub fn evaluated_round(setup: &ExperimentSetup, at_round: usize) -> usize {
+    at_round.clamp(1, setup.fl.rounds)
+}
+
+/// Runs the Fig. 6 experiment: train [`evaluated_round`] rounds under each
+/// defense, then evaluate the global model on every participant's local
+/// test set.
 ///
 /// # Errors
 ///
@@ -42,7 +52,7 @@ pub fn run(
     setup: &ExperimentSetup,
     at_round: usize,
 ) -> Result<(Vec<CdfPoint>, Vec<PopulationMean>), AttackError> {
-    let rounds = at_round.clamp(1, setup.fl.rounds);
+    let rounds = evaluated_round(setup, at_round);
     let mut points = Vec::new();
     let mut means = Vec::new();
 

@@ -24,7 +24,7 @@
 //! differ from the paper — the substrate is a synthetic simulator, not the
 //! authors' TensorFlow testbed — but the *shape* (who wins, by what
 //! factor, where curves flatten) is the reproduction target; see
-//! `EXPERIMENTS.md`.
+//! `docs/ARCHITECTURE.md`, "Experiments".
 
 #![deny(missing_docs)]
 

@@ -85,7 +85,6 @@ use bytes::{Buf, BufMut};
 use mixnn_cpu::Tier;
 use mixnn_crypto::sha256::Sha256;
 use mixnn_nn::{LayerParams, ModelParams};
-use serde::{Deserialize, Serialize};
 
 /// Format magic: `"MIXN"` as a big-endian u32.
 pub const MAGIC: u32 = 0x4d49_584e;
@@ -114,7 +113,7 @@ const V2_TOPK_HEADER: usize = V2_DENSE_HEADER + 4;
 /// hop-generated dummy) encode to byte-length-identical frames, so sealing
 /// them yields length-identical ciphertexts and compression adds no
 /// linkability side channel (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CompressionConfig {
     /// Version 1: full-precision f32, `4 + 4·len` bytes per layer.
     #[default]

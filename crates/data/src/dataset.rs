@@ -5,7 +5,6 @@ use crate::DataError;
 use mixnn_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A labelled dataset stored as a flat example buffer.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     dims: InputDims,
     inputs: Vec<f32>,

@@ -3,13 +3,12 @@
 use crate::{Dataset, SyntheticSpec};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One federated participant: identity, sensitive attribute and local data.
 ///
 /// The attribute is what the malicious server tries to infer; it never
 /// travels on the wire — only the participant's model updates do.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Participant {
     id: usize,
     attribute: usize,

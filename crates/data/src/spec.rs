@@ -4,11 +4,10 @@
 use crate::{DataError, Dataset, FederatedDataset, Participant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one example: channels × height × width (NCHW without the
 /// batch dimension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InputDims {
     /// Channels.
     pub channels: usize,
@@ -40,7 +39,7 @@ impl InputDims {
 }
 
 /// How the sensitive attribute shapes a participant's local data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeMechanism {
     /// The attribute adds a consistent direction in input space
     /// (gender in MotionSense/MobiAct/LFW): `x = μ_c·s_c + ν_a·strength + ε`.
@@ -66,7 +65,7 @@ pub enum AttributeMechanism {
 /// Build one with the dataset constructors ([`cifar10_like`],
 /// [`motionsense_like`], [`mobiact_like`], [`lfw_like`]) and tweak fields
 /// as needed, then call [`SyntheticSpec::generate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Human-readable dataset name (used in experiment output).
     pub name: String,

@@ -1,8 +1,8 @@
 //! Federated clients and local training.
 
-use crate::{FlConfig, FlError, ModelUpdate, OptimizerKind};
+use crate::{FlConfig, FlError, ModelUpdate};
 use mixnn_data::Dataset;
-use mixnn_nn::{Adam, ModelParams, Optimizer, Sequential, Sgd, SoftmaxCrossEntropy, Tensor};
+use mixnn_nn::{Adam, ModelParams, Sequential, SoftmaxCrossEntropy, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -130,7 +130,7 @@ pub fn train_local(
 #[derive(Debug, Clone)]
 pub struct LocalTrainer {
     model: Sequential,
-    /// Created by the first call under Adam, restarted by every later one.
+    /// Created by the first call, restarted by every later one.
     adam: Option<Adam>,
     x: Tensor,
     labels: Vec<usize>,
@@ -150,10 +150,9 @@ impl LocalTrainer {
     }
 
     /// Loads `global` into the trainer's model, zeroes its gradients,
-    /// starts the optimizer `cfg` names afresh at `cfg.learning_rate`,
-    /// runs `cfg.local_epochs` epochs of mini-batch training on `data`,
-    /// their batches shuffled by `seed`, and returns the resulting
-    /// parameters.
+    /// starts Adam afresh at `cfg.learning_rate`, runs `cfg.local_epochs`
+    /// epochs of mini-batch training on `data`, their batches shuffled by
+    /// `seed`, and returns the resulting parameters.
     ///
     /// # Errors
     ///
@@ -176,26 +175,15 @@ impl LocalTrainer {
         }
         self.model.set_params(global)?;
         self.model.zero_grads();
-        let mut sgd;
-        let optimizer: &mut dyn Optimizer = match cfg.optimizer {
-            OptimizerKind::Sgd => {
-                sgd = Sgd::new(lr);
-                &mut sgd
-            }
-            OptimizerKind::Adam => {
-                let adam = self.adam.get_or_insert_with(|| Adam::new(lr));
-                adam.restart(lr);
-                adam
-            }
-        };
+        let adam = self.adam.get_or_insert_with(|| Adam::new(lr));
+        adam.restart(lr);
         let loss = SoftmaxCrossEntropy::new();
         let mut rng = StdRng::seed_from_u64(seed);
         for _epoch in 0..cfg.local_epochs {
             data.epoch_order(&mut rng, &mut self.order);
             for batch in self.order.chunks(cfg.batch_size.max(1)) {
                 data.batch_into(batch, &mut self.x, &mut self.labels)?;
-                self.model
-                    .train_batch(&self.x, &self.labels, &loss, optimizer)?;
+                self.model.train_batch(&self.x, &self.labels, &loss, adam)?;
             }
         }
         Ok(self.model.params())
@@ -286,18 +274,15 @@ mod tests {
         let (template, data, cfg) = setup();
         let global = template.params();
         for learning_rate in [0.0, -0.01, f32::NAN, f32::INFINITY] {
-            for optimizer in [OptimizerKind::Sgd, OptimizerKind::Adam] {
-                let cfg = FlConfig {
-                    learning_rate,
-                    optimizer,
-                    ..cfg
-                };
-                let err = train_local(&template, &global, &data, &cfg, 0).unwrap_err();
-                assert!(
-                    matches!(&err, FlError::InvalidConfig { reason } if reason.contains("learning rate")),
-                    "{learning_rate} under {optimizer:?}: {err}"
-                );
-            }
+            let cfg = FlConfig {
+                learning_rate,
+                ..cfg
+            };
+            let err = train_local(&template, &global, &data, &cfg, 0).unwrap_err();
+            assert!(
+                matches!(&err, FlError::InvalidConfig { reason } if reason.contains("learning rate")),
+                "{learning_rate}: {err}"
+            );
         }
     }
 

@@ -1,17 +1,5 @@
 //! Federated-learning hyper-parameters.
 
-use serde::{Deserialize, Serialize};
-
-/// The local optimizer run by each participant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OptimizerKind {
-    /// Plain stochastic gradient descent — whose update-direction leak
-    /// ∇Sim exploits directly.
-    Sgd,
-    /// Adam, the optimizer used in the paper's training runs (§6.1.4).
-    Adam,
-}
-
 /// Hyper-parameters of a federated run.
 ///
 /// Defaults are deliberately small; the per-dataset configurations from the
@@ -20,16 +8,16 @@ pub enum OptimizerKind {
 /// # Example
 ///
 /// ```
-/// use mixnn_fl::{FlConfig, OptimizerKind};
+/// use mixnn_fl::FlConfig;
 ///
 /// let cfg = FlConfig {
 ///     rounds: 10,
 ///     clients_per_round: 16,
 ///     ..FlConfig::default()
 /// };
-/// assert_eq!(cfg.optimizer, OptimizerKind::Adam);
+/// assert_ne!(cfg.client_seed(0, 3), cfg.client_seed(1, 3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlConfig {
     /// Number of federated learning rounds.
     pub rounds: usize,
@@ -37,10 +25,9 @@ pub struct FlConfig {
     pub local_epochs: usize,
     /// Local mini-batch size.
     pub batch_size: usize,
-    /// Local learning rate.
+    /// Local learning rate of the Adam optimizer every client runs, as in
+    /// the paper's training runs (§6.1.4).
     pub learning_rate: f32,
-    /// Which optimizer clients run locally.
-    pub optimizer: OptimizerKind,
     /// Clients aggregated per round (sampled without replacement).
     pub clients_per_round: usize,
     /// Master seed: fixes client sampling, batch order and model init.
@@ -58,7 +45,6 @@ impl Default for FlConfig {
             local_epochs: 2,
             batch_size: 32,
             learning_rate: 0.01,
-            optimizer: OptimizerKind::Adam,
             clients_per_round: 8,
             seed: 0,
             // One worker per hardware thread by default: results are
@@ -91,11 +77,6 @@ impl FlConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_use_adam() {
-        assert_eq!(FlConfig::default().optimizer, OptimizerKind::Adam);
-    }
 
     #[test]
     fn client_seeds_are_distinct() {

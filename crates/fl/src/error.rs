@@ -25,12 +25,6 @@ pub enum FlError {
         /// Signature of the offending update.
         actual: Vec<usize>,
     },
-    /// A per-client dissemination did not provide a model for a selected
-    /// client.
-    MissingModelFor {
-        /// The client left without a model.
-        client_id: usize,
-    },
     /// A client id was not found in the simulation.
     UnknownClient {
         /// The offending id.
@@ -65,12 +59,6 @@ impl fmt::Display for FlError {
                 f,
                 "incompatible update signatures: expected {expected:?}, got {actual:?}"
             ),
-            FlError::MissingModelFor { client_id } => {
-                write!(
-                    f,
-                    "per-client dissemination missing a model for client {client_id}"
-                )
-            }
             FlError::UnknownClient { client_id } => {
                 write!(f, "client {client_id} is not part of the simulation")
             }

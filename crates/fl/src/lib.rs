@@ -8,10 +8,10 @@
 //! Two aspects are deliberately first-class because the paper's threat
 //! model needs them:
 //!
-//! * **[`Dissemination`]** — the server may [`Dissemination::Broadcast`]
-//!   one model (honest behaviour) or send a *different* model to each
-//!   participant ([`Dissemination::PerClient`]) — the protocol abuse behind
-//!   the active ∇Sim attack (§5).
+//! * **The disseminated model** — every participant of a round trains from
+//!   the one model the server sends ([`FlSimulation::run_round_with`]):
+//!   the global model for an honest server, or, for the active ∇Sim
+//!   attack (§5), a crafted model broadcast in its place.
 //! * **[`UpdateTransport`]** — the path updates take from participants to
 //!   the server is pluggable: [`DirectTransport`] (classic FL, the server
 //!   sees who sent what), [`NoisyTransport`] (the local-DP style noisy
@@ -33,9 +33,9 @@ mod transport;
 mod update;
 
 pub use client::{train_local, FlClient, LocalTrainer};
-pub use config::{FlConfig, OptimizerKind};
+pub use config::FlConfig;
 pub use error::FlError;
 pub use server::AggregationServer;
 pub use simulation::{FlSimulation, RoundOutcome};
 pub use transport::{DirectTransport, NoisyTransport, UpdateTransport};
-pub use update::{Dissemination, ModelUpdate};
+pub use update::ModelUpdate;

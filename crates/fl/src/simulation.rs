@@ -1,8 +1,7 @@
 //! Round orchestration.
 
 use crate::{
-    AggregationServer, Dissemination, FlClient, FlConfig, FlError, LocalTrainer, ModelUpdate,
-    UpdateTransport,
+    AggregationServer, FlClient, FlConfig, FlError, LocalTrainer, ModelUpdate, UpdateTransport,
 };
 use mixnn_data::{Dataset, FederatedDataset};
 use mixnn_nn::{Evaluation, ModelParams, Sequential, SoftmaxCrossEntropy};
@@ -16,8 +15,9 @@ use rand::SeedableRng;
 pub struct RoundOutcome {
     /// Round index (0-based).
     pub round: usize,
-    /// What the server disseminated at the start of the round.
-    pub disseminated: Dissemination,
+    /// The model the server sent every selected client at the start of
+    /// the round.
+    pub disseminated: ModelParams,
     /// Ids of the clients selected this round, in the order their updates
     /// were produced.
     pub selected: Vec<usize>,
@@ -133,24 +133,23 @@ impl FlSimulation {
         transport: &mut dyn UpdateTransport,
     ) -> Result<RoundOutcome, FlError> {
         let selected = self.sample_clients();
-        let dissemination = Dissemination::Broadcast(self.server.global().clone());
-        self.run_round_with(&selected, dissemination, transport)
+        let model = self.server.global().clone();
+        self.run_round_with(&selected, model, transport)
     }
 
-    /// Runs one round with explicit client selection and dissemination —
-    /// the entry point for active attacks, which send crafted per-client
-    /// models.
+    /// Runs one round with an explicit client selection, every selected
+    /// client training from `model` — the entry point for the active
+    /// attack, which broadcasts a crafted model.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::EmptyRound`] for an empty selection,
-    /// [`FlError::UnknownClient`] / [`FlError::MissingModelFor`] for
-    /// selection/dissemination mismatches, and propagates training,
-    /// transport and aggregation failures.
+    /// Returns [`FlError::EmptyRound`] for an empty selection and
+    /// [`FlError::UnknownClient`] for an id outside the simulation, and
+    /// propagates training, transport and aggregation failures.
     pub fn run_round_with(
         &mut self,
         selected: &[usize],
-        dissemination: Dissemination,
+        model: ModelParams,
         transport: &mut dyn UpdateTransport,
     ) -> Result<RoundOutcome, FlError> {
         if selected.is_empty() {
@@ -159,18 +158,15 @@ impl FlSimulation {
         let round = self.rounds_run;
         let round_t0 = self.telemetry.now_ns();
 
-        // Resolve clients and their disseminated models up front.
-        let mut work: Vec<(&FlClient, &ModelParams, u64)> = Vec::with_capacity(selected.len());
+        // Resolve clients up front.
+        let mut work: Vec<(&FlClient, u64)> = Vec::with_capacity(selected.len());
         for &id in selected {
             let client = self
                 .clients
                 .iter()
                 .find(|c| c.id() == id)
                 .ok_or(FlError::UnknownClient { client_id: id })?;
-            let model = dissemination
-                .model_for(id)
-                .ok_or(FlError::MissingModelFor { client_id: id })?;
-            work.push((client, model, self.cfg.client_seed(round, id)));
+            work.push((client, self.cfg.client_seed(round, id)));
         }
 
         // Parallel local training on a bounded worker pool
@@ -187,7 +183,7 @@ impl FlSimulation {
         let results: Vec<Result<ModelUpdate, FlError>> = map_chunked(
             &work,
             &mut self.trainers[..workers],
-            |trainer, (client, model, seed)| client.train_in(trainer, model, &cfg, *seed),
+            |trainer, (client, seed)| client.train_in(trainer, &model, &cfg, *seed),
         );
 
         let mut updates = Vec::with_capacity(results.len());
@@ -212,7 +208,7 @@ impl FlSimulation {
             .observe(Distribution::FlRoundParticipants, selected.len() as u64);
         Ok(RoundOutcome {
             round,
-            disseminated: dissemination,
+            disseminated: model,
             selected: selected.to_vec(),
             observed,
             global_after,
@@ -306,7 +302,6 @@ mod tests {
     use crate::DirectTransport;
     use mixnn_data::lfw_like;
     use mixnn_nn::zoo;
-    use std::collections::HashMap;
 
     fn sim(seed: u64) -> (FlSimulation, FederatedDataset) {
         let fed = lfw_like(2).generate().unwrap();
@@ -411,30 +406,10 @@ mod tests {
     }
 
     #[test]
-    fn per_client_dissemination_requires_all_models() {
-        let (mut sim, _) = sim(4);
-        let selected = sim.sample_clients();
-        let mut map = HashMap::new();
-        map.insert(selected[0], sim.global().clone());
-        let err = sim
-            .run_round_with(
-                &selected,
-                Dissemination::PerClient(map),
-                &mut DirectTransport::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, FlError::MissingModelFor { .. }));
-    }
-
-    #[test]
     fn unknown_client_is_rejected() {
         let (mut sim, _) = sim(5);
         let err = sim
-            .run_round_with(
-                &[999],
-                Dissemination::Broadcast(sim.global().clone()),
-                &mut DirectTransport::new(),
-            )
+            .run_round_with(&[999], sim.global().clone(), &mut DirectTransport::new())
             .unwrap_err();
         assert!(matches!(err, FlError::UnknownClient { client_id: 999 }));
     }
@@ -443,11 +418,7 @@ mod tests {
     fn empty_selection_is_rejected() {
         let (mut sim, _) = sim(6);
         let err = sim
-            .run_round_with(
-                &[],
-                Dissemination::Broadcast(sim.global().clone()),
-                &mut DirectTransport::new(),
-            )
+            .run_round_with(&[], sim.global().clone(), &mut DirectTransport::new())
             .unwrap_err();
         assert_eq!(err, FlError::EmptyRound);
     }

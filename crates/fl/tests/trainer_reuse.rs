@@ -3,14 +3,14 @@
 //! A simulation trains client after client in one trainer per worker,
 //! reusing its model, optimizer and batch buffers. Reuse must be invisible:
 //! every update equals `train_local` — which builds everything afresh —
-//! whatever the trainer trained before, under which optimizer, on which
-//! batch shapes, and whatever error it last returned. The trainer here is
-//! built from a template carrying gradients from a backward pass that was
-//! never stepped, so a call that did not zero the gradients, like one that
-//! did not restart the optimizer, would move an update.
+//! whatever the trainer trained before, on which batch shapes, and
+//! whatever error it last returned. The trainer here is built from a
+//! template carrying gradients from a backward pass that was never
+//! stepped, so a call that did not zero the gradients, like one that did
+//! not restart the optimizer, would move an update.
 
 use mixnn_data::{lfw_like, motionsense_like, Dataset, FederatedDataset};
-use mixnn_fl::{train_local, FlConfig, FlError, LocalTrainer, OptimizerKind};
+use mixnn_fl::{train_local, FlConfig, FlError, LocalTrainer};
 use mixnn_nn::{zoo, LayerParams, ModelParams, Sequential, SoftmaxCrossEntropy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,18 +48,14 @@ fn clients(population: &FederatedDataset, short: usize) -> Vec<Dataset> {
     ]
 }
 
-/// Two rounds of three clients in one kept trainer, the optimizer
-/// alternating between Adam and SGD from client to client, each round
-/// opened by a call with an invalid learning rate and one with a global
-/// model of another architecture; every update is checked against
-/// `train_local` from the clean template.
+/// Two rounds of three clients in one kept trainer, each round opened by
+/// a call with an invalid learning rate and one with a global model of
+/// another architecture; every update is checked against `train_local`
+/// from the clean template.
 fn assert_reuse_is_invisible(template: &Sequential, clients: &[Dataset], cfg: FlConfig) {
     let mut trainer = LocalTrainer::new(&with_stale_gradients(template, &clients[0]));
     let foreign = ModelParams::from_layers(vec![LayerParams::from_values(vec![0.0; 3])]);
     let mut global = template.params();
-    let mut kinds = [OptimizerKind::Adam, OptimizerKind::Sgd]
-        .into_iter()
-        .cycle();
     for round in 0..2 {
         let invalid = FlConfig {
             learning_rate: f32::NAN,
@@ -72,19 +68,10 @@ fn assert_reuse_is_invisible(template: &Sequential, clients: &[Dataset], cfg: Fl
         assert!(trainer.train(&foreign, &clients[1], &cfg, 2).is_err());
         let mut updates = Vec::new();
         for (c, data) in clients.iter().enumerate() {
-            let cfg = FlConfig {
-                optimizer: kinds.next().expect("cycles"),
-                ..cfg
-            };
             let seed = cfg.client_seed(round, c);
             let kept = trainer.train(&global, data, &cfg, seed).unwrap();
             let fresh = train_local(template, &global, data, &cfg, seed).unwrap();
-            assert_eq!(
-                bits(&kept),
-                bits(&fresh),
-                "round {round}, client {c}, {:?}",
-                cfg.optimizer
-            );
+            assert_eq!(bits(&kept), bits(&fresh), "round {round}, client {c}");
             assert_ne!(kept, global, "round {round}, client {c} did not train");
             updates.push(kept);
         }

@@ -12,7 +12,7 @@
 //! asks it to; the tests take turns.
 
 use mixnn_data::{lfw_like, motionsense_like};
-use mixnn_fl::{DirectTransport, FlConfig, FlSimulation, LocalTrainer, OptimizerKind};
+use mixnn_fl::{DirectTransport, FlConfig, FlSimulation, LocalTrainer};
 use mixnn_nn::zoo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,8 +156,8 @@ fn from_the_second_round_on_training_allocates_nothing_of_an_activations_size() 
 /// One warm trainer on `fl_train`'s model and batch, and on
 /// `deepface_like` (a locally connected layer) at batch 20 over 48
 /// examples, so every epoch ends on a short batch of 8 and the buffers
-/// shrink and grow back: under Adam and SGD, a client's training
-/// allocates what `params()` of the template does, nothing more.
+/// shrink and grow back: a client's training allocates what `params()` of
+/// the template does, nothing more.
 #[test]
 fn a_warm_trainer_allocates_only_the_update_it_returns() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -192,36 +192,33 @@ fn a_warm_trainer_allocates_only_the_update_it_returns() {
         let global = template.params();
         let (expected, _, expected_bytes) = counted(|| drop(template.params()));
         let mut trainer = LocalTrainer::new(&template);
-        for optimizer in [OptimizerKind::Adam, OptimizerKind::Sgd] {
-            let cfg = FlConfig {
-                local_epochs: 2,
-                batch_size,
-                learning_rate: 0.005,
-                optimizer,
-                ..FlConfig::default()
-            };
-            let data = population.participants()[0].train();
-            trainer.train(&global, data, &cfg, 1).unwrap();
-            let (allocations, _, bytes) = counted(|| {
-                for (seed, p) in population.participants()[1..4].iter().enumerate() {
-                    drop(
-                        trainer
-                            .train(&global, p.train(), &cfg, seed as u64)
-                            .unwrap(),
-                    );
-                }
-            });
-            println!(
-                "warm trainer, {name}, {optimizer:?}: {} allocations, {} B per client \
-                 ({expected} allocations, {expected_bytes} B for the update)",
-                allocations as f64 / 3.0,
-                bytes as f64 / 3.0
-            );
-            assert_eq!(
-                (allocations, bytes),
-                (3 * expected, 3 * expected_bytes),
-                "{name}, {optimizer:?}"
-            );
-        }
+        let cfg = FlConfig {
+            local_epochs: 2,
+            batch_size,
+            learning_rate: 0.005,
+            ..FlConfig::default()
+        };
+        let data = population.participants()[0].train();
+        trainer.train(&global, data, &cfg, 1).unwrap();
+        let (allocations, _, bytes) = counted(|| {
+            for (seed, p) in population.participants()[1..4].iter().enumerate() {
+                drop(
+                    trainer
+                        .train(&global, p.train(), &cfg, seed as u64)
+                        .unwrap(),
+                );
+            }
+        });
+        println!(
+            "warm trainer, {name}: {} allocations, {} B per client \
+             ({expected} allocations, {expected_bytes} B for the update)",
+            allocations as f64 / 3.0,
+            bytes as f64 / 3.0
+        );
+        assert_eq!(
+            (allocations, bytes),
+            (3 * expected, 3 * expected_bytes),
+            "{name}"
+        );
     }
 }

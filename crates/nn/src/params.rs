@@ -1,6 +1,5 @@
 use crate::{NnError, Optimizer};
 use mixnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The flat parameter vector of one trainable layer.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(p.len(), 2);
 /// assert_eq!(p.values()[0], 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerParams(Vec<f32>);
 
 impl LayerParams {
@@ -181,7 +180,7 @@ impl ParamBlock {
 /// let mean = ModelParams::mean(&[a, b]).unwrap();
 /// assert_eq!(mean.layer(0).unwrap().values(), &[2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     layers: Vec<LayerParams>,
 }

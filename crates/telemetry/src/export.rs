@@ -1,8 +1,8 @@
 //! Exporters: Prometheus text format, a JSON snapshot, and a format
 //! checker.
 //!
-//! Both renderers are hand-rolled (the workspace's serde shim does not
-//! serialize) and emit series in static declaration order, so two
+//! Both renderers are hand-rolled (the workspace has no serialization
+//! crate) and emit series in static declaration order, so two
 //! snapshots of registries in the same state render byte-identically.
 //! [`validate_prometheus`] is the checker CI runs over exported text: it
 //! rejects duplicate series, malformed values, broken histogram

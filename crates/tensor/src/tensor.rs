@@ -1,7 +1,6 @@
 use self::rand_distr_shim::StandardNormalShim;
 use crate::{Shape, TensorError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
@@ -24,7 +23,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -270,13 +269,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two same-shaped tensors element-wise with `f`.
     ///
     /// # Errors
@@ -324,19 +316,6 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
     pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         self.zip_map(other, |a, b| a * b)
-    }
-
-    /// Adds `other` into `self` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn add_assign(&mut self, other: &Tensor) -> Result<(), TensorError> {
-        self.check_same_shape(other)?;
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
-        Ok(())
     }
 
     /// Multiplies every element by `s`, returning a new tensor.

@@ -548,7 +548,7 @@ fn arrival_survives_a_failed_deadline_firing_and_commits_on_retry() {
 #[test]
 fn partial_participation_rounds_still_aggregate() {
     use mixnn::data::motionsense_like;
-    use mixnn::fl::{Dissemination, FlConfig, FlSimulation};
+    use mixnn::fl::{FlConfig, FlSimulation};
     use mixnn::nn::zoo;
 
     let mut spec = motionsense_like(5);
@@ -576,11 +576,7 @@ fn partial_participation_rounds_still_aggregate() {
 
     // Only three of eight participants show up (dropped clients).
     let outcome = sim
-        .run_round_with(
-            &[0, 3, 6],
-            Dissemination::Broadcast(sim.global().clone()),
-            &mut transport,
-        )
+        .run_round_with(&[0, 3, 6], sim.global().clone(), &mut transport)
         .unwrap();
     assert_eq!(outcome.observed.len(), 3);
     // And the next full round proceeds normally.
