@@ -164,14 +164,9 @@ impl GradSim {
         self.references.get(attr)
     }
 
-    /// The reference *gradient direction* of a class: `reference − base`,
-    /// flattened. This is the fingerprint template the update is compared
-    /// against.
-    pub fn reference_direction(&self, attr: usize) -> Option<Vec<f32>> {
-        Some(self.references.get(attr)?.delta(&self.base)?.flatten())
-    }
-
-    /// The reference direction with the **common mode removed**: all
+    /// The reference *gradient direction* of a class — `reference − base`,
+    /// flattened, the fingerprint template an update is compared
+    /// against — with the **common mode removed**: all
     /// classes' gradients share a large "fit the data" component that says
     /// nothing about the attribute; subtracting the mean reference
     /// direction leaves only the class-discriminative part. This is what
@@ -347,13 +342,6 @@ mod tests {
             gs.score(&alien),
             Err(AttackError::SignatureMismatch)
         ));
-    }
-
-    #[test]
-    fn reference_direction_is_delta() {
-        let gs = hand_built_gradsim();
-        assert_eq!(gs.reference_direction(0).unwrap(), vec![1.0, 0.0]);
-        assert!(gs.reference_direction(5).is_none());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixnn_attacks::{GradSim, GradSimConfig};
 use mixnn_bench::{DatasetKind, ExperimentScale, ExperimentSetup};
+use mixnn_cpu::Tier;
 use mixnn_fl::{train_local, FlConfig, LocalTrainer};
 use mixnn_nn::{
-    zoo, Adam, Conv2d, Dense, Layer, LocallyConnected2d, MaxPool2d, Optimizer, SoftmaxCrossEntropy,
+    zoo, Adam, Conv2d, Dense, Layer, LocallyConnected2d, MaxPool2d, Optimizer, Relu,
+    SoftmaxCrossEntropy,
 };
 use mixnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -81,8 +83,12 @@ fn bench_fit_and_score(c: &mut Criterion) {
 /// above so theirs does not change: its three `Dense` layers (32 → 32 →
 /// 16 → 6) on ReLU output, the hidden layers' gradients about half zeros
 /// (behind ReLU) and the classifier's dense; one Adam step over the
-/// model's 2,022 parameters in its ten slots; and the loss on batch-64
-/// logits.
+/// model's 2,022 parameters in its ten slots; the loss on batch-64
+/// logits; and its first ReLU, on the first convolution's output shape.
+///
+/// The pooling, dense, Adam and ReLU rows end in the CPU tier they run,
+/// one row per tier of the kernel's `TIERS` the host reaches (`scalar`,
+/// `avx512`), so before and after read from one binary.
 fn bench_windowed_layers(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut group = c.benchmark_group("nn");
@@ -130,20 +136,34 @@ fn bench_windowed_layers(c: &mut Criterion) {
     let local = Box::new(LocallyConnected2d::new(4, 4, 3, 4, 4, &mut rng));
     let x = normal([16, 4, 4, 4], &mut rng);
     row("locally_connected2d/lfw/local4", local, x, &mut rng);
-    let x = relu([64, 4, 8, 8], &mut rng);
-    row(
-        "maxpool2d/fl_train/pool1",
-        Box::new(MaxPool2d::new(2)),
-        x,
-        &mut rng,
-    );
-    let x = relu([64, 8, 4, 4], &mut rng);
-    row(
-        "maxpool2d/fl_train/pool2",
-        Box::new(MaxPool2d::new(2)),
-        x,
-        &mut rng,
-    );
+    for (name, dims) in [("pool1", [64, 4, 8, 8]), ("pool2", [64, 8, 4, 4])] {
+        let x = relu(dims, &mut rng);
+        let mut pool = MaxPool2d::new(2);
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+        pool.forward(&x, &mut y).unwrap();
+        let g = Tensor::from_fn(y.dims().to_vec(), |_| {
+            if rng.gen_bool(0.2) {
+                rng.gen_range(-1.0f32..1.0)
+            } else {
+                0.0
+            }
+        });
+        for tier in Tier::runnable(MaxPool2d::TIERS) {
+            let tier_name = tier.name();
+            group.bench_function(
+                format!("maxpool2d/forward/fl_train/{name}/{tier_name}"),
+                |b| {
+                    b.iter(|| pool.forward_on(tier, &x, &mut y).unwrap());
+                },
+            );
+            group.bench_function(
+                format!("maxpool2d/backward/fl_train/{name}/{tier_name}"),
+                |b| {
+                    b.iter(|| pool.backward_on(tier, &g, &mut dx).unwrap());
+                },
+            );
+        }
+    }
 
     for (name, inputs, outputs, zeros) in [
         ("fc1", 32, 32, 0.5),
@@ -152,20 +172,17 @@ fn bench_windowed_layers(c: &mut Criterion) {
     ] {
         let mut dense = Dense::new(inputs, outputs, &mut rng);
         let x = Tensor::randn(vec![64, inputs], 0.0, 1.0, &mut rng).map(|v| v.max(0.0));
-        let g = Tensor::from_fn(vec![64, outputs], |_| {
-            if rng.gen_bool(zeros) {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
-        });
+        let g = sparse(vec![64, outputs], zeros, &mut rng);
         let (mut y, mut dx) = (Tensor::default(), Tensor::default());
-        group.bench_function(format!("dense/forward/fl_train/{name}"), |b| {
-            b.iter(|| dense.forward(&x, &mut y).unwrap());
-        });
-        group.bench_function(format!("dense/backward/fl_train/{name}"), |b| {
-            b.iter(|| dense.backward(&g, &mut dx).unwrap());
-        });
+        for tier in Tier::runnable(Dense::TIERS) {
+            let tier_name = tier.name();
+            group.bench_function(format!("dense/forward/fl_train/{name}/{tier_name}"), |b| {
+                b.iter(|| dense.forward_on(tier, &x, &mut y).unwrap());
+            });
+            group.bench_function(format!("dense/backward/fl_train/{name}/{tier_name}"), |b| {
+                b.iter(|| dense.backward_on(tier, &g, &mut dx).unwrap());
+            });
+        }
     }
 
     // Weights and bias of conv1, conv2, fc1, fc2 and fc3 at six classes.
@@ -175,15 +192,17 @@ fn bench_windowed_layers(c: &mut Criterion) {
         .iter()
         .map(|&n| (0..n).map(|_| rng.gen_range(-0.1f32..0.1)).collect())
         .collect();
-    let mut adam = Adam::new(0.001);
-    group.bench_function("adam/step/fl_train", |b| {
-        b.iter(|| {
-            for (slot, (p, g)) in params.iter_mut().zip(&grads).enumerate() {
-                adam.step(slot, p, g);
-            }
-            adam.advance();
+    for tier in Tier::runnable(Adam::TIERS) {
+        let mut adam = Adam::new(0.001);
+        group.bench_function(format!("adam/step/fl_train/{}", tier.name()), |b| {
+            b.iter(|| {
+                for (slot, (p, g)) in params.iter_mut().zip(&grads).enumerate() {
+                    adam.step_on(tier, slot, p, g);
+                }
+                adam.advance();
+            });
         });
-    });
+    }
 
     let logits = Tensor::randn(vec![64, 6], 0.0, 2.0, &mut rng);
     let labels: Vec<usize> = (0..64).map(|_| rng.gen_range(0..6)).collect();
@@ -195,7 +214,34 @@ fn bench_windowed_layers(c: &mut Criterion) {
                 .unwrap()
         });
     });
+
+    let x = normal([64, 4, 8, 8], &mut rng);
+    let g = sparse(x.dims().to_vec(), 0.5, &mut rng);
+    let mut relu = Relu::new();
+    let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+    relu.forward(&x, &mut y).unwrap();
+    for tier in Tier::runnable(Relu::TIERS) {
+        let tier_name = tier.name();
+        group.bench_function(format!("relu/forward/fl_train/relu1/{tier_name}"), |b| {
+            b.iter(|| relu.forward_on(tier, &x, &mut y).unwrap());
+        });
+        group.bench_function(format!("relu/backward/fl_train/relu1/{tier_name}"), |b| {
+            b.iter(|| relu.backward_on(tier, &g, &mut dx).unwrap());
+        });
+    }
     group.finish();
+}
+
+/// A tensor of `dims` whose entries are 0.0 with probability `zeros`,
+/// otherwise uniform in `[-1, 1)`.
+fn sparse(dims: Vec<usize>, zeros: f64, rng: &mut StdRng) -> Tensor {
+    Tensor::from_fn(dims, |_| {
+        if rng.gen_bool(zeros) {
+            0.0
+        } else {
+            rng.gen_range(-1.0f32..1.0)
+        }
+    })
 }
 
 /// One client's local training on `fl_train`'s shapes — the repo

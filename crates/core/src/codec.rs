@@ -1228,6 +1228,22 @@ fn write_f32_le_bulk(dst: &mut [u8], values: &[f32]) {
     }
 }
 
+/// [`write_f32_le_bulk`] appending to `out`: the bytes go straight into
+/// its spare capacity, never zero-filled first.
+fn extend_f32_le(out: &mut Vec<u8>, values: &[f32]) {
+    let len = 4 * values.len();
+    out.reserve(len);
+    let spare = &mut out.spare_capacity_mut()[..len];
+    for (chunk, &v) in spare.chunks_exact_mut(4).zip(values) {
+        for (byte, b) in chunk.iter_mut().zip(v.to_le_bytes()) {
+            byte.write(b);
+        }
+    }
+    // SAFETY: the loop above initialised the first `len` bytes of spare
+    // capacity, which `reserve` made at least `len` long.
+    unsafe { out.set_len(out.len() + len) };
+}
+
 /// Bulk LE read: the inverse of [`write_f32_le_bulk`], value by value.
 fn read_f32_le_bulk(src: &[u8]) -> impl Iterator<Item = f32> + '_ {
     debug_assert_eq!(src.len() % 4, 0);
@@ -1601,15 +1617,18 @@ pub fn encode_layer_on(
 ) {
     let values = layer.values();
     let start = out.len();
-    out.resize(start + encoded_layer_len_with(values.len(), compression), 0);
-    let frame = &mut out[start..];
+    let len = encoded_layer_len_with(values.len(), compression);
+    // The v1 frame is the header then the values, appended into reserved
+    // capacity as is; the v2 kernels write into a zero-filled frame.
     match compression {
         CompressionConfig::F32 => {
-            frame[..4].copy_from_slice(&wire_len(values.len()).to_be_bytes());
-            write_f32_le_bulk(&mut frame[4..], values);
+            out.reserve(len);
+            out.extend_from_slice(&wire_len(values.len()).to_be_bytes());
+            extend_f32_le(out, values);
         }
         CompressionConfig::Int8 => {
-            let (header, quants) = frame.split_at_mut(V2_DENSE_HEADER);
+            out.resize(start + len, 0);
+            let (header, quants) = out[start..].split_at_mut(V2_DENSE_HEADER);
             let (zero, scale) = match tier {
                 #[cfg(target_arch = "x86_64")]
                 tier if tier >= Tier::Avx512 => avx512::encode_dense(values, quants),
@@ -1620,7 +1639,8 @@ pub fn encode_layer_on(
         CompressionConfig::Int8TopK { .. } => {
             let k = compression.kept(values.len());
             let width = index_width(values.len());
-            let (header, payload) = frame.split_at_mut(V2_TOPK_HEADER);
+            out.resize(start + len, 0);
+            let (header, payload) = out[start..].split_at_mut(V2_TOPK_HEADER);
             let (index_area, quant_area) = payload.split_at_mut(k * width);
             let (zero, scale) = encode_top_k_on(tier, width, values, index_area, quant_area);
             write_v2_header(header, values.len(), Some(k), zero, scale);

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`Tier::Scalar`] | — | every definition |
 //! | [`Tier::Avx2`] | `avx2` | ChaCha20's eight-block keystream |
-//! | [`Tier::Avx512`] | `avx512f`, `avx512bw`, `avx512dq` | ChaCha20's sixteen-block keystream; the lossy encoder; the `Conv2d` / `LocallyConnected2d` window passes; the column mean of FedAvg |
+//! | [`Tier::Avx512`] | `avx512f`, `avx512bw`, `avx512dq` | ChaCha20's sixteen-block keystream; the lossy encoder; the `Conv2d` / `LocallyConnected2d` window passes; the column mean of FedAvg; the three matrix products (`matmul_into_on`, `matmul_tn_into_on`, `matmul_nt_into_on`); `Dense`'s bias add, `dW` accumulation and bias-gradient column sums (`Dense::forward_on` / `backward_on`); `Relu`'s two passes (`Relu::forward_on` / `backward_on`); `MaxPool2d`'s 2×2 fold and backward spread (`MaxPool2d::forward_on` / `backward_on`); the Adam step (`Adam::step_on`) |
 //! | [`Tier::Ifma`] | `avx512ifma` | Poly1305's eight-lane MAC; X25519's eight-lane ladder and comb |
 //!
 //! So a rung is a whole generation of x86-64, not one kernel's list: an
@@ -125,12 +125,17 @@ mod tests {
 
     /// Per kernel module on the ladder, the union of its
     /// `#[target_feature(enable = …)]` lists, with the rung that gates it.
-    const KERNELS: [(&str, Tier, &[&str]); 7] = [
+    const KERNELS: [(&str, Tier, &[&str]); 12] = [
         ("chacha20::avx2", Tier::Avx2, &["avx2"]),
         ("chacha20::avx512", Tier::Avx512, &["avx512f"]),
         ("codec::avx512", Tier::Avx512, &["avx512f", "avx512bw"]),
         ("window::avx512", Tier::Avx512, &["avx512f"]),
         ("vecmath::mean_avx512", Tier::Avx512, &["avx512f"]),
+        ("tensor::avx512", Tier::Avx512, &["avx512f"]),
+        ("dense::avx512", Tier::Avx512, &["avx512f"]),
+        ("activation::avx512", Tier::Avx512, &["avx512f"]),
+        ("pool::avx512", Tier::Avx512, &["avx512f", "avx512dq"]),
+        ("optimizer::avx512", Tier::Avx512, &["avx512f"]),
         ("poly1305::ifma", Tier::Ifma, &["avx512f", "avx512ifma"]),
         (
             "x25519::ifma",

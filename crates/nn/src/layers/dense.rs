@@ -2,7 +2,8 @@
 
 use crate::layers::Layer;
 use crate::{NnError, ParamBlock};
-use mixnn_tensor::{init, matmul_into, matmul_nt_into, matmul_tn_into, Gathered, Tensor};
+use mixnn_cpu::Tier;
+use mixnn_tensor::{init, matmul_into_on, matmul_nt_into_on, matmul_tn_into_on, Gathered, Tensor};
 use rand::Rng;
 
 /// A fully connected layer computing `Y = X·W + b`.
@@ -19,6 +20,13 @@ use rand::Rng;
 /// caller's tensors, so once warm a forward and a backward pass allocate
 /// nothing. Every kernel writes every element of its output, so no buffer
 /// is zero-filled first.
+///
+/// On the [`Tier::Avx512`] rung of the CPU ladder the products, the bias
+/// add, the accumulation of `dW` and the bias gradient's column sums run
+/// AVX-512 kernels, with the scalar loops' bits: the bias add and the
+/// accumulation are element-wise, and each column sum still adds the
+/// batch's rows in order, sixteen columns a register. Which rung runs is
+/// detection alone ([`Tier::best`]).
 ///
 /// # Example
 ///
@@ -95,14 +103,26 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.block.bias
     }
-}
 
-impl Layer for Dense {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
+    /// The rungs with a `Dense` kernel, scalar first. Not an option: the
+    /// layer runs [`Tier::best`]; the tests and bench rows run each rung
+    /// the host reaches.
+    #[doc(hidden)]
+    pub const TIERS: &'static [Tier] = &[Tier::Scalar, Tier::Avx512];
 
-    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
+    /// [`Layer::forward`] on `tier`: the same bits. Panics if `tier`
+    /// selects a kernel the CPU cannot run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    #[doc(hidden)]
+    pub fn forward_on(
+        &mut self,
+        tier: Tier,
+        input: &Tensor,
+        output: &mut Tensor,
+    ) -> Result<(), NnError> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::BadInput {
                 layer: self.name().to_string(),
@@ -113,7 +133,8 @@ impl Layer for Dense {
         let (batch, inf, of) = (input.dims()[0], self.in_features, self.out_features);
         output.resize(&[batch, of]);
         let (weights, bias) = (self.block.weights.data(), self.block.bias.data());
-        matmul_into(
+        matmul_into_on(
+            tier,
             input.data(),
             weights,
             batch,
@@ -122,24 +143,32 @@ impl Layer for Dense {
             &mut self.gathered,
             output.data_mut(),
         );
-        let data = output.data_mut();
-        for b in 0..batch {
-            for (o, &bias) in data[b * of..][..of].iter_mut().zip(bias) {
-                *o += bias;
-            }
-        }
+        add_bias_on(tier, output.data_mut(), bias);
         let cached = self.cached_input.get_or_insert_with(Tensor::default);
         cached.resize(input.dims());
         cached.data_mut().copy_from_slice(input.data());
         Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
-        self.backward_params(grad_output)?;
+    /// [`Layer::backward`] on `tier`: the same bits. Panics if `tier`
+    /// selects a kernel the CPU cannot run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    #[doc(hidden)]
+    pub fn backward_on(
+        &mut self,
+        tier: Tier,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+    ) -> Result<(), NnError> {
+        self.backward_params_on(tier, grad_output)?;
         // dX = dY · Wᵀ.
         let (batch, inf, of) = (grad_output.dims()[0], self.in_features, self.out_features);
         grad_input.resize(&[batch, inf]);
-        matmul_nt_into(
+        matmul_nt_into_on(
+            tier,
             grad_output.data(),
             self.block.weights.data(),
             batch,
@@ -151,9 +180,8 @@ impl Layer for Dense {
         Ok(())
     }
 
-    /// The weight and bias gradients only: as a model's first layer the
-    /// input gradient `dY · Wᵀ` is never read, so it is not computed.
-    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+    /// [`Layer::backward_params`] on `tier`.
+    fn backward_params_on(&mut self, tier: Tier, grad_output: &Tensor) -> Result<(), NnError> {
         let input = self
             .cached_input
             .as_ref()
@@ -176,7 +204,8 @@ impl Layer for Dense {
         // into the running gradient term by term would change the order in
         // which backward passes over several batches accumulate.
         self.dw.resize(inf * of, 0.0);
-        matmul_tn_into(
+        matmul_tn_into_on(
+            tier,
             input.data(),
             dy,
             batch,
@@ -185,17 +214,30 @@ impl Layer for Dense {
             &mut self.gathered,
             &mut self.dw,
         );
-        for (g, &d) in self.block.grad_weights.data_mut().iter_mut().zip(&self.dw) {
-            *g += d;
-        }
+        accumulate_on(tier, self.block.grad_weights.data_mut(), &self.dw);
         // db = column sums of dY, accumulated.
-        let gb = self.block.grad_bias.data_mut();
-        for b in 0..batch {
-            for (g, &d) in gb.iter_mut().zip(&dy[b * of..][..of]) {
-                *g += d;
-            }
-        }
+        add_column_sums_on(tier, self.block.grad_bias.data_mut(), dy);
         Ok(())
+    }
+}
+
+impl Layer for Dense {
+    fn name(&self) -> &'static str {
+        "dense"
+    }
+
+    fn forward(&mut self, input: &Tensor, output: &mut Tensor) -> Result<(), NnError> {
+        self.forward_on(Tier::best(), input, output)
+    }
+
+    fn backward(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> Result<(), NnError> {
+        self.backward_on(Tier::best(), grad_output, grad_input)
+    }
+
+    /// The weight and bias gradients only: as a model's first layer the
+    /// input gradient `dY · Wᵀ` is never read, so it is not computed.
+    fn backward_params(&mut self, grad_output: &Tensor) -> Result<(), NnError> {
+        self.backward_params_on(Tier::best(), grad_output)
     }
 
     fn params(&self) -> Option<&ParamBlock> {
@@ -211,9 +253,165 @@ impl Layer for Dense {
     }
 }
 
+/// `out[b][j] += bias[j]` for every row `b` of `out`.
+fn add_bias_on(tier: Tier, out: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        return avx512::add_bias(out, bias);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for row in out.chunks_exact_mut(bias.len()) {
+        for (o, &bias) in row.iter_mut().zip(bias) {
+            *o += bias;
+        }
+    }
+}
+
+/// `into[i] += from[i]`.
+fn accumulate_on(tier: Tier, into: &mut [f32], from: &[f32]) {
+    assert_eq!(into.len(), from.len());
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        return avx512::accumulate(into, from);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for (g, &d) in into.iter_mut().zip(from) {
+        *g += d;
+    }
+}
+
+/// `sums[j] += rows[b][j]` for every row `b` of `rows`, in order.
+fn add_column_sums_on(tier: Tier, sums: &mut [f32], rows: &[f32]) {
+    if sums.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        return avx512::add_column_sums(sums, rows);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
+    for row in rows.chunks_exact(sums.len()) {
+        for (g, &d) in sums.iter_mut().zip(row) {
+            *g += d;
+        }
+    }
+}
+
+/// The element-wise passes on the `Avx512` rung, sixteen columns a
+/// register, a ragged end masked. All of the layer's own `unsafe` is here,
+/// behind safe entries that check the CPU and the lengths first.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::*;
+    use mixnn_cpu::Tier;
+
+    const LANES: usize = 16;
+
+    /// Panics unless the CPU reaches [`Tier::Avx512`].
+    fn check() {
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 dense pass selected on a CPU without it"
+        );
+    }
+
+    /// The lanes of `len` columns from `j` on, at most sixteen.
+    fn lanes(len: usize, j: usize) -> __mmask16 {
+        ((1u32 << (len - j).min(LANES)) - 1) as __mmask16
+    }
+
+    /// [`super::add_bias_on`]'s loop.
+    pub(super) fn add_bias(out: &mut [f32], bias: &[f32]) {
+        check();
+        assert!(out.len().is_multiple_of(bias.len()));
+        // SAFETY: AVX-512 F was just confirmed; every access is a masked
+        // load or store within a row of `out` or within `bias`.
+        unsafe { add_bias_wide(out, bias) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn add_bias_wide(out: &mut [f32], bias: &[f32]) {
+        let n = bias.len();
+        for row in out.chunks_exact_mut(n) {
+            for j in (0..n).step_by(LANES) {
+                let mask = lanes(n, j);
+                let b = _mm512_maskz_loadu_ps(mask, bias.as_ptr().add(j));
+                let o = _mm512_maskz_loadu_ps(mask, row.as_ptr().add(j));
+                _mm512_mask_storeu_ps(row.as_mut_ptr().add(j), mask, _mm512_add_ps(o, b));
+            }
+        }
+    }
+
+    /// [`super::accumulate_on`]'s loop.
+    pub(super) fn accumulate(into: &mut [f32], from: &[f32]) {
+        check();
+        assert_eq!(into.len(), from.len());
+        // SAFETY: as in `add_bias`, within `into` and `from`, which are
+        // equally long.
+        unsafe { accumulate_wide(into, from) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn accumulate_wide(into: &mut [f32], from: &[f32]) {
+        let n = into.len();
+        for j in (0..n).step_by(LANES) {
+            let mask = lanes(n, j);
+            let d = _mm512_maskz_loadu_ps(mask, from.as_ptr().add(j));
+            let g = _mm512_maskz_loadu_ps(mask, into.as_ptr().add(j));
+            _mm512_mask_storeu_ps(into.as_mut_ptr().add(j), mask, _mm512_add_ps(g, d));
+        }
+    }
+
+    /// [`super::add_column_sums_on`]'s loop: four registers of columns at
+    /// a time, each adding the rows in order.
+    pub(super) fn add_column_sums(sums: &mut [f32], rows: &[f32]) {
+        check();
+        assert!(rows.len().is_multiple_of(sums.len()));
+        // SAFETY: as in `add_bias`, within `sums` and each row of `rows`.
+        unsafe { add_column_sums_wide(sums, rows) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn add_column_sums_wide(sums: &mut [f32], rows: &[f32]) {
+        const REGISTERS: usize = 4;
+        let n = sums.len();
+        for j in (0..n).step_by(REGISTERS * LANES) {
+            let mut masks = [0; REGISTERS];
+            let mut acc = [_mm512_setzero_ps(); REGISTERS];
+            for (z, (mask, acc)) in masks.iter_mut().zip(&mut acc).enumerate() {
+                let at = j + z * LANES;
+                if at < n {
+                    *mask = lanes(n, at);
+                    *acc = _mm512_maskz_loadu_ps(*mask, sums.as_ptr().add(at));
+                }
+            }
+            for row in rows.chunks_exact(n) {
+                for (z, (&mask, acc)) in masks.iter().zip(&mut acc).enumerate() {
+                    if mask != 0 {
+                        let d = _mm512_maskz_loadu_ps(mask, row.as_ptr().add(j + z * LANES));
+                        *acc = _mm512_add_ps(*acc, d);
+                    }
+                }
+            }
+            for (z, (&mask, &acc)) in masks.iter().zip(&acc).enumerate() {
+                if mask != 0 {
+                    _mm512_mask_storeu_ps(sums.as_mut_ptr().add(j + z * LANES), mask, acc);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::hostile;
     use crate::LayerParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -294,6 +492,89 @@ mod tests {
         }
         layer.block.zero_grads();
         assert!(layer.block.grads().values().iter().all(|&v| v == 0.0));
+    }
+
+    /// The bias add, the `dW` accumulation and the bias gradient's column
+    /// sums on every rung against their scalar loops, at every width 1–33
+    /// (the classifier's 6 among them) and the widths two passes of four
+    /// registers leave ragged, over one row, a few and `fl_train`'s batch,
+    /// on hostile values: NaN payloads, ±0.0, ±∞ and subnormals.
+    #[test]
+    fn bias_passes_match_the_scalar_loops_on_every_rung_and_width() {
+        let tiers = Tier::runnable(Dense::TIERS);
+        println!("dense tiers exercised: {tiers:?}");
+        let mut rng = StdRng::seed_from_u64(56);
+        for width in (1..=33).chain([64, 65, 130]) {
+            for rows in [1, 3, 64] {
+                let bias = hostile::values(width, &mut rng);
+                let out = hostile::values(rows * width, &mut rng);
+                let sums = hostile::values(width, &mut rng);
+                let mut want_out = out.clone();
+                add_bias_on(Tier::Scalar, &mut want_out, &bias);
+                let mut want_acc = out.clone();
+                accumulate_on(Tier::Scalar, &mut want_acc[..width], &bias);
+                let mut want_sums = sums.clone();
+                add_column_sums_on(Tier::Scalar, &mut want_sums, &out);
+                for &tier in &tiers {
+                    let what = format!("{tier:?} {rows}×{width}");
+                    let mut got = out.clone();
+                    add_bias_on(tier, &mut got, &bias);
+                    hostile::assert_bits_eq(&format!("{what} bias add"), &got, &want_out);
+                    let mut got = out.clone();
+                    accumulate_on(tier, &mut got[..width], &bias);
+                    hostile::assert_bits_eq(&format!("{what} accumulate"), &got, &want_acc);
+                    let mut got = sums.clone();
+                    add_column_sums_on(tier, &mut got, &out);
+                    hostile::assert_bits_eq(&format!("{what} column sums"), &got, &want_sums);
+                }
+            }
+        }
+    }
+
+    /// A whole forward and two backward passes on every rung against the
+    /// scalar tier, at `fl_train`'s three layer shapes and ragged ones, on
+    /// a ReLU-like input (half ±0.0) with an ∞ and a NaN in it and a
+    /// hostile output gradient: output, input gradient and accumulated
+    /// parameter gradients keep the scalar tier's bits.
+    #[test]
+    fn dense_passes_match_the_scalar_tier_on_every_rung() {
+        let tiers = Tier::runnable(Dense::TIERS);
+        println!("dense pass tiers exercised: {tiers:?}");
+        let mut rng = StdRng::seed_from_u64(57);
+        let shapes = [(32, 32), (32, 16), (16, 6), (1, 1), (7, 33), (33, 17)];
+        for (inputs, outputs) in shapes {
+            for batch in hostile::BATCHES {
+                let template = Dense::new(inputs, outputs, &mut rng);
+                let mut x = Tensor::from_fn(vec![batch, inputs], |_| {
+                    let v: f32 = rng.gen_range(-1.0..1.0);
+                    if v < 0.0 {
+                        [0.0, -0.0][rng.gen_range(0..2)]
+                    } else {
+                        v
+                    }
+                });
+                x.data_mut()[0] = f32::INFINITY;
+                x.data_mut()[batch * inputs - 1] = f32::NAN;
+                let g = hostile::grad(vec![batch, outputs], &mut rng);
+                let run = |tier: Tier| {
+                    let mut layer = template.clone();
+                    let (mut y, mut dx) = (Tensor::full(vec![1], f32::NAN), Tensor::default());
+                    layer.forward_on(tier, &x, &mut y).unwrap();
+                    layer.backward_on(tier, &g, &mut dx).unwrap();
+                    layer.backward_on(tier, &g, &mut dx).unwrap();
+                    (y, dx, layer.block.grads())
+                };
+                let (want_y, want_dx, want_grads) = run(Tier::Scalar);
+                for &tier in &tiers {
+                    let (y, dx, grads) = run(tier);
+                    let what = format!("{tier:?} {batch}×{inputs}→{outputs}");
+                    hostile::assert_bits_eq(&format!("{what} y"), y.data(), want_y.data());
+                    hostile::assert_bits_eq(&format!("{what} dx"), dx.data(), want_dx.data());
+                    let (got, want) = (grads.values(), want_grads.values());
+                    hostile::assert_bits_eq(&format!("{what} grads"), got, want);
+                }
+            }
+        }
     }
 
     #[test]

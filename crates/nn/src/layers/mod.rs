@@ -24,6 +24,9 @@ pub mod locally_connected;
 pub mod pool;
 mod window;
 
+#[cfg(test)]
+pub(crate) use window::hostile;
+
 use crate::{NnError, ParamBlock};
 use mixnn_tensor::Tensor;
 use std::fmt::Debug;

@@ -1414,6 +1414,27 @@ pub(crate) mod hostile {
         g
     }
 
+    /// `len` values, about a third of them edge cases: NaNs of both signs,
+    /// quiet and signalling, with payloads; ±0.0; ±∞; subnormals of both
+    /// signs; the rest normal, a few of them exactly equal.
+    pub(crate) fn values(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..24) {
+                0 => f32::from_bits(0x7fc0_0000 | rng.gen_range(0..0x0040_0000)),
+                1 => f32::from_bits(0xffc0_0000 | rng.gen_range(0..0x0040_0000)),
+                2 => f32::from_bits(0x7f80_0000 | rng.gen_range(1..0x0040_0000)),
+                3 => 0.0,
+                4 => -0.0,
+                5 => f32::INFINITY,
+                6 => f32::NEG_INFINITY,
+                7 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+                8 => -f32::from_bits(rng.gen_range(1..0x0080_0000)),
+                9 => [0.5, -0.5][rng.gen_range(0..2)],
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
     /// Layer parameters with every other bias −0.0.
     pub(crate) fn params(len: usize, biases: usize, rng: &mut StdRng) -> Vec<f32> {
         let mut v: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect();

@@ -6,6 +6,8 @@
 //! the Adam optimizer proposed by TensorFlow", §6.1.4). Defaults match the
 //! TensorFlow/Keras defaults.
 
+use mixnn_cpu::Tier;
+
 /// An optimization algorithm applying per-buffer gradient steps.
 ///
 /// The trait is object-safe so models can hold `&mut dyn Optimizer`.
@@ -72,6 +74,14 @@ impl Optimizer for Sgd {
 /// [`Adam::restart`] returns the optimizer to the state it was created
 /// in while keeping the moments' memory, so one `Adam` can train model
 /// after model without allocating.
+///
+/// A step is one zipped pass over a slot's parameters, gradients and
+/// moments. On the [`Tier::Avx512`] rung of the CPU ladder it runs
+/// sixteen elements a register with the scalar pass's bits: the same
+/// multiplies, adds, `vdivps` and `vsqrtps` in the same order, each
+/// rounding as its scalar form does — no fused multiply-add, no
+/// reciprocal estimate. Which rung runs is detection alone
+/// ([`Tier::best`]).
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
@@ -131,10 +141,17 @@ impl Adam {
             v.clear();
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
+    /// The rungs with an `Adam` kernel, scalar first. Not an option: the
+    /// optimizer runs [`Tier::best`]; the tests and bench rows run each
+    /// rung the host reaches.
+    #[doc(hidden)]
+    pub const TIERS: &'static [Tier] = &[Tier::Scalar, Tier::Avx512];
+
+    /// [`Optimizer::step`] on `tier`: the same bits. Panics as it does,
+    /// and if `tier` selects a kernel the CPU cannot run.
+    #[doc(hidden)]
+    pub fn step_on(&mut self, tier: Tier, slot: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(
             params.len(),
             grads.len(),
@@ -156,6 +173,13 @@ impl Optimizer for Adam {
         let (fresh1, fresh2) = (1.0 - beta1, 1.0 - beta2);
         let bc1 = 1.0 - beta1.powi(t);
         let bc2 = 1.0 - beta2.powi(t);
+        #[cfg(target_arch = "x86_64")]
+        if tier >= Tier::Avx512 {
+            let step = [beta1, beta2, fresh1, fresh2, bc1, bc2, lr, eps];
+            return avx512::step(step, params, grads, m, v);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
         // One zipped pass, free of bounds checks, vectorises; `divps` and
         // `sqrtps` round exactly as their scalar forms, so every element
         // gets the bits of the per-element expression below.
@@ -166,6 +190,81 @@ impl Optimizer for Adam {
             let v_hat = *v / bc2;
             *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
+    }
+}
+
+/// The zipped pass on the `Avx512` rung. All of the optimizer's `unsafe`
+/// is here, behind a safe entry that checks the CPU and the lengths
+/// first.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::*;
+    use mixnn_cpu::Tier;
+
+    const LANES: usize = 16;
+
+    /// The scalar pass of [`super::Adam::step_on`] under `step`'s
+    /// `[β₁, β₂, 1 − β₁, 1 − β₂, 1 − β₁ᵗ, 1 − β₂ᵗ, lr, ε]`: the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Avx512`] and the four slices
+    /// are equally long.
+    pub(super) fn step(
+        step: [f32; 8],
+        params: &mut [f32],
+        grads: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        assert!(
+            Tier::Avx512.available(),
+            "AVX-512 Adam step selected on a CPU without it"
+        );
+        let n = params.len();
+        assert!(grads.len() == n && m.len() == n && v.len() == n);
+        // SAFETY: AVX-512 F was just confirmed; every load and store is
+        // masked to the common length just checked.
+        unsafe { step_wide(step, params, grads, m, v) }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn step_wide(
+        step: [f32; 8],
+        params: &mut [f32],
+        grads: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        let [beta1, beta2, fresh1, fresh2, bc1, bc2, lr, eps] = step.map(|k| _mm512_set1_ps(k));
+        let n = params.len();
+        for i in (0..n).step_by(LANES) {
+            let mask = ((1u32 << (n - i).min(LANES)) - 1) as __mmask16;
+            let g = _mm512_maskz_loadu_ps(mask, grads.as_ptr().add(i));
+            let mi = _mm512_maskz_loadu_ps(mask, m.as_ptr().add(i));
+            let vi = _mm512_maskz_loadu_ps(mask, v.as_ptr().add(i));
+            let p = _mm512_maskz_loadu_ps(mask, params.as_ptr().add(i));
+            let mi = _mm512_add_ps(_mm512_mul_ps(beta1, mi), _mm512_mul_ps(fresh1, g));
+            let vi = _mm512_add_ps(
+                _mm512_mul_ps(beta2, vi),
+                _mm512_mul_ps(_mm512_mul_ps(fresh2, g), g),
+            );
+            let m_hat = _mm512_div_ps(mi, bc1);
+            let v_hat = _mm512_div_ps(vi, bc2);
+            let size = _mm512_div_ps(
+                _mm512_mul_ps(lr, m_hat),
+                _mm512_add_ps(_mm512_sqrt_ps(v_hat), eps),
+            );
+            _mm512_mask_storeu_ps(m.as_mut_ptr().add(i), mask, mi);
+            _mm512_mask_storeu_ps(v.as_mut_ptr().add(i), mask, vi);
+            _mm512_mask_storeu_ps(params.as_mut_ptr().add(i), mask, _mm512_sub_ps(p, size));
+        }
+    }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
+        self.step_on(Tier::best(), slot, params, grads);
     }
 
     fn advance(&mut self) {
@@ -244,6 +343,51 @@ mod tests {
             .map(|(m, _)| m.as_ptr())
             .collect::<Vec<_>>();
         assert_eq!(kept, held, "restart gave up the moments' memory");
+    }
+
+    /// Steps on every rung against the scalar tier, at every slot length
+    /// 1–33 and the `fl_train` model's ten slots, on hostile gradients and
+    /// starting parameters — NaN payloads, ±0.0, ±∞, subnormals;
+    /// parameters and both moments must keep the scalar tier's bits (any
+    /// NaN matching any NaN) over three steps.
+    #[test]
+    fn adam_steps_match_the_scalar_tier_on_every_rung_and_length() {
+        use crate::layers::hostile;
+        use rand::{rngs::StdRng, SeedableRng};
+        let tiers = Tier::runnable(Adam::TIERS);
+        println!("adam tiers exercised: {tiers:?}");
+        let mut rng = StdRng::seed_from_u64(55);
+        let slots = [36, 4, 288, 8, 1024, 32, 512, 16, 96, 6];
+        let lengths: Vec<usize> = (1..=33).chain(slots).collect();
+        let mut draw = || -> Vec<Vec<f32>> {
+            let values = lengths.iter().map(|&n| hostile::values(n, &mut rng));
+            values.collect()
+        };
+        let start = draw();
+        let grads = [draw(), draw(), draw()];
+        let run = |tier: Tier| {
+            let mut adam = Adam::new(0.01);
+            let mut params = start.clone();
+            for step in &grads {
+                for (slot, (p, g)) in params.iter_mut().zip(step).enumerate() {
+                    adam.step_on(tier, slot, p, g);
+                }
+                adam.advance();
+            }
+            (params, adam.moments)
+        };
+        let (want_params, want_moments) = run(Tier::Scalar);
+        for &tier in &tiers {
+            let (params, moments) = run(tier);
+            for (slot, (got, want)) in params.iter().zip(&want_params).enumerate() {
+                hostile::assert_bits_eq(&format!("{tier:?} slot {slot} params"), got, want);
+            }
+            let pairs = moments.iter().zip(&want_moments).enumerate();
+            for (slot, ((m, v), (want_m, want_v))) in pairs {
+                hostile::assert_bits_eq(&format!("{tier:?} slot {slot} m"), m, want_m);
+                hostile::assert_bits_eq(&format!("{tier:?} slot {slot} v"), v, want_v);
+            }
+        }
     }
 
     #[test]

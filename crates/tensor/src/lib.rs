@@ -40,3 +40,5 @@ pub mod vecmath;
 pub use error::TensorError;
 pub use shape::Shape;
 pub use tensor::{matmul_into, matmul_nt_into, matmul_tn_into, Gathered, Tensor};
+#[doc(hidden)]
+pub use tensor::{matmul_into_on, matmul_nt_into_on, matmul_tn_into_on, PRODUCT_TIERS};

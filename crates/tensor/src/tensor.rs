@@ -1,7 +1,11 @@
 use self::rand_distr_shim::StandardNormalShim;
 use crate::{Shape, TensorError};
+use mixnn_cpu::Tier;
 use rand::Rng;
 use std::fmt;
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 /// A dense, row-major tensor of `f32` values.
 ///
@@ -501,6 +505,16 @@ impl fmt::Display for Tensor {
 // accumulators for a full chunk), and a row's terms stream through it.
 // Lanes round as the scalar unit does and Rust never contracts `a * b + c`
 // into a fused multiply-add.
+//
+// That is the scalar tier. On the `Avx512` rung of the CPU ladder the
+// products run the kernels of the `avx512` module instead, with the same
+// bits: see there.
+
+/// The rungs with a matrix-product kernel, scalar first. Not an option:
+/// the products run [`Tier::best`]; the tests and bench rows run each rung
+/// the host reaches.
+#[doc(hidden)]
+pub const PRODUCT_TIERS: &[Tier] = &[Tier::Scalar, Tier::Avx512];
 
 /// Calls `$chunk::<W>(args.., j)` over the output columns `0..$n`: chunks
 /// of 32 while they last, then at most one each of 16, 8, 4, 2 and 1, so
@@ -549,7 +563,8 @@ pub type Gathered = (f32, usize);
 /// non-zero entries are first gathered into `gathered` (caller scratch,
 /// grown to `k` entries and reused), in ascending `p`, so every element
 /// still sees its terms in the direct loop's order. Every element of
-/// `out` is written.
+/// `out` is written. On the [`Tier::Avx512`] rung an AVX-512 kernel runs
+/// instead, with the same bits, and `gathered` is left as it was.
 ///
 /// # Panics
 ///
@@ -563,9 +578,33 @@ pub fn matmul_into(
     gathered: &mut Vec<Gathered>,
     out: &mut [f32],
 ) {
+    matmul_into_on(Tier::best(), x, w, m, k, n, gathered, out);
+}
+
+/// [`matmul_into`] on `tier`: the same bits. Panics as it does, and if
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_into_on(
+    tier: Tier,
+    x: &[f32],
+    w: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    gathered: &mut Vec<Gathered>,
+    out: &mut [f32],
+) {
     assert_eq!(x.len(), m * k, "matmul_into: x is not m×k");
     assert_eq!(w.len(), k * n, "matmul_into: w is not k×n");
     assert_eq!(out.len(), m * n, "matmul_into: out is not m×n");
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        let left = avx512::Left::rows(x, k);
+        return avx512::product(left, w, m, k, n, avx512::Start::SkippingZeros, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
     gathered.resize(k, (0.0, 0));
     for i in 0..m {
         let mut found = 0;
@@ -587,7 +626,8 @@ pub fn matmul_into(
 /// skipped). As in [`matmul_into`], column `i`'s non-zero entries are
 /// gathered first, without a branch, in ascending `p`, into `gathered`
 /// (caller scratch, grown to `k` entries). Every element of `out` is
-/// written.
+/// written. On the [`Tier::Avx512`] rung an AVX-512 kernel runs instead,
+/// with the same bits, and `gathered` is left as it was.
 ///
 /// # Panics
 ///
@@ -601,9 +641,33 @@ pub fn matmul_tn_into(
     gathered: &mut Vec<Gathered>,
     out: &mut [f32],
 ) {
+    matmul_tn_into_on(Tier::best(), x, g, k, m, n, gathered, out);
+}
+
+/// [`matmul_tn_into`] on `tier`: the same bits. Panics as it does, and if
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_tn_into_on(
+    tier: Tier,
+    x: &[f32],
+    g: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    gathered: &mut Vec<Gathered>,
+    out: &mut [f32],
+) {
     assert_eq!(x.len(), k * m, "matmul_tn_into: x is not k×m");
     assert_eq!(g.len(), k * n, "matmul_tn_into: g is not k×n");
     assert_eq!(out.len(), m * n, "matmul_tn_into: out is not m×n");
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        let left = avx512::Left::columns(x, m);
+        return avx512::product(left, g, m, k, n, avx512::Start::SkippingZeros, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
     gathered.resize(k, (0.0, 0));
     for i in 0..m {
         let mut found = 0;
@@ -626,12 +690,31 @@ pub fn matmul_tn_into(
 /// **every** `p` ascending, with no zero skip, so `0·∞` still lands as
 /// NaN and a row of −0.0 products stays −0.0. `w` is first transposed into
 /// `transposed` (caller scratch, grown to `k·n`), so the inner loop reads
-/// contiguous output columns. Every element of `out` is written.
+/// contiguous output columns. Every element of `out` is written. On the
+/// [`Tier::Avx512`] rung an AVX-512 kernel sums over `transposed`
+/// instead, with the same bits.
 ///
 /// # Panics
 ///
 /// Panics if a slice's length disagrees with the dimensions.
 pub fn matmul_nt_into(
+    g: &[f32],
+    w: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    transposed: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    matmul_nt_into_on(Tier::best(), g, w, m, k, n, transposed, out);
+}
+
+/// [`matmul_nt_into`] on `tier`: the same bits. Panics as it does, and if
+/// `tier` selects a kernel the CPU cannot run.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_nt_into_on(
+    tier: Tier,
     g: &[f32],
     w: &[f32],
     m: usize,
@@ -649,6 +732,13 @@ pub fn matmul_nt_into(
             transposed[p * n + j] = w[j * k + p];
         }
     }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Avx512 {
+        let left = avx512::Left::rows(g, k);
+        return avx512::product(left, transposed, m, k, n, avx512::Start::NegativeZero, out);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = tier;
     for i in 0..m {
         by_column_chunks!(
             n,
@@ -857,6 +947,8 @@ mod tests {
 
     #[test]
     fn products_match_the_direct_loops_bit_for_bit() {
+        let tiers = Tier::runnable(PRODUCT_TIERS);
+        println!("product tiers exercised: {tiers:?}");
         let mut rng = StdRng::seed_from_u64(35);
         let (mut gathered, mut transposed) = (Vec::new(), Vec::new());
         let mut geometries = 0;
@@ -865,29 +957,81 @@ mod tests {
                 for n in 0..=40 {
                     let x = hostile(vec![m, k], &mut rng);
                     let w = hostile(vec![k, n], &mut rng);
+                    let want = matmul_direct(&x, &w);
                     // The kernels write every element: start from garbage.
                     let mut out = vec![7.0; m * n];
-                    matmul_into(x.data(), w.data(), m, k, n, &mut gathered, &mut out);
-                    assert_bits_eq("matmul", &out, matmul_direct(&x, &w).data());
+                    for &tier in &tiers {
+                        out.fill(7.0);
+                        matmul_into_on(tier, x.data(), w.data(), m, k, n, &mut gathered, &mut out);
+                        assert_bits_eq(&format!("matmul {tier:?}"), &out, want.data());
+                    }
                     assert_bits_eq("matmul wrapper", x.matmul(&w).unwrap().data(), &out);
 
                     let wt = hostile(vec![n, k], &mut rng);
-                    out.fill(7.0);
-                    matmul_nt_into(x.data(), wt.data(), m, k, n, &mut transposed, &mut out);
-                    assert_bits_eq("matmul_nt", &out, matmul_nt_direct(&x, &wt).data());
+                    let want = matmul_nt_direct(&x, &wt);
+                    for &tier in &tiers {
+                        out.fill(7.0);
+                        let (g, w) = (x.data(), wt.data());
+                        matmul_nt_into_on(tier, g, w, m, k, n, &mut transposed, &mut out);
+                        assert_bits_eq(&format!("matmul_nt {tier:?}"), &out, want.data());
+                    }
                     assert_bits_eq("nt wrapper", x.matmul_nt(&wt).unwrap().data(), &out);
 
                     let xt = hostile(vec![k, m], &mut rng);
                     let g = hostile(vec![k, n], &mut rng);
-                    out.fill(7.0);
-                    matmul_tn_into(xt.data(), g.data(), k, m, n, &mut gathered, &mut out);
-                    assert_bits_eq("matmul_tn", &out, matmul_tn_direct(&xt, &g).data());
+                    let want = matmul_tn_direct(&xt, &g);
+                    for &tier in &tiers {
+                        out.fill(7.0);
+                        let (x, g) = (xt.data(), g.data());
+                        matmul_tn_into_on(tier, x, g, k, m, n, &mut gathered, &mut out);
+                        assert_bits_eq(&format!("matmul_tn {tier:?}"), &out, want.data());
+                    }
                     assert_bits_eq("tn wrapper", xt.matmul_tn(&g).unwrap().data(), &out);
                     geometries += 1;
                 }
             }
         }
         println!("matmul geometries exercised: {geometries}");
+    }
+
+    /// What a training step feeds the products: finite operands, the left
+    /// one about half ±0.0 as behind ReLU, with subnormals, at every width
+    /// 1–33 and row counts around the kernels' row groups — the masked
+    /// add the hostile matrices above take is skipped here.
+    #[test]
+    fn finite_products_match_the_direct_loops_on_every_tier() {
+        let tiers = Tier::runnable(PRODUCT_TIERS);
+        println!("product tiers exercised on finite operands: {tiers:?}");
+        let mut rng = StdRng::seed_from_u64(51);
+        let mut finite = |dims: Vec<usize>| {
+            Tensor::from_fn(dims, |_| match rng.gen_range(0..10) {
+                0 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+                1..=3 => 0.0,
+                4 => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+        };
+        let (mut gathered, mut transposed) = (Vec::new(), Vec::new());
+        for m in [1, 4, 5, 9, 64] {
+            for k in [1, 6, 16, 32] {
+                for n in 1..=33 {
+                    let (x, w, wt) = (finite(vec![m, k]), finite(vec![k, n]), finite(vec![n, k]));
+                    let (xt, g) = (finite(vec![k, m]), finite(vec![k, n]));
+                    let mut out = vec![7.0; m * n];
+                    for &tier in &tiers {
+                        let what = format!("{tier:?} {m}×{k}×{n}");
+                        matmul_into_on(tier, x.data(), w.data(), m, k, n, &mut gathered, &mut out);
+                        assert_bits_eq(&what, &out, matmul_direct(&x, &w).data());
+                        let (g_, w_) = (x.data(), wt.data());
+                        matmul_nt_into_on(tier, g_, w_, m, k, n, &mut transposed, &mut out);
+                        assert_bits_eq(&what, &out, matmul_nt_direct(&x, &wt).data());
+                        let (x_, g_) = (xt.data(), g.data());
+                        matmul_tn_into_on(tier, x_, g_, k, m, n, &mut gathered, &mut out);
+                        assert_bits_eq(&what, &out, matmul_tn_direct(&xt, &g).data());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
