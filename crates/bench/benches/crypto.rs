@@ -56,11 +56,14 @@ fn bench_primitives(c: &mut Criterion) {
     }
     // The comb on one table, per tier the host supports: `/1` is a lone
     // seal's cost per multiplication (final inversion included), `/8` one
-    // full eight-lane pass. The IFMA tier's `/2` against two scalar `/1`s
-    // is the crossover `MIN_COMBS` in `x25519.rs` encodes.
+    // full eight-lane pass. On the IFMA tier, groups below `MIN_COMBS` in
+    // `x25519.rs` take a row-split comb per job and the rest a padded
+    // eight-lane pass, so `/1`–`/3` against `/4`, `/5` and `/8` are the
+    // readings that place the crossover (a tie at four on the 2-vCPU box:
+    // `/3` 20.4 µs plus ≈ 4.4 per further row-split job, a pass 25.5).
     let table = x25519::FixedBase::basepoint();
     for tier in Tier::runnable(x25519::TIERS) {
-        for &n in &[1usize, 2, 8] {
+        for &n in &[1usize, 2, 3, 4, 5, 8] {
             let scalars: Vec<[u8; 32]> = (0..n).map(|i| [0x42 ^ i as u8; 32]).collect();
             let mut out = vec![[0u8; 32]; n];
             group.throughput(Throughput::Elements(n as u64));

@@ -64,7 +64,10 @@
 //!   sender seals — an onion's `1 + layers × (hops − 1)` envelopes, each
 //!   under its own ephemeral key — grouping the combs by table so eight
 //!   share an IFMA pass, and each [`PreparedSeal`] then encrypts in place
-//!   in its output buffer.
+//!   in its output buffer. A group too small for that pass — a single
+//!   seal's comb on the base point's table and its comb on the recipient
+//!   key's — runs alone with the eight lanes splitting its table's rows,
+//!   so a participant's one seal per round takes the IFMA tier too.
 //!
 //! # Contributory behavior
 //!

@@ -45,7 +45,8 @@
 //!   [`SealingKey`] — made once, where the key is attested. A bare
 //!   [`PublicKey`] has no table, and its `k·H` takes the ladder. On
 //!   AVX-512 IFMA hosts the driver runs eight combs on one table per
-//!   pass. Each [`PreparedSeal`] then runs steps 3–4 over its
+//!   pass, and a group too small to fill one — a lone seal's comb on
+//!   each table — with the eight lanes splitting that table's rows. Each [`PreparedSeal`] then runs steps 3–4 over its
 //!   plaintext, in place in the output buffer. [`SealedBox::seal`] is
 //!   the batch of one to a bare key; bytes and RNG position are
 //!   identical however envelopes are grouped and whichever algorithm
@@ -964,8 +965,8 @@ mod tests {
     #[test]
     fn prepare_matches_the_scalar_reference_at_every_lane_split_on_every_tier() {
         // 1..=17 envelopes → 1..=17 jobs on the base table and up to six
-        // on each key's: below MIN_COMBS, one padded pass, full passes
-        // with scalar and padded tails. Recipients cycle over three keys,
+        // on each key's: below MIN_COMBS (a row-split comb per job), one
+        // padded pass, full passes with row-split and padded tails. Recipients cycle over three keys,
         // as an onion's hops do.
         let mut rng = StdRng::seed_from_u64(1234);
         let hops: Vec<SealingKey> = (0..3)

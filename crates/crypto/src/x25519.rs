@@ -33,14 +33,17 @@
 //! final inversion into one inversion plus three multiplications per job
 //! (Montgomery's trick) — the comb's output is the projective pair the
 //! ladder's is, so both serialize through the same code and the bytes
-//! are identical — and on AVX-512 IFMA hosts runs eight jobs per
+//! are identical — and on AVX-512 IFMA hosts runs eight lanes per
 //! `vpmadd52` pass (the private `ifma` module): eight ladders, whose
 //! conditional swaps take a per-lane mask so every lane carries its own
 //! scalar, or eight combs over **one** table, each row entry broadcast
 //! and each lane's digit its own mask — so the driver groups a batch's
-//! comb jobs by table. Outputs are bit-identical to [`x25519`] on every
-//! tier. The IFMA tier needs the `Ifma` rung of the one CPU ladder in
-//! [`mixnn_cpu`] — AVX-512 F, BW and DQ below it, IFMA on top.
+//! comb jobs by table — or, for a group too small to fill that pass (a
+//! seal's lone comb on each of its two tables), one comb whose table
+//! rows the eight lanes split between them. Outputs are bit-identical to
+//! [`x25519`] on every tier. The IFMA tier needs the `Ifma` rung of the
+//! one CPU ladder in [`mixnn_cpu`] — AVX-512 F, BW and DQ below it, IFMA
+//! on top.
 
 mod edwards;
 
@@ -546,8 +549,9 @@ fn ladders(
 /// The comb over `jobs` (indices into the chunk), all on `table`.
 ///
 /// On the IFMA tier the jobs go eight to a pass sharing the table, padded
-/// as [`ladders`] pads; a group too short to pay for a pass takes the
-/// scalar comb.
+/// as [`ladders`] pads; a group too short to pay for a pass — a lone seal's
+/// comb above all — takes the row-split comb, one job per pass. The scalar
+/// comb is the `Scalar` tier's.
 fn combs(
     tier: Tier,
     table: &FixedBase,
@@ -556,9 +560,9 @@ fn combs(
     xs: &mut [Fe],
     zs: &mut [Fe],
 ) {
-    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     if tier >= Tier::Ifma {
+        let mut done = 0;
         while jobs.len() - done >= ifma::MIN_COMBS {
             let group = &jobs[done..jobs.len().min(done + ifma::LANES)];
             let lane_ks = core::array::from_fn(|l| ks[*group.get(l).unwrap_or(&group[0])]);
@@ -568,10 +572,14 @@ fn combs(
             }
             done += group.len();
         }
+        for &i in &jobs[done..] {
+            (xs[i], zs[i]) = ifma::comb_rows(table, &ks[i]);
+        }
+        return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = tier;
-    for &i in &jobs[done..] {
+    for &i in jobs {
         (xs[i], zs[i]) = edwards::comb(table, &ks[i]);
     }
 }
@@ -626,11 +634,18 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 ///
 /// Every comb over one table likewise runs the same 64 additions and four
 /// doublings; only which entry each addition takes differs. So eight
-/// scalars on one table share the lanes too: each row entry is broadcast
-/// to every lane and kept in a lane where that lane's digit magnitude —
-/// compared in a vector, one compare per entry — names it, then negated
-/// in the lanes whose digit is negative. Every entry is read on every
-/// step, as on the scalar comb.
+/// scalars on one table share the lanes too (`comb8`): each row entry is
+/// broadcast to every lane and kept in a lane where that lane's digit
+/// magnitude — compared in a vector, one compare per entry — names it,
+/// then negated in the lanes whose digit is negative. Every entry is read
+/// on every step, as on the scalar comb.
+///
+/// A lone comb cannot fill eight lanes with scalars, so it fills them
+/// with rows (`comb_rows`): lane `l` sums the entries its digits name in
+/// rows `l`, `l + 8`, `l + 16` and `l + 24` — four passes, each gathering
+/// every entry of the eight lanes' rows at offsets fixed whatever the
+/// scalar — and complete additions across the lanes then add the eight
+/// partial sums. A quarter of `comb8`'s multiplications, for one job.
 ///
 /// Lane field elements use radix-2⁴³ (six limbs): `vpmadd52` truncates
 /// operands to 52 bits, and the nine bits of headroom above a carried
@@ -645,11 +660,12 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 /// stays canonical and the results are bit-identical to the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::edwards::{self, FixedBase, Niels, DIGITS, ENTRIES};
+    use super::edwards::{self, FixedBase, Niels, DIGITS, ENTRIES, ROWS};
     use super::{Fe, Tier, KEY_LEN};
     use core::arch::x86_64::*;
+    use std::sync::OnceLock;
 
-    /// Jobs processed per ladder or comb pass.
+    /// Lanes per pass: ladder and `comb8` jobs, or `comb_rows` rows.
     pub const LANES: usize = 8;
     /// Smallest group worth a (padded) ladder pass. Measured on the
     /// reference box, a pass costs 69 µs whatever its fill against 40 µs
@@ -657,13 +673,15 @@ mod ifma {
     /// --bench crypto`: `x25519/multi_scalar/2` against two
     /// `x25519/scalarmult`) — a lone ladder stays scalar.
     pub const MIN_POINTS: usize = 2;
-    /// Smallest group on one table worth a (padded) comb pass. Measured
-    /// on the box whose ladder reads the reference 40 µs, a pass costs
-    /// ≈ 22 µs whatever its fill against ≈ 10 µs per scalar comb beyond
-    /// the shared inversion, so it wins from two jobs up
-    /// (`x25519/fixed_base/ifma/2` 23.5 µs against `fixed_base/scalar/2`
-    /// 26.4 µs) — a lone comb stays scalar.
-    pub const MIN_COMBS: usize = 2;
+    /// Smallest group on one table worth a (padded) `comb8` pass; a
+    /// smaller one takes a `comb_rows` pass per job. Read off the
+    /// `x25519/fixed_base/ifma/<n>` rows (`cargo bench --bench crypto`,
+    /// pinned, on a box whose `x25519/scalarmult` read 46.9 µs): a
+    /// row-split comb costs ≈ 4.4 µs per job beyond the shared inversion
+    /// (`/1` 11.7 µs, `/2` 15.6, `/3` 20.4), a pass the same whatever its
+    /// fill (`/4` 25.5, `/8` 25.3), so four row-split jobs (≈ 24.8 µs)
+    /// tie with a pass and from five up the pass wins.
+    pub const MIN_COMBS: usize = 4;
 
     const MASK43: u64 = (1 << 43) - 1;
     /// 2²⁵⁸ mod p = 8 · 19.
@@ -971,6 +989,17 @@ mod ifma {
         t: FeV,
     }
 
+    /// The identity `(0 : 1 : 1 : 0)` in every lane.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn identity() -> ExtV {
+        ExtV {
+            x: fev_splat(0),
+            y: fev_splat(1),
+            z: fev_splat(1),
+            t: fev_splat(0),
+        }
+    }
+
     /// The finishing multiplications of [`add_niels`] and [`double`], as
     /// the scalar `Ext::from_efgh`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
@@ -1007,27 +1036,24 @@ mod ifma {
         from_efgh(&e, &f, &g, &add(&xx, &yy))
     }
 
-    /// Each lane's signed digit times the row's unit: every entry of the
-    /// row is broadcast, in the table's radix-2⁵¹ limbs, and kept in the
-    /// lanes whose `|digit|` it is (a vector compare per entry); what was
-    /// kept is re-cut into radix-2⁴³ once, then the lanes whose digit is
-    /// negative swap `y ± x` and negate `2d·x·y` by mask. A zero digit
-    /// keeps the identity `(1, 1, 0)`.
+    /// Eight lanes of an affine Niels entry `(y + x, y − x, 2d·x·y)` in
+    /// the table's radix-2⁵¹ limbs, as a selection keeps it.
+    type Niels51 = [[__m512i; 5]; 3];
+
+    /// The identity `(1, 1, 0)` in every lane: what a zero digit keeps.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn select(row: &[Niels; ENTRIES], magnitudes: &__m512i, negative: __mmask8) -> [FeV; 3] {
-        let zero = _mm512_setzero_si512();
-        let mut t = [[zero; 5]; 3];
+    unsafe fn identity51() -> Niels51 {
+        let mut t = [[_mm512_setzero_si512(); 5]; 3];
         t[0][0] = splat(1);
         t[1][0] = splat(1);
-        for (j, entry) in (1..).zip(row) {
-            let pick = _mm512_cmpeq_epi64_mask(*magnitudes, splat(j));
-            let coordinates = [&entry.y_plus_x, &entry.y_minus_x, &entry.xy2d];
-            for (lanes, fe) in t.iter_mut().zip(coordinates) {
-                for (reg, &limb) in lanes.iter_mut().zip(&fe.0) {
-                    *reg = _mm512_mask_mov_epi64(*reg, pick, splat(limb));
-                }
-            }
-        }
+        t
+    }
+
+    /// The entry each lane kept, re-cut into radix-2⁴³ once; then the
+    /// lanes whose digit is negative swap `y ± x` and negate `2d·x·y` by
+    /// mask.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn signed(t: &Niels51, negative: __mmask8) -> [FeV; 3] {
         let mut y_plus_x = from_radix51(&t[0]);
         let mut y_minus_x = from_radix51(&t[1]);
         let mut xy2d = from_radix51(&t[2]);
@@ -1037,6 +1063,25 @@ mod ifma {
             *reg = _mm512_mask_mov_epi64(*reg, negative, *neg);
         }
         [y_plus_x, y_minus_x, xy2d]
+    }
+
+    /// Each lane's signed digit times the row's unit: every entry of the
+    /// row is broadcast, in the table's radix-2⁵¹ limbs, and kept in the
+    /// lanes whose `|digit|` it is (a vector compare per entry), then
+    /// [`signed`]. A zero digit keeps the identity.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn select(row: &[Niels; ENTRIES], magnitudes: &__m512i, negative: __mmask8) -> [FeV; 3] {
+        let mut t = identity51();
+        for (j, entry) in (1..).zip(row) {
+            let pick = _mm512_cmpeq_epi64_mask(*magnitudes, splat(j));
+            let coordinates = [&entry.y_plus_x, &entry.y_minus_x, &entry.xy2d];
+            for (lanes, fe) in t.iter_mut().zip(coordinates) {
+                for (reg, &limb) in lanes.iter_mut().zip(&fe.0) {
+                    *reg = _mm512_mask_mov_epi64(*reg, pick, splat(limb));
+                }
+            }
+        }
+        signed(&t, negative)
     }
 
     /// The comb over eight pre-clamped scalars on one table, one per lane.
@@ -1080,12 +1125,7 @@ mod ifma {
         magnitudes: &[[u64; LANES]; DIGITS],
         negative: &[__mmask8; DIGITS],
     ) -> [(Fe, Fe); LANES] {
-        let mut h = ExtV {
-            x: fev_splat(0),
-            y: fev_splat(1),
-            z: fev_splat(1),
-            t: fev_splat(0),
-        };
+        let mut h = identity();
         for i in (1..DIGITS).step_by(2) {
             let magnitude = _mm512_loadu_si512(magnitudes[i].as_ptr().cast());
             h = add_niels(&h, &select(&rows[i / 2], &magnitude, negative[i]));
@@ -1100,6 +1140,149 @@ mod ifma {
         let us = store(&add(&h.z, &h.y));
         let ws = store(&sub(&h.z, &h.y));
         core::array::from_fn(|lane| (us[lane], ws[lane]))
+    }
+
+    /// `2d` in radix-2⁴³ limbs for [`add_ext`], cut once.
+    fn d2_limbs() -> &'static [u64; 6] {
+        static D2: OnceLock<[u64; 6]> = OnceLock::new();
+        D2.get_or_init(|| point_limbs(&edwards::d2().to_bytes()))
+    }
+
+    /// `p + q` per lane for projective `q`, the scalar `Ext::add` (`d2`
+    /// is `2d` in every lane). The formula is complete, so equal points
+    /// and the identity need no special case; every operand stays below
+    /// 2⁴⁶, as in [`add_niels`].
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn add_ext(p: &ExtV, q: &ExtV, d2: &FeV) -> ExtV {
+        let a = mul(&add(&p.y, &p.x), &add(&q.y, &q.x));
+        let b = mul(&sub(&p.y, &p.x), &sub(&q.y, &q.x));
+        let c = mul(&p.t, &mul(&q.t, d2));
+        let zz = mul(&p.z, &q.z);
+        let d = add(&zz, &zz);
+        from_efgh(&sub(&a, &b), &sub(&d, &c), &add(&d, &c), &add(&a, &b))
+    }
+
+    /// Lane 0 of `v` as a scalar field element.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn lane0(v: &FeV) -> Fe {
+        fe_from_limbs(v.0.map(|reg| _mm_cvtsi128_si64(_mm512_castsi512_si128(reg)) as u64))
+    }
+
+    /// Row-split passes per comb: each lane takes one row per pass.
+    const PASSES: usize = ROWS / LANES;
+    const _: () = assert!(ROWS.is_multiple_of(LANES));
+
+    /// The comb over **one** pre-clamped scalar, its table's rows split
+    /// between the lanes: lane `l` owns rows `l`, `l + 8`, `l + 16` and
+    /// `l + 24`, and sums the entries its odd digits name there in one
+    /// accumulator and those its even digits name in another. Each lane
+    /// then doubles its odd sum four times and adds the even one, and
+    /// three butterfly levels of complete additions (lane `l` with lane
+    /// `l ^ s`) add the lanes up. Returns lane 0's projective Montgomery
+    /// pair for the caller's batched inversion: another representation
+    /// of the point the scalar `edwards::comb` reaches, so the same
+    /// u-coordinate and the same bytes.
+    ///
+    /// Constant time: which rows a lane reads is public, its position.
+    /// Every pass gathers every entry of every lane's row, at offsets
+    /// fixed whatever the scalar, and each lane keeps its odd and its even
+    /// digit's entry by vector-compare masks; signs negate by mask, as in
+    /// [`select`]. No branch and no memory index depends on a scalar bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Ifma`] — callers select this
+    /// tier only after checking it.
+    pub fn comb_rows(table: &FixedBase, k: &[u8; KEY_LEN]) -> (Fe, Fe) {
+        assert!(
+            Tier::Ifma.available(),
+            "IFMA comb selected on a CPU without it"
+        );
+        // Per pass and parity (even digits first), every lane's magnitude
+        // (a vector row) and the lanes whose digit is negative (a mask).
+        let mut magnitudes = [[[0u64; LANES]; PASSES]; 2];
+        let mut negative = [[0 as __mmask8; PASSES]; 2];
+        for (row, digits) in edwards::digits(k).chunks_exact(2).enumerate() {
+            let (pass, lane) = (row / LANES, row % LANES);
+            for (parity, &digit) in digits.iter().enumerate() {
+                let (magnitude, sign) = edwards::magnitude_and_sign(digit);
+                magnitudes[parity][pass][lane] = magnitude;
+                negative[parity][pass] |= (sign as u8) << lane;
+            }
+        }
+        // SAFETY: the `Ifma` rung was just confirmed; it requires AVX-512
+        // F and DQ (from the `Avx512` rung) and IFMA — the features
+        // `comb_rows_lanes` enables.
+        unsafe { comb_rows_lanes(table.rows(), &magnitudes, &negative, d2_limbs()) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/DQ/IFMA, i.e. the CPU reaches [`Tier::Ifma`].
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn comb_rows_lanes(
+        rows: &[[Niels; ENTRIES]],
+        magnitudes: &[[[u64; LANES]; PASSES]; 2],
+        negative: &[[__mmask8; PASSES]; 2],
+        d2: &[u64; 6],
+    ) -> (Fe, Fe) {
+        // Every gather reads rows `LANES·pass .. LANES·pass + 8`.
+        assert_eq!(rows.len(), ROWS, "a comb table has {ROWS} rows");
+        // Lane `l` reads row `LANES·pass + l`: `l` rows past the pass's
+        // first, whatever the scalar.
+        let row_bytes = core::mem::size_of::<[Niels; ENTRIES]>() as i64;
+        let offsets: [i64; LANES] = core::array::from_fn(|l| l as i64 * row_bytes);
+        let offsets = _mm512_loadu_si512(offsets.as_ptr().cast());
+        let mut sums = [identity(); 2];
+        for pass in 0..PASSES {
+            let first = rows[LANES * pass..].as_ptr().cast::<Niels>();
+            let even = _mm512_loadu_si512(magnitudes[0][pass].as_ptr().cast());
+            let odd = _mm512_loadu_si512(magnitudes[1][pass].as_ptr().cast());
+            let mut kept = [identity51(), identity51()];
+            for j in 0..ENTRIES {
+                let entry = first.add(j);
+                let picks = [
+                    _mm512_cmpeq_epi64_mask(even, splat(j as u64 + 1)),
+                    _mm512_cmpeq_epi64_mask(odd, splat(j as u64 + 1)),
+                ];
+                let coordinates = [
+                    core::ptr::addr_of!((*entry).y_plus_x.0),
+                    core::ptr::addr_of!((*entry).y_minus_x.0),
+                    core::ptr::addr_of!((*entry).xy2d.0),
+                ];
+                for (c, limbs) in coordinates.into_iter().enumerate() {
+                    for m in 0..5 {
+                        let limb = limbs.cast::<u64>().add(m);
+                        let gathered = _mm512_i64gather_epi64::<1>(offsets, limb.cast());
+                        for (t, &pick) in kept.iter_mut().zip(&picks) {
+                            t[c][m] = _mm512_mask_mov_epi64(t[c][m], pick, gathered);
+                        }
+                    }
+                }
+            }
+            for (parity, (sum, t)) in sums.iter_mut().zip(&kept).enumerate() {
+                *sum = add_niels(sum, &signed(t, negative[parity][pass]));
+            }
+        }
+        let [even, mut h] = sums;
+        for _ in 0..4 {
+            h = double(&h);
+        }
+        let d2 = FeV(d2.map(|limb| splat(limb)));
+        h = add_ext(&h, &even, &d2);
+        let lanes = _mm512_loadu_si512([0i64, 1, 2, 3, 4, 5, 6, 7].as_ptr().cast());
+        for s in [1, 2, 4] {
+            let partner = _mm512_xor_si512(lanes, splat(s));
+            let of_partner = |v: &FeV| FeV(v.0.map(|reg| _mm512_permutexvar_epi64(partner, reg)));
+            let other = ExtV {
+                x: of_partner(&h.x),
+                y: of_partner(&h.y),
+                z: of_partner(&h.z),
+                t: of_partner(&h.t),
+            };
+            h = add_ext(&h, &other, &d2);
+        }
+        (lane0(&add(&h.z, &h.y)), lane0(&sub(&h.z, &h.y)))
     }
 
     #[cfg(test)]
@@ -1477,17 +1660,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn comb_matches_the_ladder_on_low_order_mixed_order_and_non_canonical_points() {
-        // Mixed order: a key plus the order-4 point (u = 1), added on the
-        // Edwards side. A clamped scalar kills the small component, which
-        // the unreduced scalar does and `k mod ℓ` would not.
+    /// A point of mixed order: a key plus the order-4 point (u = 1),
+    /// added on the Edwards side. A clamped scalar kills the small
+    /// component, which the unreduced scalar does and `k mod ℓ` would not.
+    fn mixed_order_point() -> [u8; 32] {
         let key = edwards::Ext::from_montgomery(&Fe::from_bytes(&public_key(&[3; 32]))).unwrap();
         let order4 = edwards::Ext::from_montgomery(&Fe::ONE).unwrap();
         let (u, w) = key.add(&order4).to_montgomery();
-        let mixed = u.mul(&w.invert()).to_bytes();
+        u.mul(&w.invert()).to_bytes()
+    }
+
+    #[test]
+    fn comb_matches_the_ladder_on_low_order_mixed_order_and_non_canonical_points() {
         let mut points = edge_points();
-        points.push(mixed);
+        points.push(mixed_order_point());
         let scalars = comb_scalars(12);
         let mut tables = 0;
         for u in &points {
@@ -1554,8 +1740,8 @@ mod tests {
         // it pinned only the scalar comb.
         println!("x25519 comb tiers exercised: {:?}", Tier::runnable(TIERS));
         // 1..=33 jobs on one table, a different digit pattern per lane:
-        // below MIN_COMBS (scalar comb), one padded pass, full passes,
-        // full passes + scalar or padded tails.
+        // below MIN_COMBS (a row-split comb per job), one padded pass,
+        // full passes, full passes + row-split or padded tails.
         let table = FixedBase::new(&public_key(&[0x5c; 32])).unwrap();
         let scalars = comb_scalars(29);
         let expected = comb_on(Tier::Scalar, &table, &scalars);
@@ -1568,6 +1754,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_lone_comb_matches_the_ladder_on_every_tier() {
+        // Shown by CI (`--nocapture`): a runner without the wide tier says
+        // it pinned only the scalar comb.
+        println!(
+            "x25519 lone comb tiers exercised: {:?}",
+            Tier::runnable(TIERS)
+        );
+        // Every scalar alone on its table, as a seal's two combs run: on
+        // the IFMA tier, the row-split comb.
+        let scalars = comb_scalars(64);
+        let mut points = vec![BASEPOINT];
+        points.extend((0u8..4).map(|i| public_key(&[i.wrapping_mul(41).wrapping_add(6); 32])));
+        points.extend(edge_points());
+        points.push(mixed_order_point());
+        let mut tables = 0;
+        for u in &points {
+            let Some(table) = FixedBase::new(u) else {
+                continue;
+            };
+            tables += 1;
+            for k in &scalars {
+                let expected = [x25519(k, u)];
+                for tier in Tier::runnable(TIERS) {
+                    assert_eq!(
+                        comb_on(tier, &table, std::slice::from_ref(k)),
+                        expected,
+                        "{tier:?}, u {u:02x?}, k {k:02x?}"
+                    );
+                }
+            }
+        }
+        // All but p − 1 (≡ −1, no Edwards image) have a table.
+        assert_eq!(tables, points.len() - 1);
     }
 
     #[test]
@@ -1587,14 +1809,22 @@ mod tests {
             .collect();
         let point = |i: usize| [BASEPOINT, keys[0], keys[1]][i % 3];
         for tier in Tier::runnable(TIERS) {
-            let mut seen = 0;
-            let jobs = scalars.iter().copied().zip(bases.iter().copied());
-            scalarmult_each(tier, jobs, |i, u| {
-                assert_eq!(i, seen);
-                assert_eq!(u, x25519(&scalars[i], &point(i)), "{tier:?}, job {i}");
-                seen += 1;
-            });
-            assert_eq!(seen, scalars.len());
+            // The whole interleaving, then a lone seal's shape: one job on
+            // the base table, one on the key's and one ladder job.
+            for len in [scalars.len(), 3] {
+                let mut seen = 0;
+                let jobs = scalars.iter().copied().zip(bases.iter().copied());
+                scalarmult_each(tier, jobs.take(len), |i, u| {
+                    assert_eq!(i, seen);
+                    assert_eq!(
+                        u,
+                        x25519(&scalars[i], &point(i)),
+                        "{tier:?}, job {i} of {len}"
+                    );
+                    seen += 1;
+                });
+                assert_eq!(seen, len);
+            }
         }
     }
 

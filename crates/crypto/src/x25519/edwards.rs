@@ -39,9 +39,14 @@
 //! secret. Within the row every one of the eight entries is read and
 //! folded in by a masked move whose mask is `|digit| == j` computed with
 //! arithmetic, and the sign negates by a second mask (swap `y ± x`,
-//! negate `2d·x·y`). The digit recoding is shifts and adds. No branch and
-//! no memory index depends on a scalar bit; a table and the point it is
-//! built from are public.
+//! negate `2d·x·y`). The digit recoding is shifts and adds. The wide
+//! tier keeps this shape: the eight-lane comb broadcasts every entry of
+//! the row to every lane, and the row-split comb — one scalar, the lanes
+//! splitting the 32 rows — gathers every entry of every row at offsets
+//! fixed whatever the scalar, each lane keeping its digits' entries by
+//! vector-compare masks. No branch and no memory index depends on a
+//! scalar bit on any tier; a table and the point it is built from are
+//! public.
 
 use super::{batch_invert, Fe, KEY_LEN};
 use std::fmt;
@@ -76,6 +81,12 @@ fn constants() -> &'static Constants {
             sqrt_m1: two.pow22523().square().mul(&two),
         }
     })
+}
+
+/// `2·d`, the factor [`Ext::add`] takes (the row-split comb cuts it into
+/// its own limbs).
+pub(super) fn d2() -> Fe {
+    constants().d2
 }
 
 /// Canonical equality of two field elements.
@@ -150,7 +161,8 @@ impl Ext {
         }
     }
 
-    /// `self + other`, both projective (table building only).
+    /// `self + other`, both projective: table building, and the formula
+    /// the row-split comb adds its lanes with.
     pub(super) fn add(&self, other: &Ext) -> Ext {
         let a = self.y.add(&self.x).mul(&other.y.add(&other.x));
         let b = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
@@ -215,8 +227,8 @@ impl Niels {
 
 /// A precomputed comb table: the multiples of one base point that the
 /// fixed-base comb adds up, 32 rows of 8 affine entries (30 KiB). Both
-/// tiers read it: the eight-lane comb re-cuts the entries it selects into
-/// its radix-2⁴³ limbs in registers.
+/// tiers read it: the IFMA combs re-cut the entries they select into
+/// their radix-2⁴³ limbs in registers.
 ///
 /// Public data derived from a public point. Built once per base a
 /// sender reuses — the curve's base point on first use, a recipient key
@@ -333,7 +345,9 @@ fn select(row: &[Niels; ENTRIES], digit: i8) -> Niels {
 
 /// `k·P` for a pre-clamped `k` and `P`'s table, as the projective
 /// Montgomery pair the driver inverts: the scalar tier, and the
-/// definition the eight-lane comb must equal lane for lane.
+/// definition the eight-lane comb must equal lane for lane and the
+/// row-split comb up to projective scaling (the same u, so the same
+/// bytes).
 pub(super) fn comb(table: &FixedBase, k: &[u8; KEY_LEN]) -> (Fe, Fe) {
     let e = digits(k);
     let rows = &table.rows;
