@@ -12,9 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
+/// Up to 1,000 iterations a row within its one-second budget: twenty —
+/// a few timed batches — left a row's fastest batch swinging ±20 % with
+/// the host's phases, too wide to read a 10 % kernel change off.
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     group
-        .sample_size(20)
+        .sample_size(1000)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 }
@@ -55,12 +58,12 @@ fn bench_primitives(c: &mut Criterion) {
         });
     }
     // The comb on one table, per tier the host supports: `/1` is a lone
-    // seal's cost per multiplication (final inversion included), `/8` one
+    // comb's cost per multiplication (final inversion included), `/8` one
     // full eight-lane pass. On the IFMA tier, groups below `MIN_COMBS` in
-    // `x25519.rs` take a row-split comb per job and the rest a padded
-    // eight-lane pass, so `/1`–`/3` against `/4`, `/5` and `/8` are the
-    // readings that place the crossover (a tie at four on the 2-vCPU box:
-    // `/3` 20.4 µs plus ≈ 4.4 per further row-split job, a pass 25.5).
+    // `x25519.rs` go two to a row-split pass (`/2`, `/4`) and an odd one
+    // alone (`/1`, `/3`), the rest take a padded eight-lane pass (`/5`,
+    // `/8`): these rows place the crossover (two pairs ≈ 18.6 µs against
+    // a pass ≈ 22.4 on the 2-vCPU box, so `MIN_COMBS` is five).
     let table = x25519::FixedBase::basepoint();
     for tier in Tier::runnable(x25519::TIERS) {
         for &n in &[1usize, 2, 3, 4, 5, 8] {
@@ -97,16 +100,18 @@ fn bench_chacha20_tiers(c: &mut Criterion) {
     group.finish();
 }
 
-/// One row per Poly1305 tier the host supports, at the sizes of
-/// [`bench_chacha20_tiers`]: what the envelope's MAC costs per byte,
-/// beside the keystream rows and `primitives/hmac_sha256/64KiB` — the MAC
-/// it replaced.
+/// One row per Poly1305 tier the host supports: what the envelope's MAC
+/// costs per byte, beside the keystream rows and
+/// `primitives/hmac_sha256/64KiB` — the MAC it replaced. 256 B is the
+/// smallest input both IFMA chains run on, 23,077 B about a `proxy_small`
+/// envelope (180 groups and a ragged tail), 393,216 B a mid-sized layer
+/// and 2 MiB a `cascade3_big_*` layer.
 fn bench_poly1305_tiers(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto/poly1305");
     configure(&mut group);
     let key = [7u8; 32];
     for tier in Tier::runnable(poly1305::TIERS) {
-        for &size in &[1024usize, 23_048, 2_097_152] {
+        for &size in &[256usize, 1024, 23_077, 393_216, 2_097_152] {
             let message = vec![0xa5u8; size];
             group.throughput(Throughput::Bytes(size as u64));
             group.bench_with_input(BenchmarkId::new(tier.name(), size), &size, |b, _| {
@@ -122,6 +127,14 @@ fn bench_sealed_box(c: &mut Criterion) {
     configure(&mut group);
     let mut rng = StdRng::seed_from_u64(0);
     let recipient = KeyPair::generate(&mut rng);
+    // One envelope's key derivation, on both ends of every envelope: HKDF
+    // over fixed blocks (ten SHA-256 compressions in six paired steps),
+    // then keystream block 0.
+    let (shared, eph_pub) = ([0x11u8; 32], [0x22u8; 32]);
+    let to = *recipient.public().as_bytes();
+    group.bench_function("derive", |b| {
+        b.iter(|| SealedBox::one_time_key(&shared, &eph_pub, &to));
+    });
     for &size in &[1024usize, 128 * 1024, 1024 * 1024, 2 * 1024 * 1024] {
         let message = vec![0x5au8; size];
         group.throughput(Throughput::Bytes(size as u64));

@@ -18,7 +18,7 @@ use crate::{
     CascadeClient, CascadeError, CascadeHop, CascadeHopConfig, CascadeTopology, HopDescriptor,
     LinearChain,
 };
-use mixnn_core::codec::CompressionConfig;
+use mixnn_core::codec::{self, CompressionConfig};
 use mixnn_core::{
     shard_seed, Endpoint, InProcessLink, ProxyStats, RoundLink, RoundTranscript, SpentBuffers,
 };
@@ -159,13 +159,26 @@ impl PaddedRound {
             .collect();
         let mut columns: Vec<Vec<usize>> =
             (0..layer_count).map(|_| Vec::with_capacity(real)).collect();
-        for (slot, params) in self.round.mixed.iter().enumerate() {
-            for (l, layer) in params.iter().enumerate() {
-                let digest = mixnn_core::codec::layer_digest(layer);
-                if let Some(pos) = unclaimed[l].iter().position(|d| *d == digest) {
-                    unclaimed[l].swap_remove(pos);
+        // Layer-major, each layer's slots claimed in slot order — the
+        // order a slot-major walk claims them in — and hashed two slots
+        // at a time.
+        for (l, (unclaimed, column)) in unclaimed.iter_mut().zip(&mut columns).enumerate() {
+            let mut claim = |slot: usize, digest: [u8; 32]| {
+                if let Some(pos) = unclaimed.iter().position(|d| *d == digest) {
+                    unclaimed.swap_remove(pos);
                 } else {
-                    columns[l].push(slot);
+                    column.push(slot);
+                }
+            };
+            let mut slots = (self.round.mixed.iter().enumerate())
+                .filter_map(|(slot, params)| Some((slot, params.layer(l)?)));
+            while let Some((slot, layer)) = slots.next() {
+                if let Some((next, next_layer)) = slots.next() {
+                    let [digest, next_digest] = codec::layer_digest_pair(layer, next_layer);
+                    claim(slot, digest);
+                    claim(next, next_digest);
+                } else {
+                    claim(slot, codec::layer_digest(layer));
                 }
             }
         }

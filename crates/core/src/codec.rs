@@ -83,7 +83,7 @@
 use crate::ProxyError;
 use bytes::{Buf, BufMut};
 use mixnn_cpu::Tier;
-use mixnn_crypto::sha256::Sha256;
+use mixnn_crypto::sha256::{Sha256, Sha256Pair};
 use mixnn_nn::{LayerParams, ModelParams};
 
 /// Format magic: `"MIXN"` as a big-endian u32.
@@ -1526,6 +1526,34 @@ fn values_digest(values: &[f32]) -> [u8; 32] {
 /// How many values [`layer_digest`] converts to wire bytes per hash update.
 const DIGEST_CHUNK: usize = 1024;
 
+/// [`layer_digest`] of two layers at once: `[layer_digest(a),
+/// layer_digest(b)]`. Layers of one length — one layer of two updates of
+/// a signature — hash in lockstep through a [`Sha256Pair`], both streamed
+/// through one stack chunk (half of it each), so each SHA-256 pass
+/// compresses a block of each; layers of different lengths hash one
+/// after the other.
+pub fn layer_digest_pair(a: &LayerParams, b: &LayerParams) -> [[u8; 32]; 2] {
+    let (a, b) = (a.values(), b.values());
+    if a.len() != b.len() {
+        return [values_digest(a), values_digest(b)];
+    }
+    let mut hash = Sha256Pair::new();
+    let header = wire_len(a.len()).to_be_bytes();
+    hash.update(&header, &header);
+    let mut chunk = [0u8; 4 * DIGEST_CHUNK];
+    let (bytes_a, bytes_b) = chunk.split_at_mut(2 * DIGEST_CHUNK);
+    for (part_a, part_b) in a.chunks(DIGEST_CHUNK / 2).zip(b.chunks(DIGEST_CHUNK / 2)) {
+        let (bytes_a, bytes_b) = (
+            &mut bytes_a[..4 * part_a.len()],
+            &mut bytes_b[..4 * part_b.len()],
+        );
+        write_f32_le_bulk(bytes_a, part_a);
+        write_f32_le_bulk(bytes_b, part_b);
+        hash.update(bytes_a, bytes_b);
+    }
+    hash.finalize()
+}
+
 /// [`layer_digest`] of the layer `frame` decodes to: what a sender that
 /// has just encoded a frame announces, without a second encode. A v1
 /// frame is the canonical encoding already and is hashed where it lies; a
@@ -2245,6 +2273,42 @@ mod tests {
             let expected = mixnn_crypto::sha256::digest(&frame);
             assert_eq!(layer_digest(layer), expected, "{} values", layer.len());
             assert_eq!(frame_digest(&frame, &mut Vec::new()).unwrap(), expected);
+        }
+    }
+
+    /// The pair helper equals two `layer_digest`s at lengths around its
+    /// half-chunk seams, on the payloads `PartialEq` cannot tell apart,
+    /// and on layers of different lengths.
+    #[test]
+    fn layer_digest_pair_is_two_layer_digests() {
+        let mut rng = StdRng::seed_from_u64(0x9a12);
+        let mut random =
+            |n: usize| LayerParams::from_values((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let mut pairs: Vec<(LayerParams, LayerParams)> = [0, 1, 13, 511, 512, 513, 1024, 4097]
+            .into_iter()
+            .map(|n| (random(n), random(n)))
+            .collect();
+        pairs.push((random(1025), random(1025)));
+        let same = random(700);
+        pairs.push((same.clone(), same));
+        pairs.push((
+            LayerParams::from_values(vec![-0.0; 600]),
+            LayerParams::from_values(vec![0.0; 600]),
+        ));
+        pairs.push((
+            LayerParams::from_values(vec![f32::NAN, f32::from_bits(0x7fc0_1234)]),
+            LayerParams::from_values(vec![-f32::NAN, f32::from_bits(0xff80_0001)]),
+        ));
+        pairs.push((random(3), random(1030)));
+        pairs.push((random(0), random(64)));
+        for (a, b) in &pairs {
+            assert_eq!(
+                layer_digest_pair(a, b),
+                [layer_digest(a), layer_digest(b)],
+                "{} and {} values",
+                a.len(),
+                b.len()
+            );
         }
     }
 

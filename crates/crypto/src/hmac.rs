@@ -8,11 +8,18 @@
 //!
 //! [`HmacKey`] is the reusable form: the ipad/opad key blocks are
 //! absorbed into two hasher states once at construction, so every MAC
-//! under the same key (HKDF-Expand's block loop, the sealed box's two
-//! derivations per envelope) skips two compressions — half the total for
-//! the short messages HKDF feeds it.
+//! under the same key (HKDF-Expand's block loop) skips two compressions —
+//! half the total for the short messages HKDF feeds it. [`hkdf_extract`]
+//! and [`hkdf_expand_into`] are the general path, pinned by RFC 5869.
+//!
+//! The sealed box derives every envelope's key and nonce from inputs of
+//! fixed length — a 64-byte salt, a 32-byte secret and PRK, two fixed
+//! infos — so it runs HKDF over fixed blocks instead: both pads of a key
+//! in one paired compression (`key_states`), each message padded in place
+//! into the one block after its key's (`tail_block`, `expand_block`), no
+//! hasher, buffer or clone. Its tests pin it to the general path.
 
-use crate::sha256::{digest, Sha256, DIGEST_LEN};
+use crate::sha256::{self, digest, Sha256, DIGEST_LEN};
 
 const BLOCK_LEN: usize = 64;
 
@@ -148,6 +155,56 @@ pub fn hkdf_expand_into(prk: &HmacKey, info: &[u8], okm: &mut [u8]) {
         chunk.copy_from_slice(&block[..chunk.len()]);
         t = Some(block);
     }
+}
+
+/// The ipad and opad states of `key` — at most one block, zero-padded —
+/// in one paired compression: the fixed-block HMAC the sealed box
+/// derives its keys with.
+pub(crate) fn key_states(tier: sha256::Tier, key: &[u8]) -> [[u32; 8]; 2] {
+    let mut pads = [[0x36u8; BLOCK_LEN], [0x5cu8; BLOCK_LEN]];
+    for pad in &mut pads {
+        for (byte, k) in pad.iter_mut().zip(key) {
+            *byte ^= k;
+        }
+    }
+    let [mut inner, mut outer] = [sha256::H0; 2];
+    sha256::compress_pair(tier, &mut inner, &mut outer, &pads[0], &pads[1]);
+    [inner, outer]
+}
+
+/// The one padded block that closes an HMAC hash whose message is
+/// `message` (at most 55 bytes) after the 64-byte key block: `message`,
+/// `0x80`, zeros and the 64-bit big-endian bit length of the two.
+pub(crate) const fn tail_block(message: &[u8]) -> [u8; BLOCK_LEN] {
+    assert!(message.len() < BLOCK_LEN - 8, "one block after the key's");
+    let mut block = [0u8; BLOCK_LEN];
+    let mut i = 0;
+    while i < message.len() {
+        block[i] = message[i];
+        i += 1;
+    }
+    block[message.len()] = 0x80;
+    let bits = ((BLOCK_LEN + message.len()) as u64 * 8).to_be_bytes();
+    let mut i = 0;
+    while i < 8 {
+        block[BLOCK_LEN - 8 + i] = bits[i];
+        i += 1;
+    }
+    block
+}
+
+/// [`tail_block`] of HKDF-Expand's first message, `info ‖ 0x01`: T(1),
+/// all of a digest-length output.
+pub(crate) const fn expand_block(info: &[u8]) -> [u8; BLOCK_LEN] {
+    let mut message = [0u8; BLOCK_LEN - 9];
+    let mut i = 0;
+    while i < info.len() {
+        message[i] = info[i];
+        i += 1;
+    }
+    message[info.len()] = 1;
+    let (first, _) = message.split_at(info.len() + 1);
+    tail_block(first)
 }
 
 /// Convenience: HKDF extract-then-expand in one call.

@@ -35,15 +35,19 @@
 //!
 //! * SHA-256 compresses all full blocks of an `update` in one multi-block
 //!   call and dispatches at runtime to the x86-64 SHA-NI kernel when the
-//!   CPU has it ([`sha256`]);
+//!   CPU has it; two equal-length messages compress in lockstep, their
+//!   round chains interleaved ([`sha256::Sha256Pair`]) — the cascade's
+//!   cover stripping hashes one layer of two slots that way;
 //! * HMAC keys precompute their ipad/opad schedule once
-//!   ([`hmac::HmacKey`]), and the sealed box derives its key and nonce
-//!   with a single HKDF-Extract plus two expands per envelope;
+//!   ([`hmac::HmacKey`]); the sealed box derives its key and nonce — one
+//!   HKDF-Extract, two expands — over fixed, pre-padded blocks, ten
+//!   compressions in six dependent steps, each independent two paired;
 //! * ChaCha20 generates sixteen keystream blocks per pass from the
 //!   `Avx512` rung, eight from `Avx2`, one in portable code, and XORs
 //!   them into the buffer where it lies ([`chacha20`]);
-//! * Poly1305 absorbs eight blocks per pass over `vpmadd52` from the
-//!   `Ifma` rung and one per step in portable code ([`poly1305`]) — the
+//! * Poly1305 absorbs sixteen blocks per pass over `vpmadd52` from the
+//!   `Ifma` rung — two independent chains of eight lanes, from 256 bytes
+//!   — and one per step in portable code ([`poly1305`]) — the
 //!   per-byte cost of an envelope is the keystream's plus this, and
 //!   HMAC-SHA256 is off the payload path;
 //! * X25519 runs two algorithms, chosen by the kind of job ([`x25519`]):
@@ -64,10 +68,11 @@
 //!   sender seals — an onion's `1 + layers × (hops − 1)` envelopes, each
 //!   under its own ephemeral key — grouping the combs by table so eight
 //!   share an IFMA pass, and each [`PreparedSeal`] then encrypts in place
-//!   in its output buffer. A group too small for that pass — a single
-//!   seal's comb on the base point's table and its comb on the recipient
-//!   key's — runs alone with the eight lanes splitting its table's rows,
-//!   so a participant's one seal per round takes the IFMA tier too.
+//!   in its output buffer. What a group too small for that pass leaves —
+//!   a single seal's comb on the base point's table and its comb on the
+//!   recipient key's, an onion's leftovers — goes two combs to a pass,
+//!   four lanes splitting each one's table rows, so a participant's one
+//!   seal per round takes one IFMA pass.
 //!
 //! # Contributory behavior
 //!

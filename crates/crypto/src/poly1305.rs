@@ -12,7 +12,7 @@
 //!
 //! | tier | blocks per pass | engaged from | needs rung |
 //! |---|---|---|---|
-//! | AVX-512 IFMA | 8 | 128 B | [`Tier::Ifma`] |
+//! | AVX-512 IFMA | 16, in two chains of 8 | 256 B (8 from 128 B) | [`Tier::Ifma`] |
 //! | scalar | 1 | the tail | — |
 //!
 //! The scalar tier is Horner's rule one block at a time, `h ← (h + m)·r`,
@@ -20,13 +20,16 @@
 //! it is the definition, and it absorbs whatever the wide tier's pass
 //! size does not divide — the AEAD's 32-byte AAD, the tail under 128
 //! bytes and the length block. The wide tier is the same polynomial
-//! regrouped: lane `j` of eight runs Horner in `r⁸` over blocks `j`,
-//! `j + 8`, …, the last pass multiplies lane `j` by `r^(8−j)` instead,
-//! and the lanes' sum is the scalar accumulator after the same blocks
-//! (congruent mod p, not limb-identical; the tag is). The accumulator a
-//! pass starts from enters in lane 0. Nothing branches on or indexes by
-//! a secret on either tier; the final reduction selects `h` or `h − p`
-//! by mask.
+//! regrouped: its 128-byte groups alternate between two chains of eight
+//! lanes, lane `j` of a chain running Horner in `r¹⁶` over block `j` of
+//! each of its groups, so two independent products are in flight per
+//! pass. The chain holding the last group multiplies lane `j` by
+//! `r^(8−j)` on its last step, the other by `r^(16−j)`, and the sixteen
+//! lanes' sum is the scalar accumulator after the same blocks (congruent
+//! mod p, not limb-identical; the tag is). The accumulator a call starts
+//! from enters in lane 0 of the first chain. Nothing branches on or
+//! indexes by a secret on either tier; the final reduction selects `h` or
+//! `h − p` by mask.
 //!
 //! Callers hand whole slices ([`poly1305`], [`aead_tag`]), so there is
 //! no buffering state. The tier is the rung of the one CPU ladder in
@@ -137,7 +140,8 @@ impl Poly1305 {
         #[cfg(target_arch = "x86_64")]
         let data = if tier >= Tier::Ifma && data.len() >= ifma::GROUP {
             let (wide, tail) = data.split_at(data.len() - data.len() % ifma::GROUP);
-            // r¹ … r⁸ as `mul` carries them, three products deep.
+            // r¹ … r⁸ as `mul` carries them, three products deep; the
+            // kernel takes r⁹ … r¹⁶ from these in one vector product.
             let r = self.r;
             let r2 = mul(r, r);
             let (r3, r4) = (mul(r2, r), mul(r2, r2));
@@ -179,7 +183,7 @@ impl Poly1305 {
     /// `(h mod 2¹³⁰ − 5) + s mod 2¹²⁸`.
     fn finalize(self) -> [u8; TAG_LEN] {
         // Two carry sweeps take limbs of up to 2⁶² (a lane sum is below
-        // 2⁴⁸) to 44/44/42 bits, bar a last carry of at most one into
+        // 2⁴⁹) to 44/44/42 bits, bar a last carry of at most one into
         // limb 1; the arithmetic below does not need it propagated.
         let [mut h0, mut h1, mut h2] = self.h;
         for _ in 0..2 {
@@ -270,13 +274,18 @@ pub fn aead_tag(key: &[u8; KEY_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_
     aead_tag_on(Tier::best(), key, aad, ciphertext)
 }
 
-/// AVX-512 IFMA eight-lane Poly1305.
+/// AVX-512 IFMA Poly1305 in two chains of eight lanes.
 ///
-/// Register `k` of an accumulator holds limb `k` of eight partial sums,
-/// lane `j` taking blocks `j`, `j + 8`, … of the input. A pass adds eight
-/// consecutive blocks and multiplies every lane by `r⁸` — by `r^(8−j)` in
-/// lane `j` on the last pass, which leaves `Σ lanes` equal to the serial
-/// Horner result.
+/// Register `k` of an accumulator holds limb `k` of eight partial sums.
+/// Chain A takes the input's even 128-byte groups and chain B its odd
+/// ones, lane `j` of each taking block `j` of the group; a step adds a
+/// group and multiplies every lane by `r¹⁶`. On a chain's last step lane
+/// `j` takes `r^(8−j)` if the chain holds the input's last group and
+/// `r^(16−j)` if it holds the one before, which leaves the sixteen lanes'
+/// sum equal to the serial Horner result. The two chains' products are
+/// independent, so a pass keeps two in flight: one chain is bound by the
+/// multiply's latency, two by its throughput (four chains measured no
+/// faster when the kernel was sized). A single group runs chain A alone.
 ///
 /// The product is the scalar tier's three columns over `vpmadd52`: each
 /// 52-bit-operand product splits at bit 52, the low half staying in its
@@ -299,8 +308,9 @@ mod ifma {
     /// Absorbs `data`, a whole number of eight-block groups, into the
     /// accumulator `h` (limbs below 2⁴⁹: the scalar tier's, or an earlier
     /// call's), given `powers[k] = r^(k+1)` as the scalar `mul` carries
-    /// them. Returns the new accumulator with limbs below 2⁴⁸ — congruent
-    /// to, not limb-identical with, the scalar tier's.
+    /// them. Returns the new accumulator, a sum of sixteen lanes with
+    /// limbs below 2⁴⁸ + 2²³ — congruent to, not limb-identical with, the
+    /// scalar tier's.
     ///
     /// # Panics
     ///
@@ -367,11 +377,11 @@ mod ifma {
                 hi[k] = _mm512_madd52hi_epu64(hi[k], limb, factor);
             }
         }
-        // 20·2⁸ = 2¹² + 2¹⁰.
-        let wrapped = _mm512_add_epi64(
-            _mm512_slli_epi64::<12>(hi[2]),
-            _mm512_slli_epi64::<10>(hi[2]),
-        );
+        // 20·2⁸ = 5·2¹⁰. Column 2's high half is below 2⁴⁴, so its
+        // quintuple fits a `vpmadd52` low half — two instructions where the
+        // compiler would emulate a 64-bit multiply by 5,120 in five.
+        let five = _mm512_madd52lo_epu64(zero, hi[2], _mm512_set1_epi64(5));
+        let wrapped = _mm512_slli_epi64::<10>(five);
         let d0 = _mm512_add_epi64(lo[0], wrapped);
         let d1 = _mm512_add_epi64(lo[1], _mm512_slli_epi64::<8>(hi[0]));
         let d2 = _mm512_add_epi64(lo[2], _mm512_slli_epi64::<8>(hi[1]));
@@ -389,61 +399,100 @@ mod ifma {
         ]
     }
 
+    /// The eight message blocks of one 128-byte group in the lanes' limbs,
+    /// each with its 2¹²⁸ bit.
+    ///
     /// # Safety
     ///
-    /// Requires AVX-512 F and IFMA, i.e. the CPU reaches [`Tier::Ifma`],
-    /// and `data.len()` a multiple of [`GROUP`].
+    /// Requires AVX-512 F, and `group` at least [`GROUP`] readable bytes.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn absorb_lanes(powers: &[Limbs; LANES], h: Limbs, data: &[u8]) -> Limbs {
-        let every_lane = multiplier(powers[LANES - 1].map(|limb| _mm512_set1_epi64(limb as i64)));
-        // Lane `j` closes with r^(8−j).
-        let [p1, p2, p3, p4, p5, p6, p7, p8] = powers.map(|power| power.map(|limb| limb as i64));
-        let last = multiplier(core::array::from_fn(|k| {
-            _mm512_setr_epi64(p8[k], p7[k], p6[k], p5[k], p4[k], p3[k], p2[k], p1[k])
-        }));
+    unsafe fn group_limbs(group: &[u8]) -> [__m512i; 3] {
         // Even and odd quadwords of two vectors: the low and the high
         // eight bytes of eight consecutive blocks.
         let low_halves = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
         let high_halves = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
         let mask44 = _mm512_set1_epi64(MASK44 as i64);
-        let hibit = _mm512_set1_epi64(HIBIT as i64);
+        let at = group.as_ptr();
+        // SAFETY: the caller hands 128 readable bytes; the unaligned
+        // loads have no alignment demand.
+        let (v0, v1) = (
+            _mm512_loadu_si512(at.cast()),
+            _mm512_loadu_si512(at.add(64).cast()),
+        );
+        let t0 = _mm512_permutex2var_epi64(v0, low_halves, v1);
+        let t1 = _mm512_permutex2var_epi64(v0, high_halves, v1);
+        [
+            _mm512_and_si512(t0, mask44),
+            _mm512_and_si512(
+                _mm512_or_si512(_mm512_srli_epi64::<44>(t0), _mm512_slli_epi64::<20>(t1)),
+                mask44,
+            ),
+            _mm512_or_si512(_mm512_srli_epi64::<24>(t1), _mm512_set1_epi64(HIBIT as i64)),
+        ]
+    }
 
-        // The running accumulator rides in lane 0, ahead of block 0.
-        let mut acc: [__m512i; 3] =
-            core::array::from_fn(|k| _mm512_maskz_set1_epi64(1, h[k] as i64));
-        let groups = data.chunks_exact(GROUP);
-        let passes = groups.len();
-        for (pass, group) in groups.enumerate() {
-            let at = group.as_ptr();
-            // SAFETY: `group` is exactly 128 readable bytes; the
-            // unaligned loads have no alignment demand.
-            let (v0, v1) = (
-                _mm512_loadu_si512(at.cast()),
-                _mm512_loadu_si512(at.add(64).cast()),
-            );
-            let t0 = _mm512_permutex2var_epi64(v0, low_halves, v1);
-            let t1 = _mm512_permutex2var_epi64(v0, high_halves, v1);
-            let m = [
-                _mm512_and_si512(t0, mask44),
-                _mm512_and_si512(
-                    _mm512_or_si512(_mm512_srli_epi64::<44>(t0), _mm512_slli_epi64::<20>(t1)),
-                    mask44,
-                ),
-                _mm512_or_si512(_mm512_srli_epi64::<24>(t1), hibit),
-            ];
-            let sum = [
-                _mm512_add_epi64(acc[0], m[0]),
-                _mm512_add_epi64(acc[1], m[1]),
-                _mm512_add_epi64(acc[2], m[2]),
-            ];
-            let by = if pass + 1 == passes {
-                &last
-            } else {
-                &every_lane
-            };
-            acc = mul(sum, by);
+    /// `(acc + the group's blocks)·by` in every lane.
+    ///
+    /// # Safety
+    ///
+    /// As [`group_limbs`], plus IFMA.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn step(acc: [__m512i; 3], group: &[u8], by: &Multiplier) -> [__m512i; 3] {
+        let m = group_limbs(group);
+        mul(core::array::from_fn(|k| _mm512_add_epi64(acc[k], m[k])), by)
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512 F and IFMA, i.e. the CPU reaches [`Tier::Ifma`],
+    /// and `data.len()` a non-zero multiple of [`GROUP`].
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn absorb_lanes(powers: &[Limbs; LANES], h: Limbs, data: &[u8]) -> Limbs {
+        // Lane `j` of `r8_down` holds r^(8−j); one product by r⁸ in every
+        // lane makes r^(16−j), and its lane 0, r¹⁶, is every step's
+        // multiplier.
+        let [p1, p2, p3, p4, p5, p6, p7, p8] = powers.map(|power| power.map(|limb| limb as i64));
+        let r8_down: [__m512i; 3] = core::array::from_fn(|k| {
+            _mm512_setr_epi64(p8[k], p7[k], p6[k], p5[k], p4[k], p3[k], p2[k], p1[k])
+        });
+        let r16_down = mul(r8_down, &multiplier(p8.map(|limb| _mm512_set1_epi64(limb))));
+        let lane0 = _mm512_setzero_si512();
+        let every_lane = multiplier(r16_down.map(|limb| _mm512_permutexvar_epi64(lane0, limb)));
+        let (last, next_to_last) = (multiplier(r8_down), multiplier(r16_down));
+
+        // Two chains: A takes the even groups and B the odd ones, each
+        // step of either multiplying by r¹⁶. The chain holding group G − 1
+        // closes lane `j` with r^(8−j), the other with r^(16−j), so every
+        // block ends at its Horner weight. The running accumulator rides
+        // in lane 0 of A, ahead of block 0.
+        let mut a: [__m512i; 3] = core::array::from_fn(|k| _mm512_maskz_set1_epi64(1, h[k] as i64));
+        let mut b = [_mm512_setzero_si512(); 3];
+        // The steady pairs, then the closing steps: groups G − 2 and
+        // G − 1 (A and B for an even count; for an odd one A's G − 3 and
+        // B's G − 2 as a pair, then A's G − 1 alone).
+        let groups = data.len() / GROUP;
+        let even = groups.is_multiple_of(2);
+        let steady = if even {
+            groups - 2
+        } else {
+            groups.saturating_sub(3)
+        };
+        let (steady, closing) = data.split_at(GROUP * steady);
+        for pair in steady.chunks_exact(2 * GROUP) {
+            a = step(a, pair, &every_lane);
+            b = step(b, &pair[GROUP..], &every_lane);
         }
-        acc.map(|limb| _mm512_reduce_add_epi64(limb) as u64)
+        if even {
+            a = step(a, closing, &next_to_last);
+            b = step(b, &closing[GROUP..], &last);
+        } else {
+            if groups > 1 {
+                a = step(a, closing, &every_lane);
+                b = step(b, &closing[GROUP..], &next_to_last);
+            }
+            a = step(a, &closing[closing.len() - GROUP..], &last);
+        }
+        core::array::from_fn(|k| _mm512_reduce_add_epi64(_mm512_add_epi64(a[k], b[k])) as u64)
     }
 }
 
@@ -609,13 +658,14 @@ mod tests {
     }
 
     /// Every tier equals the independent reference at every length from
-    /// empty to two wide passes plus a ragged tail, at aligned and
-    /// unaligned buffer offsets.
+    /// empty to six wide groups plus every ragged tail — chain A alone,
+    /// then both chains ending on either — at aligned and unaligned
+    /// buffer offsets.
     #[test]
     fn every_tier_matches_the_reference_at_every_length_and_offset() {
-        let buffer = pattern(2 * 128 + 17 + 3, 0);
+        let buffer = pattern(6 * 128 + 127 + 3, 0);
         for offset in [0usize, 1, 3] {
-            for len in 0..=2 * 128 + 17 {
+            for len in 0..=6 * 128 + 127 {
                 let message = &buffer[offset..offset + len];
                 let expected = reference::poly1305(&KEY, message);
                 for tier in Tier::runnable(TIERS) {
@@ -724,20 +774,27 @@ mod tests {
     }
 
     /// Wide passes continue whatever accumulator the blocks before them
-    /// left, however the input is cut into calls.
+    /// left — one chain or two, either ending last — however a message of
+    /// up to seven groups is cut into calls at block boundaries.
     #[test]
     fn split_calls_continue_the_accumulator_on_every_tier() {
-        let message = pattern(16 + 128 + 256 + 48, 9);
+        let message = pattern(7 * 128, 21);
         let expected = reference::poly1305(&KEY, &message);
+        let cuts = [0usize, 16, 112, 128, 144, 256, 384, 400, 512, 640, 768, 896];
         for tier in Tier::runnable(TIERS) {
-            let mut mac = Poly1305::new(&KEY);
-            let (a, rest) = message.split_at(16);
-            let (b, rest) = rest.split_at(128);
-            let (c, d) = rest.split_at(256);
-            for part in [a, b, c, d] {
-                mac.blocks(tier, part);
+            for &first in &cuts {
+                for &second in cuts.iter().filter(|&&c| c >= first) {
+                    let mut mac = Poly1305::new(&KEY);
+                    for part in [
+                        &message[..first],
+                        &message[first..second],
+                        &message[second..],
+                    ] {
+                        mac.blocks(tier, part);
+                    }
+                    assert_eq!(mac.finalize(), expected, "{tier:?}, cuts {first}, {second}");
+                }
             }
-            assert_eq!(mac.finalize(), expected, "{tier:?}");
         }
     }
 

@@ -8,7 +8,9 @@
 //! 1. sender generates an ephemeral X25519 key pair;
 //! 2. `shared = X25519(ephemeral_secret, recipient_public)`;
 //! 3. `key material = HKDF(salt = eph_pub ‖ recipient_pub, ikm = shared)`,
-//!    expanded into a ChaCha20 key and a nonce;
+//!    expanded into a ChaCha20 key and a nonce — every input of fixed
+//!    length, so ten SHA-256 compressions over fixed, pre-padded blocks,
+//!    run in six dependent steps of independent pairs;
 //! 4. the RFC 8439 §2.8 AEAD under that key and nonce, with
 //!    `AAD = eph_pub`: the one-time Poly1305 key is the first 32 bytes of
 //!    keystream block 0, ciphertext = plaintext XOR the keystream from
@@ -45,9 +47,11 @@
 //!   [`SealingKey`] — made once, where the key is attested. A bare
 //!   [`PublicKey`] has no table, and its `k·H` takes the ladder. On
 //!   AVX-512 IFMA hosts the driver runs eight combs on one table per
-//!   pass, and a group too small to fill one — a lone seal's comb on
-//!   each table — with the eight lanes splitting that table's rows. Each [`PreparedSeal`] then runs steps 3–4 over its
-//!   plaintext, in place in the output buffer. [`SealedBox::seal`] is
+//!   pass, and what a group too small to fill one leaves — a lone seal's
+//!   comb on each table — two at a time, four lanes splitting each one's
+//!   table rows. Each [`PreparedSeal`] then runs steps 3–4 over its
+//!   plaintext, in place in the output buffer, its HKDF over fixed
+//!   blocks in paired SHA-256 compressions. [`SealedBox::seal`] is
 //!   the batch of one to a bare key; bytes and RNG position are
 //!   identical however envelopes are grouped and whichever algorithm
 //!   computed them. Every envelope still has its **own** ephemeral key:
@@ -72,8 +76,9 @@
 //!   none allocates or writes for an envelope that fails.
 
 use crate::chacha20::ChaCha20;
-use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
+use crate::hmac;
 use crate::poly1305;
+use crate::sha256::{self, compress_blocks, compress_pair, state_bytes};
 use crate::x25519;
 use crate::x25519::Base;
 use crate::CryptoError;
@@ -468,18 +473,57 @@ pub fn plaintext_len(sealed_len: usize) -> Result<usize, CryptoError> {
         })
 }
 
+/// The expands' inner blocks: `info ‖ 0x01` — T(1), the only block
+/// either output needs — padded after the 64-byte key block.
+const KEY_BLOCK: [u8; 64] = hmac::expand_block(INFO_KEY);
+const NONCE_BLOCK: [u8; 64] = hmac::expand_block(INFO_NONCE);
+
+/// The envelope's ChaCha20 key and nonce: `HKDF(salt = eph_pub ‖
+/// recipient_pub, ikm = shared)` expanded under [`INFO_KEY`] and
+/// [`INFO_NONCE`] — [`hmac::hkdf_extract`] and [`hmac::hkdf_expand_into`]
+/// to the byte, on `tier`'s compressions.
+///
+/// Every input has a fixed length, so every SHA-256 block is fixed and
+/// padded in place: the 64-byte salt is exactly one HMAC key block, the
+/// PRK a half one, and each message fits the block after its key's. The
+/// ten compressions run in six dependent steps, every independent two as
+/// one paired compression ([`sha256::compress_pair`]): the salt's
+/// ipad/opad states, the extract's inner then outer block, the PRK's
+/// ipad/opad states, the two expands' inner blocks, then their outer
+/// ones. No hasher, buffer or clone.
+fn derive_keys_on(
+    tier: sha256::Tier,
+    shared: &[u8; 32],
+    eph_pub: &[u8; 32],
+    recipient_pub: &[u8; 32],
+) -> ([u8; 32], [u8; 12]) {
+    let mut salt = [0u8; 64];
+    salt[..32].copy_from_slice(eph_pub);
+    salt[32..].copy_from_slice(recipient_pub);
+    let [mut inner, mut outer] = hmac::key_states(tier, &salt);
+    compress_blocks(tier, &mut inner, &hmac::tail_block(shared));
+    compress_blocks(tier, &mut outer, &hmac::tail_block(&state_bytes(&inner)));
+    let [inner, outer] = hmac::key_states(tier, &state_bytes(&outer));
+    let ([mut key, mut nonce], [mut key_outer, mut nonce_outer]) = ([inner; 2], [outer; 2]);
+    compress_pair(tier, &mut key, &mut nonce, &KEY_BLOCK, &NONCE_BLOCK);
+    let (key_tail, nonce_tail) = (
+        hmac::tail_block(&state_bytes(&key)),
+        hmac::tail_block(&state_bytes(&nonce)),
+    );
+    compress_pair(
+        tier,
+        &mut key_outer,
+        &mut nonce_outer,
+        &key_tail,
+        &nonce_tail,
+    );
+    let nonce = state_bytes(&nonce_outer)[..12].try_into();
+    (state_bytes(&key_outer), nonce.expect("12 of 32 bytes"))
+}
+
 impl SealedBox {
     fn derive(shared: &[u8; 32], eph_pub: &[u8; 32], recipient_pub: &[u8; 32]) -> Aead {
-        let mut salt = [0u8; 64];
-        salt[..32].copy_from_slice(eph_pub);
-        salt[32..].copy_from_slice(recipient_pub);
-        // One HKDF-Extract, two expands under a shared PRK schedule,
-        // straight into the fixed-size key and nonce.
-        let prk = hkdf_extract(&salt, shared);
-        let prk_key = HmacKey::new(&prk);
-        let (mut key, mut nonce) = ([0u8; 32], [0u8; 12]);
-        hkdf_expand_into(&prk_key, INFO_KEY, &mut key);
-        hkdf_expand_into(&prk_key, INFO_NONCE, &mut nonce);
+        let (key, nonce) = derive_keys_on(sha256::Tier::best(), shared, eph_pub, recipient_pub);
         // Keystream block 0 yields the one-time key (its other half is
         // discarded) and leaves the cipher at block 1.
         let mut payload = ChaCha20::new(&key, &nonce, 0);
@@ -490,6 +534,18 @@ impl SealedBox {
             one_time_key,
             payload,
         }
+    }
+
+    /// One envelope's key derivation — HKDF, then keystream block 0 —
+    /// returned as its one-time Poly1305 key: what the bench row
+    /// `crypto/sealed_box/derive` times.
+    #[doc(hidden)]
+    pub fn one_time_key(
+        shared: &[u8; 32],
+        eph_pub: &[u8; 32],
+        recipient_pub: &[u8; 32],
+    ) -> [u8; 32] {
+        Self::derive(shared, eph_pub, recipient_pub).one_time_key
     }
 
     /// Encrypts `plaintext` to `recipient`, drawing ephemeral key material
@@ -697,6 +753,7 @@ impl SealedBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::{hkdf_expand_into, hkdf_extract, HmacKey};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -938,6 +995,40 @@ mod tests {
         [&eph_pub[..], &tag, &ciphertext].concat()
     }
 
+    /// The fixed-block derivation equals the general HKDF path —
+    /// `hkdf_extract`, then `hkdf_expand_into` twice under the PRK's
+    /// `HmacKey` — on 1,000 random `(shared, eph_pub, recipient)` triples
+    /// and on both SHA-256 tiers the host runs.
+    #[test]
+    fn fixed_block_derivation_matches_the_general_hkdf_on_every_sha_tier() {
+        println!(
+            "sealed box derive sha256 tiers exercised: {:?}",
+            sha256::Tier::supported()
+        );
+        let mut rng = StdRng::seed_from_u64(5869);
+        for _ in 0..1000 {
+            let mut triple = [[0u8; 32]; 3];
+            for part in &mut triple {
+                rng.fill(part);
+            }
+            let [shared, eph_pub, recipient] = triple;
+            let mut salt = [0u8; 64];
+            salt[..32].copy_from_slice(&eph_pub);
+            salt[32..].copy_from_slice(&recipient);
+            let prk_key = HmacKey::new(&hkdf_extract(&salt, &shared));
+            let (mut key, mut nonce) = ([0u8; 32], [0u8; 12]);
+            hkdf_expand_into(&prk_key, INFO_KEY, &mut key);
+            hkdf_expand_into(&prk_key, INFO_NONCE, &mut nonce);
+            for tier in sha256::Tier::supported() {
+                assert_eq!(
+                    derive_keys_on(tier, &shared, &eph_pub, &recipient),
+                    (key, nonce),
+                    "{tier:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn seal_matches_the_scalar_reference_and_its_rng_position() {
         // To a `SealingKey` (two combs) and to the bare key (a comb and
@@ -965,9 +1056,10 @@ mod tests {
     #[test]
     fn prepare_matches_the_scalar_reference_at_every_lane_split_on_every_tier() {
         // 1..=17 envelopes → 1..=17 jobs on the base table and up to six
-        // on each key's: below MIN_COMBS (a row-split comb per job), one
-        // padded pass, full passes with row-split and padded tails. Recipients cycle over three keys,
-        // as an onion's hops do.
+        // on each key's: below MIN_COMBS (row-split pairs across the
+        // tables, an odd one alone), one padded pass, full passes with
+        // row-split and padded tails. Recipients cycle over three keys, as
+        // an onion's hops do.
         let mut rng = StdRng::seed_from_u64(1234);
         let hops: Vec<SealingKey> = (0..3)
             .map(|_| SealingKey::new(*KeyPair::generate(&mut rng).public()))

@@ -38,9 +38,12 @@
 //! conditional swaps take a per-lane mask so every lane carries its own
 //! scalar, or eight combs over **one** table, each row entry broadcast
 //! and each lane's digit its own mask — so the driver groups a batch's
-//! comb jobs by table — or, for a group too small to fill that pass (a
-//! seal's lone comb on each of its two tables), one comb whose table
-//! rows the eight lanes split between them. Outputs are bit-identical to
+//! comb jobs by table — or, for what a group too small to fill that pass
+//! leaves (fewer than `MIN_COMBS` jobs: a seal's lone comb on each of its
+//! two tables, an onion's leftovers), two combs at a time whose tables'
+//! rows four lanes each split between them, whatever tables the two are
+//! on; an odd one out splits its table's rows over all eight lanes.
+//! Outputs are bit-identical to
 //! [`x25519`] on every tier. The IFMA tier needs the `Ifma` rung of the
 //! one CPU ladder in [`mixnn_cpu`] — AVX-512 F, BW and DQ below it, IFMA
 //! on top.
@@ -478,8 +481,9 @@ where
 
 /// Projective `(x, z)` of `ks[i] · bases[i]` for pre-clamped scalars: one
 /// ladder group for every point job, then one comb group per table, in
-/// the order the tables first appear. Grouping is by table identity —
-/// public, like the tables — and changes no output.
+/// the order the tables first appear, then the comb jobs those groups
+/// leave, two at a time. Grouping is by table identity — public, like the
+/// tables — and changes no output.
 fn multiply(tier: Tier, ks: &[[u8; KEY_LEN]], bases: &[Base<'_>], xs: &mut [Fe], zs: &mut [Fe]) {
     let mut points = [(0, [0u8; KEY_LEN]); CHUNK];
     let mut n = 0;
@@ -492,6 +496,8 @@ fn multiply(tier: Tier, ks: &[[u8; KEY_LEN]], bases: &[Base<'_>], xs: &mut [Fe],
     ladders(tier, ks, &points[..n], xs, zs);
     let mut grouped = [false; CHUNK];
     let mut group = [0; CHUNK];
+    let mut left = [0; CHUNK];
+    let mut left_count = 0;
     for first in 0..bases.len() {
         let Base::Table(table) = bases[first] else {
             continue;
@@ -507,8 +513,11 @@ fn multiply(tier: Tier, ks: &[[u8; KEY_LEN]], bases: &[Base<'_>], xs: &mut [Fe],
                 n += 1;
             }
         }
-        combs(tier, table, ks, &group[..n], xs, zs);
+        let rest = combs(tier, table, ks, &group[..n], xs, zs);
+        left[left_count..left_count + rest.len()].copy_from_slice(rest);
+        left_count += rest.len();
     }
+    lone_combs(tier, ks, bases, &left[..left_count], xs, zs);
 }
 
 /// The ladder over `jobs` — `(index into the chunk, point)` pairs.
@@ -546,20 +555,21 @@ fn ladders(
     }
 }
 
-/// The comb over `jobs` (indices into the chunk), all on `table`.
+/// The comb over `jobs` (indices into the chunk), all on `table`;
+/// returns the jobs it leaves to [`lone_combs`].
 ///
 /// On the IFMA tier the jobs go eight to a pass sharing the table, padded
-/// as [`ladders`] pads; a group too short to pay for a pass — a lone seal's
-/// comb above all — takes the row-split comb, one job per pass. The scalar
-/// comb is the `Scalar` tier's.
-fn combs(
+/// as [`ladders`] pads, while at least `MIN_COMBS` are left; fewer — a
+/// lone seal's comb above all — are left to be paired. The scalar comb is
+/// the `Scalar` tier's, and leaves nothing.
+fn combs<'j>(
     tier: Tier,
     table: &FixedBase,
     ks: &[[u8; KEY_LEN]],
-    jobs: &[usize],
+    jobs: &'j [usize],
     xs: &mut [Fe],
     zs: &mut [Fe],
-) {
+) -> &'j [usize] {
     #[cfg(target_arch = "x86_64")]
     if tier >= Tier::Ifma {
         let mut done = 0;
@@ -572,16 +582,49 @@ fn combs(
             }
             done += group.len();
         }
-        for &i in &jobs[done..] {
-            (xs[i], zs[i]) = ifma::comb_rows(table, &ks[i]);
-        }
-        return;
+        return &jobs[done..];
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = tier;
     for &i in jobs {
         (xs[i], zs[i]) = edwards::comb(table, &ks[i]);
     }
+    &[]
+}
+
+/// The comb jobs [`combs`] left, whatever their tables, two to a
+/// row-split pass (`ifma::comb_pair`) in the order they were left; an odd
+/// one out takes a pass of its own (`ifma::comb_rows`). Only the IFMA
+/// tier leaves any.
+fn lone_combs(
+    tier: Tier,
+    ks: &[[u8; KEY_LEN]],
+    bases: &[Base<'_>],
+    jobs: &[usize],
+    xs: &mut [Fe],
+    zs: &mut [Fe],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if tier >= Tier::Ifma {
+        let table = |i: usize| match bases[i] {
+            Base::Table(table) => table,
+            Base::Point(_) => unreachable!("only comb jobs are left"),
+        };
+        let mut pairs = jobs.chunks_exact(2);
+        for pair in pairs.by_ref() {
+            let [a, b] = [pair[0], pair[1]];
+            let out = ifma::comb_pair([table(a), table(b)], [&ks[a], &ks[b]]);
+            for (&i, (x, z)) in pair.iter().zip(out) {
+                (xs[i], zs[i]) = (x, z);
+            }
+        }
+        for &i in pairs.remainder() {
+            (xs[i], zs[i]) = ifma::comb_rows(table(i), &ks[i]);
+        }
+        return;
+    }
+    let _ = (tier, ks, bases, xs, zs);
+    assert!(jobs.is_empty(), "only the IFMA tier leaves lone combs");
 }
 
 /// The Montgomery ladder core: projective `(x, z)` of `k · point` for an
@@ -640,12 +683,19 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 /// then negated in the lanes whose digit is negative. Every entry is read
 /// on every step, as on the scalar comb.
 ///
-/// A lone comb cannot fill eight lanes with scalars, so it fills them
-/// with rows (`comb_rows`): lane `l` sums the entries its digits name in
-/// rows `l`, `l + 8`, `l + 16` and `l + 24` — four passes, each gathering
-/// every entry of the eight lanes' rows at offsets fixed whatever the
-/// scalar — and complete additions across the lanes then add the eight
-/// partial sums. A quarter of `comb8`'s multiplications, for one job.
+/// A few combs cannot fill eight lanes with scalars, so they fill them
+/// with rows (`combs_split`). Two jobs — a seal's `k·G` and `k·H`, or
+/// what `comb8` passes leave on their tables — take four lanes each
+/// (`comb_pair`): lane `l` sums the entries its job's digits name in
+/// rows `l mod 4`, `l mod 4 + 4`, … of its job's table — eight passes,
+/// each gathering every entry of the eight lanes' rows at the table's
+/// base plus the row, offsets fixed whatever the scalars — then one set
+/// of four doublings serves all eight lanes, and two levels of complete
+/// additions across lanes `l ^ 1` and `l ^ 2` add each job's four
+/// partial sums into lanes 0 and 4. A job with no partner takes all
+/// eight lanes (`comb_rows`: rows `l`, `l + 8`, `l + 16`, `l + 24`, four
+/// passes, three levels). Half of `comb8`'s multiplications for two jobs,
+/// a quarter for one.
 ///
 /// Lane field elements use radix-2⁴³ (six limbs): `vpmadd52` truncates
 /// operands to 52 bits, and the nine bits of headroom above a carried
@@ -665,7 +715,7 @@ mod ifma {
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
 
-    /// Lanes per pass: ladder and `comb8` jobs, or `comb_rows` rows.
+    /// Lanes per pass: ladder and `comb8` jobs, or row-split rows.
     pub const LANES: usize = 8;
     /// Smallest group worth a (padded) ladder pass. Measured on the
     /// reference box, a pass costs 69 µs whatever its fill against 40 µs
@@ -673,15 +723,20 @@ mod ifma {
     /// --bench crypto`: `x25519/multi_scalar/2` against two
     /// `x25519/scalarmult`) — a lone ladder stays scalar.
     pub const MIN_POINTS: usize = 2;
-    /// Smallest group on one table worth a (padded) `comb8` pass; a
-    /// smaller one takes a `comb_rows` pass per job. Read off the
-    /// `x25519/fixed_base/ifma/<n>` rows (`cargo bench --bench crypto`,
-    /// pinned, on a box whose `x25519/scalarmult` read 46.9 µs): a
-    /// row-split comb costs ≈ 4.4 µs per job beyond the shared inversion
-    /// (`/1` 11.7 µs, `/2` 15.6, `/3` 20.4), a pass the same whatever its
-    /// fill (`/4` 25.5, `/8` 25.3), so four row-split jobs (≈ 24.8 µs)
-    /// tie with a pass and from five up the pass wins.
-    pub const MIN_COMBS: usize = 4;
+    /// Smallest group on one table worth a (padded) `comb8` pass; what a
+    /// smaller one (or a pass's remainder) leaves goes two jobs to a
+    /// `comb_pair` pass, whatever their tables, and an odd one out to a
+    /// `comb_rows` pass. Read off the `x25519/fixed_base/ifma/<n>` rows
+    /// (`cargo bench --bench crypto`, `taskset -c 1`, median of three runs
+    /// alternating with the parent's binary, on a box whose
+    /// `x25519/scalarmult` read 39.7 µs): `/1` 9.1 µs (a `comb_rows`
+    /// pass and the inversion), `/2` 11.5 (a pair), `/3` 16.2 (a pair and
+    /// a `comb_rows` pass), `/4` 18.6 (two pairs) — so ≈ 4.4 µs of
+    /// inversion, ≈ 4.7 a `comb_rows` pass and ≈ 7.1 a pair — against a
+    /// `comb8` pass at any fill (`/5` 22.4, `/8` 22.8; ≈ 18 beyond the
+    /// inversion). Four jobs run cheaper as two pairs (≈ 14.2 µs); five
+    /// as two pairs and a `comb_rows` pass (≈ 18.9) lose to the pass.
+    pub const MIN_COMBS: usize = 5;
 
     const MASK43: u64 = (1 << 43) - 1;
     /// 2²⁵⁸ mod p = 8 · 19.
@@ -1162,85 +1217,156 @@ mod ifma {
         from_efgh(&sub(&a, &b), &sub(&d, &c), &add(&d, &c), &add(&a, &b))
     }
 
-    /// Lane 0 of `v` as a scalar field element.
+    /// Lanes `width·j` of `v`, `j < JOBS`, as scalar field elements.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn lane0(v: &FeV) -> Fe {
-        fe_from_limbs(v.0.map(|reg| _mm_cvtsi128_si64(_mm512_castsi512_si128(reg)) as u64))
+    unsafe fn lanes_at<const JOBS: usize>(v: &FeV, width: usize) -> [Fe; JOBS] {
+        let mut by_limb = [[0u64; LANES]; 6];
+        for (limb, reg) in by_limb.iter_mut().zip(&v.0) {
+            _mm512_storeu_si512(limb.as_mut_ptr().cast(), *reg);
+        }
+        core::array::from_fn(|j| fe_from_limbs(core::array::from_fn(|i| by_limb[i][width * j])))
     }
 
-    /// Row-split passes per comb: each lane takes one row per pass.
-    const PASSES: usize = ROWS / LANES;
+    /// Row-split passes of a pair's combs, four lanes each: the most any
+    /// row-split comb takes.
+    const MAX_PASSES: usize = ROWS / (LANES / 2);
     const _: () = assert!(ROWS.is_multiple_of(LANES));
 
     /// The comb over **one** pre-clamped scalar, its table's rows split
-    /// between the lanes: lane `l` owns rows `l`, `l + 8`, `l + 16` and
-    /// `l + 24`, and sums the entries its odd digits name there in one
-    /// accumulator and those its even digits name in another. Each lane
-    /// then doubles its odd sum four times and adds the even one, and
-    /// three butterfly levels of complete additions (lane `l` with lane
-    /// `l ^ s`) add the lanes up. Returns lane 0's projective Montgomery
-    /// pair for the caller's batched inversion: another representation
-    /// of the point the scalar `edwards::comb` reaches, so the same
-    /// u-coordinate and the same bytes.
-    ///
-    /// Constant time: which rows a lane reads is public, its position.
-    /// Every pass gathers every entry of every lane's row, at offsets
-    /// fixed whatever the scalar, and each lane keeps its odd and its even
-    /// digit's entry by vector-compare masks; signs negate by mask, as in
-    /// [`select`]. No branch and no memory index depends on a scalar bit.
+    /// between the eight lanes: [`combs_split`] of one job. What a group
+    /// too small for [`comb8`] leaves when no other lone comb pairs with
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics unless the CPU reaches [`Tier::Ifma`] — callers select this
     /// tier only after checking it.
     pub fn comb_rows(table: &FixedBase, k: &[u8; KEY_LEN]) -> (Fe, Fe) {
+        let [out] = combs_split([table], [k]);
+        out
+    }
+
+    /// Two combs in one row-split pass: [`combs_split`] of two jobs, each
+    /// on its own table or both on one — a seal's `k·G` and `k·H`, or
+    /// what a table's `comb8` passes leave.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Ifma`] — callers select this
+    /// tier only after checking it.
+    pub fn comb_pair(tables: [&FixedBase; 2], ks: [&[u8; KEY_LEN]; 2]) -> [(Fe, Fe); 2] {
+        combs_split(tables, ks)
+    }
+
+    /// The comb over `JOBS` (one or two) pre-clamped scalars, each on its
+    /// table, the lanes splitting the tables' rows: job `j` owns lanes
+    /// `w·j .. w·j + w` for `w = 8 / JOBS`, and its lane `l` the rows
+    /// `l mod w`, `l mod w + w`, … — `32 / w` passes, each lane summing
+    /// the entries its odd digits name there in one accumulator and
+    /// those its even digits name in another. Each lane then doubles its
+    /// odd sum four times and adds the even one, one set of doublings for
+    /// every job, and butterfly levels of complete additions (lane `l`
+    /// with lane `l ^ s` for `s = 1, 2, …, w/2`) add each job's lanes up
+    /// into its first. Returns each job's projective Montgomery pair for
+    /// the caller's batched inversion: another representation of the
+    /// point the scalar `edwards::comb` reaches, so the same u-coordinate
+    /// and the same bytes.
+    ///
+    /// Constant time: which rows a lane reads is public, its position.
+    /// Every pass gathers every entry of every lane's row — at its table's
+    /// base plus the row, offsets fixed whatever the scalars — and each
+    /// lane keeps its odd and its even digit's entry by vector-compare
+    /// masks; signs negate by mask, as in [`select`]. No branch and no
+    /// memory index depends on a scalar bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the CPU reaches [`Tier::Ifma`].
+    fn combs_split<const JOBS: usize>(
+        tables: [&FixedBase; JOBS],
+        ks: [&[u8; KEY_LEN]; JOBS],
+    ) -> [(Fe, Fe); JOBS] {
         assert!(
             Tier::Ifma.available(),
             "IFMA comb selected on a CPU without it"
         );
+        let width = LANES / JOBS;
+        let passes = ROWS / width;
+        assert!(JOBS * width == LANES && passes <= MAX_PASSES);
         // Per pass and parity (even digits first), every lane's magnitude
         // (a vector row) and the lanes whose digit is negative (a mask).
-        let mut magnitudes = [[[0u64; LANES]; PASSES]; 2];
-        let mut negative = [[0 as __mmask8; PASSES]; 2];
-        for (row, digits) in edwards::digits(k).chunks_exact(2).enumerate() {
-            let (pass, lane) = (row / LANES, row % LANES);
-            for (parity, &digit) in digits.iter().enumerate() {
-                let (magnitude, sign) = edwards::magnitude_and_sign(digit);
-                magnitudes[parity][pass][lane] = magnitude;
-                negative[parity][pass] |= (sign as u8) << lane;
+        let mut magnitudes = [[[0u64; LANES]; MAX_PASSES]; 2];
+        let mut negative = [[0 as __mmask8; MAX_PASSES]; 2];
+        for (job, k) in ks.iter().enumerate() {
+            for (row, digits) in edwards::digits(k).chunks_exact(2).enumerate() {
+                let (pass, lane) = (row / width, width * job + row % width);
+                for (parity, &digit) in digits.iter().enumerate() {
+                    let (magnitude, sign) = edwards::magnitude_and_sign(digit);
+                    magnitudes[parity][pass][lane] = magnitude;
+                    negative[parity][pass] |= (sign as u8) << lane;
+                }
             }
         }
+        // Lane `l` reads row `l mod w + w·pass` of its job's table: a
+        // byte offset from table 0's first row fixed for the lane, plus
+        // `w` rows a pass.
+        let row_bytes = core::mem::size_of::<[Niels; ENTRIES]>();
+        let base = tables[0].rows().as_ptr();
+        let offsets: [i64; LANES] = core::array::from_fn(|l| {
+            let rows = tables[l / width].rows();
+            assert_eq!(rows.len(), ROWS, "a comb table has {ROWS} rows");
+            let start = (rows.as_ptr() as usize).wrapping_sub(base as usize);
+            start.wrapping_add(l % width * row_bytes) as i64
+        });
         // SAFETY: the `Ifma` rung was just confirmed; it requires AVX-512
         // F and DQ (from the `Avx512` rung) and IFMA — the features
-        // `comb_rows_lanes` enables.
-        unsafe { comb_rows_lanes(table.rows(), &magnitudes, &negative, d2_limbs()) }
+        // `combs_split_lanes` enables. Lane `l` gathers from row
+        // `l mod w + w·pass < 32` of a table of 32 rows, for every pass.
+        let (us, ws) = unsafe {
+            let h = combs_split_lanes(
+                base.cast(),
+                &offsets,
+                (width * row_bytes) as i64,
+                &magnitudes,
+                passes,
+                &negative,
+                width,
+                d2_limbs(),
+            );
+            (
+                lanes_at::<JOBS>(&add(&h.z, &h.y), width),
+                lanes_at::<JOBS>(&sub(&h.z, &h.y), width),
+            )
+        };
+        core::array::from_fn(|job| (us[job], ws[job]))
     }
 
     /// # Safety
     ///
-    /// Requires AVX-512 F/DQ/IFMA, i.e. the CPU reaches [`Tier::Ifma`].
+    /// Requires AVX-512 F/DQ/IFMA, i.e. the CPU reaches [`Tier::Ifma`],
+    /// and a whole table entry readable at `base + offsets[l] +
+    /// pass·stride + j·size_of::<Niels>()` for every lane `l`, pass below
+    /// `passes` and entry `j` below eight.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn comb_rows_lanes(
-        rows: &[[Niels; ENTRIES]],
-        magnitudes: &[[[u64; LANES]; PASSES]; 2],
-        negative: &[[__mmask8; PASSES]; 2],
+    unsafe fn combs_split_lanes(
+        base: *const Niels,
+        offsets: &[i64; LANES],
+        stride: i64,
+        magnitudes: &[[[u64; LANES]; MAX_PASSES]; 2],
+        passes: usize,
+        negative: &[[__mmask8; MAX_PASSES]; 2],
+        width: usize,
         d2: &[u64; 6],
-    ) -> (Fe, Fe) {
-        // Every gather reads rows `LANES·pass .. LANES·pass + 8`.
-        assert_eq!(rows.len(), ROWS, "a comb table has {ROWS} rows");
-        // Lane `l` reads row `LANES·pass + l`: `l` rows past the pass's
-        // first, whatever the scalar.
-        let row_bytes = core::mem::size_of::<[Niels; ENTRIES]>() as i64;
-        let offsets: [i64; LANES] = core::array::from_fn(|l| l as i64 * row_bytes);
-        let offsets = _mm512_loadu_si512(offsets.as_ptr().cast());
+    ) -> ExtV {
+        let mut offsets = _mm512_loadu_si512(offsets.as_ptr().cast());
         let mut sums = [identity(); 2];
-        for pass in 0..PASSES {
-            let first = rows[LANES * pass..].as_ptr().cast::<Niels>();
+        for pass in 0..passes {
             let even = _mm512_loadu_si512(magnitudes[0][pass].as_ptr().cast());
             let odd = _mm512_loadu_si512(magnitudes[1][pass].as_ptr().cast());
             let mut kept = [identity51(), identity51()];
             for j in 0..ENTRIES {
-                let entry = first.add(j);
+                let entry = base.add(j);
                 let picks = [
                     _mm512_cmpeq_epi64_mask(even, splat(j as u64 + 1)),
                     _mm512_cmpeq_epi64_mask(odd, splat(j as u64 + 1)),
@@ -1263,6 +1389,7 @@ mod ifma {
             for (parity, (sum, t)) in sums.iter_mut().zip(&kept).enumerate() {
                 *sum = add_niels(sum, &signed(t, negative[parity][pass]));
             }
+            offsets = _mm512_add_epi64(offsets, _mm512_set1_epi64(stride));
         }
         let [even, mut h] = sums;
         for _ in 0..4 {
@@ -1271,8 +1398,9 @@ mod ifma {
         let d2 = FeV(d2.map(|limb| splat(limb)));
         h = add_ext(&h, &even, &d2);
         let lanes = _mm512_loadu_si512([0i64, 1, 2, 3, 4, 5, 6, 7].as_ptr().cast());
-        for s in [1, 2, 4] {
-            let partner = _mm512_xor_si512(lanes, splat(s));
+        let mut s = 1;
+        while s < width {
+            let partner = _mm512_xor_si512(lanes, splat(s as u64));
             let of_partner = |v: &FeV| FeV(v.0.map(|reg| _mm512_permutexvar_epi64(partner, reg)));
             let other = ExtV {
                 x: of_partner(&h.x),
@@ -1281,8 +1409,9 @@ mod ifma {
                 t: of_partner(&h.t),
             };
             h = add_ext(&h, &other, &d2);
+            s *= 2;
         }
-        (lane0(&add(&h.z, &h.y)), lane0(&sub(&h.z, &h.y)))
+        h
     }
 
     #[cfg(test)]
@@ -1740,8 +1869,8 @@ mod tests {
         // it pinned only the scalar comb.
         println!("x25519 comb tiers exercised: {:?}", Tier::runnable(TIERS));
         // 1..=33 jobs on one table, a different digit pattern per lane:
-        // below MIN_COMBS (a row-split comb per job), one padded pass,
-        // full passes, full passes + row-split or padded tails.
+        // below MIN_COMBS (row-split pairs, an odd job alone), one padded
+        // pass, full passes, full passes + row-split or padded tails.
         let table = FixedBase::new(&public_key(&[0x5c; 32])).unwrap();
         let scalars = comb_scalars(29);
         let expected = comb_on(Tier::Scalar, &table, &scalars);
@@ -1764,8 +1893,8 @@ mod tests {
             "x25519 lone comb tiers exercised: {:?}",
             Tier::runnable(TIERS)
         );
-        // Every scalar alone on its table, as a seal's two combs run: on
-        // the IFMA tier, the row-split comb.
+        // Every scalar alone on its table: on the IFMA tier, the
+        // row-split comb over all eight lanes.
         let scalars = comb_scalars(64);
         let mut points = vec![BASEPOINT];
         points.extend((0u8..4).map(|i| public_key(&[i.wrapping_mul(41).wrapping_add(6); 32])));
@@ -1790,6 +1919,51 @@ mod tests {
         }
         // All but p − 1 (≡ −1, no Edwards image) have a table.
         assert_eq!(tables, points.len() - 1);
+    }
+
+    /// `u` of a projective pair.
+    fn u_of((x, z): (Fe, Fe)) -> [u8; 32] {
+        x.mul(&z.invert()).to_bytes()
+    }
+
+    #[test]
+    fn a_comb_pair_matches_the_scalar_comb_job_for_job_on_two_tables_and_on_one() {
+        // Shown by CI (`--nocapture`): a runner without the wide tier says
+        // it pinned only the scalar comb.
+        println!(
+            "x25519 comb pair tiers exercised: {:?}",
+            Tier::runnable(TIERS)
+        );
+        let mut points = vec![BASEPOINT];
+        points.extend((0u8..2).map(|i| public_key(&[i.wrapping_mul(83).wrapping_add(9); 32])));
+        points.extend(edge_points());
+        points.push(mixed_order_point());
+        let tables: Vec<FixedBase> = points.iter().filter_map(FixedBase::new).collect();
+        // All but p − 1 (≡ −1, no Edwards image) have a table.
+        assert_eq!(tables.len(), points.len() - 1);
+        let scalars: Vec<[u8; 32]> = comb_scalars(6).iter().map(clamp).collect();
+        // Every table beside the next one and beside itself, each with
+        // every scalar against the one after it.
+        for (t, a) in tables.iter().enumerate() {
+            for b in [&tables[(t + 1) % tables.len()], a] {
+                for (i, k) in scalars.iter().enumerate() {
+                    let other = &scalars[(i + 1) % scalars.len()];
+                    let expected = [u_of(edwards::comb(a, k)), u_of(edwards::comb(b, other))];
+                    // Through the driver as a seal's two lone combs run.
+                    for tier in Tier::runnable(TIERS) {
+                        let jobs = [(*k, Base::Table(a)), (*other, Base::Table(b))];
+                        let mut got = [[0u8; 32]; 2];
+                        scalarmult_each(tier, jobs, |j, u| got[j] = u);
+                        assert_eq!(got, expected, "{tier:?}, table {t}, scalar {i}");
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    if Tier::Ifma.available() {
+                        let got = ifma::comb_pair([a, b], [k, other]).map(u_of);
+                        assert_eq!(got, expected, "table {t}, scalar {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1824,6 +1998,38 @@ mod tests {
                     seen += 1;
                 });
                 assert_eq!(seen, len);
+            }
+        }
+        // What the IFMA tier leaves to be paired: a seal's two lone combs,
+        // on the base table and on the key's, and an onion's four
+        // leftovers — 1 + 5 × 2 envelopes to three hops leave three base
+        // jobs after a full pass and the entry hop's one job, while the
+        // other two hops' five jobs each fill a pass of their own.
+        let hops = [
+            FixedBase::new(&public_key(&[0x33; 32])).unwrap(),
+            FixedBase::new(&public_key(&[0x44; 32])).unwrap(),
+            FixedBase::new(&public_key(&[0x55; 32])).unwrap(),
+        ];
+        let hop_keys = [0x33, 0x44, 0x55].map(|b| public_key(&[b; 32]));
+        let seal = [(0, 0), (0, 1)];
+        let hop = |e: usize| if e == 0 { 3 } else { 1 + e % 2 };
+        let onion: Vec<(usize, usize)> = (0..11).flat_map(|e| [(e, 0), (e, hop(e))]).collect();
+        let scalars = comb_scalars(7);
+        for jobs in [&seal[..], &onion] {
+            let table =
+                |which: usize| [FixedBase::basepoint(), &hops[0], &hops[1], &hops[2]][which];
+            let point = |which: usize| [BASEPOINT, hop_keys[0], hop_keys[1], hop_keys[2]][which];
+            for tier in Tier::runnable(TIERS) {
+                let mut seen = 0;
+                let driver_jobs = jobs
+                    .iter()
+                    .map(|&(e, which)| (scalars[e], Base::Table(table(which))));
+                scalarmult_each(tier, driver_jobs, |i, u| {
+                    let (e, which) = jobs[i];
+                    assert_eq!(u, x25519(&scalars[e], &point(which)), "{tier:?}, job {i}");
+                    seen += 1;
+                });
+                assert_eq!(seen, jobs.len());
             }
         }
     }
