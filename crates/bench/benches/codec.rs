@@ -60,9 +60,12 @@ fn modes() -> [CompressionConfig; 3] {
     ]
 }
 
+/// Up to 1,000 iterations a row within its budget, as in the crypto
+/// target: ten or twenty — a few timed batches — cannot resolve a 10–20 %
+/// kernel change against the host's phases.
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     group
-        .sample_size(20)
+        .sample_size(1000)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 }

@@ -16,9 +16,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::time::Duration;
 
+/// Up to 1,000 iterations a row within its budget, as in the crypto
+/// target: ten or twenty — a few timed batches — cannot resolve a 10–20 %
+/// kernel change against the host's phases.
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     group
-        .sample_size(10)
+        .sample_size(1000)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 }

@@ -27,9 +27,12 @@ fn updates(c: usize, layers: usize, scalars: usize) -> Vec<ModelParams> {
         .collect()
 }
 
+/// Up to 1,000 iterations a row within its budget, as in the crypto
+/// target: ten or twenty — a few timed batches — cannot resolve a 10–20 %
+/// kernel change against the host's phases.
 fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
     group
-        .sample_size(10)
+        .sample_size(1000)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
 }
@@ -81,7 +84,7 @@ fn bench_mean(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("nn/mean");
     group
-        .sample_size(20)
+        .sample_size(1000)
         .measurement_time(Duration::from_secs(2));
     for (clients, signature) in shapes {
         let mut rng = StdRng::seed_from_u64(13);

@@ -58,7 +58,10 @@
 //!   [`SealingKey`], for every shared secret sealed to it. The comb takes
 //!   the full clamped scalar, never reduced mod ℓ (a recipient key need
 //!   not lie in the prime-order subgroup), reads every table entry of a
-//!   row and keeps one by mask, and yields the ladder's bytes;
+//!   row and keeps one by mask, and yields the ladder's bytes. Both run
+//!   eight lanes on one IFMA field product, which folds 2²⁵⁸ ≡ 152 into
+//!   an operand before multiplying — `152·b` per limb in one `vpmadd52`
+//!   — so its products land in six positions, with no `vpmullq` in it;
 //! * [`sealed_box::SealedBox::prepare_open`] derives the shared secrets
 //!   of a round's envelopes together — every ephemeral point a variable
 //!   base, so eight ladders per IFMA pass (the `Ifma` rung) — with one

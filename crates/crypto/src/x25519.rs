@@ -46,7 +46,10 @@
 //! Outputs are bit-identical to
 //! [`x25519`] on every tier. The IFMA tier needs the `Ifma` rung of the
 //! one CPU ladder in [`mixnn_cpu`] — AVX-512 F, BW and DQ below it, IFMA
-//! on top.
+//! on top. Its one field product folds 2²⁵⁸ ≡ 152 (mod p) into an
+//! operand before multiplying, exact while that operand's radix-2⁴³
+//! limbs stay at most ⌊(2⁵² − 1)/152⌋; the `ifma` module's bound table
+//! shows which operand each call site folds.
 
 mod edwards;
 
@@ -697,17 +700,42 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 /// passes, three levels). Half of `comb8`'s multiplications for two jobs,
 /// a quarter for one.
 ///
-/// Lane field elements use radix-2⁴³ (six limbs): `vpmadd52` truncates
-/// operands to 52 bits, and the nine bits of headroom above a carried
-/// 43-bit limb let one add/sub level feed a multiplication directly —
-/// only multiply outputs are carried, mirroring the scalar radix-2⁵¹
-/// discipline.
+/// Lane field elements use radix-2⁴³ (six limbs, 258 bits). A limb
+/// product splits at bit 52 (`vpmadd52lo`/`hi`); the high half of
+/// position `k` lands at bit 9 of position `k + 1`. Position 6 weighs
+/// 2²⁵⁸ ≡ 8·19 = 152 (mod p), and the fold is taken on an operand,
+/// before the products: `mul(a, b)` forms `152·b` limb by limb — one
+/// `vpmadd52luq` each, exact while every limb of `b` is at most
+/// `FOLD_MAX` = ⌊(2⁵² − 1)/152⌋ ≈ 2^44.75 — and takes `a_i · 152·b_j` at
+/// position `i + j − 6` wherever `i + j ≥ 6`. A product then fills six
+/// low and six high accumulators, its reduction is six shift-adds and
+/// the fold of the one high half that reaches position 6, and neither
+/// it nor the carry's top fold needs a `vpmullq`. The unfolded operand
+/// `a` only has to fit `vpmadd52`'s 52-bit window.
 ///
-/// A position-`k` product splits at bit 52 (`vpmadd52lo`/`hi`); its high
-/// half lands at bit 9 of position `k + 1`. Positions ≥ 6 fold back by
-/// 2²⁵⁸ ≡ 8·19 = 152 (mod p). Lane outputs convert to the scalar [`Fe`]
-/// for the existing Montgomery-trick batched inversion, so serialization
-/// stays canonical and the results are bit-identical to the scalar path.
+/// Only multiply outputs are carried, as in the scalar radix-2⁵¹
+/// discipline, so whether an operand may be the folded one is a matter
+/// of the add/sub levels above its last carry:
+///
+/// | operand | limb bound | foldable |
+/// |---|---|---|
+/// | carried: a `mul`, `square` or `mul_small` output | < 2⁴³ + 2²⁷ (limbs 1–5 < 2⁴³) | yes |
+/// | a table entry, a point, `2d` | < 2⁴³ | yes |
+/// | a negated `xy2d` (16p minus an entry) | < 2⁴⁴ | yes |
+/// | an add of two carried values | < 2⁴⁴ + 2²⁸ | yes |
+/// | a 16p-biased sub of carried values | < 3·2⁴³ + 2²⁷ ≈ 2^44.59 | yes |
+/// | `g = 2z + c` in `add_niels` / `add_ext` | < 3·2⁴³ + 3·2²⁷ ≈ 2^44.59 | yes |
+/// | `f = 2z − c` in `add_niels` / `add_ext` | < 2⁴⁵ + 2²⁸ | no |
+/// | `e` (before its carry) and `f` in `double` | < 5·2⁴³ + 3·2²⁷ ≈ 2^45.33 | no |
+///
+/// Every ladder operand is foldable; the ladder folds `x1` (loop
+/// invariant) into `z3`. `add_niels`, `add_ext` and `double` finish in
+/// `from_efgh`, whose products never fold `f`; `double` carries its `e`,
+/// which meets `f` in `x = e·f`. `mul_small` multiplies by `a24` with
+/// `vpmullq` (a 44.6 + 17-bit product fits 64 bits). Lane outputs convert
+/// to the scalar [`Fe`] for the existing Montgomery-trick batched
+/// inversion, so serialization stays canonical and the results are
+/// bit-identical to the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod ifma {
     use super::edwards::{self, FixedBase, Niels, DIGITS, ENTRIES, ROWS};
@@ -718,29 +746,34 @@ mod ifma {
     /// Lanes per pass: ladder and `comb8` jobs, or row-split rows.
     pub const LANES: usize = 8;
     /// Smallest group worth a (padded) ladder pass. Measured on the
-    /// reference box, a pass costs 69 µs whatever its fill against 40 µs
-    /// per scalar ladder, so it wins from two jobs up (`cargo bench
-    /// --bench crypto`: `x25519/multi_scalar/2` against two
-    /// `x25519/scalarmult`) — a lone ladder stays scalar.
+    /// reference box (`cargo bench --bench crypto`, `taskset -c 1`,
+    /// fastest batch, median of five runs), a pass costs ≈ 53 µs
+    /// whatever its fill (`x25519/multi_scalar/2` 52.5, `/8` 53.3)
+    /// against 41.2 µs per scalar ladder (`x25519/scalarmult`), so it
+    /// wins from two jobs up (≈ 82 µs as two scalar ladders) — a lone
+    /// ladder stays scalar.
     pub const MIN_POINTS: usize = 2;
     /// Smallest group on one table worth a (padded) `comb8` pass; what a
     /// smaller one (or a pass's remainder) leaves goes two jobs to a
     /// `comb_pair` pass, whatever their tables, and an odd one out to a
     /// `comb_rows` pass. Read off the `x25519/fixed_base/ifma/<n>` rows
-    /// (`cargo bench --bench crypto`, `taskset -c 1`, median of three runs
-    /// alternating with the parent's binary, on a box whose
-    /// `x25519/scalarmult` read 39.7 µs): `/1` 9.1 µs (a `comb_rows`
-    /// pass and the inversion), `/2` 11.5 (a pair), `/3` 16.2 (a pair and
-    /// a `comb_rows` pass), `/4` 18.6 (two pairs) — so ≈ 4.4 µs of
-    /// inversion, ≈ 4.7 a `comb_rows` pass and ≈ 7.1 a pair — against a
-    /// `comb8` pass at any fill (`/5` 22.4, `/8` 22.8; ≈ 18 beyond the
-    /// inversion). Four jobs run cheaper as two pairs (≈ 14.2 µs); five
-    /// as two pairs and a `comb_rows` pass (≈ 18.9) lose to the pass.
+    /// (`cargo bench --bench crypto`, `taskset -c 1`, fastest batch,
+    /// median of five runs, on a box whose `x25519/scalarmult` read
+    /// 41.2 µs): `/1` 8.7 µs (a `comb_rows` pass and the inversion), `/2`
+    /// 10.8 (a pair), `/3` 14.9 (a pair and a `comb_rows` pass), `/4`
+    /// 17.0 (two pairs) — so ≈ 4.7 µs of inversion, ≈ 4.1 a `comb_rows`
+    /// pass and ≈ 6.1 a pair — against a `comb8` pass at any fill (`/5`
+    /// 19.4, `/8` 19.7; ≈ 15 beyond the inversion). Four jobs run cheaper
+    /// as two pairs (≈ 12.3 µs); five as two pairs and a `comb_rows`
+    /// pass (≈ 16.3) lose to the pass.
     pub const MIN_COMBS: usize = 5;
 
     const MASK43: u64 = (1 << 43) - 1;
     /// 2²⁵⁸ mod p = 8 · 19.
     const FOLD: u64 = 152;
+    /// ⌊(2⁵² − 1) / 152⌋ ≈ 2^44.75: the largest limb whose 152-fold one
+    /// `vpmadd52luq` forms exactly.
+    const FOLD_MAX: u64 = ((1 << 52) - 1) / FOLD;
     /// (486662 − 2) / 4, the ladder's `a24` constant.
     const A24: u64 = 121_665;
     /// 16p in radix-2⁴³: the subtraction bias. Every limb exceeds any
@@ -771,7 +804,7 @@ mod ifma {
         r
     }
 
-    /// Limb-wise sum; inputs carried (`< 2⁴⁴`), output `< 2⁴⁵`.
+    /// Limb-wise sum; two carried inputs give `< 2⁴⁴ + 2²⁸`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn add(a: &FeV, b: &FeV) -> FeV {
         let mut r = *a;
@@ -781,7 +814,8 @@ mod ifma {
         r
     }
 
-    /// `a − b`, biased by 16p to stay non-negative; output `< 2⁴⁶`.
+    /// `a − b`, biased by 16p to stay non-negative: `b` must be carried
+    /// (or a table entry); a carried `a` gives `< 3·2⁴³ + 2²⁷`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn sub(a: &FeV, b: &FeV) -> FeV {
         let mut r = *a;
@@ -791,8 +825,22 @@ mod ifma {
         r
     }
 
-    /// One radix-2⁴³ carry sweep with the 2²⁵⁸ ≡ 152 top fold. Accepts
-    /// limbs `< 2⁶³`; leaves limbs 1–5 `< 2⁴³` and limb 0 `< 2⁴³ + 2²⁷`.
+    /// `152·v` per lane in one `vpmadd52luq`: exact while every lane's
+    /// limb is at most [`FOLD_MAX`], which a debug build checks.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn fold(v: __m512i) -> __m512i {
+        debug_assert_eq!(
+            _mm512_cmpgt_epu64_mask(v, splat(FOLD_MAX)),
+            0,
+            "a folded limb exceeds FOLD_MAX"
+        );
+        _mm512_madd52lo_epu64(_mm512_setzero_si512(), v, splat(FOLD))
+    }
+
+    /// One radix-2⁴³ carry sweep with the 2²⁵⁸ ≡ 152 top fold (the top
+    /// carry stays below 2²⁰, so one `vpmadd52luq` adds its fold).
+    /// Accepts limbs `< 2⁶²`; leaves limbs 1–5 `< 2⁴³` and limb 0
+    /// `< 2⁴³ + 2²⁷`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn carry(mut r: [__m512i; 6]) -> FeV {
         let mask = splat(MASK43);
@@ -803,36 +851,56 @@ mod ifma {
         }
         let c = _mm512_srli_epi64::<43>(r[5]);
         r[5] = _mm512_and_si512(r[5], mask);
-        r[0] = _mm512_add_epi64(r[0], _mm512_mullo_epi64(c, splat(FOLD)));
+        r[0] = _mm512_madd52lo_epu64(r[0], c, splat(FOLD));
         FeV(r)
     }
 
-    /// Recombines the split halves of a 12-position product (position
-    /// `k`'s high half sits at bit 9 of position `k + 1`), folds
-    /// positions 6–11 back by 152 and carries.
+    /// A product's multipliers by limb distance: entry `5 + m` is limb
+    /// `m` of `b` and entry `m − 1` its fold `152·b_m`, so the other
+    /// operand's limb `i` meets entry `5 + k − i` at position `k` —
+    /// `b_{k−i}` for `i ≤ k`, the folded `b_{k−i+6}` (position `k + 6`)
+    /// for `i > k`. Every limb of `b` must be foldable, `b_0` included:
+    /// it bounds the high half [`reduce`] folds.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn reduce(lo: &[__m512i; 12], hi: &[__m512i; 12]) -> FeV {
-        let fold = splat(FOLD);
-        let mut r = [_mm512_setzero_si512(); 6];
-        for (k, r) in r.iter_mut().enumerate() {
-            let at = |p: usize| _mm512_add_epi64(lo[p], _mm512_slli_epi64::<9>(hi[p]));
-            *r = _mm512_add_epi64(at(k), _mm512_mullo_epi64(at(k + 6), fold));
+    unsafe fn multipliers(b: &FeV) -> [__m512i; 11] {
+        let folded = b.0.map(|limb| fold(limb));
+        let b = b.0;
+        [
+            folded[1], folded[2], folded[3], folded[4], folded[5], b[0], b[1], b[2], b[3], b[4],
+            b[5],
+        ]
+    }
+
+    /// Recombines a folded product's split halves (position `k`'s high
+    /// half sits at bit 9 of position `k + 1`), folds the one high half
+    /// that reaches position 6 back into position 0, and carries.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn reduce(lo: &[__m512i; 6], hi: &[__m512i; 7]) -> FeV {
+        let mut r = *lo;
+        r[0] = _mm512_add_epi64(r[0], _mm512_slli_epi64::<9>(fold(hi[6])));
+        for k in 1..6 {
+            r[k] = _mm512_add_epi64(r[k], _mm512_slli_epi64::<9>(hi[k]));
         }
         carry(r)
     }
 
-    /// Schoolbook product over `vpmadd52`. Operands up to 2⁴⁶ per limb:
-    /// low sums stay below 6·2⁵², shifted high sums below 6·2⁴⁹, and the
-    /// 152-fold keeps every accumulator below 2⁶³ for the carry sweep.
+    /// Schoolbook product over `vpmadd52`, `b` folded ([`multipliers`]):
+    /// every limb of `b` at most [`FOLD_MAX`], every limb of `a` below
+    /// 2⁴⁶. A position sums six low halves (`< 6·2⁵²`) and six high
+    /// halves, each below its `a` limb (`< 6·2⁵⁵` after the shift); the
+    /// high half reaching position 6 sums unfolded products only
+    /// (`< 6·2^38.75`, foldable), so every limb handed to [`carry`] stays
+    /// below 2⁶².
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn mul(a: &FeV, b: &FeV) -> FeV {
+        let m = multipliers(b);
         let zero = _mm512_setzero_si512();
-        let mut lo = [zero; 12];
-        let mut hi = [zero; 12];
-        for i in 0..6 {
-            for j in 0..6 {
-                lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], a.0[i], b.0[j]);
-                hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], a.0[i], b.0[j]);
+        let mut lo = [zero; 6];
+        let mut hi = [zero; 7];
+        for k in 0..6 {
+            for (i, &a) in a.0.iter().enumerate() {
+                lo[k] = _mm512_madd52lo_epu64(lo[k], a, m[5 + k - i]);
+                hi[k + 1] = _mm512_madd52hi_epu64(hi[k + 1], a, m[5 + k - i]);
             }
         }
         reduce(&lo, &hi)
@@ -840,32 +908,35 @@ mod ifma {
 
     /// Dedicated squaring: each of the 15 symmetric cross terms is taken
     /// once against a doubled limb, 21 `vpmadd52` product pairs instead of
-    /// [`mul`]'s 36. Accepts the same operands (up to 2⁴⁶ per limb): a
-    /// doubled limb stays below 2⁴⁷ — inside `vpmadd52`'s 52-bit operand
-    /// window — and a position sums at most four low halves (`< 4·2⁵²`)
-    /// and high halves below 7·2⁴⁹ after the shift, so the 152-fold still
-    /// keeps every accumulator below 2⁶³.
+    /// [`mul`]'s 36, and folded as [`mul`] folds: term `(i, j)`, `i ≤ j`,
+    /// lands at position `i + j`, or at `i + j − 6` against `152·a_j`.
+    /// Every limb at most [`FOLD_MAX`]: a doubled limb stays below 2⁴⁶,
+    /// inside `vpmadd52`'s window, and a position sums at most four low
+    /// and four high halves.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn square(a: &FeV) -> FeV {
+        let m = multipliers(a);
         let zero = _mm512_setzero_si512();
-        let mut lo = [zero; 12];
-        let mut hi = [zero; 12];
-        let mut twice = a.0;
-        for limb in twice.iter_mut() {
-            *limb = _mm512_add_epi64(*limb, *limb);
-        }
+        let mut lo = [zero; 6];
+        let mut hi = [zero; 7];
+        let twice = a.0.map(|limb| _mm512_add_epi64(limb, limb));
         for i in 0..6 {
-            lo[2 * i] = _mm512_madd52lo_epu64(lo[2 * i], a.0[i], a.0[i]);
-            hi[2 * i + 1] = _mm512_madd52hi_epu64(hi[2 * i + 1], a.0[i], a.0[i]);
+            let wrap = i / 3;
+            let k = 2 * i - 6 * wrap;
+            lo[k] = _mm512_madd52lo_epu64(lo[k], a.0[i], m[5 + i - 6 * wrap]);
+            hi[k + 1] = _mm512_madd52hi_epu64(hi[k + 1], a.0[i], m[5 + i - 6 * wrap]);
             for j in i + 1..6 {
-                lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], twice[i], a.0[j]);
-                hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], twice[i], a.0[j]);
+                let wrap = (i + j) / 6;
+                let k = i + j - 6 * wrap;
+                lo[k] = _mm512_madd52lo_epu64(lo[k], twice[i], m[5 + j - 6 * wrap]);
+                hi[k + 1] = _mm512_madd52hi_epu64(hi[k + 1], twice[i], m[5 + j - 6 * wrap]);
             }
         }
         reduce(&lo, &hi)
     }
 
-    /// Scalar multiple via `vpmullq` (a 43+17-bit product fits 64 bits).
+    /// Scalar multiple via `vpmullq`: a sub output (`< 2^44.59`) times
+    /// `a24` (`< 2¹⁷`) fits 64 bits, and [`carry`]'s `2⁶²`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn mul_small(a: &FeV, s: u64) -> FeV {
         let mut r = a.0;
@@ -939,11 +1010,17 @@ mod ifma {
     /// Stores the lanes back as scalar field elements.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn store(v: &FeV) -> [Fe; LANES] {
+        limbs_of(v).map(fe_from_limbs)
+    }
+
+    /// Every lane's six radix-2⁴³ limbs, as they stand (`[lane][i]`).
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn limbs_of(v: &FeV) -> [[u64; 6]; LANES] {
         let mut by_limb = [[0u64; LANES]; 6];
         for (limb, reg) in by_limb.iter_mut().zip(&v.0) {
             _mm512_storeu_si512(limb.as_mut_ptr().cast(), *reg);
         }
-        core::array::from_fn(|lane| fe_from_limbs(core::array::from_fn(|i| by_limb[i][lane])))
+        core::array::from_fn(|lane| core::array::from_fn(|i| by_limb[i][lane]))
     }
 
     /// The Montgomery ladder over eight `(pre-clamped scalar, point)`
@@ -1002,7 +1079,7 @@ mod ifma {
             let da = mul(&d, &a);
             let cb = mul(&c, &b);
             x3 = square(&add(&da, &cb));
-            z3 = mul(&x1, &square(&sub(&da, &cb)));
+            z3 = mul(&square(&sub(&da, &cb)), &x1);
             x2 = mul(&aa, &bb);
             z2 = mul(&e, &add(&aa, &mul_small(&e, A24)));
         }
@@ -1055,12 +1132,13 @@ mod ifma {
         }
     }
 
-    /// The finishing multiplications of [`add_niels`] and [`double`], as
-    /// the scalar `Ext::from_efgh`.
+    /// The finishing multiplications of [`add_niels`], [`add_ext`] and
+    /// [`double`], as the scalar `Ext::from_efgh`. `f` is never the folded
+    /// operand: `e`, `g` and `h` must be foldable.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn from_efgh(e: &FeV, f: &FeV, g: &FeV, h: &FeV) -> ExtV {
         ExtV {
-            x: mul(e, f),
+            x: mul(f, e),
             y: mul(g, h),
             z: mul(f, g),
             t: mul(e, h),
@@ -1068,8 +1146,8 @@ mod ifma {
     }
 
     /// `p + q` per lane for an affine Niels `q = [y + x, y − x, 2d·x·y]`.
-    /// Every subtrahend is a multiplication's (carried) output and every
-    /// operand stays below 2⁴⁶.
+    /// Every subtrahend is a multiplication's (carried) output; `q`'s
+    /// coordinates are folded, and `e`, `g`, `h` stay foldable.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn add_niels(p: &ExtV, q: &[FeV; 3]) -> ExtV {
         let a = mul(&add(&p.y, &p.x), &q[0]);
@@ -1080,12 +1158,14 @@ mod ifma {
     }
 
     /// `2·p` per lane, the scalar `Ext::double` (same negated `F`, `H`).
+    /// `e` and `f` take two add/sub levels each, past [`FOLD_MAX`], and
+    /// meet in `x = e·f`: `e` is carried so that it can be folded.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn double(p: &ExtV) -> ExtV {
         let xx = square(&p.x);
         let yy = square(&p.y);
         let zz = square(&p.z);
-        let e = sub(&sub(&square(&add(&p.x, &p.y)), &xx), &yy);
+        let e = carry(sub(&sub(&square(&add(&p.x, &p.y)), &xx), &yy).0);
         let g = sub(&yy, &xx);
         let f = sub(&add(&add(&zz, &zz), &xx), &yy);
         from_efgh(&e, &f, &g, &add(&xx, &yy))
@@ -1205,8 +1285,8 @@ mod ifma {
 
     /// `p + q` per lane for projective `q`, the scalar `Ext::add` (`d2`
     /// is `2d` in every lane). The formula is complete, so equal points
-    /// and the identity need no special case; every operand stays below
-    /// 2⁴⁶, as in [`add_niels`].
+    /// and the identity need no special case; `d2` and `e`, `g`, `h` are
+    /// folded, as in [`add_niels`].
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn add_ext(p: &ExtV, q: &ExtV, d2: &FeV) -> ExtV {
         let a = mul(&add(&p.y, &p.x), &add(&q.y, &q.x));
@@ -1220,11 +1300,8 @@ mod ifma {
     /// Lanes `width·j` of `v`, `j < JOBS`, as scalar field elements.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn lanes_at<const JOBS: usize>(v: &FeV, width: usize) -> [Fe; JOBS] {
-        let mut by_limb = [[0u64; LANES]; 6];
-        for (limb, reg) in by_limb.iter_mut().zip(&v.0) {
-            _mm512_storeu_si512(limb.as_mut_ptr().cast(), *reg);
-        }
-        core::array::from_fn(|j| fe_from_limbs(core::array::from_fn(|i| by_limb[i][width * j])))
+        let lanes = limbs_of(v);
+        core::array::from_fn(|j| fe_from_limbs(lanes[width * j]))
     }
 
     /// Row-split passes of a pair's combs, four lanes each: the most any
@@ -1425,7 +1502,7 @@ mod ifma {
             }
             // Carried operands from the edges of the representation, one
             // per lane; then every add/sub level the ladder feeds a
-            // squaring, and the raw documented operand bound 2⁴⁶ − 1.
+            // squaring, and the largest foldable limb, FOLD_MAX.
             let carried: [[u64; 6]; LANES] = [
                 [0; 6],
                 [1, 0, 0, 0, 0, 0],
@@ -1447,7 +1524,7 @@ mod ifma {
             ];
             let rotated: [[u64; 6]; LANES] =
                 core::array::from_fn(|lane| carried[(lane + 3) % LANES]);
-            let bound = [[(1u64 << 46) - 1; 6]; LANES];
+            let bound = [[FOLD_MAX; 6]; LANES];
             // SAFETY: the `Ifma` rung was checked above.
             unsafe {
                 let (a, b) = (load(&carried), load(&rotated));
@@ -1456,6 +1533,129 @@ mod ifma {
                     let multiplied = store(&mul(&operand, &operand));
                     for (lane, (s, m)) in squared.iter().zip(&multiplied).enumerate() {
                         assert_eq!(s.to_bytes(), m.to_bytes(), "lane {lane}");
+                    }
+                }
+            }
+        }
+
+        /// Limb-wise `a + b` and the 16p-biased `a − b`, as [`add`] and
+        /// [`sub`] compute them.
+        fn add_limbs(a: [u64; 6], b: [u64; 6]) -> [u64; 6] {
+            core::array::from_fn(|i| a[i] + b[i])
+        }
+        fn sub_limbs(a: [u64; 6], b: [u64; 6]) -> [u64; 6] {
+            core::array::from_fn(|i| a[i] + SIXTEEN_P[i] - b[i])
+        }
+
+        /// Eight lanes at most `max` limb for limb: lane 0 is `max`
+        /// itself, lane 1 keeps its even limbs, lane 2 its odd ones, and
+        /// the rest draw every limb uniformly from `0 ..= max`.
+        fn lanes_up_to(max: [u64; 6], seed: u64) -> [[u64; 6]; LANES] {
+            let mut state = seed;
+            let mut next = move || {
+                // SplitMix64.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            core::array::from_fn(|lane| {
+                core::array::from_fn(|i| match lane {
+                    0 => max[i],
+                    1 => max[i] * u64::from(i % 2 == 0),
+                    2 => max[i] * u64::from(i % 2 == 1),
+                    _ => next() % (max[i] + 1),
+                })
+            })
+        }
+
+        #[test]
+        fn lane_products_match_the_scalar_field_on_every_call_sites_worst_operands() {
+            // Shown by CI (`--nocapture`): a runner without the wide tier
+            // says it pinned only the scalar twin.
+            let tiers = Tier::runnable(super::super::TIERS);
+            println!("x25519 lane product tiers exercised: {tiers:?}");
+            // The module's bound table, each kind at its largest limbs:
+            // every operand a call site folds, then those it must not.
+            let carried = [
+                (1 << 43) + (1 << 27) - 1,
+                MASK43,
+                MASK43,
+                MASK43,
+                MASK43,
+                MASK43,
+            ];
+            let entry = [MASK43, MASK43, MASK43, MASK43, MASK43, (1 << 40) - 1];
+            let zero = [0; 6];
+            let sum = add_limbs(carried, carried);
+            let foldable = [
+                ("carried", carried),
+                ("table entry", entry),
+                ("negated xy2d", sub_limbs(zero, zero)),
+                ("add of two carried", sum),
+                ("16p-biased sub", sub_limbs(carried, zero)),
+                ("g = 2z + c", add_limbs(sum, carried)),
+                ("FOLD_MAX", [FOLD_MAX; 6]),
+            ];
+            for (name, max) in foldable {
+                assert!(max.iter().all(|&limb| limb <= FOLD_MAX), "{name}");
+            }
+            let unfoldable = [
+                ("f = 2z − c", sub_limbs(sum, zero)),
+                ("double's e", sub_limbs(sub_limbs(carried, zero), zero)),
+                ("double's f", sub_limbs(add_limbs(sum, carried), zero)),
+            ];
+            let operands = |kinds: &[(&'static str, [u64; 6])], seed: u64| {
+                kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(name, max))| (name, lanes_up_to(max, seed + k as u64)))
+                    .collect::<Vec<_>>()
+            };
+            let bs = operands(foldable.as_slice(), 1);
+            let as_ = operands(&[foldable.as_slice(), unfoldable.as_slice()].concat(), 101);
+            let fe = |lanes: &[[u64; 6]; LANES]| lanes.map(fe_from_limbs);
+            // A lane output must be carried, then read as the twin's bytes.
+            let carried_bytes = |out: [[u64; 6]; LANES], what: &str| {
+                out.map(|limbs| {
+                    assert!(limbs[0] < (1 << 43) + (1 << 27), "{what}: {limbs:x?}");
+                    assert!(
+                        limbs[1..].iter().all(|&l| l <= MASK43),
+                        "{what}: {limbs:x?}"
+                    );
+                    fe_from_limbs(limbs).to_bytes()
+                })
+            };
+            for tier in tiers {
+                for (b_name, b) in &bs {
+                    let fb = fe(b);
+                    let twin = |op: &dyn Fn(&Fe) -> Fe| fb.map(|f| op(&f).to_bytes());
+                    let what = format!("{b_name}², {tier:?}");
+                    let squared = match tier {
+                        // SAFETY: `Tier::runnable` yields only rungs the CPU reaches.
+                        Tier::Ifma => carried_bytes(unsafe { limbs_of(&square(&load(b))) }, &what),
+                        // The twin's dedicated squaring against its product.
+                        _ => twin(&|f| f.square()),
+                    };
+                    assert_eq!(squared, twin(&|f| f.mul(f)), "{what}");
+                    if tier != Tier::Ifma {
+                        continue;
+                    }
+                    let what = format!("{b_name} · a24");
+                    // SAFETY: as above.
+                    let small = unsafe { limbs_of(&mul_small(&load(b), A24)) };
+                    assert_eq!(
+                        carried_bytes(small, &what),
+                        twin(&|f| f.mul_small(A24 as u32))
+                    );
+                    for (a_name, a) in &as_ {
+                        let what = format!("{a_name} · {b_name}");
+                        // SAFETY: as above.
+                        let out = unsafe { limbs_of(&mul(&load(a), &load(b))) };
+                        let fa = fe(a);
+                        let expected: [[u8; 32]; LANES] =
+                            core::array::from_fn(|lane| fa[lane].mul(&fb[lane]).to_bytes());
+                        assert_eq!(carried_bytes(out, &what), expected, "{what}");
                     }
                 }
             }
