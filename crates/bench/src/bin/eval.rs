@@ -225,8 +225,8 @@ fn run_fig5(opts: &Options) -> Result<(), String> {
 
 fn run_fig6(opts: &Options) -> Result<(), String> {
     for setup in setups(opts) {
-        let round = utility_cdf::evaluated_round(&setup, utility_cdf::ROUND);
-        let (points, means) = utility_cdf::run(&setup, round).map_err(|e| e.to_string())?;
+        let (round, points, means) =
+            utility_cdf::run(&setup, utility_cdf::ROUND).map_err(|e| e.to_string())?;
         report::print_table(
             &format!(
                 "Figure 6 ({}): CDF of per-participant accuracy at round {round}",

@@ -201,9 +201,11 @@ impl ExperimentSetup {
         }
     }
 
-    /// Builds the model template for this dataset: 2-conv + 3-dense for
-    /// CIFAR10/MotionSense/MobiAct, DeepFace-like for LFW (§6.1.1).
-    pub fn build_template(&self, rng: &mut StdRng) -> Sequential {
+    /// The model template for this dataset, its weights seeded from the
+    /// FL seed: 2-conv + 3-dense for CIFAR10/MotionSense/MobiAct,
+    /// DeepFace-like for LFW (§6.1.1).
+    pub fn template(&self) -> Sequential {
+        let mut rng = StdRng::seed_from_u64(self.fl.seed ^ 0x7e3);
         let input = zoo::InputSpec::new(
             self.spec.dims.channels,
             self.spec.dims.height,
@@ -211,22 +213,16 @@ impl ExperimentSetup {
         );
         match self.kind {
             DatasetKind::Lfw => {
-                zoo::deepface_like(input, self.spec.num_classes, self.conv_width, rng)
+                zoo::deepface_like(input, self.spec.num_classes, self.conv_width, &mut rng)
             }
             _ => zoo::conv2_fc3(
                 input,
                 self.spec.num_classes,
                 self.conv_width,
                 self.fc_width,
-                rng,
+                &mut rng,
             ),
         }
-    }
-
-    /// Deterministic template for this setup (seeded from the FL seed).
-    pub fn template(&self) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(self.fl.seed ^ 0x7e3);
-        self.build_template(&mut rng)
     }
 
     /// The chance level of the sensitive-attribute inference for this

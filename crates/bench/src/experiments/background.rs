@@ -5,7 +5,8 @@
 //! → higher inference accuracy for classic FL and (less so) noisy
 //! gradient; MixNN stays flat at chance regardless of knowledge.
 
-use crate::{Defense, ExperimentSetup};
+use crate::trial::{map_trials, Trial};
+use crate::ExperimentSetup;
 use mixnn_attacks::{AttackError, AttackMode, InferenceExperiment};
 
 /// One (defense, background-ratio) point of the Fig. 8 curves.
@@ -36,30 +37,27 @@ pub fn run(
     fractions: &[f64],
     mode: AttackMode,
 ) -> Result<Vec<BackgroundPoint>, AttackError> {
-    let population = setup.spec.generate()?;
-    let template = setup.template();
-    let mut points = Vec::new();
-    for defense in Defense::lineup(setup.noise_sigma) {
-        for &fraction in fractions {
-            let mut transport = defense.make_transport(setup.fl.seed, &template.signature());
-            let experiment = InferenceExperiment::new(
-                &population,
-                template.clone(),
-                setup.fl,
-                setup.attack.clone(),
-                mode,
-                fraction,
-            );
-            let result = experiment.run(transport.as_mut())?;
-            points.push(BackgroundPoint {
-                dataset: setup.kind.name().to_string(),
-                defense: defense.label().to_string(),
-                background_fraction: fraction,
-                accuracy: result.final_accuracy,
-                chance: setup.chance_level(),
-            });
-        }
-    }
+    let jobs: Vec<(Trial, f64)> = Trial::lineup(setup, 1, 0)
+        .into_iter()
+        .flat_map(|trial| fractions.iter().map(move |&f| (trial.clone(), f)))
+        .collect();
+    let accuracies = map_trials(setup.fl.client_workers, &jobs, |(trial, f), workers| {
+        let (population, template, fl, mut transport) = trial.prepare(workers)?;
+        let attack = trial.setup.attack.clone();
+        let experiment = InferenceExperiment::new(&population, template, fl, attack, mode, *f);
+        Ok(experiment.run(transport.as_mut())?.final_accuracy)
+    })?;
+    let points = jobs
+        .iter()
+        .zip(accuracies)
+        .map(|((trial, fraction), accuracy)| BackgroundPoint {
+            dataset: setup.kind.name().to_string(),
+            defense: trial.defense.label().to_string(),
+            background_fraction: *fraction,
+            accuracy,
+            chance: setup.chance_level(),
+        })
+        .collect();
     Ok(points)
 }
 

@@ -6,7 +6,8 @@
 //! stays at the random-guess level (1/3 for CIFAR10's three preference
 //! groups, 1/2 for the gender datasets).
 
-use crate::{Defense, ExperimentSetup};
+use crate::trial::{map_trials, Trial};
+use crate::ExperimentSetup;
 use mixnn_attacks::{AttackError, AttackMode, InferenceExperiment};
 
 /// One (defense, round) point of the Fig. 7 curves.
@@ -24,6 +25,11 @@ pub struct InferencePoint {
     pub chance: f32,
 }
 
+/// Fig. 7's trials: repeat `r` runs at seed `setup.fl.seed + 777·r`.
+pub fn trials(setup: &ExperimentSetup, repeats: usize) -> Vec<Trial> {
+    Trial::lineup(setup, repeats, 777)
+}
+
 /// Runs the Fig. 7 experiment: the ∇Sim attack (active by default, as in
 /// the paper's figure) against each defense, averaged over `repeats`
 /// seeds.
@@ -37,43 +43,23 @@ pub fn run(
     background_fraction: f64,
     repeats: usize,
 ) -> Result<Vec<InferencePoint>, AttackError> {
-    let rounds = setup.fl.rounds;
-    let mut points = Vec::new();
-    for defense in Defense::lineup(setup.noise_sigma) {
-        let mut acc_sum = vec![0.0f32; rounds];
-        for rep in 0..repeats.max(1) {
-            let seed = setup.fl.seed.wrapping_add(777 * rep as u64);
-            let mut spec = setup.spec.clone();
-            spec.seed = seed;
-            let population = spec.generate()?;
-            let mut fl_cfg = setup.fl;
-            fl_cfg.seed = seed;
-            let mut attack_cfg = setup.attack.clone();
-            attack_cfg.seed = seed;
-            let mut setup_seeded = setup.clone();
-            setup_seeded.fl = fl_cfg;
-            let template = setup_seeded.template();
-            let mut transport = defense.make_transport(seed, &template.signature());
-            let experiment = InferenceExperiment::new(
-                &population,
-                template,
-                fl_cfg,
-                attack_cfg,
-                mode,
-                background_fraction,
-            );
-            let result = experiment.run(transport.as_mut())?;
-            for (round, acc) in result.per_round_accuracy.iter().enumerate() {
-                acc_sum[round] += acc;
-            }
-        }
-        let n = repeats.max(1) as f32;
-        for (round, sum) in acc_sum.iter().enumerate() {
+    let repeats = repeats.max(1);
+    let trials = trials(setup, repeats);
+    let curves = map_trials(setup.fl.client_workers, &trials, |trial, workers| {
+        let (population, template, fl, mut transport) = trial.prepare(workers)?;
+        let attack = trial.setup.attack.clone();
+        let experiment =
+            InferenceExperiment::new(&population, template, fl, attack, mode, background_fraction);
+        Ok(experiment.run(transport.as_mut())?.per_round_accuracy)
+    })?;
+    let (n, mut points) = (repeats as f32, Vec::new());
+    for (reps, trial) in curves.chunks(repeats).zip(trials.iter().step_by(repeats)) {
+        for round in 0..setup.fl.rounds {
             points.push(InferencePoint {
                 dataset: setup.kind.name().to_string(),
-                defense: defense.label().to_string(),
+                defense: trial.defense.label().to_string(),
                 round: round + 1,
-                accuracy: sum / n,
+                accuracy: reps.iter().fold(0.0, |s, c| s + c[round]) / n,
                 chance: setup.chance_level(),
             });
         }
@@ -100,7 +86,22 @@ pub fn rows(points: &[InferencePoint]) -> Vec<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DatasetKind, ExperimentScale};
+    use crate::{DatasetKind, Defense, ExperimentScale};
+
+    #[test]
+    fn fig7_trials_are_defense_major_at_seed_plus_777_per_repeat() {
+        let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 42);
+        let got: Vec<(Defense, u64)> = trials(&setup, 3)
+            .iter()
+            .map(|t| (t.defense, t.setup.fl.seed))
+            .collect();
+        let want: Vec<(Defense, u64)> = Defense::lineup(setup.noise_sigma)
+            .into_iter()
+            .flat_map(|d| (0..3).map(move |r| (d, 42 + 777 * r)))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(trials(&setup, 0).len(), 3, "repeats 0 runs once");
+    }
 
     #[test]
     fn quick_inference_produces_grid() {

@@ -5,10 +5,11 @@
 //! egos, so a malicious server enumerating combinations of mixed layers
 //! cannot tell which pieces belong together.
 
-use crate::ExperimentSetup;
+use crate::trial::Trial;
+use crate::{Defense, ExperimentSetup};
 use mixnn_attacks::robustness::{cdf_of_counts, neighbor_counts};
 use mixnn_attacks::{AttackError, ServerLog};
-use mixnn_fl::{DirectTransport, FlSimulation};
+use mixnn_fl::FlSimulation;
 
 /// The neighbour radius of Fig. 9, on unit-normalized gradients. Two unit
 /// vectors lie within 1.25 of each other exactly when their cosine is at
@@ -40,14 +41,14 @@ pub fn run(
     warmup_rounds: usize,
     radius: f32,
 ) -> Result<(Vec<NeighborPoint>, Vec<usize>), AttackError> {
-    let population = setup.spec.generate()?;
-    let mut fl_cfg = setup.fl;
+    let mut trial = Trial::new(setup, setup.fl.seed, Defense::ClassicFl);
     // All participants report this round so the neighbourhood statistics
     // cover the population, as in the paper's figure.
-    fl_cfg.clients_per_round = population.len();
-    let mut sim = FlSimulation::new(setup.template(), fl_cfg, &population);
-    let rounds = warmup_rounds + 1;
-    let log = ServerLog::record(&mut sim, &mut DirectTransport::new(), rounds, |global| {
+    trial.setup.fl.clients_per_round = setup.spec.num_participants();
+    // One trial: it takes the whole thread budget for its clients.
+    let (population, template, fl, mut transport) = trial.prepare(setup.fl.client_workers)?;
+    let mut sim = FlSimulation::new(template, fl, &population);
+    let log = ServerLog::record(&mut sim, transport.as_mut(), warmup_rounds + 1, |global| {
         Ok(global.clone())
     })?;
     let (global, observed) = log.broadcasts().next_back().expect("at least one round");

@@ -5,9 +5,11 @@
 //! curve** (aggregation equivalence), while noisy gradient sits ~10 points
 //! lower and converges more slowly.
 
-use crate::{Defense, ExperimentSetup};
+use crate::trial::{map_trials, Trial};
+use crate::ExperimentSetup;
 use mixnn_attacks::AttackError;
 use mixnn_fl::FlSimulation;
+use mixnn_nn::Evaluation;
 
 /// One (defense, round) point of the Fig. 5 curves, averaged over repeats.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +26,11 @@ pub struct UtilityPoint {
     pub loss: f32,
 }
 
+/// Fig. 5's trials: repeat `r` runs at seed `setup.fl.seed + 1000·r`.
+pub fn trials(setup: &ExperimentSetup, repeats: usize) -> Vec<Trial> {
+    Trial::lineup(setup, repeats, 1000)
+}
+
 /// Runs the Fig. 5 experiment for one dataset: every defense, `repeats`
 /// seeds, accuracy measured after every round.
 ///
@@ -31,41 +38,28 @@ pub struct UtilityPoint {
 ///
 /// Propagates data-generation and FL failures.
 pub fn run(setup: &ExperimentSetup, repeats: usize) -> Result<Vec<UtilityPoint>, AttackError> {
-    let defenses = Defense::lineup(setup.noise_sigma);
-    let rounds = setup.fl.rounds;
-    let mut points = Vec::new();
-
-    for defense in defenses {
-        // accumulate per-round sums over repeats
-        let mut acc_sum = vec![0.0f32; rounds];
-        let mut loss_sum = vec![0.0f32; rounds];
-        for rep in 0..repeats.max(1) {
-            let seed = setup.fl.seed.wrapping_add(1000 * rep as u64);
-            let mut spec = setup.spec.clone();
-            spec.seed = seed;
-            let population = spec.generate()?;
-            let mut fl_cfg = setup.fl;
-            fl_cfg.seed = seed;
-            let mut setup_seeded = setup.clone();
-            setup_seeded.fl = fl_cfg;
-            let template = setup_seeded.template();
-            let mut transport = defense.make_transport(seed, &template.signature());
-            let mut sim = FlSimulation::new(template, fl_cfg, &population);
-            for round in 0..rounds {
+    let (repeats, rounds) = (repeats.max(1), setup.fl.rounds);
+    let trials = trials(setup, repeats);
+    let curves = map_trials(setup.fl.client_workers, &trials, |trial, workers| {
+        let (population, template, fl, mut transport) = trial.prepare(workers)?;
+        let mut sim = FlSimulation::new(template, fl, &population);
+        (0..rounds)
+            .map(|_| {
                 sim.run_round(transport.as_mut())?;
-                let eval = sim.evaluate_global(population.global_test())?;
-                acc_sum[round] += eval.accuracy;
-                loss_sum[round] += eval.loss;
-            }
-        }
-        let n = repeats.max(1) as f32;
+                Ok(sim.evaluate_global(population.global_test())?)
+            })
+            .collect::<Result<Vec<_>, AttackError>>()
+    })?;
+    let (n, mut points) = (repeats as f32, Vec::new());
+    for (reps, trial) in curves.chunks(repeats).zip(trials.iter().step_by(repeats)) {
         for round in 0..rounds {
+            let sum = |f: fn(&Evaluation) -> f32| reps.iter().fold(0.0, |s, c| s + f(&c[round]));
             points.push(UtilityPoint {
                 dataset: setup.kind.name().to_string(),
-                defense: defense.label().to_string(),
+                defense: trial.defense.label().to_string(),
                 round: round + 1,
-                accuracy: acc_sum[round] / n,
-                loss: loss_sum[round] / n,
+                accuracy: sum(|e| e.accuracy) / n,
+                loss: sum(|e| e.loss) / n,
             });
         }
     }
@@ -91,7 +85,22 @@ pub fn rows(points: &[UtilityPoint]) -> Vec<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DatasetKind, ExperimentScale};
+    use crate::{DatasetKind, Defense, ExperimentScale};
+
+    #[test]
+    fn fig5_trials_are_defense_major_at_seed_plus_1000_per_repeat() {
+        let setup = ExperimentSetup::at_scale(DatasetKind::Cifar10, ExperimentScale::Quick, 42);
+        let got: Vec<(Defense, u64)> = trials(&setup, 3)
+            .iter()
+            .map(|t| (t.defense, t.setup.fl.seed))
+            .collect();
+        let want: Vec<(Defense, u64)> = Defense::lineup(setup.noise_sigma)
+            .into_iter()
+            .flat_map(|d| (0..3).map(move |r| (d, 42 + 1000 * r)))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(trials(&setup, 0).len(), 3, "repeats 0 runs once");
+    }
 
     #[test]
     fn quick_run_produces_full_grid() {

@@ -6,7 +6,8 @@
 //! MixNN's for every dataset (most participants lose accuracy to the
 //! noise; the paper reports population means of 0.56 vs 0.68).
 
-use crate::{Defense, ExperimentSetup};
+use crate::trial::{map_trials, Trial};
+use crate::ExperimentSetup;
 use mixnn_attacks::AttackError;
 use mixnn_fl::FlSimulation;
 
@@ -35,15 +36,10 @@ pub struct PopulationMean {
 /// The round Fig. 6 evaluates at, as in the paper.
 pub const ROUND: usize = 6;
 
-/// The round [`run`] evaluates at when asked for `at_round`: at least the
-/// first, at most the last `setup` trains.
-pub fn evaluated_round(setup: &ExperimentSetup, at_round: usize) -> usize {
-    at_round.clamp(1, setup.fl.rounds)
-}
-
-/// Runs the Fig. 6 experiment: train [`evaluated_round`] rounds under each
-/// defense, then evaluate the global model on every participant's local
-/// test set.
+/// Runs the Fig. 6 experiment: train `at_round` rounds (at least the
+/// first, at most the last `setup` trains) under each defense, then
+/// evaluate the global model on every participant's local test set.
+/// Returns the round it evaluated with the points and the means.
 ///
 /// # Errors
 ///
@@ -51,26 +47,23 @@ pub fn evaluated_round(setup: &ExperimentSetup, at_round: usize) -> usize {
 pub fn run(
     setup: &ExperimentSetup,
     at_round: usize,
-) -> Result<(Vec<CdfPoint>, Vec<PopulationMean>), AttackError> {
-    let rounds = evaluated_round(setup, at_round);
-    let mut points = Vec::new();
-    let mut means = Vec::new();
-
-    for defense in Defense::lineup(setup.noise_sigma) {
-        let population = setup.spec.generate()?;
-        let template = setup.template();
-        let mut transport = defense.make_transport(setup.fl.seed, &template.signature());
-        let mut sim = FlSimulation::new(template, setup.fl, &population);
+) -> Result<(usize, Vec<CdfPoint>, Vec<PopulationMean>), AttackError> {
+    let rounds = at_round.clamp(1, setup.fl.rounds);
+    let trials = Trial::lineup(setup, 1, 0);
+    let per_defense = map_trials(setup.fl.client_workers, &trials, |trial, workers| {
+        let (population, template, fl, mut transport) = trial.prepare(workers)?;
+        let mut sim = FlSimulation::new(template, fl, &population);
         for _ in 0..rounds {
             sim.run_round(transport.as_mut())?;
         }
-        let mut accuracies: Vec<f32> = sim
-            .evaluate_per_participant(&population)?
-            .into_iter()
-            .map(|(_, e)| e.accuracy)
-            .collect();
+        let evals = sim.evaluate_per_participant(&population)?;
+        Ok(evals.iter().map(|(_, e)| e.accuracy).collect::<Vec<f32>>())
+    })?;
+    let mut points = Vec::new();
+    let mut means = Vec::new();
+    for (trial, mut accuracies) in trials.iter().zip(per_defense) {
         means.push(PopulationMean {
-            defense: defense.label().to_string(),
+            defense: trial.defense.label().to_string(),
             mean_accuracy: crate::report::mean(&accuracies),
         });
         accuracies.sort_by(f32::total_cmp);
@@ -78,13 +71,13 @@ pub fn run(
         for (i, acc) in accuracies.iter().enumerate() {
             points.push(CdfPoint {
                 dataset: setup.kind.name().to_string(),
-                defense: defense.label().to_string(),
+                defense: trial.defense.label().to_string(),
                 accuracy: *acc,
                 fraction: (i + 1) as f32 / n,
             });
         }
     }
-    Ok((points, means))
+    Ok((rounds, points, means))
 }
 
 /// Formats CDF points as table rows.
@@ -110,7 +103,8 @@ mod tests {
     #[test]
     fn cdf_is_monotone_per_defense() {
         let setup = ExperimentSetup::at_scale(DatasetKind::MotionSense, ExperimentScale::Quick, 5);
-        let (points, means) = run(&setup, 2).unwrap();
+        let (round, points, means) = run(&setup, 2).unwrap();
+        assert_eq!(round, 2);
         assert_eq!(means.len(), 3);
         for defense in ["classic-fl", "noisy-gradient", "mixnn"] {
             let series: Vec<&CdfPoint> = points.iter().filter(|p| p.defense == defense).collect();

@@ -4,7 +4,8 @@
 //! repo benchmark's (`benchmark/`) to measure.
 //!
 //! Each experiment module produces printable row/series structures so the
-//! `eval` binary can emit the same curves the paper plots:
+//! `eval` binary can emit the same curves the paper plots. Figures 5–9 are
+//! [`Trial`]s; 5–8 map their lists to rows through [`trial::map_trials`]:
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -32,6 +33,8 @@ pub mod configs;
 pub mod defense;
 pub mod experiments;
 pub mod report;
+pub mod trial;
 
 pub use configs::{DatasetKind, ExperimentScale, ExperimentSetup};
 pub use defense::{Defense, Layout};
+pub use trial::Trial;

@@ -36,6 +36,6 @@ pub use client::{train_local, FlClient, LocalTrainer};
 pub use config::FlConfig;
 pub use error::FlError;
 pub use server::AggregationServer;
-pub use simulation::{FlSimulation, RoundOutcome};
+pub use simulation::{map_chunked, FlSimulation, RoundOutcome};
 pub use transport::{DirectTransport, NoisyTransport, UpdateTransport};
 pub use update::ModelUpdate;

@@ -260,10 +260,16 @@ impl FlSimulation {
 /// themselves, and a state may carry memory, never results, between
 /// items.
 ///
+/// This is the workspace's one thread runner: [`FlSimulation`] trains a
+/// round's clients through it (one [`LocalTrainer`] per worker), and
+/// `mixnn-bench` runs a paper figure's trials through it (stateless
+/// workers, `&mut [(); w]`).
+///
 /// # Panics
 ///
-/// Panics if `workers` is empty while `items` is not.
-fn map_chunked<T, S, R, F>(items: &[T], workers: &mut [S], f: F) -> Vec<R>
+/// Panics if `workers` is empty while `items` is not, or if a worker
+/// panicked.
+pub fn map_chunked<T, S, R, F>(items: &[T], workers: &mut [S], f: F) -> Vec<R>
 where
     T: Sync,
     S: Send,
@@ -291,7 +297,7 @@ where
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("client training worker panicked"))
+            .flat_map(|h| h.join().expect("map_chunked worker panicked"))
             .collect()
     })
 }
